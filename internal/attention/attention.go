@@ -25,6 +25,18 @@
 // masked-out rows — padding, other sequences' KV — into the key/value
 // tensors cannot perturb a single bit.
 //
+// Inside a cell the two hot loops are tile kernels (scoreTile, pvTile) with
+// a portable form in this file and a register-blocked AVX form on amd64. The
+// portable loops are the oracle; the AVX forms compute several output values
+// per pass — four K rows scored against one load of the query chunk, a head's
+// whole accumulator held in registers across a V tile — but each value's
+// arithmetic is the oracle's, lane for lane: four accumulators combined as
+// ((s0+s2)+(s1+s3)) then scaled for a score, one mul-then-add chain in
+// ascending row order for every accumulator element, no FMA. Head dims that
+// are not a multiple of four take the portable loops. Which form runs is
+// therefore invisible in the output bits, and tests check exactly that at
+// every head dim, row count and group size.
+//
 // All kernels carry per-(query, head) log-sum-exp (LSE) values so partial
 // results can be merged exactly. Masking is expressed through global token
 // positions and sequence ids, which is what the load-balanced sharding of
@@ -39,6 +51,7 @@ import (
 	"sync"
 
 	"repro/internal/parallel"
+	"repro/internal/simd"
 	"repro/internal/tensor"
 )
 
@@ -283,12 +296,7 @@ func gqaCell(dst *Output, q, k, v *tensor.Tensor, sc *gqaScratch, row []Interval
 				n = kvTileRows
 			}
 			widenRows(tile, k.Data, base, n, kvRowLen, kvh*dh, dh)
-			for g := 0; g < group; g++ {
-				mx := dotTile(qf[g*dh:][:dh], tile[:n*dh], scores[g*na+ns:][:n], scale)
-				if mx > maxs[g] {
-					maxs[g] = mx
-				}
-			}
+			scoreTile(qf, tile, scores[ns:], maxs, group, n, dh, na, scale)
 			ns += n
 		}
 	}
@@ -319,26 +327,7 @@ func gqaCell(dst *Output, q, k, v *tensor.Tensor, sc *gqaScratch, row []Interval
 				n = kvTileRows
 			}
 			widenRows(tile, v.Data, base, n, kvRowLen, kvh*dh, dh)
-			for g := 0; g < group; g++ {
-				w := scores[g*na+ns:][:n]
-				dg := denom[g]
-				accg := acc[g*dh:][:dh]
-				if useAVX {
-					for jj, wj := range w {
-						dg += wj
-						axpyAVX(wj, tile[jj*dh:][:dh], accg)
-					}
-				} else {
-					for jj, wj := range w {
-						dg += wj
-						vRow := tile[jj*dh:][:dh]
-						for d, vd := range vRow {
-							accg[d] += wj * vd
-						}
-					}
-				}
-				denom[g] = dg
-			}
+			pvTile(scores[ns:], tile, acc, denom, group, n, dh, na)
 			ns += n
 		}
 	}
@@ -356,7 +345,7 @@ func gqaCell(dst *Output, q, k, v *tensor.Tensor, sc *gqaScratch, row []Interval
 // starting at token row base) into the contiguous float64 tile. Widening is
 // exact, so sharing the converted tile across the head group changes no bits.
 func widenRows(tile []float64, data []float32, base, n, rowLen, headOff, dh int) {
-	if useAVX {
+	if simd.Available() {
 		if rowLen == dh {
 			cvtAVX(tile[:n*dh], data[base*dh:][:n*dh])
 			return
@@ -389,37 +378,72 @@ func widenRows(tile []float64, data []float32, base, n, rowLen, headOff, dh int)
 	}
 }
 
-// dotTile scores one widened query row against every row of a widened K
-// tile, writing scaled float64 dot products and returning their max. The
+// tileAVX reports whether the AVX tile kernels take this head dim: they
+// handle whole four-lane chunks only, so other dims keep the portable loops.
+func tileAVX(dh int) bool { return simd.Available() && dh > 0 && dh%4 == 0 }
+
+// scoreTile scores every query head of the group against one widened K tile
+// of n rows: scores[g*stride+j] = (q[g*dh:] · rows[j*dh:]) * scale, and
+// maxs[g] is raised to the largest of them, compared in row order. The
 // four-way unrolled accumulators break the floating-point add latency chain;
 // the summation order is a fixed function of the row length, never of the
-// caller.
-func dotTile(q, rows, out []float64, scale float64) float64 {
-	dh := len(q)
-	if useAVX {
-		return dotTileAVX(q, rows[:len(out)*dh], out, scale)
+// caller. This loop is the oracle: the AVX form computes four rows per pass
+// with each row's accumulator lanes equal to s0..s3 here.
+func scoreTile(q, rows, scores, maxs []float64, group, n, dh, stride int, scale float64) {
+	q, rows, scores, maxs = q[:group*dh], rows[:n*dh], scores[:(group-1)*stride+n], maxs[:group]
+	if tileAVX(dh) {
+		scoreTileAVX(&q[0], &rows[0], &scores[0], &maxs[0], group, n, dh, stride, scale)
+		return
 	}
-	mx := NegInf
-	for jj := range out {
-		row := rows[jj*dh:][:dh]
-		var s0, s1, s2, s3 float64
-		i := 0
-		for ; i+3 < dh; i += 4 {
-			s0 += q[i] * row[i]
-			s1 += q[i+1] * row[i+1]
-			s2 += q[i+2] * row[i+2]
-			s3 += q[i+3] * row[i+3]
+	for g := 0; g < group; g++ {
+		qg := q[g*dh:][:dh]
+		mx := maxs[g]
+		for jj := 0; jj < n; jj++ {
+			row := rows[jj*dh:][:dh]
+			var s0, s1, s2, s3 float64
+			i := 0
+			for ; i+3 < dh; i += 4 {
+				s0 += qg[i] * row[i]
+				s1 += qg[i+1] * row[i+1]
+				s2 += qg[i+2] * row[i+2]
+				s3 += qg[i+3] * row[i+3]
+			}
+			for ; i < dh; i++ {
+				s0 += qg[i] * row[i]
+			}
+			s := ((s0 + s2) + (s1 + s3)) * scale
+			scores[g*stride+jj] = s
+			if s > mx {
+				mx = s
+			}
 		}
-		for ; i < dh; i++ {
-			s0 += q[i] * row[i]
-		}
-		s := ((s0 + s2) + (s1 + s3)) * scale
-		out[jj] = s
-		if s > mx {
-			mx = s
-		}
+		maxs[g] = mx
 	}
-	return mx
+}
+
+// pvTile folds one widened V tile of n rows into every head's running
+// softmax sums: with weights wg = w[g*stride:][:n], denom[g] += wg[j] and
+// acc[g*dh+d] += wg[j]*rows[j*dh+d], both in ascending j. Each accumulator
+// element is its own mul-then-add chain, so the AVX form — which keeps a
+// head's accumulator in registers across the whole tile, 32 columns at a
+// time — reorders nothing within a chain.
+func pvTile(w, rows, acc, denom []float64, group, n, dh, stride int) {
+	w, rows, acc, denom = w[:(group-1)*stride+n], rows[:n*dh], acc[:group*dh], denom[:group]
+	if tileAVX(dh) {
+		pvTileAVX(&w[0], &rows[0], &acc[0], &denom[0], group, n, dh, stride)
+		return
+	}
+	for g := 0; g < group; g++ {
+		dg := denom[g]
+		accg := acc[g*dh:][:dh]
+		for jj, wj := range w[g*stride:][:n] {
+			dg += wj
+			for d, vd := range rows[jj*dh:][:dh] {
+				accg[d] += wj * vd
+			}
+		}
+		denom[g] = dg
+	}
 }
 
 // Reference is the seed scalar kernel kept verbatim as a second witness: a

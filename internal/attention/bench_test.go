@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/simd"
 	"repro/internal/tensor"
 )
 
@@ -64,5 +65,32 @@ func BenchmarkGQADecodeStep(b *testing.B) {
 		if err := GQAInto(out, q, k, v, m); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGQATileKernels times the two register-blocked tile kernels alone
+// on one full tile at the benchmark model's geometry (8 query heads per KV
+// head, head dim 32), vector path on and off.
+func BenchmarkGQATileKernels(b *testing.B) {
+	const group, dh, n = 8, 32, kvTileRows
+	rng := rand.New(rand.NewSource(3))
+	q, rows, w := randF64(rng, group*dh), randF64(rng, n*dh), randF64(rng, group*n)
+	scores, maxs := make([]float64, group*n), make([]float64, group)
+	acc, denom := make([]float64, group*dh), make([]float64, group)
+	for _, on := range []bool{true, false} {
+		prev := simd.SetEnabled(on)
+		b.Run(fmt.Sprintf("score/simd=%v", on), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				scoreTile(q, rows, scores, maxs, group, n, dh, n, 0.5)
+			}
+			b.ReportMetric(2*group*n*dh*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+		b.Run(fmt.Sprintf("pv/simd=%v", on), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pvTile(w, rows, acc, denom, group, n, dh, n)
+			}
+			b.ReportMetric(2*group*n*dh*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+		simd.SetEnabled(prev)
 	}
 }

@@ -2,28 +2,26 @@
 
 package attention
 
-import "repro/internal/simd"
-
-// useAVX gates the AVX inner loops. The vector code is lane-for-lane the
-// same arithmetic as the four-way unrolled scalar loops (lane i of the
-// vector accumulator is exactly scalar accumulator s_i, and the horizontal
-// reduction replays ((s0+s2)+(s1+s3))), so switching between the two paths
-// can never change a bit — it is purely a throughput decision. CPU
-// detection lives in the shared internal/simd package, captured once at
-// init.
-var useAVX = simd.Available()
-
-// axpyAVX computes y[i] += alpha*x[i] (len(y) >= len(x)), elementwise mul
-// then add, identical rounding to the scalar loop. Implemented in
-// simd_amd64.s.
-func axpyAVX(alpha float64, x, y []float64)
+// The AVX inner loops are lane-for-lane the arithmetic of the portable loops
+// in attention.go, so switching between the two paths can never change a bit
+// — it is purely a throughput decision, taken from simd.Available() at each
+// call (CPU detection lives in the shared internal/simd package).
 
 // cvtAVX widens src into dst (len(dst) >= len(src)); float32→float64 is
 // exact, so vector and scalar conversion agree bitwise. Implemented in
 // simd_amd64.s.
 func cvtAVX(dst []float64, src []float32)
 
-// dotTileAVX runs the full dotTile inner loop — len(out) consecutive rows
-// dotted against q, scaled, stored, max-tracked — with the same lane
-// arithmetic as dotvAVX. Implemented in simd_amd64.s.
-func dotTileAVX(q, rows, out []float64, scale float64) float64
+// scoreTileAVX is scoreTile for dh a positive multiple of 4 and n >= 1: four
+// K rows per pass with the q chunk loaded once, each score's accumulator
+// the same four lanes as the scalar unroll. Implemented in simd_amd64.s.
+//
+//go:noescape
+func scoreTileAVX(q, rows, scores, maxs *float64, group, n, dh, stride int, scale float64)
+
+// pvTileAVX is pvTile for dh a positive multiple of 4 and n >= 1: a head's
+// accumulator stays in registers across the tile, column-blocked 32 wide.
+// Implemented in simd_amd64.s.
+//
+//go:noescape
+func pvTileAVX(w, rows, acc, denom *float64, group, n, dh, stride int)

@@ -2,14 +2,15 @@
 
 package attention
 
-// Non-amd64 builds always take the portable scalar loops; the constant lets
-// the compiler delete the vector branches entirely.
-const useAVX = false
-
-func axpyAVX(alpha float64, x, y []float64) { panic("attention: axpyAVX without AVX") }
+// Non-amd64 builds always take the portable loops: simd.Available() is
+// constant false there, so these are never reached.
 
 func cvtAVX(dst []float64, src []float32) { panic("attention: cvtAVX without AVX") }
 
-func dotTileAVX(q, rows, out []float64, scale float64) float64 {
-	panic("attention: dotTileAVX without AVX")
+func scoreTileAVX(q, rows, scores, maxs *float64, group, n, dh, stride int, scale float64) {
+	panic("attention: scoreTileAVX without AVX")
+}
+
+func pvTileAVX(w, rows, acc, denom *float64, group, n, dh, stride int) {
+	panic("attention: pvTileAVX without AVX")
 }

@@ -1,8 +1,12 @@
 package attention
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/simd"
+	"repro/internal/tensor"
 )
 
 // scalarDot replays the portable four-way unrolled dot product.
@@ -21,46 +25,26 @@ func scalarDot(a, b []float64) float64 {
 	return (s0 + s2) + (s1 + s3)
 }
 
-// The AVX inner loops must be bit-identical to the portable scalar loops at
-// every length, including non-multiple-of-four tails — switching between
-// them is a pure throughput decision.
-func TestSIMDMatchesScalarExactly(t *testing.T) {
-	if !useAVX {
-		t.Skip("no AVX on this machine")
+func randF64(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = rng.NormFloat64()
 	}
-	rng := rand.New(rand.NewSource(11))
-	for n := 1; n <= 70; n++ {
-		a := make([]float64, n)
-		b := make([]float64, n)
-		y1 := make([]float64, n)
-		y2 := make([]float64, n)
-		for trial := 0; trial < 8; trial++ {
-			for i := range a {
-				a[i] = rng.NormFloat64()
-				b[i] = rng.NormFloat64()
-				y1[i] = rng.NormFloat64()
-				y2[i] = y1[i]
-			}
-			var one [1]float64
-			if got, want := dotTileAVX(a, b, one[:], 1), scalarDot(a, b); got != want {
-				t.Fatalf("dotTileAVX(n=%d) = %x, scalar %x", n, got, want)
-			}
-			alpha := rng.NormFloat64()
-			axpyAVX(alpha, a, y1)
-			for i := range y2 {
-				y2[i] += alpha * a[i]
-			}
-			for i := range y1 {
-				if y1[i] != y2[i] {
-					t.Fatalf("axpyAVX(n=%d)[%d] = %x, scalar %x", n, i, y1[i], y2[i])
-				}
-			}
-		}
+	return out
+}
+
+// kernelDims is every head dim 1..96 (all tail residues, both sides of each
+// column-block width) plus the large production dim.
+func kernelDims() []int {
+	dims := []int{128}
+	for dh := 1; dh <= 96; dh++ {
+		dims = append(dims, dh)
 	}
+	return dims
 }
 
 func TestCvtAVXMatchesScalarExactly(t *testing.T) {
-	if !useAVX {
+	if !simd.Available() {
 		t.Skip("no AVX on this machine")
 	}
 	rng := rand.New(rand.NewSource(12))
@@ -79,39 +63,159 @@ func TestCvtAVXMatchesScalarExactly(t *testing.T) {
 	}
 }
 
-func TestDotTileAVXMatchesScalarExactly(t *testing.T) {
-	if !useAVX {
-		t.Skip("no AVX on this machine")
-	}
+// scoreTile must equal the scalar unroll bitwise — scores, and the running
+// max carried in from earlier tiles — at every head dim, every row count
+// around the four-row pass, several group sizes, and a stripe stride wider
+// than the tile, with the vector path on and off.
+func TestScoreTileMatchesScalarExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, dh := range []int{1, 3, 4, 7, 8, 16, 33, 64} {
-		for _, rows := range []int{0, 1, 2, 5, 32} {
-			q := make([]float64, dh)
-			rs := make([]float64, rows*dh)
-			for i := range q {
-				q[i] = rng.NormFloat64()
-			}
-			for i := range rs {
-				rs[i] = rng.NormFloat64()
-			}
-			scale := rng.Float64() + 0.5
-			got := make([]float64, rows)
-			want := make([]float64, rows)
-			gotMax := dotTileAVX(q, rs, got, scale)
-			wantMax := NegInf
-			for jj := 0; jj < rows; jj++ {
-				s := scalarDot(q, rs[jj*dh:(jj+1)*dh]) * scale
-				want[jj] = s
-				if s > wantMax {
-					wantMax = s
+	for _, dh := range kernelDims() {
+		for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 31, 32} {
+			for _, group := range []int{1, 3, 8} {
+				stride := n + rng.Intn(5)
+				q := randF64(rng, group*dh)
+				rows := randF64(rng, n*dh)
+				scale := rng.Float64() + 0.5
+				prior := randF64(rng, group)
+				prior[0] = NegInf
+				want := make([]float64, (group-1)*stride+n)
+				wantMax := append([]float64(nil), prior...)
+				for g := 0; g < group; g++ {
+					for jj := 0; jj < n; jj++ {
+						s := scalarDot(q[g*dh:(g+1)*dh], rows[jj*dh:(jj+1)*dh]) * scale
+						want[g*stride+jj] = s
+						if s > wantMax[g] {
+							wantMax[g] = s
+						}
+					}
+				}
+				for _, on := range []bool{true, false} {
+					got := make([]float64, len(want))
+					gotMax := append([]float64(nil), prior...)
+					prev := simd.SetEnabled(on)
+					scoreTile(q, rows, got, gotMax, group, n, dh, stride, scale)
+					simd.SetEnabled(prev)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("scoreTile(dh=%d n=%d group=%d simd=%v)[%d] = %x, want %x", dh, n, group, on, i, got[i], want[i])
+						}
+					}
+					for g := range wantMax {
+						if math.Float64bits(gotMax[g]) != math.Float64bits(wantMax[g]) {
+							t.Fatalf("scoreTile(dh=%d n=%d group=%d simd=%v) max[%d] = %x, want %x", dh, n, group, on, g, gotMax[g], wantMax[g])
+						}
+					}
 				}
 			}
-			if gotMax != wantMax {
-				t.Fatalf("dotTileAVX(dh=%d rows=%d) max = %x, want %x", dh, rows, gotMax, wantMax)
+		}
+	}
+}
+
+// A NaN score must leave the running max alone, as the scalar compare does.
+func TestScoreTileNaNLeavesMaxUnchanged(t *testing.T) {
+	const dh, n = 8, 6
+	q := make([]float64, dh)
+	rows := make([]float64, n*dh)
+	for i := range q {
+		q[i] = 1
+	}
+	for jj := 0; jj < n; jj++ {
+		rows[jj*dh] = float64(jj) // scores 0..5
+	}
+	rows[2*dh] = math.NaN() // score 2 (four-row pass) and
+	rows[5*dh] = math.NaN() // score 5 (one-row pass) are NaN
+	for _, on := range []bool{true, false} {
+		scores := make([]float64, n)
+		maxs := []float64{NegInf}
+		prev := simd.SetEnabled(on)
+		scoreTile(q, rows, scores, maxs, 1, n, dh, n, 1)
+		simd.SetEnabled(prev)
+		if maxs[0] != 4 || !math.IsNaN(scores[2]) || !math.IsNaN(scores[5]) {
+			t.Fatalf("simd=%v: max %v scores %v", on, maxs[0], scores)
+		}
+	}
+}
+
+// pvTile must equal the scalar accumulate bitwise — accumulators and
+// denominators carried in from earlier tiles — at every head dim (all
+// column-block remainders), row counts, group sizes and a wide stride, with
+// the vector path on and off.
+func TestPVTileMatchesScalarExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, dh := range kernelDims() {
+		for _, n := range []int{1, 2, 5, 32} {
+			for _, group := range []int{1, 3, 8} {
+				stride := n + rng.Intn(5)
+				w := randF64(rng, (group-1)*stride+n)
+				rows := randF64(rng, n*dh)
+				acc0 := randF64(rng, group*dh)
+				den0 := randF64(rng, group)
+				wantAcc := append([]float64(nil), acc0...)
+				wantDen := append([]float64(nil), den0...)
+				for g := 0; g < group; g++ {
+					for jj := 0; jj < n; jj++ {
+						wj := w[g*stride+jj]
+						wantDen[g] += wj
+						for d := 0; d < dh; d++ {
+							wantAcc[g*dh+d] += wj * rows[jj*dh+d]
+						}
+					}
+				}
+				for _, on := range []bool{true, false} {
+					acc := append([]float64(nil), acc0...)
+					den := append([]float64(nil), den0...)
+					prev := simd.SetEnabled(on)
+					pvTile(w, rows, acc, den, group, n, dh, stride)
+					simd.SetEnabled(prev)
+					for i := range wantAcc {
+						if math.Float64bits(acc[i]) != math.Float64bits(wantAcc[i]) {
+							t.Fatalf("pvTile(dh=%d n=%d group=%d simd=%v) acc[%d] = %x, want %x", dh, n, group, on, i, acc[i], wantAcc[i])
+						}
+					}
+					for g := range wantDen {
+						if math.Float64bits(den[g]) != math.Float64bits(wantDen[g]) {
+							t.Fatalf("pvTile(dh=%d n=%d group=%d simd=%v) denom[%d] = %x, want %x", dh, n, group, on, g, den[g], wantDen[g])
+						}
+					}
+				}
 			}
-			for jj := range got {
-				if got[jj] != want[jj] {
-					t.Fatalf("dotTileAVX(dh=%d rows=%d)[%d] = %x, want %x", dh, rows, jj, got[jj], want[jj])
+		}
+	}
+}
+
+// Whole-kernel check on strided tiles: with several KV heads a head's stripe
+// is a strided slice of every K/V row, contexts span several tiles with
+// ragged ends, and masks cut intervals mid-tile. The vector and portable
+// paths must agree bitwise on outputs and LSEs.
+func TestGQAVectorAndPortablePathsAgreeOnStridedTiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, dh := range []int{1, 3, 4, 7, 8, 16, 32, 33, 64, 128} {
+		for _, heads := range [][2]int{{4, 2}, {6, 3}, {8, 1}} {
+			nh, nkv := heads[0], heads[1]
+			T, kv := 5, 2*kvTileRows+9
+			q := tensor.RandN(rng, T, nh, dh)
+			k := tensor.RandN(rng, kv, nkv, dh)
+			v := tensor.RandN(rng, kv, nkv, dh)
+			m := randomMask(rng, T, kv, true)
+			for i := range m.QPos {
+				m.QPos[i] += 40 // long contexts: most of the KV run is visible
+			}
+			prev := simd.SetEnabled(false)
+			want, err := GQA(q, k, v, m)
+			simd.SetEnabled(true)
+			got, err2 := GQA(q, k, v, m)
+			simd.SetEnabled(prev)
+			if err != nil || err2 != nil {
+				t.Fatal(err, err2)
+			}
+			for i := range want.O.Data {
+				if math.Float32bits(got.O.Data[i]) != math.Float32bits(want.O.Data[i]) {
+					t.Fatalf("dh=%d nh=%d nkv=%d: O[%d] = %x, portable %x", dh, nh, nkv, i, got.O.Data[i], want.O.Data[i])
+				}
+			}
+			for i := range want.LSE {
+				if math.Float64bits(got.LSE[i]) != math.Float64bits(want.LSE[i]) {
+					t.Fatalf("dh=%d nh=%d nkv=%d: LSE[%d] = %x, portable %x", dh, nh, nkv, i, got.LSE[i], want.LSE[i])
 				}
 			}
 		}

@@ -191,25 +191,43 @@ func (m *Mem) LocalRanks() []int {
 	return out
 }
 
-// Send implements Transport.
+// Send implements Transport. A mailbox with room — the steady state of every
+// ring hop — takes the payload without arming a timer.
 func (m *Mem) Send(src, dst int, payload any, timeout time.Duration) error {
 	if m.failMu.failed(src, dst) {
 		return ErrLinkFailed
 	}
+	box := m.boxes[dst][src]
 	select {
-	case m.boxes[dst][src] <- payload:
+	case box <- payload:
 		return nil
-	case <-time.After(timeout):
+	default:
+	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case box <- payload:
+		return nil
+	case <-t.C:
 		return failWith(ErrTimeout, errors.New("mailbox full"))
 	}
 }
 
-// Recv implements Transport.
+// Recv implements Transport. A payload already waiting is returned without
+// arming a timer; only an empty mailbox pays for one, and stops it on return.
 func (m *Mem) Recv(dst, src int, timeout time.Duration) (any, error) {
+	box := m.boxes[dst][src]
 	select {
-	case v := <-m.boxes[dst][src]:
+	case v := <-box:
 		return v, nil
-	case <-time.After(timeout):
+	default:
+	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case v := <-box:
+		return v, nil
+	case <-t.C:
 		return nil, ErrTimeout
 	}
 }

@@ -126,7 +126,10 @@ func (j *job) runChunk(i int, stolen bool) {
 	defer j.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			j.panicVal.CompareAndSwap(nil, &r)
+			// Copy before taking the address: &r would move r to the heap on
+			// every chunk, panic or not.
+			val := r
+			j.panicVal.CompareAndSwap(nil, &val)
 			j.aborted.Store(true)
 		}
 	}()

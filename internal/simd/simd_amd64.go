@@ -14,3 +14,11 @@ func cpuidAVX() bool
 // 0, horizontal reduction replaying ((s0+s2)+(s1+s3)). Implemented in
 // simd_amd64.s.
 func dotF32AVX(a, b []float32) float32
+
+// dotPanel8AVX computes dst[t*ldd+r] = dot(w[r*n:], x[t*n:]) for eight
+// weight rows and `tokens` activation rows, n a positive multiple of 4. Two
+// cells share a YMM register (one per 128-bit half), each half the same
+// four-lane accumulator as dotF32AVX. Implemented in simd_amd64.s.
+//
+//go:noescape
+func dotPanel8AVX(dst *float32, ldd int, w, x *float32, n, tokens int)

@@ -7,3 +7,7 @@ package simd
 const hasAVX = false
 
 func dotF32AVX(a, b []float32) float32 { panic("simd: dotF32AVX without AVX") }
+
+func dotPanel8AVX(dst *float32, ldd int, w, x *float32, n, tokens int) {
+	panic("simd: dotPanel8AVX without AVX")
+}

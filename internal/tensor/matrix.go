@@ -43,40 +43,35 @@ func (m *Matrix) Row(r int) []float32 {
 }
 
 // MulVec computes dst = M · src. len(src) must equal Cols and len(dst) must
-// equal Rows; dst is overwritten. Each output element is one shared-SIMD
-// dot product (simd.DotF32): AVX four-lane on amd64, the bit-identical
-// four-way-unrolled scalar loop elsewhere.
+// equal Rows; dst is overwritten. It is the one-token, serial edge of Mul.
 func (m *Matrix) MulVec(dst, src []float32) {
-	if len(src) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("tensor: mulvec shapes dst=%d src=%d for [%d %d]",
-			len(dst), len(src), m.Rows, m.Cols))
-	}
-	for r := 0; r < m.Rows; r++ {
-		dst[r] = simd.DotF32(m.Row(r), src)
-	}
+	m.Mul(dst, src, 1, false)
 }
 
-// minParallelFlops gates pool dispatch for the row-blocked matmuls and
-// forward-pass sweeps: below roughly this many multiply-adds the dispatch
-// costs more than the math (the same trade the attention kernels make).
-const minParallelFlops = 4096
+// gemmBlockFloats sizes a token block: block × Cols float32 is 16 KiB, so a
+// block and the eight-row weight panel sweeping it stay in L1 together.
+const gemmBlockFloats = 4096
+
+// minParallelMACs gates pool dispatch: below roughly this many
+// multiply-adds a fan-out costs more than the math it spreads.
+const minParallelMACs = 1 << 16
 
 var (
-	statMatmulJobs       atomic.Int64 // ApplyRowsInto/ForRows calls fanned over the pool
-	statMatmulSerialJobs atomic.Int64 // calls run inline below the threshold
-	statMatmulCells      atomic.Int64 // output cells computed in fanned calls
+	statMatmulJobs       atomic.Int64 // sweeps handed to the pool
+	statMatmulSerialJobs atomic.Int64 // sweeps kept inline
+	statMatmulCells      atomic.Int64 // output cells computed by Mul
 )
 
-// MatmulStats counts how the forward-pass matmul sweeps use the shared
-// worker pool, exposed through /v1/stats so projection/FFN/logits
-// parallelism is observable alongside the attention kernel's counters.
+// MatmulStats counts how the forward-pass GEMM uses the shared worker pool,
+// exposed through /v1/stats alongside the attention kernel's counters. A
+// sweep is one fan-out decision: a multi-block Blocks call, or one block's Mul.
 type MatmulStats struct {
-	Jobs       int64 `json:"jobs"`        // sweeps fanned over the pool
-	SerialJobs int64 `json:"serial_jobs"` // sweeps run inline (below threshold or width 1)
-	Cells      int64 `json:"cells"`       // output cells computed in fanned sweeps
+	Jobs       int64 `json:"jobs"`        // sweeps handed to the pool (which runs them inline at width 1)
+	SerialJobs int64 `json:"serial_jobs"` // sweeps kept inline: too little work to dispatch
+	Cells      int64 `json:"cells"`       // output cells (tokens × weight rows) computed
 }
 
-// MatmulSnapshot returns the current matmul sweep counters.
+// MatmulSnapshot returns the current GEMM counters.
 func MatmulSnapshot() MatmulStats {
 	return MatmulStats{
 		Jobs:       statMatmulJobs.Load(),
@@ -85,58 +80,66 @@ func MatmulSnapshot() MatmulStats {
 	}
 }
 
-// ForRows fans fn over [0, n) row indices when n*flopsPerRow justifies a
-// pool dispatch, and runs it inline otherwise. fn(lo, hi) must write only
-// rows it owns and compute each row identically regardless of partitioning
-// — the same determinism contract as parallel.For — so fanned execution is
-// bit-identical to inline at any worker count. The forward-pass sweeps
-// (QKV projection, FFN, logits, RoPE) and ApplyRowsInto all route through
-// here, which is also where the matmul pool counters are kept.
-func ForRows(n, flopsPerRow int, fn func(lo, hi int)) {
-	if n <= 0 {
+// Blocks cuts `tokens` activation rows of width cols into L1-sized blocks
+// and runs fn(t0, t1, fanRows) once per block [t0, t1), split by shape alone.
+// A rank holding many rows (prefill) fans its blocks over the worker pool
+// with fanRows false: each block's Mul runs serially and re-reads the weights
+// from L2 once per block rather than once per token. A rank holding one
+// block's worth (decode) runs fn inline with fanRows true, so its Mul calls
+// split the weight rows instead and each weight byte is read once. fn must
+// write only its block's rows and compute them the same however the sweep is
+// split — then fanned execution is bit-identical to inline at any width.
+func Blocks(tokens, cols int, fn func(t0, t1 int, fanRows bool)) {
+	bt := max(2, gemmBlockFloats/max(cols, 1)&^1)
+	if tokens <= bt {
+		if tokens > 0 {
+			fn(0, tokens, true)
+		}
 		return
 	}
-	if n*flopsPerRow < minParallelFlops || parallel.Workers() <= 1 {
-		statMatmulSerialJobs.Add(1)
-		fn(0, n)
-		return
-	}
-	parallel.For(n, fn)
 	statMatmulJobs.Add(1)
-	statMatmulCells.Add(int64(n))
-}
-
-// ApplyRowsInto computes the row-blocked matmul dst = [tokens, Rows] of the
-// matrix applied to every token row of in ([tokens, Cols] flat) without
-// allocating: the caller provides dst (typically pooled scratch). Work is
-// chunked over the shared worker pool at output-cell granularity — cell
-// (t, r) is one simd dot of weight row r against token row t — so a
-// one-token decode step still fans across Rows. Every cell is a pure
-// function of its operands, so parallel output is bit-identical to serial.
-func (m *Matrix) ApplyRowsInto(dst, in []float32, tokens int) {
-	if len(in) != tokens*m.Cols {
-		panic(fmt.Sprintf("tensor: applyrows input %d for %d tokens x %d cols", len(in), tokens, m.Cols))
-	}
-	if len(dst) != tokens*m.Rows {
-		panic(fmt.Sprintf("tensor: applyrows dst %d for %d tokens x %d rows", len(dst), tokens, m.Rows))
-	}
-	rows, cols := m.Rows, m.Cols
-	ForRows(tokens*rows, cols, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			t := idx / rows
-			r := idx - t*rows
-			dst[idx] = simd.DotF32(m.Data[r*cols:(r+1)*cols], in[t*cols:(t+1)*cols])
+	parallel.For((tokens+bt-1)/bt, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			fn(b*bt, min((b+1)*bt, tokens), false)
 		}
 	})
 }
 
-// ApplyRows applies the matrix independently to every token row of a
-// flattened activation tensor: in is [tokens, Cols] flat, the result is
-// [tokens, Rows] flat. Allocating form of ApplyRowsInto.
-func (m *Matrix) ApplyRows(in []float32, tokens int) []float32 {
-	out := make([]float32, tokens*m.Rows)
-	m.ApplyRowsInto(out, in, tokens)
-	return out
+// Mul is the GEMM entry under every matmul in the repo: x is [tokens, Cols]
+// flat, dst is [tokens, Rows] flat, and dst[t*Rows+r] becomes the dot of
+// weight row r with token row t (simd.DotPanel). With fanRows the weight rows
+// are split over the worker pool at panel granularity when the work justifies
+// a dispatch; a cell depends only on its two operand rows, so no split can
+// change a bit.
+func (m *Matrix) Mul(dst, x []float32, tokens int, fanRows bool) {
+	if len(x) != tokens*m.Cols || len(dst) != tokens*m.Rows {
+		panic(fmt.Sprintf("tensor: mul dst=%d x=%d for %d tokens x [%d %d]", len(dst), len(x), tokens, m.Rows, m.Cols))
+	}
+	statMatmulCells.Add(int64(len(dst)))
+	if !fanRows {
+		simd.DotPanel(dst, m.Rows, m.Data, x, m.Cols)
+	} else if len(dst)*m.Cols < minParallelMACs {
+		statMatmulSerialJobs.Add(1)
+		simd.DotPanel(dst, m.Rows, m.Data, x, m.Cols)
+	} else {
+		statMatmulJobs.Add(1)
+		parallel.For((m.Rows+simd.PanelRows-1)/simd.PanelRows, func(lo, hi int) {
+			r0, r1 := lo*simd.PanelRows, min(hi*simd.PanelRows, m.Rows)
+			simd.DotPanel(dst[r0:], m.Rows, m.Data[r0*m.Cols:r1*m.Cols], x, m.Cols)
+		})
+	}
+}
+
+// ApplyRowsInto computes dst = [tokens, Rows] of the matrix applied to every
+// token row of in ([tokens, Cols] flat) into caller-provided dst. It is Blocks
+// over Mul — the same cache-blocked, shape-split GEMM the forward pass runs.
+func (m *Matrix) ApplyRowsInto(dst, in []float32, tokens int) {
+	if len(in) != tokens*m.Cols || len(dst) != tokens*m.Rows {
+		panic(fmt.Sprintf("tensor: applyrows dst=%d in=%d for %d tokens x [%d %d]", len(dst), len(in), tokens, m.Rows, m.Cols))
+	}
+	Blocks(tokens, m.Cols, func(t0, t1 int, fanRows bool) {
+		m.Mul(dst[t0*m.Rows:t1*m.Rows], in[t0*m.Cols:t1*m.Cols], t1-t0, fanRows)
+	})
 }
 
 // RMSNormInto writes the root-mean-square normalization of x scaled by the
@@ -183,5 +186,31 @@ func RoPE(vec []float32, pos int, base float64) {
 		a, b := float64(vec[i]), float64(vec[i+1])
 		vec[i] = float32(a*cos - b*sin)
 		vec[i+1] = float32(a*sin + b*cos)
+	}
+}
+
+// RoPEFreqs returns the per-pair divisors base^(2i/d) that RoPE rotates a
+// d-wide head by, built with RoPE's own expression so that RoPEHeads, which
+// reads them from the table, stays bit-identical to it.
+func RoPEFreqs(d int, base float64) []float64 {
+	freqs := make([]float64, d/2)
+	for i := 0; i+1 < d; i += 2 {
+		freqs[i/2] = math.Pow(base, float64(i)/float64(d))
+	}
+	return freqs
+}
+
+// RoPEHeads applies RoPE at pos to every consecutive d-wide head in vec.
+// One token's heads all rotate by the same angles, so sin and cos are taken
+// once per pair and shared by every head instead of once per head.
+func RoPEHeads(vec []float32, d, pos int, freqs []float64) {
+	for p, f := range freqs {
+		theta := float64(pos) / f
+		sin, cos := math.Sin(theta), math.Cos(theta)
+		for i := 2 * p; i+1 < len(vec); i += d {
+			a, b := float64(vec[i]), float64(vec[i+1])
+			vec[i] = float32(a*cos - b*sin)
+			vec[i+1] = float32(a*sin + b*cos)
+		}
 	}
 }

@@ -29,7 +29,8 @@ func TestMulVecShapePanics(t *testing.T) {
 func TestApplyRows(t *testing.T) {
 	m := NewMatrix(2, 2)
 	copy(m.Data, []float32{0, 1, 1, 0}) // swap
-	out := m.ApplyRows([]float32{1, 2, 3, 4}, 2)
+	out := make([]float32, 4)
+	m.ApplyRowsInto(out, []float32{1, 2, 3, 4}, 2)
 	want := []float32{2, 1, 4, 3}
 	for i := range want {
 		if out[i] != want[i] {

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/parallel"
@@ -104,31 +105,134 @@ func TestRMSNormIntoMatchesAndAliases(t *testing.T) {
 	}
 }
 
-// ForRows must visit every index exactly once whether it fans out or runs
-// inline, and the matmul counters must attribute the call to the right mode.
-func TestForRowsCoverageAndCounters(t *testing.T) {
+// Blocks must hand out every token exactly once in either split — many
+// blocks fanned over the pool, or one block marked for a row fan — and the
+// GEMM counters must record the sweep mode and the real output cells.
+func TestBlocksCoverageAndCounters(t *testing.T) {
 	oldW := parallel.SetWorkers(4)
 	defer parallel.SetWorkers(oldW)
-	const n = 1000
-	hits := make([]int32, n)
-	before := MatmulSnapshot()
-	ForRows(n, 100, func(lo, hi int) { // 100k flops: fans out
-		for i := lo; i < hi; i++ {
-			hits[i]++
+	const cols, rows = 64, 16
+	m := NewMatrix(rows, cols)
+	for _, tokens := range []int{0, 1, gemmBlockFloats / cols, gemmBlockFloats/cols + 1, 1000} {
+		hits := make([]int32, tokens)
+		blocks := 0
+		var mu sync.Mutex
+		before := MatmulSnapshot()
+		Blocks(tokens, cols, func(t0, t1 int, fanRows bool) {
+			mu.Lock()
+			blocks++
+			mu.Unlock()
+			if t1-t0 > gemmBlockFloats/cols || t0 >= t1 {
+				t.Errorf("tokens=%d: block [%d,%d)", tokens, t0, t1)
+			}
+			for i := t0; i < t1; i++ {
+				hits[i]++ // blocks are disjoint, so unsynchronized
+			}
+			m.Mul(make([]float32, (t1-t0)*rows), make([]float32, (t1-t0)*cols), t1-t0, fanRows)
+		})
+		after := MatmulSnapshot()
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("tokens=%d: token %d visited %d times", tokens, i, h)
+			}
 		}
-	})
-	mid := MatmulSnapshot()
-	if mid.Jobs != before.Jobs+1 || mid.Cells != before.Cells+n {
-		t.Fatalf("fanned ForRows counters: %+v -> %+v", before, mid)
-	}
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
+		if got, want := after.Cells-before.Cells, int64(tokens*rows); got != want {
+			t.Fatalf("tokens=%d: %d cells counted, want %d", tokens, got, want)
+		}
+		jobs, serial := after.Jobs-before.Jobs, after.SerialJobs-before.SerialJobs
+		switch {
+		case blocks > 1 && (jobs != 1 || serial != 0): // one fanned token sweep, serial Muls inside
+			t.Fatalf("tokens=%d: multi-block sweep counted jobs=%d serial=%d", tokens, jobs, serial)
+		case blocks == 1 && jobs+serial != 1: // the single block's Mul decides
+			t.Fatalf("tokens=%d: single-block sweep counted jobs=%d serial=%d", tokens, jobs, serial)
 		}
 	}
-	ForRows(4, 2, func(lo, hi int) {}) // 8 flops: inline
-	after := MatmulSnapshot()
-	if after.SerialJobs != mid.SerialJobs+1 || after.Jobs != mid.Jobs {
-		t.Fatalf("inline ForRows counters: %+v -> %+v", mid, after)
+}
+
+// Property: the GEMM entry equals the per-cell scalar oracle bitwise for
+// random shapes, whether the sweep splits over token blocks or over weight
+// rows, at every worker width and SIMD setting.
+func TestPropertyMulEqualsPerCellScalarUnderBothSplits(t *testing.T) {
+	oldW := parallel.Workers()
+	prevSIMD := simd.Available()
+	defer func() {
+		parallel.SetWorkers(oldW)
+		simd.SetEnabled(prevSIMD)
+	}()
+	rng := rand.New(rand.NewSource(4))
+	sawTokenSplit, sawRowFan := false, false
+	for trial := 0; trial < 60; trial++ {
+		rows, cols := rng.Intn(70)+1, rng.Intn(130)+1
+		tokens := rng.Intn(40) + 1
+		if trial%3 == 0 {
+			tokens += 2 * gemmBlockFloats / cols // several token blocks
+		}
+		m := RandMatrix(rng, rows, cols)
+		in := make([]float32, tokens*cols)
+		for i := range in {
+			in[i] = float32(rng.NormFloat64())
+		}
+		want := make([]float32, tokens*rows)
+		for tok := 0; tok < tokens; tok++ {
+			for r := 0; r < rows; r++ {
+				want[tok*rows+r] = simd.DotF32Scalar(m.Row(r), in[tok*cols:(tok+1)*cols])
+			}
+		}
+		for _, useSIMD := range []bool{false, true} {
+			simd.SetEnabled(useSIMD)
+			for _, workers := range []int{1, 2, 8} {
+				parallel.SetWorkers(workers)
+				before := MatmulSnapshot()
+				got := make([]float32, tokens*rows)
+				m.ApplyRowsInto(got, in, tokens)
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("[%d %d]x%d simd=%v workers=%d cell %d: %x != %x",
+							rows, cols, tokens, useSIMD, workers, i, got[i], want[i])
+					}
+				}
+				if workers > 1 && MatmulSnapshot().Jobs > before.Jobs {
+					if tokens > gemmBlockFloats/cols {
+						sawTokenSplit = true
+					} else {
+						sawRowFan = true
+					}
+				}
+			}
+		}
+	}
+	if !sawTokenSplit || !sawRowFan {
+		t.Fatalf("shapes did not reach both splits: token=%v rows=%v", sawTokenSplit, sawRowFan)
+	}
+}
+
+// RoPEHeads over a token's stacked heads must equal RoPE on each head, bit
+// for bit, at random positions and head dims (odd dims leave the last
+// element alone, as RoPE does).
+func TestRoPEHeadsMatchesRoPEExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, d := range []int{1, 2, 3, 8, 32, 33, 64, 128} {
+		freqs := RoPEFreqs(d, 10000)
+		for trial := 0; trial < 20; trial++ {
+			heads := rng.Intn(9) + 1
+			pos := rng.Intn(1 << 20)
+			if trial == 0 {
+				pos = 0
+			}
+			vec := make([]float32, heads*d)
+			for i := range vec {
+				vec[i] = float32(rng.NormFloat64())
+			}
+			want := append([]float32(nil), vec...)
+			for h := 0; h < heads; h++ {
+				RoPE(want[h*d:(h+1)*d], pos, 10000)
+			}
+			RoPEHeads(vec, d, pos, freqs)
+			for i := range vec {
+				if math.Float32bits(vec[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("d=%d heads=%d pos=%d element %d: %x != %x", d, heads, pos, i, vec[i], want[i])
+				}
+			}
+		}
 	}
 }

@@ -101,8 +101,7 @@ func (e *rankEngine) prefill(r *comm.Rank, cmd *wire.PrefillCmd) (*tensor.Tensor
 		if err := ring.AppendLocalKV(e.caches[l], plan, r.ID, cmd.P, cmd.Seqs, k, v); err != nil {
 			return nil, err
 		}
-		e.w.attnResidual(l, hidden, out.O)
-		e.w.ffnResidual(l, hidden, localLen)
+		e.w.finishLayer(l, hidden, out.O)
 	}
 	flat := e.w.logits(hidden, localLen)
 	return tensor.FromData(localLen, 1, m.VocabSize, flat)
@@ -168,8 +167,7 @@ func (e *rankEngine) decode(r *comm.Rank, cmd *wire.DecodeCmd) ([]float32, error
 			return nil, fmt.Errorf("layer %d: %w", l, err)
 		}
 		if len(mine) > 0 {
-			e.w.attnResidual(l, hidden, out.O)
-			e.w.ffnResidual(l, hidden, len(mine))
+			e.w.finishLayer(l, hidden, out.O)
 		}
 	}
 	if len(mine) == 0 {

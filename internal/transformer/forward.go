@@ -29,8 +29,7 @@ func (w *Weights) Forward(tokens []int) ([][]float32, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.attnResidual(l, hidden, out.O)
-		w.ffnResidual(l, hidden, n)
+		w.finishLayer(l, hidden, out.O)
 	}
 	flat := w.logits(hidden, n)
 	out := make([][]float32, n)

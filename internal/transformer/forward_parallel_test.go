@@ -95,3 +95,67 @@ func TestDistributedOverlapParity(t *testing.T) {
 		}
 	}
 }
+
+// The register-blocked kernels must be invisible end to end on a model wide
+// enough to reach every path the Tiny scenarios skip: prefill shards that
+// span several GEMM token blocks, decode steps whose GEMMs fan over weight
+// rows, attention contexts that span several K/V tiles. Prefill logits and
+// an 8-session fused decode stream are exactly equal with the vector paths
+// off and on, at 1, 2 and 8 workers.
+func TestKernelsInvisibleInPrefillAndFusedDecode(t *testing.T) {
+	cfg := Tiny(23)
+	cfg.Model.ModelDim, cfg.Model.FFNDim = 64, 128
+	cfg.Model.NumHeads, cfg.Model.NumKV, cfg.Model.HeadDim = 4, 2, 16
+	w, err := NewWeights(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sessions, promptLen, steps = 8, 150, 6
+	scenario := func() [][]float32 {
+		c, err := NewCluster(w, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var all [][]float32
+		seqs, toks := make([]int, sessions), make([]int, sessions)
+		for s := range seqs {
+			prompt := make([]int, promptLen+s) // ragged: odd shard sizes, panel remainders
+			for i := range prompt {
+				prompt[i] = (i*13 + s*7 + 1) % cfg.Model.VocabSize
+			}
+			logits, err := c.Prefill(s, prompt, perf.Auto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, logits...)
+			seqs[s], toks[s] = s, Argmax(logits[len(logits)-1])
+		}
+		for step := 0; step < steps; step++ {
+			batch, err := c.DecodeBatch(seqs, toks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, batch...)
+			for s := range toks {
+				toks[s] = Argmax(batch[s])
+			}
+		}
+		return all
+	}
+
+	prevSIMD := simd.SetEnabled(false)
+	oldW := parallel.SetWorkers(1)
+	defer func() {
+		simd.SetEnabled(prevSIMD)
+		parallel.SetWorkers(oldW)
+	}()
+	ref := scenario()
+	for _, on := range []bool{false, true} {
+		simd.SetEnabled(on)
+		for _, workers := range []int{1, 2, 8} {
+			parallel.SetWorkers(workers)
+			sameLogits(t, fmt.Sprintf("simd=%v workers=%d vs scalar serial", on, workers), ref, scenario())
+		}
+	}
+}

@@ -68,21 +68,26 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// layerWeights stacks the projections that share an input — wqkv is the query,
+// key and value rows in that order, wGateUp the gate rows then the up rows —
+// so each is one GEMM. A stacked matrix draws the same values in the same
+// order as its parts drawn one after another: same fan-in, row-major fill.
 type layerWeights struct {
 	attnNorm, ffnNorm []float32
-	wq, wk, wv, wo    *tensor.Matrix
-	wGate, wUp, wDown *tensor.Matrix
+	wqkv, wo          *tensor.Matrix
+	wGateUp, wDown    *tensor.Matrix
 }
 
 // Weights holds one model's parameters, shared by the reference and
 // distributed paths (every CP rank replicates weights, as in the paper
 // where CP does not shard parameters).
 type Weights struct {
-	Cfg    Config
-	embed  *tensor.Matrix // [vocab, D]
-	layers []*layerWeights
-	norm   []float32
-	head   *tensor.Matrix // [vocab, D]
+	Cfg       Config
+	embed     *tensor.Matrix // [vocab, D]
+	layers    []*layerWeights
+	norm      []float32
+	head      *tensor.Matrix // [vocab, D]
+	ropeFreqs []float64      // per-pair rotary divisors base^(2i/HeadDim)
 }
 
 // NewWeights initializes deterministic random weights from cfg.Seed.
@@ -100,33 +105,30 @@ func NewWeights(cfg Config) (*Weights, error) {
 		return out
 	}
 	w := &Weights{
-		Cfg:   cfg,
-		embed: tensor.RandMatrix(rng, m.VocabSize, m.ModelDim),
-		norm:  ones(m.ModelDim),
-		head:  tensor.RandMatrix(rng, m.VocabSize, m.ModelDim),
+		Cfg:       cfg,
+		embed:     tensor.RandMatrix(rng, m.VocabSize, m.ModelDim),
+		norm:      ones(m.ModelDim),
+		head:      tensor.RandMatrix(rng, m.VocabSize, m.ModelDim),
+		ropeFreqs: tensor.RoPEFreqs(m.HeadDim, cfg.RoPEBase),
 	}
 	for l := 0; l < m.Layers; l++ {
 		w.layers = append(w.layers, &layerWeights{
 			attnNorm: ones(m.ModelDim),
 			ffnNorm:  ones(m.ModelDim),
-			wq:       tensor.RandMatrix(rng, m.NumHeads*m.HeadDim, m.ModelDim),
-			wk:       tensor.RandMatrix(rng, m.NumKV*m.HeadDim, m.ModelDim),
-			wv:       tensor.RandMatrix(rng, m.NumKV*m.HeadDim, m.ModelDim),
+			wqkv:     tensor.RandMatrix(rng, (m.NumHeads+2*m.NumKV)*m.HeadDim, m.ModelDim),
 			wo:       tensor.RandMatrix(rng, m.ModelDim, m.NumHeads*m.HeadDim),
-			wGate:    tensor.RandMatrix(rng, m.FFNDim, m.ModelDim),
-			wUp:      tensor.RandMatrix(rng, m.FFNDim, m.ModelDim),
+			wGateUp:  tensor.RandMatrix(rng, 2*m.FFNDim, m.ModelDim),
 			wDown:    tensor.RandMatrix(rng, m.ModelDim, m.FFNDim),
 		})
 	}
 	return w, nil
 }
 
-// f32Pool recycles forward-pass scratch (normed rows, FFN activations, the
-// attention output projection) so steady-state prefill and decode allocate
-// nothing per call. The q/k/v projection outputs are deliberately NOT
-// pooled: the in-process ring transport circulates those blocks by pointer,
-// so a peer may still be reading one after this rank has advanced to the
-// next layer.
+// f32Pool recycles forward-pass scratch (normed rows, projection outputs, FFN
+// activations), one token block at a time, so steady-state prefill and decode
+// allocate nothing per call. The q/k/v tensors are deliberately NOT pooled:
+// the in-process ring transport circulates those blocks by pointer, so a peer
+// may still be reading one after this rank has advanced to the next layer.
 var f32Pool = sync.Pool{New: func() any { return new([]float32) }}
 
 func getF32(n int) *[]float32 {
@@ -140,117 +142,89 @@ func getF32(n int) *[]float32 {
 
 func putF32(p *[]float32) { f32Pool.Put(p) }
 
+// The sweeps below share one shape: tensor.Blocks hands out token blocks, and
+// each block runs norm → GEMM → epilogue on pooled scratch while it is still
+// in L1. An output row depends only on its own hidden row and tensor.Mul's
+// cells on no split, so any width is bit-identical to a serial token loop.
+
+// normMul writes m applied to the RMSNorm of hidden rows [t0, t1) into dst.
+func (w *Weights) normMul(m *tensor.Matrix, dst, hidden, gain []float32, t0, t1 int, fanRows bool) {
+	d := w.Cfg.Model.ModelDim
+	sp := getF32((t1 - t0) * d)
+	defer putF32(sp)
+	for t := t0; t < t1; t++ {
+		tensor.RMSNormInto((*sp)[(t-t0)*d:][:d], hidden[t*d:][:d], gain, w.Cfg.NormEps)
+	}
+	m.Mul(dst, *sp, t1-t0, fanRows)
+}
+
 // projectQKV computes the layer's query/key/value tensors for a block of
-// hidden rows, applying RMSNorm first and RoPE at the given global
-// positions. Rows whose position is negative (padding) are rotated at 0 and
-// masked out downstream.
-//
-// The whole per-token chain — RMSNorm, the three projection matmuls, and
-// the rotary rotation — is one fused sweep fanned over the shared worker
-// pool, so no intermediate makes an extra pass through memory and every
-// worker touches each token exactly once. Each token's outputs depend only
-// on that token's hidden row, so parallel execution is bit-identical to
-// serial at any worker width.
+// hidden rows: RMSNorm, the stacked projection, then RoPE at the given
+// global positions as the rows are copied out. Rows whose position is
+// negative (padding) are rotated at 0 and masked out downstream.
 func (w *Weights) projectQKV(l int, hidden []float32, tokens int, pos []int) (q, k, v *tensor.Tensor) {
 	m := w.Cfg.Model
 	lw := w.layers[l]
 	qRows, kvRows := m.NumHeads*m.HeadDim, m.NumKV*m.HeadDim
-	qf := make([]float32, tokens*qRows)
-	kf := make([]float32, tokens*kvRows)
-	vf := make([]float32, tokens*kvRows)
-	normp := getF32(tokens * m.ModelDim)
-	defer putF32(normp)
-	normed := *normp
-	tensor.ForRows(tokens, m.ModelDim*(qRows+2*kvRows), func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			row := normed[t*m.ModelDim : (t+1)*m.ModelDim]
-			tensor.RMSNormInto(row, hidden[t*m.ModelDim:(t+1)*m.ModelDim], lw.attnNorm, w.Cfg.NormEps)
-			lw.wq.MulVec(qf[t*qRows:(t+1)*qRows], row)
-			lw.wk.MulVec(kf[t*kvRows:(t+1)*kvRows], row)
-			lw.wv.MulVec(vf[t*kvRows:(t+1)*kvRows], row)
-			p := 0
-			if pos[t] >= 0 {
-				p = pos[t]
-			}
-			for h := 0; h < m.NumHeads; h++ {
-				tensor.RoPE(qf[t*qRows+h*m.HeadDim:t*qRows+(h+1)*m.HeadDim], p, w.Cfg.RoPEBase)
-			}
-			for h := 0; h < m.NumKV; h++ {
-				tensor.RoPE(kf[t*kvRows+h*m.HeadDim:t*kvRows+(h+1)*m.HeadDim], p, w.Cfg.RoPEBase)
-			}
+	q = tensor.New(tokens, m.NumHeads, m.HeadDim)
+	k = tensor.New(tokens, m.NumKV, m.HeadDim)
+	v = tensor.New(tokens, m.NumKV, m.HeadDim)
+	tensor.Blocks(tokens, m.ModelDim, func(t0, t1 int, fanRows bool) {
+		sp := getF32((t1 - t0) * lw.wqkv.Rows)
+		defer putF32(sp)
+		w.normMul(lw.wqkv, *sp, hidden, lw.attnNorm, t0, t1, fanRows)
+		for t := t0; t < t1; t++ {
+			row := (*sp)[(t-t0)*lw.wqkv.Rows:][:lw.wqkv.Rows]
+			tensor.RoPEHeads(row[:qRows+kvRows], m.HeadDim, max(pos[t], 0), w.ropeFreqs)
+			copy(q.Row2D(t), row[:qRows])
+			copy(k.Row2D(t), row[qRows:qRows+kvRows])
+			copy(v.Row2D(t), row[qRows+kvRows:])
 		}
 	})
-	q, _ = tensor.FromData(tokens, m.NumHeads, m.HeadDim, qf)
-	k, _ = tensor.FromData(tokens, m.NumKV, m.HeadDim, kf)
-	v, _ = tensor.FromData(tokens, m.NumKV, m.HeadDim, vf)
 	return q, k, v
 }
 
-// attnResidual adds the attention block's output projection into hidden.
-// The projection runs through the row-blocked parallel matmul with pooled
-// scratch; the residual add is a single cheap pass.
-func (w *Weights) attnResidual(l int, hidden []float32, attnOut *tensor.Tensor) {
+// finishLayer completes a layer after attention, block by block: attnOut's
+// output projection is added into hidden, then the SwiGLU feed-forward block
+// (RMSNorm, stacked gate/up projection, SiLU gating, down projection) on top.
+func (w *Weights) finishLayer(l int, hidden []float32, attnOut *tensor.Tensor) {
 	m := w.Cfg.Model
 	lw := w.layers[l]
-	tokens := attnOut.Tokens
-	projp := getF32(tokens * m.ModelDim)
-	defer putF32(projp)
-	proj := *projp
-	lw.wo.ApplyRowsInto(proj, attnOut.Data, tokens)
-	for i := range proj {
-		hidden[i] += proj[i]
-	}
-}
-
-// ffnResidual applies the SwiGLU feed-forward block with residual. The
-// per-token chain — RMSNorm, gate and up matmuls, SiLU gating, down matmul,
-// residual add — is one fused sweep over the worker pool; each worker chunk
-// carries its own pooled scratch so the block allocates nothing in steady
-// state. Token t writes only its own hidden row, so the sweep is
-// bit-identical to the serial loop.
-func (w *Weights) ffnResidual(l int, hidden []float32, tokens int) {
-	m := w.Cfg.Model
-	lw := w.layers[l]
-	tensor.ForRows(tokens, 3*m.ModelDim*m.FFNDim, func(lo, hi int) {
-		scratchp := getF32(2*m.FFNDim + 2*m.ModelDim)
-		defer putF32(scratchp)
-		scratch := *scratchp
-		normed := scratch[:m.ModelDim]
-		gate := scratch[m.ModelDim : m.ModelDim+m.FFNDim]
-		up := scratch[m.ModelDim+m.FFNDim : m.ModelDim+2*m.FFNDim]
-		down := scratch[m.ModelDim+2*m.FFNDim:]
-		for t := lo; t < hi; t++ {
-			row := hidden[t*m.ModelDim : (t+1)*m.ModelDim]
-			tensor.RMSNormInto(normed, row, lw.ffnNorm, w.Cfg.NormEps)
-			lw.wGate.MulVec(gate, normed)
-			lw.wUp.MulVec(up, normed)
-			for i := range gate {
-				gate[i] = tensor.SiLU(gate[i]) * up[i]
+	d, f, cols := m.ModelDim, m.FFNDim, m.NumHeads*m.HeadDim
+	tensor.Blocks(attnOut.Tokens, max(d, f, cols), func(t0, t1 int, fanRows bool) {
+		n := t1 - t0
+		sp := getF32(n * (d + 3*f))
+		defer putF32(sp)
+		gateUp, act, proj := (*sp)[:n*2*f], (*sp)[n*2*f:][:n*f], (*sp)[n*3*f:]
+		block := hidden[t0*d : t1*d]
+		lw.wo.Mul(proj, attnOut.Data[t0*cols:t1*cols], n, fanRows)
+		for i, p := range proj {
+			block[i] += p
+		}
+		w.normMul(lw.wGateUp, gateUp, block, lw.ffnNorm, 0, n, fanRows)
+		for t := 0; t < n; t++ {
+			gate, up := gateUp[t*2*f:][:f], gateUp[t*2*f+f:][:f]
+			for i, g := range gate {
+				act[t*f+i] = tensor.SiLU(g) * up[i]
 			}
-			lw.wDown.MulVec(down, gate)
-			for i := range down {
-				row[i] += down[i]
-			}
+		}
+		lw.wDown.Mul(proj, act, n, fanRows)
+		for i, p := range proj {
+			block[i] += p
 		}
 	})
 }
 
-// logits computes the output head for a block of hidden rows: a parallel
-// per-token final-norm sweep into pooled scratch, then the row-blocked
-// head matmul. The returned slice is freshly allocated — callers retain it
-// (argmax, streaming) past the next forward step.
+// logits computes the output head for a block of hidden rows: the final
+// norm, then the head projection. The returned slice is freshly allocated —
+// callers retain it (argmax, streaming) past the next forward step.
 func (w *Weights) logits(hidden []float32, tokens int) []float32 {
 	m := w.Cfg.Model
-	normp := getF32(tokens * m.ModelDim)
-	defer putF32(normp)
-	normed := *normp
-	tensor.ForRows(tokens, m.ModelDim, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			tensor.RMSNormInto(normed[t*m.ModelDim:(t+1)*m.ModelDim],
-				hidden[t*m.ModelDim:(t+1)*m.ModelDim], w.norm, w.Cfg.NormEps)
-		}
+	out := make([]float32, tokens*m.VocabSize)
+	tensor.Blocks(tokens, m.ModelDim, func(t0, t1 int, fanRows bool) {
+		w.normMul(w.head, out[t0*m.VocabSize:t1*m.VocabSize], hidden, w.norm, t0, t1, fanRows)
 	})
-	return w.head.ApplyRows(normed, tokens)
+	return out
 }
 
 // embedTokens returns the flat [tokens, D] embedding block; id -1 (padding)
