@@ -5,10 +5,11 @@
 //
 //   - GQA: the production kernel. It compiles the position/sequence mask into
 //     per-query contiguous KV intervals once per call (see Intervals), then
-//     sweeps head-major tiles — one (query token, KV head) cell computes
-//     every query head of the group against the same contiguous K/V rows —
-//     and fans the independent tiles out over the shared worker pool
-//     (internal/parallel). Scores and weighted sums accumulate in float64.
+//     sweeps query blocks — up to eight consecutive query tokens of one KV
+//     head share one walk over the K/V tiles, every query head of the group
+//     computed against the same widened rows — and fans the independent
+//     cells out over the shared worker pool (internal/parallel). Scores and
+//     weighted sums accumulate in float64.
 //   - Blocked: a flash-style streaming kernel that visits KV in blocks while
 //     maintaining an online softmax (Milakov & Gimelshein), used both as a
 //     second witness for correctness and as the shape of the per-step
@@ -25,17 +26,33 @@
 // masked-out rows — padding, other sequences' KV — into the key/value
 // tensors cannot perturb a single bit.
 //
-// Inside a cell the two hot loops are tile kernels (scoreTile, pvTile) with
-// a portable form in this file and a register-blocked AVX form on amd64. The
-// portable loops are the oracle; the AVX forms compute several output values
-// per pass — four K rows scored against one load of the query chunk, a head's
-// whole accumulator held in registers across a V tile — but each value's
-// arithmetic is the oracle's, lane for lane: four accumulators combined as
-// ((s0+s2)+(s1+s3)) then scaled for a score, one mul-then-add chain in
-// ascending row order for every accumulator element, no FMA. Head dims that
-// are not a multiple of four take the portable loops. Which form runs is
-// therefore invisible in the output bits, and tests check exactly that at
-// every head dim, row count and group size.
+// One kernel serves prefill and decode (gqaBlock; a decode step is the block
+// of one query). K and V are cut into fixed 32-row tiles. Pass one widens
+// each K tile the block's masks touch to float64 once — not once per query —
+// and scores every query against the rows its intervals admit, keeping each
+// (query, tile) chunk of scores and the running per-head max. Pass two walks
+// the V tiles the same way and, chunk by chunk, turns the scores into softmax
+// weights against the now-final max and folds them into the accumulators at
+// once; no separate subtract or exp sweep over a query's whole score stripe
+// exists. The block size is a function of the mask's shape alone (the
+// largest of 8/4/2/1 queries whose score stripes fit a fixed budget, cut by
+// the worker chunk); because a cell's arithmetic does not depend on its
+// block, that choice is invisible in the output bits.
+//
+// The three stages are tile kernels — scoreTile, softmaxTile, pvTile — each a
+// portable Go loop that is the oracle plus a vector form on amd64. The vector
+// forms compute several values per pass — four K rows scored against one load
+// of the query chunk, a head's whole accumulator held in registers across a V
+// tile, four exponentials per pass — but each value's arithmetic is the
+// oracle's, operation for operation: four accumulators combined as
+// ((s0+s2)+(s1+s3)) then scaled for a score; expNeg's reduction, Horner chain
+// and exponent add for a weight; one mul-then-add chain in ascending row
+// order for every accumulator element; no FMA. scoreTile and pvTile take the
+// AVX form when the head dim is a multiple of four, softmaxTile takes the AVX2
+// form for every whole quad of in-range scores (see exp.go); everything else
+// runs the portable loops. Which form runs is therefore invisible in the
+// output bits, and tests check exactly that at every head dim, row count,
+// group size and special value.
 //
 // All kernels carry per-(query, head) log-sum-exp (LSE) values so partial
 // results can be merged exactly. Masking is expressed through global token
@@ -149,42 +166,57 @@ func (o *Output) Clone() *Output {
 	return &Output{O: o.O.Clone(), LSE: lse}
 }
 
-// gqaScratch is one worker's reusable kernel state: compacted scores for
-// every head of the current group, float64 accumulators, and the per-head
-// running max/denominator. Pooled so steady-state kernel calls allocate
-// nothing regardless of context length.
-// kvTileRows is how many K/V rows a cell widens to float64 at a time. The
-// tile amortizes the float32→float64 conversion across the whole query-head
-// group and keeps the working set (tile + one score stripe per head) inside
-// L1 for realistic head dims.
+// kvTileRows is the height of the fixed K/V tile grid: rows [32i, 32i+32) of
+// the KV tensors widen to float64 together, once per query block, and a
+// query's scores for the part of a tile its mask admits form one chunk. The
+// tile plus one chunk per head stays inside L1 for realistic head dims.
 const kvTileRows = 32
 
+// maxBlockQueries caps how many consecutive query tokens share one walk over
+// the K/V tiles; scoreBudget caps the float64 score scratch of a block (its
+// queries' chunks are written in pass one and read back in pass two, so the
+// block should stay cache-resident). The block size is the largest of
+// 8/4/2/1 queries whose score stripes fit the budget.
+const (
+	maxBlockQueries = 8
+	scoreBudget     = (512 << 10) / 8
+)
+
+// gqaScratch is one worker's reusable kernel state for a block of queries:
+// per query a stripe of tile-major score chunks (group × kvTileRows each),
+// the widened query rows, float64 accumulators and the per-head running
+// max/denominator, plus the shared widened K or V tile. Pooled and grown
+// geometrically, so steady-state kernel calls allocate nothing regardless of
+// context length.
 type gqaScratch struct {
 	scores []float64
 	acc    []float64
-	qf     []float64 // query rows of the current group, widened once per cell
-	tile   []float64 // current K or V row tile, widened once per group
+	qf     []float64
+	tile   []float64
 	max    []float64
 	denom  []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return &gqaScratch{} }}
 
-func (s *gqaScratch) size(group, na, dim int) {
-	if need := group * na; cap(s.scores) < need {
-		s.scores = make([]float64, need)
+// grow returns a slice of at least need elements, reusing buf when it is
+// large enough and otherwise at least doubling it. Contents are not kept.
+func grow(buf []float64, need int) []float64 {
+	if cap(buf) >= need {
+		return buf[:cap(buf)]
 	}
-	if need := group * dim; cap(s.acc) < need {
-		s.acc = make([]float64, need)
-		s.qf = make([]float64, need)
-	}
-	if need := kvTileRows * dim; cap(s.tile) < need {
-		s.tile = make([]float64, need)
-	}
-	if cap(s.max) < group {
-		s.max = make([]float64, group)
-		s.denom = make([]float64, group)
-	}
+	return make([]float64, max(need, 2*cap(buf)))
+}
+
+// size makes room for blocks of up to nq queries whose score stripes hold
+// stripe float64s each.
+func (s *gqaScratch) size(nq, stripe, group, dim int) {
+	s.scores = grow(s.scores, nq*stripe)
+	s.acc = grow(s.acc, nq*group*dim)
+	s.qf = grow(s.qf, nq*group*dim)
+	s.tile = grow(s.tile, kvTileRows*dim)
+	s.max = grow(s.max, nq*group)
+	s.denom = grow(s.denom, nq*group)
 }
 
 func validateGQA(q, k, v *tensor.Tensor, m Mask) error {
@@ -235,109 +267,137 @@ func GQAInto(dst *Output, q, k, v *tensor.Tensor, m Mask) error {
 	return nil
 }
 
-// gqaTiles runs the tiled kernel: one work item per (KV head, query token)
-// cell, each computing the full query-head group of that cell. Cells write
-// disjoint output rows, so the pool fan-out is embarrassingly parallel and
-// exactly equal to the serial sweep.
+// tileChunks counts the score chunks of one query row: the pieces its
+// intervals are cut into by the kvTileRows grid.
+func tileChunks(row []Interval) int {
+	n := 0
+	for _, r := range row {
+		n += (r.Hi-1)/kvTileRows - r.Lo/kvTileRows + 1
+	}
+	return n
+}
+
+// gqaTiles fans the (KV head, query token) cells over the worker pool and
+// runs each contiguous chunk of cells as blocks of consecutive queries of one
+// KV head. The scratch is sized once per chunk from the chunk's widest query
+// row, which also fixes the block size; a decode step is the block of one
+// query. Cells write disjoint output rows and a cell's arithmetic does not
+// depend on which block it lands in, so any fan-out equals the serial sweep
+// exactly.
 func gqaTiles(dst *Output, q, k, v *tensor.Tensor, iv *Intervals) {
 	T := q.Tokens
-	nh, nkv, dh := q.Heads, k.Heads, q.Dim
-	group := nh / nkv
-	scale := 1 / math.Sqrt(float64(dh))
-	parallel.For(nkv*T, func(lo, hi int) {
+	group := q.Heads / k.Heads
+	parallel.For(k.Heads*T, func(lo, hi int) {
+		widest := 0
+		for cell := lo; cell < hi; cell++ {
+			widest = max(widest, tileChunks(iv.Row(cell%T)))
+		}
+		if widest == 0 {
+			return // identity rows: dst is already zero/NegInf
+		}
+		stripe := widest * group * kvTileRows
+		bq := maxBlockQueries
+		for bq > 1 && bq*stripe > scoreBudget {
+			bq /= 2
+		}
+		bq = min(bq, hi-lo)
 		sc := scratchPool.Get().(*gqaScratch)
 		defer scratchPool.Put(sc)
-		for cell := lo; cell < hi; cell++ {
-			kvh := cell / T
-			t := cell % T
-			row := iv.Row(t)
-			na := 0
-			for _, r := range row {
-				na += r.Hi - r.Lo
-			}
-			if na == 0 {
-				continue // identity rows: dst is already zero/NegInf
-			}
-			sc.size(group, na, dh)
-			gqaCell(dst, q, k, v, sc, row, t, kvh, group, na, scale)
+		sc.size(bq, stripe, group, q.Dim)
+		for cell := lo; cell < hi; {
+			kvh, t := cell/T, cell%T
+			nq := min(bq, hi-cell, T-t)
+			gqaBlock(dst, q, k, v, sc, iv, t, nq, kvh, stripe)
+			cell += nq
 		}
 	})
 }
 
-// gqaCell computes every head of one (query token, KV head) tile. Pass one
-// walks the allowed K rows accumulating scaled float64 dot products and the
-// running max; pass two re-walks the same rows fusing the exp-weight with
-// the weighted V accumulation. Each K/V row is widened to float64 exactly
-// once (widening is exact, so sharing the conversion across the head group
-// changes no bits) and every per-head accumulator is contiguous. Both passes
-// visit rows in ascending KV index order, so the per-(t,h) reduction order
-// is fixed regardless of tiling.
-func gqaCell(dst *Output, q, k, v *tensor.Tensor, sc *gqaScratch, row []Interval, t, kvh, group, na int, scale float64) {
-	dh := q.Dim
+// gqaBlock computes every head of nq consecutive query tokens (from t0)
+// against one KV head. Pass one walks the K tiles the block's masks touch,
+// widening each tile to float64 once for the whole block (widening is exact,
+// so sharing it changes no bits), and scores every query against the rows of
+// the tile its intervals admit, one chunk of group × kvTileRows scores per
+// (query, tile piece), chunks laid back to back in walk order. Pass two
+// replays the same walk over V: each chunk becomes softmax weights against
+// the query's now-final max and is folded into the accumulators right away.
+// Both passes visit a query's rows in ascending KV index order and every
+// per-(query, head) max, denominator and accumulator is its own chain, so the
+// reduction order is fixed regardless of tiling or block size.
+func gqaBlock(dst *Output, q, k, v *tensor.Tensor, sc *gqaScratch, iv *Intervals, t0, nq, kvh, stripe int) {
+	dh, group := q.Dim, q.Heads/k.Heads
+	gd, h0 := group*dh, kvh*group
 	kvRowLen := k.Heads * dh
-	scores, acc, maxs, denom := sc.scores, sc.acc, sc.max, sc.denom
-	qf := sc.qf[:group*dh]
+	scale := 1 / math.Sqrt(float64(dh))
 	tile := sc.tile[:kvTileRows*dh]
-	h0 := kvh * group
-	for g := 0; g < group; g++ {
-		maxs[g] = NegInf
-		qRow := q.Data[(t*q.Heads+h0+g)*dh:][:dh]
-		for d, x := range qRow {
-			qf[g*dh+d] = float64(x)
+	qf, acc := sc.qf[:nq*gd], sc.acc[:nq*gd]
+	maxs, denom := sc.max[:nq*group], sc.denom[:nq*group]
+
+	var rows [maxBlockQueries][]Interval
+	loTile, hiTile := math.MaxInt, 0
+	for b := 0; b < nq; b++ {
+		row := iv.Row(t0 + b)
+		rows[b] = row
+		if len(row) == 0 {
+			continue
+		}
+		loTile = min(loTile, row[0].Lo/kvTileRows)
+		hiTile = max(hiTile, (row[len(row)-1].Hi-1)/kvTileRows+1)
+		for i, x := range q.Data[((t0+b)*q.Heads+h0)*dh:][:gd] {
+			qf[b*gd+i] = float64(x)
 		}
 	}
-	// Pass 1: scores and per-head max, widening each K tile once and scoring
-	// every head of the group against it.
-	ns := 0
-	for _, r := range row {
-		for base := r.Lo; base < r.Hi; base += kvTileRows {
-			n := r.Hi - base
-			if n > kvTileRows {
-				n = kvTileRows
+	clear(acc)
+	clear(denom)
+	for i := range maxs {
+		maxs[i] = NegInf
+	}
+
+	for pass, data := range [2][]float32{k.Data, v.Data} {
+		var cur, off [maxBlockQueries]int // per query: interval cursor, score offset
+		for ti := loTile; ti < hiTile; ti++ {
+			tileLo := ti * kvTileRows
+			tileHi := min(tileLo+kvTileRows, k.Tokens)
+			widened := false
+			for b := 0; b < nq; b++ {
+				row := rows[b]
+				for cur[b] < len(row) && row[cur[b]].Hi <= tileLo {
+					cur[b]++
+				}
+				for c := cur[b]; c < len(row) && row[c].Lo < tileHi; c++ {
+					lo, hi := max(row[c].Lo, tileLo), min(row[c].Hi, tileHi)
+					if !widened {
+						widenRows(tile, data, tileLo, tileHi-tileLo, kvRowLen, kvh*dh, dh)
+						widened = true
+					}
+					chunk := sc.scores[b*stripe+off[b]:][:group*kvTileRows]
+					piece := tile[(lo-tileLo)*dh : (hi-tileLo)*dh]
+					if pass == 0 {
+						scoreTile(qf[b*gd:], piece, chunk, maxs[b*group:], group, hi-lo, dh, kvTileRows, scale)
+					} else {
+						softmaxTile(chunk, maxs[b*group:], group, hi-lo, kvTileRows)
+						pvTile(chunk, piece, acc[b*gd:], denom[b*group:], group, hi-lo, dh, kvTileRows)
+					}
+					off[b] += group * kvTileRows
+				}
 			}
-			widenRows(tile, k.Data, base, n, kvRowLen, kvh*dh, dh)
-			scoreTile(qf, tile, scores[ns:], maxs, group, n, dh, na, scale)
-			ns += n
 		}
 	}
-	// Turn every head's score stripe into softmax weights in place: one
-	// shifted-exp batch per head over the whole allowed set.
-	for g := 0; g < group; g++ {
-		sg := scores[g*na:][:na]
-		mg := maxs[g]
-		for i := range sg {
-			sg[i] -= mg
+
+	for b := 0; b < nq; b++ {
+		if len(rows[b]) == 0 {
+			continue // identity row: dst is already zero/NegInf
 		}
-		expNegVec(sg)
-	}
-	// Pass 2: weighted V accumulation over the same tiles. Per head the
-	// weights, denominator and accumulator all reduce in ascending KV order,
-	// independent of tiling.
-	for i := range acc[:group*dh] {
-		acc[i] = 0
-	}
-	for g := 0; g < group; g++ {
-		denom[g] = 0
-	}
-	ns = 0
-	for _, r := range row {
-		for base := r.Lo; base < r.Hi; base += kvTileRows {
-			n := r.Hi - base
-			if n > kvTileRows {
-				n = kvTileRows
+		for g := 0; g < group; g++ {
+			cell := (t0+b)*q.Heads + h0 + g
+			oRow := dst.O.Data[cell*dh:][:dh]
+			accg := acc[(b*group+g)*dh:][:dh]
+			dg := denom[b*group+g]
+			for d := range oRow {
+				oRow[d] = float32(accg[d] / dg)
 			}
-			widenRows(tile, v.Data, base, n, kvRowLen, kvh*dh, dh)
-			pvTile(scores[ns:], tile, acc, denom, group, n, dh, na)
-			ns += n
+			dst.LSE[cell] = maxs[b*group+g] + math.Log(dg)
 		}
-	}
-	for g := 0; g < group; g++ {
-		oRow := dst.O.Data[(t*q.Heads+h0+g)*dh:][:dh]
-		accg := acc[g*dh:][:dh]
-		for d := 0; d < dh; d++ {
-			oRow[d] = float32(accg[d] / denom[g])
-		}
-		dst.LSE[t*q.Heads+h0+g] = maxs[g] + math.Log(denom[g])
 	}
 }
 

@@ -94,3 +94,52 @@ func BenchmarkGQATileKernels(b *testing.B) {
 		simd.SetEnabled(prev)
 	}
 }
+
+// BenchmarkSoftmaxTile times the fused max-shift + exp stage on one tile of
+// the benchmark model's head group (8 heads × kvTileRows scores), vector form
+// against the portable one, in ns per element.
+func BenchmarkSoftmaxTile(b *testing.B) {
+	const group, n = 8, kvTileRows
+	rng := rand.New(rand.NewSource(4))
+	src, shift := make([]float64, group*n), make([]float64, group)
+	for i := range src {
+		src[i] = -rng.Float64() * 30
+	}
+	s := make([]float64, len(src))
+	for _, on := range []bool{true, false} {
+		prev := simd.SetEnabled(on)
+		b.Run(fmt.Sprintf("simd=%v", on), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(s, src)
+				softmaxTile(s, shift, group, n, n)
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/(group*n), "ns/elem")
+		})
+		simd.SetEnabled(prev)
+	}
+}
+
+// BenchmarkGQACausalPrefill is the per-rank ring-step shape of the benchmark
+// model (bench-gqa8: 8 query heads on 1 KV head, head dim 32): 256 new
+// queries attending causally to 1024 KV rows.
+func BenchmarkGQACausalPrefill(b *testing.B) {
+	const T, kv, nh, dh = 256, 1024, 8, 32
+	rng := rand.New(rand.NewSource(5))
+	q := tensor.RandN(rng, T, nh, dh)
+	k := tensor.RandN(rng, kv, 1, dh)
+	v := tensor.RandN(rng, kv, 1, dh)
+	m := PartialCausal(T, kv-T)
+	out := NewOutput(T, nh, dh)
+	pairs := 0 // admitted (query, key) pairs; 4*dh flops per pair per head
+	for t := 0; t < T; t++ {
+		pairs += kv - T + t + 1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := GQAInto(out, q, k, v, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(4*dh*nh*float64(pairs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}

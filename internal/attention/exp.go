@@ -1,13 +1,17 @@
 package attention
 
-import "math"
+import (
+	"math"
 
-// Fast deterministic e^x for softmax weights.
+	"repro/internal/simd"
+)
+
+// The softmax stage: deterministic e^(s - max) for a tile of scores.
 //
-// math.Exp costs ~40ns on the CPUs this repo targets and the kernels call it
-// once per (query, head, key) — it is the single largest term in the decode
-// and long-prefill hot paths. expNeg replaces it with the classical
-// table-driven reduction: x = (32m + i)·ln2/32 + r with |r| <= ln2/64, so
+// The kernels need one exponential per (query, head, key), which makes it
+// the largest non-MAC term of prefill and decode. expNeg is the definition:
+// the classical table-driven reduction x = (32m + i)·ln2/32 + r with
+// |r| <= ln2/64, so
 //
 //	e^x = 2^m · 2^(i/32) · p(r)
 //
@@ -16,9 +20,17 @@ import "math"
 // the surrounding softmax). The result is a pure function of x built from
 // IEEE arithmetic — the same bits on every call, every goroutine, every
 // worker count — which is all the repo's bit-identity guarantees need.
-// Arguments are softmax-shifted scores, so x <= 0 always holds; values so
+// Arguments are max-shifted scores, so x <= 0 in practice; values so
 // negative that the 2^m bit-shift would leave the normal range fall back to
 // math.Exp, which handles the denormal tail.
+//
+// The kernels do not call expNeg per element. softmaxTile converts one
+// (head group × tile) chunk of scores in place, subtracting each head's max
+// on the way, through expShiftVec: an AVX2 form four lanes wide on amd64, a
+// four-lane interleaved Go loop everywhere else. Both are expNeg operation
+// for operation — expNeg is their oracle — and any quad holding a lane the
+// fast forms do not take (below expFloor, NaN, ±Inf) goes through expNeg
+// itself, so how a caller tiles or batches its scores never changes a bit.
 //
 // Exactness anchor: expNeg(0) == 1 exactly (m = i = 0, r = 0, p(0) = 1), so
 // a query attending to a single key still reproduces its V row bit-for-bit.
@@ -58,14 +70,24 @@ func expNeg(x float64) float64 {
 	return math.Float64frombits(math.Float64bits(s) + uint64(m)<<52)
 }
 
-// expNegVec replaces every element of x with e^x, four lanes interleaved so
-// the polynomial latency chains of neighbouring elements overlap. Lane
-// arithmetic is identical to expNeg, so the transformation is elementwise
-// deterministic regardless of how callers batch it.
-func expNegVec(x []float64) {
+// expShiftVec replaces every x[i] with expNeg(x[i] - shift): the subtract of
+// the softmax max and the exponential in one sweep. On amd64 whole quads go
+// through expShiftAVX2, which stops in front of the first quad holding a lane
+// it does not take (|x-shift| > 690, NaN, ±Inf); that quad and every
+// non-vector build run the portable loop below — four lanes interleaved so
+// the polynomial latency chains of neighbouring elements overlap, each lane
+// the arithmetic of expNeg, which also serves the out-of-range lanes
+// directly. Whichever form handles an element, its bits are expNeg's.
+func expShiftVec(x []float64, shift float64) {
 	j := 0
 	for ; j+3 < len(x); j += 4 {
-		x0, x1, x2, x3 := x[j], x[j+1], x[j+2], x[j+3]
+		if simd.AVX2() {
+			j += expShiftAVX2(&x[j], len(x)-j, shift)
+			if j+3 >= len(x) {
+				break
+			}
+		}
+		x0, x1, x2, x3 := x[j]-shift, x[j+1]-shift, x[j+2]-shift, x[j+3]-shift
 		if !(x0 >= expFloor) || !(x1 >= expFloor) || !(x2 >= expFloor) || !(x3 >= expFloor) {
 			x[j], x[j+1], x[j+2], x[j+3] = expNeg(x0), expNeg(x1), expNeg(x2), expNeg(x3)
 			continue
@@ -93,6 +115,19 @@ func expNegVec(x []float64) {
 		x[j+3] = math.Float64frombits(math.Float64bits(s3) + uint64((int64(n3)-i3)>>5)<<52)
 	}
 	for ; j < len(x); j++ {
-		x[j] = expNeg(x[j])
+		x[j] = expNeg(x[j] - shift)
+	}
+}
+
+// expNegVec replaces every element of x with e^x: the shift-0 edge of
+// expShiftVec (x - 0 is x, bit for bit).
+func expNegVec(x []float64) { expShiftVec(x, 0) }
+
+// softmaxTile turns one tile of scores into softmax weights in place, for
+// the whole head group: s[g*stride+j] = expNeg(s[g*stride+j] - shift[g]) for
+// j < n. Elements between n and stride are not touched.
+func softmaxTile(s, shift []float64, group, n, stride int) {
+	for g := 0; g < group; g++ {
+		expShiftVec(s[g*stride:][:n], shift[g])
 	}
 }

@@ -232,3 +232,78 @@ func TestExpNegAccuracy(t *testing.T) {
 		}
 	}
 }
+
+// gqaOneByOne drives the block kernel one query at a time — every block is
+// the block of one — which is the arithmetic each cell must keep however
+// many neighbours share its tile walk.
+func gqaOneByOne(q, k, v *tensor.Tensor, m Mask) *Output {
+	out := NewOutput(q.Tokens, q.Heads, q.Dim)
+	iv := NewIntervals(m)
+	group := q.Heads / k.Heads
+	sc := &gqaScratch{}
+	for kvh := 0; kvh < k.Heads; kvh++ {
+		for t := 0; t < q.Tokens; t++ {
+			stripe := tileChunks(iv.Row(t)) * group * kvTileRows
+			if stripe == 0 {
+				continue
+			}
+			sc.size(1, stripe, group, q.Dim)
+			gqaBlock(out, q, k, v, sc, iv, t, 1, kvh, stripe)
+		}
+	}
+	return out
+}
+
+// Query blocking must not change a bit: the production sweep (blocks of up
+// to maxBlockQueries, cut by the worker chunks) equals the one-query-at-a-time
+// drive exactly, on multi-sequence batches with padding rows, unsorted KV
+// positions, queries that see nothing, query counts that are no multiple of
+// the block, several KV-head counts, head dims on both the vector and the
+// portable loops, and a context long enough that the score budget halves the
+// block.
+func TestGQABlocksMatchOneQueryAtATimeExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 60; trial++ {
+		dh := []int{4, 20, 32, 64, 128}[trial%5]
+		nkv := []int{1, 2, 4}[trial%3]
+		group := []int{1, 2, 8}[rng.Intn(3)]
+		T := rng.Intn(37) + 1
+		kv := rng.Intn(5*kvTileRows) + 1
+		var m Mask
+		switch {
+		case trial%10 == 9: // long causal context: stripes over the score budget
+			dh, nkv, group, T = 4, 1, 8, 11
+			kv = scoreBudget/(group*4) + 3*kvTileRows + 5
+			m = PartialCausal(T, kv-T)
+		default:
+			m = randomMask(rng, T, kv, trial%2 == 0)
+			for i := range m.QPos {
+				m.QPos[i] += rng.Intn(40) - 4 // some rows end up empty
+			}
+		}
+		q := tensor.RandN(rng, T, nkv*group, dh)
+		k := tensor.RandN(rng, kv, nkv, dh)
+		v := tensor.RandN(rng, kv, nkv, dh)
+		want := gqaOneByOne(q, k, v, m)
+		for _, w := range []int{1, 2, 8} {
+			old := parallel.SetWorkers(w)
+			got, err := GQA(q, k, v, m)
+			parallel.SetWorkers(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.O.Data {
+				if math.Float32bits(got.O.Data[i]) != math.Float32bits(want.O.Data[i]) {
+					t.Fatalf("trial %d (T=%d kv=%d nkv=%d group=%d dh=%d) workers=%d: O[%d] = %x, one-by-one %x",
+						trial, T, kv, nkv, group, dh, w, i, got.O.Data[i], want.O.Data[i])
+				}
+			}
+			for i := range want.LSE {
+				if math.Float64bits(got.LSE[i]) != math.Float64bits(want.LSE[i]) {
+					t.Fatalf("trial %d (T=%d kv=%d nkv=%d group=%d dh=%d) workers=%d: LSE[%d] = %x, one-by-one %x",
+						trial, T, kv, nkv, group, dh, w, i, got.LSE[i], want.LSE[i])
+				}
+			}
+		}
+	}
+}

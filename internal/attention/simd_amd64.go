@@ -2,10 +2,11 @@
 
 package attention
 
-// The AVX inner loops are lane-for-lane the arithmetic of the portable loops
-// in attention.go, so switching between the two paths can never change a bit
-// — it is purely a throughput decision, taken from simd.Available() at each
-// call (CPU detection lives in the shared internal/simd package).
+// The vector inner loops are lane-for-lane the arithmetic of the portable
+// loops in attention.go and exp.go, so switching between the two paths can
+// never change a bit — it is purely a throughput decision, taken from
+// simd.Available() (simd.AVX2() for the softmax stage) at each call; CPU
+// detection lives in the shared internal/simd package.
 
 // cvtAVX widens src into dst (len(dst) >= len(src)); float32→float64 is
 // exact, so vector and scalar conversion agree bitwise. Implemented in
@@ -25,3 +26,18 @@ func scoreTileAVX(q, rows, scores, maxs *float64, group, n, dh, stride int, scal
 //
 //go:noescape
 func pvTileAVX(w, rows, acc, denom *float64, group, n, dh, stride int)
+
+// expVecConsts are expShiftAVX2's broadcast operands, indexed by position in
+// the assembly. They are exp.go's constants themselves, so the vector and
+// scalar forms cannot drift apart; the last is the vector range limit
+// (|x| <= 690 keeps n inside 16 bits and excludes NaN and ±Inf).
+var expVecConsts = [...]float64{expInvL, expC2, expLHi, expLLo, expC5, expC4, expC3, 1, -expFloor}
+
+// expShiftAVX2 replaces x[i] with expNeg(x[i]-shift) for whole quads from
+// x[0] and returns how many elements it converted: a multiple of four, short
+// of n&^3 only when the next quad holds a lane outside the vector range,
+// which the caller runs through the scalar form. Each lane is expNeg's
+// arithmetic, operation for operation. Implemented in simd_amd64.s.
+//
+//go:noescape
+func expShiftAVX2(x *float64, n int, shift float64) int

@@ -284,3 +284,87 @@ vheadend:
 	JNZ  vhead
 	VZEROUPPER
 	RET
+
+DATA expMagic<>+0(SB)/8, $0x4338000000000000
+GLOBL expMagic<>(SB), RODATA|NOPTR, $8
+DATA expIdx64<>+0(SB)/8, $31
+DATA expIdx64<>+8(SB)/8, $31
+DATA expIdx64<>+16(SB)/8, $31
+DATA expIdx64<>+24(SB)/8, $31
+GLOBL expIdx64<>(SB), RODATA|NOPTR, $32
+DATA expAbs<>+0(SB)/8, $0x7fffffffffffffff
+DATA expAbs<>+8(SB)/8, $0x7fffffffffffffff
+DATA expAbs<>+16(SB)/8, $0x7fffffffffffffff
+DATA expAbs<>+24(SB)/8, $0x7fffffffffffffff
+GLOBL expAbs<>(SB), RODATA|NOPTR, $32
+
+// func expShiftAVX2(x *float64, n int, shift float64) int
+// Four lanes of expNeg(x[i]-shift) per pass, each lane the scalar sequence:
+// n = floor(x*invL + 0.5), r = (x - n*LHi) - n*LLo, the degree-5 Horner chain
+// mul then add (no FMA), s = expTab[n&31] * p, result bits(s) + (n>>5)<<52.
+// Adding 1.5*2^52 to n (exact: |x| <= 690 bounds |n| below 2^15) leaves n in
+// two's complement in the low mantissa bits of each 64-bit lane, so the table
+// index, the gather and the exponent add are whole-register AVX2 integer ops.
+// Stops before the first quad with a lane outside |x| <= 690 (the ordered
+// compare is false for NaN) and returns the element count done.
+TEXT ·expShiftAVX2(SB), NOSPLIT, $0-32
+	MOVQ  x+0(FP), DI
+	MOVQ  n+8(FP), R9
+	XORQ  R10, R10
+	SHRQ  $2, R9
+	JZ    e2done
+	VBROADCASTSD shift+16(FP), Y15
+	LEAQ  ·expVecConsts(SB), R11
+	VBROADCASTSD 0(R11), Y14  // 32/ln2
+	VBROADCASTSD 8(R11), Y13  // 0.5: the rounding bias and C2
+	VBROADCASTSD 16(R11), Y12 // LHi
+	VBROADCASTSD 24(R11), Y11 // LLo
+	VBROADCASTSD 32(R11), Y10 // C5
+	VBROADCASTSD 40(R11), Y9  // C4
+	VBROADCASTSD 48(R11), Y8  // C3
+	VBROADCASTSD 56(R11), Y7  // 1
+	VBROADCASTSD 64(R11), Y6  // 690
+	VBROADCASTSD expMagic<>(SB), Y4
+	LEAQ  ·expTab(SB), R8
+e2loop:
+	VMOVUPD   (DI), Y0
+	VSUBPD    Y15, Y0, Y0     // x = s - shift
+	VANDPD    expAbs<>(SB), Y0, Y1 // |x|
+	VCMPPD    $0x12, Y6, Y1, Y1 // |x| <= 690, ordered
+	VMOVMSKPD Y1, AX
+	CMPL      AX, $15
+	JNE       e2done
+	VMULPD    Y14, Y0, Y1
+	VADDPD    Y13, Y1, Y1
+	VROUNDPD  $1, Y1, Y1      // n
+	VMULPD    Y12, Y1, Y2
+	VSUBPD    Y2, Y0, Y2
+	VMULPD    Y11, Y1, Y3
+	VSUBPD    Y3, Y2, Y2      // r
+	VADDPD    Y4, Y1, Y1      // 1.5*2^52 + n: n in the low mantissa bits
+	VMULPD    Y10, Y2, Y3
+	VADDPD    Y9, Y3, Y3
+	VMULPD    Y2, Y3, Y3
+	VADDPD    Y8, Y3, Y3
+	VMULPD    Y2, Y3, Y3
+	VADDPD    Y13, Y3, Y3
+	VMULPD    Y2, Y3, Y3
+	VADDPD    Y7, Y3, Y3
+	VMULPD    Y2, Y3, Y3
+	VADDPD    Y7, Y3, Y3      // p
+	VPAND     expIdx64<>(SB), Y1, Y0 // i = n & 31
+	VPCMPEQD  Y2, Y2, Y2
+	VGATHERQPD Y2, (R8)(Y0*8), Y5
+	VMULPD    Y3, Y5, Y0      // s = expTab[i] * p
+	VPSRLQ    $5, Y1, Y1
+	VPSLLQ    $52, Y1, Y1     // (n >> 5) << 52
+	VPADDQ    Y1, Y0, Y0
+	VMOVUPD   Y0, (DI)
+	ADDQ      $32, DI
+	ADDQ      $4, R10
+	DECQ      R9
+	JNZ       e2loop
+e2done:
+	MOVQ R10, ret+24(FP)
+	VZEROUPPER
+	RET

@@ -14,3 +14,7 @@ func scoreTileAVX(q, rows, scores, maxs *float64, group, n, dh, stride int, scal
 func pvTileAVX(w, rows, acc, denom *float64, group, n, dh, stride int) {
 	panic("attention: pvTileAVX without AVX")
 }
+
+func expShiftAVX2(x *float64, n int, shift float64) int {
+	panic("attention: expShiftAVX2 without AVX2")
+}

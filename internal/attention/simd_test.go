@@ -221,3 +221,58 @@ func TestGQAVectorAndPortablePathsAgreeOnStridedTiles(t *testing.T) {
 		}
 	}
 }
+
+// softmaxTile must equal expNeg(s - shift[g]) bitwise at every length around
+// the four-lane quad, with a stride wider than the tile (and the gap left
+// alone), for inputs that put a NaN, -Inf, a value below expFloor and 0 in
+// every lane position of a quad, with the vector path on and off.
+func TestSoftmaxTileMatchesExpNegExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	const sentinel = 12345.5
+	for _, shift := range []float64{0, -3.7, 41.25} {
+		specials := []float64{math.NaN(), math.Inf(-1), shift + expFloor - 1, shift, math.Inf(1), shift + 700}
+		for n := 0; n <= 67; n++ {
+			for _, group := range []int{1, 3, 8} {
+				stride := n + rng.Intn(4)
+				src := make([]float64, group*stride+1)
+				for i := range src {
+					src[i] = sentinel
+				}
+				shifts := make([]float64, group)
+				for g := range shifts {
+					shifts[g] = shift + float64(g)
+					for j := 0; j < n; j++ {
+						src[g*stride+j] = shifts[g] - rng.Float64()*40
+					}
+				}
+				// One special per quad, rotating through the lane positions;
+				// every third quad stays clean so vector quads follow scalar ones.
+				for q := 0; 4*q < n; q++ {
+					if q%3 == 2 {
+						continue
+					}
+					if j := 4*q + q%4; j < n {
+						src[(q%group)*stride+j] = specials[(q+n)%len(specials)]
+					}
+				}
+				want := append([]float64(nil), src...)
+				for g := 0; g < group; g++ {
+					for j := 0; j < n; j++ {
+						want[g*stride+j] = expNeg(src[g*stride+j] - shifts[g])
+					}
+				}
+				for _, on := range []bool{true, false} {
+					got := append([]float64(nil), src...)
+					prev := simd.SetEnabled(on)
+					softmaxTile(got, shifts, group, n, stride)
+					simd.SetEnabled(prev)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("softmaxTile(shift=%v n=%d group=%d stride=%d simd=%v)[%d] = %x (from %v), want %x", shift, n, group, stride, on, i, got[i], src[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -113,11 +113,12 @@ func (b *seqBlock) ensure(rows, rowLen int) {
 }
 
 // seqIDs returns the constant-value sequence-id slice for the first rows
-// rows of the block.
+// rows of the block. It grows by doubling, like ensure, so a decode stream
+// that asks for one more row every step allocates O(log steps) times.
 func (b *seqBlock) seqIDs(val, rows int) []int {
 	if len(b.seqFill) < rows || b.seqFillVal != val {
 		if cap(b.seqFill) < rows {
-			b.seqFill = make([]int, rows)
+			b.seqFill = make([]int, max(rows, 2*cap(b.seqFill)))
 		}
 		b.seqFill = b.seqFill[:cap(b.seqFill)]
 		for i := range b.seqFill {

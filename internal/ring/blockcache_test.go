@@ -218,3 +218,29 @@ func TestBlockCacheGuardCoversPreviouslyMirroredRows(t *testing.T) {
 		t.Fatal("mirrored position 5 >= base 3 accepted on the reuse path")
 	}
 }
+
+// A decode stream views its block with one more row every step; the
+// sequence-id fill must grow geometrically, not re-allocate per step.
+func TestSeqBlockViewGrowsSeqIDsGeometrically(t *testing.T) {
+	const steps = 1024
+	b := &seqBlock{seqFillVal: -1, maxPos: -1}
+	b.ensure(steps, nkv*dh)
+	reallocs := 0
+	var backing *int
+	for rows := 1; rows <= steps; rows++ {
+		_, _, _, seq, err := b.view(rows, nkv, dh, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seq) != rows || seq[0] != 3 || seq[rows-1] != 3 {
+			t.Fatalf("view(%d): seq ids %v", rows, seq)
+		}
+		if &seq[0] != backing {
+			backing = &seq[0]
+			reallocs++
+		}
+	}
+	if reallocs > 11 { // log2(1024) doublings plus the first allocation
+		t.Fatalf("%d successive views re-allocated the sequence ids %d times", steps, reallocs)
+	}
+}

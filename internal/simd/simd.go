@@ -5,7 +5,9 @@
 //
 // One CPUID probe (OSXSAVE+AVX with OS-enabled YMM state) gates vector
 // kernels whose lane arithmetic is bit-for-bit that of their portable scalar
-// fallbacks. The contract every kernel here obeys:
+// fallbacks; AVX2 additionally admits the one kernel built on 256-bit integer
+// ops and a gather (the attention softmax stage). The contract every kernel
+// here obeys:
 //
 //   - The scalar fallback is the oracle. It uses four independent
 //     accumulators combined as ((s0+s2)+(s1+s3)), with the tail folded into
@@ -33,6 +35,10 @@ var enabled = hasAVX
 
 // Available reports whether the vector paths are active.
 func Available() bool { return enabled }
+
+// AVX2 reports whether the vector paths are active on a CPU that also has
+// AVX2; kernels built on 256-bit integer ops or gathers gate on it.
+func AVX2() bool { return enabled && hasAVX2 }
 
 // SetEnabled turns the vector paths on or off and returns the previous
 // state. Enabling is a no-op on hardware without AVX. Intended for tests

@@ -5,6 +5,14 @@ package simd
 // hasAVX is the one CPUID probe the repo's vector kernels share.
 var hasAVX = cpuidAVX()
 
+// hasAVX2 additionally admits the kernels that need 256-bit integer ops and
+// gathers (the attention softmax stage).
+var hasAVX2 = hasAVX && cpuidAVX2()
+
+// cpuidAVX2 reports CPUID.7.0:EBX bit 5. Only meaningful once cpuidAVX holds
+// (the YMM state check is shared). Implemented in simd_amd64.s.
+func cpuidAVX2() bool
+
 // cpuidAVX reports AVX support with OS-enabled YMM state (CPUID.1:ECX
 // OSXSAVE+AVX, then XGETBV XMM+YMM). Implemented in simd_amd64.s.
 func cpuidAVX() bool

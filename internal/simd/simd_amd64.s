@@ -23,6 +23,17 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func cpuidAVX2() bool
+// CPUID.(EAX=7, ECX=0):EBX bit 5.
+TEXT ·cpuidAVX2(SB), NOSPLIT, $0-1
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $5, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+	RET
+
 // func dotF32AVX(a, b []float32) float32
 // Four float32 lanes accumulate in X0 (lane i == scalar accumulator s_i of
 // the four-way unrolled oracle), the scalar tail folds into lane 0, and the
@@ -36,6 +47,7 @@ TEXT ·dotF32AVX(SB), NOSPLIT, $0-52
 	MOVQ   CX, DX
 	SHRQ   $2, DX
 	JZ     dtail_setup
+	PCALIGN $32 // the 29-byte loop stays inside one fetch block wherever the linker puts the function
 dloop4:
 	VMOVUPS (SI), X1
 	VMOVUPS (DI), X2

@@ -4,7 +4,10 @@ package simd
 
 // Non-amd64 builds always take the portable scalar loops; the constant lets
 // the compiler delete the vector branches entirely.
-const hasAVX = false
+const (
+	hasAVX  = false
+	hasAVX2 = false
+)
 
 func dotF32AVX(a, b []float32) float32 { panic("simd: dotF32AVX without AVX") }
 

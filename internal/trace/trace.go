@@ -87,6 +87,7 @@ type Recorder struct {
 	counters map[string]int64
 	series   map[string]*Series
 	order    []string // series ids in creation order (sorted at export)
+	sweeps   map[sweepKey]*sweepSeries
 }
 
 // New returns an empty recorder.
@@ -97,6 +98,7 @@ func New() *Recorder {
 		agg:      make(map[string]Stat),
 		counters: make(map[string]int64),
 		series:   make(map[string]*Series),
+		sweeps:   make(map[sweepKey]*sweepSeries),
 	}
 }
 
@@ -294,9 +296,17 @@ type SweepTimer struct {
 	steps     int
 	hasA2A    bool
 	start     time.Time
-	hc, hm    *Series
-	ha        *Series
-	sweeps    *Series
+	series    *sweepSeries
+}
+
+// sweepSeries is the four handles every sweep of one (rank, op) observes,
+// resolved on that pair's first sweep and kept by the Recorder: resolve
+// once, observe many times.
+type sweepSeries struct{ compute, comm, a2a, count *Series }
+
+type sweepKey struct {
+	rank int
+	op   string
 }
 
 // Sweep opens a sweep timer for one rank and op ("prefill" or "decode").
@@ -305,14 +315,26 @@ func (r *Recorder) Sweep(rank int, epoch uint64, op string) *SweepTimer {
 	if r == nil {
 		return nil
 	}
-	rl := rankLabel(rank)
+	k := sweepKey{rank, op}
+	r.mu.Lock()
+	h := r.sweeps[k]
+	if h == nil {
+		rl := rankLabel(rank)
+		phase := func(name string) *Series {
+			return r.seriesLocked(KindHistogram, "cp_ring_phase_seconds", L("op", op), L("phase", name), L("rank", rl))
+		}
+		h = &sweepSeries{
+			compute: phase("compute"),
+			comm:    phase("comm"),
+			a2a:     phase("all2all"),
+			count:   r.seriesLocked(KindCounter, "cp_ring_sweeps_total", L("op", op), L("rank", rl)),
+		}
+		r.sweeps[k] = h
+	}
+	r.mu.Unlock()
 	return &SweepTimer{
-		rec: r, rank: rank, epoch: epoch, op: op, seq: NoSeq,
-		start:  time.Now(), //cplint:allow determinism sweep wall-clock start, observability only
-		hc:     r.Hist("cp_ring_phase_seconds", L("op", op), L("phase", "compute"), L("rank", rl)),
-		hm:     r.Hist("cp_ring_phase_seconds", L("op", op), L("phase", "comm"), L("rank", rl)),
-		ha:     r.Hist("cp_ring_phase_seconds", L("op", op), L("phase", "all2all"), L("rank", rl)),
-		sweeps: r.CounterSeries("cp_ring_sweeps_total", L("op", op), L("rank", rl)),
+		rec: r, rank: rank, epoch: epoch, op: op, seq: NoSeq, series: h,
+		start: time.Now(), //cplint:allow determinism sweep wall-clock start, observability only
 	}
 }
 
@@ -360,12 +382,12 @@ func (t *SweepTimer) Finish(steps int) {
 		return
 	}
 	t.steps = steps
-	t.hc.Observe(float64(t.computeNs) / 1e9)
-	t.hm.Observe(float64(t.commNs) / 1e9)
+	t.series.compute.Observe(float64(t.computeNs) / 1e9)
+	t.series.comm.Observe(float64(t.commNs) / 1e9)
 	if t.hasA2A {
-		t.ha.Observe(float64(t.a2aNs) / 1e9)
+		t.series.a2a.Observe(float64(t.a2aNs) / 1e9)
 	}
-	t.sweeps.Inc(1)
+	t.series.count.Inc(1)
 	args := map[string]int64{
 		"compute_ns": t.computeNs,
 		"comm_ns":    t.commNs,

@@ -99,3 +99,23 @@ func TestConcurrentRecording(t *testing.T) {
 		t.Fatalf("concurrent counter = %d, want 800", r.Counter("n"))
 	}
 }
+
+// A steady-state sweep resolves nothing: Sweep allocates the SweepTimer and
+// no more, and the whole Sweep…Finish adds only what the ring.sweep span
+// itself needs (its Args map), however many sweeps came before.
+func TestSweepSteadyStateAllocatesOnlyTheTimer(t *testing.T) {
+	r := New()
+	r.Sweep(1, 7, "decode").Finish(2) // first sweep of the pair resolves the four series
+	if got := testing.AllocsPerRun(200, func() { r.Sweep(1, 7, "decode") }); got != 1 {
+		t.Fatalf("steady-state Sweep allocates %v objects, want 1 (the SweepTimer)", got)
+	}
+	span := testing.AllocsPerRun(200, func() {
+		r.RecordSpan(Span{Name: "ring.sweep", Args: map[string]int64{"compute_ns": 1, "comm_ns": 2, "steps": 3}})
+	})
+	if got := testing.AllocsPerRun(200, func() { r.Sweep(1, 7, "decode").Finish(2) }); got > 1+span {
+		t.Fatalf("steady-state Sweep…Finish allocates %v objects, want at most 1 + the span's %v", got, span)
+	}
+	if n := r.CounterSeries("cp_ring_sweeps_total", L("op", "decode"), L("rank", "1")).Value(); n != 202 {
+		t.Fatalf("cp_ring_sweeps_total = %v, want 202", n)
+	}
+}
