@@ -42,7 +42,7 @@ type forwardStageReport struct {
 // kernelForwardReport is the forward-pass section of BENCH_kernel.json.
 type kernelForwardReport struct {
 	sectionEnv
-	SIMD     string               `json:"simd"` // "avx" when the vector dot is live, else "scalar"
+	SIMD     string               `json:"simd"` // "avx2+fma" when the vector dot is live, else "scalar"
 	Layers   int                  `json:"layers"`
 	ModelDim int                  `json:"model_dim"`
 	FFNDim   int                  `json:"ffn_dim"`
@@ -89,7 +89,7 @@ func runForwardBench(workerCounts []int) (kernelForwardReport, error) {
 		Vocab: m.VocabSize, Tokens: tokens, Reps: reps,
 	}
 	if simd.Available() {
-		report.SIMD = "avx"
+		report.SIMD = "avx2+fma"
 	} else {
 		report.SIMD = "scalar"
 	}

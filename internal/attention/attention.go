@@ -40,19 +40,24 @@
 // block, that choice is invisible in the output bits.
 //
 // The three stages are tile kernels — scoreTile, softmaxTile, pvTile — each a
-// portable Go loop that is the oracle plus a vector form on amd64. The vector
-// forms compute several values per pass — four K rows scored against one load
-// of the query chunk, a head's whole accumulator held in registers across a V
-// tile, four exponentials per pass — but each value's arithmetic is the
-// oracle's, operation for operation: four accumulators combined as
+// portable Go loop that is the oracle plus a vector form on amd64. All obey
+// numeric contract v2: every multiply-add is fused, one rounding (math.FMA in
+// the oracles, VFMADD231PD in the vector forms). The vector forms compute
+// several values per pass — eight K rows scored against one load of the query
+// chunk, a head's whole accumulator held in registers across a V tile, four
+// exponentials per pass — but each value's arithmetic is the oracle's,
+// operation for operation: four fused accumulators combined as
 // ((s0+s2)+(s1+s3)) then scaled for a score; expNeg's reduction, Horner chain
-// and exponent add for a weight; one mul-then-add chain in ascending row
-// order for every accumulator element; no FMA. scoreTile and pvTile take the
-// AVX form when the head dim is a multiple of four, softmaxTile takes the AVX2
-// form for every whole quad of in-range scores (see exp.go); everything else
-// runs the portable loops. Which form runs is therefore invisible in the
-// output bits, and tests check exactly that at every head dim, row count,
-// group size and special value.
+// and exponent add for a weight; one fused multiply-add chain in ascending
+// row order for every accumulator element. The score stage is bit for bit
+// what it was under the unfused contract v1: q and K are float32 values
+// widened to float64, so every product is exact and fusing rounds nothing
+// differently. On hosts where simd.Available() holds (AVX2 and FMA),
+// scoreTile and pvTile take the vector form when the head dim is a multiple
+// of four and softmaxTile for every whole quad of in-range scores (see
+// exp.go); everything else runs the portable loops. Which form runs is
+// therefore invisible in the output bits, and tests check exactly that at
+// every head dim, row count, group size and special value.
 //
 // All kernels carry per-(query, head) log-sum-exp (LSE) values so partial
 // results can be merged exactly. Masking is expressed through global token
@@ -315,8 +320,9 @@ func gqaTiles(dst *Output, q, k, v *tensor.Tensor, iv *Intervals) {
 
 // gqaBlock computes every head of nq consecutive query tokens (from t0)
 // against one KV head. Pass one walks the K tiles the block's masks touch,
-// widening each tile to float64 once for the whole block (widening is exact,
-// so sharing it changes no bits), and scores every query against the rows of
+// widening each tile to float64 once for the whole block and only as far as
+// the block's intervals reach into it (widening is exact, so sharing it
+// changes no bits), and scores every query against the rows of
 // the tile its intervals admit, one chunk of group × kvTileRows scores per
 // (query, tile piece), chunks laid back to back in walk order. Pass two
 // replays the same walk over V: each chunk becomes softmax weights against
@@ -358,7 +364,10 @@ func gqaBlock(dst *Output, q, k, v *tensor.Tensor, sc *gqaScratch, iv *Intervals
 		for ti := loTile; ti < hiTile; ti++ {
 			tileLo := ti * kvTileRows
 			tileHi := min(tileLo+kvTileRows, k.Tokens)
-			widened := false
+			// Rows [tileLo, wide) are widened so far: the tile grows only as
+			// far as the block's intervals reach, which on the causal
+			// diagonal is well short of its end.
+			wide := tileLo
 			for b := 0; b < nq; b++ {
 				row := rows[b]
 				for cur[b] < len(row) && row[cur[b]].Hi <= tileLo {
@@ -366,9 +375,9 @@ func gqaBlock(dst *Output, q, k, v *tensor.Tensor, sc *gqaScratch, iv *Intervals
 				}
 				for c := cur[b]; c < len(row) && row[c].Lo < tileHi; c++ {
 					lo, hi := max(row[c].Lo, tileLo), min(row[c].Hi, tileHi)
-					if !widened {
-						widenRows(tile, data, tileLo, tileHi-tileLo, kvRowLen, kvh*dh, dh)
-						widened = true
+					if hi > wide {
+						widenRows(tile[(wide-tileLo)*dh:], data, wide, hi-wide, kvRowLen, kvh*dh, dh)
+						wide = hi
 					}
 					chunk := sc.scores[b*stripe+off[b]:][:group*kvTileRows]
 					piece := tile[(lo-tileLo)*dh : (hi-tileLo)*dh]
@@ -438,17 +447,17 @@ func widenRows(tile []float64, data []float32, base, n, rowLen, headOff, dh int)
 	}
 }
 
-// tileAVX reports whether the AVX tile kernels take this head dim: they
+// tileAVX reports whether the vector tile kernels take this head dim: they
 // handle whole four-lane chunks only, so other dims keep the portable loops.
 func tileAVX(dh int) bool { return simd.Available() && dh > 0 && dh%4 == 0 }
 
 // scoreTile scores every query head of the group against one widened K tile
 // of n rows: scores[g*stride+j] = (q[g*dh:] · rows[j*dh:]) * scale, and
 // maxs[g] is raised to the largest of them, compared in row order. The
-// four-way unrolled accumulators break the floating-point add latency chain;
-// the summation order is a fixed function of the row length, never of the
-// caller. This loop is the oracle: the AVX form computes four rows per pass
-// with each row's accumulator lanes equal to s0..s3 here.
+// four-way unrolled fused multiply-add accumulators break the floating-point
+// latency chain; the summation order is a fixed function of the row length,
+// never of the caller. This loop is the oracle: the vector form computes
+// eight rows per pass with each row's accumulator lanes equal to s0..s3 here.
 func scoreTile(q, rows, scores, maxs []float64, group, n, dh, stride int, scale float64) {
 	q, rows, scores, maxs = q[:group*dh], rows[:n*dh], scores[:(group-1)*stride+n], maxs[:group]
 	if tileAVX(dh) {
@@ -463,13 +472,13 @@ func scoreTile(q, rows, scores, maxs []float64, group, n, dh, stride int, scale 
 			var s0, s1, s2, s3 float64
 			i := 0
 			for ; i+3 < dh; i += 4 {
-				s0 += qg[i] * row[i]
-				s1 += qg[i+1] * row[i+1]
-				s2 += qg[i+2] * row[i+2]
-				s3 += qg[i+3] * row[i+3]
+				s0 = math.FMA(qg[i], row[i], s0)
+				s1 = math.FMA(qg[i+1], row[i+1], s1)
+				s2 = math.FMA(qg[i+2], row[i+2], s2)
+				s3 = math.FMA(qg[i+3], row[i+3], s3)
 			}
 			for ; i < dh; i++ {
-				s0 += qg[i] * row[i]
+				s0 = math.FMA(qg[i], row[i], s0)
 			}
 			s := ((s0 + s2) + (s1 + s3)) * scale
 			scores[g*stride+jj] = s
@@ -483,10 +492,10 @@ func scoreTile(q, rows, scores, maxs []float64, group, n, dh, stride int, scale 
 
 // pvTile folds one widened V tile of n rows into every head's running
 // softmax sums: with weights wg = w[g*stride:][:n], denom[g] += wg[j] and
-// acc[g*dh+d] += wg[j]*rows[j*dh+d], both in ascending j. Each accumulator
-// element is its own mul-then-add chain, so the AVX form — which keeps a
-// head's accumulator in registers across the whole tile, 32 columns at a
-// time — reorders nothing within a chain.
+// acc[g*dh+d] = fma(wg[j], rows[j*dh+d], acc[g*dh+d]), both in ascending j.
+// Each accumulator element is its own fused multiply-add chain, so the vector
+// form — which keeps a head's accumulator in registers across the whole
+// tile, 32 columns at a time — reorders nothing within a chain.
 func pvTile(w, rows, acc, denom []float64, group, n, dh, stride int) {
 	w, rows, acc, denom = w[:(group-1)*stride+n], rows[:n*dh], acc[:group*dh], denom[:group]
 	if tileAVX(dh) {
@@ -499,7 +508,7 @@ func pvTile(w, rows, acc, denom []float64, group, n, dh, stride int) {
 		for jj, wj := range w[g*stride:][:n] {
 			dg += wj
 			for d, vd := range rows[jj*dh:][:dh] {
-				accg[d] += wj * vd
+				accg[d] = math.FMA(wj, vd, accg[d])
 			}
 		}
 		denom[g] = dg

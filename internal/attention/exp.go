@@ -17,20 +17,24 @@ import (
 //
 // where p is the degree-5 Taylor polynomial of e^r (its degree-6 term is
 // below 3e-15 relative on the reduced range, far inside the float64 noise of
-// the surrounding softmax). The result is a pure function of x built from
-// IEEE arithmetic — the same bits on every call, every goroutine, every
-// worker count — which is all the repo's bit-identity guarantees need.
+// the surrounding softmax). Every multiply-add on the way is fused (numeric
+// contract v2, math.FMA): n = floor(fma(x, 32/ln2, 1/2)), r = fma(-n, LLo,
+// fma(-n, LHi, x)), p a Horner chain of five fma. The result is a pure
+// function of x built from IEEE arithmetic — the same bits on every call,
+// every goroutine, every worker count — which is all the repo's bit-identity
+// guarantees need.
 // Arguments are max-shifted scores, so x <= 0 in practice; values so
 // negative that the 2^m bit-shift would leave the normal range fall back to
 // math.Exp, which handles the denormal tail.
 //
 // The kernels do not call expNeg per element. softmaxTile converts one
 // (head group × tile) chunk of scores in place, subtracting each head's max
-// on the way, through expShiftVec: an AVX2 form four lanes wide on amd64, a
-// four-lane interleaved Go loop everywhere else. Both are expNeg operation
-// for operation — expNeg is their oracle — and any quad holding a lane the
-// fast forms do not take (below expFloor, NaN, ±Inf) goes through expNeg
-// itself, so how a caller tiles or batches its scores never changes a bit.
+// on the way, through expShiftVec: a vector form four lanes wide on amd64
+// hosts with AVX2 and FMA, a four-lane interleaved Go loop everywhere else.
+// Both are expNeg operation for operation — expNeg is their oracle — and any
+// quad holding a lane the fast forms do not take (below expFloor, NaN, ±Inf)
+// goes through expNeg itself, so how a caller tiles or batches its scores
+// never changes a bit.
 //
 // Exactness anchor: expNeg(0) == 1 exactly (m = i = 0, r = 0, p(0) = 1), so
 // a query attending to a single key still reproduces its V row bit-for-bit.
@@ -55,14 +59,20 @@ func init() {
 	}
 }
 
+// expPoly is the degree-5 Taylor polynomial of e^r as a Horner chain of
+// fused multiply-adds.
+func expPoly(r float64) float64 {
+	return math.FMA(r, math.FMA(r, math.FMA(r, math.FMA(r, math.FMA(r, expC5, expC4), expC3), expC2), 1), 1)
+}
+
 // expNeg returns e^x for x <= 0 (NaN propagates).
 func expNeg(x float64) float64 {
 	if !(x >= expFloor) { // also catches NaN and -Inf via math.Exp
 		return math.Exp(x)
 	}
-	n := math.Floor(x*expInvL + 0.5)
-	r := (x - n*expLHi) - n*expLLo
-	p := 1 + r*(1+r*(expC2+r*(expC3+r*(expC4+r*expC5))))
+	n := math.Floor(math.FMA(x, expInvL, 0.5))
+	r := math.FMA(-n, expLLo, math.FMA(-n, expLHi, x))
+	p := expPoly(r)
 	ni := int64(n)
 	i := ni & 31
 	m := (ni - i) >> 5
@@ -81,7 +91,7 @@ func expNeg(x float64) float64 {
 func expShiftVec(x []float64, shift float64) {
 	j := 0
 	for ; j+3 < len(x); j += 4 {
-		if simd.AVX2() {
+		if simd.Available() {
 			j += expShiftAVX2(&x[j], len(x)-j, shift)
 			if j+3 >= len(x) {
 				break
@@ -92,18 +102,15 @@ func expShiftVec(x []float64, shift float64) {
 			x[j], x[j+1], x[j+2], x[j+3] = expNeg(x0), expNeg(x1), expNeg(x2), expNeg(x3)
 			continue
 		}
-		n0 := math.Floor(x0*expInvL + 0.5)
-		n1 := math.Floor(x1*expInvL + 0.5)
-		n2 := math.Floor(x2*expInvL + 0.5)
-		n3 := math.Floor(x3*expInvL + 0.5)
-		r0 := (x0 - n0*expLHi) - n0*expLLo
-		r1 := (x1 - n1*expLHi) - n1*expLLo
-		r2 := (x2 - n2*expLHi) - n2*expLLo
-		r3 := (x3 - n3*expLHi) - n3*expLLo
-		p0 := 1 + r0*(1+r0*(expC2+r0*(expC3+r0*(expC4+r0*expC5))))
-		p1 := 1 + r1*(1+r1*(expC2+r1*(expC3+r1*(expC4+r1*expC5))))
-		p2 := 1 + r2*(1+r2*(expC2+r2*(expC3+r2*(expC4+r2*expC5))))
-		p3 := 1 + r3*(1+r3*(expC2+r3*(expC3+r3*(expC4+r3*expC5))))
+		n0 := math.Floor(math.FMA(x0, expInvL, 0.5))
+		n1 := math.Floor(math.FMA(x1, expInvL, 0.5))
+		n2 := math.Floor(math.FMA(x2, expInvL, 0.5))
+		n3 := math.Floor(math.FMA(x3, expInvL, 0.5))
+		r0 := math.FMA(-n0, expLLo, math.FMA(-n0, expLHi, x0))
+		r1 := math.FMA(-n1, expLLo, math.FMA(-n1, expLHi, x1))
+		r2 := math.FMA(-n2, expLLo, math.FMA(-n2, expLHi, x2))
+		r3 := math.FMA(-n3, expLLo, math.FMA(-n3, expLHi, x3))
+		p0, p1, p2, p3 := expPoly(r0), expPoly(r1), expPoly(r2), expPoly(r3)
 		i0, i1, i2, i3 := int64(n0)&31, int64(n1)&31, int64(n2)&31, int64(n3)&31
 		s0 := expTab[i0] * p0
 		s1 := expTab[i1] * p1

@@ -307,3 +307,58 @@ func TestGQABlocksMatchOneQueryAtATimeExactly(t *testing.T) {
 		}
 	}
 }
+
+// On the causal diagonal a block's queries admit only the first rows of the
+// last tile; gqaBlock must widen no further than the largest interval end.
+// The rows past it are poisoned with NaN in K and V and must leave O and LSE
+// unchanged, and the part of the scratch tile behind the bound must still
+// hold its sentinel afterwards — those rows were never even converted.
+func TestGQABlockWidensOnlyAdmittedRows(t *testing.T) {
+	const dh, group, nq, ctx, sentinel = 8, 2, 5, 11, -12345.5
+	rng := rand.New(rand.NewSource(22))
+	m := PartialCausal(nq, ctx-nq) // the last query sees rows [0, ctx)
+	m.KVPos = append(m.KVPos, make([]int, kvTileRows-ctx)...)
+	m.KVSeq = append(m.KVSeq, make([]int, kvTileRows-ctx)...)
+	for j := ctx; j < kvTileRows; j++ {
+		m.KVPos[j] = j // real rows of the same sequence, beyond every query
+	}
+	q := tensor.RandN(rng, nq, group, dh)
+	k := tensor.RandN(rng, kvTileRows, 1, dh)
+	v := tensor.RandN(rng, kvTileRows, 1, dh)
+	run := func() (*Output, []float64) {
+		out := NewOutput(nq, group, dh)
+		iv := NewIntervals(m)
+		stripe := tileChunks(iv.Row(nq-1)) * group * kvTileRows
+		sc := &gqaScratch{}
+		sc.size(nq, stripe, group, dh)
+		for i := range sc.tile {
+			sc.tile[i] = sentinel
+		}
+		gqaBlock(out, q, k, v, sc, iv, 0, nq, 0, stripe)
+		return out, sc.tile
+	}
+	want, _ := run()
+	for i := ctx * dh; i < kvTileRows*dh; i++ {
+		k.Data[i] = float32(math.NaN())
+		v.Data[i] = float32(math.NaN())
+	}
+	got, tile := run()
+	for i := range want.O.Data {
+		if math.Float32bits(got.O.Data[i]) != math.Float32bits(want.O.Data[i]) {
+			t.Fatalf("O[%d] = %x with poisoned rows, %x without", i, got.O.Data[i], want.O.Data[i])
+		}
+	}
+	for i := range want.LSE {
+		if math.Float64bits(got.LSE[i]) != math.Float64bits(want.LSE[i]) {
+			t.Fatalf("LSE[%d] = %x with poisoned rows, %x without", i, got.LSE[i], want.LSE[i])
+		}
+	}
+	for i := ctx * dh; i < kvTileRows*dh; i++ {
+		if tile[i] != sentinel {
+			t.Fatalf("tile row %d was widened; the block admits rows below %d only", i/dh, ctx)
+		}
+	}
+	if tile[(ctx-1)*dh] == sentinel {
+		t.Fatalf("tile row %d was not widened", ctx-1)
+	}
+}

@@ -36,88 +36,120 @@ cdone:
 // The two tile kernels below compute several output cells per pass while
 // leaving each cell's arithmetic exactly that of the portable loops in
 // attention.go: lane i of a score's YMM accumulator is scalar accumulator
-// s_i, reduced as ((s0+s2)+(s1+s3)) then scaled; every V accumulator element
-// is its own mul-then-add chain in ascending row order. No FMA.
+// s_i, every step a fused multiply-add, reduced as ((s0+s2)+(s1+s3)) then
+// scaled; every V accumulator element is its own fused multiply-add chain in
+// ascending row order.
 
-// SCORE4 adds q-chunk (Y8) times the same chunk of four consecutive K rows
-// into the four rows' accumulators.
-#define SCORE4 \
-	VMOVUPD (AX), Y8            \
-	VMULPD  (SI), Y8, Y9        \
-	VADDPD  Y9, Y0, Y0          \
-	VMULPD  (SI)(R10*1), Y8, Y12 \
-	VADDPD  Y12, Y1, Y1         \
-	VMULPD  (SI)(R10*2), Y8, Y13 \
-	VADDPD  Y13, Y2, Y2         \
-	VMULPD  (SI)(R13*1), Y8, Y14 \
-	VADDPD  Y14, Y3, Y3
+// SCORE4 fuses q-chunk (Y8) times the same chunk of four consecutive K rows
+// from base into four rows' accumulators.
+#define SCORE4(base, a0, a1, a2, a3) \
+	VFMADD231PD (base), Y8, a0          \
+	VFMADD231PD (base)(R10*1), Y8, a1   \
+	VFMADD231PD (base)(R10*2), Y8, a2   \
+	VFMADD231PD (base)(R13*1), Y8, a3
 
-// FOLD leaves [s0+s2, s1+s3] in the low half of acc.
-#define FOLD(acc, xacc) \
-	VEXTRACTF128 $1, acc, X9 \
-	VADDPD       X9, xacc, xacc
+// FINISH4 reduces four rows' accumulators to their scaled scores
+// ((s0+s2)+(s1+s3))*scale — the 128-bit halves of rows 0|2 and of rows 1|3
+// are paired up and added, then one horizontal add leaves the four rows in
+// order — stores them at dst and folds them into the running max X11 as the
+// scalar loop would, row by row, keeping the earlier value on a tie (±0) and
+// skipping NaN: NaN lanes become -Inf (Y12), a two-level max with the earlier
+// row as VMAX's second source, which wins ties, and the running max last.
+#define FINISH4(a0, x0, a1, a2, a3, dst) \
+	VPERM2F128   $0x20, a2, a0, Y9 \
+	VPERM2F128   $0x31, a2, a0, a0 \
+	VADDPD       a0, Y9, a0        \
+	VPERM2F128   $0x20, a3, a1, Y9 \
+	VPERM2F128   $0x31, a3, a1, a1 \
+	VADDPD       a1, Y9, a1        \
+	VHADDPD      a1, a0, a0        \
+	VMULPD       Y10, a0, a0       \
+	VMOVUPD      a0, dst           \
+	VMAXPD       Y12, a0, a0       \
+	VPERMILPD    $5, a0, Y9        \
+	VMAXPD       a0, Y9, a0        \
+	VEXTRACTF128 $1, a0, X9        \
+	VMAXSD       x0, X9, X9        \
+	VMAXSD       X11, X9, X11
+
+#define ZERO4(a0, a1, a2, a3) \
+	VXORPD a0, a0, a0 \
+	VXORPD a1, a1, a1 \
+	VXORPD a2, a2, a2 \
+	VXORPD a3, a3, a3
+
+DATA negInf<>+0(SB)/8, $0xfff0000000000000
+GLOBL negInf<>(SB), RODATA|NOPTR, $8
 
 // func scoreTileAVX(q, rows, scores, maxs *float64, group, n, dh, stride int, scale float64)
 // For every head g of the group: scores[g*stride+j] = dot(q[g*dh:], rows[j*dh:])
-// * scale for j < n, and maxs[g] = max(maxs[g], those scores) taken in row
-// order (VMAXSD's operand order makes a NaN score leave the running max
-// unchanged, matching the scalar compare). dh must be a positive multiple
-// of 4, n at least 1. Rows go four at a time with the q chunk loaded once
-// per pass, then the last n%4 rows one at a time.
+// * scale for j < n, and maxs[g] = max(maxs[g], those scores) as if taken in
+// row order (a NaN score leaves the max unchanged). dh must be a positive
+// multiple of 4, n at least 1. Rows go eight at a time against one load of
+// the q chunk — eight independent FMA chains, what two FMA ports of latency
+// four need — then four, then one at a time.
 TEXT ·scoreTileAVX(SB), NOSPLIT, $0-72
 	MOVQ q+0(FP), R8
-	MOVQ rows+8(FP), DI
 	MOVQ scores+16(FP), R9
 	MOVQ maxs+24(FP), R11
 	MOVQ group+32(FP), R12
 	MOVQ dh+48(FP), R10
 	MOVQ stride+56(FP), BX
 	VBROADCASTSD scale+64(FP), Y10
+	VBROADCASTSD negInf<>(SB), Y12
 	SHLQ $3, R10            // row length in bytes
 	LEAQ (R10)(R10*2), R13  // three rows
 	SUBQ n+40(FP), BX
 	SHLQ $3, BX             // bytes from the end of one head's stripe to the next
 shead:
 	VMOVSD (R11), X11       // running max
-	MOVQ   DI, SI
+	MOVQ   rows+8(FP), SI
 	MOVQ   n+40(FP), CX
-	CMPQ   CX, $4
-	JL     srow1
-srow4:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
+	CMPQ   CX, $8
+	JL     srow4
+srow8:
+	ZERO4(Y0, Y1, Y2, Y3)
+	ZERO4(Y4, Y5, Y6, Y7)
 	MOVQ   R8, AX
 	MOVQ   R10, DX
 	SHRQ   $5, DX
+	LEAQ   (SI)(R10*4), DI  // rows 4..7
+	PCALIGN $32
+sk8:
+	VMOVUPD (AX), Y8
+	SCORE4(SI, Y0, Y1, Y2, Y3)
+	SCORE4(DI, Y4, Y5, Y6, Y7)
+	ADDQ $32, AX
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ DX
+	JNZ  sk8
+	FINISH4(Y0, X0, Y1, Y2, Y3, (R9))
+	FINISH4(Y4, X4, Y5, Y6, Y7, 32(R9))
+	ADDQ $64, R9
+	LEAQ (DI)(R13*1), SI // the k loop ran DI across row 4; skip rows 5..7
+	SUBQ $8, CX
+	CMPQ CX, $8
+	JGE  srow8
+srow4:
+	CMPQ CX, $4
+	JL   srow1
+	ZERO4(Y0, Y1, Y2, Y3)
+	MOVQ   R8, AX
+	MOVQ   R10, DX
+	SHRQ   $5, DX
+	PCALIGN $32
 sk4:
-	SCORE4
+	VMOVUPD (AX), Y8
+	SCORE4(SI, Y0, Y1, Y2, Y3)
 	ADDQ $32, AX
 	ADDQ $32, SI
 	DECQ DX
 	JNZ  sk4
-	FOLD(Y0, X0)
-	FOLD(Y1, X1)
-	FOLD(Y2, X2)
-	FOLD(Y3, X3)
-	VHADDPD     X1, X0, X0    // [(s0+s2)+(s1+s3) of row 0, of row 1]
-	VHADDPD     X3, X2, X2    // rows 2, 3
-	VINSERTF128 $1, X2, Y0, Y0
-	VMULPD      Y10, Y0, Y0
-	VMOVUPD     Y0, (R9)
-	VMAXSD      X11, X0, X11
-	VPERMILPD   $1, X0, X9
-	VMAXSD      X11, X9, X11
-	VEXTRACTF128 $1, Y0, X9
-	VMAXSD      X11, X9, X11
-	VPERMILPD   $1, X9, X9
-	VMAXSD      X11, X9, X11
+	FINISH4(Y0, X0, Y1, Y2, Y3, (R9))
 	ADDQ $32, R9
 	ADDQ R13, SI // the k loop ran SI across row 0; skip rows 1..3
 	SUBQ $4, CX
-	CMPQ CX, $4
-	JGE  srow4
 srow1:
 	TESTQ CX, CX
 	JZ    sheadend
@@ -126,15 +158,16 @@ srow1loop:
 	MOVQ   R8, AX
 	MOVQ   R10, DX
 	SHRQ   $5, DX
+	PCALIGN $32
 sk1:
-	VMOVUPD (AX), Y8
-	VMULPD  (SI), Y8, Y9
-	VADDPD  Y9, Y0, Y0
+	VMOVUPD     (AX), Y8
+	VFMADD231PD (SI), Y8, Y0
 	ADDQ $32, AX
 	ADDQ $32, SI
 	DECQ DX
 	JNZ  sk1
-	FOLD(Y0, X0)
+	VEXTRACTF128 $1, Y0, X9
+	VADDPD  X9, X0, X0 // [s0+s2, s1+s3]
 	VHADDPD X0, X0, X0
 	VMULSD  X10, X0, X0
 	VMOVSD  X0, (R9)
@@ -152,21 +185,20 @@ sheadend:
 	VZEROUPPER
 	RET
 
-// PVHEAD broadcasts the row's weight; PVCOL adds weight × one 4-column chunk
+// PVHEAD broadcasts the row's weight; PVCOL fuses weight × one 4-column chunk
 // of the row into that chunk's accumulator register.
 #define PVHEAD \
 	VBROADCASTSD (AX), Y8
 #define PVCOL(off, acc) \
-	VMULPD off(SI), Y8, Y9 \
-	VADDPD Y9, acc, acc
+	VFMADD231PD off(SI), Y8, acc
 
 // func pvTileAVX(w, rows, acc, denom *float64, group, n, dh, stride int)
 // For every head g of the group, with weights wg = w[g*stride:][:n]:
 // denom[g] += wg[j] and acc[g*dh+d] += wg[j]*rows[j*dh+d], both in ascending
 // j. dh must be a positive multiple of 4, n at least 1. A head's accumulator
 // stays in registers across the whole tile, 32 columns (eight YMM registers)
-// at a time, then 16, then 4; each column is an independent add chain, so
-// blocking the columns reorders nothing within a chain.
+// at a time, then 16, then 4; each column is an independent fused
+// multiply-add chain, so blocking the columns reorders nothing within a chain.
 TEXT ·pvTileAVX(SB), NOSPLIT, $0-64
 	MOVQ w+0(FP), R8
 	MOVQ rows+8(FP), DI
@@ -203,6 +235,7 @@ vcols32:
 	MOVQ    R13, SI
 	MOVQ    R8, AX
 	MOVQ    n+40(FP), CX
+	PCALIGN $32
 vrow32:
 	PVHEAD
 	PVCOL(0, Y0)
@@ -240,6 +273,7 @@ vcols16:
 	MOVQ    R13, SI
 	MOVQ    R8, AX
 	MOVQ    n+40(FP), CX
+	PCALIGN $32
 vrow16:
 	PVHEAD
 	PVCOL(0, Y0)
@@ -265,6 +299,7 @@ vcols4loop:
 	MOVQ    R13, SI
 	MOVQ    R8, AX
 	MOVQ    n+40(FP), CX
+	PCALIGN $32
 vrow4:
 	PVHEAD
 	PVCOL(0, Y0)
@@ -299,9 +334,10 @@ DATA expAbs<>+24(SB)/8, $0x7fffffffffffffff
 GLOBL expAbs<>(SB), RODATA|NOPTR, $32
 
 // func expShiftAVX2(x *float64, n int, shift float64) int
-// Four lanes of expNeg(x[i]-shift) per pass, each lane the scalar sequence:
-// n = floor(x*invL + 0.5), r = (x - n*LHi) - n*LLo, the degree-5 Horner chain
-// mul then add (no FMA), s = expTab[n&31] * p, result bits(s) + (n>>5)<<52.
+// Four lanes of expNeg(x[i]-shift) per pass, each lane the scalar sequence,
+// fused multiply-add for fused multiply-add: n = floor(fma(x, invL, 0.5)),
+// r = fma(-n, LLo, fma(-n, LHi, x)), the degree-5 Horner chain as nested fma,
+// s = expTab[n&31] * p, result bits(s) + (n>>5)<<52.
 // Adding 1.5*2^52 to n (exact: |x| <= 690 bounds |n| below 2^15) leaves n in
 // two's complement in the low mantissa bits of each 64-bit lane, so the table
 // index, the gather and the exponent add are whole-register AVX2 integer ops.
@@ -326,6 +362,7 @@ TEXT ·expShiftAVX2(SB), NOSPLIT, $0-32
 	VBROADCASTSD 64(R11), Y6  // 690
 	VBROADCASTSD expMagic<>(SB), Y4
 	LEAQ  ·expTab(SB), R8
+	PCALIGN $32
 e2loop:
 	VMOVUPD   (DI), Y0
 	VSUBPD    Y15, Y0, Y0     // x = s - shift
@@ -334,24 +371,18 @@ e2loop:
 	VMOVMSKPD Y1, AX
 	CMPL      AX, $15
 	JNE       e2done
-	VMULPD    Y14, Y0, Y1
-	VADDPD    Y13, Y1, Y1
+	VMOVAPD   Y0, Y1
+	VFMADD213PD Y13, Y14, Y1  // x*invL + 0.5
 	VROUNDPD  $1, Y1, Y1      // n
-	VMULPD    Y12, Y1, Y2
-	VSUBPD    Y2, Y0, Y2
-	VMULPD    Y11, Y1, Y3
-	VSUBPD    Y3, Y2, Y2      // r
+	VFNMADD231PD Y12, Y1, Y0  // x - n*LHi
+	VFNMADD231PD Y11, Y1, Y0  // r
 	VADDPD    Y4, Y1, Y1      // 1.5*2^52 + n: n in the low mantissa bits
-	VMULPD    Y10, Y2, Y3
-	VADDPD    Y9, Y3, Y3
-	VMULPD    Y2, Y3, Y3
-	VADDPD    Y8, Y3, Y3
-	VMULPD    Y2, Y3, Y3
-	VADDPD    Y13, Y3, Y3
-	VMULPD    Y2, Y3, Y3
-	VADDPD    Y7, Y3, Y3
-	VMULPD    Y2, Y3, Y3
-	VADDPD    Y7, Y3, Y3      // p
+	VMOVAPD   Y10, Y3
+	VFMADD213PD Y9, Y0, Y3    // C5*r + C4
+	VFMADD213PD Y8, Y0, Y3    // ... *r + C3
+	VFMADD213PD Y13, Y0, Y3   // ... *r + C2
+	VFMADD213PD Y7, Y0, Y3    // ... *r + 1
+	VFMADD213PD Y7, Y0, Y3    // p
 	VPAND     expIdx64<>(SB), Y1, Y0 // i = n & 31
 	VPCMPEQD  Y2, Y2, Y2
 	VGATHERQPD Y2, (R8)(Y0*8), Y5

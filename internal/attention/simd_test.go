@@ -9,18 +9,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// scalarDot replays the portable four-way unrolled dot product.
+// scalarDot replays the portable four-way unrolled dot product: one fused
+// multiply-add per step (contract v2).
 func scalarDot(a, b []float64) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+3 < len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 = math.FMA(a[i], b[i], s0)
+		s1 = math.FMA(a[i+1], b[i+1], s1)
+		s2 = math.FMA(a[i+2], b[i+2], s2)
+		s3 = math.FMA(a[i+3], b[i+3], s3)
 	}
 	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
+		s0 = math.FMA(a[i], b[i], s0)
 	}
 	return (s0 + s2) + (s1 + s3)
 }
@@ -157,7 +158,7 @@ func TestPVTileMatchesScalarExactly(t *testing.T) {
 						wj := w[g*stride+jj]
 						wantDen[g] += wj
 						for d := 0; d < dh; d++ {
-							wantAcc[g*dh+d] += wj * rows[jj*dh+d]
+							wantAcc[g*dh+d] = math.FMA(wj, rows[jj*dh+d], wantAcc[g*dh+d])
 						}
 					}
 				}
@@ -272,6 +273,43 @@ func TestSoftmaxTileMatchesExpNegExactly(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// The running max is "first maximal score in row order": +0 and -0 compare
+// equal, so whichever came first stays, and a NaN never enters. The vector
+// form takes the max of four rows at a time and must still agree bitwise with
+// the scalar compare on every arrangement of signed zeros, NaN, -Inf and
+// ordinary scores, including the max carried in.
+func TestScoreTileMaxTieAndNaNOrderMatchesScalarExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	negZero := math.Copysign(0, -1)
+	// A zero dot is always +0 (the accumulators start there), so signed-zero
+	// scores come from underflow in the scaling: ±1e-300 * 1e-300 = ±0.
+	const dh, scale = 4, 1e-300
+	vals := []float64{-1e-300, 1e-300, -1e200, math.NaN(), math.Inf(-1)}
+	q := []float64{1, 0, 0, 0} // score j = rows[j*dh] * scale
+	for trial := 0; trial < 20000; trial++ {
+		n := rng.Intn(19) + 1
+		rows := make([]float64, n*dh)
+		for j := 0; j < n; j++ {
+			rows[j*dh] = vals[rng.Intn(len(vals))]
+		}
+		prior := []float64{math.Inf(-1), negZero, 0, -1}[rng.Intn(4)]
+		var got [2][]float64
+		for i, on := range []bool{false, true} {
+			scores, maxs := make([]float64, n), []float64{prior}
+			prev := simd.SetEnabled(on)
+			scoreTile(q, rows, scores, maxs, 1, n, dh, n, scale)
+			simd.SetEnabled(prev)
+			got[i] = append(scores, maxs[0])
+		}
+		for i := range got[0] {
+			if math.Float64bits(got[0][i]) != math.Float64bits(got[1][i]) {
+				t.Fatalf("trial %d n=%d prior=%v rows=%v: [%d] portable %x (%v), vector %x (%v)",
+					trial, n, prior, rows, i, got[0][i], got[0][i], got[1][i], got[1][i])
 			}
 		}
 	}

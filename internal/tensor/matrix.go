@@ -107,7 +107,8 @@ func Blocks(tokens, cols int, fn func(t0, t1 int, fanRows bool)) {
 
 // Mul is the GEMM entry under every matmul in the repo: x is [tokens, Cols]
 // flat, dst is [tokens, Rows] flat, and dst[t*Rows+r] becomes the dot of
-// weight row r with token row t (simd.DotPanel). With fanRows the weight rows
+// weight row r with token row t (simd.DotPanel: the eight-lane fused
+// multiply-add cell of numeric contract v2). With fanRows the weight rows
 // are split over the worker pool at panel granularity when the work justifies
 // a dispatch; a cell depends only on its two operand rows, so no split can
 // change a bit.
