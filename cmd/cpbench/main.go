@@ -5,15 +5,10 @@
 //	cpbench -list
 //	cpbench -exp table4
 //	cpbench -exp all
-//	cpbench -prefix-json BENCH_prefix.json
-//	cpbench -kernel-json BENCH_kernel.json
 //
 // Each experiment prints the same rows/series the paper reports, with the
 // paper's measured values alongside the model's predictions where the paper
-// publishes numbers. -prefix-json instead measures cold-vs-warm prefill
-// TTFT on the simulated cluster (prefix KV reuse at 0/50/90% hit rates plus
-// the pass-KV/pass-Q/auto comparison) and writes the results as JSON, so
-// the perf trajectory stays machine-readable across PRs.
+// publishes numbers. Speed is measured elsewhere: `bash benchmark/run.sh`.
 package main
 
 import (
@@ -28,35 +23,11 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list available experiment ids")
 	exp := flag.String("exp", "all", "experiment id to run, or 'all'")
-	prefixJSON := flag.String("prefix-json", "", "measure prefix KV-reuse prefill TTFT and write the JSON report to this path")
-	kernelJSON := flag.String("kernel-json", "", "measure serial-vs-parallel GQA kernel throughput and write the JSON report to this path")
-	forwardJSON := flag.String("forward-json", "", "measure only the forward-pass section (projection/FFN/logits GEMMs + end-to-end prefill) and write it to this path")
 	workers := flag.Int("workers", 0, "attention kernel worker-pool width for experiments (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	if *workers > 0 {
 		parallel.SetWorkers(*workers)
-	}
-	if *kernelJSON != "" {
-		if err := runKernelBench(*kernelJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "cpbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *forwardJSON != "" {
-		if err := runForwardJSON(*forwardJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "cpbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *prefixJSON != "" {
-		if err := runPrefixBench(*prefixJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "cpbench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	if *list {
 		for _, id := range experiments.IDs() {

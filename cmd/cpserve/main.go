@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/perf"
-	"repro/internal/ring"
 	"repro/internal/server"
 	"repro/internal/transformer"
 )
@@ -62,7 +61,6 @@ func main() {
 	heartbeatEvery := flag.Duration("heartbeat-interval", 0, "distributed control-plane heartbeat interval (0 = default; negative disables); must match the workers' -heartbeat-interval")
 	heartbeatMisses := flag.Int("heartbeat-misses", 0, "silent heartbeat windows before a worker is declared dead (0 = default; >= 2; negative disables)")
 	brownoutSLO := flag.Duration("brownout-slo", 0, "queue-wait p90 SLO arming brownout overload control: past it, new sessions get 429 + Retry-After (0 = off)")
-	ringOverlap := flag.Bool("ring-overlap", true, "double-buffer the ring hot path: issue the next step's SendRecv concurrently with attention compute (false = synchronous exchanges, bit-identical output)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default; profiling endpoints should not ship publicly)")
 	traceOut := flag.String("trace-out", "", "write the span trace at shutdown: Chrome-trace JSON if the path ends in .json, deterministic JSONL otherwise")
 	noTrace := flag.Bool("no-trace", false, "disable the observability recorder (no /metrics, /v1/trace, or latency histograms; outputs are bit-identical either way)")
@@ -72,7 +70,6 @@ func main() {
 	if *workers > 0 {
 		parallel.SetWorkers(*workers)
 	}
-	ring.SetOverlap(*ringOverlap)
 
 	var policy server.Policy
 	switch *policyName {

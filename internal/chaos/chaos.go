@@ -324,13 +324,6 @@ func Totals() (kinds []string, counts []int64) {
 	return kinds, counts
 }
 
-// ResetTotals zeroes the process-global counters (tests only).
-func ResetTotals() {
-	totalsMu.Lock()
-	defer totalsMu.Unlock()
-	totals = map[Kind]int64{}
-}
-
 // linkDropper is the optional transport hook for observable link cuts.
 type linkDropper interface {
 	DropLink(peer int, cause error)

@@ -10,7 +10,7 @@ func TestIDsComplete(t *testing.T) {
 	want := []string{
 		"ablation-decode-owner", "ablation-gb200", "ablation-heuristics", "ablation-jitter",
 		"ablation-sharding", "commbytes", "e2e", "fig10", "fig6a", "fig6b", "fig7", "fig8", "fig9", "lossless",
-		"mfu", "plan", "quant", "table2", "table3", "table4", "table5", "table6", "table7", "table8", "timeline", "xcheck-overlap",
+		"mfu", "plan", "table2", "table3", "table4", "table5", "table6", "table7", "table8", "timeline", "xcheck-overlap",
 	}
 	got := IDs()
 	if len(got) != len(want) {

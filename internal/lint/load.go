@@ -54,16 +54,6 @@ func (m *Module) Position(pos token.Pos) (file string, line int) {
 	return file, p.Line
 }
 
-// PackageAt returns the loaded package at the module-relative dir, or nil.
-func (m *Module) PackageAt(rel string) *Package {
-	for _, p := range m.Pkgs {
-		if p.Rel == rel {
-			return p
-		}
-	}
-	return nil
-}
-
 // The source importer type-checks stdlib dependencies from $GOROOT/src; it
 // is shared process-wide so repeated loads (fixture tests) pay for each
 // stdlib package once. Type-checking runs with cgo disabled so packages

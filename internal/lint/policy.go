@@ -40,7 +40,6 @@ func DefaultPolicy() Policy {
 			"internal/workload",
 			"internal/eventsim",
 			"internal/chaos",
-			"internal/quantize",
 			"internal/sharding",
 			"internal/trace",
 		},

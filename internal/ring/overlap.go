@@ -18,8 +18,8 @@ import (
 // bit-for-bit those of the synchronous loop.
 
 // overlapEnabled gates the double-buffered hot path. On by default; the
-// synchronous path remains selectable (cpserve -ring-overlap=false,
-// SetOverlap) as the semantics oracle for the parity tests.
+// synchronous loop stays behind SetOverlap as the semantics oracle of the
+// parity tests; no command exposes it.
 var overlapEnabled atomic.Bool
 
 func init() { overlapEnabled.Store(true) }
@@ -28,9 +28,6 @@ func init() { overlapEnabled.Store(true) }
 // previous setting. Safe to call concurrently, but toggling mid-pass only
 // affects steps issued after the call.
 func SetOverlap(on bool) bool { return overlapEnabled.Swap(on) }
-
-// Overlapped reports whether the ring hot path double-buffers transfers.
-func Overlapped() bool { return overlapEnabled.Load() }
 
 var (
 	statOverlapSteps  atomic.Int64 // ring exchanges issued concurrently with compute

@@ -94,14 +94,6 @@ type QueueStats struct {
 	MaxWait   time.Duration
 }
 
-// MeanWait returns the average queueing delay.
-func (q QueueStats) MeanWait() time.Duration {
-	if q.Executed == 0 {
-		return 0
-	}
-	return q.TotalWait / time.Duration(q.Executed)
-}
-
 // BatchStats aggregates iteration-level batching metrics.
 type BatchStats struct {
 	Iterations      int64   `json:"iterations"`       // step-loop iterations that executed work
@@ -503,18 +495,6 @@ func (s *Scheduler) cohortHandlesLocked(name string) *cohortHandles {
 	}
 	s.cohortSeries[name] = h
 	return h
-}
-
-// cohortObserve records one sample into a cohort histogram picked by sel;
-// no-op for untagged requests.
-func (s *Scheduler) cohortObserve(cohort string, sel func(*cohortHandles) *trace.Series, v float64) {
-	if cohort == "" {
-		return
-	}
-	s.mu.Lock()
-	h := s.cohortHandlesLocked(cohort)
-	s.mu.Unlock()
-	sel(h).Observe(v)
 }
 
 // Cohorts snapshots the registered cohort names (sorted), for the
@@ -1519,9 +1499,6 @@ func (s *Scheduler) PrefixStats() (prefixcache.Stats, bool) {
 	}
 	return s.tree.Stats(), true
 }
-
-// PrefixReuseEnabled reports whether the prefix tree is active.
-func (s *Scheduler) PrefixReuseEnabled() bool { return s.tree != nil }
 
 // LastIter returns the most recent iteration's report.
 func (s *Scheduler) LastIter() IterReport {

@@ -2,10 +2,10 @@ package transformer
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/comm"
 	"repro/internal/comm/transport"
 	"repro/internal/comm/wire"
@@ -23,25 +23,20 @@ import (
 // algorithms against per-layer per-rank persistent KV caches. Weights are
 // replicated on every rank, as in the paper.
 //
-// Ranks live in one of two places, invisible to callers:
-//
-//   - In-process (NewCluster): every rank is a goroutine over the in-memory
-//     mailbox transport — the seed engine's execution, unchanged.
-//   - Distributed (ConnectCluster, remote.go): every rank is a cprank worker
-//     process on a TCP mesh; this Cluster is the coordinator, driving the
-//     identical per-rank engine code through control-plane command frames.
-//
-// Both paths produce bit-identical logits and decode streams: commands carry
-// every derived quantity (positions, owners, resolved variants), engines are
-// pure functions of the command stream, and the wire codec moves floats by
-// exact bit pattern.
+// A Cluster is a coordinator and nothing else: it validates, resolves every
+// derived quantity (positions, owners, variants) into a command, broadcasts
+// the command over its plane, and assembles the per-rank replies. Every rank
+// is a rankEngine answering rankEngine.handle, whether NewCluster put it on
+// a goroutine over the in-memory mailbox transport or ConnectCluster found
+// it in a cprank worker process on a TCP mesh (plane.go, remote.go) — there
+// is no second way to reach a rank. Engines are pure functions of the
+// command stream and the wire codec moves floats by exact bit pattern, so
+// both homes produce bit-identical logits and decode streams.
 type Cluster struct {
 	W *Weights
 
-	n       int
-	world   *comm.World   // in-process mode; nil when remote
-	engines []*rankEngine // in-process mode; nil when remote
-	remote  *remotePlane  // distributed mode; nil when in-process
+	n     int
+	plane plane
 
 	kvCapacity int
 
@@ -50,16 +45,15 @@ type Cluster struct {
 	// SyncTrace drains their deltas into it over the control plane.
 	rec *trace.Recorder
 
-	// Rebuild inputs: the construction options (in-process) or connect
-	// config (distributed) a fault-recovery rebuild replays, and the
-	// cluster incarnation it bumps. events is the stable failure-event
+	// dial stands up the plane of a given incarnation — what NewCluster or
+	// ConnectCluster did once and a fault-recovery Rebuild repeats — and
+	// reports the epoch it joined. events is the stable failure-event
 	// fan-in — it survives rebuilds, so a watcher never has to resubscribe.
 	// The pump from the current incarnation's source starts lazily on the
 	// first Failures call (eventsMu guards pumping/eventSrc, since watchers
 	// subscribe from their own goroutine): a cluster nobody watches spawns
 	// no goroutine, so Close-less construction stays leak-free.
-	opts     clusterOpts
-	connCfg  ConnectConfig
+	dial     func(epoch uint64) (plane, uint64, error)
 	epoch    uint64
 	events   chan transport.FailureEvent
 	eventsMu sync.Mutex
@@ -120,27 +114,56 @@ func NewCluster(w *Weights, ranks int, opts ...ClusterOption) (*Cluster, error) 
 	for _, opt := range opts {
 		opt(&co)
 	}
+	return newCluster(w, ranks, co.kvCapacity, co.rec, 1, func(epoch uint64) (plane, uint64, error) {
+		p, err := newMemPlane(w, ranks, co, epoch)
+		if err != nil {
+			return nil, 0, err
+		}
+		return p, epoch, nil
+	})
+}
+
+// newCluster dials the first incarnation and wraps it in a coordinator.
+func newCluster(w *Weights, n, kvCapacity int, rec *trace.Recorder, epoch uint64, dial func(uint64) (plane, uint64, error)) (*Cluster, error) {
+	p, epoch, err := dial(epoch)
+	if err != nil {
+		return nil, err
+	}
 	c := &Cluster{
 		W:           w,
-		n:           ranks,
-		world:       comm.NewWorld(ranks, co.commOpts...),
-		opts:        co,
-		epoch:       1,
-		kvCapacity:  co.kvCapacity,
-		rec:         co.rec,
+		n:           n,
+		plane:       p,
+		dial:        dial,
+		epoch:       epoch,
+		kvCapacity:  kvCapacity,
+		rec:         rec,
 		seqLens:     make(map[int]int),
 		decodeSteps: make(map[int]int),
-		events:      make(chan transport.FailureEvent, ranks+2),
+		events:      make(chan transport.FailureEvent, n+2),
 	}
-	for r := 0; r < ranks; r++ {
-		e, err := newRankEngine(w, co.kvCapacity, c.epoch, co.rec)
-		if err != nil {
-			return nil, err
-		}
-		c.engines = append(c.engines, e)
-	}
-	c.setEventSource(c.world.Failures(), c.epoch)
+	c.setEventSource(p.failures(), epoch)
 	return c, nil
+}
+
+// collect broadcasts one command and returns every rank's reply as a T. The
+// lowest-ranked engine error wins, named by rank.
+func collect[T any](c *Cluster, cmd any) ([]T, error) {
+	replies, err := c.plane.bcast(cmd)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, len(replies))
+	for r, v := range replies {
+		if msg := wire.ErrOf(v); msg != "" {
+			return nil, fmt.Errorf("rank %d: %s", r, msg)
+		}
+		res, ok := v.(T)
+		if !ok {
+			return nil, fmt.Errorf("transformer: rank %d answered %T with %T", r, cmd, v)
+		}
+		out[r] = res
+	}
+	return out, nil
 }
 
 // CapacityError reports the batch sequences whose KV append would exceed a
@@ -163,27 +186,25 @@ func (c *Cluster) Ranks() int { return c.n }
 // comm.World.FailLink and surfaces on Failures). No-op on a distributed
 // cluster — kill the worker process instead.
 func (c *Cluster) FailLink(src, dst int) {
-	if c.world != nil {
-		c.world.FailLink(src, dst)
+	if p, ok := c.plane.(*memPlane); ok {
+		p.world.FailLink(src, dst)
 	}
 }
-
-// Distributed reports whether the ranks live in other processes.
-func (c *Cluster) Distributed() bool { return c.remote != nil }
 
 // Recorder returns the cluster's trace recorder (nil when tracing is off).
 func (c *Cluster) Recorder() *trace.Recorder { return c.rec }
 
 // SyncTrace pulls every worker's staged spans and series deltas into the
-// cluster's recorder. In-process it is a no-op — the engines already share
-// the recorder. Distributed it is a control-plane round trip; callers must
-// not race it against an in-flight prefill or decode (the serving layer
-// calls it under its cluster lock before every scrape or trace export).
+// cluster's recorder. In-process engines already record into it and answer
+// "nothing staged". It is a command like any other: callers must not race it
+// against an in-flight prefill or decode (the serving layer calls it under
+// its cluster lock before every scrape or trace export), and on a
+// distributed cluster a failed round trip poisons the plane.
 func (c *Cluster) SyncTrace() error {
-	if c.rec == nil || c.remote == nil {
+	if c.rec == nil {
 		return nil
 	}
-	results, err := c.remote.traceDrain()
+	results, err := collect[*wire.TraceResult](c, &wire.TraceCmd{})
 	if err != nil {
 		return err
 	}
@@ -201,12 +222,7 @@ func (c *Cluster) SeqLen(seq int) int { return c.seqLens[seq] }
 // cluster it sends every worker a shutdown command and hangs up the control
 // plane; in-process clusters close their mailbox transport (stopping the
 // failure-event pump). Closing twice is safe.
-func (c *Cluster) Close() error {
-	if c.remote != nil {
-		return c.remote.close()
-	}
-	return c.world.Transport().Close()
-}
+func (c *Cluster) Close() error { return c.plane.close() }
 
 // Telemetry is a consistent cross-rank snapshot of the cluster's observable
 // state: per-rank KV occupancy, assembled-KV copy counters, comm accounting
@@ -232,24 +248,68 @@ type Telemetry struct {
 // in-flight prefill or decode (the serving layer reads it under its cluster
 // lock). For a distributed cluster this is a control-plane round trip.
 func (c *Cluster) Telemetry() (Telemetry, error) {
-	if c.remote != nil {
-		return c.remote.telemetry()
+	results, err := collect[*wire.StatsResult](c, &wire.StatsCmd{})
+	if err != nil {
+		return Telemetry{}, err
 	}
 	tel := Telemetry{
-		Transport: "mem",
-		RankKV:    make([]int, c.n),
-		Comm:      c.world.TotalStats(),
-		Links:     c.world.LinkStats(),
+		RankKV: make([]int, c.n),
+		Comm:   comm.Stats{Messages: map[comm.Kind]int64{}, Bytes: map[comm.Kind]float64{}},
 	}
-	for r, e := range c.engines {
-		tel.RankKV[r] = e.cacheTokens()
-		tel.Assembly.Add(e.assembly())
+	chaos := map[string]int64{}
+	for r, res := range results {
+		tel.RankKV[r] = res.CacheTokens
+		if len(res.Assembly) == 5 {
+			tel.Assembly.Add(ring.BlockCacheStats{
+				Rebuilds: res.Assembly[0], RebuildRows: res.Assembly[1],
+				Appends: res.Assembly[2], AppendedRows: res.Assembly[3], Reuses: res.Assembly[4],
+			})
+		}
+		for i, k := range res.Kinds {
+			tel.Comm.Messages[comm.Kind(k)] += res.Msgs[i]
+			tel.Comm.Bytes[comm.Kind(k)] += res.Bytes[i]
+		}
+		// A rank reports its own send-side accounting and every link its
+		// world knows; keep each link from its sender's snapshot so no
+		// direction is counted twice.
+		for _, l := range res.Links {
+			if l.Src == r {
+				tel.Links = append(tel.Links, l)
+			}
+		}
+		tel.IntegrityChecked += res.IntegrityChecked
+		tel.IntegrityRejected += res.IntegrityRejected
+		for i, k := range res.ChaosKinds {
+			chaos[k] += res.ChaosCounts[i]
+		}
 	}
-	// One process hosts everything here, so the process-global counters are
-	// the whole cluster's.
-	tel.IntegrityChecked, tel.IntegrityRejected = wire.IntegrityStats()
-	tel.ChaosKinds, tel.ChaosCounts = chaos.Totals()
+	tel.ChaosKinds, tel.ChaosCounts = flattenChaos(chaos)
+	// This process's frames through the CRC check, once: all there are when
+	// it hosts the ranks (engines report none), the coordinator's share — it
+	// decodes every worker reply — when they report their own.
+	checked, rejected := wire.IntegrityStats()
+	tel.IntegrityChecked += checked
+	tel.IntegrityRejected += rejected
+	c.plane.local(&tel)
 	return tel, nil
+}
+
+// flattenChaos converts a merged kind->count map to the Telemetry's sorted
+// parallel-slice form.
+func flattenChaos(m map[string]int64) ([]string, []int64) {
+	if len(m) == 0 {
+		return nil, nil
+	}
+	kinds := make([]string, 0, len(m))
+	for k := range m {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	counts := make([]int64, len(kinds))
+	for i, k := range kinds {
+		counts[i] = m[k]
+	}
+	return kinds, counts
 }
 
 // CommStats returns cumulative traffic accounted by collective kind. It is
@@ -360,16 +420,13 @@ func (c *Cluster) PrefillBatch(seqIDs []int, tokens [][]int, variant perf.Varian
 		return nil, err
 	}
 	cmd := &wire.PrefillCmd{Seqs: seqIDs, Tokens: tokens, P: p, Variant: int(variant)}
-	var locals []*tensor.Tensor
-	if c.remote != nil {
-		locals, err = c.remote.prefill(cmd)
-	} else {
-		locals, err = comm.RunCollect(c.world, func(r *comm.Rank) (*tensor.Tensor, error) {
-			return c.engines[r.ID].prefill(r, cmd)
-		})
-	}
+	results, err := collect[*wire.PrefillResult](c, cmd)
 	if err != nil {
 		return nil, err
+	}
+	locals := make([]*tensor.Tensor, c.n)
+	for r, res := range results {
+		locals[r] = res.Logits
 	}
 	fused := plan.Unshard(locals)
 	out := make([][][]float32, len(seqIDs))
@@ -393,20 +450,20 @@ type capSnapshot struct {
 	overhead [][][]int // [rank][seqIdx][layer]
 }
 
-// capInputs gathers the snapshot for the listed batch sequences — locally
-// from the engines, or by a control-plane query in distributed mode. The
-// command stream is single-threaded, so the snapshot cannot go stale
-// between the check and the ring pass.
+// capInputs queries every rank for the snapshot of the listed batch
+// sequences. The command stream is single-threaded, so the snapshot cannot
+// go stale between the check and the ring pass.
 func (c *Cluster) capInputs(seqIDs []int) (*capSnapshot, error) {
 	if c.kvCapacity <= 0 {
 		return nil, nil
 	}
-	if c.remote != nil {
-		return c.remote.capInputs(seqIDs)
+	results, err := collect[*wire.CapResult](c, &wire.CapQueryCmd{Seqs: seqIDs})
+	if err != nil {
+		return nil, err
 	}
 	snap := &capSnapshot{avail: make([][]int, c.n), overhead: make([][][]int, c.n)}
-	for r, e := range c.engines {
-		snap.avail[r], snap.overhead[r] = e.capInfo(seqIDs)
+	for r, res := range results {
+		snap.avail[r], snap.overhead[r] = res.Avail, res.Overhead
 	}
 	return snap, nil
 }
@@ -578,15 +635,7 @@ func (c *Cluster) DecodeBatch(seqs []int, tokens []int) ([][]float32, error) {
 		return nil, err
 	}
 
-	var results [][]float32
-	var err error
-	if c.remote != nil {
-		results, err = c.remote.decode(cmd)
-	} else {
-		results, err = comm.RunCollect(c.world, func(r *comm.Rank) ([]float32, error) {
-			return c.engines[r.ID].decode(r, cmd)
-		})
-	}
+	results, err := collect[*wire.DecodeResult](c, cmd)
 	if err != nil {
 		return nil, err
 	}
@@ -594,7 +643,7 @@ func (c *Cluster) DecodeBatch(seqs []int, tokens []int) ([][]float32, error) {
 	out := make([][]float32, b)
 	for r := 0; r < c.n; r++ {
 		for j, row := range ownedRows[r] {
-			out[row] = results[r][j*m.VocabSize : (j+1)*m.VocabSize]
+			out[row] = results[r].Flat[j*m.VocabSize : (j+1)*m.VocabSize]
 		}
 	}
 	for _, seq := range seqs {
@@ -629,15 +678,12 @@ func DecodeOwnerRank(seq, step, n int) int {
 
 // Drop evicts a sequence from every rank's per-layer cache (and its
 // assembled-block mirror) and forgets its decode rotation state, freeing the
-// admission slot it occupied.
+// admission slot it occupied. Eviction has no caller-visible error path: a
+// partial broadcast could leave the sequence resident on some ranks only,
+// which is why a failed bcast poisons a distributed plane — the skewed state
+// is never reached again, and the next prefill or decode fails with the cause.
 func (c *Cluster) Drop(seq int) {
-	if c.remote != nil {
-		c.remote.drop(seq)
-	} else {
-		for _, e := range c.engines {
-			e.drop(seq)
-		}
-	}
+	_, _ = collect[*wire.Ack](c, &wire.DropCmd{Seq: seq})
 	delete(c.seqLens, seq)
 	delete(c.decodeSteps, seq)
 }
@@ -676,13 +722,7 @@ func (p *PrefixKV) Release() {
 }
 
 func (c *Cluster) releasePrefix(id uint64) {
-	if c.remote != nil {
-		c.remote.releasePrefix(id)
-		return
-	}
-	for _, e := range c.engines {
-		e.releasePrefix(id)
-	}
+	_, _ = collect[*wire.Ack](c, &wire.ReleasePrefixCmd{ID: id})
 }
 
 // DetachPrefix pins the first upTo tokens of a resident sequence into a
@@ -701,32 +741,18 @@ func (c *Cluster) DetachPrefix(seq, upTo int) (*PrefixKV, error) {
 	}
 	c.prefixSeq++
 	id := c.prefixSeq
-	// perRank[r][l] = tokens rank r pinned below the boundary on layer l.
-	var perRank [][]int
-	if c.remote != nil {
-		var err error
-		perRank, err = c.remote.detach(id, seq, upTo)
-		if err != nil {
-			c.releasePrefix(id)
-			return nil, err
-		}
-	} else {
-		for r, e := range c.engines {
-			perLayer, err := e.detach(id, seq, upTo)
-			if err != nil {
-				for _, done := range c.engines[:r] {
-					done.releasePrefix(id)
-				}
-				return nil, err
-			}
-			perRank = append(perRank, perLayer)
-		}
+	// perRank[r].PerLayer[l] = tokens rank r pinned below the boundary on
+	// layer l. A rank that failed pinned nothing; the others must let go.
+	perRank, err := collect[*wire.DetachResult](c, &wire.DetachCmd{Seq: seq, UpTo: upTo, ID: id})
+	if err != nil {
+		c.releasePrefix(id)
+		return nil, err
 	}
-	layers := len(perRank[0])
+	layers := len(perRank[0].PerLayer)
 	for l := 0; l < layers; l++ {
 		n := 0
 		for r := range perRank {
-			n += perRank[r][l]
+			n += perRank[r].PerLayer[l]
 		}
 		if n != upTo {
 			c.releasePrefix(id)
@@ -757,18 +783,9 @@ func (c *Cluster) AdoptPrefix(seq int, pre *PrefixKV) error {
 	if _, ok := c.seqLens[seq]; ok {
 		return fmt.Errorf("transformer: sequence %d already resident", seq)
 	}
-	if c.remote != nil {
-		if err := c.remote.adopt(seq, pre.id); err != nil {
-			c.Drop(seq)
-			return err
-		}
-	} else {
-		for _, e := range c.engines {
-			if err := e.adopt(seq, pre.id); err != nil {
-				c.Drop(seq)
-				return err
-			}
-		}
+	if _, err := collect[*wire.Ack](c, &wire.AdoptCmd{Seq: seq, ID: pre.id}); err != nil {
+		c.Drop(seq)
+		return err
 	}
 	c.seqLens[seq] = pre.tokens
 	return nil

@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
+	"repro/internal/comm/wire"
 	"repro/internal/perf"
 )
 
@@ -210,21 +212,66 @@ func TestDistributedBitIdentity(t *testing.T) {
 	// The modeled comm accounting is part of the contract too: both
 	// deployments executed the identical collective schedule, so their
 	// accounted bytes must agree exactly.
+	intBefore, rejBefore := wire.IntegrityStats()
 	refTel, err := ref.Telemetry()
 	if err != nil {
 		t.Fatal(err)
 	}
+	intAfter, rejAfter := wire.IntegrityStats()
 	distTel, err := dist.Telemetry()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for kind, msgs := range refTel.Comm.Messages {
-		if distTel.Comm.Messages[kind] != msgs {
-			t.Errorf("comm %s messages: in-process %d, distributed %d", kind, msgs, distTel.Comm.Messages[kind])
+	kinds := map[comm.Kind]bool{}
+	for kind := range refTel.Comm.Messages {
+		kinds[kind] = true
+	}
+	for kind := range distTel.Comm.Messages {
+		kinds[kind] = true
+	}
+	for kind := range kinds {
+		if distTel.Comm.Messages[kind] != refTel.Comm.Messages[kind] {
+			t.Errorf("comm %s messages: in-process %d, distributed %d", kind, refTel.Comm.Messages[kind], distTel.Comm.Messages[kind])
 		}
 		if distTel.Comm.Bytes[kind] != refTel.Comm.Bytes[kind] {
 			t.Errorf("comm %s bytes: in-process %v, distributed %v", kind, refTel.Comm.Bytes[kind], distTel.Comm.Bytes[kind])
 		}
+	}
+	if refTel.Assembly != distTel.Assembly {
+		t.Errorf("assembly counters: in-process %+v, distributed %+v", refTel.Assembly, distTel.Assembly)
+	}
+	// Modelled per-link traffic, rank links only (Src -1 is the TCP control
+	// plane, which the in-process cluster does not have).
+	type modelled struct {
+		msgs  int64
+		bytes float64
+	}
+	links := func(tel Telemetry) map[[2]int]modelled {
+		out := map[[2]int]modelled{}
+		for _, l := range tel.Links {
+			if l.Src >= 0 {
+				out[[2]int{l.Src, l.Dst}] = modelled{l.Messages, l.Bytes}
+			}
+		}
+		return out
+	}
+	refLinks, distLinks := links(refTel), links(distTel)
+	if len(refLinks) != n*(n-1) || len(distLinks) != len(refLinks) {
+		t.Errorf("rank links: in-process %d, distributed %d, want %d", len(refLinks), len(distLinks), n*(n-1))
+	}
+	for key, l := range refLinks {
+		if distLinks[key] != l {
+			t.Errorf("link %v modelled traffic: in-process %+v, distributed %+v", key, l, distLinks[key])
+		}
+	}
+	// One process hosts the whole in-process cluster, so its process-global
+	// CRC counters are reported once — not once per engine. (The loopback
+	// workers share this process and keep heartbeating, hence the window.)
+	if refTel.IntegrityChecked < intBefore || refTel.IntegrityChecked > intAfter || intBefore == 0 {
+		t.Errorf("in-process integrity checked = %d, want the process counter once (%d..%d)", refTel.IntegrityChecked, intBefore, intAfter)
+	}
+	if refTel.IntegrityRejected < rejBefore || refTel.IntegrityRejected > rejAfter {
+		t.Errorf("in-process integrity rejected = %d, want the process counter once (%d..%d)", refTel.IntegrityRejected, rejBefore, rejAfter)
 	}
 	if distTel.Transport != "tcp" {
 		t.Errorf("distributed transport = %q", distTel.Transport)
@@ -325,17 +372,35 @@ func TestDistributedCapacityParity(t *testing.T) {
 // the cluster keeps serving afterwards.
 func TestDistributedWorkerErrorSurfaces(t *testing.T) {
 	cfg := Tiny(2)
-	dist := startLoopbackCluster(t, cfg, 2, 0)
-	// Adopting an unknown prefix id fails on the workers, not the
-	// coordinator (coordinator-side validation can't know worker registry
-	// state for a handle forged from another cluster — so build the failure
-	// via a released handle's id being unknown after a drop race).
-	if _, err := dist.DetachPrefix(99, 5); err == nil {
-		t.Fatal("detach of unknown sequence succeeded")
+	w, err := NewWeights(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The cluster still works after the error.
-	if _, err := dist.Prefill(1, []int{1, 2, 3, 4, 5}, perf.PassKV); err != nil {
-		t.Fatalf("prefill after failed detach: %v", err)
+	mem, err := NewCluster(w, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Cluster
+	}{{"in-process", mem}, {"distributed", startLoopbackCluster(t, cfg, 2, 0)}} {
+		c := tc.c
+		if _, err := c.DetachPrefix(99, 5); err == nil {
+			t.Fatalf("%s: detach of unknown sequence succeeded", tc.name)
+		}
+		// A handle whose id no rank's registry holds passes every
+		// coordinator-side check and fails inside rankEngine.adopt: the error
+		// has to come back through handle's reply, named by rank, on both
+		// planes.
+		forged := &PrefixKV{tokens: 5, id: 12345, c: c, epoch: c.epoch}
+		err := c.AdoptPrefix(7, forged)
+		if err == nil || !strings.HasPrefix(err.Error(), "rank 0: ") || !strings.Contains(err.Error(), "unknown prefix id 12345") {
+			t.Fatalf("%s: adopt of a forged prefix = %v, want rank 0's engine error", tc.name, err)
+		}
+		// The cluster still works after the errors.
+		if _, err := c.Prefill(1, []int{1, 2, 3, 4, 5}, perf.PassKV); err != nil {
+			t.Fatalf("%s: prefill after failed detach and adopt: %v", tc.name, err)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/chaos"
 	"repro/internal/comm"
 	"repro/internal/comm/wire"
 	"repro/internal/kvcache"
@@ -17,10 +16,10 @@ import (
 
 // rankEngine holds one CP rank's execution state: per-layer KV caches and
 // assembled-block mirrors, replicated weights, and the registry of detached
-// prefix spans. The same engine code runs in two homes — N engines inside an
-// in-process Cluster, or one engine inside a cprank worker process — driven
-// by identical command frames, which is what makes the two deployments
-// bit-identical: a rank cannot tell where its peers live.
+// prefix spans. Its only entry point is handle (worker.go): one command in,
+// one reply out. A memPlane hosts N engines in the coordinator's process and
+// ServeRank hosts one in a cprank worker, but a rank cannot tell where it or
+// its peers live — which is what makes the deployments bit-identical.
 type rankEngine struct {
 	w        *Weights
 	caches   []*kvcache.Cache           // per layer
@@ -30,9 +29,18 @@ type rankEngine struct {
 	// rec stages this rank's spans and metric series; epoch stamps them with
 	// the cluster incarnation so merged traces survive recovery rebuilds. A
 	// nil recorder is tracing off: every sweep timer degrades to a nil no-op
-	// and the compute path takes zero clock readings.
-	rec   *trace.Recorder
-	epoch uint64
+	// and the compute path takes zero clock readings. staged marks rec as
+	// this engine's own staging buffer (ServeRank sets it): only then does a
+	// TraceCmd drain it. An in-process engine records straight into the
+	// cluster's store, and draining that into itself would lose the lot.
+	rec    *trace.Recorder
+	epoch  uint64
+	staged bool
+
+	// One reply frame per hot command, reused: the command stream is
+	// lockstep, so a reply is read or encoded before the next command lands.
+	prefillRes wire.PrefillResult
+	decodeRes  wire.DecodeResult
 }
 
 func newRankEngine(w *Weights, kvCapacity int, epoch uint64, rec *trace.Recorder) (*rankEngine, error) {
@@ -275,6 +283,9 @@ func (e *rankEngine) assembly() ring.BlockCacheStats {
 // frame. The worker recorder resets on every drain; the coordinator's merged
 // store is the cumulative source of truth.
 func (e *rankEngine) traceResult(rank int) *wire.TraceResult {
+	if !e.staged {
+		return &wire.TraceResult{Rank: rank}
+	}
 	spans, snaps := e.rec.Drain()
 	return &wire.TraceResult{
 		Rank:   rank,
@@ -285,20 +296,18 @@ func (e *rankEngine) traceResult(rank int) *wire.TraceResult {
 
 // statsResult snapshots this rank's telemetry into a wire frame: cache
 // occupancy, assembly counters, and the world's comm accounting for this
-// rank (kinds sorted for a deterministic encoding).
-func (e *rankEngine) statsResult(world *comm.World) *wire.StatsResult {
+// rank alone (kinds sorted for a deterministic encoding) — in-process every
+// engine shares one World, so anything wider would be counted N times. The
+// process-global integrity and chaos counters are not the engine's to
+// report: whoever hosts the process attaches them, once.
+func (e *rankEngine) statsResult(world *comm.World, rank int) *wire.StatsResult {
 	a := e.assembly()
 	res := &wire.StatsResult{
 		CacheTokens: e.cacheTokens(),
 		Assembly:    []int64{a.Rebuilds, a.RebuildRows, a.Appends, a.AppendedRows, a.Reuses},
 		Links:       world.LinkStats(),
 	}
-	// Process-local robustness counters: frames through the CRC check and
-	// chaos faults this worker injected. The coordinator sums them across
-	// ranks.
-	res.IntegrityChecked, res.IntegrityRejected = wire.IntegrityStats()
-	res.ChaosKinds, res.ChaosCounts = chaos.Totals()
-	st := world.TotalStats()
+	st := world.RankStats(rank)
 	kinds := make([]string, 0, len(st.Messages))
 	for k := range st.Messages {
 		kinds = append(kinds, string(k))

@@ -3,7 +3,6 @@ package transformer
 import (
 	"fmt"
 
-	"repro/internal/comm"
 	"repro/internal/comm/transport"
 )
 
@@ -81,12 +80,12 @@ func pumpEvents(dst chan transport.FailureEvent, src <-chan transport.FailureEve
 // state (KV caches, block mirrors, prefix registries, comm counters) is
 // discarded, seqLens and decode rotation reset, and the epoch increments.
 //
-// In-process, that means fresh engines over a fresh World. Distributed, the
-// old control plane is hung up (surviving workers see the hangup — or
-// already saw the dead peer — and rejoin the mesh at the next epoch with
-// fresh engines; the dead rank's process is respawned by whatever
-// supervises it) and a new plane is dialed at the bumped epoch. Handshakes
-// from the old incarnation are rejected as stale by every peer.
+// The old plane is hung up first and the next one dialed at the bumped
+// epoch. In-process that is a fresh mailbox World (which also clears injected
+// faults) under fresh engines. Distributed, surviving workers see the hangup
+// — or already saw the dead peer — and rejoin the mesh at the next epoch with
+// fresh engines; the dead rank's process is respawned by whatever supervises
+// it; handshakes from the old incarnation are rejected as stale by every peer.
 //
 // Rebuild does not replay anything itself: callers that want sessions back
 // re-prefill from their token logs (the serving scheduler does this), which
@@ -94,38 +93,18 @@ func pumpEvents(dst chan transport.FailureEvent, src <-chan transport.FailureEve
 func (c *Cluster) Rebuild() error {
 	c.seqLens = make(map[int]int)
 	c.decodeSteps = make(map[int]int)
-	if c.remote == nil {
-		c.epoch++
-		// Close the old world's transport so its event pump terminates, then
-		// stand up a fresh mailbox world (which also clears injected faults)
-		// and fresh engines.
-		c.world.Transport().Close()
-		c.world = comm.NewWorld(c.n, c.opts.commOpts...)
-		engines := make([]*rankEngine, 0, c.n)
-		for r := 0; r < c.n; r++ {
-			e, err := newRankEngine(c.W, c.kvCapacity, c.epoch, c.rec)
-			if err != nil {
-				return fmt.Errorf("transformer: rebuild rank %d: %w", r, err)
-			}
-			engines = append(engines, e)
-		}
-		c.engines = engines
-		c.setEventSource(c.world.Failures(), c.epoch)
-		return nil
-	}
-	// Hang up the old plane first: a surviving worker that has not yet
-	// noticed the dead peer notices the coordinator hangup instead, and
-	// either way rejoins the mesh at the next epoch.
-	c.remote.hangup()
-	plane, epoch, err := dialPlane(c.W, c.connCfg, c.epoch+1)
+	c.plane.hangup()
+	p, epoch, err := c.dial(c.epoch + 1)
 	if err != nil {
 		// The old plane stays hung up; every cluster operation keeps failing
-		// until a later Rebuild succeeds.
-		c.remote.poison(fmt.Errorf("transformer: rebuild failed: %w", err))
+		// with this cause until a later Rebuild succeeds.
+		if rp, ok := c.plane.(*remotePlane); ok {
+			rp.poison(fmt.Errorf("transformer: rebuild failed: %w", err))
+		}
 		return err
 	}
 	c.epoch = epoch
-	c.remote = plane
-	c.setEventSource(plane.events, epoch)
+	c.plane = p
+	c.setEventSource(p.failures(), epoch)
 	return nil
 }

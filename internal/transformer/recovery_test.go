@@ -240,7 +240,7 @@ func TestLoopbackEpochRebuild(t *testing.T) {
 
 	// Simulate a coordinator-visible cluster death: the control plane hangs
 	// up. Workers observe the hangup and rejoin the mesh at epoch 2.
-	dist.remote.hangup()
+	dist.plane.hangup()
 	if _, err := dist.Decode(5, distNext); err == nil {
 		t.Fatal("decode over a hung-up control plane succeeded")
 	}

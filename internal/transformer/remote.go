@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/comm/transport"
 	"repro/internal/comm/wire"
-	"repro/internal/tensor"
 	"repro/internal/trace"
 )
 
@@ -165,15 +163,18 @@ func connectPlane(w *Weights, cfg ConnectConfig, epoch uint64) (*remotePlane, er
 // dialPlane runs connectPlane with epoch adoption: if the workers answer
 // from a newer epoch (this coordinator is the one that restarted), redial at
 // the observed epoch. Returns the plane and the epoch it actually joined.
-func dialPlane(w *Weights, cfg ConnectConfig, epoch uint64) (*remotePlane, uint64, error) {
+func dialPlane(w *Weights, cfg ConnectConfig, epoch uint64) (plane, uint64, error) {
 	for tries := 0; ; tries++ {
-		plane, err := connectPlane(w, cfg, epoch)
+		p, err := connectPlane(w, cfg, epoch)
 		var eErr *transport.EpochError
 		if err != nil && errors.As(err, &eErr) && tries < 4 {
 			epoch = eErr.Observed
 			continue
 		}
-		return plane, epoch, err
+		if err != nil {
+			return nil, 0, err
+		}
+		return p, epoch, nil
 	}
 }
 
@@ -199,24 +200,9 @@ func ConnectCluster(w *Weights, cfg ConnectConfig) (*Cluster, error) {
 	if cfg.Epoch == 0 {
 		cfg.Epoch = 1
 	}
-	plane, epoch, err := dialPlane(w, cfg, cfg.Epoch)
-	if err != nil {
-		return nil, err
-	}
-	c := &Cluster{
-		W:           w,
-		n:           len(cfg.Addrs),
-		remote:      plane,
-		connCfg:     cfg,
-		epoch:       epoch,
-		kvCapacity:  cfg.KVCapacity,
-		rec:         cfg.Trace,
-		seqLens:     make(map[int]int),
-		decodeSteps: make(map[int]int),
-		events:      make(chan transport.FailureEvent, len(cfg.Addrs)+2),
-	}
-	c.setEventSource(plane.events, epoch)
-	return c, nil
+	return newCluster(w, len(cfg.Addrs), cfg.KVCapacity, cfg.Trace, cfg.Epoch, func(epoch uint64) (plane, uint64, error) {
+		return dialPlane(w, cfg, epoch)
+	})
 }
 
 // readLoop drains one worker's control connection: replies are handed to the
@@ -268,6 +254,8 @@ func (p *remotePlane) pushEvent(ev transport.FailureEvent) {
 	default:
 	}
 }
+
+func (p *remotePlane) failures() <-chan transport.FailureEvent { return p.events }
 
 func (p *remotePlane) hangup() {
 	p.hangupOnce.Do(func() {
@@ -330,220 +318,13 @@ func (p *remotePlane) poison(err error) error {
 	return err
 }
 
-// firstErr surfaces the lowest-ranked worker error, matching the in-process
-// RunCollect convention.
-func firstErr(replies []any) error {
-	for r, v := range replies {
-		if msg := wire.ErrOf(v); msg != "" {
-			return fmt.Errorf("rank %d: %s", r, msg)
-		}
-	}
-	return nil
-}
-
-func (p *remotePlane) prefill(cmd *wire.PrefillCmd) ([]*tensor.Tensor, error) {
-	replies, err := p.bcast(cmd)
-	if err != nil {
-		return nil, err
-	}
-	if err := firstErr(replies); err != nil {
-		return nil, err
-	}
-	out := make([]*tensor.Tensor, len(replies))
-	for r, v := range replies {
-		res, ok := v.(*wire.PrefillResult)
-		if !ok {
-			return nil, fmt.Errorf("transformer: rank %d answered prefill with %T", r, v)
-		}
-		out[r] = res.Logits
-	}
-	return out, nil
-}
-
-func (p *remotePlane) decode(cmd *wire.DecodeCmd) ([][]float32, error) {
-	replies, err := p.bcast(cmd)
-	if err != nil {
-		return nil, err
-	}
-	if err := firstErr(replies); err != nil {
-		return nil, err
-	}
-	out := make([][]float32, len(replies))
-	for r, v := range replies {
-		res, ok := v.(*wire.DecodeResult)
-		if !ok {
-			return nil, fmt.Errorf("transformer: rank %d answered decode with %T", r, v)
-		}
-		out[r] = res.Flat
-	}
-	return out, nil
-}
-
-// drop is fire-and-collect: eviction failures have no caller-visible error
-// path (Drop returns nothing). A partial broadcast could leave the
-// sequence evicted on some ranks and resident on others — which is why
-// bcast poisons the plane on any failure: the skewed state can never be
-// reached again, and the next prefill or decode fails with the cause.
-func (p *remotePlane) drop(seq int) {
-	replies, err := p.bcast(&wire.DropCmd{Seq: seq})
-	if err != nil {
-		return
-	}
-	_ = firstErr(replies)
-}
-
-func (p *remotePlane) detach(id uint64, seq, upTo int) ([][]int, error) {
-	replies, err := p.bcast(&wire.DetachCmd{Seq: seq, UpTo: upTo, ID: id})
-	if err != nil {
-		return nil, err
-	}
-	if err := firstErr(replies); err != nil {
-		return nil, err
-	}
-	perRank := make([][]int, len(replies))
-	for r, v := range replies {
-		res, ok := v.(*wire.DetachResult)
-		if !ok {
-			return nil, fmt.Errorf("transformer: rank %d answered detach with %T", r, v)
-		}
-		perRank[r] = res.PerLayer
-	}
-	return perRank, nil
-}
-
-func (p *remotePlane) adopt(seq int, id uint64) error {
-	replies, err := p.bcast(&wire.AdoptCmd{Seq: seq, ID: id})
-	if err != nil {
-		return err
-	}
-	return firstErr(replies)
-}
-
-func (p *remotePlane) releasePrefix(id uint64) {
-	replies, err := p.bcast(&wire.ReleasePrefixCmd{ID: id})
-	if err != nil {
-		return
-	}
-	_ = firstErr(replies)
-}
-
-func (p *remotePlane) capInputs(seqIDs []int) (*capSnapshot, error) {
-	replies, err := p.bcast(&wire.CapQueryCmd{Seqs: seqIDs})
-	if err != nil {
-		return nil, err
-	}
-	if err := firstErr(replies); err != nil {
-		return nil, err
-	}
-	snap := &capSnapshot{avail: make([][]int, len(replies)), overhead: make([][][]int, len(replies))}
-	for r, v := range replies {
-		res, ok := v.(*wire.CapResult)
-		if !ok {
-			return nil, fmt.Errorf("transformer: rank %d answered capacity query with %T", r, v)
-		}
-		snap.avail[r] = res.Avail
-		snap.overhead[r] = res.Overhead
-	}
-	return snap, nil
-}
-
-// traceDrain collects every worker's staged trace delta. Like any bcast, a
-// failed round trip poisons the plane — trace scrapes share the command
-// stream's lockstep reply matching and cannot be retried out of band.
-func (p *remotePlane) traceDrain() ([]*wire.TraceResult, error) {
-	replies, err := p.bcast(&wire.TraceCmd{})
-	if err != nil {
-		return nil, err
-	}
-	if err := firstErr(replies); err != nil {
-		return nil, err
-	}
-	out := make([]*wire.TraceResult, len(replies))
-	for r, v := range replies {
-		res, ok := v.(*wire.TraceResult)
-		if !ok {
-			return nil, fmt.Errorf("transformer: rank %d answered trace drain with %T", r, v)
-		}
-		out[r] = res
-	}
-	return out, nil
-}
-
-func (p *remotePlane) telemetry() (Telemetry, error) {
-	replies, err := p.bcast(&wire.StatsCmd{})
-	if err != nil {
-		return Telemetry{}, err
-	}
-	if err := firstErr(replies); err != nil {
-		return Telemetry{}, err
-	}
-	tel := Telemetry{
-		Transport: "tcp",
-		RankKV:    make([]int, len(replies)),
-		Comm:      comm.Stats{Messages: map[comm.Kind]int64{}, Bytes: map[comm.Kind]float64{}},
-	}
-	// Each worker reports its own rank's send-side accounting and both
-	// directions of its wire links; keep each link's stats from its sender's
-	// snapshot so directions are never double-counted.
-	chaos := map[string]int64{}
-	for r, v := range replies {
-		res, ok := v.(*wire.StatsResult)
-		if !ok {
-			return Telemetry{}, fmt.Errorf("transformer: rank %d answered stats with %T", r, v)
-		}
-		tel.RankKV[r] = res.CacheTokens
-		if len(res.Assembly) == 5 {
-			tel.Assembly.Rebuilds += res.Assembly[0]
-			tel.Assembly.RebuildRows += res.Assembly[1]
-			tel.Assembly.Appends += res.Assembly[2]
-			tel.Assembly.AppendedRows += res.Assembly[3]
-			tel.Assembly.Reuses += res.Assembly[4]
-		}
-		for i, k := range res.Kinds {
-			tel.Comm.Messages[comm.Kind(k)] += res.Msgs[i]
-			tel.Comm.Bytes[comm.Kind(k)] += res.Bytes[i]
-		}
-		for _, l := range res.Links {
-			if l.Src == r {
-				tel.Links = append(tel.Links, l)
-			}
-		}
-		tel.IntegrityChecked += res.IntegrityChecked
-		tel.IntegrityRejected += res.IntegrityRejected
-		for i, k := range res.ChaosKinds {
-			chaos[k] += res.ChaosCounts[i]
-		}
-	}
-	// The coordinator decodes frames too (every worker reply crosses its
-	// CRC check); fold its process-local counters in.
-	checked, rejected := wire.IntegrityStats()
-	tel.IntegrityChecked += checked
-	tel.IntegrityRejected += rejected
-	tel.ChaosKinds, tel.ChaosCounts = flattenChaos(chaos)
-	// The control plane's own traffic, as coordinator->worker links.
+// local adds the control plane's own traffic, as coordinator->worker links.
+func (p *remotePlane) local(tel *Telemetry) {
+	tel.Transport = "tcp"
 	for r, c := range p.ctrls {
 		msgs, bytes := c.WireTotals()
 		tel.Links = append(tel.Links, wire.LinkStat{Src: -1, Dst: r, WireMsgs: msgs, WireBytes: bytes})
 	}
-	return tel, nil
-}
-
-// flattenChaos converts a merged kind->count map to the Telemetry's sorted
-// parallel-slice form.
-func flattenChaos(m map[string]int64) ([]string, []int64) {
-	if len(m) == 0 {
-		return nil, nil
-	}
-	kinds := make([]string, 0, len(m))
-	for k := range m {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	counts := make([]int64, len(kinds))
-	for i, k := range kinds {
-		counts[i] = m[k]
-	}
-	return kinds, counts
 }
 
 // close shuts the workers down (best effort) and hangs up the control

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/comm"
 	"repro/internal/comm/transport"
 	"repro/internal/comm/wire"
@@ -330,6 +331,7 @@ func ServeRank(ctrl *transport.Ctrl, world *comm.World, w *Weights, kvCapacity i
 	if err != nil {
 		return err
 	}
+	e.staged = true
 	// A dedicated reader lets the loop select between command frames and
 	// the transport's failure events; stop bounds its life when the loop
 	// exits for a non-control reason.
@@ -376,6 +378,13 @@ func ServeRank(ctrl *transport.Ctrl, world *comm.World, w *Weights, kvCapacity i
 				continue // liveness only, never a command
 			}
 			reply, shutdown := e.handle(rank, world, v)
+			if st, ok := reply.(*wire.StatsResult); ok {
+				// Process-global robustness counters — frames through the CRC
+				// check, chaos faults injected — belong to this process, not
+				// to the engine; the coordinator sums them across workers.
+				st.IntegrityChecked, st.IntegrityRejected = wire.IntegrityStats()
+				st.ChaosKinds, st.ChaosCounts = chaos.Totals()
+			}
 			if err := ctrl.Send(reply); err != nil {
 				return err
 			}
@@ -407,8 +416,10 @@ func ServeRank(ctrl *transport.Ctrl, world *comm.World, w *Weights, kvCapacity i
 	}
 }
 
-// handle executes one command frame. Panics become error replies so a
-// malformed command cannot kill the worker while its peers wait mid-ring.
+// handle executes one command frame — the single dispatch every coordinator
+// request reaches a rank through, on either plane. Panics become error
+// replies so a malformed command cannot kill the rank while its peers wait
+// mid-ring.
 func (e *rankEngine) handle(rank *comm.Rank, world *comm.World, v any) (reply any, shutdown bool) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -418,10 +429,12 @@ func (e *rankEngine) handle(rank *comm.Rank, world *comm.World, v any) (reply an
 	switch cmd := v.(type) {
 	case *wire.PrefillCmd:
 		logits, err := e.prefill(rank, cmd)
-		return &wire.PrefillResult{Logits: logits, Err: errString(err)}, false
+		e.prefillRes = wire.PrefillResult{Logits: logits, Err: errString(err)}
+		return &e.prefillRes, false
 	case *wire.DecodeCmd:
 		flat, err := e.decode(rank, cmd)
-		return &wire.DecodeResult{Flat: flat, Err: errString(err)}, false
+		e.decodeRes = wire.DecodeResult{Flat: flat, Err: errString(err)}
+		return &e.decodeRes, false
 	case *wire.DropCmd:
 		e.drop(cmd.Seq)
 		return &wire.Ack{}, false
@@ -437,7 +450,7 @@ func (e *rankEngine) handle(rank *comm.Rank, world *comm.World, v any) (reply an
 		avail, overhead := e.capInfo(cmd.Seqs)
 		return &wire.CapResult{Capacity: e.capacity(), Avail: avail, Overhead: overhead}, false
 	case *wire.StatsCmd:
-		return e.statsResult(world), false
+		return e.statsResult(world, rank.ID), false
 	case *wire.TraceCmd:
 		return e.traceResult(rank.ID), false
 	case *wire.ShutdownCmd:
