@@ -28,7 +28,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/perf"
+	"repro/internal/model"
 	"repro/internal/server"
 	"repro/internal/transformer"
 	"repro/internal/workload"
@@ -133,7 +133,7 @@ func runReplay(tracePath, base, benchOut string, speed float64, reqTO, ranks int
 		srv, err := server.New(server.Config{
 			Transformer: transformer.Tiny(modelSeed),
 			Ranks:       ranks,
-			Variant:     perf.PassKV,
+			Variant:     model.PassKV,
 			TokenBudget: tokenBudget,
 			MaxBatch:    maxBatch,
 			Cohorts:     tr.Spec.CohortNames(),

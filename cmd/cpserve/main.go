@@ -32,8 +32,8 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/parallel"
-	"repro/internal/perf"
 	"repro/internal/server"
 	"repro/internal/transformer"
 )
@@ -81,14 +81,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cpserve: unknown policy %q\n", *policyName)
 		os.Exit(1)
 	}
-	var variant perf.Variant
+	var variant model.Variant
 	switch *variantName {
 	case "pass-kv":
-		variant = perf.PassKV
+		variant = model.PassKV
 	case "pass-q":
-		variant = perf.PassQ
+		variant = model.PassQ
 	case "auto":
-		variant = perf.Auto
+		variant = model.Auto
 	default:
 		fmt.Fprintf(os.Stderr, "cpserve: unknown variant %q\n", *variantName)
 		os.Exit(1)

@@ -21,7 +21,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/perf"
+	"repro/internal/model"
 	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/transformer"
@@ -66,7 +66,7 @@ func main() {
 		Transformer: transformer.Tiny(seed),
 		Ranks:       ranks,
 		Policy:      server.PrefillFirst,
-		Variant:     perf.PassKV,
+		Variant:     model.PassKV,
 		TokenBudget: budget,
 		Cohorts:     []string{"chat", "summarization"},
 	})
@@ -127,7 +127,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		want, err := c.Generate(i, prompts[i], maxTokens, perf.PassKV)
+		want, err := c.Generate(i, prompts[i], maxTokens, model.PassKV)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -3,7 +3,7 @@
 // binary re-executed in worker mode), drives the identical workload through
 // the distributed coordinator and an in-process reference cluster, and
 // asserts bit-identical logits and decode streams across pass-KV, pass-Q,
-// perf.Auto, fused batched decode, and warm prefix-adopted prefill.
+// model.Auto, fused batched decode, and warm prefix-adopted prefill.
 //
 // It then breaks the measured communication down against the paper's
 // Table 2 cost model: the modeled (accounted) ring bytes of a cold pass-KV
@@ -27,7 +27,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/perf"
+	"repro/internal/model"
 	"repro/internal/transformer"
 )
 
@@ -159,7 +159,7 @@ func runCoordinator() error {
 		fmt.Printf("  %-42s bit-identical (%d rows)\n", what, len(a))
 		return nil
 	}
-	both := func(what string, seq int, toks []int, v perf.Variant) error {
+	both := func(what string, seq int, toks []int, v model.Variant) error {
 		a, err := ref.Prefill(seq, toks, v)
 		if err != nil {
 			return fmt.Errorf("%s (in-process): %w", what, err)
@@ -175,13 +175,13 @@ func runCoordinator() error {
 	// 60 tokens = 2*ranks*10 slots: every rank gets an exactly equal shard,
 	// which makes the Table 2 comparison below exact.
 	const T = 60
-	if err := both("pass-KV prefill (60 tok)", 1, prompt(T, 7), perf.PassKV); err != nil {
+	if err := both("pass-KV prefill (60 tok)", 1, prompt(T, 7), model.PassKV); err != nil {
 		return err
 	}
-	if err := both("pass-Q prefill (33 tok)", 2, prompt(33, 11), perf.PassQ); err != nil {
+	if err := both("pass-Q prefill (33 tok)", 2, prompt(33, 11), model.PassQ); err != nil {
 		return err
 	}
-	if err := both("auto prefill (25 tok)", 3, prompt(25, 13), perf.Auto); err != nil {
+	if err := both("auto prefill (25 tok)", 3, prompt(25, 13), model.Auto); err != nil {
 		return err
 	}
 
@@ -213,10 +213,10 @@ func runCoordinator() error {
 
 	fmt.Println("warm prefix-cache prefill (detach -> adopt):")
 	donor := prompt(64, 9)
-	if err := both("donor chunk [0:32)", 10, donor[:32], perf.PassKV); err != nil {
+	if err := both("donor chunk [0:32)", 10, donor[:32], model.PassKV); err != nil {
 		return err
 	}
-	if err := both("donor chunk [32:64)", 10, donor[32:], perf.PassKV); err != nil {
+	if err := both("donor chunk [32:64)", 10, donor[32:], model.PassKV); err != nil {
 		return err
 	}
 	refPre, err := ref.DetachPrefix(10, 32)
@@ -230,11 +230,11 @@ func runCoordinator() error {
 	ref.Drop(10)
 	dist.Drop(10)
 	suffix := append(append([]int(nil), donor[32:]...), prompt(16, 3)...)
-	aw, err := ref.PrefillFrom(11, refPre, suffix, perf.Auto)
+	aw, err := ref.PrefillFrom(11, refPre, suffix, model.Auto)
 	if err != nil {
 		return err
 	}
-	bw, err := dist.PrefillFrom(11, distPre, suffix, perf.Auto)
+	bw, err := dist.PrefillFrom(11, distPre, suffix, model.Auto)
 	if err != nil {
 		return err
 	}
@@ -250,10 +250,10 @@ func runCoordinator() error {
 	if err != nil {
 		return err
 	}
-	if _, err := ref.Prefill(20, prompt(T, 3), perf.PassKV); err != nil {
+	if _, err := ref.Prefill(20, prompt(T, 3), model.PassKV); err != nil {
 		return err
 	}
-	if _, err := dist.Prefill(20, prompt(T, 3), perf.PassKV); err != nil {
+	if _, err := dist.Prefill(20, prompt(T, 3), model.PassKV); err != nil {
 		return err
 	}
 	telAfter, err := dist.Telemetry()

@@ -18,7 +18,7 @@ import (
 	"net/http/httptest"
 	"sync"
 
-	"repro/internal/perf"
+	"repro/internal/model"
 	"repro/internal/server"
 	"repro/internal/transformer"
 )
@@ -63,7 +63,7 @@ func newServer(prefixTokens int) (*server.Server, *httptest.Server) {
 		Transformer:       transformer.Tiny(seed),
 		Ranks:             ranks,
 		Policy:            server.PrefillFirst,
-		Variant:           perf.Auto, // Eq. 1 per chunk: warm chunks ride pass-Q
+		Variant:           model.Auto, // Eq. 1 per chunk: warm chunks ride pass-Q
 		TokenBudget:       budget,
 		PrefixCacheTokens: prefixTokens,
 	})

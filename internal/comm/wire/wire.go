@@ -135,7 +135,7 @@ type PrefillCmd struct {
 	Seqs    []int
 	Tokens  [][]int
 	P       []int
-	Variant int // resolved perf.Variant; never Auto on the wire
+	Variant int // resolved model.Variant; never Auto on the wire
 }
 
 // DecodeCmd instructs every rank to run one fused batched decode step.

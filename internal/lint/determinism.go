@@ -31,26 +31,26 @@ func determinismAnalyzer() *Analyzer {
 			var out []posFinding
 			for _, f := range p.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					switch importedPkgPath(p.Info, sel.X) {
-					case "time":
-						if clockCalls[sel.Sel.Name] {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						// Any mention counts, called or not: a clock handed
+						// around as a func value (now: time.Now) reads the
+						// wall clock just the same.
+						if importedPkgPath(p.Info, n.X) == "time" && clockCalls[n.Sel.Name] {
 							out = append(out, posFinding{
-								Pos:     call.Pos(),
-								Message: "wall-clock/timer call time." + sel.Sel.Name + " in a deterministic package",
+								Pos:     n.Pos(),
+								Message: "wall-clock/timer function time." + n.Sel.Name + " in a deterministic package",
 							})
 						}
-					case "math/rand", "math/rand/v2":
-						if !globalRandOK[sel.Sel.Name] {
+					case *ast.CallExpr:
+						sel, ok := n.Fun.(*ast.SelectorExpr)
+						if !ok {
+							return true
+						}
+						pkg := importedPkgPath(p.Info, sel.X)
+						if (pkg == "math/rand" || pkg == "math/rand/v2") && !globalRandOK[sel.Sel.Name] {
 							out = append(out, posFinding{
-								Pos:     call.Pos(),
+								Pos:     n.Pos(),
 								Message: "global math/rand call rand." + sel.Sel.Name + "; draw from an explicitly seeded *rand.Rand instead",
 							})
 						}

@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -46,6 +49,34 @@ func TestDefaultPolicyRules(t *testing.T) {
 		if _, ok := pol[r]; !ok {
 			t.Errorf("rule %q missing from the default policy", r)
 		}
+	}
+}
+
+// TestServerReadsOneClock pins the scheduler's clock seam: internal/server
+// is under the determinism rule, and the whole package carries exactly one
+// determinism allow — the real clock every timestamp is injected from. A
+// second annotated read would pass TestRepoIsClean; it must not pass this.
+func TestServerReadsOneClock(t *testing.T) {
+	if !DefaultPolicy().Applies("determinism", "internal/server") {
+		t.Fatal("internal/server is not under the determinism rule")
+	}
+	files, err := filepath.Glob("../server/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allows := 0
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allows += strings.Count(string(src), allowPrefix+" determinism")
+	}
+	if allows != 1 {
+		t.Fatalf("internal/server carries %d determinism allows, want exactly 1 (the real clock)", allows)
 	}
 }
 

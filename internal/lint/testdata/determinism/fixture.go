@@ -1,6 +1,7 @@
-// Package fixture exercises the determinism analyzer: wall-clock reads,
-// timers, and global math/rand draws are findings; explicitly seeded
-// generators, pure duration arithmetic, and annotated reads are not.
+// Package fixture exercises the determinism analyzer: wall-clock reads
+// (called or taken as func values), timers, and global math/rand draws are
+// findings; explicitly seeded generators, pure duration arithmetic, and
+// annotated reads are not.
 package fixture
 
 import (
@@ -15,6 +16,9 @@ func clocks() (time.Time, time.Duration) {
 	time.Sleep(time.Millisecond)
 	return now, d
 }
+
+// Bad: the clock handed on as a func value is still the wall clock.
+var now = time.Now
 
 // Bad: draws from the global source.
 func globalRand() int {

@@ -209,3 +209,41 @@ func MissRate(T, P int) float64 {
 	}
 	return float64(T) / float64(T+P)
 }
+
+// Variant selects the ring attention algorithm.
+type Variant int
+
+const (
+	PassKV Variant = iota
+	PassQ
+	// Auto is not an algorithm but a policy: resolve pass-KV versus pass-Q
+	// per prefill from the KV-cache miss rate via ChooseVariant (Equation 1).
+	// The execution layers resolve Auto before entering a ring.
+	Auto
+)
+
+func (v Variant) String() string {
+	switch v {
+	case PassKV:
+		return "pass-KV"
+	case PassQ:
+		return "pass-Q"
+	case Auto:
+		return "auto"
+	default:
+		return fmt.Sprintf("variant(%d)", int(v))
+	}
+}
+
+// ChooseVariant implements Equation 1's miss-rate rule: with T new tokens
+// against P cached, pass the KV embeddings when the miss rate T/(T+P) is at
+// or above 2·NKV/NH (KV is the smaller circulating message), and pass the Q
+// embeddings below it. A cold prefill (P = 0, miss rate 1) always selects
+// pass-KV; a warm prefix-cache hit drives the miss rate — and the choice —
+// down toward pass-Q.
+func ChooseVariant(c Config, T, P int) Variant {
+	if MissRate(T, P) >= 2*c.KVRatio() {
+		return PassKV
+	}
+	return PassQ
+}

@@ -25,43 +25,19 @@ import (
 	"repro/internal/model"
 )
 
-// Variant selects the ring attention algorithm.
-type Variant int
+// Variant, its three values and ChooseVariant (Equation 1) live in
+// internal/model beside MissRate and KVRatio. These aliases are kept for
+// benchmark/ until harness v2 (ROADMAP item 4) switches it to model.
+type Variant = model.Variant
 
 const (
-	PassKV Variant = iota
-	PassQ
-	// Auto is not an algorithm but a policy: resolve pass-KV versus pass-Q
-	// per prefill from the KV-cache miss rate via ChooseVariant (Equation 1).
-	// The execution layers resolve Auto before entering a ring.
-	Auto
+	PassKV = model.PassKV
+	PassQ  = model.PassQ
+	Auto   = model.Auto
 )
 
-func (v Variant) String() string {
-	switch v {
-	case PassKV:
-		return "pass-KV"
-	case PassQ:
-		return "pass-Q"
-	case Auto:
-		return "auto"
-	default:
-		return fmt.Sprintf("variant(%d)", int(v))
-	}
-}
-
-// ChooseVariant implements Equation 1's miss-rate rule: with T new tokens
-// against P cached, pass the KV embeddings when the miss rate T/(T+P) is at
-// or above 2·NKV/NH (KV is the smaller circulating message), and pass the Q
-// embeddings below it. A cold prefill (P = 0, miss rate 1) always selects
-// pass-KV; a warm prefix-cache hit drives the miss rate — and the choice —
-// down toward pass-Q.
-func ChooseVariant(c model.Config, T, P int) Variant {
-	if model.MissRate(T, P) >= 2*c.KVRatio() {
-		return PassKV
-	}
-	return PassQ
-}
+// ChooseVariant forwards to model.ChooseVariant.
+func ChooseVariant(c model.Config, T, P int) Variant { return model.ChooseVariant(c, T, P) }
 
 // Calibration constants shared by all platforms. These capture effects that
 // are properties of the software stack rather than of a specific fabric.

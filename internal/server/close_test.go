@@ -7,7 +7,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/perf"
+	"repro/internal/model"
 	"repro/internal/transformer"
 )
 
@@ -52,7 +52,7 @@ func TestServerCloseIdempotentAndOrdered(t *testing.T) {
 	srv, err := New(Config{
 		Transformer: transformer.Tiny(3),
 		Ranks:       2,
-		Variant:     perf.PassKV,
+		Variant:     model.PassKV,
 		TokenBudget: 8,
 	})
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/perf"
+	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/transformer"
 )
@@ -25,7 +25,7 @@ func TestCohortMetricsEndToEnd(t *testing.T) {
 	srv, err := New(Config{
 		Transformer: transformer.Tiny(7),
 		Ranks:       2,
-		Variant:     perf.PassKV,
+		Variant:     model.PassKV,
 		TokenBudget: 8,
 		Cohorts:     []string{"chat", "rag"},
 	})
@@ -165,7 +165,7 @@ func TestCohortUnknownLabelsBounded(t *testing.T) {
 	srv, err := New(Config{
 		Transformer: transformer.Tiny(7),
 		Ranks:       2,
-		Variant:     perf.PassKV,
+		Variant:     model.PassKV,
 		TokenBudget: 8,
 		Cohorts:     []string{"chat"},
 	})
@@ -211,7 +211,7 @@ func TestCohortBitIdentity(t *testing.T) {
 		srv, err := New(Config{
 			Transformer: transformer.Tiny(13),
 			Ranks:       2,
-			Variant:     perf.Auto,
+			Variant:     model.Auto,
 			TokenBudget: 4,
 			NoTrace:     noTrace,
 			Cohorts:     cohorts,
@@ -257,7 +257,7 @@ func TestCohortSpanTagging(t *testing.T) {
 	srv, err := New(Config{
 		Transformer: transformer.Tiny(7),
 		Ranks:       2,
-		Variant:     perf.PassKV,
+		Variant:     model.PassKV,
 		TokenBudget: 8,
 		Cohorts:     []string{"chat"},
 	})

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/perf"
+	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/transformer"
 )
@@ -34,7 +34,7 @@ func TestTraceBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			pre, err := c.Prefill(1, prompt, perf.PassKV)
+			pre, err := c.Prefill(1, prompt, model.PassKV)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestTraceBitIdentity(t *testing.T) {
 			srv, err := New(Config{
 				Transformer: transformer.Tiny(13),
 				Ranks:       2,
-				Variant:     perf.Auto,
+				Variant:     model.Auto,
 				TokenBudget: 4,
 				NoTrace:     noTrace,
 			})
@@ -119,7 +119,7 @@ func TestRingPhaseCountsMatchPlan(t *testing.T) {
 	srv, err := New(Config{
 		Transformer: cfg,
 		Ranks:       ranks,
-		Variant:     perf.PassKV,
+		Variant:     model.PassKV,
 		TokenBudget: tokenBudget,
 	})
 	if err != nil {
@@ -199,7 +199,7 @@ func TestDistributedMetricsMatchPlan(t *testing.T) {
 	srv, err := New(Config{
 		Transformer: cfg,
 		RankAddrs:   addrs,
-		Variant:     perf.PassKV,
+		Variant:     model.PassKV,
 		TokenBudget: tokenBudget,
 		DialTimeout: 20 * time.Second,
 	})

@@ -54,11 +54,7 @@ const brownoutRefresh = 250 * time.Millisecond
 // retryAfterLocked is the backoff hint attached to shed work: the SLO
 // itself, floored at one second (the header's resolution).
 func (s *Scheduler) retryAfterLocked() time.Duration {
-	ra := s.cfg.BrownoutSLO
-	if ra < time.Second {
-		ra = time.Second
-	}
-	return ra
+	return max(s.cfg.BrownoutSLO, time.Second)
 }
 
 // brownoutLocked evaluates (with caching) whether the scheduler is browned
@@ -91,11 +87,7 @@ func (s *Scheduler) brownoutLocked(now time.Time) bool {
 func (s *Scheduler) queueWaitSnapLocked() trace.SeriesSnap {
 	cur := trace.SeriesSnap{Kind: trace.KindHistogram, Counts: make([]uint64, len(trace.BucketBounds)+1)}
 	for _, cls := range []Class{ClassPrefill, ClassDecode} {
-		h, ok := s.hWait[cls]
-		if !ok {
-			continue
-		}
-		sn := h.Snap()
+		sn := s.hWait[cls].Snap()
 		cur.Count += sn.Count
 		cur.Sum += sn.Sum
 		for i := 0; i < len(sn.Counts) && i < len(cur.Counts); i++ {

@@ -68,6 +68,8 @@ func TestDeadlineExpiredWhileQueued(t *testing.T) {
 func TestBrownoutShedsAndRejects(t *testing.T) {
 	const slo = 50 * time.Millisecond
 	s, _ := newManualScheduler(t, SchedulerConfig{MaxSessions: 1, BrownoutSLO: slo})
+	clk := &steppedClock{t: time.Unix(1_700_000_000, 0)}
+	s.now = clk.Now // before any request: the backlog ages only when stepped
 	// Session 1 holds the slot — the resident work brownout must protect.
 	done1 := make(chan struct{})
 	go func() { defer close(done1); _, _ = s.Prefill(context.Background(), 1, []int{1, 2}) }()
@@ -91,7 +93,7 @@ func TestBrownoutShedsAndRejects(t *testing.T) {
 	s.brownoutPrev = s.queueWaitSnapLocked()
 	s.brownoutAt = time.Time{}
 	s.mu.Unlock()
-	time.Sleep(2 * slo)
+	clk.advance(2 * slo)
 
 	// A new session now trips the brownout check inside submit: rejected
 	// synchronously, no Step needed.
@@ -163,6 +165,8 @@ func stepInBackground(t *testing.T, s *Scheduler) (stop func()) {
 // never trips, whatever the backlog looks like.
 func TestBrownoutDisabledByDefault(t *testing.T) {
 	s, _ := newManualScheduler(t, SchedulerConfig{MaxSessions: 1})
+	clk := &steppedClock{t: time.Unix(1_700_000_000, 0)}
+	s.now = clk.Now
 	done1 := make(chan struct{})
 	go func() { defer close(done1); _, _ = s.Prefill(context.Background(), 1, []int{1, 2}) }()
 	waitDepths(t, s, 0, 1, 0)
@@ -174,7 +178,7 @@ func TestBrownoutDisabledByDefault(t *testing.T) {
 		errCh <- err
 	}()
 	waitDepths(t, s, 1, 0, 0)
-	time.Sleep(60 * time.Millisecond)
+	clk.advance(time.Minute)
 	// Another admission queues instead of 429ing, no matter how long the
 	// backlog has waited.
 	errCh3 := make(chan error, 1)

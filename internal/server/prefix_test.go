@@ -9,7 +9,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/perf"
+	"repro/internal/model"
 	"repro/internal/transformer"
 )
 
@@ -152,11 +152,11 @@ func TestPrefixOptOut(t *testing.T) {
 	}
 }
 
-// TestAutoVariantPerChunk: under perf.Auto the scheduler picks pass-KV for
+// TestAutoVariantPerChunk: under model.Auto the scheduler picks pass-KV for
 // the cold first chunk (miss rate 1) and pass-Q once cached context exists
 // (Tiny's Eq. 1 threshold is 2·NKV/NH = 1).
 func TestAutoVariantPerChunk(t *testing.T) {
-	s := newManualPrefixScheduler(t, SchedulerConfig{TokenBudget: 4, Variant: perf.Auto, PrefixCacheTokens: 4096})
+	s := newManualPrefixScheduler(t, SchedulerConfig{TokenBudget: 4, Variant: model.Auto, PrefixCacheTokens: 4096})
 	prompt := []int{3, 14, 15, 9, 26, 5, 35, 8}
 	next := prefillSync(t, s, 1, prompt, RequestOptions{})
 	r := s.Reuse()
@@ -242,7 +242,7 @@ func TestStatsPrefillSource(t *testing.T) {
 		Transformer:       transformer.Tiny(321),
 		Ranks:             2,
 		Policy:            PrefillFirst,
-		Variant:           perf.Auto,
+		Variant:           model.Auto,
 		TokenBudget:       4,
 		PrefixCacheTokens: 4096,
 	})

@@ -4,10 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
-	"repro/internal/perf"
-	"repro/internal/prefixcache"
 	"repro/internal/trace"
 	"repro/internal/transformer"
 )
@@ -18,13 +15,14 @@ import (
 // the sessions back.
 //
 // The contract is bit-identity, not best effort: the scheduler keeps a
-// token log per live session (see logSeg), and recovery replays each log
-// through the ordinary prefill/decode paths — the same canonical chunk
-// alignment, the same decode owner rotation — so the rebuilt KV placement
-// equals what an unfailed cluster holds, float for float. In-flight
-// requests are never faulted while recovery is armed: a failed prefill
-// chunk stays at the queue head, a failed decode batch is requeued in
-// order, and both retry after the rebuild as if the failure never happened.
+// token log per live session (see logSeg), and recovery feeds each log back
+// through the live chunk path (prefillChunk, donatePrefix) with the results
+// discarded — the same canonical chunk alignment, the same variant choice,
+// the same decode owner rotation — so the rebuilt KV placement equals what
+// an unfailed cluster holds, float for float. In-flight requests are never
+// faulted while recovery is armed: a failed prefill chunk stays at the queue
+// head, a failed decode batch is requeued in order, and both retry after the
+// rebuild as if the failure never happened.
 //
 // The prefix tree makes replay cheap when sessions share prompts: the old
 // incarnation's entries are purged (their KV died with it), but each
@@ -113,7 +111,7 @@ func (s *Scheduler) scheduleRecoveryLocked(cause error) {
 // already retired (a peer's death throes consumed late) must not re-arm a
 // rebuild of the healthy successor.
 func (s *Scheduler) watchFailures() {
-	ch := s.cluster.Failures()
+	ch := s.exec.Failures()
 	for {
 		select {
 		case ev, ok := <-ch:
@@ -137,8 +135,7 @@ type replaySnapshot struct {
 	id      int
 	segs    []logSeg
 	noCache bool
-	canon   int
-	hist    []int
+	hist    []int // canonical prefix tokens, donated back after the replay
 }
 
 // maybeRecover runs a pending recovery: epoch rebuild plus token-log replay
@@ -154,15 +151,12 @@ func (s *Scheduler) maybeRecover() {
 		return
 	}
 	s.needRecovery = nil
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	if !s.recoveryArmedLocked() {
-		// An idle-detection event arrived after the budget was spent. No
-		// request is parked waiting on this recovery (the chunk/batch error
-		// paths stop requeueing once the budget is gone), so fall back to
-		// letting command errors fault sessions individually.
+		// The scheduler closed, or an idle-detection event arrived after the
+		// budget was spent. No request is parked waiting on this recovery
+		// (the chunk/batch error paths stop requeueing once the budget is
+		// gone), so fall back to letting command errors fault sessions
+		// individually.
 		s.recStats.LastError = cause.Error()
 		s.mu.Unlock()
 		return
@@ -193,9 +187,10 @@ func (s *Scheduler) maybeRecover() {
 // budget; caller holds execMu (never s.mu).
 func (s *Scheduler) recoverClusterLocked(cause error) error {
 	lastErr := cause
-	tRec := time.Now()
+	tRec := s.now()
 	for {
 		s.mu.Lock()
+		s.recStats.LastError = lastErr.Error()
 		if s.closed {
 			// Shutdown landed mid-recovery: every waiting request was
 			// already failed by Close, so rebuild attempts (each up to a
@@ -217,11 +212,8 @@ func (s *Scheduler) recoverClusterLocked(cause error) error {
 		sessions := s.replaySetLocked()
 		s.mu.Unlock()
 
-		if err := s.cluster.Rebuild(); err != nil {
+		if err := s.exec.Rebuild(); err != nil {
 			lastErr = err
-			s.mu.Lock()
-			s.recStats.LastError = err.Error()
-			s.mu.Unlock()
 			continue
 		}
 		// The old incarnation's cached prefixes died with its rank
@@ -230,30 +222,22 @@ func (s *Scheduler) recoverClusterLocked(cause error) error {
 		if s.tree != nil {
 			s.tree.Clear()
 		}
-		if err, infra := s.replayAll(sessions); err != nil {
-			lastErr = err
-			s.mu.Lock()
-			s.recStats.LastError = err.Error()
-			s.mu.Unlock()
-			if infra {
-				continue // the fresh incarnation failed too; try again
-			}
-			return err
+		if err := s.replayAll(sessions); err != nil {
+			lastErr = err // the fresh incarnation failed too; try again
+			continue
 		}
+		epoch := s.exec.Epoch()
 		s.mu.Lock()
 		s.recStats.Rebuilds++
-		s.recStats.Epoch = s.cluster.Epoch()
-		replayedSessions := int64(len(sessions))
+		s.recStats.Epoch = epoch
 		s.mu.Unlock()
 		s.rec.CounterSeries("cp_recovery_replays_total").Inc(1)
-		if s.rec != nil {
-			s.rec.RecordSpan(trace.Span{
-				Name: "recovery.replay", Cat: "recovery", Rank: trace.CoordinatorRank, Seq: trace.NoSeq,
-				Epoch: s.cluster.Epoch(),
-				Start: tRec.UnixNano(), Dur: time.Since(tRec).Nanoseconds(),
-				Args: map[string]int64{"sessions": replayedSessions, "epoch": int64(s.cluster.Epoch())},
-			})
-		}
+		s.rec.RecordSpan(trace.Span{
+			Name: "recovery.replay", Cat: "recovery", Rank: trace.CoordinatorRank, Seq: trace.NoSeq,
+			Epoch: epoch,
+			Start: tRec.UnixNano(), Dur: s.now().Sub(tRec).Nanoseconds(),
+			Args: map[string]int64{"sessions": int64(len(sessions)), "epoch": int64(epoch)},
+		})
 		return nil
 	}
 }
@@ -264,31 +248,10 @@ func (s *Scheduler) recoverClusterLocked(cause error) error {
 // Recovery is the one point where this sweep is both safe — the failed
 // iteration has returned, so no chunk is mid-flight — and worthwhile:
 // without it, the replay rebuilds KV for vanished clients. Caller holds
-// s.mu. Victims are collected first and aborted after the queues are
-// reassigned, because abortCanceledLocked can re-enter admitLocked, which
-// appends to s.prefills.
+// s.mu.
 func (s *Scheduler) reapCanceledLocked() {
-	type victim struct {
-		r     *request
-		evict bool
-	}
-	var victims []victim
-	filter := func(q []*request, evict func(*request) bool) []*request {
-		kept := q[:0]
-		for _, r := range q {
-			if r.canceled {
-				victims = append(victims, victim{r, evict(r)})
-				continue
-			}
-			kept = append(kept, r)
-		}
-		return kept
-	}
-	s.admit = filter(s.admit, func(*request) bool { return false })
-	s.prefills = filter(s.prefills, func(r *request) bool { return r.consumed > 0 })
-	s.decodes = filter(s.decodes, func(r *request) bool { return r.collect })
-	for _, v := range victims {
-		s.abortCanceledLocked(v.r, v.evict)
+	for _, r := range s.dequeueLocked(func(r *request) bool { return r.canceled }) {
+		s.abortCanceledLocked(r, r.contributedKV())
 	}
 }
 
@@ -311,7 +274,6 @@ func (s *Scheduler) replaySetLocked() []replaySnapshot {
 			id:      id,
 			segs:    segs,
 			noCache: s.noDetach[id],
-			canon:   s.canonical[id],
 			hist:    s.history[id],
 		})
 	}
@@ -323,100 +285,70 @@ func (s *Scheduler) replaySetLocked() []replaySnapshot {
 // session whose replay fails deterministically (KV capacity) is lost
 // individually; any other failure is infrastructure and retries the whole
 // attempt. Caller holds execMu.
-func (s *Scheduler) replayAll(sessions []replaySnapshot) (err error, infra bool) {
-	var recovered, replayed, cached int64
+func (s *Scheduler) replayAll(sessions []replaySnapshot) error {
+	var recovered int64
 	for _, ss := range sessions {
-		comp, cach, rerr := s.replaySession(ss)
-		replayed += comp
-		cached += cach
-		if rerr != nil {
+		if rerr := s.replaySession(ss); rerr != nil {
 			var ce *transformer.CapacityError
 			if errors.As(rerr, &ce) {
 				// This session no longer fits (the whole fleet's KV is being
 				// re-packed); shed exactly it and keep replaying the rest.
-				s.cluster.Drop(ss.id)
+				s.exec.Drop(ss.id)
 				s.mu.Lock()
 				s.loseSessionLocked(ss.id, rerr)
 				s.mu.Unlock()
 				continue
 			}
-			s.mu.Lock()
-			s.recStats.ReplayedTokens += replayed
-			s.recStats.ReplayCachedTokens += cached
-			s.mu.Unlock()
-			return fmt.Errorf("server: replaying session %d: %w", ss.id, rerr), true
+			return fmt.Errorf("server: replaying session %d: %w", ss.id, rerr)
 		}
 		recovered++
-		// Donate the replayed canonical prefix so sibling sessions (and
-		// future requests) hit warm KV instead of recomputing it.
-		if s.tree != nil && !ss.noCache && ss.canon >= s.cfg.TokenBudget {
-			_, _ = s.tree.Insert(ss.hist[:ss.canon], func(depth int) (prefixcache.Entry, error) {
-				return s.cluster.DetachPrefix(ss.id, depth)
-			})
+		if !ss.noCache {
+			s.donatePrefix(ss.id, ss.hist)
 		}
 	}
 	s.mu.Lock()
 	s.recStats.RecoveredSessions += recovered
-	s.recStats.ReplayedTokens += replayed
-	s.recStats.ReplayCachedTokens += cached
 	s.mu.Unlock()
-	return nil, false
+	return nil
 }
 
-// replaySession re-runs one session's token log: prefill segments as
-// canonical token-budget chunks (warm-started from the prefix tree when a
-// sibling already donated the prefix), decode segments as decode steps with
-// discarded logits. Returns the recomputed and tree-served token counts.
-// Caller holds execMu.
-func (s *Scheduler) replaySession(ss replaySnapshot) (computed, cached int64, err error) {
+// replaySession feeds one session's token log back through the live paths
+// with the results discarded: prefill segments through prefillChunk (so a
+// sibling's donated prefix warm-starts them, and the serving reuse counters
+// move exactly as they do for live traffic), decode segments as decode steps
+// of one. Tokens recomputed and tokens served from the tree are counted into
+// RecoveryStats whether or not the replay completes. Caller holds execMu.
+func (s *Scheduler) replaySession(ss replaySnapshot) error {
+	var computed, cached int64
+	defer func() {
+		s.mu.Lock()
+		s.recStats.ReplayedTokens += computed
+		s.recStats.ReplayCachedTokens += cached
+		s.mu.Unlock()
+	}()
+	t := s.now()
 	for _, seg := range ss.segs {
 		if seg.decode {
 			for _, tok := range seg.toks {
-				if _, err := s.cluster.Decode(ss.id, tok); err != nil {
-					return computed, cached, err
+				if _, err := s.exec.DecodeBatch([]int{ss.id}, []int{tok}); err != nil {
+					return err
 				}
 				computed++
 			}
 			continue
 		}
-		consumed := 0
-		if s.tree != nil && !ss.noCache && s.cluster.SeqLen(ss.id) == 0 {
-			if hit, entry := s.tree.Lookup(seg.toks); hit > 0 {
-				if pre, ok := entry.(*transformer.PrefixKV); ok {
-					if aerr := s.cluster.AdoptPrefix(ss.id, pre); aerr == nil {
-						consumed = hit
-						cached += int64(hit)
-						// The serving reuse counters move too: prefill_source
-						// is where operators watch recovery skip cached work.
-						s.mu.Lock()
-						s.reuse.Hits++
-						s.reuse.CachedTokens += int64(hit)
-						s.mu.Unlock()
-					}
-				}
+		r := &request{session: ss.id, prompt: seg.toks, noCache: ss.noCache}
+		for r.consumed < len(seg.toks) {
+			out := s.prefillChunk(r, t)
+			cached += int64(out.adopted)
+			if out.err != nil {
+				return out.err
 			}
-		}
-		for consumed < len(seg.toks) {
-			pos := s.cluster.SeqLen(ss.id)
-			n := s.cfg.TokenBudget - pos%s.cfg.TokenBudget
-			if rem := len(seg.toks) - consumed; n > rem {
-				n = rem
-			}
-			variant := s.cfg.Variant
-			if variant == perf.Auto {
-				variant = perf.ChooseVariant(s.cluster.W.Cfg.Model, n, pos)
-			}
-			if _, err := s.cluster.Prefill(ss.id, seg.toks[consumed:consumed+n], variant); err != nil {
-				return computed, cached, err
-			}
-			s.mu.Lock()
-			s.reuse.ComputedTokens += int64(n)
-			s.mu.Unlock()
-			consumed += n
-			computed += int64(n)
+			computed += int64(out.n)
+			t = out.end
 		}
 	}
-	return computed, cached, nil
+	return nil
 }
 
 // loseSessionLocked faults one session out of recovery: its queued requests
@@ -428,7 +360,6 @@ func (s *Scheduler) loseSessionLocked(id int, cause error) {
 	delete(s.prefilled, id)
 	delete(s.sessions, id)
 	delete(s.log, id)
-	delete(s.canonical, id)
 	delete(s.history, id)
 	delete(s.noDetach, id)
 	s.pendingDrops = append(s.pendingDrops, sessionDrop{session: id})

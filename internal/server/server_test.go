@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/perf"
+	"repro/internal/model"
 	"repro/internal/transformer"
 )
 
@@ -21,7 +21,7 @@ func newTestServer(t *testing.T, policy Policy) (*Server, *httptest.Server) {
 		Transformer: transformer.Tiny(321),
 		Ranks:       2,
 		Policy:      policy,
-		Variant:     perf.PassKV,
+		Variant:     model.PassKV,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestConcurrentServingMatchesReferences(t *testing.T) {
 		Transformer: transformer.Tiny(321),
 		Ranks:       2,
 		Policy:      PrefillFirst,
-		Variant:     perf.PassKV,
+		Variant:     model.PassKV,
 		TokenBudget: 4, // force chunked prefill under load
 	})
 	if err != nil {
@@ -288,7 +288,7 @@ func TestConcurrentServingMatchesReferences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i], err = c.Generate(i, prompts[i], maxTokens, perf.PassKV)
+		want[i], err = c.Generate(i, prompts[i], maxTokens, model.PassKV)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +451,7 @@ func TestSchedulerMixedIterationBitIdentical(t *testing.T) {
 			if end > len(prompt) {
 				end = len(prompt)
 			}
-			last, err = c.Prefill(session, prompt[at:end], perf.PassKV)
+			last, err = c.Prefill(session, prompt[at:end], model.PassKV)
 			if err != nil {
 				t.Fatal(err)
 			}

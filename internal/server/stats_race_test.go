@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/perf"
+	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/transformer"
 )
@@ -143,7 +143,7 @@ func TestStatsHammerUnderTraffic(t *testing.T) {
 		srv, err := New(Config{
 			Transformer:   transformer.Tiny(51),
 			Ranks:         2,
-			Variant:       perf.Auto,
+			Variant:       model.Auto,
 			TokenBudget:   8,
 			RecvTimeout:   300 * time.Millisecond,
 			Recover:       true,
@@ -161,7 +161,7 @@ func TestStatsHammerUnderTraffic(t *testing.T) {
 		srv, err := New(Config{
 			Transformer: cfg,
 			RankAddrs:   addrs,
-			Variant:     perf.PassKV,
+			Variant:     model.PassKV,
 			TokenBudget: 8,
 			DialTimeout: 20 * time.Second,
 		})

@@ -9,7 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/comm/transport"
 	"repro/internal/comm/wire"
-	"repro/internal/perf"
+	"repro/internal/model"
 	"repro/internal/ring"
 	"repro/internal/sharding"
 	"repro/internal/tensor"
@@ -350,7 +350,7 @@ func (c *Cluster) RankCacheTokens() []int {
 
 // Prefill runs a full or partial prefill of new tokens for a sequence and
 // returns the logits of every new position, in order.
-func (c *Cluster) Prefill(seq int, tokens []int, variant perf.Variant) ([][]float32, error) {
+func (c *Cluster) Prefill(seq int, tokens []int, variant model.Variant) ([][]float32, error) {
 	out, err := c.PrefillBatch([]int{seq}, [][]int{tokens}, variant)
 	if err != nil {
 		return nil, err
@@ -363,7 +363,7 @@ func (c *Cluster) Prefill(seq int, tokens []int, variant perf.Variant) ([][]floa
 // independently, the batch's Q/K/V fuse into one ring pass per layer, and
 // per-sequence logits come back in order. Sequences may be new or have
 // persistent KV from earlier turns.
-func (c *Cluster) PrefillBatch(seqIDs []int, tokens [][]int, variant perf.Variant) ([][][]float32, error) {
+func (c *Cluster) PrefillBatch(seqIDs []int, tokens [][]int, variant model.Variant) ([][][]float32, error) {
 	if len(seqIDs) == 0 || len(seqIDs) != len(tokens) {
 		return nil, fmt.Errorf("transformer: %d seq ids with %d token lists", len(seqIDs), len(tokens))
 	}
@@ -402,7 +402,7 @@ func (c *Cluster) PrefillBatch(seqIDs []int, tokens [][]int, variant perf.Varian
 	for i, id := range seqIDs {
 		p[i] = c.seqLens[id]
 	}
-	if variant == perf.Auto {
+	if variant == model.Auto {
 		// Equation 1 on the batch's aggregate miss rate: chunked serving
 		// calls this once per chunk, so the choice adapts per chunk as the
 		// cached prefix grows. The inputs are pure functions of absolute
@@ -414,7 +414,7 @@ func (c *Cluster) PrefillBatch(seqIDs []int, tokens [][]int, variant perf.Varian
 			T += lens[i]
 			P += p[i]
 		}
-		variant = perf.ChooseVariant(m, T, P)
+		variant = model.ChooseVariant(m, T, P)
 	}
 	if err := c.prefillCapacityCheck(plan, seqIDs); err != nil {
 		return nil, err
@@ -710,13 +710,13 @@ func (p *PrefixKV) Tokens() int { return p.tokens }
 // handles survive. A handle from a pre-rebuild epoch releases nothing: the
 // registries that held its spans died with the old incarnation, and a
 // release broadcast would be wasted round trips (or worse, would race the
-// new epoch's ids).
+// new epoch's ids). Nor does the zero PrefixKV, which pins nothing.
 func (p *PrefixKV) Release() {
 	if p == nil || p.released {
 		return
 	}
 	p.released = true
-	if p.epoch == p.c.epoch {
+	if p.c != nil && p.epoch == p.c.epoch {
 		p.c.releasePrefix(p.id)
 	}
 }
@@ -795,7 +795,7 @@ func (c *Cluster) AdoptPrefix(seq int, pre *PrefixKV) error {
 // miss suffix, returning the suffix positions' logits — the warm-start entry
 // point of the prefix-reuse subsystem. A nil prefix degrades to a cold
 // Prefill of the suffix.
-func (c *Cluster) PrefillFrom(seq int, pre *PrefixKV, suffix []int, variant perf.Variant) ([][]float32, error) {
+func (c *Cluster) PrefillFrom(seq int, pre *PrefixKV, suffix []int, variant model.Variant) ([][]float32, error) {
 	if pre != nil && pre.Tokens() > 0 {
 		if err := c.AdoptPrefix(seq, pre); err != nil {
 			return nil, err
@@ -806,7 +806,7 @@ func (c *Cluster) PrefillFrom(seq int, pre *PrefixKV, suffix []int, variant perf
 
 // Generate greedily extends a prompt: one distributed prefill, then
 // `steps` distributed decode steps. Returns the generated token ids.
-func (c *Cluster) Generate(seq int, prompt []int, steps int, variant perf.Variant) ([]int, error) {
+func (c *Cluster) Generate(seq int, prompt []int, steps int, variant model.Variant) ([]int, error) {
 	logits, err := c.Prefill(seq, prompt, variant)
 	if err != nil {
 		return nil, err

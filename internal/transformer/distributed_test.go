@@ -16,7 +16,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/comm/wire"
-	"repro/internal/perf"
+	"repro/internal/model"
 )
 
 // startLoopbackCluster spins up n worker ranks as goroutines, each with its
@@ -95,7 +95,7 @@ type pairedClusters struct {
 	dist *Cluster // TCP workers
 }
 
-func (p *pairedClusters) prefill(seq int, tokens []int, v perf.Variant, what string) {
+func (p *pairedClusters) prefill(seq int, tokens []int, v model.Variant, what string) {
 	p.t.Helper()
 	a, err := p.ref.Prefill(seq, tokens, v)
 	if err != nil {
@@ -124,7 +124,7 @@ func (p *pairedClusters) decodeBatch(seqs, tokens []int, what string) {
 // TestDistributedBitIdentity is the subsystem's non-negotiable invariant: a
 // cluster whose ranks live behind the TCP transport and wire codec produces
 // exactly the float-for-float logits and decode streams of the in-process
-// mailbox World — across pass-KV, pass-Q, perf.Auto, fused multi-session
+// mailbox World — across pass-KV, pass-Q, model.Auto, fused multi-session
 // decode, and warm (prefix-adopted) prefill.
 func TestDistributedBitIdentity(t *testing.T) {
 	cfg := Tiny(7)
@@ -150,11 +150,11 @@ func TestDistributedBitIdentity(t *testing.T) {
 
 	// Cold prefill on every ring variant, including a chunked (multi-call)
 	// prefill so cached context P > 0 paths run.
-	p.prefill(1, prompt(40, 5), perf.PassKV, "cold pass-KV prefill")
-	p.prefill(2, prompt(33, 7), perf.PassQ, "cold pass-Q prefill")
-	p.prefill(3, prompt(25, 11), perf.Auto, "cold auto prefill")
-	p.prefill(1, prompt(17, 13), perf.PassKV, "second-turn pass-KV chunk")
-	p.prefill(2, prompt(9, 3), perf.PassQ, "second-turn pass-Q chunk")
+	p.prefill(1, prompt(40, 5), model.PassKV, "cold pass-KV prefill")
+	p.prefill(2, prompt(33, 7), model.PassQ, "cold pass-Q prefill")
+	p.prefill(3, prompt(25, 11), model.Auto, "cold auto prefill")
+	p.prefill(1, prompt(17, 13), model.PassKV, "second-turn pass-KV chunk")
+	p.prefill(2, prompt(9, 3), model.PassQ, "second-turn pass-Q chunk")
 
 	// Fused multi-session decode: every sequence advances through one ring
 	// sweep per step; owner rotation and merge order must replay exactly.
@@ -169,15 +169,15 @@ func TestDistributedBitIdentity(t *testing.T) {
 	// Drop and re-prefill a sequence id: eviction must propagate to workers.
 	ref.Drop(2)
 	dist.Drop(2)
-	p.prefill(2, prompt(21, 7), perf.Auto, "re-prefill after drop")
+	p.prefill(2, prompt(21, 7), model.Auto, "re-prefill after drop")
 
 	// Warm prefix-cache path: chunk a donor's prompt at a canonical
 	// boundary, detach the first chunk, drop the donor, adopt into a fresh
 	// sequence, and prefill only the miss suffix. The adopted KV must replay
 	// the donor's placement bit for bit on both deployments.
 	donor := prompt(64, 9)
-	p.prefill(10, donor[:32], perf.PassKV, "donor chunk 1")
-	p.prefill(10, donor[32:], perf.PassKV, "donor chunk 2")
+	p.prefill(10, donor[:32], model.PassKV, "donor chunk 1")
+	p.prefill(10, donor[32:], model.PassKV, "donor chunk 2")
 	refPre, err := ref.DetachPrefix(10, 32)
 	if err != nil {
 		t.Fatalf("detach (in-process): %v", err)
@@ -192,11 +192,11 @@ func TestDistributedBitIdentity(t *testing.T) {
 	ref.Drop(10)
 	dist.Drop(10)
 	suffix := append(append([]int(nil), donor[32:]...), prompt(16, 5)...)
-	aw, err := ref.PrefillFrom(11, refPre, suffix, perf.Auto)
+	aw, err := ref.PrefillFrom(11, refPre, suffix, model.Auto)
 	if err != nil {
 		t.Fatalf("warm prefill (in-process): %v", err)
 	}
-	bw, err := dist.PrefillFrom(11, distPre, suffix, perf.Auto)
+	bw, err := dist.PrefillFrom(11, distPre, suffix, model.Auto)
 	if err != nil {
 		t.Fatalf("warm prefill (distributed): %v", err)
 	}
@@ -305,11 +305,11 @@ func TestDistributedGenerateStream(t *testing.T) {
 	}
 	dist := startLoopbackCluster(t, cfg, n, 0)
 	prompt := []int{4, 19, 22, 7, 31, 2, 55, 40}
-	a, err := ref.Generate(1, prompt, 24, perf.Auto)
+	a, err := ref.Generate(1, prompt, 24, model.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dist.Generate(1, prompt, 24, perf.Auto)
+	b, err := dist.Generate(1, prompt, 24, model.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,10 +341,10 @@ func TestDistributedCapacityParity(t *testing.T) {
 
 	run := func(c *Cluster) []error {
 		var errs []error
-		_, err := c.Prefill(1, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, perf.PassKV)
+		_, err := c.Prefill(1, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, model.PassKV)
 		errs = append(errs, err)
 		// Second sequence overflows the per-rank budget.
-		_, err = c.Prefill(2, make([]int, 40), perf.PassKV)
+		_, err = c.Prefill(2, make([]int, 40), model.PassKV)
 		errs = append(errs, err)
 		return errs
 	}
@@ -398,7 +398,7 @@ func TestDistributedWorkerErrorSurfaces(t *testing.T) {
 			t.Fatalf("%s: adopt of a forged prefix = %v, want rank 0's engine error", tc.name, err)
 		}
 		// The cluster still works after the errors.
-		if _, err := c.Prefill(1, []int{1, 2, 3, 4, 5}, perf.PassKV); err != nil {
+		if _, err := c.Prefill(1, []int{1, 2, 3, 4, 5}, model.PassKV); err != nil {
 			t.Fatalf("%s: prefill after failed detach and adopt: %v", tc.name, err)
 		}
 	}
@@ -512,7 +512,7 @@ func TestThreeProcessBitIdentity(t *testing.T) {
 	}
 
 	prompt := []int{4, 19, 22, 7, 31, 2, 55, 40, 13, 26, 39, 52, 1, 14, 27, 33}
-	for _, variant := range []perf.Variant{perf.PassKV, perf.PassQ, perf.Auto} {
+	for _, variant := range []model.Variant{model.PassKV, model.PassQ, model.Auto} {
 		seq := 100 + int(variant)
 		a, err := ref.Prefill(seq, prompt, variant)
 		if err != nil {
@@ -524,11 +524,11 @@ func TestThreeProcessBitIdentity(t *testing.T) {
 		}
 		sameLogits(t, fmt.Sprintf("3-process %v prefill", variant), a, b)
 	}
-	a, err := ref.Generate(200, prompt, 16, perf.Auto)
+	a, err := ref.Generate(200, prompt, 16, model.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dist.Generate(200, prompt, 16, perf.Auto)
+	b, err := dist.Generate(200, prompt, 16, model.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,16 +562,16 @@ func TestThreeProcessBitIdentity(t *testing.T) {
 func TestDistributedPlanePoisonedAfterFailure(t *testing.T) {
 	cfg := Tiny(4)
 	dist := startLoopbackCluster(t, cfg, 2, 0)
-	if _, err := dist.Prefill(1, []int{1, 2, 3}, perf.PassKV); err != nil {
+	if _, err := dist.Prefill(1, []int{1, 2, 3}, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
 	// Hang up the control plane out from under the cluster.
 	dist.Close()
-	_, err := dist.Prefill(2, []int{4, 5, 6}, perf.PassKV)
+	_, err := dist.Prefill(2, []int{4, 5, 6}, model.PassKV)
 	if err == nil {
 		t.Fatal("prefill succeeded over a closed control plane")
 	}
-	_, err2 := dist.Prefill(3, []int{7, 8, 9}, perf.PassKV)
+	_, err2 := dist.Prefill(3, []int{7, 8, 9}, model.PassKV)
 	if err2 == nil {
 		t.Fatal("second prefill succeeded over a poisoned plane")
 	}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/comm/wire"
 	"repro/internal/kvcache"
-	"repro/internal/perf"
+	"repro/internal/model"
 	"repro/internal/ring"
 	"repro/internal/sharding"
 	"repro/internal/tensor"
@@ -74,7 +74,7 @@ func (e *rankEngine) prefill(r *comm.Rank, cmd *wire.PrefillCmd) (*tensor.Tensor
 		return nil, err
 	}
 	run := ring.PassKVPrefill
-	if perf.Variant(cmd.Variant) == perf.PassQ {
+	if model.Variant(cmd.Variant) == model.PassQ {
 		run = ring.PassQPrefill
 	}
 	lp := plan.LocalPositions(r.ID)

@@ -5,8 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/parallel"
-	"repro/internal/perf"
 	"repro/internal/ring"
 	"repro/internal/simd"
 )
@@ -17,7 +17,7 @@ import (
 // cold chunked prefill, warm prefix-adopted prefill, and fused batch decode
 // (run under -race in CI, which also hunts pool/ring data races).
 func TestForwardBitIdenticalToScalarSerialReference(t *testing.T) {
-	for _, v := range []perf.Variant{perf.PassKV, perf.PassQ} {
+	for _, v := range []model.Variant{model.PassKV, model.PassQ} {
 		t.Run(v.String(), func(t *testing.T) {
 			prevSIMD := simd.SetEnabled(false)
 			oldW := parallel.SetWorkers(1)
@@ -56,8 +56,8 @@ func TestDistributedOverlapParity(t *testing.T) {
 			prompt[i] = (i*7 + 2) % cfg.Model.VocabSize
 		}
 		var all [][]float32
-		all = append(all, chunkedPrefill(t, c, 1, prompt, 8, perf.PassKV)...)
-		all = append(all, chunkedPrefill(t, c, 2, prompt[:16], 8, perf.PassQ)...)
+		all = append(all, chunkedPrefill(t, c, 1, prompt, 8, model.PassKV)...)
+		all = append(all, chunkedPrefill(t, c, 2, prompt[:16], 8, model.PassQ)...)
 		toks := []int{3, 5}
 		for step := 0; step < 3; step++ {
 			batch, err := c.DecodeBatch([]int{1, 2}, toks)
@@ -124,7 +124,7 @@ func TestKernelsInvisibleInPrefillAndFusedDecode(t *testing.T) {
 			for i := range prompt {
 				prompt[i] = (i*13 + s*7 + 1) % cfg.Model.VocabSize
 			}
-			logits, err := c.Prefill(s, prompt, perf.Auto)
+			logits, err := c.Prefill(s, prompt, model.Auto)
 			if err != nil {
 				t.Fatal(err)
 			}

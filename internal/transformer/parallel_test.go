@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/parallel"
-	"repro/internal/perf"
 )
 
 // scenario runs the full serving surface on a fresh cluster — cold chunked
 // prefill, warm (prefix-seeded) chunked prefill, and a decode tail — and
 // returns every logit vector produced, in a fixed order.
-func runParallelScenario(t *testing.T, ranks int, v perf.Variant) [][]float32 {
+func runParallelScenario(t *testing.T, ranks int, v model.Variant) [][]float32 {
 	t.Helper()
 	const budget = 8
 	w, err := NewWeights(Tiny(19))
@@ -78,7 +78,7 @@ func runParallelScenario(t *testing.T, ranks int, v perf.Variant) [][]float32 {
 // data races against the rank goroutines).
 func TestClusterBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, ranks := range []int{2, 3} {
-		for _, v := range []perf.Variant{perf.PassKV, perf.PassQ, perf.Auto} {
+		for _, v := range []model.Variant{model.PassKV, model.PassQ, model.Auto} {
 			t.Run(fmt.Sprintf("ranks=%d/%v", ranks, v), func(t *testing.T) {
 				old := parallel.SetWorkers(1)
 				defer parallel.SetWorkers(old)
@@ -108,7 +108,7 @@ func TestChunkedPrefillAssemblyIsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []perf.Variant{perf.PassKV, perf.PassQ} {
+	for _, v := range []model.Variant{model.PassKV, model.PassQ} {
 		t.Run(v.String(), func(t *testing.T) {
 			c, err := NewCluster(w, 2)
 			if err != nil {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/perf"
+	"repro/internal/model"
 )
 
 // TestReleasePrefixWhileAdopted is the refcount regression the ISSUE pins:
@@ -51,7 +51,7 @@ func TestReleasePrefixWhileAdopted(t *testing.T) {
 				donor[i] = (i*7 + 3) % cfg.Model.VocabSize
 			}
 			run := func(c *Cluster, release bool) [][]float32 {
-				if _, err := c.Prefill(1, donor, perf.PassKV); err != nil {
+				if _, err := c.Prefill(1, donor, model.PassKV); err != nil {
 					t.Fatal(err)
 				}
 				pre, err := c.DetachPrefix(1, 32)

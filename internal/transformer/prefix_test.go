@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/perf"
+	"repro/internal/model"
 )
 
 // chunkedPrefill runs a canonical chunked prefill — absolute budget-aligned
 // chunks from the sequence's current position — and returns the logits of
 // every prefilled position in order.
-func chunkedPrefill(t *testing.T, c *Cluster, seq int, tokens []int, budget int, v perf.Variant) [][]float32 {
+func chunkedPrefill(t *testing.T, c *Cluster, seq int, tokens []int, budget int, v model.Variant) [][]float32 {
 	t.Helper()
 	var out [][]float32
 	for at := 0; at < len(tokens); {
@@ -46,7 +46,7 @@ func requireExact(t *testing.T, got, want []float32, what string) {
 // seeded from a detached prefix — across sessions, after the donor decoded
 // and was dropped — produces logits and decode streams exactly equal (float
 // equality, not tolerance) to a cold canonical prefill of the full prompt.
-// Covers both static ring variants and perf.Auto, whose per-chunk Eq. 1
+// Covers both static ring variants and model.Auto, whose per-chunk Eq. 1
 // choice is a pure function of absolute position and therefore replays
 // identically warm and cold.
 func TestPrefixReuseBitIdentical(t *testing.T) {
@@ -56,7 +56,7 @@ func TestPrefixReuseBitIdentical(t *testing.T) {
 		prompt[i] = (i*13 + 7) % 64
 	}
 	for _, ranks := range []int{2, 3} {
-		for _, v := range []perf.Variant{perf.PassKV, perf.PassQ, perf.Auto} {
+		for _, v := range []model.Variant{model.PassKV, model.PassQ, model.Auto} {
 			t.Run(fmt.Sprintf("ranks=%d/%v", ranks, v), func(t *testing.T) {
 				w, err := NewWeights(Tiny(123))
 				if err != nil {
@@ -142,7 +142,7 @@ func TestPrefixReuseSharedAcrossSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunkedPrefill(t, c, 1, prompt, budget, perf.PassKV)
+	chunkedPrefill(t, c, 1, prompt, budget, model.PassKV)
 	pre, err := c.DetachPrefix(1, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestPrefixReuseSharedAcrossSessions(t *testing.T) {
 	c.Drop(1)
 	want := make(map[int][]float32)
 	for _, seq := range []int{10, 11, 12} {
-		logits, err := c.PrefillFrom(seq, pre, []int{60, 61}, perf.PassKV)
+		logits, err := c.PrefillFrom(seq, pre, []int{60, 61}, model.PassKV)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestDetachAdoptValidation(t *testing.T) {
 	if _, err := c.DetachPrefix(1, 4); err == nil {
 		t.Fatal("detach of unknown sequence accepted")
 	}
-	if _, err := c.Prefill(1, []int{1, 2, 3, 4}, perf.PassKV); err != nil {
+	if _, err := c.Prefill(1, []int{1, 2, 3, 4}, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.DetachPrefix(1, 5); err == nil {
@@ -217,7 +217,7 @@ func TestPrefillCapacityErrorBeforeMutation(t *testing.T) {
 	}
 	big := make([]int, 12) // 6 rows per rank per layer > 4
 	var ce *CapacityError
-	_, err = c.Prefill(1, big, perf.PassKV)
+	_, err = c.Prefill(1, big, model.PassKV)
 	if !errors.As(err, &ce) || len(ce.Seqs) != 1 || ce.Seqs[0] != 1 {
 		t.Fatalf("expected CapacityError for seq 1, got %v", err)
 	}
@@ -231,7 +231,7 @@ func TestPrefillCapacityErrorBeforeMutation(t *testing.T) {
 		}
 	}
 	// A prompt that fits still works.
-	if _, err := c.Prefill(1, big[:8], perf.PassKV); err != nil {
+	if _, err := c.Prefill(1, big[:8], model.PassKV); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -265,7 +265,7 @@ search:
 	}
 	prompt := []int{1, 2, 3, 4} // 2 rows per rank per layer
 	for _, seq := range []int{a, b} {
-		if _, err := c.Prefill(seq, prompt, perf.PassKV); err != nil {
+		if _, err := c.Prefill(seq, prompt, model.PassKV); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,10 +288,10 @@ search:
 // threshold is 2·NKV/NH = 1, so only a cold chunk (P = 0) selects pass-KV.
 func TestAutoVariantResolution(t *testing.T) {
 	cfg := Tiny(1)
-	if got := perf.ChooseVariant(cfg.Model, 8, 0); got != perf.PassKV {
+	if got := model.ChooseVariant(cfg.Model, 8, 0); got != model.PassKV {
 		t.Fatalf("cold chunk chose %v, want pass-KV", got)
 	}
-	if got := perf.ChooseVariant(cfg.Model, 8, 8); got != perf.PassQ {
+	if got := model.ChooseVariant(cfg.Model, 8, 8); got != model.PassQ {
 		t.Fatalf("warm chunk chose %v, want pass-Q", got)
 	}
 	w, err := NewWeights(cfg)
@@ -303,10 +303,10 @@ func TestAutoVariantResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Auto must execute end to end through prefill and generate.
-	if _, err := c.Prefill(1, []int{1, 2, 3, 4}, perf.Auto); err != nil {
+	if _, err := c.Prefill(1, []int{1, 2, 3, 4}, model.Auto); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Prefill(1, []int{5, 6, 7, 8}, perf.Auto); err != nil {
+	if _, err := c.Prefill(1, []int{5, 6, 7, 8}, model.Auto); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Decode(1, 3); err != nil {

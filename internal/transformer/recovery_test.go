@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/perf"
+	"repro/internal/model"
 )
 
 // replayLog drives a cluster through a prefill + greedy-decode history and
@@ -45,7 +45,7 @@ func decodeSteps(t *testing.T, c *Cluster, seq, next, n int) ([][]float32, int) 
 // prompt as one prefill (mirroring how it was first submitted) and each
 // decode input token as a decode step, exactly the scheduler's token-log
 // discipline.
-func (r *replayLog) replay(t *testing.T, c *Cluster, variant perf.Variant) {
+func (r *replayLog) replay(t *testing.T, c *Cluster, variant model.Variant) {
 	t.Helper()
 	if _, err := c.Prefill(r.seq, r.prompt, variant); err != nil {
 		t.Fatalf("replay prefill: %v", err)
@@ -86,11 +86,11 @@ func TestInProcessRebuildBitIdentity(t *testing.T) {
 	prompt := []int{4, 19, 22, 7, 31, 2, 55, 40, 13, 26, 39, 52}
 	log := &replayLog{seq: 1, prompt: prompt}
 
-	refLogits, err := ref.Prefill(1, prompt, perf.PassKV)
+	refLogits, err := ref.Prefill(1, prompt, model.PassKV)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vicLogits, err := victim.Prefill(1, prompt, perf.PassKV)
+	vicLogits, err := victim.Prefill(1, prompt, model.PassKV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestInProcessRebuildBitIdentity(t *testing.T) {
 	if victim.SeqLen(1) != 0 {
 		t.Fatalf("rebuilt cluster still holds %d tokens for seq 1", victim.SeqLen(1))
 	}
-	log.replay(t, victim, perf.PassKV)
+	log.replay(t, victim, model.PassKV)
 	if got, want := victim.SeqLen(1), len(prompt)+len(log.decoded); got != want {
 		t.Fatalf("replayed seq length %d, want %d", got, want)
 	}
@@ -219,11 +219,11 @@ func TestLoopbackEpochRebuild(t *testing.T) {
 
 	prompt := []int{9, 3, 44, 17, 28, 5, 61, 12, 50, 7, 33, 20, 41, 2, 16, 38}
 	log := &replayLog{seq: 5, prompt: prompt}
-	a, err := ref.Prefill(5, prompt, perf.Auto)
+	a, err := ref.Prefill(5, prompt, model.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dist.Prefill(5, prompt, perf.Auto)
+	b, err := dist.Prefill(5, prompt, model.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestLoopbackEpochRebuild(t *testing.T) {
 	if dist.Epoch() != 2 {
 		t.Fatalf("epoch after rebuild = %d, want 2", dist.Epoch())
 	}
-	log.replay(t, dist, perf.Auto)
+	log.replay(t, dist, model.Auto)
 
 	refPost, _ := decodeSteps(t, ref, 5, refNext, 5)
 	distPost, _ := decodeSteps(t, dist, 5, distNext, 5)
@@ -390,11 +390,11 @@ func TestExecKillRankRecovery(t *testing.T) {
 
 	prompt := []int{4, 19, 22, 7, 31, 2, 55, 40, 13, 26, 39, 52, 1, 14, 27, 33}
 	log := &replayLog{seq: 9, prompt: prompt}
-	a, err := ref.Prefill(9, prompt, perf.Auto)
+	a, err := ref.Prefill(9, prompt, model.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dist.Prefill(9, prompt, perf.Auto)
+	b, err := dist.Prefill(9, prompt, model.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestExecKillRankRecovery(t *testing.T) {
 	if dist.Epoch() != 2 {
 		t.Fatalf("epoch after rebuild = %d, want 2", dist.Epoch())
 	}
-	log.replay(t, dist, perf.Auto)
+	log.replay(t, dist, model.Auto)
 
 	// The recovered stream is bit-identical to the never-failed reference.
 	refPost, _ := decodeSteps(t, ref, 9, refNext, 6)

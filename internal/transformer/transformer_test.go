@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/perf"
+	"repro/internal/model"
 )
 
 const tol = 2e-3 // logits tolerance: float32 through 2 layers + head
@@ -104,7 +104,7 @@ func TestClusterPrefillMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ranks := range []int{1, 2, 3} {
-		for _, v := range []perf.Variant{perf.PassKV, perf.PassQ} {
+		for _, v := range []model.Variant{model.PassKV, model.PassQ} {
 			c, err := NewCluster(w, ranks)
 			if err != nil {
 				t.Fatal(err)
@@ -130,10 +130,10 @@ func TestClusterMultiTurnPrefill(t *testing.T) {
 	}
 	turn1 := []int{5, 9, 13, 21, 34, 2, 8}
 	turn2 := []int{17, 4, 44}
-	if _, err := c.Prefill(0, turn1, perf.PassKV); err != nil {
+	if _, err := c.Prefill(0, turn1, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Prefill(0, turn2, perf.PassQ)
+	got, err := c.Prefill(0, turn2, model.PassQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestClusterDecodeMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	prompt := []int{11, 29, 3, 56, 8}
-	if _, err := c.Prefill(0, prompt, perf.PassKV); err != nil {
+	if _, err := c.Prefill(0, prompt, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
 	seq := append([]int{}, prompt...)
@@ -195,7 +195,7 @@ func TestClusterGenerateMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Generate(0, prompt, steps, perf.PassKV)
+		got, err := c.Generate(0, prompt, steps, model.PassKV)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestClusterDecodeRotatesOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Prefill(0, []int{1, 2, 3, 4, 5, 6, 7, 8}, perf.PassKV); err != nil {
+	if _, err := c.Prefill(0, []int{1, 2, 3, 4, 5, 6, 7, 8}, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
 	base := c.RankCacheTokens()
@@ -244,13 +244,13 @@ func TestClusterErrors(t *testing.T) {
 		t.Fatal("zero ranks accepted")
 	}
 	c, _ := NewCluster(w, 2)
-	if _, err := c.Prefill(0, nil, perf.PassKV); err == nil {
+	if _, err := c.Prefill(0, nil, model.PassKV); err == nil {
 		t.Fatal("empty prefill accepted")
 	}
 	if _, err := c.Decode(0, 1); err == nil {
 		t.Fatal("decode before prefill accepted")
 	}
-	if _, err := c.Prefill(0, []int{999}, perf.PassKV); err == nil {
+	if _, err := c.Prefill(0, []int{999}, model.PassKV); err == nil {
 		t.Fatal("out-of-vocab prefill accepted")
 	}
 }
@@ -266,7 +266,7 @@ func TestRoPEGlobalPositionsUnderSharding(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewCluster(w, 3)
-	got, err := c.Prefill(0, tokens, perf.PassKV)
+	got, err := c.Prefill(0, tokens, model.PassKV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestPrefillBatchFusedSequences(t *testing.T) {
 		{3, 14, 15, 9, 26, 5, 35},
 		{27, 18, 28},
 	}
-	out, err := c.PrefillBatch([]int{0, 1}, seqs, perf.PassKV)
+	out, err := c.PrefillBatch([]int{0, 1}, seqs, model.PassKV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestPrefillBatchFusedSequences(t *testing.T) {
 		t.Fatalf("lens = %d,%d", c.SeqLen(0), c.SeqLen(1))
 	}
 	// Mixed follow-up: one existing, one fresh sequence.
-	out2, err := c.PrefillBatch([]int{1, 5}, [][]int{{7, 7}, {1, 2, 3, 4}}, perf.PassQ)
+	out2, err := c.PrefillBatch([]int{1, 5}, [][]int{{7, 7}, {1, 2, 3, 4}}, model.PassQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,13 +338,13 @@ func TestPrefillBatchFusedSequences(t *testing.T) {
 func TestPrefillBatchValidation(t *testing.T) {
 	w, _ := NewWeights(Tiny(13))
 	c, _ := NewCluster(w, 2)
-	if _, err := c.PrefillBatch(nil, nil, perf.PassKV); err == nil {
+	if _, err := c.PrefillBatch(nil, nil, model.PassKV); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	if _, err := c.PrefillBatch([]int{0, 0}, [][]int{{1}, {2}}, perf.PassKV); err == nil {
+	if _, err := c.PrefillBatch([]int{0, 0}, [][]int{{1}, {2}}, model.PassKV); err == nil {
 		t.Fatal("duplicate sequence accepted")
 	}
-	if _, err := c.PrefillBatch([]int{0}, [][]int{{}}, perf.PassKV); err == nil {
+	if _, err := c.PrefillBatch([]int{0}, [][]int{{}}, model.PassKV); err == nil {
 		t.Fatal("empty token list accepted")
 	}
 }
@@ -352,14 +352,14 @@ func TestPrefillBatchValidation(t *testing.T) {
 func TestCommBytesNonZeroOnlyForMultiRank(t *testing.T) {
 	w, _ := NewWeights(Tiny(10))
 	c1, _ := NewCluster(w, 1)
-	if _, err := c1.Prefill(0, []int{1, 2, 3, 4}, perf.PassKV); err != nil {
+	if _, err := c1.Prefill(0, []int{1, 2, 3, 4}, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
 	if got := c1.CommStats().Bytes["sendrecv"]; got != 0 {
 		t.Fatalf("single rank sent %v ring bytes", got)
 	}
 	c2, _ := NewCluster(w, 2)
-	if _, err := c2.Prefill(0, []int{1, 2, 3, 4}, perf.PassKV); err != nil {
+	if _, err := c2.Prefill(0, []int{1, 2, 3, 4}, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
 	if got := c2.CommStats().Bytes["sendrecv"]; got <= 0 {
@@ -386,11 +386,11 @@ func TestDecodeBatchBitIdenticalToSerial(t *testing.T) {
 	serial := make([]*Cluster, len(prompts))
 	feed := make([]int, len(prompts))
 	for i, p := range prompts {
-		if _, err := batch.Prefill(i, p, perf.PassKV); err != nil {
+		if _, err := batch.Prefill(i, p, model.PassKV); err != nil {
 			t.Fatal(err)
 		}
 		serial[i], _ = NewCluster(w, 2)
-		if _, err := serial[i].Prefill(i, p, perf.PassKV); err != nil {
+		if _, err := serial[i].Prefill(i, p, model.PassKV); err != nil {
 			t.Fatal(err)
 		}
 		feed[i] = (i*11 + 3) % w.Cfg.Model.VocabSize
@@ -426,14 +426,14 @@ func TestDecodeBatchSubsetAndRejoin(t *testing.T) {
 	ref0, _ := NewCluster(w, 3)
 	ref1, _ := NewCluster(w, 3)
 	for _, c := range []*Cluster{batch, ref0, ref1} {
-		if _, err := c.Prefill(0, []int{1, 2, 3, 4}, perf.PassKV); err != nil {
+		if _, err := c.Prefill(0, []int{1, 2, 3, 4}, model.PassKV); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := batch.Prefill(1, []int{9, 8, 7}, perf.PassKV); err != nil {
+	if _, err := batch.Prefill(1, []int{9, 8, 7}, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref1.Prefill(1, []int{9, 8, 7}, perf.PassKV); err != nil {
+	if _, err := ref1.Prefill(1, []int{9, 8, 7}, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
 	// Step both together, then only seq 1, then both again.
@@ -479,7 +479,7 @@ func TestDecodeBatchValidation(t *testing.T) {
 	if _, err := c.DecodeBatch([]int{0}, []int{1}); err == nil {
 		t.Fatal("unknown sequence accepted")
 	}
-	if _, err := c.Prefill(0, []int{1, 2}, perf.PassKV); err != nil {
+	if _, err := c.Prefill(0, []int{1, 2}, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.DecodeBatch([]int{0, 0}, []int{1, 1}); err == nil {
@@ -493,7 +493,7 @@ func TestDecodeBatchValidation(t *testing.T) {
 func TestClusterDrop(t *testing.T) {
 	w, _ := NewWeights(Tiny(24))
 	c, _ := NewCluster(w, 2)
-	if _, err := c.Prefill(5, []int{1, 2, 3}, perf.PassKV); err != nil {
+	if _, err := c.Prefill(5, []int{1, 2, 3}, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
 	if c.SeqLen(5) != 3 {
@@ -520,10 +520,10 @@ func TestNegativeSequenceIDsRejectedUpfront(t *testing.T) {
 	w, _ := NewWeights(Tiny(25))
 	c, _ := NewCluster(w, 2)
 	start := time.Now()
-	if _, err := c.Prefill(-1, []int{1, 2}, perf.PassKV); err == nil {
+	if _, err := c.Prefill(-1, []int{1, 2}, model.PassKV); err == nil {
 		t.Fatal("negative prefill sequence id accepted")
 	}
-	if _, err := c.Prefill(0, []int{1, 2}, perf.PassKV); err != nil {
+	if _, err := c.Prefill(0, []int{1, 2}, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.DecodeBatch([]int{-1}, []int{1}); err == nil {
@@ -542,7 +542,7 @@ func TestCongruentIDsSpreadOwners(t *testing.T) {
 	ids := []int{100, 104, 108, 112}
 	toks := make([]int, len(ids))
 	for _, id := range ids {
-		if _, err := c.Prefill(id, []int{1, 2, 3}, perf.PassKV); err != nil {
+		if _, err := c.Prefill(id, []int{1, 2, 3}, model.PassKV); err != nil {
 			t.Fatal(err)
 		}
 	}
