@@ -228,6 +228,12 @@ func validateGQA(q, k, v *tensor.Tensor, m Mask) error {
 	if err := m.Validate(q.Tokens, k.Tokens); err != nil {
 		return err
 	}
+	return validateShapes(q, k, v)
+}
+
+// validateShapes checks what every kernel entry needs of its operands,
+// mask or no mask.
+func validateShapes(q, k, v *tensor.Tensor) error {
 	if k.Tokens != v.Tokens || k.Heads != v.Heads || k.Dim != v.Dim {
 		return fmt.Errorf("attention: k %s and v %s differ", k.ShapeString(), v.ShapeString())
 	}
@@ -316,6 +322,46 @@ func gqaTiles(dst *Output, q, k, v *tensor.Tensor, iv *Intervals) {
 			cell += nq
 		}
 	})
+}
+
+// DecodeInto is the decode step's entry to the kernel: query token t of q
+// against KV rows [0, n) of (k, v), every one of them admitted — the mask of a
+// decode query over its own sequence's cached rows, none of which lies past
+// it — written into row t of dst in place; dst's other rows are not touched.
+// It is GQAInto for that one row without the Mask, the Intervals compiled
+// from it (an O(n) pass per call), the one-row views and the copies: the same
+// gqaBlock runs over the same rows in the same order, one KV head after the
+// other on the caller, so the row is bit-identical to GQAInto's. A decode
+// step's parallelism is its ranks and its batch rows; one row's KV heads are
+// not worth a pool dispatch each.
+func DecodeInto(dst *Output, q, k, v *tensor.Tensor, t, n int) error {
+	if err := validateShapes(q, k, v); err != nil {
+		return err
+	}
+	if dst.O.Tokens != q.Tokens || dst.O.Heads != q.Heads || dst.O.Dim != q.Dim {
+		return fmt.Errorf("attention: destination %s does not match q %s", dst.O.ShapeString(), q.ShapeString())
+	}
+	if t < 0 || t >= q.Tokens || n < 0 || n > k.Tokens {
+		return fmt.Errorf("attention: decode row %d of %d over %d of %d kv rows", t, q.Tokens, n, k.Tokens)
+	}
+	clear(dst.O.Row2D(t))
+	lse := dst.LSE[t*q.Heads:][:q.Heads]
+	for i := range lse {
+		lse[i] = NegInf
+	}
+	if n == 0 {
+		return nil
+	}
+	group := q.Heads / k.Heads
+	iv := Intervals{flat: []Interval{{Lo: 0, Hi: n}}}
+	stripe := tileChunks(iv.flat) * group * kvTileRows
+	sc := scratchPool.Get().(*gqaScratch)
+	defer scratchPool.Put(sc)
+	sc.size(1, stripe, group, q.Dim)
+	for kvh := 0; kvh < k.Heads; kvh++ {
+		gqaBlock(dst, q, k, v, sc, &iv, t, 1, kvh, stripe)
+	}
+	return nil
 }
 
 // gqaBlock computes every head of nq consecutive query tokens (from t0)
@@ -614,13 +660,16 @@ func Blocked(q, k, v *tensor.Tensor, m Mask, blockSize int) (*Output, error) {
 	return out, nil
 }
 
+// minParallelWork is the job size, in scalar operations, below which a pool
+// dispatch costs more than the math: a few µs.
+const minParallelWork = 4096
+
 // forCells fans fn over n cells, or runs it inline when the whole job is
 // smaller than one pool dispatch is worth (decode-step Merge/Accumulate
 // touches a handful of rows; the dispatch would cost more than the math).
 // Inline and fanned execution are bit-identical, so this is purely a
 // throughput decision.
 func forCells(work, n int, fn func(lo, hi int)) {
-	const minParallelWork = 4096 // scalar ops; ~a few µs, the dispatch cost
 	if work < minParallelWork {
 		fn(0, n)
 		return
@@ -647,56 +696,78 @@ func Merge(partials ...*Output) *Output {
 		panic("attention: Merge of zero partials")
 	}
 	first := partials[0]
-	tokens, heads, dim := first.O.Tokens, first.O.Heads, first.O.Dim
-	for _, p := range partials[1:] {
+	out := &Output{O: tensor.New(first.O.Tokens, first.O.Heads, first.O.Dim), LSE: make([]float64, len(first.LSE))}
+	MergeInto(out, partials...)
+	return out
+}
+
+// MergeInto is Merge into a caller-owned destination of the partials' shape
+// (the decode sweep merges every layer of every step and keeps one). Every
+// cell of dst is written, so it needs no Reset; dst must not be a partial.
+func MergeInto(dst *Output, partials ...*Output) {
+	if len(partials) == 0 {
+		panic("attention: Merge of zero partials")
+	}
+	tokens, heads, dim := dst.O.Tokens, dst.O.Heads, dst.O.Dim
+	for _, p := range partials {
 		if p.O.Tokens != tokens || p.O.Heads != heads || p.O.Dim != dim {
 			panic(fmt.Sprintf("attention: merge shape mismatch %s vs %s",
-				p.O.ShapeString(), first.O.ShapeString()))
+				p.O.ShapeString(), dst.O.ShapeString()))
 		}
 	}
-	out := NewOutput(tokens, heads, dim)
-	forCells(tokens*heads*dim, tokens*heads, func(lo, hi int) {
-		accp := mergeScratchPool.Get().(*[]float64)
-		defer mergeScratchPool.Put(accp)
-		if cap(*accp) < dim {
-			*accp = make([]float64, dim)
+	// The fan-out decision is forCells', spelled out so the decode-sized call
+	// does not build a closure it will not hand to the pool.
+	if tokens*heads*dim < minParallelWork {
+		mergeCells(dst, partials, 0, tokens*heads)
+		return
+	}
+	parallel.For(tokens*heads, func(lo, hi int) { mergeCells(dst, partials, lo, hi) })
+}
+
+// mergeCells merges (token, head) cells [lo, hi) of the partials into dst.
+func mergeCells(dst *Output, partials []*Output, lo, hi int) {
+	heads, dim := dst.O.Heads, dst.O.Dim
+	accp := mergeScratchPool.Get().(*[]float64)
+	defer mergeScratchPool.Put(accp)
+	if cap(*accp) < dim {
+		*accp = make([]float64, dim)
+	}
+	acc := (*accp)[:dim]
+	for idx := lo; idx < hi; idx++ {
+		t := idx / heads
+		h := idx % heads
+		out := dst.O.Row(t, h)
+		maxLSE := NegInf
+		for _, p := range partials {
+			if p.LSE[idx] > maxLSE {
+				maxLSE = p.LSE[idx]
+			}
 		}
-		acc := (*accp)[:dim]
-		for idx := lo; idx < hi; idx++ {
-			t := idx / heads
-			h := idx % heads
-			maxLSE := NegInf
-			for _, p := range partials {
-				if p.LSE[idx] > maxLSE {
-					maxLSE = p.LSE[idx]
-				}
+		if math.IsInf(maxLSE, -1) {
+			clear(out) // nothing attended anywhere; identity row
+			dst.LSE[idx] = NegInf
+			continue
+		}
+		var denom float64
+		for i := range acc {
+			acc[i] = 0
+		}
+		for _, p := range partials {
+			if math.IsInf(p.LSE[idx], -1) {
+				continue
 			}
-			if math.IsInf(maxLSE, -1) {
-				continue // nothing attended anywhere; identity row
-			}
-			var denom float64
-			for i := range acc {
-				acc[i] = 0
-			}
-			for _, p := range partials {
-				if math.IsInf(p.LSE[idx], -1) {
-					continue
-				}
-				w := math.Exp(p.LSE[idx] - maxLSE)
-				denom += w
-				row := p.O.Row(t, h)
-				for d := 0; d < dim; d++ {
-					acc[d] += w * float64(row[d])
-				}
-			}
-			row := out.O.Row(t, h)
+			w := math.Exp(p.LSE[idx] - maxLSE)
+			denom += w
+			row := p.O.Row(t, h)
 			for d := 0; d < dim; d++ {
-				row[d] = float32(acc[d] / denom)
+				acc[d] += w * float64(row[d])
 			}
-			out.LSE[idx] = maxLSE + math.Log(denom)
 		}
-	})
-	return out
+		for d := 0; d < dim; d++ {
+			out[d] = float32(acc[d] / denom)
+		}
+		dst.LSE[idx] = maxLSE + math.Log(denom)
+	}
 }
 
 // AccumulateInto merges partial into dst in place. It is the streaming form

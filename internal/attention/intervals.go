@@ -19,7 +19,9 @@ type Interval struct{ Lo, Hi int }
 // a per-row scan that emits maximal allowed subranges.
 type Intervals struct {
 	flat []Interval // all rows' intervals, back to back
-	off  []int32    // per query row: start index into flat; len = T+1
+	// off is, per query row, the start index into flat; len = T+1. Nil means
+	// every row admits all of flat (DecodeInto's one row, one interval).
+	off []int32
 }
 
 // kvRun is a maximal run of KV rows sharing one sequence id with no padding
@@ -104,6 +106,9 @@ func (iv *Intervals) appendInterval(rowStart, lo, hi int) {
 
 // Row returns query row t's allowed intervals, ascending and non-overlapping.
 func (iv *Intervals) Row(t int) []Interval {
+	if iv.off == nil {
+		return iv.flat
+	}
 	return iv.flat[iv.off[t]:iv.off[t+1]]
 }
 

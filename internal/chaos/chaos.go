@@ -621,7 +621,10 @@ func dropLink(t transport.Transport, src, dst int, cause error) {
 }
 
 // chaosTransport is the Transport wrapper: Send consults the injector;
-// everything else delegates.
+// everything else delegates. It forwards the Transport interface only: a
+// wrapped mailbox no longer declares that its sends never block (comm's
+// optional mailbox capability) — here they may sleep or fail — so the ring
+// keeps its helper-goroutine exchange over it.
 type chaosTransport struct {
 	in    *Injector
 	inner transport.Transport

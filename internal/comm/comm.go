@@ -114,6 +114,8 @@ type World struct {
 
 	t     transport.Transport
 	local []int
+	// box is t's mailbox capability, nil when t does not declare one.
+	box mailbox
 
 	mu    sync.Mutex
 	stats []*Stats // per sending rank
@@ -125,6 +127,17 @@ type World struct {
 type linkAgg struct {
 	msgs  int64
 	bytes float64
+}
+
+// mailbox is an optional transport capability: links are in-process queues,
+// so a Send never waits for the receiver (SendsNeverBlock) and a rank can ask
+// whether its next Recv would return at once (Waiting). transport.Mem declares
+// it; the TCP transport does not, and wrappers that delay or drop sends (the
+// chaos injector) do not forward it, so every such world keeps the ring's
+// helper-goroutine exchange.
+type mailbox interface {
+	SendsNeverBlock() bool
+	Waiting(dst, src int) bool
 }
 
 // NewWorld creates an in-process group with n ranks over the mailbox
@@ -145,6 +158,9 @@ func NewWorldOver(t transport.Transport, opts ...Option) *World {
 		t:           t,
 		local:       t.LocalRanks(),
 		links:       make(map[[2]int]*linkAgg),
+	}
+	if box, ok := t.(mailbox); ok && box.SendsNeverBlock() {
+		w.box = box
 	}
 	for _, opt := range opts {
 		opt(w)
@@ -267,8 +283,9 @@ func (w *World) ResetStats() {
 // Rank is one participant's handle into the world. At most one operation
 // may be in flight per rank at a time: methods are normally called from
 // that rank's goroutine, but a rank may hand a single call to a helper
-// goroutine (the ring's communication/compute overlap does this) as long
-// as it synchronizes on completion before issuing the next one.
+// goroutine (the ring's communication/compute overlap does this on a
+// transport that is not a mailbox) as long as it synchronizes on completion
+// before issuing the next one.
 type Rank struct {
 	w  *World
 	ID int
@@ -334,6 +351,18 @@ func causeSuffix(err error) string {
 	return ""
 }
 
+// SendsNeverBlock reports that the world's transport is a mailbox: Send
+// completes without the receiver, so a ring step may Send at issue time and
+// Recv after its compute on the rank's own goroutine, with no helper.
+func (r *Rank) SendsNeverBlock() bool { return r.w.box != nil }
+
+// Waiting reports whether a message from src is already queued, so that Recv
+// would return without waiting. Always false on a world whose transport is
+// not a mailbox.
+func (r *Rank) Waiting(src int) bool {
+	return r.w.box != nil && r.w.box.Waiting(r.ID, src)
+}
+
 // Send delivers msg to dst, accounting bytes under SendRecv.
 func (r *Rank) Send(dst int, msg any, bytes float64) error {
 	return r.send(dst, KindSendRecv, msg, bytes)
@@ -356,20 +385,29 @@ func (r *Rank) SendRecv(dst, src int, msg any, bytes float64) (any, error) {
 // touching the network) and returns the slice of messages received from each
 // rank, indexed by source. bytes[i] is the accounted payload of msgs[i].
 func (r *Rank) All2All(msgs []any, bytes []float64) ([]any, error) {
+	out := make([]any, r.w.N)
+	if err := r.All2AllInto(out, msgs, bytes); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// All2AllInto is All2All receiving into a caller-owned slice of length N,
+// for callers that run the exchange every step and keep the slice.
+func (r *Rank) All2AllInto(out, msgs []any, bytes []float64) error {
 	n := r.w.N
-	if len(msgs) != n || len(bytes) != n {
-		return nil, fmt.Errorf("comm: all2all on rank %d got %d msgs and %d sizes, want %d",
-			r.ID, len(msgs), len(bytes), n)
+	if len(msgs) != n || len(bytes) != n || len(out) != n {
+		return fmt.Errorf("comm: all2all on rank %d got %d msgs, %d sizes and %d slots, want %d",
+			r.ID, len(msgs), len(bytes), len(out), n)
 	}
 	for dst := 0; dst < n; dst++ {
 		if dst == r.ID {
 			continue
 		}
 		if err := r.send(dst, KindAll2All, msgs[dst], bytes[dst]); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	out := make([]any, n)
 	out[r.ID] = msgs[r.ID]
 	for src := 0; src < n; src++ {
 		if src == r.ID {
@@ -377,11 +415,11 @@ func (r *Rank) All2All(msgs []any, bytes []float64) ([]any, error) {
 		}
 		m, err := r.recv(src)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out[src] = m
 	}
-	return out, nil
+	return nil
 }
 
 // AllGather broadcasts msg to every peer and returns all ranks'

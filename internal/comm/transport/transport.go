@@ -19,6 +19,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -213,8 +214,22 @@ func (m *Mem) Send(src, dst int, payload any, timeout time.Duration) error {
 	}
 }
 
+// recvPollBudget is how long Recv watches an empty mailbox before it arms a
+// timer and parks. A decode ring hop is a handoff between two rank goroutines
+// that finish their compute within microseconds of each other, and a parked
+// receiver pays a wake-up and a scheduler pass to learn what one more look
+// would have told it: BenchmarkMailboxHandoff puts a parked round trip at
+// about three times a polled one on the 2-vCPU runner (≈ 2.0 µs against
+// ≈ 0.65 µs, both sides already spinning — the idle-thread wake a real step
+// pays is dearer still). 50 µs covers the skew between two ranks' share of a
+// decode step (≈ 1 ms over six handoffs at B = 8) and is invisible next to
+// the milliseconds a pass-KV hop waits. Every turn yields the processor, so a
+// rank polling on an oversubscribed host cannot keep a peer off its core.
+const recvPollBudget = 50 * time.Microsecond
+
 // Recv implements Transport. A payload already waiting is returned without
-// arming a timer; only an empty mailbox pays for one, and stops it on return.
+// arming a timer. An empty mailbox is polled for recvPollBudget first; only
+// then does the receiver arm a timer for what is left of timeout and park.
 func (m *Mem) Recv(dst, src int, timeout time.Duration) (any, error) {
 	box := m.boxes[dst][src]
 	select {
@@ -222,7 +237,20 @@ func (m *Mem) Recv(dst, src int, timeout time.Duration) (any, error) {
 		return v, nil
 	default:
 	}
-	t := time.NewTimer(timeout)
+	start := time.Now()
+	for time.Since(start) < min(recvPollBudget, timeout) {
+		runtime.Gosched()
+		select {
+		case v := <-box:
+			return v, nil
+		default:
+		}
+	}
+	left := timeout - time.Since(start)
+	if left <= 0 {
+		return nil, ErrTimeout
+	}
+	t := time.NewTimer(left)
 	defer t.Stop()
 	select {
 	case v := <-box:
@@ -231,6 +259,17 @@ func (m *Mem) Recv(dst, src int, timeout time.Duration) (any, error) {
 		return nil, ErrTimeout
 	}
 }
+
+// SendsNeverBlock and Waiting are the mailbox capability comm.Rank exposes to
+// the ring (comm.Rank.SendsNeverBlock): a Send on a link with room — every
+// link, in the ring's lockstep — completes without the receiver, so a rank may
+// send from its own goroutine at issue time instead of handing the exchange
+// to a helper. Wrappers that add delays or faults (chaos) do not forward it.
+func (m *Mem) SendsNeverBlock() bool { return true }
+
+// Waiting reports whether a payload is queued on src->dst, i.e. whether a
+// Recv now would return without waiting.
+func (m *Mem) Waiting(dst, src int) bool { return len(m.boxes[dst][src]) > 0 }
 
 // FailLink implements Transport. The injected fault surfaces on Failures
 // too, mirroring how a real dead link announces itself on the TCP transport.

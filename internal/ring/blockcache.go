@@ -68,6 +68,8 @@ type seqBlock struct {
 	// prefill, batch sequence id for decode) or the needed length changes.
 	seqFill    []int
 	seqFillVal int
+	// kT and vT are the tensor headers kv hands out, rewritten per call.
+	kT, vT tensor.Tensor
 }
 
 // NewBlockCache returns an empty assembled-block cache.
@@ -237,4 +239,16 @@ func (b *seqBlock) view(rows, nkv, dh, seqVal int) (k, v *tensor.Tensor, pos, se
 		return nil, nil, nil, nil, err
 	}
 	return k, v, b.pos[:rows], b.seqIDs(seqVal, rows), nil
+}
+
+// kv returns the mirrored rows as tensors for a decode sweep. Unlike view's,
+// the headers are the block's own, rewritten on every call: decode keeps KV
+// stationary, so they never reach a peer, and the sweep needs neither the
+// position nor the sequence-id metadata (attention.DecodeInto takes the rows
+// as one admitted interval).
+func (b *seqBlock) kv(nkv, dh int) (k, v *tensor.Tensor) {
+	rowLen := nkv * dh
+	b.kT = tensor.Tensor{Tokens: b.n, Heads: nkv, Dim: dh, Data: b.k[:b.n*rowLen]}
+	b.vT = tensor.Tensor{Tokens: b.n, Heads: nkv, Dim: dh, Data: b.v[:b.n*rowLen]}
+	return &b.kT, &b.vT
 }

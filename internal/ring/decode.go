@@ -11,6 +11,33 @@ import (
 	"repro/internal/trace"
 )
 
+// This file is the decode sweep (Algorithm 4) and its arena. A decode step
+// costs a fraction of a millisecond of arithmetic per rank, so what it
+// allocates and whom it wakes is most of what it costs: the sweep therefore
+// runs out of a caller-owned DecodeScratch, reused every layer of every step,
+// and attends through attention.DecodeInto, which needs no mask compile.
+//
+// The arena's lifetime rule. On the in-process transport payloads circulate
+// by pointer, so two of the scratch's buffers are read by peers:
+//
+//   - the rank's query block is read by every peer that computes on it, and a
+//     peer's last read precedes the All2All send of the partial it computed
+//     from it. The block is therefore free once the rank's own All2All has
+//     returned — before PassQDecode returns — and the next call may refill it.
+//   - partials[s], this rank's partial for source rank s, is read by s's
+//     Merge. This rank next writes it when s's next block (the next layer's,
+//     or the next step's) arrives here, and s sends that block only after its
+//     Merge has returned. The rank's own partial never leaves it.
+//
+// Both hold for any world size, because a block reaches a rank only through
+// sends that follow its source's send. Nothing else in the scratch is shared:
+// the merged output and the returned view of it belong to the caller until
+// its next PassQDecode with the same scratch. A change of shape (the block
+// length moves when sessions join or leave a batch) reallocates instead of
+// resizing, so a buffer a slow peer still reads is never cut under it. Over
+// TCP every send encodes before it returns and every receive is a fresh
+// decode, so there the rule is trivially met.
+
 // DecodeToken is one sequence's decode token assigned to a rank for the
 // current step.
 type DecodeToken struct {
@@ -31,6 +58,8 @@ type DecodeInput struct {
 	BlockLen int
 	// Q, K, V rows align with Owned: Q is [len(Owned), NH, DH], K and V are
 	// [len(Owned), NKV, DH] — the projections of each owned decode token.
+	// All three are copied out before any peer is involved, so the caller
+	// may reuse them as soon as PassQDecode returns.
 	Q, K, V *tensor.Tensor
 	Cache   *kvcache.Cache // this rank's shard of every sequence's KV
 	// Blocks caches each sequence's assembled contiguous KV across decode
@@ -38,7 +67,12 @@ type DecodeInput struct {
 	// zero-copy view extended by at most one row instead of re-gathering the
 	// whole paged context per visiting query. Nil rebuilds per call.
 	Blocks *BlockCache
-	Elem   float64
+	// Scratch is the rank's decode arena (one per rank, shared by its
+	// layers); see the lifetime rule at the top of this file. The returned
+	// output then lives in it, valid until the next call that uses it. Nil
+	// allocates per call and the result is the caller's to keep.
+	Scratch *DecodeScratch
+	Elem    float64
 	// Trace, when non-nil, accumulates the sweep's per-phase wall time;
 	// nil costs nothing and cannot perturb the compute path.
 	Trace *trace.SweepTimer
@@ -61,12 +95,13 @@ func (in *DecodeInput) validate() error {
 	if in.BlockLen < 0 {
 		return fmt.Errorf("ring: negative block length %d", in.BlockLen)
 	}
-	if in.BlockLen > 0 && in.BlockLen < len(in.Owned) {
+	if bl := in.blockLen(); bl < len(in.Owned) {
 		// Reject before any KV is appended or any peer enters the ring: a
 		// failure past that point stalls peers until the receive timeout
-		// and leaves the cache double-append-prone on retry.
+		// and leaves the cache double-append-prone on retry. That holds for
+		// the derived default as much as for an explicit BlockLen.
 		return fmt.Errorf("ring: rank %d owns %d tokens > block %d",
-			in.Rank.ID, len(in.Owned), in.BlockLen)
+			in.Rank.ID, len(in.Owned), bl)
 	}
 	for _, tok := range in.Owned {
 		if tok.Seq < 0 {
@@ -76,10 +111,76 @@ func (in *DecodeInput) validate() error {
 	return nil
 }
 
-// blockLen returns the padded per-rank decode block size: the paper pads the
-// number of queries to be divisible by the number of ranks, which for B=1
-// means every rank processes one (possibly padding) query (§4.3).
-func decodeBlockLen(numSeqs, n int) int { return (numSeqs + n - 1) / n }
+// blockLen returns the circulating block size: BlockLen, or when that is zero
+// the paper's padding of the number of queries to a multiple of the number of
+// ranks, which for B=1 means every rank processes one (possibly padding)
+// query (§4.3).
+func (in *DecodeInput) blockLen() int {
+	if in.BlockLen > 0 {
+		return in.BlockLen
+	}
+	n := in.Rank.N()
+	return (in.NumSeqs + n - 1) / n
+}
+
+// mergeScratch holds the buffers of the pass-Q tail (All2All, then Merge)
+// for n ranks and partials of one shape: the envelopes and size list of the
+// exchange, the received partials, and the merged output.
+type mergeScratch struct {
+	partials []*attention.Output // partials[s]: this rank's partial for source rank s
+	oblocks  []wire.OBlock       // oblocks[s] wraps partials[s] for the All2All
+	msgs     []any               // msgs[s] = &oblocks[s]
+	sizes    []float64
+	got      []any
+	mine     []*attention.Output // this rank's partials as received, by source
+	merged   *attention.Output
+}
+
+// fit (re)allocates the buffers for n ranks and [tokens, heads, dim]
+// partials and reports whether it did; a call with the shape they already
+// have changes nothing. The partials themselves are the caller's to supply:
+// per call in pass-Q prefill, once per fit in decode.
+func (m *mergeScratch) fit(n, tokens, heads, dim int) bool {
+	if len(m.msgs) == n && m.merged.O.Tokens == tokens && m.merged.O.Heads == heads && m.merged.O.Dim == dim {
+		return false
+	}
+	*m = mergeScratch{
+		partials: make([]*attention.Output, n),
+		oblocks:  make([]wire.OBlock, n),
+		msgs:     make([]any, n),
+		sizes:    make([]float64, n),
+		got:      make([]any, n),
+		mine:     make([]*attention.Output, n),
+		merged:   attention.NewOutput(tokens, heads, dim),
+	}
+	for s := range m.msgs {
+		m.msgs[s] = &m.oblocks[s]
+	}
+	return true
+}
+
+// DecodeScratch is one rank's decode arena: everything PassQDecode would
+// otherwise allocate per call. The zero value is ready to use; the buffers
+// are cut on first use and again whenever the world size, block length or
+// head shape changes. See the lifetime rule at the top of this file.
+type DecodeScratch struct {
+	blk        wire.QBlock // this rank's circulating query block
+	tail       mergeScratch
+	out        attention.Output // the merged output's leading owned rows: the result
+	outO       tensor.Tensor
+	kRow, vRow tensor.Tensor // one-row views handed to Cache.Append
+	rowPos     [1]int
+}
+
+func (s *DecodeScratch) fit(n, bl, heads, dim int) {
+	if !s.tail.fit(n, bl, heads, dim) {
+		return
+	}
+	s.blk = wire.QBlock{Q: tensor.New(bl, heads, dim), Pos: make([]int, bl), Seq: make([]int, bl)}
+	for src := range s.tail.partials {
+		s.tail.partials[src] = attention.NewOutput(bl, heads, dim)
+	}
+}
 
 // PassQDecode runs Algorithm 4 on one rank: the rank first appends its owned
 // decode tokens' K/V to its cache shard, then circulates the padded query
@@ -92,60 +193,51 @@ func PassQDecode(in *DecodeInput) (*attention.Output, error) {
 		return nil, err
 	}
 	n := in.Rank.N()
+	s := in.Scratch
+	if s == nil {
+		s = new(DecodeScratch)
+	}
+	s.fit(n, in.blockLen(), in.Q.Heads, in.Q.Dim)
 	// Persist the new tokens' KV on the owner rank before attention so each
 	// query can attend to itself through the normal cache path.
+	s.kRow = tensor.Tensor{Tokens: 1, Heads: in.K.Heads, Dim: in.K.Dim}
+	s.vRow = tensor.Tensor{Tokens: 1, Heads: in.V.Heads, Dim: in.V.Dim}
 	for i, tok := range in.Owned {
-		if err := in.Cache.Append(tok.Seq, in.K.SliceTokens(i, i+1), in.V.SliceTokens(i, i+1), []int{tok.Pos}); err != nil {
+		s.kRow.Data, s.vRow.Data, s.rowPos[0] = in.K.Row2D(i), in.V.Row2D(i), tok.Pos
+		if err := in.Cache.Append(tok.Seq, &s.kRow, &s.vRow, s.rowPos[:]); err != nil {
 			return nil, err
 		}
 	}
-	bl := in.BlockLen
-	if bl == 0 {
-		bl = decodeBlockLen(in.NumSeqs, n)
-	}
-	q := tensor.New(bl, in.Q.Heads, in.Q.Dim)
-	bids := make([]int, bl)
-	pos := make([]int, bl)
-	for i := range bids {
-		bids[i] = -1
-		pos[i] = -1
+	// Owned tokens sit at the front of the block; the rest is padding.
+	cur := &s.blk
+	clear(cur.Q.Data[copy(cur.Q.Data, in.Q.Data):])
+	for i := range cur.Seq {
+		cur.Seq[i], cur.Pos[i] = -1, -1
 	}
 	for i, tok := range in.Owned {
-		if i >= bl {
-			return nil, fmt.Errorf("ring: rank %d owns %d tokens > block %d", in.Rank.ID, len(in.Owned), bl)
-		}
-		copy(q.Row2D(i), in.Q.Row2D(i))
-		bids[i] = tok.Seq
-		pos[i] = tok.Pos
+		cur.Seq[i], cur.Pos[i] = tok.Seq, tok.Pos
 	}
-	cur := &wire.QBlock{Q: q, Pos: pos, Seq: bids}
 	next := (in.Rank.ID + 1) % n
 	prev := (in.Rank.ID - 1 + n) % n
-	partials := make([]*attention.Output, n)
 	blocks := in.Blocks
 	if blocks == nil {
 		blocks = NewBlockCache()
 	}
-	// One single-row output recycled across every visiting query of every
-	// ring step; decodeBlockAttention resets it per row via GQAInto.
-	rowOut := attention.NewOutput(1, in.Q.Heads, in.Q.Dim)
 	src := in.Rank.ID
 	for j := 0; j < n; j++ {
 		// Decode sweeps double-buffer too: the next visiting query block is
 		// in flight while this block attends to the local KV shard.
-		var xfer *inflight
+		var xfer inflight
 		t0 := in.Trace.Clock()
 		if j < n-1 {
 			xfer = startSendRecv(in.Rank, next, prev, cur, qBlockBytes(cur, in.Elem))
 		}
 		in.Trace.Comm(t0)
 		t0 = in.Trace.Clock()
-		partial, err := decodeBlockAttention(in.Cache, blocks, cur, rowOut)
-		if err != nil {
+		if err := decodeBlockAttention(in.Cache, blocks, cur, s.tail.partials[src]); err != nil {
 			xfer.drain()
 			return nil, err
 		}
-		partials[src] = partial
 		in.Trace.Compute(t0)
 		if j < n-1 {
 			t0 = in.Trace.Clock()
@@ -162,55 +254,80 @@ func PassQDecode(in *DecodeInput) (*attention.Output, error) {
 			src = (src - 1 + n) % n
 		}
 	}
-	merged, err := all2allMerge(in.Rank, partials, in.Elem, in.Trace)
+	merged, err := all2allMerge(in.Rank, &s.tail, in.Elem, in.Trace)
 	if err != nil {
 		return nil, err
 	}
 	in.Trace.Finish(n)
-	// Drop padding rows; owned tokens sit at the front of the block.
-	rows := make([]int, len(in.Owned))
-	for i := range rows {
-		rows[i] = i
-	}
-	return merged.GatherTokens(rows), nil
+	// Drop padding rows: the result is the merged output's leading rows.
+	owned := len(in.Owned)
+	s.outO = tensor.Tensor{Tokens: owned, Heads: merged.O.Heads, Dim: merged.O.Dim,
+		Data: merged.O.Data[:owned*merged.O.Heads*merged.O.Dim]}
+	s.out = attention.Output{O: &s.outO, LSE: merged.LSE[:owned*merged.O.Heads]}
+	return &s.out, nil
 }
 
 // decodeBlockAttention computes the visiting query block against this rank's
-// KV shard: row r attends to the local cache of sequence seq[r] under the
-// causal position bound pos[r]. Padding rows produce identity outputs. Each
-// sequence's KV comes from its assembled-block mirror (extended by at most
-// the rows appended since the last sweep), the query row is a zero-copy view
-// into the circulating block, and rowOut is recycled across rows.
-func decodeBlockAttention(cache *kvcache.Cache, blocks *BlockCache, blk *wire.QBlock, rowOut *attention.Output) (*attention.Output, error) {
-	out := attention.NewOutput(blk.Q.Tokens, blk.Q.Heads, blk.Q.Dim)
+// KV shard into out, the partial for the block's source rank: row r attends
+// to the local cache of sequence seq[r] under the causal position bound
+// pos[r]. Padding rows and rows whose sequence has no KV here stay identity.
+// Each sequence's KV comes from its assembled-block mirror (extended by at
+// most the rows appended since the last sweep). A decode query sits at or
+// past every cached row of its sequence, which the mirror's running maximum
+// position confirms in O(1); the row then goes to the kernel as one admitted
+// interval and is written in place. A mirror holding a later position (only
+// hand-built inputs do) takes the general masked kernel.
+func decodeBlockAttention(cache *kvcache.Cache, blocks *BlockCache, blk *wire.QBlock, out *attention.Output) error {
+	if blk.Q.Tokens != out.O.Tokens || len(blk.Pos) != blk.Q.Tokens || len(blk.Seq) != blk.Q.Tokens {
+		return fmt.Errorf("ring: visiting query block has %d rows (%d/%d ids), this sweep's block %d",
+			blk.Q.Tokens, len(blk.Pos), len(blk.Seq), out.O.Tokens)
+	}
+	out.Reset()
 	nkv, dh := cache.KVHeads(), cache.HeadDim()
-	qRowLen := blk.Q.Heads * blk.Q.Dim
 	for r := 0; r < blk.Q.Tokens; r++ {
 		if blk.Seq[r] < 0 {
 			continue
 		}
 		b, err := blocks.sync(cache, blk.Seq[r], -1, nkv*dh)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if b.n == 0 {
 			continue
 		}
-		k, v, kpos, kseq, err := b.view(b.n, nkv, dh, blk.Seq[r])
-		if err != nil {
-			return nil, err
+		if b.maxPos <= blk.Pos[r] {
+			k, v := b.kv(nkv, dh)
+			if err := attention.DecodeInto(out, blk.Q, k, v, r, b.n); err != nil {
+				return err
+			}
+			continue
 		}
-		qRow, err := tensor.FromData(1, blk.Q.Heads, blk.Q.Dim, blk.Q.Data[r*qRowLen:(r+1)*qRowLen])
-		if err != nil {
-			return nil, err
+		if err := maskedRow(out, blk, r, b, nkv, dh); err != nil {
+			return err
 		}
-		if err := attention.GQAInto(rowOut, qRow, k, v, attention.Mask{
-			QPos: blk.Pos[r : r+1], QSeq: blk.Seq[r : r+1], KVPos: kpos, KVSeq: kseq,
-		}); err != nil {
-			return nil, err
-		}
-		copy(out.O.Row2D(r), rowOut.O.Row2D(0))
-		copy(out.LSE[r*out.O.Heads:(r+1)*out.O.Heads], rowOut.LSE)
 	}
-	return out, nil
+	return nil
+}
+
+// maskedRow is decodeBlockAttention's general path for one row: the full
+// position/sequence mask over the mirror, through GQAInto and a one-row copy.
+func maskedRow(out *attention.Output, blk *wire.QBlock, r int, b *seqBlock, nkv, dh int) error {
+	k, v, kpos, kseq, err := b.view(b.n, nkv, dh, blk.Seq[r])
+	if err != nil {
+		return err
+	}
+	qRowLen := blk.Q.Heads * blk.Q.Dim
+	qRow, err := tensor.FromData(1, blk.Q.Heads, blk.Q.Dim, blk.Q.Data[r*qRowLen:(r+1)*qRowLen])
+	if err != nil {
+		return err
+	}
+	rowOut := attention.NewOutput(1, blk.Q.Heads, blk.Q.Dim)
+	if err := attention.GQAInto(rowOut, qRow, k, v, attention.Mask{
+		QPos: blk.Pos[r : r+1], QSeq: blk.Seq[r : r+1], KVPos: kpos, KVSeq: kseq,
+	}); err != nil {
+		return err
+	}
+	copy(out.O.Row2D(r), rowOut.O.Row2D(0))
+	copy(out.LSE[r*out.O.Heads:(r+1)*out.O.Heads], rowOut.LSE)
+	return nil
 }

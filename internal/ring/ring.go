@@ -282,7 +282,7 @@ func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 		// read: circulating payloads are read-only by contract. Issue time
 		// and exposed wait time both charge to the comm phase, so the
 		// breakdown is comparable across the overlapped and sync paths.
-		var xfer *inflight
+		var xfer inflight
 		t0 := in.Trace.Clock()
 		if j < n-1 {
 			xfer = startSendRecv(in.Rank, next, prev, cur, kvBlockBytes(cur, in.Elem))
@@ -332,12 +332,13 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 	cur := &wire.QBlock{Q: in.Q, Pos: qPos, Seq: qSeq}
 	next := (in.Rank.ID + 1) % n
 	prev := (in.Rank.ID - 1 + n) % n
-	partials := make([]*attention.Output, n) // partials[s] = O_s^k for source s
+	var tail mergeScratch // tail.partials[s] = O_s^k for source s
+	tail.fit(n, in.Q.Tokens, in.Q.Heads, in.Q.Dim)
 	src := in.Rank.ID
 	for j := 0; j < n; j++ {
 		// Same double-buffering as pass-KV: the query block for step j+1 is
 		// in flight while this step's partial attention runs.
-		var xfer *inflight
+		var xfer inflight
 		t0 := in.Trace.Clock()
 		if j < n-1 {
 			xfer = startSendRecv(in.Rank, next, prev, cur, qBlockBytes(cur, in.Elem))
@@ -351,7 +352,7 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 			xfer.drain()
 			return nil, err
 		}
-		partials[src] = partial
+		tail.partials[src] = partial
 		in.Trace.Compute(t0)
 		if j < n-1 {
 			t0 = in.Trace.Clock()
@@ -368,7 +369,7 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 			src = (src - 1 + n) % n
 		}
 	}
-	out, err := all2allMerge(in.Rank, partials, in.Elem, in.Trace)
+	out, err := all2allMerge(in.Rank, &tail, in.Elem, in.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -376,34 +377,31 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 	return out, nil
 }
 
-// all2allMerge sends partials[s] back to source rank s, receives this rank's
-// partials from every peer, and merges them (the permute + All2All + merge
-// tail of Algorithms 3 and 4). tr (nil-safe) charges the exchange to the
-// sweep's all2all phase.
-func all2allMerge(rank *comm.Rank, partials []*attention.Output, elem float64, tr *trace.SweepTimer) (*attention.Output, error) {
-	n := rank.N()
-	msgs := make([]any, n)
-	sizes := make([]float64, n)
-	for s := 0; s < n; s++ {
-		blk := &wire.OBlock{Out: partials[s]}
-		msgs[s] = blk
-		sizes[s] = oBlockBytes(blk, elem)
+// all2allMerge sends m.partials[s] back to source rank s, receives this
+// rank's partials from every peer, and merges them into m.merged (the permute
+// + All2All + merge tail of Algorithms 3 and 4). m must be fitted to the
+// partials' shape. tr (nil-safe) charges the exchange to the sweep's all2all
+// phase.
+func all2allMerge(rank *comm.Rank, m *mergeScratch, elem float64, tr *trace.SweepTimer) (*attention.Output, error) {
+	for s := range m.oblocks {
+		m.oblocks[s].Out = m.partials[s]
+		m.sizes[s] = oBlockBytes(&m.oblocks[s], elem)
 	}
 	t0 := tr.Clock()
-	got, err := rank.All2All(msgs, sizes)
+	err := rank.All2AllInto(m.got, m.msgs, m.sizes)
 	tr.A2A(t0)
 	if err != nil {
 		return nil, err
 	}
-	mine := make([]*attention.Output, 0, n)
-	for src := 0; src < n; src++ {
-		blk, ok := got[src].(*wire.OBlock)
+	for src, got := range m.got {
+		blk, ok := got.(*wire.OBlock)
 		if !ok {
 			return nil, fmt.Errorf("ring: rank %d received non-output payload from %d in All2All", rank.ID, src)
 		}
-		mine = append(mine, blk.Out)
+		m.mine[src] = blk.Out
 	}
-	return attention.Merge(mine...), nil
+	attention.MergeInto(m.merged, m.mine...)
+	return m.merged, nil
 }
 
 // AllGatherPrefill is the ablation baseline (§3.5.2): every rank gathers all

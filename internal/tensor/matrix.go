@@ -90,7 +90,7 @@ func MatmulSnapshot() MatmulStats {
 // write only its block's rows and compute them the same however the sweep is
 // split — then fanned execution is bit-identical to inline at any width.
 func Blocks(tokens, cols int, fn func(t0, t1 int, fanRows bool)) {
-	bt := max(2, gemmBlockFloats/max(cols, 1)&^1)
+	bt := BlockTokens(cols)
 	if tokens <= bt {
 		if tokens > 0 {
 			fn(0, tokens, true)
@@ -104,6 +104,13 @@ func Blocks(tokens, cols int, fn func(t0, t1 int, fanRows bool)) {
 		}
 	})
 }
+
+// BlockTokens is the height of one Blocks block for activation rows of width
+// cols. A caller on a per-step path checks tokens against it and calls its
+// block body directly — Blocks would run it inline too, but only through a
+// func value, and a closure handed to Blocks is heap-allocated per call
+// because the multi-block branch passes it to the pool.
+func BlockTokens(cols int) int { return max(2, gemmBlockFloats/max(cols, 1)&^1) }
 
 // Mul is the GEMM entry under every matmul in the repo: x is [tokens, Cols]
 // flat, dst is [tokens, Rows] flat, and dst[t*Rows+r] becomes the dot of

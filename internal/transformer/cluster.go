@@ -68,7 +68,10 @@ type Cluster struct {
 	// the property that makes batched serving bit-identical to the serial
 	// single-session path.
 	decodeSteps map[int]int
-	prefixSeq   uint64
+	// owners is the current decode command's token assignment, refilled per
+	// step (the Cluster, like every engine, serves one command at a time).
+	owners    decodeOwners
+	prefixSeq uint64
 }
 
 // ClusterOption configures a Cluster at construction time.
@@ -535,7 +538,8 @@ func (c *Cluster) prefillCapacityCheck(plan *sharding.BatchShard, seqIDs []int) 
 }
 
 // decodeCapacityCheck is the decode-side precheck: each sequence appends one
-// KV row per layer on its owner rank this step. Returns a CapacityError with
+// KV row per layer on its owner rank this step (c.owners holds cmd's
+// assignment). Returns a CapacityError with
 // the sequences that do not fit, before any cache mutation.
 func (c *Cluster) decodeCapacityCheck(cmd *wire.DecodeCmd) error {
 	snap, err := c.capInputs(cmd.Seqs)
@@ -545,13 +549,12 @@ func (c *Cluster) decodeCapacityCheck(cmd *wire.DecodeCmd) error {
 	if snap == nil {
 		return nil
 	}
-	owned, ownedRows, _ := decodeOwnership(cmd, c.n)
 	layers := len(snap.avail[0])
 	var offending []int
-	for r := range owned {
+	for r, owned := range c.owners.owned {
 		avail := append([]int(nil), snap.avail[r]...)
-		for j, tok := range owned[r] {
-			row := ownedRows[r][j]
+		for j, tok := range owned {
+			row := c.owners.rows[r][j]
 			fits := true
 			for l := 0; l < layers; l++ {
 				if 1+snap.overhead[r][row][l] > avail[l] {
@@ -631,6 +634,7 @@ func (c *Cluster) DecodeBatch(seqs []int, tokens []int) ([][]float32, error) {
 		owners[i] = sharding.DecodeOwner(seqOwnerOffset(seq), c.decodeSteps[seq], c.n)
 	}
 	cmd := &wire.DecodeCmd{Seqs: seqs, Tokens: tokens, Pos: pos, Owners: owners}
+	c.owners.assign(cmd, c.n)
 	if err := c.decodeCapacityCheck(cmd); err != nil {
 		return nil, err
 	}
@@ -639,11 +643,17 @@ func (c *Cluster) DecodeBatch(seqs []int, tokens []int) ([][]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, ownedRows, _ := decodeOwnership(cmd, c.n)
+	// A rank's Flat is its reply frame's, reused by its next decode step:
+	// the rows are copied into the step's one buffer the caller may keep.
+	flat := make([]float32, b*m.VocabSize)
 	out := make([][]float32, b)
-	for r := 0; r < c.n; r++ {
-		for j, row := range ownedRows[r] {
-			out[row] = results[r].Flat[j*m.VocabSize : (j+1)*m.VocabSize]
+	for r, rows := range c.owners.rows {
+		if len(results[r].Flat) != len(rows)*m.VocabSize {
+			return nil, fmt.Errorf("transformer: rank %d returned %d logits for %d owned rows", r, len(results[r].Flat), len(rows))
+		}
+		for j, row := range rows {
+			out[row] = flat[row*m.VocabSize : (row+1)*m.VocabSize]
+			copy(out[row], results[r].Flat[j*m.VocabSize:])
 		}
 	}
 	for _, seq := range seqs {

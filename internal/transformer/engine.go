@@ -39,8 +39,37 @@ type rankEngine struct {
 
 	// One reply frame per hot command, reused: the command stream is
 	// lockstep, so a reply is read or encoded before the next command lands.
+	// The decode step's scratch is reused under the same rule.
 	prefillRes wire.PrefillResult
 	decodeRes  wire.DecodeResult
+	dec        decodeScratch
+}
+
+// decodeScratch is the rank engine's decode arena: everything a decode step
+// needs besides KV growth, allocated once and reused every step the way
+// decodeRes is — the step's reply (logits included) is read or encoded before
+// the next command lands, and nothing here outlives the step otherwise.
+// Within a step the q/k/v rows are reused by every layer: ring.PassQDecode
+// copies them out before it involves a peer. What peers do read by pointer
+// lives in ring (ring.DecodeScratch, which states the rule that makes its
+// reuse safe).
+type decodeScratch struct {
+	own     decodeOwners
+	ids     []int
+	pos     []int
+	hidden  []float32
+	q, k, v tensor.Tensor
+	logits  []float32
+	ring    ring.DecodeScratch
+}
+
+// grown returns buf resliced to n elements, reallocating only when its
+// capacity is too small; the contents are not kept.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 func newRankEngine(w *Weights, kvCapacity int, epoch uint64, rec *trace.Recorder) (*rankEngine, error) {
@@ -115,73 +144,80 @@ func (e *rankEngine) prefill(r *comm.Rank, cmd *wire.PrefillCmd) (*tensor.Tensor
 	return tensor.FromData(localLen, 1, m.VocabSize, flat)
 }
 
-// decodeOwnership derives the per-rank token assignment of a decode command:
+// decodeOwners is the per-rank token assignment of a decode command:
 // owned[r] lists the DecodeTokens rank r appends and heads, rows[r] their
-// batch-row indices, and blockLen the uniform circulating block size. Pure
-// function of the command, identical on every rank.
-func decodeOwnership(cmd *wire.DecodeCmd, n int) (owned [][]ring.DecodeToken, rows [][]int, blockLen int) {
-	owned = make([][]ring.DecodeToken, n)
-	rows = make([][]int, n)
+// batch-row indices, and blockLen is the uniform circulating block size.
+// assign refills it in place, so a holder derives ownership every step
+// without allocating once the batch has been seen at its widest.
+type decodeOwners struct {
+	owned    [][]ring.DecodeToken
+	rows     [][]int
+	blockLen int
+}
+
+// assign derives the assignment from cmd — a pure function of the command,
+// identical on every rank.
+func (o *decodeOwners) assign(cmd *wire.DecodeCmd, n int) {
+	if len(o.owned) != n {
+		o.owned, o.rows = make([][]ring.DecodeToken, n), make([][]int, n)
+	}
+	for r := range o.owned {
+		o.owned[r], o.rows[r] = o.owned[r][:0], o.rows[r][:0]
+	}
 	for i, seq := range cmd.Seqs {
 		r := cmd.Owners[i]
-		owned[r] = append(owned[r], ring.DecodeToken{Seq: seq, Pos: cmd.Pos[i]})
-		rows[r] = append(rows[r], i)
+		o.owned[r] = append(o.owned[r], ring.DecodeToken{Seq: seq, Pos: cmd.Pos[i]})
+		o.rows[r] = append(o.rows[r], i)
 	}
-	blockLen = 1
-	for r := 0; r < n; r++ {
-		if len(owned[r]) > blockLen {
-			blockLen = len(owned[r])
-		}
+	o.blockLen = 1
+	for r := range o.owned {
+		o.blockLen = max(o.blockLen, len(o.owned[r]))
 	}
-	return owned, rows, blockLen
 }
 
 // decode executes one rank's share of a fused batched decode step and
 // returns the flat logits of its owned rows (nil when it owns none this
-// step — it still participates in every layer's ring attention).
+// step — it still participates in every layer's ring attention). The logits
+// live in the engine's decode scratch: they are valid until the next decode
+// command.
 func (e *rankEngine) decode(r *comm.Rank, cmd *wire.DecodeCmd) ([]float32, error) {
 	m := e.w.Cfg.Model
-	owned, ownedRows, blockLen := decodeOwnership(cmd, r.N())
-	mine := ownedRows[r.ID]
-	var hidden []float32
-	pos := make([]int, len(mine))
-	if len(mine) > 0 {
-		ids := make([]int, len(mine))
-		for j, row := range mine {
-			ids[j] = cmd.Tokens[row]
-			pos[j] = owned[r.ID][j].Pos
-		}
-		var err error
-		hidden, err = e.w.embedTokens(ids)
-		if err != nil {
-			return nil, err
-		}
+	s := &e.dec
+	s.own.assign(cmd, r.N())
+	mine := s.own.rows[r.ID]
+	s.ids, s.pos = grown(s.ids, len(mine)), grown(s.pos, len(mine))
+	for j, row := range mine {
+		s.ids[j] = cmd.Tokens[row]
+		s.pos[j] = s.own.owned[r.ID][j].Pos
 	}
+	s.hidden = grown(s.hidden, len(mine)*m.ModelDim)
+	if err := e.w.embedInto(s.hidden, s.ids); err != nil {
+		return nil, err
+	}
+	qRow, kvRow := m.NumHeads*m.HeadDim, m.NumKV*m.HeadDim
+	s.q = tensor.Tensor{Tokens: len(mine), Heads: m.NumHeads, Dim: m.HeadDim, Data: grown(s.q.Data, len(mine)*qRow)}
+	s.k = tensor.Tensor{Tokens: len(mine), Heads: m.NumKV, Dim: m.HeadDim, Data: grown(s.k.Data, len(mine)*kvRow)}
+	s.v = tensor.Tensor{Tokens: len(mine), Heads: m.NumKV, Dim: m.HeadDim, Data: grown(s.v.Data, len(mine)*kvRow)}
 	for l := 0; l < m.Layers; l++ {
-		in := &ring.DecodeInput{
-			Rank: r, NumSeqs: len(cmd.Seqs), BlockLen: blockLen,
-			Owned: owned[r.ID],
-			Q:     tensor.New(0, m.NumHeads, m.HeadDim),
-			K:     tensor.New(0, m.NumKV, m.HeadDim),
-			V:     tensor.New(0, m.NumKV, m.HeadDim),
-			Cache: e.caches[l], Blocks: e.blocks[l], Elem: m.ElemBytes,
+		e.w.projectQKVInto(&s.q, &s.k, &s.v, l, s.hidden, s.pos)
+		out, err := ring.PassQDecode(&ring.DecodeInput{
+			Rank: r, NumSeqs: len(cmd.Seqs), BlockLen: s.own.blockLen,
+			Owned: s.own.owned[r.ID],
+			Q:     &s.q, K: &s.k, V: &s.v,
+			Cache: e.caches[l], Blocks: e.blocks[l], Scratch: &s.ring, Elem: m.ElemBytes,
 			Trace: e.rec.Sweep(r.ID, e.epoch, "decode"),
-		}
-		if len(mine) > 0 {
-			in.Q, in.K, in.V = e.w.projectQKV(l, hidden, len(mine), pos)
-		}
-		out, err := ring.PassQDecode(in)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("layer %d: %w", l, err)
 		}
-		if len(mine) > 0 {
-			e.w.finishLayer(l, hidden, out.O)
-		}
+		e.w.finishLayer(l, s.hidden, out.O)
 	}
 	if len(mine) == 0 {
 		return nil, nil
 	}
-	return e.w.logits(hidden, len(mine)), nil
+	s.logits = grown(s.logits, len(mine)*m.VocabSize)
+	e.w.logitsInto(s.logits, s.hidden, len(mine))
+	return s.logits, nil
 }
 
 // drop evicts one sequence from every layer's cache and mirror.

@@ -126,9 +126,11 @@ func NewWeights(cfg Config) (*Weights, error) {
 
 // f32Pool recycles forward-pass scratch (normed rows, projection outputs, FFN
 // activations), one token block at a time, so steady-state prefill and decode
-// allocate nothing per call. The q/k/v tensors are deliberately NOT pooled:
-// the in-process ring transport circulates those blocks by pointer, so a peer
-// may still be reading one after this rank has advanced to the next layer.
+// allocate nothing per call. A prefill's q/k/v tensors are deliberately NOT
+// pooled: the in-process ring transport circulates those blocks by pointer, so
+// a peer may still be reading one after this rank has advanced to the next
+// layer. (A decode step's live in the rank engine's arena: ring.PassQDecode
+// copies them out before any peer is involved.)
 var f32Pool = sync.Pool{New: func() any { return new([]float32) }}
 
 func getF32(n int) *[]float32 {
@@ -164,24 +166,45 @@ func (w *Weights) normMul(m *tensor.Matrix, dst, hidden, gain []float32, t0, t1 
 // negative (padding) are rotated at 0 and masked out downstream.
 func (w *Weights) projectQKV(l int, hidden []float32, tokens int, pos []int) (q, k, v *tensor.Tensor) {
 	m := w.Cfg.Model
-	lw := w.layers[l]
-	qRows, kvRows := m.NumHeads*m.HeadDim, m.NumKV*m.HeadDim
 	q = tensor.New(tokens, m.NumHeads, m.HeadDim)
 	k = tensor.New(tokens, m.NumKV, m.HeadDim)
 	v = tensor.New(tokens, m.NumKV, m.HeadDim)
-	tensor.Blocks(tokens, m.ModelDim, func(t0, t1 int, fanRows bool) {
-		sp := getF32((t1 - t0) * lw.wqkv.Rows)
-		defer putF32(sp)
-		w.normMul(lw.wqkv, *sp, hidden, lw.attnNorm, t0, t1, fanRows)
-		for t := t0; t < t1; t++ {
-			row := (*sp)[(t-t0)*lw.wqkv.Rows:][:lw.wqkv.Rows]
-			tensor.RoPEHeads(row[:qRows+kvRows], m.HeadDim, max(pos[t], 0), w.ropeFreqs)
-			copy(q.Row2D(t), row[:qRows])
-			copy(k.Row2D(t), row[qRows:qRows+kvRows])
-			copy(v.Row2D(t), row[qRows+kvRows:])
-		}
-	})
+	w.projectQKVInto(q, k, v, l, hidden, pos)
 	return q, k, v
+}
+
+// The three sweeps below each check for the one-block case — every decode
+// step — and call their block body directly: tensor.Blocks would run it
+// inline too, but a closure handed to it is heap-allocated per call.
+
+// projectQKVInto is projectQKV into caller-owned tensors of q.Tokens rows.
+func (w *Weights) projectQKVInto(q, k, v *tensor.Tensor, l int, hidden []float32, pos []int) {
+	d := w.Cfg.Model.ModelDim
+	if q.Tokens <= tensor.BlockTokens(d) {
+		if q.Tokens > 0 {
+			w.qkvBlock(q, k, v, l, hidden, pos, 0, q.Tokens, true)
+		}
+		return
+	}
+	tensor.Blocks(q.Tokens, d, func(t0, t1 int, fanRows bool) {
+		w.qkvBlock(q, k, v, l, hidden, pos, t0, t1, fanRows)
+	})
+}
+
+func (w *Weights) qkvBlock(q, k, v *tensor.Tensor, l int, hidden []float32, pos []int, t0, t1 int, fanRows bool) {
+	m := w.Cfg.Model
+	lw := w.layers[l]
+	qRows, kvRows := m.NumHeads*m.HeadDim, m.NumKV*m.HeadDim
+	sp := getF32((t1 - t0) * lw.wqkv.Rows)
+	defer putF32(sp)
+	w.normMul(lw.wqkv, *sp, hidden, lw.attnNorm, t0, t1, fanRows)
+	for t := t0; t < t1; t++ {
+		row := (*sp)[(t-t0)*lw.wqkv.Rows:][:lw.wqkv.Rows]
+		tensor.RoPEHeads(row[:qRows+kvRows], m.HeadDim, max(pos[t], 0), w.ropeFreqs)
+		copy(q.Row2D(t), row[:qRows])
+		copy(k.Row2D(t), row[qRows:qRows+kvRows])
+		copy(v.Row2D(t), row[qRows+kvRows:])
+	}
 }
 
 // finishLayer completes a layer after attention, block by block: attnOut's
@@ -189,57 +212,91 @@ func (w *Weights) projectQKV(l int, hidden []float32, tokens int, pos []int) (q,
 // (RMSNorm, stacked gate/up projection, SiLU gating, down projection) on top.
 func (w *Weights) finishLayer(l int, hidden []float32, attnOut *tensor.Tensor) {
 	m := w.Cfg.Model
+	cols := max(m.ModelDim, m.FFNDim, m.NumHeads*m.HeadDim)
+	if attnOut.Tokens <= tensor.BlockTokens(cols) {
+		if attnOut.Tokens > 0 {
+			w.finishBlock(l, hidden, attnOut, 0, attnOut.Tokens, true)
+		}
+		return
+	}
+	tensor.Blocks(attnOut.Tokens, cols, func(t0, t1 int, fanRows bool) {
+		w.finishBlock(l, hidden, attnOut, t0, t1, fanRows)
+	})
+}
+
+func (w *Weights) finishBlock(l int, hidden []float32, attnOut *tensor.Tensor, t0, t1 int, fanRows bool) {
+	m := w.Cfg.Model
 	lw := w.layers[l]
 	d, f, cols := m.ModelDim, m.FFNDim, m.NumHeads*m.HeadDim
-	tensor.Blocks(attnOut.Tokens, max(d, f, cols), func(t0, t1 int, fanRows bool) {
-		n := t1 - t0
-		sp := getF32(n * (d + 3*f))
-		defer putF32(sp)
-		gateUp, act, proj := (*sp)[:n*2*f], (*sp)[n*2*f:][:n*f], (*sp)[n*3*f:]
-		block := hidden[t0*d : t1*d]
-		lw.wo.Mul(proj, attnOut.Data[t0*cols:t1*cols], n, fanRows)
-		for i, p := range proj {
-			block[i] += p
+	n := t1 - t0
+	sp := getF32(n * (d + 3*f))
+	defer putF32(sp)
+	gateUp, act, proj := (*sp)[:n*2*f], (*sp)[n*2*f:][:n*f], (*sp)[n*3*f:]
+	block := hidden[t0*d : t1*d]
+	lw.wo.Mul(proj, attnOut.Data[t0*cols:t1*cols], n, fanRows)
+	for i, p := range proj {
+		block[i] += p
+	}
+	w.normMul(lw.wGateUp, gateUp, block, lw.ffnNorm, 0, n, fanRows)
+	for t := 0; t < n; t++ {
+		gate, up := gateUp[t*2*f:][:f], gateUp[t*2*f+f:][:f]
+		for i, g := range gate {
+			act[t*f+i] = tensor.SiLU(g) * up[i]
 		}
-		w.normMul(lw.wGateUp, gateUp, block, lw.ffnNorm, 0, n, fanRows)
-		for t := 0; t < n; t++ {
-			gate, up := gateUp[t*2*f:][:f], gateUp[t*2*f+f:][:f]
-			for i, g := range gate {
-				act[t*f+i] = tensor.SiLU(g) * up[i]
-			}
-		}
-		lw.wDown.Mul(proj, act, n, fanRows)
-		for i, p := range proj {
-			block[i] += p
-		}
-	})
+	}
+	lw.wDown.Mul(proj, act, n, fanRows)
+	for i, p := range proj {
+		block[i] += p
+	}
 }
 
 // logits computes the output head for a block of hidden rows: the final
 // norm, then the head projection. The returned slice is freshly allocated —
 // callers retain it (argmax, streaming) past the next forward step.
 func (w *Weights) logits(hidden []float32, tokens int) []float32 {
+	out := make([]float32, tokens*w.Cfg.Model.VocabSize)
+	w.logitsInto(out, hidden, tokens)
+	return out
+}
+
+// logitsInto is logits into a caller-owned [tokens, vocab] buffer.
+func (w *Weights) logitsInto(out, hidden []float32, tokens int) {
 	m := w.Cfg.Model
-	out := make([]float32, tokens*m.VocabSize)
+	if tokens <= tensor.BlockTokens(m.ModelDim) {
+		if tokens > 0 {
+			w.normMul(w.head, out, hidden, w.norm, 0, tokens, true)
+		}
+		return
+	}
 	tensor.Blocks(tokens, m.ModelDim, func(t0, t1 int, fanRows bool) {
 		w.normMul(w.head, out[t0*m.VocabSize:t1*m.VocabSize], hidden, w.norm, t0, t1, fanRows)
 	})
-	return out
 }
 
 // embedTokens returns the flat [tokens, D] embedding block; id -1 (padding)
 // embeds to zero.
 func (w *Weights) embedTokens(ids []int) ([]float32, error) {
+	out := make([]float32, len(ids)*w.Cfg.Model.ModelDim)
+	if err := w.embedInto(out, ids); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// embedInto is embedTokens into a caller-owned [len(ids), D] buffer, every
+// element of which it writes.
+func (w *Weights) embedInto(out []float32, ids []int) error {
 	m := w.Cfg.Model
-	out := make([]float32, len(ids)*m.ModelDim)
 	for t, id := range ids {
+		row := out[t*m.ModelDim : (t+1)*m.ModelDim]
 		if id == -1 {
+			clear(row)
 			continue
 		}
 		if id < 0 || id >= m.VocabSize {
-			return nil, fmt.Errorf("transformer: token %d outside vocab %d", id, m.VocabSize)
+			return fmt.Errorf("transformer: token %d outside vocab %d", id, m.VocabSize)
 		}
-		copy(out[t*m.ModelDim:(t+1)*m.ModelDim], w.embed.Row(id))
+		copy(row, w.embed.Row(id))
 	}
-	return out, nil
+	return nil
 }
