@@ -1,19 +1,31 @@
-// Command cpcalc evaluates the paper's analytical formulas for a chosen
-// model, platform and CP group size: the pass-KV/pass-Q selection thresholds
-// (Equations 1-3 and 5), predicted TTFT/TTIT with full breakdowns, KV-cache
-// capacity, and the MFU accounting of Appendix A.
+// Command cpcalc is the paper's evaluation on the paper's hardware. By
+// default it evaluates the analytical formulas for a chosen model, platform
+// and CP group size: the pass-KV/pass-Q selection thresholds (Equations 1-3
+// and 5), predicted TTFT/TTIT with full breakdowns, KV-cache capacity, and
+// the MFU accounting of Appendix A. -exp regenerates the paper's tables and
+// figures, and -tracev2 replays a cploadgen trace through the virtual-time
+// serving simulator.
 //
 // Usage:
 //
 //	cpcalc -model llama3-405b -platform gtt -nodes 4 -ctx 128000 -cached 0
+//	cpcalc -list
+//	cpcalc -exp table4
+//	cpcalc -exp all
+//	cpcalc -tracev2 trace.jsonl -sim-out BENCH_serving_sim.json
+//
+// Speed of the engine itself is measured elsewhere: bash benchmark/run.sh.
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"time"
 
-	"repro/internal/heuristic"
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/perf"
@@ -35,84 +47,59 @@ func pickModel(name string) (model.Config, error) {
 }
 
 func main() {
-	modelName := flag.String("model", "llama3-405b", "model config")
-	platName := flag.String("platform", "gtt", "platform: gtt, gti, gb200-like")
-	nodes := flag.Int("nodes", 4, "CP nodes")
-	tpNodes := flag.Int("tpnodes", 1, "hosts per TP group (multi-node TP baseline)")
-	ctx := flag.Int("ctx", 128000, "new tokens T")
-	cached := flag.Int("cached", 0, "previously cached tokens P")
-	batch := flag.Int("batch", 1, "decode batch size")
-	ttftTarget := flag.Float64("ttft", 0, "TTFT target in seconds for deployment planning (0 = off)")
-	ttitTarget := flag.Float64("ttit", 0, "TTIT target in seconds for deployment planning (0 = off)")
-	flag.Parse()
-
-	m, err := pickModel(*modelName)
+	// The report writers leave write errors to their writer; a bufio.Writer
+	// keeps the first one and Flush returns it.
+	out := bufio.NewWriter(os.Stdout)
+	err := run(os.Args[1:], out)
+	if ferr := out.Flush(); err == nil {
+		err = ferr
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cpcalc:", err)
 		os.Exit(1)
 	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("cpcalc", flag.ExitOnError)
+	modelName := fs.String("model", "llama3-405b", "model config")
+	platName := fs.String("platform", "gtt", "platform: gtt, gti, gb200-like")
+	nodes := fs.Int("nodes", 4, "CP nodes")
+	tpNodes := fs.Int("tpnodes", 1, "hosts per TP group (multi-node TP baseline)")
+	ctx := fs.Int("ctx", 128000, "new tokens T")
+	cached := fs.Int("cached", 0, "previously cached tokens P")
+	batch := fs.Int("batch", 1, "decode batch size")
+	ttftTarget := fs.Float64("ttft", 0, "TTFT target in seconds for deployment planning (0 = off)")
+	ttitTarget := fs.Float64("ttit", 0, "TTIT target in seconds for deployment planning (0 = off)")
+	list := fs.Bool("list", false, "list the paper's tables and figures by experiment id")
+	exp := fs.String("exp", "", "regenerate one table or figure by experiment id, or 'all'")
+	tracev2 := fs.String("tracev2", "", "replay this cploadgen tracev2 file through the discrete-event serving simulator")
+	simOut := fs.String("sim-out", "", "write the simulated cp-serving-bench/v1 report here (requires -tracev2)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
+
+	switch {
+	case *simOut != "" && *tracev2 == "":
+		return errors.New("-sim-out requires -tracev2")
+	case *list:
+		perf.WriteExperimentList(out)
+		return nil
+	case *exp != "":
+		return perf.WriteExperiments(out, *exp)
+	case *tracev2 != "":
+		return perf.WriteServeReplay(out, *tracev2, *simOut, time.Now().Unix())
+	}
+
+	m, err := pickModel(*modelName)
+	if err != nil {
+		return err
+	}
 	plat, ok := hw.Platforms()[*platName]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "cpcalc: unknown platform %q\n", *platName)
-		os.Exit(1)
+		return fmt.Errorf("unknown platform %q", *platName)
 	}
-	sys := perf.System{Model: m, Plat: plat, CPNodes: *nodes, TPNodes: *tpNodes}
-	if err := sys.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "cpcalc:", err)
-		os.Exit(1)
-	}
-
-	fmt.Printf("system: %s on %s, model %s (NH=%d NKV=%d D=%d layers=%d)\n\n",
-		sys.Name(), plat.Name, m.Name, m.NumHeads, m.NumKV, m.ModelDim, m.Layers)
-
-	in := heuristic.NewInputs(m, plat, *nodes)
-	fmt.Println("-- variant-selection thresholds --")
-	fmt.Printf("Eq 1  miss-rate threshold (2*NKV/NH):        %.4f\n", heuristic.Eq1Threshold(m))
-	fmt.Printf("Eq 2  min new tokens for hidden pass-KV:     %.0f\n", heuristic.Eq2MinNewTokens(in))
-	fmt.Printf("Eq 3  min total context for hidden pass-Q:   %.0f\n", heuristic.Eq3MinContext(in))
-	fmt.Printf("Alg 1 choice at T=%d P=%d:                   %v\n", *ctx, *cached, heuristic.Algorithm1(in, *ctx, *cached))
-	fmt.Printf("Alg 5 choice at T=%d P=%d:                   %v\n", *ctx, *cached, heuristic.Algorithm5(in, *ctx, *cached))
-	fmt.Printf("paper empirical h(T,P):                      %.3f -> %v\n\n",
-		heuristic.PaperEmpirical().Score(*ctx, *cached), heuristic.PaperEmpirical().Choose(*ctx, *cached))
-
-	fmt.Println("-- predicted prefill (TTFT) --")
-	for _, v := range []perf.Variant{perf.PassKV, perf.PassQ} {
-		b := sys.Prefill(*ctx, *cached, v)
-		fmt.Printf("%-8s total %8.3f s  (gemm %.3f, attn %.3f, allreduce %.3f, ring-exposed %.3f, all2all %.3f, base %.3f)\n",
-			v, b.Total, b.GEMM, b.Attn, b.AllReduce, b.RingExposed, b.All2All, b.Base)
-	}
-	best, _, _ := sys.PrefillBest(*ctx, *cached)
-	fmt.Printf("oracle winner: %v\n\n", best)
-
-	fmt.Println("-- predicted decode (TTIT) --")
-	d := sys.Decode(*ctx+*cached, *batch)
-	fmt.Printf("total %.2f ms  (weights %.2f, ar-latency %.2f, attn-loop %.2f, sendrecv %.2f, all2all %.2f ms)\n\n",
-		d.Total*1000, d.WeightRead*1000, d.ARLatency*1000, d.AttnLoop*1000, d.SendRecv*1000, d.All2All*1000)
-
-	fmt.Println("-- capacity and utilization --")
-	fmt.Printf("KV capacity: %.0f tokens across %d CP nodes\n", sys.KVCapacityTokens(), *nodes)
-	perGPU, util := sys.MFU(*ctx, perf.PassKV)
-	fmt.Printf("full-prefill MFU at T=%d: %.0f TF/s per GPU (%.1f%% of BF16 peak)\n",
-		*ctx, perGPU/1e12, util*100)
-	fmt.Printf("speed-of-light TTFT bound: %.3f s (plan runs at %.2fx of bound)\n\n",
-		sys.SpeedOfLight(*ctx), sys.Efficiency(*ctx))
-
-	if *ttftTarget > 0 || *ttitTarget > 0 {
-		fmt.Println("-- deployment plan --")
-		plan, err := perf.PlanDeployment(perf.PlanRequest{
-			Model: m, Plat: plat, Context: *ctx + *cached,
-			TTFTTarget: *ttftTarget, TTITTarget: *ttitTarget, DecodeBatch: *batch,
-		})
-		if err != nil {
-			fmt.Printf("no feasible plan: %v\n", err)
-			return
-		}
-		fmt.Printf("smallest group meeting constraints: %s (%d GPUs)\n",
-			plan.System.Name(), plan.System.TotalGPUs())
-		fmt.Printf("TTFT %.2f s (target %.2f, met=%v)  TTIT %.2f ms (target %.2f ms, met=%v)\n",
-			plan.TTFT, *ttftTarget, plan.MeetsTTFT, plan.TTIT*1000, *ttitTarget*1000, plan.MeetsTTIT)
-		if !plan.MeetsTTIT {
-			fmt.Println("note: decode regresses as CP grows (§4.3); consider disaggregated prefill/decode")
-		}
-	}
+	return perf.WriteFormulas(out, perf.Query{
+		System: perf.System{Model: m, Plat: plat, CPNodes: *nodes, TPNodes: *tpNodes},
+		T:      *ctx, P: *cached, Batch: *batch,
+		TTFTTarget: *ttftTarget, TTITTarget: *ttitTarget,
+	})
 }

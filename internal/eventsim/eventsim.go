@@ -1,6 +1,6 @@
 // Package eventsim is a discrete-event simulator of the ring-attention
-// pipeline. Where the perf package predicts latency with the closed-form
-// overlap expression (compute + (N−1)·max(compute, transfer)), eventsim
+// pipeline. Where perf.System.Prefill predicts latency with the closed-form
+// overlap expression (compute + (N−1)·max(compute, transfer)), Simulate
 // derives the same schedule from first principles — per-rank compute
 // serialization, block-forwarding dependencies, and NIC occupancy — so the
 // two can cross-validate, and so non-uniform conditions the closed form
@@ -12,6 +12,9 @@
 // not wait for compute — the overlap the paper relies on), but a rank's NIC
 // sends serially and compute is serial per rank. pass-Q adds a trailing
 // All2All that starts when every rank has finished its partials.
+//
+// SimulateServe is the serving-level counterpart: a continuous-batching
+// scheduler loop in virtual time, replaying a tracev2.
 package eventsim
 
 import (
@@ -28,9 +31,9 @@ import (
 // nanoseconds (Start/Dur) and the iteration index in Args["iter"]. Span
 // names label the activity:
 const (
-	SpanCompute = "compute"
-	SpanXfer    = "xfer"
-	SpanAll2All = "all2all"
+	spanCompute = "compute"
+	spanXfer    = "xfer"
+	spanAll2All = "all2all"
 )
 
 // simSpan builds a timeline entry from simulated seconds.
@@ -83,8 +86,8 @@ func (s RingSpec) Validate() error {
 	return nil
 }
 
-// Uniform builds a spec where every iteration computes and transfers in the
-// same time — the regime of the closed-form perf model.
+// Uniform builds a spec where every iteration computes and transfers in
+// the same time — the regime of the closed-form perf model.
 func Uniform(n int, compute, xfer, a2a float64) RingSpec {
 	s := RingSpec{N: n, Compute: make([][]float64, n), Xfer: make([][]float64, n)}
 	if a2a > 0 {
@@ -104,14 +107,6 @@ func Uniform(n int, compute, xfer, a2a float64) RingSpec {
 		}
 	}
 	return s
-}
-
-// ScaleRankCompute multiplies one rank's compute times by f (a compute
-// straggler).
-func (s *RingSpec) ScaleRankCompute(rank int, f float64) {
-	for j := range s.Compute[rank] {
-		s.Compute[rank][j] *= f
-	}
 }
 
 // ScaleLinkXfer multiplies the transfer times of the link rank -> rank+1 by
@@ -159,7 +154,7 @@ func Simulate(spec RingSpec) (*Result, error) {
 			start := math.Max(prevEnd, avail[r][j])
 			end := start + spec.Compute[r][j]
 			computeEnd[r][j] = end
-			res.Timeline = append(res.Timeline, simSpan(r, j, SpanCompute, start, end))
+			res.Timeline = append(res.Timeline, simSpan(r, j, spanCompute, start, end))
 			if start > prevEnd {
 				res.ExposedComm[r] += start - prevEnd
 			}
@@ -169,7 +164,7 @@ func Simulate(spec RingSpec) (*Result, error) {
 				sendEnd[r] = sendFinish
 				next := (r + 1) % n
 				avail[next][j+1] = sendFinish
-				res.Timeline = append(res.Timeline, simSpan(r, j, SpanXfer, sendStart, sendFinish))
+				res.Timeline = append(res.Timeline, simSpan(r, j, spanXfer, sendStart, sendFinish))
 			}
 		}
 	}
@@ -188,7 +183,7 @@ func Simulate(spec RingSpec) (*Result, error) {
 			if spec.A2A[r] > maxA2A {
 				maxA2A = spec.A2A[r]
 			}
-			res.Timeline = append(res.Timeline, simSpan(r, n, SpanAll2All, allDone, allDone+spec.A2A[r]))
+			res.Timeline = append(res.Timeline, simSpan(r, n, spanAll2All, allDone, allDone+spec.A2A[r]))
 		}
 		for r := 0; r < n; r++ {
 			res.RankFinish[r] = allDone + maxA2A
@@ -205,22 +200,14 @@ func Simulate(spec RingSpec) (*Result, error) {
 	return res, nil
 }
 
-// ClosedForm returns the perf package's overlap expression for a uniform
-// ring — compute + (N−1)·max(compute, xfer) + a2a — for cross-validation.
+// ClosedForm is the perf model's overlap expression for a uniform ring —
+// compute + (N−1)·max(compute, xfer) + a2a — which perf.System.Prefill
+// charges and the event-driven schedule cross-checks.
 func ClosedForm(n int, compute, xfer, a2a float64) float64 {
 	if n == 1 {
 		return compute + a2a
 	}
 	return compute + float64(n-1)*math.Max(compute, xfer) + a2a
-}
-
-// Record replays the simulated timeline into a trace recorder, so a
-// simulated schedule exports through the same Chrome-trace / JSONL surface
-// as a real serving run.
-func (r *Result) Record(rec *trace.Recorder) {
-	for _, s := range r.Timeline {
-		rec.RecordSpan(s)
-	}
 }
 
 // Gantt renders an ASCII timeline with the given horizontal resolution
@@ -240,13 +227,13 @@ func (r *Result) Gantt(secPerChar float64) string {
 	for i := range rows {
 		rows[i] = []byte(strings.Repeat(".", width))
 	}
-	glyph := map[string]byte{SpanCompute: '#', SpanXfer: '-', SpanAll2All: '='}
+	glyph := map[string]byte{spanCompute: '#', spanXfer: '-', spanAll2All: '='}
 	for _, s := range r.Timeline {
 		lo := int(float64(s.Start) / 1e9 / secPerChar)
 		hi := int(spanEnd(s) / secPerChar)
 		for i := lo; i <= hi && i < width; i++ {
 			// Compute wins over transfer when they overlap on screen.
-			if rows[s.Rank][i] == '.' || s.Name == SpanCompute {
+			if rows[s.Rank][i] == '.' || s.Name == spanCompute {
 				rows[s.Rank][i] = glyph[s.Name]
 			}
 		}

@@ -9,6 +9,14 @@ import (
 
 const tol = 1e-9
 
+// scaleRankCompute multiplies one rank's compute times by f (a compute
+// straggler).
+func scaleRankCompute(s RingSpec, rank int, f float64) {
+	for j := range s.Compute[rank] {
+		s.Compute[rank][j] *= f
+	}
+}
+
 func TestValidate(t *testing.T) {
 	if err := Uniform(4, 1, 0.5, 0).Validate(); err != nil {
 		t.Fatal(err)
@@ -81,7 +89,7 @@ func TestExposedCommMatchesDefinition(t *testing.T) {
 // for compute, so only the slow rank's own finish time grows.
 func TestComputeStragglerLocalized(t *testing.T) {
 	spec := Uniform(4, 1, 0.25, 0)
-	spec.ScaleRankCompute(2, 1.5)
+	scaleRankCompute(spec, 2, 1.5)
 	res, err := Simulate(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +132,7 @@ func TestSlowLinkAbsorption(t *testing.T) {
 
 func TestAll2AllWaitsForSlowestRank(t *testing.T) {
 	spec := Uniform(3, 1, 0.1, 0.5)
-	spec.ScaleRankCompute(0, 2)
+	scaleRankCompute(spec, 0, 2)
 	res, err := Simulate(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +159,7 @@ func TestTimelineWellFormed(t *testing.T) {
 		if s.Dur < 0 {
 			t.Fatalf("span ends before start: %+v", s)
 		}
-		if s.Name == SpanCompute {
+		if s.Name == spanCompute {
 			computeCount++
 		}
 	}

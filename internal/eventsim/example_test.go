@@ -8,7 +8,7 @@ import (
 
 // A comm-bound uniform ring exposes (N-1)*(xfer-compute) of SendRecv per
 // rank; the event-driven makespan agrees with the closed-form overlap
-// expression the perf model uses.
+// expression the perf model charges.
 func ExampleSimulate() {
 	spec := eventsim.Uniform(4, 1.0, 1.5, 0) // compute 1s, transfer 1.5s
 	res, err := eventsim.Simulate(spec)

@@ -15,8 +15,9 @@
 // Efficiency factors translate peaks into achieved rates. They are
 // calibrated once against the paper's anchor measurements (CP1 TTFT at 128K
 // = 42 s, standalone FlashAttention-3 at 540 TF/s, Table 8 decode
-// micro-latencies) and then used unchanged for every experiment; see
-// EXPERIMENTS.md for the calibration notes.
+// micro-latencies) and then used unchanged for every experiment;
+// internal/perf/testdata/experiments.golden holds the model-versus-paper
+// columns of every reproduced table.
 package hw
 
 // GPU describes one accelerator.
@@ -61,9 +62,9 @@ func (p Platform) GEMMRate() float64 { return p.GPU.PeakFP8 * p.GEMMEff }
 // AttnRate returns the achieved FLOP/s per GPU on attention kernels.
 func (p Platform) AttnRate() float64 { return p.GPU.PeakBF16 * p.AttnEff }
 
-// H100PowerLimited is the 500 W, HBM2e-equipped H100 of the Grand Teton
+// h100PowerLimited is the 500 W, HBM2e-equipped H100 of the Grand Teton
 // platforms (Appendix A).
-func H100PowerLimited() GPU {
+func h100PowerLimited() GPU {
 	return GPU{
 		Name:     "h100-500w-hbm2e",
 		PeakBF16: 800e12,
@@ -78,7 +79,7 @@ func H100PowerLimited() GPU {
 func GTT() Platform {
 	return Platform{
 		Name:        "gtt",
-		GPU:         H100PowerLimited(),
+		GPU:         h100PowerLimited(),
 		GPUsPerHost: 8,
 		IntraBW:     450e9,
 		InterBW:     50e9, // 400 Gb/s
@@ -113,7 +114,7 @@ func GTI() Platform {
 // GB200Like returns a hypothetical NVLink-connected multi-host platform in
 // the spirit of the paper's GB200 remark (§4.2.2): cross-host bandwidth
 // close to intra-host, where multi-node TP regains viability. Used by the
-// ablation benches only.
+// ablation tables only.
 func GB200Like() Platform {
 	p := GTT()
 	p.Name = "gb200-like"

@@ -38,6 +38,9 @@ func DefaultPolicy() Policy {
 		"determinism": {
 			"internal/comm/wire",
 			"internal/workload",
+			// The analytical layer: model and experiments, and the
+			// virtual-time simulators beneath them.
+			"internal/perf",
 			"internal/eventsim",
 			"internal/chaos",
 			"internal/sharding",

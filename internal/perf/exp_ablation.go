@@ -1,12 +1,10 @@
-package experiments
+package perf
 
 import (
 	"fmt"
 
-	"repro/internal/heuristic"
 	"repro/internal/hw"
 	"repro/internal/model"
-	"repro/internal/perf"
 	"repro/internal/sharding"
 	"repro/internal/workload"
 )
@@ -21,10 +19,10 @@ func init() {
 
 // planTable exercises the §2.3 capacity/latency trade-off: for each context
 // and TTFT target, the minimal CP group that serves it.
-func planTable() (*Table, error) {
-	t := &Table{
+func planTable() (*table, error) {
+	t := &table{
 		ID:     "plan",
-		Title:  Title("plan"),
+		Title:  title("plan"),
 		Header: []string{"context", "TTFT target (s)", "plan", "GPUs", "TTFT (s)", "TTIT (ms)", "capacity ok"},
 	}
 	cases := []struct {
@@ -35,14 +33,14 @@ func planTable() (*Table, error) {
 		{1000000, 150}, {1000000, 80},
 	}
 	for _, cs := range cases {
-		p, err := perf.PlanDeployment(perf.PlanRequest{
+		p, err := PlanDeployment(PlanRequest{
 			Model: model.Llama3405B(), Plat: hw.GTT(),
 			Context: cs.ctx, TTFTTarget: cs.target, MaxCPNodes: 32,
 		})
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%d", cs.ctx), fmt.Sprintf("%.0f", cs.target),
+		t.addRow(fmt.Sprintf("%d", cs.ctx), fmt.Sprintf("%.0f", cs.target),
 			p.System.Name(), fmt.Sprintf("%d", p.System.TotalGPUs()),
 			sec(p.TTFT), fmt.Sprintf("%.1f", p.TTIT*1000), fmt.Sprintf("%v", p.CapacityOK))
 	}
@@ -53,10 +51,10 @@ func planTable() (*Table, error) {
 
 // ablationSharding quantifies the §3.5.1 design choice: per-rank causal
 // compute imbalance under both sharding schemes.
-func ablationSharding() (*Table, error) {
-	t := &Table{
+func ablationSharding() (*table, error) {
+	t := &table{
 		ID:    "ablation-sharding",
-		Title: Title("ablation-sharding"),
+		Title: title("ablation-sharding"),
 		Header: []string{"ranks", "T", "balanced max/min pairs", "striped max/min pairs",
 			"contiguous max/min pairs", "runs: balanced/striped"},
 	}
@@ -78,7 +76,7 @@ func ablationSharding() (*Table, error) {
 			bal := span(func(r int) []int { return sharding.LoadBalancedPositions(T, n, r) })
 			str := span(func(r int) []int { return sharding.StripedPositions(T, n, r) })
 			ct := span(func(r int) []int { return sharding.ContiguousPositions(T, n, r) })
-			t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", T),
+			t.addRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", T),
 				fmt.Sprintf("%.3f", bal), fmt.Sprintf("%.3f", str), fmt.Sprintf("%.3f", ct),
 				fmt.Sprintf("%d/%d",
 					sharding.Runs(sharding.LoadBalancedPositions(T, n, 0)),
@@ -91,68 +89,63 @@ func ablationSharding() (*Table, error) {
 	return t, nil
 }
 
-func ablationHeuristics() (*Table, error) {
-	s := gttSystem(4, 1)
-	in := heuristic.NewInputs(model.Llama3405B(), hw.GTT(), 4)
+func ablationHeuristics() (*table, error) {
+	s := gtt(4, 1)
+	in := NewInputs(model.Llama3405B(), hw.GTT(), 4)
 	gen := workload.NewGenerator(11)
-	pts := gen.LogGrid(256, 262144, 0.002, 1.0, 12, 10)
-	grid := make([]heuristic.LabeledPoint, 0, len(pts))
-	for _, p := range pts {
-		best, _, _ := s.PrefillBest(p.T, p.P)
-		grid = append(grid, heuristic.LabeledPoint{T: p.T, P: p.P, Best: best})
-	}
-	fit, err := heuristic.FitEmpirical(grid)
+	grid := oracleLabels(s, gen.LogGrid(256, 262144, 0.002, 1.0, 12, 10))
+	fit, err := FitEmpirical(grid)
 	if err != nil {
 		return nil, err
 	}
 	selectors := []struct {
 		name string
-		sel  heuristic.Selector
+		sel  selector
 	}{
-		{"always pass-KV", func(int, int) perf.Variant { return perf.PassKV }},
-		{"always pass-Q", func(int, int) perf.Variant { return perf.PassQ }},
-		{"Algorithm 1", func(T, P int) perf.Variant { return heuristic.Algorithm1(in, T, P) }},
-		{"Algorithm 5", func(T, P int) perf.Variant { return heuristic.Algorithm5(in, T, P) }},
+		{"always pass-KV", func(int, int) Variant { return PassKV }},
+		{"always pass-Q", func(int, int) Variant { return PassQ }},
+		{"Algorithm 1", func(T, P int) Variant { return Algorithm1(in, T, P) }},
+		{"Algorithm 5", func(T, P int) Variant { return Algorithm5(in, T, P) }},
 		{"fitted empirical", fit.Choose},
 	}
-	t := &Table{
+	t := &table{
 		ID:     "ablation-heuristics",
-		Title:  Title("ablation-heuristics"),
+		Title:  title("ablation-heuristics"),
 		Header: []string{"selector", "accuracy", "mean regret", "worst regret"},
 	}
 	for _, sl := range selectors {
-		ev := heuristic.Evaluate(s, sl.sel, grid)
-		t.AddRow(sl.name, pct(ev.Accuracy()), pct(ev.MeanRegret), pct(ev.WorstRegret))
+		ev := evaluate(s, sl.sel, grid)
+		t.addRow(sl.name, pct(ev.accuracy()), pct(ev.MeanRegret), pct(ev.WorstRegret))
 	}
 	t.Notes = append(t.Notes,
 		"the paper's adaptive selection exists because neither fixed variant is safe: each fixed policy pays real regret somewhere on the grid")
 	return t, nil
 }
 
-func ablationGB200() (*Table, error) {
-	t := &Table{
+func ablationGB200() (*table, error) {
+	t := &table{
 		ID:     "ablation-gb200",
-		Title:  Title("ablation-gb200"),
+		Title:  title("ablation-gb200"),
 		Header: []string{"config", "GTT TTFT (s)", "GB200-like TTFT (s)"},
 	}
 	const T = 128000
 	m := model.Llama3405B()
 	for _, tp := range []int{1, 2, 4} {
-		gtt := perf.System{Model: m, Plat: hw.GTT(), CPNodes: 1, TPNodes: tp}
-		gb := perf.System{Model: m, Plat: hw.GB200Like(), CPNodes: 1, TPNodes: tp}
-		t.AddRow(gtt.Name(),
-			sec(gtt.Prefill(T, 0, perf.PassKV).Total),
-			sec(gb.Prefill(T, 0, perf.PassKV).Total))
+		rdma := gtt(1, tp)
+		gb := System{Model: m, Plat: hw.GB200Like(), CPNodes: 1, TPNodes: tp}
+		t.addRow(rdma.Name(),
+			sec(rdma.Prefill(T, 0, PassKV).Total),
+			sec(gb.Prefill(T, 0, PassKV).Total))
 	}
 	t.Notes = append(t.Notes,
 		"§4.2.2 remark: with NVLink-class cross-host bandwidth (GB200 NVL72), multi-node TP regains reasonable scalability")
 	return t, nil
 }
 
-func ablationDecodeOwner() (*Table, error) {
-	t := &Table{
+func ablationDecodeOwner() (*table, error) {
+	t := &table{
 		ID:     "ablation-decode-owner",
-		Title:  Title("ablation-decode-owner"),
+		Title:  title("ablation-decode-owner"),
 		Header: []string{"steps", "ranks", "batch", "rotation max-min", "static max-min"},
 	}
 	for _, cfg := range []struct{ steps, ranks, batch int }{
@@ -178,7 +171,7 @@ func ablationDecodeOwner() (*Table, error) {
 			}
 			return max - min
 		}
-		t.AddRow(fmt.Sprintf("%d", cfg.steps), fmt.Sprintf("%d", cfg.ranks), fmt.Sprintf("%d", cfg.batch),
+		t.addRow(fmt.Sprintf("%d", cfg.steps), fmt.Sprintf("%d", cfg.ranks), fmt.Sprintf("%d", cfg.batch),
 			fmt.Sprintf("%d", span(rot)), fmt.Sprintf("%d", span(static)))
 	}
 	t.Notes = append(t.Notes,

@@ -1,10 +1,6 @@
-package experiments
+package perf
 
-import (
-	"fmt"
-
-	"repro/internal/perf"
-)
+import "fmt"
 
 func init() {
 	register("table6", "TTFT / TTIT for TP8 vs CP2 at 8K/32K/128K context, batch 1", table6)
@@ -12,10 +8,10 @@ func init() {
 	register("table8", "Decode attention scaling with CP hosts: per-layer microseconds", table8)
 }
 
-func table6() (*Table, error) {
-	t := &Table{
+func table6() (*table, error) {
+	t := &table{
 		ID:    "table6",
-		Title: Title("table6"),
+		Title: title("table6"),
 		Header: []string{"context", "TP8 TTFT (ms)", "TP8 TTIT (ms)", "CP2 TTFT (ms)", "CP2 TTIT (ms)",
 			"paper TP8", "paper CP2"},
 	}
@@ -25,12 +21,12 @@ func table6() (*Table, error) {
 		128000: {42010, 46.26, 21042, 66.63},
 	}
 	for _, ctx := range []int{8000, 32000, 128000} {
-		tp8 := gttSystem(1, 1)
-		cp2 := gttSystem(2, 1)
+		tp8 := gtt(1, 1)
+		cp2 := gtt(2, 1)
 		p := paper[ctx]
-		t.AddRow(fmt.Sprintf("%d", ctx),
-			ms(tp8.Prefill(ctx, 0, perf.PassKV).Total), fmt.Sprintf("%.2f", tp8.Decode(ctx, 1).Total*1000),
-			ms(cp2.Prefill(ctx, 0, perf.PassKV).Total), fmt.Sprintf("%.2f", cp2.Decode(ctx, 1).Total*1000),
+		t.addRow(fmt.Sprintf("%d", ctx),
+			ms(tp8.Prefill(ctx, 0, PassKV).Total), fmt.Sprintf("%.2f", tp8.Decode(ctx, 1).Total*1000),
+			ms(cp2.Prefill(ctx, 0, PassKV).Total), fmt.Sprintf("%.2f", cp2.Decode(ctx, 1).Total*1000),
 			fmt.Sprintf("%.0f/%.2f", p[0], p[1]), fmt.Sprintf("%.0f/%.2f", p[2], p[3]))
 	}
 	t.Notes = append(t.Notes,
@@ -38,26 +34,26 @@ func table6() (*Table, error) {
 	return t, nil
 }
 
-func table7() (*Table, error) {
-	t := &Table{
+func table7() (*table, error) {
+	t := &table{
 		ID:     "table7",
-		Title:  Title("table7"),
+		Title:  title("table7"),
 		Header: []string{"config", "TTFT (ms)", "TTIT (ms)", "paper TTFT", "paper TTIT"},
 	}
 	const ctx = 128000
 	rows := []struct {
-		s          perf.System
+		s          System
 		ttft, ttit float64
 	}{
-		{gttSystem(1, 1), 42010, 46.26},
-		{gttSystem(2, 1), 21042, 60.23},
-		{gttSystem(1, 2), 29917, 39.52},
-		{gttSystem(4, 1), 10950, 71.31},
-		{gttSystem(1, 4), 19841, 47.30},
+		{gtt(1, 1), 42010, 46.26},
+		{gtt(2, 1), 21042, 60.23},
+		{gtt(1, 2), 29917, 39.52},
+		{gtt(4, 1), 10950, 71.31},
+		{gtt(1, 4), 19841, 47.30},
 	}
 	for _, r := range rows {
-		t.AddRow(r.s.Name(),
-			ms(r.s.Prefill(ctx, 0, perf.PassKV).Total),
+		t.addRow(r.s.Name(),
+			ms(r.s.Prefill(ctx, 0, PassKV).Total),
 			fmt.Sprintf("%.2f", r.s.Decode(ctx, 1).Total*1000),
 			fmt.Sprintf("%.0f", r.ttft), fmt.Sprintf("%.2f", r.ttit))
 	}
@@ -66,10 +62,10 @@ func table7() (*Table, error) {
 	return t, nil
 }
 
-func table8() (*Table, error) {
-	t := &Table{
+func table8() (*table, error) {
+	t := &table{
 		ID:    "table8",
-		Title: Title("table8"),
+		Title: title("table8"),
 		Header: []string{"workload", "config", "eff ctx", "attn op (us)", "attn loop (us)",
 			"SendRecv (us)", "All2All (us)", "whole pass-Q (us)", "paper whole"},
 	}
@@ -86,8 +82,8 @@ func table8() (*Table, error) {
 		{"32K B=4", 32000, 4},
 	} {
 		for _, n := range []int{1, 2, 4} {
-			b := gttSystem(n, 1).Decode(wl.ctx, wl.batch)
-			t.AddRow(wl.name, b.System,
+			b := gtt(n, 1).Decode(wl.ctx, wl.batch)
+			t.addRow(wl.name, b.System,
 				fmt.Sprintf("%dK", wl.ctx/n/1000),
 				us(b.AttnOp), us(b.AttnLoopIter), us(b.SendRecvIter), us(b.All2AllIter),
 				us(b.WholeAttnIter),

@@ -1,12 +1,10 @@
-package experiments
+package perf
 
 import (
 	"fmt"
 
-	"repro/internal/heuristic"
 	"repro/internal/hw"
 	"repro/internal/model"
-	"repro/internal/perf"
 	"repro/internal/workload"
 )
 
@@ -36,32 +34,32 @@ var paperTable4 = map[int][2]float64{
 	128000: {11462.15, 12360.57},
 }
 
-func table4() (*Table, error) {
-	s := gttSystem(4, 1)
-	t := &Table{
+func table4() (*table, error) {
+	s := gtt(4, 1)
+	t := &table{
 		ID:    "table4",
-		Title: Title("table4"),
+		Title: title("table4"),
 		Header: []string{"P", "T", "miss", "pass-KV (ms)", "pass-Q (ms)", "winner",
 			"paper KV (ms)", "paper Q (ms)", "paper winner"},
 	}
 	for _, p := range workload.HitRateSweep(128000, workload.Table4MissRates()) {
-		kv := s.Prefill(p.T, p.P, perf.PassKV).Total
-		q := s.Prefill(p.T, p.P, perf.PassQ).Total
-		winner := perf.PassKV
+		kv := s.Prefill(p.T, p.P, PassKV).Total
+		q := s.Prefill(p.T, p.P, PassQ).Total
+		winner := PassKV
 		if q < kv {
-			winner = perf.PassQ
+			winner = PassQ
 		}
 		paperKV, paperQ, paperWinner := "-", "-", "-"
 		if ref, ok := paperTable4[p.T]; ok {
 			paperKV = fmt.Sprintf("%.0f", ref[0])
 			paperQ = fmt.Sprintf("%.0f", ref[1])
 			if ref[0] <= ref[1] {
-				paperWinner = perf.PassKV.String()
+				paperWinner = PassKV.String()
 			} else {
-				paperWinner = perf.PassQ.String()
+				paperWinner = PassQ.String()
 			}
 		}
-		t.AddRow(fmt.Sprintf("%d", p.P), fmt.Sprintf("%d", p.T), pct(p.MissRate()),
+		t.addRow(fmt.Sprintf("%d", p.P), fmt.Sprintf("%d", p.T), pct(p.MissRate()),
 			ms(kv), ms(q), winner.String(), paperKV, paperQ, paperWinner)
 	}
 	t.Notes = append(t.Notes,
@@ -70,21 +68,21 @@ func table4() (*Table, error) {
 	return t, nil
 }
 
-func fig9() (*Table, error) {
-	s := gttSystem(4, 1)
-	t := &Table{
+func fig9() (*table, error) {
+	s := gtt(4, 1)
+	t := &table{
 		ID:     "fig9",
-		Title:  Title("fig9"),
+		Title:  title("fig9"),
 		Header: []string{"miss rate", "pass-KV/pass-Q ratio", "paper ratio"},
 	}
 	for _, p := range workload.HitRateSweep(128000, workload.Table4MissRates()) {
-		kv := s.Prefill(p.T, p.P, perf.PassKV).Total
-		q := s.Prefill(p.T, p.P, perf.PassQ).Total
+		kv := s.Prefill(p.T, p.P, PassKV).Total
+		q := s.Prefill(p.T, p.P, PassQ).Total
 		paper := "-"
 		if ref, ok := paperTable4[p.T]; ok {
 			paper = fmt.Sprintf("%.3f", ref[0]/ref[1])
 		}
-		t.AddRow(pct(p.MissRate()), fmt.Sprintf("%.3f", kv/q), paper)
+		t.addRow(pct(p.MissRate()), fmt.Sprintf("%.3f", kv/q), paper)
 	}
 	// Locate the crossover by bisection.
 	lo, hi := 0.005, 0.20
@@ -92,7 +90,7 @@ func fig9() (*Table, error) {
 		mid := (lo + hi) / 2
 		T := int(mid * 128000)
 		v, _, _ := s.PrefillBest(T, 128000-T)
-		if v == perf.PassQ {
+		if v == PassQ {
 			lo = mid
 		} else {
 			hi = mid
@@ -103,11 +101,11 @@ func fig9() (*Table, error) {
 	return t, nil
 }
 
-func table5() (*Table, error) {
-	s := gttSystem(4, 1)
-	t := &Table{
+func table5() (*table, error) {
+	s := gtt(4, 1)
+	t := &table{
 		ID:    "table5",
-		Title: Title("table5"),
+		Title: title("table5"),
 		Header: []string{"miss rate", "variant", "SendRecv (us)", "ATTN (us)", "All2All (us)",
 			"paper SendRecv", "paper ATTN", "paper All2All"},
 	}
@@ -122,12 +120,12 @@ func table5() (*Table, error) {
 		{10, 12800, 115200, 631, 1608, 544, 1023},
 	}
 	for _, r := range rows {
-		kv := s.Prefill(r.T, r.P, perf.PassKV)
-		q := s.Prefill(r.T, r.P, perf.PassQ)
-		t.AddRow(fmt.Sprintf("%.1f%%", r.missPct), "pass-KV",
+		kv := s.Prefill(r.T, r.P, PassKV)
+		q := s.Prefill(r.T, r.P, PassQ)
+		t.addRow(fmt.Sprintf("%.1f%%", r.missPct), "pass-KV",
 			us(kv.SendRecvIter), us(kv.AttnIter), "-",
 			fmt.Sprintf("%.0f", r.pKV), fmt.Sprintf("%.0f", r.pAttn), "-")
-		t.AddRow(fmt.Sprintf("%.1f%%", r.missPct), "pass-Q",
+		t.addRow(fmt.Sprintf("%.1f%%", r.missPct), "pass-Q",
 			us(q.SendRecvIter), us(q.AttnIter), us(q.All2All/layers),
 			fmt.Sprintf("%.0f", r.pQ), fmt.Sprintf("%.0f", r.pAttn), fmt.Sprintf("%.0f", r.pA2A))
 	}
@@ -136,40 +134,35 @@ func table5() (*Table, error) {
 	return t, nil
 }
 
-func fig10() (*Table, error) {
-	s := gttSystem(4, 1)
+func fig10() (*table, error) {
+	s := gtt(4, 1)
 	gen := workload.NewGenerator(7)
-	pts := gen.LogGrid(256, 262144, 0.002, 1.0, 14, 12)
-	grid := make([]heuristic.LabeledPoint, 0, len(pts))
-	for _, p := range pts {
-		best, _, _ := s.PrefillBest(p.T, p.P)
-		grid = append(grid, heuristic.LabeledPoint{T: p.T, P: p.P, Best: best})
-	}
-	fit, err := heuristic.FitEmpirical(grid)
+	grid := oracleLabels(s, gen.LogGrid(256, 262144, 0.002, 1.0, 14, 12))
+	fit, err := FitEmpirical(grid)
 	if err != nil {
 		return nil, err
 	}
-	ev := heuristic.Evaluate(s, fit.Choose, grid)
-	paper := heuristic.PaperEmpirical()
+	ev := evaluate(s, fit.Choose, grid)
+	paper := PaperEmpirical()
 
-	t := &Table{
+	t := &table{
 		ID:     "fig10",
-		Title:  Title("fig10"),
+		Title:  title("fig10"),
 		Header: []string{"quantity", "fitted (this repo)", "paper"},
 	}
-	t.AddRow("alpha (log T)", fmt.Sprintf("%.3f", fit.Alpha), fmt.Sprintf("%.3f", paper.Alpha))
-	t.AddRow("beta (log miss)", fmt.Sprintf("%.3f", fit.Beta), fmt.Sprintf("%.3f", paper.Beta))
-	t.AddRow("gamma", fmt.Sprintf("%.3f", fit.Gamma), fmt.Sprintf("%.3f", paper.Gamma))
-	t.AddRow("training points", fmt.Sprintf("%d", ev.Points), "-")
-	t.AddRow("classification accuracy", pct(ev.Accuracy()), "trend-consistent with misclassifications where diff < 1%")
-	t.AddRow("mean regret vs oracle", pct(ev.MeanRegret), "-")
+	t.addRow("alpha (log T)", fmt.Sprintf("%.3f", fit.Alpha), fmt.Sprintf("%.3f", paper.Alpha))
+	t.addRow("beta (log miss)", fmt.Sprintf("%.3f", fit.Beta), fmt.Sprintf("%.3f", paper.Beta))
+	t.addRow("gamma", fmt.Sprintf("%.3f", fit.Gamma), fmt.Sprintf("%.3f", paper.Gamma))
+	t.addRow("training points", fmt.Sprintf("%d", ev.Points), "-")
+	t.addRow("classification accuracy", pct(ev.accuracy()), "trend-consistent with misclassifications where diff < 1%")
+	t.addRow("mean regret vs oracle", pct(ev.MeanRegret), "-")
 
 	// Also compare the analytical heuristics on the same grid.
-	in := heuristic.NewInputs(model.Llama3405B(), hw.GTT(), 4)
-	a1 := heuristic.Evaluate(s, func(T, P int) perf.Variant { return heuristic.Algorithm1(in, T, P) }, grid)
-	a5 := heuristic.Evaluate(s, func(T, P int) perf.Variant { return heuristic.Algorithm5(in, T, P) }, grid)
-	t.AddRow("Algorithm 1 accuracy", pct(a1.Accuracy()), "-")
-	t.AddRow("Algorithm 5 accuracy", pct(a5.Accuracy()), "-")
+	in := NewInputs(model.Llama3405B(), hw.GTT(), 4)
+	a1 := evaluate(s, func(T, P int) Variant { return Algorithm1(in, T, P) }, grid)
+	a5 := evaluate(s, func(T, P int) Variant { return Algorithm5(in, T, P) }, grid)
+	t.addRow("Algorithm 1 accuracy", pct(a1.accuracy()), "-")
+	t.addRow("Algorithm 5 accuracy", pct(a5.accuracy()), "-")
 	t.Notes = append(t.Notes,
 		"beta > 0 in both fits: higher miss rate pushes toward pass-KV, the Figure 10 trend",
 		"decision boundary: for each T there is a miss-rate threshold between pass-Q (below) and pass-KV (above)")

@@ -1,10 +1,10 @@
-package experiments
+package perf
 
 import (
 	"fmt"
 
+	"repro/internal/hw"
 	"repro/internal/model"
-	"repro/internal/perf"
 	"repro/internal/workload"
 )
 
@@ -20,20 +20,20 @@ func init() {
 
 // table2 evaluates the Table 2 formulas for Llama3 405B at a sample length
 // and cross-checks the 32x TP/CP traffic ratio.
-func table2() (*Table, error) {
+func table2() (*table, error) {
 	c := model.Llama3405B()
-	t := &Table{
+	t := &table{
 		ID:     "table2",
-		Title:  Title("table2"),
+		Title:  title("table2"),
 		Header: []string{"quantity", "TP", "CP"},
 	}
 	const T = 8192
-	t.AddRow("collective", "AllReduce", "SendRecv")
-	t.AddRow("comm per 2 linear (bytes)", fmt.Sprintf("%.0f", c.TPCommBytesPerBlock(T)), "0")
-	t.AddRow("comm per attn (bytes)", "0", fmt.Sprintf("%.0f", c.CPCommBytesPerBlock(T)))
-	t.AddRow("total comm per block (bytes)", fmt.Sprintf("%.0f", c.TPCommBytesPerBlock(T)),
+	t.addRow("collective", "AllReduce", "SendRecv")
+	t.addRow("comm per 2 linear (bytes)", fmt.Sprintf("%.0f", c.TPCommBytesPerBlock(T)), "0")
+	t.addRow("comm per attn (bytes)", "0", fmt.Sprintf("%.0f", c.CPCommBytesPerBlock(T)))
+	t.addRow("total comm per block (bytes)", fmt.Sprintf("%.0f", c.TPCommBytesPerBlock(T)),
 		fmt.Sprintf("%.0f", c.CPCommBytesPerBlock(T)))
-	t.AddRow("parameter size per GPU", "W/N_TP", "W")
+	t.addRow("parameter size per GPU", "W/N_TP", "W")
 	ratio := c.TPCommBytesPerBlock(T) / c.CPCommBytesPerBlock(T)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("T=%d; TP/CP traffic ratio = %.0fx (2*NH/NKV = %d for Llama3 405B)", T, ratio, 2*c.NumHeads/c.NumKV),
@@ -42,11 +42,11 @@ func table2() (*Table, error) {
 }
 
 // table3 evaluates Table 3's complexity formulas at representative shapes.
-func table3() (*Table, error) {
+func table3() (*table, error) {
 	c := model.Llama3405B()
-	t := &Table{
+	t := &table{
 		ID:     "table3",
-		Title:  Title("table3"),
+		Title:  title("table3"),
 		Header: []string{"case", "T", "P", "FLOPs/layer", "Q bytes", "KV bytes"},
 	}
 	cases := []struct {
@@ -59,7 +59,7 @@ func table3() (*Table, error) {
 		{"decode", 1, 127999},
 	}
 	for _, cs := range cases {
-		t.AddRow(cs.name, fmt.Sprintf("%d", cs.T), fmt.Sprintf("%d", cs.P),
+		t.addRow(cs.name, fmt.Sprintf("%d", cs.T), fmt.Sprintf("%d", cs.P),
 			fmt.Sprintf("%.3g", c.AttnFLOPsPartial(cs.T, cs.P)),
 			fmt.Sprintf("%.3g", c.QBytes(cs.T)),
 			fmt.Sprintf("%.3g", c.KVBytes(cs.T, cs.P)))
@@ -69,8 +69,8 @@ func table3() (*Table, error) {
 	return t, nil
 }
 
-func prefillSweep(id string, gti bool, nodes []int) (*Table, error) {
-	t := &Table{ID: id, Title: Title(id)}
+func prefillSweep(id string, plat hw.Platform, nodes []int) *table {
+	t := &table{ID: id, Title: title(id)}
 	t.Header = []string{"context"}
 	for _, n := range nodes {
 		t.Header = append(t.Header, fmt.Sprintf("CP%d (s)", n))
@@ -78,47 +78,36 @@ func prefillSweep(id string, gti bool, nodes []int) (*Table, error) {
 	for _, ctx := range workload.ContextSweep(false) {
 		row := []string{fmt.Sprintf("%d", ctx)}
 		for _, n := range nodes {
-			var s perf.System
-			if gti {
-				s = gtiSystem(n)
-			} else {
-				s = gttSystem(n, 1)
-			}
-			row = append(row, sec(s.Prefill(ctx, 0, perf.PassKV).Total))
+			s := System{Model: model.Llama3405B(), Plat: plat, CPNodes: n, TPNodes: 1}
+			row = append(row, sec(s.Prefill(ctx, 0, PassKV).Total))
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
-	return t, nil
+	return t
 }
 
-func fig6a() (*Table, error) {
-	t, err := prefillSweep("fig6a", false, []int{1, 2, 4, 8})
-	if err != nil {
-		return nil, err
-	}
-	cp8 := gttSystem(8, 1).Prefill(128000, 0, perf.PassKV).Total
+func fig6a() (*table, error) {
+	t := prefillSweep("fig6a", hw.GTT(), []int{1, 2, 4, 8})
+	cp8 := gtt(8, 1).Prefill(128000, 0, PassKV).Total
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("paper: CP8/GTT processes a 128K prefill in 5.85 s; model predicts %.2f s", cp8),
 		"paper shape: latency halves as CP nodes double once context is large enough to hide SendRecv")
 	return t, nil
 }
 
-func fig6b() (*Table, error) {
-	t, err := prefillSweep("fig6b", true, []int{1, 2, 4})
-	if err != nil {
-		return nil, err
-	}
-	gttCP4 := gttSystem(4, 1).Prefill(128000, 0, perf.PassKV).Total
-	gtiCP4 := gtiSystem(4).Prefill(128000, 0, perf.PassKV).Total
+func fig6b() (*table, error) {
+	t := prefillSweep("fig6b", hw.GTI(), []int{1, 2, 4})
+	gttCP4 := gtt(4, 1).Prefill(128000, 0, PassKV).Total
+	gtiCP4 := gti(4).Prefill(128000, 0, PassKV).Total
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("paper: GTI (TCP, ~3 GB/s achieved) matches GTT scalability up to 4 nodes at large contexts; model: GTI CP4 %.2f s vs GTT CP4 %.2f s at 128K", gtiCP4, gttCP4))
 	return t, nil
 }
 
-func fig7() (*Table, error) {
-	t := &Table{
+func fig7() (*table, error) {
+	t := &table{
 		ID:     "fig7",
-		Title:  Title("fig7"),
+		Title:  title("fig7"),
 		Header: []string{"nodes", "TP scaling ratio", "CP pass-KV scaling ratio", "perfect"},
 	}
 	const T = 128000
@@ -128,12 +117,12 @@ func fig7() (*Table, error) {
 	}
 	var pts []pt
 	for _, n := range []int{1, 2, 4, 8} {
-		p := pt{nodes: n, cp: gttSystem(n, 1).ScalingRatio(T, perf.PassKV)}
-		p.tp = gttSystem(1, n).ScalingRatio(T, perf.PassKV)
+		p := pt{nodes: n, cp: gtt(n, 1).ScalingRatio(T, PassKV)}
+		p.tp = gtt(1, n).ScalingRatio(T, PassKV)
 		pts = append(pts, p)
 	}
 	for _, p := range pts {
-		t.AddRow(fmt.Sprintf("%d", p.nodes), fmt.Sprintf("%.2f", p.tp),
+		t.addRow(fmt.Sprintf("%d", p.nodes), fmt.Sprintf("%.2f", p.tp),
 			fmt.Sprintf("%.2f", p.cp), fmt.Sprintf("%d", p.nodes))
 	}
 	tp8 := pts[len(pts)-1]
@@ -144,53 +133,53 @@ func fig7() (*Table, error) {
 	return t, nil
 }
 
-func fig8() (*Table, error) {
-	t := &Table{
+func fig8() (*table, error) {
+	t := &table{
 		ID:     "fig8",
-		Title:  Title("fig8"),
+		Title:  title("fig8"),
 		Header: []string{"context", "CP8 TTFT (s)", "CP16 TTFT (s)", "paper CP16 (s)"},
 	}
 	paper := map[int]string{128000: "3.8", 256000: "-", 512000: "-", 1000000: "77"}
 	for _, ctx := range workload.ContextSweep(true) {
-		cp8 := gttSystem(8, 1)
-		cp16 := gttSystem(16, 1)
+		cp8 := gtt(8, 1)
+		cp16 := gtt(16, 1)
 		cp8Cell := "-"
 		if float64(ctx) <= cp8.KVCapacityTokens() {
-			cp8Cell = sec(cp8.Prefill(ctx, 0, perf.PassKV).Total)
+			cp8Cell = sec(cp8.Prefill(ctx, 0, PassKV).Total)
 		}
-		t.AddRow(fmt.Sprintf("%d", ctx), cp8Cell,
-			sec(cp16.Prefill(ctx, 0, perf.PassKV).Total), paper[ctx])
+		t.addRow(fmt.Sprintf("%d", ctx), cp8Cell,
+			sec(cp16.Prefill(ctx, 0, PassKV).Total), paper[ctx])
 	}
-	half := gttSystem(16, 1).Prefill(500000, 0, perf.PassKV).Total
-	full := gttSystem(16, 1).Prefill(1000000, 0, perf.PassKV).Total
+	half := gtt(16, 1).Prefill(500000, 0, PassKV).Total
+	full := gtt(16, 1).Prefill(1000000, 0, PassKV).Total
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("TTFT grows super-linearly past 512K: 2x context -> %.2fx TTFT (paper: >2x)", full/half),
 		fmt.Sprintf("KV capacity: CP8 holds %.0f tokens, CP16 %.0f (paper's capacity argument, §4.2.3)",
-			gttSystem(8, 1).KVCapacityTokens(), gttSystem(16, 1).KVCapacityTokens()))
+			gtt(8, 1).KVCapacityTokens(), gtt(16, 1).KVCapacityTokens()))
 	return t, nil
 }
 
-func mfu() (*Table, error) {
+func mfu() (*table, error) {
 	c := model.Llama3405B()
-	s := gttSystem(16, 1)
+	s := gtt(16, 1)
 	const T = 1_000_000
 	gemm := c.GEMMFLOPs(1, T)
 	attn := c.AttnFLOPsCausal(1, T)
 	total := c.TotalPrefillFLOPs(1, T)
-	ttft := s.Prefill(T, 0, perf.PassKV).Total
-	perGPU, util := s.MFU(T, perf.PassKV)
-	eff := s.ParallelEfficiency(T, perf.PassKV)
-	t := &Table{
+	ttft := s.Prefill(T, 0, PassKV).Total
+	perGPU, util := s.MFU(T, PassKV)
+	eff := s.ParallelEfficiency(T, PassKV)
+	t := &table{
 		ID:     "mfu",
-		Title:  Title("mfu"),
+		Title:  title("mfu"),
 		Header: []string{"quantity", "model", "paper"},
 	}
-	t.AddRow("GEMM FLOPs", fmt.Sprintf("%.3g", gemm), "8.1e17")
-	t.AddRow("ATTN FLOPs", fmt.Sprintf("%.3g", attn), "4.1e18")
-	t.AddRow("total FLOPs", fmt.Sprintf("%.3g", total), "4.9e18")
-	t.AddRow("TTFT (s)", sec(ttft), "77")
-	t.AddRow("achieved TF/s per H100", fmt.Sprintf("%.0f", perGPU/1e12), "502")
-	t.AddRow("parallelization efficiency", pct(eff), "93%")
-	t.AddRow("FLOPS utilization (BF16 peak 800TF)", pct(util), "~63%")
+	t.addRow("GEMM FLOPs", fmt.Sprintf("%.3g", gemm), "8.1e17")
+	t.addRow("ATTN FLOPs", fmt.Sprintf("%.3g", attn), "4.1e18")
+	t.addRow("total FLOPs", fmt.Sprintf("%.3g", total), "4.9e18")
+	t.addRow("TTFT (s)", sec(ttft), "77")
+	t.addRow("achieved TF/s per H100", fmt.Sprintf("%.0f", perGPU/1e12), "502")
+	t.addRow("parallelization efficiency", pct(eff), "93%")
+	t.addRow("FLOPS utilization (BF16 peak 800TF)", pct(util), "~63%")
 	return t, nil
 }

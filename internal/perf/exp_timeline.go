@@ -1,11 +1,11 @@
-package experiments
+package perf
 
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/eventsim"
-	"repro/internal/perf"
 )
 
 func init() {
@@ -16,22 +16,22 @@ func init() {
 
 // specFrom builds a uniform event-sim spec from the perf model's
 // per-iteration quantities for one layer.
-func specFrom(sys perf.System, T, P int, v perf.Variant) eventsim.RingSpec {
+func specFrom(sys System, T, P int, v Variant) eventsim.RingSpec {
 	b := sys.Prefill(T, P, v)
 	a2a := 0.0
-	if v == perf.PassQ {
+	if v == PassQ {
 		a2a = b.All2All / float64(sys.Model.Layers)
 	}
 	return eventsim.Uniform(sys.CPNodes, b.AttnIter, b.SendRecvIter, a2a)
 }
 
-func timeline() (*Table, error) {
-	t := &Table{
+func timeline() (*table, error) {
+	t := &table{
 		ID:     "timeline",
-		Title:  Title("timeline"),
+		Title:  title("timeline"),
 		Header: []string{"scenario", "variant", "makespan (us)", "exposed comm (us)", "gantt (# compute, - xfer, = all2all)"},
 	}
-	s := gttSystem(4, 1)
+	s := gtt(4, 1)
 	for _, sc := range []struct {
 		name string
 		T, P int
@@ -39,17 +39,16 @@ func timeline() (*Table, error) {
 		{"2.5% miss", 3200, 124800},
 		{"10% miss", 12800, 115200},
 	} {
-		for _, v := range []perf.Variant{perf.PassKV, perf.PassQ} {
+		for _, v := range []Variant{PassKV, PassQ} {
 			spec := specFrom(s, sc.T, sc.P, v)
 			res, err := eventsim.Simulate(spec)
 			if err != nil {
 				return nil, err
 			}
-			gantt := res.Gantt(res.Makespan / 48)
-			t.AddRow(sc.name, v.String(), us(res.Makespan), us(res.ExposedComm[0]),
-				firstLine(gantt))
-			for _, line := range restLines(gantt) {
-				t.AddRow("", "", "", "", line)
+			lines := strings.Split(strings.TrimSuffix(res.Gantt(res.Makespan/48), "\n"), "\n")
+			t.addRow(sc.name, v.String(), us(res.Makespan), us(res.ExposedComm[0]), lines[0])
+			for _, line := range lines[1:] {
+				t.addRow("", "", "", "", line)
 			}
 		}
 	}
@@ -58,52 +57,27 @@ func timeline() (*Table, error) {
 	return t, nil
 }
 
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
-}
-
-func restLines(s string) []string {
-	var out []string
-	start := 0
-	first := true
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			if !first {
-				out = append(out, s[start:i])
-			}
-			first = false
-			start = i + 1
-		}
-	}
-	return out
-}
-
-func ablationJitter() (*Table, error) {
-	t := &Table{
+func ablationJitter() (*table, error) {
+	t := &table{
 		ID:     "ablation-jitter",
-		Title:  Title("ablation-jitter"),
+		Title:  title("ablation-jitter"),
 		Header: []string{"platform", "link slowdown", "makespan (ms)", "vs clean", "absorbed"},
 	}
 	const T = 128000
 	for _, plat := range []struct {
 		name string
-		sys  perf.System
+		sys  System
 	}{
-		{"gtt", gttSystem(4, 1)},
-		{"gti", gtiSystem(4)},
+		{"gtt", gtt(4, 1)},
+		{"gti", gti(4)},
 	} {
-		clean := specFrom(plat.sys, T, 0, perf.PassKV)
+		clean := specFrom(plat.sys, T, 0, PassKV)
 		base, err := eventsim.Simulate(clean)
 		if err != nil {
 			return nil, err
 		}
 		for _, slow := range []float64{1, 2, 4, 8} {
-			spec := specFrom(plat.sys, T, 0, perf.PassKV)
+			spec := specFrom(plat.sys, T, 0, PassKV)
 			spec.ScaleLinkXfer(1, slow)
 			res, err := eventsim.Simulate(spec)
 			if err != nil {
@@ -114,7 +88,7 @@ func ablationJitter() (*Table, error) {
 			if ratio > 1.001 {
 				absorbed = "no"
 			}
-			t.AddRow(plat.name, fmt.Sprintf("%.0fx", slow), ms(res.Makespan*float64(plat.sys.Model.Layers)),
+			t.addRow(plat.name, fmt.Sprintf("%.0fx", slow), ms(res.Makespan*float64(plat.sys.Model.Layers)),
 				fmt.Sprintf("%.3f", ratio), absorbed)
 		}
 	}
@@ -123,10 +97,10 @@ func ablationJitter() (*Table, error) {
 	return t, nil
 }
 
-func xcheckOverlap() (*Table, error) {
-	t := &Table{
+func xcheckOverlap() (*table, error) {
+	t := &table{
 		ID:     "xcheck-overlap",
-		Title:  Title("xcheck-overlap"),
+		Title:  title("xcheck-overlap"),
 		Header: []string{"N", "regime", "closed form (us)", "event-driven (us)", "rel diff"},
 	}
 	cases := []struct {
@@ -151,7 +125,7 @@ func xcheckOverlap() (*Table, error) {
 		if rel > worst {
 			worst = rel
 		}
-		t.AddRow(fmt.Sprintf("%d", c.n), c.name, us(cf), us(res.Makespan), fmt.Sprintf("%.2g", rel))
+		t.addRow(fmt.Sprintf("%d", c.n), c.name, us(cf), us(res.Makespan), fmt.Sprintf("%.2g", rel))
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("worst relative difference %.2g: the perf model's overlap expression is the exact fixed point of the event-driven schedule on uniform rings", worst))

@@ -1,18 +1,22 @@
-package experiments
+package perf
 
 import (
+	"bytes"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/model"
 )
 
 func TestIDsComplete(t *testing.T) {
 	want := []string{
 		"ablation-decode-owner", "ablation-gb200", "ablation-heuristics", "ablation-jitter",
-		"ablation-sharding", "commbytes", "e2e", "fig10", "fig6a", "fig6b", "fig7", "fig8", "fig9", "lossless",
+		"ablation-sharding", "commbytes", "e2e", "fig10", "fig6a", "fig6b", "fig7", "fig8", "fig9",
 		"mfu", "plan", "table2", "table3", "table4", "table5", "table6", "table7", "table8", "timeline", "xcheck-overlap",
 	}
-	got := IDs()
+	got := experimentIDs()
 	if len(got) != len(want) {
 		t.Fatalf("IDs = %v, want %v", got, want)
 	}
@@ -24,17 +28,17 @@ func TestIDsComplete(t *testing.T) {
 }
 
 func TestRunUnknown(t *testing.T) {
-	if _, err := Run("nope"); err == nil {
+	if _, err := runExperiment("nope"); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }
 
 func TestAllExperimentsRun(t *testing.T) {
-	tables, err := RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tb := range tables {
+	for _, id := range experimentIDs() {
+		tb, err := runExperiment(id)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(tb.Rows) == 0 {
 			t.Errorf("%s produced no rows", tb.ID)
 		}
@@ -53,7 +57,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
-func cell(t *testing.T, tb *Table, rowContains, col string) string {
+func cell(t *testing.T, tb *table, rowContains, col string) string {
 	t.Helper()
 	ci := -1
 	for i, h := range tb.Header {
@@ -85,7 +89,7 @@ func parse(t *testing.T, s string) float64 {
 
 // Fig 6a shape: CP8 at 128K must be 6.5-8x faster than CP1.
 func TestFig6aScalingShape(t *testing.T) {
-	tb, err := Run("fig6a")
+	tb, err := runExperiment("fig6a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +103,7 @@ func TestFig6aScalingShape(t *testing.T) {
 // Table 4 shape: the model's winner column must match the paper's winner on
 // the far rows (1% -> pass-Q; >= 10% -> pass-KV).
 func TestTable4WinnersMatchPaper(t *testing.T) {
-	tb, err := Run("table4")
+	tb, err := runExperiment("table4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,24 +124,10 @@ func TestTable4WinnersMatchPaper(t *testing.T) {
 	}
 }
 
-// The lossless experiment must report deviations below float32 tolerance.
-func TestLosslessDeviations(t *testing.T) {
-	tb, err := Run("lossless")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tb.Rows {
-		dev := parse(t, row[len(row)-1])
-		if dev > 1e-4 {
-			t.Errorf("deviation %v exceeds tolerance in row %v", dev, row)
-		}
-	}
-}
-
 // commbytes: pass-KV must move fewer ring bytes on full prefill; pass-Q on
 // the high-hit-rate follow-up.
 func TestCommBytesCrossover(t *testing.T) {
-	tb, err := Run("commbytes")
+	tb, err := runExperiment("commbytes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +151,7 @@ func TestCommBytesCrossover(t *testing.T) {
 
 // MFU table: model column within 15% of the paper's 502 TF/s.
 func TestMFUTable(t *testing.T) {
-	tb, err := Run("mfu")
+	tb, err := runExperiment("mfu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +163,7 @@ func TestMFUTable(t *testing.T) {
 
 // Fig 7: CP ratios must dominate TP ratios at every node count > 1.
 func TestFig7CPBeatsTP(t *testing.T) {
-	tb, err := Run("fig7")
+	tb, err := runExperiment("fig7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +181,7 @@ func TestFig7CPBeatsTP(t *testing.T) {
 
 // Ablation: balanced sharding ratio is 1.0, contiguous far worse.
 func TestAblationShardingTable(t *testing.T) {
-	tb, err := Run("ablation-sharding")
+	tb, err := runExperiment("ablation-sharding")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +202,7 @@ func TestAblationShardingTable(t *testing.T) {
 // Heuristic ablation: the adaptive selectors must beat both fixed policies
 // in mean regret.
 func TestAblationHeuristicsOrdering(t *testing.T) {
-	tb, err := Run("ablation-heuristics")
+	tb, err := runExperiment("ablation-heuristics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,4 +216,49 @@ func TestAblationHeuristicsOrdering(t *testing.T) {
 				adaptive, regret[adaptive], regret["always pass-Q"])
 		}
 	}
+}
+
+// The commbytes table's pass-KV full prefill moves exactly Table 2's ring
+// bytes: every ring step circulates one rank's K and V block, so each layer
+// carries (N−1)·2·T·NKV·DH·e bytes plus the engine's 8 B/token of position
+// and sequence metadata.
+func TestCommBytesMatchesTable2ClosedForm(t *testing.T) {
+	tb, err := runExperiment("commbytes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := model.Tiny()
+	const n, T = 2, 32
+	want := float64(m.Layers*(n-1)) * (2*T*float64(m.NumKV*m.HeadDim)*m.ElemBytes + 8*T)
+	if got := parse(t, tb.Rows[0][2]); tb.Rows[0][1] != "pass-KV" || got != want {
+		t.Fatalf("full-prefill row %v: ring bytes %v, want L·(N−1)·(2·T·NKV·DH·e + 8T) = %v", tb.Rows[0], got, want)
+	}
+}
+
+// cpcalc -exp all prints exactly the committed tables. Regenerate the golden
+// after an intended model change with
+// go run ./cmd/cpcalc -exp all > internal/perf/testdata/experiments.golden
+func TestExperimentsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/experiments.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := WriteExperiments(&got, "all"); err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(gotLines), len(wantLines)) {
+		if i >= len(gotLines) || i >= len(wantLines) || gotLines[i] != wantLines[i] {
+			t.Fatalf("cpcalc -exp all differs from testdata/experiments.golden at line %d:\n got: %q\nwant: %q",
+				i+1, line(gotLines, i), line(wantLines, i))
+		}
+	}
+}
+
+func line(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<end of output>"
 }

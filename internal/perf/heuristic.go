@@ -1,15 +1,4 @@
-// Package heuristic implements the paper's pass-KV versus pass-Q selection
-// logic: the analytical thresholds of §3.4 (Equations 1-3), the partial
-// prefill heuristics Algorithm 1 and its All2All-aware refinement Algorithm 5
-// (Appendix C), and the empirical log-linear selector of Appendix D,
-// h(T,P) = α·log(T) + β·log(T/(T+P)) + γ, together with a least-squares
-// fitter that learns (α, β, γ) from labeled data points.
-//
-// The heuristics take a model configuration and per-rank hardware rates. The
-// paper starts from hardware peaks and fine-tunes thresholds empirically
-// (§3.4 footnote); the same flow here uses the hw package's calibrated
-// achieved rates.
-package heuristic
+package perf
 
 import (
 	"fmt"
@@ -17,8 +6,20 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/model"
-	"repro/internal/perf"
+	"repro/internal/workload"
 )
+
+// The pass-KV versus pass-Q selection logic: the analytical thresholds of
+// §3.4 (Equations 1-3), the partial prefill heuristics Algorithm 1 and its
+// All2All-aware refinement Algorithm 5 (Appendix C), and the empirical
+// log-linear selector of Appendix D, h(T,P) = α·log(T) + β·log(T/(T+P)) + γ,
+// together with a least-squares fitter that learns (α, β, γ) from labeled
+// data points.
+//
+// The heuristics take a model configuration and per-rank hardware rates. The
+// paper starts from hardware peaks and fine-tunes thresholds empirically
+// (§3.4 footnote); the same flow here uses the platforms' calibrated
+// achieved rates.
 
 // Inputs captures the quantities the analytical heuristics need: the model
 // shape and the per-CP-rank compute and communication rates.
@@ -47,7 +48,7 @@ func (in Inputs) Validate() error {
 		return err
 	}
 	if in.N <= 0 || in.C <= 0 || in.BW <= 0 {
-		return fmt.Errorf("heuristic: non-positive N=%d C=%v BW=%v", in.N, in.C, in.BW)
+		return fmt.Errorf("perf: non-positive N=%d C=%v BW=%v", in.N, in.C, in.BW)
 	}
 	return nil
 }
@@ -75,22 +76,22 @@ func Eq3MinContext(in Inputs) float64 {
 // Algorithm1 is the paper's partial-prefill heuristic: pass-KV when the new
 // tokens are long enough to hide KV communication (Equation 2) or when the
 // miss rate makes KV the smaller message (Equation 1); otherwise pass-Q.
-func Algorithm1(in Inputs, T, P int) perf.Variant {
+func Algorithm1(in Inputs, T, P int) Variant {
 	if float64(T) >= Eq2MinNewTokens(in) || model.MissRate(T, P) >= Eq1Threshold(in.Model) {
-		return perf.PassKV
+		return PassKV
 	}
-	return perf.PassQ
+	return PassQ
 }
 
 // Algorithm5 refines Algorithm 1 by charging pass-Q for its All2All
 // (Equation 5, Appendix C): the miss-rate threshold for selecting pass-Q
 // drops by 4·T·BW/(N·C·e).
-func Algorithm5(in Inputs, T, P int) perf.Variant {
+func Algorithm5(in Inputs, T, P int) Variant {
 	adjusted := Eq1Threshold(in.Model) - 4*float64(T)*in.BW/(float64(in.N)*in.C*in.Model.ElemBytes)
 	if float64(T) >= Eq2MinNewTokens(in) || model.MissRate(T, P) >= adjusted {
-		return perf.PassKV
+		return PassKV
 	}
-	return perf.PassQ
+	return PassQ
 }
 
 // ---------------------------------------------------------------------------
@@ -115,28 +116,18 @@ func (e Empirical) Score(T, P int) float64 {
 }
 
 // Choose returns pass-KV when the score is positive, pass-Q otherwise.
-func (e Empirical) Choose(T, P int) perf.Variant {
+func (e Empirical) Choose(T, P int) Variant {
 	if e.Score(T, P) > 0 {
-		return perf.PassKV
+		return PassKV
 	}
-	return perf.PassQ
-}
-
-// MissRateThreshold returns, for a given T, the miss rate at which the
-// selector switches from pass-Q to pass-KV (the decision boundary of
-// Figure 10). Returns a value possibly outside (0, 1].
-func (e Empirical) MissRateThreshold(T int) float64 {
-	if e.Beta == 0 {
-		return math.NaN()
-	}
-	return math.Exp(-(e.Alpha*math.Log(float64(T)) + e.Gamma) / e.Beta)
+	return PassQ
 }
 
 // LabeledPoint is one training observation: a workload and which variant
 // actually won.
 type LabeledPoint struct {
 	T, P int
-	Best perf.Variant
+	Best Variant
 }
 
 // FitEmpirical fits (α, β, γ) by least squares on ±1 labels (+1 = pass-KV)
@@ -144,18 +135,18 @@ type LabeledPoint struct {
 // It requires at least one point of each class.
 func FitEmpirical(points []LabeledPoint) (Empirical, error) {
 	if len(points) < 3 {
-		return Empirical{}, fmt.Errorf("heuristic: need at least 3 points, got %d", len(points))
+		return Empirical{}, fmt.Errorf("perf: need at least 3 points, got %d", len(points))
 	}
 	var nKV, nQ int
 	var ata [3][3]float64
 	var atb [3]float64
 	for _, p := range points {
 		if p.T <= 0 || p.P < 0 {
-			return Empirical{}, fmt.Errorf("heuristic: invalid point T=%d P=%d", p.T, p.P)
+			return Empirical{}, fmt.Errorf("perf: invalid point T=%d P=%d", p.T, p.P)
 		}
 		x := [3]float64{math.Log(float64(p.T)), math.Log(model.MissRate(p.T, p.P)), 1}
 		y := -1.0
-		if p.Best == perf.PassKV {
+		if p.Best == PassKV {
 			y = 1
 			nKV++
 		} else {
@@ -169,7 +160,7 @@ func FitEmpirical(points []LabeledPoint) (Empirical, error) {
 		}
 	}
 	if nKV == 0 || nQ == 0 {
-		return Empirical{}, fmt.Errorf("heuristic: need both classes (pass-KV=%d pass-Q=%d)", nKV, nQ)
+		return Empirical{}, fmt.Errorf("perf: need both classes (pass-KV=%d pass-Q=%d)", nKV, nQ)
 	}
 	sol, err := solve3(ata, atb)
 	if err != nil {
@@ -194,7 +185,7 @@ func solve3(a [3][3]float64, b [3]float64) ([3]float64, error) {
 			}
 		}
 		if math.Abs(m[pivot][col]) < 1e-12 {
-			return [3]float64{}, fmt.Errorf("heuristic: singular normal equations")
+			return [3]float64{}, fmt.Errorf("perf: singular normal equations")
 		}
 		m[col], m[pivot] = m[pivot], m[col]
 		for r := 0; r < 3; r++ {
@@ -218,41 +209,41 @@ func solve3(a [3][3]float64, b [3]float64) ([3]float64, error) {
 // Evaluation against the performance-model oracle.
 // ---------------------------------------------------------------------------
 
-// Selector is any pass-KV/pass-Q chooser.
-type Selector func(T, P int) perf.Variant
+// selector is any pass-KV/pass-Q chooser.
+type selector func(T, P int) Variant
 
-// Evaluation summarizes a selector's quality against the perf-model oracle
+// evaluation summarizes a selector's quality against the perf-model oracle
 // over a workload grid.
-type Evaluation struct {
+type evaluation struct {
 	Points      int
 	Agreements  int
 	MeanRegret  float64 // mean relative TTFT excess over the oracle choice
 	WorstRegret float64
 }
 
-// Accuracy returns the agreement fraction.
-func (e Evaluation) Accuracy() float64 {
+// accuracy returns the agreement fraction.
+func (e evaluation) accuracy() float64 {
 	if e.Points == 0 {
 		return 0
 	}
 	return float64(e.Agreements) / float64(e.Points)
 }
 
-// Evaluate scores a selector on the given (T, P) grid using sys's perf model
+// evaluate scores a selector on the given (T, P) grid using sys's perf model
 // as ground truth. Regret on a point is (chosen − best) / best in predicted
 // TTFT.
-func Evaluate(sys perf.System, sel Selector, grid []LabeledPoint) Evaluation {
-	var ev Evaluation
+func evaluate(sys System, sel selector, grid []LabeledPoint) evaluation {
+	var ev evaluation
 	for _, g := range grid {
-		kv := sys.Prefill(g.T, g.P, perf.PassKV).Total
-		q := sys.Prefill(g.T, g.P, perf.PassQ).Total
-		best, bestLat := perf.PassKV, kv
+		kv := sys.Prefill(g.T, g.P, PassKV).Total
+		q := sys.Prefill(g.T, g.P, PassQ).Total
+		best, bestLat := PassKV, kv
 		if q < kv {
-			best, bestLat = perf.PassQ, q
+			best, bestLat = PassQ, q
 		}
 		choice := sel(g.T, g.P)
 		chosenLat := kv
-		if choice == perf.PassQ {
+		if choice == PassQ {
 			chosenLat = q
 		}
 		ev.Points++
@@ -271,24 +262,14 @@ func Evaluate(sys perf.System, sel Selector, grid []LabeledPoint) Evaluation {
 	return ev
 }
 
-// OracleGrid labels a grid of (T, miss-rate) workloads with the perf-model
-// winner, the training data for FitEmpirical (the Figure 10 methodology with
-// the analytical model standing in for production measurements).
-func OracleGrid(sys perf.System, totals []int, missRates []float64) []LabeledPoint {
-	var out []LabeledPoint
-	for _, total := range totals {
-		for _, mr := range missRates {
-			T := int(mr * float64(total))
-			if T < 1 {
-				T = 1
-			}
-			if T > total {
-				T = total
-			}
-			P := total - T
-			best, _, _ := sys.PrefillBest(T, P)
-			out = append(out, LabeledPoint{T: T, P: P, Best: best})
-		}
+// oracleLabels labels workloads with the perf-model winner, the training
+// data for FitEmpirical (the Figure 10 methodology with the analytical model
+// standing in for production measurements).
+func oracleLabels(sys System, pts []workload.Point) []LabeledPoint {
+	out := make([]LabeledPoint, 0, len(pts))
+	for _, p := range pts {
+		best, _, _ := sys.PrefillBest(p.T, p.P)
+		out = append(out, LabeledPoint{T: p.T, P: p.P, Best: best})
 	}
 	return out
 }

@@ -1,4 +1,4 @@
-package heuristic
+package perf
 
 import (
 	"math"
@@ -7,18 +7,27 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/model"
-	"repro/internal/perf"
+	"repro/internal/workload"
 )
 
 func gttInputs(n int) Inputs {
 	return NewInputs(model.Llama3405B(), hw.GTT(), n)
 }
 
-func gttSystem(n int) perf.System {
-	return perf.System{Model: model.Llama3405B(), Plat: hw.GTT(), CPNodes: n, TPNodes: 1}
+// oracleGrid labels a (total context, miss rate) grid with the perf-model
+// winner.
+func oracleGrid(sys System, totals []int, missRates []float64) []LabeledPoint {
+	var pts []workload.Point
+	for _, total := range totals {
+		for _, mr := range missRates {
+			T := min(max(int(mr*float64(total)), 1), total)
+			pts = append(pts, workload.Point{T: T, P: total - T})
+		}
+	}
+	return oracleLabels(sys, pts)
 }
 
-func TestValidate(t *testing.T) {
+func TestInputsValidate(t *testing.T) {
 	if err := gttInputs(4).Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,17 +80,17 @@ func TestEq3ThresholdMagnitude(t *testing.T) {
 // GQA models with NH > 2*NKV; decode (T=1) with a long cache selects pass-Q.
 func TestAlgorithm1LimitCases(t *testing.T) {
 	in := gttInputs(4)
-	if got := Algorithm1(in, 128000, 0); got != perf.PassKV {
+	if got := Algorithm1(in, 128000, 0); got != PassKV {
 		t.Fatalf("full prefill chose %v, want pass-KV", got)
 	}
-	if got := Algorithm1(in, 1, 127999); got != perf.PassQ {
+	if got := Algorithm1(in, 1, 127999); got != PassQ {
 		t.Fatalf("decode-like chose %v, want pass-Q", got)
 	}
 	// Table 4 extremes: 1% miss -> pass-Q; 20%+ miss -> pass-KV (Eq 1).
-	if got := Algorithm1(in, 1280, 126720); got != perf.PassQ {
+	if got := Algorithm1(in, 1280, 126720); got != PassQ {
 		t.Fatalf("1%% miss chose %v, want pass-Q", got)
 	}
-	if got := Algorithm1(in, 25600, 102400); got != perf.PassKV {
+	if got := Algorithm1(in, 25600, 102400); got != PassKV {
 		t.Fatalf("20%% miss chose %v, want pass-KV", got)
 	}
 }
@@ -96,7 +105,7 @@ func TestAlgorithm1MissRateRule(t *testing.T) {
 			if T == 0 {
 				continue
 			}
-			if got := Algorithm1(in, T, total-T); got != perf.PassKV {
+			if got := Algorithm1(in, T, total-T); got != PassKV {
 				t.Fatalf("miss %d%% of %d chose %v, want pass-KV", missPct, total, got)
 			}
 		}
@@ -112,7 +121,7 @@ func TestAlgorithm5NeverMoreEagerForPassQ(t *testing.T) {
 		P := int(rawP) % 1000000
 		a1 := Algorithm1(in, T, P)
 		a5 := Algorithm5(in, T, P)
-		if a1 == perf.PassKV && a5 == perf.PassQ {
+		if a1 == PassKV && a5 == PassQ {
 			return false
 		}
 		return true
@@ -129,7 +138,7 @@ func TestAlgorithm5DisagreementRegionExists(t *testing.T) {
 	found := false
 	for T := 100; T <= 6000; T += 100 {
 		P := 128000 - T
-		if Algorithm1(in, T, P) == perf.PassQ && Algorithm5(in, T, P) == perf.PassKV {
+		if Algorithm1(in, T, P) == PassQ && Algorithm5(in, T, P) == PassKV {
 			found = true
 			break
 		}
@@ -149,17 +158,18 @@ func TestPaperEmpiricalConstants(t *testing.T) {
 		t.Fatal("beta must be positive")
 	}
 	// The paper's selector must prefer pass-Q at Table 4's 1% row.
-	if e.Choose(1280, 126720) != perf.PassQ {
+	if e.Choose(1280, 126720) != PassQ {
 		t.Fatal("paper selector should choose pass-Q at 1% miss, T=1280")
 	}
 }
 
 func TestEmpiricalThresholdIncreasesWithT(t *testing.T) {
 	// Appendix D: "the threshold increases as T increases".
+	// The decision boundary h(T, P) = 0 solved for the miss rate.
 	e := PaperEmpirical()
 	prev := 0.0
 	for _, T := range []int{100, 1000, 10000, 100000} {
-		thr := e.MissRateThreshold(T)
+		thr := math.Exp(-(e.Alpha*math.Log(float64(T)) + e.Gamma) / e.Beta)
 		if thr <= prev {
 			t.Fatalf("threshold at T=%d is %v, not increasing (prev %v)", T, thr, prev)
 		}
@@ -201,11 +211,11 @@ func TestFitEmpiricalErrors(t *testing.T) {
 	if _, err := FitEmpirical(nil); err == nil {
 		t.Fatal("empty fit accepted")
 	}
-	allKV := []LabeledPoint{{T: 10, P: 0, Best: perf.PassKV}, {T: 20, P: 0, Best: perf.PassKV}, {T: 30, P: 0, Best: perf.PassKV}}
+	allKV := []LabeledPoint{{T: 10, P: 0, Best: PassKV}, {T: 20, P: 0, Best: PassKV}, {T: 30, P: 0, Best: PassKV}}
 	if _, err := FitEmpirical(allKV); err == nil {
 		t.Fatal("single-class fit accepted")
 	}
-	bad := []LabeledPoint{{T: 0, P: 0, Best: perf.PassKV}, {T: 1, P: 1, Best: perf.PassQ}, {T: 2, P: 2, Best: perf.PassKV}}
+	bad := []LabeledPoint{{T: 0, P: 0, Best: PassKV}, {T: 1, P: 1, Best: PassQ}, {T: 2, P: 2, Best: PassKV}}
 	if _, err := FitEmpirical(bad); err == nil {
 		t.Fatal("non-positive T accepted")
 	}
@@ -214,17 +224,17 @@ func TestFitEmpiricalErrors(t *testing.T) {
 // End-to-end Appendix D methodology: label a grid with the perf oracle, fit
 // the log-linear model, and require high agreement plus low regret.
 func TestFittedSelectorBeatsChanceOnOracle(t *testing.T) {
-	sys := gttSystem(4)
+	sys := gtt(4, 1)
 	totals := []int{32000, 64000, 128000, 256000}
 	missRates := []float64{0.005, 0.01, 0.02, 0.04, 0.08, 0.15, 0.3, 0.6, 1.0}
-	grid := OracleGrid(sys, totals, missRates)
+	grid := oracleGrid(sys, totals, missRates)
 	fit, err := FitEmpirical(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := Evaluate(sys, fit.Choose, grid)
-	if ev.Accuracy() < 0.85 {
-		t.Fatalf("fitted selector accuracy %.2f, want >= 0.85", ev.Accuracy())
+	ev := evaluate(sys, fit.Choose, grid)
+	if ev.accuracy() < 0.85 {
+		t.Fatalf("fitted selector accuracy %.2f, want >= 0.85", ev.accuracy())
 	}
 	if ev.MeanRegret > 0.02 {
 		t.Fatalf("fitted selector mean regret %.3f, want <= 2%%", ev.MeanRegret)
@@ -239,18 +249,18 @@ func TestFittedSelectorBeatsChanceOnOracle(t *testing.T) {
 // Algorithm 1 and 5 evaluated against the oracle must both achieve solid
 // accuracy, and Algorithm 5 must not be worse than Algorithm 1 in regret.
 func TestAnalyticalHeuristicsAgainstOracle(t *testing.T) {
-	sys := gttSystem(4)
+	sys := gtt(4, 1)
 	in := gttInputs(4)
-	grid := OracleGrid(sys,
+	grid := oracleGrid(sys,
 		[]int{64000, 128000, 256000},
 		[]float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.2, 0.5, 1.0})
-	a1 := Evaluate(sys, func(T, P int) perf.Variant { return Algorithm1(in, T, P) }, grid)
-	a5 := Evaluate(sys, func(T, P int) perf.Variant { return Algorithm5(in, T, P) }, grid)
-	if a1.Accuracy() < 0.7 {
-		t.Fatalf("Algorithm 1 accuracy %.2f too low", a1.Accuracy())
+	a1 := evaluate(sys, func(T, P int) Variant { return Algorithm1(in, T, P) }, grid)
+	a5 := evaluate(sys, func(T, P int) Variant { return Algorithm5(in, T, P) }, grid)
+	if a1.accuracy() < 0.7 {
+		t.Fatalf("Algorithm 1 accuracy %.2f too low", a1.accuracy())
 	}
-	if a5.Accuracy() < 0.7 {
-		t.Fatalf("Algorithm 5 accuracy %.2f too low", a5.Accuracy())
+	if a5.accuracy() < 0.7 {
+		t.Fatalf("Algorithm 5 accuracy %.2f too low", a5.accuracy())
 	}
 	if a1.MeanRegret > 0.05 || a5.MeanRegret > 0.05 {
 		t.Fatalf("mean regret too high: alg1 %.3f alg5 %.3f", a1.MeanRegret, a5.MeanRegret)
@@ -258,17 +268,17 @@ func TestAnalyticalHeuristicsAgainstOracle(t *testing.T) {
 }
 
 func TestEvaluateEmptyGrid(t *testing.T) {
-	ev := Evaluate(gttSystem(2), PaperEmpirical().Choose, nil)
-	if ev.Accuracy() != 0 || ev.Points != 0 {
+	ev := evaluate(gtt(2, 1), PaperEmpirical().Choose, nil)
+	if ev.accuracy() != 0 || ev.Points != 0 {
 		t.Fatal("empty grid should evaluate to zero")
 	}
 }
 
 func TestOracleGridCoversBothClasses(t *testing.T) {
-	grid := OracleGrid(gttSystem(4), []int{128000}, []float64{0.005, 0.01, 0.1, 0.5, 1.0})
+	grid := oracleGrid(gtt(4, 1), []int{128000}, []float64{0.005, 0.01, 0.1, 0.5, 1.0})
 	var kv, q int
 	for _, g := range grid {
-		if g.Best == perf.PassKV {
+		if g.Best == PassKV {
 			kv++
 		} else {
 			q++

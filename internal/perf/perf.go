@@ -1,26 +1,37 @@
-// Package perf is the calibrated analytical performance model that
-// regenerates the paper's evaluation tables and figures. It extends the
-// roofline analysis of §3.4 (Equations 1-3 and Appendix C) with the terms a
-// real deployment pays: tensor-parallel AllReduces, ring SendRecv pipelining
-// with compute overlap, the pass-Q All2All, weight-read memory floors for
-// small batches, per-kernel and per-hop latencies, and the strong-scaling
-// efficiency loss of sharding GEMMs across more GPUs.
+// Package perf is the paper's evaluation on the paper's hardware: the
+// analytical package behind the cpcalc command, linked by no serving binary.
+// It builds on two leaf packages: internal/hw (the H100 platforms GTT and GTI
+// and their calibration) and internal/eventsim (a discrete-event simulator
+// of one ring pass that cross-checks the model's closed-form overlap, and a
+// virtual-time serving loop that replays a cp-trace/v2).
 //
-// All latencies are returned in seconds. The model is deterministic and
-// cheap (microseconds per evaluation), so the benchmark harness can sweep
-// every configuration of the paper's §4 and the heuristic package can fit
-// its empirical selector (Appendix D) against it.
+//   - perf.go, plan.go: the calibrated performance model. It extends the
+//     roofline analysis of §3.4 (Equations 1-3 and Appendix C) with the terms
+//     a real deployment pays: tensor-parallel AllReduces, ring SendRecv
+//     pipelining with compute overlap, the pass-Q All2All, weight-read memory
+//     floors for small batches, per-kernel and per-hop latencies, and the
+//     strong-scaling efficiency loss of sharding GEMMs across more GPUs.
+//   - heuristic.go: the pass-KV/pass-Q selectors of §3.4 and Appendices C-D,
+//     with the least-squares fitter of the empirical selector.
+//   - experiments.go and exp_*.go: every table and figure of §4 and
+//     Appendices A and D, printed by cpcalc -exp.
+//
+// All latencies are in seconds. The model is deterministic and cheap
+// (microseconds per evaluation), so the experiments sweep every
+// configuration of §4 and fit the Appendix D selector against it.
 //
 // Calibration: GPU efficiency factors live in hw.Platform and were fitted
 // once against the paper's anchor numbers (CP1 TTFT 42 s at 128K, standalone
-// FA3 at 540 TF/s, Table 5 and Table 8 microsecond breakdowns); see
-// EXPERIMENTS.md for the residuals on every reproduced table.
+// FA3 at 540 TF/s, Table 5 and Table 8 microsecond breakdowns);
+// testdata/experiments.golden holds the model-versus-paper columns of every
+// reproduced table.
 package perf
 
 import (
 	"fmt"
 	"math"
 
+	"repro/internal/eventsim"
 	"repro/internal/hw"
 	"repro/internal/model"
 )
@@ -223,7 +234,7 @@ func (s System) Prefill(T, P int, v Variant) PrefillBreakdown {
 		b.SendRecvIter = commIter
 		// Pipeline: the first chunk computes unmasked; each later iteration
 		// costs max(compute, transfer).
-		ringLayer := attnIter + float64(n-1)*math.Max(attnIter, commIter)
+		ringLayer := eventsim.ClosedForm(n, attnIter, commIter, 0)
 		b.RingExposed = (ringLayer - float64(n)*attnIter) * L
 		if v == PassQ {
 			qHeadsPerGPU := float64(c.NumHeads) / float64(s.Plat.GPUsPerHost)

