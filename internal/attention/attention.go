@@ -70,7 +70,6 @@ package attention
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/parallel"
 	"repro/internal/simd"
@@ -161,6 +160,19 @@ func (o *Output) Reset() {
 	}
 }
 
+// Fit reshapes o to [tokens, heads, dim] over its own storage, reallocating
+// only what is too small (a zero Output is fine), resets it to the identity
+// and returns it: an arena's reusable kernel destination.
+func (o *Output) Fit(tokens, heads, dim int) *Output {
+	if o.O == nil {
+		o.O = new(tensor.Tensor)
+	}
+	o.O.Resize(tokens, heads, dim)
+	o.LSE = tensor.Grown(o.LSE, tokens*heads)
+	o.Reset()
+	return o
+}
+
 // LSEAt returns the log-sum-exp for query token t, head h.
 func (o *Output) LSEAt(t, h int) float64 { return o.LSE[t*o.O.Heads+h] }
 
@@ -190,9 +202,9 @@ const (
 // gqaScratch is one worker's reusable kernel state for a block of queries:
 // per query a stripe of tile-major score chunks (group × kvTileRows each),
 // the widened query rows, float64 accumulators and the per-head running
-// max/denominator, plus the shared widened K or V tile. Pooled and grown
-// geometrically, so steady-state kernel calls allocate nothing regardless of
-// context length.
+// max/denominator, plus the shared widened K or V tile. Kept on a free list
+// and grown geometrically, so steady-state kernel calls allocate nothing
+// regardless of context length.
 type gqaScratch struct {
 	scores []float64
 	acc    []float64
@@ -202,7 +214,63 @@ type gqaScratch struct {
 	denom  []float64
 }
 
-var scratchPool = sync.Pool{New: func() any { return &gqaScratch{} }}
+// freeList recycles kernel scratch between calls. Unlike a sync.Pool it
+// keeps its entries across garbage collections: a pool is emptied by every
+// other GC, and each prefill after one re-grew its score stripes, compiled
+// intervals and merge accumulators from nothing. The list holds more entries
+// than kernel calls can run at once (one per rank goroutine plus the worker
+// pool's at most 64 goroutines), so in steady state every entry returns to
+// it. What it keeps is bounded: keep rejects an entry grown past what a
+// budget-sized call needs (a long-context decode row's score stripe, the
+// intervals of a huge chunk), which is then left to the garbage collector
+// rather than pinned for the life of the process.
+type freeList[T any] struct {
+	c    chan *T
+	keep func(*T) bool
+}
+
+func newFreeList[T any](keep func(*T) bool) freeList[T] {
+	return freeList[T]{c: make(chan *T, 256), keep: keep}
+}
+
+// get returns an idle entry, or a new zero one when none is idle.
+func (f freeList[T]) get() *T {
+	select {
+	case x := <-f.c:
+		return x
+	default:
+		return new(T)
+	}
+}
+
+// put returns x to the list, or drops it when it is oversized or the list
+// is full.
+func (f freeList[T]) put(x *T) {
+	if !f.keep(x) {
+		return
+	}
+	select {
+	case f.c <- x:
+	default:
+	}
+}
+
+// maxKeptIntervalRows bounds the compiled Intervals the free list keeps, in
+// query rows, intervals and KV runs each: the masks of chunks up to 64 Ki
+// tokens a rank. A kept entry's offsets and intervals are then at most
+// 1.25 MB; its runs are one per KV sequence segment, a handful in practice.
+const maxKeptIntervalRows = 1 << 16
+
+var (
+	// A block's score stripes fit scoreBudget unless one query alone
+	// exceeds it; grow may double past the budget once.
+	scratchFree   = newFreeList(func(s *gqaScratch) bool { return cap(s.scores) <= 2*scoreBudget })
+	intervalsFree = newFreeList(func(iv *Intervals) bool {
+		return max(cap(iv.off), cap(iv.flat), cap(iv.runs)) <= maxKeptIntervalRows
+	})
+	// A merge accumulator is one head row: the model's head dim bounds it.
+	mergeAccFree = newFreeList(func(*[]float64) bool { return true })
+)
 
 // grow returns a slice of at least need elements, reusing buf when it is
 // large enough and otherwise at least doubling it. Contents are not kept.
@@ -273,7 +341,9 @@ func GQAInto(dst *Output, q, k, v *tensor.Tensor, m Mask) error {
 	if q.Tokens == 0 {
 		return nil
 	}
-	iv := NewIntervals(m)
+	iv := intervalsFree.get()
+	defer intervalsFree.put(iv)
+	iv.compile(m)
 	gqaTiles(dst, q, k, v, iv)
 	return nil
 }
@@ -312,8 +382,8 @@ func gqaTiles(dst *Output, q, k, v *tensor.Tensor, iv *Intervals) {
 			bq /= 2
 		}
 		bq = min(bq, hi-lo)
-		sc := scratchPool.Get().(*gqaScratch)
-		defer scratchPool.Put(sc)
+		sc := scratchFree.get()
+		defer scratchFree.put(sc)
 		sc.size(bq, stripe, group, q.Dim)
 		for cell := lo; cell < hi; {
 			kvh, t := cell/T, cell%T
@@ -355,8 +425,8 @@ func DecodeInto(dst *Output, q, k, v *tensor.Tensor, t, n int) error {
 	group := q.Heads / k.Heads
 	iv := Intervals{flat: []Interval{{Lo: 0, Hi: n}}}
 	stripe := tileChunks(iv.flat) * group * kvTileRows
-	sc := scratchPool.Get().(*gqaScratch)
-	defer scratchPool.Put(sc)
+	sc := scratchFree.get()
+	defer scratchFree.put(sc)
 	sc.size(1, stripe, group, q.Dim)
 	for kvh := 0; kvh < k.Heads; kvh++ {
 		gqaBlock(dst, q, k, v, sc, &iv, t, 1, kvh, stripe)
@@ -677,11 +747,6 @@ func forCells(work, n int, fn func(lo, hi int)) {
 	parallel.For(n, fn)
 }
 
-// mergeScratchPool recycles the per-worker float64 accumulator Merge needs;
-// the decode path calls Merge every ring sweep and must not allocate scratch
-// per call.
-var mergeScratchPool = sync.Pool{New: func() any { return &[]float64{} }}
-
 // Merge combines partial attention outputs computed against disjoint KV
 // chunks for the same queries, per Equation 4:
 //
@@ -727,8 +792,10 @@ func MergeInto(dst *Output, partials ...*Output) {
 // mergeCells merges (token, head) cells [lo, hi) of the partials into dst.
 func mergeCells(dst *Output, partials []*Output, lo, hi int) {
 	heads, dim := dst.O.Heads, dst.O.Dim
-	accp := mergeScratchPool.Get().(*[]float64)
-	defer mergeScratchPool.Put(accp)
+	// The decode path merges every ring sweep: the per-worker accumulator
+	// comes from a free list, not a per-call allocation.
+	accp := mergeAccFree.get()
+	defer mergeAccFree.put(accp)
 	if cap(*accp) < dim {
 		*accp = make([]float64, dim)
 	}

@@ -147,3 +147,65 @@ func TestMergeIntoOverwritesEveryCell(t *testing.T) {
 		}
 	}
 }
+
+// drain empties f and returns what it held.
+func drain[T any](f freeList[T]) []*T {
+	var out []*T
+	for {
+		select {
+		case x := <-f.c:
+			out = append(out, x)
+		default:
+			return out
+		}
+	}
+}
+
+// The free lists outlive every GC, so what they keep must stay bounded by a
+// budget-sized call: a decode row over a context whose score stripe alone is
+// past scoreBudget, and a chunk with more query rows than
+// maxKeptIntervalRows, leave no entry of that size behind. A budget-sized
+// call's scratch is kept.
+func TestFreeListsDropOversizedEntries(t *testing.T) {
+	drain(scratchFree)
+	drain(intervalsFree)
+
+	n := 2*scoreBudget + 3*kvTileRows // one KV head, group 1: the stripe is n scores
+	q := tensor.New(1, 1, 1)
+	k, v := tensor.New(n, 1, 1), tensor.New(n, 1, 1)
+	if err := DecodeInto(NewOutput(1, 1, 1), q, k, v, 0, n); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range drain(scratchFree) {
+		if cap(s.scores) > 2*scoreBudget {
+			t.Fatalf("a %d-row decode left a %d-score stripe on the free list (bound %d)", n, cap(s.scores), 2*scoreBudget)
+		}
+	}
+	if err := DecodeInto(NewOutput(1, 1, 1), q, k, v, 0, 64); err != nil {
+		t.Fatal(err)
+	}
+	if kept := drain(scratchFree); len(kept) != 1 {
+		t.Fatalf("a 64-row decode left %d entries on the free list, want its one", len(kept))
+	}
+
+	// Every KV row is padding, so each query row compiles to no interval and
+	// the kernel does no work past the compile.
+	rows := maxKeptIntervalRows + 1
+	m := Mask{QPos: make([]int, rows), QSeq: make([]int, rows), KVPos: []int{-1}, KVSeq: []int{0}}
+	qs := tensor.New(rows, 1, 1)
+	if err := GQAInto(NewOutput(rows, 1, 1), qs, tensor.New(1, 1, 1), tensor.New(1, 1, 1), m); err != nil {
+		t.Fatal(err)
+	}
+	for _, iv := range drain(intervalsFree) {
+		if cap(iv.off) > maxKeptIntervalRows {
+			t.Fatalf("a %d-row chunk left %d offsets on the free list (bound %d)", rows, cap(iv.off), maxKeptIntervalRows)
+		}
+	}
+	m = Mask{QPos: m.QPos[:8], QSeq: m.QSeq[:8], KVPos: m.KVPos, KVSeq: m.KVSeq}
+	if err := GQAInto(NewOutput(8, 1, 1), qs.SliceTokens(0, 8), tensor.New(1, 1, 1), tensor.New(1, 1, 1), m); err != nil {
+		t.Fatal(err)
+	}
+	if kept := drain(intervalsFree); len(kept) != 1 {
+		t.Fatalf("an 8-row chunk left %d compiled masks on the free list, want its one", len(kept))
+	}
+}

@@ -21,7 +21,8 @@ type Intervals struct {
 	flat []Interval // all rows' intervals, back to back
 	// off is, per query row, the start index into flat; len = T+1. Nil means
 	// every row admits all of flat (DecodeInto's one row, one interval).
-	off []int32
+	off  []int32
+	runs []kvRun // compile's working set, kept for the next compile
 }
 
 // kvRun is a maximal run of KV rows sharing one sequence id with no padding
@@ -37,8 +38,22 @@ type kvRun struct {
 // NewIntervals precomputes the allowed KV intervals of every query row of a
 // validated mask.
 func NewIntervals(m Mask) *Intervals {
-	runs := buildRuns(m)
-	iv := &Intervals{off: make([]int32, len(m.QPos)+1)}
+	iv := new(Intervals)
+	iv.compile(m)
+	return iv
+}
+
+// compile rebuilds iv for m in place, reusing the buffers of its previous
+// compile (GQAInto keeps compiled Intervals on a free list for this).
+func (iv *Intervals) compile(m Mask) {
+	iv.runs = buildRuns(iv.runs[:0], m)
+	runs := iv.runs
+	iv.flat = iv.flat[:0]
+	if cap(iv.off) < len(m.QPos)+1 {
+		iv.off = make([]int32, len(m.QPos)+1)
+	}
+	iv.off = iv.off[:len(m.QPos)+1]
+	iv.off[0] = 0
 	// Consecutive query rows frequently share (seq, pos); when the predicate
 	// is identical, duplicate the previous row's intervals instead of
 	// re-walking the runs.
@@ -88,7 +103,6 @@ func NewIntervals(m Mask) *Intervals {
 		}
 		iv.off[t+1] = int32(len(iv.flat))
 	}
-	return iv
 }
 
 // appendInterval adds [lo, hi) to the current query row (whose intervals
@@ -112,10 +126,9 @@ func (iv *Intervals) Row(t int) []Interval {
 	return iv.flat[iv.off[t]:iv.off[t+1]]
 }
 
-// buildRuns splits the KV metadata into maximal same-sequence padding-free
-// runs annotated with position bounds and sortedness.
-func buildRuns(m Mask) []kvRun {
-	var runs []kvRun
+// buildRuns appends to runs the KV metadata's maximal same-sequence
+// padding-free runs, annotated with position bounds and sortedness.
+func buildRuns(runs []kvRun, m Mask) []kvRun {
 	n := len(m.KVPos)
 	for j := 0; j < n; {
 		if m.KVPos[j] < 0 {

@@ -30,6 +30,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/attention"
@@ -304,7 +305,6 @@ func (e *enc) u16(v uint16)  { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
 func (e *enc) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) i64(v int)     { e.u64(uint64(int64(v))) }
-func (e *enc) f32(v float32) { e.u32(math.Float32bits(v)) }
 func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
 
 func (e *enc) ints(v []int) {
@@ -323,15 +323,34 @@ func (e *enc) intss(v [][]int) {
 
 func (e *enc) f32s(v []float32) {
 	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.f32(x)
-	}
+	e.f32row(v)
 }
 
 func (e *enc) f64s(v []float64) {
 	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.f64(x)
+	e.f64row(v)
+}
+
+// grow extends e.b by n bytes, reallocating at most once, and returns them.
+func (e *enc) grow(n int) []byte {
+	off := len(e.b)
+	e.b = slices.Grow(e.b, n)[:off+n]
+	return e.b[off:]
+}
+
+// f32row appends v's bit patterns, little-endian, without a length prefix.
+func (e *enc) f32row(v []float32) {
+	dst := e.grow(4 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(x))
+	}
+}
+
+// f64row is f32row for float64s.
+func (e *enc) f64row(v []float64) {
+	dst := e.grow(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
 	}
 }
 
@@ -363,9 +382,7 @@ func (e *enc) tensor(t *tensor.Tensor) {
 	e.u32(uint32(t.Tokens))
 	e.u32(uint32(t.Heads))
 	e.u32(uint32(t.Dim))
-	for _, x := range t.Data {
-		e.f32(x)
-	}
+	e.f32row(t.Data)
 }
 
 func (e *enc) output(o *attention.Output) {
@@ -438,7 +455,6 @@ func (d *dec) u64() uint64 {
 }
 
 func (d *dec) i64() int     { return int(int64(d.u64())) }
-func (d *dec) f32() float32 { return math.Float32frombits(d.u32()) }
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 
 // count reads a element count and validates it against the bytes remaining
@@ -487,11 +503,7 @@ func (d *dec) f32s() []float32 {
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = d.f32()
-	}
-	return out
+	return d.f32row(n)
 }
 
 func (d *dec) f64s() []float64 {
@@ -499,9 +511,34 @@ func (d *dec) f64s() []float64 {
 	if d.err != nil || n == 0 {
 		return nil
 	}
+	return d.f64row(n)
+}
+
+// f32row decodes n little-endian float32s, checking the bounds once for the
+// whole row.
+func (d *dec) f32row(n int) []float32 {
+	if !d.need(4 * n) {
+		return nil
+	}
+	src := d.b[d.off : d.off+4*n]
+	d.off += 4 * n
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+	return out
+}
+
+// f64row is f32row for float64s.
+func (d *dec) f64row(n int) []float64 {
+	if !d.need(8 * n) {
+		return nil
+	}
+	src := d.b[d.off : d.off+8*n]
+	d.off += 8 * n
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = d.f64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
 	return out
 }
@@ -580,12 +617,7 @@ func (d *dec) tensor() *tensor.Tensor {
 		d.fail("tensor shape [%d %d %d] exceeds remaining %d bytes", tokens, heads, dim, len(d.b)-d.off)
 		return nil
 	}
-	n := int(n64)
-	data := make([]float32, n)
-	for i := range data {
-		data[i] = d.f32()
-	}
-	t, err := tensor.FromData(tokens, heads, dim, data)
+	t, err := tensor.FromData(tokens, heads, dim, d.f32row(int(n64)))
 	if err != nil {
 		d.fail("tensor: %v", err)
 		return nil

@@ -3,6 +3,7 @@ package ring
 import (
 	"fmt"
 
+	"repro/internal/comm/wire"
 	"repro/internal/kvcache"
 	"repro/internal/tensor"
 )
@@ -22,10 +23,39 @@ import (
 // are handed to peers as zero-copy views during a ring pass; that is safe
 // because the owner only appends — never rewrites — mirrored rows, and it
 // does so strictly between passes (the cluster joins every rank before the
-// next chunk or decode step starts).
+// next chunk or decode step starts). The same holds for the layer's
+// circulating prefill block, which the cache also owns (the lifetime rule at
+// the top of ring.go).
 type BlockCache struct {
 	seqs  map[int]*seqBlock
 	stats BlockCacheStats
+	// blk is the layer's circulating prefill block, as localKV last
+	// returned it: a view of one sequence's mirror, or of fused, which
+	// holds a multi-sequence block's segments back to back.
+	blk        wire.KVBlock
+	blkK, blkV tensor.Tensor
+	fused      fusedBlock
+}
+
+// fusedBlock is the storage of a multi-sequence prefill block.
+type fusedBlock struct {
+	k, v     []float32
+	pos, seq []int
+}
+
+// reset empties f, keeping its storage, and returns it.
+func (f *fusedBlock) reset() *fusedBlock {
+	f.k, f.v, f.pos, f.seq = f.k[:0], f.v[:0], f.pos[:0], f.seq[:0]
+	return f
+}
+
+// circulate points the layer's prefill block at len(pos) rows of k and v
+// with their mask metadata, and returns it.
+func (bc *BlockCache) circulate(k, v []float32, pos, seq []int, nkv, dh int) *wire.KVBlock {
+	bc.blkK = tensor.Tensor{Tokens: len(pos), Heads: nkv, Dim: dh, Data: k}
+	bc.blkV = tensor.Tensor{Tokens: len(pos), Heads: nkv, Dim: dh, Data: v}
+	bc.blk = wire.KVBlock{K: &bc.blkK, V: &bc.blkV, Pos: pos, Seq: seq}
+	return &bc.blk
 }
 
 // BlockCacheStats counts the copy work the assembled-block cache performed,
@@ -190,22 +220,30 @@ func (bc *BlockCache) sync(cache *kvcache.Cache, key, base, rowLen int) (*seqBlo
 // the mirror ahead of the kvcache: the engine appends exactly these rows to
 // the cache right after the ring pass, so the mirror is already correct for
 // the next chunk. If the pass fails and the cache append never happens, the
-// next sync notices the mirror is ahead and rebuilds.
-func (b *seqBlock) advance(bc *BlockCache, rowLen int, kRows, vRows [][]float32, pos []int) {
-	n := len(pos)
+// next sync notices the mirror is ahead and rebuilds. k and v hold len(pos)
+// rows; those whose position is negative (padding) are skipped, as
+// kvcache.Cache.Append skips them.
+func (b *seqBlock) advance(bc *BlockCache, rowLen int, k, v []float32, pos []int) {
+	n := 0
+	for _, p := range pos {
+		if p >= 0 {
+			n++
+		}
+	}
 	if n == 0 {
 		return
 	}
 	b.ensure(b.n+n, rowLen)
-	for i := 0; i < n; i++ {
-		copy(b.k[(b.n+i)*rowLen:], kRows[i])
-		copy(b.v[(b.n+i)*rowLen:], vRows[i])
-		b.pos[b.n+i] = pos[i]
-		if pos[i] > b.maxPos {
-			b.maxPos = pos[i]
+	for i, p := range pos {
+		if p < 0 {
+			continue
 		}
+		copy(b.k[b.n*rowLen:][:rowLen], k[i*rowLen:])
+		copy(b.v[b.n*rowLen:][:rowLen], v[i*rowLen:])
+		b.pos[b.n] = p
+		b.maxPos = max(b.maxPos, p)
+		b.n++
 	}
-	b.n += n
 	bc.stats.Appends++
 	bc.stats.AppendedRows += int64(n)
 }

@@ -149,7 +149,7 @@ func TestBlockCacheAheadMirrorRebuilds(t *testing.T) {
 	// Optimistically advance with a row the cache never receives.
 	ghostK := tensor.RandN(rng, 1, nkv, dh)
 	ghostV := tensor.RandN(rng, 1, nkv, dh)
-	b.advance(bc, nkv*dh, [][]float32{ghostK.Row2D(0)}, [][]float32{ghostV.Row2D(0)}, []int{3})
+	b.advance(bc, nkv*dh, ghostK.Data, ghostV.Data, []int{3})
 	if b.n != 4 {
 		t.Fatalf("mirror rows %d, want 4", b.n)
 	}

@@ -136,10 +136,11 @@ type mergeScratch struct {
 	merged   *attention.Output
 }
 
-// fit (re)allocates the buffers for n ranks and [tokens, heads, dim]
-// partials and reports whether it did; a call with the shape they already
-// have changes nothing. The partials themselves are the caller's to supply:
-// per call in pass-Q prefill, once per fit in decode.
+// fit (re)allocates the buffers, the partials included, for n ranks and
+// [tokens, heads, dim] partials and reports whether it did; a call with the
+// shape they already have changes nothing. A new shape gets new buffers
+// rather than resized ones: a peer may still be merging the partial this
+// rank sent it last, and must not see it cut underneath it.
 func (m *mergeScratch) fit(n, tokens, heads, dim int) bool {
 	if len(m.msgs) == n && m.merged.O.Tokens == tokens && m.merged.O.Heads == heads && m.merged.O.Dim == dim {
 		return false
@@ -155,6 +156,7 @@ func (m *mergeScratch) fit(n, tokens, heads, dim int) bool {
 	}
 	for s := range m.msgs {
 		m.msgs[s] = &m.oblocks[s]
+		m.partials[s] = attention.NewOutput(tokens, heads, dim)
 	}
 	return true
 }
@@ -173,12 +175,8 @@ type DecodeScratch struct {
 }
 
 func (s *DecodeScratch) fit(n, bl, heads, dim int) {
-	if !s.tail.fit(n, bl, heads, dim) {
-		return
-	}
-	s.blk = wire.QBlock{Q: tensor.New(bl, heads, dim), Pos: make([]int, bl), Seq: make([]int, bl)}
-	for src := range s.tail.partials {
-		s.tail.partials[src] = attention.NewOutput(bl, heads, dim)
+	if s.tail.fit(n, bl, heads, dim) {
+		s.blk = wire.QBlock{Q: tensor.New(bl, heads, dim), Pos: make([]int, bl), Seq: make([]int, bl)}
 	}
 }
 

@@ -33,6 +33,32 @@ import (
 	"repro/internal/trace"
 )
 
+// The prefill arena's lifetime rule. A prefill command runs every layer's
+// ring pass on one rank out of one PrefillScratch (and the layer's
+// BlockCache), so nothing the sweep needs besides KV growth is allocated per
+// call. On the in-process transport payloads circulate by pointer, so the
+// buffers peers read are reused only where this holds:
+//
+//   - Pass-Q. Decode's rule (decode.go) holds as stated there: the query
+//     block — the Q rows and their position/sequence ids — is free once this
+//     rank's own All2All has returned, and partials[s] is next written when
+//     s's next block arrives, after s's Merge has returned.
+//   - Pass-KV. A KV block is forwarded N−1 hops, so a rank can start layer
+//     l+1 while the last peer is still reading its layer-l block. The
+//     circulating block — the mirror view of a single sequence, or the fused
+//     concatenation of several — therefore belongs to its layer: it lives in
+//     the layer's BlockCache and is rewritten only by the next command's pass
+//     over that layer, after the plane has joined every rank. (The next
+//     layer's segment-length AllGather happens to hold a rank back until
+//     every peer is done with the layer too; the rule does not lean on it.)
+//     The queries, the partial and the running merge never leave the rank.
+//   - TCP. Every send encodes before it returns and every receive is a fresh
+//     decode, so there the rule holds trivially.
+//
+// The engine's Q/K/V rows are free for the next layer once the layer's pass
+// and AppendLocalKV have returned: pass-KV never sends them (localKV copies
+// K/V into the mirror), and pass-Q's Q is covered by the rule above.
+
 // metaBytes is the accounted overhead for per-token metadata (position and
 // sequence/batch ids) attached to a circulating message.
 const metaBytesPerToken = 8
@@ -63,6 +89,30 @@ type PrefillInput struct {
 	// timer takes no clock readings and the compute path is identical
 	// either way, preserving bit-identical outputs.
 	Trace *trace.SweepTimer
+	// Scratch is the rank's prefill arena (one per rank, shared by its
+	// layers); see the lifetime rule at the top of this file. The returned
+	// output then lives in it, valid until the next call that uses it. Nil
+	// allocates per call and the result is the caller's to keep.
+	Scratch *PrefillScratch
+}
+
+// PrefillScratch is one rank's prefill arena: the query-side mask, pass-KV's
+// running merge and per-step partial, and pass-Q's circulating query block,
+// per-source partials and merge tail. The zero value is ready to use; the
+// buffers grow to the largest chunk seen, except pass-Q's tail, which is
+// cut anew whenever the shape changes (mergeScratch.fit says why).
+type PrefillScratch struct {
+	qPos         []int
+	out, partial attention.Output
+	qblk         wire.QBlock
+	tail         mergeScratch
+}
+
+func (in *PrefillInput) scratch() *PrefillScratch {
+	if in.Scratch == nil {
+		return new(PrefillScratch)
+	}
+	return in.Scratch
 }
 
 // seqKey returns the cache key of batch-plan sequence i.
@@ -91,24 +141,30 @@ func (in *PrefillInput) validate() error {
 	if in.SeqIDs != nil && len(in.SeqIDs) != len(in.Plan.SeqLens) {
 		return fmt.Errorf("ring: %d seq ids for %d sequences", len(in.SeqIDs), len(in.Plan.SeqLens))
 	}
+	for i, p := range in.P {
+		if p < 0 {
+			return fmt.Errorf("ring: sequence %d has negative cached length %d", i, p)
+		}
+	}
 	return nil
 }
 
-// qMask builds the query-side mask of a rank's local shard: global position
-// P^i + p for slot of sequence i at new-token position p, Pad slots masked.
-func (in *PrefillInput) qMask() (pos, seq []int) {
+// qMask builds the query-side mask of a rank's local shard into s: global
+// position P^i + p for the slot of sequence i at new-token position p, -1 for
+// a padding slot. The sequence ids are the plan's own slice, which nothing
+// mutates.
+func (in *PrefillInput) qMask(s *PrefillScratch) (pos, seq []int) {
 	lp := in.Plan.LocalPositions(in.Rank.ID)
 	ls := in.Plan.LocalSeqs(in.Rank.ID)
-	pos = make([]int, len(lp))
-	seq = append([]int(nil), ls...)
+	s.qPos = tensor.Grown(s.qPos, len(lp))
 	for i, p := range lp {
 		if p == sharding.Pad {
-			pos[i] = -1
+			s.qPos[i] = -1
 		} else {
-			pos[i] = in.P[ls[i]] + p
+			s.qPos[i] = in.P[ls[i]] + p
 		}
 	}
-	return pos, seq
+	return s.qPos, ls
 }
 
 // The circulating payloads — KV tiles for pass-KV, query blocks for pass-Q
@@ -140,9 +196,11 @@ func oBlockBytes(b *wire.OBlock, elem float64) float64 {
 // prefix lives in the sequence's mirror from earlier chunks, so only this
 // chunk's new rows (and padding) are written — no O(context) re-gather. For
 // a single-sequence plan the returned block is a zero-copy view of the
-// mirror; fused multi-sequence plans still concatenate the per-sequence
-// segments into one contiguous block.
-func (in *PrefillInput) localKV(padTo []int) (*wire.KVBlock, error) {
+// mirror; fused multi-sequence plans concatenate the per-sequence segments
+// into the layer's fused buffer. Either way the block is the BlockCache's
+// (see the lifetime rule at the top of this file). qPos is the query mask's
+// position list, which is also where each new row goes.
+func (in *PrefillInput) localKV(qPos, padTo []int) (*wire.KVBlock, error) {
 	nkv, dh := in.K.Heads, in.K.Dim
 	rowLen := nkv * dh
 	blocks := in.Blocks
@@ -151,15 +209,15 @@ func (in *PrefillInput) localKV(padTo []int) (*wire.KVBlock, error) {
 		// seed path for direct ring users that keep no cluster state.
 		blocks = NewBlockCache()
 	}
-	lp := in.Plan.LocalPositions(in.Rank.ID)
 	ls := in.Plan.LocalSeqs(in.Rank.ID)
 	single := len(in.Plan.SeqLens) == 1
-
-	var ks, vs []*tensor.Tensor
-	var pos, seq []int
-	var kRows, vRows [][]float32
-	var newPos []int
+	fused := blocks.fused.reset()
+	lo := 0 // a plan lists each sequence's slots as one run, in order
 	for i := range in.Plan.SeqLens {
+		hi := lo
+		for hi < len(ls) && ls[hi] == i {
+			hi++
+		}
 		// Mirror the cached context. A cached row at or past P^i (a stale or
 		// adopted span that overlaps the new range) would duplicate
 		// positions and silently corrupt causality; sync rejects it.
@@ -170,15 +228,8 @@ func (in *PrefillInput) localKV(padTo []int) (*wire.KVBlock, error) {
 		// Append this chunk's new rows (plan order, padding slots skipped)
 		// ahead of the kvcache; the engine persists the same rows right
 		// after the ring pass.
-		kRows, vRows, newPos = kRows[:0], vRows[:0], newPos[:0]
-		for slot, s := range ls {
-			if s == i && lp[slot] != sharding.Pad {
-				kRows = append(kRows, in.K.Row2D(slot))
-				vRows = append(vRows, in.V.Row2D(slot))
-				newPos = append(newPos, in.P[i]+lp[slot])
-			}
-		}
-		b.advance(blocks, rowLen, kRows, vRows, newPos)
+		b.advance(blocks, rowLen, in.K.Data[lo*rowLen:hi*rowLen], in.V.Data[lo*rowLen:hi*rowLen], qPos[lo:hi])
+		lo = hi
 		segTokens := b.n
 		padCount := 0
 		if padTo != nil && padTo[i] >= 0 {
@@ -193,25 +244,17 @@ func (in *PrefillInput) localKV(padTo []int) (*wire.KVBlock, error) {
 		if total == 0 {
 			continue
 		}
-		kT, vT, p, s2, err := b.view(total, nkv, dh, i)
-		if err != nil {
-			return nil, err
-		}
 		if single {
-			return &wire.KVBlock{K: kT, V: vT, Pos: p, Seq: s2}, nil
+			return blocks.circulate(b.k[:total*rowLen], b.v[:total*rowLen], b.pos[:total], b.seqIDs(i, total), nkv, dh), nil
 		}
-		ks = append(ks, kT)
-		vs = append(vs, vT)
-		pos = append(pos, p...)
-		seq = append(seq, s2...)
+		fused.k = append(fused.k, b.k[:total*rowLen]...)
+		fused.v = append(fused.v, b.v[:total*rowLen]...)
+		fused.pos = append(fused.pos, b.pos[:total]...)
+		for range total {
+			fused.seq = append(fused.seq, i)
+		}
 	}
-	k := tensor.Concat(ks...)
-	v := tensor.Concat(vs...)
-	if k.Tokens == 0 {
-		k = tensor.New(0, nkv, dh)
-		v = tensor.New(0, nkv, dh)
-	}
-	return &wire.KVBlock{K: k, V: v, Pos: pos, Seq: seq}, nil
+	return blocks.circulate(fused.k, fused.v, fused.pos, fused.seq, nkv, dh), nil
 }
 
 // agreeSegmentLengths computes L_i = max_j(P_j^i + T_j^i) for every sequence
@@ -265,14 +308,15 @@ func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	cur, err := in.localKV(segLens)
+	s := in.scratch()
+	qPos, qSeq := in.qMask(s)
+	cur, err := in.localKV(qPos, segLens)
 	if err != nil {
 		return nil, err
 	}
-	qPos, qSeq := in.qMask()
-	out := attention.NewOutput(in.Q.Tokens, in.Q.Heads, in.Q.Dim)
+	out := s.out.Fit(in.Q.Tokens, in.Q.Heads, in.Q.Dim)
 	// One partial buffer recycled across all n ring steps; GQAInto resets it.
-	partial := attention.NewOutput(in.Q.Tokens, in.Q.Heads, in.Q.Dim)
+	partial := s.partial.Fit(in.Q.Tokens, in.Q.Heads, in.Q.Dim)
 	next := (in.Rank.ID + 1) % n
 	prev := (in.Rank.ID - 1 + n) % n
 	for j := 0; j < n; j++ {
@@ -324,15 +368,17 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 		return nil, err
 	}
 	n := in.Rank.N()
-	kv, err := in.localKV(nil) // stationary KV needs no cross-rank padding
+	s := in.scratch()
+	qPos, qSeq := in.qMask(s)
+	kv, err := in.localKV(qPos, nil) // stationary KV needs no cross-rank padding
 	if err != nil {
 		return nil, err
 	}
-	qPos, qSeq := in.qMask()
-	cur := &wire.QBlock{Q: in.Q, Pos: qPos, Seq: qSeq}
+	s.qblk = wire.QBlock{Q: in.Q, Pos: qPos, Seq: qSeq}
+	cur := &s.qblk
 	next := (in.Rank.ID + 1) % n
 	prev := (in.Rank.ID - 1 + n) % n
-	var tail mergeScratch // tail.partials[s] = O_s^k for source s
+	tail := &s.tail // tail.partials[s] = O_s^k for source s
 	tail.fit(n, in.Q.Tokens, in.Q.Heads, in.Q.Dim)
 	src := in.Rank.ID
 	for j := 0; j < n; j++ {
@@ -345,14 +391,12 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 		}
 		in.Trace.Comm(t0)
 		t0 = in.Trace.Clock()
-		partial, err := attention.GQA(cur.Q, kv.K, kv.V, attention.Mask{
+		if err := attention.GQAInto(tail.partials[src], cur.Q, kv.K, kv.V, attention.Mask{
 			QPos: cur.Pos, QSeq: cur.Seq, KVPos: kv.Pos, KVSeq: kv.Seq,
-		})
-		if err != nil {
+		}); err != nil {
 			xfer.drain()
 			return nil, err
 		}
-		tail.partials[src] = partial
 		in.Trace.Compute(t0)
 		if j < n-1 {
 			t0 = in.Trace.Clock()
@@ -369,7 +413,7 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 			src = (src - 1 + n) % n
 		}
 	}
-	out, err := all2allMerge(in.Rank, &tail, in.Elem, in.Trace)
+	out, err := all2allMerge(in.Rank, tail, in.Elem, in.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +455,8 @@ func AllGatherPrefill(in *PrefillInput) (*attention.Output, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
-	local, err := in.localKV(nil)
+	qPos, qSeq := in.qMask(in.scratch())
+	local, err := in.localKV(qPos, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +480,6 @@ func AllGatherPrefill(in *PrefillInput) (*attention.Output, error) {
 		pos = append(pos, blk.Pos...)
 		seq = append(seq, blk.Seq...)
 	}
-	qPos, qSeq := in.qMask()
 	k := tensor.Concat(ks...)
 	v := tensor.Concat(vs...)
 	if k.Tokens == 0 {
@@ -448,29 +492,34 @@ func AllGatherPrefill(in *PrefillInput) (*attention.Output, error) {
 // AppendLocalKV persists a rank's new-token KV shard into its cache with
 // global positions, skipping padding slots. Call after a prefill so later
 // turns and decode see the tokens. seqIDs maps batch-plan indices to cache
-// keys (nil = identity).
+// keys (nil = identity). Each sequence's slots are one run of rows in plan
+// order, which the cache copies straight out of k and v.
 func AppendLocalKV(cache *kvcache.Cache, plan *sharding.BatchShard, rankID int, p, seqIDs []int, k, v *tensor.Tensor) error {
 	lp := plan.LocalPositions(rankID)
 	ls := plan.LocalSeqs(rankID)
-	for i := range plan.SeqLens {
-		rows := make([]int, 0)
-		pos := make([]int, 0)
-		for slot, s := range ls {
-			if s == i && lp[slot] != sharding.Pad {
-				rows = append(rows, slot)
-				pos = append(pos, p[i]+lp[slot])
-			}
+	pos := make([]int, len(lp)) // global positions; -1, which Append skips, for padding
+	for slot, q := range lp {
+		pos[slot] = -1
+		if q != sharding.Pad {
+			pos[slot] = p[ls[slot]] + q
 		}
-		if len(rows) == 0 {
-			continue
+	}
+	rowLen := k.Heads * k.Dim
+	for lo := 0; lo < len(ls); {
+		i, hi := ls[lo], lo+1
+		for hi < len(ls) && ls[hi] == i {
+			hi++
 		}
 		key := i
 		if seqIDs != nil {
 			key = seqIDs[i]
 		}
-		if err := cache.Append(key, k.Gather(rows), v.Gather(rows), pos); err != nil {
+		kRows := tensor.Tensor{Tokens: hi - lo, Heads: k.Heads, Dim: k.Dim, Data: k.Data[lo*rowLen : hi*rowLen]}
+		vRows := tensor.Tensor{Tokens: hi - lo, Heads: v.Heads, Dim: v.Dim, Data: v.Data[lo*rowLen : hi*rowLen]}
+		if err := cache.Append(key, &kRows, &vRows, pos[lo:hi]); err != nil {
 			return err
 		}
+		lo = hi
 	}
 	return nil
 }

@@ -378,6 +378,115 @@ func TestPassKVCheaperOnFullPrefill(t *testing.T) {
 	}
 }
 
+// prefillCmd is one prefill command of prefillRun: a fused batch of cache
+// sequences, their chunk lengths, and the ring variant.
+type prefillCmd struct {
+	seqs, lens []int
+	run        prefillFn
+}
+
+// prefillRun drives cmds over world the way a two-layer engine does — each
+// layer with its own cache and mirror, both on the rank's one arena when
+// scratch is set, the rank's Q/K/V rows rewritten in place for the second
+// layer (a fresh tensor per layer otherwise), KV persisted after each pass —
+// and returns every rank's output of every pass, cloned.
+func prefillRun(t *testing.T, world *comm.World, cmds []prefillCmd, scratch bool) []*attention.Output {
+	t.Helper()
+	const layers = 2
+	n := world.N
+	rng := rand.New(rand.NewSource(57))
+	caches := make([][layers]*kvcache.Cache, n)
+	blocks := make([][layers]*BlockCache, n)
+	scratches := make([]*PrefillScratch, n)
+	qs, ks, vs := make([]tensor.Tensor, n), make([]tensor.Tensor, n), make([]tensor.Tensor, n)
+	for r := range caches {
+		for l := 0; l < layers; l++ {
+			c, err := kvcache.New(kvcache.Config{KVHeads: nkv, HeadDim: dh, PageSize: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			caches[r][l], blocks[r][l] = c, NewBlockCache()
+		}
+		if scratch {
+			scratches[r] = new(PrefillScratch)
+		}
+	}
+	cached := map[int]int{}
+	var all []*attention.Output
+	for ci, cmd := range cmds {
+		plan, err := sharding.NewBatchShard(cmd.lens, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := make([]int, len(cmd.seqs))
+		for i, s := range cmd.seqs {
+			p[i] = cached[s]
+		}
+		var fq, fk, fv [layers]*tensor.Tensor
+		for l := range fq {
+			fq[l] = tensor.RandN(rng, plan.TotalTokens(), nh, dh)
+			fk[l], fv[l] = tensor.RandN(rng, plan.TotalTokens(), nkv, dh), tensor.RandN(rng, plan.TotalTokens(), nkv, dh)
+		}
+		outs, err := comm.RunCollect(world, func(r *comm.Rank) (*attention.Output, error) {
+			var passes []*attention.Output
+			for l := 0; l < layers; l++ {
+				q, k, v := plan.Shard(fq[l], r.ID), plan.Shard(fk[l], r.ID), plan.Shard(fv[l], r.ID)
+				if scratch {
+					copy(qs[r.ID].Resize(q.Tokens, nh, dh).Data, q.Data)
+					copy(ks[r.ID].Resize(k.Tokens, nkv, dh).Data, k.Data)
+					copy(vs[r.ID].Resize(v.Tokens, nkv, dh).Data, v.Data)
+					q, k, v = &qs[r.ID], &ks[r.ID], &vs[r.ID]
+				}
+				out, err := cmd.run(&PrefillInput{
+					Rank: r, Plan: plan, P: p, SeqIDs: cmd.seqs, Q: q, K: k, V: v,
+					Cache: caches[r.ID][l], Blocks: blocks[r.ID][l], Scratch: scratches[r.ID], Elem: elem,
+				})
+				if err != nil {
+					return nil, err
+				}
+				if err := AppendLocalKV(caches[r.ID][l], plan, r.ID, p, cmd.seqs, k, v); err != nil {
+					return nil, err
+				}
+				passes = append(passes, out.Clone())
+			}
+			return attention.ConcatOutputs(passes...), nil
+		})
+		if err != nil {
+			t.Fatalf("command %d: %v", ci, err)
+		}
+		all = append(all, outs...)
+		for i, s := range cmd.seqs {
+			cached[s] += cmd.lens[i]
+		}
+	}
+	return all
+}
+
+// The prefill arena changes where a pass's buffers live, never what lands in
+// them: every rank's output of every pass with a PrefillScratch equals the
+// allocate-per-call pass's bit for bit, at N = 2, 3 and 4, over commands
+// whose chunk lengths grow and shrink, whose variant switches mid-sequence,
+// and which fuse up to three sequences into one circulating block. Under
+// -race this is also the by-pointer hazard's test: a rank that rewrote a
+// query block, a partial or a layer's circulating KV block while a peer still
+// read it would be a reported race.
+func TestPrefillScratchMatchesPerCallAllocationExactly(t *testing.T) {
+	cmds := []prefillCmd{
+		{seqs: []int{0}, lens: []int{13}, run: PassKVPrefill},
+		{seqs: []int{0}, lens: []int{2}, run: PassQPrefill},
+		{seqs: []int{1, 2, 0}, lens: []int{9, 1, 6}, run: PassKVPrefill},
+		{seqs: []int{1}, lens: []int{11}, run: PassQPrefill},
+		{seqs: []int{2, 1}, lens: []int{5, 3}, run: PassQPrefill},
+		{seqs: []int{0}, lens: []int{1}, run: PassKVPrefill},
+		{seqs: []int{3, 2}, lens: []int{16, 7}, run: PassKVPrefill},
+	}
+	for _, n := range []int{2, 3, 4} {
+		fresh := prefillRun(t, newTestWorld(n), cmds, false)
+		arena := prefillRun(t, newTestWorld(n), cmds, true)
+		requireSameOutputs(t, fresh, arena)
+	}
+}
+
 func TestLinkFailurePropagates(t *testing.T) {
 	n := 3
 	h := newHarness(t, 25, n, 1)

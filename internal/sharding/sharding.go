@@ -60,19 +60,23 @@ func RankChunks(rank, n int) (int, int) {
 // Every rank's slice has the same length 2*ChunkLen(T, n), which is what lets
 // the ring algorithms exchange equal-sized messages.
 func LoadBalancedPositions(T, n, rank int) []int {
+	return appendLoadBalanced(make([]int, 0, 2*ChunkLen(T, n)), T, n, rank)
+}
+
+// appendLoadBalanced appends LoadBalancedPositions(T, n, rank) to dst.
+func appendLoadBalanced(dst []int, T, n, rank int) []int {
 	cl := ChunkLen(T, n)
 	lo, hi := RankChunks(rank, n)
-	out := make([]int, 0, 2*cl)
-	for _, c := range []int{lo, hi} {
+	for _, c := range [2]int{lo, hi} {
 		for i := 0; i < cl; i++ {
 			p := c*cl + i
 			if p >= T {
 				p = Pad
 			}
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }
 
 // StripedPositions returns striped-attention style sharding (Brandon et
@@ -179,23 +183,28 @@ func NewBatchShard(seqLens []int, n int) (*BatchShard, error) {
 	}
 	b := &BatchShard{N: n, SeqLens: append([]int(nil), seqLens...)}
 	b.offsets = make([]int, len(seqLens))
-	off := 0
+	off, local := 0, 0
 	for i, T := range seqLens {
 		if T < 0 {
 			return nil, fmt.Errorf("sharding: negative sequence length %d", T)
 		}
 		b.offsets[i] = off
 		off += T
+		local += 2 * ChunkLen(T, n)
 	}
+	// Every rank holds local slots: each sequence's load-balanced positions,
+	// in sequence order.
 	b.pos = make([][]int, n)
 	b.seq = make([][]int, n)
 	for r := 0; r < n; r++ {
+		pos, seq := make([]int, 0, local), make([]int, 0, local)
 		for i, T := range seqLens {
-			for _, p := range LoadBalancedPositions(T, n, r) {
-				b.pos[r] = append(b.pos[r], p)
-				b.seq[r] = append(b.seq[r], i)
+			pos = appendLoadBalanced(pos, T, n, r)
+			for len(seq) < len(pos) {
+				seq = append(seq, i)
 			}
 		}
+		b.pos[r], b.seq[r] = pos, seq
 	}
 	return b, nil
 }

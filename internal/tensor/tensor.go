@@ -50,6 +50,24 @@ func FromData(tokens, heads, dim int, data []float32) (*Tensor, error) {
 	return &Tensor{Tokens: tokens, Heads: heads, Dim: dim, Data: data}, nil
 }
 
+// Grown returns buf resliced to n elements, reallocating only when its
+// capacity is too small; the contents are not kept. It is how the engine's
+// per-rank arenas reuse one buffer across commands of varying size.
+func Grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// Resize reshapes t to [tokens, heads, dim] in place, keeping its storage
+// when that is large enough (see Grown; the contents are not kept), and
+// returns t.
+func (t *Tensor) Resize(tokens, heads, dim int) *Tensor {
+	*t = Tensor{Tokens: tokens, Heads: heads, Dim: dim, Data: Grown(t.Data, tokens*heads*dim)}
+	return t
+}
+
 // RandN fills a new tensor of the given shape with pseudo-normal values from
 // the provided source. Passing the same source state reproduces the same
 // tensor, which the tests rely on.

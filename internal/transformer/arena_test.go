@@ -2,6 +2,8 @@ package transformer
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -150,6 +152,244 @@ func TestDecodeLogitsSurviveLaterCommands(t *testing.T) {
 			}
 			sameLogits(t, "step t's logits after a prefill chunk and another step", kept, snapshot)
 		})
+	}
+}
+
+// arenaStep is one command of the prefill arena script: a prefill of one
+// chunk per listed session (fused when there are several), a decode step
+// feeding each listed session toks[i][0], or — adoptFrom set — detaching the
+// first adoptUpTo tokens of session adoptFrom and adopting them into
+// seqs[0].
+type arenaStep struct {
+	seqs      []int
+	toks      [][]int
+	v         model.Variant
+	decode    bool
+	adoptFrom int
+	adoptUpTo int
+}
+
+// arenaChunk is a deterministic chunk of n tokens.
+func arenaChunk(n, salt, vocab int) []int {
+	c := make([]int, n)
+	for i := range c {
+		c[i] = (i*7 + salt*31 + i/5) % vocab
+	}
+	return c
+}
+
+// arenaSteps is the script: chunk lengths that shrink and grow back (512, 7,
+// 300, 1, 512), pass-KV and pass-Q alternating within a session, a fused
+// three-sequence batch whose block is forwarded N−1 hops, decode steps
+// between chunks, and a warm chunk on a prefix adopted from session 3.
+func arenaSteps(vocab int) []arenaStep {
+	c := func(n, salt int) []int { return arenaChunk(n, salt, vocab) }
+	return []arenaStep{
+		{seqs: []int{2}, toks: [][]int{c(512, 1)}, v: model.PassKV},
+		{seqs: []int{2}, toks: [][]int{c(7, 2)}, v: model.PassQ},
+		{seqs: []int{3}, toks: [][]int{c(300, 3)}, v: model.PassKV},
+		{seqs: []int{2, 3, 4}, toks: [][]int{c(1, 4), c(9, 5), c(40, 6)}, v: model.PassKV},
+		{seqs: []int{2, 3, 4}, toks: [][]int{{5}, {6}, {7}}, decode: true},
+		{seqs: []int{4}, toks: [][]int{c(33, 7)}, v: model.PassQ},
+		{seqs: []int{5}, adoptFrom: 3, adoptUpTo: 300},
+		{seqs: []int{5}, toks: [][]int{c(20, 8)}, v: model.PassQ},
+		{seqs: []int{2}, toks: [][]int{c(512, 9)}, v: model.PassKV},
+		{seqs: []int{2, 5}, toks: [][]int{{8}, {9}}, decode: true},
+		{seqs: []int{3, 4}, toks: [][]int{c(2, 10), c(64, 11)}, v: model.PassQ},
+	}
+}
+
+// runArenaScript drives steps against c, calling before ahead of every
+// command, and returns the logits rows each session was handed, in order.
+// After every command it checks that every row returned so far is unchanged:
+// what a prefill or decode hands its caller must survive later commands,
+// whatever the ranks reuse.
+func runArenaScript(t *testing.T, c *Cluster, steps []arenaStep, before func()) map[int][][]float32 {
+	t.Helper()
+	got := map[int][][]float32{}
+	var kept, snap [][]float32
+	keep := func(seq int, rows ...[]float32) {
+		for _, r := range rows {
+			got[seq] = append(got[seq], r)
+			kept = append(kept, r)
+			snap = append(snap, slices.Clone(r))
+		}
+	}
+	for i, st := range steps {
+		before()
+		switch {
+		case st.adoptFrom != 0:
+			pre, err := c.DetachPrefix(st.adoptFrom, st.adoptUpTo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AdoptPrefix(st.seqs[0], pre); err != nil {
+				t.Fatal(err)
+			}
+			pre.Release()
+		case st.decode:
+			toks := make([]int, len(st.toks))
+			for j := range toks {
+				toks[j] = st.toks[j][0]
+			}
+			out, err := c.DecodeBatch(st.seqs, toks)
+			if err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+			for j, seq := range st.seqs {
+				keep(seq, out[j])
+			}
+		default:
+			out, err := c.PrefillBatch(st.seqs, st.toks, st.v)
+			if err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+			for j, seq := range st.seqs {
+				keep(seq, out[j]...)
+			}
+		}
+		sameLogits(t, fmt.Sprintf("rows returned before step %d's command completed", i+1), kept, snap)
+	}
+	return got
+}
+
+// replayAlone is session seq's share of steps on a cluster of its own, one
+// single-session command per step it takes part in. An adopted prefix is
+// prefilled cold instead, as its donor's first chunk was, and its logits are
+// not returned: the warm run never sees them.
+func replayAlone(t *testing.T, c *Cluster, steps []arenaStep, seq int) [][]float32 {
+	t.Helper()
+	var got [][]float32
+	for i, st := range steps {
+		j := slices.Index(st.seqs, seq)
+		if j < 0 {
+			continue
+		}
+		switch {
+		case st.adoptFrom != 0:
+			donor := steps[slices.IndexFunc(steps, func(s arenaStep) bool { return slices.Contains(s.seqs, st.adoptFrom) })]
+			first := donor.toks[slices.Index(donor.seqs, st.adoptFrom)]
+			if len(first) != st.adoptUpTo {
+				t.Fatalf("step %d adopts %d tokens, but the donor's first chunk has %d", i, st.adoptUpTo, len(first))
+			}
+			if _, err := c.Prefill(seq, first, donor.v); err != nil {
+				t.Fatal(err)
+			}
+		case st.decode:
+			out, err := c.Decode(seq, st.toks[j][0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, out)
+		default:
+			out, err := c.Prefill(seq, st.toks[j], st.v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, out...)
+		}
+	}
+	return got
+}
+
+// The rank engines' prefill arenas must be invisible. One long-lived cluster
+// runs the whole script — its arenas, BlockCaches and kernel free lists see
+// every chunk shape, both variants, the fused block and the adopted prefix —
+// and every row it returns equals, at exact float equality, both the same
+// script on a cluster whose arenas are emptied before every command (what
+// ring.PrefillInput.Scratch == nil allocates per call) and each session
+// replayed alone on a fresh cluster. N = 2, 3 and 4 put one, two and three
+// forwarding peers between a pass-KV block's owner and its last reader; at
+// N = 2 the script also runs over two RunWorker ranks on loopback sockets,
+// where the logits cross the wire codec. Under -race (CI runs this at
+// CP_WORKERS 1 and 8) a rank rewriting a buffer a peer still reads is a
+// reported race, not a wrong bit that happens not to show.
+func TestPrefillArenaMatchesPerCallAndFreshClusters(t *testing.T) {
+	cfg := Tiny(27)
+	w, err := NewWeights(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := arenaSteps(cfg.Model.VocabSize)
+	newCluster := func(n int) *Cluster {
+		c, err := NewCluster(w, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	for _, n := range []int{2, 3, 4} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			arena := runArenaScript(t, newCluster(n), steps, func() {})
+			perCall := newCluster(n)
+			emptyArenas := func() {
+				for _, e := range perCall.plane.(*memPlane).engines {
+					e.pre = prefillScratch{}
+				}
+			}
+			want := runArenaScript(t, perCall, steps, emptyArenas)
+			if n == 2 {
+				remote := runArenaScript(t, startLoopbackCluster(t, cfg, n, 0), steps, func() {})
+				for seq, rows := range arena {
+					sameLogits(t, fmt.Sprintf("session %d over two RunWorker ranks", seq), remote[seq], rows)
+				}
+			}
+			for seq, rows := range arena {
+				sameLogits(t, fmt.Sprintf("session %d against per-call allocation", seq), rows, want[seq])
+				alone := replayAlone(t, newCluster(n), steps, seq)
+				sameLogits(t, fmt.Sprintf("session %d against a fresh cluster of its own", seq), rows, alone)
+			}
+		})
+	}
+}
+
+// A warm prefill command allocates what it keeps and next to nothing else: a
+// 512-token bench-gqa8 chunk into a fresh sequence on two ranks over the
+// mailbox plane, with no recorder, the sequence dropped after it. What it
+// keeps is the caller's logits (2 KiB a token) and the KV: 384 of its
+// objects are the cache's pages, six objects each. Measured at 3.18 KiB a
+// token and 577 objects (14.09 KiB and 1056 before the prefill arena); the
+// budgets leave 18 % and 14 % headroom.
+func TestPrefillAllocationBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	const ranks, chunk, kibPerTok, objsPerChunk = 2, 512, 3.75, 660
+	w, err := NewWeights(benchGQA8())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(w, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	toks := arenaChunk(chunk, 1, w.Cfg.Model.VocabSize)
+	op := func() {
+		if _, err := c.Prefill(2, toks, model.PassKV); err != nil {
+			t.Fatal(err)
+		}
+		c.Drop(2)
+	}
+	for i := 0; i < 4; i++ {
+		op()
+	}
+	const runs = 16
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&m1)
+	kib := float64(m1.TotalAlloc-m0.TotalAlloc) / 1024 / (runs * chunk)
+	objs := testing.AllocsPerRun(runs, op)
+	t.Logf("a warm %d-token chunk allocates %.2f KiB a token and %.0f objects", chunk, kib, objs)
+	if kib > kibPerTok {
+		t.Errorf("a warm %d-token chunk allocates %.2f KiB a token, budget %.1f", chunk, kib, kibPerTok)
+	}
+	if objs > objsPerChunk {
+		t.Errorf("a warm %d-token chunk allocates %.0f objects, budget %d", chunk, objs, objsPerChunk)
 	}
 }
 

@@ -39,10 +39,29 @@ type rankEngine struct {
 
 	// One reply frame per hot command, reused: the command stream is
 	// lockstep, so a reply is read or encoded before the next command lands.
-	// The decode step's scratch is reused under the same rule.
+	// The prefill and decode arenas are reused under the same rule.
 	prefillRes wire.PrefillResult
 	decodeRes  wire.DecodeResult
+	pre        prefillScratch
 	dec        decodeScratch
+}
+
+// prefillScratch is the rank engine's prefill arena: everything a prefill
+// command needs besides KV growth (the cache's pages and the mirrors'
+// growth), grown to the largest chunk seen and reused by every command.
+// The logits it returns live here too, valid until the next command — the
+// rule decodeRes follows; the coordinator copies them out (Unshard) and a
+// worker encodes them first. Within a command the q/k/v rows are reused by
+// every layer: a layer's ring pass and AppendLocalKV are done with them when
+// they return. What peers do read by pointer lives in ring
+// (ring.PrefillScratch and the layers' BlockCaches, under the rule at the
+// top of ring.go).
+type prefillScratch struct {
+	ids, pos []int
+	hidden   []float32
+	q, k, v  tensor.Tensor
+	logits   tensor.Tensor
+	ring     ring.PrefillScratch
 }
 
 // decodeScratch is the rank engine's decode arena: everything a decode step
@@ -63,15 +82,6 @@ type decodeScratch struct {
 	ring    ring.DecodeScratch
 }
 
-// grown returns buf resliced to n elements, reallocating only when its
-// capacity is too small; the contents are not kept.
-func grown[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
-}
-
 func newRankEngine(w *Weights, kvCapacity int, epoch uint64, rec *trace.Recorder) (*rankEngine, error) {
 	m := w.Cfg.Model
 	e := &rankEngine{w: w, prefixes: make(map[uint64][]*kvcache.Span), rec: rec, epoch: epoch}
@@ -89,11 +99,13 @@ func newRankEngine(w *Weights, kvCapacity int, epoch uint64, rec *trace.Recorder
 // prefill executes one rank's share of a fused varseq prefill command: the
 // full per-layer loop of embeddings, QKV projection, ring attention, KV
 // persistence, and the output head over this rank's token shard. The
-// sharding plan is recomputed from the command — it is a pure function of
+// sharding plan is derived from the command — it is a pure function of
 // (lengths, world size), so every rank derives the same plan without
-// shipping it.
+// shipping it. The returned logits live in the engine's prefill arena: they
+// are valid until the next command.
 func (e *rankEngine) prefill(r *comm.Rank, cmd *wire.PrefillCmd) (*tensor.Tensor, error) {
 	m := e.w.Cfg.Model
+	s := &e.pre
 	lens := make([]int, len(cmd.Tokens))
 	for i, toks := range cmd.Tokens {
 		lens[i] = len(toks)
@@ -109,39 +121,41 @@ func (e *rankEngine) prefill(r *comm.Rank, cmd *wire.PrefillCmd) (*tensor.Tensor
 	lp := plan.LocalPositions(r.ID)
 	ls := plan.LocalSeqs(r.ID)
 	localLen := plan.LocalLen(r.ID)
-	ids := make([]int, localLen)
-	gpos := make([]int, localLen)
+	s.ids, s.pos = tensor.Grown(s.ids, localLen), tensor.Grown(s.pos, localLen)
 	for slot, pos := range lp {
 		if pos == sharding.Pad {
-			ids[slot] = -1
-			gpos[slot] = -1
+			s.ids[slot] = -1
+			s.pos[slot] = -1
 		} else {
-			ids[slot] = cmd.Tokens[ls[slot]][pos]
-			gpos[slot] = cmd.P[ls[slot]] + pos
+			s.ids[slot] = cmd.Tokens[ls[slot]][pos]
+			s.pos[slot] = cmd.P[ls[slot]] + pos
 		}
 	}
-	hidden, err := e.w.embedTokens(ids)
-	if err != nil {
+	s.hidden = tensor.Grown(s.hidden, localLen*m.ModelDim)
+	if err := e.w.embedInto(s.hidden, s.ids); err != nil {
 		return nil, err
 	}
+	s.q.Resize(localLen, m.NumHeads, m.HeadDim)
+	s.k.Resize(localLen, m.NumKV, m.HeadDim)
+	s.v.Resize(localLen, m.NumKV, m.HeadDim)
 	for l := 0; l < m.Layers; l++ {
-		q, k, v := e.w.projectQKV(l, hidden, localLen, gpos)
+		e.w.projectQKVInto(&s.q, &s.k, &s.v, l, s.hidden, s.pos)
 		out, err := run(&ring.PrefillInput{
 			Rank: r, Plan: plan, P: cmd.P, SeqIDs: cmd.Seqs,
-			Q: q, K: k, V: v,
-			Cache: e.caches[l], Blocks: e.blocks[l], Elem: m.ElemBytes,
+			Q: &s.q, K: &s.k, V: &s.v,
+			Cache: e.caches[l], Blocks: e.blocks[l], Scratch: &s.ring, Elem: m.ElemBytes,
 			Trace: e.rec.Sweep(r.ID, e.epoch, "prefill"),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("layer %d: %w", l, err)
 		}
-		if err := ring.AppendLocalKV(e.caches[l], plan, r.ID, cmd.P, cmd.Seqs, k, v); err != nil {
+		if err := ring.AppendLocalKV(e.caches[l], plan, r.ID, cmd.P, cmd.Seqs, &s.k, &s.v); err != nil {
 			return nil, err
 		}
-		e.w.finishLayer(l, hidden, out.O)
+		e.w.finishLayer(l, s.hidden, out.O)
 	}
-	flat := e.w.logits(hidden, localLen)
-	return tensor.FromData(localLen, 1, m.VocabSize, flat)
+	e.w.logitsInto(s.logits.Resize(localLen, 1, m.VocabSize).Data, s.hidden, localLen)
+	return &s.logits, nil
 }
 
 // decodeOwners is the per-rank token assignment of a decode command:
@@ -185,19 +199,18 @@ func (e *rankEngine) decode(r *comm.Rank, cmd *wire.DecodeCmd) ([]float32, error
 	s := &e.dec
 	s.own.assign(cmd, r.N())
 	mine := s.own.rows[r.ID]
-	s.ids, s.pos = grown(s.ids, len(mine)), grown(s.pos, len(mine))
+	s.ids, s.pos = tensor.Grown(s.ids, len(mine)), tensor.Grown(s.pos, len(mine))
 	for j, row := range mine {
 		s.ids[j] = cmd.Tokens[row]
 		s.pos[j] = s.own.owned[r.ID][j].Pos
 	}
-	s.hidden = grown(s.hidden, len(mine)*m.ModelDim)
+	s.hidden = tensor.Grown(s.hidden, len(mine)*m.ModelDim)
 	if err := e.w.embedInto(s.hidden, s.ids); err != nil {
 		return nil, err
 	}
-	qRow, kvRow := m.NumHeads*m.HeadDim, m.NumKV*m.HeadDim
-	s.q = tensor.Tensor{Tokens: len(mine), Heads: m.NumHeads, Dim: m.HeadDim, Data: grown(s.q.Data, len(mine)*qRow)}
-	s.k = tensor.Tensor{Tokens: len(mine), Heads: m.NumKV, Dim: m.HeadDim, Data: grown(s.k.Data, len(mine)*kvRow)}
-	s.v = tensor.Tensor{Tokens: len(mine), Heads: m.NumKV, Dim: m.HeadDim, Data: grown(s.v.Data, len(mine)*kvRow)}
+	s.q.Resize(len(mine), m.NumHeads, m.HeadDim)
+	s.k.Resize(len(mine), m.NumKV, m.HeadDim)
+	s.v.Resize(len(mine), m.NumKV, m.HeadDim)
 	for l := 0; l < m.Layers; l++ {
 		e.w.projectQKVInto(&s.q, &s.k, &s.v, l, s.hidden, s.pos)
 		out, err := ring.PassQDecode(&ring.DecodeInput{
@@ -215,7 +228,7 @@ func (e *rankEngine) decode(r *comm.Rank, cmd *wire.DecodeCmd) ([]float32, error
 	if len(mine) == 0 {
 		return nil, nil
 	}
-	s.logits = grown(s.logits, len(mine)*m.VocabSize)
+	s.logits = tensor.Grown(s.logits, len(mine)*m.VocabSize)
 	e.w.logitsInto(s.logits, s.hidden, len(mine))
 	return s.logits, nil
 }

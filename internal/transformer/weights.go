@@ -124,13 +124,14 @@ func NewWeights(cfg Config) (*Weights, error) {
 	return w, nil
 }
 
-// f32Pool recycles forward-pass scratch (normed rows, projection outputs, FFN
-// activations), one token block at a time, so steady-state prefill and decode
-// allocate nothing per call. A prefill's q/k/v tensors are deliberately NOT
-// pooled: the in-process ring transport circulates those blocks by pointer, so
-// a peer may still be reading one after this rank has advanced to the next
-// layer. (A decode step's live in the rank engine's arena: ring.PassQDecode
-// copies them out before any peer is involved.)
+// f32Pool recycles the sweeps' per-block scratch (normed rows, stacked
+// projection outputs, FFN activations), one token block at a time, so
+// steady-state prefill and decode allocate nothing per call. What a command
+// reads across blocks — hidden rows, q/k/v, logits — is not pooled: it lives
+// in the rank engine's prefill and decode arenas, whose reuse across layers
+// the lifetime rule at the top of ring/ring.go (prefill) and ring/decode.go
+// (decode) makes safe although the in-process ring circulates blocks by
+// pointer.
 var f32Pool = sync.Pool{New: func() any { return new([]float32) }}
 
 func getF32(n int) *[]float32 {
