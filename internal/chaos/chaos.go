@@ -620,11 +620,9 @@ func dropLink(t transport.Transport, src, dst int, cause error) {
 	t.FailLink(src, dst)
 }
 
-// chaosTransport is the Transport wrapper: Send consults the injector;
-// everything else delegates. It forwards the Transport interface only: a
-// wrapped mailbox no longer declares that its sends never block (comm's
-// optional mailbox capability) — here they may sleep or fail — so the ring
-// keeps its helper-goroutine exchange over it.
+// chaosTransport is the Transport wrapper: Send consults the injector, so a
+// faulted send sleeps or fails on the calling rank's goroutine; everything
+// else delegates. The ring runs its one exchange path over it unchanged.
 type chaosTransport struct {
 	in    *Injector
 	inner transport.Transport
@@ -654,6 +652,7 @@ func (c *chaosTransport) Recv(dst, src int, timeout time.Duration) (any, error) 
 	return c.inner.Recv(dst, src, timeout)
 }
 
+func (c *chaosTransport) Waiting(dst, src int) bool               { return c.inner.Waiting(dst, src) }
 func (c *chaosTransport) FailLink(src, dst int)                   { c.inner.FailLink(src, dst) }
 func (c *chaosTransport) HealLink(src, dst int)                   { c.inner.HealLink(src, dst) }
 func (c *chaosTransport) Failures() <-chan transport.FailureEvent { return c.inner.Failures() }

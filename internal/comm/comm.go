@@ -6,10 +6,10 @@
 // ranks living in separate OS processes through the deterministic wire
 // codec. The primitives mirror the NCCL surface the paper uses —
 // point-to-point SendRecv for the ring loop, All2All for restoring pass-Q
-// partial outputs, AllGather for the all-gather pass-KV baseline, and
-// AllReduce for the tensor-parallel comparison — while recording
-// per-collective message and byte counts so tests can check the paper's
-// communication-cost claims (Table 2) against actually-transferred bytes.
+// partial outputs, and AllGather for the all-gather pass-KV baseline and the
+// ring's segment-length agreement — while recording per-collective message
+// and byte counts so tests can check the paper's communication-cost claims
+// (Table 2) against actually-transferred bytes.
 //
 // Every receive carries a timeout so a bug that would deadlock a real
 // cluster fails the test quickly instead, and links can be failed
@@ -35,8 +35,6 @@ const (
 	KindSendRecv  Kind = "sendrecv"
 	KindAll2All   Kind = "all2all"
 	KindAllGather Kind = "allgather"
-	KindAllReduce Kind = "allreduce"
-	KindBroadcast Kind = "broadcast"
 )
 
 // DefaultRecvTimeout bounds how long a rank waits for a message before
@@ -114,8 +112,6 @@ type World struct {
 
 	t     transport.Transport
 	local []int
-	// box is t's mailbox capability, nil when t does not declare one.
-	box mailbox
 
 	mu    sync.Mutex
 	stats []*Stats // per sending rank
@@ -127,17 +123,6 @@ type World struct {
 type linkAgg struct {
 	msgs  int64
 	bytes float64
-}
-
-// mailbox is an optional transport capability: links are in-process queues,
-// so a Send never waits for the receiver (SendsNeverBlock) and a rank can ask
-// whether its next Recv would return at once (Waiting). transport.Mem declares
-// it; the TCP transport does not, and wrappers that delay or drop sends (the
-// chaos injector) do not forward it, so every such world keeps the ring's
-// helper-goroutine exchange.
-type mailbox interface {
-	SendsNeverBlock() bool
-	Waiting(dst, src int) bool
 }
 
 // NewWorld creates an in-process group with n ranks over the mailbox
@@ -158,9 +143,6 @@ func NewWorldOver(t transport.Transport, opts ...Option) *World {
 		t:           t,
 		local:       t.LocalRanks(),
 		links:       make(map[[2]int]*linkAgg),
-	}
-	if box, ok := t.(mailbox); ok && box.SendsNeverBlock() {
-		w.box = box
 	}
 	for _, opt := range opts {
 		opt(w)
@@ -280,12 +262,11 @@ func (w *World) ResetStats() {
 	w.links = make(map[[2]int]*linkAgg)
 }
 
-// Rank is one participant's handle into the world. At most one operation
-// may be in flight per rank at a time: methods are normally called from
-// that rank's goroutine, but a rank may hand a single call to a helper
-// goroutine (the ring's communication/compute overlap does this on a
-// transport that is not a mailbox) as long as it synchronizes on completion
-// before issuing the next one.
+// Rank is one participant's handle into the world. Its methods are called
+// from that rank's goroutine, one at a time. A Send does not wait for the
+// receiver's Recv (the transport queues the payload: a mailbox slot in
+// process, the peer's reader and inbox over TCP), so the ring overlaps a
+// transfer with compute by sending at issue and receiving afterwards.
 type Rank struct {
 	w  *World
 	ID int
@@ -351,17 +332,9 @@ func causeSuffix(err error) string {
 	return ""
 }
 
-// SendsNeverBlock reports that the world's transport is a mailbox: Send
-// completes without the receiver, so a ring step may Send at issue time and
-// Recv after its compute on the rank's own goroutine, with no helper.
-func (r *Rank) SendsNeverBlock() bool { return r.w.box != nil }
-
 // Waiting reports whether a message from src is already queued, so that Recv
-// would return without waiting. Always false on a world whose transport is
-// not a mailbox.
-func (r *Rank) Waiting(src int) bool {
-	return r.w.box != nil && r.w.box.Waiting(r.ID, src)
-}
+// would return without waiting.
+func (r *Rank) Waiting(src int) bool { return r.w.t.Waiting(r.ID, src) }
 
 // Send delivers msg to dst, accounting bytes under SendRecv.
 func (r *Rank) Send(dst int, msg any, bytes float64) error {
@@ -447,51 +420,6 @@ func (r *Rank) AllGather(msg any, bytes float64) ([]any, error) {
 		out[src] = m
 	}
 	return out, nil
-}
-
-// AllReduceSum sums float64 vectors element-wise across ranks. It is used by
-// the tensor-parallel functional comparison; bytes accounts one send of the
-// local vector per peer (ring-allreduce traffic is modeled analytically in
-// the perf package, not here).
-func (r *Rank) AllReduceSum(vec []float64, bytes float64) ([]float64, error) {
-	gathered, err := r.AllGather(vec, bytes)
-	if err != nil {
-		return nil, err
-	}
-	// Undo the AllGather accounting and book it as AllReduce instead.
-	r.w.mu.Lock()
-	st := r.w.stats[r.ID]
-	st.Messages[KindAllGather] -= int64(r.w.N - 1)
-	st.Bytes[KindAllGather] -= bytes * float64(r.w.N-1)
-	st.Messages[KindAllReduce] += int64(r.w.N - 1)
-	st.Bytes[KindAllReduce] += bytes * float64(r.w.N-1)
-	r.w.mu.Unlock()
-	out := make([]float64, len(vec))
-	for _, g := range gathered {
-		gv, ok := g.([]float64)
-		if !ok || len(gv) != len(vec) {
-			return nil, fmt.Errorf("comm: allreduce type/shape mismatch on rank %d", r.ID)
-		}
-		for i, x := range gv {
-			out[i] += x
-		}
-	}
-	return out, nil
-}
-
-// Barrier blocks until every rank has entered it. Implemented as an
-// AllGather of empty payloads with zero accounted bytes.
-func (r *Rank) Barrier() error {
-	_, err := r.AllGather(nil, 0)
-	if err != nil {
-		return fmt.Errorf("comm: barrier failed on rank %d: %w", r.ID, err)
-	}
-	// Remove the barrier's bookkeeping noise from the gather counters.
-	r.w.mu.Lock()
-	st := r.w.stats[r.ID]
-	st.Messages[KindAllGather] -= int64(r.w.N - 1)
-	r.w.mu.Unlock()
-	return nil
 }
 
 // Run executes fn concurrently on every rank hosted in this process and

@@ -3,7 +3,6 @@ package comm
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -129,55 +128,6 @@ func TestAllGather(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAllReduceSum(t *testing.T) {
-	n := 4
-	w := NewWorld(n)
-	err := w.Run(func(r *Rank) error {
-		vec := []float64{float64(r.ID), 1}
-		out, err := r.AllReduceSum(vec, 16)
-		if err != nil {
-			return err
-		}
-		if out[0] != 6 || out[1] != 4 { // 0+1+2+3, 1*4
-			return fmt.Errorf("rank %d allreduce = %v", r.ID, out)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := w.TotalStats()
-	if total.Messages[KindAllReduce] != int64(n*(n-1)) {
-		t.Fatalf("allreduce messages = %d, want %d", total.Messages[KindAllReduce], n*(n-1))
-	}
-	if total.Messages[KindAllGather] != 0 {
-		t.Fatalf("allreduce leaked allgather accounting: %v", total.Messages)
-	}
-}
-
-func TestBarrierSynchronizes(t *testing.T) {
-	n := 4
-	w := NewWorld(n)
-	var before, after int32
-	err := w.Run(func(r *Rank) error {
-		atomic.AddInt32(&before, 1)
-		if err := r.Barrier(); err != nil {
-			return err
-		}
-		if atomic.LoadInt32(&before) != int32(n) {
-			return fmt.Errorf("rank %d passed barrier before all arrived", r.ID)
-		}
-		atomic.AddInt32(&after, 1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after != int32(n) {
-		t.Fatalf("after = %d, want %d", after, n)
 	}
 }
 

@@ -319,6 +319,10 @@ func (t *TCP) Recv(dst, src int, timeout time.Duration) (any, error) {
 	}
 }
 
+// Waiting implements Transport: a data frame from src is in the inbox.
+// Heartbeats never reach the inbox, so they never count.
+func (t *TCP) Waiting(dst, src int) bool { return len(t.inbox[src]) > 0 }
+
 // WireLinks implements Transport: two directed entries per peer link.
 func (t *TCP) WireLinks() []wire.LinkStat {
 	peers := make([]int, 0, len(t.links))

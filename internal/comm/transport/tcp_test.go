@@ -14,8 +14,9 @@ import (
 )
 
 // loopbackMesh forms an n-rank TCP mesh on 127.0.0.1 with pre-bound :0
-// listeners (no port races) and returns the transports.
-func loopbackMesh(t *testing.T, n int, configSum uint64) []*TCP {
+// listeners (no port races) and returns the transports. tune, if any, edits
+// each rank's config before it joins.
+func loopbackMesh(t *testing.T, n int, configSum uint64, tune ...func(*TCPConfig)) []*TCP {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -34,10 +35,14 @@ func loopbackMesh(t *testing.T, n int, configSum uint64) []*TCP {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tp, _, err := Join(TCPConfig{
+			cfg := TCPConfig{
 				World: n, Rank: i, Addrs: addrs, Listener: lns[i],
 				ConfigSum: configSum, RendezvousTimeout: 10 * time.Second,
-			})
+			}
+			for _, f := range tune {
+				f(&cfg)
+			}
+			tp, _, err := Join(cfg)
 			out[i], errs[i] = tp, err
 		}(i)
 	}
@@ -129,6 +134,52 @@ func TestTCPFIFOOrdering(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Waiting is what the ring's hidden-step count reads: whether a data frame
+// from src is already in the inbox. Heartbeats are dropped before the inbox,
+// so a link that carries only heartbeats never reports one waiting.
+func TestTCPWaiting(t *testing.T) {
+	// Fast heartbeats, with read-side liveness off so a stalled test host
+	// cannot down the link.
+	const every = 5 * time.Millisecond
+	mesh := loopbackMesh(t, 2, 7, func(c *TCPConfig) { c.HeartbeatEvery, c.HeartbeatMisses = every, -1 })
+	if mesh[1].Waiting(1, 0) {
+		t.Fatal("empty link reports a frame waiting")
+	}
+	inFrames := func() int64 {
+		for _, l := range mesh[1].WireLinks() {
+			if l.Src == 0 {
+				return l.WireMsgs
+			}
+		}
+		return 0
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for inFrames() < 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d heartbeats arrived", inFrames())
+		}
+		if mesh[1].Waiting(1, 0) {
+			t.Fatal("heartbeats alone report a frame waiting")
+		}
+		time.Sleep(every)
+	}
+	if err := mesh[0].Send(0, 1, []int{3}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for !mesh[1].Waiting(1, 0) {
+		if time.Now().After(deadline) {
+			t.Fatal("a sent data frame never showed as waiting")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if v, err := mesh[1].Recv(1, 0, time.Second); err != nil || v.([]int)[0] != 3 {
+		t.Fatalf("Recv = %v, %v", v, err)
+	}
+	if mesh[1].Waiting(1, 0) {
+		t.Fatal("link still reports a frame waiting after Recv drained it")
 	}
 }
 

@@ -10,10 +10,10 @@
 //     plus rank rendezvous, heartbeats, and link-failure detection.
 //
 // The interface deliberately mirrors what the ring algorithms need and
-// nothing more: directed point-to-point send/receive with timeouts, link
-// fault injection, and per-link wire-traffic counters. Collectives stay in
-// comm, built from these primitives, so both transports run the identical
-// algorithm code.
+// nothing more: directed point-to-point send/receive with timeouts, a probe
+// for a payload already queued, link fault injection, and per-link
+// wire-traffic counters. Collectives stay in comm, built from these
+// primitives, so both transports run the identical algorithm code.
 package transport
 
 import (
@@ -138,6 +138,9 @@ type Transport interface {
 	// Recv returns the next payload on the directed link src->dst. dst must
 	// be local. An empty link blocks up to timeout.
 	Recv(dst, src int, timeout time.Duration) (any, error)
+	// Waiting reports whether a payload is already queued on src->dst, so
+	// that Recv would return without waiting. dst must be local.
+	Waiting(dst, src int) bool
 	// FailLink / HealLink inject and clear a directed send-side fault.
 	FailLink(src, dst int)
 	HealLink(src, dst int)
@@ -260,15 +263,7 @@ func (m *Mem) Recv(dst, src int, timeout time.Duration) (any, error) {
 	}
 }
 
-// SendsNeverBlock and Waiting are the mailbox capability comm.Rank exposes to
-// the ring (comm.Rank.SendsNeverBlock): a Send on a link with room — every
-// link, in the ring's lockstep — completes without the receiver, so a rank may
-// send from its own goroutine at issue time instead of handing the exchange
-// to a helper. Wrappers that add delays or faults (chaos) do not forward it.
-func (m *Mem) SendsNeverBlock() bool { return true }
-
-// Waiting reports whether a payload is queued on src->dst, i.e. whether a
-// Recv now would return without waiting.
+// Waiting implements Transport.
 func (m *Mem) Waiting(dst, src int) bool { return len(m.boxes[dst][src]) > 0 }
 
 // FailLink implements Transport. The injected fault surfaces on Failures

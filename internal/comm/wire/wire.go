@@ -31,6 +31,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/attention"
@@ -298,638 +299,597 @@ type StatsResult struct {
 	Err         string
 }
 
-type enc struct{ b []byte }
+// A frame is a payload with a fixed layout. walk visits its fields in wire
+// order through c, writing them when c encodes and filling them when it
+// decodes, and returns the frame's type id. The walk is the only statement
+// of a frame's layout, so its encoder and decoder cannot disagree.
+type frame interface {
+	walk(c *codec) byte
+}
 
-func (e *enc) u8(v byte)     { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16)  { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) i64(v int)     { e.u64(uint64(int64(v))) }
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
+func (b *KVBlock) walk(c *codec) byte {
+	c.tensor(&b.K)
+	c.tensor(&b.V)
+	ints(c, &b.Pos)
+	ints(c, &b.Seq)
+	return tKVBlock
+}
 
-func (e *enc) ints(v []int) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.i64(x)
+func (b *QBlock) walk(c *codec) byte {
+	c.tensor(&b.Q)
+	ints(c, &b.Pos)
+	ints(c, &b.Seq)
+	return tQBlock
+}
+
+func (b *OBlock) walk(c *codec) byte {
+	c.output(&b.Out)
+	return tOBlock
+}
+
+func (h *Hello) walk(c *codec) byte {
+	num(c, &h.Magic, 4)
+	num(c, &h.Version, 2)
+	num(c, &h.World, 8)
+	num(c, &h.Rank, 8)
+	num(c, &h.ConfigSum, 8)
+	num(c, &h.Epoch, 8)
+	return tHello
+}
+
+func (*Heartbeat) walk(*codec) byte { return tHeartbeat }
+
+func (m *PrefillCmd) walk(c *codec) byte {
+	ints(c, &m.Seqs)
+	c.intss(&m.Tokens)
+	ints(c, &m.P)
+	num(c, &m.Variant, 8)
+	return tPrefillCmd
+}
+
+func (m *DecodeCmd) walk(c *codec) byte {
+	ints(c, &m.Seqs)
+	ints(c, &m.Tokens)
+	ints(c, &m.Pos)
+	ints(c, &m.Owners)
+	return tDecodeCmd
+}
+
+func (m *DropCmd) walk(c *codec) byte {
+	num(c, &m.Seq, 8)
+	return tDropCmd
+}
+
+func (m *DetachCmd) walk(c *codec) byte {
+	num(c, &m.Seq, 8)
+	num(c, &m.UpTo, 8)
+	num(c, &m.ID, 8)
+	return tDetachCmd
+}
+
+func (m *AdoptCmd) walk(c *codec) byte {
+	num(c, &m.Seq, 8)
+	num(c, &m.ID, 8)
+	return tAdoptCmd
+}
+
+func (m *ReleasePrefixCmd) walk(c *codec) byte {
+	num(c, &m.ID, 8)
+	return tReleasePrefixCmd
+}
+
+func (m *CapQueryCmd) walk(c *codec) byte {
+	ints(c, &m.Seqs)
+	return tCapQueryCmd
+}
+
+func (*StatsCmd) walk(*codec) byte    { return tStatsCmd }
+func (*TraceCmd) walk(*codec) byte    { return tTraceCmd }
+func (*ShutdownCmd) walk(*codec) byte { return tShutdownCmd }
+
+func (m *FailureNote) walk(c *codec) byte {
+	num(c, &m.Rank, 8)
+	c.str(&m.Cause)
+	return tFailureNote
+}
+
+func (m *PrefillResult) walk(c *codec) byte {
+	c.tensor(&m.Logits)
+	c.str(&m.Err)
+	return tPrefillResult
+}
+
+func (m *DecodeResult) walk(c *codec) byte {
+	c.f32s(&m.Flat)
+	c.str(&m.Err)
+	return tDecodeResult
+}
+
+func (m *Ack) walk(c *codec) byte {
+	c.str(&m.Err)
+	return tAck
+}
+
+func (m *DetachResult) walk(c *codec) byte {
+	ints(c, &m.PerLayer)
+	c.str(&m.Err)
+	return tDetachResult
+}
+
+func (m *CapResult) walk(c *codec) byte {
+	num(c, &m.Capacity, 8)
+	ints(c, &m.Avail)
+	c.intss(&m.Overhead)
+	c.str(&m.Err)
+	return tCapResult
+}
+
+func (m *StatsResult) walk(c *codec) byte {
+	num(c, &m.CacheTokens, 8)
+	ints(c, &m.Assembly)
+	c.strs(&m.Kinds)
+	ints(c, &m.Msgs)
+	c.f64s(&m.Bytes)
+	records(c, &m.Links, 8*6)
+	num(c, &m.IntegrityChecked, 8)
+	num(c, &m.IntegrityRejected, 8)
+	c.strs(&m.ChaosKinds)
+	ints(c, &m.ChaosCounts)
+	c.str(&m.Err)
+	return tStatsResult
+}
+
+func (l *LinkStat) fields(c *codec) {
+	num(c, &l.Src, 8)
+	num(c, &l.Dst, 8)
+	num(c, &l.Messages, 8)
+	c.f64(&l.Bytes)
+	num(c, &l.WireMsgs, 8)
+	num(c, &l.WireBytes, 8)
+}
+
+// Minimum encoded span: two string headers, six fixed u64s, two vector
+// headers = 64 bytes; a series likewise bottoms out at 41.
+func (m *TraceResult) walk(c *codec) byte {
+	num(c, &m.Rank, 8)
+	records(c, &m.Spans, 64)
+	records(c, &m.Series, 41)
+	c.str(&m.Err)
+	return tTraceResult
+}
+
+func (s *TraceSpan) fields(c *codec) {
+	c.str(&s.Name)
+	c.str(&s.Cat)
+	num(c, &s.Rank, 8)
+	num(c, &s.Seq, 8)
+	num(c, &s.Epoch, 8)
+	num(c, &s.Index, 8)
+	num(c, &s.Start, 8)
+	num(c, &s.Dur, 8)
+	c.strs(&s.ArgKeys)
+	ints(c, &s.ArgVals)
+}
+
+func (s *TraceSeries) fields(c *codec) {
+	c.str(&s.Name)
+	c.strs(&s.LabelKeys)
+	c.strs(&s.LabelVals)
+	num(c, &s.Kind, 1)
+	c.f64(&s.Value)
+	num(c, &s.Count, 8)
+	c.f64(&s.Sum)
+	ints(c, &s.Counts)
+}
+
+// The three payloads that are not structs walk through named stand-ins.
+type (
+	nilPayload struct{}
+	intVec     []int
+	floatVec   []float64
+)
+
+func (*nilPayload) walk(*codec) byte { return tNil }
+
+func (v *intVec) walk(c *codec) byte {
+	ints(c, (*[]int)(v))
+	return tIntVec
+}
+
+func (v *floatVec) walk(c *codec) byte {
+	c.f64s((*[]float64)(v))
+	return tFloatVec
+}
+
+// asFrame is the walk of payload v, nil when v has no wire layout.
+func asFrame(v any) frame {
+	switch x := v.(type) {
+	case frame:
+		return x
+	case nil:
+		return (*nilPayload)(nil)
+	case []int:
+		return (*intVec)(&x)
+	case []float64:
+		return (*floatVec)(&x)
 	}
+	return nil
 }
 
-func (e *enc) intss(v [][]int) {
-	e.u32(uint32(len(v)))
-	for _, inner := range v {
-		e.ints(inner)
+// payload is the value Decode returns for a walked frame: the stand-ins
+// unwrapped, every struct frame as itself.
+func payload(f frame) any {
+	switch x := f.(type) {
+	case *nilPayload:
+		return nil
+	case *intVec:
+		return []int(*x)
+	case *floatVec:
+		return []float64(*x)
 	}
+	return f
 }
 
-func (e *enc) f32s(v []float32) {
-	e.u32(uint32(len(v)))
-	e.f32row(v)
+// newFrame makes the empty frame Decode walks, indexed by type id.
+var newFrame = [...]func() frame{
+	tNil:              alloc[nilPayload],
+	tIntVec:           alloc[intVec],
+	tFloatVec:         alloc[floatVec],
+	tKVBlock:          alloc[KVBlock],
+	tQBlock:           alloc[QBlock],
+	tOBlock:           alloc[OBlock],
+	tHello:            alloc[Hello],
+	tHeartbeat:        alloc[Heartbeat],
+	tPrefillCmd:       alloc[PrefillCmd],
+	tDecodeCmd:        alloc[DecodeCmd],
+	tDropCmd:          alloc[DropCmd],
+	tDetachCmd:        alloc[DetachCmd],
+	tAdoptCmd:         alloc[AdoptCmd],
+	tReleasePrefixCmd: alloc[ReleasePrefixCmd],
+	tCapQueryCmd:      alloc[CapQueryCmd],
+	tStatsCmd:         alloc[StatsCmd],
+	tShutdownCmd:      alloc[ShutdownCmd],
+	tPrefillResult:    alloc[PrefillResult],
+	tDecodeResult:     alloc[DecodeResult],
+	tAck:              alloc[Ack],
+	tDetachResult:     alloc[DetachResult],
+	tCapResult:        alloc[CapResult],
+	tStatsResult:      alloc[StatsResult],
+	tFailureNote:      alloc[FailureNote],
+	tTraceCmd:         alloc[TraceCmd],
+	tTraceResult:      alloc[TraceResult],
 }
 
-func (e *enc) f64s(v []float64) {
-	e.u32(uint32(len(v)))
-	e.f64row(v)
+func alloc[T any, P interface {
+	*T
+	frame
+}]() frame {
+	return P(new(T))
 }
 
-// grow extends e.b by n bytes, reallocating at most once, and returns them.
-func (e *enc) grow(n int) []byte {
-	off := len(e.b)
-	e.b = slices.Grow(e.b, n)[:off+n]
-	return e.b[off:]
-}
-
-// f32row appends v's bit patterns, little-endian, without a length prefix.
-func (e *enc) f32row(v []float32) {
-	dst := e.grow(4 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(x))
-	}
-}
-
-// f64row is f32row for float64s.
-func (e *enc) f64row(v []float64) {
-	dst := e.grow(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
-	}
-}
-
-func (e *enc) i64s(v []int64) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.u64(uint64(x))
-	}
-}
-
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-func (e *enc) strs(v []string) {
-	e.u32(uint32(len(v)))
-	for _, s := range v {
-		e.str(s)
-	}
-}
-
-func (e *enc) tensor(t *tensor.Tensor) {
-	if t == nil {
-		e.u8(0)
-		return
-	}
-	e.u8(1)
-	e.u32(uint32(t.Tokens))
-	e.u32(uint32(t.Heads))
-	e.u32(uint32(t.Dim))
-	e.f32row(t.Data)
-}
-
-func (e *enc) output(o *attention.Output) {
-	if o == nil {
-		e.u8(0)
-		return
-	}
-	e.u8(1)
-	e.tensor(o.O)
-	e.f64s(o.LSE)
-}
-
-type dec struct {
+// codec is one walk's state: the frame bytes, the read offset and first
+// error when decoding. Encoding only appends and never writes a field, so
+// one payload may be encoded by several goroutines at once. The walks reach
+// the codec through the frame interface, which moves it to the heap, so
+// Append and Decode recycle it instead of allocating one per frame.
+type codec struct {
 	b   []byte
 	off int
+	dec bool
 	err error
 }
 
-func (d *dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("wire: "+format, args...)
+var codecs = sync.Pool{New: func() any { return new(codec) }}
+
+func (c *codec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("wire: "+format, args...)
 	}
 }
 
-func (d *dec) need(n int) bool {
-	if d.err != nil {
-		return false
+// next returns the n bytes of the walk's next field: appended to the frame
+// when encoding, the unread bytes at off when decoding (nil, with the error
+// recorded, when fewer than n remain).
+func (c *codec) next(n int) []byte {
+	if !c.dec {
+		off := len(c.b)
+		c.b = slices.Grow(c.b, n)[:off+n]
+		return c.b[off:]
 	}
-	if len(d.b)-d.off < n {
-		d.fail("truncated frame: need %d bytes at offset %d of %d", n, d.off, len(d.b))
-		return false
+	if c.err != nil {
+		return nil
 	}
-	return true
+	if len(c.b)-c.off < n {
+		c.fail("truncated frame: need %d bytes at offset %d of %d", n, c.off, len(c.b))
+		return nil
+	}
+	s := c.b[c.off : c.off+n]
+	c.off += n
+	return s
 }
 
-func (d *dec) u8() byte {
-	if !d.need(1) {
+// num walks an integer field as its size low bytes, little-endian. The
+// walks give every field its width: a Go int always travels as 8 bytes.
+func num[T uint8 | uint16 | uint32 | uint64 | int | int64](c *codec, p *T, size int) {
+	s := c.next(size)
+	if s == nil {
+		return
+	}
+	var b [8]byte
+	if c.dec {
+		copy(b[:], s)
+		*p = T(binary.LittleEndian.Uint64(b[:]))
+	} else {
+		binary.LittleEndian.PutUint64(b[:], uint64(*p))
+		copy(s, b[:])
+	}
+}
+
+func (c *codec) f64(p *float64) {
+	v := math.Float64bits(*p)
+	num(c, &v, 8)
+	if c.dec {
+		*p = math.Float64frombits(v)
+	}
+}
+
+// count walks a vector's length. A decoded length is checked against the
+// bytes left, each element taking at least minSize of them, so a corrupt
+// count fails instead of allocating.
+func (c *codec) count(n, minSize int) int {
+	v := uint32(n)
+	num(c, &v, 4)
+	if !c.dec {
+		return n
+	}
+	if c.err != nil {
 		return 0
 	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u16() uint16 {
-	if !d.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) i64() int     { return int(int64(d.u64())) }
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-// count reads a element count and validates it against the bytes remaining
-// (elemSize >= 1), so a corrupt count cannot trigger a huge allocation.
-func (d *dec) count(elemSize int) int {
-	n := int(d.u32())
-	if d.err != nil {
-		return 0
-	}
-	if n < 0 || n*elemSize > len(d.b)-d.off {
-		d.fail("count %d exceeds remaining %d bytes", n, len(d.b)-d.off)
+	if n = int(v); n*minSize > len(c.b)-c.off {
+		c.fail("count %d exceeds remaining %d bytes", n, len(c.b)-c.off)
 		return 0
 	}
 	return n
 }
 
-func (d *dec) ints() []int {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
+// sized walks the length of *p and, when decoding, makes *p that long; an
+// empty vector decodes as nil, so it re-encodes canonically.
+func sized[T any](c *codec, p *[]T, minSize int) {
+	if n := c.count(len(*p), minSize); c.dec && n > 0 {
+		*p = make([]T, n)
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.i64()
-	}
-	return out
 }
 
-func (d *dec) intss() [][]int {
-	n := d.count(4)
-	if d.err != nil || n == 0 {
-		return nil
+// The numeric vectors are bulk rows: next checks the frame's bounds once for
+// the whole row, not once per element.
+
+// ints walks a vector of 8-byte integers.
+func ints[T int | int64](c *codec, p *[]T) {
+	sized(c, p, 8)
+	s := c.next(8 * len(*p))
+	if s == nil {
+		return
 	}
-	out := make([][]int, n)
-	for i := range out {
-		out[i] = d.ints()
-		if d.err != nil {
-			return nil
+	if v := *p; c.dec {
+		for i := range v {
+			v[i] = T(binary.LittleEndian.Uint64(s))
+			s = s[8:]
+		}
+	} else {
+		for _, x := range v {
+			binary.LittleEndian.PutUint64(s, uint64(x))
+			s = s[8:]
 		}
 	}
-	return out
 }
 
-func (d *dec) f32s() []float32 {
-	n := d.count(4)
-	if d.err != nil || n == 0 {
-		return nil
+func (c *codec) f64s(p *[]float64) {
+	sized(c, p, 8)
+	s := c.next(8 * len(*p))
+	if s == nil {
+		return
 	}
-	return d.f32row(n)
-}
-
-func (d *dec) f64s() []float64 {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	return d.f64row(n)
-}
-
-// f32row decodes n little-endian float32s, checking the bounds once for the
-// whole row.
-func (d *dec) f32row(n int) []float32 {
-	if !d.need(4 * n) {
-		return nil
-	}
-	src := d.b[d.off : d.off+4*n]
-	d.off += 4 * n
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-	return out
-}
-
-// f64row is f32row for float64s.
-func (d *dec) f64row(n int) []float64 {
-	if !d.need(8 * n) {
-		return nil
-	}
-	src := d.b[d.off : d.off+8*n]
-	d.off += 8 * n
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	return out
-}
-
-func (d *dec) i64s() []int64 {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(d.u64())
-	}
-	return out
-}
-
-func (d *dec) str() string {
-	n := d.count(1)
-	if d.err != nil || n == 0 {
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-func (d *dec) strs() []string {
-	n := d.count(4)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = d.str()
-		if d.err != nil {
-			return nil
+	if v := *p; c.dec {
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(s))
+			s = s[8:]
+		}
+	} else {
+		for _, x := range v {
+			binary.LittleEndian.PutUint64(s, math.Float64bits(x))
+			s = s[8:]
 		}
 	}
-	return out
 }
 
-// present reads a strict 0/1 presence byte; any other value is a framing
-// error (keeps the encoding canonical: one byte sequence per value).
-func (d *dec) present() bool {
-	switch d.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail("invalid presence byte at offset %d", d.off-1)
-		return false
+func (c *codec) f32s(p *[]float32) {
+	sized(c, p, 4)
+	c.f32row(*p)
+}
+
+// f32row walks v's elements without a length prefix.
+func (c *codec) f32row(v []float32) {
+	s := c.next(4 * len(v))
+	if s == nil {
+		return
+	}
+	if c.dec {
+		for i := range v {
+			v[i] = math.Float32frombits(binary.LittleEndian.Uint32(s))
+			s = s[4:]
+		}
+	} else {
+		for _, x := range v {
+			binary.LittleEndian.PutUint32(s, math.Float32bits(x))
+			s = s[4:]
+		}
 	}
 }
 
-func (d *dec) tensor() *tensor.Tensor {
-	if !d.present() || d.err != nil {
-		return nil
+func (c *codec) intss(p *[][]int) {
+	sized(c, p, 4)
+	for i := range *p {
+		ints(c, &(*p)[i])
 	}
-	tokens, heads, dim := int(d.u32()), int(d.u32()), int(d.u32())
-	if d.err != nil {
-		return nil
+}
+
+func (c *codec) str(p *string) {
+	s := c.next(c.count(len(*p), 1))
+	if s == nil {
+		return
+	}
+	if c.dec {
+		*p = string(s)
+	} else {
+		copy(s, *p)
+	}
+}
+
+func (c *codec) strs(p *[]string) {
+	sized(c, p, 4)
+	for i := range *p {
+		c.str(&(*p)[i])
+	}
+}
+
+// records walks a vector of structs, each through its fields method.
+func records[T any, P interface {
+	*T
+	fields(*codec)
+}](c *codec, p *[]T, minSize int) {
+	sized(c, p, minSize)
+	for i := range *p {
+		P(&(*p)[i]).fields(c)
+	}
+}
+
+// present walks a presence byte: written from have when encoding, strictly 0
+// or 1 when decoding (one byte sequence per value).
+func (c *codec) present(have bool) bool {
+	var v byte
+	if have {
+		v = 1
+	}
+	num(c, &v, 1)
+	if v > 1 {
+		c.fail("invalid presence byte at offset %d", c.off-1)
+	}
+	return v == 1 && c.err == nil
+}
+
+func (c *codec) tensor(p **tensor.Tensor) {
+	if !c.present(*p != nil) {
+		return
+	}
+	var shape [3]uint32
+	if !c.dec {
+		t := *p
+		shape = [3]uint32{uint32(t.Tokens), uint32(t.Heads), uint32(t.Dim)}
+	}
+	for i := range shape {
+		num(c, &shape[i], 4)
+	}
+	if !c.dec {
+		c.f32row((*p).Data)
+		return
+	}
+	if c.err != nil {
+		return
 	}
 	// Bound the element count stepwise so a corrupt shape cannot overflow
 	// the multiplication into a bypassed allocation check.
 	const maxElems = 1 << 30
-	n64 := int64(tokens)
-	for _, f := range []int{heads, dim} {
-		if n64 > maxElems || int64(f) > maxElems {
-			n64 = maxElems + 1
+	n := int64(shape[0])
+	for _, f := range shape[1:] {
+		if n > maxElems || int64(f) > maxElems {
+			n = maxElems + 1
 			break
 		}
-		n64 *= int64(f)
+		n *= int64(f)
 	}
-	if n64 > maxElems || int(n64)*4 > len(d.b)-d.off {
-		d.fail("tensor shape [%d %d %d] exceeds remaining %d bytes", tokens, heads, dim, len(d.b)-d.off)
-		return nil
+	if n > maxElems || int(n)*4 > len(c.b)-c.off {
+		c.fail("tensor shape %v exceeds remaining %d bytes", shape, len(c.b)-c.off)
+		return
 	}
-	t, err := tensor.FromData(tokens, heads, dim, d.f32row(int(n64)))
+	data := make([]float32, n)
+	c.f32row(data)
+	t, err := tensor.FromData(int(shape[0]), int(shape[1]), int(shape[2]), data)
 	if err != nil {
-		d.fail("tensor: %v", err)
-		return nil
+		c.fail("tensor: %v", err)
+		return
 	}
-	return t
+	*p = t
 }
 
-func (d *dec) output() *attention.Output {
-	if !d.present() || d.err != nil {
-		return nil
+func (c *codec) output(p **attention.Output) {
+	if !c.present(*p != nil) {
+		return
 	}
-	o := d.tensor()
-	lse := d.f64s()
-	if d.err != nil {
-		return nil
+	o := *p
+	if c.dec {
+		o = new(attention.Output)
 	}
-	if o == nil {
-		d.fail("output frame without tensor")
-		return nil
+	c.tensor(&o.O)
+	c.f64s(&o.LSE)
+	if !c.dec || c.err != nil {
+		return
 	}
-	if len(lse) != o.Tokens*o.Heads {
-		d.fail("output LSE length %d for shape [%d %d]", len(lse), o.Tokens, o.Heads)
-		return nil
+	if o.O == nil {
+		c.fail("output frame without tensor")
+		return
 	}
-	return &attention.Output{O: o, LSE: lse}
+	if len(o.LSE) != o.O.Tokens*o.O.Heads {
+		c.fail("output LSE length %d for shape [%d %d]", len(o.LSE), o.O.Tokens, o.O.Heads)
+		return
+	}
+	*p = o
 }
 
 // Append encodes v (type id byte plus payload, no length prefix) onto buf
 // and returns the extended slice. The supported payload set is closed; any
 // other type is an error, never a silent fallback encoding.
 func Append(buf []byte, v any) ([]byte, error) {
-	e := &enc{b: buf}
-	switch x := v.(type) {
-	case nil:
-		e.u8(tNil)
-	case []int:
-		e.u8(tIntVec)
-		e.ints(x)
-	case []float64:
-		e.u8(tFloatVec)
-		e.f64s(x)
-	case *KVBlock:
-		e.u8(tKVBlock)
-		e.tensor(x.K)
-		e.tensor(x.V)
-		e.ints(x.Pos)
-		e.ints(x.Seq)
-	case *QBlock:
-		e.u8(tQBlock)
-		e.tensor(x.Q)
-		e.ints(x.Pos)
-		e.ints(x.Seq)
-	case *OBlock:
-		e.u8(tOBlock)
-		e.output(x.Out)
-	case *Hello:
-		e.u8(tHello)
-		e.u32(x.Magic)
-		e.u16(x.Version)
-		e.i64(x.World)
-		e.i64(x.Rank)
-		e.u64(x.ConfigSum)
-		e.u64(x.Epoch)
-	case *Heartbeat:
-		e.u8(tHeartbeat)
-	case *PrefillCmd:
-		e.u8(tPrefillCmd)
-		e.ints(x.Seqs)
-		e.intss(x.Tokens)
-		e.ints(x.P)
-		e.i64(x.Variant)
-	case *DecodeCmd:
-		e.u8(tDecodeCmd)
-		e.ints(x.Seqs)
-		e.ints(x.Tokens)
-		e.ints(x.Pos)
-		e.ints(x.Owners)
-	case *DropCmd:
-		e.u8(tDropCmd)
-		e.i64(x.Seq)
-	case *DetachCmd:
-		e.u8(tDetachCmd)
-		e.i64(x.Seq)
-		e.i64(x.UpTo)
-		e.u64(x.ID)
-	case *AdoptCmd:
-		e.u8(tAdoptCmd)
-		e.i64(x.Seq)
-		e.u64(x.ID)
-	case *ReleasePrefixCmd:
-		e.u8(tReleasePrefixCmd)
-		e.u64(x.ID)
-	case *CapQueryCmd:
-		e.u8(tCapQueryCmd)
-		e.ints(x.Seqs)
-	case *StatsCmd:
-		e.u8(tStatsCmd)
-	case *TraceCmd:
-		e.u8(tTraceCmd)
-	case *ShutdownCmd:
-		e.u8(tShutdownCmd)
-	case *FailureNote:
-		e.u8(tFailureNote)
-		e.i64(x.Rank)
-		e.str(x.Cause)
-	case *PrefillResult:
-		e.u8(tPrefillResult)
-		e.tensor(x.Logits)
-		e.str(x.Err)
-	case *DecodeResult:
-		e.u8(tDecodeResult)
-		e.f32s(x.Flat)
-		e.str(x.Err)
-	case *Ack:
-		e.u8(tAck)
-		e.str(x.Err)
-	case *DetachResult:
-		e.u8(tDetachResult)
-		e.ints(x.PerLayer)
-		e.str(x.Err)
-	case *CapResult:
-		e.u8(tCapResult)
-		e.i64(x.Capacity)
-		e.ints(x.Avail)
-		e.intss(x.Overhead)
-		e.str(x.Err)
-	case *StatsResult:
-		e.u8(tStatsResult)
-		e.i64(x.CacheTokens)
-		e.i64s(x.Assembly)
-		e.strs(x.Kinds)
-		e.i64s(x.Msgs)
-		e.f64s(x.Bytes)
-		e.u32(uint32(len(x.Links)))
-		for _, l := range x.Links {
-			e.i64(l.Src)
-			e.i64(l.Dst)
-			e.u64(uint64(l.Messages))
-			e.f64(l.Bytes)
-			e.u64(uint64(l.WireMsgs))
-			e.u64(uint64(l.WireBytes))
-		}
-		e.u64(uint64(x.IntegrityChecked))
-		e.u64(uint64(x.IntegrityRejected))
-		e.strs(x.ChaosKinds)
-		e.i64s(x.ChaosCounts)
-		e.str(x.Err)
-	case *TraceResult:
-		e.u8(tTraceResult)
-		e.i64(x.Rank)
-		e.u32(uint32(len(x.Spans)))
-		for _, s := range x.Spans {
-			e.str(s.Name)
-			e.str(s.Cat)
-			e.i64(s.Rank)
-			e.i64(s.Seq)
-			e.u64(s.Epoch)
-			e.u64(s.Index)
-			e.u64(uint64(s.Start))
-			e.u64(uint64(s.Dur))
-			e.strs(s.ArgKeys)
-			e.i64s(s.ArgVals)
-		}
-		e.u32(uint32(len(x.Series)))
-		for _, s := range x.Series {
-			e.str(s.Name)
-			e.strs(s.LabelKeys)
-			e.strs(s.LabelVals)
-			e.u8(s.Kind)
-			e.f64(s.Value)
-			e.u64(s.Count)
-			e.f64(s.Sum)
-			e.i64s(s.Counts)
-		}
-		e.str(x.Err)
-	default:
+	f := asFrame(v)
+	if f == nil {
 		return buf, fmt.Errorf("wire: unsupported payload type %T", v)
 	}
-	return e.b, nil
+	at := len(buf)
+	c := codecs.Get().(*codec)
+	c.b = append(buf, 0)
+	id := f.walk(c)
+	buf = c.b
+	buf[at] = id
+	*c = codec{}
+	codecs.Put(c)
+	return buf, nil
 }
 
 // Decode parses one encoded payload (type id byte plus body, no length
 // prefix). Trailing bytes are a framing error.
 func Decode(b []byte) (any, error) {
-	d := &dec{b: b}
-	if !d.need(1) {
-		return nil, d.err
+	if len(b) == 0 {
+		return nil, errors.New("wire: empty payload")
 	}
-	typ := d.u8()
-	var v any
-	switch typ {
-	case tNil:
-		v = nil
-	case tIntVec:
-		v = d.ints()
-	case tFloatVec:
-		v = d.f64s()
-	case tKVBlock:
-		v = &KVBlock{K: d.tensor(), V: d.tensor(), Pos: d.ints(), Seq: d.ints()}
-	case tQBlock:
-		v = &QBlock{Q: d.tensor(), Pos: d.ints(), Seq: d.ints()}
-	case tOBlock:
-		v = &OBlock{Out: d.output()}
-	case tHello:
-		v = &Hello{Magic: d.u32(), Version: d.u16(), World: d.i64(), Rank: d.i64(), ConfigSum: d.u64(), Epoch: d.u64()}
-	case tHeartbeat:
-		v = &Heartbeat{}
-	case tPrefillCmd:
-		v = &PrefillCmd{Seqs: d.ints(), Tokens: d.intss(), P: d.ints(), Variant: d.i64()}
-	case tDecodeCmd:
-		v = &DecodeCmd{Seqs: d.ints(), Tokens: d.ints(), Pos: d.ints(), Owners: d.ints()}
-	case tDropCmd:
-		v = &DropCmd{Seq: d.i64()}
-	case tDetachCmd:
-		v = &DetachCmd{Seq: d.i64(), UpTo: d.i64(), ID: d.u64()}
-	case tAdoptCmd:
-		v = &AdoptCmd{Seq: d.i64(), ID: d.u64()}
-	case tReleasePrefixCmd:
-		v = &ReleasePrefixCmd{ID: d.u64()}
-	case tCapQueryCmd:
-		v = &CapQueryCmd{Seqs: d.ints()}
-	case tStatsCmd:
-		v = &StatsCmd{}
-	case tTraceCmd:
-		v = &TraceCmd{}
-	case tShutdownCmd:
-		v = &ShutdownCmd{}
-	case tFailureNote:
-		v = &FailureNote{Rank: d.i64(), Cause: d.str()}
-	case tPrefillResult:
-		v = &PrefillResult{Logits: d.tensor(), Err: d.str()}
-	case tDecodeResult:
-		v = &DecodeResult{Flat: d.f32s(), Err: d.str()}
-	case tAck:
-		v = &Ack{Err: d.str()}
-	case tDetachResult:
-		v = &DetachResult{PerLayer: d.ints(), Err: d.str()}
-	case tCapResult:
-		v = &CapResult{Capacity: d.i64(), Avail: d.ints(), Overhead: d.intss(), Err: d.str()}
-	case tStatsResult:
-		r := &StatsResult{
-			CacheTokens: d.i64(),
-			Assembly:    d.i64s(),
-			Kinds:       d.strs(),
-			Msgs:        d.i64s(),
-			Bytes:       d.f64s(),
-		}
-		n := d.count(8 * 6)
-		if d.err == nil && n > 0 {
-			r.Links = make([]LinkStat, n)
-			for i := range r.Links {
-				r.Links[i] = LinkStat{
-					Src: d.i64(), Dst: d.i64(),
-					Messages: int64(d.u64()), Bytes: d.f64(),
-					WireMsgs: int64(d.u64()), WireBytes: int64(d.u64()),
-				}
-			}
-		}
-		r.IntegrityChecked = int64(d.u64())
-		r.IntegrityRejected = int64(d.u64())
-		r.ChaosKinds = d.strs()
-		r.ChaosCounts = d.i64s()
-		r.Err = d.str()
-		v = r
-	case tTraceResult:
-		r := &TraceResult{Rank: d.i64()}
-		// Minimum encoded span: two string headers, six fixed u64s, two
-		// vector headers = 64 bytes; series likewise bottoms out at 41.
-		n := d.count(64)
-		if d.err == nil && n > 0 {
-			r.Spans = make([]TraceSpan, n)
-			for i := range r.Spans {
-				r.Spans[i] = TraceSpan{
-					Name: d.str(), Cat: d.str(),
-					Rank: d.i64(), Seq: d.i64(),
-					Epoch: d.u64(), Index: d.u64(),
-					Start: int64(d.u64()), Dur: int64(d.u64()),
-					ArgKeys: d.strs(), ArgVals: d.i64s(),
-				}
-				if d.err != nil {
-					return nil, d.err
-				}
-			}
-		}
-		n = d.count(41)
-		if d.err == nil && n > 0 {
-			r.Series = make([]TraceSeries, n)
-			for i := range r.Series {
-				r.Series[i] = TraceSeries{
-					Name:      d.str(),
-					LabelKeys: d.strs(), LabelVals: d.strs(),
-					Kind:  d.u8(),
-					Value: d.f64(), Count: d.u64(), Sum: d.f64(),
-					Counts: d.i64s(),
-				}
-				if d.err != nil {
-					return nil, d.err
-				}
-			}
-		}
-		r.Err = d.str()
-		v = r
-	default:
-		return nil, fmt.Errorf("wire: unknown payload type id %d", typ)
+	id := b[0]
+	if int(id) >= len(newFrame) || newFrame[id] == nil {
+		return nil, fmt.Errorf("wire: unknown payload type id %d", id)
 	}
-	if d.err != nil {
-		return nil, d.err
+	f := newFrame[id]()
+	c := codecs.Get().(*codec)
+	*c = codec{b: b, off: 1, dec: true}
+	if f.walk(c) != id {
+		c.fail("type id %d walks as %T", id, f)
 	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after type %d payload", len(d.b)-d.off, typ)
+	off, err := c.off, c.err
+	*c = codec{}
+	codecs.Put(c)
+	if err != nil {
+		return nil, err
 	}
-	return v, nil
+	if off != len(b) {
+		return nil, fmt.Errorf("wire: %d trailing bytes after type %d payload", len(b)-off, id)
+	}
+	return payload(f), nil
 }
 
 // castagnoli is the CRC32C polynomial table shared by every frame checksum.

@@ -358,18 +358,8 @@ func TestHelloVersionGate(t *testing.T) {
 // allocation is a bug. Valid corpus entries check encode/decode/encode
 // stability.
 func FuzzDecode(f *testing.F) {
-	rng := rand.New(rand.NewSource(11))
-	seeds := []any{
-		nil,
-		[]int{1, -1, 1 << 40},
-		[]float64{math.NaN(), math.Inf(-1)},
-		&KVBlock{K: randTensor(rng, 3, 2, 4), V: randTensor(rng, 3, 2, 4), Pos: []int{0, 1, 2}, Seq: []int{0, 0, 0}},
-		&QBlock{Q: randTensor(rng, 2, 4, 4), Pos: []int{5, 6}, Seq: []int{1, 1}},
-		&OBlock{Out: &attention.Output{O: randTensor(rng, 1, 2, 4), LSE: []float64{0, 1}}},
-		&StatsResult{Kinds: []string{"sendrecv"}, Msgs: []int64{1}, Bytes: []float64{8}},
-	}
-	for _, s := range seeds {
-		b, err := Append(nil, s)
+	for _, s := range goldenPayloads() {
+		b, err := Append(nil, s.v)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -2,15 +2,11 @@ package ring
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/attention"
-	"repro/internal/chaos"
 	"repro/internal/comm"
-	"repro/internal/comm/transport"
-	"repro/internal/comm/wire"
 	"repro/internal/kvcache"
 	"repro/internal/tensor"
 )
@@ -174,61 +170,7 @@ func TestDecodeMasksRowsPastTheQuery(t *testing.T) {
 	requireSameOutputs(t, []*attention.Output{ref}, []*attention.Output{out})
 }
 
-// A transport that does not declare the mailbox capability keeps the
-// helper-goroutine exchange, and the chaos wrapper deliberately does not
-// forward it: over a chaos-wrapped Mem (an empty schedule: no faults) the
-// rank reports no never-blocking sends, and the overlap scenario's outputs
-// and link accounting equal both the synchronous oracle's and the mailbox
-// path's exactly.
-func TestChaosWrappedMailboxKeepsHelperPath(t *testing.T) {
-	run := func(n int, wrapped bool) ([]*attention.Output, []wire.LinkStat, comm.Stats) {
-		h := newHarness(t, 77, n, 2)
-		if wrapped {
-			tp, err := chaos.NewInjector(nil).Wrap(transport.NewMem(n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.world = comm.NewWorldOver(tp, comm.WithRecvTimeout(5*time.Second))
-		}
-		if got := h.world.Rank(0).SendsNeverBlock(); got == wrapped {
-			t.Fatalf("wrapped=%v world reports SendsNeverBlock=%v", wrapped, got)
-		}
-		h.prefillTurn([]int{8, 6}, PassKVPrefill, "pass-kv")
-		h.prefillTurn([]int{3, 5}, PassQPrefill, "pass-q")
-		h.decodeStep(0)
-		h.decodeStep(1)
-		return h.outs, h.world.LinkStats(), h.world.TotalStats()
-	}
-	prev := SetOverlap(true)
-	defer SetOverlap(prev)
-	for _, n := range []int{2, 3} {
-		SetOverlap(false)
-		syncOuts, syncLinks, syncTotal := run(n, true)
-		SetOverlap(true)
-		before := OverlapSnapshot()
-		helperOuts, helperLinks, helperTotal := run(n, true)
-		mid := OverlapSnapshot()
-		boxOuts, boxLinks, boxTotal := run(n, false)
-		after := OverlapSnapshot()
-		requireSameOutputs(t, syncOuts, helperOuts)
-		requireSameOutputs(t, syncOuts, boxOuts)
-		if !reflect.DeepEqual(syncLinks, helperLinks) || !reflect.DeepEqual(syncLinks, boxLinks) {
-			t.Fatalf("n=%d link accounting differs:\nsync:    %+v\nhelper:  %+v\nmailbox: %+v", n, syncLinks, helperLinks, boxLinks)
-		}
-		if !reflect.DeepEqual(syncTotal, helperTotal) || !reflect.DeepEqual(syncTotal, boxTotal) {
-			t.Fatalf("n=%d total accounting differs:\nsync:    %+v\nhelper:  %+v\nmailbox: %+v", n, syncTotal, helperTotal, boxTotal)
-		}
-		// Both overlapped paths count the same exchanges.
-		if h, b := mid.Steps-before.Steps, after.Steps-mid.Steps; h != b || h == 0 {
-			t.Fatalf("n=%d overlapped steps: helper path %d, mailbox path %d", n, h, b)
-		}
-		if after.SyncSteps != before.SyncSteps {
-			t.Fatalf("n=%d overlapped runs advanced SyncSteps %d -> %d", n, before.SyncSteps, after.SyncSteps)
-		}
-	}
-}
-
-// The mailbox exchange keeps SendRecv's error surface: a failed send comes
+// The overlapped exchange keeps SendRecv's error surface: a failed send comes
 // back from wait (not from the issue), names the link, and nothing is
 // received after it; drain after a good send consumes the peer's block so the
 // next exchange cannot read a stale one.

@@ -1,12 +1,18 @@
 package ring
 
 import (
+	"fmt"
 	"math"
+	"net"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/attention"
+	"repro/internal/chaos"
 	"repro/internal/comm"
+	"repro/internal/comm/transport"
 	"repro/internal/comm/wire"
 )
 
@@ -96,5 +102,129 @@ func TestOverlapCountersTrackMode(t *testing.T) {
 	}
 	if after.Steps != mid.Steps {
 		t.Fatalf("synchronous run advanced overlapped Steps %d -> %d", mid.Steps, after.Steps)
+	}
+}
+
+// tcpMesh hosts every rank of a loopback TCP mesh in one transport, so one
+// World runs the ranks on goroutines while every payload crosses a socket
+// through the wire codec. It reports no wire counters: the tests compare
+// modeled traffic only.
+type tcpMesh []*transport.TCP
+
+func joinLoopback(t *testing.T, n int) tcpMesh {
+	t.Helper()
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	mesh := make(tcpMesh, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range mesh {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			mesh[i], _, errs[i] = transport.Join(transport.TCPConfig{
+				World: n, Rank: i, Addrs: addrs, Listener: lns[i], RendezvousTimeout: 10 * time.Second,
+			})
+		}(i)
+	}
+	wg.Wait()
+	t.Cleanup(func() { mesh.Close() })
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d join: %v", i, err)
+		}
+	}
+	return mesh
+}
+
+func (m tcpMesh) WorldSize() int { return len(m) }
+
+func (m tcpMesh) LocalRanks() []int {
+	out := make([]int, len(m))
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+func (m tcpMesh) Send(src, dst int, v any, d time.Duration) error { return m[src].Send(src, dst, v, d) }
+func (m tcpMesh) Recv(dst, src int, d time.Duration) (any, error) { return m[dst].Recv(dst, src, d) }
+func (m tcpMesh) Waiting(dst, src int) bool                       { return m[dst].Waiting(dst, src) }
+func (m tcpMesh) FailLink(src, dst int)                           { m[src].FailLink(src, dst) }
+func (m tcpMesh) HealLink(src, dst int)                           { m[src].HealLink(src, dst) }
+func (m tcpMesh) Failures() <-chan transport.FailureEvent         { return nil }
+func (m tcpMesh) WireLinks() []wire.LinkStat                      { return nil }
+
+func (m tcpMesh) Close() error {
+	for _, tp := range m {
+		if tp != nil {
+			tp.Close()
+		}
+	}
+	return nil
+}
+
+// The ring has one exchange path, and it is exact on every transport: over
+// the in-process mailbox, a chaos-wrapped mailbox (an empty schedule: no
+// faults) and a loopback TCP mesh, the overlapped scenario's outputs and
+// modeled accounting equal the synchronous oracle's on the same transport,
+// and only the overlapped counters move.
+func TestOneExchangePathOnEveryTransport(t *testing.T) {
+	transports := []struct {
+		name string
+		make func(t *testing.T, n int) transport.Transport
+	}{
+		{"mem", func(t *testing.T, n int) transport.Transport { return transport.NewMem(n) }},
+		{"chaos-mem", func(t *testing.T, n int) transport.Transport {
+			tp, err := chaos.NewInjector(nil).Wrap(transport.NewMem(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tp
+		}},
+		{"tcp", func(t *testing.T, n int) transport.Transport { return joinLoopback(t, n) }},
+	}
+	run := func(t *testing.T, tp transport.Transport, n int) ([]*attention.Output, []wire.LinkStat, comm.Stats) {
+		h := newHarness(t, 77, n, 2)
+		h.world = comm.NewWorldOver(tp, comm.WithRecvTimeout(5*time.Second))
+		h.prefillTurn([]int{8, 6}, PassKVPrefill, "pass-kv")
+		h.prefillTurn([]int{3, 5}, PassQPrefill, "pass-q")
+		h.decodeStep(0)
+		h.decodeStep(1)
+		return h.outs, h.world.LinkStats(), h.world.TotalStats()
+	}
+	prev := SetOverlap(true)
+	defer SetOverlap(prev)
+	for _, tc := range transports {
+		for _, n := range []int{2, 3} {
+			t.Run(fmt.Sprintf("%s/n=%d", tc.name, n), func(t *testing.T) {
+				SetOverlap(false)
+				syncOuts, syncLinks, syncTotal := run(t, tc.make(t, n), n)
+				SetOverlap(true)
+				before := OverlapSnapshot()
+				outs, links, total := run(t, tc.make(t, n), n)
+				after := OverlapSnapshot()
+				requireSameOutputs(t, syncOuts, outs)
+				if !reflect.DeepEqual(syncLinks, links) {
+					t.Fatalf("link accounting differs:\nsync:    %+v\noverlap: %+v", syncLinks, links)
+				}
+				if !reflect.DeepEqual(syncTotal, total) {
+					t.Fatalf("total accounting differs:\nsync:    %+v\noverlap: %+v", syncTotal, total)
+				}
+				if after.Steps <= before.Steps {
+					t.Fatalf("overlapped run advanced Steps %d -> %d", before.Steps, after.Steps)
+				}
+				if after.SyncSteps != before.SyncSteps {
+					t.Fatalf("overlapped run advanced SyncSteps %d -> %d", before.SyncSteps, after.SyncSteps)
+				}
+			})
+		}
 	}
 }

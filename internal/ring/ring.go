@@ -52,8 +52,10 @@ import (
 //     layer's segment-length AllGather happens to hold a rank back until
 //     every peer is done with the layer too; the rule does not lean on it.)
 //     The queries, the partial and the running merge never leave the rank.
-//   - TCP. Every send encodes before it returns and every receive is a fresh
-//     decode, so there the rule holds trivially.
+//   - TCP. A send encodes the frame on the rank's own goroutine before it
+//     returns, the same as every other transport's send in the one exchange
+//     path (overlap.go), and every receive is a fresh decode, so there the
+//     rule holds trivially.
 //
 // The engine's Q/K/V rows are free for the next layer once the layer's pass
 // and AppendLocalKV have returned: pass-KV never sends them (localKV copies
