@@ -57,7 +57,7 @@ func goldenPayloads() []namedPayload {
 		{"oblock", &OBlock{Out: &attention.Output{O: goldenTensor(2, 2, 4, 3), LSE: []float64{0, math.Inf(-1), -2.5, 1e300}}}},
 		{"hello", &Hello{Magic: Magic, Version: Version, World: 3, Rank: -1, ConfigSum: 0xdeadbeefcafef00d, Epoch: 7}},
 		{"heartbeat", &Heartbeat{}},
-		{"prefillcmd", &PrefillCmd{Seqs: []int{7, 9}, Tokens: [][]int{{1, 2, 3}, {4}}, P: []int{0, 32}, Variant: 1}},
+		{"prefillcmd", &PrefillCmd{Seqs: []int{7, 9}, Tokens: [][]int{{1, 2, 3}, {4}}, P: []int{0, 32}, Variant: 1, All: true}},
 		{"decodecmd", &DecodeCmd{Seqs: []int{1, 2}, Tokens: []int{5, 6}, Pos: []int{10, 20}, Owners: []int{0, 2}}},
 		{"dropcmd", &DropCmd{Seq: 4}},
 		{"detachcmd", &DetachCmd{Seq: 1, UpTo: 64, ID: 99}},

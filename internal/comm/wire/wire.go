@@ -47,8 +47,9 @@ const Magic = 0x43505257 // "CPRW"
 // (cluster-incarnation number for fault recovery) and the FailureNote frame.
 // Version 3 added the trace drain round trip (TraceCmd / TraceResult).
 // Version 4 added the per-frame CRC32C trailer and the StatsResult
-// integrity/chaos counters.
-const Version = 4
+// integrity/chaos counters. Version 5 added PrefillCmd.All: a prefill
+// returns only its sampled rows unless the command asks for every row.
+const Version = 5
 
 // DefaultMaxFrame bounds a single frame's encoded size (length prefix
 // included). Loopback KV tiles at laptop scale are kilobytes; anything near
@@ -133,11 +134,18 @@ type Heartbeat struct{}
 // PrefillCmd instructs every rank to run one fused varseq prefill. All
 // derived quantities (previously-cached lengths P, the resolved ring
 // variant) are included so workers execute a pure function of the frame.
+//
+// All selects which rows' logits come back. Set, every new position's
+// (Cluster.PrefillBatch, the exact-equality oracle). Clear, only each
+// sequence's last position — the sampled row — whose last layer is then the
+// only one that runs attention, the FFN and the output head; every layer's
+// K/V, and every earlier layer, is computed in full either way.
 type PrefillCmd struct {
 	Seqs    []int
 	Tokens  [][]int
 	P       []int
 	Variant int // resolved model.Variant; never Auto on the wire
+	All     bool
 }
 
 // DecodeCmd instructs every rank to run one fused batched decode step.
@@ -238,8 +246,11 @@ type TraceResult struct {
 // ShutdownCmd ends a worker's serve loop.
 type ShutdownCmd struct{}
 
-// PrefillResult carries one rank's local logits shard back to the
-// coordinator.
+// PrefillResult carries one rank's logits back to the coordinator, a
+// [rows, 1, vocab] tensor in local slot order: all LocalLen slots, padding
+// included, under PrefillCmd.All, else the sampled rows the rank holds —
+// possibly none, which is an empty tensor, not a nil one. The coordinator
+// checks the row count against the plan before it reads a row.
 type PrefillResult struct {
 	Logits *tensor.Tensor
 	Err    string
@@ -344,6 +355,7 @@ func (m *PrefillCmd) walk(c *codec) byte {
 	c.intss(&m.Tokens)
 	ints(c, &m.P)
 	num(c, &m.Variant, 8)
+	m.All = c.present(m.All)
 	return tPrefillCmd
 }
 
@@ -763,8 +775,8 @@ func records[T any, P interface {
 	}
 }
 
-// present walks a presence byte: written from have when encoding, strictly 0
-// or 1 when decoding (one byte sequence per value).
+// present walks a presence byte, or a bool field as one: written from have
+// when encoding, strictly 0 or 1 when decoding (one byte sequence per value).
 func (c *codec) present(have bool) bool {
 	var v byte
 	if have {

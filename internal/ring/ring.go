@@ -96,18 +96,30 @@ type PrefillInput struct {
 	// output then lives in it, valid until the next call that uses it. Nil
 	// allocates per call and the result is the caller's to keep.
 	Scratch *PrefillScratch
+	// Rows lists the local slots whose output the caller needs, in the order
+	// it wants them; nil means every slot. The returned Output has one row
+	// per entry. Only pass-KV computes less for it: its queries stay put, so
+	// it attends just these rows, and a rank listing none still sends and
+	// forwards every KV block. Pass-Q and all-gather attend every query and
+	// return the listed rows: pass-Q's query blocks are what circulates, and
+	// its modeled messages stay sized by the full block.
+	Rows []int
 }
 
 // PrefillScratch is one rank's prefill arena: the query-side mask, pass-KV's
 // running merge and per-step partial, and pass-Q's circulating query block,
-// per-source partials and merge tail. The zero value is ready to use; the
-// buffers grow to the largest chunk seen, except pass-Q's tail, which is
-// cut anew whenever the shape changes (mergeScratch.fit says why).
+// per-source partials and merge tail, plus the queries and output rows Rows
+// selects. The zero value is ready to use; the buffers grow to the largest
+// chunk seen, except pass-Q's tail, which is cut anew whenever the shape
+// changes (mergeScratch.fit says why).
 type PrefillScratch struct {
-	qPos         []int
-	out, partial attention.Output
-	qblk         wire.QBlock
-	tail         mergeScratch
+	qPos           []int
+	out, partial   attention.Output
+	qblk           wire.QBlock
+	tail           mergeScratch
+	q              tensor.Tensor
+	selPos, selSeq []int
+	picked         attention.Output
 }
 
 func (in *PrefillInput) scratch() *PrefillScratch {
@@ -148,6 +160,11 @@ func (in *PrefillInput) validate() error {
 			return fmt.Errorf("ring: sequence %d has negative cached length %d", i, p)
 		}
 	}
+	for _, r := range in.Rows {
+		if r < 0 || r >= want {
+			return fmt.Errorf("ring: selected row %d outside the %d local slots", r, want)
+		}
+	}
 	return nil
 }
 
@@ -167,6 +184,36 @@ func (in *PrefillInput) qMask(s *PrefillScratch) (pos, seq []int) {
 		}
 	}
 	return s.qPos, ls
+}
+
+// queries returns the query rows this rank attends and their mask: every
+// row, or the Rows gathered into s.
+func (in *PrefillInput) queries(s *PrefillScratch, pos, seq []int) (q *tensor.Tensor, qPos, qSeq []int) {
+	if in.Rows == nil {
+		return in.Q, pos, seq
+	}
+	q = s.q.Resize(len(in.Rows), in.Q.Heads, in.Q.Dim)
+	s.selPos, s.selSeq = tensor.Grown(s.selPos, len(in.Rows)), tensor.Grown(s.selSeq, len(in.Rows))
+	for i, r := range in.Rows {
+		copy(q.Row2D(i), in.Q.Row2D(r))
+		s.selPos[i], s.selSeq[i] = pos[r], seq[r]
+	}
+	return q, s.selPos, s.selSeq
+}
+
+// pick returns the Rows of out gathered into s, or out itself when Rows is
+// nil.
+func (in *PrefillInput) pick(s *PrefillScratch, out *attention.Output) *attention.Output {
+	if in.Rows == nil {
+		return out
+	}
+	heads := out.O.Heads
+	sel := s.picked.Fit(len(in.Rows), heads, out.O.Dim)
+	for i, r := range in.Rows {
+		copy(sel.O.Row2D(i), out.O.Row2D(r))
+		copy(sel.LSE[i*heads:(i+1)*heads], out.LSE[r*heads:(r+1)*heads])
+	}
+	return sel
 }
 
 // The circulating payloads — KV tiles for pass-KV, query blocks for pass-Q
@@ -300,7 +347,8 @@ func agreeSegmentLengths(in *PrefillInput) ([]int, error) {
 // PassKVPrefill runs Algorithm 2 on one rank: the rank's KV block circulates
 // around the ring while the local queries attend to every arriving block;
 // partials merge locally. Returns the local attention output in plan order
-// (padding slots are zero rows).
+// (padding slots are zero rows), or the Rows alone, which are then the only
+// queries attended.
 func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -316,9 +364,10 @@ func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := s.out.Fit(in.Q.Tokens, in.Q.Heads, in.Q.Dim)
+	q, qPos, qSeq := in.queries(s, qPos, qSeq)
+	out := s.out.Fit(q.Tokens, q.Heads, q.Dim)
 	// One partial buffer recycled across all n ring steps; GQAInto resets it.
-	partial := s.partial.Fit(in.Q.Tokens, in.Q.Heads, in.Q.Dim)
+	partial := s.partial.Fit(q.Tokens, q.Heads, q.Dim)
 	next := (in.Rank.ID + 1) % n
 	prev := (in.Rank.ID - 1 + n) % n
 	for j := 0; j < n; j++ {
@@ -335,7 +384,7 @@ func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 		}
 		in.Trace.Comm(t0)
 		t0 = in.Trace.Clock()
-		if err := attention.GQAInto(partial, in.Q, cur.K, cur.V, attention.Mask{
+		if err := attention.GQAInto(partial, q, cur.K, cur.V, attention.Mask{
 			QPos: qPos, QSeq: qSeq, KVPos: cur.Pos, KVSeq: cur.Seq,
 		}); err != nil {
 			xfer.drain()
@@ -364,7 +413,7 @@ func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 // PassQPrefill runs Algorithm 3 on one rank: the local KV block stays put
 // while query blocks circulate; after N partial computations the scattered
 // partial outputs are permuted back to their source ranks with an All2All
-// and merged there. Returns the local output in plan order.
+// and merged there. Returns the local output in plan order, or its Rows.
 func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -420,7 +469,7 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 		return nil, err
 	}
 	in.Trace.Finish(n)
-	return out, nil
+	return in.pick(s, out), nil
 }
 
 // all2allMerge sends m.partials[s] back to source rank s, receives this
@@ -452,12 +501,14 @@ func all2allMerge(rank *comm.Rank, m *mergeScratch, elem float64, tr *trace.Swee
 
 // AllGatherPrefill is the ablation baseline (§3.5.2): every rank gathers all
 // KV up front, then computes local attention in one shot. Same result as the
-// ring variants, but the gather sits on the critical path.
+// ring variants, but the gather sits on the critical path. Returns the local
+// output in plan order, or its Rows.
 func AllGatherPrefill(in *PrefillInput) (*attention.Output, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
-	qPos, qSeq := in.qMask(in.scratch())
+	s := in.scratch()
+	qPos, qSeq := in.qMask(s)
 	local, err := in.localKV(qPos, nil)
 	if err != nil {
 		return nil, err
@@ -488,7 +539,11 @@ func AllGatherPrefill(in *PrefillInput) (*attention.Output, error) {
 		k = tensor.New(0, in.K.Heads, in.K.Dim)
 		v = tensor.New(0, in.K.Heads, in.K.Dim)
 	}
-	return attention.GQA(in.Q, k, v, attention.Mask{QPos: qPos, QSeq: qSeq, KVPos: pos, KVSeq: seq})
+	out, err := attention.GQA(in.Q, k, v, attention.Mask{QPos: qPos, QSeq: qSeq, KVPos: pos, KVSeq: seq})
+	if err != nil {
+		return nil, err
+	}
+	return in.pick(s, out), nil
 }
 
 // AppendLocalKV persists a rank's new-token KV shard into its cache with

@@ -163,7 +163,7 @@ func (c *SchedulerConfig) applyDefaults() {
 // of the ranks. *transformer.Cluster is the production implementation; tests
 // substitute a fake that records its call sequence.
 type executor interface {
-	Prefill(seq int, tokens []int, variant model.Variant) ([][]float32, error)
+	PrefillLast(seq int, tokens []int, variant model.Variant) ([]float32, error)
 	DecodeBatch(seqs []int, tokens []int) ([][]float32, error)
 	SeqLen(seq int) int
 	AdoptPrefix(seq int, pre *transformer.PrefixKV) error

@@ -78,12 +78,9 @@ func (f *fakeExec) oneHot(token, pos int) []float32 {
 	return row
 }
 
-func (f *fakeExec) Prefill(seq int, tokens []int, v model.Variant) ([][]float32, error) {
+func (f *fakeExec) PrefillLast(seq int, tokens []int, v model.Variant) ([]float32, error) {
 	pos := f.lens[seq]
-	out := make([][]float32, len(tokens))
-	for i, tok := range tokens {
-		out[i] = f.oneHot(tok, pos+i)
-	}
+	out := f.oneHot(tokens[len(tokens)-1], pos+len(tokens)-1)
 	f.lens[seq] = pos + len(tokens)
 	f.ran(execCall{"prefill", seq, pos, len(tokens), v})
 	return out, nil

@@ -168,6 +168,7 @@ type BatchShard struct {
 	N       int
 	SeqLens []int   // new-token count per sequence
 	offsets []int   // row offset of each sequence in the fused tensor
+	slots   []int   // first local slot of each sequence, the same on every rank
 	pos     [][]int // pos[rank] = fused local positions, see LocalPositions
 	seq     [][]int // seq[rank] = sequence id per local slot
 }
@@ -183,12 +184,13 @@ func NewBatchShard(seqLens []int, n int) (*BatchShard, error) {
 	}
 	b := &BatchShard{N: n, SeqLens: append([]int(nil), seqLens...)}
 	b.offsets = make([]int, len(seqLens))
+	b.slots = make([]int, len(seqLens))
 	off, local := 0, 0
 	for i, T := range seqLens {
 		if T < 0 {
 			return nil, fmt.Errorf("sharding: negative sequence length %d", T)
 		}
-		b.offsets[i] = off
+		b.offsets[i], b.slots[i] = off, local
 		off += T
 		local += 2 * ChunkLen(T, n)
 	}
@@ -233,6 +235,24 @@ func (b *BatchShard) LocalPositions(rank int) []int { return b.pos[rank] }
 // LocalSeqs returns the sequence id of each local slot on rank. The returned
 // slice aliases internal state and must not be mutated.
 func (b *BatchShard) LocalSeqs(rank int) []int { return b.seq[rank] }
+
+// Locate returns the rank and local slot holding new-token position p of
+// sequence i: chunk c = p / ChunkLen is rank c's first chunk when c < N and
+// rank 2N-1-c's second otherwise (RankChunks), inside the run of slots the
+// sequence starts at the same offset on every rank.
+func (b *BatchShard) Locate(i, p int) (rank, slot int) {
+	T := b.SeqLens[i]
+	if p < 0 || p >= T {
+		panic(fmt.Sprintf("sharding: position %d outside sequence %d's %d new tokens", p, i, T))
+	}
+	cl := ChunkLen(T, b.N)
+	c := p / cl
+	rank, slot = c, p%cl
+	if c >= b.N {
+		rank, slot = ChunkCount(b.N)-1-c, cl+p%cl
+	}
+	return rank, b.slots[i] + slot
+}
 
 // Shard gathers the local rows of a fused tensor for one rank. Padding slots
 // become zero rows. The fused tensor must have TotalTokens rows, sequences

@@ -283,6 +283,34 @@ func TestBatchShardSeqOffsets(t *testing.T) {
 	}
 }
 
+// Locate is the inverse of the plan's slot layout: every non-padding slot of
+// every rank is found at exactly its (sequence, position), for batches whose
+// lengths do and do not fill the 2N chunks.
+func TestBatchShardLocateInvertsLayout(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4} {
+		b, err := NewBatchShard([]int{1, 7, 16, 5, 2}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := 0
+		for r := 0; r < n; r++ {
+			for slot, p := range b.LocalPositions(r) {
+				if p == Pad {
+					continue
+				}
+				found++
+				if gr, gs := b.Locate(b.LocalSeqs(r)[slot], p); gr != r || gs != slot {
+					t.Fatalf("N=%d: Locate(%d, %d) = rank %d slot %d, the plan has rank %d slot %d",
+						n, b.LocalSeqs(r)[slot], p, gr, gs, r, slot)
+				}
+			}
+		}
+		if found != b.TotalTokens() {
+			t.Fatalf("N=%d: %d non-padding slots for %d tokens", n, found, b.TotalTokens())
+		}
+	}
+}
+
 func TestDecodeOwnerRoundRobinOffset(t *testing.T) {
 	n := 4
 	// At step 0, sequence i belongs to rank i%n; each step shifts by one.

@@ -98,41 +98,54 @@ func BenchmarkDecodeStep(b *testing.B) {
 // BenchmarkPrefillChunk is prefill_full's shape without the HTTP stack: one op
 // prefills a unique 2048-token prompt as four budget-aligned 512-token chunks
 // (model.Auto, which picks pass-KV for all four) on two ranks over the
-// mailbox plane with no recorder, then drops the sequence. B/op is the
-// prefill's transient allocation plus what it keeps (KV pages, mirror growth,
-// the logits handed to the caller); busy cores is process CPU ÷ wall, as in
+// mailbox plane with no recorder, then drops the sequence. /all asks for
+// every row's logits (Prefill), /last for the sampled row alone
+// (PrefillLast, what serving runs), whose last layer attends, projects and
+// runs the FFN and head for that row only. B/op is the prefill's transient
+// allocation plus what it keeps (KV pages, mirror growth, the logits handed
+// to the caller); busy cores is process CPU ÷ wall, as in
 // BenchmarkDecodeStep.
 func BenchmarkPrefillChunk(b *testing.B) {
-	const prompt, chunk = 2048, 512
-	w, err := NewWeights(benchGQA8())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := NewCluster(w, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	toks := make([]int, prompt)
-	op := func(i int) {
-		for t := range toks {
-			toks[t] = (t*7 + i*13 + 1) % w.Cfg.Model.VocabSize
-		}
-		for lo := 0; lo < prompt; lo += chunk {
-			if _, err := c.Prefill(2, toks[lo:lo+chunk], model.Auto); err != nil {
+	for _, mode := range []string{"all", "last"} {
+		b.Run(mode, func(b *testing.B) {
+			const prompt, chunk = 2048, 512
+			w, err := NewWeights(benchGQA8())
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		c.Drop(2)
+			c, err := NewCluster(w, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			toks := make([]int, prompt)
+			op := func(i int) {
+				for t := range toks {
+					toks[t] = (t*7 + i*13 + 1) % w.Cfg.Model.VocabSize
+				}
+				for lo := 0; lo < prompt; lo += chunk {
+					var err error
+					if mode == "all" {
+						_, err = c.Prefill(2, toks[lo:lo+chunk], model.Auto)
+					} else {
+						_, err = c.PrefillLast(2, toks[lo:lo+chunk], model.Auto)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				c.Drop(2)
+			}
+			op(0) // warm the pools and the rank engines' buffers
+			b.ReportAllocs()
+			cpu0, t0 := processCPU(b), time.Now()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(i + 1)
+			}
+			b.StopTimer()
+			wall := time.Since(t0)
+			b.ReportMetric(float64(processCPU(b)-cpu0)/float64(wall), "busy-cores")
+		})
 	}
-	op(0) // warm the pools and the rank engines' buffers
-	b.ReportAllocs()
-	cpu0, t0 := processCPU(b), time.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op(i + 1)
-	}
-	b.StopTimer()
-	wall := time.Since(t0)
-	b.ReportMetric(float64(processCPU(b)-cpu0)/float64(wall), "busy-cores")
 }

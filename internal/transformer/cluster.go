@@ -361,12 +361,32 @@ func (c *Cluster) Prefill(seq int, tokens []int, variant model.Variant) ([][]flo
 	return out[0], nil
 }
 
+// PrefillLast is Prefill for a caller that samples the next token from the
+// last position only, as serving does: the ranks run the last layer's
+// attention, FFN and output head for that one row, and only the rank holding
+// it returns logits. Every KV row lands exactly where Prefill puts it, and
+// the returned row, freshly allocated, is bit-identical to the last row
+// Prefill would have returned.
+func (c *Cluster) PrefillLast(seq int, tokens []int, variant model.Variant) ([]float32, error) {
+	out, err := c.prefill([]int{seq}, [][]int{tokens}, variant, false)
+	if err != nil {
+		return nil, err
+	}
+	return out[0][0], nil
+}
+
 // PrefillBatch runs a fused variable-sequence-length prefill (Figure 1's
 // scenario at the whole-model level): every sequence is load-balance sharded
 // independently, the batch's Q/K/V fuse into one ring pass per layer, and
 // per-sequence logits come back in order. Sequences may be new or have
 // persistent KV from earlier turns.
 func (c *Cluster) PrefillBatch(seqIDs []int, tokens [][]int, variant model.Variant) ([][][]float32, error) {
+	return c.prefill(seqIDs, tokens, variant, true)
+}
+
+// prefill is PrefillBatch returning every new position's logits when all is
+// set, else each sequence's last position's alone (one row per sequence).
+func (c *Cluster) prefill(seqIDs []int, tokens [][]int, variant model.Variant, all bool) ([][][]float32, error) {
 	if len(seqIDs) == 0 || len(seqIDs) != len(tokens) {
 		return nil, fmt.Errorf("transformer: %d seq ids with %d token lists", len(seqIDs), len(tokens))
 	}
@@ -422,25 +442,71 @@ func (c *Cluster) PrefillBatch(seqIDs []int, tokens [][]int, variant model.Varia
 	if err := c.prefillCapacityCheck(plan, seqIDs); err != nil {
 		return nil, err
 	}
-	cmd := &wire.PrefillCmd{Seqs: seqIDs, Tokens: tokens, P: p, Variant: int(variant)}
+	cmd := &wire.PrefillCmd{Seqs: seqIDs, Tokens: tokens, P: p, Variant: int(variant), All: all}
 	results, err := collect[*wire.PrefillResult](c, cmd)
 	if err != nil {
 		return nil, err
 	}
-	locals := make([]*tensor.Tensor, c.n)
+	// The ranks have appended every row by now, whatever their replies hold.
+	for i, id := range seqIDs {
+		c.seqLens[id] += lens[i]
+	}
+	return prefillLogits(plan, results, all, m.VocabSize)
+}
+
+// prefillLogits reassembles a prefill command's logits from the ranks'
+// replies: out[i] holds every new position of sequence i when all is set,
+// else its last position alone. Rank r must answer with exactly the rows the
+// plan puts on it — LocalLen(r) slots, padding included, or the sampled rows
+// it holds — vocab wide and in slot order; a reply with any other shape is
+// an error naming the rank, never a panic. The rows are copied into one
+// buffer the caller keeps: a rank's reply lives in its arena, which the next
+// command reuses.
+func prefillLogits(plan *sharding.BatchShard, results []*wire.PrefillResult, all bool, vocab int) ([][][]float32, error) {
+	want := make([]int, plan.N)
+	if all {
+		for r := range want {
+			want[r] = plan.LocalLen(r)
+		}
+	} else {
+		for i, T := range plan.SeqLens {
+			r, _ := plan.Locate(i, T-1)
+			want[r]++
+		}
+	}
+	locals := make([]*tensor.Tensor, plan.N)
 	for r, res := range results {
+		got, width := 0, vocab
+		if res.Logits != nil {
+			got, width = res.Logits.Tokens, res.Logits.Heads*res.Logits.Dim
+		}
+		if got != want[r] {
+			return nil, fmt.Errorf("transformer: rank %d returned %d logits rows for %d", r, got, want[r])
+		}
+		if got > 0 && width != vocab {
+			return nil, fmt.Errorf("transformer: rank %d returned logits rows %d wide for a vocab of %d", r, width, vocab)
+		}
 		locals[r] = res.Logits
 	}
-	fused := plan.Unshard(locals)
-	out := make([][][]float32, len(seqIDs))
-	for i, id := range seqIDs {
-		off := plan.SeqOffset(i)
-		rows := make([][]float32, lens[i])
-		for t := 0; t < lens[i]; t++ {
-			rows[t] = fused.Row2D(off + t)
+	out := make([][][]float32, len(plan.SeqLens))
+	if all {
+		fused := plan.Unshard(locals)
+		for i, T := range plan.SeqLens {
+			out[i] = make([][]float32, T)
+			for t := range out[i] {
+				out[i][t] = fused.Row2D(plan.SeqOffset(i) + t)
+			}
 		}
-		out[i] = rows
-		c.seqLens[id] += lens[i]
+		return out, nil
+	}
+	flat := make([]float32, len(plan.SeqLens)*vocab)
+	next := make([]int, plan.N) // a rank's sampled rows come in sequence order
+	for i, T := range plan.SeqLens {
+		r, _ := plan.Locate(i, T-1)
+		row := flat[i*vocab : (i+1)*vocab]
+		copy(row, locals[r].Row2D(next[r]))
+		next[r]++
+		out[i] = [][]float32{row}
 	}
 	return out, nil
 }

@@ -50,16 +50,18 @@ type rankEngine struct {
 // command needs besides KV growth (the cache's pages and the mirrors'
 // growth), grown to the largest chunk seen and reused by every command.
 // The logits it returns live here too, valid until the next command — the
-// rule decodeRes follows; the coordinator copies them out (Unshard) and a
-// worker encodes them first. Within a command the q/k/v rows are reused by
-// every layer: a layer's ring pass and AppendLocalKV are done with them when
-// they return. What peers do read by pointer lives in ring
+// rule decodeRes follows; the coordinator copies them out (prefillLogits)
+// and a worker encodes them first. Within a command the q/k/v rows are
+// reused by every layer: a layer's ring pass and AppendLocalKV are done with
+// them when they return. What peers do read by pointer lives in ring
 // (ring.PrefillScratch and the layers' BlockCaches, under the rule at the
 // top of ring.go).
 type prefillScratch struct {
 	ids, pos []int
 	hidden   []float32
 	q, k, v  tensor.Tensor
+	rows     []int     // the sampled slots this rank holds
+	sampled  []float32 // their hidden rows, gathered for the last layer
 	logits   tensor.Tensor
 	ring     ring.PrefillScratch
 }
@@ -101,8 +103,19 @@ func newRankEngine(w *Weights, kvCapacity int, epoch uint64, rec *trace.Recorder
 // persistence, and the output head over this rank's token shard. The
 // sharding plan is derived from the command — it is a pure function of
 // (lengths, world size), so every rank derives the same plan without
-// shipping it. The returned logits live in the engine's prefill arena: they
-// are valid until the next command.
+// shipping it, and so are the sampled slots.
+//
+// Unless cmd.All asks for every row, the last layer narrows to the sampled
+// rows this rank holds: its K/V projection, ring exchange and KV persistence
+// run for every row as in any layer — the caches, mirrors and modeled
+// traffic do not depend on the mode — but attention (ring.PrefillInput.Rows),
+// the output projection, the FFN and the head run for the sampled rows
+// alone. Each of those is row-local and a pass-KV row's attention does not
+// depend on which other queries share its block, so a sampled row's logits
+// are bit-identical to the same row of an all-rows prefill.
+//
+// The returned logits live in the engine's prefill arena: they are valid
+// until the next command.
 func (e *rankEngine) prefill(r *comm.Rank, cmd *wire.PrefillCmd) (*tensor.Tensor, error) {
 	m := e.w.Cfg.Model
 	s := &e.pre
@@ -138,24 +151,64 @@ func (e *rankEngine) prefill(r *comm.Rank, cmd *wire.PrefillCmd) (*tensor.Tensor
 	s.q.Resize(localLen, m.NumHeads, m.HeadDim)
 	s.k.Resize(localLen, m.NumKV, m.HeadDim)
 	s.v.Resize(localLen, m.NumKV, m.HeadDim)
+	var rows []int // the last layer's rows; nil is every row
+	hidden, n := s.hidden, localLen
+	if !cmd.All {
+		rows = s.sampledSlots(plan, r.ID)
+		n = len(rows)
+	}
 	for l := 0; l < m.Layers; l++ {
+		last := l == m.Layers-1
 		e.w.projectQKVInto(&s.q, &s.k, &s.v, l, s.hidden, s.pos)
-		out, err := run(&ring.PrefillInput{
+		in := &ring.PrefillInput{
 			Rank: r, Plan: plan, P: cmd.P, SeqIDs: cmd.Seqs,
 			Q: &s.q, K: &s.k, V: &s.v,
 			Cache: e.caches[l], Blocks: e.blocks[l], Scratch: &s.ring, Elem: m.ElemBytes,
 			Trace: e.rec.Sweep(r.ID, e.epoch, "prefill"),
-		})
+		}
+		if last {
+			in.Rows = rows
+		}
+		out, err := run(in)
 		if err != nil {
 			return nil, fmt.Errorf("layer %d: %w", l, err)
 		}
 		if err := ring.AppendLocalKV(e.caches[l], plan, r.ID, cmd.P, cmd.Seqs, &s.k, &s.v); err != nil {
 			return nil, err
 		}
-		e.w.finishLayer(l, s.hidden, out.O)
+		if last && rows != nil {
+			hidden = s.gatherHidden(rows, m.ModelDim)
+		}
+		e.w.finishLayer(l, hidden, out.O)
 	}
-	e.w.logitsInto(s.logits.Resize(localLen, 1, m.VocabSize).Data, s.hidden, localLen)
+	e.w.logitsInto(s.logits.Resize(n, 1, m.VocabSize).Data, hidden, n)
 	return &s.logits, nil
+}
+
+// sampledSlots lists the local slots of the rows a prefill samples — each
+// sequence's last new position — that rank holds, in slot order (a plan
+// lays its sequences out in order). The list is never nil: an empty one is
+// "none", where ring.PrefillInput.Rows == nil is "every row".
+func (s *prefillScratch) sampledSlots(plan *sharding.BatchShard, rank int) []int {
+	if s.rows == nil {
+		s.rows = make([]int, 0, len(plan.SeqLens))
+	}
+	s.rows = s.rows[:0]
+	for i, T := range plan.SeqLens {
+		if r, slot := plan.Locate(i, T-1); r == rank {
+			s.rows = append(s.rows, slot)
+		}
+	}
+	return s.rows
+}
+
+// gatherHidden copies the listed slots' hidden rows into the arena.
+func (s *prefillScratch) gatherHidden(rows []int, d int) []float32 {
+	s.sampled = tensor.Grown(s.sampled, len(rows)*d)
+	for i, slot := range rows {
+		copy(s.sampled[i*d:(i+1)*d], s.hidden[slot*d:(slot+1)*d])
+	}
+	return s.sampled
 }
 
 // decodeOwners is the per-rank token assignment of a decode command:
