@@ -27,7 +27,9 @@
 // tensors cannot perturb a single bit.
 //
 // One kernel serves prefill and decode (gqaBlock; a decode step is the block
-// of one query). K and V are cut into fixed 32-row tiles. Pass one widens
+// of one query). It reads K and V where they live, as a list of row runs (KV):
+// a cache sequence's pages, or one run for a tensor. K and V are cut into
+// fixed 32-row tiles of the runs read back to back. Pass one widens
 // each K tile the block's masks touch to float64 once — not once per query —
 // and scores every query against the rows its intervals admit, keeping each
 // (query, tile) chunk of scores and the running per-head max. Pass two walks
@@ -199,6 +201,56 @@ const (
 	scoreBudget     = (512 << 10) / 8
 )
 
+// Run is a stretch of consecutive KV rows held in place: a cache page's
+// visible rows, or a whole K/V tensor. K and V are row-major [Rows][NKV][DH].
+type Run struct {
+	K, V []float32
+	Rows int
+}
+
+// KV is a kernel's key/value operand read where it lives: rows of Heads KV
+// heads of Dim floats each, split over Runs that read back to back as one row
+// sequence. A mask's KV entries index that sequence. Which runs a row sits in
+// is invisible in the output bits: widening a row to float64 is exact wherever
+// it comes from, and the kernel visits admitted rows in the same order.
+type KV struct {
+	Heads, Dim int
+	Runs       []Run
+}
+
+// Rows returns the operand's row count.
+func (kv KV) Rows() int {
+	n := 0
+	for _, r := range kv.Runs {
+		n += r.Rows
+	}
+	return n
+}
+
+// tensorKV is the one-run operand over the whole of k and v.
+func tensorKV(k, v *tensor.Tensor) KV {
+	n := k.Tokens * k.Heads * k.Dim
+	return KV{Heads: k.Heads, Dim: k.Dim, Runs: []Run{{K: k.Data[:n], V: v.Data[:n], Rows: k.Tokens}}}
+}
+
+// validate checks what every kernel entry needs of q and the operand.
+func (kv KV) validate(q *tensor.Tensor) error {
+	if q.Dim != kv.Dim {
+		return fmt.Errorf("attention: head dim mismatch q=%d kv=%d", q.Dim, kv.Dim)
+	}
+	if kv.Heads <= 0 || q.Heads%kv.Heads != 0 {
+		return fmt.Errorf("attention: NH=%d not divisible by NKV=%d", q.Heads, kv.Heads)
+	}
+	rowLen := kv.Heads * kv.Dim
+	for i, r := range kv.Runs {
+		if r.Rows < 0 || len(r.K) < r.Rows*rowLen || len(r.V) < r.Rows*rowLen {
+			return fmt.Errorf("attention: kv run %d has %d/%d floats for %d rows of %d",
+				i, len(r.K), len(r.V), r.Rows, rowLen)
+		}
+	}
+	return nil
+}
+
 // gqaScratch is one worker's reusable kernel state for a block of queries:
 // per query a stripe of tile-major score chunks (group × kvTileRows each),
 // the widened query rows, float64 accumulators and the per-head running
@@ -299,8 +351,8 @@ func validateGQA(q, k, v *tensor.Tensor, m Mask) error {
 	return validateShapes(q, k, v)
 }
 
-// validateShapes checks what every kernel entry needs of its operands,
-// mask or no mask.
+// validateShapes checks what every tensor entry needs of its operands, mask
+// or no mask.
 func validateShapes(q, k, v *tensor.Tensor) error {
 	if k.Tokens != v.Tokens || k.Heads != v.Heads || k.Dim != v.Dim {
 		return fmt.Errorf("attention: k %s and v %s differ", k.ShapeString(), v.ShapeString())
@@ -329,9 +381,22 @@ func GQA(q, k, v *tensor.Tensor, m Mask) (*Output, error) {
 // GQAInto computes GQA into dst, which must have q's shape. dst is reset
 // first, so the caller can reuse one Output across many kernel calls (the
 // ring sweep loops do). The result is bit-identical to GQA at any worker
-// count.
+// count. It is GQAKVInto over the one run of k and v.
 func GQAInto(dst *Output, q, k, v *tensor.Tensor, m Mask) error {
-	if err := validateGQA(q, k, v, m); err != nil {
+	if err := validateShapes(q, k, v); err != nil {
+		return err
+	}
+	return GQAKVInto(dst, q, tensorKV(k, v), m)
+}
+
+// GQAKVInto is GQAInto over an operand read in place: m's KV entries index
+// kv's rows, runs read back to back. The result equals GQAInto over the
+// same rows gathered into one tensor, bit for bit.
+func GQAKVInto(dst *Output, q *tensor.Tensor, kv KV, m Mask) error {
+	if err := kv.validate(q); err != nil {
+		return err
+	}
+	if err := m.Validate(q.Tokens, kv.Rows()); err != nil {
 		return err
 	}
 	if dst.O.Tokens != q.Tokens || dst.O.Heads != q.Heads || dst.O.Dim != q.Dim {
@@ -344,7 +409,7 @@ func GQAInto(dst *Output, q, k, v *tensor.Tensor, m Mask) error {
 	iv := intervalsFree.get()
 	defer intervalsFree.put(iv)
 	iv.compile(m)
-	gqaTiles(dst, q, k, v, iv)
+	gqaTiles(dst, q, kv, iv)
 	return nil
 }
 
@@ -365,10 +430,10 @@ func tileChunks(row []Interval) int {
 // query. Cells write disjoint output rows and a cell's arithmetic does not
 // depend on which block it lands in, so any fan-out equals the serial sweep
 // exactly.
-func gqaTiles(dst *Output, q, k, v *tensor.Tensor, iv *Intervals) {
+func gqaTiles(dst *Output, q *tensor.Tensor, kv KV, iv *Intervals) {
 	T := q.Tokens
-	group := q.Heads / k.Heads
-	parallel.For(k.Heads*T, func(lo, hi int) {
+	group := q.Heads / kv.Heads
+	parallel.For(kv.Heads*T, func(lo, hi int) {
 		widest := 0
 		for cell := lo; cell < hi; cell++ {
 			widest = max(widest, tileChunks(iv.Row(cell%T)))
@@ -388,48 +453,63 @@ func gqaTiles(dst *Output, q, k, v *tensor.Tensor, iv *Intervals) {
 		for cell := lo; cell < hi; {
 			kvh, t := cell/T, cell%T
 			nq := min(bq, hi-cell, T-t)
-			gqaBlock(dst, q, k, v, sc, iv, t, nq, kvh, stripe)
+			gqaBlock(dst, q, kv, sc, iv, t, nq, kvh, stripe)
 			cell += nq
 		}
 	})
 }
 
-// DecodeInto is the decode step's entry to the kernel: query token t of q
-// against KV rows [0, n) of (k, v), every one of them admitted — the mask of a
-// decode query over its own sequence's cached rows, none of which lies past
-// it — written into row t of dst in place; dst's other rows are not touched.
-// It is GQAInto for that one row without the Mask, the Intervals compiled
-// from it (an O(n) pass per call), the one-row views and the copies: the same
-// gqaBlock runs over the same rows in the same order, one KV head after the
-// other on the caller, so the row is bit-identical to GQAInto's. A decode
-// step's parallelism is its ranks and its batch rows; one row's KV heads are
-// not worth a pool dispatch each.
+// DecodeInto is the decode step's entry to the kernel over tensors: query
+// token t of q against KV rows [0, n) of (k, v). It is DecodeKVInto over the
+// one run of those rows.
 func DecodeInto(dst *Output, q, k, v *tensor.Tensor, t, n int) error {
 	if err := validateShapes(q, k, v); err != nil {
+		return err
+	}
+	if n < 0 || n > k.Tokens {
+		return fmt.Errorf("attention: decode over %d of %d kv rows", n, k.Tokens)
+	}
+	rowLen := k.Heads * k.Dim
+	return DecodeKVInto(dst, q, KV{Heads: k.Heads, Dim: k.Dim, Runs: []Run{{K: k.Data[:n*rowLen], V: v.Data[:n*rowLen], Rows: n}}}, t)
+}
+
+// DecodeKVInto is the decode step's entry to the kernel: query token t of q
+// against every row of kv, all of them admitted — the mask of a decode query
+// over its own sequence's cached rows, none of which lies past it — written
+// into row t of dst in place; dst's other rows are not touched. It is
+// GQAKVInto for that one row without the Mask, the Intervals compiled from it
+// (an O(n) pass per call), the one-row views and the copies: the same gqaBlock
+// runs over the same rows in the same order, one KV head after the other on
+// the caller, so the row is bit-identical to GQAKVInto's. A decode step's
+// parallelism is its ranks and its batch rows; one row's KV heads are not
+// worth a pool dispatch each. It allocates nothing.
+func DecodeKVInto(dst *Output, q *tensor.Tensor, kv KV, t int) error {
+	if err := kv.validate(q); err != nil {
 		return err
 	}
 	if dst.O.Tokens != q.Tokens || dst.O.Heads != q.Heads || dst.O.Dim != q.Dim {
 		return fmt.Errorf("attention: destination %s does not match q %s", dst.O.ShapeString(), q.ShapeString())
 	}
-	if t < 0 || t >= q.Tokens || n < 0 || n > k.Tokens {
-		return fmt.Errorf("attention: decode row %d of %d over %d of %d kv rows", t, q.Tokens, n, k.Tokens)
+	if t < 0 || t >= q.Tokens {
+		return fmt.Errorf("attention: decode row %d of %d", t, q.Tokens)
 	}
 	clear(dst.O.Row2D(t))
 	lse := dst.LSE[t*q.Heads:][:q.Heads]
 	for i := range lse {
 		lse[i] = NegInf
 	}
+	n := kv.Rows()
 	if n == 0 {
 		return nil
 	}
-	group := q.Heads / k.Heads
+	group := q.Heads / kv.Heads
 	iv := Intervals{flat: []Interval{{Lo: 0, Hi: n}}}
 	stripe := tileChunks(iv.flat) * group * kvTileRows
 	sc := scratchFree.get()
 	defer scratchFree.put(sc)
 	sc.size(1, stripe, group, q.Dim)
-	for kvh := 0; kvh < k.Heads; kvh++ {
-		gqaBlock(dst, q, k, v, sc, &iv, t, 1, kvh, stripe)
+	for kvh := 0; kvh < kv.Heads; kvh++ {
+		gqaBlock(dst, q, kv, sc, &iv, t, 1, kvh, stripe)
 	}
 	return nil
 }
@@ -445,11 +525,12 @@ func DecodeInto(dst *Output, q, k, v *tensor.Tensor, t, n int) error {
 // the query's now-final max and is folded into the accumulators right away.
 // Both passes visit a query's rows in ascending KV index order and every
 // per-(query, head) max, denominator and accumulator is its own chain, so the
-// reduction order is fixed regardless of tiling or block size.
-func gqaBlock(dst *Output, q, k, v *tensor.Tensor, sc *gqaScratch, iv *Intervals, t0, nq, kvh, stripe int) {
-	dh, group := q.Dim, q.Heads/k.Heads
+// reduction order is fixed regardless of tiling, block size, or how kv's rows
+// are split into runs.
+func gqaBlock(dst *Output, q *tensor.Tensor, kv KV, sc *gqaScratch, iv *Intervals, t0, nq, kvh, stripe int) {
+	dh, group := q.Dim, q.Heads/kv.Heads
 	gd, h0 := group*dh, kvh*group
-	kvRowLen := k.Heads * dh
+	kvRowLen := kv.Heads * dh
 	scale := 1 / math.Sqrt(float64(dh))
 	tile := sc.tile[:kvTileRows*dh]
 	qf, acc := sc.qf[:nq*gd], sc.acc[:nq*gd]
@@ -475,11 +556,14 @@ func gqaBlock(dst *Output, q, k, v *tensor.Tensor, sc *gqaScratch, iv *Intervals
 		maxs[i] = NegInf
 	}
 
-	for pass, data := range [2][]float32{k.Data, v.Data} {
+	for pass := 0; pass < 2; pass++ {
+		src := runCursor{runs: kv.Runs, v: pass == 1}
 		var cur, off [maxBlockQueries]int // per query: interval cursor, score offset
 		for ti := loTile; ti < hiTile; ti++ {
+			// Intervals end at or before the operand's last row, so the tile's
+			// nominal end bounds them as well as the row count would.
 			tileLo := ti * kvTileRows
-			tileHi := min(tileLo+kvTileRows, k.Tokens)
+			tileHi := tileLo + kvTileRows
 			// Rows [tileLo, wide) are widened so far: the tile grows only as
 			// far as the block's intervals reach, which on the causal
 			// diagonal is well short of its end.
@@ -492,7 +576,7 @@ func gqaBlock(dst *Output, q, k, v *tensor.Tensor, sc *gqaScratch, iv *Intervals
 				for c := cur[b]; c < len(row) && row[c].Lo < tileHi; c++ {
 					lo, hi := max(row[c].Lo, tileLo), min(row[c].Hi, tileHi)
 					if hi > wide {
-						widenRows(tile[(wide-tileLo)*dh:], data, wide, hi-wide, kvRowLen, kvh*dh, dh)
+						widenRows(tile[(wide-tileLo)*dh:], &src, wide, hi-wide, kvRowLen, kvh*dh, dh)
 						wide = hi
 					}
 					chunk := sc.scores[b*stripe+off[b]:][:group*kvTileRows]
@@ -526,10 +610,41 @@ func gqaBlock(dst *Output, q, k, v *tensor.Tensor, sc *gqaScratch, iv *Intervals
 	}
 }
 
-// widenRows converts n consecutive KV rows (one KV head's dh-wide stripe,
-// starting at token row base) into the contiguous float64 tile. Widening is
-// exact, so sharing the converted tile across the head group changes no bits.
-func widenRows(tile []float64, data []float32, base, n, rowLen, headOff, dh int) {
+// runCursor walks an operand's runs, K rows or (v) V rows, in ascending row
+// order: run i holds the operand's rows [lo, lo+runs[i].Rows).
+type runCursor struct {
+	runs  []Run
+	v     bool
+	i, lo int
+}
+
+// widenRows converts n consecutive KV rows of the operand (one KV head's
+// dh-wide stripe, starting at operand row base) into the contiguous float64
+// tile, one widenRun per run the rows span: a 32-row tile over 16-row pages
+// widens in two calls. Widening is exact, so neither sharing the converted
+// tile across the head group nor where a run boundary falls changes a bit.
+// gqaBlock widens in ascending row order within a pass, so the cursor only
+// moves forward.
+func widenRows(tile []float64, c *runCursor, base, n, rowLen, headOff, dh int) {
+	for n > 0 {
+		for base >= c.lo+c.runs[c.i].Rows {
+			c.lo += c.runs[c.i].Rows
+			c.i++
+		}
+		r := c.runs[c.i]
+		data := r.K
+		if c.v {
+			data = r.V
+		}
+		m := min(n, c.lo+r.Rows-base)
+		widenRun(tile, data, base-c.lo, m, rowLen, headOff, dh)
+		tile, base, n = tile[m*dh:], base+m, n-m
+	}
+}
+
+// widenRun converts n consecutive rows of one run (one KV head's dh-wide
+// stripe, starting at the run's row base) into the contiguous float64 tile.
+func widenRun(tile []float64, data []float32, base, n, rowLen, headOff, dh int) {
 	if simd.Available() {
 		if rowLen == dh {
 			cvtAVX(tile[:n*dh], data[base*dh:][:n*dh])

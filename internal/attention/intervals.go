@@ -20,7 +20,7 @@ type Interval struct{ Lo, Hi int }
 type Intervals struct {
 	flat []Interval // all rows' intervals, back to back
 	// off is, per query row, the start index into flat; len = T+1. Nil means
-	// every row admits all of flat (DecodeInto's one row, one interval).
+	// every row admits all of flat (DecodeKVInto's one row, one interval).
 	off  []int32
 	runs []kvRun // compile's working set, kept for the next compile
 }

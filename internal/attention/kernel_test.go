@@ -248,7 +248,7 @@ func gqaOneByOne(q, k, v *tensor.Tensor, m Mask) *Output {
 				continue
 			}
 			sc.size(1, stripe, group, q.Dim)
-			gqaBlock(out, q, k, v, sc, iv, t, 1, kvh, stripe)
+			gqaBlock(out, q, tensorKV(k, v), sc, iv, t, 1, kvh, stripe)
 		}
 	}
 	return out
@@ -334,7 +334,7 @@ func TestGQABlockWidensOnlyAdmittedRows(t *testing.T) {
 		for i := range sc.tile {
 			sc.tile[i] = sentinel
 		}
-		gqaBlock(out, q, k, v, sc, iv, 0, nq, 0, stripe)
+		gqaBlock(out, q, tensorKV(k, v), sc, iv, 0, nq, 0, stripe)
 		return out, sc.tile
 	}
 	want, _ := run()

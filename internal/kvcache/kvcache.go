@@ -17,12 +17,17 @@
 // partially visible) tail page copy-on-write so writers never disturb other
 // holders. Physical capacity counts every live page exactly once regardless
 // of how many sequences or spans reference it.
+//
+// The cache is a rank's only per-sequence KV store: attention reads a
+// sequence's pages in place through Runs, and only the rows a ring pass ships
+// to a peer are ever copied out (CopyRange).
 package kvcache
 
 import (
 	"fmt"
 	"sort"
 
+	"repro/internal/attention"
 	"repro/internal/tensor"
 )
 
@@ -45,26 +50,33 @@ type Cache struct {
 	total int // physical rows across unique live pages
 }
 
-// page is a refcounted block of KV rows. refs counts the sequences and spans
-// holding it; a page is freed (its rows returned to capacity) when refs
-// reaches zero.
+// page is a refcounted block of PageSize KV rows: k and v are row-major
+// [PageSize][NKV][DH], of which the first len(pos) rows are filled, pos
+// holding their positions. refs counts the sequences and spans holding it; a
+// page is freed (its rows returned to capacity) when refs reaches zero.
 type page struct {
-	k, v *tensor.Tensor
+	k, v []float32
 	pos  []int
-	fill int
 	refs int
 }
 
-// pageRef is one holder's view of a page: the first n of its fill rows.
-// n < fill happens when a span or an adopting sequence pinned a prefix that
-// ends mid-page.
+// pageRef is one holder's view of a page: the first n of its filled rows.
+// n < len(pos) happens when a span or an adopting sequence pinned a prefix
+// that ends mid-page.
 type pageRef struct {
 	pg *page
 	n  int
 }
 
+// seqCache is one sequence's pages. Every ref but the last is a whole page:
+// appendRow fills the tail before it opens a page, a span pins a prefix, and
+// copy-on-write clones a partial tail before any append. n and maxPos are the
+// visible row count and their largest position (-1 when empty), kept current
+// by every append, adoption and drop so SeqLen and MaxPos are O(1).
 type seqCache struct {
-	refs []pageRef
+	refs   []pageRef
+	n      int
+	maxPos int
 }
 
 // ErrCapacity is returned when an append would exceed the configured
@@ -97,7 +109,7 @@ func New(cfg Config) (*Cache, error) {
 // visible prefix first: the page still has room but is either shared with
 // another holder or only partially visible to this sequence.
 func (c *Cache) tailNeedsCOW(ref pageRef) bool {
-	return ref.n < c.cfg.PageSize && (ref.pg.refs > 1 || ref.n < ref.pg.fill)
+	return ref.n < c.cfg.PageSize && (ref.pg.refs > 1 || ref.n < len(ref.pg.pos))
 }
 
 // AppendOverhead returns the extra physical rows the next Append for seq
@@ -140,62 +152,89 @@ func (c *Cache) Append(seq int, k, v *tensor.Tensor, pos []int) error {
 	}
 	sc := c.seqs[seq]
 	if sc == nil {
-		sc = &seqCache{}
+		sc = &seqCache{maxPos: -1}
 		c.seqs[seq] = sc
 	}
+	// The pages this append opens past the tail's free rows (a copy-on-write
+	// clone has the same room) are cut from one allocation.
+	open := real
+	if n := len(sc.refs); n > 0 {
+		open -= c.cfg.PageSize - sc.refs[n-1].n
+	}
+	fresh := c.newPages((max(open, 0) + c.cfg.PageSize - 1) / c.cfg.PageSize)
 	for i, p := range pos {
 		if p < 0 {
 			continue
 		}
-		c.appendRow(sc, k.Row2D(i), v.Row2D(i), p)
+		c.appendRow(sc, k.Row2D(i), v.Row2D(i), p, &fresh)
 	}
 	return nil
 }
 
-func (c *Cache) appendRow(sc *seqCache, kRow, vRow []float32, pos int) {
-	if n := len(sc.refs); n > 0 && sc.refs[n-1].n < c.cfg.PageSize {
-		ref := &sc.refs[n-1]
-		if c.tailNeedsCOW(*ref) {
-			c.cowTail(ref)
-		}
-		pg := ref.pg
-		copy(pg.k.Row2D(pg.fill), kRow)
-		copy(pg.v.Row2D(pg.fill), vRow)
-		pg.pos = append(pg.pos, pos)
-		pg.fill++
-		ref.n++
-		c.total++
-		return
+// appendRow appends one row to sc's tail page, opening the next of fresh when
+// the tail is full.
+func (c *Cache) appendRow(sc *seqCache, kRow, vRow []float32, pos int, fresh *[]page) {
+	sc.n++
+	sc.maxPos = max(sc.maxPos, pos)
+	n := len(sc.refs)
+	if n == 0 || sc.refs[n-1].n == c.cfg.PageSize {
+		sc.refs = append(sc.refs, pageRef{pg: &(*fresh)[0]})
+		*fresh = (*fresh)[1:]
+		n++
 	}
-	pg := c.newPage()
-	copy(pg.k.Row2D(0), kRow)
-	copy(pg.v.Row2D(0), vRow)
+	ref := &sc.refs[n-1]
+	if c.tailNeedsCOW(*ref) {
+		c.cowTail(ref)
+	}
+	pg := ref.pg
+	copy(c.row(pg.k, len(pg.pos)), kRow)
+	copy(c.row(pg.v, len(pg.pos)), vRow)
 	pg.pos = append(pg.pos, pos)
-	pg.fill = 1
-	sc.refs = append(sc.refs, pageRef{pg: pg, n: 1})
+	ref.n++
 	c.total++
 }
 
-func (c *Cache) newPage() *page {
-	return &page{
-		k:    tensor.New(c.cfg.PageSize, c.cfg.KVHeads, c.cfg.HeadDim),
-		v:    tensor.New(c.cfg.PageSize, c.cfg.KVHeads, c.cfg.HeadDim),
-		pos:  make([]int, 0, c.cfg.PageSize),
-		refs: 1,
+// newPages returns n empty pages cut from one K, one V and one position
+// allocation: the pages an append opens for a sequence lie back to back in
+// memory, so attention walking them in place streams through them as through
+// one array. A slab lives as long as any of its pages does; its rows are
+// counted page by page, as the pages are freed.
+func (c *Cache) newPages(n int) []page {
+	if n == 0 {
+		return nil
 	}
+	ps := c.cfg.PageSize
+	rows := ps * c.rowLen()
+	k, v := make([]float32, n*rows), make([]float32, n*rows)
+	pos := make([]int, n*ps)
+	pages := make([]page, n)
+	for i := range pages {
+		pages[i] = page{
+			k:    k[i*rows : (i+1)*rows : (i+1)*rows],
+			v:    v[i*rows : (i+1)*rows : (i+1)*rows],
+			pos:  pos[i*ps : i*ps : (i+1)*ps],
+			refs: 1,
+		}
+	}
+	return pages
+}
+
+// rowLen is the floats in one row of K or V.
+func (c *Cache) rowLen() int { return c.cfg.KVHeads * c.cfg.HeadDim }
+
+// row returns row i of a page's K or V storage.
+func (c *Cache) row(buf []float32, i int) []float32 {
+	return buf[i*c.rowLen() : (i+1)*c.rowLen()]
 }
 
 // cowTail replaces a shared or truncated tail pageRef with a private clone of
 // its visible prefix, so the sequence can keep appending without disturbing
 // other holders of the original page.
 func (c *Cache) cowTail(ref *pageRef) {
-	clone := c.newPage()
-	for i := 0; i < ref.n; i++ {
-		copy(clone.k.Row2D(i), ref.pg.k.Row2D(i))
-		copy(clone.v.Row2D(i), ref.pg.v.Row2D(i))
-		clone.pos = append(clone.pos, ref.pg.pos[i])
-	}
-	clone.fill = ref.n
+	clone := &c.newPages(1)[0]
+	copy(clone.k, ref.pg.k[:ref.n*c.rowLen()])
+	copy(clone.v, ref.pg.v[:ref.n*c.rowLen()])
+	clone.pos = append(clone.pos, ref.pg.pos[:ref.n]...)
 	c.total += ref.n
 	c.releaseRef(*ref)
 	ref.pg = clone
@@ -205,7 +244,7 @@ func (c *Cache) cowTail(ref *pageRef) {
 func (c *Cache) releaseRef(ref pageRef) {
 	ref.pg.refs--
 	if ref.pg.refs == 0 {
-		c.total -= ref.pg.fill
+		c.total -= len(ref.pg.pos)
 	}
 }
 
@@ -223,17 +262,16 @@ func (c *Cache) Get(seq int) (k, v *tensor.Tensor, pos []int) {
 // CopyRange copies cached rows [lo, SeqLen) of a sequence, in append order,
 // into the caller's row-major buffers: k and v must hold at least
 // (SeqLen-lo)*KVHeads*HeadDim floats and pos as many ints. It is the
-// allocation-free incremental companion to Get (which delegates to it):
-// callers that mirror a sequence's KV — the ring layer's assembled-block
-// cache — fetch only the rows appended since their last sync, written
-// straight into the mirror's backing arrays. Returns the rows copied; lo
-// past the end, or an unknown sequence, copies nothing.
+// allocation-free companion to Get (which delegates to it): the ring layer
+// copies a sequence's rows straight into the KV block it ships to its peers.
+// Returns the rows copied; lo past the end, or an unknown sequence, copies
+// nothing.
 func (c *Cache) CopyRange(seq, lo int, k, v []float32, pos []int) int {
 	sc := c.seqs[seq]
 	if sc == nil {
 		return 0
 	}
-	rowLen := c.cfg.KVHeads * c.cfg.HeadDim
+	rowLen := c.rowLen()
 	skip := lo
 	row := 0
 	for _, ref := range sc.refs {
@@ -242,8 +280,8 @@ func (c *Cache) CopyRange(seq, lo int, k, v []float32, pos []int) int {
 			continue
 		}
 		for i := skip; i < ref.n; i++ {
-			copy(k[row*rowLen:(row+1)*rowLen], ref.pg.k.Row2D(i))
-			copy(v[row*rowLen:(row+1)*rowLen], ref.pg.v.Row2D(i))
+			copy(k[row*rowLen:(row+1)*rowLen], c.row(ref.pg.k, i))
+			copy(v[row*rowLen:(row+1)*rowLen], c.row(ref.pg.v, i))
 			pos[row] = ref.pg.pos[i]
 			row++
 		}
@@ -252,35 +290,53 @@ func (c *Cache) CopyRange(seq, lo int, k, v []float32, pos []int) int {
 	return row
 }
 
-// SeqLen returns the number of cached tokens for a sequence.
-func (c *Cache) SeqLen(seq int) int {
+// Runs appends a sequence's visible rows to dst as one attention.Run per
+// page, in append order, and returns the extended slice: the rows read in
+// place, allocation-free when dst has room. Every run but the last is a whole
+// page. A run's rows stay as they are for as long as the caller holds it:
+// appends write past every holder's visible rows or into a private clone.
+func (c *Cache) Runs(dst []attention.Run, seq int) []attention.Run {
 	sc := c.seqs[seq]
 	if sc == nil {
-		return 0
+		return dst
 	}
-	n := 0
+	rowLen := c.rowLen()
 	for _, ref := range sc.refs {
-		n += ref.n
+		dst = append(dst, attention.Run{K: ref.pg.k[:ref.n*rowLen], V: ref.pg.v[:ref.n*rowLen], Rows: ref.n})
 	}
-	return n
+	return dst
+}
+
+// Positions appends the global positions of a sequence's visible rows to
+// dst, in append order — the KV side of a mask over its Runs.
+func (c *Cache) Positions(dst []int, seq int) []int {
+	sc := c.seqs[seq]
+	if sc == nil {
+		return dst
+	}
+	for _, ref := range sc.refs {
+		dst = append(dst, ref.pg.pos[:ref.n]...)
+	}
+	return dst
+}
+
+// SeqLen returns the number of cached tokens for a sequence, in O(1).
+func (c *Cache) SeqLen(seq int) int {
+	if sc := c.seqs[seq]; sc != nil {
+		return sc.n
+	}
+	return 0
 }
 
 // MaxPos returns the largest cached global position for a sequence, or -1 if
-// the sequence is empty. The engine uses it to validate monotonic growth.
+// the sequence is empty, in O(1). The ring layer guards with it: a prefill
+// rejects cached rows at or past its base, and a decode query at or past every
+// cached row attends them all without a mask.
 func (c *Cache) MaxPos(seq int) int {
-	sc := c.seqs[seq]
-	m := -1
-	if sc == nil {
-		return m
+	if sc := c.seqs[seq]; sc != nil {
+		return sc.maxPos
 	}
-	for _, ref := range sc.refs {
-		for i := 0; i < ref.n; i++ {
-			if ref.pg.pos[i] > m {
-				m = ref.pg.pos[i]
-			}
-		}
-	}
-	return m
+	return -1
 }
 
 // TotalTokens returns the rank-wide physical cached token count: every live
@@ -345,6 +401,7 @@ type Span struct {
 	c        *Cache
 	refs     []pageRef
 	tokens   int
+	maxPos   int // the pinned rows' largest position, -1 when none
 	released bool
 }
 
@@ -373,30 +430,34 @@ func (c *Cache) AcquireSpan(seq, upTo int) (*Span, error) {
 	if upTo <= 0 {
 		return nil, fmt.Errorf("kvcache: non-positive span bound %d", upTo)
 	}
+	sp := &Span{c: c, maxPos: -1}
 	sc := c.seqs[seq]
 	if sc == nil {
 		// A rank may legitimately hold no rows of a short prefix.
-		return &Span{c: c}, nil
+		return sp, nil
 	}
-	sp := &Span{c: c}
 	past := false // saw a row at or beyond upTo
 	for _, ref := range sc.refs {
 		take := 0
 		for i := 0; i < ref.n; i++ {
-			if ref.pg.pos[i] < upTo {
+			if p := ref.pg.pos[i]; p < upTo {
 				if past {
 					return nil, fmt.Errorf("kvcache: sequence %d rows below %d are not an append-order prefix", seq, upTo)
 				}
 				take++
+				sp.maxPos = max(sp.maxPos, p)
 			} else {
 				past = true
 			}
 		}
 		if take > 0 {
-			ref.pg.refs++
 			sp.refs = append(sp.refs, pageRef{pg: ref.pg, n: take})
 			sp.tokens += take
 		}
+	}
+	// Pin only once the prefix is known good: a rejected span holds nothing.
+	for _, ref := range sp.refs {
+		ref.pg.refs++
 	}
 	return sp, nil
 }
@@ -415,7 +476,7 @@ func (c *Cache) AdoptSpan(seq int, sp *Span) error {
 	if sc := c.seqs[seq]; sc != nil && len(sc.refs) > 0 {
 		return fmt.Errorf("kvcache: sequence %d is not empty", seq)
 	}
-	sc := &seqCache{refs: make([]pageRef, len(sp.refs))}
+	sc := &seqCache{refs: make([]pageRef, len(sp.refs)), n: sp.tokens, maxPos: sp.maxPos}
 	copy(sc.refs, sp.refs)
 	for _, ref := range sc.refs {
 		ref.pg.refs++

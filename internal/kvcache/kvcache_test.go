@@ -2,7 +2,9 @@ package kvcache
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -474,5 +476,145 @@ func TestAppendOverheadReportsCOW(t *testing.T) {
 	// rows first.
 	if got := c.AppendOverhead(0); got != 3 {
 		t.Fatalf("shared tail overhead = %d, want 3", got)
+	}
+}
+
+// checkView holds a sequence's run view to the scan over its rows (Get):
+// every run but the last is a whole page, the runs read back to back are the
+// sequence's K and V rows, and SeqLen and MaxPos equal the scan's row count
+// and largest position.
+func checkView(t *testing.T, c *Cache, seq int, what string) {
+	t.Helper()
+	gk, gv, gpos := c.Get(seq)
+	runs := c.Runs(nil, seq)
+	rowLen := c.KVHeads() * c.HeadDim()
+	var k, v []float32
+	for i, r := range runs {
+		if i < len(runs)-1 && r.Rows != c.cfg.PageSize {
+			t.Fatalf("%s: sequence %d run %d of %d holds %d rows, only the tail may hold fewer than %d",
+				what, seq, i, len(runs), r.Rows, c.cfg.PageSize)
+		}
+		k, v = append(k, r.K[:r.Rows*rowLen]...), append(v, r.V[:r.Rows*rowLen]...)
+	}
+	if !slices.Equal(k, gk.Data) || !slices.Equal(v, gv.Data) {
+		t.Fatalf("%s: sequence %d runs read %d/%d floats that differ from its %d rows", what, seq, len(k), len(v), gk.Tokens)
+	}
+	if pos := c.Positions(nil, seq); !slices.Equal(pos, gpos) {
+		t.Fatalf("%s: sequence %d positions %v, scan %v", what, seq, pos, gpos)
+	}
+	maxPos := -1
+	for _, p := range gpos {
+		maxPos = max(maxPos, p)
+	}
+	if c.SeqLen(seq) != len(gpos) || c.MaxPos(seq) != maxPos {
+		t.Fatalf("%s: sequence %d SeqLen %d MaxPos %d, scan %d and %d", what, seq, c.SeqLen(seq), c.MaxPos(seq), len(gpos), maxPos)
+	}
+}
+
+// Only a sequence's tail page can be partial, because copy-on-write clones a
+// partial tail before any append: an adopter of a span that ends mid-page
+// sees whole pages and one partial tail, keeps doing so as its appends clone
+// that tail, and still does once the donor is gone.
+func TestRunsOnlyTailPartial(t *testing.T) {
+	c := mustNew(t, Config{KVHeads: 1, HeadDim: 2, PageSize: 4})
+	fill2 := func(seq, from, n int) {
+		for i := from; i < from+n; i++ {
+			k := tensor.New(1, 1, 2)
+			k.Set(0, 0, 1, float32(seq*1000+i))
+			if err := c.Append(seq, k, tensor.New(1, 1, 2), []int{i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill2(0, 0, 11)
+	checkView(t, c, 0, "donor")
+	sp, err := c.AcquireSpan(0, 6) // mid-page: pages [0,4) and [4,6) of [4,8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AdoptSpan(1, sp); err != nil {
+		t.Fatal(err)
+	}
+	sp.Release()
+	checkView(t, c, 1, "adopted mid-page span")
+	fill2(1, 6, 1)
+	checkView(t, c, 1, "copy-on-write tail")
+	checkView(t, c, 0, "donor after the adopter's copy-on-write")
+	fill2(1, 7, 6)
+	checkView(t, c, 1, "appends past the cloned tail")
+	c.Drop(0)
+	checkView(t, c, 1, "donor dropped")
+	if n := len(c.Runs(nil, 0)); n != 0 {
+		t.Fatalf("a dropped sequence has %d runs", n)
+	}
+}
+
+// Property: SeqLen and MaxPos, kept in O(1), equal the scan over a
+// sequence's rows, and only its tail page is partial, after every step of
+// random appends (positions rising with gaps, now and then out of order),
+// span acquisitions, adoptions into fresh sequences, the copy-on-write
+// appends those cause, span releases and drops, at page sizes 1, 3 and 16.
+func TestPropertySeqLenMaxPosMatchScan(t *testing.T) {
+	for _, pageSize := range []int{1, 3, 16} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			c := mustNew(t, Config{KVHeads: 2, HeadDim: 1, PageSize: pageSize})
+			next := map[int]int{}
+			var spans []*Span
+			for step := 0; step < 40; step++ {
+				seq := rng.Intn(5)
+				switch op := rng.Intn(10); {
+				case op < 5:
+					n := rng.Intn(2*pageSize+2) + 1
+					pos := make([]int, n)
+					for i := range pos {
+						next[seq] += rng.Intn(3)
+						pos[i] = next[seq]
+						if rng.Intn(8) == 0 {
+							pos[i] = rng.Intn(next[seq] + 1)
+						}
+						next[seq]++
+					}
+					if err := c.Append(seq, tensor.RandN(rng, n, 2, 1), tensor.RandN(rng, n, 2, 1), pos); err != nil {
+						t.Fatal(err)
+					}
+				case op < 7:
+					if sp, err := c.AcquireSpan(seq, rng.Intn(next[seq]+1)+1); err == nil {
+						spans = append(spans, sp)
+					}
+				case op < 8 && len(spans) > 0:
+					if c.SeqLen(seq) == 0 {
+						if err := c.AdoptSpan(seq, spans[rng.Intn(len(spans))]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case op < 9 && len(spans) > 0:
+					i := rng.Intn(len(spans))
+					spans[i].Release()
+					spans = slices.Delete(spans, i, i+1)
+				default:
+					c.Drop(seq)
+					delete(next, seq)
+				}
+				for s := 0; s < 5; s++ {
+					checkView(t, c, s, fmt.Sprintf("page size %d seed %d step %d", pageSize, seed, step))
+				}
+			}
+			// Every page comes back once its last holder lets go, rejected
+			// span acquisitions included.
+			for _, sp := range spans {
+				sp.Release()
+			}
+			for s := 0; s < 5; s++ {
+				c.Drop(s)
+			}
+			if n := c.TotalTokens(); n != 0 {
+				t.Fatalf("page size %d seed %d: %d rows still held with no holder left", pageSize, seed, n)
+			}
+			return !t.Failed()
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

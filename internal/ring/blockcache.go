@@ -2,71 +2,46 @@ package ring
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comm/wire"
-	"repro/internal/kvcache"
 	"repro/internal/tensor"
 )
 
-// BlockCache keeps, per sequence, the assembled contiguous KV segment the
-// ring algorithms attend against — the [cached rows..., new rows...,
-// padding] layout localKV produces and decodeBlockAttention reads. The seed
-// engine re-gathered and re-concatenated the whole cached context from the
-// paged kvcache on every prefill chunk and every decode sweep row, an
-// O(context) copy per TokenBudget step; the BlockCache instead mirrors each
-// sequence's kvcache rows once and extends the mirror incrementally, so a
-// chunk copies only its own new rows and a decode step at most the one row
-// appended since the last sweep.
+// BlockCache is one rank's per-layer send buffer: the KV block pass-KV
+// circulates and all-gather gathers, assembled from the rank's cache and its
+// new rows (see PrefillInput.shippedKV), plus the counters of that copy work.
+// The kvcache is the only per-sequence KV store; pass-Q and decode keep KV
+// stationary and attend the cache's pages in place, so they copy nothing and
+// need no buffer. The buffer belongs to the layer, not to a sequence: it
+// grows to the largest block the layer has shipped and is reused by every
+// command after that.
 //
-// Like kvcache.Cache, a BlockCache is owned by exactly one rank goroutine
-// (one per rank per layer) and is not safe for concurrent use. Its tensors
-// are handed to peers as zero-copy views during a ring pass; that is safe
-// because the owner only appends — never rewrites — mirrored rows, and it
-// does so strictly between passes (the cluster joins every rank before the
-// next chunk or decode step starts). The same holds for the layer's
-// circulating prefill block, which the cache also owns (the lifetime rule at
-// the top of ring.go).
+// Like kvcache.Cache, a BlockCache is owned by exactly one rank goroutine and
+// is not safe for concurrent use. Its block is handed to peers as a
+// zero-copy view during a ring pass and rewritten only by the next command's
+// pass over the layer (the lifetime rule at the top of ring.go).
 type BlockCache struct {
-	seqs  map[int]*seqBlock
-	stats BlockCacheStats
-	// blk is the layer's circulating prefill block, as localKV last
-	// returned it: a view of one sequence's mirror, or of fused, which
-	// holds a multi-sequence block's segments back to back.
+	stats      BlockCacheStats
 	blk        wire.KVBlock
 	blkK, blkV tensor.Tensor
-	fused      fusedBlock
+	k, v       []float32
+	pos, seq   []int
 }
 
-// fusedBlock is the storage of a multi-sequence prefill block.
-type fusedBlock struct {
-	k, v     []float32
-	pos, seq []int
-}
+// NewBlockCache returns an empty send buffer.
+func NewBlockCache() *BlockCache { return new(BlockCache) }
 
-// reset empties f, keeping its storage, and returns it.
-func (f *fusedBlock) reset() *fusedBlock {
-	f.k, f.v, f.pos, f.seq = f.k[:0], f.v[:0], f.pos[:0], f.seq[:0]
-	return f
-}
-
-// circulate points the layer's prefill block at len(pos) rows of k and v
-// with their mask metadata, and returns it.
-func (bc *BlockCache) circulate(k, v []float32, pos, seq []int, nkv, dh int) *wire.KVBlock {
-	bc.blkK = tensor.Tensor{Tokens: len(pos), Heads: nkv, Dim: dh, Data: k}
-	bc.blkV = tensor.Tensor{Tokens: len(pos), Heads: nkv, Dim: dh, Data: v}
-	bc.blk = wire.KVBlock{K: &bc.blkK, V: &bc.blkV, Pos: pos, Seq: seq}
-	return &bc.blk
-}
-
-// BlockCacheStats counts the copy work the assembled-block cache performed,
-// exposed through /v1/stats so the zero-rebuild property is observable (and
-// asserted in tests).
+// BlockCacheStats counts the KV rows copied into shipped blocks, exposed
+// through /v1/stats so the one-copy property is observable (and asserted in
+// tests): pass-KV and all-gather copy exactly the rows they ship, pass-Q and
+// decode none.
 type BlockCacheStats struct {
-	Rebuilds     int64 `json:"rebuilds"`      // full mirror (re)builds from the kvcache
-	RebuildRows  int64 `json:"rebuild_rows"`  // rows copied by those rebuilds
-	Appends      int64 `json:"appends"`       // incremental syncs that copied >= 1 row
-	AppendedRows int64 `json:"appended_rows"` // rows copied incrementally (cache deltas + chunk rows)
-	Reuses       int64 `json:"reuses"`        // syncs that copied nothing: mirror already current
+	Rebuilds     int64 `json:"rebuilds"`      // shipped segments holding cached rows
+	RebuildRows  int64 `json:"rebuild_rows"`  // cached rows copied into them (CopyRange)
+	Appends      int64 `json:"appends"`       // shipped segments holding this chunk's rows
+	AppendedRows int64 `json:"appended_rows"` // new rows copied into them
+	Reuses       int64 `json:"reuses"`        // pass-Q segments attended in place, nothing copied
 }
 
 // Add accumulates other into s; the cluster uses it to aggregate per-rank
@@ -79,214 +54,103 @@ func (s *BlockCacheStats) Add(other BlockCacheStats) {
 	s.Reuses += other.Reuses
 }
 
-// seqBlock is one sequence's mirrored segment. k and v are row-major
-// [n][NKV][DH] backing arrays with geometric spare capacity; pos holds the
-// global position of every mirrored row, plus any padding rows written past
-// n for the current chunk. n never exceeds the kvcache row count except
-// transiently within one prefill chunk (see advance), and falls back to a
-// full rebuild whenever the mirror and the kvcache disagree.
-type seqBlock struct {
-	k, v []float32
-	pos  []int
-	n    int
-	// maxPos is the largest global position of any mirrored row — O(1)
-	// state for the stale-span guard, covering every row that ever entered
-	// the mirror (prefill syncs, decode syncs, optimistic advances alike).
-	maxPos int
-	// seqFill is the mask sequence-id array for views of this block: a
-	// constant-value slice re-filled only when the value (batch index for
-	// prefill, batch sequence id for decode) or the needed length changes.
-	seqFill    []int
-	seqFillVal int
-	// kT and vT are the tensor headers kv hands out, rewritten per call.
-	kT, vT tensor.Tensor
-}
-
-// NewBlockCache returns an empty assembled-block cache.
-func NewBlockCache() *BlockCache {
-	return &BlockCache{seqs: make(map[int]*seqBlock)}
-}
-
-// Drop forgets a sequence's mirror. Call whenever the underlying kvcache
-// drops the sequence; a stale mirror is detected and rebuilt anyway, but
-// dropping eagerly frees the memory.
-func (bc *BlockCache) Drop(seq int) {
-	delete(bc.seqs, seq)
-}
-
 // Stats returns the cumulative copy counters.
 func (bc *BlockCache) Stats() BlockCacheStats { return bc.stats }
 
-// ensure grows the backing arrays to hold rows rows of rowLen floats.
-func (b *seqBlock) ensure(rows, rowLen int) {
-	if need := rows * rowLen; cap(b.k) < need {
-		grow := 2 * cap(b.k)
-		if grow < need {
-			grow = need
+// shippedKV assembles the KV block this rank ships: for every sequence, its
+// cached rows (CopyRange), then this chunk's new rows (plan order, padding
+// slots skipped), then zero rows at position -1 up to padTo[i] — Algorithm
+// 2's concat_i(pad(P_k^i + T_k^i, L_i)); nil padTo pads nothing. One or many
+// sequences, the block is assembled the same way into the layer's buffer
+// (the BlockCache's; nil assembles into a transient one). qPos is the query
+// mask's position list, which is also each new row's position. A cached row
+// at or past P^i (a stale or adopted span overlapping the new range) would
+// duplicate positions and silently corrupt causality, so it is rejected.
+func (in *PrefillInput) shippedKV(qPos, padTo []int) (*wire.KVBlock, error) {
+	bc := in.Blocks
+	if bc == nil {
+		bc = NewBlockCache()
+	}
+	nkv, dh := in.K.Heads, in.K.Dim
+	rowLen := nkv * dh
+	bc.k, bc.v, bc.pos, bc.seq = bc.k[:0], bc.v[:0], bc.pos[:0], bc.seq[:0]
+	ls := in.Plan.LocalSeqs(in.Rank.ID)
+	lo := 0 // a plan lists each sequence's slots as one run, in order
+	for i := range in.Plan.SeqLens {
+		hi := lo
+		for hi < len(ls) && ls[hi] == i {
+			hi++
 		}
-		nk := make([]float32, grow)
-		copy(nk, b.k[:b.n*rowLen])
-		nv := make([]float32, grow)
-		copy(nv, b.v[:b.n*rowLen])
-		b.k, b.v = nk, nv
-	}
-	b.k = b.k[:cap(b.k)]
-	b.v = b.v[:cap(b.v)]
-	if cap(b.pos) < rows {
-		grow := 2 * cap(b.pos)
-		if grow < rows {
-			grow = rows
+		cached, err := in.cachedRows(i)
+		if err != nil {
+			return nil, err
 		}
-		np := make([]int, grow)
-		copy(np, b.pos[:b.n])
-		b.pos = np
-	}
-	b.pos = b.pos[:cap(b.pos)]
-}
-
-// seqIDs returns the constant-value sequence-id slice for the first rows
-// rows of the block. It grows by doubling, like ensure, so a decode stream
-// that asks for one more row every step allocates O(log steps) times.
-func (b *seqBlock) seqIDs(val, rows int) []int {
-	if len(b.seqFill) < rows || b.seqFillVal != val {
-		if cap(b.seqFill) < rows {
-			b.seqFill = make([]int, max(rows, 2*cap(b.seqFill)))
-		}
-		b.seqFill = b.seqFill[:cap(b.seqFill)]
-		for i := range b.seqFill {
-			b.seqFill[i] = val
-		}
-		b.seqFillVal = val
-	}
-	return b.seqFill[:rows]
-}
-
-// sync brings the mirror up to date with the kvcache's rows for key. Rows
-// appended since the last sync are fetched incrementally; a mirror that is
-// ahead of the cache (a ring pass failed after an optimistic advance) is
-// rebuilt from scratch. When base >= 0 every newly mirrored row's position
-// must be < base — the partial-prefill overlap check the seed ran over the
-// whole context every chunk, now run once per row over its lifetime (the
-// bound only grows, so previously validated rows stay valid).
-func (bc *BlockCache) sync(cache *kvcache.Cache, key, base, rowLen int) (*seqBlock, error) {
-	b := bc.seqs[key]
-	if b == nil {
-		b = &seqBlock{seqFillVal: -1, maxPos: -1}
-		bc.seqs[key] = b
-	}
-	cacheLen := 0
-	if cache != nil {
-		cacheLen = cache.SeqLen(key)
-	}
-	if b.n > cacheLen {
-		b.n = 0 // mirror ran ahead of a failed pass: rebuild below
-		b.maxPos = -1
-	}
-	if b.n < cacheLen {
-		rebuild := b.n == 0
-		b.ensure(cacheLen, rowLen)
-		// Delta rows land directly in the mirror's backing arrays — no
-		// intermediate tensors on the sweep path.
-		delta := int64(cache.CopyRange(key, b.n, b.k[b.n*rowLen:], b.v[b.n*rowLen:], b.pos[b.n:cacheLen]))
-		for _, cp := range b.pos[b.n:cacheLen] {
-			if cp > b.maxPos {
-				b.maxPos = cp
+		rows := cached
+		for _, p := range qPos[lo:hi] {
+			if p >= 0 {
+				rows++
 			}
 		}
-		b.n = cacheLen
-		if rebuild {
+		total := rows
+		if padTo != nil {
+			if rows > padTo[i] {
+				return nil, fmt.Errorf("ring: rank %d sequence %d has %d KV rows > pad target %d",
+					in.Rank.ID, i, rows, padTo[i])
+			}
+			total = padTo[i]
+		}
+		at := len(bc.pos)
+		bc.k = slices.Grow(bc.k, total*rowLen)[:(at+total)*rowLen]
+		bc.v = slices.Grow(bc.v, total*rowLen)[:(at+total)*rowLen]
+		bc.pos = slices.Grow(bc.pos, total)[:at+total]
+		bc.seq = slices.Grow(bc.seq, total)[:at+total]
+		if cached > 0 {
+			in.Cache.CopyRange(in.seqKey(i), 0, bc.k[at*rowLen:], bc.v[at*rowLen:], bc.pos[at:at+cached])
 			bc.stats.Rebuilds++
-			bc.stats.RebuildRows += delta
-		} else {
+			bc.stats.RebuildRows += int64(cached)
+		}
+		r := at + cached
+		for j := lo; j < hi; j++ {
+			if qPos[j] < 0 {
+				continue
+			}
+			copy(bc.k[r*rowLen:(r+1)*rowLen], in.K.Data[j*rowLen:])
+			copy(bc.v[r*rowLen:(r+1)*rowLen], in.V.Data[j*rowLen:])
+			bc.pos[r] = qPos[j]
+			r++
+		}
+		if fresh := r - at - cached; fresh > 0 {
 			bc.stats.Appends++
-			bc.stats.AppendedRows += delta
+			bc.stats.AppendedRows += int64(fresh)
 		}
-	} else {
-		bc.stats.Reuses++
-	}
-	// The guard runs on every prefill sync over maxPos, which summarizes the
-	// whole mirror — rows that entered through earlier chunks or decode
-	// sweeps included — so its coverage equals the seed's full per-chunk
-	// rescan at O(1) cost. (A chunk's own optimistically advanced rows sit
-	// at positions < base+chunk and are covered by the next chunk's larger
-	// base, exactly as the seed's cached-rows-only scan covered them.)
-	if base >= 0 && b.maxPos >= base {
-		return nil, fmt.Errorf("cached position %d >= prefill base %d", b.maxPos, base)
-	}
-	return b, nil
-}
-
-// advance appends freshly computed rows (a prefill chunk's new tokens) to
-// the mirror ahead of the kvcache: the engine appends exactly these rows to
-// the cache right after the ring pass, so the mirror is already correct for
-// the next chunk. If the pass fails and the cache append never happens, the
-// next sync notices the mirror is ahead and rebuilds. k and v hold len(pos)
-// rows; those whose position is negative (padding) are skipped, as
-// kvcache.Cache.Append skips them.
-func (b *seqBlock) advance(bc *BlockCache, rowLen int, k, v []float32, pos []int) {
-	n := 0
-	for _, p := range pos {
-		if p >= 0 {
-			n++
+		clear(bc.k[r*rowLen:])
+		clear(bc.v[r*rowLen:])
+		for ; r < at+total; r++ {
+			bc.pos[r] = -1
 		}
-	}
-	if n == 0 {
-		return
-	}
-	b.ensure(b.n+n, rowLen)
-	for i, p := range pos {
-		if p < 0 {
-			continue
+		for j := at; j < at+total; j++ {
+			bc.seq[j] = i
 		}
-		copy(b.k[b.n*rowLen:][:rowLen], k[i*rowLen:])
-		copy(b.v[b.n*rowLen:][:rowLen], v[i*rowLen:])
-		b.pos[b.n] = p
-		b.maxPos = max(b.maxPos, p)
-		b.n++
+		lo = hi
 	}
-	bc.stats.Appends++
-	bc.stats.AppendedRows += int64(n)
+	n := len(bc.pos)
+	bc.blkK = tensor.Tensor{Tokens: n, Heads: nkv, Dim: dh, Data: bc.k}
+	bc.blkV = tensor.Tensor{Tokens: n, Heads: nkv, Dim: dh, Data: bc.v}
+	bc.blk = wire.KVBlock{K: &bc.blkK, V: &bc.blkV, Pos: bc.pos, Seq: bc.seq}
+	return &bc.blk, nil
 }
 
-// pad writes padCount zero rows with position -1 after the mirrored rows
-// (not advancing n: padding belongs to this chunk only and is overwritten by
-// the next chunk's real rows).
-func (b *seqBlock) pad(rowLen, padCount int) {
-	if padCount == 0 {
-		return
+// cachedRows returns how many rows batch-plan sequence i has in the cache,
+// after checking that every one of them lies before the prefill base P^i —
+// in O(1), through the cache's running maximum position.
+func (in *PrefillInput) cachedRows(i int) (int, error) {
+	if in.Cache == nil {
+		return 0, nil
 	}
-	b.ensure(b.n+padCount, rowLen)
-	clear(b.k[b.n*rowLen : (b.n+padCount)*rowLen])
-	clear(b.v[b.n*rowLen : (b.n+padCount)*rowLen])
-	for i := 0; i < padCount; i++ {
-		b.pos[b.n+i] = -1
+	key := in.seqKey(i)
+	if mp := in.Cache.MaxPos(key); mp >= in.P[i] {
+		return 0, fmt.Errorf("ring: rank %d sequence %d has cached position %d >= prefill base %d",
+			in.Rank.ID, i, mp, in.P[i])
 	}
-}
-
-// view materializes the first rows rows (mirror plus any padding just
-// written) as zero-copy tensors plus the mask metadata, tagging every row
-// with sequence id seqVal.
-func (b *seqBlock) view(rows, nkv, dh, seqVal int) (k, v *tensor.Tensor, pos, seq []int, err error) {
-	rowLen := nkv * dh
-	k, err = tensor.FromData(rows, nkv, dh, b.k[:rows*rowLen])
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	v, err = tensor.FromData(rows, nkv, dh, b.v[:rows*rowLen])
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return k, v, b.pos[:rows], b.seqIDs(seqVal, rows), nil
-}
-
-// kv returns the mirrored rows as tensors for a decode sweep. Unlike view's,
-// the headers are the block's own, rewritten on every call: decode keeps KV
-// stationary, so they never reach a peer, and the sweep needs neither the
-// position nor the sequence-id metadata (attention.DecodeInto takes the rows
-// as one admitted interval).
-func (b *seqBlock) kv(nkv, dh int) (k, v *tensor.Tensor) {
-	rowLen := nkv * dh
-	b.kT = tensor.Tensor{Tokens: b.n, Heads: nkv, Dim: dh, Data: b.k[:b.n*rowLen]}
-	b.vT = tensor.Tensor{Tokens: b.n, Heads: nkv, Dim: dh, Data: b.v[:b.n*rowLen]}
-	return &b.kT, &b.vT
+	return in.Cache.SeqLen(key), nil
 }

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,14 +14,15 @@ import (
 )
 
 // chunkedHarness drives a chunked single-sequence prefill twice — once with
-// persistent per-rank BlockCaches, once with the transient rebuild path —
-// and hands both outputs plus the persistent caches' stats to the caller.
+// persistent per-rank BlockCaches, once with a buffer allocated per call —
+// and hands both outputs plus the persistent caches' stats after every chunk
+// to the caller.
 type chunkedHarness struct {
 	n, chunk, chunks int
 	variant          prefillFn
 }
 
-func (ch chunkedHarness) run(t *testing.T, withBlocks bool) ([]*attention.Output, []*BlockCache, []BlockCacheStats) {
+func (ch chunkedHarness) run(t *testing.T, withBlocks bool) ([]*attention.Output, []BlockCacheStats) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	world := comm.NewWorld(ch.n)
@@ -59,13 +61,10 @@ func (ch chunkedHarness) run(t *testing.T, withBlocks bool) ([]*attention.Output
 			t.Fatal(err)
 		}
 		locals := make([]*tensor.Tensor, ch.n)
-		lses := make([]*attention.Output, ch.n)
 		for r, o := range chunkOuts {
 			locals[r] = o.O
-			lses[r] = o
 		}
-		_ = lses
-		outs = append(outs, &attention.Output{O: plan.Unshard(locals), LSE: nil})
+		outs = append(outs, &attention.Output{O: plan.Unshard(locals)})
 		for r := 0; r < ch.n; r++ {
 			if err := AppendLocalKV(caches[r], plan, r, []int{p}, nil, plan.Shard(fk, r), plan.Shard(fv, r)); err != nil {
 				t.Fatal(err)
@@ -80,13 +79,17 @@ func (ch chunkedHarness) run(t *testing.T, withBlocks bool) ([]*attention.Output
 			perChunk = append(perChunk, agg)
 		}
 	}
-	return outs, blocks, perChunk
+	return outs, perChunk
 }
 
-// Chunked prefill with a persistent BlockCache must copy only each chunk's
-// new rows — never re-gather the cached context — and must produce exactly
-// the same attention outputs as the rebuild-every-chunk path.
-func TestBlockCacheChunkedPrefillCopiesOnlyNewRows(t *testing.T) {
+// The kvcache is the only per-sequence KV store, so a chunked prefill copies
+// exactly the KV rows it ships and no others: pass-KV and all-gather copy, on
+// each chunk, every cached row (from the cache, once per rank) and every new
+// row into the block they send — the whole context so far, the rows Table 2
+// sends — while pass-Q, whose KV stays put, copies none and attends one
+// in-place segment per rank. The outputs equal the per-call buffer's bit for
+// bit.
+func TestChunkedPrefillCopiesOnlyShippedRows(t *testing.T) {
 	for name, variant := range map[string]prefillFn{
 		"pass-kv":    PassKVPrefill,
 		"pass-q":     PassQPrefill,
@@ -94,153 +97,100 @@ func TestBlockCacheChunkedPrefillCopiesOnlyNewRows(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			ch := chunkedHarness{n: 2, chunk: 8, chunks: 4, variant: variant}
-			warm, _, stats := ch.run(t, true)
-			cold, _, _ := ch.run(t, false)
+			warm, stats := ch.run(t, true)
+			cold, _ := ch.run(t, false)
 			for i := range warm {
 				if d := tensor.MaxAbsDiff(warm[i].O, cold[i].O); d != 0 {
-					t.Fatalf("chunk %d: block-cache path differs from rebuild path by %v", i, d)
+					t.Fatalf("chunk %d: the layer's buffer differs from a per-call one by %v", i, d)
 				}
 			}
-			final := stats[len(stats)-1]
-			if final.RebuildRows != 0 || final.Rebuilds != 0 {
-				t.Fatalf("chunked prefill rebuilt the mirror: %+v", final)
-			}
-			// Every chunk's new rows are copied once into the mirror (the
-			// chunk advance) across the ranks; the cached prefix is never
-			// re-copied, so the total is linear in tokens, not quadratic.
-			total := int64(ch.chunk * ch.chunks)
-			if final.AppendedRows != total {
-				t.Fatalf("appended %d rows, want exactly %d (chunk size x chunks)", final.AppendedRows, total)
-			}
-			// Per-chunk deltas stay flat at the chunk size — the signature
-			// of the zero-rebuild hot path (the seed re-copied the whole
-			// growing context each chunk).
-			for i := 1; i < len(stats); i++ {
-				delta := stats[i].AppendedRows - stats[i-1].AppendedRows
-				if delta != int64(ch.chunk) {
-					t.Fatalf("chunk %d copied %d rows, want %d", i, delta, ch.chunk)
+			ships := name != "pass-q"
+			var prev BlockCacheStats
+			for i, s := range stats {
+				want := BlockCacheStats{Reuses: int64(ch.n)}
+				if ships {
+					want = BlockCacheStats{Appends: int64(ch.n), AppendedRows: int64(ch.chunk)}
+					if i > 0 {
+						// Both ranks hold half of every earlier chunk.
+						want.Rebuilds, want.RebuildRows = int64(ch.n), int64(i*ch.chunk)
+					}
 				}
-			}
-			if final.Reuses == 0 {
-				t.Fatal("no mirror reuses recorded across chunks")
+				got := BlockCacheStats{
+					Rebuilds: s.Rebuilds - prev.Rebuilds, RebuildRows: s.RebuildRows - prev.RebuildRows,
+					Appends: s.Appends - prev.Appends, AppendedRows: s.AppendedRows - prev.AppendedRows,
+					Reuses: s.Reuses - prev.Reuses,
+				}
+				if got != want {
+					t.Fatalf("chunk %d copied %+v, want %+v", i, got, want)
+				}
+				prev = s
 			}
 		})
 	}
 }
 
-// A mirror that ran ahead of a failed ring pass (rows advanced but never
-// appended to the kvcache) must rebuild instead of serving stale rows.
-func TestBlockCacheAheadMirrorRebuilds(t *testing.T) {
+// stalePrefill runs a two-token prefill of variant over one rank whose cache
+// holds cache's rows, with prefill base p.
+func stalePrefill(run prefillFn, cache *kvcache.Cache, p int) error {
+	plan, _ := sharding.NewBatchShard([]int{2}, 1)
+	rng := rand.New(rand.NewSource(6))
+	_, err := run(&PrefillInput{
+		Rank: newTestWorld(1).Rank(0), Plan: plan, P: []int{p},
+		Q: tensor.RandN(rng, 2, nh, dh), K: tensor.RandN(rng, 2, nkv, dh), V: tensor.RandN(rng, 2, nkv, dh),
+		Cache: cache, Blocks: NewBlockCache(), Elem: elem,
+	})
+	return err
+}
+
+// newStaleCache returns a one-sequence cache holding rows at positions.
+func newStaleCache(t *testing.T, rng *rand.Rand, positions []int) *kvcache.Cache {
+	t.Helper()
 	cache, err := kvcache.New(kvcache.Config{KVHeads: nkv, HeadDim: dh, PageSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	k1 := tensor.RandN(rng, 3, nkv, dh)
-	v1 := tensor.RandN(rng, 3, nkv, dh)
-	if err := cache.Append(0, k1, v1, []int{0, 1, 2}); err != nil {
+	n := len(positions)
+	if err := cache.Append(0, tensor.RandN(rng, n, nkv, dh), tensor.RandN(rng, n, nkv, dh), positions); err != nil {
 		t.Fatal(err)
 	}
-	bc := NewBlockCache()
-	b, err := bc.sync(cache, 0, -1, nkv*dh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Optimistically advance with a row the cache never receives.
-	ghostK := tensor.RandN(rng, 1, nkv, dh)
-	ghostV := tensor.RandN(rng, 1, nkv, dh)
-	b.advance(bc, nkv*dh, ghostK.Data, ghostV.Data, []int{3})
-	if b.n != 4 {
-		t.Fatalf("mirror rows %d, want 4", b.n)
-	}
-	b2, err := bc.sync(cache, 0, -1, nkv*dh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2.n != 3 {
-		t.Fatalf("mirror rows after resync %d, want 3", b2.n)
-	}
-	// Two rebuilds total: the initial mirror build plus the recovery after
-	// the mirror ran ahead.
-	if bc.Stats().Rebuilds != 2 {
-		t.Fatalf("expected initial + recovery rebuilds, stats %+v", bc.Stats())
-	}
-	k, _, pos, _, err := b2.view(b2.n, nkv, dh, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.MaxAbsDiff(k, k1); d != 0 {
-		t.Fatalf("rebuilt mirror differs from cache by %v", d)
-	}
-	if len(pos) != 3 || pos[2] != 2 {
-		t.Fatalf("rebuilt positions %v", pos)
-	}
+	return cache
 }
 
-// sync must reject newly mirrored rows at or past the prefill base — the
-// same stale-span guard the seed ran over the whole context every chunk.
+var staleVariants = map[string]prefillFn{"pass-kv": PassKVPrefill, "pass-q": PassQPrefill, "all-gather": AllGatherPrefill}
+
+// A cached row at or past the prefill base — a stale or adopted span that
+// overlaps the new range — would duplicate positions and silently corrupt
+// causality, so every variant rejects it before attending. The guard reads
+// the cache's running maximum position.
 func TestBlockCacheSyncValidatesPositions(t *testing.T) {
-	cache, err := kvcache.New(kvcache.Config{KVHeads: nkv, HeadDim: dh, PageSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	if err := cache.Append(0, tensor.RandN(rng, 2, nkv, dh), tensor.RandN(rng, 2, nkv, dh), []int{0, 5}); err != nil {
-		t.Fatal(err)
-	}
-	bc := NewBlockCache()
-	if _, err := bc.sync(cache, 0, 3, nkv*dh); err == nil {
-		t.Fatal("cached position 5 >= base 3 accepted")
+	cache := newStaleCache(t, rand.New(rand.NewSource(4)), []int{0, 5})
+	for name, run := range staleVariants {
+		if err := stalePrefill(run, cache, 3); err == nil || !strings.Contains(err.Error(), "prefill base") {
+			t.Fatalf("%s: cached position 5 >= base 3: err = %v", name, err)
+		}
 	}
 }
 
-// Rows that entered the mirror through an unvalidated path (a decode sweep
-// syncs with no base) must still trip the stale-span guard on a later
-// prefill sync: the maxPos summary covers the whole mirror, not just the
-// rows fetched by the current call.
+// A decode step appends without any base to check against, yet the rows it
+// adds must still trip a later prefill's guard: the cache's maximum position
+// covers every row that ever entered the sequence, and a base above all of
+// them is accepted.
 func TestBlockCacheGuardCoversPreviouslyMirroredRows(t *testing.T) {
-	cache, err := kvcache.New(kvcache.Config{KVHeads: nkv, HeadDim: dh, PageSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(5))
-	if err := cache.Append(0, tensor.RandN(rng, 2, nkv, dh), tensor.RandN(rng, 2, nkv, dh), []int{0, 5}); err != nil {
+	cache := newStaleCache(t, rng, []int{0, 1, 2})
+	if _, err := PassQDecode(&DecodeInput{
+		Rank: newTestWorld(1).Rank(0), NumSeqs: 1, Owned: []DecodeToken{{Seq: 0, Pos: 3}},
+		Q: tensor.RandN(rng, 1, nh, dh), K: tensor.RandN(rng, 1, nkv, dh), V: tensor.RandN(rng, 1, nkv, dh),
+		Cache: cache, Elem: elem,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	bc := NewBlockCache()
-	// Decode-style sync: no base, rows mirror unvalidated.
-	if _, err := bc.sync(cache, 0, -1, nkv*dh); err != nil {
-		t.Fatal(err)
-	}
-	// Later prefill sync reuses the mirror (no new rows) but must still
-	// reject the overlap.
-	if _, err := bc.sync(cache, 0, 3, nkv*dh); err == nil {
-		t.Fatal("mirrored position 5 >= base 3 accepted on the reuse path")
-	}
-}
-
-// A decode stream views its block with one more row every step; the
-// sequence-id fill must grow geometrically, not re-allocate per step.
-func TestSeqBlockViewGrowsSeqIDsGeometrically(t *testing.T) {
-	const steps = 1024
-	b := &seqBlock{seqFillVal: -1, maxPos: -1}
-	b.ensure(steps, nkv*dh)
-	reallocs := 0
-	var backing *int
-	for rows := 1; rows <= steps; rows++ {
-		_, _, _, seq, err := b.view(rows, nkv, dh, 3)
-		if err != nil {
-			t.Fatal(err)
+	for name, run := range staleVariants {
+		if err := stalePrefill(run, cache, 3); err == nil || !strings.Contains(err.Error(), "prefill base") {
+			t.Fatalf("%s: decoded position 3 >= base 3: err = %v", name, err)
 		}
-		if len(seq) != rows || seq[0] != 3 || seq[rows-1] != 3 {
-			t.Fatalf("view(%d): seq ids %v", rows, seq)
+		if err := stalePrefill(run, cache, 4); err != nil {
+			t.Fatalf("%s: every cached row below base 4 rejected: %v", name, err)
 		}
-		if &seq[0] != backing {
-			backing = &seq[0]
-			reallocs++
-		}
-	}
-	if reallocs > 11 { // log2(1024) doublings plus the first allocation
-		t.Fatalf("%d successive views re-allocated the sequence ids %d times", steps, reallocs)
 	}
 }

@@ -15,7 +15,8 @@ import (
 // costs a fraction of a millisecond of arithmetic per rank, so what it
 // allocates and whom it wakes is most of what it costs: the sweep therefore
 // runs out of a caller-owned DecodeScratch, reused every layer of every step,
-// and attends through attention.DecodeInto, which needs no mask compile.
+// and attends through attention.DecodeKVInto, which needs no mask compile and
+// reads the cache's pages in place: decode copies no KV.
 //
 // The arena's lifetime rule. On the in-process transport payloads circulate
 // by pointer, so two of the scratch's buffers are read by peers:
@@ -61,11 +62,10 @@ type DecodeInput struct {
 	// All three are copied out before any peer is involved, so the caller
 	// may reuse them as soon as PassQDecode returns.
 	Q, K, V *tensor.Tensor
-	Cache   *kvcache.Cache // this rank's shard of every sequence's KV
-	// Blocks caches each sequence's assembled contiguous KV across decode
-	// steps (and across the prefill that preceded them), so a sweep reads a
-	// zero-copy view extended by at most one row instead of re-gathering the
-	// whole paged context per visiting query. Nil rebuilds per call.
+	Cache   *kvcache.Cache // this rank's shard of every sequence's KV, attended in place
+	// Deprecated: decode reads the cache's pages in place and copies no KV,
+	// so Blocks is ignored. It is kept for benchmark/ until harness v2
+	// (ROADMAP item 1) stops setting it.
 	Blocks *BlockCache
 	// Scratch is the rank's decode arena (one per rank, shared by its
 	// layers); see the lifetime rule at the top of this file. The returned
@@ -172,6 +172,7 @@ type DecodeScratch struct {
 	outO       tensor.Tensor
 	kRow, vRow tensor.Tensor // one-row views handed to Cache.Append
 	rowPos     [1]int
+	runs       []attention.Run // a visiting row's sequence, as the cache's pages
 }
 
 func (s *DecodeScratch) fit(n, bl, heads, dim int) {
@@ -217,10 +218,6 @@ func PassQDecode(in *DecodeInput) (*attention.Output, error) {
 	}
 	next := (in.Rank.ID + 1) % n
 	prev := (in.Rank.ID - 1 + n) % n
-	blocks := in.Blocks
-	if blocks == nil {
-		blocks = NewBlockCache()
-	}
 	src := in.Rank.ID
 	for j := 0; j < n; j++ {
 		// Decode sweeps double-buffer too: the next visiting query block is
@@ -232,7 +229,7 @@ func PassQDecode(in *DecodeInput) (*attention.Output, error) {
 		}
 		in.Trace.Comm(t0)
 		t0 = in.Trace.Clock()
-		if err := decodeBlockAttention(in.Cache, blocks, cur, s.tail.partials[src]); err != nil {
+		if err := decodeBlockAttention(in.Cache, s, cur, s.tail.partials[src]); err != nil {
 			xfer.drain()
 			return nil, err
 		}
@@ -269,38 +266,33 @@ func PassQDecode(in *DecodeInput) (*attention.Output, error) {
 // KV shard into out, the partial for the block's source rank: row r attends
 // to the local cache of sequence seq[r] under the causal position bound
 // pos[r]. Padding rows and rows whose sequence has no KV here stay identity.
-// Each sequence's KV comes from its assembled-block mirror (extended by at
-// most the rows appended since the last sweep). A decode query sits at or
-// past every cached row of its sequence, which the mirror's running maximum
-// position confirms in O(1); the row then goes to the kernel as one admitted
-// interval and is written in place. A mirror holding a later position (only
-// hand-built inputs do) takes the general masked kernel.
-func decodeBlockAttention(cache *kvcache.Cache, blocks *BlockCache, blk *wire.QBlock, out *attention.Output) error {
+// Each sequence's KV is read in place, as the cache's pages (s.runs holds
+// their list). A decode query sits at or past every cached row of its
+// sequence, which the cache's running maximum position confirms in O(1); the
+// row then goes to the kernel with every row admitted and is written in
+// place. A cache holding a later position (only hand-built inputs do) takes
+// the general masked kernel.
+func decodeBlockAttention(cache *kvcache.Cache, s *DecodeScratch, blk *wire.QBlock, out *attention.Output) error {
 	if blk.Q.Tokens != out.O.Tokens || len(blk.Pos) != blk.Q.Tokens || len(blk.Seq) != blk.Q.Tokens {
 		return fmt.Errorf("ring: visiting query block has %d rows (%d/%d ids), this sweep's block %d",
 			blk.Q.Tokens, len(blk.Pos), len(blk.Seq), out.O.Tokens)
 	}
 	out.Reset()
-	nkv, dh := cache.KVHeads(), cache.HeadDim()
+	defer func() { s.runs = forgetRuns(s.runs) }()
 	for r := 0; r < blk.Q.Tokens; r++ {
-		if blk.Seq[r] < 0 {
+		seq := blk.Seq[r]
+		if seq < 0 || cache.SeqLen(seq) == 0 {
 			continue
 		}
-		b, err := blocks.sync(cache, blk.Seq[r], -1, nkv*dh)
-		if err != nil {
-			return err
-		}
-		if b.n == 0 {
-			continue
-		}
-		if b.maxPos <= blk.Pos[r] {
-			k, v := b.kv(nkv, dh)
-			if err := attention.DecodeInto(out, blk.Q, k, v, r, b.n); err != nil {
+		s.runs = cache.Runs(s.runs[:0], seq)
+		kv := attention.KV{Heads: cache.KVHeads(), Dim: cache.HeadDim(), Runs: s.runs}
+		if cache.MaxPos(seq) <= blk.Pos[r] {
+			if err := attention.DecodeKVInto(out, blk.Q, kv, r); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := maskedRow(out, blk, r, b, nkv, dh); err != nil {
+		if err := maskedRow(out, blk, r, kv, cache.Positions(nil, seq)); err != nil {
 			return err
 		}
 	}
@@ -308,11 +300,12 @@ func decodeBlockAttention(cache *kvcache.Cache, blocks *BlockCache, blk *wire.QB
 }
 
 // maskedRow is decodeBlockAttention's general path for one row: the full
-// position/sequence mask over the mirror, through GQAInto and a one-row copy.
-func maskedRow(out *attention.Output, blk *wire.QBlock, r int, b *seqBlock, nkv, dh int) error {
-	k, v, kpos, kseq, err := b.view(b.n, nkv, dh, blk.Seq[r])
-	if err != nil {
-		return err
+// position/sequence mask over the row's KV, through GQAKVInto and a one-row
+// copy.
+func maskedRow(out *attention.Output, blk *wire.QBlock, r int, kv attention.KV, kpos []int) error {
+	kseq := make([]int, len(kpos))
+	for i := range kseq {
+		kseq[i] = blk.Seq[r]
 	}
 	qRowLen := blk.Q.Heads * blk.Q.Dim
 	qRow, err := tensor.FromData(1, blk.Q.Heads, blk.Q.Dim, blk.Q.Data[r*qRowLen:(r+1)*qRowLen])
@@ -320,7 +313,7 @@ func maskedRow(out *attention.Output, blk *wire.QBlock, r int, b *seqBlock, nkv,
 		return err
 	}
 	rowOut := attention.NewOutput(1, blk.Q.Heads, blk.Q.Dim)
-	if err := attention.GQAInto(rowOut, qRow, k, v, attention.Mask{
+	if err := attention.GQAKVInto(rowOut, qRow, kv, attention.Mask{
 		QPos: blk.Pos[r : r+1], QSeq: blk.Seq[r : r+1], KVPos: kpos, KVSeq: kseq,
 	}); err != nil {
 		return err

@@ -45,9 +45,8 @@ import (
 //     s's next block arrives, after s's Merge has returned.
 //   - Pass-KV. A KV block is forwarded N−1 hops, so a rank can start layer
 //     l+1 while the last peer is still reading its layer-l block. The
-//     circulating block — the mirror view of a single sequence, or the fused
-//     concatenation of several — therefore belongs to its layer: it lives in
-//     the layer's BlockCache and is rewritten only by the next command's pass
+//     circulating block therefore belongs to its layer: it lives in the
+//     layer's BlockCache and is rewritten only by the next command's pass
 //     over that layer, after the plane has joined every rank. (The next
 //     layer's segment-length AllGather happens to hold a rank back until
 //     every peer is done with the layer too; the rule does not lean on it.)
@@ -58,8 +57,10 @@ import (
 //     rule holds trivially.
 //
 // The engine's Q/K/V rows are free for the next layer once the layer's pass
-// and AppendLocalKV have returned: pass-KV never sends them (localKV copies
-// K/V into the mirror), and pass-Q's Q is covered by the rule above.
+// and AppendLocalKV have returned: pass-KV never sends them (shippedKV copies
+// K/V into the layer's block), pass-Q reads its K/V only on its own rank, and
+// pass-Q's Q is covered by the rule above. Stationary KV — the cache's pages
+// that pass-Q and decode attend in place — never leaves the rank.
 
 // metaBytes is the accounted overhead for per-token metadata (position and
 // sequence/batch ids) attached to a circulating message.
@@ -75,10 +76,10 @@ type PrefillInput struct {
 	// must be zero rows (sharding.BatchShard.Shard produces them).
 	Q, K, V *tensor.Tensor
 	Cache   *kvcache.Cache // persistent KV from earlier turns; may be nil
-	// Blocks caches the assembled per-sequence KV segments across a
-	// prefill's chunks (one BlockCache per rank per layer, owned by the rank
-	// goroutine). Nil falls back to rebuilding the block from Cache on every
-	// call, the seed engine's cost profile.
+	// Blocks is the layer's send buffer, where pass-KV and all-gather
+	// assemble the block they ship (one BlockCache per rank per layer, owned
+	// by the rank goroutine), and the counters of that copy. Nil assembles
+	// into a buffer allocated per call.
 	Blocks *BlockCache
 	Elem   float64 // accounted bytes per element (e in the paper)
 	// SeqIDs maps each batch-plan sequence index to its persistent cache
@@ -107,16 +108,19 @@ type PrefillInput struct {
 }
 
 // PrefillScratch is one rank's prefill arena: the query-side mask, pass-KV's
-// running merge and per-step partial, and pass-Q's circulating query block,
-// per-source partials and merge tail, plus the queries and output rows Rows
-// selects. The zero value is ready to use; the buffers grow to the largest
-// chunk seen, except pass-Q's tail, which is cut anew whenever the shape
-// changes (mergeScratch.fit says why).
+// running merge and per-step partial, pass-Q's circulating query block,
+// per-source partials and merge tail, and its stationary KV's run list and
+// mask, plus the queries and output rows Rows selects. The zero value is
+// ready to use; the buffers grow to the largest chunk seen, except pass-Q's
+// tail, which is cut anew whenever the shape changes (mergeScratch.fit says
+// why).
 type PrefillScratch struct {
 	qPos           []int
 	out, partial   attention.Output
 	qblk           wire.QBlock
 	tail           mergeScratch
+	runs           []attention.Run
+	kvPos, kvSeq   []int
 	q              tensor.Tensor
 	selPos, selSeq []int
 	picked         attention.Output
@@ -236,74 +240,55 @@ func oBlockBytes(b *wire.OBlock, elem float64) float64 {
 	return b.Out.O.Bytes(elem) + float64(len(b.Out.LSE))*elem
 }
 
-// localKV assembles this rank's stationary/initial KV block: for every
-// sequence, the cached rows followed by the rank's new non-padding rows,
-// padded to the agreed per-sequence length L_i (Algorithm 2's
-// concat_i(pad(P_k^i + T_k^i, L_i))). padTo[i] < 0 means "no padding".
-//
-// With a persistent Blocks cache the call is incremental: the cached-context
-// prefix lives in the sequence's mirror from earlier chunks, so only this
-// chunk's new rows (and padding) are written — no O(context) re-gather. For
-// a single-sequence plan the returned block is a zero-copy view of the
-// mirror; fused multi-sequence plans concatenate the per-sequence segments
-// into the layer's fused buffer. Either way the block is the BlockCache's
-// (see the lifetime rule at the top of this file). qPos is the query mask's
-// position list, which is also where each new row goes.
-func (in *PrefillInput) localKV(qPos, padTo []int) (*wire.KVBlock, error) {
-	nkv, dh := in.K.Heads, in.K.Dim
-	rowLen := nkv * dh
-	blocks := in.Blocks
-	if blocks == nil {
-		// Transient mirror: rebuilt from Cache on every call, matching the
-		// seed path for direct ring users that keep no cluster state.
-		blocks = NewBlockCache()
-	}
+// stationaryKV is pass-Q's KV, attended in place: per sequence, the cache's
+// pages followed by this chunk's new rows (padding slots included, masked by
+// position -1), in the order the shipped block would hold them. Only the
+// mask's position and sequence-id lists are built, into s: O(rows) integers
+// and no KV row copied.
+func (in *PrefillInput) stationaryKV(s *PrefillScratch, qPos []int) (kv attention.KV, pos, seq []int, err error) {
+	rowLen := in.K.Heads * in.K.Dim
+	s.runs, s.kvPos, s.kvSeq = s.runs[:0], s.kvPos[:0], s.kvSeq[:0]
 	ls := in.Plan.LocalSeqs(in.Rank.ID)
-	single := len(in.Plan.SeqLens) == 1
-	fused := blocks.fused.reset()
 	lo := 0 // a plan lists each sequence's slots as one run, in order
 	for i := range in.Plan.SeqLens {
 		hi := lo
 		for hi < len(ls) && ls[hi] == i {
 			hi++
 		}
-		// Mirror the cached context. A cached row at or past P^i (a stale or
-		// adopted span that overlaps the new range) would duplicate
-		// positions and silently corrupt causality; sync rejects it.
-		b, err := blocks.sync(in.Cache, in.seqKey(i), in.P[i], rowLen)
+		cached, err := in.cachedRows(i)
 		if err != nil {
-			return nil, fmt.Errorf("ring: rank %d sequence %d has %w", in.Rank.ID, i, err)
+			return attention.KV{}, nil, nil, err
 		}
-		// Append this chunk's new rows (plan order, padding slots skipped)
-		// ahead of the kvcache; the engine persists the same rows right
-		// after the ring pass.
-		b.advance(blocks, rowLen, in.K.Data[lo*rowLen:hi*rowLen], in.V.Data[lo*rowLen:hi*rowLen], qPos[lo:hi])
+		if cached > 0 {
+			s.runs = in.Cache.Runs(s.runs, in.seqKey(i))
+			s.kvPos = in.Cache.Positions(s.kvPos, in.seqKey(i))
+		}
+		s.runs = append(s.runs, attention.Run{K: in.K.Data[lo*rowLen : hi*rowLen], V: in.V.Data[lo*rowLen : hi*rowLen], Rows: hi - lo})
+		s.kvPos = append(s.kvPos, qPos[lo:hi]...)
+		for len(s.kvSeq) < len(s.kvPos) {
+			s.kvSeq = append(s.kvSeq, i)
+		}
+		if in.Blocks != nil {
+			in.Blocks.stats.Reuses++
+		}
 		lo = hi
-		segTokens := b.n
-		padCount := 0
-		if padTo != nil && padTo[i] >= 0 {
-			if segTokens > padTo[i] {
-				return nil, fmt.Errorf("ring: rank %d sequence %d has %d KV rows > pad target %d",
-					in.Rank.ID, i, segTokens, padTo[i])
-			}
-			padCount = padTo[i] - segTokens
-			b.pad(rowLen, padCount)
-		}
-		total := segTokens + padCount
-		if total == 0 {
-			continue
-		}
-		if single {
-			return blocks.circulate(b.k[:total*rowLen], b.v[:total*rowLen], b.pos[:total], b.seqIDs(i, total), nkv, dh), nil
-		}
-		fused.k = append(fused.k, b.k[:total*rowLen]...)
-		fused.v = append(fused.v, b.v[:total*rowLen]...)
-		fused.pos = append(fused.pos, b.pos[:total]...)
-		for range total {
-			fused.seq = append(fused.seq, i)
-		}
 	}
-	return blocks.circulate(fused.k, fused.v, fused.pos, fused.seq, nkv, dh), nil
+	return attention.KV{Heads: in.K.Heads, Dim: in.K.Dim, Runs: s.runs}, s.kvPos, s.kvSeq, nil
+}
+
+// forgetRuns clears every entry of an arena's run list, up to its capacity,
+// and returns it emptied: an idle arena must not keep a dropped sequence's
+// pages, or a peer's replaced buffer, reachable.
+func forgetRuns(runs []attention.Run) []attention.Run {
+	clear(runs[:cap(runs)])
+	return runs[:0]
+}
+
+// blockKV is the one-run operand over a shipped KV block, its run list kept
+// in s.
+func (s *PrefillScratch) blockKV(b *wire.KVBlock) attention.KV {
+	s.runs = append(s.runs[:0], attention.Run{K: b.K.Data, V: b.V.Data, Rows: b.K.Tokens})
+	return attention.KV{Heads: b.K.Heads, Dim: b.K.Dim, Runs: s.runs}
 }
 
 // agreeSegmentLengths computes L_i = max_j(P_j^i + T_j^i) for every sequence
@@ -359,8 +344,9 @@ func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 		return nil, err
 	}
 	s := in.scratch()
+	defer func() { s.runs = forgetRuns(s.runs) }()
 	qPos, qSeq := in.qMask(s)
-	cur, err := in.localKV(qPos, segLens)
+	cur, err := in.shippedKV(qPos, segLens)
 	if err != nil {
 		return nil, err
 	}
@@ -384,7 +370,7 @@ func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 		}
 		in.Trace.Comm(t0)
 		t0 = in.Trace.Clock()
-		if err := attention.GQAInto(partial, q, cur.K, cur.V, attention.Mask{
+		if err := attention.GQAKVInto(partial, q, s.blockKV(cur), attention.Mask{
 			QPos: qPos, QSeq: qSeq, KVPos: cur.Pos, KVSeq: cur.Seq,
 		}); err != nil {
 			xfer.drain()
@@ -420,8 +406,9 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 	}
 	n := in.Rank.N()
 	s := in.scratch()
+	defer func() { s.runs = forgetRuns(s.runs) }()
 	qPos, qSeq := in.qMask(s)
-	kv, err := in.localKV(qPos, nil) // stationary KV needs no cross-rank padding
+	kv, kvPos, kvSeq, err := in.stationaryKV(s, qPos) // stationary KV needs no cross-rank padding
 	if err != nil {
 		return nil, err
 	}
@@ -442,8 +429,8 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 		}
 		in.Trace.Comm(t0)
 		t0 = in.Trace.Clock()
-		if err := attention.GQAInto(tail.partials[src], cur.Q, kv.K, kv.V, attention.Mask{
-			QPos: cur.Pos, QSeq: cur.Seq, KVPos: kv.Pos, KVSeq: kv.Seq,
+		if err := attention.GQAKVInto(tail.partials[src], cur.Q, kv, attention.Mask{
+			QPos: cur.Pos, QSeq: cur.Seq, KVPos: kvPos, KVSeq: kvSeq,
 		}); err != nil {
 			xfer.drain()
 			return nil, err
@@ -501,15 +488,17 @@ func all2allMerge(rank *comm.Rank, m *mergeScratch, elem float64, tr *trace.Swee
 
 // AllGatherPrefill is the ablation baseline (§3.5.2): every rank gathers all
 // KV up front, then computes local attention in one shot. Same result as the
-// ring variants, but the gather sits on the critical path. Returns the local
+// ring variants, but the gather sits on the critical path. The gathered
+// blocks are attended where they arrived, one run each. Returns the local
 // output in plan order, or its Rows.
 func AllGatherPrefill(in *PrefillInput) (*attention.Output, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
 	s := in.scratch()
+	defer func() { s.runs = forgetRuns(s.runs) }()
 	qPos, qSeq := in.qMask(s)
-	local, err := in.localKV(qPos, nil)
+	local, err := in.shippedKV(qPos, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -517,30 +506,19 @@ func AllGatherPrefill(in *PrefillInput) (*attention.Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	ks := make([]*tensor.Tensor, 0, len(gathered))
-	vs := make([]*tensor.Tensor, 0, len(gathered))
-	var pos, seq []int
+	s.runs, s.kvPos, s.kvSeq = s.runs[:0], s.kvPos[:0], s.kvSeq[:0]
 	for _, g := range gathered {
 		blk, ok := g.(*wire.KVBlock)
 		if !ok {
 			return nil, fmt.Errorf("ring: rank %d gathered non-KV payload", in.Rank.ID)
 		}
-		if blk.K.Tokens == 0 {
-			continue
-		}
-		ks = append(ks, blk.K)
-		vs = append(vs, blk.V)
-		pos = append(pos, blk.Pos...)
-		seq = append(seq, blk.Seq...)
+		s.runs = append(s.runs, attention.Run{K: blk.K.Data, V: blk.V.Data, Rows: blk.K.Tokens})
+		s.kvPos = append(s.kvPos, blk.Pos...)
+		s.kvSeq = append(s.kvSeq, blk.Seq...)
 	}
-	k := tensor.Concat(ks...)
-	v := tensor.Concat(vs...)
-	if k.Tokens == 0 {
-		k = tensor.New(0, in.K.Heads, in.K.Dim)
-		v = tensor.New(0, in.K.Heads, in.K.Dim)
-	}
-	out, err := attention.GQA(in.Q, k, v, attention.Mask{QPos: qPos, QSeq: qSeq, KVPos: pos, KVSeq: seq})
-	if err != nil {
+	out := s.out.Fit(in.Q.Tokens, in.Q.Heads, in.Q.Dim)
+	kv := attention.KV{Heads: in.K.Heads, Dim: in.K.Dim, Runs: s.runs}
+	if err := attention.GQAKVInto(out, in.Q, kv, attention.Mask{QPos: qPos, QSeq: qSeq, KVPos: s.kvPos, KVSeq: s.kvSeq}); err != nil {
 		return nil, err
 	}
 	return in.pick(s, out), nil

@@ -244,9 +244,9 @@ type statsResponse struct {
 	PrefixCache   *prefixcache.Stats `json:"prefix_cache,omitempty"` // nil when disabled
 	// Kernel parallelism and per-sweep KV-assembly copy counters: Kernel
 	// groups the shared worker pool, the forward-pass matmul sweeps, and
-	// the ring communication/compute overlap; KVAssembly shows that chunked
-	// prefill and batched decode extend cached KV mirrors instead of
-	// re-concatenating the context.
+	// the ring communication/compute overlap; KVAssembly shows that KV is
+	// copied only into the blocks pass-KV ships, while pass-Q and decode
+	// read the cache in place.
 	Kernel     kernelBlock          `json:"kernel"`
 	KVAssembly ring.BlockCacheStats `json:"kv_assembly"`
 	// Comm breaks communication down by collective kind and directed link

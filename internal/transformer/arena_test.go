@@ -2,11 +2,13 @@ package transformer
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/parallel"
 )
 
 // arenaPrompt is session s's deterministic prompt: lengths differ so the
@@ -347,15 +349,17 @@ func TestPrefillArenaMatchesPerCallAndFreshClusters(t *testing.T) {
 // A warm prefill command allocates what it keeps and next to nothing else: a
 // 512-token bench-gqa8 chunk into a fresh sequence on two ranks over the
 // mailbox plane, with no recorder, the sequence dropped after it. What it
-// keeps is the caller's logits (2 KiB a token) and the KV: 384 of its
-// objects are the cache's pages, six objects each. Measured at 3.18 KiB a
-// token and 577 objects (14.09 KiB and 1056 before the prefill arena); the
-// budgets leave 18 % and 14 % headroom.
+// keeps is the caller's logits (2 KiB a token) and the KV, in the cache's
+// pages alone, which each layer's append on each rank cuts from four
+// allocations (K, V, positions, page headers): 16 of its objects. Measured at
+// 2.64–2.67 KiB a token and 192 objects (3.18 KiB and 577 with the
+// per-sequence KV mirror and six objects a page, 14.09 KiB and 1056 before
+// the prefill arena); the budgets leave 18 % and 14 % headroom.
 func TestPrefillAllocationBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop entries at random")
 	}
-	const ranks, chunk, kibPerTok, objsPerChunk = 2, 512, 3.75, 660
+	const ranks, chunk, kibPerTok, objsPerChunk = 2, 512, 3.15, 220
 	w, err := NewWeights(benchGQA8())
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +390,7 @@ func TestPrefillAllocationBudget(t *testing.T) {
 	objs := testing.AllocsPerRun(runs, op)
 	t.Logf("a warm %d-token chunk allocates %.2f KiB a token and %.0f objects", chunk, kib, objs)
 	if kib > kibPerTok {
-		t.Errorf("a warm %d-token chunk allocates %.2f KiB a token, budget %.1f", chunk, kib, kibPerTok)
+		t.Errorf("a warm %d-token chunk allocates %.2f KiB a token, budget %.2f", chunk, kib, kibPerTok)
 	}
 	if objs > objsPerChunk {
 		t.Errorf("a warm %d-token chunk allocates %.0f objects, budget %d", chunk, objs, objsPerChunk)
@@ -395,14 +399,15 @@ func TestPrefillAllocationBudget(t *testing.T) {
 
 // The decode command allocates KV growth and next to nothing else: a warm
 // fused step of eight sessions on the mailbox plane with no recorder stays
-// within 16 objects per rank (it was about 314 before the arena). What is
-// left is the cache's pages and the mirrors' doubling, amortised, plus the
+// within 14 objects per rank. Measured at 9.5 (11.5 with the per-sequence
+// KV mirror, about 314 before the arena); the budget keeps the 4.5 objects of
+// headroom it had. What is left is the cache's pages, amortised, plus the
 // per-command goroutines of World.Run and the step's one logits buffer.
 func TestDecodeStepAllocationBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop entries at random")
 	}
-	const ranks, batch, budget = 2, 8, 16
+	const ranks, batch, budget = 2, 8, 14
 	w, err := NewWeights(Tiny(5))
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +437,110 @@ func TestDecodeStepAllocationBudget(t *testing.T) {
 		step()
 	}
 	perStep := testing.AllocsPerRun(256, step)
+	t.Logf("a warm B=%d decode step allocates %.2f objects per rank", batch, perStep/ranks)
 	if perRank := perStep / ranks; perRank > budget {
 		t.Fatalf("a warm B=%d decode step allocates %.1f objects per rank (%.1f per step), budget %d", batch, perRank, perStep, budget)
+	}
+}
+
+// Each rank holds its context once: the KV cache's pages are the only
+// per-sequence KV store, which attention reads in place. Two ranks on
+// bench-gqa8 take four 1024-token sessions (two 512-token PrefillLast chunks
+// each, pass-KV) and eight fused decode steps, after a warm-up round of the
+// same shape has primed every per-layer buffer and arena and been dropped;
+// the live heap then grows by at most 1.15 × the bytes of the KV
+// rows it now holds. The cache's own overhead — page headers, position
+// lists, a partly filled tail page per sequence — reads 1.08×; a second copy
+// of the rows anywhere would read 2× or more (3.17× with the per-sequence
+// mirror this replaced). Less than 1×, or heap left over once the sessions
+// are dropped, means something still reaches a dropped sequence's pages.
+func TestResidentKVIsOneCopy(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	const ranks, sessions, prompt, chunk, steps = 2, 4, 1024, 512, 8
+	// One kernel worker: the number of kernel scratches alive at once, each
+	// up to half a MiB of score stripes, then depends on the ranks alone.
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	cfg := benchGQA8()
+	w, err := NewWeights(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(w, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m := cfg.Model
+	serve := func(seqs []int) {
+		toks := make([]int, len(seqs))
+		for i, seq := range seqs {
+			for at := 0; at < prompt; at += chunk {
+				logits, err := c.PrefillLast(seq, arenaChunk(chunk, seq+at, m.VocabSize), model.PassKV)
+				if err != nil {
+					t.Fatal(err)
+				}
+				toks[i] = Argmax(logits)
+			}
+		}
+		for s := 0; s < steps; s++ {
+			out, err := c.DecodeBatch(seqs, toks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range toks {
+				toks[i] = Argmax(out[i])
+			}
+		}
+	}
+	// The smallest of a few collected readings: whatever another test's
+	// goroutines still winding down allocate in between is garbage by the
+	// next one, and only adds.
+	liveHeap := func() uint64 {
+		low := uint64(math.MaxUint64)
+		for range 3 {
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.GC() // and what sync.Pool victim caches held
+			runtime.ReadMemStats(&ms)
+			low = min(low, ms.HeapAlloc)
+		}
+		return low
+	}
+	// A warm-up round of the same shape, dropped: the layers' send buffers,
+	// the arenas and the kernel scratch lists grow to what the round needs.
+	// The scratch lists hold one entry per kernel call the ranks ever ran at
+	// once, so the warm-up is the whole round, not one session: that is
+	// enough calls for the ranks to have overlapped.
+	seqs, warm := make([]int, sessions), make([]int, sessions)
+	for i := range seqs {
+		seqs[i], warm[i] = i+2, i+2+sessions
+	}
+	serve(warm)
+	for _, seq := range warm {
+		c.Drop(seq)
+	}
+	before := liveHeap()
+	serve(seqs)
+	grown := float64(liveHeap()) - float64(before)
+	kvBytes := float64(sessions*(prompt+steps)*m.Layers*2*m.NumKV*m.HeadDim) * 4
+	ratio := grown / kvBytes
+	t.Logf("%d resident sessions grew the live heap by %.0f KiB for %.0f KiB of KV rows: %.2f×", sessions, grown/1024, kvBytes/1024, ratio)
+	if ratio > 1.15 {
+		t.Fatalf("the live heap grew by %.2f× the resident KV bytes, budget 1.15×", ratio)
+	}
+	if ratio < 1 {
+		// The rows themselves are live, so less growth means the first
+		// reading held more: an arena kept the warm-up's dropped pages.
+		t.Fatalf("the live heap grew by only %.2f× the resident KV bytes: the first reading held dropped pages", ratio)
+	}
+	// Dropping them gives it back: no arena keeps a dropped sequence's pages
+	// reachable.
+	for _, seq := range seqs {
+		c.Drop(seq)
+	}
+	if left := float64(liveHeap()) - float64(before); left > 0.02*kvBytes {
+		t.Fatalf("%.0f KiB of the sessions' %.0f KiB stay live after they were dropped", left/1024, kvBytes/1024)
 	}
 }

@@ -328,8 +328,9 @@ func (c *Cluster) CommStats() comm.Stats {
 	return tel.Comm
 }
 
-// AssemblyStats aggregates the assembled-KV mirror copy counters across all
-// ranks and layers — the observable form of the zero-rebuild guarantee.
+// AssemblyStats aggregates, across all ranks and layers, the counters of KV
+// rows copied into shipped blocks — the observable form of the one-copy
+// guarantee: pass-KV copies the rows it ships, pass-Q and decode none.
 // Like CommStats, it returns zero values if a distributed control plane has
 // failed; use Telemetry for error visibility.
 func (c *Cluster) AssemblyStats() ring.BlockCacheStats {
@@ -752,12 +753,12 @@ func DecodeOwnerRank(seq, step, n int) int {
 	return sharding.DecodeOwner(seqOwnerOffset(seq), step, n)
 }
 
-// Drop evicts a sequence from every rank's per-layer cache (and its
-// assembled-block mirror) and forgets its decode rotation state, freeing the
-// admission slot it occupied. Eviction has no caller-visible error path: a
-// partial broadcast could leave the sequence resident on some ranks only,
-// which is why a failed bcast poisons a distributed plane — the skewed state
-// is never reached again, and the next prefill or decode fails with the cause.
+// Drop evicts a sequence from every rank's per-layer cache and forgets its
+// decode rotation state, freeing the admission slot it occupied. Eviction
+// has no caller-visible error path: a partial broadcast could leave the
+// sequence resident on some ranks only, which is why a failed bcast poisons a
+// distributed plane — the skewed state is never reached again, and the next
+// prefill or decode fails with the cause.
 func (c *Cluster) Drop(seq int) {
 	_, _ = collect[*wire.Ack](c, &wire.DropCmd{Seq: seq})
 	delete(c.seqLens, seq)

@@ -14,16 +14,16 @@ import (
 	"repro/internal/trace"
 )
 
-// rankEngine holds one CP rank's execution state: per-layer KV caches and
-// assembled-block mirrors, replicated weights, and the registry of detached
-// prefix spans. Its only entry point is handle (worker.go): one command in,
+// rankEngine holds one CP rank's execution state: per-layer KV caches (the
+// rank's only copy of its KV) and the send buffers pass-KV ships from,
+// replicated weights, and the registry of detached prefix spans. Its only entry point is handle (worker.go): one command in,
 // one reply out. A memPlane hosts N engines in the coordinator's process and
 // ServeRank hosts one in a cprank worker, but a rank cannot tell where it or
 // its peers live — which is what makes the deployments bit-identical.
 type rankEngine struct {
 	w        *Weights
 	caches   []*kvcache.Cache           // per layer
-	blocks   []*ring.BlockCache         // per layer
+	blocks   []*ring.BlockCache         // per layer: the shipped KV block's buffer
 	prefixes map[uint64][]*kvcache.Span // detached prefixes, spans per layer
 
 	// rec stages this rank's spans and metric series; epoch stamps them with
@@ -47,8 +47,8 @@ type rankEngine struct {
 }
 
 // prefillScratch is the rank engine's prefill arena: everything a prefill
-// command needs besides KV growth (the cache's pages and the mirrors'
-// growth), grown to the largest chunk seen and reused by every command.
+// command needs besides KV growth (the cache's pages), grown to the largest
+// chunk seen and reused by every command.
 // The logits it returns live here too, valid until the next command — the
 // rule decodeRes follows; the coordinator copies them out (prefillLogits)
 // and a worker encodes them first. Within a command the q/k/v rows are
@@ -107,7 +107,7 @@ func newRankEngine(w *Weights, kvCapacity int, epoch uint64, rec *trace.Recorder
 //
 // Unless cmd.All asks for every row, the last layer narrows to the sampled
 // rows this rank holds: its K/V projection, ring exchange and KV persistence
-// run for every row as in any layer — the caches, mirrors and modeled
+// run for every row as in any layer — the caches, shipped blocks and modeled
 // traffic do not depend on the mode — but attention (ring.PrefillInput.Rows),
 // the output projection, the FFN and the head run for the sampled rows
 // alone. Each of those is row-local and a pass-KV row's attention does not
@@ -270,7 +270,7 @@ func (e *rankEngine) decode(r *comm.Rank, cmd *wire.DecodeCmd) ([]float32, error
 			Rank: r, NumSeqs: len(cmd.Seqs), BlockLen: s.own.blockLen,
 			Owned: s.own.owned[r.ID],
 			Q:     &s.q, K: &s.k, V: &s.v,
-			Cache: e.caches[l], Blocks: e.blocks[l], Scratch: &s.ring, Elem: m.ElemBytes,
+			Cache: e.caches[l], Scratch: &s.ring, Elem: m.ElemBytes,
 			Trace: e.rec.Sweep(r.ID, e.epoch, "decode"),
 		})
 		if err != nil {
@@ -286,11 +286,10 @@ func (e *rankEngine) decode(r *comm.Rank, cmd *wire.DecodeCmd) ([]float32, error
 	return s.logits, nil
 }
 
-// drop evicts one sequence from every layer's cache and mirror.
+// drop evicts one sequence from every layer's cache.
 func (e *rankEngine) drop(seq int) {
-	for l := range e.caches {
-		e.caches[l].Drop(seq)
-		e.blocks[l].Drop(seq)
+	for _, kc := range e.caches {
+		kc.Drop(seq)
 	}
 }
 
@@ -372,7 +371,8 @@ func (e *rankEngine) cacheTokens() int {
 	return n
 }
 
-// assembly aggregates the per-layer assembled-KV mirror copy counters.
+// assembly aggregates the per-layer counters of KV rows copied into shipped
+// blocks.
 func (e *rankEngine) assembly() ring.BlockCacheStats {
 	var total ring.BlockCacheStats
 	for _, bc := range e.blocks {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/parallel"
+	"repro/internal/ring"
 )
 
 // scenario runs the full serving surface on a fresh cluster — cold chunked
@@ -98,19 +99,21 @@ func TestClusterBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// Chunked prefill must extend each rank's assembled-KV mirror instead of
-// re-concatenating the cached context: total copied rows stay linear in
-// prompt tokens (layers x tokens), with zero mirror rebuilds — the cluster
-// form of the zero-rebuild acceptance check.
+// Each rank's KV cache is its only copy of the context, so KV is copied only
+// into what a ring pass ships, and a chunk's copy is linear in what it ships:
+// pass-KV copies, per layer and chunk, exactly the rows its blocks carry —
+// every rank's cached rows plus its share of the chunk, Σᵢ Lᵢ over the ranks,
+// the context so far — while pass-Q, whose KV stays put, copies no row and
+// attends one in-place segment per rank and layer. Decode steps copy nothing.
 func TestChunkedPrefillAssemblyIsLinear(t *testing.T) {
-	const budget = 8
+	const budget, ranks = 8, 2
 	w, err := NewWeights(Tiny(20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []model.Variant{model.PassKV, model.PassQ} {
 		t.Run(v.String(), func(t *testing.T) {
-			c, err := NewCluster(w, 2)
+			c, err := NewCluster(w, ranks)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,38 +121,33 @@ func TestChunkedPrefillAssemblyIsLinear(t *testing.T) {
 			for i := range prompt {
 				prompt[i] = (i*3 + 1) % w.Cfg.Model.VocabSize
 			}
-			var prevAppended int64
+			copied := func(s ring.BlockCacheStats) int64 { return s.RebuildRows + s.AppendedRows }
 			layers := int64(w.Cfg.Model.Layers)
+			prev := c.AssemblyStats()
 			for at := 0; at < len(prompt); at += budget {
 				if _, err := c.Prefill(0, prompt[at:at+budget], v); err != nil {
 					t.Fatal(err)
 				}
 				stats := c.AssemblyStats()
-				if stats.Rebuilds != 0 || stats.RebuildRows != 0 {
-					t.Fatalf("chunk at %d rebuilt the mirror: %+v", at, stats)
+				rows, reuses := copied(stats)-copied(prev), stats.Reuses-prev.Reuses
+				wantRows, wantReuses := layers*int64(at+budget), int64(0)
+				if v == model.PassQ {
+					wantRows, wantReuses = 0, layers*ranks
 				}
-				delta := stats.AppendedRows - prevAppended
-				if want := layers * budget; delta != want {
-					t.Fatalf("chunk at %d copied %d rows, want %d (chunk tokens x layers, independent of context %d)",
-						at, delta, want, at)
+				if rows != wantRows || reuses != wantReuses {
+					t.Fatalf("chunk at %d copied %d rows and read %d segments in place, want %d and %d",
+						at, rows, reuses, wantRows, wantReuses)
 				}
-				prevAppended = stats.AppendedRows
+				prev = stats
 			}
 
-			// Decode: each step copies exactly the one appended row per layer
-			// (on the owner rank), never the context.
-			before := c.AssemblyStats().AppendedRows
 			for step := 0; step < 3; step++ {
 				if _, err := c.Decode(0, 5); err != nil {
 					t.Fatal(err)
 				}
 			}
-			after := c.AssemblyStats()
-			if got, want := after.AppendedRows-before, 3*layers; got != want {
-				t.Fatalf("3 decode steps copied %d rows, want %d", got, want)
-			}
-			if after.Rebuilds != 0 {
-				t.Fatalf("decode rebuilt the mirror: %+v", after)
+			if after := c.AssemblyStats(); after != prev {
+				t.Fatalf("3 decode steps moved the copy counters: %+v, before %+v", after, prev)
 			}
 		})
 	}

@@ -77,7 +77,7 @@ func pumpEvents(dst chan transport.FailureEvent, src <-chan transport.FailureEve
 }
 
 // Rebuild retires the current incarnation and starts the next one: all rank
-// state (KV caches, block mirrors, prefix registries, comm counters) is
+// state (KV caches, send buffers, prefix registries, comm counters) is
 // discarded, seqLens and decode rotation reset, and the epoch increments.
 //
 // The old plane is hung up first and the next one dialed at the bumped
