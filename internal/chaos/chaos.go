@@ -653,6 +653,7 @@ func (c *chaosTransport) Recv(dst, src int, timeout time.Duration) (any, error) 
 }
 
 func (c *chaosTransport) Waiting(dst, src int) bool               { return c.inner.Waiting(dst, src) }
+func (c *chaosTransport) Recycle(dst int, payload any)            { c.inner.Recycle(dst, payload) }
 func (c *chaosTransport) FailLink(src, dst int)                   { c.inner.FailLink(src, dst) }
 func (c *chaosTransport) HealLink(src, dst int)                   { c.inner.HealLink(src, dst) }
 func (c *chaosTransport) Failures() <-chan transport.FailureEvent { return c.inner.Failures() }

@@ -336,6 +336,14 @@ func causeSuffix(err error) string {
 // would return without waiting.
 func (r *Rank) Waiting(src int) bool { return r.w.t.Waiting(r.ID, src) }
 
+// Recycle hands a message this rank received back to the transport once the
+// rank is done with it — attended, and forwarded if it circulates — so a
+// TCP link may decode a later frame into its storage. The rank must not read
+// msg afterwards. On the in-process transport it does nothing: a mailbox
+// message is the sender's. Recycling what the transport did not lend, or
+// recycling twice, does nothing either.
+func (r *Rank) Recycle(msg any) { r.w.t.Recycle(r.ID, msg) }
+
 // Send delivers msg to dst, accounting bytes under SendRecv.
 func (r *Rank) Send(dst int, msg any, bytes float64) error {
 	return r.send(dst, KindSendRecv, msg, bytes)

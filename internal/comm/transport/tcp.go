@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/comm/wire"
+	"repro/internal/tensor"
 )
 
 // Rendezvous / liveness defaults.
@@ -108,7 +110,14 @@ type link struct {
 	peer int
 	conn net.Conn
 
-	wmu sync.Mutex // serializes frame writes (rank goroutine + heartbeat)
+	wmu sync.Mutex  // serializes frame writes (rank goroutine + heartbeat)
+	w   wire.Writer // the link's frame buffer, used under wmu
+
+	// rtimer bounds Recv's wait for this peer's next frame. One goroutine,
+	// the local rank's, receives from a peer at a time, and Go 1.23+ timers
+	// deliver nothing stale after Stop or Reset, so one timer serves every
+	// wait.
+	rtimer *time.Timer
 
 	downOnce sync.Once
 	downCh   chan struct{}
@@ -132,6 +141,16 @@ func (l *link) markDown(err error) {
 			l.onDown(l.peer, err)
 		}
 	})
+}
+
+// recvTimer returns the link's receive timer armed for d.
+func (l *link) recvTimer(d time.Duration) *time.Timer {
+	if l.rtimer == nil {
+		l.rtimer = time.NewTimer(d)
+	} else {
+		l.rtimer.Reset(d)
+	}
+	return l.rtimer
 }
 
 func (l *link) down() bool {
@@ -161,6 +180,12 @@ type TCP struct {
 	events *eventSink
 	tap    atomic.Pointer[FrameTap]
 
+	// spares holds the KV, query and output blocks the rank handed back
+	// (Recycle), which the links' readers decode later frames into; loans
+	// are the blocks the readers handed the rank and it may hand back.
+	spares *wire.Spares
+	loans  loans
+
 	closeOnce sync.Once
 	closedCh  chan struct{}
 }
@@ -174,6 +199,10 @@ type TCP struct {
 // truncated bytes simulate in-flight damage (caught by the receiver's CRC
 // check), a repeated slice simulates duplicate delivery, and an empty result
 // silently drops the frame. The chaos layer is the only intended caller.
+//
+// frame is the link's own encode buffer: the tap must not retain it after
+// returning, and must copy it before mangling it. The slices it returns may
+// alias frame; they are written before the link encodes its next frame.
 type FrameTap func(dst int, seq int64, frame []byte) [][]byte
 
 // SetFrameTap installs (or, with nil, removes) the transport's frame tap.
@@ -221,7 +250,9 @@ func (t *TCP) DropLink(peer int, cause error) {
 // heartbeat periods instead of at its next ring pass.
 func (t *TCP) Failures() <-chan FailureEvent { return t.events.ch }
 
-// Send implements Transport: encodes payload as one frame on the peer link.
+// Send implements Transport: encodes payload as one frame into the link's
+// buffer and writes it to the peer. A payload that does not encode is an
+// error that leaves the link up: nothing reached the stream.
 func (t *TCP) Send(src, dst int, payload any, timeout time.Duration) error {
 	if src != t.cfg.Rank {
 		return fmt.Errorf("transport: rank %d is not hosted by this process (local %d)", src, t.cfg.Rank)
@@ -238,18 +269,20 @@ func (t *TCP) Send(src, dst int, payload any, timeout time.Duration) error {
 	}
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
+	frame, err := l.w.Frame(payload)
+	if err != nil {
+		return err
+	}
 	if err := l.conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 		return failWith(ErrLinkFailed, err)
 	}
 	var n int
-	var err error
 	if tp := t.tap.Load(); tp != nil {
-		n, err = t.sendTapped(l, dst, payload, *tp)
+		n, err = t.sendTapped(l, dst, frame, *tp)
 	} else {
-		n, err = wire.WriteFrame(l.conn, payload) //cplint:allow lock-send wmu exists to serialize frame writes; a stalled write kills the link via deadline
+		n, err = l.conn.Write(frame) //cplint:allow lock-send wmu exists to serialize frame writes; a stalled write kills the link via deadline
 	}
-	atomic.AddInt64(&l.outMsgs, 1)
-	atomic.AddInt64(&l.outBytes, int64(n))
+	countSent(&l.outMsgs, &l.outBytes, n, err)
 	if err != nil {
 		// Any write error — timeouts included — may have left a partial
 		// frame on the stream; the framing is unrecoverable, so the link
@@ -263,16 +296,22 @@ func (t *TCP) Send(src, dst int, payload any, timeout time.Duration) error {
 	return nil
 }
 
+// countSent adds one frame to a link's frame counter when it was written in
+// full (err is nil), and the n bytes written to its byte counter either way.
+// A frame that failed to encode moved nothing and is never counted.
+func countSent(msgs, bytes *int64, n int, err error) {
+	if err == nil {
+		atomic.AddInt64(msgs, 1)
+	}
+	atomic.AddInt64(bytes, int64(n))
+}
+
 // sendTapped routes one encoded frame through the installed frame tap and
 // writes whatever it returns. Called with l.wmu held.
-func (t *TCP) sendTapped(l *link, dst int, payload any, tap FrameTap) (int, error) {
-	body, err := wire.AppendFrame(make([]byte, 0, 256), payload)
-	if err != nil {
-		return 0, err
-	}
+func (t *TCP) sendTapped(l *link, dst int, frame []byte, tap FrameTap) (int, error) {
 	seq := atomic.AddInt64(&l.tapSeq, 1) - 1
 	total := 0
-	for _, f := range tap(dst, seq, body) {
+	for _, f := range tap(dst, seq, frame) {
 		n, err := l.conn.Write(f)
 		total += n
 		if err != nil {
@@ -299,7 +338,7 @@ func (t *TCP) Recv(dst, src int, timeout time.Duration) (any, error) {
 		return v, nil
 	default:
 	}
-	timer := time.NewTimer(timeout)
+	timer := l.recvTimer(timeout)
 	defer timer.Stop()
 	select {
 	case v := <-ch:
@@ -317,6 +356,90 @@ func (t *TCP) Recv(dst, src int, timeout time.Duration) (any, error) {
 	case <-timer.C:
 		return nil, ErrTimeout
 	}
+}
+
+// Recycle implements Transport: a KV, query or output block this transport
+// decoded and lent to rank dst goes back to its spares, and a link's reader
+// may decode a later frame into it. Anything else — a block already handed
+// back, another transport's or the rank's own payload, a vector — is
+// ignored.
+func (t *TCP) Recycle(dst int, payload any) {
+	if dst != t.cfg.Rank || !wire.Recyclable(payload) || !t.loans.settle(payload) {
+		return
+	}
+	if poisonRecycled.Load() {
+		poison(payload)
+	}
+	t.spares.Put(payload)
+}
+
+// poisonRecycled is a test hook, not a setting: while it is set, Recycle
+// fills every float of a block it takes back with NaN before a reader can
+// decode into it, so a rank that still reads a block it handed back computes
+// NaN instead of quietly reading the right numbers until a later frame
+// overwrites them. poisoned counts the blocks it filled.
+var (
+	poisonRecycled atomic.Bool
+	poisoned       atomic.Int64
+)
+
+func poison(v any) {
+	fill := func(t *tensor.Tensor) {
+		if t != nil {
+			for i := range t.Data {
+				t.Data[i] = float32(math.NaN())
+			}
+		}
+	}
+	switch b := v.(type) {
+	case *wire.KVBlock:
+		fill(b.K)
+		fill(b.V)
+	case *wire.QBlock:
+		fill(b.Q)
+	case *wire.OBlock:
+		if b.Out != nil {
+			fill(b.Out.O)
+			for i := range b.Out.LSE {
+				b.Out.LSE[i] = math.NaN()
+			}
+		}
+	}
+	poisoned.Add(1)
+}
+
+// loans are the blocks a transport's readers decoded and handed to the rank,
+// so that Recycle takes back only what was lent, and only once. It keeps the
+// most recent lends: a block the rank never hands back drops out, and is
+// left to the garbage collector like any other payload.
+type loans struct {
+	mu  sync.Mutex
+	out []any // oldest first, at most cap(out) blocks
+}
+
+func (l *loans) lend(v any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.out) == cap(l.out) {
+		l.out = append(l.out[:0], l.out[1:]...)
+	}
+	l.out = append(l.out, v)
+}
+
+// settle takes v off the loans and reports whether it was out.
+func (l *loans) settle(v any) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i, x := range l.out {
+		if x == v {
+			n := len(l.out) - 1
+			copy(l.out[i:], l.out[i+1:])
+			l.out[n] = nil
+			l.out = l.out[:n]
+			return true
+		}
+	}
+	return false
 }
 
 // Waiting implements Transport: a data frame from src is in the inbox.
@@ -402,12 +525,17 @@ func Join(cfg TCPConfig) (*TCP, *Ctrl, error) {
 			return nil, nil, fmt.Errorf("transport: rank %d listen: %w", cfg.Rank, err)
 		}
 	}
+	// A rank holds at most a pass's blocks from its peers before it hands
+	// them back, and a reader may decode one layer ahead of the rank.
+	spares := 2 * cfg.World
 	t := &TCP{
 		cfg:      cfg,
 		links:    make(map[int]*link),
 		inbox:    make(map[int]chan any),
 		inject:   newFailMap(),
 		events:   newEventSink(2 * cfg.World),
+		spares:   wire.NewSpares(spares),
+		loans:    loans{out: make([]any, 0, 3*spares)},
 		closedCh: make(chan struct{}),
 	}
 	deadline := time.Now().Add(cfg.RendezvousTimeout)
@@ -691,14 +819,17 @@ func (t *TCP) addLink(peer int, conn net.Conn) {
 // reset, transport close, or a CRC32C integrity failure) downs the link.
 // Every frame read re-arms the liveness deadline: a peer that heartbeats is
 // alive, one silent for the full miss window (HeartbeatMisses periods) is
-// declared dead right here rather than at the next ring pass.
+// declared dead right here rather than at the next ring pass. Frames are
+// read into the link's one body buffer, and KV, query and output blocks are
+// decoded into the transport's spares and lent to the rank.
 func (t *TCP) readLoop(l *link, ch chan any) {
 	window := t.cfg.missWindow()
+	rd := wire.Reader{Spares: t.spares}
 	for {
 		if window > 0 {
 			l.conn.SetReadDeadline(time.Now().Add(window))
 		}
-		v, n, err := wire.ReadFrame(l.conn, t.cfg.MaxFrame)
+		v, n, err := rd.ReadFrame(l.conn, t.cfg.MaxFrame)
 		if err != nil {
 			var ne net.Error
 			if errors.Is(err, io.EOF) {
@@ -716,6 +847,9 @@ func (t *TCP) readLoop(l *link, ch chan any) {
 		atomic.AddInt64(&l.inBytes, int64(n))
 		if _, hb := v.(*wire.Heartbeat); hb {
 			continue
+		}
+		if wire.Recyclable(v) {
+			t.loans.lend(v)
 		}
 		select {
 		case ch <- v:
@@ -741,10 +875,9 @@ func (t *TCP) heartbeatLoop(l *link) {
 		case <-tick.C:
 			l.wmu.Lock()
 			l.conn.SetWriteDeadline(time.Now().Add(writeWindow))
-			n, err := wire.WriteFrame(l.conn, &wire.Heartbeat{}) //cplint:allow lock-send heartbeat shares the write-serialization mutex; bounded by the write deadline above
+			n, err := l.w.WriteFrame(l.conn, &wire.Heartbeat{}) //cplint:allow lock-send heartbeat shares the write-serialization mutex; bounded by the write deadline above
 			l.wmu.Unlock()
-			atomic.AddInt64(&l.outMsgs, 1)
-			atomic.AddInt64(&l.outBytes, int64(n))
+			countSent(&l.outMsgs, &l.outBytes, n, err)
 			if err != nil {
 				// A timed-out write may sit half-flushed on the stream;
 				// framing is gone either way, so the link dies.
@@ -766,7 +899,9 @@ type Ctrl struct {
 	conn     net.Conn
 	maxFrame int
 	wmu      sync.Mutex
-	Peer     wire.Hello // the remote end's handshake
+	w        wire.Writer // Send's frame buffer, used under wmu
+	rd       wire.Reader // Recv's body buffer: one goroutine reads a Ctrl
+	Peer     wire.Hello  // the remote end's handshake
 
 	outMsgs, outBytes int64
 	inMsgs, inBytes   int64
@@ -817,14 +952,14 @@ func DialCtrl(addr string, hello *wire.Hello, expectRank int, timeout time.Durat
 func (c *Ctrl) Send(v any) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	n, err := wire.WriteFrame(c.conn, v) //cplint:allow lock-send wmu exists to serialize control-channel frame writes
-	atomic.AddInt64(&c.outMsgs, 1)
-	atomic.AddInt64(&c.outBytes, int64(n))
+	n, err := c.w.WriteFrame(c.conn, v) //cplint:allow lock-send wmu exists to serialize control-channel frame writes
+	countSent(&c.outMsgs, &c.outBytes, n, err)
 	return err
 }
 
 // Recv reads the next frame; timeout 0 blocks indefinitely (a worker idling
-// between commands). io.EOF reports an orderly peer shutdown.
+// between commands). io.EOF reports an orderly peer shutdown. Only a frame
+// read in full counts toward WireTotals. One goroutine receives at a time.
 func (c *Ctrl) Recv(timeout time.Duration) (any, error) {
 	var deadline time.Time
 	if timeout > 0 {
@@ -833,12 +968,12 @@ func (c *Ctrl) Recv(timeout time.Duration) (any, error) {
 	if err := c.conn.SetReadDeadline(deadline); err != nil {
 		return nil, err
 	}
-	v, n, err := wire.ReadFrame(c.conn, c.maxFrame)
-	atomic.AddInt64(&c.inMsgs, 1)
-	atomic.AddInt64(&c.inBytes, int64(n))
+	v, n, err := c.rd.ReadFrame(c.conn, c.maxFrame)
 	if err != nil {
 		return nil, err
 	}
+	atomic.AddInt64(&c.inMsgs, 1)
+	atomic.AddInt64(&c.inBytes, int64(n))
 	return v, nil
 }
 

@@ -3,6 +3,9 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"io"
+	"math"
+	"math/rand"
 	"net"
 	"runtime"
 	"strings"
@@ -11,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/comm/wire"
+	"repro/internal/tensor"
 )
 
 // loopbackMesh forms an n-rank TCP mesh on 127.0.0.1 with pre-bound :0
@@ -623,5 +627,161 @@ func TestHeartbeatConfigValidation(t *testing.T) {
 	cfg.HeartbeatMisses = 2
 	if err := cfg.applyDefaults(); err != nil || cfg.HeartbeatEvery != 100*time.Millisecond {
 		t.Fatalf("explicit cadence mangled: every=%v err=%v", cfg.HeartbeatEvery, err)
+	}
+}
+
+// Recycle takes back exactly the blocks the transport lent, and only once:
+// the next frame of the kind decodes into a block handed back, while a
+// second hand-back, a block the transport did not decode, a hand-back to
+// the wrong rank or transport, and a vector change nothing. The poison hook
+// makes each take-back visible: it fills the block with NaN and counts it.
+// On the in-process transport Recycle does nothing at all.
+func TestRecycleTakesBackOnlyWhatWasLent(t *testing.T) {
+	defer poisonRecycled.Store(poisonRecycled.Swap(true))
+	mesh := loopbackMesh(t, 2, 0x51)
+	rng := rand.New(rand.NewSource(1))
+	hop := func(rows int) (*wire.KVBlock, *wire.KVBlock) {
+		t.Helper()
+		sent := &wire.KVBlock{K: tensor.RandN(rng, rows, 1, 4), V: tensor.RandN(rng, rows, 1, 4),
+			Pos: make([]int, rows), Seq: make([]int, rows)}
+		if err := mesh[0].Send(0, 1, sent, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		v, err := mesh[1].Recv(1, 0, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sent, v.(*wire.KVBlock)
+	}
+	foreign, first := hop(6)
+	before := poisoned.Load()
+	mesh[1].Recycle(1, foreign)  // this transport never decoded it
+	mesh[1].Recycle(1, []int{7}) // not a block
+	mesh[1].Recycle(0, first)    // rank 0 is not this transport's
+	mesh[0].Recycle(0, first)    // nor is the block rank 0's to hand back
+	mesh[1].Recycle(1, (*wire.KVBlock)(nil))
+	if got := poisoned.Load(); got != before {
+		t.Fatalf("%d blocks taken back that were not lent", got-before)
+	}
+	if math.IsNaN(float64(foreign.K.Data[0])) || math.IsNaN(float64(first.K.Data[0])) {
+		t.Fatal("a block that was not taken back was poisoned")
+	}
+	mesh[1].Recycle(1, first)
+	mesh[1].Recycle(1, first)
+	if got := poisoned.Load(); got != before+1 {
+		t.Fatalf("a lent block handed back twice was taken back %d times, want once", got-before)
+	}
+	if !math.IsNaN(float64(first.K.Data[0])) {
+		t.Fatal("the block taken back was not poisoned")
+	}
+	sent, second := hop(4)
+	if second != first {
+		t.Fatal("the next KV frame was not decoded into the block handed back")
+	}
+	for i, x := range sent.K.Data {
+		if math.Float32bits(x) != math.Float32bits(second.K.Data[i]) || len(second.K.Data) != len(sent.K.Data) {
+			t.Fatalf("recycled decode K[%d] = %v, sent %v", i, second.K.Data[i], x)
+		}
+	}
+
+	mem := NewMem(2)
+	blk := &wire.KVBlock{K: tensor.RandN(rng, 2, 1, 4)}
+	if err := mem.Send(0, 1, blk, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	v, err := mem.Recv(1, 0, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem.Recycle(1, v)
+	if math.IsNaN(float64(blk.K.Data[0])) || poisoned.Load() != before+1 {
+		t.Fatal("the mailbox took back its sender's block")
+	}
+}
+
+// Frame counters count only frames that moved. A payload that does not
+// encode reaches neither the stream nor the link's counters, and the link
+// stays up; a control send likewise; and a control receive that times out
+// or meets EOF without a frame counts nothing.
+func TestFrameCountersCountOnlyFramesThatMoved(t *testing.T) {
+	mesh := loopbackMesh(t, 2, 0x52, func(c *TCPConfig) {
+		c.HeartbeatEvery, c.HeartbeatMisses = time.Hour, -1 // no heartbeat frames
+	})
+	sent := func() wire.LinkStat {
+		for _, l := range mesh[0].WireLinks() {
+			if l.Src == 0 && l.Dst == 1 {
+				return l
+			}
+		}
+		t.Fatal("no 0->1 link")
+		return wire.LinkStat{}
+	}
+	before := sent()
+	if err := mesh[0].Send(0, 1, struct{}{}, time.Second); err == nil {
+		t.Fatal("an unsupported payload was sent")
+	}
+	if got := sent(); got != before {
+		t.Fatalf("a frame that failed to encode moved the counters: %+v -> %+v", before, got)
+	}
+	if err := mesh[0].Send(0, 1, []int{7}, time.Second); err != nil {
+		t.Fatalf("the link did not survive a payload that failed to encode: %v", err)
+	}
+	if v, err := mesh[1].Recv(1, 0, 5*time.Second); err != nil || v.([]int)[0] != 7 {
+		t.Fatalf("received %v, %v", v, err)
+	}
+	if got := sent(); got.WireMsgs != before.WireMsgs+1 || got.WireBytes <= before.WireBytes {
+		t.Fatalf("one frame moved: %+v -> %+v", before, got)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	a, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := <-accepted
+	if b == nil {
+		t.Fatal("accept failed")
+	}
+	defer b.Close()
+	ca, cb := newCtrl(a, 0), newCtrl(b, 0)
+	totals := func() [4]int64 {
+		am, ab := ca.WireTotals()
+		bm, bb := cb.WireTotals()
+		return [4]int64{am, ab, bm, bb}
+	}
+	if err := ca.Send(struct{}{}); err == nil {
+		t.Fatal("an unsupported control payload was sent")
+	}
+	if _, err := cb.Recv(10 * time.Millisecond); err == nil {
+		t.Fatal("a control receive with nothing sent returned a frame")
+	}
+	if got := totals(); got != [4]int64{} {
+		t.Fatalf("nothing moved, the control totals read %v", got)
+	}
+	if err := ca.Send(&wire.Ack{Err: "ok"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cb.Recv(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	moved := totals()
+	if moved[0] != 1 || moved[2] != 1 || moved[1] != moved[3] || moved[1] == 0 {
+		t.Fatalf("one control frame moved, the totals read %v", moved)
+	}
+	a.Close()
+	if _, err := cb.Recv(5 * time.Second); !errors.Is(err, io.EOF) {
+		t.Fatalf("receive after hangup: %v, want EOF", err)
+	}
+	if got := totals(); got != moved {
+		t.Fatalf("an EOF moved the control totals: %v -> %v", moved, got)
 	}
 }

@@ -141,6 +141,11 @@ type Transport interface {
 	// Waiting reports whether a payload is already queued on src->dst, so
 	// that Recv would return without waiting. dst must be local.
 	Waiting(dst, src int) bool
+	// Recycle hands back a payload Recv returned to rank dst once the rank
+	// is done with it, so the transport may decode a later frame into its
+	// storage. A transport takes back only what it lent, and only once;
+	// anything else is ignored. The rank must not read the payload after.
+	Recycle(dst int, payload any)
 	// FailLink / HealLink inject and clear a directed send-side fault.
 	FailLink(src, dst int)
 	HealLink(src, dst int)
@@ -265,6 +270,10 @@ func (m *Mem) Recv(dst, src int, timeout time.Duration) (any, error) {
 
 // Waiting implements Transport.
 func (m *Mem) Waiting(dst, src int) bool { return len(m.boxes[dst][src]) > 0 }
+
+// Recycle implements Transport: a mailbox payload is the sender's, passed by
+// pointer and never decoded, so there is nothing to take back.
+func (m *Mem) Recycle(int, any) {}
 
 // FailLink implements Transport. The injected fault surfaces on Failures
 // too, mirroring how a real dead link announces itself on the TCP transport.

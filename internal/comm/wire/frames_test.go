@@ -202,10 +202,143 @@ func TestFrameTableCoversEveryKind(t *testing.T) {
 	}
 }
 
+// largerPayloads is one instance of every frame kind, each larger than its
+// golden counterparts — longer vectors and strings, more rows, more records,
+// a tensor where a golden frame has none — so a recycled frame holds more
+// than a golden frame decoded into it overwrites.
+func largerPayloads() []any {
+	ints := func(n, from int) []int {
+		v := make([]int, n)
+		for i := range v {
+			v[i] = from + 3*i
+		}
+		return v
+	}
+	return []any{
+		nil,
+		ints(9, -4),
+		[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9},
+		&KVBlock{K: goldenTensor(7, 2, 4, 5), V: goldenTensor(7, 2, 4, 6), Pos: ints(7, 0), Seq: ints(7, 1)},
+		&QBlock{Q: goldenTensor(5, 4, 4, 7), Pos: ints(5, 2), Seq: ints(5, 3)},
+		&OBlock{Out: &attention.Output{O: goldenTensor(5, 2, 4, 8), LSE: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}}},
+		&Hello{Magic: 1, Version: 2, World: 9, Rank: 8, ConfigSum: 7, Epoch: 6},
+		&Heartbeat{},
+		&PrefillCmd{Seqs: ints(4, 1), Tokens: [][]int{ints(5, 0), ints(6, 1), ints(2, 2), ints(7, 3)}, P: ints(4, 9), Variant: 0},
+		&DecodeCmd{Seqs: ints(5, 1), Tokens: ints(5, 2), Pos: ints(5, 3), Owners: ints(5, 4)},
+		&DropCmd{Seq: 99},
+		&DetachCmd{Seq: 7, UpTo: 8, ID: 9},
+		&AdoptCmd{Seq: 7, ID: 8},
+		&ReleasePrefixCmd{ID: 3},
+		&CapQueryCmd{Seqs: ints(6, 0)},
+		&StatsCmd{},
+		&ShutdownCmd{},
+		&PrefillResult{Logits: goldenTensor(4, 1, 5, 9), Err: "a longer error than any golden one"},
+		&DecodeResult{Flat: []float32{9, 8, 7, 6, 5, 4, 3}, Err: "decode failed"},
+		&Ack{Err: "a longer error than any golden one"},
+		&DetachResult{PerLayer: ints(5, 16), Err: "detach failed"},
+		&CapResult{Capacity: 7, Avail: ints(4, 1), Overhead: [][]int{ints(4, 0), ints(4, 1), ints(4, 2)}, Err: "capacity"},
+		&StatsResult{
+			CacheTokens: 1, Assembly: []int64{9, 8, 7, 6, 5, 4},
+			Kinds: []string{"all2all", "allgather", "sendrecv"}, Msgs: []int64{1, 2, 3}, Bytes: []float64{1, 2, 3},
+			Links:            []LinkStat{{Src: 1}, {Src: 2, Dst: 3}, {Src: 3, Dst: 4, WireBytes: 9}},
+			IntegrityChecked: 5, IntegrityRejected: 6,
+			ChaosKinds: []string{"corrupt", "crash", "slow"}, ChaosCounts: []int64{1, 2, 3},
+			Err: "stats failed",
+		},
+		&FailureNote{Rank: 0, Cause: "a much longer cause than the golden note carries"},
+		&TraceCmd{},
+		&TraceResult{
+			Rank: 2,
+			Spans: []TraceSpan{
+				{Name: "span-one", Cat: "ring", ArgKeys: []string{"a", "b", "c"}, ArgVals: []int64{1, 2, 3}},
+				{Name: "span-two", Cat: "server", ArgKeys: []string{"d"}, ArgVals: []int64{4}},
+				{Name: "span-three", Cat: "kv"},
+			},
+			Series: []TraceSeries{
+				{Name: "series-one", LabelKeys: []string{"k1", "k2"}, LabelVals: []string{"v1", "v2"}, Counts: []int64{1, 2, 3, 4}},
+				{Name: "series-two", Counts: []int64{5}},
+				{Name: "series-three"},
+			},
+			Err: "trace failed",
+		},
+	}
+}
+
+// A decoded frame keeps no byte of the frame it came from, and a frame
+// decoded into a recycled one of its kind equals a fresh decode. For every
+// golden frame: decode it fresh; decode it into a frame of its kind that a
+// larger frame filled first, and read it through a reader whose spares hold
+// such a frame; scribble over the bytes both decoded from; and re-encode all
+// three, which must give the golden bytes back.
+func TestRecycledDecodeEqualsFresh(t *testing.T) {
+	golden := readFramesGolden(t)
+	larger := map[byte][]byte{}
+	for _, v := range largerPayloads() {
+		b, err := Append(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if larger[b[0]] != nil {
+			t.Fatalf("two larger payloads of type id %d", b[0])
+		}
+		larger[b[0]] = b
+	}
+	for _, p := range goldenPayloads() {
+		want, err := hex.DecodeString(golden[p.name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := want[4]
+		if larger[id] == nil {
+			t.Fatalf("%s: no larger payload of type id %d", p.name, id)
+		}
+		filled := func() frame {
+			f, err := decodeInto(larger[id], nil)
+			if err != nil {
+				t.Fatalf("%s: larger payload: %v", p.name, err)
+			}
+			return f
+		}
+		fresh, err := Decode(want[4 : len(want)-4])
+		if err != nil {
+			t.Fatalf("%s: fresh decode: %v", p.name, err)
+		}
+		body := append([]byte(nil), want[4:len(want)-4]...)
+		recycled := filled()
+		got, err := decodeInto(body, recycled)
+		if err != nil || got != recycled {
+			t.Fatalf("%s: decode into a recycled %T gave %T (%v)", p.name, recycled, got, err)
+		}
+		rd := Reader{Spares: NewSpares(1)}
+		spare := payload(filled())
+		rd.Spares.Put(spare)
+		read, n, err := rd.ReadFrame(bytes.NewReader(want), 0)
+		if err != nil || n != len(want) {
+			t.Fatalf("%s: read %d/%d bytes through spares: %v", p.name, n, len(want), err)
+		}
+		if Recyclable(spare) && read != spare {
+			t.Fatalf("%s: the reader decoded into a new %T, not its spare", p.name, read)
+		}
+		for _, b := range [][]byte{body, rd.body} {
+			for i := range b {
+				b[i] = 0xa5
+			}
+		}
+		for what, v := range map[string]any{"fresh": fresh, "recycled": payload(got), "read": read} {
+			again, err := AppendFrame(nil, v)
+			if err != nil || !bytes.Equal(again, want) {
+				t.Fatalf("%s: %s decode re-encodes differently (%v)\ngot:  %x\nwant: %x", p.name, what, err, again, want)
+			}
+		}
+	}
+}
+
 // BenchmarkFrame is the codec's cost on the two frames a TCP ring moves
 // most: a ring_tcp-shaped pass-KV hop (512 rows, one KV head of 32) and an
-// eight-entry decode command. One op encodes into a reused buffer and reads
-// the frame back (CRC check and decode).
+// eight-entry decode command. One op encodes through a Writer and reads the
+// frame back (CRC check and decode) through a Reader, as a TCP link does;
+// the hop's block is then handed back to the reader's spares, as a ring pass
+// does, and the next op decodes into it.
 func BenchmarkFrame(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const rows = 512
@@ -225,16 +358,20 @@ func BenchmarkFrame(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			var frame []byte
 			var r bytes.Reader
+			var w Writer
+			rd := Reader{Spares: NewSpares(1)}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var err error
-				if frame, err = AppendFrame(frame[:0], bc.v); err != nil {
+				if frame, err = w.Frame(bc.v); err != nil {
 					b.Fatal(err)
 				}
 				r.Reset(frame)
-				if _, _, err := ReadFrame(&r, 0); err != nil {
+				v, _, err := rd.ReadFrame(&r, 0)
+				if err != nil {
 					b.Fatal(err)
 				}
+				rd.Spares.Put(v)
 			}
 			b.SetBytes(int64(len(frame)))
 		})

@@ -21,6 +21,11 @@
 // otherwise decode into silently wrong floats. A checksum mismatch surfaces
 // as ErrIntegrity — a named error the transport treats as a link failure —
 // never as decoded garbage.
+//
+// A Writer and a Reader keep their frame buffer from one frame to the next,
+// and a Reader with Spares decodes KV, query and output frames into blocks
+// handed back to it; ReadFrame and WriteFrame are the one-shot form of the
+// same code.
 package wire
 
 import (
@@ -664,11 +669,13 @@ func (c *codec) count(n, minSize int) int {
 	return n
 }
 
-// sized walks the length of *p and, when decoding, makes *p that long; an
-// empty vector decodes as nil, so it re-encodes canonically.
+// sized walks the length of *p and, when decoding, makes *p that long,
+// reusing its storage when that is large enough (a recycled frame's); an
+// empty vector of a fresh frame decodes as nil. Either way it re-encodes
+// canonically.
 func sized[T any](c *codec, p *[]T, minSize int) {
-	if n := c.count(len(*p), minSize); c.dec && n > 0 {
-		*p = make([]T, n)
+	if n := c.count(len(*p), minSize); c.dec {
+		*p = tensor.Grown(*p, n)
 	}
 }
 
@@ -789,8 +796,14 @@ func (c *codec) present(have bool) bool {
 	return v == 1 && c.err == nil
 }
 
+// tensor walks an optional tensor: a presence byte, the shape, the rows. A
+// decode reuses *p and its storage when it has some, and clears *p when the
+// frame holds none.
 func (c *codec) tensor(p **tensor.Tensor) {
 	if !c.present(*p != nil) {
+		if c.dec {
+			*p = nil
+		}
 		return
 	}
 	var shape [3]uint32
@@ -823,22 +836,23 @@ func (c *codec) tensor(p **tensor.Tensor) {
 		c.fail("tensor shape %v exceeds remaining %d bytes", shape, len(c.b)-c.off)
 		return
 	}
-	data := make([]float32, n)
-	c.f32row(data)
-	t, err := tensor.FromData(int(shape[0]), int(shape[1]), int(shape[2]), data)
-	if err != nil {
-		c.fail("tensor: %v", err)
-		return
+	t := *p
+	if t == nil {
+		t = new(tensor.Tensor)
 	}
+	c.f32row(t.Resize(int(shape[0]), int(shape[1]), int(shape[2])).Data)
 	*p = t
 }
 
 func (c *codec) output(p **attention.Output) {
 	if !c.present(*p != nil) {
+		if c.dec {
+			*p = nil
+		}
 		return
 	}
 	o := *p
-	if c.dec {
+	if o == nil {
 		o = new(attention.Output)
 	}
 	c.tensor(&o.O)
@@ -879,6 +893,17 @@ func Append(buf []byte, v any) ([]byte, error) {
 // Decode parses one encoded payload (type id byte plus body, no length
 // prefix). Trailing bytes are a framing error.
 func Decode(b []byte) (any, error) {
+	f, err := decodeInto(b, nil)
+	if err != nil {
+		return nil, err
+	}
+	return payload(f), nil
+}
+
+// decodeInto is Decode into f, a frame of the payload's kind whose storage
+// the walk reuses where it is large enough, or into a fresh frame when f is
+// nil. Every field is walked, so nothing of f's earlier contents survives.
+func decodeInto(b []byte, f frame) (frame, error) {
 	if len(b) == 0 {
 		return nil, errors.New("wire: empty payload")
 	}
@@ -886,7 +911,9 @@ func Decode(b []byte) (any, error) {
 	if int(id) >= len(newFrame) || newFrame[id] == nil {
 		return nil, fmt.Errorf("wire: unknown payload type id %d", id)
 	}
-	f := newFrame[id]()
+	if f == nil {
+		f = newFrame[id]()
+	}
 	c := codecs.Get().(*codec)
 	*c = codec{b: b, off: 1, dec: true}
 	if f.walk(c) != id {
@@ -901,7 +928,101 @@ func Decode(b []byte) (any, error) {
 	if off != len(b) {
 		return nil, fmt.Errorf("wire: %d trailing bytes after type %d payload", len(b)-off, id)
 	}
-	return payload(f), nil
+	return f, nil
+}
+
+// maxKept bounds, in bytes, what a Writer, a Reader or Spares keep from one
+// frame to the next. A larger buffer or block is left to the garbage
+// collector after its frame, so one huge frame does not pin its size for
+// the life of a link.
+const maxKept = 4 << 20
+
+// Spares holds the data-plane blocks — KVBlock, QBlock and OBlock — that a
+// receiver handed back, for a Reader to decode later frames of the same kind
+// into. Each kind's list is a bounded channel rather than a sync.Pool, whose
+// entries every other garbage collection would drop. Safe for concurrent
+// use.
+type Spares struct {
+	lists [tOBlock + 1]chan frame // by type id; nil but for the three blocks
+}
+
+// NewSpares returns spare lists that keep up to n blocks of each kind.
+func NewSpares(n int) *Spares {
+	s := new(Spares)
+	for _, id := range []byte{tKVBlock, tQBlock, tOBlock} {
+		s.lists[id] = make(chan frame, n)
+	}
+	return s
+}
+
+// Recyclable reports whether Spares keeps v: a KV, query or output block
+// holding at most the keep bound.
+func Recyclable(v any) bool {
+	_, ok := spareKind(v)
+	return ok
+}
+
+// spareKind returns the type id of a block Spares keeps.
+func spareKind(v any) (byte, bool) {
+	var id byte
+	var size int
+	switch b := v.(type) {
+	case *KVBlock:
+		if b == nil {
+			return 0, false
+		}
+		id, size = tKVBlock, tensorBytes(b.K)+tensorBytes(b.V)+8*(cap(b.Pos)+cap(b.Seq))
+	case *QBlock:
+		if b == nil {
+			return 0, false
+		}
+		id, size = tQBlock, tensorBytes(b.Q)+8*(cap(b.Pos)+cap(b.Seq))
+	case *OBlock:
+		if b == nil {
+			return 0, false
+		}
+		id = tOBlock
+		if b.Out != nil {
+			size = tensorBytes(b.Out.O) + 8*cap(b.Out.LSE)
+		}
+	default:
+		return 0, false
+	}
+	return id, size <= maxKept
+}
+
+func tensorBytes(t *tensor.Tensor) int {
+	if t == nil {
+		return 0
+	}
+	return 4 * cap(t.Data)
+}
+
+// Put keeps v for a later decode when it is Recyclable and its kind's list
+// has room, and drops it otherwise. The caller must not touch v afterwards.
+func (s *Spares) Put(v any) {
+	id, ok := spareKind(v)
+	if !ok {
+		return
+	}
+	select {
+	case s.lists[id] <- v.(frame):
+	default:
+	}
+}
+
+// take returns a kept block of kind id, or nil when there is none (or s is
+// nil).
+func (s *Spares) take(id byte) frame {
+	if s == nil || int(id) >= len(s.lists) {
+		return nil
+	}
+	select {
+	case f := <-s.lists[id]:
+		return f
+	default:
+		return nil
+	}
 }
 
 // castagnoli is the CRC32C polynomial table shared by every frame checksum.
@@ -947,17 +1068,48 @@ func AppendFrame(buf []byte, v any) ([]byte, error) {
 // DefaultMaxFrame are rejected with a named error before anything hits the
 // stream: a peer reading with the default cap would otherwise kill the link
 // with a misleading length error after the send already "succeeded" (and a
-// frame past 4 GiB would silently wrap the length prefix).
+// frame past 4 GiB would silently wrap the length prefix). It is the
+// one-shot form of Writer.WriteFrame.
 func WriteFrame(w io.Writer, v any) (int, error) {
-	body, err := AppendFrame(make([]byte, 0, 256), v)
+	var fw Writer
+	return fw.WriteFrame(w, v)
+}
+
+// A Writer encodes frames into a buffer it keeps between them, so a stream
+// of frames allocates nothing once the buffer has grown to fit the largest.
+// A buffer past the keep bound is dropped after its frame. A Writer is not
+// safe for concurrent use: a link serializes its frames under a lock.
+type Writer struct {
+	buf []byte
+}
+
+// Frame encodes v as one complete frame (AppendFrame's bytes) into the
+// writer's buffer and returns them, valid until the writer's next call.
+func (w *Writer) Frame(v any) ([]byte, error) {
+	b, err := AppendFrame(w.buf[:0], v)
+	w.buf = keep(b)
+	return b, err
+}
+
+// keep is b, or nil when b is past the keep bound.
+func keep(b []byte) []byte {
+	if cap(b) > maxKept {
+		return nil
+	}
+	return b
+}
+
+// WriteFrame is WriteFrame through the writer's buffer.
+func (w *Writer) WriteFrame(dst io.Writer, v any) (int, error) {
+	b, err := w.Frame(v)
 	if err != nil {
 		return 0, err
 	}
-	n, err := w.Write(body)
+	n, err := dst.Write(b)
 	if err != nil {
 		return n, err
 	}
-	return len(body), nil
+	return len(b), nil
 }
 
 // ErrBadFrame marks a frame that arrived intact but did not decode — the
@@ -979,22 +1131,43 @@ var ErrIntegrity = errors.New("wire: frame integrity check failed")
 // ReadFrame reads one length-prefixed frame from r (maxFrame <= 0 uses
 // DefaultMaxFrame), verifies its CRC32C trailer, and returns the decoded
 // payload plus total bytes read. A checksum mismatch wraps ErrIntegrity;
-// decode failures of an intact frame wrap ErrBadFrame.
+// decode failures of an intact frame wrap ErrBadFrame. It is the one-shot
+// form of Reader.ReadFrame.
 func ReadFrame(r io.Reader, maxFrame int) (any, int, error) {
+	var fr Reader
+	return fr.ReadFrame(r, maxFrame)
+}
+
+// A Reader reads frames into a body buffer it keeps between them, so a
+// stream of frames allocates only what their payloads hold — and, with
+// Spares, a data-plane block not even that once one of its kind has been
+// handed back. Every walk copies its fields out of the body, so no payload
+// aliases the buffer. A body past the keep bound is dropped after its frame.
+// A Reader is not safe for concurrent use: one goroutine reads a link.
+type Reader struct {
+	// Spares, when set, supplies the blocks that KV, query and output frames
+	// are decoded into, their storage reused where it is large enough.
+	Spares *Spares
+	hdr    [4]byte
+	body   []byte
+}
+
+// ReadFrame is ReadFrame through the reader's buffer.
+func (r *Reader) ReadFrame(src io.Reader, maxFrame int) (any, int, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(src, r.hdr[:]); err != nil {
 		return nil, 0, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(r.hdr[:]))
 	// Minimum frame: one type-id byte plus the 4-byte CRC trailer.
 	if n < 5 || n > maxFrame {
 		return nil, 4, fmt.Errorf("%w: frame length %d outside [5,%d]", ErrBadFrame, n, maxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body := tensor.Grown(r.body, n)
+	r.body = keep(body)
+	if _, err := io.ReadFull(src, body); err != nil {
 		return nil, 4, fmt.Errorf("wire: short frame body: %w", err)
 	}
 	integrityChecked.Add(1)
@@ -1003,11 +1176,11 @@ func ReadFrame(r io.Reader, maxFrame int) (any, int, error) {
 		integrityRejected.Add(1)
 		return nil, 4 + n, fmt.Errorf("%w: crc32c %08x, frame claims %08x over %d bytes", ErrIntegrity, got, want, n-4)
 	}
-	v, err := Decode(body[:n-4])
+	f, err := decodeInto(body[:n-4], r.Spares.take(body[0]))
 	if err != nil {
 		return nil, 4 + n, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
-	return v, 4 + n, nil
+	return payload(f), 4 + n, nil
 }
 
 // ErrOf extracts the Err field of a result frame, or "" when the frame type

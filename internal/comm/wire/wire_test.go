@@ -389,7 +389,11 @@ func FuzzDecode(f *testing.F) {
 // error — short/IO, ErrBadFrame, or ErrIntegrity — never a panic; and any
 // frame whose CRC trailer does not match its payload must fail with
 // exactly ErrIntegrity. Corpus entries cover the clean frame, a corrupted
-// payload byte, a corrupted trailer, and a CRC-valid undecodable payload.
+// payload byte, a corrupted trailer, a CRC-valid undecodable payload, a
+// short KV block and a frame cut short. Each input is also read through a
+// reader that read a longer frame first and holds its block as a spare: the
+// outcome must be a fresh reader's, so no stale byte of the longer body or
+// block ever decodes.
 func FuzzReadFrame(f *testing.F) {
 	clean, err := AppendFrame(nil, &DecodeCmd{Seqs: []int{1}, Tokens: []int{2}, Pos: []int{3}, Owners: []int{0}})
 	if err != nil {
@@ -407,13 +411,39 @@ func FuzzReadFrame(f *testing.F) {
 	goodCRCBadPayload = append(goodCRCBadPayload, bogus...)
 	goodCRCBadPayload = binary.LittleEndian.AppendUint32(goodCRCBadPayload, crc32.Checksum(bogus, castagnoli))
 	f.Add(goodCRCBadPayload)
+	rng := rand.New(rand.NewSource(5))
+	short, err := AppendFrame(nil, &KVBlock{K: randTensor(rng, 2, 1, 4), V: randTensor(rng, 2, 1, 4), Pos: []int{0, 1}, Seq: []int{0, 0}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(short)
+	f.Add(short[:len(short)-3])
+	long, err := AppendFrame(nil, &KVBlock{K: randTensor(rng, 64, 2, 8), V: randTensor(rng, 64, 2, 8), Pos: randInts(rng, 64), Seq: randInts(rng, 64)})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, n, err := ReadFrame(bytes.NewReader(data), 0)
+		rd := Reader{Spares: NewSpares(1)}
+		first, _, ferr := rd.ReadFrame(bytes.NewReader(long), 0)
+		if ferr != nil {
+			t.Fatalf("long frame: %v", ferr)
+		}
+		rd.Spares.Put(first)
+		rv, rn, rerr := rd.ReadFrame(bytes.NewReader(data), 0)
+		if rn != n || (rerr == nil) != (err == nil) || (err != nil && rerr.Error() != err.Error()) {
+			t.Fatalf("reused reader read %d bytes (%v), a fresh one %d (%v)", rn, rerr, n, err)
+		}
 		if err == nil {
 			// Whatever decoded must hold the framing invariant: the bytes
 			// consumed form a self-consistent frame (length, CRC) for v.
 			if v == nil || n < 9 || n > len(data) {
 				t.Fatalf("clean read of %d/%d bytes returned %T", n, len(data), v)
+			}
+			want, err1 := Append(nil, v)
+			got, err2 := Append(nil, rv)
+			if err1 != nil || err2 != nil || !bytes.Equal(got, want) {
+				t.Fatalf("reused reader decoded %x (%v), a fresh one %x (%v)", got, err2, want, err1)
 			}
 			return
 		}

@@ -36,8 +36,9 @@ import (
 // its next PassQDecode with the same scratch. A change of shape (the block
 // length moves when sessions join or leave a batch) reallocates instead of
 // resizing, so a buffer a slow peer still reads is never cut under it. Over
-// TCP every send encodes before it returns and every receive is a fresh
-// decode, so there the rule is trivially met.
+// TCP every send encodes before it returns, so no peer reads the scratch,
+// and the blocks the sweep receives are handed back to the transport under
+// ring.go's rule.
 
 // DecodeToken is one sequence's decode token assigned to a rank for the
 // current step.
@@ -209,6 +210,7 @@ func PassQDecode(in *DecodeInput) (*attention.Output, error) {
 	}
 	// Owned tokens sit at the front of the block; the rest is padding.
 	cur := &s.blk
+	defer func() { in.Rank.Recycle(cur) }() // as in pass-KV (ring.go)
 	clear(cur.Q.Data[copy(cur.Q.Data, in.Q.Data):])
 	for i := range cur.Seq {
 		cur.Seq[i], cur.Pos[i] = -1, -1
@@ -245,6 +247,7 @@ func PassQDecode(in *DecodeInput) (*attention.Output, error) {
 			if !ok {
 				return nil, fmt.Errorf("ring: rank %d received non-Q payload from %d in decode", in.Rank.ID, (in.Rank.ID-1+n)%n)
 			}
+			in.Rank.Recycle(cur)
 			cur = blk
 			src = (src - 1 + n) % n
 		}

@@ -117,11 +117,13 @@ func (f inflight) wait() (any, error) {
 
 // drain abandons an exchange whose result no longer matters (the local
 // compute failed first) after consuming the peer's block, so the rank's next
-// communication op cannot receive a stale one. Blocks at most as long as the
-// synchronous path would have blocked inside SendRecv before reaching the
-// same compute error.
+// communication op cannot receive a stale one, and hands the block back to
+// the transport. Blocks at most as long as the synchronous path would have
+// blocked inside SendRecv before reaching the same compute error.
 func (f inflight) drain() {
 	if f.rank != nil && f.err == nil {
-		_, _ = f.rank.Recv(f.prev) // the payload or a timeout: neither matters any more
+		if v, err := f.rank.Recv(f.prev); err == nil { // a timeout no longer matters
+			f.rank.Recycle(v)
+		}
 	}
 }

@@ -157,6 +157,7 @@ func (m tcpMesh) LocalRanks() []int {
 func (m tcpMesh) Send(src, dst int, v any, d time.Duration) error { return m[src].Send(src, dst, v, d) }
 func (m tcpMesh) Recv(dst, src int, d time.Duration) (any, error) { return m[dst].Recv(dst, src, d) }
 func (m tcpMesh) Waiting(dst, src int) bool                       { return m[dst].Waiting(dst, src) }
+func (m tcpMesh) Recycle(dst int, v any)                          { m[dst].Recycle(dst, v) }
 func (m tcpMesh) FailLink(src, dst int)                           { m[src].FailLink(src, dst) }
 func (m tcpMesh) HealLink(src, dst int)                           { m[src].HealLink(src, dst) }
 func (m tcpMesh) Failures() <-chan transport.FailureEvent         { return nil }

@@ -53,8 +53,14 @@ import (
 //     The queries, the partial and the running merge never leave the rank.
 //   - TCP. A send encodes the frame on the rank's own goroutine before it
 //     returns, the same as every other transport's send in the one exchange
-//     path (overlap.go), and every receive is a fresh decode, so there the
-//     rule holds trivially.
+//     path (overlap.go), so no peer ever reads this rank's buffers. A
+//     received block is the rank's until its pass returns, and then the
+//     transport decodes a later frame into it: the pass hands it back
+//     (comm.Rank.Recycle) once it is attended, and forwarded if it
+//     circulates. A ring step's block is handed back when the next one
+//     replaces it, the last one on the way out, errors included. Nothing the
+//     pass returns points into a received block: the merge and the partials
+//     live in the arena.
 //
 // The engine's Q/K/V rows are free for the next layer once the layer's pass
 // and AppendLocalKV have returned: pass-KV never sends them (shippedKV copies
@@ -350,6 +356,9 @@ func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every block after the first is received, and handed back once it is
+	// replaced or the pass ends; Recycle ignores this rank's own.
+	defer func() { in.Rank.Recycle(cur) }()
 	q, qPos, qSeq := in.queries(s, qPos, qSeq)
 	out := s.out.Fit(q.Tokens, q.Heads, q.Dim)
 	// One partial buffer recycled across all n ring steps; GQAInto resets it.
@@ -389,6 +398,7 @@ func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 			if !ok {
 				return nil, fmt.Errorf("ring: rank %d received non-KV payload from %d", in.Rank.ID, (in.Rank.ID-1+n)%n)
 			}
+			in.Rank.Recycle(cur) // forwarded when this step began, attended since
 			cur = blk
 		}
 	}
@@ -414,6 +424,7 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 	}
 	s.qblk = wire.QBlock{Q: in.Q, Pos: qPos, Seq: qSeq}
 	cur := &s.qblk
+	defer func() { in.Rank.Recycle(cur) }() // as in pass-KV
 	next := (in.Rank.ID + 1) % n
 	prev := (in.Rank.ID - 1 + n) % n
 	tail := &s.tail // tail.partials[s] = O_s^k for source s
@@ -447,6 +458,7 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 			if !ok {
 				return nil, fmt.Errorf("ring: rank %d received non-Q payload from %d", in.Rank.ID, (in.Rank.ID-1+n)%n)
 			}
+			in.Rank.Recycle(cur)
 			cur = blk
 			src = (src - 1 + n) % n
 		}
@@ -483,6 +495,9 @@ func all2allMerge(rank *comm.Rank, m *mergeScratch, elem float64, tr *trace.Swee
 		m.mine[src] = blk.Out
 	}
 	attention.MergeInto(m.merged, m.mine...)
+	for _, got := range m.got {
+		rank.Recycle(got) // merged; this rank's own partial is ignored
+	}
 	return m.merged, nil
 }
 
@@ -506,6 +521,11 @@ func AllGatherPrefill(in *PrefillInput) (*attention.Output, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		for _, g := range gathered {
+			in.Rank.Recycle(g) // attended; this rank's own block is ignored
+		}
+	}()
 	s.runs, s.kvPos, s.kvSeq = s.runs[:0], s.kvPos[:0], s.kvSeq[:0]
 	for _, g := range gathered {
 		blk, ok := g.(*wire.KVBlock)

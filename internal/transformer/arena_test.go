@@ -443,6 +443,51 @@ func TestDecodeStepAllocationBudget(t *testing.T) {
 	}
 }
 
+// A served request over TCP allocates what it keeps and little else:
+// two loopback RunWorker ranks on bench-gqa8 (the ring_tcp workload without
+// the HTTP stack) take a 1024-token prompt in two 512-token PrefillLast
+// chunks and 32 decode steps, after a warm-up request of the same shape. The
+// coordinator and both workers share the process, so the count covers every
+// frame's encode, read and decode on both ends. Measured at 0.88–1.11 KiB a
+// token, 4.91–5.00 when every frame was encoded into a fresh buffer, read
+// into a fresh body and decoded into fresh blocks; the budget leaves 25 %
+// headroom.
+func TestRingTCPAllocationBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	const ranks, prompt, chunk, steps, kibPerTok = 2, 1024, 512, 32, 1.4
+	cfg := benchGQA8()
+	c := startLoopbackCluster(t, cfg, ranks, 0)
+	vocab := cfg.Model.VocabSize
+	request := func(seq int) {
+		toks := arenaChunk(prompt, seq, vocab)
+		var logits []float32
+		var err error
+		for at := 0; at < prompt; at += chunk {
+			if logits, err = c.PrefillLast(seq, toks[at:at+chunk], model.Auto); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < steps; i++ {
+			if logits, err = c.Decode(seq, Argmax(logits)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Drop(seq)
+	}
+	request(1)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	request(2)
+	runtime.ReadMemStats(&m1)
+	kib := float64(m1.TotalAlloc-m0.TotalAlloc) / 1024 / (prompt + steps)
+	t.Logf("a warm %d-token TCP request with %d decode steps allocates %.2f KiB a token", prompt, steps, kib)
+	if kib > kibPerTok {
+		t.Errorf("a warm %d-token TCP request allocates %.2f KiB a token, budget %.2f", prompt, kib, kibPerTok)
+	}
+}
+
 // Each rank holds its context once: the KV cache's pages are the only
 // per-sequence KV store, which attention reads in place. Two ranks on
 // bench-gqa8 take four 1024-token sessions (two 512-token PrefillLast chunks

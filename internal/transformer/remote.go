@@ -105,6 +105,10 @@ type remotePlane struct {
 	timeout time.Duration
 	idle    time.Duration // reader idle deadline (heartbeat miss window)
 	dead    error
+	// timer bounds recvReply's wait. The command stream is single-threaded,
+	// and Go 1.23+ timers deliver nothing stale after Stop or Reset, so one
+	// timer serves every reply.
+	timer *time.Timer
 }
 
 // connectPlane dials every worker's control address at the given epoch. On
@@ -270,16 +274,26 @@ func (p *remotePlane) hangup() {
 	})
 }
 
-// recvReply waits for rank r's next reply frame.
+// recvReply waits for rank r's next reply frame. A reply the reader is
+// already offering is taken without arming the timer.
 func (p *remotePlane) recvReply(r int) (any, error) {
-	timer := time.NewTimer(p.timeout)
-	defer timer.Stop()
+	select {
+	case v := <-p.replies[r]:
+		return v, nil
+	default:
+	}
+	if p.timer == nil {
+		p.timer = time.NewTimer(p.timeout)
+	} else {
+		p.timer.Reset(p.timeout)
+	}
+	defer p.timer.Stop()
 	select {
 	case v := <-p.replies[r]:
 		return v, nil
 	case <-p.down[r]:
 		return nil, p.downErr[r]
-	case <-timer.C:
+	case <-p.timer.C:
 		return nil, fmt.Errorf("timed out after %v", p.timeout)
 	}
 }
