@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/comm/transport"
 	"repro/internal/parallel"
 	"repro/internal/transformer"
 )
@@ -51,8 +52,8 @@ func main() {
 	epoch := flag.Uint64("epoch", 1, "cluster epoch to join first; a respawned replacement rank can leave the default and adopt the mesh's current epoch at handshake")
 	maxRejoins := flag.Int("max-rejoins", 16, "bound on rejoin cycles (requires -rejoin)")
 	traceSpans := flag.Int("trace-spans", 0, "cap on trace spans staged between coordinator drains (0 = default; overflow is dropped and counted)")
-	heartbeatEvery := flag.Duration("heartbeat-interval", 0, "control-plane heartbeat interval to the coordinator (0 = default; negative disables); must match cpserve -heartbeat-interval")
-	heartbeatMisses := flag.Int("heartbeat-misses", 0, "silent peer heartbeat windows before a mesh link is declared dead (0 = default; >= 2; negative disables)")
+	heartbeatEvery := flag.Duration("heartbeat-interval", 0, "heartbeat interval on every mesh link and on the control connection to the coordinator (0 = default 500ms; negative is an error); must match cpserve -heartbeat-interval")
+	heartbeatMisses := flag.Int("heartbeat-misses", 0, "silent peer heartbeat windows before a mesh link is declared dead (0 = default 3; 1 is an error; negative disables)")
 	chaosSpec := flag.String("chaos", "", `deterministic fault schedule this rank executes, e.g. "slow@0->1#8:2ms*16;corrupt@1->2#32;partition@0|1,2#64;crash@1#96" (see internal/chaos)`)
 	flag.Parse()
 
@@ -63,8 +64,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cprank: need -rank in [0, world) and -world > 0 (got rank %d, world %d)\n", *rank, *world)
 		os.Exit(1)
 	}
-	if *heartbeatMisses == 1 {
-		fmt.Fprintln(os.Stderr, "cprank: -heartbeat-misses must be >= 2 (or negative to disable)")
+	if err := transport.CheckHeartbeat(*heartbeatEvery, *heartbeatMisses); err != nil {
+		fmt.Fprintf(os.Stderr, "cprank: %v\n", err)
 		os.Exit(1)
 	}
 	cfg := transformer.WorkerConfig{

@@ -32,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/comm/transport"
 	"repro/internal/model"
 	"repro/internal/parallel"
 	"repro/internal/server"
@@ -58,8 +59,8 @@ func main() {
 	dialTimeout := flag.Duration("dial-timeout", 15*time.Second, "distributed control-plane rendezvous deadline")
 	recover := flag.Bool("recover", false, "rebuild the cluster on a new epoch after a rank failure and replay live sessions bit-identically (instead of faulting them)")
 	maxRecoveries := flag.Int("max-recoveries", 3, "lifetime bound on recovery rebuild attempts (requires -recover)")
-	heartbeatEvery := flag.Duration("heartbeat-interval", 0, "distributed control-plane heartbeat interval (0 = default; negative disables); must match the workers' -heartbeat-interval")
-	heartbeatMisses := flag.Int("heartbeat-misses", 0, "silent heartbeat windows before a worker is declared dead (0 = default; >= 2; negative disables)")
+	heartbeatEvery := flag.Duration("heartbeat-interval", 0, "the workers' heartbeat interval, which sets the distributed control plane's miss window (0 = default 500ms; negative is an error); must match the workers' -heartbeat-interval")
+	heartbeatMisses := flag.Int("heartbeat-misses", 0, "silent heartbeat windows before a worker is declared dead (0 = default 3; 1 is an error; negative disables)")
 	brownoutSLO := flag.Duration("brownout-slo", 0, "queue-wait p90 SLO arming brownout overload control: past it, new sessions get 429 + Retry-After (0 = off)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default; profiling endpoints should not ship publicly)")
 	traceOut := flag.String("trace-out", "", "write the span trace at shutdown: Chrome-trace JSON if the path ends in .json, deterministic JSONL otherwise")
@@ -97,10 +98,8 @@ func main() {
 	if prefixTokens <= 0 {
 		prefixTokens = -1 // disabled
 	}
-	if *heartbeatMisses == 1 {
-		// A single missed beat flaps on ordinary scheduling jitter; refuse it
-		// here with the same rule the control plane enforces.
-		fmt.Fprintln(os.Stderr, "cpserve: -heartbeat-misses must be >= 2 (or negative to disable)")
+	if err := transport.CheckHeartbeat(*heartbeatEvery, *heartbeatMisses); err != nil {
+		fmt.Fprintf(os.Stderr, "cpserve: %v\n", err)
 		os.Exit(1)
 	}
 	if *brownoutSLO < 0 {

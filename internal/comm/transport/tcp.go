@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/comm/wire"
@@ -26,7 +27,30 @@ const (
 	DefaultDialTimeout     = 2 * time.Second
 )
 
-// TCPConfig parameterizes one rank's entry into a TCP mesh.
+// The heartbeat settings CheckHeartbeat rejects.
+var (
+	ErrNegativeHeartbeat = errors.New("transport: heartbeat interval must not be negative (0 takes the default)")
+	ErrOneMissWindow     = errors.New("transport: heartbeat miss threshold must be >= 2 (or < 0 to disable), got 1")
+)
+
+// CheckHeartbeat validates a heartbeat period and miss threshold, the one
+// liveness rule every connection and both commands apply. A zero of either
+// takes its default and a negative threshold disables the read deadline, but
+// a negative period is an error, and so is a one-period window: it races the
+// sender's own ticker, so a healthy idle link would flap. Two periods is the
+// tightest sound threshold.
+func CheckHeartbeat(every time.Duration, misses int) error {
+	if every < 0 {
+		return ErrNegativeHeartbeat
+	}
+	if misses == 1 {
+		return ErrOneMissWindow
+	}
+	return nil
+}
+
+// TCPConfig parameterizes one rank's entry into a TCP mesh, and (DialCtrl)
+// the coordinator's connections to the ranks.
 type TCPConfig struct {
 	World int      // total rank count
 	Rank  int      // this process's rank, [0, World)
@@ -53,17 +77,18 @@ type TCPConfig struct {
 	ExpectCtrl bool
 
 	RendezvousTimeout time.Duration // mesh-formation deadline; default 15s
-	HeartbeatEvery    time.Duration // idle-link heartbeat period; default 500ms
+	// HeartbeatEvery is the idle-link heartbeat period: 0 takes the 500ms
+	// default, and a negative period is rejected (CheckHeartbeat).
+	HeartbeatEvery time.Duration
 	// HeartbeatMisses is the liveness miss threshold: a link that delivers
 	// no frame for HeartbeatMisses consecutive heartbeat periods is downed
 	// with a named cause (straggler or dead peer). Negative disables
-	// read-side liveness; 0 means DefaultHeartbeatMisses.
+	// read-side liveness; 0 means DefaultHeartbeatMisses; 1 is rejected.
 	HeartbeatMisses int
-	MaxFrame        int // per-frame byte cap; default wire.DefaultMaxFrame
 }
 
-// missWindow is the read-idle (and heartbeat-write) deadline: how long a
-// link may stay silent before it is declared dead. Zero disables it.
+// missWindow is the read-idle deadline: how long a link may stay silent
+// before it is declared dead. Zero disables it.
 func (c *TCPConfig) missWindow() time.Duration {
 	if c.HeartbeatMisses < 0 {
 		return 0
@@ -81,22 +106,23 @@ func (c *TCPConfig) applyDefaults() error {
 	if len(c.Addrs) != c.World {
 		return fmt.Errorf("transport: %d addresses for world size %d", len(c.Addrs), c.World)
 	}
+	return c.liveness()
+}
+
+// liveness validates and defaults what both ends of every connection use:
+// the heartbeat settings, the rendezvous deadline and the epoch.
+func (c *TCPConfig) liveness() error {
+	if err := CheckHeartbeat(c.HeartbeatEvery, c.HeartbeatMisses); err != nil {
+		return err
+	}
 	if c.RendezvousTimeout <= 0 {
 		c.RendezvousTimeout = DefaultRendezvousTimeout
 	}
-	if c.HeartbeatEvery <= 0 {
+	if c.HeartbeatEvery == 0 {
 		c.HeartbeatEvery = DefaultHeartbeatEvery
 	}
 	if c.HeartbeatMisses == 0 {
 		c.HeartbeatMisses = DefaultHeartbeatMisses
-	}
-	if c.HeartbeatMisses == 1 {
-		// A one-period window races the sender's own ticker: a healthy idle
-		// link would flap. Two periods is the tightest sound threshold.
-		return fmt.Errorf("transport: heartbeat miss threshold must be >= 2 (or < 0 to disable), got 1")
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = wire.DefaultMaxFrame
 	}
 	if c.Epoch == 0 {
 		c.Epoch = 1
@@ -104,29 +130,50 @@ func (c *TCPConfig) applyDefaults() error {
 	return nil
 }
 
-// link is one established peer connection (one conn per unordered rank
-// pair, carrying both directions).
+// link is one framed connection, and the only kind this package has: a mesh
+// link between two ranks (one conn per unordered pair, carrying both
+// directions) or, inside a Ctrl, the control connection between the
+// coordinator and one worker. Each end runs its own link with its own
+// liveness settings.
 type link struct {
-	peer int
-	conn net.Conn
+	peer   int // the far end's rank; -1 is the coordinator
+	conn   net.Conn
+	every  time.Duration // heartbeat period; 0 sends none
+	beat   time.Duration // bounds each heartbeat write; 0: no bound
+	window time.Duration // how long the far end may stay silent; 0: no limit
 
-	wmu sync.Mutex  // serializes frame writes (rank goroutine + heartbeat)
+	// spares and loans recycle the KV, query and output blocks the reader
+	// decodes (mesh links only). events receives the link's death and every
+	// FailureNote the far end sends; nil drops both.
+	spares *wire.Spares
+	loans  *loans
+	events *eventSink
+
+	wmu sync.Mutex  // serializes frame writes (sender + heartbeat)
 	w   wire.Writer // the link's frame buffer, used under wmu
 
-	// rtimer bounds Recv's wait for this peer's next frame. One goroutine,
-	// the local rank's, receives from a peer at a time, and Go 1.23+ timers
-	// deliver nothing stale after Stop or Reset, so one timer serves every
-	// wait.
-	rtimer *time.Timer
+	// inbox holds the frames the reader decoded, in order. The reader closes
+	// it when it exits, which is after the link is down.
+	inbox  chan any
+	rtimer *time.Timer // bounds recv's wait
 
 	downOnce sync.Once
 	downCh   chan struct{}
 	cause    atomic.Value // error
-	onDown   func(peer int, cause error)
 
 	outMsgs, outBytes int64 // atomics: frames/bytes written
 	inMsgs, inBytes   int64 // atomics: frames/bytes read
 	tapSeq            int64 // atomic: data frames offered to the frame tap
+}
+
+// start runs the link: its reader, and its heartbeat when it sends one.
+func (l *link) start() {
+	l.inbox = make(chan any, 64)
+	l.downCh = make(chan struct{})
+	go l.readLoop()
+	if l.every > 0 {
+		go l.heartbeatLoop()
+	}
 }
 
 func (l *link) markDown(err error) {
@@ -137,29 +184,27 @@ func (l *link) markDown(err error) {
 		l.cause.Store(err)
 		close(l.downCh)
 		l.conn.Close()
-		if l.onDown != nil {
-			l.onDown(l.peer, err)
-		}
+		l.events.publish(FailureEvent{Peer: l.peer, Cause: err})
 	})
 }
 
-// recvTimer returns the link's receive timer armed for d.
-func (l *link) recvTimer(d time.Duration) *time.Timer {
-	if l.rtimer == nil {
-		l.rtimer = time.NewTimer(d)
-	} else {
-		l.rtimer.Reset(d)
+// name is how a cause names the far end.
+func (l *link) name() string {
+	if l.peer < 0 {
+		return "the coordinator"
 	}
-	return l.rtimer
+	return fmt.Sprintf("peer rank %d", l.peer)
 }
 
-func (l *link) down() bool {
-	select {
-	case <-l.downCh:
-		return true
-	default:
-		return false
+// hangup names a socket error that means the far end closed its side — the
+// reader's EOF, or the EPIPE or ECONNRESET a write meets when it gets there
+// first — with one cause that matches io.EOF, whichever goroutine saw it.
+// Any other error is returned as it is.
+func (l *link) hangup(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET) {
+		return fmt.Errorf("%s closed the connection: %w", l.name(), io.EOF)
 	}
+	return err
 }
 
 func (l *link) downCause() error {
@@ -169,13 +214,181 @@ func (l *link) downCause() error {
 	return nil
 }
 
+// send encodes payload as one frame into the link's buffer and writes it,
+// through tap when one is set; timeout bounds the write (0: no bound), and
+// wmu serializes it with the heartbeat's. A payload that does not encode is
+// an error that leaves the link up: nothing reached the stream. Any write
+// error — timeouts included — may have left a partial frame on the stream;
+// the framing is unrecoverable, so the link dies either way. Timeouts still
+// surface as ErrTimeout.
+func (l *link) send(payload any, timeout time.Duration, tap *FrameTap) error {
+	select {
+	case <-l.downCh:
+		return failWith(ErrLinkFailed, l.downCause())
+	default:
+	}
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	frame, err := l.w.Frame(payload)
+	if err != nil {
+		return err
+	}
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
+	if err := l.conn.SetWriteDeadline(deadline); err != nil {
+		return failWith(ErrLinkFailed, err)
+	}
+	var n int
+	if tap != nil {
+		n, err = l.sendTapped(frame, *tap)
+	} else {
+		n, err = l.conn.Write(frame) //cplint:allow lock-send wmu exists to serialize frame writes (sender and heartbeat); a stalled write kills the link via its deadline
+	}
+	countSent(&l.outMsgs, &l.outBytes, n, err)
+	if err == nil {
+		return nil
+	}
+	err = l.hangup(err)
+	l.markDown(err)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		return failWith(ErrTimeout, err)
+	}
+	return failWith(ErrLinkFailed, err)
+}
+
+// countSent adds one frame to a link's frame counter when it was written in
+// full (err is nil), and the n bytes written to its byte counter either way.
+// A frame that failed to encode moved nothing and is never counted.
+func countSent(msgs, bytes *int64, n int, err error) {
+	if err == nil {
+		atomic.AddInt64(msgs, 1)
+	}
+	atomic.AddInt64(bytes, int64(n))
+}
+
+// sendTapped routes one encoded frame through the frame tap and writes
+// whatever it returns. Called with l.wmu held.
+func (l *link) sendTapped(frame []byte, tap FrameTap) (int, error) {
+	seq := atomic.AddInt64(&l.tapSeq, 1) - 1
+	total := 0
+	for _, f := range tap(l.peer, seq, frame) {
+		n, err := l.conn.Write(f)
+		total += n
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
+// recv returns the link's next frame, waiting up to timeout (0: without
+// bound). Frames read before the link died are still returned; after them a
+// dead link fails at once with its cause instead of burning the timeout. One
+// goroutine receives from a link at a time, and Go 1.23+ timers deliver
+// nothing stale after Stop or Reset, so one timer serves every wait.
+func (l *link) recv(timeout time.Duration) (any, error) {
+	var v any
+	ok := true
+	select {
+	case v, ok = <-l.inbox:
+	default:
+		var expired <-chan time.Time
+		if timeout > 0 {
+			if l.rtimer == nil {
+				l.rtimer = time.NewTimer(timeout)
+			} else {
+				l.rtimer.Reset(timeout)
+			}
+			defer l.rtimer.Stop()
+			expired = l.rtimer.C
+		}
+		select {
+		case v, ok = <-l.inbox:
+		case <-expired:
+			return nil, ErrTimeout
+		}
+	}
+	if !ok {
+		return nil, failWith(ErrLinkFailed, l.downCause())
+	}
+	return v, nil
+}
+
+// readLoop decodes frames off the link into its inbox. Control frames never
+// reach it: a heartbeat only proves the far end alive, and a FailureNote is
+// published as a FailureEvent. A read error (peer crash, conn reset, local
+// close, or a CRC32C integrity failure) downs the link. With a window, every
+// frame re-arms the read deadline: a far end that heartbeats is alive, and
+// one silent for the whole window is declared dead right here rather than
+// at the next receive. Frames are read into the reader's one body buffer,
+// and KV, query and output blocks are decoded into the spares and lent.
+func (l *link) readLoop() {
+	defer close(l.inbox)
+	rd := wire.Reader{Spares: l.spares}
+	for {
+		if l.window > 0 {
+			l.conn.SetReadDeadline(time.Now().Add(l.window))
+		}
+		v, n, err := rd.ReadFrame(l.conn, wire.DefaultMaxFrame)
+		if err != nil {
+			err = l.hangup(err)
+			var ne net.Error
+			switch {
+			case errors.As(err, &ne) && ne.Timeout():
+				err = fmt.Errorf("%s silent for %v, its heartbeat miss window", l.name(), l.window)
+			case errors.Is(err, wire.ErrIntegrity):
+				err = fmt.Errorf("frame from %s failed integrity check: %w", l.name(), err)
+			}
+			l.markDown(err)
+			return
+		}
+		atomic.AddInt64(&l.inMsgs, 1)
+		atomic.AddInt64(&l.inBytes, int64(n))
+		switch f := v.(type) {
+		case *wire.Heartbeat:
+			continue
+		case *wire.FailureNote:
+			l.events.publish(FailureEvent{Peer: f.Rank, Cause: fmt.Errorf("worker reported: %s", f.Cause)})
+			continue
+		}
+		if l.loans != nil && wire.Recyclable(v) {
+			l.loans.lend(v)
+		}
+		select {
+		case l.inbox <- v:
+		case <-l.downCh:
+			return
+		}
+	}
+}
+
+// heartbeatLoop keeps the link observably alive: a frame every period means
+// a crashed or wedged far end surfaces as a write error (downing the link)
+// instead of only at the next exchange, and the far end's read window sees
+// a live link. Heartbeats never pass through the frame tap.
+func (l *link) heartbeatLoop() {
+	tick := time.NewTicker(l.every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-tick.C:
+			if l.send(&wire.Heartbeat{}, l.beat, nil) != nil {
+				return
+			}
+		case <-l.downCh:
+			return
+		}
+	}
+}
+
 // TCP is the multi-process transport: this process hosts exactly one rank,
 // connected to every peer rank by a TCP connection carrying wire-codec
 // frames.
 type TCP struct {
 	cfg    TCPConfig
 	links  map[int]*link
-	inbox  map[int]chan any
 	inject failMap
 	events *eventSink
 	tap    atomic.Pointer[FrameTap]
@@ -185,9 +398,6 @@ type TCP struct {
 	// are the blocks the readers handed the rank and it may hand back.
 	spares *wire.Spares
 	loans  loans
-
-	closeOnce sync.Once
-	closedCh  chan struct{}
 }
 
 // FrameTap intercepts every encoded data frame this rank sends: it receives
@@ -251,8 +461,7 @@ func (t *TCP) DropLink(peer int, cause error) {
 func (t *TCP) Failures() <-chan FailureEvent { return t.events.ch }
 
 // Send implements Transport: encodes payload as one frame into the link's
-// buffer and writes it to the peer. A payload that does not encode is an
-// error that leaves the link up: nothing reached the stream.
+// buffer and writes it to the peer, through the frame tap when one is set.
 func (t *TCP) Send(src, dst int, payload any, timeout time.Duration) error {
 	if src != t.cfg.Rank {
 		return fmt.Errorf("transport: rank %d is not hosted by this process (local %d)", src, t.cfg.Rank)
@@ -264,61 +473,7 @@ func (t *TCP) Send(src, dst int, payload any, timeout time.Duration) error {
 	if l == nil {
 		return failWith(ErrLinkFailed, fmt.Errorf("no link to rank %d", dst))
 	}
-	if l.down() {
-		return failWith(ErrLinkFailed, l.downCause())
-	}
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	frame, err := l.w.Frame(payload)
-	if err != nil {
-		return err
-	}
-	if err := l.conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-		return failWith(ErrLinkFailed, err)
-	}
-	var n int
-	if tp := t.tap.Load(); tp != nil {
-		n, err = t.sendTapped(l, dst, frame, *tp)
-	} else {
-		n, err = l.conn.Write(frame) //cplint:allow lock-send wmu exists to serialize frame writes; a stalled write kills the link via deadline
-	}
-	countSent(&l.outMsgs, &l.outBytes, n, err)
-	if err != nil {
-		// Any write error — timeouts included — may have left a partial
-		// frame on the stream; the framing is unrecoverable, so the link
-		// dies either way. Timeouts still surface as ErrTimeout.
-		l.markDown(err)
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			return failWith(ErrTimeout, err)
-		}
-		return failWith(ErrLinkFailed, err)
-	}
-	return nil
-}
-
-// countSent adds one frame to a link's frame counter when it was written in
-// full (err is nil), and the n bytes written to its byte counter either way.
-// A frame that failed to encode moved nothing and is never counted.
-func countSent(msgs, bytes *int64, n int, err error) {
-	if err == nil {
-		atomic.AddInt64(msgs, 1)
-	}
-	atomic.AddInt64(bytes, int64(n))
-}
-
-// sendTapped routes one encoded frame through the installed frame tap and
-// writes whatever it returns. Called with l.wmu held.
-func (t *TCP) sendTapped(l *link, dst int, frame []byte, tap FrameTap) (int, error) {
-	seq := atomic.AddInt64(&l.tapSeq, 1) - 1
-	total := 0
-	for _, f := range tap(dst, seq, frame) {
-		n, err := l.conn.Write(f)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+	return l.send(payload, timeout, t.tap.Load())
 }
 
 // Recv implements Transport: returns the next decoded frame from src.
@@ -328,34 +483,11 @@ func (t *TCP) Recv(dst, src int, timeout time.Duration) (any, error) {
 	if dst != t.cfg.Rank {
 		return nil, fmt.Errorf("transport: rank %d is not hosted by this process (local %d)", dst, t.cfg.Rank)
 	}
-	ch := t.inbox[src]
 	l := t.links[src]
-	if ch == nil || l == nil {
+	if l == nil {
 		return nil, failWith(ErrLinkFailed, fmt.Errorf("no link from rank %d", src))
 	}
-	select {
-	case v := <-ch:
-		return v, nil
-	default:
-	}
-	timer := l.recvTimer(timeout)
-	defer timer.Stop()
-	select {
-	case v := <-ch:
-		return v, nil
-	case <-l.downCh:
-		// The reader may have enqueued frames before dying.
-		select {
-		case v := <-ch:
-			return v, nil
-		default:
-			return nil, failWith(ErrLinkFailed, l.downCause())
-		}
-	case <-t.closedCh:
-		return nil, failWith(ErrLinkFailed, errors.New("transport closed"))
-	case <-timer.C:
-		return nil, ErrTimeout
-	}
+	return l.recv(timeout)
 }
 
 // Recycle implements Transport: a KV, query or output block this transport
@@ -444,7 +576,10 @@ func (l *loans) settle(v any) bool {
 
 // Waiting implements Transport: a data frame from src is in the inbox.
 // Heartbeats never reach the inbox, so they never count.
-func (t *TCP) Waiting(dst, src int) bool { return len(t.inbox[src]) > 0 }
+func (t *TCP) Waiting(dst, src int) bool {
+	l := t.links[src]
+	return l != nil && len(l.inbox) > 0
+}
 
 // WireLinks implements Transport: two directed entries per peer link.
 func (t *TCP) WireLinks() []wire.LinkStat {
@@ -468,21 +603,13 @@ func (t *TCP) WireLinks() []wire.LinkStat {
 
 // Close implements Transport.
 func (t *TCP) Close() error {
-	t.closeOnce.Do(func() {
-		// Silence the event sink first: an orderly local close is not a
-		// peer failure, and the links downed below must not publish one.
-		t.events.close()
-		close(t.closedCh)
-		for _, l := range t.links {
-			l.markDown(errors.New("transport closed"))
-		}
-	})
+	// Silence the event sink first: an orderly local close is not a peer
+	// failure, and the links downed below must not publish one.
+	t.events.close()
+	for _, l := range t.links {
+		l.markDown(errors.New("transport closed"))
+	}
 	return nil
-}
-
-func (t *TCP) hello() *wire.Hello {
-	return &wire.Hello{Magic: wire.Magic, Version: wire.Version, World: t.cfg.World,
-		Rank: t.cfg.Rank, ConfigSum: t.cfg.ConfigSum, Epoch: t.cfg.Epoch}
 }
 
 // validateHello checks a peer handshake frame against this mesh's identity.
@@ -504,15 +631,15 @@ func validateHello(h *wire.Hello, world int, configSum uint64) error {
 
 // joinConn is one accepted or dialed connection after its handshake.
 type joinConn struct {
-	rank  int // -1 for the coordinator control connection
-	conn  net.Conn
-	hello wire.Hello
+	rank int // -1 for the coordinator control connection
+	conn net.Conn
 }
 
 // Join forms the mesh: listens for higher-ranked peers (and, with
 // ExpectCtrl, the coordinator), dials lower-ranked peers with retry, and
 // returns once every expected connection is up with readers and heartbeats
-// running. The returned Ctrl is nil unless ExpectCtrl is set.
+// running. The returned Ctrl is nil unless ExpectCtrl is set; it heartbeats
+// every HeartbeatEvery and never times out a read.
 func Join(cfg TCPConfig) (*TCP, *Ctrl, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, nil, err
@@ -529,15 +656,15 @@ func Join(cfg TCPConfig) (*TCP, *Ctrl, error) {
 	// them back, and a reader may decode one layer ahead of the rank.
 	spares := 2 * cfg.World
 	t := &TCP{
-		cfg:      cfg,
-		links:    make(map[int]*link),
-		inbox:    make(map[int]chan any),
-		inject:   newFailMap(),
-		events:   newEventSink(2 * cfg.World),
-		spares:   wire.NewSpares(spares),
-		loans:    loans{out: make([]any, 0, 3*spares)},
-		closedCh: make(chan struct{}),
+		cfg:    cfg,
+		links:  make(map[int]*link),
+		inject: newFailMap(),
+		events: newEventSink(2 * cfg.World),
+		spares: wire.NewSpares(spares),
+		loans:  loans{out: make([]any, 0, 3*spares)},
 	}
+	hello := &wire.Hello{Magic: wire.Magic, Version: wire.Version, World: cfg.World,
+		Rank: cfg.Rank, ConfigSum: cfg.ConfigSum, Epoch: cfg.Epoch}
 	deadline := time.Now().Add(cfg.RendezvousTimeout)
 	connCh := make(chan joinConn, cfg.World+1)
 	errCh := make(chan error, cfg.World+1)
@@ -572,7 +699,7 @@ func Join(cfg TCPConfig) (*TCP, *Ctrl, error) {
 			}
 			go func(conn net.Conn) {
 				conn.SetDeadline(deadline)
-				v, _, err := wire.ReadFrame(conn, cfg.MaxFrame)
+				v, _, err := wire.ReadFrame(conn, wire.DefaultMaxFrame)
 				if err != nil {
 					if errors.Is(err, wire.ErrBadFrame) {
 						// A frame that arrived but won't decode is almost
@@ -606,7 +733,7 @@ func Join(cfg TCPConfig) (*TCP, *Ctrl, error) {
 				if h.Epoch != cfg.Epoch {
 					// Answer with our Hello either way: it carries our epoch,
 					// which is all the other side needs to resolve the skew.
-					wire.WriteFrame(conn, t.hello())
+					wire.WriteFrame(conn, hello)
 					conn.Close()
 					if h.Epoch > cfg.Epoch {
 						// We are the stale incarnation: abort this rendezvous
@@ -617,12 +744,12 @@ func Join(cfg TCPConfig) (*TCP, *Ctrl, error) {
 					// and redial. Keep listening.
 					return
 				}
-				if _, err := wire.WriteFrame(conn, t.hello()); err != nil {
+				if _, err := wire.WriteFrame(conn, hello); err != nil {
 					conn.Close()
 					return
 				}
 				conn.SetDeadline(time.Time{})
-				offerConn(joinConn{rank: h.Rank, conn: conn, hello: *h})
+				offerConn(joinConn{rank: h.Rank, conn: conn})
 			}(conn)
 		}
 	}()
@@ -630,7 +757,7 @@ func Join(cfg TCPConfig) (*TCP, *Ctrl, error) {
 	// Dial side: we dial every lower-ranked peer, retrying while it boots.
 	for j := 0; j < cfg.Rank; j++ {
 		go func(j int) {
-			conn, err := dialHandshake(cfg.Addrs[j], t.hello(), deadline, cfg.MaxFrame, func(h *wire.Hello) error {
+			conn, err := dialHandshake(cfg.Addrs[j], hello, deadline, func(h *wire.Hello) error {
 				if err := validateHello(h, cfg.World, cfg.ConfigSum); err != nil {
 					return err
 				}
@@ -654,6 +781,14 @@ func Join(cfg TCPConfig) (*TCP, *Ctrl, error) {
 		}
 	}
 	var ctrl *Ctrl
+	fail := func(err error) (*TCP, *Ctrl, error) {
+		ln.Close()
+		t.Close()
+		if ctrl != nil {
+			ctrl.Close()
+		}
+		return nil, nil, err
+	}
 	defer close(rzDone)
 	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
@@ -665,8 +800,7 @@ func Join(cfg TCPConfig) (*TCP, *Ctrl, error) {
 					jc.conn.Close()
 					continue
 				}
-				ctrl = newCtrl(jc.conn, cfg.MaxFrame)
-				ctrl.Peer = jc.hello
+				ctrl = newCtrl(jc.conn, cfg.HeartbeatEvery)
 				continue
 			}
 			if !need[jc.rank] {
@@ -676,12 +810,8 @@ func Join(cfg TCPConfig) (*TCP, *Ctrl, error) {
 			delete(need, jc.rank)
 			t.addLink(jc.rank, jc.conn)
 		case err := <-errCh:
-			ln.Close()
-			t.Close()
-			return nil, nil, err
+			return fail(err)
 		case <-timer.C:
-			ln.Close()
-			t.Close()
 			missing := make([]int, 0, len(need))
 			for j := range need {
 				missing = append(missing, j)
@@ -691,8 +821,8 @@ func Join(cfg TCPConfig) (*TCP, *Ctrl, error) {
 			if len(missing) == 0 {
 				what = "coordinator control connection"
 			}
-			return nil, nil, fmt.Errorf("transport: rank %d rendezvous timed out after %v waiting for %s",
-				cfg.Rank, cfg.RendezvousTimeout, what)
+			return fail(fmt.Errorf("transport: rank %d rendezvous timed out after %v waiting for %s",
+				cfg.Rank, cfg.RendezvousTimeout, what))
 		}
 	}
 	// Mesh complete: no further connections are expected on this listener.
@@ -725,7 +855,7 @@ func checkEpoch(peer, mine uint64) error {
 // validates the peer's reply. An ErrIntegrity on the reply — the handshake
 // frame was damaged in flight — is retried like any transient fault, never
 // confused with the fatal ErrBadFrame version-mismatch signature.
-func dialHandshake(addr string, hello *wire.Hello, deadline time.Time, maxFrame int, check func(*wire.Hello) error) (net.Conn, error) {
+func dialHandshake(addr string, hello *wire.Hello, deadline time.Time, check func(*wire.Hello) error) (net.Conn, error) {
 	var lastErr error
 	bo := NewBackoff(addr)
 	retry := func(err error) error {
@@ -762,7 +892,7 @@ func dialHandshake(addr string, hello *wire.Hello, deadline time.Time, maxFrame 
 			lastErr = err
 			continue
 		}
-		v, _, err := wire.ReadFrame(conn, maxFrame)
+		v, _, err := wire.ReadFrame(conn, wire.DefaultMaxFrame)
 		if err != nil {
 			conn.Close()
 			if errors.Is(err, wire.ErrBadFrame) {
@@ -801,188 +931,101 @@ func dialHandshake(addr string, hello *wire.Hello, deadline time.Time, maxFrame 
 }
 
 // addLink registers an established peer connection and starts its reader
-// and heartbeat goroutines.
+// and heartbeat.
 func (t *TCP) addLink(peer int, conn net.Conn) {
-	l := &link{peer: peer, conn: conn, downCh: make(chan struct{}),
-		onDown: func(peer int, cause error) {
-			t.events.publish(FailureEvent{Peer: peer, Cause: cause})
-		}}
+	l := &link{peer: peer, conn: conn, every: t.cfg.HeartbeatEvery, window: t.cfg.missWindow(),
+		beat:   max(t.cfg.missWindow(), 2*t.cfg.HeartbeatEvery),
+		spares: t.spares, loans: &t.loans, events: t.events}
 	t.links[peer] = l
-	ch := make(chan any, 64)
-	t.inbox[peer] = ch
-	go t.readLoop(l, ch)
-	go t.heartbeatLoop(l)
+	l.start()
 }
 
-// readLoop decodes frames off one link into its inbox. Heartbeats are
-// dropped here, invisible to receivers. A read error (peer crash, conn
-// reset, transport close, or a CRC32C integrity failure) downs the link.
-// Every frame read re-arms the liveness deadline: a peer that heartbeats is
-// alive, one silent for the full miss window (HeartbeatMisses periods) is
-// declared dead right here rather than at the next ring pass. Frames are
-// read into the link's one body buffer, and KV, query and output blocks are
-// decoded into the transport's spares and lent to the rank.
-func (t *TCP) readLoop(l *link, ch chan any) {
-	window := t.cfg.missWindow()
-	rd := wire.Reader{Spares: t.spares}
-	for {
-		if window > 0 {
-			l.conn.SetReadDeadline(time.Now().Add(window))
-		}
-		v, n, err := rd.ReadFrame(l.conn, t.cfg.MaxFrame)
+// Ctrl is the control connection between the coordinator and one worker
+// rank: a link like every mesh link, carrying command and result frames with
+// the same codec. The worker's end heartbeats and never times out a read,
+// since the coordinator may idle between commands; the coordinator's end
+// sends no heartbeat and downs the connection once the worker has been
+// silent for its miss window.
+type Ctrl struct{ link }
+
+// newCtrl starts the worker's end of a control connection, heartbeating
+// every period (0: never).
+func newCtrl(conn net.Conn, every time.Duration) *Ctrl {
+	c := &Ctrl{link{peer: -1, conn: conn, every: every}}
+	c.start()
+	return c
+}
+
+// DialCtrl connects the coordinator's control plane to every worker in
+// cfg.Addrs, where Addrs[i] must answer as rank i of a world of len(Addrs).
+// It sends each a Hello as rank -1 and retries while the worker is still
+// meshing, for up to RendezvousTimeout per worker. A worker on a newer epoch
+// fails the dial with an EpochError naming the epoch to redial at. The
+// heartbeat settings mirror the workers': a connection is downed once its
+// worker has been silent for HeartbeatMisses periods. Every connection's
+// death, and every FailureNote a worker sends, arrives on the returned
+// channel, which the connections share and the first Close closes.
+func DialCtrl(cfg TCPConfig) ([]*Ctrl, <-chan FailureEvent, error) {
+	if err := cfg.liveness(); err != nil {
+		return nil, nil, err
+	}
+	n := len(cfg.Addrs)
+	hello := &wire.Hello{Magic: wire.Magic, Version: wire.Version, World: n, Rank: -1,
+		ConfigSum: cfg.ConfigSum, Epoch: cfg.Epoch}
+	events := newEventSink(n + 2)
+	ctrls := make([]*Ctrl, 0, n)
+	for i, addr := range cfg.Addrs {
+		conn, err := dialHandshake(addr, hello, time.Now().Add(cfg.RendezvousTimeout), func(h *wire.Hello) error {
+			if err := validateHello(h, n, cfg.ConfigSum); err != nil {
+				return err
+			}
+			if h.Rank != i {
+				return fmt.Errorf("address %s answered as rank %d, want %d", addr, h.Rank, i)
+			}
+			return checkEpoch(h.Epoch, cfg.Epoch)
+		})
 		if err != nil {
-			var ne net.Error
-			if errors.Is(err, io.EOF) {
-				err = fmt.Errorf("peer rank %d closed the connection", l.peer)
-			} else if errors.As(err, &ne) && ne.Timeout() {
-				err = fmt.Errorf("peer rank %d missed %d heartbeats (%v silent)",
-					l.peer, t.cfg.HeartbeatMisses, window)
-			} else if errors.Is(err, wire.ErrIntegrity) {
-				err = fmt.Errorf("frame from rank %d failed integrity check: %w", l.peer, err)
+			for _, c := range ctrls {
+				c.Close()
 			}
-			l.markDown(err)
-			return
+			return nil, nil, fmt.Errorf("transport: control dial to rank %d at %s: %w", i, addr, err)
 		}
-		atomic.AddInt64(&l.inMsgs, 1)
-		atomic.AddInt64(&l.inBytes, int64(n))
-		if _, hb := v.(*wire.Heartbeat); hb {
-			continue
-		}
-		if wire.Recyclable(v) {
-			t.loans.lend(v)
-		}
-		select {
-		case ch <- v:
-		case <-t.closedCh:
-			return
-		}
+		c := &Ctrl{link{peer: i, conn: conn, window: cfg.missWindow(), events: events}}
+		c.start()
+		ctrls = append(ctrls, c)
 	}
+	return ctrls, events.ch, nil
 }
 
-// heartbeatLoop keeps the link observably alive: a frame every
-// HeartbeatEvery means a crashed or wedged peer surfaces as a write error
-// (downing the link) within the miss window instead of only at the next
-// ring pass.
-func (t *TCP) heartbeatLoop(l *link) {
-	writeWindow := t.cfg.missWindow()
-	if writeWindow <= 0 {
-		writeWindow = 2 * t.cfg.HeartbeatEvery
-	}
-	tick := time.NewTicker(t.cfg.HeartbeatEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			l.wmu.Lock()
-			l.conn.SetWriteDeadline(time.Now().Add(writeWindow))
-			n, err := l.w.WriteFrame(l.conn, &wire.Heartbeat{}) //cplint:allow lock-send heartbeat shares the write-serialization mutex; bounded by the write deadline above
-			l.wmu.Unlock()
-			countSent(&l.outMsgs, &l.outBytes, n, err)
-			if err != nil {
-				// A timed-out write may sit half-flushed on the stream;
-				// framing is gone either way, so the link dies.
-				l.markDown(err)
-				return
-			}
-		case <-l.downCh:
-			return
-		case <-t.closedCh:
-			return
-		}
-	}
-}
+// Send writes one command or result frame. The write has no deadline.
+func (c *Ctrl) Send(v any) error { return c.send(v, 0, nil) }
 
-// Ctrl is a framed control connection between the coordinator and one
-// worker rank, carrying command/result frames with the same codec as the
-// data plane.
-type Ctrl struct {
-	conn     net.Conn
-	maxFrame int
-	wmu      sync.Mutex
-	w        wire.Writer // Send's frame buffer, used under wmu
-	rd       wire.Reader // Recv's body buffer: one goroutine reads a Ctrl
-	Peer     wire.Hello  // the remote end's handshake
+// Recv returns the next command or result frame, waiting up to timeout (0:
+// without bound); heartbeats and FailureNotes never arrive here. Once the
+// connection is down and its frames are taken, Recv fails at once with
+// ErrLinkFailed and the cause, which matches io.EOF when the far end hung
+// up. One goroutine receives at a time.
+func (c *Ctrl) Recv(timeout time.Duration) (any, error) { return c.recv(timeout) }
 
-	outMsgs, outBytes int64
-	inMsgs, inBytes   int64
-}
+// Frames is the queue Recv takes from, for a caller that waits on it
+// alongside other channels. It closes once the connection is down and every
+// frame read before has been taken; Err then names the cause.
+func (c *Ctrl) Frames() <-chan any { return c.inbox }
 
-func newCtrl(conn net.Conn, maxFrame int) *Ctrl {
-	return &Ctrl{conn: conn, maxFrame: maxFrame}
-}
-
-// DialCtrl connects the coordinator's control plane to one worker: sends
-// hello (rank -1), waits for the worker's identity reply, and retries while
-// the worker is still meshing. The worker must answer as expectRank.
-func DialCtrl(addr string, hello *wire.Hello, expectRank int, timeout time.Duration) (*Ctrl, error) {
-	if timeout <= 0 {
-		timeout = DefaultRendezvousTimeout
-	}
-	if hello.Epoch == 0 {
-		h := *hello
-		h.Epoch = 1 // same normalization Join applies to TCPConfig.Epoch
-		hello = &h
-	}
-	deadline := time.Now().Add(timeout)
-	var peer wire.Hello
-	conn, err := dialHandshake(addr, hello, deadline, wire.DefaultMaxFrame, func(h *wire.Hello) error {
-		if err := validateHello(h, hello.World, hello.ConfigSum); err != nil {
-			return err
-		}
-		if h.Rank != expectRank {
-			return fmt.Errorf("address %s answered as rank %d, want %d", addr, h.Rank, expectRank)
-		}
-		if err := checkEpoch(h.Epoch, hello.Epoch); err != nil {
-			// A worker on a newer epoch means this coordinator is stale; the
-			// EpochError tells ConnectCluster which epoch to redial at.
-			return err
-		}
-		peer = *h
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("transport: control dial %s: %w", addr, err)
-	}
-	c := newCtrl(conn, wire.DefaultMaxFrame)
-	c.Peer = peer
-	return c, nil
-}
-
-// Send writes one command/result frame.
-func (c *Ctrl) Send(v any) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	n, err := c.w.WriteFrame(c.conn, v) //cplint:allow lock-send wmu exists to serialize control-channel frame writes
-	countSent(&c.outMsgs, &c.outBytes, n, err)
-	return err
-}
-
-// Recv reads the next frame; timeout 0 blocks indefinitely (a worker idling
-// between commands). io.EOF reports an orderly peer shutdown. Only a frame
-// read in full counts toward WireTotals. One goroutine receives at a time.
-func (c *Ctrl) Recv(timeout time.Duration) (any, error) {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	if err := c.conn.SetReadDeadline(deadline); err != nil {
-		return nil, err
-	}
-	v, n, err := c.rd.ReadFrame(c.conn, c.maxFrame)
-	if err != nil {
-		return nil, err
-	}
-	atomic.AddInt64(&c.inMsgs, 1)
-	atomic.AddInt64(&c.inBytes, int64(n))
-	return v, nil
-}
+// Err is why the connection went down, or nil while it is up.
+func (c *Ctrl) Err() error { return c.downCause() }
 
 // WireTotals returns the control link's cumulative frame and byte counts,
-// both directions combined.
+// both directions combined. Only frames that moved in full count.
 func (c *Ctrl) WireTotals() (msgs, bytes int64) {
 	return atomic.LoadInt64(&c.outMsgs) + atomic.LoadInt64(&c.inMsgs),
 		atomic.LoadInt64(&c.outBytes) + atomic.LoadInt64(&c.inBytes)
 }
 
-// Close hangs up the control connection.
-func (c *Ctrl) Close() error { return c.conn.Close() }
+// Close hangs up the control connection. It closes the failure channel
+// first, so a local hangup is never reported as a failure.
+func (c *Ctrl) Close() error {
+	c.events.close()
+	c.markDown(errors.New("connection closed locally"))
+	return nil
+}

@@ -555,11 +555,11 @@ func TestCtrlRoundTrip(t *testing.T) {
 		})
 		workerCh <- joined{tp, ctrl, err}
 	}()
-	hello := &wire.Hello{Magic: wire.Magic, Version: wire.Version, World: 1, Rank: -1, ConfigSum: 9}
-	coord, err := DialCtrl(addrs[0], hello, 0, 5*time.Second)
+	coords, _, err := DialCtrl(TCPConfig{Addrs: addrs, ConfigSum: 9, RendezvousTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	coord := coords[0]
 	w := <-workerCh
 	if w.err != nil {
 		t.Fatal(w.err)
@@ -600,7 +600,8 @@ func TestCtrlRoundTrip(t *testing.T) {
 
 // TestHeartbeatConfigValidation pins the heartbeat knob contract: zero
 // values take the defaults, a one-miss window is rejected (it flaps on
-// ordinary jitter), and negative thresholds mean "disabled" and pass.
+// ordinary jitter), negative thresholds mean "disabled" and pass, and a
+// negative interval is rejected by name.
 func TestHeartbeatConfigValidation(t *testing.T) {
 	base := func() TCPConfig {
 		return TCPConfig{World: 2, Rank: 0, Addrs: []string{"a:1", "b:2"}}
@@ -621,6 +622,11 @@ func TestHeartbeatConfigValidation(t *testing.T) {
 	cfg.HeartbeatMisses = -1
 	if err := cfg.applyDefaults(); err != nil {
 		t.Fatalf("disabled heartbeats rejected: %v", err)
+	}
+	cfg = base()
+	cfg.HeartbeatEvery = -time.Second
+	if err := cfg.applyDefaults(); !errors.Is(err, ErrNegativeHeartbeat) {
+		t.Fatalf("negative heartbeat interval: err=%v, want ErrNegativeHeartbeat", err)
 	}
 	cfg = base()
 	cfg.HeartbeatEvery = 100 * time.Millisecond

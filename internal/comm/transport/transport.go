@@ -35,14 +35,15 @@ var ErrTimeout = errors.New("timed out")
 var ErrLinkFailed = errors.New("link failed")
 
 // failure wraps a sentinel with a transport-level cause (e.g. the socket
-// error that killed a TCP link). errors.Is still matches the sentinel.
+// error that killed a TCP link). errors.Is matches the sentinel and the
+// cause's own chain, so a link the far end hung up on matches io.EOF too.
 type failure struct {
 	sentinel error
 	cause    error
 }
 
-func (f *failure) Error() string { return f.sentinel.Error() + ": " + f.cause.Error() }
-func (f *failure) Unwrap() error { return f.sentinel }
+func (f *failure) Error() string   { return f.sentinel.Error() + ": " + f.cause.Error() }
+func (f *failure) Unwrap() []error { return []error{f.sentinel, f.cause} }
 
 func failWith(sentinel, cause error) error {
 	if cause == nil {
@@ -92,7 +93,8 @@ func (e *EpochError) Error() string {
 
 // eventSink is the shared bounded failure-event channel: sends never block
 // (events are droppable hints — the consumer only needs to learn that
-// something failed) and Close is safe against concurrent publishers.
+// something failed) and Close is safe against concurrent publishers. A nil
+// sink drops every event.
 type eventSink struct {
 	mu     sync.Mutex
 	ch     chan FailureEvent
@@ -104,6 +106,9 @@ func newEventSink(buf int) *eventSink {
 }
 
 func (s *eventSink) publish(ev FailureEvent) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -116,6 +121,9 @@ func (s *eventSink) publish(ev FailureEvent) {
 }
 
 func (s *eventSink) close() {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.closed {

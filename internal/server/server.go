@@ -66,9 +66,10 @@ type Config struct {
 	Recover bool
 	// MaxRecoveries bounds lifetime rebuild attempts (0 = 3 when Recover).
 	MaxRecoveries int
-	// HeartbeatEvery sets the distributed control-plane heartbeat interval
-	// (worker → coordinator liveness). 0 = the transport default; negative
-	// disables heartbeats. In-process clusters ignore it.
+	// HeartbeatEvery is the workers' control-connection heartbeat interval
+	// (worker → coordinator liveness), which with HeartbeatMisses sets the
+	// coordinator's miss window. 0 = the transport default (500ms); negative
+	// is rejected (transport.CheckHeartbeat). In-process clusters ignore it.
 	HeartbeatEvery time.Duration
 	// HeartbeatMisses is how many silent heartbeat windows declare a worker
 	// dead. 0 = default; must be >= 2 (a single missed beat flaps on

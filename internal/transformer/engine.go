@@ -18,7 +18,7 @@ import (
 // rank's only copy of its KV) and the send buffers pass-KV ships from,
 // replicated weights, and the registry of detached prefix spans. Its only entry point is handle (worker.go): one command in,
 // one reply out. A memPlane hosts N engines in the coordinator's process and
-// ServeRank hosts one in a cprank worker, but a rank cannot tell where it or
+// serveRank hosts one in a cprank worker, but a rank cannot tell where it or
 // its peers live — which is what makes the deployments bit-identical.
 type rankEngine struct {
 	w        *Weights
@@ -30,7 +30,7 @@ type rankEngine struct {
 	// the cluster incarnation so merged traces survive recovery rebuilds. A
 	// nil recorder is tracing off: every sweep timer degrades to a nil no-op
 	// and the compute path takes zero clock readings. staged marks rec as
-	// this engine's own staging buffer (ServeRank sets it): only then does a
+	// this engine's own staging buffer (serveRank sets it): only then does a
 	// TraceCmd drain it. An in-process engine records straight into the
 	// cluster's store, and draining that into itself would lose the lot.
 	rec    *trace.Recorder

@@ -86,32 +86,17 @@ type WorkerConfig struct {
 // connection), and serves command frames until shutdown or coordinator
 // hangup (both orderly here — use RunWorkerLoop for rejoin semantics).
 func RunWorker(cfg WorkerConfig) error {
-	w, err := NewWeights(cfg.Transformer)
-	if err != nil {
-		return err
-	}
-	b, err := newWorkerBoot(&cfg)
-	if err != nil {
-		return err
-	}
-	defer b.close()
-	err = b.serveEpoch(cfg, w, cfg.Epoch)
-	if errors.Is(err, ErrCoordinatorHangup) {
-		return nil
-	}
-	return err
+	cfg.Rejoin = false
+	return RunWorkerLoop(cfg)
 }
 
-// RunWorkerLoop hosts one CP rank across cluster incarnations: each cycle
-// joins the mesh at the current epoch with a fresh engine, serves until the
-// incarnation ends, and rejoins at the next epoch. The loop exits cleanly
-// on an explicit shutdown command, and with an error when the rendezvous
-// for a new epoch times out (no coordinator came back) or the rejoin budget
-// is spent.
+// RunWorkerLoop hosts one CP rank across cluster incarnations when
+// cfg.Rejoin is set (RunWorker otherwise): each cycle joins the mesh at the
+// current epoch with a fresh engine, serves until the incarnation ends, and
+// rejoins at the next epoch. The loop exits cleanly on an explicit shutdown
+// command, and with an error when the rendezvous for a new epoch times out
+// (no coordinator came back) or the rejoin budget is spent.
 func RunWorkerLoop(cfg WorkerConfig) error {
-	if !cfg.Rejoin {
-		return RunWorker(cfg)
-	}
 	w, err := NewWeights(cfg.Transformer)
 	if err != nil {
 		return err
@@ -125,12 +110,15 @@ func RunWorkerLoop(cfg WorkerConfig) error {
 	if maxRejoins <= 0 {
 		maxRejoins = 16
 	}
-	epoch := cfg.Epoch
-	if epoch == 0 {
-		epoch = 1
-	}
+	epoch := max(cfg.Epoch, 1)
 	for rejoins := 0; ; rejoins++ {
 		err := b.serveEpoch(cfg, w, epoch)
+		if !cfg.Rejoin {
+			if errors.Is(err, ErrCoordinatorHangup) {
+				return nil
+			}
+			return err
+		}
 		var eErr *transport.EpochError
 		switch {
 		case err == nil:
@@ -286,17 +274,15 @@ func (b *workerBoot) serveEpoch(cfg WorkerConfig, w *Weights, epoch uint64) erro
 		commOpts = append(commOpts, comm.WithRecvTimeout(cfg.RecvTimeout))
 	}
 	world := comm.NewWorldOver(mesh, commOpts...)
-	hb := cfg.HeartbeatEvery
-	if hb <= 0 {
-		hb = transport.DefaultHeartbeatEvery
-	}
-	return ServeRank(ctrl, world, w, cfg.KVCapacity, epoch, cfg.MaxTraceSpans, hb)
+	return serveRank(ctrl, world, w, cfg.KVCapacity, epoch, cfg.MaxTraceSpans)
 }
 
-// ServeRank runs one rank's command loop: receive a control frame, execute
+// serveRank runs one rank's command loop: receive a control frame, execute
 // it on the rank engine (ring passes flow over the world's transport), and
 // reply with a result frame. Engine errors are reported in the reply and
-// the loop keeps serving — they are the coordinator's to handle.
+// the loop keeps serving — they are the coordinator's to handle. The control
+// connection's own reader and heartbeat run under it, so the loop only
+// waits: on the next command, or on the mesh's next failure event.
 //
 // Data-plane faults (a peer link dying) never end the loop either: the
 // worker sends the coordinator an unsolicited FailureNote — once per dead
@@ -309,19 +295,8 @@ func (b *workerBoot) serveEpoch(cfg WorkerConfig, w *Weights, epoch uint64) erro
 //   - explicit ShutdownCmd: returns nil (orderly exit, never rejoined)
 //   - coordinator hangup: returns ErrCoordinatorHangup (rebuild or crash;
 //     the rejoin loop re-enters rendezvous at the next epoch)
-//
-// heartbeatEvery > 0 also heartbeats the control connection at that period,
-// mirroring the data-plane links: a coordinator reading with an idle
-// deadline can then tell a wedged worker process from a merely quiet one.
-func ServeRank(ctrl *transport.Ctrl, world *comm.World, w *Weights, kvCapacity int, epoch uint64, maxTraceSpans int, heartbeatEvery time.Duration) error {
-	local := world.LocalRanks()
-	if len(local) != 1 {
-		return fmt.Errorf("transformer: worker world hosts %d ranks, want exactly 1", len(local))
-	}
-	if epoch == 0 {
-		epoch = 1
-	}
-	rank := world.Rank(local[0])
+func serveRank(ctrl *transport.Ctrl, world *comm.World, w *Weights, kvCapacity int, epoch uint64, maxTraceSpans int) error {
+	rank := world.Rank(world.LocalRanks()[0]) // a TCP world hosts one rank
 	// Each incarnation stages its spans in its own recorder; the coordinator
 	// drains them over TraceCmd round trips and merges into its cumulative
 	// store, epoch-stamped so traces survive recovery rebuilds.
@@ -332,50 +307,13 @@ func ServeRank(ctrl *transport.Ctrl, world *comm.World, w *Weights, kvCapacity i
 		return err
 	}
 	e.staged = true
-	// A dedicated reader lets the loop select between command frames and
-	// the transport's failure events; stop bounds its life when the loop
-	// exits for a non-control reason.
-	frames := make(chan any, 1)
-	readErr := make(chan error, 1)
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			v, err := ctrl.Recv(0)
-			if err != nil {
-				readErr <- err
-				return
-			}
-			select {
-			case frames <- v:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	if heartbeatEvery > 0 {
-		go func() {
-			tick := time.NewTicker(heartbeatEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					// A failed write means the ctrl conn is dead; the reader
-					// goroutine surfaces that as the loop's exit signal.
-					_ = ctrl.Send(&wire.Heartbeat{})
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
 	noted := make(map[int]bool)
-	failures := world.Failures()
+	frames, failures := ctrl.Frames(), world.Failures()
 	for {
 		select {
-		case v := <-frames:
-			if _, ok := v.(*wire.Heartbeat); ok {
-				continue // liveness only, never a command
+		case v, ok := <-frames:
+			if !ok {
+				return hungUp(ctrl.Err())
 			}
 			reply, shutdown := e.handle(rank, world, v)
 			if st, ok := reply.(*wire.StatsResult); ok {
@@ -386,16 +324,11 @@ func ServeRank(ctrl *transport.Ctrl, world *comm.World, w *Weights, kvCapacity i
 				st.ChaosKinds, st.ChaosCounts = chaos.Totals()
 			}
 			if err := ctrl.Send(reply); err != nil {
-				return err
+				return hungUp(err)
 			}
 			if shutdown {
 				return nil
 			}
-		case err := <-readErr:
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return ErrCoordinatorHangup
-			}
-			return err
 		case ev, ok := <-failures:
 			if !ok {
 				failures = nil // transport closed; stop selecting on it
@@ -406,14 +339,25 @@ func ServeRank(ctrl *transport.Ctrl, world *comm.World, w *Weights, kvCapacity i
 			}
 			noted[ev.Peer] = true
 			// Best effort: surface the dead link to the coordinator. The
-			// note is filtered out of the command/result stream there, so it
-			// can never alias a reply.
+			// note never reaches the coordinator's command/result stream, so
+			// it can never alias a reply.
 			_ = ctrl.Send(&wire.FailureNote{
 				Rank:  rank.ID,
 				Cause: fmt.Sprintf("link to rank %d failed: %v", ev.Peer, ev.Cause),
 			})
 		}
 	}
+}
+
+// hungUp maps a control connection the coordinator closed to
+// ErrCoordinatorHangup, and returns any other error as it is. The
+// connection's cause matches io.EOF on a hangup whichever of its reader,
+// heartbeat or reply write met the closed socket first.
+func hungUp(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+		return ErrCoordinatorHangup
+	}
+	return err
 }
 
 // handle executes one command frame — the single dispatch every coordinator
