@@ -1001,10 +1001,11 @@ func DialCtrl(cfg TCPConfig) ([]*Ctrl, <-chan FailureEvent, error) {
 func (c *Ctrl) Send(v any) error { return c.send(v, 0, nil) }
 
 // Recv returns the next command or result frame, waiting up to timeout (0:
-// without bound); heartbeats and FailureNotes never arrive here. Once the
-// connection is down and its frames are taken, Recv fails at once with
-// ErrLinkFailed and the cause, which matches io.EOF when the far end hung
-// up. One goroutine receives at a time.
+// without bound); heartbeats and FailureNotes never arrive here. A prefill
+// or decode result is the connection's own frame, reused by the next result
+// of its kind (wire.Reader). Once the connection is down and its frames are
+// taken, Recv fails at once with ErrLinkFailed and the cause, which matches
+// io.EOF when the far end hung up. One goroutine receives at a time.
 func (c *Ctrl) Recv(timeout time.Duration) (any, error) { return c.recv(timeout) }
 
 // Frames is the queue Recv takes from, for a caller that waits on it

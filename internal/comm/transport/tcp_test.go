@@ -791,3 +791,43 @@ func TestFrameCountersCountOnlyFramesThatMoved(t *testing.T) {
 		t.Fatalf("an EOF moved the control totals: %v -> %v", moved, got)
 	}
 }
+
+// A mesh link whose far end goes away is reported as that end hanging up,
+// however it went: when rank r's end of the link is closed cleanly (FIN) or
+// reset (RST, after SetLinger(0)), rank 0's failure event names Peer r, its
+// cause matches io.EOF, and its text names "peer rank r".
+func TestTCPDeadLinkCauseNamesThePeer(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reset bool
+	}{{"closed", false}, {"reset", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const r = 2
+			mesh := loopbackMesh(t, 3, 7)
+			conn, ok := mesh[r].links[0].conn.(*net.TCPConn)
+			if !ok {
+				t.Fatalf("rank %d's link to rank 0 is a %T", r, mesh[r].links[0].conn)
+			}
+			if tc.reset {
+				if err := conn.SetLinger(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			conn.Close()
+			select {
+			case ev := <-mesh[0].Failures():
+				if ev.Peer != r {
+					t.Fatalf("failure event names peer %d, want %d (cause %v)", ev.Peer, r, ev.Cause)
+				}
+				if !errors.Is(ev.Cause, io.EOF) {
+					t.Fatalf("cause %q does not match io.EOF", ev.Cause)
+				}
+				if want := fmt.Sprintf("peer rank %d", r); !strings.Contains(ev.Cause.Error(), want) {
+					t.Fatalf("cause %q does not name %q", ev.Cause, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("no failure event for the dead link")
+			}
+		})
+	}
+}

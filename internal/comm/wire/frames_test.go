@@ -57,8 +57,10 @@ func goldenPayloads() []namedPayload {
 		{"oblock", &OBlock{Out: &attention.Output{O: goldenTensor(2, 2, 4, 3), LSE: []float64{0, math.Inf(-1), -2.5, 1e300}}}},
 		{"hello", &Hello{Magic: Magic, Version: Version, World: 3, Rank: -1, ConfigSum: 0xdeadbeefcafef00d, Epoch: 7}},
 		{"heartbeat", &Heartbeat{}},
-		{"prefillcmd", &PrefillCmd{Seqs: []int{7, 9}, Tokens: [][]int{{1, 2, 3}, {4}}, P: []int{0, 32}, Variant: 1, All: true}},
+		{"prefillcmd", &PrefillCmd{Seqs: []int{7, 9}, Tokens: [][]int{{1, 2, 3}, {4}}, P: []int{0, 32}, Variant: 1, Reply: ReplyAll}},
+		{"prefillcmd-token", &PrefillCmd{Seqs: []int{3}, Tokens: [][]int{{8, 1}}, P: []int{16}, Variant: 0, Reply: ReplyToken}},
 		{"decodecmd", &DecodeCmd{Seqs: []int{1, 2}, Tokens: []int{5, 6}, Pos: []int{10, 20}, Owners: []int{0, 2}}},
+		{"decodecmd-token", &DecodeCmd{Seqs: []int{1, 2}, Tokens: []int{5, 6}, Pos: []int{10, 20}, Owners: []int{0, 2}, Reply: ReplyToken}},
 		{"dropcmd", &DropCmd{Seq: 4}},
 		{"detachcmd", &DetachCmd{Seq: 1, UpTo: 64, ID: 99}},
 		{"adoptcmd", &AdoptCmd{Seq: 2, ID: 1 << 63}},
@@ -68,7 +70,9 @@ func goldenPayloads() []namedPayload {
 		{"shutdowncmd", &ShutdownCmd{}},
 		{"prefillresult", &PrefillResult{Logits: goldenTensor(2, 1, 5, 4), Err: "partial"}},
 		{"prefillresult-nil-logits", &PrefillResult{Err: "no logits"}},
+		{"prefillresult-token", &PrefillResult{IDs: []int32{0, 511, math.MaxInt32}}},
 		{"decoderesult", &DecodeResult{Flat: []float32{1, float32(math.Inf(1)), -0.5}, Err: ""}},
+		{"decoderesult-token", &DecodeResult{IDs: []int32{7, -1}, Err: ""}},
 		{"ack", &Ack{Err: "boom"}},
 		{"detachresult", &DetachResult{PerLayer: []int{16, 16}, Err: "x"}},
 		{"capresult", &CapResult{Capacity: 128, Avail: []int{3, 4}, Overhead: [][]int{{0, 1}, {2, 0}}, Err: "cap"}},
@@ -223,8 +227,8 @@ func largerPayloads() []any {
 		&OBlock{Out: &attention.Output{O: goldenTensor(5, 2, 4, 8), LSE: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}}},
 		&Hello{Magic: 1, Version: 2, World: 9, Rank: 8, ConfigSum: 7, Epoch: 6},
 		&Heartbeat{},
-		&PrefillCmd{Seqs: ints(4, 1), Tokens: [][]int{ints(5, 0), ints(6, 1), ints(2, 2), ints(7, 3)}, P: ints(4, 9), Variant: 0},
-		&DecodeCmd{Seqs: ints(5, 1), Tokens: ints(5, 2), Pos: ints(5, 3), Owners: ints(5, 4)},
+		&PrefillCmd{Seqs: ints(4, 1), Tokens: [][]int{ints(5, 0), ints(6, 1), ints(2, 2), ints(7, 3)}, P: ints(4, 9), Variant: 0, Reply: ReplyToken},
+		&DecodeCmd{Seqs: ints(5, 1), Tokens: ints(5, 2), Pos: ints(5, 3), Owners: ints(5, 4), Reply: ReplyToken},
 		&DropCmd{Seq: 99},
 		&DetachCmd{Seq: 7, UpTo: 8, ID: 9},
 		&AdoptCmd{Seq: 7, ID: 8},
@@ -232,8 +236,8 @@ func largerPayloads() []any {
 		&CapQueryCmd{Seqs: ints(6, 0)},
 		&StatsCmd{},
 		&ShutdownCmd{},
-		&PrefillResult{Logits: goldenTensor(4, 1, 5, 9), Err: "a longer error than any golden one"},
-		&DecodeResult{Flat: []float32{9, 8, 7, 6, 5, 4, 3}, Err: "decode failed"},
+		&PrefillResult{Logits: goldenTensor(4, 1, 5, 9), IDs: []int32{1, 2, 3, 4, 5}, Err: "a longer error than any golden one"},
+		&DecodeResult{Flat: []float32{9, 8, 7, 6, 5, 4, 3}, IDs: []int32{6, 5, 4, 3}, Err: "decode failed"},
 		&Ack{Err: "a longer error than any golden one"},
 		&DetachResult{PerLayer: ints(5, 16), Err: "detach failed"},
 		&CapResult{Capacity: 7, Avail: ints(4, 1), Overhead: [][]int{ints(4, 0), ints(4, 1), ints(4, 2)}, Err: "capacity"},

@@ -54,7 +54,9 @@ const Magic = 0x43505257 // "CPRW"
 // Version 4 added the per-frame CRC32C trailer and the StatsResult
 // integrity/chaos counters. Version 5 added PrefillCmd.All: a prefill
 // returns only its sampled rows unless the command asks for every row.
-const Version = 5
+// Version 6 replaced All with a Reply mode on both PrefillCmd and DecodeCmd,
+// and results carry the sampled rows' token ids when the mode asks for them.
+const Version = 6
 
 // DefaultMaxFrame bounds a single frame's encoded size (length prefix
 // included). Loopback KV tiles at laptop scale are kilobytes; anything near
@@ -136,32 +138,54 @@ type Hello struct {
 // inbox, so it is invisible to the ring algorithms.
 type Heartbeat struct{}
 
+// Reply is what a prefill or decode command asks its result to carry. It
+// travels as one byte; a mode the command does not take fails both encode
+// and decode.
+type Reply uint8
+
+const (
+	// ReplyLast returns the logits of the sampled rows: each sequence's last
+	// new position. The zero value, and what the exact-equality oracles
+	// compare decode steps with.
+	ReplyLast Reply = iota
+	// ReplyToken returns the sampled rows' token ids instead: the rank
+	// holding a row runs the greedy sampler on it, so no logits row crosses
+	// to the coordinator. Serving runs on this mode.
+	ReplyToken
+	// ReplyAll returns every new position's logits (prefill only:
+	// Cluster.PrefillBatch, the exact-equality oracle).
+	ReplyAll
+)
+
 // PrefillCmd instructs every rank to run one fused varseq prefill. All
 // derived quantities (previously-cached lengths P, the resolved ring
 // variant) are included so workers execute a pure function of the frame.
 //
-// All selects which rows' logits come back. Set, every new position's
-// (Cluster.PrefillBatch, the exact-equality oracle). Clear, only each
-// sequence's last position — the sampled row — whose last layer is then the
-// only one that runs attention, the FFN and the output head; every layer's
-// K/V, and every earlier layer, is computed in full either way.
+// Reply selects which rows come back, and how. Under ReplyAll every new
+// position's logits. Under ReplyLast and ReplyToken only each sequence's
+// last position — the sampled row — whose last layer is then the only one
+// that runs attention, the FFN and the output head; every layer's K/V, and
+// every earlier layer, is computed in full either way.
 type PrefillCmd struct {
 	Seqs    []int
 	Tokens  [][]int
 	P       []int
 	Variant int // resolved model.Variant; never Auto on the wire
-	All     bool
+	Reply   Reply
 }
 
 // DecodeCmd instructs every rank to run one fused batched decode step.
 // Owners[i] is the rank that owns batch entry i's token this step; Pos[i]
 // its global position — both resolved by the coordinator so placement stays
-// a pure function of the command stream.
+// a pure function of the command stream. Reply is ReplyLast (every owned
+// row's logits) or ReplyToken (their token ids); a decode step samples
+// every row, so ReplyAll is not a decode mode.
 type DecodeCmd struct {
 	Seqs   []int
 	Tokens []int
 	Pos    []int
 	Owners []int
+	Reply  Reply
 }
 
 // DropCmd evicts one sequence's KV on every rank.
@@ -251,19 +275,24 @@ type TraceResult struct {
 // ShutdownCmd ends a worker's serve loop.
 type ShutdownCmd struct{}
 
-// PrefillResult carries one rank's logits back to the coordinator, a
-// [rows, 1, vocab] tensor in local slot order: all LocalLen slots, padding
-// included, under PrefillCmd.All, else the sampled rows the rank holds —
-// possibly none, which is an empty tensor, not a nil one. The coordinator
+// PrefillResult carries one rank's rows back to the coordinator. Under
+// ReplyAll and ReplyLast, Logits is a [rows, 1, vocab] tensor in local slot
+// order: all LocalLen slots, padding included, under ReplyAll, else the
+// sampled rows the rank holds — possibly none, which is an empty tensor,
+// not a nil one. Under ReplyToken, IDs holds one token id per sampled row
+// the rank holds, in the same order, and Logits is nil. The coordinator
 // checks the row count against the plan before it reads a row.
 type PrefillResult struct {
 	Logits *tensor.Tensor
+	IDs    []int32
 	Err    string
 }
 
-// DecodeResult carries the flat logits of a rank's owned decode rows.
+// DecodeResult carries a rank's owned decode rows: their flat logits under
+// ReplyLast, their token ids under ReplyToken.
 type DecodeResult struct {
 	Flat []float32
+	IDs  []int32
 	Err  string
 }
 
@@ -360,7 +389,7 @@ func (m *PrefillCmd) walk(c *codec) byte {
 	c.intss(&m.Tokens)
 	ints(c, &m.P)
 	num(c, &m.Variant, 8)
-	m.All = c.present(m.All)
+	c.reply(&m.Reply, ReplyAll)
 	return tPrefillCmd
 }
 
@@ -369,6 +398,7 @@ func (m *DecodeCmd) walk(c *codec) byte {
 	ints(c, &m.Tokens)
 	ints(c, &m.Pos)
 	ints(c, &m.Owners)
+	c.reply(&m.Reply, ReplyToken)
 	return tDecodeCmd
 }
 
@@ -412,12 +442,14 @@ func (m *FailureNote) walk(c *codec) byte {
 
 func (m *PrefillResult) walk(c *codec) byte {
 	c.tensor(&m.Logits)
+	i32s(c, &m.IDs)
 	c.str(&m.Err)
 	return tPrefillResult
 }
 
 func (m *DecodeResult) walk(c *codec) byte {
 	c.f32s(&m.Flat)
+	i32s(c, &m.IDs)
 	c.str(&m.Err)
 	return tDecodeResult
 }
@@ -702,6 +734,26 @@ func ints[T int | int64](c *codec, p *[]T) {
 	}
 }
 
+// i32s walks a vector of 4-byte integers.
+func i32s(c *codec, p *[]int32) {
+	sized(c, p, 4)
+	s := c.next(4 * len(*p))
+	if s == nil {
+		return
+	}
+	if v := *p; c.dec {
+		for i := range v {
+			v[i] = int32(binary.LittleEndian.Uint32(s))
+			s = s[4:]
+		}
+	} else {
+		for _, x := range v {
+			binary.LittleEndian.PutUint32(s, uint32(x))
+			s = s[4:]
+		}
+	}
+}
+
 func (c *codec) f64s(p *[]float64) {
 	sized(c, p, 8)
 	s := c.next(8 * len(*p))
@@ -796,6 +848,22 @@ func (c *codec) present(have bool) bool {
 	return v == 1 && c.err == nil
 }
 
+// reply walks a command's reply mode as one byte. A mode past last, the
+// command's final one, fails on either side: encoding it would write a
+// frame no peer decodes.
+func (c *codec) reply(p *Reply, last Reply) {
+	v := uint8(*p)
+	num(c, &v, 1)
+	if c.err != nil {
+		return
+	}
+	if Reply(v) > last {
+		c.fail("reply mode %d past %d", v, last)
+		return
+	}
+	*p = Reply(v)
+}
+
 // tensor walks an optional tensor: a presence byte, the shape, the rows. A
 // decode reuses *p and its storage when it has some, and clears *p when the
 // frame holds none.
@@ -873,7 +941,8 @@ func (c *codec) output(p **attention.Output) {
 
 // Append encodes v (type id byte plus payload, no length prefix) onto buf
 // and returns the extended slice. The supported payload set is closed; any
-// other type is an error, never a silent fallback encoding.
+// other type is an error, never a silent fallback encoding, and so is a
+// field no decoder accepts (a reply mode the command does not take).
 func Append(buf []byte, v any) ([]byte, error) {
 	f := asFrame(v)
 	if f == nil {
@@ -883,11 +952,14 @@ func Append(buf []byte, v any) ([]byte, error) {
 	c := codecs.Get().(*codec)
 	c.b = append(buf, 0)
 	id := f.walk(c)
-	buf = c.b
-	buf[at] = id
+	out, err := c.b, c.err
 	*c = codec{}
 	codecs.Put(c)
-	return buf, nil
+	if err != nil {
+		return buf, err
+	}
+	out[at] = id
+	return out, nil
 }
 
 // Decode parses one encoded payload (type id byte plus body, no length
@@ -1141,8 +1213,9 @@ func ReadFrame(r io.Reader, maxFrame int) (any, int, error) {
 // A Reader reads frames into a body buffer it keeps between them, so a
 // stream of frames allocates only what their payloads hold — and, with
 // Spares, a data-plane block not even that once one of its kind has been
-// handed back. Every walk copies its fields out of the body, so no payload
-// aliases the buffer. A body past the keep bound is dropped after its frame.
+// handed back. Nor does a prefill or decode result, once the reader's own
+// frame of its kind has grown to fit it. Every walk copies its fields out of
+// the body, so no payload aliases the buffer. A body past the keep bound is dropped after its frame.
 // A Reader is not safe for concurrent use: one goroutine reads a link.
 type Reader struct {
 	// Spares, when set, supplies the blocks that KV, query and output frames
@@ -1150,6 +1223,13 @@ type Reader struct {
 	Spares *Spares
 	hdr    [4]byte
 	body   []byte
+	// A PrefillResult or DecodeResult is decoded into the one frame of its
+	// kind the reader keeps, valid until the reader reads the next result
+	// of that kind. Only a control connection's coordinator end reads
+	// results, and they answer its commands in lockstep: it is done with
+	// one before the command that draws the next goes out.
+	prefill *PrefillResult
+	decode  *DecodeResult
 }
 
 // ReadFrame is ReadFrame through the reader's buffer.
@@ -1176,11 +1256,45 @@ func (r *Reader) ReadFrame(src io.Reader, maxFrame int) (any, int, error) {
 		integrityRejected.Add(1)
 		return nil, 4 + n, fmt.Errorf("%w: crc32c %08x, frame claims %08x over %d bytes", ErrIntegrity, got, want, n-4)
 	}
-	f, err := decodeInto(body[:n-4], r.Spares.take(body[0]))
+	into := r.Spares.take(body[0])
+	if into == nil {
+		into = r.kept(body[0])
+	}
+	f, err := decodeInto(body[:n-4], into)
 	if err != nil {
 		return nil, 4 + n, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
+	r.forgetLarge(f)
 	return payload(f), 4 + n, nil
+}
+
+// kept returns the reader's result frame of kind id, made on first use, or
+// nil when id is not a result the reader keeps.
+func (r *Reader) kept(id byte) frame {
+	if id == tPrefillResult {
+		if r.prefill == nil {
+			r.prefill = new(PrefillResult)
+		}
+		return r.prefill
+	}
+	if id == tDecodeResult {
+		if r.decode == nil {
+			r.decode = new(DecodeResult)
+		}
+		return r.decode
+	}
+	return nil
+}
+
+// forgetLarge drops the kept result f when it holds more than the keep
+// bound (an all-rows prefill's logits), so the next one decodes fresh.
+func (r *Reader) forgetLarge(f frame) {
+	if f == frame(r.prefill) && tensorBytes(r.prefill.Logits)+4*cap(r.prefill.IDs) > maxKept {
+		r.prefill = nil
+	}
+	if f == frame(r.decode) && 4*(cap(r.decode.Flat)+cap(r.decode.IDs)) > maxKept {
+		r.decode = nil
+	}
 }
 
 // ErrOf extracts the Err field of a result frame, or "" when the frame type

@@ -218,6 +218,101 @@ func TestTruncatedFramesRejected(t *testing.T) {
 	}
 }
 
+// A reply mode travels as one byte, and a mode the command does not take —
+// ReplyAll on a decode step, anything past ReplyAll on a prefill — fails to
+// encode and fails to decode, so no frame on the wire asks for a reply that
+// means nothing.
+func TestReplyModeOutsideTheCommandRejected(t *testing.T) {
+	for _, bad := range []any{
+		&DecodeCmd{Seqs: []int{1}, Tokens: []int{2}, Pos: []int{3}, Owners: []int{0}, Reply: ReplyAll},
+		&PrefillCmd{Seqs: []int{1}, Tokens: [][]int{{2}}, P: []int{0}, Reply: ReplyAll + 1},
+	} {
+		if b, err := Append([]byte{0xaa}, bad); err == nil || !bytes.Equal(b, []byte{0xaa}) {
+			t.Fatalf("%T with an out-of-range reply mode encoded as %x (%v)", bad, b, err)
+		}
+	}
+	for _, tc := range []struct {
+		v    any
+		last Reply
+	}{
+		{&DecodeCmd{Seqs: []int{1}, Tokens: []int{2}, Pos: []int{3}, Owners: []int{0}, Reply: ReplyToken}, ReplyToken},
+		{&PrefillCmd{Seqs: []int{1}, Tokens: [][]int{{2}}, P: []int{0}, Reply: ReplyAll}, ReplyAll},
+	} {
+		b, err := Append(nil, tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mode := Reply(0); mode <= tc.last+1; mode++ {
+			b[len(b)-1] = byte(mode) // the reply byte closes both layouts
+			_, err := Decode(b)
+			if (err == nil) != (mode <= tc.last) {
+				t.Fatalf("%T with reply mode %d decoded with error %v", tc.v, mode, err)
+			}
+		}
+	}
+}
+
+// A reader decodes every prefill and decode result into the one frame of
+// its kind it keeps — a stream of token replies allocates
+// nothing once that frame has grown — and each read still equals a fresh
+// decode. Other frames decode fresh, and a result past the keep bound is
+// not kept.
+func TestKeptRepliesReuseOneFrame(t *testing.T) {
+	var stream bytes.Buffer
+	var w Writer
+	frames := []any{
+		&DecodeResult{IDs: []int32{4, 5, 6}},
+		&Ack{Err: "x"},
+		&DecodeResult{IDs: []int32{7}, Err: "late"},
+		&PrefillResult{IDs: []int32{1, 2}},
+		&PrefillResult{Logits: tensor.New(1, 1, 3)},
+	}
+	for _, v := range frames {
+		if _, err := w.WriteFrame(&stream, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rd Reader
+	seen := map[byte]any{}
+	for i, want := range frames {
+		got, _, err := rd.ReadFrame(&stream, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := Append(nil, got)
+		if wb, _ := Append(nil, want); !bytes.Equal(b, wb) {
+			t.Fatalf("frame %d read as %#v, want %#v", i, got, want)
+		}
+		if prev, ok := seen[b[0]]; ok && prev != got && b[0] != tAck {
+			t.Fatalf("frame %d: a second %T decoded into a new frame", i, got)
+		}
+		seen[b[0]] = got
+	}
+	var src bytes.Reader
+	one := func(v any) any {
+		t.Helper()
+		b, err := w.Frame(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Reset(b)
+		got, _, err := rd.ReadFrame(&src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	ids := &DecodeResult{IDs: []int32{1, 2, 3, 4, 5, 6, 7, 8}}
+	one(ids)
+	if allocs := testing.AllocsPerRun(50, func() { one(ids) }); allocs != 0 {
+		t.Fatalf("a kept token reply allocates %.0f objects per read", allocs)
+	}
+	huge := &PrefillResult{Logits: tensor.New(1, 1, maxKept/4+1)}
+	if first := one(huge); one(huge) == first {
+		t.Fatal("a result past the keep bound was kept")
+	}
+}
+
 func TestUnknownTypeRejected(t *testing.T) {
 	if _, err := Decode([]byte{0xf7}); err == nil {
 		t.Fatal("unknown type id accepted")
@@ -390,10 +485,11 @@ func FuzzDecode(f *testing.F) {
 // frame whose CRC trailer does not match its payload must fail with
 // exactly ErrIntegrity. Corpus entries cover the clean frame, a corrupted
 // payload byte, a corrupted trailer, a CRC-valid undecodable payload, a
-// short KV block and a frame cut short. Each input is also read through a
-// reader that read a longer frame first and holds its block as a spare: the
-// outcome must be a fresh reader's, so no stale byte of the longer body or
-// block ever decodes.
+// short KV block, a frame cut short, a token-mode decode result and a
+// CRC-valid decode command whose reply mode it does not take. Each input is
+// also read through a reader that read longer frames first, holds their
+// block as a spare and keeps their results: the outcome must be a fresh
+// reader's, so no stale byte of a longer body, block or result ever decodes.
 func FuzzReadFrame(f *testing.F) {
 	clean, err := AppendFrame(nil, &DecodeCmd{Seqs: []int{1}, Tokens: []int{2}, Pos: []int{3}, Owners: []int{0}})
 	if err != nil {
@@ -418,9 +514,29 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add(short)
 	f.Add(short[:len(short)-3])
+	tokens, err := AppendFrame(nil, &DecodeResult{IDs: []int32{3, 511}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tokens)
+	badReply := append([]byte(nil), clean...)
+	badReply[len(badReply)-5] = byte(ReplyAll) // DecodeCmd's reply byte, before the trailer
+	binary.LittleEndian.PutUint32(badReply[len(badReply)-4:], crc32.Checksum(badReply[4:len(badReply)-4], castagnoli))
+	f.Add(badReply)
 	long, err := AppendFrame(nil, &KVBlock{K: randTensor(rng, 64, 2, 8), V: randTensor(rng, 64, 2, 8), Pos: randInts(rng, 64), Seq: randInts(rng, 64)})
 	if err != nil {
 		f.Fatal(err)
+	}
+	longReplies := [][]byte{}
+	for _, v := range []any{
+		&PrefillResult{Logits: randTensor(rng, 9, 1, 16), IDs: []int32{1, 2, 3, 4, 5, 6}, Err: "an earlier, longer error"},
+		&DecodeResult{Flat: make([]float32, 40), IDs: []int32{9, 8, 7, 6, 5, 4, 3}, Err: "an earlier, longer error"},
+	} {
+		b, err := AppendFrame(nil, v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		longReplies = append(longReplies, b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, n, err := ReadFrame(bytes.NewReader(data), 0)
@@ -430,6 +546,11 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("long frame: %v", ferr)
 		}
 		rd.Spares.Put(first)
+		for _, b := range longReplies {
+			if _, _, err := rd.ReadFrame(bytes.NewReader(b), 0); err != nil {
+				t.Fatalf("long reply: %v", err)
+			}
+		}
 		rv, rn, rerr := rd.ReadFrame(bytes.NewReader(data), 0)
 		if rn != n || (rerr == nil) != (err == nil) || (err != nil && rerr.Error() != err.Error()) {
 			t.Fatalf("reused reader read %d bytes (%v), a fresh one %d (%v)", rn, rerr, n, err)

@@ -26,7 +26,7 @@ type BatchStats struct {
 	MixedIterations int64   `json:"mixed_iterations"` // iterations with both a chunk and >=1 decode
 	MaxOccupancy    int     `json:"max_occupancy"`    // max sessions served by one iteration
 	OccupancySum    int64   `json:"occupancy_sum"`    // for MeanOccupancy
-	MaxDecodeBatch  int     `json:"max_decode_batch"` // largest fused DecodeBatch
+	MaxDecodeBatch  int     `json:"max_decode_batch"` // largest fused DecodeNext
 	LastIterMs      float64 `json:"last_iter_ms"`     // duration of the most recent iteration
 	TotalIterMs     float64 `json:"total_iter_ms"`    // for MeanIterMs
 }
@@ -52,7 +52,7 @@ type IterReport struct {
 	PrefillSession int   // session whose chunk ran, -1 if none
 	PrefillTokens  int   // chunk size in tokens
 	PrefillDone    bool  // the chunk completed its request's prompt
-	DecodeSessions []int // sessions fused into the DecodeBatch ring pass
+	DecodeSessions []int // sessions fused into the DecodeNext ring pass
 	DurMs          float64
 }
 

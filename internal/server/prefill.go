@@ -41,7 +41,7 @@ func (r ReuseStats) HitRate() float64 {
 type chunkOutcome struct {
 	adopted int       // tokens seeded from the prefix tree on this pass, 0 if none
 	pos, n  int       // the chunk covered absolute positions [pos, pos+n)
-	logits  []float32 // position pos+n-1's: the only row a chunk samples from
+	next    int       // the token sampled from position pos+n-1, the chunk's last
 	end     time.Time // read once, when the last ring pass came back
 	err     error
 }
@@ -82,7 +82,7 @@ func (s *Scheduler) prefillChunk(r *request, start time.Time) chunkOutcome {
 	if variant == model.Auto {
 		variant = model.ChooseVariant(s.model, out.n, out.pos)
 	}
-	out.logits, out.err = s.exec.PrefillLast(r.session, chunk, variant)
+	out.next, out.err = s.exec.PrefillNext(r.session, chunk, variant)
 	for evictReq := out.n; out.err != nil; evictReq *= 2 {
 		// A rank ran out of KV room before touching any cache. Cold tree
 		// branches are worth less than a live request: keep shedding LRU
@@ -94,7 +94,7 @@ func (s *Scheduler) prefillChunk(r *request, start time.Time) chunkOutcome {
 		if !errors.As(out.err, &ce) || s.tree == nil || s.tree.EvictTokens(evictReq) == 0 {
 			break
 		}
-		out.logits, out.err = s.exec.PrefillLast(r.session, chunk, variant)
+		out.next, out.err = s.exec.PrefillNext(r.session, chunk, variant)
 	}
 	out.end = s.now()
 	s.mu.Lock()
@@ -217,7 +217,7 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 	}
 	report.PrefillDone = true
 	s.prefills = s.prefills[1:]
-	next := transformer.Argmax(out.logits)
+	next := out.next
 	pj.ttftMs = float64(now.Sub(pj.start).Microseconds()) / 1000
 	s.hTTFT.Observe(now.Sub(pj.start).Seconds())
 	s.cohortHandlesLocked(pj.cohort).ttft.Observe(now.Sub(pj.start).Seconds())

@@ -330,7 +330,7 @@ func (s *Scheduler) replaySession(ss replaySnapshot) error {
 	for _, seg := range ss.segs {
 		if seg.decode {
 			for _, tok := range seg.toks {
-				if _, err := s.exec.DecodeBatch([]int{ss.id}, []int{tok}); err != nil {
+				if _, err := s.exec.DecodeNext([]int{ss.id}, []int{tok}); err != nil {
 					return err
 				}
 				computed++

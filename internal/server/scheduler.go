@@ -8,7 +8,7 @@
 // a step loop that, every iteration, assembles a mixed batch — one chunk of
 // the oldest waiting prefill (chunked to a token budget so long prompts
 // never starve decodes) plus the decode step of every active session, fused
-// into a single DecodeBatch ring sweep. Admission control caps concurrently
+// into a single DecodeNext ring sweep. Admission control caps concurrently
 // resident sessions so KV memory and queueing stay bounded, and per-class
 // queue statistics plus per-iteration batch occupancy make the
 // prefill/decode trade-off observable.
@@ -104,7 +104,7 @@ type SchedulerConfig struct {
 	// below it — so prefix-cache hits steer warm prefills onto pass-Q.
 	Variant     model.Variant
 	TokenBudget int // max prompt tokens prefilled per iteration (default 32)
-	MaxBatch    int // max sessions fused into one DecodeBatch (default 64)
+	MaxBatch    int // max sessions fused into one DecodeNext (default 64)
 	MaxSessions int // admission cap on resident sessions (default 256)
 	MaxTokens   int // cap on a single generate's max_tokens (default 4096)
 	// PrefixCacheTokens bounds the prefix-reuse tree that released sessions
@@ -161,10 +161,13 @@ func (c *SchedulerConfig) applyDefaults() {
 
 // executor is everything the step loop, the prefix policy and recovery ask
 // of the ranks. *transformer.Cluster is the production implementation; tests
-// substitute a fake that records its call sequence.
+// substitute a fake that records its call sequence. Serving is greedy, so
+// it speaks token ids: the rank holding a sampled row runs
+// transformer.Argmax on it, and no logits row reaches the scheduler.
+// DecodeNext's slice is the executor's own, valid until its next DecodeNext.
 type executor interface {
-	PrefillLast(seq int, tokens []int, variant model.Variant) ([]float32, error)
-	DecodeBatch(seqs []int, tokens []int) ([][]float32, error)
+	PrefillNext(seq int, tokens []int, variant model.Variant) (int, error)
+	DecodeNext(seqs []int, tokens []int) ([]int, error)
 	SeqLen(seq int) int
 	AdoptPrefix(seq int, pre *transformer.PrefixKV) error
 	DetachPrefix(seq, upTo int) (*transformer.PrefixKV, error)

@@ -51,9 +51,9 @@ type execCall struct {
 }
 
 // fakeExec implements executor without any ranks: it tracks sequence
-// lengths, hands out inert prefix handles, answers with one-hot logits that
-// are a pure function of (token, position), and advances the clock by tick
-// on every operation that would have touched the ranks.
+// lengths, hands out inert prefix handles, answers with token ids that are
+// a pure function of (token, position), and advances the clock by tick on
+// every operation that would have touched the ranks.
 type fakeExec struct {
 	clk   *steppedClock
 	tick  time.Duration
@@ -62,7 +62,7 @@ type fakeExec struct {
 	lens  map[int]int
 	pins  map[*transformer.PrefixKV]int // live prefix handle -> tokens pinned
 	calls []execCall
-	// failDecode, when set, is returned (once) by the next DecodeBatch
+	// failDecode, when set, is returned (once) by the next DecodeNext
 	// before it touches any state: an infrastructure fault.
 	failDecode error
 }
@@ -72,29 +72,25 @@ func (f *fakeExec) ran(c execCall) {
 	f.clk.advance(f.tick)
 }
 
-func (f *fakeExec) oneHot(token, pos int) []float32 {
-	row := make([]float32, f.vocab)
-	row[(token+pos+1)%f.vocab] = 1
-	return row
-}
+func (f *fakeExec) sample(token, pos int) int { return (token + pos + 1) % f.vocab }
 
-func (f *fakeExec) PrefillLast(seq int, tokens []int, v model.Variant) ([]float32, error) {
+func (f *fakeExec) PrefillNext(seq int, tokens []int, v model.Variant) (int, error) {
 	pos := f.lens[seq]
-	out := f.oneHot(tokens[len(tokens)-1], pos+len(tokens)-1)
+	next := f.sample(tokens[len(tokens)-1], pos+len(tokens)-1)
 	f.lens[seq] = pos + len(tokens)
 	f.ran(execCall{"prefill", seq, pos, len(tokens), v})
-	return out, nil
+	return next, nil
 }
 
-func (f *fakeExec) DecodeBatch(seqs, tokens []int) ([][]float32, error) {
+func (f *fakeExec) DecodeNext(seqs, tokens []int) ([]int, error) {
 	if err := f.failDecode; err != nil {
 		f.failDecode = nil
 		f.clk.advance(f.tick)
 		return nil, err
 	}
-	out := make([][]float32, len(seqs))
+	out := make([]int, len(seqs))
 	for i, seq := range seqs {
-		out[i] = f.oneHot(tokens[i], f.lens[seq])
+		out[i] = f.sample(tokens[i], f.lens[seq])
 		f.calls = append(f.calls, execCall{"decode", seq, f.lens[seq], 1, model.PassQ})
 		f.lens[seq]++
 	}

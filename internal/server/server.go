@@ -31,7 +31,7 @@ type Config struct {
 	// TokenBudget caps prompt tokens prefilled per scheduler iteration
 	// (chunked prefill). 0 = default.
 	TokenBudget int
-	// MaxBatch caps the sessions fused into one DecodeBatch. 0 = default.
+	// MaxBatch caps the sessions fused into one DecodeNext. 0 = default.
 	MaxBatch int
 	// MaxSessions caps concurrently resident sessions (admission control).
 	// 0 = default.

@@ -11,7 +11,7 @@ import (
 
 // Step executes one scheduler iteration in manual mode: at most one
 // token-budget chunk of the oldest waiting prefill plus one fused
-// DecodeBatch ring pass over every decode-ready session (capped at
+// DecodeNext ring pass over every decode-ready session (capped at
 // MaxBatch, at most one step per session). Returns false if no work was
 // runnable — or always, as a no-op, when a background loop owns the
 // scheduler: a second driver would race the loop and double-execute the
@@ -154,7 +154,7 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 		s.recordWaitLocked(ClassDecode, r, start)
 	}
 	s.mu.Unlock()
-	var out [][]float32
+	var out []int
 	var err error
 	evictReq := 0
 	for len(dbatch) > 0 {
@@ -165,7 +165,7 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 			toks[i] = r.token
 		}
 		s.execMu.Lock()
-		out, err = s.exec.DecodeBatch(ids, toks)
+		out, err = s.exec.DecodeNext(ids, toks)
 		var ce *transformer.CapacityError
 		if err == nil || !errors.As(err, &ce) {
 			s.execMu.Unlock()
@@ -262,7 +262,7 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 	for i, r := range dbatch {
 		report.DecodeSessions = append(report.DecodeSessions, r.session)
 		s.appendLogLocked(r.session, true, []int{r.token})
-		next := transformer.Argmax(out[i])
+		next := out[i]
 		r.pending--
 		if r.collect {
 			r.tokens = append(r.tokens, next)

@@ -70,7 +70,10 @@ type Cluster struct {
 	decodeSteps map[int]int
 	// owners is the current decode command's token assignment, refilled per
 	// step (the Cluster, like every engine, serves one command at a time).
-	owners    decodeOwners
+	owners decodeOwners
+	// next is what DecodeNext returns: the step's token ids in batch order,
+	// refilled in place by the next DecodeNext.
+	next      []int
 	prefixSeq uint64
 }
 
@@ -363,9 +366,8 @@ func (c *Cluster) Prefill(seq int, tokens []int, variant model.Variant) ([][]flo
 }
 
 // PrefillLast is Prefill for a caller that samples the next token from the
-// last position only, as serving does: the ranks run the last layer's
-// attention, FFN and output head for that one row, and only the rank holding
-// it returns logits. Every KV row lands exactly where Prefill puts it, and
+// last position only: the ranks run the last layer's attention, FFN and
+// output head for that one row, and only the rank holding it returns logits. Every KV row lands exactly where Prefill puts it, and
 // the returned row, freshly allocated, is bit-identical to the last row
 // Prefill would have returned.
 func (c *Cluster) PrefillLast(seq int, tokens []int, variant model.Variant) ([]float32, error) {
@@ -374,6 +376,22 @@ func (c *Cluster) PrefillLast(seq int, tokens []int, variant model.Variant) ([]f
 		return nil, err
 	}
 	return out[0][0], nil
+}
+
+// PrefillNext is PrefillLast for a greedy caller: the rank holding the last
+// position samples it with Argmax and returns the token id alone, so no
+// logits row leaves the rank. The id is Argmax of the row PrefillLast would
+// have returned, and every KV row lands where Prefill puts it.
+func (c *Cluster) PrefillNext(seq int, tokens []int, variant model.Variant) (int, error) {
+	plan, results, err := c.prefillCmd([]int{seq}, [][]int{tokens}, variant, wire.ReplyToken)
+	if err != nil {
+		return 0, err
+	}
+	var next [1]int
+	if err := prefillIDs(plan, results, c.W.Cfg.Model.VocabSize, next[:]); err != nil {
+		return 0, err
+	}
+	return next[0], nil
 }
 
 // PrefillBatch runs a fused variable-sequence-length prefill (Figure 1's
@@ -388,24 +406,38 @@ func (c *Cluster) PrefillBatch(seqIDs []int, tokens [][]int, variant model.Varia
 // prefill is PrefillBatch returning every new position's logits when all is
 // set, else each sequence's last position's alone (one row per sequence).
 func (c *Cluster) prefill(seqIDs []int, tokens [][]int, variant model.Variant, all bool) ([][][]float32, error) {
+	reply := wire.ReplyLast
+	if all {
+		reply = wire.ReplyAll
+	}
+	plan, results, err := c.prefillCmd(seqIDs, tokens, variant, reply)
+	if err != nil {
+		return nil, err
+	}
+	return prefillLogits(plan, results, all, c.W.Cfg.Model.VocabSize)
+}
+
+// prefillCmd validates a fused prefill, broadcasts it with the given reply
+// mode and returns the plan it ran on with every rank's reply.
+func (c *Cluster) prefillCmd(seqIDs []int, tokens [][]int, variant model.Variant, reply wire.Reply) (*sharding.BatchShard, []*wire.PrefillResult, error) {
 	if len(seqIDs) == 0 || len(seqIDs) != len(tokens) {
-		return nil, fmt.Errorf("transformer: %d seq ids with %d token lists", len(seqIDs), len(tokens))
+		return nil, nil, fmt.Errorf("transformer: %d seq ids with %d token lists", len(seqIDs), len(tokens))
 	}
 	m := c.W.Cfg.Model
 	lens := make([]int, len(seqIDs))
 	seen := map[int]bool{}
 	for i, toks := range tokens {
 		if len(toks) == 0 {
-			return nil, fmt.Errorf("transformer: empty prefill for sequence %d", seqIDs[i])
+			return nil, nil, fmt.Errorf("transformer: empty prefill for sequence %d", seqIDs[i])
 		}
 		if seqIDs[i] < 0 {
 			// Reject up front: the ring layer treats negative ids as
 			// padding markers, and an error surfacing on one rank mid-ring
 			// would leave its peers waiting for the receive timeout.
-			return nil, fmt.Errorf("transformer: negative sequence id %d", seqIDs[i])
+			return nil, nil, fmt.Errorf("transformer: negative sequence id %d", seqIDs[i])
 		}
 		if seen[seqIDs[i]] {
-			return nil, fmt.Errorf("transformer: duplicate sequence %d in batch", seqIDs[i])
+			return nil, nil, fmt.Errorf("transformer: duplicate sequence %d in batch", seqIDs[i])
 		}
 		seen[seqIDs[i]] = true
 		lens[i] = len(toks)
@@ -413,14 +445,14 @@ func (c *Cluster) prefill(seqIDs []int, tokens [][]int, variant model.Variant, a
 		// leave its peers waiting for the receive timeout.
 		for pos, id := range toks {
 			if id < 0 || id >= m.VocabSize {
-				return nil, fmt.Errorf("transformer: token %d at position %d of sequence %d outside vocab %d",
+				return nil, nil, fmt.Errorf("transformer: token %d at position %d of sequence %d outside vocab %d",
 					id, pos, seqIDs[i], m.VocabSize)
 			}
 		}
 	}
 	plan, err := sharding.NewBatchShard(lens, c.n)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := make([]int, len(seqIDs))
 	for i, id := range seqIDs {
@@ -441,18 +473,29 @@ func (c *Cluster) prefill(seqIDs []int, tokens [][]int, variant model.Variant, a
 		variant = model.ChooseVariant(m, T, P)
 	}
 	if err := c.prefillCapacityCheck(plan, seqIDs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cmd := &wire.PrefillCmd{Seqs: seqIDs, Tokens: tokens, P: p, Variant: int(variant), All: all}
+	cmd := &wire.PrefillCmd{Seqs: seqIDs, Tokens: tokens, P: p, Variant: int(variant), Reply: reply}
 	results, err := collect[*wire.PrefillResult](c, cmd)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The ranks have appended every row by now, whatever their replies hold.
 	for i, id := range seqIDs {
 		c.seqLens[id] += lens[i]
 	}
-	return prefillLogits(plan, results, all, m.VocabSize)
+	return plan, results, nil
+}
+
+// sampledRows counts, per rank, the rows a prefill samples — each
+// sequence's last new position — that the plan puts on it.
+func sampledRows(plan *sharding.BatchShard) []int {
+	want := make([]int, plan.N)
+	for i, T := range plan.SeqLens {
+		r, _ := plan.Locate(i, T-1)
+		want[r]++
+	}
+	return want
 }
 
 // prefillLogits reassembles a prefill command's logits from the ranks'
@@ -464,15 +507,10 @@ func (c *Cluster) prefill(seqIDs []int, tokens [][]int, variant model.Variant, a
 // buffer the caller keeps: a rank's reply lives in its arena, which the next
 // command reuses.
 func prefillLogits(plan *sharding.BatchShard, results []*wire.PrefillResult, all bool, vocab int) ([][][]float32, error) {
-	want := make([]int, plan.N)
+	want := sampledRows(plan)
 	if all {
 		for r := range want {
 			want[r] = plan.LocalLen(r)
-		}
-	} else {
-		for i, T := range plan.SeqLens {
-			r, _ := plan.Locate(i, T-1)
-			want[r]++
 		}
 	}
 	locals := make([]*tensor.Tensor, plan.N)
@@ -510,6 +548,39 @@ func prefillLogits(plan *sharding.BatchShard, results []*wire.PrefillResult, all
 		out[i] = [][]float32{row}
 	}
 	return out, nil
+}
+
+// prefillIDs reads a token-mode prefill's replies into out, one id per
+// sequence. Rank r must answer with exactly one id per sampled row the plan
+// puts on it, in sequence order, each inside the vocabulary; any other reply
+// is an error naming the rank, never a panic.
+func prefillIDs(plan *sharding.BatchShard, results []*wire.PrefillResult, vocab int, out []int) error {
+	want := sampledRows(plan)
+	for r, res := range results {
+		if len(res.IDs) != want[r] {
+			return fmt.Errorf("transformer: rank %d returned %d token ids for %d sampled rows", r, len(res.IDs), want[r])
+		}
+	}
+	next := make([]int, plan.N) // a rank's sampled rows come in sequence order
+	for i, T := range plan.SeqLens {
+		r, _ := plan.Locate(i, T-1)
+		id, err := checkID(r, results[r].IDs[next[r]], vocab)
+		if err != nil {
+			return err
+		}
+		out[i] = id
+		next[r]++
+	}
+	return nil
+}
+
+// checkID is a token id rank r sampled, or an error naming the rank when it
+// falls outside the vocabulary.
+func checkID(r int, id int32, vocab int) (int, error) {
+	if id < 0 || int(id) >= vocab {
+		return 0, fmt.Errorf("transformer: rank %d returned token id %d outside vocab %d", r, id, vocab)
+	}
+	return int(id), nil
 }
 
 // capSnapshot holds the admission-control inputs of every rank: free rows
@@ -665,6 +736,69 @@ func (c *Cluster) Decode(seq, token int) ([]float32, error) {
 // ranks participate in every layer's ring attention while only owner ranks
 // run embeddings, projections, FFN, and the output head for their tokens.
 func (c *Cluster) DecodeBatch(seqs []int, tokens []int) ([][]float32, error) {
+	results, err := c.decode(seqs, tokens, wire.ReplyLast)
+	if err != nil {
+		return nil, err
+	}
+	// A rank's Flat is its reply frame's, reused by its next decode step:
+	// the rows are copied into the step's one buffer the caller may keep.
+	vocab := c.W.Cfg.Model.VocabSize
+	flat := make([]float32, len(seqs)*vocab)
+	out := make([][]float32, len(seqs))
+	for r, rows := range c.owners.rows {
+		if len(results[r].Flat) != len(rows)*vocab {
+			return nil, fmt.Errorf("transformer: rank %d returned %d logits for %d owned rows", r, len(results[r].Flat), len(rows))
+		}
+		for j, row := range rows {
+			out[row] = flat[row*vocab : (row+1)*vocab]
+			copy(out[row], results[r].Flat[j*vocab:])
+		}
+	}
+	return out, nil
+}
+
+// DecodeNext is DecodeBatch for a greedy caller: each owner rank samples its
+// rows with Argmax and returns their token ids alone, so no logits row
+// leaves a rank. Entry i is Argmax of the row DecodeBatch would have
+// returned for it. The slice is the Cluster's own, reused by the next
+// DecodeNext: a served step allocates no logits buffer.
+func (c *Cluster) DecodeNext(seqs []int, tokens []int) ([]int, error) {
+	results, err := c.decode(seqs, tokens, wire.ReplyToken)
+	if err != nil {
+		return nil, err
+	}
+	c.next = tensor.Grown(c.next, len(seqs))
+	if err := decodeIDs(&c.owners, results, c.W.Cfg.Model.VocabSize, c.next); err != nil {
+		return nil, err
+	}
+	return c.next, nil
+}
+
+// decodeIDs reads a token-mode decode step's replies into out in batch
+// order. Rank r must answer with exactly one id per row it owns (o.rows[r]),
+// each inside the vocabulary; any other reply is an error naming the rank,
+// never a panic.
+func decodeIDs(o *decodeOwners, results []*wire.DecodeResult, vocab int, out []int) error {
+	for r, rows := range o.rows {
+		ids := results[r].IDs
+		if len(ids) != len(rows) {
+			return fmt.Errorf("transformer: rank %d returned %d token ids for %d owned rows", r, len(ids), len(rows))
+		}
+		for j, row := range rows {
+			id, err := checkID(r, ids[j], vocab)
+			if err != nil {
+				return err
+			}
+			out[row] = id
+		}
+	}
+	return nil
+}
+
+// decode validates one fused decode step, resolves its owners and
+// positions, broadcasts it with the given reply mode and returns every
+// rank's reply; c.owners holds the step's assignment.
+func (c *Cluster) decode(seqs []int, tokens []int, reply wire.Reply) ([]*wire.DecodeResult, error) {
 	b := len(seqs)
 	if b == 0 || b != len(tokens) {
 		return nil, fmt.Errorf("transformer: %d sequences with %d decode tokens", b, len(tokens))
@@ -700,34 +834,22 @@ func (c *Cluster) DecodeBatch(seqs []int, tokens []int) ([][]float32, error) {
 		pos[i] = c.seqLens[seq]
 		owners[i] = sharding.DecodeOwner(seqOwnerOffset(seq), c.decodeSteps[seq], c.n)
 	}
-	cmd := &wire.DecodeCmd{Seqs: seqs, Tokens: tokens, Pos: pos, Owners: owners}
+	cmd := &wire.DecodeCmd{Seqs: seqs, Tokens: tokens, Pos: pos, Owners: owners, Reply: reply}
 	c.owners.assign(cmd, c.n)
 	if err := c.decodeCapacityCheck(cmd); err != nil {
 		return nil, err
 	}
-
 	results, err := collect[*wire.DecodeResult](c, cmd)
 	if err != nil {
 		return nil, err
 	}
-	// A rank's Flat is its reply frame's, reused by its next decode step:
-	// the rows are copied into the step's one buffer the caller may keep.
-	flat := make([]float32, b*m.VocabSize)
-	out := make([][]float32, b)
-	for r, rows := range c.owners.rows {
-		if len(results[r].Flat) != len(rows)*m.VocabSize {
-			return nil, fmt.Errorf("transformer: rank %d returned %d logits for %d owned rows", r, len(results[r].Flat), len(rows))
-		}
-		for j, row := range rows {
-			out[row] = flat[row*m.VocabSize : (row+1)*m.VocabSize]
-			copy(out[row], results[r].Flat[j*m.VocabSize:])
-		}
-	}
+	// The ranks have appended every sequence's row by now, whatever their
+	// replies hold.
 	for _, seq := range seqs {
 		c.seqLens[seq]++
 		c.decodeSteps[seq]++
 	}
-	return out, nil
+	return results, nil
 }
 
 // seqOwnerOffset decorrelates owner rotation across sequence ids with a

@@ -49,10 +49,11 @@ type rankEngine struct {
 // prefillScratch is the rank engine's prefill arena: everything a prefill
 // command needs besides KV growth (the cache's pages), grown to the largest
 // chunk seen and reused by every command.
-// The logits it returns live here too, valid until the next command — the
-// rule decodeRes follows; the coordinator copies them out (prefillLogits)
-// and a worker encodes them first. Within a command the q/k/v rows are
-// reused by every layer: a layer's ring pass and AppendLocalKV are done with
+// The logits it returns live here too, and so do the token ids sampled from
+// them, valid until the next command — the rule decodeRes follows; the
+// coordinator copies them out (prefillLogits, prefillIDs) and a worker
+// encodes them first. Within a command the q/k/v rows are reused by every
+// layer: a layer's ring pass and AppendLocalKV are done with
 // them when they return. What peers do read by pointer lives in ring
 // (ring.PrefillScratch and the layers' BlockCaches, under the rule at the
 // top of ring.go).
@@ -63,13 +64,15 @@ type prefillScratch struct {
 	rows     []int     // the sampled slots this rank holds
 	sampled  []float32 // their hidden rows, gathered for the last layer
 	logits   tensor.Tensor
+	next     []int32 // the sampled rows' token ids, under wire.ReplyToken
 	ring     ring.PrefillScratch
 }
 
 // decodeScratch is the rank engine's decode arena: everything a decode step
 // needs besides KV growth, allocated once and reused every step the way
-// decodeRes is — the step's reply (logits included) is read or encoded before
-// the next command lands, and nothing here outlives the step otherwise.
+// decodeRes is — the step's reply (logits or token ids) is read or encoded
+// before the next command lands, and nothing here outlives the step
+// otherwise.
 // Within a step the q/k/v rows are reused by every layer: ring.PassQDecode
 // copies them out before it involves a peer. What peers do read by pointer
 // lives in ring (ring.DecodeScratch, which states the rule that makes its
@@ -81,6 +84,7 @@ type decodeScratch struct {
 	hidden  []float32
 	q, k, v tensor.Tensor
 	logits  []float32
+	next    []int32 // the owned rows' token ids, under wire.ReplyToken
 	ring    ring.DecodeScratch
 }
 
@@ -105,7 +109,7 @@ func newRankEngine(w *Weights, kvCapacity int, epoch uint64, rec *trace.Recorder
 // (lengths, world size), so every rank derives the same plan without
 // shipping it, and so are the sampled slots.
 //
-// Unless cmd.All asks for every row, the last layer narrows to the sampled
+// Unless cmd.Reply is wire.ReplyAll, the last layer narrows to the sampled
 // rows this rank holds: its K/V projection, ring exchange and KV persistence
 // run for every row as in any layer — the caches, shipped blocks and modeled
 // traffic do not depend on the mode — but attention (ring.PrefillInput.Rows),
@@ -153,7 +157,7 @@ func (e *rankEngine) prefill(r *comm.Rank, cmd *wire.PrefillCmd) (*tensor.Tensor
 	s.v.Resize(localLen, m.NumKV, m.HeadDim)
 	var rows []int // the last layer's rows; nil is every row
 	hidden, n := s.hidden, localLen
-	if !cmd.All {
+	if cmd.Reply != wire.ReplyAll {
 		rows = s.sampledSlots(plan, r.ID)
 		n = len(rows)
 	}
@@ -284,6 +288,17 @@ func (e *rankEngine) decode(r *comm.Rank, cmd *wire.DecodeCmd) ([]float32, error
 	s.logits = tensor.Grown(s.logits, len(mine)*m.VocabSize)
 	e.w.logitsInto(s.logits, s.hidden, len(mine))
 	return s.logits, nil
+}
+
+// sampleInto writes Argmax of each vocab-wide row of logits into ids, grown
+// to the row count in place, and returns it: the greedy sampler, run by the
+// rank that holds the rows.
+func sampleInto(ids []int32, logits []float32, vocab int) []int32 {
+	ids = tensor.Grown(ids, len(logits)/vocab)
+	for i := range ids {
+		ids[i] = int32(Argmax(logits[i*vocab : (i+1)*vocab]))
+	}
+	return ids
 }
 
 // drop evicts one sequence from every layer's cache.

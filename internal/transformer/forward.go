@@ -39,7 +39,17 @@ func (w *Weights) Forward(tokens []int) ([][]float32, error) {
 	return out, nil
 }
 
-// Argmax returns the index of the largest logit (greedy decoding).
+// Argmax returns the index of the largest logit (greedy decoding). It is
+// the one sampler: the ranks run it on the rows they hold, and the oracles
+// on the rows they return, so its rule is stated once, here:
+//
+//   - on a tie, the lowest index wins;
+//   - a NaN at index 0 wins;
+//   - a NaN at any later index never wins;
+//   - a row of NaNs, a row of −Inf and an empty row all return 0.
+//
+// (Each later logit must compare greater than the best so far, and no
+// comparison with a NaN is true.)
 func Argmax(logits []float32) int {
 	best := 0
 	for i, v := range logits {

@@ -374,10 +374,18 @@ func (e *rankEngine) handle(rank *comm.Rank, world *comm.World, v any) (reply an
 	case *wire.PrefillCmd:
 		logits, err := e.prefill(rank, cmd)
 		e.prefillRes = wire.PrefillResult{Logits: logits, Err: errString(err)}
+		if err == nil && cmd.Reply == wire.ReplyToken {
+			e.pre.next = sampleInto(e.pre.next, logits.Data, e.w.Cfg.Model.VocabSize)
+			e.prefillRes.Logits, e.prefillRes.IDs = nil, e.pre.next
+		}
 		return &e.prefillRes, false
 	case *wire.DecodeCmd:
 		flat, err := e.decode(rank, cmd)
 		e.decodeRes = wire.DecodeResult{Flat: flat, Err: errString(err)}
+		if err == nil && cmd.Reply == wire.ReplyToken {
+			e.dec.next = sampleInto(e.dec.next, flat, e.w.Cfg.Model.VocabSize)
+			e.decodeRes.Flat, e.decodeRes.IDs = nil, e.dec.next
+		}
 		return &e.decodeRes, false
 	case *wire.DropCmd:
 		e.drop(cmd.Seq)
