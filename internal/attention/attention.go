@@ -266,45 +266,18 @@ type gqaScratch struct {
 	denom  []float64
 }
 
-// freeList recycles kernel scratch between calls. Unlike a sync.Pool it
-// keeps its entries across garbage collections: a pool is emptied by every
-// other GC, and each prefill after one re-grew its score stripes, compiled
-// intervals and merge accumulators from nothing. The list holds more entries
-// than kernel calls can run at once (one per rank goroutine plus the worker
-// pool's at most 64 goroutines), so in steady state every entry returns to
-// it. What it keeps is bounded: keep rejects an entry grown past what a
-// budget-sized call needs (a long-context decode row's score stripe, the
-// intervals of a huge chunk), which is then left to the garbage collector
-// rather than pinned for the life of the process.
-type freeList[T any] struct {
-	c    chan *T
-	keep func(*T) bool
-}
+// kernelFree is the size of the kernel's free lists (parallel.FreeList):
+// more entries than kernel calls can run at once (one per rank goroutine plus
+// the worker pool's at most 64 goroutines), so in steady state every entry
+// returns to its list. What a list keeps is bounded too: its keep rejects an
+// entry grown past what a budget-sized call needs (a long-context decode
+// row's score stripe, the intervals of a huge chunk), which is then left to
+// the garbage collector rather than pinned for the life of the process.
+const kernelFree = 256
 
-func newFreeList[T any](keep func(*T) bool) freeList[T] {
-	return freeList[T]{c: make(chan *T, 256), keep: keep}
-}
-
-// get returns an idle entry, or a new zero one when none is idle.
-func (f freeList[T]) get() *T {
-	select {
-	case x := <-f.c:
-		return x
-	default:
-		return new(T)
-	}
-}
-
-// put returns x to the list, or drops it when it is oversized or the list
-// is full.
-func (f freeList[T]) put(x *T) {
-	if !f.keep(x) {
-		return
-	}
-	select {
-	case f.c <- x:
-	default:
-	}
+// newFreeList is a kernel free list that keeps what keep accepts.
+func newFreeList[T any](keep func(*T) bool) parallel.FreeList[T] {
+	return parallel.NewFreeList(kernelFree, keep)
 }
 
 // maxKeptIntervalRows bounds the compiled Intervals the free list keeps, in
@@ -321,7 +294,7 @@ var (
 		return max(cap(iv.off), cap(iv.flat), cap(iv.runs)) <= maxKeptIntervalRows
 	})
 	// A merge accumulator is one head row: the model's head dim bounds it.
-	mergeAccFree = newFreeList(func(*[]float64) bool { return true })
+	mergeAccFree = newFreeList[[]float64](nil)
 )
 
 // grow returns a slice of at least need elements, reusing buf when it is
@@ -406,8 +379,8 @@ func GQAKVInto(dst *Output, q *tensor.Tensor, kv KV, m Mask) error {
 	if q.Tokens == 0 {
 		return nil
 	}
-	iv := intervalsFree.get()
-	defer intervalsFree.put(iv)
+	iv := intervalsFree.Get()
+	defer intervalsFree.Put(iv)
 	iv.compile(m)
 	gqaTiles(dst, q, kv, iv)
 	return nil
@@ -431,32 +404,47 @@ func tileChunks(row []Interval) int {
 // depend on which block it lands in, so any fan-out equals the serial sweep
 // exactly.
 func gqaTiles(dst *Output, q *tensor.Tensor, kv KV, iv *Intervals) {
+	parallel.RunRecycled(tileTasks, kv.Heads*q.Tokens, tileTask{dst: dst, q: q, kv: kv, iv: iv})
+}
+
+// tileTask is one gqaTiles fan-out, recycled so that a kernel call hands the
+// pool no fresh closure.
+type tileTask struct {
+	dst *Output
+	q   *tensor.Tensor
+	kv  KV
+	iv  *Intervals
+}
+
+var tileTasks = newFreeList[tileTask](nil)
+
+// Run computes cells [lo, hi).
+func (tk *tileTask) Run(lo, hi int) {
+	dst, q, kv, iv := tk.dst, tk.q, tk.kv, tk.iv
 	T := q.Tokens
 	group := q.Heads / kv.Heads
-	parallel.For(kv.Heads*T, func(lo, hi int) {
-		widest := 0
-		for cell := lo; cell < hi; cell++ {
-			widest = max(widest, tileChunks(iv.Row(cell%T)))
-		}
-		if widest == 0 {
-			return // identity rows: dst is already zero/NegInf
-		}
-		stripe := widest * group * kvTileRows
-		bq := maxBlockQueries
-		for bq > 1 && bq*stripe > scoreBudget {
-			bq /= 2
-		}
-		bq = min(bq, hi-lo)
-		sc := scratchFree.get()
-		defer scratchFree.put(sc)
-		sc.size(bq, stripe, group, q.Dim)
-		for cell := lo; cell < hi; {
-			kvh, t := cell/T, cell%T
-			nq := min(bq, hi-cell, T-t)
-			gqaBlock(dst, q, kv, sc, iv, t, nq, kvh, stripe)
-			cell += nq
-		}
-	})
+	widest := 0
+	for cell := lo; cell < hi; cell++ {
+		widest = max(widest, tileChunks(iv.Row(cell%T)))
+	}
+	if widest == 0 {
+		return // identity rows: dst is already zero/NegInf
+	}
+	stripe := widest * group * kvTileRows
+	bq := maxBlockQueries
+	for bq > 1 && bq*stripe > scoreBudget {
+		bq /= 2
+	}
+	bq = min(bq, hi-lo)
+	sc := scratchFree.Get()
+	defer scratchFree.Put(sc)
+	sc.size(bq, stripe, group, q.Dim)
+	for cell := lo; cell < hi; {
+		kvh, t := cell/T, cell%T
+		nq := min(bq, hi-cell, T-t)
+		gqaBlock(dst, q, kv, sc, iv, t, nq, kvh, stripe)
+		cell += nq
+	}
 }
 
 // DecodeInto is the decode step's entry to the kernel over tensors: query
@@ -505,8 +493,8 @@ func DecodeKVInto(dst *Output, q *tensor.Tensor, kv KV, t int) error {
 	group := q.Heads / kv.Heads
 	iv := Intervals{flat: []Interval{{Lo: 0, Hi: n}}}
 	stripe := tileChunks(iv.flat) * group * kvTileRows
-	sc := scratchFree.get()
-	defer scratchFree.put(sc)
+	sc := scratchFree.Get()
+	defer scratchFree.Put(sc)
 	sc.size(1, stripe, group, q.Dim)
 	for kvh := 0; kvh < kv.Heads; kvh++ {
 		gqaBlock(dst, q, kv, sc, &iv, t, 1, kvh, stripe)
@@ -849,17 +837,35 @@ func Blocked(q, k, v *tensor.Tensor, m Mask, blockSize int) (*Output, error) {
 // dispatch costs more than the math: a few µs.
 const minParallelWork = 4096
 
-// forCells fans fn over n cells, or runs it inline when the whole job is
-// smaller than one pool dispatch is worth (decode-step Merge/Accumulate
-// touches a handful of rows; the dispatch would cost more than the math).
-// Inline and fanned execution are bit-identical, so this is purely a
-// throughput decision.
-func forCells(work, n int, fn func(lo, hi int)) {
+// forCells runs task over n (token, head) cells: through the worker pool,
+// or inline when the whole job is smaller than one pool dispatch is worth
+// (decode-step Merge/Accumulate touches a handful of rows; the dispatch
+// would cost more than the math). Inline and fanned execution are
+// bit-identical, so this is purely a throughput decision.
+func forCells(work, n int, task cellTask) {
 	if work < minParallelWork {
-		fn(0, n)
+		task.Run(0, n)
 		return
 	}
-	parallel.For(n, fn)
+	parallel.RunRecycled(cellTasks, n, task)
+}
+
+// cellTask is one Merge or AccumulateInto over (token, head) cells.
+type cellTask struct {
+	dst      *Output
+	partials []*Output // Merge's partials; nil for AccumulateInto
+	partial  *Output   // AccumulateInto's partial
+}
+
+var cellTasks = newFreeList[cellTask](nil)
+
+// Run merges or accumulates cells [lo, hi) into dst.
+func (c *cellTask) Run(lo, hi int) {
+	if c.partials != nil {
+		mergeCells(c.dst, c.partials, lo, hi)
+		return
+	}
+	accumulateCells(c.dst, c.partial, lo, hi)
 }
 
 // Merge combines partial attention outputs computed against disjoint KV
@@ -895,13 +901,7 @@ func MergeInto(dst *Output, partials ...*Output) {
 				p.O.ShapeString(), dst.O.ShapeString()))
 		}
 	}
-	// The fan-out decision is forCells', spelled out so the decode-sized call
-	// does not build a closure it will not hand to the pool.
-	if tokens*heads*dim < minParallelWork {
-		mergeCells(dst, partials, 0, tokens*heads)
-		return
-	}
-	parallel.For(tokens*heads, func(lo, hi int) { mergeCells(dst, partials, lo, hi) })
+	forCells(tokens*heads*dim, tokens*heads, cellTask{dst: dst, partials: partials})
 }
 
 // mergeCells merges (token, head) cells [lo, hi) of the partials into dst.
@@ -909,8 +909,8 @@ func mergeCells(dst *Output, partials []*Output, lo, hi int) {
 	heads, dim := dst.O.Heads, dst.O.Dim
 	// The decode path merges every ring sweep: the per-worker accumulator
 	// comes from a free list, not a per-call allocation.
-	accp := mergeAccFree.get()
-	defer mergeAccFree.put(accp)
+	accp := mergeAccFree.Get()
+	defer mergeAccFree.Put(accp)
 	if cap(*accp) < dim {
 		*accp = make([]float64, dim)
 	}
@@ -962,34 +962,38 @@ func AccumulateInto(dst, partial *Output) {
 			dst.O.ShapeString(), partial.O.ShapeString()))
 	}
 	heads, dim := dst.O.Heads, dst.O.Dim
-	forCells(dst.O.Tokens*heads*dim, dst.O.Tokens*heads, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			t := idx / heads
-			h := idx % heads
-			a, b := dst.LSE[idx], partial.LSE[idx]
-			if math.IsInf(b, -1) {
-				continue
-			}
-			if math.IsInf(a, -1) {
-				copy(dst.O.Row(t, h), partial.O.Row(t, h))
-				dst.LSE[idx] = b
-				continue
-			}
-			m := a
-			if b > m {
-				m = b
-			}
-			wa := math.Exp(a - m)
-			wb := math.Exp(b - m)
-			denom := wa + wb
-			dRow := dst.O.Row(t, h)
-			pRow := partial.O.Row(t, h)
-			for d := 0; d < dim; d++ {
-				dRow[d] = float32((wa*float64(dRow[d]) + wb*float64(pRow[d])) / denom)
-			}
-			dst.LSE[idx] = m + math.Log(denom)
+	forCells(dst.O.Tokens*heads*dim, dst.O.Tokens*heads, cellTask{dst: dst, partial: partial})
+}
+
+// accumulateCells folds (token, head) cells [lo, hi) of partial into dst.
+func accumulateCells(dst, partial *Output, lo, hi int) {
+	heads, dim := dst.O.Heads, dst.O.Dim
+	for idx := lo; idx < hi; idx++ {
+		t := idx / heads
+		h := idx % heads
+		a, b := dst.LSE[idx], partial.LSE[idx]
+		if math.IsInf(b, -1) {
+			continue
 		}
-	})
+		if math.IsInf(a, -1) {
+			copy(dst.O.Row(t, h), partial.O.Row(t, h))
+			dst.LSE[idx] = b
+			continue
+		}
+		m := a
+		if b > m {
+			m = b
+		}
+		wa := math.Exp(a - m)
+		wb := math.Exp(b - m)
+		denom := wa + wb
+		dRow := dst.O.Row(t, h)
+		pRow := partial.O.Row(t, h)
+		for d := 0; d < dim; d++ {
+			dRow[d] = float32((wa*float64(dRow[d]) + wb*float64(pRow[d])) / denom)
+		}
+		dst.LSE[idx] = m + math.Log(denom)
+	}
 }
 
 // GatherTokens reorders (or selects) query rows of an output. It is used by

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/simd"
 	"repro/internal/tensor"
 )
@@ -149,16 +150,12 @@ func TestMergeIntoOverwritesEveryCell(t *testing.T) {
 }
 
 // drain empties f and returns what it held.
-func drain[T any](f freeList[T]) []*T {
+func drain[T any](f parallel.FreeList[T]) []*T {
 	var out []*T
-	for {
-		select {
-		case x := <-f.c:
-			out = append(out, x)
-		default:
-			return out
-		}
+	for f.Len() > 0 {
+		out = append(out, f.Get())
 	}
+	return out
 }
 
 // The free lists outlive every GC, so what they keep must stay bounded by a

@@ -116,6 +116,8 @@ type World struct {
 	mu    sync.Mutex
 	stats []*Stats // per sending rank
 	links map[[2]int]*linkAgg
+
+	ranks []Rank // the handles Rank returns, made once
 }
 
 // linkAgg is one directed link's modeled traffic (accounted bytes, not wire
@@ -148,8 +150,10 @@ func NewWorldOver(t transport.Transport, opts ...Option) *World {
 		opt(w)
 	}
 	w.stats = make([]*Stats, w.N)
+	w.ranks = make([]Rank, w.N)
 	for i := range w.stats {
 		w.stats[i] = newStats()
+		w.ranks[i] = Rank{w: w, ID: i}
 	}
 	return w
 }
@@ -272,12 +276,13 @@ type Rank struct {
 	ID int
 }
 
-// Rank returns the handle for rank id.
+// Rank returns the handle for rank id: the World's own, the same one on
+// every call.
 func (w *World) Rank(id int) *Rank {
 	if id < 0 || id >= w.N {
 		panic(fmt.Sprintf("comm: rank %d out of range [0,%d)", id, w.N))
 	}
-	return &Rank{w: w, ID: id}
+	return &w.ranks[id]
 }
 
 // N returns the world size.

@@ -757,7 +757,7 @@ func Join(cfg TCPConfig) (*TCP, *Ctrl, error) {
 	// Dial side: we dial every lower-ranked peer, retrying while it boots.
 	for j := 0; j < cfg.Rank; j++ {
 		go func(j int) {
-			conn, err := dialHandshake(cfg.Addrs[j], hello, deadline, func(h *wire.Hello) error {
+			conn, err := dialHandshake(cfg.Addrs[j], hello, deadline, nil, func(h *wire.Hello) error {
 				if err := validateHello(h, cfg.World, cfg.ConfigSum); err != nil {
 					return err
 				}
@@ -831,6 +831,9 @@ func Join(cfg TCPConfig) (*TCP, *Ctrl, error) {
 	return t, ctrl, nil
 }
 
+// errDialAborted ends a dial that another dial's failure made pointless.
+var errDialAborted = errors.New("dial aborted")
+
 // errRetryHandshake marks a handshake reply that is wrong only transiently
 // (a peer still catching up to a newer epoch); the dialer closes the conn,
 // sleeps, and redials instead of failing the rendezvous.
@@ -854,8 +857,9 @@ func checkEpoch(peer, mine uint64) error {
 // with deterministic jitter, bounded by the retry budget), sends hello, and
 // validates the peer's reply. An ErrIntegrity on the reply — the handshake
 // frame was damaged in flight — is retried like any transient fault, never
-// confused with the fatal ErrBadFrame version-mismatch signature.
-func dialHandshake(addr string, hello *wire.Hello, deadline time.Time, check func(*wire.Hello) error) (net.Conn, error) {
+// confused with the fatal ErrBadFrame version-mismatch signature. Closing
+// abort (nil: never) ends the retries with errDialAborted.
+func dialHandshake(addr string, hello *wire.Hello, deadline time.Time, abort <-chan struct{}, check func(*wire.Hello) error) (net.Conn, error) {
 	var lastErr error
 	bo := NewBackoff(addr)
 	retry := func(err error) error {
@@ -864,8 +868,14 @@ func dialHandshake(addr string, hello *wire.Hello, deadline time.Time, check fun
 		if !ok {
 			return bo.Exhausted(lastErr)
 		}
-		time.Sleep(d)
-		return nil
+		pause := time.NewTimer(d)
+		defer pause.Stop()
+		select {
+		case <-pause.C:
+			return nil
+		case <-abort:
+			return errDialAborted
+		}
 	}
 	for {
 		remain := time.Until(deadline)
@@ -958,13 +968,16 @@ func newCtrl(conn net.Conn, every time.Duration) *Ctrl {
 
 // DialCtrl connects the coordinator's control plane to every worker in
 // cfg.Addrs, where Addrs[i] must answer as rank i of a world of len(Addrs).
-// It sends each a Hello as rank -1 and retries while the worker is still
-// meshing, for up to RendezvousTimeout per worker. A worker on a newer epoch
-// fails the dial with an EpochError naming the epoch to redial at. The
-// heartbeat settings mirror the workers': a connection is downed once its
-// worker has been silent for HeartbeatMisses periods. Every connection's
-// death, and every FailureNote a worker sends, arrives on the returned
-// channel, which the connections share and the first Close closes.
+// It dials the workers concurrently, so the rendezvous takes as long as the
+// slowest worker rather than the sum of them: each gets a Hello as rank -1,
+// and a worker still meshing is retried until RendezvousTimeout. A worker on
+// a newer epoch fails the dial with an EpochError naming the epoch to redial
+// at. The first dial to fail stops the others' retries, and the error names
+// its rank; every connection already opened is closed. The heartbeat
+// settings mirror the workers': a connection is downed once its worker has
+// been silent for HeartbeatMisses periods. Every connection's death, and
+// every FailureNote a worker sends, arrives on the returned channel, which
+// the connections share and the first Close closes.
 func DialCtrl(cfg TCPConfig) ([]*Ctrl, <-chan FailureEvent, error) {
 	if err := cfg.liveness(); err != nil {
 		return nil, nil, err
@@ -972,27 +985,50 @@ func DialCtrl(cfg TCPConfig) ([]*Ctrl, <-chan FailureEvent, error) {
 	n := len(cfg.Addrs)
 	hello := &wire.Hello{Magic: wire.Magic, Version: wire.Version, World: n, Rank: -1,
 		ConfigSum: cfg.ConfigSum, Epoch: cfg.Epoch}
-	events := newEventSink(n + 2)
-	ctrls := make([]*Ctrl, 0, n)
+	deadline := time.Now().Add(cfg.RendezvousTimeout)
+	conns, errs := make([]net.Conn, n), make([]error, n)
+	abort := make(chan struct{})
+	failed := -1
+	var mu sync.Mutex
+	var wg sync.WaitGroup
 	for i, addr := range cfg.Addrs {
-		conn, err := dialHandshake(addr, hello, time.Now().Add(cfg.RendezvousTimeout), func(h *wire.Hello) error {
-			if err := validateHello(h, n, cfg.ConfigSum); err != nil {
-				return err
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := dialHandshake(addr, hello, deadline, abort, func(h *wire.Hello) error {
+				if err := validateHello(h, n, cfg.ConfigSum); err != nil {
+					return err
+				}
+				if h.Rank != i {
+					return fmt.Errorf("address %s answered as rank %d, want %d", addr, h.Rank, i)
+				}
+				return checkEpoch(h.Epoch, cfg.Epoch)
+			})
+			conns[i], errs[i] = conn, err
+			if err != nil {
+				mu.Lock()
+				if failed < 0 {
+					failed = i
+					close(abort)
+				}
+				mu.Unlock()
 			}
-			if h.Rank != i {
-				return fmt.Errorf("address %s answered as rank %d, want %d", addr, h.Rank, i)
+		}()
+	}
+	wg.Wait()
+	if failed >= 0 {
+		for _, conn := range conns {
+			if conn != nil {
+				conn.Close()
 			}
-			return checkEpoch(h.Epoch, cfg.Epoch)
-		})
-		if err != nil {
-			for _, c := range ctrls {
-				c.Close()
-			}
-			return nil, nil, fmt.Errorf("transport: control dial to rank %d at %s: %w", i, addr, err)
 		}
-		c := &Ctrl{link{peer: i, conn: conn, window: cfg.missWindow(), events: events}}
-		c.start()
-		ctrls = append(ctrls, c)
+		return nil, nil, fmt.Errorf("transport: control dial to rank %d at %s: %w", failed, cfg.Addrs[failed], errs[failed])
+	}
+	events := newEventSink(n + 2)
+	ctrls := make([]*Ctrl, n)
+	for i, conn := range conns {
+		ctrls[i] = &Ctrl{link{peer: i, conn: conn, window: cfg.missWindow(), events: events}}
+		ctrls[i].start()
 	}
 	return ctrls, events.ch, nil
 }

@@ -831,3 +831,95 @@ func TestTCPDeadLinkCauseNamesThePeer(t *testing.T) {
 		})
 	}
 }
+
+// fakeWorker answers one control dial as rank of a world of n, after
+// holding the coordinator's hello for delay, and then reads the connection
+// until the coordinator closes it: closed receives once that happens.
+func fakeWorker(t *testing.T, rank, n int, sum uint64, delay time.Duration) (addr string, closed <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	done := make(chan struct{})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, err := wire.ReadFrame(conn, 0); err != nil {
+			return
+		}
+		time.Sleep(delay)
+		reply := &wire.Hello{Magic: wire.Magic, Version: wire.Version, World: n, Rank: rank, ConfigSum: sum, Epoch: 1}
+		if _, err := wire.WriteFrame(conn, reply); err != nil {
+			return
+		}
+		io.Copy(io.Discard, conn)
+		close(done)
+	}()
+	return ln.Addr().String(), done
+}
+
+// DialCtrl dials the workers at once: three workers that each hold the
+// hello for 400 ms are connected in about 400 ms, not the 1.2 s one after
+// the other would take.
+func TestDialCtrlTracksTheSlowestHello(t *testing.T) {
+	const n, sum, delay = 3, 11, 400 * time.Millisecond
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i], _ = fakeWorker(t, i, n, sum, delay)
+	}
+	start := time.Now()
+	ctrls, _, err := DialCtrl(TCPConfig{Addrs: addrs, ConfigSum: sum, RendezvousTimeout: 10 * time.Second, HeartbeatMisses: -1})
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range ctrls {
+		c.Close()
+	}
+	if took < delay || took >= 2*delay {
+		t.Fatalf("dialing %d workers that each answer after %v took %v: want the slowest hello, not their sum (%v)", n, delay, took, n*delay)
+	}
+}
+
+// One unreachable worker fails the dial with its rank named, and the
+// connections already opened to the others are closed rather than left
+// behind.
+func TestDialCtrlUnreachableWorkerClosesTheRest(t *testing.T) {
+	const n, sum = 3, 11
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close() // nothing listens here any more: every dial is refused
+	addrs := make([]string, n)
+	var closed []<-chan struct{}
+	for i := range addrs {
+		if i == 1 {
+			addrs[i] = deadAddr
+			continue
+		}
+		var c <-chan struct{}
+		addrs[i], c = fakeWorker(t, i, n, sum, 0)
+		closed = append(closed, c)
+	}
+	_, _, err = DialCtrl(TCPConfig{Addrs: addrs, ConfigSum: sum, RendezvousTimeout: 500 * time.Millisecond})
+	if err == nil {
+		t.Fatal("dialing an unreachable worker succeeded")
+	}
+	if want := fmt.Sprintf("rank 1 at %s", deadAddr); !strings.Contains(err.Error(), want) {
+		t.Fatalf("dial error %q does not name %q", err, want)
+	}
+	for i, c := range closed {
+		select {
+		case <-c:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("reachable worker %d still holds its connection after the dial failed", i)
+		}
+	}
+}

@@ -172,7 +172,8 @@ type Transport interface {
 // Mem is the in-process mailbox transport. Every rank is local.
 type Mem struct {
 	n      int
-	boxes  [][]chan any // boxes[dst][src]
+	boxes  [][]chan any    // boxes[dst][src]
+	timers [][]*time.Timer // timers[dst][src]: bounds a parked Recv on the box
 	failMu failMap
 	events *eventSink
 }
@@ -184,8 +185,10 @@ func NewMem(n int) *Mem {
 	}
 	m := &Mem{n: n, failMu: newFailMap(), events: newEventSink(2 * n)}
 	m.boxes = make([][]chan any, n)
+	m.timers = make([][]*time.Timer, n)
 	for d := 0; d < n; d++ {
 		m.boxes[d] = make([]chan any, n)
+		m.timers[d] = make([]*time.Timer, n)
 		for s := 0; s < n; s++ {
 			// Capacity n+1 lets every rank complete an All2All send phase
 			// before any rank starts receiving, avoiding deadlock without
@@ -245,7 +248,10 @@ const recvPollBudget = 50 * time.Microsecond
 
 // Recv implements Transport. A payload already waiting is returned without
 // arming a timer. An empty mailbox is polled for recvPollBudget first; only
-// then does the receiver arm a timer for what is left of timeout and park.
+// then does the receiver arm the mailbox's timer for what is left of timeout
+// and park. Only rank dst receives from its mailboxes, one receive at a time,
+// and Go 1.23+ timers deliver nothing stale after Stop or Reset, so one timer
+// per mailbox serves every parked receive.
 func (m *Mem) Recv(dst, src int, timeout time.Duration) (any, error) {
 	box := m.boxes[dst][src]
 	select {
@@ -266,7 +272,13 @@ func (m *Mem) Recv(dst, src int, timeout time.Duration) (any, error) {
 	if left <= 0 {
 		return nil, ErrTimeout
 	}
-	t := time.NewTimer(left)
+	t := m.timers[dst][src]
+	if t == nil {
+		t = time.NewTimer(left)
+		m.timers[dst][src] = t
+	} else {
+		t.Reset(left)
+	}
 	defer t.Stop()
 	select {
 	case v := <-box:

@@ -36,10 +36,10 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/attention"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -628,7 +628,9 @@ type codec struct {
 	err error
 }
 
-var codecs = sync.Pool{New: func() any { return new(codec) }}
+// codecs holds more codecs than walks run at once: one per link reader and
+// sender.
+var codecs = parallel.NewFreeList[codec](256, nil)
 
 func (c *codec) fail(format string, args ...any) {
 	if c.err == nil {
@@ -949,7 +951,7 @@ func Append(buf []byte, v any) ([]byte, error) {
 		return buf, fmt.Errorf("wire: unsupported payload type %T", v)
 	}
 	at := len(buf)
-	c := codecs.Get().(*codec)
+	c := codecs.Get()
 	c.b = append(buf, 0)
 	id := f.walk(c)
 	out, err := c.b, c.err
@@ -986,7 +988,7 @@ func decodeInto(b []byte, f frame) (frame, error) {
 	if f == nil {
 		f = newFrame[id]()
 	}
-	c := codecs.Get().(*codec)
+	c := codecs.Get()
 	*c = codec{b: b, off: 1, dec: true}
 	if f.walk(c) != id {
 		c.fail("type id %d walks as %T", id, f)
@@ -1213,23 +1215,29 @@ func ReadFrame(r io.Reader, maxFrame int) (any, int, error) {
 // A Reader reads frames into a body buffer it keeps between them, so a
 // stream of frames allocates only what their payloads hold — and, with
 // Spares, a data-plane block not even that once one of its kind has been
-// handed back. Nor does a prefill or decode result, once the reader's own
-// frame of its kind has grown to fit it. Every walk copies its fields out of
-// the body, so no payload aliases the buffer. A body past the keep bound is dropped after its frame.
-// A Reader is not safe for concurrent use: one goroutine reads a link.
+// handed back. Nor does a prefill or decode command or result, once the
+// reader's own frame of its kind has grown to fit it. Every walk copies its
+// fields out of the body, so no payload aliases the buffer. A body past the
+// keep bound is dropped after its frame. A Reader is not safe for concurrent
+// use: one goroutine reads a link.
 type Reader struct {
 	// Spares, when set, supplies the blocks that KV, query and output frames
 	// are decoded into, their storage reused where it is large enough.
 	Spares *Spares
 	hdr    [4]byte
 	body   []byte
-	// A PrefillResult or DecodeResult is decoded into the one frame of its
-	// kind the reader keeps, valid until the reader reads the next result
-	// of that kind. Only a control connection's coordinator end reads
-	// results, and they answer its commands in lockstep: it is done with
-	// one before the command that draws the next goes out.
-	prefill *PrefillResult
-	decode  *DecodeResult
+	// A PrefillCmd, DecodeCmd, PrefillResult or DecodeResult is decoded
+	// into the one frame of its kind the reader keeps, valid until the
+	// reader reads the next frame of that kind. Only a control connection
+	// carries these, and its command stream is lockstep: the coordinator
+	// sends a command only once every worker has answered the one before,
+	// so a worker's end has finished with a command — run it and sent the
+	// reply — before the next one can arrive, and the coordinator's end has
+	// read every result before the command that draws the next goes out.
+	prefillCmd *PrefillCmd
+	decodeCmd  *DecodeCmd
+	prefill    *PrefillResult
+	decode     *DecodeResult
 }
 
 // ReadFrame is ReadFrame through the reader's buffer.
@@ -1268,32 +1276,59 @@ func (r *Reader) ReadFrame(src io.Reader, maxFrame int) (any, int, error) {
 	return payload(f), 4 + n, nil
 }
 
-// kept returns the reader's result frame of kind id, made on first use, or
-// nil when id is not a result the reader keeps.
+// kept returns the reader's frame of kind id, made on first use, or nil
+// when id is not a kind the reader keeps.
 func (r *Reader) kept(id byte) frame {
-	if id == tPrefillResult {
-		if r.prefill == nil {
-			r.prefill = new(PrefillResult)
-		}
-		return r.prefill
+	switch id {
+	case tPrefillCmd:
+		return keptFrame(&r.prefillCmd)
+	case tDecodeCmd:
+		return keptFrame(&r.decodeCmd)
+	case tPrefillResult:
+		return keptFrame(&r.prefill)
+	case tDecodeResult:
+		return keptFrame(&r.decode)
+	default:
+		return nil
 	}
-	if id == tDecodeResult {
-		if r.decode == nil {
-			r.decode = new(DecodeResult)
-		}
-		return r.decode
-	}
-	return nil
 }
 
-// forgetLarge drops the kept result f when it holds more than the keep
-// bound (an all-rows prefill's logits), so the next one decodes fresh.
-func (r *Reader) forgetLarge(f frame) {
-	if f == frame(r.prefill) && tensorBytes(r.prefill.Logits)+4*cap(r.prefill.IDs) > maxKept {
-		r.prefill = nil
+// keptFrame is *p, made first if it is nil.
+func keptFrame[T any, P interface {
+	*T
+	frame
+}](p *P) frame {
+	if *p == nil {
+		*p = P(new(T))
 	}
-	if f == frame(r.decode) && 4*(cap(r.decode.Flat)+cap(r.decode.IDs)) > maxKept {
-		r.decode = nil
+	return *p
+}
+
+// forgetLarge drops the kept frame f when it holds more than the keep bound
+// (an all-rows prefill's logits, a long prompt's tokens), so the next one
+// decodes fresh.
+func (r *Reader) forgetLarge(f frame) {
+	switch {
+	case f == frame(r.prefillCmd):
+		n := cap(r.prefillCmd.Seqs) + cap(r.prefillCmd.P) + cap(r.prefillCmd.Tokens)
+		for _, toks := range r.prefillCmd.Tokens {
+			n += cap(toks)
+		}
+		if 8*n > maxKept {
+			r.prefillCmd = nil
+		}
+	case f == frame(r.decodeCmd):
+		if 8*(cap(r.decodeCmd.Seqs)+cap(r.decodeCmd.Tokens)+cap(r.decodeCmd.Pos)+cap(r.decodeCmd.Owners)) > maxKept {
+			r.decodeCmd = nil
+		}
+	case f == frame(r.prefill):
+		if tensorBytes(r.prefill.Logits)+4*cap(r.prefill.IDs) > maxKept {
+			r.prefill = nil
+		}
+	case f == frame(r.decode):
+		if 4*(cap(r.decode.Flat)+cap(r.decode.IDs)) > maxKept {
+			r.decode = nil
+		}
 	}
 }
 

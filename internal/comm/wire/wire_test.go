@@ -313,6 +313,57 @@ func TestKeptRepliesReuseOneFrame(t *testing.T) {
 	}
 }
 
+// A worker's end of a control connection decodes every prefill and decode
+// command into the one frame of its kind the reader keeps: a stream of
+// decode steps allocates nothing once that frame has grown, and each read
+// equals a fresh decode, a shorter command after a longer one included. A
+// command past the keep bound is not kept.
+func TestKeptCommandsReuseOneFrame(t *testing.T) {
+	var w Writer
+	var rd Reader
+	var src bytes.Reader
+	one := func(v any) any {
+		t.Helper()
+		b, err := w.Frame(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Reset(b)
+		got, _, err := rd.ReadFrame(&src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	same := func(v any) any {
+		t.Helper()
+		got := one(v)
+		gb, _ := Append(nil, got)
+		if wb, _ := Append(nil, v); !bytes.Equal(gb, wb) {
+			t.Fatalf("read %#v, want %#v", got, v)
+		}
+		return got
+	}
+	long := &DecodeCmd{Seqs: []int{1, 2, 3, 4, 5, 6, 7, 8}, Tokens: []int{9, 8, 7, 6, 5, 4, 3, 2},
+		Pos: []int{512, 513, 514, 515, 516, 517, 518, 519}, Owners: []int{0, 1, 1, 0, 1, 0, 0, 1}, Reply: ReplyToken}
+	short := &DecodeCmd{Seqs: []int{3}, Tokens: []int{4}, Pos: []int{5}, Owners: []int{1}, Reply: ReplyLast}
+	first := same(long)
+	if same(short) != first || same(long) != first {
+		t.Fatal("a second decode command decoded into a new frame")
+	}
+	if allocs := testing.AllocsPerRun(50, func() { one(long) }); allocs != 0 {
+		t.Fatalf("a kept decode command allocates %.0f objects per read", allocs)
+	}
+	pre := &PrefillCmd{Seqs: []int{1, 2}, Tokens: [][]int{{1, 2, 3}, {4}}, P: []int{0, 7}, Variant: 1, Reply: ReplyToken}
+	if got := same(pre); same(&PrefillCmd{Seqs: []int{5}, Tokens: [][]int{{6, 7}}, P: []int{3}, Reply: ReplyAll}) != got {
+		t.Fatal("a second prefill command decoded into a new frame")
+	}
+	huge := &PrefillCmd{Seqs: []int{1}, Tokens: [][]int{make([]int, maxKept/8+1)}, P: []int{0}, Reply: ReplyLast}
+	if first := one(huge); one(huge) == first {
+		t.Fatal("a command past the keep bound was kept")
+	}
+}
+
 func TestUnknownTypeRejected(t *testing.T) {
 	if _, err := Decode([]byte{0xf7}); err == nil {
 		t.Fatal("unknown type id accepted")
@@ -488,8 +539,9 @@ func FuzzDecode(f *testing.F) {
 // short KV block, a frame cut short, a token-mode decode result and a
 // CRC-valid decode command whose reply mode it does not take. Each input is
 // also read through a reader that read longer frames first, holds their
-// block as a spare and keeps their results: the outcome must be a fresh
-// reader's, so no stale byte of a longer body, block or result ever decodes.
+// block as a spare and keeps their commands and results: the outcome must
+// be a fresh reader's, so no stale byte of a longer body, block, command or
+// result ever decodes.
 func FuzzReadFrame(f *testing.F) {
 	clean, err := AppendFrame(nil, &DecodeCmd{Seqs: []int{1}, Tokens: []int{2}, Pos: []int{3}, Owners: []int{0}})
 	if err != nil {
@@ -531,6 +583,8 @@ func FuzzReadFrame(f *testing.F) {
 	for _, v := range []any{
 		&PrefillResult{Logits: randTensor(rng, 9, 1, 16), IDs: []int32{1, 2, 3, 4, 5, 6}, Err: "an earlier, longer error"},
 		&DecodeResult{Flat: make([]float32, 40), IDs: []int32{9, 8, 7, 6, 5, 4, 3}, Err: "an earlier, longer error"},
+		&PrefillCmd{Seqs: []int{1, 2, 3}, Tokens: [][]int{{4, 5, 6, 7}, {8}, {9, 10}}, P: []int{0, 16, 32}, Variant: 1, Reply: ReplyLast},
+		&DecodeCmd{Seqs: []int{1, 2, 3, 4}, Tokens: []int{5, 6, 7, 8}, Pos: []int{9, 10, 11, 12}, Owners: []int{0, 1, 0, 1}, Reply: ReplyToken},
 	} {
 		b, err := AppendFrame(nil, v)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/prefixcache"
+	"repro/internal/trace"
 	"repro/internal/transformer"
 )
 
@@ -63,7 +64,7 @@ func (s *Scheduler) prefillChunk(r *request, start time.Time) chunkOutcome {
 		if hit, entry := s.tree.Lookup(r.prompt); hit > 0 {
 			if pre, ok := entry.(*transformer.PrefixKV); ok && s.exec.AdoptPrefix(r.session, pre) == nil {
 				s.rec.CounterSeries("cp_prefix_adopt_total").Inc(1)
-				s.span("prefix.adopt", "cache", r.session, start, s.now(), map[string]int64{"tokens": int64(hit)})
+				s.span("prefix.adopt", "cache", r.session, start, s.now(), trace.Arg{Key: "tokens", Val: int64(hit)})
 				out.adopted, r.adopted, r.consumed = hit, hit, hit
 			}
 		}
@@ -152,7 +153,7 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 		// the cluster if the chunk failed and recovery replayed the session
 		// (the retried chunk re-enters with consumed > 0 and never adopts
 		// again).
-		s.appendLogLocked(pj.session, false, pj.prompt[:out.adopted])
+		s.appendLogLocked(pj.session, false, pj.prompt[:out.adopted]...)
 		s.history[pj.session] = append([]int(nil), pj.prompt[:out.adopted]...)
 	}
 	if len(s.prefills) == 0 || s.prefills[0] != pj {
@@ -195,14 +196,14 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 		return now
 	}
 	chunk := pj.prompt[pj.consumed-out.n : pj.consumed]
-	s.appendLogLocked(pj.session, false, chunk)
+	s.appendLogLocked(pj.session, false, chunk...)
 	s.cChunk.Inc(1)
 	if s.rec != nil {
-		args := map[string]int64{"tokens": int64(out.n), "pos": int64(out.pos)}
+		args := []trace.Arg{{Key: "tokens", Val: int64(out.n)}, {Key: "pos", Val: int64(out.pos)}}
 		if pj.cohort != "" {
-			args["cohort"] = s.cohorts.ID(pj.cohort)
+			args = append(args, trace.Arg{Key: "cohort", Val: s.cohorts.ID(pj.cohort)})
 		}
-		s.span("prefill.chunk", "prefill", pj.session, start, now, args)
+		s.span("prefill.chunk", "prefill", pj.session, start, now, args...)
 	}
 	// The canonical prefix grows only through full-budget chunks landing
 	// exactly on its frontier; the first tail chunk or decode step freezes
@@ -294,5 +295,5 @@ func (s *Scheduler) donatePrefix(session int, hist []int) {
 	s.reuse.DetachedTokens += int64(added)
 	s.mu.Unlock()
 	s.rec.CounterSeries("cp_prefix_detach_total").Inc(1)
-	s.span("prefix.detach", "cache", session, start, s.now(), map[string]int64{"tokens": int64(added)})
+	s.span("prefix.detach", "cache", session, start, s.now(), trace.Arg{Key: "tokens", Val: int64(added)})
 }

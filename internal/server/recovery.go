@@ -73,7 +73,7 @@ type RecoveryStats struct {
 // appendLogLocked records resident tokens in the session's replay log,
 // merging into the tail segment when the kind matches; caller holds s.mu.
 // No-op unless recovery is armed — the log is pure overhead otherwise.
-func (s *Scheduler) appendLogLocked(session int, decode bool, toks []int) {
+func (s *Scheduler) appendLogLocked(session int, decode bool, toks ...int) {
 	if !s.cfg.Recover || len(toks) == 0 {
 		return
 	}

@@ -278,6 +278,23 @@ type Scheduler struct {
 
 	execMu   sync.Mutex // serializes executor access (step loop vs. WithCluster)
 	loopDone chan struct{}
+
+	// iter is the step loop's scratch, refilled by every iteration so that a
+	// warm decode iteration allocates nothing of its own.
+	iter iterScratch
+}
+
+// iterScratch holds what one iteration assembles: the fused batch and the
+// decode pool it leaves behind (spare is the pool's other buffer, swapped
+// with it every iteration), the sessions the iteration has claimed, the
+// executor's inputs, the decode.batch span's arguments and the report's
+// session list. Only the step loop touches it.
+type iterScratch struct {
+	dbatch, spare []*request
+	used          map[int]bool
+	ids, toks     []int
+	args          []trace.Arg
+	sessions      []int
 }
 
 // NewScheduler wraps a cluster in a continuous-batching step loop. Unless
@@ -309,6 +326,7 @@ func newScheduler(exec executor, mc model.Config, rec *trace.Recorder, now func(
 		lastIter: IterReport{PrefillSession: -1},
 		loopDone: make(chan struct{}),
 		rec:      rec,
+		iter:     iterScratch{used: make(map[int]bool)},
 	}
 	s.hTTFT = s.rec.Hist("cp_request_ttft_seconds")
 	s.hITL = s.rec.Hist("cp_request_itl_seconds")
@@ -360,11 +378,11 @@ func newScheduler(exec executor, mc model.Config, rec *trace.Recorder, now func(
 }
 
 // span records one coordinator-side span over [start, end).
-func (s *Scheduler) span(name, cat string, seq int, start, end time.Time, args map[string]int64) {
-	s.rec.RecordSpan(trace.Span{
+func (s *Scheduler) span(name, cat string, seq int, start, end time.Time, args ...trace.Arg) {
+	s.rec.RecordSpanArgs(trace.Span{
 		Name: name, Cat: cat, Rank: trace.CoordinatorRank, Seq: seq,
-		Start: start.UnixNano(), Dur: end.Sub(start).Nanoseconds(), Args: args,
-	})
+		Start: start.UnixNano(), Dur: end.Sub(start).Nanoseconds(),
+	}, args...)
 }
 
 // cohortHandles is one cohort's resolved metric set.
@@ -373,6 +391,9 @@ type cohortHandles struct {
 	itl  *trace.Series // cp_cohort_itl_seconds{cohort=}
 	e2e  *trace.Series // cp_cohort_e2e_seconds{cohort=}
 	req  *trace.Series // cp_cohort_requests_total{cohort=}
+	// batchArg is the decode.batch span argument that counts the cohort's
+	// members ("cohort.chat").
+	batchArg string
 }
 
 // noCohort is the untagged request's handle set: nil series, which observe
@@ -395,6 +416,8 @@ func (s *Scheduler) cohortHandlesLocked(name string) *cohortHandles {
 		itl:  s.rec.Hist("cp_cohort_itl_seconds", l),
 		e2e:  s.rec.Hist("cp_cohort_e2e_seconds", l),
 		req:  s.rec.CounterSeries("cp_cohort_requests_total", l),
+
+		batchArg: "cohort." + name,
 	}
 	s.cohortSeries[name] = h
 	return h

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/tensor"
 	"repro/internal/trace"
 	"repro/internal/transformer"
 )
@@ -20,10 +21,14 @@ func (s *Scheduler) Step() (IterReport, bool) {
 	if !s.cfg.Manual {
 		return IterReport{PrefillSession: -1}, false
 	}
-	return s.step()
+	report, ok := s.step()
+	report.DecodeSessions = append([]int(nil), report.DecodeSessions...)
+	return report, ok
 }
 
-// step runs one iteration; callers are the background loop or Step.
+// step runs one iteration; callers are the background loop or Step. The
+// report's DecodeSessions is the scheduler's own, valid until the next
+// iteration.
 func (s *Scheduler) step() (IterReport, bool) {
 	s.applyDrops() // evictions are loop-ordered: never racing chunk or batch
 	// Recovery runs after drops (so released sessions are already out of
@@ -46,9 +51,11 @@ func (s *Scheduler) step() (IterReport, bool) {
 		}
 	}
 	s.executing = pj
-	var dbatch []*request
-	var held []*request
-	used := map[int]bool{}
+	it := &s.iter
+	dbatch := it.dbatch[:0]
+	held := it.spare[:0]
+	used := it.used
+	clear(used)
 	if pj != nil {
 		// A session never prefills and decodes in the same iteration: the
 		// two cluster calls would disagree about its sequence positions.
@@ -70,7 +77,10 @@ func (s *Scheduler) step() (IterReport, bool) {
 			held = append(held, r)
 		}
 	}
-	s.decodes = held
+	// The pool's old buffer is the next iteration's spare, cleared so that
+	// it holds on to no finished request.
+	clear(s.decodes[:cap(s.decodes)])
+	it.dbatch, it.spare, s.decodes = dbatch, s.decodes[:0], held
 	// Failing those requests may have been the last thing keeping their
 	// quarantined sessions' admission slots occupied.
 	for _, id := range deadSessions {
@@ -117,8 +127,11 @@ func (s *Scheduler) step() (IterReport, bool) {
 	}
 	b.LastIterMs = report.DurMs
 	b.TotalIterMs += report.DurMs
+	last := s.lastIter.DecodeSessions
 	s.lastIter = report
+	s.lastIter.DecodeSessions = append(last[:0], report.DecodeSessions...)
 	s.mu.Unlock()
+	clear(dbatch)
 	return report, true
 }
 
@@ -135,11 +148,11 @@ func (s *Scheduler) recordWaitLocked(c Class, r *request, now time.Time) {
 	s.hWait[c].Observe(wait.Seconds())
 	// Span args are int64-valued, so the cohort rides as its pool id; the
 	// id→name registry is exposed in /v1/stats cohort block order.
-	var args map[string]int64
 	if r.cohort != "" && s.rec != nil {
-		args = map[string]int64{"cohort": s.cohorts.ID(r.cohort)}
+		s.span("queue.wait", string(c), trace.NoSeq, r.queuedAt, now, trace.Arg{Key: "cohort", Val: s.cohorts.ID(r.cohort)})
+		return
 	}
-	s.span("queue.wait", string(c), trace.NoSeq, r.queuedAt, now, args)
+	s.span("queue.wait", string(c), trace.NoSeq, r.queuedAt, now)
 }
 
 // runDecodeBatch advances every request in the batch by one fused ring pass
@@ -157,17 +170,22 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 	var out []int
 	var err error
 	evictReq := 0
+	it := &s.iter
 	for len(dbatch) > 0 {
-		ids := make([]int, len(dbatch))
-		toks := make([]int, len(dbatch))
+		it.ids, it.toks = tensor.Grown(it.ids, len(dbatch)), tensor.Grown(it.toks, len(dbatch))
 		for i, r := range dbatch {
-			ids[i] = r.session
-			toks[i] = r.token
+			it.ids[i] = r.session
+			it.toks[i] = r.token
 		}
 		s.execMu.Lock()
-		out, err = s.exec.DecodeNext(ids, toks)
+		out, err = s.exec.DecodeNext(it.ids, it.toks)
+		if err == nil {
+			s.execMu.Unlock()
+			break
+		}
+		// Declared past the success path: errors.As moves ce to the heap.
 		var ce *transformer.CapacityError
-		if err == nil || !errors.As(err, &ce) {
+		if !errors.As(err, &ce) {
 			s.execMu.Unlock()
 			break
 		}
@@ -251,17 +269,18 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 	if s.rec != nil {
 		// A fused batch mixes cohorts, so the span carries one per-cohort
 		// member count ("cohort.chat": 3) instead of a single id.
-		args := map[string]int64{"batch": int64(len(dbatch))}
+		it.args = append(it.args[:0], trace.Arg{Key: "batch", Val: int64(len(dbatch))})
 		for _, r := range dbatch {
 			if r.cohort != "" {
-				args["cohort."+r.cohort]++
+				it.args = countArg(it.args, s.cohortHandlesLocked(r.cohort).batchArg)
 			}
 		}
-		s.span("decode.batch", "decode", trace.NoSeq, start, now, args)
+		s.span("decode.batch", "decode", trace.NoSeq, start, now, it.args...)
 	}
+	report.DecodeSessions = it.sessions[:0]
 	for i, r := range dbatch {
 		report.DecodeSessions = append(report.DecodeSessions, r.session)
-		s.appendLogLocked(r.session, true, []int{r.token})
+		s.appendLogLocked(r.session, true, r.token)
 		next := out[i]
 		r.pending--
 		if r.collect {
@@ -308,8 +327,21 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 			}
 		}
 	}
+	it.sessions = report.DecodeSessions
 	if len(s.decodes) > 0 {
 		s.cond.Signal()
 	}
 	return now
+}
+
+// countArg adds one to the argument named key, appending it at 1 when args
+// has none.
+func countArg(args []trace.Arg, key string) []trace.Arg {
+	for i := range args {
+		if args[i].Key == key {
+			args[i].Val++
+			return args
+		}
+	}
+	return append(args, trace.Arg{Key: key, Val: 1})
 }

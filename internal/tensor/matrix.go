@@ -98,11 +98,40 @@ func Blocks(tokens, cols int, fn func(t0, t1 int, fanRows bool)) {
 		return
 	}
 	statMatmulJobs.Add(1)
-	parallel.For((tokens+bt-1)/bt, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			fn(b*bt, min((b+1)*bt, tokens), false)
-		}
-	})
+	parallel.RunRecycled(blockTasks, (tokens+bt-1)/bt, blockTask{fn: fn, tokens: tokens, bt: bt})
+}
+
+// blockTask is one multi-block Blocks sweep, and panelTask one fanned Mul:
+// recycled, so that a sweep hands the worker pool no fresh closure.
+type blockTask struct {
+	fn         func(t0, t1 int, fanRows bool)
+	tokens, bt int
+}
+
+type panelTask struct {
+	m      *Matrix
+	dst, x []float32
+}
+
+// The free lists hold more tasks than sweeps can run at once: one per rank
+// goroutine and pool worker.
+var (
+	blockTasks = parallel.NewFreeList[blockTask](256, nil)
+	panelTasks = parallel.NewFreeList[panelTask](256, nil)
+)
+
+// Run runs blocks [lo, hi).
+func (t *blockTask) Run(lo, hi int) {
+	for b := lo; b < hi; b++ {
+		t.fn(b*t.bt, min((b+1)*t.bt, t.tokens), false)
+	}
+}
+
+// Run computes the weight rows of panels [lo, hi).
+func (t *panelTask) Run(lo, hi int) {
+	m := t.m
+	r0, r1 := lo*simd.PanelRows, min(hi*simd.PanelRows, m.Rows)
+	simd.DotPanel(t.dst[r0:], m.Rows, m.Data[r0*m.Cols:r1*m.Cols], t.x, m.Cols)
 }
 
 // BlockTokens is the height of one Blocks block for activation rows of width
@@ -131,10 +160,7 @@ func (m *Matrix) Mul(dst, x []float32, tokens int, fanRows bool) {
 		simd.DotPanel(dst, m.Rows, m.Data, x, m.Cols)
 	} else {
 		statMatmulJobs.Add(1)
-		parallel.For((m.Rows+simd.PanelRows-1)/simd.PanelRows, func(lo, hi int) {
-			r0, r1 := lo*simd.PanelRows, min(hi*simd.PanelRows, m.Rows)
-			simd.DotPanel(dst[r0:], m.Rows, m.Data[r0*m.Cols:r1*m.Cols], x, m.Cols)
-		})
+		parallel.RunRecycled(panelTasks, (m.Rows+simd.PanelRows-1)/simd.PanelRows, panelTask{m: m, dst: dst, x: x})
 	}
 }
 

@@ -15,7 +15,7 @@ func (r *Recorder) Spans() []Span {
 		return nil
 	}
 	r.mu.Lock()
-	out := append([]Span(nil), r.spans...)
+	out := r.spans.spans()
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -43,6 +43,77 @@ type Span struct {
 	Args  map[string]int64 `json:"args,omitempty"`
 }
 
+// Arg is one span argument given as a pair rather than a map entry, for a
+// caller that records a span on every step (RecordSpanArgs).
+type Arg struct {
+	Key string
+	Val int64
+}
+
+// stored is a buffered span. Arguments recorded as pairs stay pairs, in
+// the recorder's argument blocks, and become Span.Args only where spans are
+// read: Spans (and through it both exports) and Drain.
+type stored struct {
+	Span
+	args []Arg
+}
+
+// spanBlock and argBlock size the blocks the recorder's buffers grow by: a
+// buffer takes a new block when its last one is full and never copies what
+// it holds, where one slice would be copied whole on every growth.
+const spanBlock, argBlock = 256, 1024
+
+// spanBuf is the recorder's span buffer.
+type spanBuf struct {
+	blocks [][]stored
+	n      int
+	args   []Arg // the current argument block
+}
+
+// add buffers s with a copy of args.
+func (b *spanBuf) add(s Span, args []Arg) {
+	if b.n%spanBlock == 0 {
+		b.blocks = append(b.blocks, make([]stored, 0, spanBlock))
+	}
+	st := stored{Span: s}
+	if len(args) > 0 {
+		if cap(b.args)-len(b.args) < len(args) {
+			b.args = make([]Arg, 0, max(argBlock, len(args)))
+		}
+		at := len(b.args)
+		b.args = append(b.args, args...)
+		st.args = b.args[at:len(b.args):len(b.args)]
+	}
+	last := &b.blocks[len(b.blocks)-1]
+	*last = append(*last, st)
+	b.n++
+}
+
+// spans returns the buffered spans, pair arguments folded into Args.
+func (b *spanBuf) spans() []Span {
+	if b.n == 0 {
+		return nil
+	}
+	out := make([]Span, 0, b.n)
+	for _, blk := range b.blocks {
+		for _, st := range blk {
+			s := st.Span
+			if len(st.args) > 0 {
+				m := make(map[string]int64, len(s.Args)+len(st.args))
+				for k, v := range s.Args {
+					m[k] = v
+				}
+				for _, a := range st.args {
+					m[a.Key] = a.Val
+				}
+				s.Args = m
+			}
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // CoordinatorRank tags spans recorded by the coordinator / scheduler rather
 // than a CP rank.
 const CoordinatorRank = -1
@@ -81,12 +152,13 @@ type rankKey struct {
 type Recorder struct {
 	mu       sync.Mutex
 	maxSpans int
-	spans    []Span
+	spans    spanBuf
 	nextIdx  map[rankKey]uint64
 	agg      map[string]Stat
 	series   map[string]*Series
 	order    []string // series ids in creation order (sorted at export)
 	sweeps   map[sweepKey]*sweepSeries
+	idle     []*SweepTimer // finished sweep timers, for the next Sweep
 }
 
 // New returns an empty recorder.
@@ -112,11 +184,27 @@ func (r *Recorder) SetMaxSpans(n int) {
 
 // RecordSpan appends one span, assigning its per-(rank, epoch) Index. The
 // aggregate Stat for s.Name is updated even when the buffer is full.
-func (r *Recorder) RecordSpan(s Span) {
+func (r *Recorder) RecordSpan(s Span) { r.RecordSpanArgs(s) }
+
+// RecordSpanArgs is RecordSpan with arguments given as pairs, which the
+// recorder copies into a buffer of its own: a span recorded this way
+// allocates no map, and its Args are built only where spans are read. A key
+// given twice keeps its last value, as a map would.
+func (r *Recorder) RecordSpanArgs(s Span, args ...Arg) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
+	dropCtr := r.recordLocked(s, args)
+	r.mu.Unlock()
+	if dropCtr != nil {
+		dropCtr.Inc(1)
+	}
+}
+
+// recordLocked buffers one span and returns the dropped-span counter to bump
+// when the buffer is full; caller holds r.mu.
+func (r *Recorder) recordLocked(s Span, args []Arg) *Series {
 	k := rankKey{s.Rank, s.Epoch}
 	r.nextIdx[k]++
 	s.Index = r.nextIdx[k]
@@ -127,18 +215,11 @@ func (r *Recorder) RecordSpan(s Span) {
 		st.Max = time.Duration(s.Dur)
 	}
 	r.agg[s.Name] = st
-	dropped := len(r.spans) >= r.maxSpans
-	if !dropped {
-		r.spans = append(r.spans, s)
+	if r.spans.n >= r.maxSpans {
+		return r.seriesLocked(KindCounter, "cp_trace_spans_dropped_total", L("rank", rankLabel(s.Rank)))
 	}
-	var dropCtr *Series
-	if dropped {
-		dropCtr = r.seriesLocked(KindCounter, "cp_trace_spans_dropped_total", L("rank", rankLabel(s.Rank)))
-	}
-	r.mu.Unlock()
-	if dropCtr != nil {
-		dropCtr.Inc(1)
-	}
+	r.spans.add(s, args)
+	return nil
 }
 
 // Record adds one aggregate span observation without buffering a full span
@@ -190,7 +271,7 @@ func (r *Recorder) SpanCount() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.spans)
+	return r.spans.n
 }
 
 // Reset clears spans, aggregates, and every series' contents (registry and
@@ -200,7 +281,7 @@ func (r *Recorder) Reset() {
 		return
 	}
 	r.mu.Lock()
-	r.spans = nil
+	r.spans = spanBuf{}
 	r.nextIdx = make(map[rankKey]uint64)
 	r.agg = make(map[string]Stat)
 	series := make([]*Series, 0, len(r.order))
@@ -243,9 +324,11 @@ func RankLabel(rank int) string { return rankLabel(rank) }
 
 // SweepTimer accumulates one ring sweep's (one layer pass on one rank)
 // per-phase wall time: attention compute, ring SendRecv issue+wait, and the
-// trailing All2All — the paper's Table 5/8 axes. Created per sweep via
+// trailing All2All — the paper's Table 5/8 axes. Opened per sweep via
 // Recorder.Sweep; all methods are nil-safe so the ring hot path stays
-// branch-light when tracing is off.
+// branch-light when tracing is off. The timer belongs to its recorder, which
+// hands it to a later sweep once Finish has recorded this one: the sweep must
+// not touch it after Finish.
 type SweepTimer struct {
 	rec       *Recorder
 	rank      int
@@ -255,7 +338,6 @@ type SweepTimer struct {
 	computeNs int64
 	commNs    int64
 	a2aNs     int64
-	steps     int
 	hasA2A    bool
 	start     time.Time
 	series    *sweepSeries
@@ -293,11 +375,19 @@ func (r *Recorder) Sweep(rank int, epoch uint64, op string) *SweepTimer {
 		}
 		r.sweeps[k] = h
 	}
+	var t *SweepTimer
+	if n := len(r.idle); n > 0 {
+		t, r.idle = r.idle[n-1], r.idle[:n-1]
+	}
 	r.mu.Unlock()
-	return &SweepTimer{
+	if t == nil {
+		t = new(SweepTimer)
+	}
+	*t = SweepTimer{
 		rec: r, rank: rank, epoch: epoch, op: op, seq: NoSeq, series: h,
 		start: time.Now(), //cplint:allow determinism sweep wall-clock start, observability only
 	}
+	return t
 }
 
 // Clock returns the current time, or the zero time on a nil timer (so
@@ -338,30 +428,42 @@ func (t *SweepTimer) A2A(t0 time.Time) {
 }
 
 // Finish records the sweep: one observation per phase histogram, the sweep
-// counter, and one ring.sweep span carrying the phase breakdown.
+// counter, and one ring.sweep span carrying the phase breakdown — compute_ns,
+// comm_ns and steps, and all2all_ns when the sweep ran an All2All — as pair
+// arguments, so the span costs no map until it is read. The timer then goes
+// back to its recorder.
 func (t *SweepTimer) Finish(steps int) {
 	if t == nil {
 		return
 	}
-	t.steps = steps
 	t.series.compute.Observe(float64(t.computeNs) / 1e9)
 	t.series.comm.Observe(float64(t.commNs) / 1e9)
 	if t.hasA2A {
 		t.series.a2a.Observe(float64(t.a2aNs) / 1e9)
 	}
 	t.series.count.Inc(1)
-	args := map[string]int64{
-		"compute_ns": t.computeNs,
-		"comm_ns":    t.commNs,
-		"steps":      int64(steps),
+	args := [...]Arg{
+		{"compute_ns", t.computeNs},
+		{"comm_ns", t.commNs},
+		{"steps", int64(steps)},
+		{"all2all_ns", t.a2aNs},
 	}
+	n := len(args) - 1
 	if t.hasA2A {
-		args["all2all_ns"] = t.a2aNs
+		n++
 	}
-	t.rec.RecordSpan(Span{
+	s := Span{
 		Name: "ring.sweep", Cat: t.op, Rank: t.rank, Seq: t.seq, Epoch: t.epoch,
-		Start: t.start.UnixNano(), Dur: time.Since(t.start).Nanoseconds(), Args: args, //cplint:allow determinism sweep span duration, observability only
-	})
+		Start: t.start.UnixNano(), Dur: time.Since(t.start).Nanoseconds(), //cplint:allow determinism sweep span duration, observability only
+	}
+	r := t.rec
+	r.mu.Lock()
+	dropCtr := r.recordLocked(s, args[:n])
+	r.idle = append(r.idle, t)
+	r.mu.Unlock()
+	if dropCtr != nil {
+		dropCtr.Inc(1)
+	}
 }
 
 // --- drain / merge (the wire-shipping surface) -----------------------------
@@ -388,8 +490,8 @@ func (r *Recorder) Drain() ([]Span, []SeriesSnap) {
 		return nil, nil
 	}
 	r.mu.Lock()
-	spans := r.spans
-	r.spans = nil
+	staged := r.spans
+	r.spans = spanBuf{}
 	ids := append([]string(nil), r.order...)
 	series := make([]*Series, len(ids))
 	for i, id := range ids {
@@ -402,7 +504,7 @@ func (r *Recorder) Drain() ([]Span, []SeriesSnap) {
 	for _, s := range series {
 		snaps = append(snaps, s.drain())
 	}
-	return spans, snaps
+	return staged.spans(), snaps
 }
 
 // MergeSpans appends drained spans from another recorder verbatim (their
@@ -415,14 +517,14 @@ func (r *Recorder) MergeSpans(spans []Span) {
 	r.mu.Lock()
 	var droppedBy map[int]int64
 	for _, s := range spans {
-		if len(r.spans) >= r.maxSpans {
+		if r.spans.n >= r.maxSpans {
 			if droppedBy == nil {
 				droppedBy = make(map[int]int64)
 			}
 			droppedBy[s.Rank]++
 			continue
 		}
-		r.spans = append(r.spans, s)
+		r.spans.add(s, nil)
 		k := rankKey{s.Rank, s.Epoch}
 		if s.Index > r.nextIdx[k] {
 			r.nextIdx[k] = s.Index

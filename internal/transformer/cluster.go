@@ -52,7 +52,8 @@ type Cluster struct {
 	// The pump from the current incarnation's source starts lazily on the
 	// first Failures call (eventsMu guards pumping/eventSrc, since watchers
 	// subscribe from their own goroutine): a cluster nobody watches spawns
-	// no goroutine, so Close-less construction stays leak-free.
+	// no pump, and an in-process plane's rank goroutines end with the plane,
+	// so Close-less construction stays leak-free.
 	dial     func(epoch uint64) (plane, uint64, error)
 	epoch    uint64
 	events   chan transport.FailureEvent
@@ -73,7 +74,15 @@ type Cluster struct {
 	owners decodeOwners
 	// next is what DecodeNext returns: the step's token ids in batch order,
 	// refilled in place by the next DecodeNext.
-	next      []int
+	next []int
+	// The decode step's command, the batch's duplicate check and both hot
+	// commands' reply lists are refilled in place too: a rank reads a
+	// command only while bcast runs, and the replies are read before the
+	// next command goes out.
+	dcmd      wire.DecodeCmd
+	inBatch   map[int]bool
+	decodeRes []*wire.DecodeResult
+	prefRes   []*wire.PrefillResult
 	prefixSeq uint64
 }
 
@@ -145,6 +154,7 @@ func newCluster(w *Weights, n, kvCapacity int, rec *trace.Recorder, epoch uint64
 		rec:         rec,
 		seqLens:     make(map[int]int),
 		decodeSteps: make(map[int]int),
+		inBatch:     make(map[int]bool),
 		events:      make(chan transport.FailureEvent, n+2),
 	}
 	c.setEventSource(p.failures(), epoch)
@@ -153,12 +163,17 @@ func newCluster(w *Weights, n, kvCapacity int, rec *trace.Recorder, epoch uint64
 
 // collect broadcasts one command and returns every rank's reply as a T. The
 // lowest-ranked engine error wins, named by rank.
-func collect[T any](c *Cluster, cmd any) ([]T, error) {
+func collect[T any](c *Cluster, cmd any) ([]T, error) { return collectInto[T](c, cmd, nil) }
+
+// collectInto is collect into out, grown in place: the prefill and decode
+// commands keep one reply list each, since their replies are read before the
+// next command goes out.
+func collectInto[T any](c *Cluster, cmd any, out []T) ([]T, error) {
 	replies, err := c.plane.bcast(cmd)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]T, len(replies))
+	out = tensor.Grown(out, len(replies))
 	for r, v := range replies {
 		if msg := wire.ErrOf(v); msg != "" {
 			return nil, fmt.Errorf("rank %d: %s", r, msg)
@@ -476,10 +491,11 @@ func (c *Cluster) prefillCmd(seqIDs []int, tokens [][]int, variant model.Variant
 		return nil, nil, err
 	}
 	cmd := &wire.PrefillCmd{Seqs: seqIDs, Tokens: tokens, P: p, Variant: int(variant), Reply: reply}
-	results, err := collect[*wire.PrefillResult](c, cmd)
+	results, err := collectInto(c, cmd, c.prefRes)
 	if err != nil {
 		return nil, nil, err
 	}
+	c.prefRes = results
 	// The ranks have appended every row by now, whatever their replies hold.
 	for i, id := range seqIDs {
 		c.seqLens[id] += lens[i]
@@ -804,7 +820,8 @@ func (c *Cluster) decode(seqs []int, tokens []int, reply wire.Reply) ([]*wire.De
 		return nil, fmt.Errorf("transformer: %d sequences with %d decode tokens", b, len(tokens))
 	}
 	m := c.W.Cfg.Model
-	seen := make(map[int]bool, b)
+	seen := c.inBatch
+	clear(seen)
 	for i, seq := range seqs {
 		if seq < 0 {
 			return nil, fmt.Errorf("transformer: negative sequence id %d", seq)
@@ -824,25 +841,26 @@ func (c *Cluster) decode(seqs []int, tokens []int, reply wire.Reply) ([]*wire.De
 	// Resolve each batch entry's owner rank and global position on the
 	// coordinator — pure functions of (sequence, per-sequence step) — and
 	// ship them in the command so every rank derives identical ownership.
-	pos := make([]int, b)
-	owners := make([]int, b)
+	cmd := &c.dcmd
+	*cmd = wire.DecodeCmd{Seqs: seqs, Tokens: tokens,
+		Pos: tensor.Grown(cmd.Pos, b), Owners: tensor.Grown(cmd.Owners, b), Reply: reply}
 	for i, seq := range seqs {
 		// Owner depends only on (seq, per-seq step) — never on batch
 		// composition — so fused and serial execution place KV
 		// identically, while distinct sequences at equal step counts
 		// still spread across ranks instead of piling onto one.
-		pos[i] = c.seqLens[seq]
-		owners[i] = sharding.DecodeOwner(seqOwnerOffset(seq), c.decodeSteps[seq], c.n)
+		cmd.Pos[i] = c.seqLens[seq]
+		cmd.Owners[i] = sharding.DecodeOwner(seqOwnerOffset(seq), c.decodeSteps[seq], c.n)
 	}
-	cmd := &wire.DecodeCmd{Seqs: seqs, Tokens: tokens, Pos: pos, Owners: owners, Reply: reply}
 	c.owners.assign(cmd, c.n)
 	if err := c.decodeCapacityCheck(cmd); err != nil {
 		return nil, err
 	}
-	results, err := collect[*wire.DecodeResult](c, cmd)
+	results, err := collectInto(c, cmd, c.decodeRes)
 	if err != nil {
 		return nil, err
 	}
+	c.decodeRes = results
 	// The ranks have appended every sequence's row by now, whatever their
 	// replies hold.
 	for _, seq := range seqs {

@@ -1,6 +1,11 @@
 package transformer
 
 import (
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/chaos"
 	"repro/internal/comm"
 	"repro/internal/comm/transport"
@@ -32,42 +37,93 @@ type plane interface {
 	local(tel *Telemetry)
 }
 
-// memPlane hosts every rank in this process: N engines over one comm.World.
-// Commands and replies cross by pointer, never encoded, and the engines
-// record straight into the cluster's trace recorder.
-type memPlane struct {
+// memPlane hosts every rank in this process: N engines over one comm.World,
+// each on a goroutine of its own for the life of the incarnation, which runs
+// the commands bcast hands it the way a cprank worker runs the frames off its
+// control connection. Commands and replies cross by pointer, never encoded,
+// and the engines record straight into the cluster's trace recorder.
+//
+// The rank goroutines hold only the memRanks, never the memPlane, so a
+// cluster dropped without Close becomes unreachable with its plane, whose
+// cleanup then ends them.
+type memPlane struct{ *memRanks }
+
+// memRanks is what the rank goroutines share with bcast: rank r takes its
+// next command from cmds[r], writes replies[r] and marks done. The command
+// stream is lockstep, so replies is reused from one bcast to the next.
+type memRanks struct {
 	world   *comm.World
 	engines []*rankEngine
-	replies []any // reused across bcasts; see plane.bcast
+	cmds    []chan any
+	replies []any
+	done    sync.WaitGroup // the ranks still running the current command
+	exited  sync.WaitGroup // the rank goroutines still running
+	stopped atomic.Bool
 }
 
 func newMemPlane(w *Weights, n int, co clusterOpts, epoch uint64) (*memPlane, error) {
-	p := &memPlane{replies: make([]any, n)}
+	m := &memRanks{replies: make([]any, n), cmds: make([]chan any, n)}
 	for r := 0; r < n; r++ {
 		e, err := newRankEngine(w, co.kvCapacity, epoch, co.rec)
 		if err != nil {
 			return nil, err
 		}
-		p.engines = append(p.engines, e)
+		m.engines = append(m.engines, e)
 	}
-	p.world = comm.NewWorld(n, co.commOpts...)
+	m.world = comm.NewWorld(n, co.commOpts...)
+	for r := range m.cmds {
+		m.cmds[r] = make(chan any, 1)
+		m.exited.Add(1)
+		go m.serve(r)
+	}
+	p := &memPlane{m}
+	runtime.AddCleanup(p, (*memRanks).stop, m)
 	return p, nil
 }
 
+// serve is rank r's goroutine: one command at a time until the plane stops.
+func (m *memRanks) serve(r int) {
+	defer m.exited.Done()
+	rank := m.world.Rank(r)
+	for cmd := range m.cmds[r] {
+		m.replies[r], _ = m.engines[r].handle(rank, m.world, cmd)
+		m.done.Done()
+	}
+}
+
+// stop ends the rank goroutines and returns once they have exited. The
+// coordinator calls it, or the plane's cleanup once nothing can reach the
+// plane; either way no bcast runs beside it.
+func (m *memRanks) stop() {
+	if m.stopped.CompareAndSwap(false, true) {
+		for _, c := range m.cmds {
+			close(c)
+		}
+	}
+	m.exited.Wait()
+}
+
 func (p *memPlane) bcast(cmd any) ([]any, error) {
-	err := p.world.Run(func(r *comm.Rank) error {
-		p.replies[r.ID], _ = p.engines[r.ID].handle(r, p.world, cmd)
-		return nil
-	})
-	return p.replies, err
+	if p.stopped.Load() {
+		return nil, errors.New("transformer: cluster closed")
+	}
+	p.done.Add(len(p.cmds))
+	for _, c := range p.cmds {
+		c <- cmd
+	}
+	p.done.Wait()
+	return p.replies, nil
 }
 
 func (p *memPlane) failures() <-chan transport.FailureEvent { return p.world.Failures() }
 
-// close closes the mailbox transport, which ends the incarnation's failure
-// event stream (and with it the cluster's forwarding pump). The ranks are
-// goroutines of this process, so retiring them takes nothing more.
-func (p *memPlane) close() error { return p.world.Transport().Close() }
+// close ends the rank goroutines and closes the mailbox transport, which ends
+// the incarnation's failure event stream (and with it the cluster's
+// forwarding pump).
+func (p *memPlane) close() error {
+	p.stop()
+	return p.world.Transport().Close()
+}
 
 func (p *memPlane) hangup() { p.close() }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/comm/transport"
 	"repro/internal/comm/wire"
+	"repro/internal/tensor"
 	"repro/internal/trace"
 )
 
@@ -91,6 +92,7 @@ type remotePlane struct {
 	events  <-chan transport.FailureEvent
 	timeout time.Duration // per-command reply deadline
 	dead    error
+	replies []any // reused across bcasts; see plane.bcast
 }
 
 // dialPlane dials every worker's control address at the given epoch. If
@@ -160,15 +162,15 @@ func (p *remotePlane) bcast(cmd any) ([]any, error) {
 			return nil, p.poison(fmt.Errorf("transformer: control send to rank %d: %w", r, err))
 		}
 	}
-	out := make([]any, len(p.ctrls))
+	p.replies = tensor.Grown(p.replies, len(p.ctrls))
 	for r, c := range p.ctrls {
 		v, err := c.Recv(p.timeout)
 		if err != nil {
 			return nil, p.poison(fmt.Errorf("transformer: control reply from rank %d: %w", r, err))
 		}
-		out[r] = v
+		p.replies[r] = v
 	}
-	return out, nil
+	return p.replies, nil
 }
 
 // poison marks the plane dead with its first fatal error and hangs up, so a

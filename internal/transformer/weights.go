@@ -19,9 +19,9 @@ package transformer
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/model"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -132,10 +132,10 @@ func NewWeights(cfg Config) (*Weights, error) {
 // the lifetime rule at the top of ring/ring.go (prefill) and ring/decode.go
 // (decode) makes safe although the in-process ring circulates blocks by
 // pointer.
-var f32Pool = sync.Pool{New: func() any { return new([]float32) }}
+var f32Pool = parallel.NewFreeList[[]float32](256, nil)
 
 func getF32(n int) *[]float32 {
-	p := f32Pool.Get().(*[]float32)
+	p := f32Pool.Get()
 	if cap(*p) < n {
 		*p = make([]float32, n)
 	}
