@@ -23,10 +23,9 @@
 package prefixcache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -76,7 +75,7 @@ func (s Stats) HitRate() float64 {
 
 type node struct {
 	parent   *node
-	key      string // block token encoding, "" for the root
+	key      string // block token encoding (blockKey), "" for the root
 	children map[string]*node
 	entry    Entry // nil only on the root
 	depth    int   // tokens from the root through this node's block
@@ -90,6 +89,7 @@ type Tree struct {
 	root  *node
 	clock int64
 	stats Stats
+	key   []byte // blockKey's buffer, reused under mu
 }
 
 // New builds an empty tree.
@@ -107,16 +107,17 @@ func New(cfg Config) (*Tree, error) {
 }
 
 // blockKey encodes one block of tokens for exact child matching — content
-// equality, never hashing, so a hit is always an exact prefix match.
-func blockKey(block []int) string {
-	var b strings.Builder
-	for i, t := range block {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(t))
+// equality, never hashing, so a hit is always an exact prefix match. Each
+// token is a zigzag varint, which is self-delimiting, so distinct blocks
+// never share a key. The encoding goes into the tree's buffer (the caller
+// holds mu): a lookup indexes with children[string(key)], which does not
+// allocate, and only a new node copies the key into a string it owns.
+func (t *Tree) blockKey(block []int) []byte {
+	t.key = t.key[:0]
+	for _, tok := range block {
+		t.key = binary.AppendVarint(t.key, int64(tok))
 	}
-	return b.String()
+	return t.key
 }
 
 // Lookup returns the longest cached block-aligned prefix of tokens and its
@@ -136,7 +137,7 @@ func (t *Tree) Lookup(tokens []int) (int, Entry) {
 	cur := t.root
 	var best *node
 	for cur.depth+b <= maxDepth {
-		child := cur.children[blockKey(tokens[cur.depth:cur.depth+b])]
+		child := cur.children[string(t.blockKey(tokens[cur.depth:cur.depth+b]))]
 		if child == nil {
 			break
 		}
@@ -169,8 +170,8 @@ func (t *Tree) Insert(tokens []int, build func(depth int) (Entry, error)) (int, 
 	added := 0
 	var err error
 	for cur.depth+b <= aligned {
-		key := blockKey(tokens[cur.depth : cur.depth+b])
-		child := cur.children[key]
+		key := t.blockKey(tokens[cur.depth : cur.depth+b])
+		child := cur.children[string(key)]
 		if child == nil {
 			var entry Entry
 			entry, err = build(cur.depth + b)
@@ -179,12 +180,12 @@ func (t *Tree) Insert(tokens []int, build func(depth int) (Entry, error)) (int, 
 			}
 			child = &node{
 				parent:   cur,
-				key:      key,
+				key:      string(key),
 				children: make(map[string]*node),
 				entry:    entry,
 				depth:    cur.depth + b,
 			}
-			cur.children[key] = child
+			cur.children[child.key] = child
 			t.stats.Nodes++
 			t.stats.Tokens += b
 			t.stats.InsertedTokens += int64(b)

@@ -176,3 +176,58 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("hit rate = %v, want 8/18", r)
 	}
 }
+
+// A warm lookup and an insert over an existing path build each block's key in
+// the tree's buffer and index the children map with it without copying, so
+// neither allocates; only a new node owns a key string.
+func TestWarmLookupAndInsertAllocateNothing(t *testing.T) {
+	var released []int
+	n := 0
+	tr := mustTree(t, Config{BlockSize: 4})
+	toks := seq(13, 100)
+	build := builder(&released, &n)
+	if added, err := tr.Insert(toks, build); err != nil || added != 12 {
+		t.Fatalf("insert: added=%d err=%v", added, err)
+	}
+	if hit, _ := tr.Lookup(toks); hit != 12 {
+		t.Fatalf("warm hit = %d, want 12", hit)
+	}
+	if a := testing.AllocsPerRun(100, func() { tr.Lookup(toks) }); a != 0 {
+		t.Fatalf("a warm 3-block lookup allocates %v objects, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := tr.Insert(toks, build); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("an insert over an existing path allocates %v objects, want 0", a)
+	}
+	if n != 3 {
+		t.Fatalf("re-inserting built %d entries, want the first insert's 3", n)
+	}
+}
+
+// Block keys are exact content: blocks whose decimal digits concatenate alike,
+// id 0 and negative ids each get their own node and their own hit.
+func TestBlockKeysAreInjective(t *testing.T) {
+	var released []int
+	n := 0
+	tr := mustTree(t, Config{BlockSize: 2})
+	blocks := [][]int{{1, 23}, {12, 3}, {0, 0}, {0, -1}, {-1, 0}, {-1, -1}, {1, -23}, {-12, 3}, {1 << 40, 0}, {0, 1 << 40}}
+	for _, b := range blocks {
+		if added, err := tr.Insert(b, builder(&released, &n)); err != nil || added != 2 {
+			t.Fatalf("insert %v: added=%d err=%v (a key collided with an earlier block)", b, added, err)
+		}
+	}
+	if got := tr.Stats().Nodes; got != len(blocks) {
+		t.Fatalf("%d nodes for %d distinct blocks", got, len(blocks))
+	}
+	for _, b := range blocks {
+		if hit, _ := tr.Lookup(append(b, 7)); hit != 2 {
+			t.Fatalf("lookup %v: hit %d, want 2", b, hit)
+		}
+	}
+	if hit, _ := tr.Lookup([]int{1, 2, 3, 7}); hit != 0 {
+		t.Fatalf("an uncached block hit %d tokens", hit)
+	}
+}

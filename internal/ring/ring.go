@@ -105,25 +105,29 @@ type PrefillInput struct {
 	Scratch *PrefillScratch
 	// Rows lists the local slots whose output the caller needs, in the order
 	// it wants them; nil means every slot. The returned Output has one row
-	// per entry. Only pass-KV computes less for it: its queries stay put, so
-	// it attends just these rows, and a rank listing none still sends and
-	// forwards every KV block. Pass-Q and all-gather attend every query and
-	// return the listed rows: pass-Q's query blocks are what circulates, and
-	// its modeled messages stay sized by the full block.
+	// per entry. Every variant attends only the listed rows and returns them
+	// in order, and no variant's messages change: a rank listing none still
+	// sends and forwards every block, sized as the full run's. Pass-KV and
+	// all-gather attend the gathered rows where their queries stay put.
+	// Pass-Q circulates its whole query block, with position -1 at every
+	// unlisted slot, so every rank's kernel treats those slots as identity
+	// rows (as it does padding) and their partials come back with LSE -Inf;
+	// the stationary KV keeps the chunk's real positions.
 	Rows []int
 }
 
 // PrefillScratch is one rank's prefill arena: the query-side mask, pass-KV's
-// running merge and per-step partial, pass-Q's circulating query block,
-// per-source partials and merge tail, and its stationary KV's run list and
-// mask, plus the queries and output rows Rows selects. The zero value is
-// ready to use; the buffers grow to the largest chunk seen, except pass-Q's
-// tail, which is cut anew whenever the shape changes (mergeScratch.fit says
-// why).
+// running merge and per-step partial, pass-Q's circulating query block and
+// the positions it carries under Rows, per-source partials and merge tail,
+// and its stationary KV's run list and mask, plus the queries and output rows
+// Rows selects. The zero value is ready to use; the buffers grow to the
+// largest chunk seen, except pass-Q's tail, which is cut anew whenever the
+// shape changes (mergeScratch.fit says why).
 type PrefillScratch struct {
 	qPos           []int
 	out, partial   attention.Output
 	qblk           wire.QBlock
+	blkPos         []int
 	tail           mergeScratch
 	runs           []attention.Run
 	kvPos, kvSeq   []int
@@ -209,6 +213,24 @@ func (in *PrefillInput) queries(s *PrefillScratch, pos, seq []int) (q *tensor.Te
 		s.selPos[i], s.selSeq[i] = pos[r], seq[r]
 	}
 	return q, s.selPos, s.selSeq
+}
+
+// circulatingPos returns the positions pass-Q's query block carries: qPos
+// itself, or under Rows a copy in s with -1 at every slot not listed, so no
+// rank attends a query whose output nobody reads. The block keeps every row
+// and its Pos length, so its message size does not move.
+func (in *PrefillInput) circulatingPos(s *PrefillScratch, qPos []int) []int {
+	if in.Rows == nil {
+		return qPos
+	}
+	s.blkPos = tensor.Grown(s.blkPos, len(qPos))
+	for i := range s.blkPos {
+		s.blkPos[i] = -1
+	}
+	for _, r := range in.Rows {
+		s.blkPos[r] = qPos[r]
+	}
+	return s.blkPos
 }
 
 // pick returns the Rows of out gathered into s, or out itself when Rows is
@@ -409,7 +431,8 @@ func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 // PassQPrefill runs Algorithm 3 on one rank: the local KV block stays put
 // while query blocks circulate; after N partial computations the scattered
 // partial outputs are permuted back to their source ranks with an All2All
-// and merged there. Returns the local output in plan order, or its Rows.
+// and merged there. Returns the local output in plan order, or its Rows,
+// which are then the only queries any rank attends for this block.
 func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -422,7 +445,7 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.qblk = wire.QBlock{Q: in.Q, Pos: qPos, Seq: qSeq}
+	s.qblk = wire.QBlock{Q: in.Q, Pos: in.circulatingPos(s, qPos), Seq: qSeq}
 	cur := &s.qblk
 	defer func() { in.Rank.Recycle(cur) }() // as in pass-KV
 	next := (in.Rank.ID + 1) % n
@@ -505,7 +528,8 @@ func all2allMerge(rank *comm.Rank, m *mergeScratch, elem float64, tr *trace.Swee
 // KV up front, then computes local attention in one shot. Same result as the
 // ring variants, but the gather sits on the critical path. The gathered
 // blocks are attended where they arrived, one run each. Returns the local
-// output in plan order, or its Rows.
+// output in plan order, or its Rows, which are then the only queries
+// attended.
 func AllGatherPrefill(in *PrefillInput) (*attention.Output, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -536,12 +560,13 @@ func AllGatherPrefill(in *PrefillInput) (*attention.Output, error) {
 		s.kvPos = append(s.kvPos, blk.Pos...)
 		s.kvSeq = append(s.kvSeq, blk.Seq...)
 	}
-	out := s.out.Fit(in.Q.Tokens, in.Q.Heads, in.Q.Dim)
+	q, qPos, qSeq := in.queries(s, qPos, qSeq)
+	out := s.out.Fit(q.Tokens, q.Heads, q.Dim)
 	kv := attention.KV{Heads: in.K.Heads, Dim: in.K.Dim, Runs: s.runs}
-	if err := attention.GQAKVInto(out, in.Q, kv, attention.Mask{QPos: qPos, QSeq: qSeq, KVPos: s.kvPos, KVSeq: s.kvSeq}); err != nil {
+	if err := attention.GQAKVInto(out, q, kv, attention.Mask{QPos: qPos, QSeq: qSeq, KVPos: s.kvPos, KVSeq: s.kvSeq}); err != nil {
 		return nil, err
 	}
-	return in.pick(s, out), nil
+	return out, nil
 }
 
 // AppendLocalKV persists a rank's new-token KV shard into its cache with

@@ -149,3 +149,75 @@ func BenchmarkPrefillChunk(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPersistentPrefill is prefill_persistent's shape without the HTTP
+// stack: a 1536-token prefix, prefilled once as three 512-token chunks and
+// detached, is adopted (AdoptPrefix, which shares its pages) by a fresh
+// sequence whose unique 256-token suffix prefills as one chunk under
+// model.Auto — Equation 1 picks pass-Q at this 14 % miss rate — and the
+// sequence is dropped. /all asks for every suffix row's logits (Prefill),
+// /next for the sampled row's token (PrefillNext, what serving runs), whose
+// last layer attends only that row on every rank. B/op and busy cores read
+// as in BenchmarkPrefillChunk.
+func BenchmarkPersistentPrefill(b *testing.B) {
+	for _, mode := range []string{"all", "next"} {
+		b.Run(mode, func(b *testing.B) {
+			const prefix, suffix, chunk = 1536, 256, 512
+			w, err := NewWeights(benchGQA8())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if v := model.ChooseVariant(w.Cfg.Model, suffix, prefix); v != model.PassQ {
+				b.Fatalf("Equation 1 picks %v for the suffix, want pass-Q", v)
+			}
+			c, err := NewCluster(w, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			toks := make([]int, prefix)
+			for t := range toks {
+				toks[t] = (t*5 + 3) % w.Cfg.Model.VocabSize
+			}
+			for lo := 0; lo < prefix; lo += chunk {
+				if _, err := c.PrefillNext(1, toks[lo:lo+chunk], model.Auto); err != nil {
+					b.Fatal(err)
+				}
+			}
+			pre, err := c.DetachPrefix(1, prefix)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer pre.Release()
+			c.Drop(1)
+			miss := make([]int, suffix)
+			op := func(i int) {
+				for t := range miss {
+					miss[t] = (t*7 + i*13 + 1) % w.Cfg.Model.VocabSize
+				}
+				if err := c.AdoptPrefix(2, pre); err != nil {
+					b.Fatal(err)
+				}
+				if mode == "all" {
+					_, err = c.Prefill(2, miss, model.Auto)
+				} else {
+					_, err = c.PrefillNext(2, miss, model.Auto)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Drop(2)
+			}
+			op(0) // warm the pools and the rank engines' buffers
+			b.ReportAllocs()
+			cpu0, t0 := processCPU(b), time.Now()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(i + 1)
+			}
+			b.StopTimer()
+			wall := time.Since(t0)
+			b.ReportMetric(float64(processCPU(b)-cpu0)/float64(wall), "busy-cores")
+		})
+	}
+}

@@ -114,9 +114,11 @@ func newRankEngine(w *Weights, kvCapacity int, epoch uint64, rec *trace.Recorder
 // run for every row as in any layer — the caches, shipped blocks and modeled
 // traffic do not depend on the mode — but attention (ring.PrefillInput.Rows),
 // the output projection, the FFN and the head run for the sampled rows
-// alone. Each of those is row-local and a pass-KV row's attention does not
-// depend on which other queries share its block, so a sampled row's logits
-// are bit-identical to the same row of an all-rows prefill.
+// alone. Under pass-Q the query block still circulates whole, its unsampled
+// slots at position -1, so every rank skips them as it skips padding. Each
+// of those steps is row-local and, in every variant, a row's attention does
+// not depend on which other queries share its block, so a sampled row's
+// logits are bit-identical to the same row of an all-rows prefill.
 //
 // The returned logits live in the engine's prefill arena: they are valid
 // until the next command.
