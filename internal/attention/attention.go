@@ -57,9 +57,16 @@
 // differently. On hosts where simd.Available() holds (AVX2 and FMA),
 // scoreTile and pvTile take the vector form when the head dim is a multiple
 // of four and softmaxTile for every whole quad of in-range scores (see
-// exp.go); everything else runs the portable loops. Which form runs is
-// therefore invisible in the output bits, and tests check exactly that at
-// every head dim, row count, group size and special value.
+// exp.go); everything else runs the portable loops. At the AVX-512 tier
+// (simd.Active() >= simd.AVX512) three stages have a second vector form,
+// eight float64 lanes wide: the score kernel's lanes are the head group —
+// eight heads per register, q transposed once per query block, a vertical
+// finish — for groups that are a multiple of eight; the PV kernel's lanes
+// are columns, four heads per pass, for head dims that are a multiple of
+// eight; softmax takes whole octets. Other shapes keep the AVX2 forms. Which
+// form runs is therefore invisible in the output bits, and tests check
+// exactly that at every tier, head dim, row count, group size and special
+// value.
 //
 // All kernels carry per-(query, head) log-sum-exp (LSE) values so partial
 // results can be merged exactly. Masking is expressed through global token
@@ -261,6 +268,7 @@ type gqaScratch struct {
 	scores []float64
 	acc    []float64
 	qf     []float64
+	qt     []float64
 	tile   []float64
 	max    []float64
 	denom  []float64
@@ -312,6 +320,7 @@ func (s *gqaScratch) size(nq, stripe, group, dim int) {
 	s.scores = grow(s.scores, nq*stripe)
 	s.acc = grow(s.acc, nq*group*dim)
 	s.qf = grow(s.qf, nq*group*dim)
+	s.qt = grow(s.qt, nq*group*dim)
 	s.tile = grow(s.tile, kvTileRows*dim)
 	s.max = grow(s.max, nq*group)
 	s.denom = grow(s.denom, nq*group)
@@ -523,6 +532,8 @@ func gqaBlock(dst *Output, q *tensor.Tensor, kv KV, sc *gqaScratch, iv *Interval
 	tile := sc.tile[:kvTileRows*dh]
 	qf, acc := sc.qf[:nq*gd], sc.acc[:nq*gd]
 	maxs, denom := sc.max[:nq*group], sc.denom[:nq*group]
+	qt := sc.qt[:nq*gd] // the AVX-512 score kernel's operand, in place of qf
+	transposed := scoreWide(group)
 
 	var rows [maxBlockQueries][]Interval
 	loTile, hiTile := math.MaxInt, 0
@@ -534,8 +545,13 @@ func gqaBlock(dst *Output, q *tensor.Tensor, kv KV, sc *gqaScratch, iv *Interval
 		}
 		loTile = min(loTile, row[0].Lo/kvTileRows)
 		hiTile = max(hiTile, (row[len(row)-1].Hi-1)/kvTileRows+1)
-		for i, x := range q.Data[((t0+b)*q.Heads+h0)*dh:][:gd] {
-			qf[b*gd+i] = float64(x)
+		qb := q.Data[((t0+b)*q.Heads+h0)*dh:][:gd]
+		if transposed {
+			transposeQ(qt[b*gd:], qb, group, dh)
+		} else {
+			for i, x := range qb {
+				qf[b*gd+i] = float64(x)
+			}
 		}
 	}
 	clear(acc)
@@ -570,7 +586,7 @@ func gqaBlock(dst *Output, q *tensor.Tensor, kv KV, sc *gqaScratch, iv *Interval
 					chunk := sc.scores[b*stripe+off[b]:][:group*kvTileRows]
 					piece := tile[(lo-tileLo)*dh : (hi-tileLo)*dh]
 					if pass == 0 {
-						scoreTile(qf[b*gd:], piece, chunk, maxs[b*group:], group, hi-lo, dh, kvTileRows, scale)
+						scoreTileQ(qf[b*gd:], qt[b*gd:], piece, chunk, maxs[b*group:], group, hi-lo, dh, kvTileRows, scale)
 					} else {
 						softmaxTile(chunk, maxs[b*group:], group, hi-lo, kvTileRows)
 						pvTile(chunk, piece, acc[b*gd:], denom[b*group:], group, hi-lo, dh, kvTileRows)
@@ -634,13 +650,17 @@ func widenRows(tile []float64, c *runCursor, base, n, rowLen, headOff, dh int) {
 // stripe, starting at the run's row base) into the contiguous float64 tile.
 func widenRun(tile []float64, data []float32, base, n, rowLen, headOff, dh int) {
 	if simd.Available() {
+		cvt := cvtAVX
+		if simd.Active() >= simd.AVX512 {
+			cvt = cvt512
+		}
 		if rowLen == dh {
-			cvtAVX(tile[:n*dh], data[base*dh:][:n*dh])
+			cvt(tile[:n*dh], data[base*dh:][:n*dh])
 			return
 		}
 		off := base*rowLen + headOff
 		for jj := 0; jj < n; jj++ {
-			cvtAVX(tile[jj*dh:][:dh], data[off:][:dh])
+			cvt(tile[jj*dh:][:dh], data[off:][:dh])
 			off += rowLen
 		}
 		return
@@ -666,19 +686,55 @@ func widenRun(tile []float64, data []float32, base, n, rowLen, headOff, dh int) 
 	}
 }
 
-// tileAVX reports whether the vector tile kernels take this head dim: they
+// tileAVX reports whether the AVX2 tile kernels take this head dim: they
 // handle whole four-lane chunks only, so other dims keep the portable loops.
 func tileAVX(dh int) bool { return simd.Available() && dh > 0 && dh%4 == 0 }
+
+// scoreWide reports whether the AVX-512 score kernel takes this head group:
+// its lanes are eight heads, so whole octets of them, at any head dim.
+func scoreWide(group int) bool { return simd.Active() >= simd.AVX512 && group%8 == 0 }
+
+// pvWide reports whether the AVX-512 PV kernel takes this head dim: its
+// lanes are columns, so whole eight-column chunks.
+func pvWide(dh int) bool { return simd.Active() >= simd.AVX512 && dh > 0 && dh%8 == 0 }
+
+// transposeQ widens the group's q rows, [head][d], into qt as [d][head]:
+// the AVX-512 score kernel's operand, built once per query block in place of
+// the row-major copy the other forms read.
+func transposeQ[T float32 | float64](qt []float64, q []T, group, dh int) {
+	for g := 0; g < group; g++ {
+		for d, x := range q[g*dh:][:dh] {
+			qt[d*group+g] = float64(x)
+		}
+	}
+}
 
 // scoreTile scores every query head of the group against one widened K tile
 // of n rows: scores[g*stride+j] = (q[g*dh:] · rows[j*dh:]) * scale, and
 // maxs[g] is raised to the largest of them, compared in row order. The
 // four-way unrolled fused multiply-add accumulators break the floating-point
 // latency chain; the summation order is a fixed function of the row length,
-// never of the caller. This loop is the oracle: the vector form computes
-// eight rows per pass with each row's accumulator lanes equal to s0..s3 here.
+// never of the caller. It is scoreTileQ with q transposed on the spot; the
+// kernel transposes once per query block instead.
 func scoreTile(q, rows, scores, maxs []float64, group, n, dh, stride int, scale float64) {
+	qt := make([]float64, group*dh)
+	transposeQ(qt, q, group, dh)
+	scoreTileQ(q, qt, rows, scores, maxs, group, n, dh, stride, scale)
+}
+
+// scoreTileQ is scoreTile with q in both layouts: row-major q for the AVX2
+// form and the portable loop, q transposed by transposeQ (qt) for the
+// AVX-512 form; a caller fills only the one scoreWide(group) selects. The
+// loop below is the oracle: the AVX2 form computes eight rows per pass with
+// each row's accumulator lanes equal to s0..s3 here, the AVX-512 form eight
+// heads per register with lane g of accumulator c equal to head g's s_c.
+func scoreTileQ(q, qt, rows, scores, maxs []float64, group, n, dh, stride int, scale float64) {
 	q, rows, scores, maxs = q[:group*dh], rows[:n*dh], scores[:(group-1)*stride+n], maxs[:group]
+	if scoreWide(group) {
+		qt = qt[:group*dh]
+		scoreTile512(&qt[0], &rows[0], &scores[0], &maxs[0], group, n, dh, stride, scale)
+		return
+	}
 	if tileAVX(dh) {
 		scoreTileAVX(&q[0], &rows[0], &scores[0], &maxs[0], group, n, dh, stride, scale)
 		return
@@ -713,10 +769,15 @@ func scoreTile(q, rows, scores, maxs []float64, group, n, dh, stride int, scale 
 // softmax sums: with weights wg = w[g*stride:][:n], denom[g] += wg[j] and
 // acc[g*dh+d] = fma(wg[j], rows[j*dh+d], acc[g*dh+d]), both in ascending j.
 // Each accumulator element is its own fused multiply-add chain, so the vector
-// form — which keeps a head's accumulator in registers across the whole
-// tile, 32 columns at a time — reorders nothing within a chain.
+// forms — which keep accumulators in registers across the whole tile, one
+// head's 32 columns at a time (AVX2) or four heads' (AVX-512) — reorder
+// nothing within a chain.
 func pvTile(w, rows, acc, denom []float64, group, n, dh, stride int) {
 	w, rows, acc, denom = w[:(group-1)*stride+n], rows[:n*dh], acc[:group*dh], denom[:group]
+	if pvWide(dh) {
+		pvTile512(&w[0], &rows[0], &acc[0], &denom[0], group, n, dh, stride)
+		return
+	}
 	if tileAVX(dh) {
 		pvTileAVX(&w[0], &rows[0], &acc[0], &denom[0], group, n, dh, stride)
 		return

@@ -70,34 +70,38 @@ func BenchmarkGQADecodeStep(b *testing.B) {
 
 // BenchmarkGQATileKernels times the two register-blocked tile kernels alone
 // on one full tile at the benchmark model's geometry (8 query heads per KV
-// head, head dim 32), vector path on and off.
+// head, head dim 32), at every tier this host has. The score kernel gets q
+// already transposed, as gqaBlock hands it over once per query block. Read
+// GFLOP/s against BenchmarkPeakFMA's dp (AVX2) or dp512 (AVX-512) figure.
 func BenchmarkGQATileKernels(b *testing.B) {
 	const group, dh, n = 8, 32, kvTileRows
 	rng := rand.New(rand.NewSource(3))
 	q, rows, w := randF64(rng, group*dh), randF64(rng, n*dh), randF64(rng, group*n)
+	qt := make([]float64, group*dh)
+	transposeQ(qt, q, group, dh)
 	scores, maxs := make([]float64, group*n), make([]float64, group)
 	acc, denom := make([]float64, group*dh), make([]float64, group)
-	for _, on := range []bool{true, false} {
-		prev := simd.SetEnabled(on)
-		b.Run(fmt.Sprintf("score/simd=%v", on), func(b *testing.B) {
+	for _, tier := range simd.Tiers() {
+		prev := simd.SetTier(tier)
+		b.Run(fmt.Sprintf("score/tier=%v", tier), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				scoreTile(q, rows, scores, maxs, group, n, dh, n, 0.5)
+				scoreTileQ(q, qt, rows, scores, maxs, group, n, dh, n, 0.5)
 			}
 			b.ReportMetric(2*group*n*dh*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
-		b.Run(fmt.Sprintf("pv/simd=%v", on), func(b *testing.B) {
+		b.Run(fmt.Sprintf("pv/tier=%v", tier), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pvTile(w, rows, acc, denom, group, n, dh, n)
 			}
 			b.ReportMetric(2*group*n*dh*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
-		simd.SetEnabled(prev)
+		simd.SetTier(prev)
 	}
 }
 
 // BenchmarkSoftmaxTile times the fused max-shift + exp stage on one tile of
-// the benchmark model's head group (8 heads × kvTileRows scores), vector form
-// against the portable one, in ns per element.
+// the benchmark model's head group (8 heads × kvTileRows scores) at every
+// tier this host has, in ns per element.
 func BenchmarkSoftmaxTile(b *testing.B) {
 	const group, n = 8, kvTileRows
 	rng := rand.New(rand.NewSource(4))
@@ -106,22 +110,24 @@ func BenchmarkSoftmaxTile(b *testing.B) {
 		src[i] = -rng.Float64() * 30
 	}
 	s := make([]float64, len(src))
-	for _, on := range []bool{true, false} {
-		prev := simd.SetEnabled(on)
-		b.Run(fmt.Sprintf("simd=%v", on), func(b *testing.B) {
+	for _, tier := range simd.Tiers() {
+		prev := simd.SetTier(tier)
+		b.Run(fmt.Sprintf("tier=%v", tier), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(s, src)
 				softmaxTile(s, shift, group, n, n)
 			}
 			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/(group*n), "ns/elem")
 		})
-		simd.SetEnabled(prev)
+		simd.SetTier(prev)
 	}
 }
 
 // BenchmarkGQACausalPrefill is the per-rank ring-step shape of the benchmark
 // model (bench-gqa8: 8 query heads on 1 KV head, head dim 32): 256 new
-// queries attending causally to 1024 KV rows.
+// queries attending causally to 1024 KV rows, at the host's tier. Its
+// /tier= subtests run the same shape at every tier this host has, in one
+// sitting, for the tier-against-tier ratio.
 func BenchmarkGQACausalPrefill(b *testing.B) {
 	const T, kv, nh, dh = 256, 1024, 8, 32
 	rng := rand.New(rand.NewSource(5))
@@ -134,12 +140,18 @@ func BenchmarkGQACausalPrefill(b *testing.B) {
 	for t := 0; t < T; t++ {
 		pairs += kv - T + t + 1
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := GQAInto(out, q, k, v, m); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := GQAInto(out, q, k, v, m); err != nil {
+				b.Fatal(err)
+			}
 		}
+		b.ReportMetric(4*dh*nh*float64(pairs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 	}
-	b.ReportMetric(4*dh*nh*float64(pairs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	for _, tier := range simd.Tiers() {
+		prev := simd.SetTier(tier)
+		b.Run(fmt.Sprintf("tier=%v", tier), run)
+		simd.SetTier(prev)
+	}
 }

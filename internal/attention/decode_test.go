@@ -13,15 +13,15 @@ import (
 // DecodeInto must equal GQAInto bit for bit on the decode mask — one query at
 // or past every cached position of its own sequence — over the kernel grid:
 // every head dim 1..96 and 128 (both sides of the vector path's four-lane
-// rule), group sizes 1, 3 and 8 on one, two and three KV heads, and row counts
-// on both sides of every 32-row tile edge, with the vector path on and off.
+// rule), group sizes 1, 3, 8 and 16 on one, two and three KV heads, and row
+// counts on both sides of every 32-row tile edge, at every tier the host has.
 // It must write exactly its own row: the block's other rows, pre-filled with
 // a sentinel, come back untouched, whatever the row held before.
 func TestDecodeIntoMatchesGQAIntoExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	rowCounts := []int{0, 1, 2, 31, 32, 33, 63, 64, 65, 3*kvTileRows + 7}
 	for _, dh := range kernelDims() {
-		for gi, group := range []int{1, 3, 8} {
+		for gi, group := range []int{1, 3, 8, 16} {
 			nkv := (dh+gi)%3 + 1
 			nh := nkv * group
 			const T = 3
@@ -34,11 +34,11 @@ func TestDecodeIntoMatchesGQAIntoExactly(t *testing.T) {
 				k := tensor.RandN(rng, n+2, nkv, dh)
 				v := tensor.RandN(rng, n+2, nkv, dh)
 				row := rng.Intn(T)
-				for _, vector := range []bool{false, true} {
-					prev := simd.SetEnabled(vector)
+				for _, tier := range simd.Tiers() {
+					prev := simd.SetTier(tier)
 					want, got := decodeOracle(t, q, k, v, row, n), sentinelOutput(T, nh, dh)
 					err := DecodeInto(got, q, k, v, row, n)
-					simd.SetEnabled(prev)
+					simd.SetTier(prev)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -49,14 +49,14 @@ func TestDecodeIntoMatchesGQAIntoExactly(t *testing.T) {
 						}
 						for i, x := range exp.O.Data {
 							if g := got.O.Data[r*nh*dh+i]; math.Float32bits(g) != math.Float32bits(x) {
-								t.Fatalf("dh=%d group=%d nkv=%d n=%d vector=%v: row %d (decoding %d) O[%d] = %x, want %x",
-									dh, group, nkv, n, vector, r, row, i, g, x)
+								t.Fatalf("dh=%d group=%d nkv=%d n=%d tier=%v: row %d (decoding %d) O[%d] = %x, want %x",
+									dh, group, nkv, n, tier, r, row, i, g, x)
 							}
 						}
 						for i, x := range exp.LSE {
 							if g := got.LSE[r*nh+i]; math.Float64bits(g) != math.Float64bits(x) {
-								t.Fatalf("dh=%d group=%d nkv=%d n=%d vector=%v: row %d (decoding %d) LSE[%d] = %x, want %x",
-									dh, group, nkv, n, vector, r, row, i, g, x)
+								t.Fatalf("dh=%d group=%d nkv=%d n=%d tier=%v: row %d (decoding %d) LSE[%d] = %x, want %x",
+									dh, group, nkv, n, tier, r, row, i, g, x)
 							}
 						}
 					}

@@ -92,6 +92,12 @@ func expShiftVec(x []float64, shift float64) {
 	j := 0
 	for ; j+3 < len(x); j += 4 {
 		if simd.Available() {
+			if simd.Active() >= simd.AVX512 {
+				j += expShift512(&x[j], len(x)-j, shift)
+				if j+3 >= len(x) {
+					break
+				}
+			}
 			j += expShiftAVX2(&x[j], len(x)-j, shift)
 			if j+3 >= len(x) {
 				break

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/parallel"
+	"repro/internal/simd"
 	"repro/internal/tensor"
 )
 
@@ -258,15 +259,15 @@ func gqaOneByOne(q, k, v *tensor.Tensor, m Mask) *Output {
 // to maxBlockQueries, cut by the worker chunks) equals the one-query-at-a-time
 // drive exactly, on multi-sequence batches with padding rows, unsorted KV
 // positions, queries that see nothing, query counts that are no multiple of
-// the block, several KV-head counts, head dims on both the vector and the
-// portable loops, and a context long enough that the score budget halves the
-// block.
+// the block, several KV-head counts and head groups, head dims on both the
+// vector and the portable loops, and a context long enough that the score
+// budget halves the block — at every tier against the portable drive.
 func TestGQABlocksMatchOneQueryAtATimeExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 60; trial++ {
 		dh := []int{4, 20, 32, 64, 128}[trial%5]
 		nkv := []int{1, 2, 4}[trial%3]
-		group := []int{1, 2, 8}[rng.Intn(3)]
+		group := []int{1, 2, 8, 16}[rng.Intn(4)]
 		T := rng.Intn(37) + 1
 		kv := rng.Intn(5*kvTileRows) + 1
 		var m Mask
@@ -284,27 +285,32 @@ func TestGQABlocksMatchOneQueryAtATimeExactly(t *testing.T) {
 		q := tensor.RandN(rng, T, nkv*group, dh)
 		k := tensor.RandN(rng, kv, nkv, dh)
 		v := tensor.RandN(rng, kv, nkv, dh)
+		prev := simd.SetTier(simd.Portable)
 		want := gqaOneByOne(q, k, v, m)
-		for _, w := range []int{1, 2, 8} {
-			old := parallel.SetWorkers(w)
-			got, err := GQA(q, k, v, m)
-			parallel.SetWorkers(old)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.O.Data {
-				if math.Float32bits(got.O.Data[i]) != math.Float32bits(want.O.Data[i]) {
-					t.Fatalf("trial %d (T=%d kv=%d nkv=%d group=%d dh=%d) workers=%d: O[%d] = %x, one-by-one %x",
-						trial, T, kv, nkv, group, dh, w, i, got.O.Data[i], want.O.Data[i])
+		for _, tier := range simd.Tiers() {
+			simd.SetTier(tier)
+			for _, w := range []int{1, 2, 8} {
+				old := parallel.SetWorkers(w)
+				got, err := GQA(q, k, v, m)
+				parallel.SetWorkers(old)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			for i := range want.LSE {
-				if math.Float64bits(got.LSE[i]) != math.Float64bits(want.LSE[i]) {
-					t.Fatalf("trial %d (T=%d kv=%d nkv=%d group=%d dh=%d) workers=%d: LSE[%d] = %x, one-by-one %x",
-						trial, T, kv, nkv, group, dh, w, i, got.LSE[i], want.LSE[i])
+				for i := range want.O.Data {
+					if math.Float32bits(got.O.Data[i]) != math.Float32bits(want.O.Data[i]) {
+						t.Fatalf("trial %d (T=%d kv=%d nkv=%d group=%d dh=%d) tier=%v workers=%d: O[%d] = %x, one-by-one %x",
+							trial, T, kv, nkv, group, dh, tier, w, i, got.O.Data[i], want.O.Data[i])
+					}
+				}
+				for i := range want.LSE {
+					if math.Float64bits(got.LSE[i]) != math.Float64bits(want.LSE[i]) {
+						t.Fatalf("trial %d (T=%d kv=%d nkv=%d group=%d dh=%d) tier=%v workers=%d: LSE[%d] = %x, one-by-one %x",
+							trial, T, kv, nkv, group, dh, tier, w, i, got.LSE[i], want.LSE[i])
+					}
 				}
 			}
 		}
+		simd.SetTier(prev)
 	}
 }
 

@@ -44,13 +44,14 @@ func pageKV(k, v *tensor.Tensor, n int, sizes []int) KV {
 
 // pagedGrid calls check for every case of the paged == contiguous grid: head
 // dims 1..96 and 128, one and two KV heads, every context length and every
-// split, with the vector path off and on. The long contexts run on a sample
+// split, at every tier the host has; group sizes 1, 3, 8 and 16 rotate over
+// the dims. The long contexts run on a sample
 // of dims, which keeps the grid fast.
 func pagedGrid(t *testing.T, check func(name string, q, k, v *tensor.Tensor, n int, kv KV)) {
 	rng := rand.New(rand.NewSource(30))
 	for _, dh := range kernelDims() {
 		for _, nkv := range []int{1, 2} {
-			group := []int{1, 3, 8}[(dh+nkv)%3]
+			group := []int{1, 3, 8, 16}[(dh+nkv)%4]
 			q := tensor.RandN(rng, 3, nkv*group, dh)
 			for _, n := range pagedContexts {
 				if n > 33 && dh%16 != 0 && dh > 4 {
@@ -59,10 +60,10 @@ func pagedGrid(t *testing.T, check func(name string, q, k, v *tensor.Tensor, n i
 				k, v := tensor.RandN(rng, n, nkv, dh), tensor.RandN(rng, n, nkv, dh)
 				for _, split := range pagedSplits {
 					kv := pageKV(k, v, n, split)
-					for _, vector := range []bool{false, true} {
-						prev := simd.SetEnabled(vector)
-						check(fmt.Sprintf("dh=%d nkv=%d group=%d n=%d runs=%v vector=%v", dh, nkv, group, n, split, vector), q, k, v, n, kv)
-						simd.SetEnabled(prev)
+					for _, tier := range simd.Tiers() {
+						prev := simd.SetTier(tier)
+						check(fmt.Sprintf("dh=%d nkv=%d group=%d n=%d runs=%v tier=%v", dh, nkv, group, n, split, tier), q, k, v, n, kv)
+						simd.SetTier(prev)
 					}
 				}
 			}

@@ -41,3 +41,40 @@ var expVecConsts = [...]float64{expInvL, expC2, expLHi, expLLo, expC5, expC4, ex
 //
 //go:noescape
 func expShiftAVX2(x *float64, n int, shift float64) int
+
+// The AVX-512 tier's forms of the same kernels (simd.Active() >= AVX512):
+// eight float64 lanes per ZMM register, each lane still one oracle value's
+// arithmetic, operation for operation.
+
+// cvt512 is cvtAVX eight floats per conversion. Implemented in simd_amd64.s.
+func cvt512(dst []float64, src []float32)
+
+// scoreTile512 is scoreTile for a group that is a positive multiple of 8,
+// any dh >= 1 and n >= 1, with the lanes of a register being eight heads of
+// the group: qt is q transposed to [dh][group] (transposeQ), lane g of
+// accumulator c is the oracle's s_c for head g, each K row element enters as
+// an embedded broadcast, and a score is finished vertically as
+// ((s0+s2)+(s1+s3))*scale. The running max takes a key's scores by one
+// ordered greater-than compare and a masked move, the scalar `if s > mx` in
+// every lane; four keys enter as a first-maximal tree, which is the same
+// thing once NaN scores count as -Inf. Eight keys' scores are transposed in
+// registers into the [head][key] chunk. Implemented in simd_amd64.s.
+//
+//go:noescape
+func scoreTile512(qt, rows, scores, maxs *float64, group, n, dh, stride int, scale float64)
+
+// pvTile512 is pvTile for dh a positive multiple of 8 and n >= 1, lanes
+// being columns: four heads per pass share every load of a V chunk, 32
+// columns (16 accumulator registers) at a time, then 16, then 8, and each
+// head's denominator advances inside the row loop. Heads past the last four
+// go one at a time. Implemented in simd_amd64.s.
+//
+//go:noescape
+func pvTile512(w, rows, acc, denom *float64, group, n, dh, stride int)
+
+// expShift512 is expShiftAVX2 eight lanes wide: it converts whole octets from
+// x[0] and stops in front of the first octet holding a lane outside the
+// vector range. Implemented in simd_amd64.s.
+//
+//go:noescape
+func expShift512(x *float64, n int, shift float64) int

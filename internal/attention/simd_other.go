@@ -18,3 +18,17 @@ func pvTileAVX(w, rows, acc, denom *float64, group, n, dh, stride int) {
 func expShiftAVX2(x *float64, n int, shift float64) int {
 	panic("attention: expShiftAVX2 without AVX2+FMA")
 }
+
+func cvt512(dst []float64, src []float32) { panic("attention: cvt512 without AVX-512") }
+
+func scoreTile512(qt, rows, scores, maxs *float64, group, n, dh, stride int, scale float64) {
+	panic("attention: scoreTile512 without AVX-512")
+}
+
+func pvTile512(w, rows, acc, denom *float64, group, n, dh, stride int) {
+	panic("attention: pvTile512 without AVX-512")
+}
+
+func expShift512(x *float64, n int, shift float64) int {
+	panic("attention: expShift512 without AVX-512")
+}

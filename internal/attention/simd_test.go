@@ -54,11 +54,21 @@ func TestCvtAVXMatchesScalarExactly(t *testing.T) {
 		for i := range src {
 			src[i] = float32(rng.NormFloat64())
 		}
-		dst := make([]float64, n)
-		cvtAVX(dst, src)
-		for i := range src {
-			if dst[i] != float64(src[i]) {
-				t.Fatalf("cvtAVX(n=%d)[%d] = %x, want %x", n, i, dst[i], float64(src[i]))
+		cvts := map[string]func([]float64, []float32){"cvtAVX": cvtAVX}
+		if simd.Detected() >= simd.AVX512 {
+			cvts["cvt512"] = cvt512
+		}
+		for name, cvt := range cvts {
+			dst := make([]float64, n+1)
+			dst[n] = 7 // past the end: untouched
+			cvt(dst[:n], src)
+			for i := range src {
+				if dst[i] != float64(src[i]) {
+					t.Fatalf("%s(n=%d)[%d] = %x, want %x", name, n, i, dst[i], float64(src[i]))
+				}
+			}
+			if dst[n] != 7 {
+				t.Fatalf("%s(n=%d) wrote past its end", name, n)
 			}
 		}
 	}
@@ -66,13 +76,14 @@ func TestCvtAVXMatchesScalarExactly(t *testing.T) {
 
 // scoreTile must equal the scalar unroll bitwise — scores, and the running
 // max carried in from earlier tiles — at every head dim, every row count
-// around the four-row pass, several group sizes, and a stripe stride wider
-// than the tile, with the vector path on and off.
+// around the four-row pass and the eight-key batch, group sizes on both
+// sides of the AVX-512 kernel's octets, and a stripe stride wider than the
+// tile, at every tier the host has.
 func TestScoreTileMatchesScalarExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, dh := range kernelDims() {
 		for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 31, 32} {
-			for _, group := range []int{1, 3, 8} {
+			for _, group := range []int{1, 3, 8, 16} {
 				stride := n + rng.Intn(5)
 				q := randF64(rng, group*dh)
 				rows := randF64(rng, n*dh)
@@ -90,20 +101,20 @@ func TestScoreTileMatchesScalarExactly(t *testing.T) {
 						}
 					}
 				}
-				for _, on := range []bool{true, false} {
+				for _, tier := range simd.Tiers() {
 					got := make([]float64, len(want))
 					gotMax := append([]float64(nil), prior...)
-					prev := simd.SetEnabled(on)
+					prev := simd.SetTier(tier)
 					scoreTile(q, rows, got, gotMax, group, n, dh, stride, scale)
-					simd.SetEnabled(prev)
+					simd.SetTier(prev)
 					for i := range want {
 						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("scoreTile(dh=%d n=%d group=%d simd=%v)[%d] = %x, want %x", dh, n, group, on, i, got[i], want[i])
+							t.Fatalf("scoreTile(dh=%d n=%d group=%d tier=%v)[%d] = %x, want %x", dh, n, group, tier, i, got[i], want[i])
 						}
 					}
 					for g := range wantMax {
 						if math.Float64bits(gotMax[g]) != math.Float64bits(wantMax[g]) {
-							t.Fatalf("scoreTile(dh=%d n=%d group=%d simd=%v) max[%d] = %x, want %x", dh, n, group, on, g, gotMax[g], wantMax[g])
+							t.Fatalf("scoreTile(dh=%d n=%d group=%d tier=%v) max[%d] = %x, want %x", dh, n, group, tier, g, gotMax[g], wantMax[g])
 						}
 					}
 				}
@@ -125,27 +136,28 @@ func TestScoreTileNaNLeavesMaxUnchanged(t *testing.T) {
 	}
 	rows[2*dh] = math.NaN() // score 2 (four-row pass) and
 	rows[5*dh] = math.NaN() // score 5 (one-row pass) are NaN
-	for _, on := range []bool{true, false} {
+	for _, tier := range simd.Tiers() {
 		scores := make([]float64, n)
 		maxs := []float64{NegInf}
-		prev := simd.SetEnabled(on)
+		prev := simd.SetTier(tier)
 		scoreTile(q, rows, scores, maxs, 1, n, dh, n, 1)
-		simd.SetEnabled(prev)
+		simd.SetTier(prev)
 		if maxs[0] != 4 || !math.IsNaN(scores[2]) || !math.IsNaN(scores[5]) {
-			t.Fatalf("simd=%v: max %v scores %v", on, maxs[0], scores)
+			t.Fatalf("tier=%v: max %v scores %v", tier, maxs[0], scores)
 		}
 	}
 }
 
 // pvTile must equal the scalar accumulate bitwise — accumulators and
 // denominators carried in from earlier tiles — at every head dim (all
-// column-block remainders), row counts, group sizes and a wide stride, with
-// the vector path on and off.
+// column-block remainders), row counts, group sizes (on both sides of the
+// AVX-512 kernel's four-head pass) and a wide stride, at every tier the host
+// has.
 func TestPVTileMatchesScalarExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, dh := range kernelDims() {
 		for _, n := range []int{1, 2, 5, 32} {
-			for _, group := range []int{1, 3, 8} {
+			for _, group := range []int{1, 3, 8, 16} {
 				stride := n + rng.Intn(5)
 				w := randF64(rng, (group-1)*stride+n)
 				rows := randF64(rng, n*dh)
@@ -162,20 +174,20 @@ func TestPVTileMatchesScalarExactly(t *testing.T) {
 						}
 					}
 				}
-				for _, on := range []bool{true, false} {
+				for _, tier := range simd.Tiers() {
 					acc := append([]float64(nil), acc0...)
 					den := append([]float64(nil), den0...)
-					prev := simd.SetEnabled(on)
+					prev := simd.SetTier(tier)
 					pvTile(w, rows, acc, den, group, n, dh, stride)
-					simd.SetEnabled(prev)
+					simd.SetTier(prev)
 					for i := range wantAcc {
 						if math.Float64bits(acc[i]) != math.Float64bits(wantAcc[i]) {
-							t.Fatalf("pvTile(dh=%d n=%d group=%d simd=%v) acc[%d] = %x, want %x", dh, n, group, on, i, acc[i], wantAcc[i])
+							t.Fatalf("pvTile(dh=%d n=%d group=%d tier=%v) acc[%d] = %x, want %x", dh, n, group, tier, i, acc[i], wantAcc[i])
 						}
 					}
 					for g := range wantDen {
 						if math.Float64bits(den[g]) != math.Float64bits(wantDen[g]) {
-							t.Fatalf("pvTile(dh=%d n=%d group=%d simd=%v) denom[%d] = %x, want %x", dh, n, group, on, g, den[g], wantDen[g])
+							t.Fatalf("pvTile(dh=%d n=%d group=%d tier=%v) denom[%d] = %x, want %x", dh, n, group, tier, g, den[g], wantDen[g])
 						}
 					}
 				}
@@ -186,12 +198,12 @@ func TestPVTileMatchesScalarExactly(t *testing.T) {
 
 // Whole-kernel check on strided tiles: with several KV heads a head's stripe
 // is a strided slice of every K/V row, contexts span several tiles with
-// ragged ends, and masks cut intervals mid-tile. The vector and portable
-// paths must agree bitwise on outputs and LSEs.
+// ragged ends, and masks cut intervals mid-tile. Every tier must agree with
+// the portable path bitwise on outputs and LSEs.
 func TestGQAVectorAndPortablePathsAgreeOnStridedTiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, dh := range []int{1, 3, 4, 7, 8, 16, 32, 33, 64, 128} {
-		for _, heads := range [][2]int{{4, 2}, {6, 3}, {8, 1}} {
+		for _, heads := range [][2]int{{4, 2}, {6, 3}, {8, 1}, {16, 2}, {32, 2}} {
 			nh, nkv := heads[0], heads[1]
 			T, kv := 5, 2*kvTileRows+9
 			q := tensor.RandN(rng, T, nh, dh)
@@ -201,39 +213,49 @@ func TestGQAVectorAndPortablePathsAgreeOnStridedTiles(t *testing.T) {
 			for i := range m.QPos {
 				m.QPos[i] += 40 // long contexts: most of the KV run is visible
 			}
-			prev := simd.SetEnabled(false)
+			prev := simd.SetTier(simd.Portable)
 			want, err := GQA(q, k, v, m)
-			simd.SetEnabled(true)
-			got, err2 := GQA(q, k, v, m)
-			simd.SetEnabled(prev)
-			if err != nil || err2 != nil {
-				t.Fatal(err, err2)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range want.O.Data {
-				if math.Float32bits(got.O.Data[i]) != math.Float32bits(want.O.Data[i]) {
-					t.Fatalf("dh=%d nh=%d nkv=%d: O[%d] = %x, portable %x", dh, nh, nkv, i, got.O.Data[i], want.O.Data[i])
+			for _, tier := range simd.Tiers()[1:] {
+				simd.SetTier(tier)
+				got, err := GQA(q, k, v, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want.O.Data {
+					if math.Float32bits(got.O.Data[i]) != math.Float32bits(want.O.Data[i]) {
+						t.Fatalf("dh=%d nh=%d nkv=%d tier=%v: O[%d] = %x, portable %x", dh, nh, nkv, tier, i, got.O.Data[i], want.O.Data[i])
+					}
+				}
+				for i := range want.LSE {
+					if math.Float64bits(got.LSE[i]) != math.Float64bits(want.LSE[i]) {
+						t.Fatalf("dh=%d nh=%d nkv=%d tier=%v: LSE[%d] = %x, portable %x", dh, nh, nkv, tier, i, got.LSE[i], want.LSE[i])
+					}
 				}
 			}
-			for i := range want.LSE {
-				if math.Float64bits(got.LSE[i]) != math.Float64bits(want.LSE[i]) {
-					t.Fatalf("dh=%d nh=%d nkv=%d: LSE[%d] = %x, portable %x", dh, nh, nkv, i, got.LSE[i], want.LSE[i])
-				}
-			}
+			simd.SetTier(prev)
 		}
 	}
 }
 
 // softmaxTile must equal expNeg(s - shift[g]) bitwise at every length around
-// the four-lane quad, with a stride wider than the tile (and the gap left
-// alone), for inputs that put a NaN, -Inf, a value below expFloor and 0 in
-// every lane position of a quad, with the vector path on and off.
+// the four-lane quad and the eight-lane octet, with a stride wider than the
+// tile (and the gap left alone), for inputs that put a NaN, ±Inf, a value
+// below expFloor, ±0 and underflow in every lane position of a quad and of
+// an octet, at every tier the host has.
 func TestSoftmaxTileMatchesExpNegExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	const sentinel = 12345.5
 	for _, shift := range []float64{0, -3.7, 41.25} {
-		specials := []float64{math.NaN(), math.Inf(-1), shift + expFloor - 1, shift, math.Inf(1), shift + 700}
+		// NaN, ±Inf, +0 and -0 arguments (s == shift; -0 - 0 at shift 0), past
+		// the vector range on both sides, and underflow into the denormal
+		// range and to zero.
+		specials := []float64{math.NaN(), math.Inf(-1), shift + expFloor - 1, shift, math.Inf(1), shift + 700,
+			math.Copysign(0, -1), shift - 740, shift - 800}
 		for n := 0; n <= 67; n++ {
-			for _, group := range []int{1, 3, 8} {
+			for _, group := range []int{1, 3, 8, 16} {
 				stride := n + rng.Intn(4)
 				src := make([]float64, group*stride+1)
 				for i := range src {
@@ -246,13 +268,14 @@ func TestSoftmaxTileMatchesExpNegExactly(t *testing.T) {
 						src[g*stride+j] = shifts[g] - rng.Float64()*40
 					}
 				}
-				// One special per quad, rotating through the lane positions;
-				// every third quad stays clean so vector quads follow scalar ones.
+				// One special per quad, rotating through the four lane positions
+				// of a quad and the eight of an octet; every third quad stays
+				// clean so vector quads and octets follow scalar ones.
 				for q := 0; 4*q < n; q++ {
 					if q%3 == 2 {
 						continue
 					}
-					if j := 4*q + q%4; j < n {
+					if j := 4*q + q/2%4; j < n {
 						src[(q%group)*stride+j] = specials[(q+n)%len(specials)]
 					}
 				}
@@ -262,14 +285,14 @@ func TestSoftmaxTileMatchesExpNegExactly(t *testing.T) {
 						want[g*stride+j] = expNeg(src[g*stride+j] - shifts[g])
 					}
 				}
-				for _, on := range []bool{true, false} {
+				for _, tier := range simd.Tiers() {
 					got := append([]float64(nil), src...)
-					prev := simd.SetEnabled(on)
+					prev := simd.SetTier(tier)
 					softmaxTile(got, shifts, group, n, stride)
-					simd.SetEnabled(prev)
+					simd.SetTier(prev)
 					for i := range want {
 						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("softmaxTile(shift=%v n=%d group=%d stride=%d simd=%v)[%d] = %x (from %v), want %x", shift, n, group, stride, on, i, got[i], src[i], want[i])
+							t.Fatalf("softmaxTile(shift=%v n=%d group=%d stride=%d tier=%v)[%d] = %x (from %v), want %x", shift, n, group, stride, tier, i, got[i], src[i], want[i])
 						}
 					}
 				}
@@ -279,10 +302,11 @@ func TestSoftmaxTileMatchesExpNegExactly(t *testing.T) {
 }
 
 // The running max is "first maximal score in row order": +0 and -0 compare
-// equal, so whichever came first stays, and a NaN never enters. The vector
-// form takes the max of four rows at a time and must still agree bitwise with
-// the scalar compare on every arrangement of signed zeros, NaN, -Inf and
-// ordinary scores, including the max carried in.
+// equal, so whichever came first stays, and a NaN never enters. The AVX2
+// form takes the max of four rows at a time, the AVX-512 form one ordered
+// compare per key with the group's heads as lanes; both must agree bitwise
+// with the scalar compare on every arrangement of signed zeros, NaN, ±Inf
+// and ordinary scores, in every lane position, including the max carried in.
 func TestScoreTileMaxTieAndNaNOrderMatchesScalarExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	negZero := math.Copysign(0, -1)
@@ -290,26 +314,40 @@ func TestScoreTileMaxTieAndNaNOrderMatchesScalarExactly(t *testing.T) {
 	// scores come from underflow in the scaling: ±1e-300 * 1e-300 = ±0.
 	const dh, scale = 4, 1e-300
 	vals := []float64{-1e-300, 1e-300, -1e200, math.NaN(), math.Inf(-1)}
-	q := []float64{1, 0, 0, 0} // score j = rows[j*dh] * scale
+	priors := []float64{math.Inf(-1), negZero, 0, -1}
 	for trial := 0; trial < 20000; trial++ {
+		group := []int{1, 8, 16}[trial%3]
 		n := rng.Intn(19) + 1
+		// Head g scores key j as rows[j*dh] * q[g*dh] * scale; q's sign flips
+		// the key's value per head, so each lane sees its own arrangement.
+		q := make([]float64, group*dh)
+		for g := 0; g < group; g++ {
+			q[g*dh] = []float64{1, -1}[rng.Intn(2)]
+		}
 		rows := make([]float64, n*dh)
 		for j := 0; j < n; j++ {
 			rows[j*dh] = vals[rng.Intn(len(vals))]
 		}
-		prior := []float64{math.Inf(-1), negZero, 0, -1}[rng.Intn(4)]
-		var got [2][]float64
-		for i, on := range []bool{false, true} {
-			scores, maxs := make([]float64, n), []float64{prior}
-			prev := simd.SetEnabled(on)
-			scoreTile(q, rows, scores, maxs, 1, n, dh, n, scale)
-			simd.SetEnabled(prev)
-			got[i] = append(scores, maxs[0])
+		prior := make([]float64, group)
+		for g := range prior {
+			prior[g] = priors[rng.Intn(len(priors))]
 		}
-		for i := range got[0] {
-			if math.Float64bits(got[0][i]) != math.Float64bits(got[1][i]) {
-				t.Fatalf("trial %d n=%d prior=%v rows=%v: [%d] portable %x (%v), vector %x (%v)",
-					trial, n, prior, rows, i, got[0][i], got[0][i], got[1][i], got[1][i])
+		var ref []float64
+		for _, tier := range simd.Tiers() {
+			scores, maxs := make([]float64, group*n), append([]float64(nil), prior...)
+			prev := simd.SetTier(tier)
+			scoreTile(q, rows, scores, maxs, group, n, dh, n, scale)
+			simd.SetTier(prev)
+			got := append(scores, maxs...)
+			if tier == simd.Portable {
+				ref = got
+				continue
+			}
+			for i := range ref {
+				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("trial %d group=%d n=%d tier=%v prior=%v rows=%v: [%d] portable %x (%v), vector %x (%v)",
+						trial, group, n, tier, prior, rows, i, ref[i], ref[i], got[i], got[i])
+				}
 			}
 		}
 	}

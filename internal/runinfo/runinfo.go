@@ -8,6 +8,7 @@ import (
 	"runtime"
 
 	"repro/internal/parallel"
+	"repro/internal/simd"
 )
 
 // Info describes the runner a benchmark executed on.
@@ -24,6 +25,10 @@ type Info struct {
 	// GOOS/GOARCH identify the platform (SIMD dispatch differs by arch).
 	GOOS   string `json:"goos"`
 	GOARCH string `json:"goarch"`
+	// SIMD is the vector tier the kernels ran at ("avx512", "avx2" or
+	// "portable"): two hosts of one GOARCH can differ here, and every
+	// kernel-bound number with them.
+	SIMD string `json:"simd"`
 }
 
 // Capture snapshots the current runner environment.
@@ -35,5 +40,6 @@ func Capture() Info {
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
+		SIMD:       simd.Active().String(),
 	}
 }

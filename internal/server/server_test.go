@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/simd"
 	"repro/internal/transformer"
 )
 
@@ -184,6 +185,10 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.TokenBudget <= 0 || st.MaxBatch <= 0 || st.MaxSessions <= 0 {
 		t.Fatalf("limits unset: %+v", st)
+	}
+	// The kernel block names the vector tier the kernels ran at.
+	if want := simd.Active().String(); st.Kernel.SIMD != want {
+		t.Fatalf("kernel.simd = %q, want %q", st.Kernel.SIMD, want)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/prefixcache"
 	"repro/internal/ring"
+	"repro/internal/simd"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 	"repro/internal/transformer"
@@ -163,10 +164,12 @@ type commBlock struct {
 	Links         []wire.LinkStat          `json:"links,omitempty"`
 }
 
-// kernelBlock groups the compute-kernel telemetry: the shared worker pool,
-// the forward-pass matmul sweeps (pool utilization of the projection, FFN,
-// and logits GEMMs), and the ring communication/compute overlap occupancy.
+// kernelBlock groups the compute-kernel telemetry: the vector tier the
+// kernels run at, the shared worker pool, the forward-pass matmul sweeps
+// (pool utilization of the projection, FFN, and logits GEMMs), and the ring
+// communication/compute overlap occupancy.
 type kernelBlock struct {
+	SIMD        string             `json:"simd"`
 	Pool        parallel.Stats     `json:"pool"`
 	Matmul      tensor.MatmulStats `json:"matmul"`
 	RingOverlap ring.OverlapStats  `json:"ring_overlap"`
@@ -392,6 +395,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Reuse:       reuse,
 		PrefixCache: treeStats,
 		Kernel: kernelBlock{
+			SIMD:        simd.Active().String(),
 			Pool:        parallel.Snapshot(),
 			Matmul:      tensor.MatmulSnapshot(),
 			RingOverlap: ring.OverlapSnapshot(),

@@ -43,7 +43,7 @@ func TestFMA32IsNotDoubleRounded(t *testing.T) {
 		if math.Float32bits(naive) == tc.want {
 			t.Errorf("%s: float32(math.FMA) = %#08x is not double-rounded; the triple proves nothing", tc.name, tc.want)
 		}
-		if hasAVX {
+		if detected >= AVX2 {
 			if got := math.Float32bits(hardwareFMA32(tc.a, tc.b, tc.c)); got != tc.want {
 				t.Errorf("%s: VFMADD231SS = %#08x, want %#08x", tc.name, got, tc.want)
 			}
@@ -55,7 +55,7 @@ func TestFMA32IsNotDoubleRounded(t *testing.T) {
 // whole exponent range — denormal inputs and results, overflow to ±Inf,
 // cancellation — plus non-finite operands.
 func TestFMA32MatchesHardware(t *testing.T) {
-	if !hasAVX {
+	if detected < AVX2 {
 		t.Skip("no AVX2+FMA on this machine")
 	}
 	rng := rand.New(rand.NewSource(20))

@@ -3,10 +3,24 @@
 // loops on the CPU detection here, and the projection/FFN/logits GEMM
 // (internal/tensor) runs on the float32 dot-product family below.
 //
-// One CPUID probe — AVX2 and FMA with OS-enabled YMM state — gates every
-// vector kernel in the repo; hosts without it run the portable loops, which
-// compute the same bits, slowly. The numeric contract (v2: one rounding per
-// multiply-add) every kernel here obeys:
+// One CPUID probe, run once at start-up, sorts the host into a vector tier
+// (Tier), and every vector kernel in the repo gates on it:
+//
+//   - AVX512: AVX-512 F, DQ, BW and VL with OS-enabled opmask and ZMM state
+//     (XCR0 bits 5–7), on top of everything AVX2 needs. The attention tile
+//     kernels run eight float64 lanes wide in ZMM registers.
+//   - AVX2: AVX2 and FMA with OS-enabled YMM state (XCR0 bits 1–2). Every
+//     vector kernel has a form at this tier; on an AVX2-only host it is the
+//     only vector path.
+//   - Portable: the Go loops, which compute the same bits, slowly. Builds
+//     for any other architecture have only this tier.
+//
+// A tier includes the ones below it: a kernel without an AVX-512 form (the
+// GEMM panel here), or a shape the wide form does not take, runs its AVX2
+// form on an AVX-512 host. The tier is a throughput decision only. No flag,
+// env var or config field selects it; SetTier caps it, so that one AVX-512
+// host tests every tier against the portable oracle. The numeric contract
+// (v2: one rounding per multiply-add) every kernel here obeys:
 //
 //   - The scalar fallback is the oracle. It uses eight independent
 //     accumulators over elements i mod 8, the tail folded into s0, every
@@ -34,22 +48,86 @@ package simd
 
 import "math"
 
-// enabled gates the vector paths. It is initialized from CPUID and can be
-// flipped with SetEnabled by tests and benchmarks that need the scalar
-// oracle; it is never mutated while kernels are running.
-var enabled = hasAVX
+// Tier is a vector instruction tier. Tiers are ordered: each includes the
+// ones below it.
+type Tier uint8
+
+const (
+	Portable Tier = iota // the Go loops: the oracle
+	AVX2                 // AVX2 + FMA, 256-bit YMM
+	AVX512               // AVX-512 F/DQ/BW/VL, 512-bit ZMM and opmasks
+)
+
+// String names the tier as runinfo and /v1/stats record it.
+func (t Tier) String() string {
+	switch t {
+	case AVX2:
+		return "avx2"
+	case AVX512:
+		return "avx512"
+	}
+	return "portable"
+}
+
+// detected is what the CPU and OS support; ceiling and enabled are the test
+// hooks (SetTier, SetEnabled); active, which the kernels read, follows from
+// the three. Tests and benchmarks change the hooks between kernel calls,
+// never while kernels are running.
+var (
+	detected = probe()
+	ceiling  = detected
+	enabled  = true
+	active   = detected
+)
+
+func update() {
+	active = Portable
+	if enabled {
+		active = min(ceiling, detected)
+	}
+}
+
+// Detected returns the highest tier this host supports.
+func Detected() Tier { return detected }
+
+// Active returns the tier the kernels run at: the detected tier, capped by
+// SetTier, or Portable while SetEnabled(false) holds.
+func Active() Tier { return active }
 
 // Available reports whether the vector paths are active: the CPU and OS
-// support AVX2 and FMA, and SetEnabled has not turned them off.
-func Available() bool { return enabled }
+// support at least AVX2 and FMA, and SetEnabled has not turned them off.
+func Available() bool { return active >= AVX2 }
 
-// SetEnabled turns the vector paths on or off and returns the previous
-// state. Enabling is a no-op on hardware without AVX2 and FMA. Intended for
-// tests and benchmarks that compare against the scalar oracle; do not call
-// it concurrently with running kernels.
+// Tiers lists the tiers this host can run, Portable first: what a bitwise
+// kernel test iterates over.
+func Tiers() []Tier {
+	ts := make([]Tier, 0, detected+1)
+	for t := Portable; t <= detected; t++ {
+		ts = append(ts, t)
+	}
+	return ts
+}
+
+// SetTier caps the active tier at t (the detected tier still bounds it) and
+// returns the previous cap; SetTier(Detected()) lifts the cap. A test hook:
+// an AVX-512 host runs its AVX2 kernels under SetTier(AVX2). Do not call it
+// concurrently with running kernels.
+func SetTier(t Tier) Tier {
+	prev := ceiling
+	ceiling = t
+	update()
+	return prev
+}
+
+// SetEnabled turns the vector paths off (Portable) or back on up to the
+// SetTier cap and returns the previous state. Enabling is a no-op on
+// hardware without AVX2 and FMA. Intended for tests and benchmarks that
+// compare against the scalar oracle; do not call it concurrently with
+// running kernels.
 func SetEnabled(on bool) bool {
 	prev := enabled
-	enabled = on && hasAVX
+	enabled = on
+	update()
 	return prev
 }
 
@@ -84,7 +162,7 @@ func DotF32(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("simd: dot length mismatch")
 	}
-	if enabled && len(a) >= 8 {
+	if active >= AVX2 && len(a) >= 8 {
 		return dotF32AVX(a, b)
 	}
 	return DotF32Scalar(a, b)
@@ -138,7 +216,7 @@ func DotPanel(dst []float32, ldd int, w, x []float32, n int) {
 		panic("simd: panel destination too small")
 	}
 	r := 0
-	if enabled && n%8 == 0 {
+	if active >= AVX2 && n%8 == 0 {
 		for ; r+PanelRows <= rows; r += PanelRows {
 			dotPanel8AVX(&dst[r], ldd, &w[r*n], &x[0], n, tokens)
 		}

@@ -2,13 +2,22 @@
 
 package simd
 
-// hasAVX is the one CPUID probe every vector kernel in the repo gates on:
-// AVX2 and FMA with OS-enabled YMM state.
-var hasAVX = cpuidAVX2FMA()
+// probe is the one CPUID probe every vector kernel in the repo gates on.
+func probe() Tier {
+	switch cpuidTier() {
+	case 2:
+		return AVX512
+	case 1:
+		return AVX2
+	}
+	return Portable
+}
 
-// cpuidAVX2FMA reports CPUID.1:ECX FMA+OSXSAVE+AVX, XGETBV XMM+YMM and
-// CPUID.7.0:EBX AVX2. Implemented in simd_amd64.s.
-func cpuidAVX2FMA() bool
+// cpuidTier returns 0 without AVX2+FMA; 1 with CPUID.1:ECX FMA+OSXSAVE+AVX,
+// XGETBV XMM+YMM state and CPUID.7.0:EBX AVX2; 2 when, on top of that,
+// CPUID.7.0:EBX reports AVX-512 F, DQ, BW and VL and XGETBV opmask and ZMM
+// state. Implemented in simd_amd64.s.
+func cpuidTier() uint8
 
 // dotF32AVX is the vector form of DotF32Scalar: eight float32 lanes in one
 // YMM accumulator (lane i == scalar accumulator s_i), fused multiply-add,
@@ -28,3 +37,7 @@ func dotPanel8AVX(dst *float32, ldd int, w, x *float32, n, tokens int)
 // fused multiply-adds, double or single precision: BenchmarkPeakFMA's loop.
 // Implemented in simd_amd64.s.
 func peakFMA(iters int, double bool)
+
+// peakFMA512 is peakFMA on 512-bit ZMM registers: the AVX-512 tier's
+// ceiling. Implemented in simd_amd64.s.
+func peakFMA512(iters int, double bool)

@@ -2,30 +2,40 @@
 
 #include "textflag.h"
 
-// func cpuidAVX2FMA() bool
-// CPUID.1:ECX must report FMA (bit 12), OSXSAVE (bit 27) and AVX (bit 28),
-// XGETBV must confirm the OS saves XMM+YMM state (XCR0 bits 1 and 2), and
-// CPUID.(EAX=7, ECX=0):EBX must report AVX2 (bit 5).
-TEXT ·cpuidAVX2FMA(SB), NOSPLIT, $0-1
+// func cpuidTier() uint8
+// AVX2 tier (1): CPUID.1:ECX must report FMA (bit 12), OSXSAVE (bit 27) and
+// AVX (bit 28), XGETBV must confirm the OS saves XMM+YMM state (XCR0 bits 1
+// and 2), and CPUID.(EAX=7, ECX=0):EBX must report AVX2 (bit 5). AVX-512
+// tier (2): EBX must also report AVX512F (16), AVX512DQ (17), AVX512BW (30)
+// and AVX512VL (31), and XCR0 the opmask, ZMM_Hi256 and Hi16_ZMM state
+// (bits 5, 6 and 7).
+TEXT ·cpuidTier(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
 	MOVL $1, AX
 	CPUID
 	ANDL $(1<<12 | 1<<27 | 1<<28), CX
 	CMPL CX, $(1<<12 | 1<<27 | 1<<28)
-	JNE  novec
+	JNE  tierdone
 	XORL CX, CX
 	XGETBV
+	MOVL AX, R8 // XCR0
 	ANDL $6, AX
 	CMPL AX, $6
-	JNE  novec
+	JNE  tierdone
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
-	SHRL $5, BX
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
-	RET
-novec:
-	MOVB $0, ret+0(FP)
+	TESTL $(1<<5), BX
+	JZ    tierdone
+	MOVB  $1, ret+0(FP)
+	ANDL  $(1<<16 | 1<<17 | 1<<30 | 1<<31), BX
+	CMPL  BX, $(1<<16 | 1<<17 | 1<<30 | 1<<31)
+	JNE   tierdone
+	ANDL  $0xe0, R8
+	CMPL  R8, $0xe0
+	JNE   tierdone
+	MOVB  $2, ret+0(FP)
+tierdone:
 	RET
 
 // func dotF32AVX(a, b []float32) float32
@@ -224,5 +234,50 @@ peakpd:
 	PEAK12(VFMADD231PD)
 	DECQ CX
 	JNZ  peakpd
+	VZEROUPPER
+	RET
+
+
+// PEAK12Z is PEAK12 on ZMM registers.
+#define PEAK12Z(op) \
+	op Z12, Z13, Z0  \
+	op Z12, Z13, Z1  \
+	op Z12, Z13, Z2  \
+	op Z12, Z13, Z3  \
+	op Z12, Z13, Z4  \
+	op Z12, Z13, Z5  \
+	op Z12, Z13, Z6  \
+	op Z12, Z13, Z7  \
+	op Z12, Z13, Z8  \
+	op Z12, Z13, Z9  \
+	op Z12, Z13, Z10 \
+	op Z12, Z13, Z11
+
+// func peakFMA512(iters int, double bool)
+// peakFMA on 512-bit registers: single precision (16 lanes) or double (8).
+// The VEX zeroing of Y0..Y13 clears their ZMM upper halves too.
+TEXT ·peakFMA512(SB), NOSPLIT, $0-9
+	MOVQ iters+0(FP), CX
+	ZERO8
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+	CMPB double+8(FP), $0
+	JNE  peakzpd
+	PCALIGN $32
+peakzps:
+	PEAK12Z(VFMADD231PS)
+	DECQ CX
+	JNZ  peakzps
+	VZEROUPPER
+	RET
+	PCALIGN $32
+peakzpd:
+	PEAK12Z(VFMADD231PD)
+	DECQ CX
+	JNZ  peakzpd
 	VZEROUPPER
 	RET

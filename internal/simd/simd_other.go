@@ -2,9 +2,8 @@
 
 package simd
 
-// Non-amd64 builds always take the portable scalar loops; the constant lets
-// the compiler delete the vector branches entirely.
-const hasAVX = false
+// Non-amd64 builds always take the portable scalar loops.
+func probe() Tier { return Portable }
 
 func dotF32AVX(a, b []float32) float32 { panic("simd: dotF32AVX without AVX2+FMA") }
 

@@ -11,7 +11,7 @@ import (
 // at every length, including non-multiple-of-four tails — switching between
 // the two paths is a pure throughput decision.
 func TestDotF32AVXMatchesScalarExactly(t *testing.T) {
-	if !hasAVX {
+	if detected < AVX2 {
 		t.Skip("no AVX on this machine")
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -57,7 +57,7 @@ func TestDotF32DispatchIsBitStable(t *testing.T) {
 func TestSetEnabledCannotForceAVXOn(t *testing.T) {
 	prev := SetEnabled(true)
 	defer SetEnabled(prev)
-	if Available() && !hasAVX {
+	if Available() && detected < AVX2 {
 		t.Fatal("SetEnabled(true) enabled vector paths without hardware support")
 	}
 }
@@ -168,5 +168,39 @@ func BenchmarkDotPanel(b *testing.B) {
 			}
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
+	}
+}
+
+// The probe's tier bounds what SetTier can reach, Tiers lists exactly the
+// tiers up to it, and the log line names it: CI prints this test's output so
+// a runner without AVX-512 (whose wide kernels then go untested there) says
+// so.
+func TestProbeNamesTier(t *testing.T) {
+	ts := Tiers()
+	if ts[0] != Portable || ts[len(ts)-1] != Detected() || len(ts) != int(Detected())+1 {
+		t.Fatalf("Tiers() = %v with Detected() = %v", ts, Detected())
+	}
+	prev := SetTier(AVX512)
+	defer SetTier(prev)
+	if Active() != Detected() {
+		t.Fatalf("uncapped Active() = %v, Detected() = %v", Active(), Detected())
+	}
+	for _, tier := range ts {
+		SetTier(tier)
+		if Active() != tier || Available() != (tier >= AVX2) {
+			t.Fatalf("SetTier(%v): Active() = %v, Available() = %v", tier, Active(), Available())
+		}
+		was := SetEnabled(false)
+		if Active() != Portable {
+			t.Fatalf("SetTier(%v), SetEnabled(false): Active() = %v", tier, Active())
+		}
+		SetEnabled(was)
+		if Active() != tier {
+			t.Fatalf("SetTier(%v): SetEnabled(true) restored %v, not the cap", tier, Active())
+		}
+	}
+	t.Logf("detected vector tier: %v", Detected())
+	if Detected() < AVX512 {
+		t.Logf("no AVX-512 on this host: the AVX-512 kernels are not exercised here; tested tiers %v", ts)
 	}
 }

@@ -99,18 +99,39 @@ func TestDistributedOverlapParity(t *testing.T) {
 // The register-blocked kernels must be invisible end to end on a model wide
 // enough to reach every path the Tiny scenarios skip: prefill shards that
 // span several GEMM token blocks, decode steps whose GEMMs fan over weight
-// rows, attention contexts that span several K/V tiles. Prefill logits and
-// an 8-session fused decode stream are exactly equal with the vector paths
-// off and on, at 1, 2 and 8 workers.
+// rows, attention contexts that span several K/V tiles. Two geometries run:
+// four query heads on two KV heads of dim 16, and the benchmark model's
+// bench-gqa8 shape — eight query heads on one KV head of dim 32, where every
+// AVX-512 attention kernel takes its widest path. Prefill logits and a
+// fused decode stream over every session are exactly equal to the portable
+// serial run at every tier the host has, at 1, 2 and 8 workers.
 func TestKernelsInvisibleInPrefillAndFusedDecode(t *testing.T) {
-	cfg := Tiny(23)
-	cfg.Model.ModelDim, cfg.Model.FFNDim = 64, 128
-	cfg.Model.NumHeads, cfg.Model.NumKV, cfg.Model.HeadDim = 4, 2, 16
+	for _, geo := range []struct {
+		name                 string
+		dim, ffn, nh, nkv    int
+		dh, prompt, sessions int
+	}{
+		{"nh4-nkv2-dh16", 64, 128, 4, 2, 16, 150, 8},
+		{"gqa8-dh32", 256, 256, 8, 1, 32, 72, 4},
+	} {
+		t.Run(geo.name, func(t *testing.T) {
+			cfg := Tiny(23)
+			cfg.Model.ModelDim, cfg.Model.FFNDim = geo.dim, geo.ffn
+			cfg.Model.NumHeads, cfg.Model.NumKV, cfg.Model.HeadDim = geo.nh, geo.nkv, geo.dh
+			kernelsInvisible(t, cfg, geo.sessions, geo.prompt)
+		})
+	}
+}
+
+// kernelsInvisible runs TestKernelsInvisibleInPrefillAndFusedDecode's
+// scenario on cfg: sessions ragged prompts from promptLen tokens, prefilled
+// and then decoded six fused steps.
+func kernelsInvisible(t *testing.T, cfg Config, sessions, promptLen int) {
 	w, err := NewWeights(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const sessions, promptLen, steps = 8, 150, 6
+	const steps = 6
 	scenario := func() [][]float32 {
 		c, err := NewCluster(w, 2)
 		if err != nil {
@@ -151,11 +172,13 @@ func TestKernelsInvisibleInPrefillAndFusedDecode(t *testing.T) {
 		parallel.SetWorkers(oldW)
 	}()
 	ref := scenario()
-	for _, on := range []bool{false, true} {
-		simd.SetEnabled(on)
+	simd.SetEnabled(prevSIMD)
+	for _, tier := range simd.Tiers() {
+		prevTier := simd.SetTier(tier)
 		for _, workers := range []int{1, 2, 8} {
 			parallel.SetWorkers(workers)
-			sameLogits(t, fmt.Sprintf("simd=%v workers=%d vs scalar serial", on, workers), ref, scenario())
+			sameLogits(t, fmt.Sprintf("tier=%v workers=%d vs portable serial", tier, workers), ref, scenario())
 		}
+		simd.SetTier(prevTier)
 	}
 }
