@@ -4,7 +4,9 @@
 // reaching encoders, hashes, float accumulators, or unsorted slices),
 // wire-exhaustive (switches over iota kind enums cover every constant or
 // default loudly), lock-send (no mutex held across a channel send or conn
-// write), and metric-reg (every cp_* series pre-registered).
+// write), metric-reg (every cp_* series pre-registered), and testonly (every
+// exported function or method under internal/ has a caller outside the
+// tests).
 //
 // Usage:
 //

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	cpserve -addr :8080 -ranks 4 -policy prefill-first -token-budget 32 -max-batch 64
+//	cpserve -addr :8080 -ranks 4 -token-budget 32 -max-batch 64
 //	curl -s localhost:8080/v1/generate -d '{"session":1,"prompt":[4,19,22,7],"max_tokens":8}'
 //	curl -s localhost:8080/v1/stats
 //
@@ -43,8 +43,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	ranks := flag.Int("ranks", 2, "CP ranks")
 	seed := flag.Int64("seed", 1, "weight seed")
-	policyName := flag.String("policy", "prefill-first", "scheduler policy: fifo, prefill-first")
-	variantName := flag.String("variant", "pass-kv", "prefill ring variant: pass-kv, pass-q, auto (Eq. 1 per-chunk miss-rate selection)")
+	variantName := flag.String("variant", "auto", "prefill ring variant: pass-kv, pass-q, auto (Eq. 1 per-chunk miss-rate selection)")
 	tokenBudget := flag.Int("token-budget", 32, "max prompt tokens prefilled per scheduler iteration")
 	maxBatch := flag.Int("max-batch", 64, "max sessions fused into one decode ring pass")
 	maxSessions := flag.Int("max-sessions", 256, "admission cap on resident sessions")
@@ -72,16 +71,6 @@ func main() {
 		parallel.SetWorkers(*workers)
 	}
 
-	var policy server.Policy
-	switch *policyName {
-	case "fifo":
-		policy = server.FIFO
-	case "prefill-first":
-		policy = server.PrefillFirst
-	default:
-		fmt.Fprintf(os.Stderr, "cpserve: unknown policy %q\n", *policyName)
-		os.Exit(1)
-	}
 	var variant model.Variant
 	switch *variantName {
 	case "pass-kv":
@@ -135,7 +124,6 @@ func main() {
 	srv, err := server.New(server.Config{
 		Transformer:       transformer.Tiny(*seed),
 		Ranks:             *ranks,
-		Policy:            policy,
 		Variant:           variant,
 		TokenBudget:       *tokenBudget,
 		MaxBatch:          *maxBatch,
@@ -212,8 +200,8 @@ func main() {
 	if *distributed {
 		rankDesc = fmt.Sprintf("%d distributed CP ranks (%s)", len(addrs), *rankAddrs)
 	}
-	log.Printf("cpserve: %s, %s scheduling, %v prefill, budget %d tok/iter, batch<=%d, sessions<=%d, prefix cache %s, recovery %s, %d kernel workers, listening on %s",
-		rankDesc, policy, variant, *tokenBudget, *maxBatch, *maxSessions, prefixDesc, recoverDesc, parallel.Workers(), *addr)
+	log.Printf("cpserve: %s, %v prefill, budget %d tok/iter, batch<=%d, sessions<=%d, prefix cache %s, recovery %s, %d kernel workers, listening on %s",
+		rankDesc, variant, *tokenBudget, *maxBatch, *maxSessions, prefixDesc, recoverDesc, parallel.Workers(), *addr)
 	log.Printf(`try: curl -s localhost%s/v1/generate -d '{"session":1,"prompt":[4,19,22,7],"max_tokens":8}'`, *addr)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)

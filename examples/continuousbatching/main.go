@@ -65,7 +65,6 @@ func main() {
 	srv, err := server.New(server.Config{
 		Transformer: transformer.Tiny(seed),
 		Ranks:       ranks,
-		Policy:      server.PrefillFirst,
 		Variant:     model.PassKV,
 		TokenBudget: budget,
 		Cohorts:     []string{"chat", "summarization"},

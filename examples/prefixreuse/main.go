@@ -62,7 +62,6 @@ func newServer(prefixTokens int) (*server.Server, *httptest.Server) {
 	srv, err := server.New(server.Config{
 		Transformer:       transformer.Tiny(seed),
 		Ranks:             ranks,
-		Policy:            server.PrefillFirst,
 		Variant:           model.Auto, // Eq. 1 per chunk: warm chunks ride pass-Q
 		TokenBudget:       budget,
 		PrefixCacheTokens: prefixTokens,

@@ -1,7 +1,7 @@
 // Package attention implements exact grouped-query attention (GQA) together
 // with the log-sum-exp bookkeeping that makes ring attention lossless.
 //
-// Three kernels are provided:
+// Two kernels are provided:
 //
 //   - GQA: the production kernel. It compiles the position/sequence mask into
 //     per-query contiguous KV intervals once per call (see Intervals), then
@@ -10,10 +10,6 @@
 //     computed against the same widened rows — and fans the independent
 //     cells out over the shared worker pool (internal/parallel). Scores and
 //     weighted sums accumulate in float64.
-//   - Blocked: a flash-style streaming kernel that visits KV in blocks while
-//     maintaining an online softmax (Milakov & Gimelshein), used both as a
-//     second witness for correctness and as the shape of the per-step
-//     computation inside the ring loop.
 //   - Merge: the merge-attention operator (Appendix B, Equation 4) that
 //     combines partial attention outputs computed against disjoint KV chunks
 //     into the exact attention over the full KV.
@@ -125,12 +121,6 @@ func PartialCausal(T, P int) Mask {
 	return m
 }
 
-// Decode returns the mask of a single decode step: one query at position
-// ctxLen-1 attending to ctxLen keys (the cache including the new token).
-func Decode(ctxLen int) Mask {
-	return PartialCausal(1, ctxLen-1)
-}
-
 // Validate checks that the mask is consistent with the given tensor lengths.
 func (m Mask) Validate(qTokens, kvTokens int) error {
 	if len(m.QPos) != qTokens || len(m.QSeq) != qTokens {
@@ -180,16 +170,6 @@ func (o *Output) Fit(tokens, heads, dim int) *Output {
 	o.LSE = tensor.Grown(o.LSE, tokens*heads)
 	o.Reset()
 	return o
-}
-
-// LSEAt returns the log-sum-exp for query token t, head h.
-func (o *Output) LSEAt(t, h int) float64 { return o.LSE[t*o.O.Heads+h] }
-
-// Clone returns a deep copy of the output.
-func (o *Output) Clone() *Output {
-	lse := make([]float64, len(o.LSE))
-	copy(lse, o.LSE)
-	return &Output{O: o.O.Clone(), LSE: lse}
 }
 
 // kvTileRows is the height of the fixed K/V tile grid: rows [32i, 32i+32) of
@@ -454,20 +434,6 @@ func (tk *tileTask) Run(lo, hi int) {
 		gqaBlock(dst, q, kv, sc, iv, t, nq, kvh, stripe)
 		cell += nq
 	}
-}
-
-// DecodeInto is the decode step's entry to the kernel over tensors: query
-// token t of q against KV rows [0, n) of (k, v). It is DecodeKVInto over the
-// one run of those rows.
-func DecodeInto(dst *Output, q, k, v *tensor.Tensor, t, n int) error {
-	if err := validateShapes(q, k, v); err != nil {
-		return err
-	}
-	if n < 0 || n > k.Tokens {
-		return fmt.Errorf("attention: decode over %d of %d kv rows", n, k.Tokens)
-	}
-	rowLen := k.Heads * k.Dim
-	return DecodeKVInto(dst, q, KV{Heads: k.Heads, Dim: k.Dim, Runs: []Run{{K: k.Data[:n*rowLen], V: v.Data[:n*rowLen], Rows: n}}}, t)
 }
 
 // DecodeKVInto is the decode step's entry to the kernel: query token t of q
@@ -799,6 +765,8 @@ func pvTile(w, rows, acc, denom []float64, group, n, dh, stride int) {
 // direct per-(token, head, key) evaluation of the mask with float32 dot
 // products and float64 softmax accumulation. The tests check the production
 // kernel against it and the kernel benchmarks use it as the baseline.
+//
+//cplint:allow testonly the seed scalar kernel TestGQAMatchesReferenceOnRandomMasks checks the production kernel against
 func Reference(q, k, v *tensor.Tensor, m Mask) (*Output, error) {
 	if err := validateGQA(q, k, v, m); err != nil {
 		return nil, err
@@ -848,48 +816,6 @@ func Reference(q, k, v *tensor.Tensor, m Mask) (*Output, error) {
 			}
 			out.LSE[t*q.Heads+h] = maxScore + math.Log(denom)
 		}
-	}
-	return out, nil
-}
-
-// Blocked computes the same result as GQA by streaming KV in blocks of
-// blockSize tokens with an online softmax, the computation pattern of
-// FlashAttention and of each ring iteration. blockSize must be positive.
-// Blocks are zero-copy views of k and v, and one partial Output is recycled
-// across blocks, so the witness kernel allocates O(1) beyond its result.
-func Blocked(q, k, v *tensor.Tensor, m Mask, blockSize int) (*Output, error) {
-	if blockSize <= 0 {
-		return nil, fmt.Errorf("attention: blockSize %d must be positive", blockSize)
-	}
-	if err := validateGQA(q, k, v, m); err != nil {
-		return nil, err
-	}
-	out := NewOutput(q.Tokens, q.Heads, q.Dim)
-	partial := NewOutput(q.Tokens, q.Heads, q.Dim)
-	rowLen := k.Heads * k.Dim
-	for lo := 0; lo < k.Tokens; lo += blockSize {
-		hi := lo + blockSize
-		if hi > k.Tokens {
-			hi = k.Tokens
-		}
-		sub := Mask{
-			QPos:  m.QPos,
-			QSeq:  m.QSeq,
-			KVPos: m.KVPos[lo:hi],
-			KVSeq: m.KVSeq[lo:hi],
-		}
-		kBlk, err := tensor.FromData(hi-lo, k.Heads, k.Dim, k.Data[lo*rowLen:hi*rowLen])
-		if err != nil {
-			return nil, err
-		}
-		vBlk, err := tensor.FromData(hi-lo, v.Heads, v.Dim, v.Data[lo*rowLen:hi*rowLen])
-		if err != nil {
-			return nil, err
-		}
-		if err := GQAInto(partial, q, kBlk, vBlk, sub); err != nil {
-			return nil, err
-		}
-		AccumulateInto(out, partial)
 	}
 	return out, nil
 }
@@ -1055,41 +981,4 @@ func accumulateCells(dst, partial *Output, lo, hi int) {
 		}
 		dst.LSE[idx] = m + math.Log(denom)
 	}
-}
-
-// GatherTokens reorders (or selects) query rows of an output. It is used by
-// the pass-Q algorithms to permute partial outputs back into source-rank
-// order before the All2All.
-func (o *Output) GatherTokens(rows []int) *Output {
-	heads := o.O.Heads
-	out := &Output{O: o.O.Gather(rows), LSE: make([]float64, len(rows)*heads)}
-	for i, r := range rows {
-		copy(out.LSE[i*heads:(i+1)*heads], o.LSE[r*heads:(r+1)*heads])
-	}
-	return out
-}
-
-// ConcatOutputs concatenates outputs along the token dimension.
-func ConcatOutputs(parts ...*Output) *Output {
-	tensors := make([]*tensor.Tensor, 0, len(parts))
-	total := 0
-	heads := 0
-	for _, p := range parts {
-		if p == nil || p.O.Tokens == 0 {
-			continue
-		}
-		tensors = append(tensors, p.O)
-		total += p.O.Tokens
-		heads = p.O.Heads
-	}
-	out := &Output{O: tensor.Concat(tensors...), LSE: make([]float64, total*heads)}
-	off := 0
-	for _, p := range parts {
-		if p == nil || p.O.Tokens == 0 {
-			continue
-		}
-		copy(out.LSE[off:], p.LSE)
-		off += len(p.LSE)
-	}
-	return out
 }

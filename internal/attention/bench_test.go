@@ -58,7 +58,7 @@ func BenchmarkGQADecodeStep(b *testing.B) {
 	q := tensor.RandN(rng, 1, 8, 64)
 	k := tensor.RandN(rng, ctx, 2, 64)
 	v := tensor.RandN(rng, ctx, 2, 64)
-	m := Decode(ctx)
+	m := PartialCausal(1, ctx-1)
 	out := NewOutput(1, 8, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

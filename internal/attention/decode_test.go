@@ -10,7 +10,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// DecodeInto must equal GQAInto bit for bit on the decode mask — one query at
+// DecodeKVInto over one run must equal GQAInto bit for bit on the decode mask — one query at
 // or past every cached position of its own sequence — over the kernel grid:
 // every head dim 1..96 and 128 (both sides of the vector path's four-lane
 // rule), group sizes 1, 3, 8 and 16 on one, two and three KV heads, and row
@@ -37,7 +37,7 @@ func TestDecodeIntoMatchesGQAIntoExactly(t *testing.T) {
 				for _, tier := range simd.Tiers() {
 					prev := simd.SetTier(tier)
 					want, got := decodeOracle(t, q, k, v, row, n), sentinelOutput(T, nh, dh)
-					err := DecodeInto(got, q, k, v, row, n)
+					err := DecodeKVInto(got, q, oneRun(k, v, n), row)
 					simd.SetTier(prev)
 					if err != nil {
 						t.Fatal(err)
@@ -66,7 +66,7 @@ func TestDecodeIntoMatchesGQAIntoExactly(t *testing.T) {
 	}
 }
 
-// decodeOracle is the path DecodeInto replaces: a one-row view of the query,
+// decodeOracle is the path DecodeKVInto replaces: a one-row view of the query,
 // views of the first n KV rows, the compiled decode mask, GQAInto.
 func decodeOracle(t *testing.T, q, k, v *tensor.Tensor, row, n int) *Output {
 	t.Helper()
@@ -85,9 +85,17 @@ func decodeOracle(t *testing.T, q, k, v *tensor.Tensor, row, n int) *Output {
 	return out
 }
 
+// oneRun is KV rows [0, n) of (k, v) as one run.
+func oneRun(k, v *tensor.Tensor, n int) KV {
+	rowLen := k.Heads * k.Dim
+	return KV{Heads: k.Heads, Dim: k.Dim, Runs: []Run{{K: k.Data[:n*rowLen], V: v.Data[:n*rowLen], Rows: n}}}
+}
+
 func sentinelOutput(tokens, heads, dim int) *Output {
 	o := NewOutput(tokens, heads, dim)
-	o.O.Fill(-7.5)
+	for i := range o.O.Data {
+		o.O.Data[i] = -7.5
+	}
 	for i := range o.LSE {
 		o.LSE[i] = 42
 	}
@@ -98,16 +106,20 @@ func sentinelOutput(tokens, heads, dim int) *Output {
 func TestDecodeIntoRejectsBadShapes(t *testing.T) {
 	q := tensor.New(2, 4, 8)
 	k, v := tensor.New(5, 2, 8), tensor.New(5, 2, 8)
+	kv := oneRun(k, v, 5)
 	out := NewOutput(2, 4, 8)
 	for name, call := range map[string]func() error{
-		"row past the block":    func() error { return DecodeInto(out, q, k, v, 2, 5) },
-		"negative row":          func() error { return DecodeInto(out, q, k, v, -1, 5) },
-		"more rows than k has":  func() error { return DecodeInto(out, q, k, v, 0, 6) },
-		"head dim mismatch":     func() error { return DecodeInto(out, q, tensor.New(5, 2, 4), tensor.New(5, 2, 4), 0, 5) },
-		"k and v differ":        func() error { return DecodeInto(out, q, k, tensor.New(5, 1, 8), 0, 5) },
-		"heads not a multiple":  func() error { return DecodeInto(out, q, tensor.New(5, 3, 8), tensor.New(5, 3, 8), 0, 5) },
-		"destination not q's":   func() error { return DecodeInto(NewOutput(3, 4, 8), q, k, v, 0, 5) },
-		"v shorter than n rows": func() error { return DecodeInto(out, q, k, tensor.New(4, 2, 8), 0, 5) },
+		"row past the block": func() error { return DecodeKVInto(out, q, kv, 2) },
+		"negative row":       func() error { return DecodeKVInto(out, q, kv, -1) },
+		"more rows than k has": func() error {
+			return DecodeKVInto(out, q, KV{Heads: 2, Dim: 8, Runs: []Run{{K: k.Data, V: v.Data, Rows: 6}}}, 0)
+		},
+		"head dim mismatch":    func() error { return DecodeKVInto(out, q, oneRun(tensor.New(5, 2, 4), tensor.New(5, 2, 4), 5), 0) },
+		"heads not a multiple": func() error { return DecodeKVInto(out, q, oneRun(tensor.New(5, 3, 8), tensor.New(5, 3, 8), 5), 0) },
+		"destination not q's":  func() error { return DecodeKVInto(NewOutput(3, 4, 8), q, kv, 0) },
+		"v shorter than n rows": func() error {
+			return DecodeKVInto(out, q, KV{Heads: 2, Dim: 8, Runs: []Run{{K: k.Data, V: v.Data[:32], Rows: 5}}}, 0)
+		},
 	} {
 		if err := call(); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -170,7 +182,7 @@ func TestFreeListsDropOversizedEntries(t *testing.T) {
 	n := 2*scoreBudget + 3*kvTileRows // one KV head, group 1: the stripe is n scores
 	q := tensor.New(1, 1, 1)
 	k, v := tensor.New(n, 1, 1), tensor.New(n, 1, 1)
-	if err := DecodeInto(NewOutput(1, 1, 1), q, k, v, 0, n); err != nil {
+	if err := DecodeKVInto(NewOutput(1, 1, 1), q, oneRun(k, v, n), 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range drain(scratchFree) {
@@ -178,7 +190,7 @@ func TestFreeListsDropOversizedEntries(t *testing.T) {
 			t.Fatalf("a %d-row decode left a %d-score stripe on the free list (bound %d)", n, cap(s.scores), 2*scoreBudget)
 		}
 	}
-	if err := DecodeInto(NewOutput(1, 1, 1), q, k, v, 0, 64); err != nil {
+	if err := DecodeKVInto(NewOutput(1, 1, 1), q, oneRun(k, v, 64), 0); err != nil {
 		t.Fatal(err)
 	}
 	if kept := drain(scratchFree); len(kept) != 1 {

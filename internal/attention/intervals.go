@@ -35,14 +35,6 @@ type kvRun struct {
 	ascending bool // positions non-decreasing across the run
 }
 
-// NewIntervals precomputes the allowed KV intervals of every query row of a
-// validated mask.
-func NewIntervals(m Mask) *Intervals {
-	iv := new(Intervals)
-	iv.compile(m)
-	return iv
-}
-
 // compile rebuilds iv for m in place, reusing the buffers of its previous
 // compile (GQAInto keeps compiled Intervals on a free list for this).
 func (iv *Intervals) compile(m Mask) {

@@ -29,7 +29,7 @@ func TestPropertyOutputInConvexHull(t *testing.T) {
 				for d := 0; d < 4; d++ {
 					lo, hi := math.Inf(1), math.Inf(-1)
 					for j := 0; j <= tok; j++ {
-						x := float64(v.At(j, kvh, d))
+						x := float64(v.Row(j, kvh)[d])
 						if x < lo {
 							lo = x
 						}
@@ -37,7 +37,7 @@ func TestPropertyOutputInConvexHull(t *testing.T) {
 							hi = x
 						}
 					}
-					got := float64(out.O.At(tok, h, d))
+					got := float64(out.O.Row(tok, h)[d])
 					if got < lo-1e-5 || got > hi+1e-5 {
 						return false
 					}
@@ -68,10 +68,13 @@ func TestPropertyScoreScaleInvariance(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		qs := q.Clone()
-		qs.Scale(c)
-		ks := k.Clone()
-		ks.Scale(1 / c)
+		qs, ks := tensor.New(T, 2, 4), tensor.New(T, 1, 4)
+		for i := range qs.Data {
+			qs.Data[i] = q.Data[i] * c
+		}
+		for i := range ks.Data {
+			ks.Data[i] = k.Data[i] * (1 / c)
+		}
 		scaled, err := GQA(qs, ks, v, FullCausal(T))
 		if err != nil {
 			return false
@@ -102,8 +105,8 @@ func TestLSEMatchesDirectPartition(t *testing.T) {
 			for j := 0; j <= tok; j++ {
 				part += math.Exp(float64(tensor.Dot(q.Row(tok, h), k.Row(j, 0))) * scale)
 			}
-			if diff := math.Abs(out.LSEAt(tok, h) - math.Log(part)); diff > 1e-4 {
-				t.Fatalf("LSE(%d,%d) = %v, direct %v", tok, h, out.LSEAt(tok, h), math.Log(part))
+			if diff := math.Abs(out.LSE[tok*out.O.Heads+h] - math.Log(part)); diff > 1e-4 {
+				t.Fatalf("LSE(%d,%d) = %v, direct %v", tok, h, out.LSE[tok*out.O.Heads+h], math.Log(part))
 			}
 		}
 	}

@@ -66,7 +66,8 @@ func TestPropertyIntervalsMatchNaiveMask(t *testing.T) {
 		qTokens := int(rawQ%12) + 1
 		kvTokens := int(rawKV%40) + 1
 		m := randomMask(rng, qTokens, kvTokens, sorted)
-		iv := NewIntervals(m)
+		iv := new(Intervals)
+		iv.compile(m)
 		for qt := 0; qt < qTokens; qt++ {
 			allowed := make([]bool, kvTokens)
 			for _, r := range iv.Row(qt) {
@@ -103,7 +104,8 @@ func TestIntervalsAscending(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
 		m := randomMask(rng, 8, 40, trial%2 == 0)
-		iv := NewIntervals(m)
+		iv := new(Intervals)
+		iv.compile(m)
 		for qt := 0; qt < 8; qt++ {
 			prev := -1
 			for _, r := range iv.Row(qt) {
@@ -163,25 +165,20 @@ func TestKernelsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	k := tensor.RandN(rng, kvTokens, 2, 8)
 	v := tensor.RandN(rng, kvTokens, 2, 8)
 
-	run := func(workers int) (*Output, *Output, *Output) {
+	run := func(workers int) (*Output, *Output) {
 		old := parallel.SetWorkers(workers)
 		defer parallel.SetWorkers(old)
 		g, err := GQA(q, k, v, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Blocked(q, k, v, m, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mg := Merge(g, b)
-		return g, b, mg
+		return g, Merge(g, g)
 	}
-	g1, b1, m1 := run(1)
+	g1, m1 := run(1)
 	for _, w := range []int{2, 8} {
-		gw, bw, mw := run(w)
+		gw, mw := run(w)
 		for name, pair := range map[string][2]*Output{
-			"gqa": {g1, gw}, "blocked": {b1, bw}, "merge": {m1, mw},
+			"gqa": {g1, gw}, "merge": {m1, mw},
 		} {
 			if d := tensor.MaxAbsDiff(pair[0].O, pair[1].O); d != 0 {
 				t.Fatalf("%s at %d workers differs from serial by %v", name, w, d)
@@ -239,7 +236,8 @@ func TestExpNegAccuracy(t *testing.T) {
 // many neighbours share its tile walk.
 func gqaOneByOne(q, k, v *tensor.Tensor, m Mask) *Output {
 	out := NewOutput(q.Tokens, q.Heads, q.Dim)
-	iv := NewIntervals(m)
+	iv := new(Intervals)
+	iv.compile(m)
 	group := q.Heads / k.Heads
 	sc := &gqaScratch{}
 	for kvh := 0; kvh < k.Heads; kvh++ {
@@ -333,7 +331,8 @@ func TestGQABlockWidensOnlyAdmittedRows(t *testing.T) {
 	v := tensor.RandN(rng, kvTileRows, 1, dh)
 	run := func() (*Output, []float64) {
 		out := NewOutput(nq, group, dh)
-		iv := NewIntervals(m)
+		iv := new(Intervals)
+		iv.compile(m)
 		stripe := tileChunks(iv.Row(nq-1)) * group * kvTileRows
 		sc := &gqaScratch{}
 		sc.size(nq, stripe, group, dh)

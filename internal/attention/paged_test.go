@@ -87,13 +87,13 @@ func requireSameOutput(t *testing.T, name string, got, want *Output) {
 
 // Reading KV in place changes nothing: the decode entry over a run list —
 // cache pages of any size, a trailing partial run, empty runs, spare rows of
-// NaN behind every run — equals DecodeInto over the same rows as one tensor,
+// NaN behind every run — equals DecodeKVInto over the same rows as one run,
 // bit for bit, over the whole grid.
 func TestDecodeKVIntoMatchesContiguousExactly(t *testing.T) {
 	pagedGrid(t, func(name string, q, k, v *tensor.Tensor, n int, kv KV) {
 		row := n % q.Tokens
 		want, got := NewOutput(q.Tokens, q.Heads, q.Dim), NewOutput(q.Tokens, q.Heads, q.Dim)
-		if err := DecodeInto(want, q, k, v, row, n); err != nil {
+		if err := DecodeKVInto(want, q, oneRun(k, v, n), row); err != nil {
 			t.Fatal(err)
 		}
 		if err := DecodeKVInto(got, q, kv, row); err != nil {
@@ -163,11 +163,11 @@ func TestKVEntriesRejectBadRuns(t *testing.T) {
 		if err := DecodeKVInto(out, q, kv, 0); err == nil {
 			t.Errorf("DecodeKVInto, %s: accepted", name)
 		}
-		if err := GQAKVInto(out, q, kv, Decode(3)); err == nil {
+		if err := GQAKVInto(out, q, kv, PartialCausal(1, 2)); err == nil {
 			t.Errorf("GQAKVInto, %s: accepted", name)
 		}
 	}
-	if err := GQAKVInto(out, q, KV{Heads: 2, Dim: 8, Runs: []Run{good}}, Decode(4)); err == nil {
+	if err := GQAKVInto(out, q, KV{Heads: 2, Dim: 8, Runs: []Run{good}}, PartialCausal(1, 3)); err == nil {
 		t.Error("a mask over more rows than the runs hold: accepted")
 	}
 }

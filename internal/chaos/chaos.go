@@ -348,7 +348,6 @@ type Injector struct {
 	linkOps  map[[2]int]int64 // cumulative data frames per directed link
 	rankOps  map[int]int64    // cumulative sends per acting rank
 	crashed  map[int]bool     // ranks dead until the next Wrap
-	counts   map[Kind]int64
 }
 
 // NewInjector builds an injector for the schedule (nil = empty).
@@ -363,7 +362,6 @@ func NewInjector(s *Schedule) *Injector {
 		linkOps:  make(map[[2]int]int64),
 		rankOps:  make(map[int]int64),
 		crashed:  map[int]bool{},
-		counts:   map[Kind]int64{},
 	}
 	for i, f := range s.Faults {
 		if f.Kind == KindSlow {
@@ -371,28 +369,6 @@ func NewInjector(s *Schedule) *Injector {
 		}
 	}
 	return in
-}
-
-// Counts returns this injector's injected-fault counts by kind.
-func (in *Injector) Counts() map[Kind]int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[Kind]int64, len(in.counts))
-	for k, v := range in.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Injected returns the total faults this injector has fired.
-func (in *Injector) Injected() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var n int64
-	for _, v := range in.counts {
-		n += v
-	}
-	return n
 }
 
 // Wrap returns t with the schedule armed on it. A new incarnation of a
@@ -467,7 +443,6 @@ func (in *Injector) tapFrame(src, dst int, frame []byte) [][]byte {
 	}
 	if fire != nil {
 		in.fired[fireIdx] = true
-		in.counts[fire.Kind]++
 	}
 	in.mu.Unlock()
 	if fire == nil {
@@ -526,7 +501,6 @@ func (in *Injector) beforeSend(t transport.Transport, src, dst int) (delay time.
 			if f.Src == src && f.Dst == dst && linkStep >= f.Step && in.slowLeft[i] > 0 {
 				in.slowLeft[i]--
 				delay += f.Delay
-				in.counts[KindSlow]++
 				countFault(KindSlow)
 				if in.slowLeft[i] == 0 {
 					in.fired[i] = true
@@ -544,7 +518,6 @@ func (in *Injector) beforeSend(t transport.Transport, src, dst int) (delay time.
 	}
 	for _, a := range acts {
 		in.fired[a.idx] = true
-		in.counts[a.f.Kind]++
 	}
 	crashNow := false
 	for _, a := range acts {

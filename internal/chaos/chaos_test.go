@@ -94,6 +94,7 @@ func TestDropFiresAtExactStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := NewInjector(sched)
+	before := fired(KindDrop)
 	wrapped, err := in.Wrap(transport.NewMem(2))
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +110,7 @@ func TestDropFiresAtExactStep(t *testing.T) {
 			t.Errorf("send %d after drop: got %v, want ErrLinkFailed", i+3, e)
 		}
 	}
-	if got := in.Counts()[KindDrop]; got != 1 {
+	if got := fired(KindDrop) - before; got != 1 {
 		t.Errorf("drop count = %d, want 1 (one-shot)", got)
 	}
 }
@@ -120,6 +121,7 @@ func TestSlowDelaysWithoutFailing(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := NewInjector(sched)
+	before := fired(KindSlow)
 	wrapped, err := in.Wrap(transport.NewMem(2))
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +135,7 @@ func TestSlowDelaysWithoutFailing(t *testing.T) {
 	if d := time.Since(start); d < 15*time.Millisecond {
 		t.Errorf("8 sends took %v, want >= 15ms (3 x 5ms delays)", d)
 	}
-	if got := in.Counts()[KindSlow]; got != 3 {
+	if got := fired(KindSlow) - before; got != 3 {
 		t.Errorf("slow count = %d, want 3 (span)", got)
 	}
 }
@@ -144,6 +146,7 @@ func TestCrashPoisonsRankUntilRewrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := NewInjector(sched)
+	before := fired(KindCrash)
 	mem := transport.NewMem(2)
 	wrapped, err := in.Wrap(mem)
 	if err != nil {
@@ -172,7 +175,7 @@ func TestCrashPoisonsRankUntilRewrap(t *testing.T) {
 			t.Errorf("post-rewrap send %d: %v", i, e)
 		}
 	}
-	if got := in.Counts()[KindCrash]; got != 1 {
+	if got := fired(KindCrash) - before; got != 1 {
 		t.Errorf("crash count = %d, want 1", got)
 	}
 }
@@ -183,6 +186,7 @@ func TestPartitionCutsCrossLinksOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := NewInjector(sched)
+	before := fired(KindPartition)
 	wrapped, err := in.Wrap(transport.NewMem(3))
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +202,7 @@ func TestPartitionCutsCrossLinksOnly(t *testing.T) {
 	if err := wrapped.Send(0, 2, "c", time.Second); !errors.Is(err, transport.ErrLinkFailed) {
 		t.Errorf("cross-partition send: got %v, want ErrLinkFailed", err)
 	}
-	if got := in.Counts()[KindPartition]; got != 1 {
+	if got := fired(KindPartition) - before; got != 1 {
 		t.Errorf("partition count = %d, want 1", got)
 	}
 }
@@ -281,10 +285,11 @@ func TestTapFrameMutations(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(string(tc.kind), func(t *testing.T) {
 			in := NewInjector(&Schedule{Faults: []Fault{{Kind: tc.kind, Src: 0, Dst: 1, Step: 0, Span: 1}}})
+			before := fired(tc.kind)
 			// Advance the link clock the way Send would, then tap.
 			in.beforeSend(transport.NewMem(2), 0, 1)
 			tc.want(t, in.tapFrame(0, 1, frame))
-			if got := in.Counts()[tc.kind]; got != 1 {
+			if got := fired(tc.kind) - before; got != 1 {
 				t.Errorf("count = %d, want 1", got)
 			}
 			// One-shot: the next frame passes through untouched.
@@ -294,4 +299,11 @@ func TestTapFrameMutations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fired is how many faults of kind k this process has injected so far.
+func fired(k Kind) int64 {
+	totalsMu.Lock()
+	defer totalsMu.Unlock()
+	return totals[k]
 }

@@ -57,8 +57,7 @@ func WithRecvTimeout(d time.Duration) Option {
 	}
 }
 
-// Stats aggregates traffic counters for one rank (or, via TotalStats, all
-// locally hosted ranks).
+// Stats aggregates traffic counters for one rank.
 type Stats struct {
 	Messages map[Kind]int64
 	Bytes    map[Kind]float64
@@ -90,17 +89,6 @@ func (s Stats) TotalMessages() int64 {
 		t += m
 	}
 	return t
-}
-
-// Add accumulates other into s (used when aggregating per-rank snapshots
-// across processes).
-func (s *Stats) Add(other Stats) {
-	for k, v := range other.Messages {
-		s.Messages[k] += v
-	}
-	for k, v := range other.Bytes {
-		s.Bytes[k] += v
-	}
 }
 
 // World is a process group of N ranks over one transport. In a distributed
@@ -175,9 +163,6 @@ func (w *World) Failures() <-chan transport.FailureEvent { return w.t.Failures()
 // it return an error.
 func (w *World) FailLink(src, dst int) { w.t.FailLink(src, dst) }
 
-// HealLink restores a previously failed link.
-func (w *World) HealLink(src, dst int) { w.t.HealLink(src, dst) }
-
 func (w *World) account(src, dst int, kind Kind, bytes float64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -203,17 +188,6 @@ func (w *World) RankStats(r int) Stats {
 	}
 	for k, v := range w.stats[r].Bytes {
 		out.Bytes[k] = v
-	}
-	return out
-}
-
-// TotalStats returns traffic summed over all ranks hosted in this process
-// (all ranks for the in-memory transport).
-func (w *World) TotalStats() Stats {
-	out := Stats{Messages: make(map[Kind]int64), Bytes: make(map[Kind]float64)}
-	for r := 0; r < w.N; r++ {
-		s := w.RankStats(r)
-		out.Add(s)
 	}
 	return out
 }
@@ -254,16 +228,6 @@ func (w *World) LinkStats() []wire.LinkStat {
 		out[i] = *merged[k]
 	}
 	return out
-}
-
-// ResetStats zeroes all traffic counters.
-func (w *World) ResetStats() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for r := range w.stats {
-		w.stats[r] = newStats()
-	}
-	w.links = make(map[[2]int]*linkAgg)
 }
 
 // Rank is one participant's handle into the world. Its methods are called
@@ -367,17 +331,6 @@ func (r *Rank) SendRecv(dst, src int, msg any, bytes float64) (any, error) {
 	return r.recv(src)
 }
 
-// All2All sends msgs[i] to rank i (msgs[self] is returned locally without
-// touching the network) and returns the slice of messages received from each
-// rank, indexed by source. bytes[i] is the accounted payload of msgs[i].
-func (r *Rank) All2All(msgs []any, bytes []float64) ([]any, error) {
-	out := make([]any, r.w.N)
-	if err := r.All2AllInto(out, msgs, bytes); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // All2AllInto is All2All receiving into a caller-owned slice of length N,
 // for callers that run the exchange every step and keep the slice.
 func (r *Rank) All2AllInto(out, msgs []any, bytes []float64) error {
@@ -465,6 +418,8 @@ func (w *World) Run(fn func(r *Rank) error) error {
 
 // RunCollect executes fn on every locally hosted rank and returns each
 // rank's result, indexed by rank id, failing on the first error.
+//
+//cplint:allow testonly the ring tests (TestPrefillRowsKeepBitsAndTraffic) collect per-rank outputs with it
 func RunCollect[T any](w *World, fn func(r *Rank) (T, error)) ([]T, error) {
 	out := make([]T, w.N)
 	err := w.Run(func(r *Rank) error {

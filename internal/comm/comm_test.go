@@ -55,7 +55,7 @@ func TestSendRecvByteAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := w.TotalStats()
+	total := totalStats(w)
 	// Each of 3 ranks sends 2 messages of 100 bytes.
 	if total.Messages[KindSendRecv] != 6 {
 		t.Fatalf("sendrecv messages = %d, want 6", total.Messages[KindSendRecv])
@@ -75,8 +75,8 @@ func TestAll2All(t *testing.T) {
 			msgs[d] = [2]int{r.ID, d} // (from, to)
 			sizes[d] = 10
 		}
-		got, err := r.All2All(msgs, sizes)
-		if err != nil {
+		got := make([]any, n)
+		if err := r.All2AllInto(got, msgs, sizes); err != nil {
 			return err
 		}
 		for src := 0; src < n; src++ {
@@ -91,7 +91,7 @@ func TestAll2All(t *testing.T) {
 		t.Fatal(err)
 	}
 	// N*(N-1) network messages; the self slot is local.
-	total := w.TotalStats()
+	total := totalStats(w)
 	if total.Messages[KindAll2All] != int64(n*(n-1)) {
 		t.Fatalf("all2all messages = %d, want %d", total.Messages[KindAll2All], n*(n-1))
 	}
@@ -100,8 +100,7 @@ func TestAll2All(t *testing.T) {
 func TestAll2AllSizeMismatch(t *testing.T) {
 	w := NewWorld(2)
 	err := w.Run(func(r *Rank) error {
-		_, err := r.All2All(make([]any, 3), make([]float64, 2))
-		if err == nil {
+		if err := r.All2AllInto(make([]any, 2), make([]any, 3), make([]float64, 2)); err == nil {
 			return fmt.Errorf("mismatched all2all accepted")
 		}
 		return nil
@@ -149,7 +148,7 @@ func TestFailLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.HealLink(0, 1)
+	w.Transport().HealLink(0, 1)
 	err = w.Run(func(r *Rank) error {
 		if r.ID == 0 {
 			return r.Send(1, "x", 1)
@@ -230,26 +229,6 @@ func TestRunCollect(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	w := NewWorld(2)
-	if err := w.Run(func(r *Rank) error {
-		if r.ID == 0 {
-			return r.Send(1, 1, 42)
-		}
-		_, err := r.Recv(0)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if w.TotalStats().TotalBytes() != 42 {
-		t.Fatal("bytes not accounted")
-	}
-	w.ResetStats()
-	if w.TotalStats().TotalBytes() != 0 || w.TotalStats().TotalMessages() != 0 {
-		t.Fatal("ResetStats left residue")
-	}
-}
-
 func TestMessageOrderingFIFO(t *testing.T) {
 	w := NewWorld(2)
 	err := w.Run(func(r *Rank) error {
@@ -325,10 +304,6 @@ func TestLinkStatsPerDirectedLink(t *testing.T) {
 			t.Fatalf("in-memory link %d->%d reports wire traffic", l.Src, l.Dst)
 		}
 	}
-	w.ResetStats()
-	if got := w.LinkStats(); len(got) != 0 {
-		t.Fatalf("ResetStats left link residue: %+v", got)
-	}
 }
 
 // TestErrorTextNamesBothEndpoints pins the uniform src->dst error format on
@@ -350,7 +325,7 @@ func TestErrorTextNamesBothEndpoints(t *testing.T) {
 		t.Fatalf("failed-link error %q lacks src->dst", errStr(err))
 	}
 	// Fill the 1-capacity... mailbox capacity is n+1=3; overfill it.
-	w.HealLink(0, 1)
+	w.Transport().HealLink(0, 1)
 	for i := 0; i < 3; i++ {
 		if err := w.Rank(0).Send(1, i, 1); err != nil {
 			t.Fatal(err)
@@ -366,4 +341,19 @@ func errStr(err error) string {
 		return "<nil>"
 	}
 	return err.Error()
+}
+
+// totalStats sums the send-side counters of every rank of w.
+func totalStats(w *World) Stats {
+	out := newStats()
+	for r := 0; r < w.N; r++ {
+		s := w.RankStats(r)
+		for k, v := range s.Messages {
+			out.Messages[k] += v
+		}
+		for k, v := range s.Bytes {
+			out.Bytes[k] += v
+		}
+	}
+	return *out
 }

@@ -91,9 +91,6 @@ func (b *Backoff) Next() (time.Duration, bool) {
 	return time.Duration(float64(d) * frac), true
 }
 
-// Attempts reports how many delays Next has produced.
-func (b *Backoff) Attempts() int { return b.attempt }
-
 // Exhausted formats the budget-exhausted error with the last cause.
 func (b *Backoff) Exhausted(lastErr error) error {
 	return fmt.Errorf("retry budget exhausted after %d attempts: %w", b.attempt, lastErr)

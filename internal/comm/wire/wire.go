@@ -966,6 +966,8 @@ func Append(buf []byte, v any) ([]byte, error) {
 
 // Decode parses one encoded payload (type id byte plus body, no length
 // prefix). Trailing bytes are a framing error.
+//
+//cplint:allow testonly FuzzDecode drives the one-shot decoder
 func Decode(b []byte) (any, error) {
 	f, err := decodeInto(b, nil)
 	if err != nil {

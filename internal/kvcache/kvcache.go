@@ -25,7 +25,6 @@ package kvcache
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/attention"
 	"repro/internal/tensor"
@@ -248,21 +247,9 @@ func (c *Cache) releaseRef(ref pageRef) {
 	}
 }
 
-// Get materializes the cached K, V and positions of a sequence as contiguous
-// tensors, in append order. Returns empty tensors for unknown sequences.
-func (c *Cache) Get(seq int) (k, v *tensor.Tensor, pos []int) {
-	n := c.SeqLen(seq)
-	k = tensor.New(n, c.cfg.KVHeads, c.cfg.HeadDim)
-	v = tensor.New(n, c.cfg.KVHeads, c.cfg.HeadDim)
-	pos = make([]int, n)
-	c.CopyRange(seq, 0, k.Data, v.Data, pos)
-	return k, v, pos
-}
-
 // CopyRange copies cached rows [lo, SeqLen) of a sequence, in append order,
 // into the caller's row-major buffers: k and v must hold at least
-// (SeqLen-lo)*KVHeads*HeadDim floats and pos as many ints. It is the
-// allocation-free companion to Get (which delegates to it): the ring layer
+// (SeqLen-lo)*KVHeads*HeadDim floats and pos as many ints. The ring layer
 // copies a sequence's rows straight into the KV block it ships to its peers.
 // Returns the rows copied; lo past the end, or an unknown sequence, copies
 // nothing.
@@ -343,15 +330,6 @@ func (c *Cache) MaxPos(seq int) int {
 // page's rows counted once, however many sequences and spans share it.
 func (c *Cache) TotalTokens() int { return c.total }
 
-// NumPages returns the referenced page count for a sequence.
-func (c *Cache) NumPages(seq int) int {
-	sc := c.seqs[seq]
-	if sc == nil {
-		return 0
-	}
-	return len(sc.refs)
-}
-
 // Capacity returns the configured token capacity (0 = unlimited).
 func (c *Cache) Capacity() int { return c.cfg.Capacity }
 
@@ -372,22 +350,6 @@ func (c *Cache) Drop(seq int) {
 		c.releaseRef(ref)
 	}
 	delete(c.seqs, seq)
-}
-
-// Sequences returns the cached sequence ids in ascending order.
-func (c *Cache) Sequences() []int {
-	out := make([]int, 0, len(c.seqs))
-	for s := range c.seqs {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// BytesUsed returns the cache footprint in bytes at the given element width
-// and layer count, using the paper's 2*NKV*DH*e per token per layer.
-func (c *Cache) BytesUsed(elemBytes float64, layers int) float64 {
-	return float64(c.total) * 2 * float64(c.cfg.KVHeads) * float64(c.cfg.HeadDim) * elemBytes * float64(layers)
 }
 
 // ---------------------------------------------------------------------------

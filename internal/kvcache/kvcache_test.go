@@ -11,6 +11,16 @@ import (
 	"repro/internal/tensor"
 )
 
+// get materializes a sequence's cached K, V and positions as contiguous
+// tensors, in append order.
+func get(c *Cache, seq int) (k, v *tensor.Tensor, pos []int) {
+	n := c.SeqLen(seq)
+	k, v = tensor.New(n, c.KVHeads(), c.HeadDim()), tensor.New(n, c.KVHeads(), c.HeadDim())
+	pos = make([]int, n)
+	c.CopyRange(seq, 0, k.Data, v.Data, pos)
+	return k, v, pos
+}
+
 func mustNew(t *testing.T, cfg Config) *Cache {
 	t.Helper()
 	c, err := New(cfg)
@@ -38,7 +48,7 @@ func TestAppendGetRoundTrip(t *testing.T) {
 	if err := c.Append(7, k, v, pos); err != nil {
 		t.Fatal(err)
 	}
-	gk, gv, gpos := c.Get(7)
+	gk, gv, gpos := get(c, 7)
 	if tensor.MaxAbsDiff(gk, k) != 0 || tensor.MaxAbsDiff(gv, v) != 0 {
 		t.Fatal("Get returned different tensors than appended")
 	}
@@ -53,18 +63,18 @@ func TestAppendSkipsPaddingRows(t *testing.T) {
 	c := mustNew(t, Config{KVHeads: 1, HeadDim: 2})
 	k := tensor.New(4, 1, 2)
 	v := tensor.New(4, 1, 2)
-	k.Set(2, 0, 0, 5)
+	k.Row(2, 0)[0] = 5
 	if err := c.Append(0, k, v, []int{0, -1, 3, -1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.SeqLen(0); got != 2 {
 		t.Fatalf("SeqLen = %d, want 2 (padding skipped)", got)
 	}
-	gk, _, gpos := c.Get(0)
+	gk, _, gpos := get(c, 0)
 	if gpos[0] != 0 || gpos[1] != 3 {
 		t.Fatalf("positions = %v, want [0 3]", gpos)
 	}
-	if gk.At(1, 0, 0) != 5 {
+	if gk.Row(1, 0)[0] != 5 {
 		t.Fatal("kept wrong rows")
 	}
 }
@@ -121,18 +131,18 @@ func TestPaging(t *testing.T) {
 	c := mustNew(t, Config{KVHeads: 1, HeadDim: 1, PageSize: 3})
 	for i := 0; i < 7; i++ {
 		k := tensor.New(1, 1, 1)
-		k.Set(0, 0, 0, float32(i))
+		k.Row(0, 0)[0] = float32(i)
 		if err := c.Append(0, k, tensor.New(1, 1, 1), []int{i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := c.NumPages(0); got != 3 { // ceil(7/3)
-		t.Fatalf("NumPages = %d, want 3", got)
+	if got := len(c.Runs(nil, 0)); got != 3 { // ceil(7/3)
+		t.Fatalf("%d pages, want 3", got)
 	}
-	gk, _, gpos := c.Get(0)
+	gk, _, gpos := get(c, 0)
 	for i := 0; i < 7; i++ {
-		if gk.At(i, 0, 0) != float32(i) || gpos[i] != i {
-			t.Fatalf("paged contents wrong at %d: %v %v", i, gk.At(i, 0, 0), gpos[i])
+		if gk.Row(i, 0)[0] != float32(i) || gpos[i] != i {
+			t.Fatalf("paged contents wrong at %d: %v %v", i, gk.Row(i, 0)[0], gpos[i])
 		}
 	}
 }
@@ -167,38 +177,9 @@ func TestDropFreesCapacity(t *testing.T) {
 	}
 }
 
-func TestSequencesSorted(t *testing.T) {
-	c := mustNew(t, Config{KVHeads: 1, HeadDim: 1})
-	for _, s := range []int{5, 1, 3} {
-		k := tensor.New(1, 1, 1)
-		if err := c.Append(s, k, tensor.New(1, 1, 1), []int{0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := c.Sequences()
-	want := []int{1, 3, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Sequences = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestBytesUsed(t *testing.T) {
-	c := mustNew(t, Config{KVHeads: 8, HeadDim: 128})
-	k := tensor.New(10, 8, 128)
-	if err := c.Append(0, k, tensor.New(10, 8, 128), seqPos(10)); err != nil {
-		t.Fatal(err)
-	}
-	// 10 tokens * 2 * 8 * 128 * 2 bytes * 126 layers = 5160960.
-	if got := c.BytesUsed(2, 126); got != 5160960 {
-		t.Fatalf("BytesUsed = %v, want 5160960", got)
-	}
-}
-
 func TestGetUnknownSequenceEmpty(t *testing.T) {
 	c := mustNew(t, Config{KVHeads: 2, HeadDim: 2})
-	k, v, pos := c.Get(42)
+	k, v, pos := get(c, 42)
 	if k.Tokens != 0 || v.Tokens != 0 || len(pos) != 0 {
 		t.Fatal("unknown sequence should be empty")
 	}
@@ -226,8 +207,8 @@ func TestPropertyAppendSliceInvariance(t *testing.T) {
 		if err := two.Append(0, k.SliceTokens(cut, n), v.SliceTokens(cut, n), pos[cut:]); err != nil {
 			return false
 		}
-		k1, v1, p1 := one.Get(0)
-		k2, v2, p2 := two.Get(0)
+		k1, v1, p1 := get(one, 0)
+		k2, v2, p2 := get(two, 0)
 		if tensor.MaxAbsDiff(k1, k2) != 0 || tensor.MaxAbsDiff(v1, v2) != 0 {
 			return false
 		}
@@ -264,7 +245,7 @@ func TestPropertyTotalMatchesSum(t *testing.T) {
 			}
 		}
 		sum := 0
-		for _, s := range c.Sequences() {
+		for s := range 3 {
 			sum += c.SeqLen(s)
 		}
 		return sum == c.TotalTokens()
@@ -288,7 +269,7 @@ func fill(t *testing.T, c *Cache, seq, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		k := tensor.New(1, 1, 1)
-		k.Set(0, 0, 0, float32(seq*100+i))
+		k.Row(0, 0)[0] = float32(seq*100 + i)
 		if err := c.Append(seq, k, tensor.New(1, 1, 1), []int{i}); err != nil {
 			t.Fatal(err)
 		}
@@ -314,13 +295,13 @@ func TestSpanSurvivesDonorDrop(t *testing.T) {
 	if err := c.AdoptSpan(7, sp); err != nil {
 		t.Fatal(err)
 	}
-	gk, _, gpos := c.Get(7)
+	gk, _, gpos := get(c, 7)
 	if gk.Tokens != 4 {
 		t.Fatalf("adopted rows = %d, want 4", gk.Tokens)
 	}
 	for i := 0; i < 4; i++ {
-		if gk.At(i, 0, 0) != float32(i) || gpos[i] != i {
-			t.Fatalf("adopted row %d = (%v,%d)", i, gk.At(i, 0, 0), gpos[i])
+		if gk.Row(i, 0)[0] != float32(i) || gpos[i] != i {
+			t.Fatalf("adopted row %d = (%v,%d)", i, gk.Row(i, 0)[0], gpos[i])
 		}
 	}
 	// Adoption shares pages: no physical growth.
@@ -356,17 +337,17 @@ func TestAdoptCopyOnWrite(t *testing.T) {
 	// Appending through the shared, truncated tail page must copy-on-write:
 	// the donor's fourth row stays intact.
 	k := tensor.New(1, 1, 1)
-	k.Set(0, 0, 0, 999)
+	k.Row(0, 0)[0] = 999
 	if err := c.Append(1, k, tensor.New(1, 1, 1), []int{3}); err != nil {
 		t.Fatal(err)
 	}
-	dk, _, _ := c.Get(0)
-	if dk.At(3, 0, 0) != 3 {
-		t.Fatalf("donor row clobbered: %v", dk.At(3, 0, 0))
+	dk, _, _ := get(c, 0)
+	if dk.Row(3, 0)[0] != 3 {
+		t.Fatalf("donor row clobbered: %v", dk.Row(3, 0)[0])
 	}
-	ak, _, apos := c.Get(1)
-	if ak.At(3, 0, 0) != 999 || apos[3] != 3 {
-		t.Fatalf("adopter row = (%v,%d), want (999,3)", ak.At(3, 0, 0), apos[3])
+	ak, _, apos := get(c, 1)
+	if ak.Row(3, 0)[0] != 999 || apos[3] != 3 {
+		t.Fatalf("adopter row = (%v,%d), want (999,3)", ak.Row(3, 0)[0], apos[3])
 	}
 	// Physical accounting: donor page (4) + COW clone page (4 rows: 3
 	// cloned + 1 appended).
@@ -485,7 +466,7 @@ func TestAppendOverheadReportsCOW(t *testing.T) {
 // and largest position.
 func checkView(t *testing.T, c *Cache, seq int, what string) {
 	t.Helper()
-	gk, gv, gpos := c.Get(seq)
+	gk, gv, gpos := get(c, seq)
 	runs := c.Runs(nil, seq)
 	rowLen := c.KVHeads() * c.HeadDim()
 	var k, v []float32
@@ -520,7 +501,7 @@ func TestRunsOnlyTailPartial(t *testing.T) {
 	fill2 := func(seq, from, n int) {
 		for i := from; i < from+n; i++ {
 			k := tensor.New(1, 1, 2)
-			k.Set(0, 0, 1, float32(seq*1000+i))
+			k.Row(0, 0)[1] = float32(seq*1000 + i)
 			if err := c.Append(seq, k, tensor.New(1, 1, 2), []int{i}); err != nil {
 				t.Fatal(err)
 			}

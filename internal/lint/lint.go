@@ -3,8 +3,9 @@
 // soak and bit-identity test defends at run time — no wall clocks or global
 // randomness in deterministic paths, no map-iteration order leaking into
 // encoders or float accumulation, exhaustive wire frame-kind switches, no
-// mutex held across a channel send or conn write, and every cp_* metric
-// series pre-registered.
+// mutex held across a channel send or conn write, every cp_* metric series
+// pre-registered, and no exported function under internal/ that only tests
+// call.
 //
 // The suite is stdlib-only (go/parser, go/ast, go/types via the source
 // importer) and driven by cmd/cplint. A finding can be suppressed in place
@@ -50,6 +51,7 @@ func Analyzers() []*Analyzer {
 		wireExhaustiveAnalyzer(),
 		lockSendAnalyzer(),
 		metricRegAnalyzer(),
+		testOnlyAnalyzer(),
 	}
 }
 

@@ -42,6 +42,8 @@ type Module struct {
 	groups     map[types.Object]*constGroup
 	regOnce    sync.Once
 	reg        map[string]bool
+	usedOnce   sync.Once
+	used       map[*types.Func]bool
 }
 
 // Position resolves a node to a module-relative file path and line.
@@ -252,6 +254,8 @@ func LoadModule(root string) (*Module, error) {
 // LoadPackage loads the single package at the module-relative dir rel
 // (module deps are type-checked as needed but only the target is listed in
 // the returned Module). Used by tests that lint one package in isolation.
+//
+//cplint:allow testonly TestNoGlobalRand lints one package with it
 func LoadPackage(root, rel string) (*Module, *Package, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -277,6 +281,8 @@ func LoadPackage(root, rel string) (*Module, *Package, error) {
 // LoadDir loads a standalone directory of Go files as a single-package
 // module with import path "fixture/<base>" — the fixture-test loader.
 // Fixtures may import only the standard library.
+//
+//cplint:allow testonly TestFixtures loads each testdata fixture with it
 func LoadDir(dir string) (*Module, *Package, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {

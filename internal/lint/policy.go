@@ -72,5 +72,8 @@ func DefaultPolicy() Policy {
 			"internal/transformer",
 			"internal/trace",
 		},
+		// An exported function or method under internal/ has a caller
+		// outside the tests, or an allow naming the test it serves.
+		"testonly": {"internal"},
 	}
 }

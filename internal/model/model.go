@@ -40,9 +40,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// GroupSize returns NH/NKV, the number of query heads sharing one KV head.
-func (c Config) GroupSize() int { return c.NumHeads / c.NumKV }
-
 // KVRatio returns NKV/NH as a float, the message-size advantage of passing
 // KV versus Q for one token (before the factor 2 for K and V).
 func (c Config) KVRatio() float64 { return float64(c.NumKV) / float64(c.NumHeads) }
@@ -115,23 +112,6 @@ func Tiny() Config {
 	}
 }
 
-// TinyMHA returns a small multi-head-attention config (NKV == NH), the
-// regime where passing Q is never larger than passing KV.
-func TinyMHA() Config {
-	return Config{
-		Name:      "tiny-mha",
-		Layers:    2,
-		ModelDim:  32,
-		FFNDim:    64,
-		NumHeads:  4,
-		NumKV:     4,
-		HeadDim:   8,
-		Params:    1e5,
-		ElemBytes: 2,
-		VocabSize: 256,
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Cost formulas (Table 3 and Appendix A).
 // ---------------------------------------------------------------------------
@@ -143,10 +123,6 @@ func TinyMHA() Config {
 func (c Config) AttnFLOPsPartial(T, P int) float64 {
 	return 4 * float64(T) * float64(c.ModelDim) * float64(T+P)
 }
-
-// AttnFLOPsFull returns the attention FLOPs per layer for a full prefill of
-// T tokens: 4*T^2*D (Table 3, the P = 0 special case).
-func (c Config) AttnFLOPsFull(T int) float64 { return c.AttnFLOPsPartial(T, 0) }
 
 // AttnFLOPsCausal returns total causal attention FLOPs across all layers for
 // a full prefill, with the 1/2 causal-mask discount used by the MFU

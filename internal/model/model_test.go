@@ -7,7 +7,7 @@ import (
 )
 
 func TestAllConfigsValidate(t *testing.T) {
-	for _, c := range []Config{Llama3405B(), Llama370B(), Llama38B(), Tiny(), TinyMHA()} {
+	for _, c := range []Config{Llama3405B(), Llama370B(), Llama38B(), Tiny(), tinyMHA()} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("config %s failed validation: %v", c.Name, err)
 		}
@@ -40,15 +40,15 @@ func TestLlama3405BMatchesTable9(t *testing.T) {
 		c.NumHeads != 128 || c.NumKV != 8 {
 		t.Fatalf("Llama3 405B config deviates from Table 9: %+v", c)
 	}
-	if c.GroupSize() != 16 {
-		t.Fatalf("GroupSize = %d, want 16 (the paper's 16x KV message advantage)", c.GroupSize())
+	if c.NumHeads/c.NumKV != 16 {
+		t.Fatalf("group size = %d, want 16 (the paper's 16x KV message advantage)", c.NumHeads/c.NumKV)
 	}
 }
 
 func TestKVRatioAndGroupSizeInverse(t *testing.T) {
 	c := Llama3405B()
-	if got := c.KVRatio() * float64(c.GroupSize()); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("KVRatio*GroupSize = %v, want 1", got)
+	if got := c.KVRatio() * float64(c.NumHeads/c.NumKV); math.Abs(got-1) > 1e-12 {
+		t.Fatalf("KVRatio*NH/NKV = %v, want 1", got)
 	}
 }
 
@@ -72,16 +72,6 @@ func TestAppendixAFLOPsAccounting(t *testing.T) {
 	total := c.TotalPrefillFLOPs(1, T)
 	if total < 4.8e18 || total > 5.1e18 {
 		t.Fatalf("total FLOPs = %.4g, want ~4.9e18 per Appendix A", total)
-	}
-}
-
-// Table 3 special cases: full prefill is partial prefill with P=0.
-func TestAttnFLOPsFullIsPartialAtPZero(t *testing.T) {
-	c := Llama3405B()
-	for _, T := range []int{1, 128, 4096, 131072} {
-		if c.AttnFLOPsFull(T) != c.AttnFLOPsPartial(T, 0) {
-			t.Fatalf("full != partial(P=0) at T=%d", T)
-		}
 	}
 }
 
@@ -137,7 +127,7 @@ func TestPropertyFLOPsMonotone(t *testing.T) {
 			return false
 		}
 		causal := c.AttnFLOPsCausal(1, T)
-		uncausal := c.AttnFLOPsFull(T) * float64(c.Layers)
+		uncausal := c.AttnFLOPsPartial(T, 0) * float64(c.Layers)
 		return causal <= uncausal
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -148,7 +138,7 @@ func TestPropertyFLOPsMonotone(t *testing.T) {
 // Property: Equation 1's RHS (2*NKV/NH) is exactly the miss-rate threshold at
 // which QBytes(T) equals KVBytes(T, P).
 func TestPropertyEquation1Threshold(t *testing.T) {
-	for _, c := range []Config{Llama3405B(), Llama370B(), Tiny(), TinyMHA()} {
+	for _, c := range []Config{Llama3405B(), Llama370B(), Tiny(), tinyMHA()} {
 		f := func(rawT, rawP uint16) bool {
 			T := int(rawT)%5000 + 1
 			P := int(rawP) % 50000
@@ -168,4 +158,12 @@ func TestKVCacheBytesPerToken(t *testing.T) {
 	if got := c.KVCacheBytesPerToken(); got != 516096 {
 		t.Fatalf("KVCacheBytesPerToken = %v, want 516096", got)
 	}
+}
+
+// tinyMHA is Tiny as multi-head attention (NKV == NH), the regime where
+// passing Q is never larger than passing KV.
+func tinyMHA() Config {
+	c := Tiny()
+	c.Name, c.NumKV = "tiny-mha", c.NumHeads
+	return c
 }

@@ -139,6 +139,8 @@ func (f FreeList[T]) Get() *T {
 }
 
 // Len is the number of idle entries.
+//
+//cplint:allow testonly TestFreeListsDropOversizedEntries drains the kernel free lists with it
 func (f FreeList[T]) Len() int { return len(f.c) }
 
 // Put returns x to the list, or drops it when keep rejects it or the list is

@@ -92,8 +92,7 @@ func ablationSharding() (*table, error) {
 func ablationHeuristics() (*table, error) {
 	s := gtt(4, 1)
 	in := NewInputs(model.Llama3405B(), hw.GTT(), 4)
-	gen := workload.NewGenerator(11)
-	grid := oracleLabels(s, gen.LogGrid(256, 262144, 0.002, 1.0, 12, 10))
+	grid := oracleLabels(s, workload.LogGrid(256, 262144, 0.002, 1.0, 12, 10))
 	fit, err := FitEmpirical(grid)
 	if err != nil {
 		return nil, err

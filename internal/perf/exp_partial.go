@@ -136,8 +136,7 @@ func table5() (*table, error) {
 
 func fig10() (*table, error) {
 	s := gtt(4, 1)
-	gen := workload.NewGenerator(7)
-	grid := oracleLabels(s, gen.LogGrid(256, 262144, 0.002, 1.0, 14, 12))
+	grid := oracleLabels(s, workload.LogGrid(256, 262144, 0.002, 1.0, 14, 12))
 	fit, err := FitEmpirical(grid)
 	if err != nil {
 		return nil, err

@@ -42,17 +42,6 @@ func NewInputs(m model.Config, p hw.Platform, n int) Inputs {
 	}
 }
 
-// Validate checks the inputs.
-func (in Inputs) Validate() error {
-	if err := in.Model.Validate(); err != nil {
-		return err
-	}
-	if in.N <= 0 || in.C <= 0 || in.BW <= 0 {
-		return fmt.Errorf("perf: non-positive N=%d C=%v BW=%v", in.N, in.C, in.BW)
-	}
-	return nil
-}
-
 // Eq1Threshold returns the KV-cache miss-rate threshold 2·NKV/NH of
 // Equation 1: below it, Q embeddings are the smaller message.
 func Eq1Threshold(c model.Config) float64 {

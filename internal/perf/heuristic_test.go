@@ -27,17 +27,6 @@ func oracleGrid(sys System, totals []int, missRates []float64) []LabeledPoint {
 	return oracleLabels(sys, pts)
 }
 
-func TestInputsValidate(t *testing.T) {
-	if err := gttInputs(4).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := gttInputs(4)
-	bad.N = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero ranks accepted")
-	}
-}
-
 // §4.2.4 validation: Eq 1's threshold for Llama3 405B is 12.5% — above it
 // pass-KV is always selected.
 func TestEq1ThresholdLlama(t *testing.T) {
@@ -46,7 +35,9 @@ func TestEq1ThresholdLlama(t *testing.T) {
 		t.Fatalf("Eq1 threshold = %v, want 0.125 (= 2*8/128)", got)
 	}
 	// For MHA (NKV == NH) the threshold is 2: pass-KV always wins on size.
-	if Eq1Threshold(model.TinyMHA()) != 2 {
+	mha := model.Tiny()
+	mha.NumKV = mha.NumHeads
+	if Eq1Threshold(mha) != 2 {
 		t.Fatal("MHA threshold should be 2")
 	}
 }

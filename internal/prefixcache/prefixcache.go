@@ -64,15 +64,6 @@ type Stats struct {
 	Capacity  int `json:"capacity"`
 }
 
-// HitRate returns hit tokens over looked-up tokens.
-func (s Stats) HitRate() float64 {
-	total := s.HitTokens + s.MissTokens
-	if total == 0 {
-		return 0
-	}
-	return float64(s.HitTokens) / float64(total)
-}
-
 type node struct {
 	parent   *node
 	key      string // block token encoding (blockKey), "" for the root
@@ -268,16 +259,6 @@ func (t *Tree) Clear() {
 	defer t.mu.Unlock()
 	t.evictLocked(t.stats.Tokens)
 }
-
-// Tokens returns the tokens currently cached.
-func (t *Tree) Tokens() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats.Tokens
-}
-
-// BlockSize returns the tree's token alignment granularity.
-func (t *Tree) BlockSize() int { return t.cfg.BlockSize }
 
 // Stats snapshots the tree's telemetry.
 func (t *Tree) Stats() Stats {

@@ -147,12 +147,12 @@ func TestEvictTokensDrainsLeavesFirst(t *testing.T) {
 	if len(released) != 2 || released[0] != 3 || released[1] != 2 {
 		t.Fatalf("released = %v, want [3 2]", released)
 	}
-	if tr.Tokens() != 2 {
-		t.Fatalf("tokens = %d, want 2", tr.Tokens())
+	if tr.Stats().Tokens != 2 {
+		t.Fatalf("tokens = %d, want 2", tr.Stats().Tokens)
 	}
 	tr.Clear()
-	if tr.Tokens() != 0 || len(released) != 3 {
-		t.Fatalf("clear left tokens=%d released=%v", tr.Tokens(), released)
+	if tr.Stats().Tokens != 0 || len(released) != 3 {
+		t.Fatalf("clear left tokens=%d released=%v", tr.Stats().Tokens, released)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestStatsCounters(t *testing.T) {
 	if st.InsertedTokens != 8 || st.BlockSize != 4 || st.Capacity != 100 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if r := st.HitRate(); r <= 0.4 || r >= 0.5 {
+	if r := float64(st.HitTokens) / float64(st.HitTokens+st.MissTokens); r <= 0.4 || r >= 0.5 {
 		t.Fatalf("hit rate = %v, want 8/18", r)
 	}
 }

@@ -83,7 +83,7 @@ func (ch chunkedHarness) run(t *testing.T, withBlocks bool) ([]*attention.Output
 }
 
 // The kvcache is the only per-sequence KV store, so a chunked prefill copies
-// exactly the KV rows it ships and no others: pass-KV and all-gather copy, on
+// exactly the KV rows it ships and no others: pass-KV copies, on
 // each chunk, every cached row (from the cache, once per rank) and every new
 // row into the block they send — the whole context so far, the rows Table 2
 // sends — while pass-Q, whose KV stays put, copies none and attends one
@@ -91,9 +91,8 @@ func (ch chunkedHarness) run(t *testing.T, withBlocks bool) ([]*attention.Output
 // bit.
 func TestChunkedPrefillCopiesOnlyShippedRows(t *testing.T) {
 	for name, variant := range map[string]prefillFn{
-		"pass-kv":    PassKVPrefill,
-		"pass-q":     PassQPrefill,
-		"all-gather": AllGatherPrefill,
+		"pass-kv": PassKVPrefill,
+		"pass-q":  PassQPrefill,
 	} {
 		t.Run(name, func(t *testing.T) {
 			ch := chunkedHarness{n: 2, chunk: 8, chunks: 4, variant: variant}
@@ -156,7 +155,7 @@ func newStaleCache(t *testing.T, rng *rand.Rand, positions []int) *kvcache.Cache
 	return cache
 }
 
-var staleVariants = map[string]prefillFn{"pass-kv": PassKVPrefill, "pass-q": PassQPrefill, "all-gather": AllGatherPrefill}
+var staleVariants = map[string]prefillFn{"pass-kv": PassKVPrefill, "pass-q": PassQPrefill}
 
 // A cached row at or past the prefill base — a stale or adopted span that
 // overlaps the new range — would duplicate positions and silently corrupt

@@ -90,7 +90,7 @@ func decodeRun(t *testing.T, world *comm.World, numSeqs, steps int, scratch bool
 			k[l], v[l] = tensor.RandN(rng, numSeqs, nkv, dh), tensor.RandN(rng, numSeqs, nkv, dh)
 		}
 		outs, err := comm.RunCollect(world, func(r *comm.Rank) (*attention.Output, error) {
-			var sweeps []*attention.Output
+			sweeps := new(attention.Output)
 			for l := 0; l < layers; l++ {
 				out, err := PassQDecode(&DecodeInput{
 					Rank: r, NumSeqs: numSeqs, Owned: owned[r.ID], BlockLen: bl,
@@ -100,9 +100,9 @@ func decodeRun(t *testing.T, world *comm.World, numSeqs, steps int, scratch bool
 				if err != nil {
 					return nil, err
 				}
-				sweeps = append(sweeps, out.Clone())
+				sweeps = appendOutput(sweeps, out)
 			}
-			return attention.ConcatOutputs(sweeps...), nil
+			return sweeps, nil
 		})
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
@@ -183,7 +183,7 @@ func TestMailboxExchangeErrorSurface(t *testing.T) {
 		t.Fatalf("wait after a failed send = %v", err)
 	}
 	xfer.drain() // a failed send left nothing to consume: must not block
-	world.HealLink(0, 1)
+	world.Transport().HealLink(0, 1)
 
 	if err := r1.Send(0, "stale", 8); err != nil {
 		t.Fatal(err)

@@ -38,6 +38,8 @@ func init() { overlapEnabled.Store(true) }
 // SetOverlap toggles the ring communication/compute overlap and returns the
 // previous setting. Safe to call concurrently, but toggling mid-pass only
 // affects steps issued after the call.
+//
+//cplint:allow testonly TestOverlapMatchesSynchronousExactly runs the synchronous ring with it
 func SetOverlap(on bool) bool { return overlapEnabled.Swap(on) }
 
 var (

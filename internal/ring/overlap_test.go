@@ -27,7 +27,7 @@ func runOverlapScenario(t *testing.T, n int) ([]*attention.Output, []wire.LinkSt
 	h.prefillTurn([]int{3, 5}, PassQPrefill, "pass-q")
 	h.decodeStep(0)
 	h.decodeStep(1)
-	return h.outs, h.world.LinkStats(), h.world.TotalStats()
+	return h.outs, h.world.LinkStats(), totalStats(h.world)
 }
 
 func requireSameOutputs(t *testing.T, sync, overlap []*attention.Output) {
@@ -199,7 +199,7 @@ func TestOneExchangePathOnEveryTransport(t *testing.T) {
 		h.prefillTurn([]int{3, 5}, PassQPrefill, "pass-q")
 		h.decodeStep(0)
 		h.decodeStep(1)
-		return h.outs, h.world.LinkStats(), h.world.TotalStats()
+		return h.outs, h.world.LinkStats(), totalStats(h.world)
 	}
 	prev := SetOverlap(true)
 	defer SetOverlap(prev)

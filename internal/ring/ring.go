@@ -12,8 +12,6 @@
 //   - PassQDecode — batched ring pass-Q decode (Algorithm 4) with
 //     round-robin, per-step-offset assignment of decode tokens to ranks so
 //     KV-cache growth stays balanced (§3.6).
-//   - AllGatherPrefill — the all-gather pass-KV baseline used in Llama3
-//     training, implemented for the ablation comparison (§3.5.2).
 //
 // All variants are lossless: their outputs are verified against a
 // single-device reference attention in the package tests. Each rank runs in
@@ -522,51 +520,6 @@ func all2allMerge(rank *comm.Rank, m *mergeScratch, elem float64, tr *trace.Swee
 		rank.Recycle(got) // merged; this rank's own partial is ignored
 	}
 	return m.merged, nil
-}
-
-// AllGatherPrefill is the ablation baseline (§3.5.2): every rank gathers all
-// KV up front, then computes local attention in one shot. Same result as the
-// ring variants, but the gather sits on the critical path. The gathered
-// blocks are attended where they arrived, one run each. Returns the local
-// output in plan order, or its Rows, which are then the only queries
-// attended.
-func AllGatherPrefill(in *PrefillInput) (*attention.Output, error) {
-	if err := in.validate(); err != nil {
-		return nil, err
-	}
-	s := in.scratch()
-	defer func() { s.runs = forgetRuns(s.runs) }()
-	qPos, qSeq := in.qMask(s)
-	local, err := in.shippedKV(qPos, nil)
-	if err != nil {
-		return nil, err
-	}
-	gathered, err := in.Rank.AllGather(local, kvBlockBytes(local, in.Elem))
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		for _, g := range gathered {
-			in.Rank.Recycle(g) // attended; this rank's own block is ignored
-		}
-	}()
-	s.runs, s.kvPos, s.kvSeq = s.runs[:0], s.kvPos[:0], s.kvSeq[:0]
-	for _, g := range gathered {
-		blk, ok := g.(*wire.KVBlock)
-		if !ok {
-			return nil, fmt.Errorf("ring: rank %d gathered non-KV payload", in.Rank.ID)
-		}
-		s.runs = append(s.runs, attention.Run{K: blk.K.Data, V: blk.V.Data, Rows: blk.K.Tokens})
-		s.kvPos = append(s.kvPos, blk.Pos...)
-		s.kvSeq = append(s.kvSeq, blk.Seq...)
-	}
-	q, qPos, qSeq := in.queries(s, qPos, qSeq)
-	out := s.out.Fit(q.Tokens, q.Heads, q.Dim)
-	kv := attention.KV{Heads: in.K.Heads, Dim: in.K.Dim, Runs: s.runs}
-	if err := attention.GQAKVInto(out, q, kv, attention.Mask{QPos: qPos, QSeq: qSeq, KVPos: s.kvPos, KVSeq: s.kvSeq}); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // AppendLocalKV persists a rank's new-token KV shard into its cache with

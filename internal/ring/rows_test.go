@@ -64,7 +64,7 @@ func rowsRun(t *testing.T, n int, run prefillFn, rows func(rank, cmd, localLen i
 			if err := AppendLocalKV(caches[r.ID], plan, r.ID, p, nil, k, v); err != nil {
 				return nil, err
 			}
-			return out.Clone(), nil
+			return appendOutput(new(attention.Output), out), nil
 		})
 		if err != nil {
 			t.Fatalf("command %d: %v", ci, err)
@@ -72,12 +72,12 @@ func rowsRun(t *testing.T, n int, run prefillFn, rows func(rank, cmd, localLen i
 		outs = append(outs, got)
 		p = []int{p[0] + lens[0], p[1] + lens[1], p[2] + lens[2]}
 	}
-	return outs, world.TotalStats(), world.LinkStats()
+	return outs, totalStats(world), world.LinkStats()
 }
 
 // Narrowing a prefill to selected rows changes which outputs come back,
-// never their bits and never the traffic. PassKVPrefill, PassQPrefill and
-// AllGatherPrefill at N = 2, 3 and 4 with per-rank Rows drawn at random —
+// never their bits and never the traffic. PassKVPrefill and PassQPrefill at
+// N = 2, 3 and 4 with per-rank Rows drawn at random —
 // none (a rank that still sends and forwards every block), a single slot,
 // every slot in shuffled order — return, for each listed slot, exactly the
 // full run's row (output and LSE), and the world's modeled bytes and messages
@@ -88,7 +88,7 @@ func TestPrefillRowsKeepBitsAndTraffic(t *testing.T) {
 	variants := []struct {
 		name string
 		run  prefillFn
-	}{{"pass-kv", PassKVPrefill}, {"pass-q", PassQPrefill}, {"all-gather", AllGatherPrefill}}
+	}{{"pass-kv", PassKVPrefill}, {"pass-q", PassQPrefill}}
 	for _, variant := range variants {
 		run := variant.run
 		for _, n := range []int{2, 3, 4} {

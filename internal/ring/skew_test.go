@@ -32,7 +32,7 @@ func TestSkewedCacheDistribution(t *testing.T) {
 		1: {7, 8, 9, 10, 11},
 		2: {},
 	}
-	for variantIdx, variant := range []prefillFn{PassKVPrefill, PassQPrefill, AllGatherPrefill} {
+	for variantIdx, variant := range []prefillFn{PassKVPrefill, PassQPrefill} {
 		world := comm.NewWorld(n)
 		caches := make([]*kvcache.Cache, n)
 		for r := 0; r < n; r++ {

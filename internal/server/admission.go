@@ -122,13 +122,8 @@ func (s *Scheduler) GenerateWith(ctx context.Context, session int, prompt []int,
 	return &GenerateResult{Tokens: r.tokens, TTFTMs: r.ttftMs, TTITMs: r.ttitMs}, nil
 }
 
-// Prefill admits the tokens as chunked prefill work for the session and
+// PrefillWith admits the tokens as chunked prefill work for the session and
 // returns the greedy next token once the whole prompt is resident.
-func (s *Scheduler) Prefill(ctx context.Context, session int, tokens []int) (int, error) {
-	return s.PrefillWith(ctx, session, tokens, RequestOptions{})
-}
-
-// PrefillWith is Prefill with per-request options.
 func (s *Scheduler) PrefillWith(ctx context.Context, session int, tokens []int, opts RequestOptions) (int, error) {
 	if len(tokens) == 0 {
 		return 0, fmt.Errorf("server: prefill needs tokens")

@@ -190,12 +190,12 @@ func TestCohortUnknownLabelsBounded(t *testing.T) {
 	rec := srv.Recorder()
 	total := uint64(0)
 	for _, c := range names {
-		total += uint64(rec.CounterSeries("cp_cohort_requests_total", trace.L("cohort", c)).Value())
+		total += uint64(rec.CounterSeries("cp_cohort_requests_total", trace.L("cohort", c)).Snap().Value)
 	}
 	if total != flood {
 		t.Fatalf("requests_total across cohorts = %d, want %d (folding lost traffic)", total, flood)
 	}
-	if rec.CounterSeries("cp_cohort_requests_total", trace.L("cohort", trace.OverflowLabel)).Value() == 0 {
+	if rec.CounterSeries("cp_cohort_requests_total", trace.L("cohort", trace.OverflowLabel)).Snap().Value == 0 {
 		t.Fatal("overflow cohort absorbed no traffic despite flood past the cap")
 	}
 }

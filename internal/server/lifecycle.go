@@ -65,13 +65,6 @@ func (r IterReport) Occupancy() int {
 	return n
 }
 
-// Active reports whether the session has resident KV.
-func (s *Scheduler) Active(session int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prefilled[session]
-}
-
 // Known reports whether the session holds an admission slot or has queued
 // work — including a request still parked behind admission backpressure,
 // which DELETE must be able to shed.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -137,7 +138,7 @@ func TestRingPhaseCountsMatchPlan(t *testing.T) {
 
 	rec := srv.Recorder()
 	for r := 0; r < ranks; r++ {
-		rl := trace.RankLabel(r)
+		rl := strconv.Itoa(r)
 		for _, phase := range []string{"compute", "comm"} {
 			got := rec.Hist("cp_ring_phase_seconds",
 				trace.L("op", "prefill"), trace.L("phase", phase), trace.L("rank", rl)).HistCount()

@@ -18,7 +18,10 @@ func TestDeadlineExpiredWhileQueued(t *testing.T) {
 	s, _ := newManualScheduler(t, SchedulerConfig{MaxSessions: 1})
 	// Session 1 occupies the only admission slot.
 	done1 := make(chan struct{})
-	go func() { defer close(done1); _, _ = s.Prefill(context.Background(), 1, []int{1, 2}) }()
+	go func() {
+		defer close(done1)
+		_, _ = s.PrefillWith(context.Background(), 1, []int{1, 2}, RequestOptions{})
+	}()
 	waitDepths(t, s, 0, 1, 0)
 	drain(s)
 	<-done1
@@ -72,7 +75,10 @@ func TestBrownoutShedsAndRejects(t *testing.T) {
 	s.now = clk.Now // before any request: the backlog ages only when stepped
 	// Session 1 holds the slot — the resident work brownout must protect.
 	done1 := make(chan struct{})
-	go func() { defer close(done1); _, _ = s.Prefill(context.Background(), 1, []int{1, 2}) }()
+	go func() {
+		defer close(done1)
+		_, _ = s.PrefillWith(context.Background(), 1, []int{1, 2}, RequestOptions{})
+	}()
 	waitDepths(t, s, 0, 1, 0)
 	drain(s)
 	<-done1
@@ -168,7 +174,10 @@ func TestBrownoutDisabledByDefault(t *testing.T) {
 	clk := &steppedClock{t: time.Unix(1_700_000_000, 0)}
 	s.now = clk.Now
 	done1 := make(chan struct{})
-	go func() { defer close(done1); _, _ = s.Prefill(context.Background(), 1, []int{1, 2}) }()
+	go func() {
+		defer close(done1)
+		_, _ = s.PrefillWith(context.Background(), 1, []int{1, 2}, RequestOptions{})
+	}()
 	waitDepths(t, s, 0, 1, 0)
 	drain(s)
 	<-done1
@@ -211,7 +220,7 @@ func TestBrownoutDisabledByDefault(t *testing.T) {
 // maps to 429 with a ceil-seconds Retry-After header (floored at 1) and
 // counts in the overload block; other errors carry no header.
 func TestWriteSchedErrRetryAfter(t *testing.T) {
-	srv, _ := newTestServer(t, FIFO)
+	srv, _ := newTestServer(t)
 	rec := httptest.NewRecorder()
 	srv.writeSchedErr(rec, &OverloadError{RetryAfter: 1500 * time.Millisecond})
 	if rec.Code != http.StatusTooManyRequests {
@@ -237,7 +246,7 @@ func TestWriteSchedErrRetryAfter(t *testing.T) {
 // overload blocks with sane zero-state values on a healthy in-process
 // server.
 func TestStatsOverloadBlocks(t *testing.T) {
-	_, ts := newTestServer(t, FIFO)
+	_, ts := newTestServer(t)
 	post(t, ts.URL+"/v1/generate", generateRequest{Session: 1, Prompt: []int{1, 2, 3}, MaxTokens: 2}, nil)
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {

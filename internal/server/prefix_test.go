@@ -226,8 +226,8 @@ search:
 	if len(rep.DecodeSessions) != 1 || rep.DecodeSessions[0] != a {
 		t.Fatalf("iteration decoded %v, want [%d]", rep.DecodeSessions, a)
 	}
-	if !s.Active(a) || s.Active(b) {
-		t.Fatalf("residency after capacity fault: a=%v b=%v", s.Active(a), s.Active(b))
+	if !resident(s, a) || resident(s, b) {
+		t.Fatalf("residency after capacity fault: a=%v b=%v", resident(s, a), resident(s, b))
 	}
 	if r := s.Reuse(); r.CapacityQuarantines != 1 {
 		t.Fatalf("capacity quarantines = %d, want 1", r.CapacityQuarantines)
@@ -241,7 +241,6 @@ func TestStatsPrefillSource(t *testing.T) {
 	srv, err := New(Config{
 		Transformer:       transformer.Tiny(321),
 		Ranks:             2,
-		Policy:            PrefillFirst,
 		Variant:           model.Auto,
 		TokenBudget:       4,
 		PrefixCacheTokens: 4096,

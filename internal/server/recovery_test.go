@@ -217,7 +217,7 @@ func TestRecoveryDisabledPreservesFaulting(t *testing.T) {
 	if !errors.As(err, &execErr) {
 		t.Fatalf("recovery-off failure = %v, want ExecError", err)
 	}
-	if s.Active(1) {
+	if resident(s, 1) {
 		t.Fatal("faulted session still active (not quarantined)")
 	}
 	if rec := s.RecoveryStats(); rec.Enabled || rec.Rebuilds != 0 {
@@ -328,7 +328,7 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 	if rec.LastError == "" {
 		t.Fatal("no last_error recorded")
 	}
-	if s.Active(1) {
+	if resident(s, 1) {
 		t.Fatal("lost session still active")
 	}
 }

@@ -58,31 +58,6 @@ type ExecError struct{ Err error }
 func (e *ExecError) Error() string { return e.Err.Error() }
 func (e *ExecError) Unwrap() error { return e.Err }
 
-// Policy selects how an iteration orders its prefill chunk against its
-// decode batch.
-type Policy int
-
-const (
-	// FIFO runs whichever side of the mixed batch contains the oldest
-	// waiting request first.
-	FIFO Policy = iota
-	// PrefillFirst always runs the prefill chunk before the decode batch,
-	// minimizing TTFT at the cost of decode tail latency — the CP-friendly
-	// schedule.
-	PrefillFirst
-)
-
-func (p Policy) String() string {
-	switch p {
-	case FIFO:
-		return "fifo"
-	case PrefillFirst:
-		return "prefill-first"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
 // Class labels a request for scheduling and accounting.
 type Class string
 
@@ -97,7 +72,6 @@ const DefaultPrefixCacheTokens = 1 << 16
 
 // SchedulerConfig sizes the continuous-batching step loop.
 type SchedulerConfig struct {
-	Policy Policy
 	// Variant selects the prefill ring algorithm; decode rides pass-Q.
 	// model.Auto selects per chunk from the measured KV-cache miss rate
 	// (Equation 1): pass-KV at or above the 2·NKV/NH threshold, pass-Q

@@ -214,7 +214,7 @@ func TestSeamBrownoutTripsAndClears(t *testing.T) {
 	prefill := func(session int) <-chan error {
 		done := make(chan error, 1)
 		enqueue(s, func() {
-			_, err := s.Prefill(context.Background(), session, []int{1, 2})
+			_, err := s.PrefillWith(context.Background(), session, []int{1, 2}, RequestOptions{})
 			done <- err
 		})
 		return done
@@ -240,7 +240,7 @@ func TestSeamBrownoutTripsAndClears(t *testing.T) {
 
 	// One refresh later the window's p90 is the 2×SLO wait: shed.
 	clk.advance(brownoutRefresh)
-	_, err := s.Prefill(context.Background(), 3, []int{1, 2})
+	_, err := s.PrefillWith(context.Background(), 3, []int{1, 2}, RequestOptions{})
 	var oe *OverloadError
 	if !errors.As(err, &oe) {
 		t.Fatalf("admission with the windowed p90 over the SLO = %v, want OverloadError", err)
@@ -276,23 +276,21 @@ func TestSeamBrownoutTripsAndClears(t *testing.T) {
 // sample and the durations of its phase spans are one number, the phase
 // spans tile the iteration, and every queue.wait span ends exactly where the
 // chunk or batch it waited for starts — in single-phase and in mixed
-// iterations, whichever phase leads.
+// iterations.
 func TestSeamIterationClosure(t *testing.T) {
-	for _, policy := range []Policy{FIFO, PrefillFirst} {
-		t.Run(policy.String(), func(t *testing.T) { testIterationClosure(t, policy) })
-	}
+	// FIFO, the scheduler's one admission order.
+	t.Run("fifo", testIterationClosure)
 }
 
-func testIterationClosure(t *testing.T, policy Policy) {
-	s, _, clk := newSeamScheduler(t, SchedulerConfig{TokenBudget: 4, Policy: policy})
+func testIterationClosure(t *testing.T) {
+	s, _, clk := newSeamScheduler(t, SchedulerConfig{TokenBudget: 4})
 	d1 := generateAsync(t, s, 1, seq(1, 6), 6)
 	var d2 func() []int
 	mixed := 0
 	for iter := 0; ; iter++ {
 		if iter == 3 {
 			// Session 1 is decoding by now; session 2's chunks share its
-			// iterations — behind the older decode under FIFO, ahead of it
-			// under PrefillFirst.
+			// iterations, behind the older decode.
 			d2 = generateAsync(t, s, 2, seq(20, 10), 3)
 		}
 		clk.advance(7 * time.Millisecond) // time passes between iterations too
@@ -398,7 +396,7 @@ func TestSeamReplayRetracesLiveCalls(t *testing.T) {
 		s, f, _ = newSeamScheduler(t, SchedulerConfig{TokenBudget: 4, Variant: model.Auto, Recover: true})
 		dd := make(chan error, 1)
 		enqueue(s, func() {
-			_, err := s.Prefill(context.Background(), donor, prompt(40))
+			_, err := s.PrefillWith(context.Background(), donor, prompt(40), RequestOptions{})
 			dd <- err
 		})
 		drain(s)
@@ -509,4 +507,11 @@ func TestSeamReplayRetracesLiveCalls(t *testing.T) {
 		t.Fatalf("reuse = %+v, want 3 hits, %d cached, %d computed (live and replayed alike)",
 			reuse, tokens(all, "adopt"), tokens(all, "prefill"))
 	}
+}
+
+// resident reports whether the session has resident KV.
+func resident(s *Scheduler, session int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.prefilled[session]
 }

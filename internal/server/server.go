@@ -24,7 +24,6 @@ import (
 type Config struct {
 	Transformer transformer.Config
 	Ranks       int
-	Policy      Policy
 	// Variant selects the prefill ring algorithm; decode always rides
 	// pass-Q. Defaults to pass-KV.
 	Variant model.Variant
@@ -164,7 +163,6 @@ func New(cfg Config) (*Server, error) {
 		cfg: cfg,
 		rec: rec,
 		sched: NewScheduler(cluster, SchedulerConfig{
-			Policy:            cfg.Policy,
 			Variant:           cfg.Variant,
 			TokenBudget:       cfg.TokenBudget,
 			MaxBatch:          cfg.MaxBatch,

@@ -16,12 +16,11 @@ import (
 	"repro/internal/transformer"
 )
 
-func newTestServer(t *testing.T, policy Policy) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(Config{
 		Transformer: transformer.Tiny(321),
 		Ranks:       2,
-		Policy:      policy,
 		Variant:     model.PassKV,
 	})
 	if err != nil {
@@ -55,7 +54,7 @@ func post(t *testing.T, url string, body any, out any) *http.Response {
 }
 
 func TestGenerateMatchesReference(t *testing.T) {
-	_, ts := newTestServer(t, FIFO)
+	_, ts := newTestServer(t)
 	prompt := []int{4, 19, 22, 7, 31}
 	var got generateResponse
 	resp := post(t, ts.URL+"/v1/generate",
@@ -86,7 +85,7 @@ func TestGenerateMatchesReference(t *testing.T) {
 }
 
 func TestPrefillDecodeSessionFlow(t *testing.T) {
-	_, ts := newTestServer(t, FIFO)
+	_, ts := newTestServer(t)
 	var pre prefillResponse
 	resp := post(t, ts.URL+"/v1/prefill", prefillRequest{Session: 7, Tokens: []int{1, 2, 3}}, &pre)
 	if resp.StatusCode != http.StatusOK {
@@ -111,7 +110,7 @@ func TestPrefillDecodeSessionFlow(t *testing.T) {
 }
 
 func TestDecodeUnknownSession(t *testing.T) {
-	_, ts := newTestServer(t, FIFO)
+	_, ts := newTestServer(t)
 	resp := post(t, ts.URL+"/v1/decode", decodeRequest{Session: 99, Token: 1}, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", resp.StatusCode)
@@ -119,7 +118,7 @@ func TestDecodeUnknownSession(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, FIFO)
+	_, ts := newTestServer(t)
 	// Empty prompt.
 	resp := post(t, ts.URL+"/v1/generate", generateRequest{Session: 1, MaxTokens: 2}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
@@ -151,7 +150,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, PrefillFirst)
+	_, ts := newTestServer(t)
 	post(t, ts.URL+"/v1/prefill", prefillRequest{Session: 3, Tokens: []int{5, 6, 7, 8}}, nil)
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -162,7 +161,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Ranks != 2 || st.Policy != "prefill-first" || st.Sessions != 1 {
+	if st.Ranks != 2 || st.Sessions != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	total := 0
@@ -193,7 +192,7 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestSessionDelete(t *testing.T) {
-	s, ts := newTestServer(t, FIFO)
+	s, ts := newTestServer(t)
 	post(t, ts.URL+"/v1/prefill", prefillRequest{Session: 2, Tokens: []int{1}}, nil)
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/session/2", nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -205,7 +204,7 @@ func TestSessionDelete(t *testing.T) {
 		t.Fatalf("delete status %d", resp.StatusCode)
 	}
 	// Deletion evicted the KV and released the admission slot.
-	if s.sched.Active(2) || s.sched.Sessions() != 0 {
+	if resident(s.sched, 2) || s.sched.Sessions() != 0 {
 		t.Fatal("session 2 still resident after delete")
 	}
 	// Second delete is a 404.
@@ -224,7 +223,7 @@ func TestSessionDelete(t *testing.T) {
 }
 
 func TestConcurrentSessions(t *testing.T) {
-	_, ts := newTestServer(t, FIFO)
+	_, ts := newTestServer(t)
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for i := 0; i < 4; i++ {
@@ -259,7 +258,6 @@ func TestConcurrentServingMatchesReferences(t *testing.T) {
 	s, err := New(Config{
 		Transformer: transformer.Tiny(321),
 		Ranks:       2,
-		Policy:      PrefillFirst,
 		Variant:     model.PassKV,
 		TokenBudget: 4, // force chunked prefill under load
 	})
@@ -390,7 +388,7 @@ func waitDepths(t *testing.T, s *Scheduler, admit, prefill, decode int) {
 // single-session reference path exactly.
 func TestSchedulerMixedIterationBitIdentical(t *testing.T) {
 	const budget = 4
-	s, w := newManualScheduler(t, SchedulerConfig{Policy: PrefillFirst, TokenBudget: budget})
+	s, w := newManualScheduler(t, SchedulerConfig{TokenBudget: budget})
 
 	promptA := []int{11, 4, 27, 9, 33}
 	promptB := []int{2, 58, 17}
@@ -401,8 +399,14 @@ func TestSchedulerMixedIterationBitIdentical(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(2)
 	var errA, errB error
-	go func() { defer wg.Done(); nextA, errA = s.Prefill(context.Background(), 1, promptA) }()
-	go func() { defer wg.Done(); nextB, errB = s.Prefill(context.Background(), 2, promptB) }()
+	go func() {
+		defer wg.Done()
+		nextA, errA = s.PrefillWith(context.Background(), 1, promptA, RequestOptions{})
+	}()
+	go func() {
+		defer wg.Done()
+		nextB, errB = s.PrefillWith(context.Background(), 2, promptB, RequestOptions{})
+	}()
 	waitDepths(t, s, 0, 2, 0)
 	drain(s)
 	wg.Wait()
@@ -416,7 +420,7 @@ func TestSchedulerMixedIterationBitIdentical(t *testing.T) {
 	wg.Add(3)
 	go func() { defer wg.Done(); decA, eA = s.Decode(context.Background(), 1, nextA) }()
 	go func() { defer wg.Done(); decB, eB = s.Decode(context.Background(), 2, nextB) }()
-	go func() { defer wg.Done(); preC, eC = s.Prefill(context.Background(), 3, promptC) }()
+	go func() { defer wg.Done(); preC, eC = s.PrefillWith(context.Background(), 3, promptC, RequestOptions{}) }()
 	waitDepths(t, s, 0, 1, 2)
 
 	rep, ok := s.Step()
@@ -486,12 +490,15 @@ func TestSchedulerMixedIterationBitIdentical(t *testing.T) {
 }
 
 func TestSchedulerChunkedPrefill(t *testing.T) {
-	s, w := newManualScheduler(t, SchedulerConfig{Policy: FIFO, TokenBudget: 2})
+	s, w := newManualScheduler(t, SchedulerConfig{TokenBudget: 2})
 	prompt := []int{3, 14, 15, 9, 26}
 	var next int
 	var err error
 	done := make(chan struct{})
-	go func() { defer close(done); next, err = s.Prefill(context.Background(), 1, prompt) }()
+	go func() {
+		defer close(done)
+		next, err = s.PrefillWith(context.Background(), 1, prompt, RequestOptions{})
+	}()
 	waitDepths(t, s, 0, 1, 0)
 	reps := drain(s)
 	<-done
@@ -518,7 +525,10 @@ func TestSchedulerAdmissionBackpressure(t *testing.T) {
 	s, _ := newManualScheduler(t, SchedulerConfig{MaxSessions: 1})
 	// Session 1 occupies the only slot.
 	done1 := make(chan struct{})
-	go func() { defer close(done1); _, _ = s.Prefill(context.Background(), 1, []int{1, 2}) }()
+	go func() {
+		defer close(done1)
+		_, _ = s.PrefillWith(context.Background(), 1, []int{1, 2}, RequestOptions{})
+	}()
 	waitDepths(t, s, 0, 1, 0)
 	drain(s)
 	<-done1
@@ -526,7 +536,10 @@ func TestSchedulerAdmissionBackpressure(t *testing.T) {
 	var next2 int
 	var err2 error
 	done2 := make(chan struct{})
-	go func() { defer close(done2); next2, err2 = s.Prefill(context.Background(), 2, []int{3, 4}) }()
+	go func() {
+		defer close(done2)
+		next2, err2 = s.PrefillWith(context.Background(), 2, []int{3, 4}, RequestOptions{})
+	}()
 	waitDepths(t, s, 1, 0, 0)
 	if _, ok := s.Step(); ok {
 		t.Fatal("admission-blocked work executed")
@@ -565,7 +578,7 @@ func TestSchedulerClosedRejects(t *testing.T) {
 	}
 	s := NewScheduler(cluster, SchedulerConfig{})
 	s.Close()
-	if _, err := s.Prefill(context.Background(), 1, []int{1}); err == nil {
+	if _, err := s.PrefillWith(context.Background(), 1, []int{1}, RequestOptions{}); err == nil {
 		t.Fatal("closed scheduler accepted work")
 	}
 	if _, err := s.Generate(context.Background(), 1, []int{1}, 2); err == nil {
@@ -592,8 +605,14 @@ func TestSchedulerReleaseIsolation(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(2)
 	var n1, n2 int
-	go func() { defer wg.Done(); n1, _ = s.Prefill(context.Background(), 1, []int{1, 2, 3}) }()
-	go func() { defer wg.Done(); n2, _ = s.Prefill(context.Background(), 2, []int{4, 5, 6}) }()
+	go func() {
+		defer wg.Done()
+		n1, _ = s.PrefillWith(context.Background(), 1, []int{1, 2, 3}, RequestOptions{})
+	}()
+	go func() {
+		defer wg.Done()
+		n2, _ = s.PrefillWith(context.Background(), 2, []int{4, 5, 6}, RequestOptions{})
+	}()
 	waitDepths(t, s, 0, 2, 0)
 	drain(s)
 	wg.Wait()
@@ -631,7 +650,10 @@ func TestSchedulerReleaseIsolation(t *testing.T) {
 func TestSchedulerCancelWhileQueued(t *testing.T) {
 	s, _ := newManualScheduler(t, SchedulerConfig{MaxSessions: 1})
 	done1 := make(chan struct{})
-	go func() { defer close(done1); _, _ = s.Prefill(context.Background(), 1, []int{1, 2}) }()
+	go func() {
+		defer close(done1)
+		_, _ = s.PrefillWith(context.Background(), 1, []int{1, 2}, RequestOptions{})
+	}()
 	waitDepths(t, s, 0, 1, 0)
 	drain(s)
 	<-done1
@@ -668,7 +690,7 @@ func TestSchedulerCancelBeforeFirstChunkFreesSlot(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := s.Prefill(ctx, 7, []int{1, 2, 3})
+		_, err := s.PrefillWith(ctx, 7, []int{1, 2, 3}, RequestOptions{})
 		errCh <- err
 	}()
 	waitDepths(t, s, 0, 1, 0) // admitted, first chunk not yet run
@@ -686,11 +708,14 @@ func TestSchedulerCancelBeforeFirstChunkFreesSlot(t *testing.T) {
 	}
 	// The freed slot admits the next session.
 	done := make(chan struct{})
-	go func() { defer close(done); _, _ = s.Prefill(context.Background(), 8, []int{4, 5}) }()
+	go func() {
+		defer close(done)
+		_, _ = s.PrefillWith(context.Background(), 8, []int{4, 5}, RequestOptions{})
+	}()
 	waitDepths(t, s, 0, 1, 0)
 	drain(s)
 	<-done
-	if !s.Active(8) {
+	if !resident(s, 8) {
 		t.Fatal("next session not admitted after freed slot")
 	}
 }

@@ -213,7 +213,6 @@ type latencyBlock struct {
 
 type statsResponse struct {
 	Ranks     int     `json:"ranks"`
-	Policy    string  `json:"policy"`
 	Variant   string  `json:"variant"`
 	Sessions  int     `json:"sessions"`
 	RankKV    []int   `json:"rank_kv_tokens"`
@@ -366,7 +365,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	uptime := s.sched.now().Sub(s.started)
 	writeJSON(w, http.StatusOK, statsResponse{
 		Ranks:           ranks,
-		Policy:          s.cfg.Policy.String(),
 		Variant:         s.cfg.Variant.String(),
 		Sessions:        len(ids),
 		RankKV:          tel.RankKV,

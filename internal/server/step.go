@@ -17,6 +17,8 @@ import (
 // runnable — or always, as a no-op, when a background loop owns the
 // scheduler: a second driver would race the loop and double-execute the
 // claimed prefill chunk.
+//
+//cplint:allow testonly the Manual-mode seam tests (TestSeamIterationClosure) drive the loop one iteration at a time
 func (s *Scheduler) Step() (IterReport, bool) {
 	if !s.cfg.Manual {
 		return IterReport{PrefillSession: -1}, false
@@ -90,8 +92,9 @@ func (s *Scheduler) step() (IterReport, bool) {
 		s.mu.Unlock()
 		return IterReport{PrefillSession: -1}, false
 	}
-	prefillLeads := s.cfg.Policy == PrefillFirst ||
-		(pj != nil && (len(dbatch) == 0 || pj.id < dbatch[0].id))
+	// The side of the mixed batch holding the oldest waiting request runs
+	// first.
+	prefillLeads := pj != nil && (len(dbatch) == 0 || pj.id < dbatch[0].id)
 	// The clock is read once per boundary — here, then as each phase ends —
 	// and the reading is handed on, so the phase spans tile the iteration
 	// and every queue.wait span ends where the phase it waited for begins.

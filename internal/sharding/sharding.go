@@ -314,16 +314,6 @@ func DecodeOwner(seq, step, n int) int {
 	return m
 }
 
-// DecodeAssignment returns the owner rank of each sequence in a batch at the
-// given step.
-func DecodeAssignment(batch, step, n int) []int {
-	out := make([]int, batch)
-	for i := range out {
-		out[i] = DecodeOwner(i, step, n)
-	}
-	return out
-}
-
 // StaticOwner is the ablation baseline that always assigns a sequence to the
 // same rank regardless of step.
 func StaticOwner(seq, n int) int { return DecodeOwner(seq, 0, n) }

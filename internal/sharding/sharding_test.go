@@ -354,18 +354,6 @@ func TestDecodeBalanceVersusStatic(t *testing.T) {
 	}
 }
 
-func TestDecodeAssignmentLength(t *testing.T) {
-	got := DecodeAssignment(5, 3, 2)
-	if len(got) != 5 {
-		t.Fatalf("assignment length %d, want 5", len(got))
-	}
-	for i, r := range got {
-		if r != (i+3)%2 {
-			t.Fatalf("assignment[%d] = %d", i, r)
-		}
-	}
-}
-
 // Property: for any (T, N) the load-balanced per-rank causal pair counts
 // differ by at most 2*ChunkLen*... — tighter: max-min <= 2*chunkLen pairs of
 // slack arising only from tail padding. For T divisible by 2N, exactly 0.

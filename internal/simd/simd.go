@@ -69,37 +69,33 @@ func (t Tier) String() string {
 	return "portable"
 }
 
-// detected is what the CPU and OS support; ceiling and enabled are the test
-// hooks (SetTier, SetEnabled); active, which the kernels read, follows from
-// the three. Tests and benchmarks change the hooks between kernel calls,
-// never while kernels are running.
+// detected is what the CPU and OS support; ceiling is the test hook
+// (SetTier); active, which the kernels read, is the lower of the two. Tests
+// and benchmarks change the hook between kernel calls, never while kernels
+// are running.
 var (
 	detected = probe()
 	ceiling  = detected
-	enabled  = true
 	active   = detected
 )
 
-func update() {
-	active = Portable
-	if enabled {
-		active = min(ceiling, detected)
-	}
-}
-
 // Detected returns the highest tier this host supports.
+//
+//cplint:allow testonly TestProbeNamesTier and the per-tier kernel tests read the host tier
 func Detected() Tier { return detected }
 
 // Active returns the tier the kernels run at: the detected tier, capped by
-// SetTier, or Portable while SetEnabled(false) holds.
+// SetTier.
 func Active() Tier { return active }
 
 // Available reports whether the vector paths are active: the CPU and OS
-// support at least AVX2 and FMA, and SetEnabled has not turned them off.
+// support at least AVX2 and FMA, and SetTier has not capped them off.
 func Available() bool { return active >= AVX2 }
 
 // Tiers lists the tiers this host can run, Portable first: what a bitwise
 // kernel test iterates over.
+//
+//cplint:allow testonly every bitwise kernel test (TestKernelsInvisibleInPrefillAndFusedDecode) loops over it
 func Tiers() []Tier {
 	ts := make([]Tier, 0, detected+1)
 	for t := Portable; t <= detected; t++ {
@@ -112,22 +108,12 @@ func Tiers() []Tier {
 // returns the previous cap; SetTier(Detected()) lifts the cap. A test hook:
 // an AVX-512 host runs its AVX2 kernels under SetTier(AVX2). Do not call it
 // concurrently with running kernels.
+//
+//cplint:allow testonly every bitwise kernel test (TestKernelsInvisibleInPrefillAndFusedDecode) caps the tier with it
 func SetTier(t Tier) Tier {
 	prev := ceiling
 	ceiling = t
-	update()
-	return prev
-}
-
-// SetEnabled turns the vector paths off (Portable) or back on up to the
-// SetTier cap and returns the previous state. Enabling is a no-op on
-// hardware without AVX2 and FMA. Intended for tests and benchmarks that
-// compare against the scalar oracle; do not call it concurrently with
-// running kernels.
-func SetEnabled(on bool) bool {
-	prev := enabled
-	enabled = on
-	update()
+	active = min(ceiling, detected)
 	return prev
 }
 

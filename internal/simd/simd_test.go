@@ -43,22 +43,13 @@ func TestDotF32DispatchIsBitStable(t *testing.T) {
 			a[i] = float32(rng.NormFloat64())
 			b[i] = float32(rng.NormFloat64())
 		}
-		prev := SetEnabled(false)
+		prev := SetTier(Portable)
 		scalar := DotF32(a, b)
-		SetEnabled(true)
+		SetTier(prev)
 		vec := DotF32(a, b)
-		SetEnabled(prev)
 		if math.Float32bits(scalar) != math.Float32bits(vec) {
 			t.Fatalf("DotF32(n=%d) enabled=%x disabled=%x", n, vec, scalar)
 		}
-	}
-}
-
-func TestSetEnabledCannotForceAVXOn(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
-	if Available() && detected < AVX2 {
-		t.Fatal("SetEnabled(true) enabled vector paths without hardware support")
 	}
 }
 
@@ -89,14 +80,14 @@ func TestDotPanelMatchesScalarExactly(t *testing.T) {
 					x[i] = float32(rng.NormFloat64())
 				}
 				ldd := rows + 3
-				for _, on := range []bool{true, false} {
+				for _, tier := range []Tier{Detected(), Portable} {
 					dst := make([]float32, tokens*ldd)
 					for i := range dst {
 						dst[i] = -7
 					}
-					prev := SetEnabled(on)
+					prev := SetTier(tier)
 					DotPanel(dst, ldd, w, x, n)
-					SetEnabled(prev)
+					SetTier(prev)
 					for tk := 0; tk < tokens; tk++ {
 						for r := 0; r < ldd; r++ {
 							want := float32(-7) // padding columns stay untouched
@@ -104,8 +95,8 @@ func TestDotPanelMatchesScalarExactly(t *testing.T) {
 								want = DotF32Scalar(w[r*n:(r+1)*n], x[tk*n:(tk+1)*n])
 							}
 							if got := dst[tk*ldd+r]; math.Float32bits(got) != math.Float32bits(want) {
-								t.Fatalf("DotPanel(n=%d rows=%d tokens=%d simd=%v)[%d,%d] = %x, want %x",
-									n, rows, tokens, on, tk, r, got, want)
+								t.Fatalf("DotPanel(n=%d rows=%d tokens=%d tier=%v)[%d,%d] = %x, want %x",
+									n, rows, tokens, tier, tk, r, got, want)
 							}
 						}
 					}
@@ -189,14 +180,6 @@ func TestProbeNamesTier(t *testing.T) {
 		SetTier(tier)
 		if Active() != tier || Available() != (tier >= AVX2) {
 			t.Fatalf("SetTier(%v): Active() = %v, Available() = %v", tier, Active(), Available())
-		}
-		was := SetEnabled(false)
-		if Active() != Portable {
-			t.Fatalf("SetTier(%v), SetEnabled(false): Active() = %v", tier, Active())
-		}
-		SetEnabled(was)
-		if Active() != tier {
-			t.Fatalf("SetTier(%v): SetEnabled(true) restored %v, not the cap", tier, Active())
 		}
 	}
 	t.Logf("detected vector tier: %v", Detected())

@@ -42,12 +42,6 @@ func (m *Matrix) Row(r int) []float32 {
 	return m.Data[r*m.Cols : (r+1)*m.Cols]
 }
 
-// MulVec computes dst = M · src. len(src) must equal Cols and len(dst) must
-// equal Rows; dst is overwritten. It is the one-token, serial edge of Mul.
-func (m *Matrix) MulVec(dst, src []float32) {
-	m.Mul(dst, src, 1, false)
-}
-
 // gemmBlockFloats sizes a token block: block × Cols float32 is 16 KiB, so a
 // block and the eight-row weight panel sweeping it stay in L1 together.
 const gemmBlockFloats = 4096
@@ -196,6 +190,8 @@ func RMSNormInto(dst, x, gain []float32, eps float64) {
 }
 
 // RMSNorm is the allocating form of RMSNormInto.
+//
+//cplint:allow testonly the allocating oracle TestRMSNormIntoMatchesAndAliases checks RMSNormInto against
 func RMSNorm(x, gain []float32, eps float64) []float32 {
 	out := make([]float32, len(x))
 	RMSNormInto(out, x, gain, eps)
@@ -212,6 +208,8 @@ func SiLU(x float32) float32 {
 // pos/base^(2i/d). The paper's load-balanced sharding makes per-token
 // positions non-contiguous on each rank, so rotation must always use the
 // token's global position — which is exactly what this function takes.
+//
+//cplint:allow testonly the per-pair oracle TestRoPEHeadsMatchesRoPEExactly checks RoPEHeads against
 func RoPE(vec []float32, pos int, base float64) {
 	d := len(vec)
 	for i := 0; i+1 < d; i += 2 {

@@ -11,9 +11,9 @@ func TestMulVec(t *testing.T) {
 	m := NewMatrix(2, 3)
 	copy(m.Data, []float32{1, 2, 3, 4, 5, 6})
 	dst := make([]float32, 2)
-	m.MulVec(dst, []float32{1, 1, 1})
+	m.Mul(dst, []float32{1, 1, 1}, 1, false)
 	if dst[0] != 6 || dst[1] != 15 {
-		t.Fatalf("MulVec = %v, want [6 15]", dst)
+		t.Fatalf("Mul = %v, want [6 15]", dst)
 	}
 }
 
@@ -23,7 +23,7 @@ func TestMulVecShapePanics(t *testing.T) {
 			t.Fatal("shape mismatch accepted")
 		}
 	}()
-	NewMatrix(2, 3).MulVec(make([]float32, 2), make([]float32, 2))
+	NewMatrix(2, 3).Mul(make([]float32, 2), make([]float32, 2), 1, false)
 }
 
 func TestApplyRows(t *testing.T) {

@@ -23,10 +23,10 @@ func TestApplyRowsIntoBitIdenticalAcrossWorkersAndSIMD(t *testing.T) {
 		{64, 100, 33}, // non-multiple-of-four dot length
 	}
 	oldW := parallel.SetWorkers(1)
-	prevSIMD := simd.SetEnabled(false)
+	prevTier := simd.SetTier(simd.Portable)
 	defer func() {
 		parallel.SetWorkers(oldW)
-		simd.SetEnabled(prevSIMD)
+		simd.SetTier(prevTier)
 	}()
 	for _, sh := range shapes {
 		m := RandMatrix(rng, sh.rows, sh.cols)
@@ -34,15 +34,15 @@ func TestApplyRowsIntoBitIdenticalAcrossWorkersAndSIMD(t *testing.T) {
 		for i := range in {
 			in[i] = float32(rng.NormFloat64())
 		}
-		// Reference: serial scalar per-row MulVec loop.
-		simd.SetEnabled(false)
+		// Reference: serial scalar one-token Mul loop.
+		simd.SetTier(simd.Portable)
 		parallel.SetWorkers(1)
 		ref := make([]float32, sh.tokens*sh.rows)
 		for tok := 0; tok < sh.tokens; tok++ {
-			m.MulVec(ref[tok*sh.rows:(tok+1)*sh.rows], in[tok*sh.cols:(tok+1)*sh.cols])
+			m.Mul(ref[tok*sh.rows:(tok+1)*sh.rows], in[tok*sh.cols:(tok+1)*sh.cols], 1, false)
 		}
-		for _, useSIMD := range []bool{false, true} {
-			simd.SetEnabled(useSIMD)
+		for _, tier := range []simd.Tier{simd.Portable, prevTier} {
+			simd.SetTier(tier)
 			for _, workers := range []int{1, 2, 8} {
 				parallel.SetWorkers(workers)
 				got := make([]float32, sh.tokens*sh.rows)
@@ -50,7 +50,7 @@ func TestApplyRowsIntoBitIdenticalAcrossWorkersAndSIMD(t *testing.T) {
 				for i := range got {
 					if math.Float32bits(got[i]) != math.Float32bits(ref[i]) {
 						t.Fatalf("shape %+v simd=%v workers=%d cell %d: %x != %x",
-							sh, useSIMD, workers, i, got[i], ref[i])
+							sh, tier, workers, i, got[i], ref[i])
 					}
 				}
 			}
@@ -154,10 +154,10 @@ func TestBlocksCoverageAndCounters(t *testing.T) {
 // rows, at every worker width and SIMD setting.
 func TestPropertyMulEqualsPerCellScalarUnderBothSplits(t *testing.T) {
 	oldW := parallel.Workers()
-	prevSIMD := simd.Available()
+	prevTier := simd.SetTier(simd.Detected())
 	defer func() {
 		parallel.SetWorkers(oldW)
-		simd.SetEnabled(prevSIMD)
+		simd.SetTier(prevTier)
 	}()
 	rng := rand.New(rand.NewSource(4))
 	sawTokenSplit, sawRowFan := false, false
@@ -178,8 +178,8 @@ func TestPropertyMulEqualsPerCellScalarUnderBothSplits(t *testing.T) {
 				want[tok*rows+r] = simd.DotF32Scalar(m.Row(r), in[tok*cols:(tok+1)*cols])
 			}
 		}
-		for _, useSIMD := range []bool{false, true} {
-			simd.SetEnabled(useSIMD)
+		for _, tier := range []simd.Tier{simd.Portable, simd.Detected()} {
+			simd.SetTier(tier)
 			for _, workers := range []int{1, 2, 8} {
 				parallel.SetWorkers(workers)
 				before := MatmulSnapshot()
@@ -188,7 +188,7 @@ func TestPropertyMulEqualsPerCellScalarUnderBothSplits(t *testing.T) {
 				for i := range got {
 					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 						t.Fatalf("[%d %d]x%d simd=%v workers=%d cell %d: %x != %x",
-							rows, cols, tokens, useSIMD, workers, i, got[i], want[i])
+							rows, cols, tokens, tier, workers, i, got[i], want[i])
 					}
 				}
 				if workers > 1 && MatmulSnapshot().Jobs > before.Jobs {

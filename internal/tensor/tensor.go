@@ -82,17 +82,6 @@ func RandN(rng *rand.Rand, tokens, heads, dim int) *Tensor {
 // NumElements returns the total number of scalar elements.
 func (t *Tensor) NumElements() int { return t.Tokens * t.Heads * t.Dim }
 
-// Index returns the flat offset of element (tok, head, d).
-func (t *Tensor) Index(tok, head, d int) int {
-	return (tok*t.Heads+head)*t.Dim + d
-}
-
-// At returns element (tok, head, d).
-func (t *Tensor) At(tok, head, d int) float32 { return t.Data[t.Index(tok, head, d)] }
-
-// Set assigns element (tok, head, d).
-func (t *Tensor) Set(tok, head, d int, v float32) { t.Data[t.Index(tok, head, d)] = v }
-
 // Row returns the Dim-length vector for (tok, head) as a subslice of the
 // underlying storage. Mutating the returned slice mutates the tensor.
 func (t *Tensor) Row(tok, head int) []float32 {
@@ -107,14 +96,9 @@ func (t *Tensor) Row2D(tok int) []float32 {
 	return t.Data[tok*rowLen : (tok+1)*rowLen]
 }
 
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := &Tensor{Tokens: t.Tokens, Heads: t.Heads, Dim: t.Dim, Data: make([]float32, len(t.Data))}
-	copy(c.Data, t.Data)
-	return c
-}
-
 // SliceTokens returns a deep copy of token rows [lo, hi).
+//
+//cplint:allow testonly the ring and kvcache tests (TestPassKVFullPrefillMatchesReference) cut oracle inputs with it
 func (t *Tensor) SliceTokens(lo, hi int) *Tensor {
 	if lo < 0 || hi > t.Tokens || lo > hi {
 		panic(fmt.Sprintf("tensor: slice [%d:%d) out of range for %d tokens", lo, hi, t.Tokens))
@@ -122,57 +106,6 @@ func (t *Tensor) SliceTokens(lo, hi int) *Tensor {
 	out := New(hi-lo, t.Heads, t.Dim)
 	rowLen := t.Heads * t.Dim
 	copy(out.Data, t.Data[lo*rowLen:hi*rowLen])
-	return out
-}
-
-// SliceHeads returns a deep copy of heads [lo, hi) for every token — the
-// head-sharding primitive of tensor parallelism.
-func (t *Tensor) SliceHeads(lo, hi int) *Tensor {
-	if lo < 0 || hi > t.Heads || lo > hi {
-		panic(fmt.Sprintf("tensor: head slice [%d:%d) out of range for %d heads", lo, hi, t.Heads))
-	}
-	out := New(t.Tokens, hi-lo, t.Dim)
-	for tok := 0; tok < t.Tokens; tok++ {
-		for h := lo; h < hi; h++ {
-			copy(out.Row(tok, h-lo), t.Row(tok, h))
-		}
-	}
-	return out
-}
-
-// ConcatHeads concatenates tensors along the head dimension; all inputs
-// must share Tokens and Dim.
-func ConcatHeads(parts ...*Tensor) *Tensor {
-	tokens, dim := -1, -1
-	total := 0
-	for _, p := range parts {
-		if p == nil || p.Heads == 0 {
-			continue
-		}
-		if tokens == -1 {
-			tokens, dim = p.Tokens, p.Dim
-		} else if p.Tokens != tokens || p.Dim != dim {
-			panic(fmt.Sprintf("tensor: concat-heads mismatch [%d _ %d] vs [%d _ %d]",
-				p.Tokens, p.Dim, tokens, dim))
-		}
-		total += p.Heads
-	}
-	if tokens == -1 {
-		return New(0, 0, 0)
-	}
-	out := New(tokens, total, dim)
-	off := 0
-	for _, p := range parts {
-		if p == nil || p.Heads == 0 {
-			continue
-		}
-		for tok := 0; tok < tokens; tok++ {
-			for h := 0; h < p.Heads; h++ {
-				copy(out.Row(tok, off+h), p.Row(tok, h))
-			}
-		}
-		off += p.Heads
-	}
 	return out
 }
 
@@ -192,6 +125,8 @@ func (t *Tensor) Gather(rows []int) *Tensor {
 
 // Concat concatenates tensors along the token dimension. All inputs must
 // share Heads and Dim. Nil or zero-token inputs are skipped.
+//
+//cplint:allow testonly the ring tests (TestPassKVFullPrefillMatchesReference) build each sequence history with it
 func Concat(parts ...*Tensor) *Tensor {
 	heads, dim := -1, -1
 	total := 0
@@ -222,43 +157,10 @@ func Concat(parts ...*Tensor) *Tensor {
 	return out
 }
 
-// PadTokens returns a copy extended with zero rows up to the given token
-// count. It panics if tokens is smaller than the current length. Padding is
-// how the ring algorithms equalize message sizes across ranks (the paper
-// pads each rank's KV to max_i(P_i) + ceil(T/N)).
-func (t *Tensor) PadTokens(tokens int) *Tensor {
-	if tokens < t.Tokens {
-		panic(fmt.Sprintf("tensor: pad target %d < current %d", tokens, t.Tokens))
-	}
-	out := New(tokens, t.Heads, t.Dim)
-	copy(out.Data, t.Data)
-	return out
-}
-
-// Add accumulates other into t element-wise. Shapes must match exactly.
-func (t *Tensor) Add(other *Tensor) {
-	t.mustSameShape(other)
-	for i, v := range other.Data {
-		t.Data[i] += v
-	}
-}
-
-// Scale multiplies every element by s.
-func (t *Tensor) Scale(s float32) {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // MaxAbsDiff returns the maximum absolute element-wise difference between
 // two same-shaped tensors.
+//
+//cplint:allow testonly the oracle comparisons (TestGQAMatchesReferenceOnRandomMasks) measure deviation with it
 func MaxAbsDiff(a, b *Tensor) float64 {
 	a.mustSameShape(b)
 	var m float64
@@ -269,14 +171,6 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 		}
 	}
 	return m
-}
-
-// AllClose reports whether every element pair differs by at most tol.
-func AllClose(a, b *Tensor, tol float64) bool {
-	if a.Tokens != b.Tokens || a.Heads != b.Heads || a.Dim != b.Dim {
-		return false
-	}
-	return MaxAbsDiff(a, b) <= tol
 }
 
 // Bytes returns the in-memory payload size of the tensor assuming the given
@@ -308,14 +202,4 @@ func Dot(a, b []float32) float32 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Axpy computes dst += alpha * x for equal-length vectors.
-func Axpy(alpha float32, x, dst []float32) {
-	if len(x) != len(dst) {
-		panic(fmt.Sprintf("tensor: axpy length mismatch %d vs %d", len(x), len(dst)))
-	}
-	for i := range x {
-		dst[i] += alpha * x[i]
-	}
 }

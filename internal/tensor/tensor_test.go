@@ -30,12 +30,15 @@ func TestFromDataLengthMismatch(t *testing.T) {
 
 func TestIndexRoundTrip(t *testing.T) {
 	tt := New(4, 3, 2)
+	for i := range tt.Data {
+		tt.Data[i] = float32(i)
+	}
 	n := 0
 	for tok := 0; tok < 4; tok++ {
 		for h := 0; h < 3; h++ {
 			for d := 0; d < 2; d++ {
-				if got := tt.Index(tok, h, d); got != n {
-					t.Fatalf("Index(%d,%d,%d) = %d, want %d", tok, h, d, got, n)
+				if got := tt.Row(tok, h)[d]; got != float32(n) {
+					t.Fatalf("Row(%d,%d)[%d] = %v, want %d", tok, h, d, got, n)
 				}
 				n++
 			}
@@ -45,27 +48,14 @@ func TestIndexRoundTrip(t *testing.T) {
 
 func TestSetAtRow(t *testing.T) {
 	tt := New(2, 2, 3)
-	tt.Set(1, 1, 2, 42)
-	if got := tt.At(1, 1, 2); got != 42 {
-		t.Fatalf("At = %v, want 42", got)
-	}
+	tt.Row(1, 1)[2] = 42
 	row := tt.Row(1, 1)
 	if row[2] != 42 {
 		t.Fatalf("Row view = %v, want last element 42", row)
 	}
 	row[0] = 7 // row must alias the tensor
-	if tt.At(1, 1, 0) != 7 {
+	if tt.Data[(1*2+1)*3] != 7 {
 		t.Fatal("Row did not alias underlying storage")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := RandN(rng, 3, 2, 4)
-	b := a.Clone()
-	b.Data[0] += 1
-	if a.Data[0] == b.Data[0] {
-		t.Fatal("Clone shares storage")
 	}
 }
 
@@ -79,7 +69,7 @@ func TestSliceTokens(t *testing.T) {
 	for tok := 0; tok < 3; tok++ {
 		for h := 0; h < 2; h++ {
 			for d := 0; d < 3; d++ {
-				if s.At(tok, h, d) != a.At(tok+2, h, d) {
+				if s.Row(tok, h)[d] != a.Row(tok+2, h)[d] {
 					t.Fatalf("slice element (%d,%d,%d) mismatch", tok, h, d)
 				}
 			}
@@ -105,7 +95,7 @@ func TestGather(t *testing.T) {
 	}
 	for h := 0; h < 2; h++ {
 		for d := 0; d < 2; d++ {
-			if g.At(0, h, d) != a.At(4, h, d) || g.At(1, h, d) != a.At(0, h, d) || g.At(2, h, d) != a.At(4, h, d) {
+			if g.Row(0, h)[d] != a.Row(4, h)[d] || g.Row(1, h)[d] != a.Row(0, h)[d] || g.Row(2, h)[d] != a.Row(4, h)[d] {
 				t.Fatal("gather order wrong")
 			}
 		}
@@ -141,54 +131,10 @@ func TestConcatShapeMismatchPanics(t *testing.T) {
 	Concat(New(1, 2, 3), New(1, 3, 2))
 }
 
-func TestPadTokens(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := RandN(rng, 3, 2, 2)
-	p := a.PadTokens(5)
-	if p.Tokens != 5 {
-		t.Fatalf("pad tokens = %d, want 5", p.Tokens)
-	}
-	if MaxAbsDiff(p.SliceTokens(0, 3), a) != 0 {
-		t.Fatal("pad corrupted prefix")
-	}
-	for tok := 3; tok < 5; tok++ {
-		for h := 0; h < 2; h++ {
-			for d := 0; d < 2; d++ {
-				if p.At(tok, h, d) != 0 {
-					t.Fatal("pad region not zero")
-				}
-			}
-		}
-	}
-}
-
-func TestAddScaleFill(t *testing.T) {
-	a := New(2, 1, 2)
-	a.Fill(3)
-	b := New(2, 1, 2)
-	b.Fill(2)
-	a.Add(b)
-	a.Scale(0.5)
-	for _, v := range a.Data {
-		if v != 2.5 {
-			t.Fatalf("Add/Scale = %v, want 2.5", v)
-		}
-	}
-}
-
 func TestAllCloseAndMaxAbsDiff(t *testing.T) {
 	a := New(2, 2, 2)
-	b := a.Clone()
+	b := New(2, 2, 2)
 	b.Data[3] = 1e-5
-	if !AllClose(a, b, 1e-4) {
-		t.Fatal("AllClose rejected within-tolerance tensors")
-	}
-	if AllClose(a, b, 1e-6) {
-		t.Fatal("AllClose accepted out-of-tolerance tensors")
-	}
-	if AllClose(a, New(2, 2, 3), 1) {
-		t.Fatal("AllClose accepted mismatched shapes")
-	}
 	if d := MaxAbsDiff(a, b); d < 9e-6 || d > 1.1e-5 {
 		t.Fatalf("MaxAbsDiff = %v, want ~1e-5 (float32 rounding)", d)
 	}
@@ -210,14 +156,6 @@ func TestDotAxpy(t *testing.T) {
 	if got := Dot(a, b); got != 32 {
 		t.Fatalf("Dot = %v, want 32", got)
 	}
-	dst := []float32{1, 1, 1}
-	Axpy(2, a, dst)
-	want := []float32{3, 5, 7}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("Axpy = %v, want %v", dst, want)
-		}
-	}
 }
 
 func TestRandNDeterministic(t *testing.T) {
@@ -237,7 +175,7 @@ func TestPropertySplitConcatIdentity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := RandN(rng, tokens, 2, 3)
 		b := Concat(a.SliceTokens(0, k), a.SliceTokens(k, tokens))
-		return AllClose(a, b, 0)
+		return MaxAbsDiff(a, b) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -256,7 +194,7 @@ func TestPropertyGatherPermutationInverse(t *testing.T) {
 		for i, p := range perm {
 			inv[p] = i
 		}
-		return AllClose(a.Gather(perm).Gather(inv), a, 0)
+		return MaxAbsDiff(a.Gather(perm).Gather(inv), a) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -76,24 +76,3 @@ func (p *LabelPool) ID(v string) int64 {
 	defer p.mu.Unlock()
 	return p.ids[c]
 }
-
-// Names snapshots the registered values in registration order,
-// OverflowLabel first.
-func (p *LabelPool) Names() []string {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.names...)
-}
-
-// Len returns the registered value count (OverflowLabel included).
-func (p *LabelPool) Len() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.names)
-}

@@ -127,12 +127,12 @@ func TestLabelPoolBasics(t *testing.T) {
 	if a != b || a == 0 {
 		t.Fatalf("rag ids %d, %d", a, b)
 	}
-	names := p.Names()
+	names := p.names
 	if names[0] != OverflowLabel || len(names) != 3 {
 		t.Fatalf("names %v", names)
 	}
 	var nilPool *LabelPool
-	if nilPool.Canon("x") != OverflowLabel || nilPool.ID("x") != 0 || nilPool.Len() != 0 {
+	if nilPool.Canon("x") != OverflowLabel || nilPool.ID("x") != 0 {
 		t.Fatal("nil pool not safe")
 	}
 }
@@ -148,8 +148,8 @@ func TestLabelPoolBoundedCardinality(t *testing.T) {
 		c := p.Canon(fmt.Sprintf("adversarial-%d", i))
 		r.Hist("cp_cohort_ttft_seconds", L("cohort", c)).Observe(0.001)
 	}
-	if p.Len() > cap+1 { // +1 for OverflowLabel
-		t.Fatalf("pool grew to %d values (cap %d)", p.Len(), cap)
+	if len(p.names) > cap+1 { // +1 for OverflowLabel
+		t.Fatalf("pool grew to %d values (cap %d)", len(p.names), cap)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteProm(&buf); err != nil {
@@ -169,7 +169,7 @@ func TestLabelPoolBoundedCardinality(t *testing.T) {
 	}
 	// The overflow series absorbed the tail: total observations preserved.
 	total := uint64(0)
-	for _, c := range p.Names() {
+	for _, c := range p.names {
 		total += r.Hist("cp_cohort_ttft_seconds", L("cohort", c)).HistCount()
 	}
 	if total != 200 {

@@ -271,7 +271,7 @@ func TestDrainMergeRoundTrip(t *testing.T) {
 	if got := coord.Spans(); len(got) != 1 || got[0].Epoch != 3 || got[0].Rank != 1 || got[0].Index != 1 {
 		t.Fatalf("merged spans = %+v", got)
 	}
-	if v := coord.CounterSeries("cp_ring_sweeps_total", L("op", "decode"), L("rank", "1")).Value(); v != 2 {
+	if v := coord.CounterSeries("cp_ring_sweeps_total", L("op", "decode"), L("rank", "1")).Snap().Value; v != 2 {
 		t.Fatalf("merged counter = %v", v)
 	}
 	if c := coord.Hist("cp_step_seconds").HistCount(); c != 1 {
@@ -295,7 +295,7 @@ func TestSpanBufferCapDrops(t *testing.T) {
 	if got := r.SpanCount(); got != 4 {
 		t.Fatalf("buffered = %d, want 4", got)
 	}
-	if v := r.CounterSeries("cp_trace_spans_dropped_total", L("rank", "0")).Value(); v != 6 {
+	if v := r.CounterSeries("cp_trace_spans_dropped_total", L("rank", "0")).Snap().Value; v != 6 {
 		t.Fatalf("dropped counter = %v", v)
 	}
 	// Aggregates still counted every span.
@@ -307,7 +307,6 @@ func TestSpanBufferCapDrops(t *testing.T) {
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.RecordSpan(Span{Name: "x"})
-	r.Record("x", time.Second)
 	st := r.Sweep(0, 1, "prefill")
 	st.Compute(st.Clock())
 	st.Comm(st.Clock())
@@ -316,7 +315,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Hist("h").Observe(1)
 	r.CounterSeries("c").Inc(1)
 	r.Gauge("g").Set(1)
-	if r.Hist("h").Quantile(0.5) != 0 || r.CounterSeries("c").Value() != 0 || r.SpanCount() != 0 {
+	if r.Hist("h").Quantile(0.5) != 0 || r.CounterSeries("c").Snap().Value != 0 || r.SpanCount() != 0 {
 		t.Fatal("nil recorder leaked state")
 	}
 	if err := r.WriteProm(&bytes.Buffer{}); err != nil {
@@ -325,5 +324,4 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if err := r.WriteJSONL(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	r.Reset()
 }

@@ -69,14 +69,6 @@ type Series struct {
 	counts []uint64 // histogram per-bucket counts, len == len(BucketBounds)+1 (+Inf last)
 }
 
-// Name returns the metric family name.
-func (s *Series) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // seriesID renders the canonical registry key.
 func seriesID(name string, labels []Label) string {
 	if len(labels) == 0 {
@@ -189,19 +181,6 @@ func (s *Series) Set(v float64) {
 	s.mu.Lock()
 	s.value = v
 	s.mu.Unlock()
-}
-
-// Value returns a counter/gauge value or a histogram's observation count.
-func (s *Series) Value() float64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.kind == KindHistogram {
-		return float64(s.count)
-	}
-	return s.value
 }
 
 // HistCount returns a histogram's observation count.
@@ -344,18 +323,6 @@ func (s *Series) merge(sn SeriesSnap) {
 		for i := 0; i < len(s.counts) && i < len(sn.Counts); i++ {
 			s.counts[i] += sn.Counts[i]
 		}
-	}
-}
-
-// reset zeroes a series' contents (all kinds).
-func (s *Series) reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.value = 0
-	s.count = 0
-	s.sum = 0
-	for i := range s.counts {
-		s.counts[i] = 0
 	}
 }
 

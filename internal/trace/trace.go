@@ -222,23 +222,6 @@ func (r *Recorder) recordLocked(s Span, args []Arg) *Series {
 	return nil
 }
 
-// Record adds one aggregate span observation without buffering a full span
-// (the seed recorder's surface, kept for cheap unattributed timings).
-func (r *Recorder) Record(name string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	s := r.agg[name]
-	s.Count++
-	s.Total += d
-	if d > s.Max {
-		s.Max = d
-	}
-	r.agg[name] = s
-	r.mu.Unlock()
-}
-
 // Stat returns the aggregate for one span name.
 func (r *Recorder) Stat(name string) Stat {
 	if r == nil {
@@ -274,26 +257,6 @@ func (r *Recorder) SpanCount() int {
 	return r.spans.n
 }
 
-// Reset clears spans, aggregates, and every series' contents (registry and
-// label sets survive so pre-resolved handles stay valid).
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.spans = spanBuf{}
-	r.nextIdx = make(map[rankKey]uint64)
-	r.agg = make(map[string]Stat)
-	series := make([]*Series, 0, len(r.order))
-	for _, id := range r.order {
-		series = append(series, r.series[id])
-	}
-	r.mu.Unlock()
-	for _, s := range series {
-		s.reset()
-	}
-}
-
 // String renders a one-line-per-name summary of the aggregate stats,
 // useful in examples and CLIs.
 func (r *Recorder) String() string {
@@ -316,9 +279,6 @@ func rankLabel(rank int) string {
 	}
 	return fmt.Sprintf("%d", rank)
 }
-
-// RankLabel is the exported form used by callers building label sets.
-func RankLabel(rank int) string { return rankLabel(rank) }
 
 // --- ring sweep timing -----------------------------------------------------
 

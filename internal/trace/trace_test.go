@@ -12,8 +12,8 @@ import (
 
 func TestRecordAggregates(t *testing.T) {
 	r := New()
-	r.Record("attn", 10*time.Millisecond)
-	r.Record("attn", 30*time.Millisecond)
+	r.RecordSpan(Span{Name: "attn", Dur: int64(10 * time.Millisecond)})
+	r.RecordSpan(Span{Name: "attn", Dur: int64(30 * time.Millisecond)})
 	s := r.Stat("attn")
 	if s.Count != 2 || s.Total != 40*time.Millisecond || s.Max != 30*time.Millisecond {
 		t.Fatalf("stat = %+v", s)
@@ -32,27 +32,18 @@ func TestMeanOfEmpty(t *testing.T) {
 
 func TestNamesSorted(t *testing.T) {
 	r := New()
-	r.Record("z", 1)
-	r.Record("a", 1)
-	r.Record("m", 1)
+	r.RecordSpan(Span{Name: "z", Dur: 1})
+	r.RecordSpan(Span{Name: "a", Dur: 1})
+	r.RecordSpan(Span{Name: "m", Dur: 1})
 	names := r.Names()
 	if len(names) != 3 || names[0] != "a" || names[2] != "z" {
 		t.Fatalf("names = %v", names)
 	}
 }
 
-func TestReset(t *testing.T) {
-	r := New()
-	r.Record("x", 1)
-	r.Reset()
-	if len(r.Names()) != 0 {
-		t.Fatal("reset left residue")
-	}
-}
-
 func TestStringContainsSpans(t *testing.T) {
 	r := New()
-	r.Record("ring.sendrecv", 5*time.Microsecond)
+	r.RecordSpan(Span{Name: "ring.sendrecv", Dur: int64(5 * time.Microsecond)})
 	if !strings.Contains(r.String(), "ring.sendrecv") {
 		t.Fatalf("String() = %q", r.String())
 	}
@@ -66,7 +57,7 @@ func TestConcurrentRecording(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				r.Record("op", time.Microsecond)
+				r.RecordSpan(Span{Name: "op", Dur: int64(time.Microsecond)})
 			}
 		}()
 	}
@@ -89,7 +80,7 @@ func TestSweepSteadyStateAllocatesOnlyTheTimer(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { r.Sweep(1, 7, "decode").Finish(2) }); got != 0 {
 		t.Fatalf("steady-state Sweep…Finish allocates %v objects, want 0", got)
 	}
-	if n := r.CounterSeries("cp_ring_sweeps_total", L("op", "decode"), L("rank", "1")).Value(); n != 202 {
+	if n := r.CounterSeries("cp_ring_sweeps_total", L("op", "decode"), L("rank", "1")).Snap().Value; n != 202 {
 		t.Fatalf("cp_ring_sweeps_total = %v, want 202", n)
 	}
 }

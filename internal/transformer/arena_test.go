@@ -519,7 +519,7 @@ func residentPages(c *Cluster, seqs []int) int {
 	for _, e := range p.engines {
 		for _, kc := range e.caches {
 			for _, seq := range seqs {
-				n += kc.NumPages(seq)
+				n += len(kc.Runs(nil, seq)) // one run per page
 			}
 		}
 	}

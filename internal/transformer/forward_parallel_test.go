@@ -19,14 +19,14 @@ import (
 func TestForwardBitIdenticalToScalarSerialReference(t *testing.T) {
 	for _, v := range []model.Variant{model.PassKV, model.PassQ} {
 		t.Run(v.String(), func(t *testing.T) {
-			prevSIMD := simd.SetEnabled(false)
+			prevTier := simd.SetTier(simd.Portable)
 			oldW := parallel.SetWorkers(1)
 			defer func() {
-				simd.SetEnabled(prevSIMD)
+				simd.SetTier(prevTier)
 				parallel.SetWorkers(oldW)
 			}()
 			ref := runParallelScenario(t, 2, v)
-			simd.SetEnabled(prevSIMD)
+			simd.SetTier(prevTier)
 			for _, workers := range []int{1, 2, 8} {
 				parallel.SetWorkers(workers)
 				got := runParallelScenario(t, 2, v)
@@ -165,14 +165,14 @@ func kernelsInvisible(t *testing.T, cfg Config, sessions, promptLen int) {
 		return all
 	}
 
-	prevSIMD := simd.SetEnabled(false)
+	prevTier := simd.SetTier(simd.Portable)
 	oldW := parallel.SetWorkers(1)
 	defer func() {
-		simd.SetEnabled(prevSIMD)
+		simd.SetTier(prevTier)
 		parallel.SetWorkers(oldW)
 	}()
 	ref := scenario()
-	simd.SetEnabled(prevSIMD)
+	simd.SetTier(prevTier)
 	for _, tier := range simd.Tiers() {
 		prevTier := simd.SetTier(tier)
 		for _, workers := range []int{1, 2, 8} {

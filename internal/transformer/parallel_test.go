@@ -123,12 +123,19 @@ func TestChunkedPrefillAssemblyIsLinear(t *testing.T) {
 			}
 			copied := func(s ring.BlockCacheStats) int64 { return s.RebuildRows + s.AppendedRows }
 			layers := int64(w.Cfg.Model.Layers)
-			prev := c.AssemblyStats()
+			assembly := func() ring.BlockCacheStats {
+				tel, err := c.Telemetry()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tel.Assembly
+			}
+			prev := assembly()
 			for at := 0; at < len(prompt); at += budget {
 				if _, err := c.Prefill(0, prompt[at:at+budget], v); err != nil {
 					t.Fatal(err)
 				}
-				stats := c.AssemblyStats()
+				stats := assembly()
 				rows, reuses := copied(stats)-copied(prev), stats.Reuses-prev.Reuses
 				wantRows, wantReuses := layers*int64(at+budget), int64(0)
 				if v == model.PassQ {
@@ -146,7 +153,7 @@ func TestChunkedPrefillAssemblyIsLinear(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if after := c.AssemblyStats(); after != prev {
+			if after := assembly(); after != prev {
 				t.Fatalf("3 decode steps moved the copy counters: %+v, before %+v", after, prev)
 			}
 		})

@@ -2,9 +2,11 @@ package transformer
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/comm"
@@ -71,6 +73,7 @@ func newMemPlane(w *Weights, n int, co clusterOpts, epoch uint64) (*memPlane, er
 		m.engines = append(m.engines, e)
 	}
 	m.world = comm.NewWorld(n, co.commOpts...)
+	stockWaitRecords(sudogCacheSize * (runtime.GOMAXPROCS(0) + 1))
 	for r := range m.cmds {
 		m.cmds[r] = make(chan any, 1)
 		m.exited.Add(1)
@@ -79,6 +82,30 @@ func newMemPlane(w *Weights, n int, co clusterOpts, epoch uint64) (*memPlane, er
 	p := &memPlane{m}
 	runtime.AddCleanup(p, (*memRanks).stop, m)
 	return p, nil
+}
+
+// sudogCacheSize is the capacity of a P's cache of the runtime's wait
+// records (runtime.p.sudogbuf).
+const sudogCacheSize = 128
+
+// stockWaitRecords makes the runtime hold at least n wait records (sudogs),
+// so that the ranks' hand-offs never allocate one. A goroutine that parks —
+// a rank in a mailbox receive or on its command channel, the coordinator in
+// bcast — takes a record from its P's cache and, woken by a goroutine on
+// another P, returns it to that P's cache. Each cache keeps up to
+// sudogCacheSize records before it spills half to the shared list, so while
+// fewer than GOMAXPROCS caches' worth circulate, one P can sit on records
+// while another finds its cache and the shared list empty and allocates, in
+// bursts that thousands of decode steps do not outgrow. Parking in a select
+// over n channels takes n records at once, and the wake-up hands them all
+// back. Only a GC shrinks the stock again (it drops the shared list).
+func stockWaitRecords(n int) {
+	cases := make([]reflect.SelectCase, n+1)
+	for i := range n {
+		cases[i] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(make(chan struct{}))}
+	}
+	cases[n] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(time.After(time.Millisecond))}
+	reflect.Select(cases)
 }
 
 // serve is rank r's goroutine: one command at a time until the plane stops.

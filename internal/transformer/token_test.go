@@ -325,6 +325,11 @@ func TestTokenPathThroughChaosSoak(t *testing.T) {
 		}
 		listeners[i], addrs[i] = ln, ln.Addr().String()
 	}
+	var injectedBefore int64
+	_, before := chaos.Totals()
+	for _, c := range before {
+		injectedBefore += c
+	}
 	injectors := make([]*chaos.Injector, n)
 	var wg sync.WaitGroup
 	workerErrs := make([]error, n)
@@ -375,9 +380,10 @@ func TestTokenPathThroughChaosSoak(t *testing.T) {
 		}
 		total += rebuilds
 	}
-	var injected int64
-	for _, in := range injectors {
-		injected += in.Injected()
+	_, after := chaos.Totals()
+	injected := -injectedBefore
+	for _, c := range after {
+		injected += c
 	}
 	if injected == 0 || total == 0 {
 		t.Fatalf("the soak injected %d faults and took %d rebuilds: the streams were never soaked", injected, total)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -156,10 +157,10 @@ func TestArrivalPatterns(t *testing.T) {
 		if err := tc.spec.Validate(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		g1 := NewGenerator(1)
-		g2 := NewGenerator(1)
-		a1 := tc.spec.arrivals(g1.rng)
-		a2 := tc.spec.arrivals(g2.rng)
+		g1 := rand.New(rand.NewSource(1))
+		g2 := rand.New(rand.NewSource(1))
+		a1 := tc.spec.arrivals(g1)
+		a2 := tc.spec.arrivals(g2)
 		if !reflect.DeepEqual(a1, a2) {
 			t.Fatalf("%s: same-seed arrivals differ", tc.name)
 		}
@@ -179,10 +180,10 @@ func TestArrivalPatterns(t *testing.T) {
 	}
 	// The diurnal peak third should out-arrive the ramp legs; the burst
 	// pattern should cluster arrivals inside burst windows.
-	g := NewGenerator(2)
+	g := rand.New(rand.NewSource(2))
 	di := Diurnal(20, 400, 1_200_000)
 	mid := 0
-	arr := di.arrivals(g.rng)
+	arr := di.arrivals(g)
 	for _, at := range arr {
 		if at >= 400_000 && at < 800_000 {
 			mid++
@@ -212,13 +213,13 @@ func TestBuiltinCohortsValid(t *testing.T) {
 }
 
 func TestDistSample(t *testing.T) {
-	g := NewGenerator(9)
+	g := rand.New(rand.NewSource(9))
 	for _, d := range []Dist{Const(7), UniformDist(3, 9), LogUniform(2, 1000)} {
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 200; i++ {
-			v := d.Sample(g.rng)
+			v := d.Sample(g)
 			if v < d.Min {
 				t.Fatalf("%s sample %d below min %d", d.Kind, v, d.Min)
 			}
@@ -231,16 +232,6 @@ func TestDistSample(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("%+v validated", bad)
 		}
-	}
-}
-
-// Seed audit, part 1: same seed → identical output from every generator
-// entry point.
-func TestGeneratorsDeterministic(t *testing.T) {
-	u1 := NewGenerator(42).Uniform(32, 1, 100)
-	u2 := NewGenerator(42).Uniform(32, 1, 100)
-	if !reflect.DeepEqual(u1, u2) {
-		t.Fatal("Uniform not deterministic for same seed")
 	}
 }
 

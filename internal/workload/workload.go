@@ -9,32 +9,8 @@
 package workload
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 )
-
-// Generator produces deterministic workloads.
-type Generator struct {
-	rng *rand.Rand
-}
-
-// NewGenerator returns a generator with the given seed.
-func NewGenerator(seed int64) *Generator {
-	return &Generator{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Uniform returns lengths drawn uniformly from [min, max].
-func (g *Generator) Uniform(n, min, max int) []int {
-	if min < 1 || max < min {
-		panic(fmt.Sprintf("workload: bad uniform range [%d,%d]", min, max))
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = min + g.rng.Intn(max-min+1)
-	}
-	return out
-}
 
 // Point is a (new tokens, cached tokens) workload for heuristic sweeps.
 type Point struct {
@@ -82,7 +58,7 @@ func ContextSweep(long bool) []int {
 
 // LogGrid returns points covering (T, miss-rate) space on log-spaced axes,
 // the sampling scheme behind Figure 10's scatter.
-func (g *Generator) LogGrid(tMin, tMax int, mrMin, mrMax float64, nT, nMR int) []Point {
+func LogGrid(tMin, tMax int, mrMin, mrMax float64, nT, nMR int) []Point {
 	if nT < 2 || nMR < 2 {
 		panic("workload: grid needs at least 2 points per axis")
 	}

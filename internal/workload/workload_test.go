@@ -6,35 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestUniformBounds(t *testing.T) {
-	g := NewGenerator(1)
-	lens := g.Uniform(100, 5, 9)
-	for _, l := range lens {
-		if l < 5 || l > 9 {
-			t.Fatalf("length %d outside [5,9]", l)
-		}
-	}
-}
-
-func TestUniformDeterministic(t *testing.T) {
-	a := NewGenerator(7).Uniform(20, 1, 100)
-	b := NewGenerator(7).Uniform(20, 1, 100)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed produced different workloads")
-		}
-	}
-}
-
-func TestUniformPanicsOnBadRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad range accepted")
-		}
-	}()
-	NewGenerator(1).Uniform(1, 5, 4)
-}
-
 func TestHitRateSweepTotalsConserved(t *testing.T) {
 	pts := HitRateSweep(128000, Table4MissRates())
 	if len(pts) != 14 {
@@ -76,8 +47,7 @@ func TestContextSweeps(t *testing.T) {
 }
 
 func TestLogGridCoverage(t *testing.T) {
-	g := NewGenerator(3)
-	pts := g.LogGrid(100, 100000, 0.001, 1.0, 8, 6)
+	pts := LogGrid(100, 100000, 0.001, 1.0, 8, 6)
 	if len(pts) != 48 {
 		t.Fatalf("grid size = %d", len(pts))
 	}
