@@ -3,8 +3,8 @@
 // and CP group size: the pass-KV/pass-Q selection thresholds (Equations 1-3
 // and 5), predicted TTFT/TTIT with full breakdowns, KV-cache capacity, and
 // the MFU accounting of Appendix A. -exp regenerates the paper's tables and
-// figures, and -tracev2 replays a cploadgen trace through the virtual-time
-// serving simulator.
+// figures, and -tracev2 replays a cploadgen trace through the serving
+// scheduler in virtual time.
 //
 // Usage:
 //
@@ -26,9 +26,10 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/perf"
+	"repro/internal/server"
+	"repro/internal/workload"
 )
 
 func pickModel(name string) (model.Config, error) {
@@ -73,8 +74,8 @@ func run(args []string, out io.Writer) error {
 	ttitTarget := fs.Float64("ttit", 0, "TTIT target in seconds for deployment planning (0 = off)")
 	list := fs.Bool("list", false, "list the paper's tables and figures by experiment id")
 	exp := fs.String("exp", "", "regenerate one table or figure by experiment id, or 'all'")
-	tracev2 := fs.String("tracev2", "", "replay this cploadgen tracev2 file through the discrete-event serving simulator")
-	simOut := fs.String("sim-out", "", "write the simulated cp-serving-bench/v1 report here (requires -tracev2)")
+	tracev2 := fs.String("tracev2", "", "replay this cploadgen tracev2 file through the serving scheduler in virtual time")
+	simOut := fs.String("sim-out", "", "write the virtual replay's cp-serving-bench/v1 report here (requires -tracev2)")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 
 	switch {
@@ -86,14 +87,14 @@ func run(args []string, out io.Writer) error {
 	case *exp != "":
 		return perf.WriteExperiments(out, *exp)
 	case *tracev2 != "":
-		return perf.WriteServeReplay(out, *tracev2, *simOut, time.Now().Unix())
+		return replayTrace(out, *tracev2, *simOut, time.Now().Unix())
 	}
 
 	m, err := pickModel(*modelName)
 	if err != nil {
 		return err
 	}
-	plat, ok := hw.Platforms()[*platName]
+	plat, ok := perf.Platforms()[*platName]
 	if !ok {
 		return fmt.Errorf("unknown platform %q", *platName)
 	}
@@ -102,4 +103,36 @@ func run(args []string, out io.Writer) error {
 		T:      *ctx, P: *cached, Batch: *batch,
 		TTFTTarget: *ttftTarget, TTITTarget: *ttitTarget,
 	})
+}
+
+// replayTrace prints a per-cohort summary of the cp-trace/v2 file at
+// tracePath replayed in virtual time and, when simOut is set, writes its
+// cp-serving-bench/v1 report there, stamped with generatedUnix.
+func replayTrace(w io.Writer, tracePath, simOut string, generatedUnix int64) error {
+	tr, err := workload.ReadTraceFile(tracePath)
+	if err != nil {
+		return err
+	}
+	res, err := server.ReplayVirtual(tr)
+	if err != nil {
+		return err
+	}
+	rep := workload.BuildServingReport(tr, res.Results, res.DurationMs, generatedUnix)
+	if err := workload.ValidateServingReport(rep); err != nil {
+		return fmt.Errorf("virtual replay report invalid: %w", err)
+	}
+	fmt.Fprintf(w, "replayed %d requests (%d sessions) in %.1f virtual ms over %d steps\n",
+		rep.Totals.Requests, rep.Trace.Sessions, rep.DurationMs, res.Batch.Iterations)
+	for _, c := range rep.Cohorts {
+		fmt.Fprintf(w, "  %-14s %4d req  ttft p50/p99 %.2f/%.2f ms  itl p50 %.3f ms  slo met=%v\n",
+			c.Cohort, c.Requests, c.TTFT.P50Ms, c.TTFT.P99Ms, c.ITL.P50Ms, c.SLO.Met)
+	}
+	if simOut == "" {
+		return nil
+	}
+	if err := workload.WriteServingReport(simOut, rep); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote virtual replay report to %s\n", simOut)
+	return nil
 }

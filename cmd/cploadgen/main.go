@@ -133,7 +133,7 @@ func runReplay(tracePath, base, benchOut string, speed float64, reqTO, ranks int
 		srv, err := server.New(server.Config{
 			Transformer: transformer.Tiny(modelSeed),
 			Ranks:       ranks,
-			Variant:     model.PassKV,
+			Variant:     model.Auto,
 			TokenBudget: tokenBudget,
 			MaxBatch:    maxBatch,
 			Cohorts:     tr.Spec.CohortNames(),

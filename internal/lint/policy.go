@@ -38,10 +38,8 @@ func DefaultPolicy() Policy {
 		"determinism": {
 			"internal/comm/wire",
 			"internal/workload",
-			// The analytical layer: model and experiments, and the
-			// virtual-time simulators beneath them.
+			// The analytical layer: model, experiments and ring simulator.
 			"internal/perf",
-			"internal/eventsim",
 			"internal/chaos",
 			"internal/sharding",
 			"internal/trace",

@@ -3,9 +3,6 @@ package perf
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/eventsim"
-	"repro/internal/workload"
 )
 
 // Query is one cpcalc evaluation: a modeled deployment, a prefill of T new
@@ -83,38 +80,5 @@ func WriteFormulas(w io.Writer, q Query) error {
 	if !plan.MeetsTTIT {
 		fmt.Fprintln(w, "note: decode regresses as CP grows (§4.3); consider disaggregated prefill/decode")
 	}
-	return nil
-}
-
-// WriteServeReplay replays the cp-trace/v2 file at tracePath through
-// SimulateServe under DefaultServeModel and prints a per-cohort summary.
-// When simOut is set it also writes the cp-serving-bench/v1 report there,
-// the schema cploadgen's live replay emits, stamped with generatedUnix.
-func WriteServeReplay(w io.Writer, tracePath, simOut string, generatedUnix int64) error {
-	tr, err := workload.ReadTraceFile(tracePath)
-	if err != nil {
-		return err
-	}
-	res, err := eventsim.SimulateServe(tr, eventsim.DefaultServeModel())
-	if err != nil {
-		return err
-	}
-	rep := workload.BuildServingReport(tr, res.Results, res.DurationMs, generatedUnix)
-	if err := workload.ValidateServingReport(rep); err != nil {
-		return fmt.Errorf("simulated report invalid: %w", err)
-	}
-	fmt.Fprintf(w, "simulated %d requests (%d sessions) in %.1f virtual ms over %d steps\n",
-		rep.Totals.Requests, rep.Trace.Sessions, rep.DurationMs, res.Steps)
-	for _, c := range rep.Cohorts {
-		fmt.Fprintf(w, "  %-14s %4d req  ttft p50/p99 %.2f/%.2f ms  itl p50 %.3f ms  slo met=%v\n",
-			c.Cohort, c.Requests, c.TTFT.P50Ms, c.TTFT.P99Ms, c.ITL.P50Ms, c.SLO.Met)
-	}
-	if simOut == "" {
-		return nil
-	}
-	if err := workload.WriteServingReport(simOut, rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote simulated serving report to %s\n", simOut)
 	return nil
 }

@@ -3,7 +3,6 @@ package perf
 import (
 	"fmt"
 
-	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/sharding"
 	"repro/internal/workload"
@@ -34,7 +33,7 @@ func planTable() (*table, error) {
 	}
 	for _, cs := range cases {
 		p, err := PlanDeployment(PlanRequest{
-			Model: model.Llama3405B(), Plat: hw.GTT(),
+			Model: model.Llama3405B(), Plat: GTT(),
 			Context: cs.ctx, TTFTTarget: cs.target, MaxCPNodes: 32,
 		})
 		if err != nil {
@@ -91,7 +90,7 @@ func ablationSharding() (*table, error) {
 
 func ablationHeuristics() (*table, error) {
 	s := gtt(4, 1)
-	in := NewInputs(model.Llama3405B(), hw.GTT(), 4)
+	in := NewInputs(model.Llama3405B(), GTT(), 4)
 	grid := oracleLabels(s, workload.LogGrid(256, 262144, 0.002, 1.0, 12, 10))
 	fit, err := FitEmpirical(grid)
 	if err != nil {
@@ -131,7 +130,7 @@ func ablationGB200() (*table, error) {
 	m := model.Llama3405B()
 	for _, tp := range []int{1, 2, 4} {
 		rdma := gtt(1, tp)
-		gb := System{Model: m, Plat: hw.GB200Like(), CPNodes: 1, TPNodes: tp}
+		gb := System{Model: m, Plat: GB200Like(), CPNodes: 1, TPNodes: tp}
 		t.addRow(rdma.Name(),
 			sec(rdma.Prefill(T, 0, PassKV).Total),
 			sec(gb.Prefill(T, 0, PassKV).Total))

@@ -39,8 +39,12 @@ func endToEnd() (*table, error) {
 				return nil, err
 			}
 			got, err := c.Generate(0, prompt, steps, v)
+			var tel transformer.Telemetry
+			if err == nil {
+				tel, err = c.Telemetry()
+			}
+			c.Close()
 			if err != nil {
-				c.Close()
 				return nil, err
 			}
 			match := "yes"
@@ -51,9 +55,8 @@ func endToEnd() (*table, error) {
 				}
 			}
 			t.addRow(fmt.Sprintf("%d", ranks), v.String(), fmt.Sprintf("%d", steps), match,
-				fmt.Sprintf("%.0f", c.CommStats().TotalBytes()),
-				fmt.Sprintf("%v", c.RankCacheTokens()))
-			c.Close()
+				fmt.Sprintf("%.0f", tel.Comm.TotalBytes()),
+				fmt.Sprintf("%v", tel.RankKV))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -64,7 +67,7 @@ func endToEnd() (*table, error) {
 // commBytes counts what one prefill moves on a 2-rank transformer cluster
 // with model.Tiny's head shapes (NH = 4·NKV, so Equation 1 separates the
 // variants): a 32-token full prefill, and a 2-token follow-up to a 32-token
-// pass-KV prefill. Each cell is a CommStats delta across the measured
+// pass-KV prefill. Each cell is a telemetry delta across the measured
 // prefill on a fresh cluster.
 func commBytes() (*table, error) {
 	t := &table{
@@ -122,11 +125,17 @@ func prefillBytes(w *transformer.Weights, cached, n int, v Variant) (ring, a2a f
 			return 0, 0, err
 		}
 	}
-	before := c.CommStats()
+	before, err := c.Telemetry()
+	if err != nil {
+		return 0, 0, err
+	}
 	if _, err := c.Prefill(0, toks[cached:], v); err != nil {
 		return 0, 0, err
 	}
-	after := c.CommStats()
-	return after.Bytes[comm.KindSendRecv] - before.Bytes[comm.KindSendRecv],
-		after.Bytes[comm.KindAll2All] - before.Bytes[comm.KindAll2All], nil
+	after, err := c.Telemetry()
+	if err != nil {
+		return 0, 0, err
+	}
+	return after.Comm.Bytes[comm.KindSendRecv] - before.Comm.Bytes[comm.KindSendRecv],
+		after.Comm.Bytes[comm.KindAll2All] - before.Comm.Bytes[comm.KindAll2All], nil
 }

@@ -3,7 +3,6 @@ package perf
 import (
 	"fmt"
 
-	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -157,7 +156,7 @@ func fig10() (*table, error) {
 	t.addRow("mean regret vs oracle", pct(ev.MeanRegret), "-")
 
 	// Also compare the analytical heuristics on the same grid.
-	in := NewInputs(model.Llama3405B(), hw.GTT(), 4)
+	in := NewInputs(model.Llama3405B(), GTT(), 4)
 	a1 := evaluate(s, func(T, P int) Variant { return Algorithm1(in, T, P) }, grid)
 	a5 := evaluate(s, func(T, P int) Variant { return Algorithm5(in, T, P) }, grid)
 	t.addRow("Algorithm 1 accuracy", pct(a1.accuracy()), "-")

@@ -3,7 +3,6 @@ package perf
 import (
 	"fmt"
 
-	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -69,7 +68,7 @@ func table3() (*table, error) {
 	return t, nil
 }
 
-func prefillSweep(id string, plat hw.Platform, nodes []int) *table {
+func prefillSweep(id string, plat Platform, nodes []int) *table {
 	t := &table{ID: id, Title: title(id)}
 	t.Header = []string{"context"}
 	for _, n := range nodes {
@@ -87,7 +86,7 @@ func prefillSweep(id string, plat hw.Platform, nodes []int) *table {
 }
 
 func fig6a() (*table, error) {
-	t := prefillSweep("fig6a", hw.GTT(), []int{1, 2, 4, 8})
+	t := prefillSweep("fig6a", GTT(), []int{1, 2, 4, 8})
 	cp8 := gtt(8, 1).Prefill(128000, 0, PassKV).Total
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("paper: CP8/GTT processes a 128K prefill in 5.85 s; model predicts %.2f s", cp8),
@@ -96,7 +95,7 @@ func fig6a() (*table, error) {
 }
 
 func fig6b() (*table, error) {
-	t := prefillSweep("fig6b", hw.GTI(), []int{1, 2, 4})
+	t := prefillSweep("fig6b", GTI(), []int{1, 2, 4})
 	gttCP4 := gtt(4, 1).Prefill(128000, 0, PassKV).Total
 	gtiCP4 := gti(4).Prefill(128000, 0, PassKV).Total
 	t.Notes = append(t.Notes,

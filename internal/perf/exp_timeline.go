@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"repro/internal/eventsim"
 )
 
 func init() {
@@ -14,15 +12,15 @@ func init() {
 	register("xcheck-overlap", "Cross-validation: event-driven makespan vs closed-form overlap model", xcheckOverlap)
 }
 
-// specFrom builds a uniform event-sim spec from the perf model's
+// specFrom builds a uniform ring-simulator spec from the perf model's
 // per-iteration quantities for one layer.
-func specFrom(sys System, T, P int, v Variant) eventsim.RingSpec {
+func specFrom(sys System, T, P int, v Variant) RingSpec {
 	b := sys.Prefill(T, P, v)
 	a2a := 0.0
 	if v == PassQ {
 		a2a = b.All2All / float64(sys.Model.Layers)
 	}
-	return eventsim.Uniform(sys.CPNodes, b.AttnIter, b.SendRecvIter, a2a)
+	return Uniform(sys.CPNodes, b.AttnIter, b.SendRecvIter, a2a)
 }
 
 func timeline() (*table, error) {
@@ -41,7 +39,7 @@ func timeline() (*table, error) {
 	} {
 		for _, v := range []Variant{PassKV, PassQ} {
 			spec := specFrom(s, sc.T, sc.P, v)
-			res, err := eventsim.Simulate(spec)
+			res, err := SimulateRing(spec)
 			if err != nil {
 				return nil, err
 			}
@@ -72,14 +70,14 @@ func ablationJitter() (*table, error) {
 		{"gti", gti(4)},
 	} {
 		clean := specFrom(plat.sys, T, 0, PassKV)
-		base, err := eventsim.Simulate(clean)
+		base, err := SimulateRing(clean)
 		if err != nil {
 			return nil, err
 		}
 		for _, slow := range []float64{1, 2, 4, 8} {
 			spec := specFrom(plat.sys, T, 0, PassKV)
 			spec.ScaleLinkXfer(1, slow)
-			res, err := eventsim.Simulate(spec)
+			res, err := SimulateRing(spec)
 			if err != nil {
 				return nil, err
 			}
@@ -116,11 +114,11 @@ func xcheckOverlap() (*table, error) {
 	}
 	worst := 0.0
 	for _, c := range cases {
-		res, err := eventsim.Simulate(eventsim.Uniform(c.n, c.compute, c.xfer, c.a2a))
+		res, err := SimulateRing(Uniform(c.n, c.compute, c.xfer, c.a2a))
 		if err != nil {
 			return nil, err
 		}
-		cf := eventsim.ClosedForm(c.n, c.compute, c.xfer, c.a2a)
+		cf := ClosedForm(c.n, c.compute, c.xfer, c.a2a)
 		rel := math.Abs(res.Makespan-cf) / cf
 		if rel > worst {
 			worst = rel

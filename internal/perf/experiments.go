@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/hw"
 	"repro/internal/model"
 )
 
@@ -137,11 +136,11 @@ func WriteExperiments(w io.Writer, id string) error {
 // ---------------------------------------------------------------------------
 
 func gtt(cp, tp int) System {
-	return System{Model: model.Llama3405B(), Plat: hw.GTT(), CPNodes: cp, TPNodes: tp}
+	return System{Model: model.Llama3405B(), Plat: GTT(), CPNodes: cp, TPNodes: tp}
 }
 
 func gti(cp int) System {
-	return System{Model: model.Llama3405B(), Plat: hw.GTI(), CPNodes: cp, TPNodes: 1}
+	return System{Model: model.Llama3405B(), Plat: GTI(), CPNodes: cp, TPNodes: 1}
 }
 
 func ms(sec float64) string { return fmt.Sprintf("%.2f", sec*1000) }

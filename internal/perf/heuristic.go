@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -33,7 +32,7 @@ type Inputs struct {
 // NewInputs derives heuristic inputs from a platform: one CP rank is a full
 // host, so per-rank rates aggregate the host's GPUs (the paper forms one
 // ring per KV head across hosts, Figure 5).
-func NewInputs(m model.Config, p hw.Platform, n int) Inputs {
+func NewInputs(m model.Config, p Platform, n int) Inputs {
 	return Inputs{
 		Model: m,
 		N:     n,

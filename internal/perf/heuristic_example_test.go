@@ -3,7 +3,6 @@ package perf_test
 import (
 	"fmt"
 
-	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/perf"
 )
@@ -12,7 +11,7 @@ import (
 // a 1%-miss follow-up rides pass-Q, and anything above the 12.5% miss-rate
 // threshold (Equation 1) rides pass-KV again.
 func ExampleAlgorithm1() {
-	in := perf.NewInputs(model.Llama3405B(), hw.GTT(), 4)
+	in := perf.NewInputs(model.Llama3405B(), perf.GTT(), 4)
 	fmt.Printf("Eq1 miss threshold: %.3f\n", perf.Eq1Threshold(in.Model))
 	fmt.Println("full 128K prefill:", perf.Algorithm1(in, 128000, 0))
 	fmt.Println("1% miss follow-up:", perf.Algorithm1(in, 1280, 126720))

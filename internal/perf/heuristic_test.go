@@ -5,13 +5,12 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
 
 func gttInputs(n int) Inputs {
-	return NewInputs(model.Llama3405B(), hw.GTT(), n)
+	return NewInputs(model.Llama3405B(), GTT(), n)
 }
 
 // oracleGrid labels a (total context, miss rate) grid with the perf-model

@@ -1,10 +1,7 @@
 // Package perf is the paper's evaluation on the paper's hardware: the
 // analytical package behind the cpcalc command, linked by no serving binary.
-// It builds on two leaf packages: internal/hw (the H100 platforms GTT and GTI
-// and their calibration) and internal/eventsim (a discrete-event simulator
-// of one ring pass that cross-checks the model's closed-form overlap, and a
-// virtual-time serving loop that replays a cp-trace/v2).
 //
+//   - platform.go: the H100 platforms GTT and GTI and their calibration.
 //   - perf.go, plan.go: the calibrated performance model. It extends the
 //     roofline analysis of §3.4 (Equations 1-3 and Appendix C) with the terms
 //     a real deployment pays: tensor-parallel AllReduces, ring SendRecv
@@ -15,12 +12,14 @@
 //     with the least-squares fitter of the empirical selector.
 //   - experiments.go and exp_*.go: every table and figure of §4 and
 //     Appendices A and D, printed by cpcalc -exp.
+//   - ringsim.go: a discrete-event simulator of one ring pass that
+//     cross-checks the model's closed-form overlap.
 //
 // All latencies are in seconds. The model is deterministic and cheap
 // (microseconds per evaluation), so the experiments sweep every
 // configuration of §4 and fit the Appendix D selector against it.
 //
-// Calibration: GPU efficiency factors live in hw.Platform and were fitted
+// Calibration: GPU efficiency factors live in Platform and were fitted
 // once against the paper's anchor numbers (CP1 TTFT 42 s at 128K, standalone
 // FA3 at 540 TF/s, Table 5 and Table 8 microsecond breakdowns);
 // testdata/experiments.golden holds the model-versus-paper columns of every
@@ -31,8 +30,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/eventsim"
-	"repro/internal/hw"
 	"repro/internal/model"
 )
 
@@ -70,7 +67,7 @@ const (
 // TPNodes = 1; its multi-node TP baselines have CPNodes = 1, TPNodes > 1.
 type System struct {
 	Model   model.Config
-	Plat    hw.Platform
+	Plat    Platform
 	CPNodes int // N, context-parallel ranks (one host each unless TPNodes>1)
 	TPNodes int // hosts inside one tensor-parallel group
 }
@@ -234,7 +231,7 @@ func (s System) Prefill(T, P int, v Variant) PrefillBreakdown {
 		b.SendRecvIter = commIter
 		// Pipeline: the first chunk computes unmasked; each later iteration
 		// costs max(compute, transfer).
-		ringLayer := eventsim.ClosedForm(n, attnIter, commIter, 0)
+		ringLayer := ClosedForm(n, attnIter, commIter, 0)
 		b.RingExposed = (ringLayer - float64(n)*attnIter) * L
 		if v == PassQ {
 			qHeadsPerGPU := float64(c.NumHeads) / float64(s.Plat.GPUsPerHost)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/hw"
 	"repro/internal/model"
 )
 
@@ -129,7 +128,7 @@ func TestScalingRatioOrdering(t *testing.T) {
 			tp16, cp2, tp32, cp4)
 	}
 	// Paper: the latency gap grows to ~100% at 8 nodes (CP8 ~2x faster than TP64).
-	tp64 := System{Model: model.Llama3405B(), Plat: hw.GTT(), CPNodes: 1, TPNodes: 8}
+	tp64 := System{Model: model.Llama3405B(), Plat: GTT(), CPNodes: 1, TPNodes: 8}
 	gap := tp64.Prefill(T, 0, PassKV).Total / gtt(8, 1).Prefill(T, 0, PassKV).Total
 	if gap < 1.5 {
 		t.Errorf("TP64/CP8 latency gap = %.2f, want >= 1.5 (paper reports ~2x)", gap)
@@ -302,8 +301,8 @@ func TestKVCapacityScalesWithCP(t *testing.T) {
 func TestGB200TPRecovers(t *testing.T) {
 	const T = 128000
 	m := model.Llama3405B()
-	gttTP16 := System{Model: m, Plat: hw.GTT(), CPNodes: 1, TPNodes: 2}
-	gbTP16 := System{Model: m, Plat: hw.GB200Like(), CPNodes: 1, TPNodes: 2}
+	gttTP16 := System{Model: m, Plat: GTT(), CPNodes: 1, TPNodes: 2}
+	gbTP16 := System{Model: m, Plat: GB200Like(), CPNodes: 1, TPNodes: 2}
 	rGTT := gttTP16.ScalingRatio(T, PassKV)
 	rGB := gbTP16.ScalingRatio(T, PassKV)
 	if rGB <= rGTT {
@@ -377,7 +376,7 @@ func TestChooseVariantCrossoverPinned(t *testing.T) {
 		t.Fatalf("below-threshold miss rate chose %v, want pass-Q", got)
 	}
 	// System.Prefill resolves Auto to the same rule before modeling.
-	sys := System{Model: c, Plat: hw.GTT(), CPNodes: 4, TPNodes: 1}
+	sys := System{Model: c, Plat: GTT(), CPNodes: 4, TPNodes: 1}
 	for _, pt := range []struct{ T, P int }{{1280, 126720}, {128000, 0}, {16000, 112000}} {
 		b := sys.Prefill(pt.T, pt.P, Auto)
 		if b.Variant != ChooseVariant(c, pt.T, pt.P) {

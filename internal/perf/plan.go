@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/hw"
 	"repro/internal/model"
 )
 
@@ -27,7 +26,7 @@ type Plan struct {
 // PlanRequest states the serving constraints.
 type PlanRequest struct {
 	Model       model.Config
-	Plat        hw.Platform
+	Plat        Platform
 	Context     int     // total context length to serve (tokens)
 	TTFTTarget  float64 // seconds; 0 = unconstrained
 	TTITTarget  float64 // seconds; 0 = unconstrained

@@ -3,7 +3,6 @@ package perf
 import (
 	"testing"
 
-	"repro/internal/hw"
 	"repro/internal/model"
 )
 
@@ -11,7 +10,7 @@ func TestPlanMeetsTTFT(t *testing.T) {
 	// Serve 128K with a 6-second TTFT target: needs CP8 on GTT (42s / 21s /
 	// 11s / 5.6s for 1/2/4/8 nodes).
 	p, err := PlanDeployment(PlanRequest{
-		Model: model.Llama3405B(), Plat: hw.GTT(),
+		Model: model.Llama3405B(), Plat: GTT(),
 		Context: 128000, TTFTTarget: 6,
 	})
 	if err != nil {
@@ -29,7 +28,7 @@ func TestPlanCapacityForcesScaleOut(t *testing.T) {
 	// 1M tokens do not fit one node's KV (§4.2.3); even with no latency
 	// target the plan must scale out.
 	p, err := PlanDeployment(PlanRequest{
-		Model: model.Llama3405B(), Plat: hw.GTT(), Context: 1_000_000,
+		Model: model.Llama3405B(), Plat: GTT(), Context: 1_000_000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +43,7 @@ func TestPlanCapacityForcesScaleOut(t *testing.T) {
 
 func TestPlanUnreachableTarget(t *testing.T) {
 	_, err := PlanDeployment(PlanRequest{
-		Model: model.Llama3405B(), Plat: hw.GTT(),
+		Model: model.Llama3405B(), Plat: GTT(),
 		Context: 1_000_000, TTFTTarget: 1, MaxCPNodes: 16,
 	})
 	if err == nil {
@@ -53,7 +52,7 @@ func TestPlanUnreachableTarget(t *testing.T) {
 }
 
 func TestPlanInvalidContext(t *testing.T) {
-	if _, err := PlanDeployment(PlanRequest{Model: model.Llama3405B(), Plat: hw.GTT()}); err == nil {
+	if _, err := PlanDeployment(PlanRequest{Model: model.Llama3405B(), Plat: GTT()}); err == nil {
 		t.Fatal("zero context accepted")
 	}
 }
@@ -62,7 +61,7 @@ func TestPlanTTITDiagnostic(t *testing.T) {
 	// The paper's §4.3 point: scaling CP for prefill hurts decode. A strict
 	// TTIT target should be reported unmet on a large CP group.
 	p, err := PlanDeployment(PlanRequest{
-		Model: model.Llama3405B(), Plat: hw.GTT(),
+		Model: model.Llama3405B(), Plat: GTT(),
 		Context: 128000, TTFTTarget: 6, TTITTarget: 0.050,
 	})
 	if err != nil {

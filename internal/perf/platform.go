@@ -1,24 +1,8 @@
-// Package hw describes the hardware platforms of the paper's evaluation and
-// the calibration constants of the analytical performance model.
-//
-// The paper benchmarks two Grand Teton H100 platforms (§4.1):
-//
-//   - GTT (Grand Teton Training): hosts of 8 NVLink-connected H100s with a
-//     backend RDMA network at 400 Gb/s per GPU.
-//   - GTI (Grand Teton Inference): the same hosts on a frontend TCP/IP
-//     network at 100 Gb/s per GPU, with an achieved bandwidth of roughly
-//     3 GB/s per rank observed in the paper's traces.
-//
-// The H100s are power-limited (500 W) with 96 GB HBM2e at 2.4 TB/s and a
-// BF16 peak of 800 TF/s (Appendix A), i.e. an FP8 peak of 1.6 PF/s.
-//
-// Efficiency factors translate peaks into achieved rates. They are
-// calibrated once against the paper's anchor measurements (CP1 TTFT at 128K
-// = 42 s, standalone FlashAttention-3 at 540 TF/s, Table 8 decode
-// micro-latencies) and then used unchanged for every experiment;
-// internal/perf/testdata/experiments.golden holds the model-versus-paper
-// columns of every reproduced table.
-package hw
+// The hardware platforms of the paper's evaluation (§4.1): Grand Teton
+// hosts of 8 NVLink-connected, power-limited H100s on two fabrics, and the
+// efficiency factors calibrated once as the package comment describes.
+
+package perf
 
 // GPU describes one accelerator.
 type GPU struct {

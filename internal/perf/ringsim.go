@@ -1,10 +1,10 @@
-// Package eventsim is a discrete-event simulator of the ring-attention
-// pipeline. Where perf.System.Prefill predicts latency with the closed-form
-// overlap expression (compute + (N−1)·max(compute, transfer)), Simulate
-// derives the same schedule from first principles — per-rank compute
-// serialization, block-forwarding dependencies, and NIC occupancy — so the
-// two can cross-validate, and so non-uniform conditions the closed form
-// cannot express (stragglers, slow links, jitter) can be studied.
+// A discrete-event simulator of the ring-attention pipeline. Where
+// System.Prefill predicts latency with the closed-form overlap expression
+// (compute + (N−1)·max(compute, transfer)), SimulateRing derives the same
+// schedule from first principles — per-rank compute serialization,
+// block-forwarding dependencies, and NIC occupancy — so the two can
+// cross-validate, and so non-uniform conditions the closed form cannot
+// express (stragglers, slow links, jitter) can be studied.
 //
 // The model: N ranks run N iterations each. At iteration j, rank r computes
 // attention on the block it currently holds while forwarding that block to
@@ -12,10 +12,8 @@
 // not wait for compute — the overlap the paper relies on), but a rank's NIC
 // sends serially and compute is serial per rank. pass-Q adds a trailing
 // All2All that starts when every rank has finished its partials.
-//
-// SimulateServe is the serving-level counterpart: a continuous-batching
-// scheduler loop in virtual time, replaying a tracev2.
-package eventsim
+
+package perf
 
 import (
 	"fmt"
@@ -39,7 +37,7 @@ const (
 // simSpan builds a timeline entry from simulated seconds.
 func simSpan(rank, iter int, name string, start, end float64) trace.Span {
 	return trace.Span{
-		Name: name, Cat: "eventsim", Rank: rank, Seq: trace.NoSeq, Epoch: 1,
+		Name: name, Cat: "ringsim", Rank: rank, Seq: trace.NoSeq, Epoch: 1,
 		Start: int64(math.Round(start * 1e9)),
 		Dur:   int64(math.Round((end - start) * 1e9)),
 		Args:  map[string]int64{"iter": int64(iter)},
@@ -64,24 +62,24 @@ type RingSpec struct {
 // Validate checks shape consistency.
 func (s RingSpec) Validate() error {
 	if s.N <= 0 {
-		return fmt.Errorf("eventsim: non-positive ring size %d", s.N)
+		return fmt.Errorf("perf: ring spec: non-positive ring size %d", s.N)
 	}
 	if len(s.Compute) != s.N || len(s.Xfer) != s.N {
-		return fmt.Errorf("eventsim: compute/xfer rows %d/%d for %d ranks", len(s.Compute), len(s.Xfer), s.N)
+		return fmt.Errorf("perf: ring spec: compute/xfer rows %d/%d for %d ranks", len(s.Compute), len(s.Xfer), s.N)
 	}
 	for r := 0; r < s.N; r++ {
 		if len(s.Compute[r]) != s.N || len(s.Xfer[r]) != s.N {
-			return fmt.Errorf("eventsim: rank %d has %d/%d iters, want %d",
+			return fmt.Errorf("perf: ring spec: rank %d has %d/%d iters, want %d",
 				r, len(s.Compute[r]), len(s.Xfer[r]), s.N)
 		}
 		for j := 0; j < s.N; j++ {
 			if s.Compute[r][j] < 0 || s.Xfer[r][j] < 0 {
-				return fmt.Errorf("eventsim: negative duration at rank %d iter %d", r, j)
+				return fmt.Errorf("perf: ring spec: negative duration at rank %d iter %d", r, j)
 			}
 		}
 	}
 	if s.A2A != nil && len(s.A2A) != s.N {
-		return fmt.Errorf("eventsim: %d a2a entries for %d ranks", len(s.A2A), s.N)
+		return fmt.Errorf("perf: ring spec: %d a2a entries for %d ranks", len(s.A2A), s.N)
 	}
 	return nil
 }
@@ -117,8 +115,8 @@ func (s *RingSpec) ScaleLinkXfer(rank int, f float64) {
 	}
 }
 
-// Result is the simulated schedule.
-type Result struct {
+// RingResult is the simulated schedule.
+type RingResult struct {
 	Makespan   float64
 	RankFinish []float64
 	Timeline   []trace.Span
@@ -128,8 +126,8 @@ type Result struct {
 	ExposedComm []float64
 }
 
-// Simulate derives the full schedule of one ring pass.
-func Simulate(spec RingSpec) (*Result, error) {
+// SimulateRing derives the full schedule of one ring pass.
+func SimulateRing(spec RingSpec) (*RingResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -141,7 +139,7 @@ func Simulate(spec RingSpec) (*Result, error) {
 		avail[r] = make([]float64, n)
 		computeEnd[r] = make([]float64, n)
 	}
-	res := &Result{RankFinish: make([]float64, n), ExposedComm: make([]float64, n)}
+	res := &RingResult{RankFinish: make([]float64, n), ExposedComm: make([]float64, n)}
 
 	// Iterations advance in lockstep dependency order: block availability at
 	// iteration j+1 depends only on sends issued at iteration j.
@@ -200,9 +198,8 @@ func Simulate(spec RingSpec) (*Result, error) {
 	return res, nil
 }
 
-// ClosedForm is the perf model's overlap expression for a uniform ring —
-// compute + (N−1)·max(compute, xfer) + a2a — which perf.System.Prefill
-// charges and the event-driven schedule cross-checks.
+// ClosedForm is the overlap expression System.Prefill charges for a uniform
+// ring: compute + (N−1)·max(compute, xfer) + a2a.
 func ClosedForm(n int, compute, xfer, a2a float64) float64 {
 	if n == 1 {
 		return compute + a2a
@@ -212,7 +209,7 @@ func ClosedForm(n int, compute, xfer, a2a float64) float64 {
 
 // Gantt renders an ASCII timeline with the given horizontal resolution
 // (seconds per character). Compute is '#', transfer '-', All2All '='.
-func (r *Result) Gantt(secPerChar float64) string {
+func (r *RingResult) Gantt(secPerChar float64) string {
 	if secPerChar <= 0 || r.Makespan == 0 {
 		return ""
 	}

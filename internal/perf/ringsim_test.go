@@ -1,4 +1,4 @@
-package eventsim
+package perf
 
 import (
 	"math"
@@ -17,7 +17,7 @@ func scaleRankCompute(s RingSpec, rank int, f float64) {
 	}
 }
 
-func TestValidate(t *testing.T) {
+func TestRingSpecValidate(t *testing.T) {
 	if err := Uniform(4, 1, 0.5, 0).Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestUniformMatchesClosedForm(t *testing.T) {
 		{3, 0.2, 1.5, 0.3}, // comm-bound pass-Q
 	}
 	for _, c := range cases {
-		res, err := Simulate(Uniform(c.n, c.compute, c.xfer, c.a2a))
+		res, err := SimulateRing(Uniform(c.n, c.compute, c.xfer, c.a2a))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestUniformMatchesClosedForm(t *testing.T) {
 
 func TestExposedCommMatchesDefinition(t *testing.T) {
 	// Comm-bound uniform ring: per iteration the rank waits xfer-compute.
-	res, err := Simulate(Uniform(4, 0.5, 2, 0))
+	res, err := SimulateRing(Uniform(4, 0.5, 2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestExposedCommMatchesDefinition(t *testing.T) {
 		}
 	}
 	// Compute-bound: nothing exposed.
-	res2, _ := Simulate(Uniform(4, 2, 0.5, 0))
+	res2, _ := SimulateRing(Uniform(4, 2, 0.5, 0))
 	for r, e := range res2.ExposedComm {
 		if e > tol {
 			t.Errorf("rank %d exposed %v in compute-bound ring", r, e)
@@ -90,11 +90,11 @@ func TestExposedCommMatchesDefinition(t *testing.T) {
 func TestComputeStragglerLocalized(t *testing.T) {
 	spec := Uniform(4, 1, 0.25, 0)
 	scaleRankCompute(spec, 2, 1.5)
-	res, err := Simulate(spec)
+	res, err := SimulateRing(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := Simulate(Uniform(4, 1, 0.25, 0))
+	base, _ := SimulateRing(Uniform(4, 1, 0.25, 0))
 	for r := 0; r < 4; r++ {
 		if r == 2 {
 			if math.Abs(res.RankFinish[r]-1.5*base.RankFinish[r]) > tol {
@@ -112,10 +112,10 @@ func TestComputeStragglerLocalized(t *testing.T) {
 // compute, and only surfaces beyond that — the paper's GTI robustness story
 // in discrete-event form.
 func TestSlowLinkAbsorption(t *testing.T) {
-	base, _ := Simulate(Uniform(4, 1, 0.25, 0))
+	base, _ := SimulateRing(Uniform(4, 1, 0.25, 0))
 	absorbed := Uniform(4, 1, 0.25, 0)
 	absorbed.ScaleLinkXfer(1, 3) // 0.75 < compute 1.0: still hidden
-	resA, err := Simulate(absorbed)
+	resA, err := SimulateRing(absorbed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSlowLinkAbsorption(t *testing.T) {
 	}
 	exposed := Uniform(4, 1, 0.25, 0)
 	exposed.ScaleLinkXfer(1, 8) // 2.0 > compute: must surface
-	resE, _ := Simulate(exposed)
+	resE, _ := SimulateRing(exposed)
 	if resE.Makespan <= base.Makespan {
 		t.Errorf("slow link did not surface: %v vs %v", resE.Makespan, base.Makespan)
 	}
@@ -133,7 +133,7 @@ func TestSlowLinkAbsorption(t *testing.T) {
 func TestAll2AllWaitsForSlowestRank(t *testing.T) {
 	spec := Uniform(3, 1, 0.1, 0.5)
 	scaleRankCompute(spec, 0, 2)
-	res, err := Simulate(spec)
+	res, err := SimulateRing(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestAll2AllWaitsForSlowestRank(t *testing.T) {
 }
 
 func TestTimelineWellFormed(t *testing.T) {
-	res, err := Simulate(Uniform(3, 1, 0.5, 0.2))
+	res, err := SimulateRing(Uniform(3, 1, 0.5, 0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +175,12 @@ func TestTimelineWellFormed(t *testing.T) {
 }
 
 func TestGanttRenders(t *testing.T) {
-	res, _ := Simulate(Uniform(2, 1, 0.5, 0.25))
+	res, _ := SimulateRing(Uniform(2, 1, 0.5, 0.25))
 	g := res.Gantt(0.25)
 	if !strings.Contains(g, "rank 0") || !strings.Contains(g, "#") || !strings.Contains(g, "=") {
 		t.Fatalf("gantt output missing elements:\n%s", g)
 	}
-	if (&Result{}).Gantt(0.1) != "" {
+	if (&RingResult{}).Gantt(0.1) != "" {
 		t.Fatal("empty result should render empty")
 	}
 }
@@ -200,7 +200,7 @@ func TestPropertyMakespanBounds(t *testing.T) {
 				}
 			}
 		}
-		res, err := Simulate(spec)
+		res, err := SimulateRing(spec)
 		if err != nil {
 			return false
 		}
@@ -217,7 +217,7 @@ func TestPropertyMakespanBounds(t *testing.T) {
 		r := int(rawR) % n
 		j := int(rawJ) % n
 		spec.Compute[r][j] += 1
-		res2, err := Simulate(spec)
+		res2, err := SimulateRing(spec)
 		if err != nil {
 			return false
 		}

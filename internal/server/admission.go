@@ -103,6 +103,21 @@ func (s *Scheduler) Generate(ctx context.Context, session int, prompt []int, max
 
 // GenerateWith is Generate with per-request options.
 func (s *Scheduler) GenerateWith(ctx context.Context, session int, prompt []int, maxTokens int, opts RequestOptions) (*GenerateResult, error) {
+	r, err := s.newGenerate(session, prompt, maxTokens, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.submit(ctx, r); err != nil {
+		return nil, err
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return &GenerateResult{Tokens: r.tokens, TTFTMs: r.ttftMs, TTITMs: r.ttitMs}, nil
+}
+
+// newGenerate checks a generate call's arguments and builds its request.
+func (s *Scheduler) newGenerate(session int, prompt []int, maxTokens int, opts RequestOptions) (*request, error) {
 	if len(prompt) == 0 || maxTokens <= 0 {
 		return nil, fmt.Errorf("server: generate needs a prompt and positive max_tokens")
 	}
@@ -113,13 +128,7 @@ func (s *Scheduler) GenerateWith(ctx context.Context, session int, prompt []int,
 	}
 	r := s.newRequest(session, prompt, opts)
 	r.pending, r.collect = maxTokens-1, true
-	if err := s.submit(ctx, r); err != nil {
-		return nil, err
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return &GenerateResult{Tokens: r.tokens, TTFTMs: r.ttftMs, TTITMs: r.ttitMs}, nil
+	return r, nil
 }
 
 // PrefillWith admits the tokens as chunked prefill work for the session and
@@ -146,10 +155,9 @@ func (s *Scheduler) Decode(ctx context.Context, session, token int) (int, error)
 	return r.next, r.err
 }
 
-// submit enqueues the request and blocks until it completes, fails, or —
-// while still queued — its context is canceled. A disconnected client must
-// not leak a goroutine parked in the admission queue forever.
-func (s *Scheduler) submit(ctx context.Context, r *request) error {
+// enqueue validates the request and queues it without blocking; r.done
+// closes when it completes or fails.
+func (s *Scheduler) enqueue(r *request) error {
 	// Validate before the request can occupy — or block on — an admission
 	// slot: a doomed request must fail fast even under backpressure, not
 	// wait for capacity it will never use (nor reach the ring, where a
@@ -210,6 +218,16 @@ func (s *Scheduler) submit(ctx context.Context, r *request) error {
 	s.cohortHandlesLocked(r.cohort).req.Inc(1)
 	s.cond.Signal()
 	s.mu.Unlock()
+	return nil
+}
+
+// submit enqueues the request and blocks until it completes, fails, or —
+// while still queued — its context is canceled. A disconnected client must
+// not leak a goroutine parked in the admission queue forever.
+func (s *Scheduler) submit(ctx context.Context, r *request) error {
+	if err := s.enqueue(r); err != nil {
+		return err
+	}
 	select {
 	case <-r.done:
 		return nil

@@ -71,7 +71,7 @@ func TestDeadlineExpiredWhileQueued(t *testing.T) {
 func TestBrownoutShedsAndRejects(t *testing.T) {
 	const slo = 50 * time.Millisecond
 	s, _ := newManualScheduler(t, SchedulerConfig{MaxSessions: 1, BrownoutSLO: slo})
-	clk := &steppedClock{t: time.Unix(1_700_000_000, 0)}
+	clk := &virtualClock{t: time.Unix(1_700_000_000, 0)}
 	s.now = clk.Now // before any request: the backlog ages only when stepped
 	// Session 1 holds the slot — the resident work brownout must protect.
 	done1 := make(chan struct{})
@@ -171,7 +171,7 @@ func stepInBackground(t *testing.T, s *Scheduler) (stop func()) {
 // never trips, whatever the backlog looks like.
 func TestBrownoutDisabledByDefault(t *testing.T) {
 	s, _ := newManualScheduler(t, SchedulerConfig{MaxSessions: 1})
-	clk := &steppedClock{t: time.Unix(1_700_000_000, 0)}
+	clk := &virtualClock{t: time.Unix(1_700_000_000, 0)}
 	s.now = clk.Now
 	done1 := make(chan struct{})
 	go func() {

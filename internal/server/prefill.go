@@ -219,7 +219,7 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 	report.PrefillDone = true
 	s.prefills = s.prefills[1:]
 	next := out.next
-	pj.ttftMs = float64(now.Sub(pj.start).Microseconds()) / 1000
+	pj.ttftMs = msOf(now.Sub(pj.start))
 	s.hTTFT.Observe(now.Sub(pj.start).Seconds())
 	s.cohortHandlesLocked(pj.cohort).ttft.Observe(now.Sub(pj.start).Seconds())
 	pj.next = next

@@ -18,7 +18,8 @@
 // file with the configuration and the loop. step.go is one iteration;
 // admission.go and overload.go the way in; prefill.go the one chunk path and
 // the prefix-reuse policy; recovery.go rebuild and replay; lifecycle.go
-// release, close and the snapshots the stats surfaces read.
+// release, close and the stats snapshots; virtual.go a cost-model executor
+// on a virtual clock, and the trace replay that drives the loop over it.
 package server
 
 import (
@@ -95,8 +96,8 @@ type SchedulerConfig struct {
 	// failures fault sessions exactly as they do with Recover off.
 	MaxRecoveries int
 	// Manual disables the background step loop; callers drive iterations
-	// with Step. Tests use this to pin down exactly what one iteration
-	// batches.
+	// with Step. Tests and the virtual replay use this to pin down exactly
+	// what one iteration batches.
 	Manual bool
 	// BrownoutSLO arms brownout overload control: while the p90 queue wait
 	// over the most recent observation window exceeds this bound, new-session
@@ -134,8 +135,8 @@ func (c *SchedulerConfig) applyDefaults() {
 }
 
 // executor is everything the step loop, the prefix policy and recovery ask
-// of the ranks. *transformer.Cluster is the production implementation; tests
-// substitute a fake that records its call sequence. Serving is greedy, so
+// of the ranks. *transformer.Cluster is the production implementation;
+// costExec stands in for it in virtual time. Serving is greedy, so
 // it speaks token ids: the rank holding a sampled row runs
 // transformer.Argmax on it, and no logits row reaches the scheduler.
 // DecodeNext's slice is the executor's own, valid until its next DecodeNext.
@@ -154,7 +155,7 @@ type executor interface {
 // wallClock is the package's one read of the real clock: every timestamp the
 // scheduler and the HTTP layer take comes through Scheduler.now.
 func wallClock() time.Time {
-	return time.Now() //cplint:allow determinism the one real clock; tests inject a stepped one through Scheduler.now
+	return time.Now() //cplint:allow determinism the one real clock; tests and the virtual replay inject a virtual one through Scheduler.now
 }
 
 // Scheduler is the continuous-batching engine. All executor calls happen on
@@ -164,9 +165,9 @@ type Scheduler struct {
 	cfg   SchedulerConfig
 	exec  executor
 	model model.Config     // the served model, captured at construction
-	now   func() time.Time // wallClock, or a test's stepped clock
+	now   func() time.Time // wallClock, or a virtualClock's Now
 	// cluster is exec's concrete value, held only for WithCluster's stats
-	// readers; nil when a test drives a fake executor.
+	// readers; nil over a costExec.
 	cluster *transformer.Cluster
 
 	mu        sync.Mutex

@@ -3,42 +3,21 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/comm/transport"
 	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/transformer"
 )
 
-// These tests drive the real scheduler through its two seams — a fake
-// executor that records what it was asked to do and a clock that moves only
-// when told to — in Manual mode. Nothing sleeps: requests are awaited on the
-// scheduler's own condition variable and on their completion channels.
-
-// steppedClock is the injected time source. Submitting goroutines read it
-// while the driving goroutine advances it, hence the mutex.
-type steppedClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *steppedClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *steppedClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
+// These tests drive the real scheduler through its two seams — the cost
+// executor at a fixed tick per command, wrapped in a recorder of what it was
+// asked to do, and a clock that moves only when told to — in Manual mode.
+// Nothing sleeps: requests are awaited on the scheduler's own condition
+// variable and on their completion channels.
 
 // execCall is one executor operation as the fake saw it. A fused decode
 // batch is recorded as one call per member, so per-session projections of
@@ -50,106 +29,67 @@ type execCall struct {
 	variant model.Variant
 }
 
-// fakeExec implements executor without any ranks: it tracks sequence
-// lengths, hands out inert prefix handles, answers with token ids that are
-// a pure function of (token, position), and advances the clock by tick on
-// every operation that would have touched the ranks.
+// fakeExec records every operation the scheduler asks of the cost executor.
+// failDecode, when set, is returned (once) by the next DecodeNext before it
+// touches any state: an infrastructure fault.
 type fakeExec struct {
-	clk   *steppedClock
-	tick  time.Duration
-	vocab int
-	epoch uint64
-	lens  map[int]int
-	pins  map[*transformer.PrefixKV]int // live prefix handle -> tokens pinned
-	calls []execCall
-	// failDecode, when set, is returned (once) by the next DecodeNext
-	// before it touches any state: an infrastructure fault.
+	*costExec
+	calls      []execCall
 	failDecode error
 }
 
-func (f *fakeExec) ran(c execCall) {
-	f.calls = append(f.calls, c)
-	f.clk.advance(f.tick)
-}
-
-func (f *fakeExec) sample(token, pos int) int { return (token + pos + 1) % f.vocab }
-
 func (f *fakeExec) PrefillNext(seq int, tokens []int, v model.Variant) (int, error) {
-	pos := f.lens[seq]
-	next := f.sample(tokens[len(tokens)-1], pos+len(tokens)-1)
-	f.lens[seq] = pos + len(tokens)
-	f.ran(execCall{"prefill", seq, pos, len(tokens), v})
-	return next, nil
+	f.calls = append(f.calls, execCall{"prefill", seq, f.lens[seq], len(tokens), v})
+	return f.costExec.PrefillNext(seq, tokens, v)
 }
 
 func (f *fakeExec) DecodeNext(seqs, tokens []int) ([]int, error) {
 	if err := f.failDecode; err != nil {
 		f.failDecode = nil
-		f.clk.advance(f.tick)
+		f.clk.advance(f.perCmd)
 		return nil, err
 	}
-	out := make([]int, len(seqs))
-	for i, seq := range seqs {
-		out[i] = f.sample(tokens[i], f.lens[seq])
+	for _, seq := range seqs {
 		f.calls = append(f.calls, execCall{"decode", seq, f.lens[seq], 1, model.PassQ})
-		f.lens[seq]++
 	}
-	f.clk.advance(f.tick)
-	return out, nil
+	return f.costExec.DecodeNext(seqs, tokens)
 }
 
-func (f *fakeExec) SeqLen(seq int) int { return f.lens[seq] }
-
 func (f *fakeExec) AdoptPrefix(seq int, pre *transformer.PrefixKV) error {
-	n, ok := f.pins[pre]
-	if !ok {
-		return errors.New("fake: adopt of a handle this incarnation never detached")
+	err := f.costExec.AdoptPrefix(seq, pre)
+	if err == nil {
+		f.calls = append(f.calls, execCall{op: "adopt", session: seq, n: f.lens[seq]})
 	}
-	f.lens[seq] = n
-	f.ran(execCall{op: "adopt", session: seq, n: n})
-	return nil
+	return err
 }
 
 func (f *fakeExec) DetachPrefix(seq, upTo int) (*transformer.PrefixKV, error) {
-	if upTo > f.lens[seq] {
-		return nil, fmt.Errorf("fake: detach bound %d past sequence %d's length %d", upTo, seq, f.lens[seq])
+	h, err := f.costExec.DetachPrefix(seq, upTo)
+	if err == nil {
+		f.calls = append(f.calls, execCall{op: "detach", session: seq, n: upTo})
 	}
-	h := &transformer.PrefixKV{}
-	f.pins[h] = upTo
-	f.ran(execCall{op: "detach", session: seq, n: upTo})
-	return h, nil
+	return h, err
 }
 
 func (f *fakeExec) Drop(seq int) {
-	delete(f.lens, seq)
-	f.ran(execCall{op: "drop", session: seq})
+	f.calls = append(f.calls, execCall{op: "drop", session: seq})
+	f.costExec.Drop(seq)
 }
 
 func (f *fakeExec) Rebuild() error {
-	f.lens = map[int]int{}
-	f.pins = map[*transformer.PrefixKV]int{}
-	f.epoch++
-	f.ran(execCall{op: "rebuild"})
-	return nil
+	f.calls = append(f.calls, execCall{op: "rebuild"})
+	return f.costExec.Rebuild()
 }
-
-func (f *fakeExec) Epoch() uint64 { return f.epoch }
-
-// Failures never fires: the tests inject faults as command errors.
-func (f *fakeExec) Failures() <-chan transport.FailureEvent { return nil }
 
 // seamModel has NH/NKV = 8, so Equation 1's pass-KV threshold is a miss rate
 // of 0.25: with a budget of 4, chunks at positions 0..12 run pass-KV and
 // later ones pass-Q.
 var seamModel = model.Config{Name: "seam", NumHeads: 8, NumKV: 1, VocabSize: 64}
 
-func newSeamScheduler(t *testing.T, cfg SchedulerConfig) (*Scheduler, *fakeExec, *steppedClock) {
+func newSeamScheduler(t *testing.T, cfg SchedulerConfig) (*Scheduler, *fakeExec, *virtualClock) {
 	t.Helper()
-	clk := &steppedClock{t: time.Unix(1_700_000_000, 0)}
-	f := &fakeExec{
-		clk: clk, tick: time.Millisecond, vocab: seamModel.VocabSize, epoch: 1,
-		lens: map[int]int{}, pins: map[*transformer.PrefixKV]int{},
-	}
+	clk := &virtualClock{t: time.Unix(1_700_000_000, 0)}
+	f := &fakeExec{costExec: newCostExec(clk, time.Millisecond, 0, 0, seamModel.VocabSize)}
 	cfg.Manual = true
 	s := newScheduler(f, seamModel, trace.New(), clk.Now, cfg)
 	t.Cleanup(s.Close)

@@ -17,8 +17,6 @@ import (
 // runnable — or always, as a no-op, when a background loop owns the
 // scheduler: a second driver would race the loop and double-execute the
 // claimed prefill chunk.
-//
-//cplint:allow testonly the Manual-mode seam tests (TestSeamIterationClosure) drive the loop one iteration at a time
 func (s *Scheduler) Step() (IterReport, bool) {
 	if !s.cfg.Manual {
 		return IterReport{PrefillSession: -1}, false
@@ -111,7 +109,7 @@ func (s *Scheduler) step() (IterReport, bool) {
 		end = s.runPrefillChunk(pj, &report, end)
 	}
 	dur := end.Sub(start)
-	report.DurMs = float64(dur.Microseconds()) / 1000
+	report.DurMs = msOf(dur)
 	s.hStep.Observe(dur.Seconds())
 
 	s.mu.Lock()
@@ -288,7 +286,7 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 		r.pending--
 		if r.collect {
 			r.tokens = append(r.tokens, next)
-			r.ttitMs = append(r.ttitMs, float64(now.Sub(r.lastStep).Microseconds())/1000)
+			r.ttitMs = append(r.ttitMs, msOf(now.Sub(r.lastStep)))
 		}
 		if !r.lastStep.IsZero() {
 			s.hITL.Observe(now.Sub(r.lastStep).Seconds())

@@ -335,30 +335,6 @@ func flattenChaos(m map[string]int64) ([]string, []int64) {
 	return kinds, counts
 }
 
-// CommStats returns cumulative traffic accounted by collective kind. It is
-// an in-process convenience wrapper: on a distributed cluster whose control
-// plane has failed it returns zero-valued stats — use Telemetry directly
-// when the error matters (the failure itself is not silent: every
-// subsequent cluster operation fails once the plane is poisoned).
-func (c *Cluster) CommStats() comm.Stats {
-	tel, err := c.Telemetry()
-	if err != nil {
-		return comm.Stats{Messages: map[comm.Kind]int64{}, Bytes: map[comm.Kind]float64{}}
-	}
-	return tel.Comm
-}
-
-// RankCacheTokens returns per-rank cached tokens summed over layers. Like
-// CommStats, it returns zeros if a distributed control plane has failed;
-// use Telemetry for error visibility.
-func (c *Cluster) RankCacheTokens() []int {
-	tel, err := c.Telemetry()
-	if err != nil {
-		return make([]int, c.n)
-	}
-	return tel.RankKV
-}
-
 // PrefillNext is PrefillLast for a greedy caller: the rank holding the last
 // position samples it with Argmax and returns the token id alone, so no
 // logits row leaves the rank. The id is Argmax of the row PrefillLast would

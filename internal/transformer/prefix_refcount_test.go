@@ -96,7 +96,7 @@ func TestReleasePrefixWhileAdopted(t *testing.T) {
 			// is freed: per-rank KV occupancy returns to zero (no leak, no
 			// double free).
 			c.Drop(2)
-			for r, kv := range c.RankCacheTokens() {
+			for r, kv := range telemetry(t, c).RankKV {
 				if kv != 0 {
 					t.Errorf("rank %d still holds %d KV tokens after release+drop", r, kv)
 				}

@@ -225,7 +225,7 @@ func TestPrefillCapacityErrorBeforeMutation(t *testing.T) {
 	if c.SeqLen(1) != 0 {
 		t.Fatalf("failed prefill left SeqLen %d", c.SeqLen(1))
 	}
-	for r, n := range c.RankCacheTokens() {
+	for r, n := range telemetry(t, c).RankKV {
 		if n != 0 {
 			t.Fatalf("rank %d holds %d tokens after rejected prefill", r, n)
 		}

@@ -207,6 +207,16 @@ func TestClusterGenerateMatchesReference(t *testing.T) {
 	}
 }
 
+// telemetry returns the cluster's telemetry, failing the test on error.
+func telemetry(t *testing.T, c *Cluster) Telemetry {
+	t.Helper()
+	tel, err := c.Telemetry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tel
+}
+
 func TestClusterDecodeRotatesOwnership(t *testing.T) {
 	w, _ := NewWeights(Tiny(7))
 	c, err := NewCluster(w, 4)
@@ -216,14 +226,14 @@ func TestClusterDecodeRotatesOwnership(t *testing.T) {
 	if _, err := c.Prefill(0, []int{1, 2, 3, 4, 5, 6, 7, 8}, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
-	base := c.RankCacheTokens()
+	base := telemetry(t, c).RankKV
 	for step := 0; step < 8; step++ {
 		if _, err := c.Decode(0, step%10); err != nil {
 			t.Fatal(err)
 		}
 	}
 	min, max := 1<<30, 0
-	for r, tok := range c.RankCacheTokens() {
+	for r, tok := range telemetry(t, c).RankKV {
 		g := tok - base[r]
 		if g < min {
 			min = g
@@ -355,14 +365,14 @@ func TestCommBytesNonZeroOnlyForMultiRank(t *testing.T) {
 	if _, err := c1.Prefill(0, []int{1, 2, 3, 4}, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
-	if got := c1.CommStats().Bytes["sendrecv"]; got != 0 {
+	if got := telemetry(t, c1).Comm.Bytes["sendrecv"]; got != 0 {
 		t.Fatalf("single rank sent %v ring bytes", got)
 	}
 	c2, _ := NewCluster(w, 2)
 	if _, err := c2.Prefill(0, []int{1, 2, 3, 4}, model.PassKV); err != nil {
 		t.Fatal(err)
 	}
-	if got := c2.CommStats().Bytes["sendrecv"]; got <= 0 {
+	if got := telemetry(t, c2).Comm.Bytes["sendrecv"]; got <= 0 {
 		t.Fatal("two ranks sent no ring bytes")
 	}
 }
@@ -503,7 +513,7 @@ func TestClusterDrop(t *testing.T) {
 	if c.SeqLen(5) != 0 {
 		t.Fatal("drop kept sequence length")
 	}
-	for _, n := range c.RankCacheTokens() {
+	for _, n := range telemetry(t, c).RankKV {
 		if n != 0 {
 			t.Fatalf("drop left %d cached tokens", n)
 		}
@@ -546,14 +556,14 @@ func TestCongruentIDsSpreadOwners(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base := c.RankCacheTokens()
+	base := telemetry(t, c).RankKV
 	for step := 0; step < 8; step++ {
 		if _, err := c.DecodeBatch(ids, toks); err != nil {
 			t.Fatal(err)
 		}
 	}
 	grown := 0
-	for r, n := range c.RankCacheTokens() {
+	for r, n := range telemetry(t, c).RankKV {
 		if n > base[r] {
 			grown++
 		}
