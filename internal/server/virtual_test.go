@@ -32,9 +32,8 @@ func virtualTrace(t *testing.T, seed int64, rps float64, sessions int, cohorts .
 }
 
 // TestVirtualReplayDeterministic is the virtual replay's contract: the same
-// trace yields element-for-element identical results, every request
-// completes with one ITL sample per token past the first and an e2e of at
-// least its TTFT, and the results build a valid serving report.
+// trace yields element-for-element identical results, with no wall clock
+// and no randomness.
 func TestVirtualReplayDeterministic(t *testing.T) {
 	tr := virtualTrace(t, 3, 300, 50)
 	a, err := ReplayVirtual(tr)
@@ -51,7 +50,21 @@ func TestVirtualReplayDeterministic(t *testing.T) {
 	if a.Batch.Iterations == 0 || a.DurationMs <= 0 {
 		t.Fatalf("degenerate replay: %d iterations, %.3f ms", a.Batch.Iterations, a.DurationMs)
 	}
-	for i, r := range a.Results {
+}
+
+// TestVirtualReplayInvariants checks the schedule makes physical sense for
+// every request: all complete, one ITL sample per token past the first, an
+// e2e of at least the TTFT, and the results build a valid serving report.
+func TestVirtualReplayInvariants(t *testing.T) {
+	tr := virtualTrace(t, 9, 300, 50)
+	res, err := ReplayVirtual(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Results) != len(tr.Events) {
+		t.Fatalf("%d results for %d events", len(res.Results), len(tr.Events))
+	}
+	for i, r := range res.Results {
 		ev := tr.Events[i]
 		if r.ID != ev.ID || r.Cohort != ev.Cohort || r.Status != 200 || r.OutputTokens != ev.MaxTokens {
 			t.Fatalf("request %d: %+v for event %+v", i, r, ev)
@@ -61,9 +74,12 @@ func TestVirtualReplayDeterministic(t *testing.T) {
 				i, r.TTFTMs, r.E2EMs, len(r.ITLMs), ev.MaxTokens)
 		}
 	}
-	rep := workload.BuildServingReport(tr, a.Results, a.DurationMs, 1)
+	rep := workload.BuildServingReport(tr, res.Results, res.DurationMs, 1)
 	if err := workload.ValidateServingReport(rep); err != nil {
 		t.Fatalf("virtual replay report invalid: %v", err)
+	}
+	if rep.Totals.Completed != len(tr.Events) {
+		t.Fatalf("completed %d want %d", rep.Totals.Completed, len(tr.Events))
 	}
 }
 
