@@ -1,26 +1,28 @@
 // Package simd hosts the SIMD building blocks shared by the compute hot
-// paths: the attention kernels (internal/attention) gate their vector inner
-// loops on the CPU detection here, and the projection/FFN/logits GEMM
-// (internal/tensor) runs on the float32 dot-product family below.
+// paths: the attention kernels (internal/attention) and the FFN's SiLU
+// (internal/tensor) gate their vector inner loops on the CPU detection
+// here, and the projection/FFN/logits GEMM (internal/tensor) runs on the
+// float32 dot-product family below.
 //
 // One CPUID probe, run once at start-up, sorts the host into a vector tier
 // (Tier), and every vector kernel in the repo gates on it:
 //
 //   - AVX512: AVX-512 F, DQ, BW and VL with OS-enabled opmask and ZMM state
 //     (XCR0 bits 5–7), on top of everything AVX2 needs. The attention tile
-//     kernels run eight float64 lanes wide in ZMM registers.
+//     kernels and the FFN's SiLU run eight float64 lanes wide in ZMM
+//     registers, and the GEMM panel holds two cells in each.
 //   - AVX2: AVX2 and FMA with OS-enabled YMM state (XCR0 bits 1–2). Every
 //     vector kernel has a form at this tier; on an AVX2-only host it is the
 //     only vector path.
 //   - Portable: the Go loops, which compute the same bits, slowly. Builds
 //     for any other architecture have only this tier.
 //
-// A tier includes the ones below it: a kernel without an AVX-512 form (the
-// GEMM panel here), or a shape the wide form does not take, runs its AVX2
-// form on an AVX-512 host. The tier is a throughput decision only. No flag,
-// env var or config field selects it; SetTier caps it, so that one AVX-512
-// host tests every tier against the portable oracle. The numeric contract
-// (v2: one rounding per multiply-add) every kernel here obeys:
+// A tier includes the ones below it: a shape the wide form does not take
+// runs the AVX2 form on an AVX-512 host. The tier is a throughput decision
+// only. No flag, env var or config field selects it; SetTier caps it, so
+// that one AVX-512 host tests every tier against the portable oracle. The
+// numeric contract (v2: one rounding per multiply-add) every kernel here
+// obeys:
 //
 //   - The scalar fallback is the oracle. It uses eight independent
 //     accumulators over elements i mod 8, the tail folded into s0, every
@@ -31,16 +33,18 @@
 //     rounds the float64 sum to odd first, which makes the second rounding
 //     the only one that counts — bit for bit VFMADD231SS, denormals and
 //     overflow included.
-//   - The vector path maps lane i of a YMM register to scalar accumulator
-//     s_i and replays the same reduction tree, so switching between the two
-//     paths can never change a bit — it is purely a throughput decision.
+//   - The vector path maps lane i of a YMM register, or of one 256-bit half
+//     of a ZMM register, to scalar accumulator s_i and replays the same
+//     reduction tree, so switching between the paths can never change a
+//     bit — it is purely a throughput decision.
 //   - Register blocking changes how many output cells are in flight, never
-//     how one cell is computed. DotPanel keeps eight cells' accumulators in
-//     registers (four weight rows × two tokens, or eight rows × one token)
-//     — the eight independent chains two FMA ports of latency four need —
-//     and loads each weight chunk once per pass; every cell is still the
-//     eight-lane accumulator DotF32 uses, and DotF32 is the 1×1 edge of the
-//     same family.
+//     how one cell is computed. DotPanel keeps at least eight cells'
+//     accumulators in registers — the eight independent chains two FMA
+//     ports of latency four need: at AVX2 four weight rows × two tokens, or
+//     eight rows × one token; at AVX-512 eight rows × four tokens, or two
+//     tokens, two cells per register — and loads each weight chunk once per
+//     pass; every cell is still the eight-lane accumulator DotF32 uses, and
+//     DotF32 is the 1×1 edge of the same family.
 //
 // Tests verify the equivalence bitwise at every length, including tails
 // that are no multiple of eight, and every panel remainder.
@@ -187,9 +191,10 @@ const PanelRows = 8
 //	dst[t*ldd+r] = DotF32(w[r*n:(r+1)*n], x[t*n:(t+1)*n])
 //
 // for every weight row r and token row t. Eight weight rows at a time stay
-// resident while all of x passes over them; rows beyond the last full
-// eight, and shapes the vector pass does not take (n below 8 or not a
-// multiple of 8), go cell by cell through DotF32 — the same bits either way.
+// resident while all of x passes over them, in the widest form the tier
+// has; rows beyond the last full eight, and shapes the vector pass does not
+// take (n below 8 or not a multiple of 8), go cell by cell through DotF32 —
+// the same bits either way.
 func DotPanel(dst []float32, ldd int, w, x []float32, n int) {
 	if n <= 0 || len(w)%n != 0 || len(x)%n != 0 {
 		panic("simd: panel operands are not whole rows")
@@ -202,7 +207,12 @@ func DotPanel(dst []float32, ldd int, w, x []float32, n int) {
 		panic("simd: panel destination too small")
 	}
 	r := 0
-	if active >= AVX2 && n%8 == 0 {
+	switch {
+	case active >= AVX512 && n%8 == 0:
+		for ; r+PanelRows <= rows; r += PanelRows {
+			dotPanel8AVX512(&dst[r], ldd, &w[r*n], &x[0], n, tokens)
+		}
+	case active >= AVX2 && n%8 == 0:
 		for ; r+PanelRows <= rows; r += PanelRows {
 			dotPanel8AVX(&dst[r], ldd, &w[r*n], &x[0], n, tokens)
 		}

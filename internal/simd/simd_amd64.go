@@ -33,6 +33,14 @@ func dotF32AVX(a, b []float32) float32
 //go:noescape
 func dotPanel8AVX(dst *float32, ldd int, w, x *float32, n, tokens int)
 
+// dotPanel8AVX512 is dotPanel8AVX with two cells per ZMM register, one per
+// 256-bit half: a token pair's two cells of one weight row, or a lone
+// token's cells of two weight rows. Each half is the same eight-lane
+// accumulator. Implemented in simd_amd64.s.
+//
+//go:noescape
+func dotPanel8AVX512(dst *float32, ldd int, w, x *float32, n, tokens int)
+
 // peakFMA runs iters passes of twelve independent register-resident 256-bit
 // fused multiply-adds, double or single precision: BenchmarkPeakFMA's loop.
 // Implemented in simd_amd64.s.

@@ -191,6 +191,172 @@ pdone:
 	VZEROUPPER
 	RET
 
+// The AVX-512 panel puts two cells in one ZMM register, one per 256-bit
+// half, and each half is exactly the Y0 of dotF32AVX. VHADDPS has no ZMM
+// form, so HADDZ builds it from two shuffles and an add: REDUCE4Z adds the
+// same pairs in the same tree as REDUCE4.
+
+// ROWZ broadcasts one weight row's eight-float chunk to both halves (Z17)
+// and fuses it with the token pair Z16 into acc0; ROW4Z also with the pair
+// Z18 into acc1.
+#define ROWZ(row, acc0) \
+	VBROADCASTF64X4 row, Z17 \
+	VFMADD231PS     Z16, Z17, acc0
+
+#define ROW4Z(row, acc0, acc1) \
+	ROWZ(row, acc0) \
+	VFMADD231PS Z18, Z17, acc1
+
+// PAIRZ loads two rows' eight-float chunks into the two halves of z, the
+// first from lo and the second from hi.
+#define PAIRZ(lo, hi, y, z) \
+	VMOVUPS      lo, y \
+	VINSERTF64X4 $1, hi, z, z
+
+// HADDZ is VHADDPS b, a, a at ZMM width: [a0+a1 a2+a3 b0+b1 b2+b3] in each
+// 128-bit lane, Z17 scratch.
+#define HADDZ(b, a) \
+	VSHUFPS $0xdd, b, a, Z17 \
+	VSHUFPS $0x88, b, a, a   \
+	VADDPS  Z17, a, a
+
+// REDUCE4Z is REDUCE4 for four registers of two cells each: the four
+// low-half cells end in lane 0 of a and go to lo, the high-half ones in
+// lane 2 and go to hi.
+#define REDUCE4Z(a, b, c, d, xa, lo, hi) \
+	HADDZ(b, a)                    \
+	HADDZ(d, c)                    \
+	HADDZ(c, a)                    \
+	VSHUFF32X4    $0xf5, a, a, Z17 \
+	VADDPS        Z17, a, a        \
+	VMOVUPS       xa, lo           \
+	VEXTRACTF32X4 $2, a, hi
+
+// func dotPanel8AVX512(dst *float32, ldd int, w, x *float32, n, tokens int)
+// dotPanel8AVX's contract at twice the width. Tokens go four at a time —
+// t and t+1 in the halves of Z16, t+2 and t+3 in those of Z18 — against
+// all eight weight rows: sixteen independent chains (Z0..Z15), each weight
+// chunk loaded once for four tokens. A remaining pair goes the same way
+// with eight chains (Z0..Z7). A last odd token is broadcast to both halves
+// and meets two weight rows per register: Z0..Z3 hold rows 0|1, 2|3, 4|5
+// and 6|7.
+TEXT ·dotPanel8AVX512(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	MOVQ w+16(FP), SI
+	MOVQ x+24(FP), BX
+	MOVQ n+32(FP), R9
+	MOVQ tokens+40(FP), CX
+	SHLQ $2, R8          // dst row stride in bytes
+	MOVQ R9, R10
+	SHRQ $3, R10         // 8-float steps per row
+	SHLQ $2, R9          // operand row stride in bytes
+	LEAQ (R9)(R9*2), R12 // three rows
+	CMPQ CX, $4
+	JL   ztok2
+ztok4:
+	ZERO8 // the VEX zeroing clears the ZMM upper halves too
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+	MOVQ SI, R13
+	LEAQ (SI)(R9*4), R14 // rows 4..7
+	LEAQ (BX)(R9*2), DX  // tokens t+2, t+3
+	MOVQ R10, AX
+	PCALIGN $32
+zk4:
+	PAIRZ((BX), (BX)(R9*1), Y16, Z16)
+	PAIRZ((DX), (DX)(R9*1), Y18, Z18)
+	ROW4Z((R13), Z0, Z8)
+	ROW4Z((R13)(R9*1), Z1, Z9)
+	ROW4Z((R13)(R9*2), Z2, Z10)
+	ROW4Z((R13)(R12*1), Z3, Z11)
+	ROW4Z((R14), Z4, Z12)
+	ROW4Z((R14)(R9*1), Z5, Z13)
+	ROW4Z((R14)(R9*2), Z6, Z14)
+	ROW4Z((R14)(R12*1), Z7, Z15)
+	ADDQ $32, R13
+	ADDQ $32, R14
+	ADDQ $32, BX
+	ADDQ $32, DX
+	DECQ AX
+	JNZ  zk4
+	LEAQ (DI)(R8*2), R11
+	REDUCE4Z(Z0, Z1, Z2, Z3, X0, (DI), (DI)(R8*1))
+	REDUCE4Z(Z4, Z5, Z6, Z7, X4, 16(DI), 16(DI)(R8*1))
+	REDUCE4Z(Z8, Z9, Z10, Z11, X8, (R11), (R11)(R8*1))
+	REDUCE4Z(Z12, Z13, Z14, Z15, X12, 16(R11), 16(R11)(R8*1))
+	LEAQ (DI)(R8*4), DI
+	ADDQ R12, BX         // the k loop ran BX along token t; skip t+1..t+3
+	SUBQ $4, CX
+	CMPQ CX, $4
+	JGE  ztok4
+ztok2:
+	CMPQ CX, $2
+	JL   ztok1
+	ZERO8
+	MOVQ SI, R13
+	LEAQ (SI)(R9*4), R14
+	MOVQ R10, AX
+	PCALIGN $32
+zk2:
+	PAIRZ((BX), (BX)(R9*1), Y16, Z16)
+	ROWZ((R13), Z0)
+	ROWZ((R13)(R9*1), Z1)
+	ROWZ((R13)(R9*2), Z2)
+	ROWZ((R13)(R12*1), Z3)
+	ROWZ((R14), Z4)
+	ROWZ((R14)(R9*1), Z5)
+	ROWZ((R14)(R9*2), Z6)
+	ROWZ((R14)(R12*1), Z7)
+	ADDQ $32, R13
+	ADDQ $32, R14
+	ADDQ $32, BX
+	DECQ AX
+	JNZ  zk2
+	REDUCE4Z(Z0, Z1, Z2, Z3, X0, (DI), (DI)(R8*1))
+	REDUCE4Z(Z4, Z5, Z6, Z7, X4, 16(DI), 16(DI)(R8*1))
+	LEAQ (DI)(R8*2), DI
+	ADDQ R9, BX
+	SUBQ $2, CX
+ztok1:
+	TESTQ CX, CX
+	JZ    zdone
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	LEAQ (SI)(R9*4), R14
+	PCALIGN $32
+zk1:
+	VBROADCASTF64X4 (BX), Z16
+	PAIRZ((SI), (SI)(R9*1), Y18, Z18)
+	PAIRZ((SI)(R9*2), (SI)(R12*1), Y19, Z19)
+	PAIRZ((R14), (R14)(R9*1), Y20, Z20)
+	PAIRZ((R14)(R9*2), (R14)(R12*1), Y21, Z21)
+	VFMADD231PS Z16, Z18, Z0
+	VFMADD231PS Z16, Z19, Z1
+	VFMADD231PS Z16, Z20, Z2
+	VFMADD231PS Z16, Z21, Z3
+	ADDQ $32, SI
+	ADDQ $32, R14
+	ADDQ $32, BX
+	DECQ R10
+	JNZ  zk1
+	REDUCE4Z(Z0, Z1, Z2, Z3, X0, X18, X19) // X18 rows 0, 2, 4, 6; X19 rows 1, 3, 5, 7
+	VUNPCKLPS X19, X18, X20
+	VUNPCKHPS X19, X18, X21
+	VMOVUPS   X20, (DI)
+	VMOVUPS   X21, 16(DI)
+zdone:
+	VZEROUPPER
+	RET
+
 // PEAK12 issues twelve independent fused multiply-adds (FMA latency 4 × two
 // ports needs eight in flight; twelve leaves slack) on registers only.
 #define PEAK12(op) \

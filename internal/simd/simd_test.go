@@ -126,9 +126,11 @@ func TestDotPanelShapePanics(t *testing.T) {
 }
 
 // BenchmarkDotPanel is the GEMM micro-kernel at the forward pass's shapes —
-// a 16-token prefill block, a 4-token batched decode step and a 1-token
-// decode row — against 256 weight rows of length 256. The per-cell baseline
-// is DotF32 in a loop.
+// a 16-token prefill block, decode_batch's 5- and 3-token owner split, a
+// 4-token batched decode step and a 1-token decode row — against 256 weight
+// rows of length 256, at each vector tier the host has (/tier=avx2 and
+// /tier=avx512 back to back, so their ratio comes from one sitting). The
+// per-cell baseline is DotF32 in a loop.
 func BenchmarkDotPanel(b *testing.B) {
 	const n, rows = 256, 256
 	rng := rand.New(rand.NewSource(10))
@@ -136,19 +138,22 @@ func BenchmarkDotPanel(b *testing.B) {
 	for i := range w {
 		w[i] = float32(rng.NormFloat64())
 	}
-	for _, tokens := range []int{16, 4, 1} {
+	for _, tokens := range []int{16, 5, 4, 3, 1} {
 		x := make([]float32, tokens*n)
 		for i := range x {
 			x[i] = float32(rng.NormFloat64())
 		}
 		dst := make([]float32, tokens*rows)
 		flops := float64(2 * tokens * rows * n)
-		b.Run(fmt.Sprintf("panel/tokens=%d", tokens), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				DotPanel(dst, rows, w, x, n)
-			}
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
+		for _, tier := range Tiers()[1:] {
+			b.Run(fmt.Sprintf("panel/tokens=%d/tier=%v", tokens, tier), func(b *testing.B) {
+				defer SetTier(SetTier(tier))
+				for i := 0; i < b.N; i++ {
+					DotPanel(dst, rows, w, x, n)
+				}
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 		b.Run(fmt.Sprintf("percell/tokens=%d", tokens), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for t := 0; t < tokens; t++ {

@@ -203,6 +203,25 @@ func SiLU(x float32) float32 {
 	return float32(float64(x) / (1 + math.Exp(-float64(x))))
 }
 
+// SiLUMul is the SwiGLU gating of one FFN row: act[i] = SiLU(gate[i]) * up[i]
+// for every i < len(gate). At the AVX-512 tier whole octets run eight lanes
+// wide, the same bits as the loop for every float32 input.
+func SiLUMul(act, gate, up []float32) { siluMulAt(simd.Active(), act, gate, up) }
+
+// siluMulAt is SiLUMul at the given tier, which the host must support.
+func siluMulAt(tier simd.Tier, act, gate, up []float32) {
+	act, up = act[:len(gate)], up[:len(gate)]
+	i := 0
+	if tier >= simd.AVX512 {
+		if i = len(gate) &^ 7; i > 0 {
+			siluMul512(&act[0], &gate[0], &up[0], i)
+		}
+	}
+	for ; i < len(gate); i++ {
+		act[i] = SiLU(gate[i]) * up[i]
+	}
+}
+
 // RoPE applies rotary position embeddings in place to one head vector at
 // the given absolute position: consecutive pairs (2i, 2i+1) rotate by
 // pos/base^(2i/d). The paper's load-balanced sharding makes per-token

@@ -544,6 +544,10 @@ func TestRingTCPAllocationBudget(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop entries at random")
 	}
 	const ranks, prompt, chunk, steps, kibPerTok = 2, 1024, 512, 32, 1.0
+	// TotalAlloc is process-wide: the window must not see an earlier test's
+	// sockets still winding down, so no transport goroutine may run before
+	// this test starts its own.
+	settleSockets(t, 0)
 	cfg := benchGQA8()
 	c := startLoopbackCluster(t, cfg, ranks, 0)
 	vocab := cfg.Model.VocabSize

@@ -27,15 +27,17 @@ func fakeWorker(t *testing.T, cfg Config, world, rank int, every time.Duration) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
 	out := make(chan net.Conn, 1)
+	g := joinOnCleanup(t, ln)
+	g.wg.Add(1)
 	go func() {
+		defer g.wg.Done()
 		c, err := ln.Accept()
 		if err != nil {
 			return
 		}
 		ln.Close()
-		t.Cleanup(func() { c.Close() })
+		g.track(c)
 		if _, _, err := wire.ReadFrame(c, 0); err != nil {
 			return
 		}
@@ -52,7 +54,9 @@ func fakeWorker(t *testing.T, cfg Config, world, rank int, every time.Duration) 
 		}
 		out <- c
 		if every > 0 {
+			g.wg.Add(1)
 			go func() {
+				defer g.wg.Done()
 				for send(&wire.Heartbeat{}) == nil {
 					time.Sleep(every)
 				}
@@ -68,6 +72,37 @@ func fakeWorker(t *testing.T, cfg Config, world, rank int, every time.Duration) 
 		}
 	}()
 	return ln.Addr().String(), out
+}
+
+// connGroup is what a test's hand-written wire peer runs: its goroutines
+// and the connections they serve.
+type connGroup struct {
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (g *connGroup) track(c net.Conn) {
+	g.mu.Lock()
+	g.conns = append(g.conns, c)
+	g.mu.Unlock()
+}
+
+// joinOnCleanup returns a connGroup whose goroutines the test's cleanup
+// joins, after closing ln and every tracked connection, so that none of
+// them runs on into the next test.
+func joinOnCleanup(t *testing.T, ln net.Listener) *connGroup {
+	g := &connGroup{}
+	t.Cleanup(func() {
+		ln.Close()
+		g.mu.Lock()
+		for _, c := range g.conns {
+			c.Close()
+		}
+		g.mu.Unlock()
+		g.wg.Wait()
+	})
+	return g
 }
 
 // A worker whose control connection stays open but goes silent — no
@@ -149,19 +184,23 @@ func startFrameProxy(t *testing.T, worker string) (*frameProxy, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
 	p := &frameProxy{}
+	g := joinOnCleanup(t, ln)
+	g.wg.Add(1)
 	go func() {
+		defer g.wg.Done()
 		coord, err := ln.Accept()
 		if err != nil {
 			return
 		}
 		ln.Close()
+		g.track(coord)
 		wk, err := net.Dial("tcp", worker)
 		if err != nil {
 			coord.Close()
 			return
 		}
+		g.track(wk)
 		relay := func(dst, src net.Conn, n *atomic.Int64) {
 			defer dst.Close()
 			defer src.Close()
@@ -181,7 +220,11 @@ func startFrameProxy(t *testing.T, worker string) (*frameProxy, string) {
 				}
 			}
 		}
-		go relay(wk, coord, &p.toWorker)
+		g.wg.Add(1)
+		go func() {
+			defer g.wg.Done()
+			relay(wk, coord, &p.toWorker)
+		}()
 		relay(coord, wk, &p.toCoord)
 	}()
 	return p, ln.Addr().String()

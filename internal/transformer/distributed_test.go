@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,12 +20,52 @@ import (
 	"repro/internal/model"
 )
 
+// socketGoroutines counts the goroutines running TCP transport code — link
+// readers, heartbeats, accept loops — or started by it: what a loopback
+// cluster runs beyond its ranks.
+func socketGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "repro/internal/comm/transport.") {
+			n++
+		}
+	}
+	return n
+}
+
+// settleSockets waits until at most baseline socketGoroutines run, and fails
+// the test with every stack if that takes over ten seconds: a closed
+// cluster's links wind down after Close returns, and their goroutines must
+// not run on into the next test.
+func settleSockets(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for n := socketGoroutines(); n > baseline; n = socketGoroutines() {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines still run transport code, baseline %d\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // startLoopbackCluster spins up n worker ranks as goroutines, each with its
 // own Weights replica and its own TCP transport endpoint on 127.0.0.1 —
 // the full distributed stack (wire codec, mesh rendezvous, control plane)
 // minus process isolation — and returns the connected coordinator Cluster.
+// Its cleanup closes the cluster and joins every goroutine the cluster
+// started: the workers and their links' readers and heartbeats.
 func startLoopbackCluster(t *testing.T, cfg Config, n, kvCapacity int) *Cluster {
 	t.Helper()
+	baseline := socketGoroutines()
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := range listeners {
@@ -65,6 +106,7 @@ func startLoopbackCluster(t *testing.T, cfg Config, n, kvCapacity int) *Cluster 
 				t.Errorf("worker %d exited with: %v", i, err)
 			}
 		}
+		settleSockets(t, baseline)
 	})
 	return cl
 }

@@ -240,10 +240,7 @@ func (w *Weights) finishBlock(l int, hidden []float32, attnOut *tensor.Tensor, t
 	}
 	w.normMul(lw.wGateUp, gateUp, block, lw.ffnNorm, 0, n, fanRows)
 	for t := 0; t < n; t++ {
-		gate, up := gateUp[t*2*f:][:f], gateUp[t*2*f+f:][:f]
-		for i, g := range gate {
-			act[t*f+i] = tensor.SiLU(g) * up[i]
-		}
+		tensor.SiLUMul(act[t*f:][:f], gateUp[t*2*f:][:f], gateUp[t*2*f+f:][:f])
 	}
 	lw.wDown.Mul(proj, act, n, fanRows)
 	for i, p := range proj {
