@@ -361,19 +361,23 @@ func (r *Rank) All2AllInto(out, msgs []any, bytes []float64) error {
 	return nil
 }
 
-// AllGather broadcasts msg to every peer and returns all ranks'
-// contributions indexed by source (including the local one).
-func (r *Rank) AllGather(msg any, bytes float64) ([]any, error) {
+// AllGatherInto broadcasts msg to every peer and stores all ranks'
+// contributions in out, a caller-owned slice of length N indexed by source
+// (the local one included), for callers that gather every pass and keep the
+// slice.
+func (r *Rank) AllGatherInto(out []any, msg any, bytes float64) error {
 	n := r.w.N
+	if len(out) != n {
+		return fmt.Errorf("comm: allgather on rank %d got %d slots, want %d", r.ID, len(out), n)
+	}
 	for dst := 0; dst < n; dst++ {
 		if dst == r.ID {
 			continue
 		}
 		if err := r.send(dst, KindAllGather, msg, bytes); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	out := make([]any, n)
 	out[r.ID] = msg
 	for src := 0; src < n; src++ {
 		if src == r.ID {
@@ -381,11 +385,11 @@ func (r *Rank) AllGather(msg any, bytes float64) ([]any, error) {
 		}
 		m, err := r.recv(src)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out[src] = m
 	}
-	return out, nil
+	return nil
 }
 
 // Run executes fn concurrently on every rank hosted in this process and

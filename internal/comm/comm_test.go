@@ -114,9 +114,12 @@ func TestAllGather(t *testing.T) {
 	n := 3
 	w := NewWorld(n)
 	err := w.Run(func(r *Rank) error {
-		got, err := r.AllGather(r.ID*10, 4)
-		if err != nil {
+		got := make([]any, n)
+		if err := r.AllGatherInto(got, r.ID*10, 4); err != nil {
 			return err
+		}
+		if err := r.AllGatherInto(make([]any, n+1), 0, 4); err == nil {
+			return fmt.Errorf("allgather into %d slots accepted", n+1)
 		}
 		for src := 0; src < n; src++ {
 			if got[src].(int) != src*10 {

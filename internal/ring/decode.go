@@ -18,27 +18,34 @@ import (
 // and attends through attention.DecodeKVInto, which needs no mask compile and
 // reads the cache's pages in place: decode copies no KV.
 //
-// The arena's lifetime rule. On the in-process transport payloads circulate
-// by pointer, so two of the scratch's buffers are read by peers:
+// The arenas' lifetime rule, for DecodeScratch and PrefillScratch's pass-Q
+// tail alike. On the in-process transport payloads circulate by pointer, so
+// two kinds of arena buffer are read by peers, and each is rewritten — or
+// reshaped, which is a write too — only where no peer can still read it:
 //
-//   - the rank's query block is read by every peer that computes on it, and a
+//   - partials[s], this rank's partial for source rank s, is read by s's
+//     Merge. This rank next writes it only after s's next block (the next
+//     layer's, or the next call's) arrives here, and s sends that block only
+//     after its Merge has returned. So a partial is reshaped when its source's
+//     block arrives (mergeScratch.partial), never when a call begins.
+//   - A rank's own partial never leaves it.
+//   - A rank's query block is read by every peer that computes on it, and a
 //     peer's last read precedes the All2All send of the partial it computed
 //     from it. The block is therefore free once the rank's own All2All has
-//     returned — before PassQDecode returns — and the next call may refill it.
-//   - partials[s], this rank's partial for source rank s, is read by s's
-//     Merge. This rank next writes it when s's next block (the next layer's,
-//     or the next step's) arrives here, and s sends that block only after its
-//     Merge has returned. The rank's own partial never leaves it.
+//     returned, before the call returns, and the next call may reshape and
+//     refill it.
+//   - Over TCP, every send encodes before it returns, so no peer reads the
+//     arena; the blocks a sweep receives are handed back to the transport
+//     under ring.go's rule.
+//   - After a failed pass no arena is reused: recovery stands up a new
+//     incarnation with fresh engines (transformer's newMemPlane).
 //
-// Both hold for any world size, because a block reaches a rank only through
-// sends that follow its source's send. Nothing else in the scratch is shared:
-// the merged output and the returned view of it belong to the caller until
-// its next PassQDecode with the same scratch. A change of shape (the block
-// length moves when sessions join or leave a batch) reallocates instead of
-// resizing, so a buffer a slow peer still reads is never cut under it. Over
-// TCP every send encodes before it returns, so no peer reads the scratch,
-// and the blocks the sweep receives are handed back to the transport under
-// ring.go's rule.
+// None of this depends on the shape, so the arenas grow to the largest block
+// seen and reshape in place when the block length moves (sessions joining or
+// leaving a batch, a pass-Q chunk of another length); only a change of world
+// size cuts new buffers. Nothing else in an arena is shared: the merged
+// output and the returned view of it belong to the caller until its next
+// call with the same arena.
 
 // DecodeToken is one sequence's decode token assigned to a rank for the
 // current step.
@@ -125,8 +132,8 @@ func (in *DecodeInput) blockLen() int {
 }
 
 // mergeScratch holds the buffers of the pass-Q tail (All2All, then Merge)
-// for n ranks and partials of one shape: the envelopes and size list of the
-// exchange, the received partials, and the merged output.
+// for n ranks: the envelopes and size list of the exchange, the per-source
+// partials, the received partials, and the merged output.
 type mergeScratch struct {
 	partials []*attention.Output // partials[s]: this rank's partial for source rank s
 	oblocks  []wire.OBlock       // oblocks[s] wraps partials[s] for the All2All
@@ -134,52 +141,71 @@ type mergeScratch struct {
 	sizes    []float64
 	got      []any
 	mine     []*attention.Output // this rank's partials as received, by source
-	merged   *attention.Output
+	merged   attention.Output
 }
 
-// fit (re)allocates the buffers, the partials included, for n ranks and
-// [tokens, heads, dim] partials and reports whether it did; a call with the
-// shape they already have changes nothing. A new shape gets new buffers
-// rather than resized ones: a peer may still be merging the partial this
-// rank sent it last, and must not see it cut underneath it.
-func (m *mergeScratch) fit(n, tokens, heads, dim int) bool {
-	if len(m.msgs) == n && m.merged.O.Tokens == tokens && m.merged.O.Heads == heads && m.merged.O.Dim == dim {
-		return false
+// fit sizes the tail for n ranks and [tokens, heads, dim] partials. Only a
+// new world size cuts new buffers. A new shape reshapes the merged output in
+// place, and each partial when partial hands it out, once its source's block
+// has arrived (the lifetime rule at the top of this file).
+func (m *mergeScratch) fit(n, tokens, heads, dim int) {
+	if len(m.msgs) != n {
+		*m = mergeScratch{
+			partials: make([]*attention.Output, n),
+			oblocks:  make([]wire.OBlock, n),
+			msgs:     make([]any, n),
+			sizes:    make([]float64, n),
+			got:      make([]any, n),
+			mine:     make([]*attention.Output, n),
+		}
+		for s := range m.msgs {
+			m.msgs[s] = &m.oblocks[s]
+			m.partials[s] = new(attention.Output)
+		}
 	}
-	*m = mergeScratch{
-		partials: make([]*attention.Output, n),
-		oblocks:  make([]wire.OBlock, n),
-		msgs:     make([]any, n),
-		sizes:    make([]float64, n),
-		got:      make([]any, n),
-		mine:     make([]*attention.Output, n),
-		merged:   attention.NewOutput(tokens, heads, dim),
+	if !shaped(m.merged.O, tokens, heads, dim) {
+		m.merged.Fit(tokens, heads, dim)
 	}
-	for s := range m.msgs {
-		m.msgs[s] = &m.oblocks[s]
-		m.partials[s] = attention.NewOutput(tokens, heads, dim)
+}
+
+// partial returns partials[src] in the merged output's shape, reshaped in
+// place if it has another. Call it only once src's block of this pass has
+// arrived: until then src may still be merging the partial it got last.
+func (m *mergeScratch) partial(src int) *attention.Output {
+	p, o := m.partials[src], m.merged.O
+	if !shaped(p.O, o.Tokens, o.Heads, o.Dim) {
+		p.Fit(o.Tokens, o.Heads, o.Dim)
 	}
-	return true
+	return p
+}
+
+// shaped reports whether t exists and is [tokens, heads, dim].
+func shaped(t *tensor.Tensor, tokens, heads, dim int) bool {
+	return t != nil && t.Tokens == tokens && t.Heads == heads && t.Dim == dim
 }
 
 // DecodeScratch is one rank's decode arena: everything PassQDecode would
 // otherwise allocate per call. The zero value is ready to use; the buffers
-// are cut on first use and again whenever the world size, block length or
-// head shape changes. See the lifetime rule at the top of this file.
+// grow to the largest block seen and are cut anew only when the world size
+// changes. See the lifetime rule at the top of this file.
 type DecodeScratch struct {
-	blk        wire.QBlock // this rank's circulating query block
+	blk        wire.QBlock // this rank's circulating query block; its Q is blkQ
+	blkQ       tensor.Tensor
 	tail       mergeScratch
 	out        attention.Output // the merged output's leading owned rows: the result
 	outO       tensor.Tensor
 	kRow, vRow tensor.Tensor // one-row views handed to Cache.Append
 	rowPos     [1]int
 	runs       []attention.Run // a visiting row's sequence, as the cache's pages
+	// The masked fallback's row: its query and output views, and its KV mask.
+	qRow, rowO   tensor.Tensor
+	row          attention.Output
+	kvPos, kvSeq []int
 }
 
 func (s *DecodeScratch) fit(n, bl, heads, dim int) {
-	if s.tail.fit(n, bl, heads, dim) {
-		s.blk = wire.QBlock{Q: tensor.New(bl, heads, dim), Pos: make([]int, bl), Seq: make([]int, bl)}
-	}
+	s.tail.fit(n, bl, heads, dim)
+	s.blk = wire.QBlock{Q: s.blkQ.Resize(bl, heads, dim), Pos: tensor.Grown(s.blk.Pos, bl), Seq: tensor.Grown(s.blk.Seq, bl)}
 }
 
 // PassQDecode runs Algorithm 4 on one rank: the rank first appends its owned
@@ -231,7 +257,7 @@ func PassQDecode(in *DecodeInput) (*attention.Output, error) {
 		}
 		in.Trace.Comm(t0)
 		t0 = in.Trace.Clock()
-		if err := decodeBlockAttention(in.Cache, s, cur, s.tail.partials[src]); err != nil {
+		if err := decodeBlockAttention(in.Cache, s, cur, s.tail.partial(src)); err != nil {
 			xfer.drain()
 			return nil, err
 		}
@@ -274,7 +300,7 @@ func PassQDecode(in *DecodeInput) (*attention.Output, error) {
 // sequence, which the cache's running maximum position confirms in O(1); the
 // row then goes to the kernel with every row admitted and is written in
 // place. A cache holding a later position (only hand-built inputs do) takes
-// the general masked kernel.
+// the general masked kernel, out of the same arena.
 func decodeBlockAttention(cache *kvcache.Cache, s *DecodeScratch, blk *wire.QBlock, out *attention.Output) error {
 	if blk.Q.Tokens != out.O.Tokens || len(blk.Pos) != blk.Q.Tokens || len(blk.Seq) != blk.Q.Tokens {
 		return fmt.Errorf("ring: visiting query block has %d rows (%d/%d ids), this sweep's block %d",
@@ -295,7 +321,8 @@ func decodeBlockAttention(cache *kvcache.Cache, s *DecodeScratch, blk *wire.QBlo
 			}
 			continue
 		}
-		if err := maskedRow(out, blk, r, kv, cache.Positions(nil, seq)); err != nil {
+		s.kvPos = cache.Positions(s.kvPos[:0], seq)
+		if err := s.maskedRow(out, blk, r, kv); err != nil {
 			return err
 		}
 	}
@@ -303,25 +330,21 @@ func decodeBlockAttention(cache *kvcache.Cache, s *DecodeScratch, blk *wire.QBlo
 }
 
 // maskedRow is decodeBlockAttention's general path for one row: the full
-// position/sequence mask over the row's KV, through GQAKVInto and a one-row
-// copy.
-func maskedRow(out *attention.Output, blk *wire.QBlock, r int, kv attention.KV, kpos []int) error {
-	kseq := make([]int, len(kpos))
-	for i := range kseq {
-		kseq[i] = blk.Seq[r]
+// position/sequence mask over the row's KV (positions in s.kvPos), through
+// GQAKVInto into row r of out, viewed in place.
+func (s *DecodeScratch) maskedRow(out *attention.Output, blk *wire.QBlock, r int, kv attention.KV) error {
+	s.kvSeq = tensor.Grown(s.kvSeq, len(s.kvPos))
+	for i := range s.kvSeq {
+		s.kvSeq[i] = blk.Seq[r]
 	}
-	qRowLen := blk.Q.Heads * blk.Q.Dim
-	qRow, err := tensor.FromData(1, blk.Q.Heads, blk.Q.Dim, blk.Q.Data[r*qRowLen:(r+1)*qRowLen])
-	if err != nil {
-		return err
-	}
-	rowOut := attention.NewOutput(1, blk.Q.Heads, blk.Q.Dim)
-	if err := attention.GQAKVInto(rowOut, qRow, kv, attention.Mask{
-		QPos: blk.Pos[r : r+1], QSeq: blk.Seq[r : r+1], KVPos: kpos, KVSeq: kseq,
-	}); err != nil {
-		return err
-	}
-	copy(out.O.Row2D(r), rowOut.O.Row2D(0))
-	copy(out.LSE[r*out.O.Heads:(r+1)*out.O.Heads], rowOut.LSE)
-	return nil
+	heads, dim := blk.Q.Heads, blk.Q.Dim
+	s.qRow = tensor.Tensor{Tokens: 1, Heads: heads, Dim: dim, Data: blk.Q.Row2D(r)}
+	s.rowO = tensor.Tensor{Tokens: 1, Heads: heads, Dim: dim, Data: out.O.Row2D(r)}
+	s.row = attention.Output{O: &s.rowO, LSE: out.LSE[r*heads : (r+1)*heads]}
+	err := attention.GQAKVInto(&s.row, &s.qRow, kv, attention.Mask{
+		QPos: blk.Pos[r : r+1], QSeq: blk.Seq[r : r+1], KVPos: s.kvPos, KVSeq: s.kvSeq,
+	})
+	// An idle arena keeps no peer's block reachable (as forgetRuns).
+	s.qRow, s.rowO, s.row = tensor.Tensor{}, tensor.Tensor{}, attention.Output{}
+	return err
 }

@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/attention"
 	"repro/internal/comm"
+	"repro/internal/comm/wire"
 	"repro/internal/kvcache"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -168,6 +170,65 @@ func TestDecodeMasksRowsPastTheQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameOutputs(t, []*attention.Output{ref}, []*attention.Output{out})
+}
+
+// The masked fallback runs out of the decode arena: a visiting block whose
+// row 1 sits before some of its sequence's cached rows (a hand-built cache;
+// row 0's sequence takes the unmasked path, row 2 is padding) yields for that
+// row exactly what GQAKVInto computes over the sequence's pages under the
+// causal mask, and once warm the sweep allocates nothing.
+func TestDecodeMaskedFallbackIsExactAndAllocationFree(t *testing.T) {
+	cache, err := kvcache.New(kvcache.Config{KVHeads: nkv, HeadDim: dh, PageSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	const ctx = 11
+	pos := make([]int, ctx)
+	for i := range pos {
+		pos[i] = i
+	}
+	for seq := 0; seq < 2; seq++ {
+		if err := cache.Append(seq, tensor.RandN(rng, ctx, nkv, dh), tensor.RandN(rng, ctx, nkv, dh), pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blk := &wire.QBlock{Q: tensor.RandN(rng, 3, nh, dh), Pos: []int{ctx, 6, -1}, Seq: []int{0, 1, -1}}
+	s := new(DecodeScratch)
+	s.fit(1, 3, nh, dh)
+	out := s.tail.partial(0)
+	if err := decodeBlockAttention(cache, s, blk, out); err != nil {
+		t.Fatal(err)
+	}
+	want := attention.NewOutput(1, nh, dh)
+	q := &tensor.Tensor{Tokens: 1, Heads: nh, Dim: dh, Data: blk.Q.Row2D(1)}
+	kv := attention.KV{Heads: nkv, Dim: dh, Runs: cache.Runs(nil, 1)}
+	kseq := make([]int, ctx)
+	for i := range kseq {
+		kseq[i] = 1
+	}
+	if err := attention.GQAKVInto(want, q, kv, attention.Mask{
+		QPos: []int{6}, QSeq: []int{1}, KVPos: pos, KVSeq: kseq,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	row := attention.Output{
+		O:   &tensor.Tensor{Tokens: 1, Heads: nh, Dim: dh, Data: out.O.Row2D(1)},
+		LSE: out.LSE[nh : 2*nh],
+	}
+	requireSameOutputs(t, []*attention.Output{want}, []*attention.Output{&row})
+	if raceDetector {
+		return // the race detector makes sync.Pool drop entries at random
+	}
+	defer parallel.SetWorkers(parallel.SetWorkers(1)) // kernels inline, as TestArenasSurviveShapeChurn says why
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := decodeBlockAttention(cache, s, blk, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warm sweep through the masked fallback allocated %v objects, want 0", allocs)
+	}
 }
 
 // The overlapped exchange keeps SendRecv's error surface: a failed send comes

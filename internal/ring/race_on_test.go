@@ -1,0 +1,5 @@
+//go:build race
+
+package ring
+
+const raceDetector = true

@@ -37,10 +37,10 @@ import (
 // call. On the in-process transport payloads circulate by pointer, so the
 // buffers peers read are reused only where this holds:
 //
-//   - Pass-Q. Decode's rule (decode.go) holds as stated there: the query
-//     block — the Q rows and their position/sequence ids — is free once this
-//     rank's own All2All has returned, and partials[s] is next written when
-//     s's next block arrives, after s's Merge has returned.
+//   - Pass-Q. The rule at the top of decode.go covers its tail and query
+//     block: the Q rows and their position/sequence ids are free once this
+//     rank's own All2All has returned, and partials[s] is next written (or
+//     reshaped) when s's next block arrives, after s's Merge has returned.
 //   - Pass-KV. A KV block is forwarded N−1 hops, so a rank can start layer
 //     l+1 while the last peer is still reading its layer-l block. The
 //     circulating block therefore belongs to its layer: it lives in the
@@ -49,6 +49,9 @@ import (
 //     layer's segment-length AllGather happens to hold a rank back until
 //     every peer is done with the layer too; the rule does not lean on it.)
 //     The queries, the partial and the running merge never leave the rank.
+//     The segment lengths a pass sends first are read by each peer before
+//     that peer sends its own KV block, and every peer's block reaches this
+//     rank before the pass returns, so the next pass may rewrite them.
 //   - TCP. A send encodes the frame on the rank's own goroutine before it
 //     returns, the same as every other transport's send in the one exchange
 //     path (overlap.go), so no peer ever reads this rank's buffers. A
@@ -115,12 +118,12 @@ type PrefillInput struct {
 }
 
 // PrefillScratch is one rank's prefill arena: the query-side mask, pass-KV's
-// running merge and per-step partial, pass-Q's circulating query block and
-// the positions it carries under Rows, per-source partials and merge tail,
-// and its stationary KV's run list and mask, plus the queries and output rows
-// Rows selects. The zero value is ready to use; the buffers grow to the
-// largest chunk seen, except pass-Q's tail, which is cut anew whenever the
-// shape changes (mergeScratch.fit says why).
+// segment lengths, running merge and per-step partial, pass-Q's circulating
+// query block and the positions it carries under Rows, per-source partials
+// and merge tail, and its stationary KV's run list and mask, plus the queries
+// and output rows Rows selects. The zero value is ready to use; the buffers grow to the
+// largest chunk seen, and pass-Q's tail is cut anew only for a new world
+// size.
 type PrefillScratch struct {
 	qPos           []int
 	out, partial   attention.Output
@@ -132,6 +135,11 @@ type PrefillScratch struct {
 	q              tensor.Tensor
 	selPos, selSeq []int
 	picked         attention.Output
+	// Pass-KV's segment-length agreement: this rank's lengths (and the one
+	// boxed value of them it sends), every rank's as gathered, their maximum.
+	segMine, segMax []int
+	segMsg          any
+	gathered        []any
 }
 
 func (in *PrefillInput) scratch() *PrefillScratch {
@@ -319,9 +327,13 @@ func (s *PrefillScratch) blockKV(b *wire.KVBlock) attention.KV {
 
 // agreeSegmentLengths computes L_i = max_j(P_j^i + T_j^i) for every sequence
 // by exchanging per-rank segment lengths (a tiny metadata AllGather, 8 bytes
-// per sequence).
-func agreeSegmentLengths(in *PrefillInput) ([]int, error) {
-	mine := make([]int, len(in.Plan.SeqLens))
+// per sequence), into s.
+func agreeSegmentLengths(in *PrefillInput, s *PrefillScratch) ([]int, error) {
+	if len(s.segMine) != len(in.Plan.SeqLens) {
+		s.segMine = make([]int, len(in.Plan.SeqLens))
+		s.segMsg = s.segMine // boxed once, and rewritten in place (the rule above)
+	}
+	mine := s.segMine
 	lp := in.Plan.LocalPositions(in.Rank.ID)
 	ls := in.Plan.LocalSeqs(in.Rank.ID)
 	for i := range mine {
@@ -336,23 +348,23 @@ func agreeSegmentLengths(in *PrefillInput) ([]int, error) {
 		}
 		mine[i] = n
 	}
-	all, err := in.Rank.AllGather(mine, float64(len(mine))*metaBytesPerToken)
-	if err != nil {
+	s.gathered = tensor.Grown(s.gathered, in.Rank.N())
+	defer clear(s.gathered) // keep no peer's list reachable
+	if err := in.Rank.AllGatherInto(s.gathered, s.segMsg, float64(len(mine))*metaBytesPerToken); err != nil {
 		return nil, err
 	}
-	max := make([]int, len(mine))
-	for _, a := range all {
+	s.segMax = tensor.Grown(s.segMax, len(mine))
+	clear(s.segMax)
+	for _, a := range s.gathered {
 		lens, ok := a.([]int)
 		if !ok || len(lens) != len(mine) {
 			return nil, fmt.Errorf("ring: malformed segment-length gather")
 		}
 		for i, l := range lens {
-			if l > max[i] {
-				max[i] = l
-			}
+			s.segMax[i] = max(s.segMax[i], l)
 		}
 	}
-	return max, nil
+	return s.segMax, nil
 }
 
 // PassKVPrefill runs Algorithm 2 on one rank: the rank's KV block circulates
@@ -365,12 +377,12 @@ func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 		return nil, err
 	}
 	n := in.Rank.N()
-	segLens, err := agreeSegmentLengths(in)
+	s := in.scratch()
+	defer func() { s.runs = forgetRuns(s.runs) }()
+	segLens, err := agreeSegmentLengths(in, s)
 	if err != nil {
 		return nil, err
 	}
-	s := in.scratch()
-	defer func() { s.runs = forgetRuns(s.runs) }()
 	qPos, qSeq := in.qMask(s)
 	cur, err := in.shippedKV(qPos, segLens)
 	if err != nil {
@@ -461,7 +473,7 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 		}
 		in.Trace.Comm(t0)
 		t0 = in.Trace.Clock()
-		if err := attention.GQAKVInto(tail.partials[src], cur.Q, kv, attention.Mask{
+		if err := attention.GQAKVInto(tail.partial(src), cur.Q, kv, attention.Mask{
 			QPos: cur.Pos, QSeq: cur.Seq, KVPos: kvPos, KVSeq: kvSeq,
 		}); err != nil {
 			xfer.drain()
@@ -515,11 +527,11 @@ func all2allMerge(rank *comm.Rank, m *mergeScratch, elem float64, tr *trace.Swee
 		}
 		m.mine[src] = blk.Out
 	}
-	attention.MergeInto(m.merged, m.mine...)
+	attention.MergeInto(&m.merged, m.mine...)
 	for _, got := range m.got {
 		rank.Recycle(got) // merged; this rank's own partial is ignored
 	}
-	return m.merged, nil
+	return &m.merged, nil
 }
 
 // AppendLocalKV persists a rank's new-token KV shard into its cache with

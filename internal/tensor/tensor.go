@@ -40,16 +40,6 @@ func New(tokens, heads, dim int) *Tensor {
 	}
 }
 
-// FromData wraps an existing slice as a tensor. The slice length must equal
-// tokens*heads*dim; the tensor takes ownership of the slice.
-func FromData(tokens, heads, dim int, data []float32) (*Tensor, error) {
-	if len(data) != tokens*heads*dim {
-		return nil, fmt.Errorf("tensor: data length %d does not match shape [%d %d %d]",
-			len(data), tokens, heads, dim)
-	}
-	return &Tensor{Tokens: tokens, Heads: heads, Dim: dim, Data: data}, nil
-}
-
 // Grown returns buf resliced to n elements, reallocating only when its
 // capacity is too small; the contents are not kept. It is how the engine's
 // per-rank arenas reuse one buffer across commands of varying size.

@@ -18,16 +18,6 @@ func TestNewShapeAndZero(t *testing.T) {
 	}
 }
 
-func TestFromDataLengthMismatch(t *testing.T) {
-	if _, err := FromData(2, 2, 2, make([]float32, 7)); err == nil {
-		t.Fatal("FromData accepted mismatched length")
-	}
-	ten, err := FromData(2, 2, 2, make([]float32, 8))
-	if err != nil || ten == nil {
-		t.Fatalf("FromData rejected valid input: %v", err)
-	}
-}
-
 func TestIndexRoundTrip(t *testing.T) {
 	tt := New(4, 3, 2)
 	for i := range tt.Data {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/parallel"
 )
 
 // benchGQA8 is the registered benchmark's model (benchmark/spec.go): 2 layers,
@@ -38,8 +39,12 @@ func processCPU(b *testing.B) time.Duration {
 // wall: two ranks that never waited on each other would read 2.0, and the
 // gap below that is the share of a step its ranks spend asleep at a handoff
 // (or, with an uneven owner split, waiting for the rank that has more rows).
-// Every step appends a token to every context, so compare two commits at the
-// same -benchtime; 512x walks the contexts decode_batch walks.
+// It also reports the kernel pool's dispatches, from parallel.Snapshot
+// deltas: jobs/step, the fan-outs a step hands the pool, and
+// stolen-chunks/step against chunks/step, how many of their chunks a pool
+// worker rather than the dispatching rank ran. Every step appends a token to
+// every context, so compare two commits at the same -benchtime; 512x walks
+// the contexts decode_batch walks.
 func BenchmarkDecodeStep(b *testing.B) {
 	for _, batch := range []int{1, 8} {
 		b.Run(fmt.Sprintf("B=%d", batch), func(b *testing.B) {
@@ -83,14 +88,18 @@ func BenchmarkDecodeStep(b *testing.B) {
 				step(batch) // warm the pools, the mirrors and the reply frames
 			}
 			b.ReportAllocs()
-			cpu0, t0 := processCPU(b), time.Now()
+			pool0, cpu0, t0 := parallel.Snapshot(), processCPU(b), time.Now()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				step(batch)
 			}
 			b.StopTimer()
-			wall := time.Since(t0)
+			wall, pool := time.Since(t0), parallel.Snapshot()
 			b.ReportMetric(float64(processCPU(b)-cpu0)/float64(wall), "busy-cores")
+			perStep := func(v, v0 int64) float64 { return float64(v-v0) / float64(b.N) }
+			b.ReportMetric(perStep(pool.Jobs, pool0.Jobs), "jobs/step")
+			b.ReportMetric(perStep(pool.Chunks, pool0.Chunks), "chunks/step")
+			b.ReportMetric(perStep(pool.ChunksStolen, pool0.ChunksStolen), "stolen-chunks/step")
 		})
 	}
 }
@@ -157,12 +166,16 @@ func BenchmarkPrefillChunk(b *testing.B) {
 // model.Auto — Equation 1 picks pass-Q at this 14 % miss rate — and the
 // sequence is dropped. /all asks for every suffix row's logits (Prefill),
 // /next for the sampled row's token (PrefillNext, what serving runs), whose
-// last layer attends only that row on every rank. B/op and busy cores read
-// as in BenchmarkPrefillChunk.
+// last layer attends only that row on every rank. /served runs a served
+// request's whole shape sequence, as prefill_persistent does over HTTP: after
+// the suffix's PrefillNext, the continuation prefills the sampled token as a
+// one-token chunk and decodes 31 more, so each pass-Q chunk has another
+// length than the last. B/op and busy cores read as in
+// BenchmarkPrefillChunk.
 func BenchmarkPersistentPrefill(b *testing.B) {
-	for _, mode := range []string{"all", "next"} {
+	for _, mode := range []string{"all", "next", "served"} {
 		b.Run(mode, func(b *testing.B) {
-			const prefix, suffix, chunk = 1536, 256, 512
+			const prefix, suffix, chunk, steps = 1536, 256, 512, 31
 			w, err := NewWeights(benchGQA8())
 			if err != nil {
 				b.Fatal(err)
@@ -191,6 +204,7 @@ func BenchmarkPersistentPrefill(b *testing.B) {
 			defer pre.Release()
 			c.Drop(1)
 			miss := make([]int, suffix)
+			seq, tok := []int{2}, []int{0}
 			op := func(i int) {
 				for t := range miss {
 					miss[t] = (t*7 + i*13 + 1) % w.Cfg.Model.VocabSize
@@ -201,10 +215,22 @@ func BenchmarkPersistentPrefill(b *testing.B) {
 				if mode == "all" {
 					_, err = c.Prefill(2, miss, model.Auto)
 				} else {
-					_, err = c.PrefillNext(2, miss, model.Auto)
+					tok[0], err = c.PrefillNext(2, miss, model.Auto)
 				}
 				if err != nil {
 					b.Fatal(err)
+				}
+				if mode == "served" {
+					if tok[0], err = c.PrefillNext(2, tok, model.Auto); err != nil {
+						b.Fatal(err)
+					}
+					for k := 0; k < steps; k++ {
+						ids, err := c.DecodeNext(seq, tok)
+						if err != nil {
+							b.Fatal(err)
+						}
+						tok[0] = ids[0]
+					}
 				}
 				c.Drop(2)
 			}
