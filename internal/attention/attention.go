@@ -860,10 +860,14 @@ func (c *cellTask) Run(lo, hi int) {
 //
 //	O = Σ_s O_s · exp(LSE_s − LSE_max) / Σ_s exp(LSE_s − LSE_max)
 //
-// and the merged LSE is LSE_max + log Σ_s exp(LSE_s − LSE_max), making the
-// operation associative: merging merges is merging everything. Cells fan out
-// over the worker pool; each (token, head) cell is independent, so parallel
-// output equals serial exactly.
+// and the merged LSE is LSE_max + log Σ_s exp(LSE_s − LSE_max). In exact
+// arithmetic the operation is associative — merging merges is merging
+// everything — but in floating point the grouping and order of the partials
+// move the low bits, so Merge(a, b, c) and AccumulateInto folds of a, b, c
+// agree only to rounding. The ring variants all fold with AccumulateInto in
+// one order for that reason; Merge is the benchmark's merge rung. Cells fan
+// out over the worker pool; each (token, head) cell is independent, so
+// parallel output equals serial exactly.
 func Merge(partials ...*Output) *Output {
 	if len(partials) == 0 {
 		panic("attention: Merge of zero partials")

@@ -21,10 +21,22 @@
 // The cache is a rank's only per-sequence KV store: attention reads a
 // sequence's pages in place through Runs, and only the rows a ring pass ships
 // to a peer are ever copied out (CopyRange).
+//
+// Freed pages are recycled: a page whose last holder releases it goes on the
+// cache's free list, and later appends and copy-on-write clones take pages
+// from there before they cut new ones, so a served request reuses the pages
+// of the requests before it instead of allocating its context again. The
+// lifetime rule that makes this safe: a page is reused only after its last
+// holder — a sequence or a span — releases it, and no Run (nor any slice of a
+// page from Runs) may outlive the command that took it. A holder that keeps
+// a run list between commands clears it first (ring's forgetRuns). The free
+// list is a sync.Pool, so pages nobody reuses across two collections become
+// garbage: recycled pages count toward neither TotalTokens nor Capacity.
 package kvcache
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/attention"
 	"repro/internal/tensor"
@@ -46,13 +58,15 @@ type Config struct {
 type Cache struct {
 	cfg   Config
 	seqs  map[int]*seqCache
-	total int // physical rows across unique live pages
+	total int       // physical rows across unique live pages
+	free  sync.Pool // *page: released pages, emptied, for the next append to reuse
 }
 
 // page is a refcounted block of PageSize KV rows: k and v are row-major
 // [PageSize][NKV][DH], of which the first len(pos) rows are filled, pos
 // holding their positions. refs counts the sequences and spans holding it; a
-// page is freed (its rows returned to capacity) when refs reaches zero.
+// page is freed (its rows returned to capacity, the page to the free list)
+// when refs reaches zero.
 type page struct {
 	k, v []float32
 	pos  []int
@@ -155,30 +169,60 @@ func (c *Cache) Append(seq int, k, v *tensor.Tensor, pos []int) error {
 		c.seqs[seq] = sc
 	}
 	// The pages this append opens past the tail's free rows (a copy-on-write
-	// clone has the same room) are cut from one allocation.
+	// clone has the same room).
 	open := real
 	if n := len(sc.refs); n > 0 {
 		open -= c.cfg.PageSize - sc.refs[n-1].n
 	}
-	fresh := c.newPages((max(open, 0) + c.cfg.PageSize - 1) / c.cfg.PageSize)
+	src := pageSource{left: (max(open, 0) + c.cfg.PageSize - 1) / c.cfg.PageSize}
 	for i, p := range pos {
 		if p < 0 {
 			continue
 		}
-		c.appendRow(sc, k.Row2D(i), v.Row2D(i), p, &fresh)
+		c.appendRow(sc, k.Row2D(i), v.Row2D(i), p, &src)
 	}
 	return nil
 }
 
-// appendRow appends one row to sc's tail page, opening the next of fresh when
-// the tail is full.
-func (c *Cache) appendRow(sc *seqCache, kRow, vRow []float32, pos int, fresh *[]page) {
+// pageSource hands out the pages one append opens: recycled pages while the
+// free list has them, then one slab cut for every page still to open.
+type pageSource struct {
+	fresh []page // the slab's pages not yet handed out
+	left  int    // pages the append has still to open
+}
+
+// open returns the next page for an append, with one reference.
+func (c *Cache) open(src *pageSource) *page {
+	src.left--
+	if len(src.fresh) == 0 {
+		if pg := c.recycled(); pg != nil {
+			return pg
+		}
+		src.fresh = c.newPages(src.left + 1)
+	}
+	pg := &src.fresh[0]
+	src.fresh = src.fresh[1:]
+	return pg
+}
+
+// recycled takes an empty page off the free list, with one reference, or
+// returns nil when the list is empty.
+func (c *Cache) recycled() *page {
+	pg, _ := c.free.Get().(*page)
+	if pg != nil {
+		pg.refs = 1
+	}
+	return pg
+}
+
+// appendRow appends one row to sc's tail page, opening the next page of src
+// when the tail is full.
+func (c *Cache) appendRow(sc *seqCache, kRow, vRow []float32, pos int, src *pageSource) {
 	sc.n++
 	sc.maxPos = max(sc.maxPos, pos)
 	n := len(sc.refs)
 	if n == 0 || sc.refs[n-1].n == c.cfg.PageSize {
-		sc.refs = append(sc.refs, pageRef{pg: &(*fresh)[0]})
-		*fresh = (*fresh)[1:]
+		sc.refs = append(sc.refs, pageRef{pg: c.open(src)})
 		n++
 	}
 	ref := &sc.refs[n-1]
@@ -194,10 +238,11 @@ func (c *Cache) appendRow(sc *seqCache, kRow, vRow []float32, pos int, fresh *[]
 }
 
 // newPages returns n empty pages cut from one K, one V and one position
-// allocation: the pages an append opens for a sequence lie back to back in
-// memory, so attention walking them in place streams through them as through
-// one array. A slab lives as long as any of its pages does; its rows are
-// counted page by page, as the pages are freed.
+// allocation, plus the page headers: the pages an append opens for a
+// sequence past what the free list supplies lie back to back in memory, so
+// attention walking them in place streams through them as through one array.
+// A slab lives as long as any of its pages is held or on the free list; its
+// rows are counted page by page, as the pages are opened and freed.
 func (c *Cache) newPages(n int) []page {
 	if n == 0 {
 		return nil
@@ -230,7 +275,10 @@ func (c *Cache) row(buf []float32, i int) []float32 {
 // its visible prefix, so the sequence can keep appending without disturbing
 // other holders of the original page.
 func (c *Cache) cowTail(ref *pageRef) {
-	clone := &c.newPages(1)[0]
+	clone := c.recycled()
+	if clone == nil {
+		clone = &c.newPages(1)[0]
+	}
 	copy(clone.k, ref.pg.k[:ref.n*c.rowLen()])
 	copy(clone.v, ref.pg.v[:ref.n*c.rowLen()])
 	clone.pos = append(clone.pos, ref.pg.pos[:ref.n]...)
@@ -239,11 +287,24 @@ func (c *Cache) cowTail(ref *pageRef) {
 	ref.pg = clone
 }
 
-// releaseRef drops one holder of a page, freeing its rows at zero refs.
+// releaseRef drops one holder of a page. At zero refs the page's rows leave
+// the capacity count and the page, emptied, goes on the free list.
 func (c *Cache) releaseRef(ref pageRef) {
-	ref.pg.refs--
-	if ref.pg.refs == 0 {
-		c.total -= len(ref.pg.pos)
+	pg := ref.pg
+	pg.refs--
+	if pg.refs == 0 {
+		c.total -= len(pg.pos)
+		pg.pos = pg.pos[:0]
+		c.free.Put(pg)
+	}
+}
+
+// releaseAll drops one holder of each of refs, last page first: the free list
+// is last in, first out, so the next append takes the pages back in the
+// order they were held, which for pages cut from one slab is address order.
+func (c *Cache) releaseAll(refs []pageRef) {
+	for i := len(refs) - 1; i >= 0; i-- {
+		c.releaseRef(refs[i])
 	}
 }
 
@@ -280,8 +341,11 @@ func (c *Cache) CopyRange(seq, lo int, k, v []float32, pos []int) int {
 // Runs appends a sequence's visible rows to dst as one attention.Run per
 // page, in append order, and returns the extended slice: the rows read in
 // place, allocation-free when dst has room. Every run but the last is a whole
-// page. A run's rows stay as they are for as long as the caller holds it:
-// appends write past every holder's visible rows or into a private clone.
+// page. A run's rows stay as they are until the sequence is dropped or the
+// command that took the runs ends, whichever is first: appends write past
+// every holder's visible rows or into a private clone, but a dropped
+// sequence's pages go back to the free list for the next append to rewrite
+// (the lifetime rule in the package doc).
 func (c *Cache) Runs(dst []attention.Run, seq int) []attention.Run {
 	sc := c.seqs[seq]
 	if sc == nil {
@@ -346,9 +410,7 @@ func (c *Cache) Drop(seq int) {
 	if sc == nil {
 		return
 	}
-	for _, ref := range sc.refs {
-		c.releaseRef(ref)
-	}
+	c.releaseAll(sc.refs)
 	delete(c.seqs, seq)
 }
 
@@ -377,9 +439,7 @@ func (sp *Span) Release() {
 		return
 	}
 	sp.released = true
-	for _, ref := range sp.refs {
-		sp.c.releaseRef(ref)
-	}
+	sp.c.releaseAll(sp.refs)
 	sp.refs = nil
 }
 

@@ -24,9 +24,9 @@ import (
 // reshaped, which is a write too — only where no peer can still read it:
 //
 //   - partials[s], this rank's partial for source rank s, is read by s's
-//     Merge. This rank next writes it only after s's next block (the next
+//     merge. This rank next writes it only after s's next block (the next
 //     layer's, or the next call's) arrives here, and s sends that block only
-//     after its Merge has returned. So a partial is reshaped when its source's
+//     after its merge has returned. So a partial is reshaped when its source's
 //     block arrives (mergeScratch.partial), never when a call begins.
 //   - A rank's own partial never leaves it.
 //   - A rank's query block is read by every peer that computes on it, and a
@@ -131,7 +131,7 @@ func (in *DecodeInput) blockLen() int {
 	return (in.NumSeqs + n - 1) / n
 }
 
-// mergeScratch holds the buffers of the pass-Q tail (All2All, then Merge)
+// mergeScratch holds the buffers of the pass-Q tail (All2All, then merge)
 // for n ranks: the envelopes and size list of the exchange, the per-source
 // partials, the received partials, and the merged output.
 type mergeScratch struct {

@@ -40,7 +40,7 @@ import (
 //   - Pass-Q. The rule at the top of decode.go covers its tail and query
 //     block: the Q rows and their position/sequence ids are free once this
 //     rank's own All2All has returned, and partials[s] is next written (or
-//     reshaped) when s's next block arrives, after s's Merge has returned.
+//     reshaped) when s's next block arrives, after s's merge has returned.
 //   - Pass-KV. A KV block is forwarded N−1 hops, so a rank can start layer
 //     l+1 while the last peer is still reading its layer-l block. The
 //     circulating block therefore belongs to its layer: it lives in the
@@ -64,10 +64,14 @@ import (
 //     live in the arena.
 //
 // The engine's Q/K/V rows are free for the next layer once the layer's pass
-// and AppendLocalKV have returned: pass-KV never sends them (shippedKV copies
+// and AppendShardKV have returned: pass-KV never sends them (shippedKV copies
 // K/V into the layer's block), pass-Q reads its K/V only on its own rank, and
 // pass-Q's Q is covered by the rule above. Stationary KV — the cache's pages
-// that pass-Q and decode attend in place — never leaves the rank.
+// that pass-Q and decode attend in place — never leaves the rank, and no run
+// over it outlives its pass (forgetRuns), as kvcache's page recycling needs.
+// The plan's slot lists circulate with pass-Q's query block, so an engine
+// that keeps one plan across commands (sharding.BatchShard.Reset) rebuilds it
+// only once its previous command has returned.
 
 // metaBytes is the accounted overhead for per-token metadata (position and
 // sequence/batch ids) attached to a circulating message.
@@ -191,7 +195,7 @@ func (in *PrefillInput) validate() error {
 // qMask builds the query-side mask of a rank's local shard into s: global
 // position P^i + p for the slot of sequence i at new-token position p, -1 for
 // a padding slot. The sequence ids are the plan's own slice, which nothing
-// mutates.
+// mutates before the command ends.
 func (in *PrefillInput) qMask(s *PrefillScratch) (pos, seq []int) {
 	lp := in.Plan.LocalPositions(in.Rank.ID)
 	ls := in.Plan.LocalSeqs(in.Rank.ID)
@@ -509,6 +513,12 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 // + All2All + merge tail of Algorithms 3 and 4). m must be fitted to the
 // partials' shape. tr (nil-safe) charges the exchange to the sweep's all2all
 // phase.
+//
+// The merge folds the partials one at a time in pass-KV's order: the home
+// rank's own first, then rank id−1's, id−2's and so on, the order in which
+// pass-KV's ring brings it their KV blocks. Each fold rounds to float32, so
+// that order, not the partials alone, fixes the bits: folding it the same
+// way keeps pass-Q bit-identical to pass-KV at every world size.
 func all2allMerge(rank *comm.Rank, m *mergeScratch, elem float64, tr *trace.SweepTimer) (*attention.Output, error) {
 	for s := range m.oblocks {
 		m.oblocks[s].Out = m.partials[s]
@@ -527,7 +537,11 @@ func all2allMerge(rank *comm.Rank, m *mergeScratch, elem float64, tr *trace.Swee
 		}
 		m.mine[src] = blk.Out
 	}
-	attention.MergeInto(&m.merged, m.mine...)
+	m.merged.Reset()
+	n := len(m.mine)
+	for j := 0; j < n; j++ {
+		attention.AccumulateInto(&m.merged, m.mine[(rank.ID-j+n)%n])
+	}
 	for _, got := range m.got {
 		rank.Recycle(got) // merged; this rank's own partial is ignored
 	}
@@ -549,6 +563,15 @@ func AppendLocalKV(cache *kvcache.Cache, plan *sharding.BatchShard, rankID int, 
 			pos[slot] = p[ls[slot]] + q
 		}
 	}
+	return AppendShardKV(cache, plan, rankID, pos, seqIDs, k, v)
+}
+
+// AppendShardKV is AppendLocalKV given each local slot's global position
+// (-1, which the cache skips, for padding) rather than the per-sequence
+// cached lengths: a caller that already built the query mask's positions
+// appends without building them again.
+func AppendShardKV(cache *kvcache.Cache, plan *sharding.BatchShard, rankID int, pos, seqIDs []int, k, v *tensor.Tensor) error {
+	ls := plan.LocalSeqs(rankID)
 	rowLen := k.Heads * k.Dim
 	for lo := 0; lo < len(ls); {
 		i, hi := ls[lo], lo+1

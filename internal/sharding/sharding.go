@@ -19,6 +19,7 @@ package sharding
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -176,30 +177,45 @@ type BatchShard struct {
 // NewBatchShard builds the load-balanced plan for the given per-sequence
 // new-token lengths.
 func NewBatchShard(seqLens []int, n int) (*BatchShard, error) {
+	b := new(BatchShard)
+	if err := b.Reset(seqLens, n); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Reset rebuilds b in place as the plan NewBatchShard(seqLens, n) returns,
+// reusing its slices, so a holder that plans every command keeps one plan
+// and allocates only when a batch outgrows every earlier one. seqLens is
+// copied. Every slice b handed out before (LocalPositions, LocalSeqs) is
+// rewritten, so a plan may be reset only once nothing still reads the
+// previous one. After an error b is unusable until a Reset succeeds.
+func (b *BatchShard) Reset(seqLens []int, n int) error {
 	if n <= 0 {
-		return nil, fmt.Errorf("sharding: non-positive rank count %d", n)
+		return fmt.Errorf("sharding: non-positive rank count %d", n)
 	}
 	if len(seqLens) == 0 {
-		return nil, fmt.Errorf("sharding: empty batch")
+		return fmt.Errorf("sharding: empty batch")
 	}
-	b := &BatchShard{N: n, SeqLens: append([]int(nil), seqLens...)}
-	b.offsets = make([]int, len(seqLens))
-	b.slots = make([]int, len(seqLens))
+	b.N = n
+	b.SeqLens = append(b.SeqLens[:0], seqLens...)
+	b.offsets = slices.Grow(b.offsets[:0], len(seqLens))[:len(seqLens)]
+	b.slots = slices.Grow(b.slots[:0], len(seqLens))[:len(seqLens)]
 	off, local := 0, 0
 	for i, T := range seqLens {
 		if T < 0 {
-			return nil, fmt.Errorf("sharding: negative sequence length %d", T)
+			return fmt.Errorf("sharding: negative sequence length %d", T)
 		}
 		b.offsets[i], b.slots[i] = off, local
 		off += T
 		local += 2 * ChunkLen(T, n)
 	}
 	// Every rank holds local slots: each sequence's load-balanced positions,
-	// in sequence order.
-	b.pos = make([][]int, n)
-	b.seq = make([][]int, n)
+	// in sequence order. Growing keeps the ranks' earlier lists for reuse.
+	b.pos = slices.Grow(b.pos[:0], n)[:n]
+	b.seq = slices.Grow(b.seq[:0], n)[:n]
 	for r := 0; r < n; r++ {
-		pos, seq := make([]int, 0, local), make([]int, 0, local)
+		pos, seq := slices.Grow(b.pos[r][:0], local), slices.Grow(b.seq[r][:0], local)
 		for i, T := range seqLens {
 			pos = appendLoadBalanced(pos, T, n, r)
 			for len(seq) < len(pos) {
@@ -208,7 +224,7 @@ func NewBatchShard(seqLens []int, n int) (*BatchShard, error) {
 		}
 		b.pos[r], b.seq[r] = pos, seq
 	}
-	return b, nil
+	return nil
 }
 
 // TotalTokens returns the unpadded fused token count.

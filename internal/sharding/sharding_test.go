@@ -2,6 +2,7 @@ package sharding
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -400,5 +401,59 @@ func TestPropertyShardUnshardIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Reset rebuilds a plan in place as NewBatchShard would build it, through
+// batches that grow, shrink, change world size and fail in between, and a
+// plan reset to a shape no larger than one it held allocates nothing.
+func TestBatchShardResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var b BatchShard
+	for i := 0; i < 200; i++ {
+		n := 1 + rng.Intn(4)
+		lens := make([]int, 1+rng.Intn(4))
+		for j := range lens {
+			lens[j] = rng.Intn(40)
+		}
+		if i%17 == 0 {
+			if err := b.Reset([]int{3, -1}, n); err == nil {
+				t.Fatal("negative length accepted")
+			}
+		}
+		if err := b.Reset(lens, n); err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewBatchShard(lens, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.N != want.N || !slices.Equal(b.SeqLens, want.SeqLens) {
+			t.Fatalf("reset %v over %d ranks: N %d, lengths %v", lens, n, b.N, b.SeqLens)
+		}
+		for s := range lens {
+			if b.SeqOffset(s) != want.SeqOffset(s) || b.slots[s] != want.slots[s] {
+				t.Fatalf("reset %v over %d ranks: sequence %d's offset or first slot differs", lens, n, s)
+			}
+		}
+		for r := 0; r < n; r++ {
+			if !slices.Equal(b.LocalPositions(r), want.LocalPositions(r)) || !slices.Equal(b.LocalSeqs(r), want.LocalSeqs(r)) {
+				t.Fatalf("reset %v over %d ranks: rank %d's slots differ", lens, n, r)
+			}
+		}
+	}
+	big := []int{40, 40, 40, 40}
+	if err := b.Reset(big, 4); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := b.Reset([]int{7, 40}, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Reset(big, 4); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm Reset allocated %.0f objects", allocs)
 	}
 }

@@ -682,3 +682,69 @@ func TestResidentKVIsOneCopy(t *testing.T) {
 		t.Fatalf("%.0f KiB of the sessions' %.0f KiB stay live after they were dropped", left/1024, kvBytes/1024)
 	}
 }
+
+// A served request reuses the pages of the requests before it: once a
+// same-shape request has been served and dropped, a 2048-token request on
+// two ranks of bench-gqa8 (four 512-token PrefillLast chunks, then 31
+// DecodeNext steps) allocates less than a tenth of the KV bytes it holds,
+// because its context comes off the caches' free lists. It allocated all of
+// them again when a dropped sequence's pages went to the collector. The
+// collector is paused for the measurement, since a collection empties the
+// free lists.
+func TestWarmRequestReusesDroppedPages(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	const ranks, prompt, chunk, steps = 2, 2048, 512, 31
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One kernel worker, as in TestResidentKVIsOneCopy: with more, a request
+	// whose ranks happen to overlap more kernel calls than the warm-up's did
+	// grows the kernel scratch lists by up to half a MiB of score stripes.
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	cfg := benchGQA8()
+	w, err := NewWeights(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(w, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m := cfg.Model
+	chunks := make(map[int][][]int)
+	for _, seq := range []int{2, 3} {
+		for at := 0; at < prompt; at += chunk {
+			chunks[seq] = append(chunks[seq], arenaChunk(chunk, seq+at, m.VocabSize))
+		}
+	}
+	seqs, toks := make([]int, 1), make([]int, 1)
+	serve := func(seq int) {
+		for _, toks := range chunks[seq] {
+			if _, err := c.PrefillLast(seq, toks, model.Auto); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seqs[0], toks[0] = seq, 1
+		for s := 0; s < steps; s++ {
+			next, err := c.DecodeNext(seqs, toks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			toks[0] = next[0]
+		}
+	}
+	serve(2)
+	c.Drop(2)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	serve(3)
+	runtime.ReadMemStats(&m1)
+	c.Drop(3)
+	kvBytes := float64((prompt + steps) * m.Layers * (2*m.NumKV*m.HeadDim*4 + 8))
+	got := float64(m1.TotalAlloc - m0.TotalAlloc)
+	t.Logf("a warm %d-token request with %d decode steps allocated %.1f KiB for %.1f KiB of KV: %.1f %%", prompt, steps, got/1024, kvBytes/1024, 100*got/kvBytes)
+	if got >= 0.1*kvBytes {
+		t.Fatalf("a warm request allocated %.1f KiB, %.1f %% of its %.1f KiB of KV; budget 10 %%", got/1024, 100*got/kvBytes, kvBytes/1024)
+	}
+}

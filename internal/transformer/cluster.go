@@ -83,6 +83,10 @@ type Cluster struct {
 	inBatch   map[int]bool
 	decodeRes []*wire.DecodeResult
 	prefRes   []*wire.PrefillResult
+	// The prefill command's lengths and plan, rebuilt in place per command:
+	// prefillCmd's callers read the plan before they send the next one.
+	lens      []int
+	plan      sharding.BatchShard
 	prefixSeq uint64
 }
 
@@ -352,14 +356,17 @@ func (c *Cluster) PrefillNext(seq int, tokens []int, variant model.Variant) (int
 }
 
 // prefillCmd validates a fused prefill, broadcasts it with the given reply
-// mode and returns the plan it ran on with every rank's reply.
+// mode and returns the plan it ran on with every rank's reply. The plan is
+// the Cluster's, valid until the next prefill command.
 func (c *Cluster) prefillCmd(seqIDs []int, tokens [][]int, variant model.Variant, reply wire.Reply) (*sharding.BatchShard, []*wire.PrefillResult, error) {
 	if len(seqIDs) == 0 || len(seqIDs) != len(tokens) {
 		return nil, nil, fmt.Errorf("transformer: %d seq ids with %d token lists", len(seqIDs), len(tokens))
 	}
 	m := c.W.Cfg.Model
-	lens := make([]int, len(seqIDs))
-	seen := map[int]bool{}
+	c.lens = tensor.Grown(c.lens, len(seqIDs))
+	lens := c.lens
+	seen := c.inBatch
+	clear(seen)
 	for i, toks := range tokens {
 		if len(toks) == 0 {
 			return nil, nil, fmt.Errorf("transformer: empty prefill for sequence %d", seqIDs[i])
@@ -384,8 +391,8 @@ func (c *Cluster) prefillCmd(seqIDs []int, tokens [][]int, variant model.Variant
 			}
 		}
 	}
-	plan, err := sharding.NewBatchShard(lens, c.n)
-	if err != nil {
+	plan := &c.plan
+	if err := plan.Reset(lens, c.n); err != nil {
 		return nil, nil, err
 	}
 	p := make([]int, len(seqIDs))

@@ -53,11 +53,13 @@ type rankEngine struct {
 // them, valid until the next command — the rule decodeRes follows; the
 // coordinator copies them out (prefillLogits, prefillIDs) and a worker
 // encodes them first. Within a command the q/k/v rows are reused by every
-// layer: a layer's ring pass and AppendLocalKV are done with
+// layer: a layer's ring pass and AppendShardKV are done with
 // them when they return. What peers do read by pointer lives in ring
 // (ring.PrefillScratch and the layers' BlockCaches, under the rule at the
 // top of ring.go).
 type prefillScratch struct {
+	lens     []int // the command's per-sequence new-token counts
+	plan     sharding.BatchShard
 	ids, pos []int
 	hidden   []float32
 	q, k, v  tensor.Tensor
@@ -105,9 +107,9 @@ func newRankEngine(w *Weights, kvCapacity int, epoch uint64, rec *trace.Recorder
 // prefill executes one rank's share of a fused varseq prefill command: the
 // full per-layer loop of embeddings, QKV projection, ring attention, KV
 // persistence, and the output head over this rank's token shard. The
-// sharding plan is derived from the command — it is a pure function of
-// (lengths, world size), so every rank derives the same plan without
-// shipping it, and so are the sampled slots.
+// sharding plan is derived from the command, into the arena — it is a pure
+// function of (lengths, world size), so every rank derives the same plan
+// without shipping it, and so are the sampled slots.
 //
 // Unless cmd.Reply is wire.ReplyAll, the last layer narrows to the sampled
 // rows this rank holds: its K/V projection, ring exchange and KV persistence
@@ -125,12 +127,12 @@ func newRankEngine(w *Weights, kvCapacity int, epoch uint64, rec *trace.Recorder
 func (e *rankEngine) prefill(r *comm.Rank, cmd *wire.PrefillCmd) (*tensor.Tensor, error) {
 	m := e.w.Cfg.Model
 	s := &e.pre
-	lens := make([]int, len(cmd.Tokens))
+	s.lens = tensor.Grown(s.lens, len(cmd.Tokens))
 	for i, toks := range cmd.Tokens {
-		lens[i] = len(toks)
+		s.lens[i] = len(toks)
 	}
-	plan, err := sharding.NewBatchShard(lens, r.N())
-	if err != nil {
+	plan := &s.plan
+	if err := plan.Reset(s.lens, r.N()); err != nil {
 		return nil, err
 	}
 	run := ring.PassKVPrefill
@@ -179,7 +181,7 @@ func (e *rankEngine) prefill(r *comm.Rank, cmd *wire.PrefillCmd) (*tensor.Tensor
 		if err != nil {
 			return nil, fmt.Errorf("layer %d: %w", l, err)
 		}
-		if err := ring.AppendLocalKV(e.caches[l], plan, r.ID, cmd.P, cmd.Seqs, &s.k, &s.v); err != nil {
+		if err := ring.AppendShardKV(e.caches[l], plan, r.ID, s.pos, cmd.Seqs, &s.k, &s.v); err != nil {
 			return nil, err
 		}
 		if last && rows != nil {

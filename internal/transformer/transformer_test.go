@@ -1,6 +1,7 @@
 package transformer
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -120,6 +121,78 @@ func TestClusterPrefillMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestVariantsBitIdenticalAtThreeAndFourRanks: pass-KV and pass-Q fold a
+// query row's per-rank partials in the same order — the home rank's first,
+// then each peer's as pass-KV's ring brings its block — so their logits are
+// bit-identical at every world size, not only at N = 2, where any order of
+// two partials rounds alike. It covers a cold prefill, a warm-suffix prefill
+// on an adopted prefix, and the decode steps after each.
+func TestVariantsBitIdenticalAtThreeAndFourRanks(t *testing.T) {
+	w, err := NewWeights(Tiny(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prompt := make([]int, 17)
+	for i := range prompt {
+		prompt[i] = (i*29 + 3) % 64
+	}
+	for _, ranks := range []int{3, 4} {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+			want := variantRows(t, w, ranks, prompt, model.PassKV)
+			got := variantRows(t, w, ranks, prompt, model.PassQ)
+			if len(got) != len(want) {
+				t.Fatalf("pass-Q produced %d logits rows, pass-KV %d", len(got), len(want))
+			}
+			for i := range want {
+				requireExact(t, got[i], want[i], fmt.Sprintf("pass-Q row %d against pass-KV", i))
+			}
+		})
+	}
+}
+
+// variantRows runs one variant's script on a fresh cluster and returns every
+// logits row it produced, in order: a cold prefill of prompt on sequence 1
+// and three decode steps; then sequence 2 adopts its first 12 tokens,
+// prefills the rest and decodes three steps.
+func variantRows(t *testing.T, w *Weights, ranks int, prompt []int, v model.Variant) [][]float32 {
+	t.Helper()
+	c, err := NewCluster(w, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]float32
+	decode := func(seq int, tok int) {
+		for step := 0; step < 3; step++ {
+			l, err := c.Decode(seq, tok)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, l)
+			tok = Argmax(l)
+		}
+	}
+	cold, err := c.Prefill(1, prompt, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = append(rows, cold...)
+	decode(1, Argmax(cold[len(cold)-1]))
+	const hit = 12
+	pre, err := c.DetachPrefix(1, hit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pre.Release()
+	c.Drop(1)
+	warm, err := c.PrefillFrom(2, pre, prompt[hit:], v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = append(rows, warm...)
+	decode(2, Argmax(warm[len(warm)-1]))
+	return rows
 }
 
 func TestClusterMultiTurnPrefill(t *testing.T) {
