@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -166,6 +167,10 @@ type link struct {
 	tapSeq            int64 // atomic: data frames offered to the frame tap
 }
 
+// readBufSize sizes a link's read buffer to hold a decode step's frames:
+// a B = 8 query block of the benchmark's 8 heads of 32 is 8 KiB.
+const readBufSize = 16 << 10
+
 // start runs the link: its reader, and its heartbeat when it sends one.
 func (l *link) start() {
 	l.inbox = make(chan any, 64)
@@ -323,15 +328,19 @@ func (l *link) recv(timeout time.Duration) (any, error) {
 // frame re-arms the read deadline: a far end that heartbeats is alive, and
 // one silent for the whole window is declared dead right here rather than
 // at the next receive. Frames are read into the reader's one body buffer,
-// and KV, query and output blocks are decoded into the spares and lent.
+// and KV, query and output blocks are decoded into the spares and lent. The
+// socket is read through a buffer of readBufSize, so a frame that fits it
+// costs one read call, header and body together, and frames that arrived
+// together cost one between them; a larger block's body bypasses it.
 func (l *link) readLoop() {
 	defer close(l.inbox)
 	rd := wire.Reader{Spares: l.spares}
+	in := bufio.NewReaderSize(l.conn, readBufSize)
 	for {
 		if l.window > 0 {
 			l.conn.SetReadDeadline(time.Now().Add(l.window))
 		}
-		v, n, err := rd.ReadFrame(l.conn, wire.DefaultMaxFrame)
+		v, n, err := rd.ReadFrame(in, wire.DefaultMaxFrame)
 		if err != nil {
 			err = l.hangup(err)
 			var ne net.Error

@@ -50,63 +50,165 @@ type Arg struct {
 	Val int64
 }
 
-// stored is a buffered span. Arguments recorded as pairs stay pairs, in
-// the recorder's argument blocks, and become Span.Args only where spans are
-// read: Spans (and through it both exports) and Drain.
-type stored struct {
-	Span
-	args []Arg
+// inlineArgs is how many argument values a span's record holds itself.
+const inlineArgs = 4
+
+// record is one buffered span in 80 bytes: its shape (name, category and
+// argument keys, interned by the recorder), the numbers every span has, and
+// its argument values in the shape's key order. A span whose arguments do
+// not fit has shape spilledShape and is kept whole in its buffer's spill map.
+type record struct {
+	shape        int32
+	rank         int32
+	seq          int64
+	epoch, index uint64
+	start, dur   int64
+	vals         [inlineArgs]int64
 }
 
-// spanBlock and argBlock size the blocks the recorder's buffers grow by: a
-// buffer takes a new block when its last one is full and never copies what
-// it holds, where one slice would be copied whole on every growth.
-const spanBlock, argBlock = 256, 1024
+// spilledShape marks a record whose span is in its buffer's spill map.
+const spilledShape = -1
+
+// shape is what the spans recorded alike share: name, category and the
+// first n argument keys. The recorder interns each shape once and keeps it
+// for good, so a record stores only its id. A shape is comparable, so it
+// keys the interning map itself, and built without allocating.
+type shape struct {
+	name, cat string
+	n         int
+	keys      [inlineArgs]string
+}
+
+// maxShapes bounds the recorder's shape table; a span of a new shape past it
+// is spilled. Production records about a dozen shapes.
+const maxShapes = 1 << 12
+
+// spilled is a span kept whole: one with more than inlineArgs argument keys,
+// a rank past int32, or a new shape once the table is full.
+type spilled struct {
+	name, cat string
+	rank      int
+	args      []Arg
+}
+
+// argSet collects a span's arguments, its Args map first and then its pairs,
+// a key given twice keeping its last value. Up to inlineArgs keys stay in
+// the set's own arrays; past that, every argument moves to more.
+type argSet struct {
+	n    int
+	keys [inlineArgs]string
+	vals [inlineArgs]int64
+	more []Arg
+}
+
+func (a *argSet) set(key string, v int64) {
+	if a.more != nil {
+		for i := range a.more {
+			if a.more[i].Key == key {
+				a.more[i].Val = v
+				return
+			}
+		}
+		a.more = append(a.more, Arg{key, v})
+		return
+	}
+	for i := 0; i < a.n; i++ {
+		if a.keys[i] == key {
+			a.vals[i] = v
+			return
+		}
+	}
+	if a.n < inlineArgs {
+		a.keys[a.n], a.vals[a.n] = key, v
+		a.n++
+		return
+	}
+	a.more = append(a.list(), Arg{key, v})
+}
+
+// list returns the set's arguments as pairs.
+func (a *argSet) list() []Arg {
+	if a.more != nil {
+		return a.more
+	}
+	out := make([]Arg, a.n)
+	for i := range out {
+		out[i] = Arg{a.keys[i], a.vals[i]}
+	}
+	return out
+}
+
+// sort orders the inline keys, values alongside, so one key set interns as
+// one shape whatever order it was given in.
+func (a *argSet) sort() {
+	for i := 1; i < a.n; i++ {
+		for j := i; j > 0 && a.keys[j] < a.keys[j-1]; j-- {
+			a.keys[j], a.keys[j-1] = a.keys[j-1], a.keys[j]
+			a.vals[j], a.vals[j-1] = a.vals[j-1], a.vals[j]
+		}
+	}
+}
+
+// spanBlock sizes the blocks the span buffer grows by: it takes a new block
+// when its last one is full and never copies what it holds, where one slice
+// would be copied whole on every growth.
+const spanBlock = 256
 
 // spanBuf is the recorder's span buffer.
 type spanBuf struct {
-	blocks [][]stored
+	blocks [][]record
 	n      int
-	args   []Arg // the current argument block
+	spill  map[int]spilled // by position in the buffer
 }
 
-// add buffers s with a copy of args.
-func (b *spanBuf) add(s Span, args []Arg) {
+// add buffers rec, and sp as its span when rec is spilled.
+func (b *spanBuf) add(rec record, sp spilled) {
 	if b.n%spanBlock == 0 {
-		b.blocks = append(b.blocks, make([]stored, 0, spanBlock))
+		b.blocks = append(b.blocks, make([]record, 0, spanBlock))
 	}
-	st := stored{Span: s}
-	if len(args) > 0 {
-		if cap(b.args)-len(b.args) < len(args) {
-			b.args = make([]Arg, 0, max(argBlock, len(args)))
+	if rec.shape == spilledShape {
+		if b.spill == nil {
+			b.spill = make(map[int]spilled)
 		}
-		at := len(b.args)
-		b.args = append(b.args, args...)
-		st.args = b.args[at:len(b.args):len(b.args)]
+		b.spill[b.n] = sp
 	}
 	last := &b.blocks[len(b.blocks)-1]
-	*last = append(*last, st)
+	*last = append(*last, rec)
 	b.n++
 }
 
-// spans returns the buffered spans, pair arguments folded into Args.
-func (b *spanBuf) spans() []Span {
+// spans returns the buffered spans, arguments as Args, reading shape ids in
+// shapes.
+func (b *spanBuf) spans(shapes []shape) []Span {
 	if b.n == 0 {
 		return nil
 	}
 	out := make([]Span, 0, b.n)
-	for _, blk := range b.blocks {
-		for _, st := range blk {
-			s := st.Span
-			if len(st.args) > 0 {
-				m := make(map[string]int64, len(s.Args)+len(st.args))
-				for k, v := range s.Args {
-					m[k] = v
+	for bi, blk := range b.blocks {
+		for i := range blk {
+			rec := &blk[i]
+			s := Span{
+				Rank: int(rec.rank), Seq: int(rec.seq), Epoch: rec.epoch, Index: rec.index,
+				Start: rec.start, Dur: rec.dur,
+			}
+			if rec.shape == spilledShape {
+				sp := b.spill[bi*spanBlock+i]
+				s.Name, s.Cat, s.Rank = sp.name, sp.cat, sp.rank
+				if len(sp.args) > 0 {
+					s.Args = make(map[string]int64, len(sp.args))
+					for _, a := range sp.args {
+						s.Args[a.Key] = a.Val
+					}
 				}
-				for _, a := range st.args {
-					m[a.Key] = a.Val
+			} else {
+				sh := &shapes[rec.shape]
+				s.Name, s.Cat = sh.name, sh.cat
+				if sh.n > 0 {
+					s.Args = make(map[string]int64, sh.n)
+					for j, k := range sh.keys[:sh.n] {
+						s.Args[k] = rec.vals[j]
+					}
 				}
-				s.Args = m
 			}
 			out = append(out, s)
 		}
@@ -153,6 +255,8 @@ type Recorder struct {
 	mu       sync.Mutex
 	maxSpans int
 	spans    spanBuf
+	shapes   []shape // by id; kept across drains
+	shapeID  map[shape]int32
 	nextIdx  map[rankKey]uint64
 	agg      map[string]Stat
 	series   map[string]*Series
@@ -165,6 +269,7 @@ type Recorder struct {
 func New() *Recorder {
 	return &Recorder{
 		maxSpans: DefaultMaxSpans,
+		shapeID:  make(map[shape]int32),
 		nextIdx:  make(map[rankKey]uint64),
 		agg:      make(map[string]Stat),
 		series:   make(map[string]*Series),
@@ -187,9 +292,10 @@ func (r *Recorder) SetMaxSpans(n int) {
 func (r *Recorder) RecordSpan(s Span) { r.RecordSpanArgs(s) }
 
 // RecordSpanArgs is RecordSpan with arguments given as pairs, which the
-// recorder copies into a buffer of its own: a span recorded this way
+// recorder copies into the span's record: a span recorded this way
 // allocates no map, and its Args are built only where spans are read. A key
-// given twice keeps its last value, as a map would.
+// given twice keeps its last value, as a map would, and a pair overrides the
+// same key in s.Args.
 func (r *Recorder) RecordSpanArgs(s Span, args ...Arg) {
 	if r == nil {
 		return
@@ -218,8 +324,51 @@ func (r *Recorder) recordLocked(s Span, args []Arg) *Series {
 	if r.spans.n >= r.maxSpans {
 		return r.seriesLocked(KindCounter, "cp_trace_spans_dropped_total", L("rank", rankLabel(s.Rank)))
 	}
-	r.spans.add(s, args)
+	r.storeLocked(s, args)
 	return nil
+}
+
+// storeLocked buffers s, its Args map and then args as its arguments, as one
+// record; caller holds r.mu.
+func (r *Recorder) storeLocked(s Span, args []Arg) {
+	var set argSet
+	for k, v := range s.Args {
+		set.set(k, v)
+	}
+	for _, a := range args {
+		set.set(a.Key, a.Val)
+	}
+	id := int32(spilledShape)
+	if set.more == nil && int(int32(s.Rank)) == s.Rank {
+		set.sort()
+		id = r.shapeLocked(s.Name, s.Cat, &set)
+	}
+	rec := record{
+		shape: id, rank: int32(s.Rank), seq: int64(s.Seq), epoch: s.Epoch, index: s.Index,
+		start: s.Start, dur: s.Dur, vals: set.vals,
+	}
+	var sp spilled
+	if id == spilledShape {
+		sp = spilled{name: s.Name, cat: s.Cat, rank: s.Rank, args: set.list()}
+	}
+	r.spans.add(rec, sp)
+}
+
+// shapeLocked returns the id of the shape (name, cat, set's keys), interning
+// it on first sight, or spilledShape when the table is full; caller holds
+// r.mu. A known shape costs one map lookup and no allocation.
+func (r *Recorder) shapeLocked(name, cat string, set *argSet) int32 {
+	sh := shape{name: name, cat: cat, n: set.n, keys: set.keys}
+	if id, ok := r.shapeID[sh]; ok {
+		return id
+	}
+	if len(r.shapes) >= maxShapes {
+		return spilledShape
+	}
+	id := int32(len(r.shapes))
+	r.shapes = append(r.shapes, sh)
+	r.shapeID[sh] = id
+	return id
 }
 
 // Stat returns the aggregate for one span name.
@@ -389,8 +538,8 @@ func (t *SweepTimer) A2A(t0 time.Time) {
 
 // Finish records the sweep: one observation per phase histogram, the sweep
 // counter, and one ring.sweep span carrying the phase breakdown — compute_ns,
-// comm_ns and steps, and all2all_ns when the sweep ran an All2All — as pair
-// arguments, so the span costs no map until it is read. The timer then goes
+// comm_ns and steps, and all2all_ns when the sweep ran an All2All — in its
+// record, so the span costs no map until it is read. The timer then goes
 // back to its recorder.
 func (t *SweepTimer) Finish(steps int) {
 	if t == nil {
@@ -442,15 +591,16 @@ type SeriesSnap struct {
 
 // Drain atomically removes and returns all buffered spans plus every
 // series' delta since the previous drain, resetting counters and histogram
-// contents (gauges keep their value — they are levels, not flows). Worker
-// recorders are staging buffers: the coordinator's merged store is the
-// cumulative source of truth.
+// contents (gauges keep their value — they are levels, not flows). The
+// interned span shapes stay, so later spans of a known shape intern
+// nothing. Worker recorders are staging buffers: the coordinator's merged
+// store is the cumulative source of truth.
 func (r *Recorder) Drain() ([]Span, []SeriesSnap) {
 	if r == nil {
 		return nil, nil
 	}
 	r.mu.Lock()
-	staged := r.spans
+	staged, shapes := r.spans, r.shapes
 	r.spans = spanBuf{}
 	ids := append([]string(nil), r.order...)
 	series := make([]*Series, len(ids))
@@ -464,7 +614,7 @@ func (r *Recorder) Drain() ([]Span, []SeriesSnap) {
 	for _, s := range series {
 		snaps = append(snaps, s.drain())
 	}
-	return staged.spans(), snaps
+	return staged.spans(shapes), snaps
 }
 
 // MergeSpans appends drained spans from another recorder verbatim (their
@@ -484,7 +634,7 @@ func (r *Recorder) MergeSpans(spans []Span) {
 			droppedBy[s.Rank]++
 			continue
 		}
-		r.spans.add(s, nil)
+		r.storeLocked(s, nil)
 		k := rankKey{s.Rank, s.Epoch}
 		if s.Index > r.nextIdx[k] {
 			r.nextIdx[k] = s.Index
