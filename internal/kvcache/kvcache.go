@@ -32,6 +32,19 @@
 // a run list between commands clears it first (ring's forgetRuns). The free
 // list is a sync.Pool, so pages nobody reuses across two collections become
 // garbage: recycled pages count toward neither TotalTokens nor Capacity.
+//
+// Pages are cut in slabs. When an append must open pages and the free list
+// is empty, the cache cuts one slab of at least max(the pages the append
+// needs, slabFloorBytes of K/V): one K/V allocation holding every page's K
+// rows and then every page's V rows, one position allocation and the page
+// headers. The append takes the pages it needs; the surplus goes on the free
+// list, where the next page any sequence opens takes it first, and counts
+// toward neither TotalTokens nor Capacity until then. Decode opens one page
+// at a time, so the floor is what spreads a slab's allocations over several
+// page boundaries. A slab lives while any of its pages is held or free, so
+// one live page can pin its slab-mates: a decode-cut slab's floor at most,
+// and a prefill's slab, which holds exactly the pages the append needed, as
+// a prefix span already does.
 package kvcache
 
 import (
@@ -44,6 +57,17 @@ import (
 
 // DefaultPageSize is the number of tokens per page when none is specified.
 const DefaultPageSize = 16
+
+// slabFloorBytes is the least K/V a fresh slab holds: 4 pages on the
+// benchmark model (one KV head of 32 floats, 16-row pages, 4 KiB of K/V a
+// page). A slab is three heap objects however many pages it holds, and
+// decode opens one page per page boundary. decode_batch's allocs_per_tok
+// (medians of seeds 1-4, 2-vCPU Xeon) read 0.502 with one-page slabs and K
+// and V apart, then 0.434, 0.341, 0.296 and 0.271 at floors of 1, 2, 4 and
+// 8 pages, while alloc_kb_per_tok stayed at 0.660-0.663, since decode opens
+// every surplus page soon after. Past 4 pages a doubling saves a twelfth of
+// what is left, yet doubles what one live page can pin, so the floor is 4.
+const slabFloorBytes = 16 << 10
 
 // Config sizes a cache.
 type Config struct {
@@ -59,7 +83,8 @@ type Cache struct {
 	cfg   Config
 	seqs  map[int]*seqCache
 	total int       // physical rows across unique live pages
-	free  sync.Pool // *page: released pages, emptied, for the next append to reuse
+	free  sync.Pool // *page: released and surplus pages, empty, for the next append to reuse
+	slab  int       // the fewest pages a fresh slab holds (slabFloorBytes of K/V)
 }
 
 // page is a refcounted block of PageSize KV rows: k and v are row-major
@@ -115,7 +140,9 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.PageSize < 0 || cfg.Capacity < 0 {
 		return nil, fmt.Errorf("kvcache: negative page size or capacity")
 	}
-	return &Cache{cfg: cfg, seqs: make(map[int]*seqCache)}, nil
+	pageBytes := 2 * cfg.PageSize * cfg.KVHeads * cfg.HeadDim * 4
+	slab := (slabFloorBytes + pageBytes - 1) / pageBytes
+	return &Cache{cfg: cfg, seqs: make(map[int]*seqCache), slab: slab}, nil
 }
 
 // tailNeedsCOW reports whether appending through ref requires cloning its
@@ -169,12 +196,15 @@ func (c *Cache) Append(seq int, k, v *tensor.Tensor, pos []int) error {
 		c.seqs[seq] = sc
 	}
 	// The pages this append opens past the tail's free rows (a copy-on-write
-	// clone has the same room).
-	open := real
+	// clone has the same room), plus the clone itself.
+	open, clone := real, 0
 	if n := len(sc.refs); n > 0 {
 		open -= c.cfg.PageSize - sc.refs[n-1].n
+		if c.tailNeedsCOW(sc.refs[n-1]) {
+			clone = 1
+		}
 	}
-	src := pageSource{left: (max(open, 0) + c.cfg.PageSize - 1) / c.cfg.PageSize}
+	src := pageSource{left: clone + (max(open, 0)+c.cfg.PageSize-1)/c.cfg.PageSize}
 	for i, p := range pos {
 		if p < 0 {
 			continue
@@ -184,8 +214,9 @@ func (c *Cache) Append(seq int, k, v *tensor.Tensor, pos []int) error {
 	return nil
 }
 
-// pageSource hands out the pages one append opens: recycled pages while the
-// free list has them, then one slab cut for every page still to open.
+// pageSource hands out the pages one append opens, a copy-on-write clone
+// first: recycled pages while the free list has them, then one slab cut for
+// every page still to open.
 type pageSource struct {
 	fresh []page // the slab's pages not yet handed out
 	left  int    // pages the append has still to open
@@ -195,23 +226,14 @@ type pageSource struct {
 func (c *Cache) open(src *pageSource) *page {
 	src.left--
 	if len(src.fresh) == 0 {
-		if pg := c.recycled(); pg != nil {
+		if pg, _ := c.free.Get().(*page); pg != nil {
+			pg.refs = 1
 			return pg
 		}
 		src.fresh = c.newPages(src.left + 1)
 	}
 	pg := &src.fresh[0]
 	src.fresh = src.fresh[1:]
-	return pg
-}
-
-// recycled takes an empty page off the free list, with one reference, or
-// returns nil when the list is empty.
-func (c *Cache) recycled() *page {
-	pg, _ := c.free.Get().(*page)
-	if pg != nil {
-		pg.refs = 1
-	}
 	return pg
 }
 
@@ -227,7 +249,7 @@ func (c *Cache) appendRow(sc *seqCache, kRow, vRow []float32, pos int, src *page
 	}
 	ref := &sc.refs[n-1]
 	if c.tailNeedsCOW(*ref) {
-		c.cowTail(ref)
+		c.cowTail(ref, src)
 	}
 	pg := ref.pg
 	copy(c.row(pg.k, len(pg.pos)), kRow)
@@ -237,28 +259,33 @@ func (c *Cache) appendRow(sc *seqCache, kRow, vRow []float32, pos int, src *page
 	c.total++
 }
 
-// newPages returns n empty pages cut from one K, one V and one position
-// allocation, plus the page headers: the pages an append opens for a
-// sequence past what the free list supplies lie back to back in memory, so
-// attention walking them in place streams through them as through one array.
-// A slab lives as long as any of its pages is held or on the free list; its
-// rows are counted page by page, as the pages are opened and freed.
-func (c *Cache) newPages(n int) []page {
-	if n == 0 {
-		return nil
-	}
+// newPages cuts a slab of max(need, c.slab) empty pages and returns the
+// first need of them, with one reference each; the rest go on the free list
+// for the next page any sequence opens. A slab is one K/V allocation (every
+// page's K rows, then every page's V rows, so K and V each stay contiguous
+// across the slab), one position allocation and the page headers: the pages
+// an append opens past what the free list supplies lie back to back in
+// memory, so attention walking them in place streams through them as through
+// one array. A slab lives as long as any of its pages is held or on the free
+// list; its rows are counted page by page, as the pages are opened and freed.
+func (c *Cache) newPages(need int) []page {
 	ps := c.cfg.PageSize
 	rows := ps * c.rowLen()
-	k, v := make([]float32, n*rows), make([]float32, n*rows)
+	n := max(need, c.slab)
+	kv := make([]float32, 2*n*rows)
 	pos := make([]int, n*ps)
 	pages := make([]page, n)
 	for i := range pages {
-		pages[i] = page{
-			k:    k[i*rows : (i+1)*rows : (i+1)*rows],
-			v:    v[i*rows : (i+1)*rows : (i+1)*rows],
-			pos:  pos[i*ps : i*ps : (i+1)*ps],
-			refs: 1,
-		}
+		k, v := kv[i*rows:], kv[(n+i)*rows:]
+		pages[i] = page{k: k[:rows:rows], v: v[:rows:rows], pos: pos[i*ps : i*ps : (i+1)*ps]}
+	}
+	// Last first, as releaseAll frees.
+	for i := n - 1; i >= need; i-- {
+		c.free.Put(&pages[i])
+	}
+	pages = pages[:need]
+	for i := range pages {
+		pages[i].refs = 1
 	}
 	return pages
 }
@@ -272,13 +299,11 @@ func (c *Cache) row(buf []float32, i int) []float32 {
 }
 
 // cowTail replaces a shared or truncated tail pageRef with a private clone of
-// its visible prefix, so the sequence can keep appending without disturbing
-// other holders of the original page.
-func (c *Cache) cowTail(ref *pageRef) {
-	clone := c.recycled()
-	if clone == nil {
-		clone = &c.newPages(1)[0]
-	}
+// its visible prefix, opened from src like every page the append opens, so
+// the sequence can keep appending without disturbing other holders of the
+// original page.
+func (c *Cache) cowTail(ref *pageRef, src *pageSource) {
+	clone := c.open(src)
 	copy(clone.k, ref.pg.k[:ref.n*c.rowLen()])
 	copy(clone.v, ref.pg.v[:ref.n*c.rowLen()])
 	clone.pos = append(clone.pos, ref.pg.pos[:ref.n]...)

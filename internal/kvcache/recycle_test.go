@@ -1,9 +1,11 @@
 package kvcache
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -88,13 +90,56 @@ func recycleScript(t *testing.T, c *Cache, rng *rand.Rand) {
 // A sequence built on recycled pages reads back exactly as one built in a
 // fresh cache, although every free page it draws from was filled with NaN:
 // Runs, CopyRange and Positions expose only the rows a holder wrote, and the
-// decode kernel over the recycled runs is bitwise the fresh one's.
+// decode kernel over the recycled runs is bitwise the fresh one's. The free
+// pages are either released ones (earlier traffic, all dropped) or a
+// slab's surplus, whose slab-mate a live sequence still holds.
 func TestRecycledPagesReadBackAsFresh(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the free list
 	cfg := Config{KVHeads: 2, HeadDim: 3, PageSize: 4}
-	used, fresh := mustNew(t, cfg), mustNew(t, cfg)
-	// Earlier traffic: sequences, a span adopted and copied on write, all
-	// released again.
+	for _, tc := range []struct {
+		name    string
+		earlier func(t *testing.T, used *Cache) // fills used's free list
+	}{
+		{"released", releasedTraffic},
+		{"surplus", surplusTraffic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			used, fresh := mustNew(t, cfg), mustNew(t, cfg)
+			tc.earlier(t, used)
+			held := used.TotalTokens()
+			heldK, heldV, heldPos := get(used, 0)
+			poisoned := poisonFree(used)
+			if len(poisoned) == 0 {
+				t.Fatal("no page reached the free list")
+			}
+			recycleScript(t, used, rand.New(rand.NewSource(9)))
+			recycleScript(t, fresh, rand.New(rand.NewSource(9)))
+			readsAsFresh(t, cfg, used, fresh, poisoned, held)
+			// What the earlier traffic still holds is untouched.
+			gk, gv, gpos := get(used, 0)
+			sameBits(t, "held sequence K", gk.Data, heldK.Data)
+			sameBits(t, "held sequence V", gv.Data, heldV.Data)
+			sameInts(t, "held sequence positions", gpos, heldPos)
+		})
+	}
+}
+
+// surplusTraffic appends one row to sequence 0 of an empty cache: the page it
+// opens comes from a fresh slab, whose other pages go on the free list.
+func surplusTraffic(t *testing.T, used *Cache) {
+	rng := rand.New(rand.NewSource(6))
+	k, v := tensor.RandN(rng, 1, used.KVHeads(), used.HeadDim()), tensor.RandN(rng, 1, used.KVHeads(), used.HeadDim())
+	if err := used.Append(0, k, v, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if used.TotalTokens() != 1 {
+		t.Fatalf("TotalTokens = %d after a one-row append beside a slab's surplus pages", used.TotalTokens())
+	}
+}
+
+// releasedTraffic runs sequences and a span adopted and copied on write
+// through used, and releases them all again.
+func releasedTraffic(t *testing.T, used *Cache) {
 	rng := rand.New(rand.NewSource(5))
 	for seq, n := range []int{37, 20, 9} {
 		k, v := tensor.RandN(rng, n, 2, 3), tensor.RandN(rng, n, 2, 3)
@@ -120,13 +165,13 @@ func TestRecycledPagesReadBackAsFresh(t *testing.T) {
 	if used.TotalTokens() != 0 {
 		t.Fatalf("TotalTokens = %d after every holder let go", used.TotalTokens())
 	}
-	poisoned := poisonFree(used)
-	if len(poisoned) == 0 {
-		t.Fatal("no page reached the free list")
-	}
+}
 
-	recycleScript(t, used, rand.New(rand.NewSource(9)))
-	recycleScript(t, fresh, rand.New(rand.NewSource(9)))
+// readsAsFresh checks that sequences 7 and 8, built by recycleScript in used
+// (drawing on the poisoned free pages, beside held rows of earlier traffic)
+// and in fresh, read back the same.
+func readsAsFresh(t *testing.T, cfg Config, used, fresh *Cache, poisoned map[*page]bool, held int) {
+	t.Helper()
 	reused := 0
 	for _, seq := range []int{7, 8} {
 		for _, ref := range used.seqs[seq].refs {
@@ -138,8 +183,8 @@ func TestRecycledPagesReadBackAsFresh(t *testing.T) {
 	if reused == 0 {
 		t.Fatal("the script took no page off the free list")
 	}
-	if used.TotalTokens() != fresh.TotalTokens() {
-		t.Fatalf("TotalTokens %d on recycled pages, %d fresh", used.TotalTokens(), fresh.TotalTokens())
+	if used.TotalTokens()-held != fresh.TotalTokens() {
+		t.Fatalf("TotalTokens %d on recycled pages beside %d held rows, %d fresh", used.TotalTokens(), held, fresh.TotalTokens())
 	}
 	for _, seq := range []int{7, 8} {
 		what := fmt.Sprintf("sequence %d", seq)
@@ -220,21 +265,32 @@ type modelSpan struct {
 // sequence and span reads back its own rows, every page's refcount equals
 // its holders, TotalTokens counts each held page once, and no held page is
 // on the free list. Recycling turns a refcount slip into a neighbour's
-// corrupted rows, which the first check catches.
+// corrupted rows, which the first check catches. The one-row case is
+// decode's traffic: every append is one row to a randomly chosen sequence,
+// so page-opens from several sequences share each slab, under a capacity
+// the slabs' surplus pages would exceed many times over if they counted
+// toward it; an append is refused only when the held rows and its own
+// would exceed the capacity.
 func TestRecyclingChurnMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			churn(t, rand.New(rand.NewSource(seed)), 1000)
+			churn(t, rand.New(rand.NewSource(seed)), 1000, false, 0)
 		})
 	}
+	t.Run("one-row", func(t *testing.T) {
+		churn(t, rand.New(rand.NewSource(4)), 3000, true, 96)
+	})
 }
 
-func churn(t *testing.T, rng *rand.Rand, ops int) {
+// churn runs ops random operations on a cache of the given capacity (0 =
+// unlimited), one row an append when oneRow is set.
+func churn(t *testing.T, rng *rand.Rand, ops int, oneRow bool, capacity int) {
 	const nkv, dh, seqIDs = 2, 2, 6
-	c := mustNew(t, Config{KVHeads: nkv, HeadDim: dh, PageSize: 4})
+	c := mustNew(t, Config{KVHeads: nkv, HeadDim: dh, PageSize: 4, Capacity: capacity})
 	seqs := map[int][]modelRow{}
 	var spans []modelSpan
 	stamp := float32(0) // every row's values are unique
+	refused, surplus := 0, 0
 	for op := 0; op < ops; op++ {
 		var what string
 		switch r := rng.Intn(10); {
@@ -244,12 +300,16 @@ func churn(t *testing.T, rng *rand.Rand, ops int) {
 			if rng.Intn(4) == 0 {
 				n += rng.Intn(24)
 			}
+			if oneRow {
+				n = 1
+			}
 			next := 0
 			if rows := seqs[seq]; len(rows) > 0 {
 				next = rows[len(rows)-1].pos + 1
 			}
 			k, v := tensor.New(n, nkv, dh), tensor.New(n, nkv, dh)
 			pos := make([]int, n)
+			var added []modelRow
 			for i := range pos {
 				for j := range k.Row2D(i) {
 					stamp++
@@ -259,11 +319,21 @@ func churn(t *testing.T, rng *rand.Rand, ops int) {
 				if rng.Intn(8) != 0 {
 					pos[i] = next
 					next++
-					seqs[seq] = append(seqs[seq], modelRow{pos[i], k.Row2D(i), v.Row2D(i)})
+					added = append(added, modelRow{pos[i], k.Row2D(i), v.Row2D(i)})
 				}
 			}
-			if err := c.Append(seq, k, v, pos); err != nil {
+			err := c.Append(seq, k, v, pos)
+			var full *ErrCapacity
+			switch {
+			case errors.As(err, &full):
+				if capacity == 0 || full.Have != c.TotalTokens() || full.Have+full.Need <= capacity {
+					t.Fatalf("op %d: %v with %d rows held, capacity %d", op, err, c.TotalTokens(), capacity)
+				}
+				refused++
+			case err != nil:
 				t.Fatal(err)
+			default:
+				seqs[seq] = append(seqs[seq], added...)
 			}
 			what = fmt.Sprintf("append %d rows to %d", n, seq)
 		case r < 7: // pin a prefix of a live sequence, often mid-page
@@ -311,12 +381,22 @@ func churn(t *testing.T, rng *rand.Rand, ops int) {
 			spans = append(spans[:i], spans[i+1:]...)
 			what = fmt.Sprintf("release span %d", i)
 		}
-		checkChurn(t, c, seqs, spans, fmt.Sprintf("op %d (%s)", op, what))
+		surplus += checkChurn(t, c, seqs, spans, fmt.Sprintf("op %d (%s)", op, what))
+		if capacity > 0 && c.TotalTokens() > capacity {
+			t.Fatalf("op %d (%s): %d rows held, capacity %d", op, what, c.TotalTokens(), capacity)
+		}
+	}
+	if capacity > 0 {
+		t.Logf("%d appends refused at capacity %d, beside %d free pages a check on average", refused, capacity, surplus/ops)
+	}
+	if capacity > 0 && (refused == 0 || surplus == 0) {
+		t.Fatalf("%d appends refused, %d free pages seen: the capacity never bound beside free pages", refused, surplus)
 	}
 }
 
-// checkChurn compares c with the model.
-func checkChurn(t *testing.T, c *Cache, seqs map[int][]modelRow, spans []modelSpan, at string) {
+// checkChurn compares c with the model and returns the pages on the free
+// list.
+func checkChurn(t *testing.T, c *Cache, seqs map[int][]modelRow, spans []modelSpan, at string) int {
 	t.Helper()
 	holders := map[*page]int{}
 	for seq, rows := range seqs {
@@ -369,6 +449,7 @@ func checkChurn(t *testing.T, c *Cache, seqs map[int][]modelRow, spans []modelSp
 		}
 	}
 	refillFree(c, free)
+	return len(free)
 }
 
 func equalRow(a, b []float32) bool {
@@ -381,4 +462,91 @@ func equalRow(a, b []float32) bool {
 		}
 	}
 	return true
+}
+
+// Decode grows a context one row at a time, and every page boundary it
+// crosses opens a page. With the free list empty, a page-open cuts a slab of
+// at least slabFloorBytes of K/V and leaves the pages it does not take on the
+// free list for the next page any sequence opens. So eight sequences of the
+// benchmark model's KV shape, grown in lockstep by 256 rows each, make three
+// heap objects (K/V, positions, page headers) per slab of page-opens, plus
+// the growth of each sequence's page list; they made four objects per
+// page-open when each page-open cut a one-page slab with K and V apart. The
+// collector is paused, since a collection empties the free list, and the
+// test runs on one processor, since a page in one processor's private slot
+// of the free list is invisible to a page-open on another. Every sequence
+// reads back the rows it was given, under -race too, where the count is not
+// checked.
+func TestDecodeGrowthAllocations(t *testing.T) {
+	const seqs, rows, nkv, dh = 8, 256, 1, 32
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := mustNew(t, Config{KVHeads: nkv, HeadDim: dh})
+	rng := rand.New(rand.NewSource(1))
+	k, v := tensor.RandN(rng, seqs*rows, nkv, dh), tensor.RandN(rng, seqs*rows, nkv, dh)
+	// One-row views of k and v, built before the count: row r of sequence s
+	// is row s*rows+r.
+	kRows, vRows := make([]tensor.Tensor, seqs*rows), make([]tensor.Tensor, seqs*rows)
+	pos := make([]int, seqs*rows)
+	for i := range kRows {
+		kRows[i] = tensor.Tensor{Tokens: 1, Heads: nkv, Dim: dh, Data: k.Row2D(i)}
+		vRows[i] = tensor.Tensor{Tokens: 1, Heads: nkv, Dim: dh, Data: v.Row2D(i)}
+		pos[i] = i % rows
+	}
+	grow := func(r int) {
+		for s := range seqs {
+			i := s*rows + r
+			if err := c.Append(s, &kRows[i], &vRows[i], pos[i:i+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Row 0 creates each sequence, its page list and the free list's own
+	// structures, and opens one page each: whole slabs, so the free list is
+	// empty again when the count starts. (Under -race, where sync.Pool drops
+	// pages at random and more slabs may be cut, it is emptied here.)
+	grow(0)
+	if n := len(drainFree(c)); n != 0 && !raceDetector {
+		t.Fatalf("%d pages on the free list after the first row of %d sequences (slab %d pages)", n, seqs, c.slab)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for r := 1; r < rows; r++ {
+		grow(r)
+	}
+	runtime.ReadMemStats(&m1)
+
+	ps := c.cfg.PageSize
+	opens := seqs * (rows/ps - 1)
+	// The page list grows by append from one entry to rows/ps.
+	listGrowth, list := 0, make([]pageRef, 1)
+	for len(list) < rows/ps {
+		if len(list) == cap(list) {
+			listGrowth++
+		}
+		list = append(list, pageRef{})
+	}
+	const slabObjects = 3 // K/V, positions, page headers
+	budget := (opens+c.slab-1)/c.slab*slabObjects + seqs*listGrowth
+	got := m1.Mallocs - m0.Mallocs
+	t.Logf("%d page-opens in %d-page slabs made %d heap objects, budget %d (%d of them page-list growth)",
+		opens, c.slab, got, budget, seqs*listGrowth)
+	if !raceDetector && got > uint64(budget) {
+		t.Errorf("%d page-opens made %d heap objects, budget %d: %d-page slabs of %d objects each, plus %d page-list growths",
+			opens, got, budget, c.slab, slabObjects, seqs*listGrowth)
+	}
+	if c.TotalTokens() != seqs*rows {
+		t.Fatalf("TotalTokens = %d, want %d", c.TotalTokens(), seqs*rows)
+	}
+	for s := range seqs {
+		gk, gv, gpos := get(c, s)
+		sameBits(t, fmt.Sprintf("sequence %d K", s), gk.Data, k.Data[s*rows*nkv*dh:(s+1)*rows*nkv*dh])
+		sameBits(t, fmt.Sprintf("sequence %d V", s), gv.Data, v.Data[s*rows*nkv*dh:(s+1)*rows*nkv*dh])
+		sameInts(t, fmt.Sprintf("sequence %d positions", s), gpos, pos[s*rows:(s+1)*rows])
+		for _, ref := range c.seqs[s].refs {
+			if ref.pg.refs != 1 || ref.n != ps {
+				t.Fatalf("sequence %d holds a page with %d refs and %d of %d rows", s, ref.pg.refs, ref.n, ps)
+			}
+		}
+	}
 }

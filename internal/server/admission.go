@@ -128,6 +128,13 @@ func (s *Scheduler) newGenerate(session int, prompt []int, maxTokens int, opts R
 	}
 	r := s.newRequest(session, prompt, opts)
 	r.pending, r.collect = maxTokens-1, true
+	// Sized once: the prefill's token and one token and gap per decode step,
+	// so a stream never regrows them. A one-token stream keeps a nil gap
+	// list (ttit_ms: null), as before.
+	r.tokens = make([]int, 0, maxTokens)
+	if maxTokens > 1 {
+		r.ttitMs = make([]float64, 0, maxTokens-1)
+	}
 	return r, nil
 }
 

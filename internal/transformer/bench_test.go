@@ -46,23 +46,42 @@ func processCPU(b *testing.B) time.Duration {
 // every context, so compare two commits at the same -benchtime; 512x walks
 // the contexts decode_batch walks.
 func BenchmarkDecodeStep(b *testing.B) {
+	benchDecodeStep(b, func(b *testing.B) *Cluster {
+		w, err := NewWeights(benchGQA8())
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := NewCluster(w, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { c.Close() })
+		return c
+	})
+}
+
+// BenchmarkDecodeStepTCP is BenchmarkDecodeStep with both ranks behind
+// loopback sockets (two RunWorker ranks in this process, ring_tcp's plane):
+// the same shapes and step, plus every command, reply and ring hop through
+// the wire codec, a CRC and a socket. Busy cores and the pool counters cover
+// the workers too, since they share the process.
+func BenchmarkDecodeStepTCP(b *testing.B) {
+	benchDecodeStep(b, func(b *testing.B) *Cluster { return startLoopbackCluster(b, benchGQA8(), 2, 0) })
+}
+
+// benchDecodeStep runs the decode-step benchmark at B = 1 and 8 on a
+// two-rank cluster from dial.
+func benchDecodeStep(b *testing.B, dial func(b *testing.B) *Cluster) {
 	for _, batch := range []int{1, 8} {
 		b.Run(fmt.Sprintf("B=%d", batch), func(b *testing.B) {
-			w, err := NewWeights(benchGQA8())
-			if err != nil {
-				b.Fatal(err)
-			}
-			c, err := NewCluster(w, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
+			c := dial(b)
+			vocab := benchGQA8().Model.VocabSize
 			prompt := make([]int, 512)
 			seqs, toks := make([]int, batch), make([]int, batch)
 			for s := range seqs {
 				seqs[s] = s + 2
 				for i := range prompt {
-					prompt[i] = (i*7 + s*13 + 1) % w.Cfg.Model.VocabSize
+					prompt[i] = (i*7 + s*13 + 1) % vocab
 				}
 				if _, err := c.Prefill(seqs[s], prompt, model.PassKV); err != nil {
 					b.Fatal(err)

@@ -45,7 +45,7 @@ func socketGoroutines() int {
 // the test with every stack if that takes over ten seconds: a closed
 // cluster's links wind down after Close returns, and their goroutines must
 // not run on into the next test.
-func settleSockets(t *testing.T, baseline int) {
+func settleSockets(t testing.TB, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for n := socketGoroutines(); n > baseline; n = socketGoroutines() {
@@ -63,7 +63,7 @@ func settleSockets(t *testing.T, baseline int) {
 // minus process isolation — and returns the connected coordinator Cluster.
 // Its cleanup closes the cluster and joins every goroutine the cluster
 // started: the workers and their links' readers and heartbeats.
-func startLoopbackCluster(t *testing.T, cfg Config, n, kvCapacity int) *Cluster {
+func startLoopbackCluster(t testing.TB, cfg Config, n, kvCapacity int) *Cluster {
 	t.Helper()
 	baseline := socketGoroutines()
 	listeners := make([]net.Listener, n)
