@@ -10,9 +10,10 @@
 //     computed against the same widened rows — and fans the independent
 //     cells out over the shared worker pool (internal/parallel). Scores and
 //     weighted sums accumulate in float64.
-//   - Merge: the merge-attention operator (Appendix B, Equation 4) that
-//     combines partial attention outputs computed against disjoint KV chunks
-//     into the exact attention over the full KV.
+//   - AccumulateInto: the merge-attention operator (Appendix B, Equation 4)
+//     that folds a partial attention output computed against one KV chunk
+//     into the running result, so the fold over disjoint chunks is the exact
+//     attention over the full KV. Merge is that fold over a list.
 //
 // Every output cell (query token, head) is a pure function of the query row
 // and the ordered list of KV rows the mask admits, with a fixed per-cell
@@ -281,8 +282,6 @@ var (
 	intervalsFree = newFreeList(func(iv *Intervals) bool {
 		return max(cap(iv.off), cap(iv.flat), cap(iv.runs)) <= maxKeptIntervalRows
 	})
-	// A merge accumulator is one head row: the model's head dim bounds it.
-	mergeAccFree = newFreeList[[]float64](nil)
 )
 
 // grow returns a slice of at least need elements, reusing buf when it is
@@ -826,7 +825,7 @@ const minParallelWork = 4096
 
 // forCells runs task over n (token, head) cells: through the worker pool,
 // or inline when the whole job is smaller than one pool dispatch is worth
-// (decode-step Merge/Accumulate touches a handful of rows; the dispatch
+// (decode-step AccumulateInto touches a handful of rows; the dispatch
 // would cost more than the math). Inline and fanned execution are
 // bit-identical, so this is purely a throughput decision.
 func forCells(work, n int, task cellTask) {
@@ -837,116 +836,45 @@ func forCells(work, n int, task cellTask) {
 	parallel.RunRecycled(cellTasks, n, task)
 }
 
-// cellTask is one Merge or AccumulateInto over (token, head) cells.
+// cellTask is one AccumulateInto over (token, head) cells.
 type cellTask struct {
-	dst      *Output
-	partials []*Output // Merge's partials; nil for AccumulateInto
-	partial  *Output   // AccumulateInto's partial
+	dst, partial *Output
 }
 
 var cellTasks = newFreeList[cellTask](nil)
 
-// Run merges or accumulates cells [lo, hi) into dst.
-func (c *cellTask) Run(lo, hi int) {
-	if c.partials != nil {
-		mergeCells(c.dst, c.partials, lo, hi)
-		return
-	}
-	accumulateCells(c.dst, c.partial, lo, hi)
-}
+// Run accumulates cells [lo, hi) of partial into dst.
+func (c *cellTask) Run(lo, hi int) { accumulateCells(c.dst, c.partial, lo, hi) }
 
 // Merge combines partial attention outputs computed against disjoint KV
 // chunks for the same queries, per Equation 4:
 //
 //	O = Σ_s O_s · exp(LSE_s − LSE_max) / Σ_s exp(LSE_s − LSE_max)
 //
-// and the merged LSE is LSE_max + log Σ_s exp(LSE_s − LSE_max). In exact
-// arithmetic the operation is associative — merging merges is merging
-// everything — but in floating point the grouping and order of the partials
-// move the low bits, so Merge(a, b, c) and AccumulateInto folds of a, b, c
-// agree only to rounding. The ring variants all fold with AccumulateInto in
-// one order for that reason; Merge is the benchmark's merge rung. Cells fan
-// out over the worker pool; each (token, head) cell is independent, so
-// parallel output equals serial exactly.
+// and the merged LSE is LSE_max + log Σ_s exp(LSE_s − LSE_max). It is the
+// fold of AccumulateInto, the ring variants' merge operator, over the
+// partials in argument order, starting from a fresh identity output
+// (NewOutput); the benchmark times it as its merge rung. Each fold rounds to
+// float32, so the grouping and order of the partials move the low bits:
+// merging merges equals merging everything only to rounding, which is why the
+// ring variants all fold in one order.
 func Merge(partials ...*Output) *Output {
 	if len(partials) == 0 {
 		panic("attention: Merge of zero partials")
 	}
 	first := partials[0]
-	out := &Output{O: tensor.New(first.O.Tokens, first.O.Heads, first.O.Dim), LSE: make([]float64, len(first.LSE))}
-	MergeInto(out, partials...)
+	out := NewOutput(first.O.Tokens, first.O.Heads, first.O.Dim)
+	for _, p := range partials {
+		AccumulateInto(out, p)
+	}
 	return out
 }
 
-// MergeInto is Merge into a caller-owned destination of the partials' shape
-// (the decode sweep merges every layer of every step and keeps one). Every
-// cell of dst is written, so it needs no Reset; dst must not be a partial.
-func MergeInto(dst *Output, partials ...*Output) {
-	if len(partials) == 0 {
-		panic("attention: Merge of zero partials")
-	}
-	tokens, heads, dim := dst.O.Tokens, dst.O.Heads, dst.O.Dim
-	for _, p := range partials {
-		if p.O.Tokens != tokens || p.O.Heads != heads || p.O.Dim != dim {
-			panic(fmt.Sprintf("attention: merge shape mismatch %s vs %s",
-				p.O.ShapeString(), dst.O.ShapeString()))
-		}
-	}
-	forCells(tokens*heads*dim, tokens*heads, cellTask{dst: dst, partials: partials})
-}
-
-// mergeCells merges (token, head) cells [lo, hi) of the partials into dst.
-func mergeCells(dst *Output, partials []*Output, lo, hi int) {
-	heads, dim := dst.O.Heads, dst.O.Dim
-	// The decode path merges every ring sweep: the per-worker accumulator
-	// comes from a free list, not a per-call allocation.
-	accp := mergeAccFree.Get()
-	defer mergeAccFree.Put(accp)
-	if cap(*accp) < dim {
-		*accp = make([]float64, dim)
-	}
-	acc := (*accp)[:dim]
-	for idx := lo; idx < hi; idx++ {
-		t := idx / heads
-		h := idx % heads
-		out := dst.O.Row(t, h)
-		maxLSE := NegInf
-		for _, p := range partials {
-			if p.LSE[idx] > maxLSE {
-				maxLSE = p.LSE[idx]
-			}
-		}
-		if math.IsInf(maxLSE, -1) {
-			clear(out) // nothing attended anywhere; identity row
-			dst.LSE[idx] = NegInf
-			continue
-		}
-		var denom float64
-		for i := range acc {
-			acc[i] = 0
-		}
-		for _, p := range partials {
-			if math.IsInf(p.LSE[idx], -1) {
-				continue
-			}
-			w := math.Exp(p.LSE[idx] - maxLSE)
-			denom += w
-			row := p.O.Row(t, h)
-			for d := 0; d < dim; d++ {
-				acc[d] += w * float64(row[d])
-			}
-		}
-		for d := 0; d < dim; d++ {
-			out[d] = float32(acc[d] / denom)
-		}
-		dst.LSE[idx] = maxLSE + math.Log(denom)
-	}
-}
-
-// AccumulateInto merges partial into dst in place. It is the streaming form
-// of Merge used by the ring loop, where partial results arrive one KV chunk
-// at a time and keeping all N partials alive would waste memory. Cells fan
-// out over the worker pool with the same exact-equality guarantee as Merge.
+// AccumulateInto merges partial into dst in place: one step of Merge's fold,
+// used by the ring loop, where partial results arrive one KV chunk at a time
+// and keeping all N partials alive would waste memory. Cells fan out over the
+// worker pool; each (token, head) cell is independent, so parallel output
+// equals serial exactly.
 func AccumulateInto(dst, partial *Output) {
 	if dst.O.Tokens != partial.O.Tokens || dst.O.Heads != partial.O.Heads || dst.O.Dim != partial.O.Dim {
 		panic(fmt.Sprintf("attention: accumulate shape mismatch %s vs %s",

@@ -303,12 +303,15 @@ func TestAccumulateIntoMatchesMerge(t *testing.T) {
 	for _, p := range parts {
 		AccumulateInto(stream, p)
 	}
-	if d := tensor.MaxAbsDiff(batch.O, stream.O); d > tol {
-		t.Fatalf("streaming accumulate deviates from batch merge by %v", d)
+	// Merge is defined as this fold, so the two agree bit for bit.
+	for i := range batch.O.Data {
+		if math.Float32bits(batch.O.Data[i]) != math.Float32bits(stream.O.Data[i]) {
+			t.Fatalf("stream O[%d] = %x, Merge %x", i, stream.O.Data[i], batch.O.Data[i])
+		}
 	}
 	for i := range batch.LSE {
-		if math.Abs(batch.LSE[i]-stream.LSE[i]) > tol {
-			t.Fatalf("stream LSE[%d] = %v, want %v", i, stream.LSE[i], batch.LSE[i])
+		if math.Float64bits(batch.LSE[i]) != math.Float64bits(stream.LSE[i]) {
+			t.Fatalf("stream LSE[%d] = %x, Merge %x", i, stream.LSE[i], batch.LSE[i])
 		}
 	}
 }

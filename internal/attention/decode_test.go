@@ -127,40 +127,6 @@ func TestDecodeIntoRejectsBadShapes(t *testing.T) {
 	}
 }
 
-// MergeInto must leave in dst exactly what Merge returns, whatever dst held:
-// identity cells included (Merge gets them from a fresh output).
-func TestMergeIntoOverwritesEveryCell(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const T, nh, dh = 5, 4, 8
-	var parts []*Output
-	for p := 0; p < 3; p++ {
-		o := NewOutput(T, nh, dh)
-		for cell := range o.LSE {
-			if cell%5 == 0 || (cell+p)%3 == 0 {
-				continue // cell 0, 5, ... attended nowhere: the merged row is identity
-			}
-			o.LSE[cell] = rng.NormFloat64()
-			for d := 0; d < dh; d++ {
-				o.O.Data[cell*dh+d] = float32(rng.NormFloat64())
-			}
-		}
-		parts = append(parts, o)
-	}
-	want := Merge(parts...)
-	got := sentinelOutput(T, nh, dh)
-	MergeInto(got, parts...)
-	for i := range want.O.Data {
-		if math.Float32bits(got.O.Data[i]) != math.Float32bits(want.O.Data[i]) {
-			t.Fatalf("O[%d] = %x, Merge %x", i, got.O.Data[i], want.O.Data[i])
-		}
-	}
-	for i := range want.LSE {
-		if math.Float64bits(got.LSE[i]) != math.Float64bits(want.LSE[i]) {
-			t.Fatalf("LSE[%d] = %x, Merge %x", i, got.LSE[i], want.LSE[i])
-		}
-	}
-}
-
 // drain empties f and returns what it held.
 func drain[T any](f parallel.FreeList[T]) []*T {
 	var out []*T

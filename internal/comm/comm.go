@@ -6,8 +6,8 @@
 // ranks living in separate OS processes through the deterministic wire
 // codec. The primitives mirror the NCCL surface the paper uses —
 // point-to-point SendRecv for the ring loop, All2All for restoring pass-Q
-// partial outputs, and AllGather for the all-gather pass-KV baseline and the
-// ring's segment-length agreement — while recording per-collective message
+// partial outputs, and AllGather for pass-KV's segment-length agreement —
+// while recording per-collective message
 // and byte counts so tests can check the paper's communication-cost claims
 // (Table 2) against actually-transferred bytes.
 //

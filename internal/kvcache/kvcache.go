@@ -49,6 +49,7 @@ package kvcache
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/attention"
@@ -204,7 +205,11 @@ func (c *Cache) Append(seq int, k, v *tensor.Tensor, pos []int) error {
 			clone = 1
 		}
 	}
-	src := pageSource{left: clone + (max(open, 0)+c.cfg.PageSize-1)/c.cfg.PageSize}
+	opened := (max(open, 0) + c.cfg.PageSize - 1) / c.cfg.PageSize
+	src := pageSource{left: clone + opened}
+	// The page list grows once, not by doubling in appendRow (a clone
+	// replaces the tail's entry).
+	sc.refs = slices.Grow(sc.refs, opened)
 	for i, p := range pos {
 		if p < 0 {
 			continue
@@ -483,6 +488,8 @@ func (c *Cache) AcquireSpan(seq, upTo int) (*Span, error) {
 		// A rank may legitimately hold no rows of a short prefix.
 		return sp, nil
 	}
+	// The span holds at most the sequence's pages: one list allocation.
+	sp.refs = make([]pageRef, 0, len(sc.refs))
 	past := false // saw a row at or beyond upTo
 	for _, ref := range sc.refs {
 		take := 0

@@ -550,3 +550,59 @@ func TestDecodeGrowthAllocations(t *testing.T) {
 		}
 	}
 }
+
+// A page list is allocated once per call, however many pages it gains: an
+// append that opens thirty-nine pages grows its sequence's list in one allocation
+// (it grew by doubling, six times, before), and a span over those pages
+// takes its list in one (seven before), beside the Span itself. The pages
+// come off the free list, stocked by a dropped sequence, so nothing else
+// allocates; the collector is paused and the test runs on one processor, as
+// in TestDecodeGrowthAllocations.
+func TestPageListGrowsOnce(t *testing.T) {
+	const pages, nkv, dh = 40, 1, 32
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := mustNew(t, Config{KVHeads: nkv, HeadDim: dh})
+	rows := pages * c.cfg.PageSize
+	rng := rand.New(rand.NewSource(2))
+	k, v := tensor.RandN(rng, rows, nkv, dh), tensor.RandN(rng, rows, nkv, dh)
+	pos := make([]int, rows)
+	for i := range pos {
+		pos[i] = i
+	}
+	if err := c.Append(9, k, v, pos); err != nil {
+		t.Fatal(err)
+	}
+	c.Drop(9)
+	// Sequence 0's first row opens its first page; its list is then full.
+	if err := c.Append(0, k.SliceTokens(0, 1), v.SliceTokens(0, 1), pos[:1]); err != nil {
+		t.Fatal(err)
+	}
+	kRest, vRest := k.SliceTokens(1, rows), v.SliceTokens(1, rows)
+	var m0, m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	err := c.Append(0, kRest, vRest, pos[1:])
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := c.AcquireSpan(0, rows)
+	runtime.ReadMemStats(&m2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendObjs, spanObjs := m1.Mallocs-m0.Mallocs, m2.Mallocs-m1.Mallocs
+	t.Logf("a %d-page append made %d heap objects, a span over it %d", pages-1, appendObjs, spanObjs)
+	if !raceDetector && (appendObjs != 1 || spanObjs != 2) {
+		t.Errorf("a %d-page append made %d heap objects (want 1, the page list), a span %d (want 2, the Span and its list)",
+			pages-1, appendObjs, spanObjs)
+	}
+	if sp.Tokens() != rows || len(c.seqs[0].refs) != pages {
+		t.Fatalf("span of %d rows over %d pages, want %d rows over %d", sp.Tokens(), len(c.seqs[0].refs), rows, pages)
+	}
+	sp.Release()
+	gk, gv, gpos := get(c, 0)
+	sameBits(t, "K", gk.Data, k.Data)
+	sameBits(t, "V", gv.Data, v.Data)
+	sameInts(t, "positions", gpos, pos)
+}

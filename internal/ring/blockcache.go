@@ -9,13 +9,13 @@ import (
 )
 
 // BlockCache is one rank's per-layer send buffer: the KV block pass-KV
-// circulates and all-gather gathers, assembled from the rank's cache and its
-// new rows (see PrefillInput.shippedKV), plus the counters of that copy work.
-// The kvcache is the only per-sequence KV store; pass-Q and decode keep KV
-// stationary and attend the cache's pages in place, so they copy nothing and
-// need no buffer. The buffer belongs to the layer, not to a sequence: it
-// grows to the largest block the layer has shipped and is reused by every
-// command after that.
+// circulates, assembled from the rank's cache and its new rows (see
+// PrefillInput.shippedKV), plus the counters of that copy work. The kvcache
+// is the only per-sequence KV store; pass-Q and decode keep KV stationary and
+// attend the cache's pages in place, so they copy nothing and need no buffer.
+// The buffer belongs to the layer, not to a sequence: it grows to the
+// largest block the layer has shipped and is reused by every command after
+// that.
 //
 // Like kvcache.Cache, a BlockCache is owned by exactly one rank goroutine and
 // is not safe for concurrent use. Its block is handed to peers as a
@@ -34,8 +34,7 @@ func NewBlockCache() *BlockCache { return new(BlockCache) }
 
 // BlockCacheStats counts the KV rows copied into shipped blocks, exposed
 // through /v1/stats so the one-copy property is observable (and asserted in
-// tests): pass-KV and all-gather copy exactly the rows they ship, pass-Q and
-// decode none.
+// tests): pass-KV copies exactly the rows it ships, pass-Q and decode none.
 type BlockCacheStats struct {
 	Rebuilds     int64 `json:"rebuilds"`      // shipped segments holding cached rows
 	RebuildRows  int64 `json:"rebuild_rows"`  // cached rows copied into them (CopyRange)
@@ -74,16 +73,10 @@ func (in *PrefillInput) shippedKV(qPos, padTo []int) (*wire.KVBlock, error) {
 	nkv, dh := in.K.Heads, in.K.Dim
 	rowLen := nkv * dh
 	bc.k, bc.v, bc.pos, bc.seq = bc.k[:0], bc.v[:0], bc.pos[:0], bc.seq[:0]
-	ls := in.Plan.LocalSeqs(in.Rank.ID)
-	lo := 0 // a plan lists each sequence's slots as one run, in order
-	for i := range in.Plan.SeqLens {
-		hi := lo
-		for hi < len(ls) && ls[hi] == i {
-			hi++
-		}
+	err := forSeqSlots(in.Plan, in.Rank.ID, func(i, lo, hi int) error {
 		cached, err := in.cachedRows(i)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rows := cached
 		for _, p := range qPos[lo:hi] {
@@ -94,7 +87,7 @@ func (in *PrefillInput) shippedKV(qPos, padTo []int) (*wire.KVBlock, error) {
 		total := rows
 		if padTo != nil {
 			if rows > padTo[i] {
-				return nil, fmt.Errorf("ring: rank %d sequence %d has %d KV rows > pad target %d",
+				return fmt.Errorf("ring: rank %d sequence %d has %d KV rows > pad target %d",
 					in.Rank.ID, i, rows, padTo[i])
 			}
 			total = padTo[i]
@@ -131,7 +124,10 @@ func (in *PrefillInput) shippedKV(qPos, padTo []int) (*wire.KVBlock, error) {
 		for j := at; j < at+total; j++ {
 			bc.seq[j] = i
 		}
-		lo = hi
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	n := len(bc.pos)
 	bc.blkK = tensor.Tensor{Tokens: n, Heads: nkv, Dim: dh, Data: bc.k}

@@ -235,48 +235,19 @@ func PassQDecode(in *DecodeInput) (*attention.Output, error) {
 		}
 	}
 	// Owned tokens sit at the front of the block; the rest is padding.
-	cur := &s.blk
-	defer func() { in.Rank.Recycle(cur) }() // as in pass-KV (ring.go)
-	clear(cur.Q.Data[copy(cur.Q.Data, in.Q.Data):])
-	for i := range cur.Seq {
-		cur.Seq[i], cur.Pos[i] = -1, -1
+	blk := &s.blk
+	clear(blk.Q.Data[copy(blk.Q.Data, in.Q.Data):])
+	for i := range blk.Seq {
+		blk.Seq[i], blk.Pos[i] = -1, -1
 	}
 	for i, tok := range in.Owned {
-		cur.Seq[i], cur.Pos[i] = tok.Seq, tok.Pos
+		blk.Seq[i], blk.Pos[i] = tok.Seq, tok.Pos
 	}
-	next := (in.Rank.ID + 1) % n
-	prev := (in.Rank.ID - 1 + n) % n
-	src := in.Rank.ID
-	for j := 0; j < n; j++ {
-		// Decode sweeps double-buffer too: the next visiting query block is
-		// in flight while this block attends to the local KV shard.
-		var xfer inflight
-		t0 := in.Trace.Clock()
-		if j < n-1 {
-			xfer = startSendRecv(in.Rank, next, prev, cur, qBlockBytes(cur, in.Elem))
-		}
-		in.Trace.Comm(t0)
-		t0 = in.Trace.Clock()
-		if err := decodeBlockAttention(in.Cache, s, cur, s.tail.partial(src)); err != nil {
-			xfer.drain()
-			return nil, err
-		}
-		in.Trace.Compute(t0)
-		if j < n-1 {
-			t0 = in.Trace.Clock()
-			received, recvErr := xfer.wait()
-			in.Trace.Comm(t0)
-			if recvErr != nil {
-				return nil, recvErr
-			}
-			blk, ok := received.(*wire.QBlock)
-			if !ok {
-				return nil, fmt.Errorf("ring: rank %d received non-Q payload from %d in decode", in.Rank.ID, (in.Rank.ID-1+n)%n)
-			}
-			in.Rank.Recycle(cur)
-			cur = blk
-			src = (src - 1 + n) % n
-		}
+	err := circulate(in.Rank, in.Trace, blk, in.Elem, func(cur *wire.QBlock, src int) error {
+		return decodeBlockAttention(in.Cache, s, cur, s.tail.partial(src))
+	})
+	if err != nil {
+		return nil, err
 	}
 	merged, err := all2allMerge(in.Rank, &s.tail, in.Elem, in.Trace)
 	if err != nil {

@@ -1,9 +1,11 @@
 package ring
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/comm"
+	"repro/internal/trace"
 )
 
 // This file implements the communication/compute overlap the paper's
@@ -23,6 +25,9 @@ import (
 // send encodes the frame and writes it to the socket. The peer's reader
 // drains the socket into its inbox whether or not the peer rank is ready.
 // A chaos-wrapped send may sleep or fail first, on the same goroutine.
+//
+// Pass-KV, pass-Q and decode are one ring, circulate, and differ only in the
+// block that circulates and in what a rank does with it.
 //
 // hidden_steps counts the exchanges whose block was already queued for the
 // rank (comm.Rank.Waiting) when the compute finished: the rank did not wait
@@ -127,5 +132,56 @@ func (f inflight) drain() {
 		if v, err := f.rank.Recv(f.prev); err == nil { // a timeout no longer matters
 			f.rank.Recycle(v)
 		}
+	}
+}
+
+// circulate runs the ring of Algorithms 2–4 on one rank: at each of the N
+// steps it issues the exchange of the block it holds (first, at step 0) to
+// the next rank, calls attend on that block while the exchange is in flight,
+// and only then takes the received block. src is the rank whose block cur
+// is: this rank's own, then rank id−1's, id−2's and so on. The block sent
+// stays valid to read: circulating payloads are read-only by contract. Issue
+// time and exposed wait time both charge to tr's comm phase, so the
+// breakdown is comparable across the overlapped and synchronous paths; the
+// caller finishes tr after its own tail.
+//
+// Every block after the first is received, and handed back to the transport
+// (comm.Rank.Recycle) once the next one replaces it, the last one when
+// circulate returns, on every error path too; Recycle ignores this rank's
+// own.
+func circulate[B block](rank *comm.Rank, tr *trace.SweepTimer, first B, elem float64, attend func(cur B, src int) error) error {
+	n := rank.N()
+	next, prev := (rank.ID+1)%n, (rank.ID-1+n)%n
+	cur, src := first, rank.ID
+	defer func() { rank.Recycle(cur) }()
+	for j := 0; ; j++ {
+		var xfer inflight
+		t0 := tr.Clock()
+		if j < n-1 {
+			xfer = startSendRecv(rank, next, prev, cur, blockBytes(cur, elem))
+		}
+		tr.Comm(t0)
+		t0 = tr.Clock()
+		if err := attend(cur, src); err != nil {
+			xfer.drain()
+			return err
+		}
+		tr.Compute(t0)
+		if j == n-1 {
+			return nil
+		}
+		t0 = tr.Clock()
+		received, err := xfer.wait()
+		tr.Comm(t0)
+		if err != nil {
+			return err
+		}
+		blk, ok := received.(B)
+		if !ok {
+			rank.Recycle(received)
+			return fmt.Errorf("ring: rank %d received %T from %d, want %T", rank.ID, received, prev, cur)
+		}
+		rank.Recycle(cur) // forwarded when this step began, attended since
+		cur, src = blk, (src-1+n)%n
 	}
 }

@@ -59,9 +59,9 @@ import (
 //     transport decodes a later frame into it: the pass hands it back
 //     (comm.Rank.Recycle) once it is attended, and forwarded if it
 //     circulates. A ring step's block is handed back when the next one
-//     replaces it, the last one on the way out, errors included. Nothing the
-//     pass returns points into a received block: the merge and the partials
-//     live in the arena.
+//     replaces it, the last one when the ring loop (circulate, overlap.go)
+//     returns, errors included. Nothing the pass returns points into a
+//     received block: the merge and the partials live in the arena.
 //
 // The engine's Q/K/V rows are free for the next layer once the layer's pass
 // and AppendShardKV have returned: pass-KV never sends them (shippedKV copies
@@ -87,10 +87,10 @@ type PrefillInput struct {
 	// must be zero rows (sharding.BatchShard.Shard produces them).
 	Q, K, V *tensor.Tensor
 	Cache   *kvcache.Cache // persistent KV from earlier turns; may be nil
-	// Blocks is the layer's send buffer, where pass-KV and all-gather
-	// assemble the block they ship (one BlockCache per rank per layer, owned
-	// by the rank goroutine), and the counters of that copy. Nil assembles
-	// into a buffer allocated per call.
+	// Blocks is the layer's send buffer, where pass-KV assembles the block
+	// it ships (one BlockCache per rank per layer, owned by the rank
+	// goroutine), and the counters of that copy. Nil assembles into a buffer
+	// allocated per call.
 	Blocks *BlockCache
 	Elem   float64 // accounted bytes per element (e in the paper)
 	// SeqIDs maps each batch-plan sequence index to its persistent cache
@@ -112,8 +112,8 @@ type PrefillInput struct {
 	// it wants them; nil means every slot. The returned Output has one row
 	// per entry. Every variant attends only the listed rows and returns them
 	// in order, and no variant's messages change: a rank listing none still
-	// sends and forwards every block, sized as the full run's. Pass-KV and
-	// all-gather attend the gathered rows where their queries stay put.
+	// sends and forwards every block, sized as the full run's. Pass-KV
+	// attends the gathered rows where its queries stay put.
 	// Pass-Q circulates its whole query block, with position -1 at every
 	// unlisted slot, so every rank's kernel treats those slots as identity
 	// rows (as it does padding) and their partials come back with LSE -Inf;
@@ -264,12 +264,16 @@ func (in *PrefillInput) pick(s *PrefillScratch, out *attention.Output) *attentio
 // pointer and across TCP through the deterministic codec. Their accounted
 // sizes stay the paper's analytic element counts:
 
-func kvBlockBytes(b *wire.KVBlock, elem float64) float64 {
-	return b.K.Bytes(elem) + b.V.Bytes(elem) + float64(len(b.Pos))*metaBytesPerToken
-}
+// block is what circulates around the ring: KV for pass-KV, queries for
+// pass-Q and decode.
+type block interface{ *wire.KVBlock | *wire.QBlock }
 
-func qBlockBytes(b *wire.QBlock, elem float64) float64 {
-	return b.Q.Bytes(elem) + float64(len(b.Pos))*metaBytesPerToken
+func blockBytes[B block](b B, elem float64) float64 {
+	if kv, ok := any(b).(*wire.KVBlock); ok {
+		return kv.K.Bytes(elem) + kv.V.Bytes(elem) + float64(len(kv.Pos))*metaBytesPerToken
+	}
+	q := any(b).(*wire.QBlock)
+	return q.Q.Bytes(elem) + float64(len(q.Pos))*metaBytesPerToken
 }
 
 func oBlockBytes(b *wire.OBlock, elem float64) float64 {
@@ -283,19 +287,13 @@ func oBlockBytes(b *wire.OBlock, elem float64) float64 {
 // position -1), in the order the shipped block would hold them. Only the
 // mask's position and sequence-id lists are built, into s: O(rows) integers
 // and no KV row copied.
-func (in *PrefillInput) stationaryKV(s *PrefillScratch, qPos []int) (kv attention.KV, pos, seq []int, err error) {
+func (in *PrefillInput) stationaryKV(s *PrefillScratch, qPos []int) (attention.KV, []int, []int, error) {
 	rowLen := in.K.Heads * in.K.Dim
 	s.runs, s.kvPos, s.kvSeq = s.runs[:0], s.kvPos[:0], s.kvSeq[:0]
-	ls := in.Plan.LocalSeqs(in.Rank.ID)
-	lo := 0 // a plan lists each sequence's slots as one run, in order
-	for i := range in.Plan.SeqLens {
-		hi := lo
-		for hi < len(ls) && ls[hi] == i {
-			hi++
-		}
+	err := forSeqSlots(in.Plan, in.Rank.ID, func(i, lo, hi int) error {
 		cached, err := in.cachedRows(i)
 		if err != nil {
-			return attention.KV{}, nil, nil, err
+			return err
 		}
 		if cached > 0 {
 			s.runs = in.Cache.Runs(s.runs, in.seqKey(i))
@@ -309,9 +307,32 @@ func (in *PrefillInput) stationaryKV(s *PrefillScratch, qPos []int) (kv attentio
 		if in.Blocks != nil {
 			in.Blocks.stats.Reuses++
 		}
-		lo = hi
+		return nil
+	})
+	if err != nil {
+		return attention.KV{}, nil, nil, err
 	}
 	return attention.KV{Heads: in.K.Heads, Dim: in.K.Dim, Runs: s.runs}, s.kvPos, s.kvSeq, nil
+}
+
+// forSeqSlots calls f for every sequence i of plan, in order, with the run
+// [lo, hi) of rank's local slots that hold it (empty when it has none
+// there): a plan lists each sequence's slots as one run, in sequence order.
+// It stops at f's first error.
+func forSeqSlots(plan *sharding.BatchShard, rank int, f func(i, lo, hi int) error) error {
+	ls := plan.LocalSeqs(rank)
+	lo := 0
+	for i := range plan.SeqLens {
+		hi := lo
+		for hi < len(ls) && ls[hi] == i {
+			hi++
+		}
+		if err := f(i, lo, hi); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
 }
 
 // forgetRuns clears every entry of an arena's run list, up to its capacity,
@@ -339,19 +360,19 @@ func agreeSegmentLengths(in *PrefillInput, s *PrefillScratch) ([]int, error) {
 	}
 	mine := s.segMine
 	lp := in.Plan.LocalPositions(in.Rank.ID)
-	ls := in.Plan.LocalSeqs(in.Rank.ID)
-	for i := range mine {
+	_ = forSeqSlots(in.Plan, in.Rank.ID, func(i, lo, hi int) error { // counting cannot fail
 		n := 0
 		if in.Cache != nil {
 			n = in.Cache.SeqLen(in.seqKey(i))
 		}
-		for slot, s := range ls {
-			if s == i && lp[slot] != sharding.Pad {
+		for _, p := range lp[lo:hi] {
+			if p != sharding.Pad {
 				n++
 			}
 		}
 		mine[i] = n
-	}
+		return nil
+	})
 	s.gathered = tensor.Grown(s.gathered, in.Rank.N())
 	defer clear(s.gathered) // keep no peer's list reachable
 	if err := in.Rank.AllGatherInto(s.gathered, s.segMsg, float64(len(mine))*metaBytesPerToken); err != nil {
@@ -380,7 +401,6 @@ func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
-	n := in.Rank.N()
 	s := in.scratch()
 	defer func() { s.runs = forgetRuns(s.runs) }()
 	segLens, err := agreeSegmentLengths(in, s)
@@ -388,57 +408,27 @@ func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 		return nil, err
 	}
 	qPos, qSeq := in.qMask(s)
-	cur, err := in.shippedKV(qPos, segLens)
+	blk, err := in.shippedKV(qPos, segLens)
 	if err != nil {
 		return nil, err
 	}
-	// Every block after the first is received, and handed back once it is
-	// replaced or the pass ends; Recycle ignores this rank's own.
-	defer func() { in.Rank.Recycle(cur) }()
 	q, qPos, qSeq := in.queries(s, qPos, qSeq)
 	out := s.out.Fit(q.Tokens, q.Heads, q.Dim)
 	// One partial buffer recycled across all n ring steps; GQAInto resets it.
 	partial := s.partial.Fit(q.Tokens, q.Heads, q.Dim)
-	next := (in.Rank.ID + 1) % n
-	prev := (in.Rank.ID - 1 + n) % n
-	for j := 0; j < n; j++ {
-		// Issue the transfer of the current block for step j+1, then compute
-		// on it while the exchange is in flight — the communication/compute
-		// overlap the paper relies on. The block we just sent stays valid to
-		// read: circulating payloads are read-only by contract. Issue time
-		// and exposed wait time both charge to the comm phase, so the
-		// breakdown is comparable across the overlapped and sync paths.
-		var xfer inflight
-		t0 := in.Trace.Clock()
-		if j < n-1 {
-			xfer = startSendRecv(in.Rank, next, prev, cur, kvBlockBytes(cur, in.Elem))
-		}
-		in.Trace.Comm(t0)
-		t0 = in.Trace.Clock()
-		if err := attention.GQAKVInto(partial, q, s.blockKV(cur), attention.Mask{
+	err = circulate(in.Rank, in.Trace, blk, in.Elem, func(cur *wire.KVBlock, _ int) error {
+		err := attention.GQAKVInto(partial, q, s.blockKV(cur), attention.Mask{
 			QPos: qPos, QSeq: qSeq, KVPos: cur.Pos, KVSeq: cur.Seq,
-		}); err != nil {
-			xfer.drain()
-			return nil, err
+		})
+		if err == nil {
+			attention.AccumulateInto(out, partial)
 		}
-		attention.AccumulateInto(out, partial)
-		in.Trace.Compute(t0)
-		if j < n-1 {
-			t0 = in.Trace.Clock()
-			received, recvErr := xfer.wait()
-			in.Trace.Comm(t0)
-			if recvErr != nil {
-				return nil, recvErr
-			}
-			blk, ok := received.(*wire.KVBlock)
-			if !ok {
-				return nil, fmt.Errorf("ring: rank %d received non-KV payload from %d", in.Rank.ID, (in.Rank.ID-1+n)%n)
-			}
-			in.Rank.Recycle(cur) // forwarded when this step began, attended since
-			cur = blk
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	in.Trace.Finish(n)
+	in.Trace.Finish(in.Rank.N())
 	return out, nil
 }
 
@@ -460,45 +450,15 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 		return nil, err
 	}
 	s.qblk = wire.QBlock{Q: in.Q, Pos: in.circulatingPos(s, qPos), Seq: qSeq}
-	cur := &s.qblk
-	defer func() { in.Rank.Recycle(cur) }() // as in pass-KV
-	next := (in.Rank.ID + 1) % n
-	prev := (in.Rank.ID - 1 + n) % n
 	tail := &s.tail // tail.partials[s] = O_s^k for source s
 	tail.fit(n, in.Q.Tokens, in.Q.Heads, in.Q.Dim)
-	src := in.Rank.ID
-	for j := 0; j < n; j++ {
-		// Same double-buffering as pass-KV: the query block for step j+1 is
-		// in flight while this step's partial attention runs.
-		var xfer inflight
-		t0 := in.Trace.Clock()
-		if j < n-1 {
-			xfer = startSendRecv(in.Rank, next, prev, cur, qBlockBytes(cur, in.Elem))
-		}
-		in.Trace.Comm(t0)
-		t0 = in.Trace.Clock()
-		if err := attention.GQAKVInto(tail.partial(src), cur.Q, kv, attention.Mask{
+	err = circulate(in.Rank, in.Trace, &s.qblk, in.Elem, func(cur *wire.QBlock, src int) error {
+		return attention.GQAKVInto(tail.partial(src), cur.Q, kv, attention.Mask{
 			QPos: cur.Pos, QSeq: cur.Seq, KVPos: kvPos, KVSeq: kvSeq,
-		}); err != nil {
-			xfer.drain()
-			return nil, err
-		}
-		in.Trace.Compute(t0)
-		if j < n-1 {
-			t0 = in.Trace.Clock()
-			received, recvErr := xfer.wait()
-			in.Trace.Comm(t0)
-			if recvErr != nil {
-				return nil, recvErr
-			}
-			blk, ok := received.(*wire.QBlock)
-			if !ok {
-				return nil, fmt.Errorf("ring: rank %d received non-Q payload from %d", in.Rank.ID, (in.Rank.ID-1+n)%n)
-			}
-			in.Rank.Recycle(cur)
-			cur = blk
-			src = (src - 1 + n) % n
-		}
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	out, err := all2allMerge(in.Rank, tail, in.Elem, in.Trace)
 	if err != nil {
@@ -571,23 +531,14 @@ func AppendLocalKV(cache *kvcache.Cache, plan *sharding.BatchShard, rankID int, 
 // cached lengths: a caller that already built the query mask's positions
 // appends without building them again.
 func AppendShardKV(cache *kvcache.Cache, plan *sharding.BatchShard, rankID int, pos, seqIDs []int, k, v *tensor.Tensor) error {
-	ls := plan.LocalSeqs(rankID)
 	rowLen := k.Heads * k.Dim
-	for lo := 0; lo < len(ls); {
-		i, hi := ls[lo], lo+1
-		for hi < len(ls) && ls[hi] == i {
-			hi++
-		}
+	return forSeqSlots(plan, rankID, func(i, lo, hi int) error {
 		key := i
 		if seqIDs != nil {
 			key = seqIDs[i]
 		}
 		kRows := tensor.Tensor{Tokens: hi - lo, Heads: k.Heads, Dim: k.Dim, Data: k.Data[lo*rowLen : hi*rowLen]}
 		vRows := tensor.Tensor{Tokens: hi - lo, Heads: v.Heads, Dim: v.Dim, Data: v.Data[lo*rowLen : hi*rowLen]}
-		if err := cache.Append(key, &kRows, &vRows, pos[lo:hi]); err != nil {
-			return err
-		}
-		lo = hi
-	}
-	return nil
+		return cache.Append(key, &kRows, &vRows, pos[lo:hi]) // an empty run appends nothing
+	})
 }
