@@ -563,7 +563,7 @@ func TestDecodeInputValidation(t *testing.T) {
 }
 
 // The paper's central exactness property, as a randomized invariant: for any
-// rank count, batch shape and cache state, pass-KV, pass-Q and all-gather all
+// rank count, batch shape and cache state, pass-KV and pass-Q both
 // reproduce the reference.
 func TestPropertyVariantsAgreeWithReference(t *testing.T) {
 	f := func(seed int64, rawN, rawB, rawT1, rawT2 uint8) bool {

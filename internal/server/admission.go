@@ -321,6 +321,7 @@ func (s *Scheduler) quarantineLocked(session int) {
 func (s *Scheduler) maybeFreeSlotLocked(session int) {
 	if !s.prefilled[session] && !s.sessionQueuedLocked(session) {
 		delete(s.sessions, session)
+		delete(s.noDetach, session)
 		s.admitLocked()
 	}
 }

@@ -145,8 +145,11 @@ func (s *Scheduler) Release(session int) {
 	delete(s.prefilled, session)
 	// A clean release detaches the session's canonical prefix into the
 	// prefix tree before dropping, so reconnects and siblings sharing the
-	// prompt hit warm KV.
-	s.pendingDrops = append(s.pendingDrops, sessionDrop{session: session, detach: true})
+	// prompt hit warm KV — unless the session opted out. The opt-out is
+	// settled here, not when the drop runs: a same-id session admitted in
+	// between sets its own.
+	s.pendingDrops = append(s.pendingDrops, sessionDrop{session: session, detach: !s.noDetach[session]})
+	delete(s.noDetach, session)
 	s.admitLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/model"
@@ -146,15 +147,23 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.executing = nil
+	// The canonical prefix is only ever read to donate it, which a session
+	// that opted out (sticky noDetach) never does: such a session records
+	// none.
+	keepHistory := !s.noDetach[pj.session]
 	if out.adopted > 0 {
 		// The adopted KV is resident whatever became of the chunk, so the
 		// token log and the canonical prefix record it unconditionally —
 		// tying them to the chunk's success would desynchronize them from
 		// the cluster if the chunk failed and recovery replayed the session
 		// (the retried chunk re-enters with consumed > 0 and never adopts
-		// again).
+		// again). The prefix is a copy: the caller may reuse its prompt.
 		s.appendLogLocked(pj.session, false, pj.prompt[:out.adopted]...)
-		s.history[pj.session] = append([]int(nil), pj.prompt[:out.adopted]...)
+		if keepHistory {
+			hist := make([]int, out.adopted, out.adopted+s.canonicalRoom(pj, out.adopted))
+			copy(hist, pj.prompt)
+			s.history[pj.session] = hist
+		}
 	}
 	if len(s.prefills) == 0 || s.prefills[0] != pj {
 		// A concurrent Release purged this request (and completed it with
@@ -208,8 +217,13 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 	// The canonical prefix grows only through full-budget chunks landing
 	// exactly on its frontier; the first tail chunk or decode step freezes
 	// it for good. Only canonical tokens may ever enter the prefix tree.
-	if out.pos == len(s.history[pj.session]) && out.pos%s.cfg.TokenBudget == 0 && out.n == s.cfg.TokenBudget {
-		s.history[pj.session] = append(s.history[pj.session], chunk...)
+	// The first chunk a request adds makes room for all it can add.
+	hist := s.history[pj.session]
+	if keepHistory && out.pos == len(hist) && out.pos%s.cfg.TokenBudget == 0 && out.n == s.cfg.TokenBudget {
+		if cap(hist)-len(hist) < out.n {
+			hist = slices.Grow(hist, s.canonicalRoom(pj, pj.consumed-out.n))
+		}
+		s.history[pj.session] = append(hist, chunk...)
 	}
 	s.prefilled[pj.session] = true
 	if pj.consumed < len(pj.prompt) {
@@ -239,9 +253,16 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 	return now
 }
 
+// canonicalRoom bounds the canonical tokens r can still add to its
+// session's prefix from prompt offset from on: whole budget-sized chunks
+// only.
+func (s *Scheduler) canonicalRoom(r *request, from int) int {
+	return (len(r.prompt) - from) / s.cfg.TokenBudget * s.cfg.TokenBudget
+}
+
 // sessionDrop is a scheduled KV eviction; detach donates the session's
 // canonical prefix to the tree first (false after faults — indeterminate KV
-// must never seed other sessions).
+// must never seed other sessions — and for sessions that opted out).
 type sessionDrop struct {
 	session int
 	detach  bool
@@ -264,12 +285,10 @@ func (s *Scheduler) applyDrops() {
 	for _, d := range drops {
 		s.mu.Lock()
 		hist := s.history[d.session]
-		detach := d.detach && !s.noDetach[d.session]
 		delete(s.history, d.session)
-		delete(s.noDetach, d.session)
 		delete(s.log, d.session) // evicted sessions are not replayable
 		s.mu.Unlock()
-		if detach {
+		if d.detach {
 			s.donatePrefix(d.session, hist)
 		}
 		s.exec.Drop(d.session)

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/transformer"
@@ -286,5 +287,46 @@ func TestStatsPrefillSource(t *testing.T) {
 	}
 	if st.Reuse.Hits != 1 || st.Reuse.Detached != 1 {
 		t.Fatalf("reuse stats = %+v", st.Reuse)
+	}
+}
+
+// A no_cache opt-out belongs to the session, not to its id. Session 5
+// prefills with no_cache and is released; a new session 5, no_cache too, is
+// admitted while the release's drop still waits for the cluster. Neither
+// records a canonical prefix, and neither donates KV: the drop of the first
+// must not clear the second's opt-out.
+func TestNoCacheOptOutSurvivesSameIDReadmission(t *testing.T) {
+	s := newManualPrefixScheduler(t, SchedulerConfig{TokenBudget: 4, PrefixCacheTokens: 4096})
+	prompt := []int{7, 3, 60, 12, 9, 33, 2, 41, 18, 5} // 10 tokens → canonical 8
+	noCache := RequestOptions{NoPrefixCache: true}
+	prefillSync(t, s, 5, prompt, noCache)
+	hold, held := make(chan struct{}), make(chan struct{})
+	go s.WithCluster(func(*transformer.Cluster) { close(held); <-hold })
+	<-held
+	released := make(chan struct{})
+	go func() { s.Release(5); close(released) }()
+	for s.Known(5) {
+		time.Sleep(time.Millisecond)
+	}
+	errc := make(chan error, 1)
+	enqueue(s, func() {
+		_, err := s.PrefillWith(context.Background(), 5, prompt, noCache)
+		errc <- err
+	})
+	close(hold)
+	<-released
+	drain(s)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	hist := len(s.history[5])
+	s.mu.Unlock()
+	if hist != 0 {
+		t.Errorf("a no_cache session recorded %d canonical tokens", hist)
+	}
+	s.Release(5)
+	if r := s.Reuse(); r.Detached != 0 || r.DetachedTokens != 0 {
+		t.Errorf("no_cache sessions donated KV: %+v", r)
 	}
 }

@@ -190,9 +190,13 @@ type Scheduler struct {
 	// boundaries with full-budget length, and freezes forever at the first
 	// tail chunk or decode step. Only this prefix is ever detached into the
 	// prefix tree — the alignment that makes adopted KV bit-identical to
-	// recomputation.
-	history  map[int][]int
-	noDetach map[int]bool // sessions opted out of donating KV (no_cache)
+	// recomputation — so a session in noDetach records none.
+	history map[int][]int
+	// noDetach holds the sessions opted out of donating KV (no_cache), from
+	// the admission of their first such request until their release, loss
+	// or freed slot: a drop that runs later cannot clear a same-id
+	// successor's opt-out.
+	noDetach map[int]bool
 	// log is the per-session token log recovery replays (Recover mode
 	// only): one segment per uninterrupted run of prefill chunks or decode
 	// steps, in residency order. Its invariant is exact agreement with the

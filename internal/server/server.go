@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -263,17 +265,89 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 
 // decodePost is the method check and JSON decode every POST route starts
 // with. It answers 405 or 400 itself and reports whether the handler should
-// go on.
+// go on. The body is read whole and must hold exactly one JSON value:
+// trailing non-whitespace is a 400. A request with a token array has it
+// sized first (presizer), so the decode fills one slice of its final length.
 func decodePost(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST required")
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+	body, err := readBody(r)
+	if err == nil {
+		if p, ok := req.(presizer); ok {
+			p.presize(body)
+		}
+		err = json.Unmarshal(body, req)
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad json: %v", err)
 		return false
 	}
 	return true
+}
+
+// maxBodyHint caps what readBody allocates on a Content-Length header's word
+// before the bytes arrive.
+const maxBodyHint = 256 << 10
+
+// readBody reads r's body to EOF into one buffer. A Content-Length sizes
+// the buffer one byte over, so the read that confirms EOF needs no room of
+// its own, but it is only a hint: at most maxBodyHint is allocated before a
+// byte arrives, and past that the buffer doubles only as the bytes fill it,
+// never beyond the declared length while they are within it. Without a
+// Content-Length the buffer starts at 512 bytes and doubles the same way.
+func readBody(r *http.Request) ([]byte, error) {
+	size := int64(512)
+	if r.ContentLength > 0 {
+		size = min(r.ContentLength, maxBodyHint) + 1
+	}
+	buf := make([]byte, 0, size)
+	for {
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			grow := int64(cap(buf))
+			if rest := r.ContentLength + 1 - int64(len(buf)); rest > 0 {
+				grow = min(grow, rest)
+			}
+			buf = append(make([]byte, 0, int64(len(buf))+grow), buf...)
+		}
+	}
+}
+
+// presizer is a request with a token array, which it sizes from the raw
+// body before the decode fills it.
+type presizer interface{ presize(body []byte) }
+
+// tokenCount is the element count of a JSON array, taken without decoding
+// the elements: one more than its commas, none for an empty array, and
+// never more than one per two bytes, which is all a valid array can hold.
+// A presize pass decodes a body into a struct of tokenCounts, so keys match
+// exactly as in the real decode; the count only sizes the slice that decode
+// fills, which does all the validation and writes every error. A named
+// slice type decoding itself would do it in one pass, but an error from an
+// UnmarshalJSON ends encoding/json's decode where a type error elsewhere
+// lets it go on, so a body with two type errors would report another one.
+type tokenCount int
+
+func (c *tokenCount) UnmarshalJSON(data []byte) error {
+	if data[0] != '[' {
+		return nil
+	}
+	elems := bytes.TrimSpace(data[1 : len(data)-1])
+	if len(elems) == 0 {
+		return nil
+	}
+	// A repeated key decodes every array it names into one slice.
+	*c = max(*c, tokenCount(min(bytes.Count(elems, []byte{','})+1, len(data)/2)))
+	return nil
 }
 
 type generateRequest struct {
@@ -289,6 +363,16 @@ type generateRequest struct {
 	// Cohort tags the request with its workload class ("chat", "rag", ...)
 	// for per-cohort latency attribution in /metrics and /v1/stats.
 	Cohort string `json:"cohort,omitempty"`
+}
+
+// presize sizes Prompt for the body's "prompt" array; errors are the
+// decode's to report.
+func (q *generateRequest) presize(body []byte) {
+	var n struct {
+		Prompt tokenCount `json:"prompt"`
+	}
+	_ = json.Unmarshal(body, &n)
+	q.Prompt = make([]int, 0, n.Prompt)
 }
 
 // requestContext applies a request's timeout_ms deadline to its HTTP
@@ -345,6 +429,16 @@ type prefillRequest struct {
 	NoCache   bool   `json:"no_cache,omitempty"`
 	TimeoutMs int    `json:"timeout_ms,omitempty"`
 	Cohort    string `json:"cohort,omitempty"`
+}
+
+// presize sizes Tokens for the body's "tokens" array; errors are the
+// decode's to report.
+func (q *prefillRequest) presize(body []byte) {
+	var n struct {
+		Tokens tokenCount `json:"tokens"`
+	}
+	_ = json.Unmarshal(body, &n)
+	q.Tokens = make([]int, 0, n.Tokens)
 }
 
 type prefillResponse struct {

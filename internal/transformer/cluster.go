@@ -83,10 +83,14 @@ type Cluster struct {
 	inBatch   map[int]bool
 	decodeRes []*wire.DecodeResult
 	prefRes   []*wire.PrefillResult
-	// The prefill command's lengths and plan, rebuilt in place per command:
-	// prefillCmd's callers read the plan before they send the next one.
+	// The prefill command, its lengths and plan, rebuilt in place per
+	// command: prefillCmd's callers read the plan before they send the next
+	// one. nextSeq and nextToks are PrefillNext's one-sequence batch.
+	pcmd      wire.PrefillCmd
 	lens      []int
 	plan      sharding.BatchShard
+	nextSeq   [1]int
+	nextToks  [1][]int
 	prefixSeq uint64
 }
 
@@ -344,7 +348,9 @@ func flattenChaos(m map[string]int64) ([]string, []int64) {
 // logits row leaves the rank. The id is Argmax of the row PrefillLast would
 // have returned, and every KV row lands where Prefill puts it.
 func (c *Cluster) PrefillNext(seq int, tokens []int, variant model.Variant) (int, error) {
-	plan, results, err := c.prefillCmd([]int{seq}, [][]int{tokens}, variant, wire.ReplyToken)
+	c.nextSeq[0], c.nextToks[0] = seq, tokens
+	plan, results, err := c.prefillCmd(c.nextSeq[:], c.nextToks[:], variant, wire.ReplyToken)
+	c.nextToks[0] = nil // the caller's prompt is not the Cluster's to keep
 	if err != nil {
 		return 0, err
 	}
@@ -395,7 +401,9 @@ func (c *Cluster) prefillCmd(seqIDs []int, tokens [][]int, variant model.Variant
 	if err := plan.Reset(lens, c.n); err != nil {
 		return nil, nil, err
 	}
-	p := make([]int, len(seqIDs))
+	cmd := &c.pcmd
+	cmd.P = tensor.Grown(cmd.P, len(seqIDs))
+	p := cmd.P
 	for i, id := range seqIDs {
 		p[i] = c.seqLens[id]
 	}
@@ -416,8 +424,11 @@ func (c *Cluster) prefillCmd(seqIDs []int, tokens [][]int, variant model.Variant
 	if err := c.prefillCapacityCheck(plan, seqIDs); err != nil {
 		return nil, nil, err
 	}
-	cmd := &wire.PrefillCmd{Seqs: seqIDs, Tokens: tokens, P: p, Variant: int(variant), Reply: reply}
+	cmd.Seqs, cmd.Tokens, cmd.Variant, cmd.Reply = seqIDs, tokens, int(variant), reply
 	results, err := collectInto(c, cmd, c.prefRes)
+	// The ranks are done with the command: keep its P, not the caller's
+	// lists.
+	cmd.Seqs, cmd.Tokens = nil, nil
 	if err != nil {
 		return nil, nil, err
 	}
@@ -430,9 +441,11 @@ func (c *Cluster) prefillCmd(seqIDs []int, tokens [][]int, variant model.Variant
 }
 
 // sampledRows counts, per rank, the rows a prefill samples — each
-// sequence's last new position — that the plan puts on it.
-func sampledRows(plan *sharding.BatchShard) []int {
-	want := make([]int, plan.N)
+// sequence's last new position — that the plan puts on it, into want's
+// storage (a caller's stack array covers every world up to its length).
+func sampledRows(plan *sharding.BatchShard, want []int) []int {
+	want = tensor.Grown(want, plan.N)
+	clear(want)
 	for i, T := range plan.SeqLens {
 		r, _ := plan.Locate(i, T-1)
 		want[r]++
@@ -445,21 +458,23 @@ func sampledRows(plan *sharding.BatchShard) []int {
 // puts on it, in sequence order, each inside the vocabulary; any other reply
 // is an error naming the rank, never a panic.
 func prefillIDs(plan *sharding.BatchShard, results []*wire.PrefillResult, vocab int, out []int) error {
-	want := sampledRows(plan)
+	var counts [8]int
+	left := sampledRows(plan, counts[:])
 	for r, res := range results {
-		if len(res.IDs) != want[r] {
-			return fmt.Errorf("transformer: rank %d returned %d token ids for %d sampled rows", r, len(res.IDs), want[r])
+		if len(res.IDs) != left[r] {
+			return fmt.Errorf("transformer: rank %d returned %d token ids for %d sampled rows", r, len(res.IDs), left[r])
 		}
 	}
-	next := make([]int, plan.N) // a rank's sampled rows come in sequence order
 	for i, T := range plan.SeqLens {
+		// A rank's sampled rows come in sequence order: its next one is
+		// the first of the left[r] it has not handed out.
 		r, _ := plan.Locate(i, T-1)
-		id, err := checkID(r, results[r].IDs[next[r]], vocab)
+		id, err := checkID(r, results[r].IDs[len(results[r].IDs)-left[r]], vocab)
 		if err != nil {
 			return err
 		}
 		out[i] = id
-		next[r]++
+		left[r]--
 	}
 	return nil
 }

@@ -72,7 +72,7 @@ func (c *Cluster) prefill(seqIDs []int, tokens [][]int, variant model.Variant, a
 // buffer the caller keeps: a rank's reply lives in its arena, which the next
 // command reuses.
 func prefillLogits(plan *sharding.BatchShard, results []*wire.PrefillResult, all bool, vocab int) ([][][]float32, error) {
-	want := sampledRows(plan)
+	want := sampledRows(plan, nil)
 	if all {
 		for r := range want {
 			want[r] = plan.LocalLen(r)
