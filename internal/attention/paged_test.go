@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/simd"
 	"repro/internal/tensor"
+	"repro/internal/testsupport"
 )
 
 // pagedSplits are the run-length patterns the paged tests cut a context
@@ -133,6 +134,9 @@ func TestGQAKVIntoMatchesContiguousExactly(t *testing.T) {
 // A decode step attends every visiting row over its sequence's pages: the
 // entry must allocate nothing once the kernel scratch is warm.
 func TestDecodeKVIntoAllocatesNothing(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	rng := rand.New(rand.NewSource(32))
 	const n, nkv, group, dh = 513, 2, 4, 32
 	q := tensor.RandN(rng, 2, nkv*group, dh)

@@ -4,11 +4,16 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/testsupport"
 )
 
 // A Recv that finds its payload waiting, and the Send that put it there,
 // must not arm a timer: the fast path allocates nothing.
 func TestMemReadyHopAllocatesNothing(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	m := NewMem(2)
 	defer m.Close()
 	var payload any = &struct{ n int }{7}

@@ -160,7 +160,8 @@ type link struct {
 
 	downOnce sync.Once
 	downCh   chan struct{}
-	cause    atomic.Value // error
+	cause    atomic.Value   // error
+	running  sync.WaitGroup // the reader and the heartbeat
 
 	outMsgs, outBytes int64 // atomics: frames/bytes written
 	inMsgs, inBytes   int64 // atomics: frames/bytes read
@@ -175,8 +176,10 @@ const readBufSize = 16 << 10
 func (l *link) start() {
 	l.inbox = make(chan any, 64)
 	l.downCh = make(chan struct{})
+	l.running.Add(1)
 	go l.readLoop()
 	if l.every > 0 {
+		l.running.Add(1)
 		go l.heartbeatLoop()
 	}
 }
@@ -333,6 +336,7 @@ func (l *link) recv(timeout time.Duration) (any, error) {
 // costs one read call, header and body together, and frames that arrived
 // together cost one between them; a larger block's body bypasses it.
 func (l *link) readLoop() {
+	defer l.running.Done()
 	defer close(l.inbox)
 	rd := wire.Reader{Spares: l.spares}
 	in := bufio.NewReaderSize(l.conn, readBufSize)
@@ -378,6 +382,7 @@ func (l *link) readLoop() {
 // instead of only at the next exchange, and the far end's read window sees
 // a live link. Heartbeats never pass through the frame tap.
 func (l *link) heartbeatLoop() {
+	defer l.running.Done()
 	tick := time.NewTicker(l.every)
 	defer tick.Stop()
 	for {
@@ -610,13 +615,14 @@ func (t *TCP) WireLinks() []wire.LinkStat {
 	return out
 }
 
-// Close implements Transport.
+// Close implements Transport. It returns once every link's goroutines have.
 func (t *TCP) Close() error {
 	// Silence the event sink first: an orderly local close is not a peer
 	// failure, and the links downed below must not publish one.
 	t.events.close()
 	for _, l := range t.links {
 		l.markDown(errors.New("transport closed"))
+		l.running.Wait() // both exit once the link is down
 	}
 	return nil
 }
@@ -1068,10 +1074,12 @@ func (c *Ctrl) WireTotals() (msgs, bytes int64) {
 		atomic.LoadInt64(&c.outBytes) + atomic.LoadInt64(&c.inBytes)
 }
 
-// Close hangs up the control connection. It closes the failure channel
-// first, so a local hangup is never reported as a failure.
+// Close hangs up the control connection and returns once its goroutines
+// have. It closes the failure channel first, so a local hangup is never
+// reported as a failure.
 func (c *Ctrl) Close() error {
 	c.events.close()
 	c.markDown(errors.New("connection closed locally"))
+	c.running.Wait()
 	return nil
 }

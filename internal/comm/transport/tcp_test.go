@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/comm/wire"
 	"repro/internal/tensor"
+	"repro/internal/testsupport"
 )
 
 // loopbackMesh forms an n-rank TCP mesh on 127.0.0.1 with pre-bound :0
@@ -393,6 +394,9 @@ func settleGoroutines(t *testing.T, baseline, slack int, what string) {
 // stragglers hit a rendezvous that already returned (the offer channels
 // must never strand a goroutine).
 func TestTCPCloseNoGoroutineLeak(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	baseline := runtime.NumGoroutine()
 
 	// A working mesh with traffic, one peer dying abruptly, then Close.
@@ -415,7 +419,6 @@ func TestTCPCloseNoGoroutineLeak(t *testing.T) {
 	// Rendezvous flooded with bad peers: the first rejection aborts the
 	// join; the rest arrive after it returned and must clean themselves up
 	// (conns closed, no goroutine parked on the offer channels).
-	baseline = runtime.NumGoroutine()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -194,6 +194,8 @@ func NewMem(n int) *Mem {
 			// before any rank starts receiving, avoiding deadlock without
 			// extra goroutines.
 			m.boxes[d][s] = make(chan any, n+1)
+			m.timers[d][s] = time.NewTimer(time.Hour)
+			m.timers[d][s].Stop()
 		}
 	}
 	return m
@@ -251,7 +253,8 @@ const recvPollBudget = 50 * time.Microsecond
 // then does the receiver arm the mailbox's timer for what is left of timeout
 // and park. Only rank dst receives from its mailboxes, one receive at a time,
 // and Go 1.23+ timers deliver nothing stale after Stop or Reset, so one timer
-// per mailbox serves every parked receive.
+// per mailbox, made stopped with the mailbox, serves every parked receive: a
+// receive that parks for the first time allocates nothing either.
 func (m *Mem) Recv(dst, src int, timeout time.Duration) (any, error) {
 	box := m.boxes[dst][src]
 	select {
@@ -273,12 +276,7 @@ func (m *Mem) Recv(dst, src int, timeout time.Duration) (any, error) {
 		return nil, ErrTimeout
 	}
 	t := m.timers[dst][src]
-	if t == nil {
-		t = time.NewTimer(left)
-		m.timers[dst][src] = t
-	} else {
-		t.Reset(left)
-	}
+	t.Reset(left)
 	defer t.Stop()
 	select {
 	case v := <-box:

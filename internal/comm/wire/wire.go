@@ -1015,56 +1015,43 @@ const maxKept = 4 << 20
 
 // Spares holds the data-plane blocks — KVBlock, QBlock and OBlock — that a
 // receiver handed back, for a Reader to decode later frames of the same kind
-// into. Each kind's list is a bounded channel rather than a sync.Pool, whose
-// entries every other garbage collection would drop. Safe for concurrent
-// use.
+// into: one parallel.FreeList per kind, which keeps its entries across
+// garbage collections, where a sync.Pool drops them every other one. Safe
+// for concurrent use.
 type Spares struct {
-	lists [tOBlock + 1]chan frame // by type id; nil but for the three blocks
+	kv parallel.FreeList[KVBlock]
+	q  parallel.FreeList[QBlock]
+	o  parallel.FreeList[OBlock]
 }
 
 // NewSpares returns spare lists that keep up to n blocks of each kind.
 func NewSpares(n int) *Spares {
-	s := new(Spares)
-	for _, id := range []byte{tKVBlock, tQBlock, tOBlock} {
-		s.lists[id] = make(chan frame, n)
+	return &Spares{
+		kv: parallel.NewFreeList(n, (*KVBlock).kept),
+		q:  parallel.NewFreeList(n, (*QBlock).kept),
+		o:  parallel.NewFreeList(n, (*OBlock).kept),
 	}
-	return s
 }
 
 // Recyclable reports whether Spares keeps v: a KV, query or output block
 // holding at most the keep bound.
 func Recyclable(v any) bool {
-	_, ok := spareKind(v)
-	return ok
+	b, ok := v.(interface{ kept() bool })
+	return ok && b.kept()
 }
 
-// spareKind returns the type id of a block Spares keeps.
-func spareKind(v any) (byte, bool) {
-	var id byte
-	var size int
-	switch b := v.(type) {
-	case *KVBlock:
-		if b == nil {
-			return 0, false
-		}
-		id, size = tKVBlock, tensorBytes(b.K)+tensorBytes(b.V)+8*(cap(b.Pos)+cap(b.Seq))
-	case *QBlock:
-		if b == nil {
-			return 0, false
-		}
-		id, size = tQBlock, tensorBytes(b.Q)+8*(cap(b.Pos)+cap(b.Seq))
-	case *OBlock:
-		if b == nil {
-			return 0, false
-		}
-		id = tOBlock
-		if b.Out != nil {
-			size = tensorBytes(b.Out.O) + 8*cap(b.Out.LSE)
-		}
-	default:
-		return 0, false
-	}
-	return id, size <= maxKept
+// kept reports whether Spares keeps a block: one that is not nil and holds
+// at most maxKept bytes.
+func (b *KVBlock) kept() bool {
+	return b != nil && tensorBytes(b.K)+tensorBytes(b.V)+8*(cap(b.Pos)+cap(b.Seq)) <= maxKept
+}
+
+func (b *QBlock) kept() bool {
+	return b != nil && tensorBytes(b.Q)+8*(cap(b.Pos)+cap(b.Seq)) <= maxKept
+}
+
+func (b *OBlock) kept() bool {
+	return b != nil && (b.Out == nil || tensorBytes(b.Out.O)+8*cap(b.Out.LSE) <= maxKept)
 }
 
 func tensorBytes(t *tensor.Tensor) int {
@@ -1077,27 +1064,31 @@ func tensorBytes(t *tensor.Tensor) int {
 // Put keeps v for a later decode when it is Recyclable and its kind's list
 // has room, and drops it otherwise. The caller must not touch v afterwards.
 func (s *Spares) Put(v any) {
-	id, ok := spareKind(v)
-	if !ok {
-		return
-	}
-	select {
-	case s.lists[id] <- v.(frame):
-	default:
+	switch b := v.(type) {
+	case *KVBlock:
+		s.kv.Put(b)
+	case *QBlock:
+		s.q.Put(b)
+	case *OBlock:
+		s.o.Put(b)
 	}
 }
 
-// take returns a kept block of kind id, or nil when there is none (or s is
-// nil).
+// take returns a block of kind id to decode into, kept or new, or nil when
+// id is no block kind (or s is nil).
 func (s *Spares) take(id byte) frame {
-	if s == nil || int(id) >= len(s.lists) {
+	if s == nil {
 		return nil
 	}
-	select {
-	case f := <-s.lists[id]:
-		return f
+	switch id {
+	case tKVBlock:
+		return s.kv.Get()
+	case tQBlock:
+		return s.q.Get()
+	case tOBlock:
+		return s.o.Get()
 	default:
-		return nil
+		return nil // not a block kind
 	}
 }
 

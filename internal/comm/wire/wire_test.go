@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/attention"
 	"repro/internal/tensor"
+	"repro/internal/testsupport"
 )
 
 // trickyFloats are the values a lossy or text-based codec mangles: NaN
@@ -258,6 +259,9 @@ func TestReplyModeOutsideTheCommandRejected(t *testing.T) {
 // decode. Other frames decode fresh, and a result past the keep bound is
 // not kept.
 func TestKeptRepliesReuseOneFrame(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	var stream bytes.Buffer
 	var w Writer
 	frames := []any{
@@ -319,6 +323,9 @@ func TestKeptRepliesReuseOneFrame(t *testing.T) {
 // equals a fresh decode, a shorter command after a longer one included. A
 // command past the keep bound is not kept.
 func TestKeptCommandsReuseOneFrame(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	var w Writer
 	var rd Reader
 	var src bytes.Reader

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/attention"
 	"repro/internal/tensor"
+	"repro/internal/testsupport"
 )
 
 // drainFree empties c's free list and returns its pages.
@@ -478,6 +479,9 @@ func equalRow(a, b []float32) bool {
 // reads back the rows it was given, under -race too, where the count is not
 // checked.
 func TestDecodeGrowthAllocations(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	const seqs, rows, nkv, dh = 8, 256, 1, 32
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -559,6 +563,9 @@ func TestDecodeGrowthAllocations(t *testing.T) {
 // allocates; the collector is paused and the test runs on one processor, as
 // in TestDecodeGrowthAllocations.
 func TestPageListGrowsOnce(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	const pages, nkv, dh = 40, 1, 32
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/testsupport"
 )
 
 func withWorkers(t *testing.T, n int) {
@@ -178,6 +180,9 @@ func TestJobRecyclingUnderStress(t *testing.T) {
 func TestRunAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
+	}
+	if testsupport.Alone(t) {
+		return
 	}
 	withWorkers(t, 4)
 	var total atomic.Int64

@@ -2,6 +2,8 @@ package prefixcache
 
 import (
 	"testing"
+
+	"repro/internal/testsupport"
 )
 
 // testEntry records its release so tests can assert eviction ordering.
@@ -181,6 +183,9 @@ func TestStatsCounters(t *testing.T) {
 // the tree's buffer and index the children map with it without copying, so
 // neither allocates; only a new node owns a key string.
 func TestWarmLookupAndInsertAllocateNothing(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	var released []int
 	n := 0
 	tr := mustTree(t, Config{BlockSize: 4})

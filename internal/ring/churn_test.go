@@ -12,6 +12,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/sharding"
 	"repro/internal/tensor"
+	"repro/internal/testsupport"
 )
 
 // The shape-churn script: pass-Q chunks of these lengths against sequence
@@ -212,6 +213,9 @@ func (g *churnRig) replay(round int) {
 // partial or query block reshaped while a peer still read it would be a
 // reported race.
 func TestArenasSurviveShapeChurn(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	for _, n := range []int{2, 3, 4} {
 		fresh, arena := newChurnRig(t, n, false), newChurnRig(t, n, true)
 		fresh.record, arena.record = true, true

@@ -11,6 +11,7 @@ import (
 	"repro/internal/kvcache"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
+	"repro/internal/testsupport"
 )
 
 // With BlockLen zero the block length is derived, ceil(NumSeqs/N), and a rank
@@ -178,6 +179,9 @@ func TestDecodeMasksRowsPastTheQuery(t *testing.T) {
 // row exactly what GQAKVInto computes over the sequence's pages under the
 // causal mask, and once warm the sweep allocates nothing.
 func TestDecodeMaskedFallbackIsExactAndAllocationFree(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	cache, err := kvcache.New(kvcache.Config{KVHeads: nkv, HeadDim: dh, PageSize: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/kvcache"
 	"repro/internal/model"
 	"repro/internal/parallel"
+	"repro/internal/testsupport"
 	"repro/internal/trace"
 	"repro/internal/transformer"
 )
@@ -54,6 +55,9 @@ func benchGQA8() transformer.Config {
 func TestSchedulerIterationAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
+	}
+	if testsupport.Alone(t) {
+		return
 	}
 	const sessions, prompt, window, windows = 8, 512, 128, 3
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -131,6 +135,9 @@ func TestSchedulerIterationAllocationBudget(t *testing.T) {
 func TestPersistentPrefixRequestAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
+	}
+	if testsupport.Alone(t) {
+		return
 	}
 	const prefix, suffix, out, warm, measured, perRequestKiB = 1536, 256, 32, 2, 5, 225.0
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -280,6 +287,9 @@ func TestPromptAllocatesWhatItKeeps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
+	if testsupport.Alone(t) {
+		return
+	}
 	const out, budget, eps = 4, 32.0, 2.0
 	// The collector is paused so freed pages stay on their free lists, and
 	// kernels run inline, as in TestPersistentPrefixRequestAllocationBudget.
@@ -331,6 +341,9 @@ func TestPromptAllocatesWhatItKeeps(t *testing.T) {
 func TestContentLengthIsAHint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
+	}
+	if testsupport.Alone(t) {
+		return
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	srv, err := New(Config{Transformer: thinConfig(), Ranks: 2})

@@ -121,6 +121,15 @@ func TestRecoveryInProcessFaultInjection(t *testing.T) {
 		res, err := victim.Generate(context.Background(), 2, promptB, maxTokens)
 		resB <- result{res, err}
 	}()
+	// Both sessions are admitted before the first step, so the steps
+	// interleave them and both are decoding when the link dies; a stream
+	// that started late could otherwise be the only one in flight. Nothing
+	// else waits on the manual scheduler's cond.
+	victim.mu.Lock()
+	for len(victim.sessions) < 2 {
+		victim.cond.Wait()
+	}
+	victim.mu.Unlock()
 	driveUntil(t, victim, "both streams into decode", func() bool {
 		return victim.BatchStats().DecodeTokens >= 6
 	})

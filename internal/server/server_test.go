@@ -250,10 +250,46 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
+// admittedExec holds the scheduler's first executor call until n sessions
+// are admitted, so every one of them is queued before the first iteration
+// runs, however the clients' requests fall in wall time. It waits on the
+// scheduler's cond, which only the step loop waits on otherwise, and the
+// loop is inside the call.
+type admittedExec struct {
+	executor
+	s    *Scheduler
+	n    int
+	once sync.Once
+}
+
+func (g *admittedExec) wait() {
+	g.once.Do(func() {
+		g.s.mu.Lock()
+		for len(g.s.sessions) < g.n {
+			g.s.cond.Wait()
+		}
+		g.s.mu.Unlock()
+	})
+}
+
+// SeqLen and PrefillNext are the calls a fresh session's first chunk can
+// begin with.
+func (g *admittedExec) SeqLen(seq int) int {
+	g.wait()
+	return g.executor.SeqLen(seq)
+}
+
+func (g *admittedExec) PrefillNext(seq int, tokens []int, variant model.Variant) (int, error) {
+	g.wait()
+	return g.executor.PrefillNext(seq, tokens, variant)
+}
+
 // TestConcurrentServingMatchesReferences drives many goroutine clients
 // through the full HTTP stack at once and checks (a) every session's stream
 // matches its single-session reference and (b) the scheduler actually fused
-// sessions — batch occupancy above one was observed, not assumed.
+// sessions — batch occupancy above one was observed, not assumed. The first
+// iteration waits until every client's session is admitted (admittedExec),
+// so the sessions overlap by construction rather than by timing.
 func TestConcurrentServingMatchesReferences(t *testing.T) {
 	s, err := New(Config{
 		Transformer: transformer.Tiny(321),
@@ -272,6 +308,9 @@ func TestConcurrentServingMatchesReferences(t *testing.T) {
 
 	const clients = 6
 	const maxTokens = 12
+	s.sched.mu.Lock()
+	s.sched.exec = &admittedExec{executor: s.sched.exec, s: s.sched, n: clients}
+	s.sched.mu.Unlock()
 	prompts := make([][]int, clients)
 	for i := range prompts {
 		p := make([]int, 9)

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/tensor"
+	"repro/internal/testsupport"
 )
 
 func TestPaddedLenAndChunkLen(t *testing.T) {
@@ -408,6 +409,9 @@ func TestPropertyShardUnshardIdentity(t *testing.T) {
 // batches that grow, shrink, change world size and fail in between, and a
 // plan reset to a shape no larger than one it held allocates nothing.
 func TestBatchShardResetMatchesNew(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	rng := rand.New(rand.NewSource(3))
 	var b BatchShard
 	for i := 0; i < 200; i++ {

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"repro/internal/testsupport"
 )
 
 // recordSweeps records n ring.sweep spans with all four arguments through
@@ -27,6 +29,9 @@ func recordSweeps(r *Recorder, n int) {
 // spans with four arguments allocate their records' blocks and nothing per
 // span. A Span copy plus a side block of pairs took about 235 B a span.
 func TestSpanRecordBytes(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	if got := unsafe.Sizeof(record{}); got != 80 {
 		t.Fatalf("a span record is %d bytes, want 80", got)
 	}

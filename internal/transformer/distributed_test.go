@@ -20,10 +20,14 @@ import (
 	"repro/internal/model"
 )
 
-// socketGoroutines counts the goroutines running TCP transport code — link
-// readers, heartbeats, accept loops — or started by it: what a loopback
-// cluster runs beyond its ranks.
-func socketGoroutines() int {
+// socketGoroutines counts the goroutines blocked in TCP transport code —
+// link readers, heartbeats, accept loops — or started by it: what a closed
+// loopback cluster would leave behind if it leaked one. A running or
+// runnable goroutine does not count: Close returns once its links'
+// goroutines have signalled their end (a WaitGroup's Done, Join's closed
+// accept channel), and one may still be between that signal and its exit.
+// It also returns every goroutine's stack, from the same reading.
+func socketGoroutines() (int, string) {
 	buf := make([]byte, 1<<16)
 	for {
 		if n := runtime.Stack(buf, true); n < len(buf) {
@@ -34,27 +38,13 @@ func socketGoroutines() int {
 	}
 	n := 0
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "repro/internal/comm/transport.") {
+		head, _, _ := strings.Cut(g, "\n")
+		if strings.Contains(g, "repro/internal/comm/transport.") &&
+			!strings.Contains(head, "[running") && !strings.Contains(head, "[runnable") {
 			n++
 		}
 	}
-	return n
-}
-
-// settleSockets waits until at most baseline socketGoroutines run, and fails
-// the test with every stack if that takes over ten seconds: a closed
-// cluster's links wind down after Close returns, and their goroutines must
-// not run on into the next test.
-func settleSockets(t testing.TB, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for n := socketGoroutines(); n > baseline; n = socketGoroutines() {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("%d goroutines still run transport code, baseline %d\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	return n, string(buf)
 }
 
 // startLoopbackCluster spins up n worker ranks as goroutines, each with its
@@ -65,7 +55,7 @@ func settleSockets(t testing.TB, baseline int) {
 // started: the workers and their links' readers and heartbeats.
 func startLoopbackCluster(t testing.TB, cfg Config, n, kvCapacity int) *Cluster {
 	t.Helper()
-	baseline := socketGoroutines()
+	baseline, _ := socketGoroutines()
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := range listeners {
@@ -106,7 +96,11 @@ func startLoopbackCluster(t testing.TB, cfg Config, n, kvCapacity int) *Cluster 
 				t.Errorf("worker %d exited with: %v", i, err)
 			}
 		}
-		settleSockets(t, baseline)
+		// The transport's Close returns once its links' goroutines have, so
+		// none of the cluster's may outlive it.
+		if n, stacks := socketGoroutines(); n > baseline {
+			t.Errorf("%d goroutines still run transport code, baseline %d\n%s", n, baseline, stacks)
+		}
 	})
 	return cl
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/parallel"
+	"repro/internal/testsupport"
 )
 
 // An in-process cluster's rank goroutines live as long as its plane: Close
@@ -14,6 +15,9 @@ import (
 // collector finds it unreachable. A closed cluster refuses commands rather
 // than hanging on ranks that are gone.
 func TestMemPlaneRankGoroutinesEndWithThePlane(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
 	w, err := NewWeights(Tiny(3))
 	if err != nil {
 		t.Fatal(err)
