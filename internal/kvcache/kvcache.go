@@ -23,34 +23,27 @@
 // to a peer are ever copied out (CopyRange).
 //
 // Freed pages are recycled: a page whose last holder releases it goes on the
-// cache's free list, and later appends and copy-on-write clones take pages
-// from there before they cut new ones, so a served request reuses the pages
-// of the requests before it instead of allocating its context again. The
-// lifetime rule that makes this safe: a page is reused only after its last
-// holder — a sequence or a span — releases it, and no Run (nor any slice of a
-// page from Runs) may outlive the command that took it. A holder that keeps
-// a run list between commands clears it first (ring's forgetRuns). The free
-// list is a sync.Pool, so pages nobody reuses across two collections become
-// garbage: recycled pages count toward neither TotalTokens nor Capacity.
+// cache's free stack, and later appends and copy-on-write clones take the
+// last page released before they cut new ones, so a served request reuses
+// the pages of the requests before it instead of allocating its context
+// again. The lifetime rule that makes this safe: a page is reused only after
+// its last holder — a sequence or a span — releases it, and no Run (nor any
+// slice of a page from Runs) may outlive the command that took it. A holder
+// that keeps a run list between commands clears it first (ring's
+// forgetRuns). Free pages count toward neither TotalTokens nor Capacity.
 //
-// Pages are cut in slabs. When an append must open pages and the free list
-// is empty, the cache cuts one slab of at least max(the pages the append
-// needs, slabFloorBytes of K/V): one K/V allocation holding every page's K
-// rows and then every page's V rows, one position allocation and the page
-// headers. The append takes the pages it needs; the surplus goes on the free
-// list, where the next page any sequence opens takes it first, and counts
-// toward neither TotalTokens nor Capacity until then. Decode opens one page
-// at a time, so the floor is what spreads a slab's allocations over several
-// page boundaries. A slab lives while any of its pages is held or free, so
-// one live page can pin its slab-mates: a decode-cut slab's floor at most,
-// and a prefill's slab, which holds exactly the pages the append needed, as
-// a prefix span already does.
+// Pages are cut in slabs of at least max(the pages an append needs,
+// slabFloorBytes of K/V), three allocations each, when an append must open
+// pages and the free stack is empty; the surplus goes on the free stack.
+// Decode opens one page at a time, so the floor is what spreads a slab's
+// allocations over several page boundaries. A slab is never collected:
+// every page a cache cuts stays in it, held or free, so a cache's memory is
+// its peak page count.
 package kvcache
 
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/attention"
 	"repro/internal/tensor"
@@ -67,7 +60,7 @@ const DefaultPageSize = 16
 // and V apart, then 0.434, 0.341, 0.296 and 0.271 at floors of 1, 2, 4 and
 // 8 pages, while alloc_kb_per_tok stayed at 0.660-0.663, since decode opens
 // every surplus page soon after. Past 4 pages a doubling saves a twelfth of
-// what is left, yet doubles what one live page can pin, so the floor is 4.
+// what is left, yet doubles the pages cut ahead of need, so the floor is 4.
 const slabFloorBytes = 16 << 10
 
 // Config sizes a cache.
@@ -83,15 +76,15 @@ type Config struct {
 type Cache struct {
 	cfg   Config
 	seqs  map[int]*seqCache
-	total int       // physical rows across unique live pages
-	free  sync.Pool // *page: released and surplus pages, empty, for the next append to reuse
-	slab  int       // the fewest pages a fresh slab holds (slabFloorBytes of K/V)
+	total int     // physical rows across unique live pages
+	free  []*page // released and surplus pages, empty: a stack, the next page opened on top
+	slab  int     // the fewest pages a fresh slab holds (slabFloorBytes of K/V)
 }
 
 // page is a refcounted block of PageSize KV rows: k and v are row-major
 // [PageSize][NKV][DH], of which the first len(pos) rows are filled, pos
 // holding their positions. refs counts the sequences and spans holding it; a
-// page is freed (its rows returned to capacity, the page to the free list)
+// page is freed (its rows returned to capacity, the page to the free stack)
 // when refs reaches zero.
 type page struct {
 	k, v []float32
@@ -220,7 +213,7 @@ func (c *Cache) Append(seq int, k, v *tensor.Tensor, pos []int) error {
 }
 
 // pageSource hands out the pages one append opens, a copy-on-write clone
-// first: recycled pages while the free list has them, then one slab cut for
+// first: recycled pages while the free stack has them, then one slab cut for
 // every page still to open.
 type pageSource struct {
 	fresh []page // the slab's pages not yet handed out
@@ -231,7 +224,9 @@ type pageSource struct {
 func (c *Cache) open(src *pageSource) *page {
 	src.left--
 	if len(src.fresh) == 0 {
-		if pg, _ := c.free.Get().(*page); pg != nil {
+		if n := len(c.free); n > 0 {
+			pg := c.free[n-1]
+			c.free = c.free[:n-1]
 			pg.refs = 1
 			return pg
 		}
@@ -265,14 +260,13 @@ func (c *Cache) appendRow(sc *seqCache, kRow, vRow []float32, pos int, src *page
 }
 
 // newPages cuts a slab of max(need, c.slab) empty pages and returns the
-// first need of them, with one reference each; the rest go on the free list
+// first need of them, with one reference each; the rest go on the free stack
 // for the next page any sequence opens. A slab is one K/V allocation (every
 // page's K rows, then every page's V rows, so K and V each stay contiguous
 // across the slab), one position allocation and the page headers: the pages
-// an append opens past what the free list supplies lie back to back in
+// an append opens past what the free stack supplies lie back to back in
 // memory, so attention walking them in place streams through them as through
-// one array. A slab lives as long as any of its pages is held or on the free
-// list; its rows are counted page by page, as the pages are opened and freed.
+// one array.
 func (c *Cache) newPages(need int) []page {
 	ps := c.cfg.PageSize
 	rows := ps * c.rowLen()
@@ -286,7 +280,7 @@ func (c *Cache) newPages(need int) []page {
 	}
 	// Last first, as releaseAll frees.
 	for i := n - 1; i >= need; i-- {
-		c.free.Put(&pages[i])
+		c.free = append(c.free, &pages[i])
 	}
 	pages = pages[:need]
 	for i := range pages {
@@ -318,20 +312,20 @@ func (c *Cache) cowTail(ref *pageRef, src *pageSource) {
 }
 
 // releaseRef drops one holder of a page. At zero refs the page's rows leave
-// the capacity count and the page, emptied, goes on the free list.
+// the capacity count and the page, emptied, goes on the free stack.
 func (c *Cache) releaseRef(ref pageRef) {
 	pg := ref.pg
 	pg.refs--
 	if pg.refs == 0 {
 		c.total -= len(pg.pos)
 		pg.pos = pg.pos[:0]
-		c.free.Put(pg)
+		c.free = append(c.free, pg)
 	}
 }
 
-// releaseAll drops one holder of each of refs, last page first: the free list
-// is last in, first out, so the next append takes the pages back in the
-// order they were held, which for pages cut from one slab is address order.
+// releaseAll drops one holder of each of refs, last page first, so the next
+// append takes the pages back off the free stack in the order they were
+// held, which for pages cut from one slab is address order.
 func (c *Cache) releaseAll(refs []pageRef) {
 	for i := len(refs) - 1; i >= 0; i-- {
 		c.releaseRef(refs[i])
@@ -374,7 +368,7 @@ func (c *Cache) CopyRange(seq, lo int, k, v []float32, pos []int) int {
 // page. A run's rows stay as they are until the sequence is dropped or the
 // command that took the runs ends, whichever is first: appends write past
 // every holder's visible rows or into a private clone, but a dropped
-// sequence's pages go back to the free list for the next append to rewrite
+// sequence's pages go back to the free stack for the next append to rewrite
 // (the lifetime rule in the package doc).
 func (c *Cache) Runs(dst []attention.Run, seq int) []attention.Run {
 	sc := c.seqs[seq]
@@ -423,6 +417,11 @@ func (c *Cache) MaxPos(seq int) int {
 // TotalTokens returns the rank-wide physical cached token count: every live
 // page's rows counted once, however many sequences and spans share it.
 func (c *Cache) TotalTokens() int { return c.total }
+
+// FreePages returns the pages on the free stack, which the cache still owns.
+//
+//cplint:allow testonly TestResidentKVIsOneCopy counts the pages a drop frees
+func (c *Cache) FreePages() int { return len(c.free) }
 
 // Capacity returns the configured token capacity (0 = unlimited).
 func (c *Cache) Capacity() int { return c.cfg.Capacity }

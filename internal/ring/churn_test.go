@@ -227,7 +227,7 @@ func TestArenasSurviveShapeChurn(t *testing.T) {
 				fresh.outs[r], arena.outs[r] = nil, nil
 			}
 		}
-		if raceDetector {
+		if testsupport.Race {
 			continue // the race detector allocates on its own account
 		}
 		// A collection would empty the runtime's per-processor caches of

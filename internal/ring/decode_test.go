@@ -221,9 +221,6 @@ func TestDecodeMaskedFallbackIsExactAndAllocationFree(t *testing.T) {
 		LSE: out.LSE[nh : 2*nh],
 	}
 	requireSameOutputs(t, []*attention.Output{want}, []*attention.Output{&row})
-	if raceDetector {
-		return // the race detector makes sync.Pool drop entries at random
-	}
 	defer parallel.SetWorkers(parallel.SetWorkers(1)) // kernels inline, as TestArenasSurviveShapeChurn says why
 	allocs := testing.AllocsPerRun(10, func() {
 		if err := decodeBlockAttention(cache, s, blk, out); err != nil {

@@ -194,7 +194,7 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 		}
 		s.prefills = s.prefills[1:]
 		pj.err = &ExecError{fmt.Errorf("prefill: %w", err)}
-		close(pj.done)
+		s.completeLocked(pj)
 		// A failed chunk leaves indeterminate partial KV: quarantine the
 		// session so nothing decodes against it, and — if no other queued
 		// work references it — free its admission slot rather than holding
@@ -249,7 +249,7 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 		return now
 	}
 	s.cohortHandlesLocked(pj.cohort).e2e.Observe(now.Sub(pj.start).Seconds())
-	close(pj.done)
+	s.completeLocked(pj)
 	return now
 }
 

@@ -266,14 +266,16 @@ type Scheduler struct {
 // iterScratch holds what one iteration assembles: the fused batch and the
 // decode pool it leaves behind (spare is the pool's other buffer, swapped
 // with it every iteration), the sessions the iteration has claimed, the
-// executor's inputs, the decode.batch span's arguments and the report's
-// session list. Only the step loop touches it.
+// executor's inputs, the decode.batch span's arguments, the report's
+// session list and the requests the iteration completed, answered once its
+// stats are recorded. Only the step loop touches it.
 type iterScratch struct {
 	dbatch, spare []*request
 	used          map[int]bool
 	ids, toks     []int
 	args          []trace.Arg
 	sessions      []int
+	completed     []*request
 }
 
 // NewScheduler wraps a cluster in a continuous-batching step loop. Unless

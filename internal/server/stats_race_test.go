@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,4 +171,81 @@ func TestStatsHammerUnderTraffic(t *testing.T) {
 		}
 		hammer(t, srv, false)
 	})
+}
+
+// A reply comes after its iteration is counted: a client that reads the
+// batch stats as its request returns finds the prefill chunks and decode
+// steps the request ran already in them. Four clients each run 25 short
+// generate requests (one 4-token chunk, then 2 decode steps) while a fifth
+// keeps prefilling 64-token prompts, 16 chunks each, so most iterations
+// are mixed and the decode side, holding the older requests, runs first:
+// a request that completes on it is answered while the same iteration's
+// prefill chunk still runs. After each reply a client adds its request's
+// chunks and steps to shared totals and then reads the stats, which must
+// hold at least those totals, since every added request has replied.
+func TestRepliesFollowTheirIterationStats(t *testing.T) {
+	const clients, requests, budget, maxTokens, long = 4, 25, 4, 3, 64
+	w, err := transformer.NewWeights(transformer.Tiny(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := transformer.NewCluster(w, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewScheduler(cluster, SchedulerConfig{TokenBudget: budget, PrefixCacheTokens: -1})
+	defer s.Close()
+	var chunks, steps atomic.Int64
+	replied := func(who string, c, d int64) {
+		wantChunks, wantSteps := chunks.Add(c), steps.Add(d)
+		if st := s.BatchStats(); st.PrefillChunks < wantChunks || st.DecodeTokens < wantSteps {
+			t.Errorf("%s replied before its iteration was counted: stats hold %d chunks and %d decode steps, replies so far %d and %d",
+				who, st.PrefillChunks, st.DecodeTokens, wantChunks, wantSteps)
+		}
+	}
+	stop := make(chan struct{})
+	prefilled := make(chan struct{})
+	go func() {
+		defer close(prefilled)
+		prompt := make([]int, long)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for j := range prompt {
+				prompt[j] = 1 + (i+j)%40
+			}
+			if _, err := s.PrefillWith(context.Background(), 50, prompt, RequestOptions{}); err != nil {
+				t.Errorf("long prefill: %v", err)
+				return
+			}
+			replied("a long prefill", long/budget, 0)
+			s.Release(50)
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range requests {
+				res, err := s.Generate(context.Background(), g+1, []int{1 + g, 2, 3 + i%5, 4}, maxTokens)
+				if err != nil {
+					t.Errorf("client %d request %d: %v", g, i, err)
+					return
+				}
+				if len(res.Tokens) != maxTokens {
+					t.Errorf("client %d request %d: %d tokens, want %d", g, i, len(res.Tokens), maxTokens)
+					return
+				}
+				replied("a generate", 1, maxTokens-1)
+				s.Release(g + 1)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-prefilled
 }

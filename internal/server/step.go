@@ -132,8 +132,21 @@ func (s *Scheduler) step() (IterReport, bool) {
 	s.lastIter = report
 	s.lastIter.DecodeSessions = append(last[:0], report.DecodeSessions...)
 	s.mu.Unlock()
+	// Only now are the iteration's requests answered: a client that reads
+	// the stats on its reply finds the iteration in them.
+	for _, r := range it.completed {
+		close(r.done)
+	}
+	clear(it.completed)
+	it.completed = it.completed[:0]
 	clear(dbatch)
 	return report, true
+}
+
+// completeLocked answers r at the end of the iteration that completed it,
+// after the iteration's stats are recorded; caller holds s.mu.
+func (s *Scheduler) completeLocked(r *request) {
+	s.iter.completed = append(s.iter.completed, r)
 }
 
 // recordWaitLocked accounts the runnable-to-execution delay of a request
@@ -217,7 +230,7 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 		for _, r := range dbatch {
 			if bad[r.session] {
 				r.err = &ExecError{fmt.Errorf("decode: %w", err)}
-				close(r.done)
+				s.completeLocked(r)
 				s.quarantineLocked(r.session)
 				s.maybeFreeSlotLocked(r.session)
 				s.reuse.CapacityQuarantines++
@@ -255,7 +268,7 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 		// session no longer decodable until re-prefilled.
 		for _, r := range dbatch {
 			r.err = &ExecError{fmt.Errorf("decode: %w", err)}
-			close(r.done)
+			s.completeLocked(r)
 			s.quarantineLocked(r.session)
 		}
 		// As with a failed prefill chunk: a quarantined session holds no
@@ -306,19 +319,19 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 			// step's) as a successful, truncated response. Shutdown stays
 			// bounded by one iteration, not by the stream's remaining
 			// (possibly millions of) steps.
-			close(r.done)
+			s.completeLocked(r)
 		case r.pending > 0 && !s.prefilled[r.session]:
 			// Released while this step was in flight; don't requeue a
 			// decode against soon-to-be-evicted KV.
 			r.err = releasedErr(r.session)
-			close(r.done)
+			s.completeLocked(r)
 		case r.pending > 0:
 			r.token = next
 			r.queuedAt = now
 			s.decodes = append(s.decodes, r)
 		default:
 			s.cohortHandlesLocked(r.cohort).e2e.Observe(now.Sub(r.start).Seconds())
-			close(r.done)
+			s.completeLocked(r)
 			if r.canceled && r.collect {
 				// The stream finished, but its client vanished and will
 				// never DELETE the session; reclaim it.
