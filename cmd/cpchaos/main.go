@@ -320,17 +320,15 @@ func soakOnce(cfg transformer.Config, sched *chaos.Schedule, seed int64, session
 
 	// Span-leak check: traffic has stopped, so a second trace sync must
 	// surface zero new spans — anything still producing is a leak.
-	if rec := srv.Recorder(); rec != nil {
-		if err := srv.WriteTrace(io.Discard, false); err != nil {
-			return nil, fmt.Errorf("trace sync: %w", err)
-		}
-		before := rec.SpanCount()
-		if err := srv.WriteTrace(io.Discard, false); err != nil {
-			return nil, fmt.Errorf("trace re-sync: %w", err)
-		}
-		if after := rec.SpanCount(); after != before {
-			return nil, fmt.Errorf("span leak: %d new spans surfaced after traffic stopped", after-before)
-		}
+	if err := srv.WriteTrace(io.Discard, false); err != nil {
+		return nil, fmt.Errorf("trace sync: %w", err)
+	}
+	before := srv.Recorder().SpanCount()
+	if err := srv.WriteTrace(io.Discard, false); err != nil {
+		return nil, fmt.Errorf("trace re-sync: %w", err)
+	}
+	if after := srv.Recorder().SpanCount(); after != before {
+		return nil, fmt.Errorf("span leak: %d new spans surfaced after traffic stopped", after-before)
 	}
 	if metricsOut != "" {
 		f, err := os.Create(metricsOut)

@@ -63,7 +63,6 @@ func main() {
 	brownoutSLO := flag.Duration("brownout-slo", 0, "queue-wait p90 SLO arming brownout overload control: past it, new sessions get 429 + Retry-After (0 = off)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default; profiling endpoints should not ship publicly)")
 	traceOut := flag.String("trace-out", "", "write the span trace at shutdown: Chrome-trace JSON if the path ends in .json, deterministic JSONL otherwise")
-	noTrace := flag.Bool("no-trace", false, "disable the observability recorder (no /metrics, /v1/trace, or latency histograms; outputs are bit-identical either way)")
 	cohortsFlag := flag.String("cohorts", "", "comma-separated workload cohort labels to pre-register for per-cohort latency series (requests tag themselves via the \"cohort\" JSON field)")
 	flag.Parse()
 
@@ -139,17 +138,12 @@ func main() {
 		HeartbeatEvery:    *heartbeatEvery,
 		HeartbeatMisses:   *heartbeatMisses,
 		BrownoutSLO:       *brownoutSLO,
-		NoTrace:           *noTrace,
 		Cohorts:           splitCohorts(*cohortsFlag),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	if *traceOut != "" && *noTrace {
-		fmt.Fprintln(os.Stderr, "cpserve: -trace-out requires tracing (drop -no-trace)")
-		os.Exit(1)
-	}
 
 	handler := srv.Handler()
 	if *pprofOn {

@@ -178,9 +178,6 @@ func TestJobRecyclingUnderStress(t *testing.T) {
 // A warm RunRecycled allocates nothing: the pool's job and the copy of the
 // task both come off free lists.
 func TestRunAllocatesNothing(t *testing.T) {
-	if testsupport.Race {
-		t.Skip("the race detector's instrumentation allocates")
-	}
 	if testsupport.Alone(t) {
 		return
 	}

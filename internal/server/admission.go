@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // request is one client call moving through the scheduler: an optional
@@ -205,7 +203,6 @@ func (s *Scheduler) enqueue(r *request) error {
 				// this one (and any queued admission already past the SLO)
 				// rather than deepen a backlog we cannot drain in time.
 				s.shedAdmitQueueLocked(now)
-				s.overload.BrownoutShed++
 				s.cShed.Inc(1)
 				ra := s.retryAfterLocked()
 				s.mu.Unlock()
@@ -221,7 +218,7 @@ func (s *Scheduler) enqueue(r *request) error {
 		}
 		s.decodes = append(s.decodes, r)
 	}
-	s.rec.CounterSeries("cp_requests_total", trace.L("class", string(cls))).Inc(1)
+	s.cRequests[cls].Inc(1)
 	s.cohortHandlesLocked(r.cohort).req.Inc(1)
 	s.cond.Signal()
 	s.mu.Unlock()

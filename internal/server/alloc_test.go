@@ -53,9 +53,6 @@ func benchGQA8() transformer.Config {
 // one-page slab of 4 objects, and 86.5–86.9 before the step loop and the
 // layers under it kept their scratch.
 func TestSchedulerIterationAllocationBudget(t *testing.T) {
-	if testsupport.Race {
-		t.Skip("the race detector allocates on its own account")
-	}
 	if testsupport.Alone(t) {
 		return
 	}
@@ -133,9 +130,6 @@ func TestSchedulerIterationAllocationBudget(t *testing.T) {
 // every chunk length. The constant is about twice the most a request
 // measured, so a reallocated tail, at 780 KiB a request, cannot pass.
 func TestPersistentPrefixRequestAllocationBudget(t *testing.T) {
-	if testsupport.Race {
-		t.Skip("the race detector allocates on its own account")
-	}
 	if testsupport.Alone(t) {
 		return
 	}
@@ -284,9 +278,6 @@ func servedPrompt(t *testing.T, h http.Handler, prompt []int, out int) uint64 {
 // exceed the 2k one by more than 2 B, so nothing that grows with the
 // context may creep in.
 func TestPromptAllocatesWhatItKeeps(t *testing.T) {
-	if testsupport.Race {
-		t.Skip("the race detector allocates on its own account")
-	}
 	if testsupport.Alone(t) {
 		return
 	}
@@ -337,9 +328,6 @@ func TestPromptAllocatesWhatItKeeps(t *testing.T) {
 // declares 1 GiB and sends a short body is answered as the same body with
 // its true length is, and allocates less than 1 MiB on the way.
 func TestContentLengthIsAHint(t *testing.T) {
-	if testsupport.Race {
-		t.Skip("the race detector allocates on its own account")
-	}
 	if testsupport.Alone(t) {
 		return
 	}

@@ -201,19 +201,18 @@ func TestCohortUnknownLabelsBounded(t *testing.T) {
 }
 
 // TestCohortBitIdentity extends the tracing acceptance bar to cohort
-// labeling: tagging requests with cohorts (with tracing on or off) must not
-// change a single served token relative to untagged runs — the label path
-// only touches metric handles, never the model.
+// labeling: tagging requests with cohorts must not change a single served
+// token relative to untagged runs — the label path only touches metric
+// handles, never the model.
 func TestCohortBitIdentity(t *testing.T) {
 	prompt := []int{4, 19, 22, 7, 3, 11, 2, 9, 14, 5}
 	cohorts := []string{"chat", "rag", "agentic"}
-	run := func(tag bool, noTrace bool) [][]int {
+	run := func(tag bool) [][]int {
 		srv, err := New(Config{
 			Transformer: transformer.Tiny(13),
 			Ranks:       2,
 			Variant:     model.Auto,
 			TokenBudget: 4,
-			NoTrace:     noTrace,
 			Cohorts:     cohorts,
 		})
 		if err != nil {
@@ -234,17 +233,10 @@ func TestCohortBitIdentity(t *testing.T) {
 		}
 		return out
 	}
-	base := run(false, false)
-	for _, v := range []struct {
-		name string
-		tag  bool
-		off  bool
-	}{{"tagged-traced", true, false}, {"tagged-untraced", true, true}, {"untagged-untraced", false, true}} {
-		got := run(v.tag, v.off)
-		for i := range base {
-			if fmt.Sprint(base[i]) != fmt.Sprint(got[i]) {
-				t.Fatalf("%s session %d: tokens %v != baseline %v", v.name, i+1, got[i], base[i])
-			}
+	base, tagged := run(false), run(true)
+	for i := range base {
+		if fmt.Sprint(base[i]) != fmt.Sprint(tagged[i]) {
+			t.Fatalf("session %d: tagged tokens %v != untagged %v", i+1, tagged[i], base[i])
 		}
 	}
 }

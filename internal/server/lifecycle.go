@@ -5,12 +5,14 @@ import (
 	"time"
 
 	"repro/internal/prefixcache"
+	"repro/internal/trace"
 	"repro/internal/transformer"
 )
 
 // QueueStats aggregates per-class scheduling metrics. For prefill, one
 // execution is one chunk; for decode, one execution is one fused step of one
-// session. Waits measure runnable-to-execution delay per execution.
+// session. Waits measure runnable-to-execution delay per execution; Executed
+// is the observation count of the class's cp_queue_wait_seconds.
 type QueueStats struct {
 	Executed  int64
 	TotalWait time.Duration
@@ -20,7 +22,7 @@ type QueueStats struct {
 // BatchStats aggregates iteration-level batching metrics.
 type BatchStats struct {
 	Iterations      int64   `json:"iterations"`       // step-loop iterations that executed work
-	PrefillChunks   int64   `json:"prefill_chunks"`   // prefill chunks executed
+	PrefillChunks   int64   `json:"prefill_chunks"`   // live chunks whose ring pass succeeded (cp_prefill_chunks_total)
 	PrefillTokens   int64   `json:"prefill_tokens"`   // prompt tokens prefilled
 	DecodeTokens    int64   `json:"decode_tokens"`    // decode steps executed (one token each)
 	MixedIterations int64   `json:"mixed_iterations"` // iterations with both a chunk and >=1 decode
@@ -182,7 +184,9 @@ func (s *Scheduler) Stats() map[Class]QueueStats {
 	defer s.mu.Unlock()
 	out := make(map[Class]QueueStats, len(s.queueStats))
 	for c, st := range s.queueStats {
-		out[c] = *st
+		st := *st
+		st.Executed = int64(s.hWait[c].HistCount())
+		out[c] = st
 	}
 	return out
 }
@@ -191,15 +195,22 @@ func (s *Scheduler) Stats() map[Class]QueueStats {
 func (s *Scheduler) BatchStats() BatchStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.batch
+	out := s.batch
+	out.PrefillChunks = count(s.cChunk)
+	return out
 }
 
 // Reuse snapshots prefix-reuse and variant-selection telemetry.
 func (s *Scheduler) Reuse() ReuseStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.reuse
+	out := s.reuse
+	out.Hits, out.Detached = count(s.cAdopt), count(s.cDetach)
+	return out
 }
+
+// count reads a counter the scheduler keeps in its recorder.
+func count(c *trace.Series) int64 { return int64(c.Snap().Value) }
 
 // PrefixStats snapshots the prefix tree's telemetry; ok is false when prefix
 // reuse is disabled.

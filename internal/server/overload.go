@@ -28,7 +28,8 @@ func (e *OverloadError) Error() string {
 	return fmt.Sprintf("server: overloaded, retry after %s", e.RetryAfter)
 }
 
-// OverloadStats is the /v1/stats "overload" block.
+// OverloadStats is the /v1/stats "overload" block. Its three counts are the
+// recorder's cp_overload_* counters.
 type OverloadStats struct {
 	// BrownoutSLOSec mirrors the configured queue-wait SLO (0 = brownout
 	// disabled).
@@ -59,9 +60,9 @@ func (s *Scheduler) retryAfterLocked() time.Duration {
 
 // brownoutLocked evaluates (with caching) whether the scheduler is browned
 // out: the p90 queue wait of the observations recorded since the previous
-// refresh exceeds the SLO. With tracing disabled — or a window holding no
-// executions at all, the signature of a wedged or saturated step loop — it
-// falls back to the age of the oldest request still waiting for admission.
+// refresh exceeds the SLO. When the window holds no executions at all, the
+// signature of a wedged or saturated step loop, it falls back to the age of
+// the oldest request still waiting for admission.
 // Caller holds s.mu.
 func (s *Scheduler) brownoutLocked(now time.Time) bool {
 	if s.cfg.BrownoutSLO <= 0 {
@@ -108,7 +109,6 @@ func (s *Scheduler) shedAdmitQueueLocked(now time.Time) {
 		if now.Sub(r.queuedAt) > s.cfg.BrownoutSLO {
 			r.err = &OverloadError{RetryAfter: s.retryAfterLocked()}
 			close(r.done)
-			s.overload.BrownoutShed++
 			s.cShed.Inc(1)
 			continue
 		}
@@ -121,26 +121,23 @@ func (s *Scheduler) shedAdmitQueueLocked(now time.Time) {
 // holds s.mu.
 func (s *Scheduler) noteDeadlineLocked(cause error) {
 	if errors.Is(cause, context.DeadlineExceeded) {
-		s.overload.DeadlineExpired++
 		s.cDeadline.Inc(1)
 	}
 }
 
 // noteRetryAfter counts a Retry-After header going out (the HTTP layer
 // calls it when it maps an OverloadError).
-func (s *Scheduler) noteRetryAfter() {
-	s.mu.Lock()
-	s.overload.RetryAfterIssued++
-	s.mu.Unlock()
-	s.cRetryAfter.Inc(1)
-}
+func (s *Scheduler) noteRetryAfter() { s.cRetryAfter.Inc(1) }
 
 // OverloadStats snapshots the deadline/brownout telemetry.
 func (s *Scheduler) OverloadStats() OverloadStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := s.overload
-	out.BrownoutSLOSec = s.cfg.BrownoutSLO.Seconds()
-	out.BrownoutActive = s.brownoutOn
-	return out
+	return OverloadStats{
+		BrownoutSLOSec:   s.cfg.BrownoutSLO.Seconds(),
+		BrownoutActive:   s.brownoutOn,
+		DeadlineExpired:  count(s.cDeadline),
+		BrownoutShed:     count(s.cShed),
+		RetryAfterIssued: count(s.cRetryAfter),
+	}
 }

@@ -15,10 +15,11 @@ import (
 // ReuseStats aggregates prefix-reuse and variant-selection telemetry. Token
 // counts cover prompt prefill only: cached tokens were served from the
 // prefix tree, computed tokens went through a ring pass. Recovery replay
-// counts here by the same rules as live traffic.
+// counts here by the same rules as live traffic. Hits and Detached are the
+// recorder's cp_prefix_adopt_total and cp_prefix_detach_total.
 type ReuseStats struct {
 	Lookups        int64 `json:"lookups"`         // first-chunk prefix-tree consultations
-	Hits           int64 `json:"hits"`            // lookups that adopted a cached prefix
+	Hits           int64 `json:"hits"`            // adoptions settled by a successful suffix chunk
 	CachedTokens   int64 `json:"cached_tokens"`   // prompt tokens adopted from the tree
 	ComputedTokens int64 `json:"computed_tokens"` // prompt tokens prefilled on the ring
 	Detached       int64 `json:"detached"`        // sessions that donated KV
@@ -64,7 +65,6 @@ func (s *Scheduler) prefillChunk(r *request, start time.Time) chunkOutcome {
 		lookedUp = true
 		if hit, entry := s.tree.Lookup(r.prompt); hit > 0 {
 			if pre, ok := entry.(*transformer.PrefixKV); ok && s.exec.AdoptPrefix(r.session, pre) == nil {
-				s.rec.CounterSeries("cp_prefix_adopt_total").Inc(1)
 				s.span("prefix.adopt", "cache", r.session, start, s.now(), trace.Arg{Key: "tokens", Val: int64(hit)})
 				out.adopted, r.adopted, r.consumed = hit, hit, hit
 			}
@@ -113,7 +113,7 @@ func (s *Scheduler) prefillChunk(r *request, start time.Time) chunkOutcome {
 	// pending count rides the request, not the stack, so a chunk retried
 	// after recovery still settles it.
 	if r.adopted > 0 {
-		s.reuse.Hits++
+		s.cAdopt.Inc(1)
 		s.reuse.CachedTokens += int64(r.adopted)
 		r.adopted = 0
 	}
@@ -147,6 +147,11 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.executing = nil
+	if out.err == nil {
+		// A chunk counts once its ring pass succeeded, whatever then becomes
+		// of its request; recovery replay's chunks do not count.
+		s.cChunk.Inc(1)
+	}
 	// The canonical prefix is only ever read to donate it, which a session
 	// that opted out (sticky noDetach) never does: such a session records
 	// none.
@@ -206,14 +211,11 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 	}
 	chunk := pj.prompt[pj.consumed-out.n : pj.consumed]
 	s.appendLogLocked(pj.session, false, chunk...)
-	s.cChunk.Inc(1)
-	if s.rec != nil {
-		args := []trace.Arg{{Key: "tokens", Val: int64(out.n)}, {Key: "pos", Val: int64(out.pos)}}
-		if pj.cohort != "" {
-			args = append(args, trace.Arg{Key: "cohort", Val: s.cohorts.ID(pj.cohort)})
-		}
-		s.span("prefill.chunk", "prefill", pj.session, start, now, args...)
+	args := []trace.Arg{{Key: "tokens", Val: int64(out.n)}, {Key: "pos", Val: int64(out.pos)}}
+	if pj.cohort != "" {
+		args = append(args, trace.Arg{Key: "cohort", Val: s.cohorts.ID(pj.cohort)})
 	}
+	s.span("prefill.chunk", "prefill", pj.session, start, now, args...)
 	// The canonical prefix grows only through full-budget chunks landing
 	// exactly on its frontier; the first tail chunk or decode step freezes
 	// it for good. Only canonical tokens may ever enter the prefix tree.
@@ -310,9 +312,8 @@ func (s *Scheduler) donatePrefix(session int, hist []int) {
 		return
 	}
 	s.mu.Lock()
-	s.reuse.Detached++
+	s.cDetach.Inc(1)
 	s.reuse.DetachedTokens += int64(added)
 	s.mu.Unlock()
-	s.rec.CounterSeries("cp_prefix_detach_total").Inc(1)
 	s.span("prefix.detach", "cache", session, start, s.now(), trace.Arg{Key: "tokens", Val: int64(added)})
 }

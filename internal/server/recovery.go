@@ -48,8 +48,9 @@ type RecoveryStats struct {
 	Enabled bool `json:"enabled"`
 	// Epoch is the cluster incarnation (1 = never rebuilt).
 	Epoch uint64 `json:"epoch"`
-	// Rebuilds counts completed epoch rebuilds; Attempts counts tries
-	// (failed dials included). Attempts is bounded by MaxRecoveries for
+	// Rebuilds counts completed epoch rebuilds (the recorder's
+	// cp_recovery_replays_total); Attempts counts tries (failed dials
+	// included). Attempts is bounded by MaxRecoveries for
 	// the scheduler's lifetime.
 	Rebuilds      int64 `json:"rebuilds"`
 	Attempts      int64 `json:"attempts"`
@@ -228,10 +229,9 @@ func (s *Scheduler) recoverClusterLocked(cause error) error {
 		}
 		epoch := s.exec.Epoch()
 		s.mu.Lock()
-		s.recStats.Rebuilds++
+		s.cReplay.Inc(1)
 		s.recStats.Epoch = epoch
 		s.mu.Unlock()
-		s.rec.CounterSeries("cp_recovery_replays_total").Inc(1)
 		s.rec.RecordSpan(trace.Span{
 			Name: "recovery.replay", Cat: "recovery", Rank: trace.CoordinatorRank, Seq: trace.NoSeq,
 			Epoch: epoch,
@@ -387,5 +387,7 @@ func (s *Scheduler) failRecoverableLocked(cause error) {
 func (s *Scheduler) RecoveryStats() RecoveryStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.recStats
+	out := s.recStats
+	out.Rebuilds = count(s.cReplay)
+	return out
 }

@@ -23,6 +23,7 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -223,16 +224,23 @@ type Scheduler struct {
 	lastIter   IterReport
 	reuse      ReuseStats
 
-	// rec is the cluster's trace recorder (nil = tracing off; every handle
-	// below is then a nil no-op). The scheduler records serving-layer latency
-	// histograms and per-request spans into it; the ring layers record the
-	// per-sweep phase breakdowns into the same store.
-	rec    *trace.Recorder
-	hTTFT  *trace.Series // cp_request_ttft_seconds
-	hITL   *trace.Series // cp_request_itl_seconds
-	hStep  *trace.Series // cp_step_seconds
-	hWait  map[Class]*trace.Series
-	cChunk *trace.Series // cp_prefill_chunks_total
+	// rec is the serving recorder, never nil: the cluster's when it traces,
+	// the scheduler's own otherwise. The scheduler records serving-layer
+	// latency histograms, per-request spans and its event counters into it;
+	// a tracing cluster's ring layers record the per-sweep phase breakdowns
+	// into the same store. The counters below are the only store of the
+	// numbers they count: the stats accessors read them back, so /v1/stats
+	// and /metrics report one value.
+	rec       *trace.Recorder
+	hTTFT     *trace.Series // cp_request_ttft_seconds
+	hITL      *trace.Series // cp_request_itl_seconds
+	hStep     *trace.Series // cp_step_seconds
+	hWait     map[Class]*trace.Series
+	cRequests map[Class]*trace.Series // cp_requests_total
+	cChunk    *trace.Series           // cp_prefill_chunks_total
+	cAdopt    *trace.Series           // cp_prefix_adopt_total
+	cDetach   *trace.Series           // cp_prefix_detach_total
+	cReplay   *trace.Series           // cp_recovery_replays_total
 
 	// cohorts bounds cohort-label cardinality; cohortSeries caches the
 	// per-cohort handle set (guarded by s.mu).
@@ -241,8 +249,7 @@ type Scheduler struct {
 
 	// Overload-control state (overload.go): cached brownout verdict, the
 	// previous queue-wait snapshot it was computed against, and the
-	// deadline/shed/Retry-After counters surfaced in /v1/stats and /metrics.
-	overload     OverloadStats
+	// deadline/shed/Retry-After counters.
 	brownoutPrev trace.SeriesSnap
 	brownoutAt   time.Time
 	brownoutOn   bool
@@ -278,16 +285,19 @@ type iterScratch struct {
 	completed     []*request
 }
 
-// NewScheduler wraps a cluster in a continuous-batching step loop. Unless
-// cfg.Manual is set, a background goroutine drives iterations until Close.
+// NewScheduler wraps a cluster in a continuous-batching step loop, recording
+// into the cluster's recorder, or into one of its own over an untraced
+// cluster. Unless cfg.Manual is set, a background goroutine drives
+// iterations until Close.
 func NewScheduler(cluster *transformer.Cluster, cfg SchedulerConfig) *Scheduler {
-	s := newScheduler(cluster, cluster.W.Cfg.Model, cluster.Recorder(), wallClock, cfg)
+	s := newScheduler(cluster, cluster.W.Cfg.Model, cmp.Or(cluster.Recorder(), trace.New()), wallClock, cfg)
 	s.cluster = cluster
 	return s
 }
 
 // newScheduler builds the engine over the two seams: exec stands for the
-// ranks (serving a model of shape mc, tracing into rec) and now for the clock.
+// ranks (serving a model of shape mc, recording into rec, which is never
+// nil) and now for the clock.
 func newScheduler(exec executor, mc model.Config, rec *trace.Recorder, now func() time.Time, cfg SchedulerConfig) *Scheduler {
 	cfg.applyDefaults()
 	s := &Scheduler{
@@ -316,7 +326,17 @@ func newScheduler(exec executor, mc model.Config, rec *trace.Recorder, now func(
 		ClassPrefill: s.rec.Hist("cp_queue_wait_seconds", trace.L("class", string(ClassPrefill))),
 		ClassDecode:  s.rec.Hist("cp_queue_wait_seconds", trace.L("class", string(ClassDecode))),
 	}
+	s.cRequests = map[Class]*trace.Series{
+		ClassPrefill: s.rec.CounterSeries("cp_requests_total", trace.L("class", string(ClassPrefill))),
+		ClassDecode:  s.rec.CounterSeries("cp_requests_total", trace.L("class", string(ClassDecode))),
+	}
 	s.cChunk = s.rec.CounterSeries("cp_prefill_chunks_total")
+	s.cAdopt = s.rec.CounterSeries("cp_prefix_adopt_total")
+	s.cDetach = s.rec.CounterSeries("cp_prefix_detach_total")
+	s.cReplay = s.rec.CounterSeries("cp_recovery_replays_total")
+	s.cDeadline = s.rec.CounterSeries("cp_overload_deadline_expired_total")
+	s.cShed = s.rec.CounterSeries("cp_overload_shed_total")
+	s.cRetryAfter = s.rec.CounterSeries("cp_overload_retry_after_total")
 	s.cohorts = trace.NewLabelPool(0, cfg.Cohorts...)
 	s.cohortSeries = make(map[string]*cohortHandles)
 	if len(cfg.Cohorts) > 0 {
@@ -331,9 +351,6 @@ func newScheduler(exec executor, mc model.Config, rec *trace.Recorder, now func(
 		}
 		s.mu.Unlock()
 	}
-	s.cDeadline = s.rec.CounterSeries("cp_overload_deadline_expired_total")
-	s.cShed = s.rec.CounterSeries("cp_overload_shed_total")
-	s.cRetryAfter = s.rec.CounterSeries("cp_overload_retry_after_total")
 	s.recStats.Enabled = cfg.Recover
 	s.recStats.MaxRecoveries = cfg.MaxRecoveries
 	s.recStats.Epoch = exec.Epoch()

@@ -81,11 +81,6 @@ type Config struct {
 	// Retry-After instead of queued. 0 disables. See
 	// SchedulerConfig.BrownoutSLO.
 	BrownoutSLO time.Duration
-	// NoTrace disables the observability recorder: no spans, no latency
-	// histograms, and /metrics and /v1/trace answer 404. Tracing is pure
-	// observation — on or off, every logit is bit-identical — so the only
-	// reason to disable it is reclaiming the recording overhead itself.
-	NoTrace bool
 	// Cohorts pre-registers workload cohort labels for per-cohort latency
 	// series (cp_cohort_*); requests tag themselves via the "cohort" JSON
 	// field. Unregistered names past the label-pool cap fold into "other".
@@ -103,18 +98,35 @@ type Config struct {
 type Server struct {
 	cfg       Config
 	sched     *Scheduler
-	rec       *trace.Recorder // nil when Config.NoTrace
-	started   time.Time       // read from the scheduler's clock, as is uptime
-	seq       atomic.Uint64   // /v1/stats snapshot sequence
+	rec       *trace.Recorder
+	started   time.Time     // read from the scheduler's clock, as is uptime
+	seq       atomic.Uint64 // /v1/stats snapshot sequence
 	closeOnce sync.Once
 
-	// Robustness counter sync state: the cluster reports cumulative
-	// process-local integrity/chaos totals; the recorder's counters advance
-	// by clamped deltas so a respawned worker (whose totals restart at zero)
-	// never drives a counter backwards.
-	robustMu      sync.Mutex
-	prevIntegrity [2]int64 // checked, rejected
-	prevChaos     map[string]int64
+	// The integrity and chaos counters, which /v1/stats and /metrics both
+	// report: the cluster reports cumulative process-local totals, and the
+	// counters follow them (syncRobustness).
+	robustMu  sync.Mutex
+	integrity [2]robustCounter          // cp_integrity_{checked,rejected}_total
+	chaos     map[string]*robustCounter // cp_chaos_faults_total, by kind
+}
+
+// robustCounter is one integrity or chaos counter and the cluster total it
+// last followed.
+type robustCounter struct {
+	series *trace.Series
+	prev   int64
+}
+
+// follow advances the counter by the total's growth since the last call.
+// A total that fell adds nothing: a respawned worker restarts its
+// process-local totals, and a Prometheus counter must never regress — the
+// absorbed dip undercounts by at most one process lifetime's tail.
+func (c *robustCounter) follow(total int64) {
+	if total > c.prev {
+		c.series.Inc(float64(total - c.prev))
+	}
+	c.prev = total
 }
 
 // New builds the server, its cluster, and the scheduler step loop.
@@ -129,10 +141,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rec *trace.Recorder
-	if !cfg.NoTrace {
-		rec = trace.New()
-	}
+	rec := trace.New()
 	var cluster *transformer.Cluster
 	if len(cfg.RankAddrs) > 0 {
 		cfg.RankAddrs, err = NormalizeRankAddrs(cfg.RankAddrs)
@@ -176,15 +185,17 @@ func New(cfg Config) (*Server, error) {
 			BrownoutSLO:       cfg.BrownoutSLO,
 			Cohorts:           cfg.Cohorts,
 		}),
-		prevChaos: make(map[string]int64),
+		integrity: [2]robustCounter{
+			{series: rec.CounterSeries("cp_integrity_checked_total")},
+			{series: rec.CounterSeries("cp_integrity_rejected_total")},
+		},
+		chaos: make(map[string]*robustCounter, len(chaos.Kinds)),
 	}
 	srv.started = srv.sched.now()
 	// Register the robustness counters up front so scrapes expose them at
 	// zero — a dashboard must distinguish "no corruption" from "no series".
-	srv.rec.CounterSeries("cp_integrity_checked_total")
-	srv.rec.CounterSeries("cp_integrity_rejected_total")
 	for _, k := range chaos.Kinds {
-		srv.rec.CounterSeries("cp_chaos_faults_total", trace.L("kind", string(k)))
+		srv.chaosCounter(string(k))
 	}
 	return srv, nil
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -16,7 +15,7 @@ import (
 	"repro/internal/transformer"
 )
 
-// Recorder exposes the observability store (nil when Config.NoTrace).
+// Recorder exposes the observability store.
 func (s *Server) Recorder() *trace.Recorder { return s.rec }
 
 // syncTrace drains every distributed worker's staged spans and metric
@@ -24,9 +23,6 @@ func (s *Server) Recorder() *trace.Recorder { return s.rec }
 // In-process clusters record into the shared store directly, so only the
 // gauges move.
 func (s *Server) syncTrace() error {
-	if s.rec == nil {
-		return nil
-	}
 	var err error
 	s.sched.WithCluster(func(c *transformer.Cluster) {
 		err = c.SyncTrace()
@@ -43,41 +39,46 @@ func (s *Server) syncTrace() error {
 	return err
 }
 
-// syncRobustness advances the integrity/chaos counters by the delta since
-// the previous sync. Deltas are clamped at zero: a respawned worker restarts
-// its process-local totals, and a Prometheus counter must never regress —
-// the absorbed dip undercounts by at most one process lifetime's tail.
-func (s *Server) syncRobustness(tel transformer.Telemetry) {
-	if s.rec == nil {
-		return
-	}
+// syncRobustness has the integrity and chaos counters follow the cluster's
+// totals, and returns their values as the /v1/stats blocks.
+func (s *Server) syncRobustness(tel transformer.Telemetry) (integrityBlock, chaosBlock) {
 	s.robustMu.Lock()
 	defer s.robustMu.Unlock()
-	deltaInc := func(series *trace.Series, cur int64, prev *int64) {
-		if cur > *prev {
-			series.Inc(float64(cur - *prev))
-		}
-		*prev = cur
-	}
-	deltaInc(s.rec.CounterSeries("cp_integrity_checked_total"), tel.IntegrityChecked, &s.prevIntegrity[0])
-	deltaInc(s.rec.CounterSeries("cp_integrity_rejected_total"), tel.IntegrityRejected, &s.prevIntegrity[1])
+	s.integrity[0].follow(tel.IntegrityChecked)
+	s.integrity[1].follow(tel.IntegrityRejected)
 	for i, kind := range tel.ChaosKinds {
-		prev := s.prevChaos[kind]
-		deltaInc(s.rec.CounterSeries("cp_chaos_faults_total", trace.L("kind", kind)), tel.ChaosCounts[i], &prev)
-		s.prevChaos[kind] = prev
+		s.chaosCounter(kind).follow(tel.ChaosCounts[i])
 	}
+	integrity := integrityBlock{FramesChecked: count(s.integrity[0].series), FramesRejected: count(s.integrity[1].series)}
+	chaos := chaosBlock{ByKind: make(map[string]int64)}
+	for kind, c := range s.chaos {
+		if n := count(c.series); n > 0 {
+			chaos.ByKind[kind] = n
+			chaos.InjectedTotal += n
+		}
+	}
+	return integrity, chaos
+}
+
+// chaosCounter returns the counter of one chaos kind, registering it on
+// first sight; caller holds robustMu, or is New.
+func (s *Server) chaosCounter(kind string) *robustCounter {
+	c := s.chaos[kind]
+	if c == nil {
+		c = &robustCounter{series: s.rec.CounterSeries("cp_chaos_faults_total", trace.L("kind", kind))}
+		s.chaos[kind] = c
+	}
+	return c
 }
 
 // syncedTrace is the common front of /metrics and /v1/trace: it answers the
-// request itself (405, 404 with tracing off, 503 once closed, 500 on a failed
-// drain) or drains the distributed workers — so the export includes ring
-// phases recorded since the previous scrape — and reports true.
+// request itself (405, 503 once closed, 500 on a failed drain) or drains the
+// distributed workers — so the export includes ring phases recorded since
+// the previous scrape — and reports true.
 func (s *Server) syncedTrace(w http.ResponseWriter, r *http.Request) bool {
 	switch {
 	case r.Method != http.MethodGet:
 		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-	case s.rec == nil:
-		writeErr(w, http.StatusNotFound, "tracing disabled")
 	case s.sched.Closed():
 		writeErr(w, http.StatusServiceUnavailable, "%v", ErrClosed)
 	default:
@@ -128,9 +129,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // shutdown). Sync errors are swallowed: the workers may already be gone,
 // and the coordinator's merged store is still worth dumping.
 func (s *Server) WriteTrace(w io.Writer, chrome bool) error {
-	if s.rec == nil {
-		return fmt.Errorf("server: tracing disabled")
-	}
 	_ = s.syncTrace()
 	if chrome {
 		return s.rec.WriteChromeTrace(w)
@@ -226,9 +224,8 @@ type statsResponse struct {
 	Sequence    uint64               `json:"sequence"`
 	QueueStats  map[Class]QueueStats `json:"queues"`
 	SessionLens map[string]int       `json:"session_lens"`
-	// Latency summarizes the serving-latency histograms (absent when
-	// tracing is disabled).
-	Latency *latencyBlock `json:"latency,omitempty"`
+	// Latency summarizes the serving-latency histograms.
+	Latency latencyBlock `json:"latency"`
 	// Continuous-batching telemetry.
 	Batch           BatchStats `json:"batch"`
 	MeanOccupancy   float64    `json:"mean_occupancy"`
@@ -259,7 +256,9 @@ type statsResponse struct {
 	// recovery is disabled (enabled=false) so dashboards need no probing.
 	Recovery RecoveryStats `json:"recovery"`
 	// Integrity is the wire CRC accounting summed across ranks; a non-zero
-	// frames_rejected proves corruption was detected and contained.
+	// frames_rejected proves corruption was detected and contained. It and
+	// Chaos read the recorder's counters, so they never fall when a
+	// respawned worker restarts its own totals.
 	Integrity integrityBlock `json:"integrity"`
 	// Chaos counts deliberately injected faults by kind, summed across
 	// ranks (all-zero outside chaos runs).
@@ -318,12 +317,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "cluster telemetry: %v", telErr)
 		return
 	}
-	s.syncRobustness(tel) // keep /metrics counters fresh off the same fetch
-	chaosStats := chaosBlock{ByKind: make(map[string]int64, len(tel.ChaosKinds))}
-	for i, kind := range tel.ChaosKinds {
-		chaosStats.ByKind[kind] = tel.ChaosCounts[i]
-		chaosStats.InjectedTotal += tel.ChaosCounts[i]
-	}
+	integrity, chaosStats := s.syncRobustness(tel)
 	comm := commBlock{
 		Transport:     tel.Transport,
 		TotalBytes:    tel.Comm.TotalBytes(),
@@ -341,22 +335,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if st, ok := s.sched.PrefixStats(); ok {
 		treeStats = &st
 	}
-	var latency *latencyBlock
-	if s.rec != nil {
-		latency = &latencyBlock{
-			TTFT: quantilesOf(s.rec.Hist("cp_request_ttft_seconds")),
-			ITL:  quantilesOf(s.rec.Hist("cp_request_itl_seconds")),
-			Step: quantilesOf(s.rec.Hist("cp_step_seconds")),
-		}
-		if names := s.sched.Cohorts(); len(names) > 0 {
-			latency.ByCohort = make(map[string]cohortLatency, len(names))
-			for _, name := range names {
-				l := trace.L("cohort", name)
-				latency.ByCohort[name] = cohortLatency{
-					TTFT: quantilesOf(s.rec.Hist("cp_cohort_ttft_seconds", l)),
-					ITL:  quantilesOf(s.rec.Hist("cp_cohort_itl_seconds", l)),
-					E2E:  quantilesOf(s.rec.Hist("cp_cohort_e2e_seconds", l)),
-				}
+	latency := latencyBlock{
+		TTFT: quantilesOf(s.sched.hTTFT),
+		ITL:  quantilesOf(s.sched.hITL),
+		Step: quantilesOf(s.sched.hStep),
+	}
+	if names := s.sched.Cohorts(); len(names) > 0 {
+		latency.ByCohort = make(map[string]cohortLatency, len(names))
+		for _, name := range names {
+			l := trace.L("cohort", name)
+			latency.ByCohort[name] = cohortLatency{
+				TTFT: quantilesOf(s.rec.Hist("cp_cohort_ttft_seconds", l)),
+				ITL:  quantilesOf(s.rec.Hist("cp_cohort_itl_seconds", l)),
+				E2E:  quantilesOf(s.rec.Hist("cp_cohort_e2e_seconds", l)),
 			}
 		}
 	}
@@ -401,11 +392,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		KVAssembly: tel.Assembly,
 		Comm:       comm,
 		Recovery:   recovery,
-		Integrity: integrityBlock{
-			FramesChecked:  tel.IntegrityChecked,
-			FramesRejected: tel.IntegrityRejected,
-		},
-		Chaos:    chaosStats,
-		Overload: s.sched.OverloadStats(),
+		Integrity:  integrity,
+		Chaos:      chaosStats,
+		Overload:   s.sched.OverloadStats(),
 	})
 }

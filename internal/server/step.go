@@ -119,7 +119,6 @@ func (s *Scheduler) step() (IterReport, bool) {
 	b.MaxOccupancy = max(b.MaxOccupancy, report.Occupancy())
 	b.MaxDecodeBatch = max(b.MaxDecodeBatch, len(report.DecodeSessions))
 	if pj != nil {
-		b.PrefillChunks++
 		b.PrefillTokens += int64(report.PrefillTokens)
 	}
 	b.DecodeTokens += int64(len(report.DecodeSessions))
@@ -154,7 +153,6 @@ func (s *Scheduler) completeLocked(r *request) {
 func (s *Scheduler) recordWaitLocked(c Class, r *request, now time.Time) {
 	wait := now.Sub(r.queuedAt)
 	st := s.queueStats[c]
-	st.Executed++
 	st.TotalWait += wait
 	if wait > st.MaxWait {
 		st.MaxWait = wait
@@ -162,7 +160,7 @@ func (s *Scheduler) recordWaitLocked(c Class, r *request, now time.Time) {
 	s.hWait[c].Observe(wait.Seconds())
 	// Span args are int64-valued, so the cohort rides as its pool id; the
 	// id→name registry is exposed in /v1/stats cohort block order.
-	if r.cohort != "" && s.rec != nil {
+	if r.cohort != "" {
 		s.span("queue.wait", string(c), trace.NoSeq, r.queuedAt, now, trace.Arg{Key: "cohort", Val: s.cohorts.ID(r.cohort)})
 		return
 	}
@@ -280,17 +278,15 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 		s.cond.Broadcast()
 		return now
 	}
-	if s.rec != nil {
-		// A fused batch mixes cohorts, so the span carries one per-cohort
-		// member count ("cohort.chat": 3) instead of a single id.
-		it.args = append(it.args[:0], trace.Arg{Key: "batch", Val: int64(len(dbatch))})
-		for _, r := range dbatch {
-			if r.cohort != "" {
-				it.args = countArg(it.args, s.cohortHandlesLocked(r.cohort).batchArg)
-			}
+	// A fused batch mixes cohorts, so the span carries one per-cohort member
+	// count ("cohort.chat": 3) instead of a single id.
+	it.args = append(it.args[:0], trace.Arg{Key: "batch", Val: int64(len(dbatch))})
+	for _, r := range dbatch {
+		if r.cohort != "" {
+			it.args = countArg(it.args, s.cohortHandlesLocked(r.cohort).batchArg)
 		}
-		s.span("decode.batch", "decode", trace.NoSeq, start, now, it.args...)
 	}
+	s.span("decode.batch", "decode", trace.NoSeq, start, now, it.args...)
 	report.DecodeSessions = it.sessions[:0]
 	for i, r := range dbatch {
 		report.DecodeSessions = append(report.DecodeSessions, r.session)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/comm/transport"
 	"repro/internal/model"
+	"repro/internal/trace"
 	"repro/internal/transformer"
 	"repro/internal/workload"
 )
@@ -147,7 +148,7 @@ func ReplayVirtual(tr *workload.Trace) (*VirtualReplay, error) {
 	clk := &virtualClock{t: origin}
 	mc := model.Tiny()
 	s := newScheduler(newCostExec(clk, virtualCommandCost, virtualTokenCost, virtualRowCost, mc.VocabSize),
-		mc, nil, clk.Now, SchedulerConfig{Variant: model.Auto, Manual: true, Cohorts: tr.Spec.CohortNames()})
+		mc, trace.New(), clk.Now, SchedulerConfig{Variant: model.Auto, Manual: true, Cohorts: tr.Spec.CohortNames()})
 	defer s.Close()
 
 	type turn struct { // a trace event arriving at at, served by r once enqueued

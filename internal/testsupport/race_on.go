@@ -2,7 +2,7 @@
 
 package testsupport
 
-// Race reports a -race build. The race runtime allocates on its own account,
-// so a test that counts the objects or bytes a warm path allocates does not
-// check that count under it.
+// Race reports a -race build. The race runtime can allocate on its own
+// account, so a count it moves is adjusted or skipped under it, with the
+// measured reason.
 const Race = true

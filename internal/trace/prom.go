@@ -22,10 +22,10 @@ var metricHelp = map[string]string{
 	"cp_cohort_itl_seconds":              "Inter-token latency per decoded token, by workload cohort.",
 	"cp_cohort_e2e_seconds":              "End-to-end request latency, by workload cohort.",
 	"cp_cohort_requests_total":           "Requests admitted, by workload cohort.",
-	"cp_prefill_chunks_total":            "Prefill chunks executed.",
-	"cp_prefix_adopt_total":              "Prefix-cache adoptions (warm prefill starts).",
-	"cp_prefix_detach_total":             "Session prefixes detached into the reuse tree.",
-	"cp_recovery_replays_total":          "Sessions replayed after a cluster rebuild.",
+	"cp_prefill_chunks_total":            "Live prefill chunks whose ring pass succeeded.",
+	"cp_prefix_adopt_total":              "Prefix hits: adoptions whose following prefill chunk succeeded.",
+	"cp_prefix_detach_total":             "Session prefixes donated to the reuse tree.",
+	"cp_recovery_replays_total":          "Completed cluster rebuilds with session replay.",
 	"cp_trace_spans_dropped_total":       "Spans dropped at the buffer cap, by rank.",
 	"cp_uptime_seconds":                  "Seconds since the server started.",
 	"cp_stats_sequence":                  "Monotonic stats snapshot sequence number.",

@@ -22,7 +22,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -223,22 +222,6 @@ const CoordinatorRank = -1
 // NoSeq tags spans not attributable to one sequence.
 const NoSeq = -1
 
-// Stat aggregates one span name (count / total / max), the summary surface
-// String prints.
-type Stat struct {
-	Count int
-	Total time.Duration
-	Max   time.Duration
-}
-
-// Mean returns the average span duration.
-func (s Stat) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Total / time.Duration(s.Count)
-}
-
 // DefaultMaxSpans bounds the in-memory span buffer; past it, new spans are
 // dropped and counted in cp_trace_spans_dropped_total.
 const DefaultMaxSpans = 1 << 16
@@ -248,8 +231,7 @@ type rankKey struct {
 	epoch uint64
 }
 
-// Recorder accumulates spans, aggregate per-name stats, and labeled metric
-// series. The zero value is not usable; call New. A nil *Recorder is a
+// Recorder accumulates spans and labeled metric series. The zero value is not usable; call New. A nil *Recorder is a
 // valid "tracing off" handle for every recording method.
 type Recorder struct {
 	mu       sync.Mutex
@@ -258,7 +240,6 @@ type Recorder struct {
 	shapes   []shape // by id; kept across drains
 	shapeID  map[shape]int32
 	nextIdx  map[rankKey]uint64
-	agg      map[string]Stat
 	series   map[string]*Series
 	order    []string // series ids in creation order (sorted at export)
 	sweeps   map[sweepKey]*sweepSeries
@@ -271,7 +252,6 @@ func New() *Recorder {
 		maxSpans: DefaultMaxSpans,
 		shapeID:  make(map[shape]int32),
 		nextIdx:  make(map[rankKey]uint64),
-		agg:      make(map[string]Stat),
 		series:   make(map[string]*Series),
 		sweeps:   make(map[sweepKey]*sweepSeries),
 	}
@@ -287,8 +267,7 @@ func (r *Recorder) SetMaxSpans(n int) {
 	r.mu.Unlock()
 }
 
-// RecordSpan appends one span, assigning its per-(rank, epoch) Index. The
-// aggregate Stat for s.Name is updated even when the buffer is full.
+// RecordSpan appends one span, assigning its per-(rank, epoch) Index.
 func (r *Recorder) RecordSpan(s Span) { r.RecordSpanArgs(s) }
 
 // RecordSpanArgs is RecordSpan with arguments given as pairs, which the
@@ -314,13 +293,6 @@ func (r *Recorder) recordLocked(s Span, args []Arg) *Series {
 	k := rankKey{s.Rank, s.Epoch}
 	r.nextIdx[k]++
 	s.Index = r.nextIdx[k]
-	st := r.agg[s.Name]
-	st.Count++
-	st.Total += time.Duration(s.Dur)
-	if time.Duration(s.Dur) > st.Max {
-		st.Max = time.Duration(s.Dur)
-	}
-	r.agg[s.Name] = st
 	if r.spans.n >= r.maxSpans {
 		return r.seriesLocked(KindCounter, "cp_trace_spans_dropped_total", L("rank", rankLabel(s.Rank)))
 	}
@@ -371,31 +343,6 @@ func (r *Recorder) shapeLocked(name, cat string, set *argSet) int32 {
 	return id
 }
 
-// Stat returns the aggregate for one span name.
-func (r *Recorder) Stat(name string) Stat {
-	if r == nil {
-		return Stat{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.agg[name]
-}
-
-// Names returns all aggregate span names in sorted order.
-func (r *Recorder) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.agg))
-	for n := range r.agg {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SpanCount returns the number of buffered spans.
 func (r *Recorder) SpanCount() int {
 	if r == nil {
@@ -404,20 +351,6 @@ func (r *Recorder) SpanCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.spans.n
-}
-
-// String renders a one-line-per-name summary of the aggregate stats,
-// useful in examples and CLIs.
-func (r *Recorder) String() string {
-	if r == nil {
-		return ""
-	}
-	var b strings.Builder
-	for _, n := range r.Names() {
-		s := r.Stat(n)
-		fmt.Fprintf(&b, "%-24s count=%-6d total=%-12s mean=%s\n", n, s.Count, s.Total, s.Mean())
-	}
-	return b.String()
 }
 
 // rankLabel renders a rank id as a label value ("coord" for the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,42 +11,21 @@ import (
 	"repro/internal/testsupport"
 )
 
+// Every recorded span reads back through Spans with its name and duration,
+// indexed in recording order per (rank, epoch).
 func TestRecordAggregates(t *testing.T) {
 	r := New()
 	r.RecordSpan(Span{Name: "attn", Dur: int64(10 * time.Millisecond)})
 	r.RecordSpan(Span{Name: "attn", Dur: int64(30 * time.Millisecond)})
-	s := r.Stat("attn")
-	if s.Count != 2 || s.Total != 40*time.Millisecond || s.Max != 30*time.Millisecond {
-		t.Fatalf("stat = %+v", s)
+	var total time.Duration
+	for i, s := range r.Spans() {
+		if s.Name != "attn" || s.Index != uint64(i+1) {
+			t.Fatalf("span %d = %+v", i, s)
+		}
+		total += time.Duration(s.Dur)
 	}
-	if s.Mean() != 20*time.Millisecond {
-		t.Fatalf("mean = %v", s.Mean())
-	}
-}
-
-func TestMeanOfEmpty(t *testing.T) {
-	var s Stat
-	if s.Mean() != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-}
-
-func TestNamesSorted(t *testing.T) {
-	r := New()
-	r.RecordSpan(Span{Name: "z", Dur: 1})
-	r.RecordSpan(Span{Name: "a", Dur: 1})
-	r.RecordSpan(Span{Name: "m", Dur: 1})
-	names := r.Names()
-	if len(names) != 3 || names[0] != "a" || names[2] != "z" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
-func TestStringContainsSpans(t *testing.T) {
-	r := New()
-	r.RecordSpan(Span{Name: "ring.sendrecv", Dur: int64(5 * time.Microsecond)})
-	if !strings.Contains(r.String(), "ring.sendrecv") {
-		t.Fatalf("String() = %q", r.String())
+	if n := r.SpanCount(); n != 2 || total != 40*time.Millisecond {
+		t.Fatalf("%d spans totalling %v, want 2 totalling 40ms", n, total)
 	}
 }
 
@@ -64,8 +42,8 @@ func TestConcurrentRecording(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s := r.Stat("op"); s.Count != 800 {
-		t.Fatalf("concurrent count = %d, want 800", s.Count)
+	if n := r.SpanCount(); n != 800 {
+		t.Fatalf("concurrent count = %d, want 800", n)
 	}
 }
 

@@ -424,9 +424,6 @@ func TestPrefillAllocationBudget(t *testing.T) {
 // pages included, must stay within 6 KiB a step: the pages are 4.2 KiB of
 // it (measured at 4.2 KiB in all three cases, against 7.7–9.3 before).
 func TestDecodeStepAllocationBudget(t *testing.T) {
-	if testsupport.Race {
-		t.Skip("the race detector allocates on its own account")
-	}
 	if testsupport.Alone(t) {
 		return
 	}
