@@ -1,6 +1,6 @@
 // Command cprank hosts one context-parallel rank as its own OS process: it
 // joins the TCP mesh of its peer ranks, accepts the coordinator's control
-// connection (cpserve -distributed, or any transformer.ConnectCluster
+// connection (cpserve -rank-addrs, or any transformer.ConnectCluster
 // client), and executes its shard of every prefill and decode ring pass
 // against its local per-layer KV caches. Weights are replicated from the
 // same deterministic seed as the coordinator's; the rendezvous handshake
@@ -12,7 +12,7 @@
 //	cprank -rank 0 -world 3 -addrs 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002
 //	cprank -rank 1 -world 3 -addrs 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002
 //	cprank -rank 2 -world 3 -addrs 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002
-//	cpserve -distributed -rank-addrs 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002
+//	cpserve -rank-addrs 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002
 //
 // With no -addrs, the worker binds -listen (default 127.0.0.1:0), prints
 // "CPRANK_ADDR <host:port>" on stdout, and waits for the full

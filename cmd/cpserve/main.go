@@ -10,13 +10,13 @@
 //	curl -s localhost:8080/v1/generate -d '{"session":1,"prompt":[4,19,22,7],"max_tokens":8}'
 //	curl -s localhost:8080/v1/stats
 //
-// Distributed mode coordinates cprank worker processes over TCP instead of
-// simulating ranks in-process (same API, bit-identical outputs):
+// Given -rank-addrs, it coordinates cprank worker processes over TCP instead
+// of simulating ranks in-process (same API, bit-identical outputs):
 //
 //	cprank -rank 0 -world 3 -addrs 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002 &
 //	cprank -rank 1 -world 3 -addrs 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002 &
 //	cprank -rank 2 -world 3 -addrs 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002 &
-//	cpserve -distributed -rank-addrs 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002
+//	cpserve -rank-addrs 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002
 package main
 
 import (
@@ -53,8 +53,7 @@ func main() {
 	kvCapacity := flag.Int("kv-capacity", 0, "per-rank per-layer KV cache capacity in tokens (0 = unlimited)")
 	recvTimeout := flag.Duration("recv-timeout", 0, "cluster comm receive deadline (0 = default)")
 	workers := flag.Int("workers", 0, "attention kernel worker-pool width (0 = GOMAXPROCS; env CP_WORKERS also applies)")
-	distributed := flag.Bool("distributed", false, "coordinate cprank worker processes instead of simulating ranks in-process")
-	rankAddrs := flag.String("rank-addrs", "", "comma-separated cprank worker addresses, index = rank id (requires -distributed)")
+	rankAddrs := flag.String("rank-addrs", "", "comma-separated cprank worker addresses, index = rank id: coordinate these worker processes instead of simulating ranks in-process")
 	dialTimeout := flag.Duration("dial-timeout", 15*time.Second, "distributed control-plane rendezvous deadline")
 	recover := flag.Bool("recover", false, "rebuild the cluster on a new epoch after a rank failure and replay live sessions bit-identically (instead of faulting them)")
 	maxRecoveries := flag.Int("max-recoveries", 3, "lifetime bound on recovery rebuild attempts (requires -recover)")
@@ -95,11 +94,7 @@ func main() {
 		os.Exit(1)
 	}
 	var addrs []string
-	if *distributed {
-		if *rankAddrs == "" {
-			fmt.Fprintln(os.Stderr, "cpserve: -distributed requires -rank-addrs")
-			os.Exit(1)
-		}
+	if *rankAddrs != "" {
 		addrs = strings.Split(*rankAddrs, ",")
 		// Validate before rendezvous: a malformed or duplicated address, or
 		// a list that contradicts an explicit -ranks, must fail with one
@@ -115,9 +110,6 @@ func main() {
 				*ranks, len(addrs))
 			os.Exit(1)
 		}
-	} else if *rankAddrs != "" {
-		fmt.Fprintln(os.Stderr, "cpserve: -rank-addrs requires -distributed")
-		os.Exit(1)
 	}
 
 	srv, err := server.New(server.Config{
@@ -191,7 +183,7 @@ func main() {
 		recoverDesc = fmt.Sprintf("on (<=%d rebuilds)", *maxRecoveries)
 	}
 	rankDesc := fmt.Sprintf("%d in-process CP ranks", *ranks)
-	if *distributed {
+	if len(addrs) > 0 {
 		rankDesc = fmt.Sprintf("%d distributed CP ranks (%s)", len(addrs), *rankAddrs)
 	}
 	log.Printf("cpserve: %s, %v prefill, budget %d tok/iter, batch<=%d, sessions<=%d, prefix cache %s, recovery %s, %d kernel workers, listening on %s",

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/attention"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 var updateFrames = flag.Bool("update", false, "rewrite testdata/frames.golden from the current codec")
@@ -85,23 +86,18 @@ func goldenPayloads() []namedPayload {
 			},
 			IntegrityChecked: 1234, IntegrityRejected: 2,
 			ChaosKinds: []string{"corrupt", "crash"}, ChaosCounts: []int64{3, 1},
+			Spans: []trace.Span{
+				{Name: "prefill", Cat: "ring", Rank: 1, Seq: 3, Epoch: 2, Index: 9, Start: -5, Dur: 1200,
+					Args: map[string]int64{"tokens": 512, "chunk": 0}},
+				{Name: "decode", Cat: "ring", Rank: 1, Seq: -1, Epoch: 2, Index: 10, Start: 7, Dur: 30},
+			},
+			Series: []trace.SeriesSnap{
+				{Name: "cp_ring_sweeps_total", Labels: []trace.Label{trace.L("op", "decode")}, Kind: trace.KindCounter, Value: 4},
+				{Name: "cp_step_seconds", Kind: trace.KindHistogram, Count: 3, Sum: 0.25, Counts: []uint64{1, 2, 0}},
+			},
 			Err: "stats",
 		}},
 		{"failurenote", &FailureNote{Rank: 2, Cause: "link to rank 1 failed: connection reset"}},
-		{"tracecmd", &TraceCmd{}},
-		{"traceresult", &TraceResult{
-			Rank: 1,
-			Spans: []TraceSpan{
-				{Name: "prefill", Cat: "ring", Rank: 1, Seq: 3, Epoch: 2, Index: 9, Start: -5, Dur: 1200,
-					ArgKeys: []string{"chunk", "tokens"}, ArgVals: []int64{0, 512}},
-				{Name: "decode", Cat: "ring", Rank: 1, Seq: -1, Epoch: 2, Index: 10, Start: 7, Dur: 30},
-			},
-			Series: []TraceSeries{
-				{Name: "cp_ring_sweeps_total", LabelKeys: []string{"op"}, LabelVals: []string{"decode"}, Kind: 0, Value: 4},
-				{Name: "cp_step_seconds", Kind: 2, Count: 3, Sum: 0.25, Counts: []int64{1, 2, 0}},
-			},
-			Err: "trace",
-		}},
 	}
 }
 
@@ -182,8 +178,8 @@ func TestFramesGolden(t *testing.T) {
 // entry's walk reports the id it is filed under, and the golden list holds a
 // frame of every kind.
 func TestFrameTableCoversEveryKind(t *testing.T) {
-	if len(newFrame) != int(tTraceResult)+1 {
-		t.Fatalf("constructor table has %d entries, type ids run to %d", len(newFrame), tTraceResult)
+	if len(newFrame) != int(tFailureNote)+1 {
+		t.Fatalf("constructor table has %d entries, type ids run to %d", len(newFrame), tFailureNote)
 	}
 	golden := map[byte]bool{}
 	for _, p := range goldenPayloads() {
@@ -247,24 +243,19 @@ func largerPayloads() []any {
 			Links:            []LinkStat{{Src: 1}, {Src: 2, Dst: 3}, {Src: 3, Dst: 4, WireBytes: 9}},
 			IntegrityChecked: 5, IntegrityRejected: 6,
 			ChaosKinds: []string{"corrupt", "crash", "slow"}, ChaosCounts: []int64{1, 2, 3},
+			Spans: []trace.Span{
+				{Name: "span-one", Cat: "ring", Args: map[string]int64{"a": 1, "b": 2, "c": 3}},
+				{Name: "span-two", Cat: "server", Args: map[string]int64{"d": 4}},
+				{Name: "span-three", Cat: "kv"},
+			},
+			Series: []trace.SeriesSnap{
+				{Name: "series-one", Labels: []trace.Label{trace.L("k1", "v1"), trace.L("k2", "v2")}, Counts: []uint64{1, 2, 3, 4}},
+				{Name: "series-two", Counts: []uint64{5}},
+				{Name: "series-three"},
+			},
 			Err: "stats failed",
 		},
 		&FailureNote{Rank: 0, Cause: "a much longer cause than the golden note carries"},
-		&TraceCmd{},
-		&TraceResult{
-			Rank: 2,
-			Spans: []TraceSpan{
-				{Name: "span-one", Cat: "ring", ArgKeys: []string{"a", "b", "c"}, ArgVals: []int64{1, 2, 3}},
-				{Name: "span-two", Cat: "server", ArgKeys: []string{"d"}, ArgVals: []int64{4}},
-				{Name: "span-three", Cat: "kv"},
-			},
-			Series: []TraceSeries{
-				{Name: "series-one", LabelKeys: []string{"k1", "k2"}, LabelVals: []string{"v1", "v2"}, Counts: []int64{1, 2, 3, 4}},
-				{Name: "series-two", Counts: []int64{5}},
-				{Name: "series-three"},
-			},
-			Err: "trace failed",
-		},
 	}
 }
 

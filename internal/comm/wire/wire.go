@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -41,6 +42,7 @@ import (
 	"repro/internal/attention"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // Magic identifies a CP transport peer; the first frame on every connection
@@ -56,7 +58,9 @@ const Magic = 0x43505257 // "CPRW"
 // returns only its sampled rows unless the command asks for every row.
 // Version 6 replaced All with a Reply mode on both PrefillCmd and DecodeCmd,
 // and results carry the sampled rows' token ids when the mode asks for them.
-const Version = 6
+// Version 7 folded the trace drain into StatsResult: TraceCmd and TraceResult
+// are gone, and one stats round trip carries a rank's spans and series.
+const Version = 7
 
 // DefaultMaxFrame bounds a single frame's encoded size (length prefix
 // included). Loopback KV tiles at laptop scale are kilobytes; anything near
@@ -90,8 +94,6 @@ const (
 	tCapResult
 	tStatsResult
 	tFailureNote
-	tTraceCmd
-	tTraceResult
 )
 
 // KVBlock is the circulating payload of ring pass-KV: key/value rows plus
@@ -224,53 +226,9 @@ type FailureNote struct {
 	Cause string // human-readable fault description (names the dead peer)
 }
 
-// StatsCmd asks a rank for its telemetry snapshot.
+// StatsCmd asks a rank for its telemetry snapshot and drains its trace
+// recorder.
 type StatsCmd struct{}
-
-// TraceCmd drains a rank's trace recorder: the worker ships every span and
-// series delta accumulated since the previous drain, then resets its staging
-// buffers. The coordinator folds the result into its cumulative store, so
-// Prometheus counters stay monotonic across drains and epochs.
-type TraceCmd struct{}
-
-// TraceSpan is one recorded span on the wire. Args travel as parallel
-// key/value arrays with keys pre-sorted by the sender, keeping the encoding
-// canonical (one byte sequence per span).
-type TraceSpan struct {
-	Name    string
-	Cat     string
-	Rank    int
-	Seq     int
-	Epoch   uint64
-	Index   uint64
-	Start   int64
-	Dur     int64
-	ArgKeys []string
-	ArgVals []int64
-}
-
-// TraceSeries is one metric series' drained delta: counter/gauge value, or
-// histogram count/sum/per-bucket counts. Labels travel as parallel key/value
-// arrays sorted by key.
-type TraceSeries struct {
-	Name      string
-	LabelKeys []string
-	LabelVals []string
-	Kind      uint8
-	Value     float64
-	Count     uint64
-	Sum       float64
-	Counts    []int64
-}
-
-// TraceResult answers a TraceCmd with the rank's drained spans and series
-// deltas.
-type TraceResult struct {
-	Rank   int
-	Spans  []TraceSpan
-	Series []TraceSeries
-	Err    string
-}
 
 // ShutdownCmd ends a worker's serve loop.
 type ShutdownCmd struct{}
@@ -341,7 +299,14 @@ type StatsResult struct {
 	// Chaos faults this rank's process injected, by kind (chaos.Totals).
 	ChaosKinds  []string
 	ChaosCounts []int64
-	Err         string
+	// The rank's trace drain: every span and series delta its recorder
+	// staged since the previous StatsCmd. The coordinator merges them into
+	// its cumulative store, so counters stay monotonic across drains and
+	// epochs. An engine that records straight into the coordinator's store
+	// sends none.
+	Spans  []trace.Span
+	Series []trace.SeriesSnap
+	Err    string
 }
 
 // A frame is a payload with a fixed layout. walk visits its fields in wire
@@ -431,7 +396,6 @@ func (m *CapQueryCmd) walk(c *codec) byte {
 }
 
 func (*StatsCmd) walk(*codec) byte    { return tStatsCmd }
-func (*TraceCmd) walk(*codec) byte    { return tTraceCmd }
 func (*ShutdownCmd) walk(*codec) byte { return tShutdownCmd }
 
 func (m *FailureNote) walk(c *codec) byte {
@@ -479,16 +443,20 @@ func (m *StatsResult) walk(c *codec) byte {
 	c.strs(&m.Kinds)
 	ints(c, &m.Msgs)
 	c.f64s(&m.Bytes)
-	records(c, &m.Links, 8*6)
+	records(c, &m.Links, 8*6, link)
 	num(c, &m.IntegrityChecked, 8)
 	num(c, &m.IntegrityRejected, 8)
 	c.strs(&m.ChaosKinds)
 	ints(c, &m.ChaosCounts)
+	// Minimum encoded span: two string headers, six 8-byte numbers and an
+	// argument count; a series likewise bottoms out at 37 bytes.
+	records(c, &m.Spans, 60, span)
+	records(c, &m.Series, 37, series)
 	c.str(&m.Err)
 	return tStatsResult
 }
 
-func (l *LinkStat) fields(c *codec) {
+func link(c *codec, l *LinkStat) {
 	num(c, &l.Src, 8)
 	num(c, &l.Dst, 8)
 	num(c, &l.Messages, 8)
@@ -497,17 +465,7 @@ func (l *LinkStat) fields(c *codec) {
 	num(c, &l.WireBytes, 8)
 }
 
-// Minimum encoded span: two string headers, six fixed u64s, two vector
-// headers = 64 bytes; a series likewise bottoms out at 41.
-func (m *TraceResult) walk(c *codec) byte {
-	num(c, &m.Rank, 8)
-	records(c, &m.Spans, 64)
-	records(c, &m.Series, 41)
-	c.str(&m.Err)
-	return tTraceResult
-}
-
-func (s *TraceSpan) fields(c *codec) {
+func span(c *codec, s *trace.Span) {
 	c.str(&s.Name)
 	c.str(&s.Cat)
 	num(c, &s.Rank, 8)
@@ -516,14 +474,12 @@ func (s *TraceSpan) fields(c *codec) {
 	num(c, &s.Index, 8)
 	num(c, &s.Start, 8)
 	num(c, &s.Dur, 8)
-	c.strs(&s.ArgKeys)
-	ints(c, &s.ArgVals)
+	c.args(&s.Args)
 }
 
-func (s *TraceSeries) fields(c *codec) {
+func series(c *codec, s *trace.SeriesSnap) {
 	c.str(&s.Name)
-	c.strs(&s.LabelKeys)
-	c.strs(&s.LabelVals)
+	c.labels(&s.Labels)
 	num(c, &s.Kind, 1)
 	c.f64(&s.Value)
 	num(c, &s.Count, 8)
@@ -605,8 +561,6 @@ var newFrame = [...]func() frame{
 	tCapResult:        alloc[CapResult],
 	tStatsResult:      alloc[StatsResult],
 	tFailureNote:      alloc[FailureNote],
-	tTraceCmd:         alloc[TraceCmd],
-	tTraceResult:      alloc[TraceResult],
 }
 
 func alloc[T any, P interface {
@@ -661,7 +615,7 @@ func (c *codec) next(n int) []byte {
 
 // num walks an integer field as its size low bytes, little-endian. The
 // walks give every field its width: a Go int always travels as 8 bytes.
-func num[T uint8 | uint16 | uint32 | uint64 | int | int64](c *codec, p *T, size int) {
+func num[T ~uint8 | uint16 | uint32 | uint64 | int | int64](c *codec, p *T, size int) {
 	s := c.next(size)
 	if s == nil {
 		return
@@ -717,7 +671,7 @@ func sized[T any](c *codec, p *[]T, minSize int) {
 // the whole row, not once per element.
 
 // ints walks a vector of 8-byte integers.
-func ints[T int | int64](c *codec, p *[]T) {
+func ints[T int | int64 | uint64](c *codec, p *[]T) {
 	sized(c, p, 8)
 	s := c.next(8 * len(*p))
 	if s == nil {
@@ -825,14 +779,56 @@ func (c *codec) strs(p *[]string) {
 	}
 }
 
-// records walks a vector of structs, each through its fields method.
-func records[T any, P interface {
-	*T
-	fields(*codec)
-}](c *codec, p *[]T, minSize int) {
+// records walks a vector of structs, each through fields.
+func records[T any](c *codec, p *[]T, minSize int, fields func(*codec, *T)) {
 	sized(c, p, minSize)
 	for i := range *p {
-		P(&(*p)[i]).fields(c)
+		fields(c, &(*p)[i])
+	}
+}
+
+// args walks a span's arguments as a count and key/value pairs in ascending
+// key order. A decode takes strictly ascending keys only, so a span has one
+// encoding however its map iterates.
+func (c *codec) args(p *map[string]int64) {
+	n := c.count(len(*p), 4+8)
+	if !c.dec {
+		for _, k := range slices.Sorted(maps.Keys(*p)) {
+			v := (*p)[k]
+			c.str(&k)
+			num(c, &v, 8)
+		}
+		return
+	}
+	var m map[string]int64
+	if n > 0 {
+		m = make(map[string]int64, n)
+	}
+	prev := ""
+	for i := 0; i < n && c.err == nil; i++ {
+		var k string
+		var v int64
+		c.str(&k)
+		num(c, &v, 8)
+		if i > 0 && k <= prev {
+			c.fail("span argument %q after %q", k, prev)
+		}
+		m[k], prev = v, k
+	}
+	*p = m
+}
+
+// labels walks a series' label set, which the recorder keeps sorted by key:
+// a set out of order fails on either side.
+func (c *codec) labels(p *[]trace.Label) {
+	sized(c, p, 4+4)
+	ls := *p
+	for i := range ls {
+		c.str(&ls[i].Key)
+		c.str(&ls[i].Value)
+		if i > 0 && ls[i].Key < ls[i-1].Key {
+			c.fail("label %q after %q", ls[i].Key, ls[i-1].Key)
+		}
 	}
 }
 
@@ -1340,8 +1336,6 @@ func ErrOf(v any) string {
 	case *CapResult:
 		return x.Err
 	case *StatsResult:
-		return x.Err
-	case *TraceResult:
 		return x.Err
 	}
 	return ""

@@ -13,6 +13,7 @@ import (
 	"repro/internal/attention"
 	"repro/internal/tensor"
 	"repro/internal/testsupport"
+	"repro/internal/trace"
 )
 
 // trickyFloats are the values a lossy or text-based codec mangles: NaN
@@ -250,6 +251,38 @@ func TestReplyModeOutsideTheCommandRejected(t *testing.T) {
 				t.Fatalf("%T with reply mode %d decoded with error %v", tc.v, mode, err)
 			}
 		}
+	}
+}
+
+// A span's arguments and a series' labels travel in ascending key order, so
+// a drain has one encoding: an argument map encodes sorted whatever order it
+// iterates in, a label set out of order fails to encode, and a frame with
+// either out of order fails to decode.
+func TestTraceDrainKeysAscend(t *testing.T) {
+	swapped := func(v any, lo, hi byte) []byte {
+		t.Helper()
+		b, err := Append(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i, j := bytes.IndexByte(b, lo), bytes.IndexByte(b, hi)
+		if i < 0 || j < i {
+			t.Fatalf("keys %q and %q not in ascending order in %x", lo, hi, b)
+		}
+		b[i], b[j] = hi, lo
+		return b
+	}
+	for _, b := range [][]byte{
+		swapped(&StatsResult{Spans: []trace.Span{{Name: "s", Args: map[string]int64{"y": 2, "x": 1}}}}, 'x', 'y'),
+		swapped(&StatsResult{Series: []trace.SeriesSnap{{Name: "s", Labels: []trace.Label{trace.L("a", "1"), trace.L("b", "2")}}}}, 'a', 'b'),
+	} {
+		if v, err := Decode(b); err == nil {
+			t.Fatalf("%x decoded as %+v with its keys out of order", b, v)
+		}
+	}
+	unsorted := &StatsResult{Series: []trace.SeriesSnap{{Name: "s", Labels: []trace.Label{trace.L("b", "1"), trace.L("a", "2")}}}}
+	if b, err := Append(nil, unsorted); err == nil {
+		t.Fatalf("a label set out of order encoded as %x", b)
 	}
 }
 

@@ -32,8 +32,6 @@ const (
 	tCapResult
 	tStatsResult
 	tFailureNote
-	tTraceCmd
-	tTraceResult
 )
 
 var errBadKind = errors.New("bad kind")
@@ -48,10 +46,10 @@ func dispatch(k byte) error {
 	case tHello, tHeartbeat:
 		return nil
 	case tPrefillCmd, tDecodeCmd, tDropCmd, tDetachCmd, tAdoptCmd,
-		tReleasePrefixCmd, tCapQueryCmd, tStatsCmd, tShutdownCmd, tTraceCmd:
+		tReleasePrefixCmd, tCapQueryCmd, tStatsCmd, tShutdownCmd:
 		return nil
 	case tPrefillResult, tDecodeResult, tAck, tDetachResult, tCapResult,
-		tStatsResult, tFailureNote, tTraceResult:
+		tStatsResult, tFailureNote:
 		return nil
 	}
 	return errBadKind

@@ -30,8 +30,6 @@ const (
 	tCapResult
 	tStatsResult
 	tFailureNote
-	tTraceCmd
-	tTraceResult
 	tFutureKind // the newly added kind nobody wired up
 )
 
@@ -47,10 +45,10 @@ func dispatch(k byte) error {
 	case tHello, tHeartbeat:
 		return nil
 	case tPrefillCmd, tDecodeCmd, tDropCmd, tDetachCmd, tAdoptCmd,
-		tReleasePrefixCmd, tCapQueryCmd, tStatsCmd, tShutdownCmd, tTraceCmd:
+		tReleasePrefixCmd, tCapQueryCmd, tStatsCmd, tShutdownCmd:
 		return nil
 	case tPrefillResult, tDecodeResult, tAck, tDetachResult, tCapResult,
-		tStatsResult, tFailureNote, tTraceResult:
+		tStatsResult, tFailureNote:
 		return nil
 	}
 	return errBadKind

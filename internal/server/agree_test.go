@@ -157,12 +157,16 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 	}
 
 	// Each event happened, and the counts follow their one definition: a
-	// chunk counts once its ring pass succeeded (one for each of the first
-	// three sessions, the donor and session 3, two for session 4; not
-	// session 2's, nor the replay's), and a hit once its first suffix chunk
+	// chunk and its tokens count once its ring pass succeeded (one chunk for
+	// each of the first three sessions, the donor and session 3, two for
+	// session 4: 12+32+32+64 tokens; not session 2's, nor the replay's),
+	// and a hit once its first suffix chunk
 	// did (session 3's; not session 2's).
 	if st.Batch.PrefillChunks != 7 || st.Reuse.Hits != 1 {
 		t.Errorf("prefill_chunks %d and hits %d, want 7 and 1", st.Batch.PrefillChunks, st.Reuse.Hits)
+	}
+	if st.Batch.PrefillTokens != 140 {
+		t.Errorf("prefill_tokens %d, want 140", st.Batch.PrefillTokens)
 	}
 	if st.Reuse.Detached < 2 || st.Recovery.Rebuilds < 1 || st.Recovery.RecoveredSessions < 1 ||
 		st.Overload.DeadlineExpired != 1 || st.Overload.BrownoutShed != 1 || st.Overload.RetryAfterIssued != 1 {

@@ -32,7 +32,7 @@ func TestValidateRankAddrs(t *testing.T) {
 			t.Errorf("list %v accepted, want error", bad)
 		}
 	}
-	// New (and therefore cpserve -distributed) rejects a bad list before
+	// New (and therefore cpserve -rank-addrs) rejects a bad list before
 	// dialing rather than hanging in rendezvous.
 	_, err := New(Config{
 		Transformer: transformer.Tiny(1),

@@ -23,7 +23,7 @@ type QueueStats struct {
 type BatchStats struct {
 	Iterations      int64   `json:"iterations"`       // step-loop iterations that executed work
 	PrefillChunks   int64   `json:"prefill_chunks"`   // live chunks whose ring pass succeeded (cp_prefill_chunks_total)
-	PrefillTokens   int64   `json:"prefill_tokens"`   // prompt tokens prefilled
+	PrefillTokens   int64   `json:"prefill_tokens"`   // prompt tokens in the live chunks PrefillChunks counts
 	DecodeTokens    int64   `json:"decode_tokens"`    // decode steps executed (one token each)
 	MixedIterations int64   `json:"mixed_iterations"` // iterations with both a chunk and >=1 decode
 	MaxOccupancy    int     `json:"max_occupancy"`    // max sessions served by one iteration
@@ -240,6 +240,22 @@ func (s *Scheduler) Cohorts() []string {
 		out = append(out, name)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// cohortLatency summarizes each registered cohort's latency histograms
+// through the handles the scheduler resolved for it, for the /v1/stats
+// by-cohort block (nil when no cohort is registered).
+func (s *Scheduler) cohortLatency() map[string]cohortLatency {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.cohortSeries) == 0 {
+		return nil
+	}
+	out := make(map[string]cohortLatency, len(s.cohortSeries))
+	for name, h := range s.cohortSeries {
+		out[name] = cohortLatency{TTFT: quantilesOf(h.ttft), ITL: quantilesOf(h.itl), E2E: quantilesOf(h.e2e)}
+	}
 	return out
 }
 

@@ -151,11 +151,69 @@ func TestRingPhaseCountsMatchPlan(t *testing.T) {
 	}
 }
 
+// A /metrics scrape, a /v1/trace export and a /v1/stats poll each send one
+// command to each worker, because the stats reply carries the trace drain.
+// The workers' heartbeats are silenced, so a control link moves only
+// commands and their replies, and the links' own totals in Telemetry count
+// them: two readings bracket one Telemetry round trip plus the request's
+// commands, each a frame in both directions.
+func TestOneCommandPerWorkerPerTelemetryRequest(t *testing.T) {
+	cfg := transformer.Tiny(29)
+	addrs := startWorkers(t, cfg, 2, func(wc *transformer.WorkerConfig) {
+		wc.HeartbeatEvery, wc.HeartbeatMisses = time.Hour, -1
+	})
+	srv, err := New(Config{
+		Transformer: cfg, RankAddrs: addrs, TokenBudget: 4,
+		DialTimeout: 20 * time.Second, HeartbeatMisses: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := srv.Scheduler().Generate(context.Background(), 1, []int{4, 19, 22, 7, 3, 11}, 3); err != nil {
+		t.Fatal(err)
+	}
+	ctrlFrames := func() map[int]int64 {
+		t.Helper()
+		var tel transformer.Telemetry
+		var err error
+		srv.Scheduler().WithCluster(func(c *transformer.Cluster) { tel, err = c.Telemetry() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[int]int64{}
+		for _, l := range tel.Links {
+			if l.Src == -1 {
+				out[l.Dst] = l.WireMsgs
+			}
+		}
+		return out
+	}
+	h := srv.Handler()
+	for _, path := range []string{"/metrics", "/v1/trace", "/v1/stats"} {
+		before := ctrlFrames()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.Bytes())
+		}
+		after := ctrlFrames()
+		if len(after) != len(addrs) {
+			t.Fatalf("%d control links, want %d", len(after), len(addrs))
+		}
+		for r := range after {
+			if frames := after[r] - before[r]; frames != 2*(1+1) {
+				t.Errorf("%s: %d control frames to and from worker %d around it, want 4: one command and its reply, besides Telemetry's own", path, frames, r)
+			}
+		}
+	}
+}
+
 // TestDistributedMetricsMatchPlan is the distributed acceptance check: a
 // 3-rank multi-process run's /metrics exposition must carry per-rank ring
 // compute/comm phase histograms whose observation counts equal the plan's
 // predicted sweep count — proving worker-staged series survive the wire
-// drain (TraceCmd/TraceResult) intact.
+// drain (the StatsResult's spans and series) intact.
 func TestDistributedMetricsMatchPlan(t *testing.T) {
 	const (
 		ranks       = 3

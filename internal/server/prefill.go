@@ -148,9 +148,11 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 	defer s.mu.Unlock()
 	s.executing = nil
 	if out.err == nil {
-		// A chunk counts once its ring pass succeeded, whatever then becomes
-		// of its request; recovery replay's chunks do not count.
+		// A chunk and its tokens count once its ring pass succeeded,
+		// whatever then becomes of its request; recovery replay's chunks do
+		// not count.
 		s.cChunk.Inc(1)
+		s.batch.PrefillTokens += int64(out.n)
 	}
 	// The canonical prefix is only ever read to donate it, which a session
 	// that opted out (sticky noDetach) never does: such a session records

@@ -236,8 +236,8 @@ func TestRecoveryDisabledPreservesFaulting(t *testing.T) {
 
 // startWorkers spins up single-shot (non-rejoin) worker goroutines for the
 // budget test: once shut down they stay gone, so a rebuild has nothing to
-// dial.
-func startWorkers(t *testing.T, cfg transformer.Config, n int) []string {
+// dial. Each option edits every worker's config.
+func startWorkers(t *testing.T, cfg transformer.Config, n int, opts ...func(*transformer.WorkerConfig)) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	lns := make([]net.Listener, n)
@@ -254,11 +254,15 @@ func startWorkers(t *testing.T, cfg transformer.Config, n int) []string {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_ = transformer.RunWorker(transformer.WorkerConfig{
+			wc := transformer.WorkerConfig{
 				Transformer: cfg, Rank: i, World: n,
 				Listener: lns[i], Addrs: addrs,
 				RendezvousTimeout: 20 * time.Second,
-			})
+			}
+			for _, opt := range opts {
+				opt(&wc)
+			}
+			_ = transformer.RunWorker(wc)
 		}(i)
 	}
 	t.Cleanup(wg.Wait)

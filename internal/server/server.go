@@ -103,6 +103,12 @@ type Server struct {
 	seq       atomic.Uint64 // /v1/stats snapshot sequence
 	closeOnce sync.Once
 
+	// The level gauges the scrapes and polls set, resolved once.
+	gSequence *trace.Series // cp_stats_sequence
+	gEpoch    *trace.Series // cp_cluster_epoch
+	gUptime   *trace.Series // cp_uptime_seconds
+	gSessions *trace.Series // cp_sessions_resident
+
 	// The integrity and chaos counters, which /v1/stats and /metrics both
 	// report: the cluster reports cumulative process-local totals, and the
 	// counters follow them (syncRobustness).
@@ -189,7 +195,11 @@ func New(cfg Config) (*Server, error) {
 			{series: rec.CounterSeries("cp_integrity_checked_total")},
 			{series: rec.CounterSeries("cp_integrity_rejected_total")},
 		},
-		chaos: make(map[string]*robustCounter, len(chaos.Kinds)),
+		chaos:     make(map[string]*robustCounter, len(chaos.Kinds)),
+		gSequence: rec.Gauge("cp_stats_sequence"),
+		gEpoch:    rec.Gauge("cp_cluster_epoch"),
+		gUptime:   rec.Gauge("cp_uptime_seconds"),
+		gSessions: rec.Gauge("cp_sessions_resident"),
 	}
 	srv.started = srv.sched.now()
 	// Register the robustness counters up front so scrapes expose them at

@@ -19,23 +19,24 @@ import (
 func (s *Server) Recorder() *trace.Recorder { return s.rec }
 
 // syncTrace drains every distributed worker's staged spans and metric
-// deltas into the coordinator recorder and refreshes the level gauges.
-// In-process clusters record into the shared store directly, so only the
-// gauges move.
+// deltas into the coordinator recorder — one Telemetry round trip — and
+// refreshes the level gauges. In-process clusters record into the shared
+// store directly, so only the gauges move.
 func (s *Server) syncTrace() error {
 	var err error
 	s.sched.WithCluster(func(c *transformer.Cluster) {
-		err = c.SyncTrace()
-		s.rec.Gauge("cp_cluster_epoch").Set(float64(c.Epoch()))
-		// Integrity and chaos totals live in per-process atomics, not the
-		// per-rank recorders the span drain covers; fold the cluster sum in
-		// so /metrics carries them too.
-		if tel, terr := c.Telemetry(); terr == nil {
+		var tel transformer.Telemetry
+		tel, err = c.Telemetry()
+		s.gEpoch.Set(float64(c.Epoch()))
+		if err == nil {
+			// Integrity and chaos totals live in per-process atomics, not
+			// the per-rank recorders the drain covers; fold the cluster sum
+			// in so /metrics carries them too.
 			s.syncRobustness(tel)
 		}
 	})
-	s.rec.Gauge("cp_uptime_seconds").Set(s.sched.now().Sub(s.started).Seconds())
-	s.rec.Gauge("cp_sessions_resident").Set(float64(s.sched.Sessions()))
+	s.gUptime.Set(s.sched.now().Sub(s.started).Seconds())
+	s.gSessions.Set(float64(s.sched.Sessions()))
 	return err
 }
 
@@ -336,23 +337,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		treeStats = &st
 	}
 	latency := latencyBlock{
-		TTFT: quantilesOf(s.sched.hTTFT),
-		ITL:  quantilesOf(s.sched.hITL),
-		Step: quantilesOf(s.sched.hStep),
-	}
-	if names := s.sched.Cohorts(); len(names) > 0 {
-		latency.ByCohort = make(map[string]cohortLatency, len(names))
-		for _, name := range names {
-			l := trace.L("cohort", name)
-			latency.ByCohort[name] = cohortLatency{
-				TTFT: quantilesOf(s.rec.Hist("cp_cohort_ttft_seconds", l)),
-				ITL:  quantilesOf(s.rec.Hist("cp_cohort_itl_seconds", l)),
-				E2E:  quantilesOf(s.rec.Hist("cp_cohort_e2e_seconds", l)),
-			}
-		}
+		TTFT:     quantilesOf(s.sched.hTTFT),
+		ITL:      quantilesOf(s.sched.hITL),
+		Step:     quantilesOf(s.sched.hStep),
+		ByCohort: s.sched.cohortLatency(),
 	}
 	seq := s.seq.Add(1)
-	s.rec.Gauge("cp_stats_sequence").Set(float64(seq))
+	s.gSequence.Set(float64(seq))
 	uptime := s.sched.now().Sub(s.started)
 	writeJSON(w, http.StatusOK, statsResponse{
 		Ranks:           ranks,

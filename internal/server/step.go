@@ -118,9 +118,6 @@ func (s *Scheduler) step() (IterReport, bool) {
 	b.OccupancySum += int64(report.Occupancy())
 	b.MaxOccupancy = max(b.MaxOccupancy, report.Occupancy())
 	b.MaxDecodeBatch = max(b.MaxDecodeBatch, len(report.DecodeSessions))
-	if pj != nil {
-		b.PrefillTokens += int64(report.PrefillTokens)
-	}
 	b.DecodeTokens += int64(len(report.DecodeSessions))
 	if pj != nil && len(report.DecodeSessions) > 0 {
 		b.MixedIterations++

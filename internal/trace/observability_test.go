@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -283,6 +284,38 @@ func TestDrainMergeRoundTrip(t *testing.T) {
 	coord.MergeSeries(series3)
 	if c := coord.Hist("cp_step_seconds").HistCount(); c != 2 {
 		t.Fatalf("cumulative hist count = %d", c)
+	}
+}
+
+// A drain ships every series the first time, moved or not, so the merging
+// store learns it exists, and after that only the series that moved.
+func TestDrainShipsOnlySeriesThatMoved(t *testing.T) {
+	r := New()
+	c := r.CounterSeries("c")
+	h := r.Hist("h")
+	g := r.Gauge("g")
+	names := func() []string {
+		_, snaps := r.Drain()
+		var out []string
+		for _, sn := range snaps {
+			out = append(out, sn.Name)
+		}
+		return out
+	}
+	for _, step := range []struct {
+		act  func()
+		want []string
+	}{
+		{func() {}, []string{"c", "g", "h"}},
+		{func() {}, nil},
+		{func() { g.Set(0); c.Inc(0) }, nil},
+		{func() { g.Set(2); h.Observe(0.5) }, []string{"g", "h"}},
+		{func() { g.Set(2); c.Inc(1) }, []string{"c"}},
+	} {
+		step.act()
+		if got := names(); !reflect.DeepEqual(got, step.want) {
+			t.Fatalf("drain shipped %v, want %v", got, step.want)
+		}
 	}
 }
 

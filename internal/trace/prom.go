@@ -17,7 +17,7 @@ var metricHelp = map[string]string{
 	"cp_queue_wait_seconds":              "Admission-queue wait per scheduled job, by class.",
 	"cp_ring_phase_seconds":              "Per-rank ring sweep phase time (compute, comm, all2all) per layer pass.",
 	"cp_ring_sweeps_total":               "Ring sweeps (layer passes) executed per rank and op.",
-	"cp_requests_total":                  "Generate requests admitted, by class.",
+	"cp_requests_total":                  "Prefill, decode and generate requests admitted, by class (a request with a prompt is class prefill).",
 	"cp_cohort_ttft_seconds":             "Time to first token per generate request, by workload cohort.",
 	"cp_cohort_itl_seconds":              "Inter-token latency per decoded token, by workload cohort.",
 	"cp_cohort_e2e_seconds":              "End-to-end request latency, by workload cohort.",
@@ -31,11 +31,11 @@ var metricHelp = map[string]string{
 	"cp_stats_sequence":                  "Monotonic stats snapshot sequence number.",
 	"cp_sessions_resident":               "Sessions currently resident in the scheduler.",
 	"cp_cluster_epoch":                   "Current cluster incarnation epoch.",
-	"cp_overload_shed_total":             "Admissions refused by the overload controller, by class.",
-	"cp_overload_retry_after_total":      "Overload refusals that carried a retry-after hint, by class.",
-	"cp_overload_deadline_expired_total": "Queued jobs dropped because their deadline expired before scheduling, by class.",
-	"cp_integrity_checked_total":         "Wire frames whose CRC trailer was verified, by direction.",
-	"cp_integrity_rejected_total":        "Wire frames rejected for CRC mismatch, by direction.",
+	"cp_overload_shed_total":             "Requests rejected or shed by brownout overload control (429s).",
+	"cp_overload_retry_after_total":      "429 responses that carried a Retry-After header.",
+	"cp_overload_deadline_expired_total": "Requests aborted by their own timeout_ms deadline (504s).",
+	"cp_integrity_checked_total":         "Wire frames whose CRC32C trailer was verified, summed over the cluster's processes.",
+	"cp_integrity_rejected_total":        "Wire frames rejected for a CRC32C mismatch, summed over the cluster's processes.",
 	"cp_chaos_faults_total":              "Chaos faults injected, by kind.",
 }
 

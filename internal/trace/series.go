@@ -67,6 +67,10 @@ type Series struct {
 	count  uint64   // histogram observations
 	sum    float64  // histogram sum
 	counts []uint64 // histogram per-bucket counts, len == len(BucketBounds)+1 (+Inf last)
+	// drained marks a series Drain has shipped once; shipped is the gauge
+	// value it shipped last.
+	drained bool
+	shipped float64
 }
 
 // seriesID renders the canonical registry key.
@@ -278,10 +282,23 @@ func (s *Series) snapshot() SeriesSnap {
 }
 
 // drain returns the series' delta since the last drain and resets flows
-// (counters, histograms); gauges are levels and keep their value.
-func (s *Series) drain() SeriesSnap {
+// (counters, histograms); gauges are levels and keep their value. It
+// reports false, taking nothing, for a series drained before that has not
+// moved since.
+func (s *Series) drain() (SeriesSnap, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	moved := s.value != 0
+	switch s.kind {
+	case KindHistogram:
+		moved = s.count > 0
+	case KindGauge:
+		moved = s.value != s.shipped
+	}
+	if s.drained && !moved {
+		return SeriesSnap{}, false
+	}
+	s.drained, s.shipped = true, s.value
 	sn := SeriesSnap{
 		Name:   s.name,
 		Labels: append([]Label(nil), s.labels...),
@@ -301,7 +318,7 @@ func (s *Series) drain() SeriesSnap {
 	case KindCounter:
 		s.value = 0
 	}
-	return sn
+	return sn, true
 }
 
 // merge folds a drained delta in: counters and histograms add, gauges take

@@ -11,7 +11,7 @@
 // Recorders are safe for concurrent use: every CP rank goroutine records
 // into the same recorder during an in-process distributed call. In
 // multi-process mode each worker records into its own recorder and the
-// coordinator drains deltas over the wire (wire.TraceCmd / TraceResult),
+// coordinator drains deltas over the wire (every wire.StatsResult carries one),
 // merging them into its cumulative store — so counters stay monotonic
 // across epochs and histogram merge is plain bucket addition.
 //
@@ -511,7 +511,7 @@ func (t *SweepTimer) Finish(steps int) {
 // --- drain / merge (the wire-shipping surface) -----------------------------
 
 // SeriesSnap is one series' drained delta (or gauge value): the unit the
-// coordinator merges after shipping it over a wire.TraceResult.
+// coordinator merges after shipping it in a wire.StatsResult.
 type SeriesSnap struct {
 	Name   string
 	Labels []Label
@@ -524,7 +524,10 @@ type SeriesSnap struct {
 
 // Drain atomically removes and returns all buffered spans plus every
 // series' delta since the previous drain, resetting counters and histogram
-// contents (gauges keep their value — they are levels, not flows). The
+// contents (gauges keep their value — they are levels, not flows). A series
+// drains whole the first time, so the merging store learns it exists, and
+// after that only when it moved: a counter or histogram that grew, a gauge
+// at a new value — merging anything else would change nothing. The
 // interned span shapes stay, so later spans of a known shape intern
 // nothing. Worker recorders are staging buffers: the coordinator's merged
 // store is the cumulative source of truth.
@@ -545,7 +548,9 @@ func (r *Recorder) Drain() ([]Span, []SeriesSnap) {
 	sort.Slice(series, func(i, j int) bool { return series[i].id < series[j].id })
 	snaps := make([]SeriesSnap, 0, len(series))
 	for _, s := range series {
-		snaps = append(snaps, s.drain())
+		if sn, moved := s.drain(); moved {
+			snaps = append(snaps, sn)
+		}
 	}
 	return staged.spans(shapes), snaps
 }

@@ -2,7 +2,8 @@ package transformer
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,7 +43,7 @@ type Cluster struct {
 
 	// rec is the cluster's trace recorder (nil = tracing off). In-process
 	// engines record into it directly; distributed workers stage locally and
-	// SyncTrace drains their deltas into it over the control plane.
+	// every Telemetry drains their deltas into it over the control plane.
 	rec *trace.Recorder
 
 	// dial stands up the plane of a given incarnation — what NewCluster or
@@ -226,24 +227,10 @@ func (c *Cluster) FailLink(src, dst int) {
 func (c *Cluster) Recorder() *trace.Recorder { return c.rec }
 
 // SyncTrace pulls every worker's staged spans and series deltas into the
-// cluster's recorder. In-process engines already record into it and answer
-// "nothing staged". It is a command like any other: callers must not race it
-// against an in-flight prefill or decode (the serving layer calls it under
-// its cluster lock before every scrape or trace export), and on a
-// distributed cluster a failed round trip poisons the plane.
+// cluster's recorder: Telemetry with the snapshot discarded.
 func (c *Cluster) SyncTrace() error {
-	if c.rec == nil {
-		return nil
-	}
-	results, err := collect[*wire.TraceResult](c, &wire.TraceCmd{})
-	if err != nil {
-		return err
-	}
-	for _, res := range results {
-		c.rec.MergeSpans(wireToSpans(res.Spans))
-		c.rec.MergeSeries(wireToSnaps(res.Series))
-	}
-	return nil
+	_, err := c.Telemetry()
+	return err
 }
 
 // SeqLen returns the cached length of a sequence.
@@ -275,20 +262,28 @@ type Telemetry struct {
 	ChaosCounts []int64
 }
 
-// Telemetry snapshots the cluster. Callers must not race it against an
-// in-flight prefill or decode (the serving layer reads it under its cluster
-// lock). For a distributed cluster this is a control-plane round trip.
+// Telemetry snapshots the cluster and merges every worker's staged spans and
+// series deltas into the cluster's recorder (in-process engines record into
+// it directly and send none). It is a command like any other: callers must
+// not race it against an in-flight prefill or decode (the serving layer
+// reads it under its cluster lock), and on a distributed cluster it is a
+// control-plane round trip, whose failure poisons the plane.
 func (c *Cluster) Telemetry() (Telemetry, error) {
+	var tel Telemetry
+	c.plane.local(&tel)
 	results, err := collect[*wire.StatsResult](c, &wire.StatsCmd{})
 	if err != nil {
 		return Telemetry{}, err
 	}
-	tel := Telemetry{
-		RankKV: make([]int, c.n),
-		Comm:   comm.Stats{Messages: map[comm.Kind]int64{}, Bytes: map[comm.Kind]float64{}},
-	}
+	tel.RankKV = make([]int, c.n)
+	tel.Comm = comm.Stats{Messages: map[comm.Kind]int64{}, Bytes: map[comm.Kind]float64{}}
 	chaos := map[string]int64{}
+	for i, k := range tel.ChaosKinds {
+		chaos[k] = tel.ChaosCounts[i]
+	}
 	for r, res := range results {
+		c.rec.MergeSpans(res.Spans)
+		c.rec.MergeSeries(res.Series)
 		tel.RankKV[r] = res.CacheTokens
 		if len(res.Assembly) == 5 {
 			tel.Assembly.Add(ring.BlockCacheStats{
@@ -321,7 +316,6 @@ func (c *Cluster) Telemetry() (Telemetry, error) {
 	checked, rejected := wire.IntegrityStats()
 	tel.IntegrityChecked += checked
 	tel.IntegrityRejected += rejected
-	c.plane.local(&tel)
 	return tel, nil
 }
 
@@ -331,11 +325,7 @@ func flattenChaos(m map[string]int64) ([]string, []int64) {
 	if len(m) == 0 {
 		return nil, nil
 	}
-	kinds := make([]string, 0, len(m))
-	for k := range m {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
+	kinds := slices.Sorted(maps.Keys(m))
 	counts := make([]int64, len(kinds))
 	for i, k := range kinds {
 		counts[i] = m[k]

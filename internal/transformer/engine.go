@@ -2,7 +2,8 @@ package transformer
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/comm/wire"
@@ -31,7 +32,7 @@ type rankEngine struct {
 	// nil recorder is tracing off: every sweep timer degrades to a nil no-op
 	// and the compute path takes zero clock readings. staged marks rec as
 	// this engine's own staging buffer (serveRank sets it): only then does a
-	// TraceCmd drain it. An in-process engine records straight into the
+	// StatsCmd drain it. An in-process engine records straight into the
 	// cluster's store, and draining that into itself would lose the lot.
 	rec    *trace.Recorder
 	epoch  uint64
@@ -400,25 +401,12 @@ func (e *rankEngine) assembly() ring.BlockCacheStats {
 	return total
 }
 
-// traceResult drains this rank's staged spans and series deltas into a wire
-// frame. The worker recorder resets on every drain; the coordinator's merged
-// store is the cumulative source of truth.
-func (e *rankEngine) traceResult(rank int) *wire.TraceResult {
-	if !e.staged {
-		return &wire.TraceResult{Rank: rank}
-	}
-	spans, snaps := e.rec.Drain()
-	return &wire.TraceResult{
-		Rank:   rank,
-		Spans:  spansToWire(spans),
-		Series: snapsToWire(snaps),
-	}
-}
-
 // statsResult snapshots this rank's telemetry into a wire frame: cache
 // occupancy, assembly counters, and the world's comm accounting for this
 // rank alone (kinds sorted for a deterministic encoding) — in-process every
-// engine shares one World, so anything wider would be counted N times. The
+// engine shares one World, so anything wider would be counted N times — and
+// the drain of its staging recorder, which resets on every drain: the
+// coordinator's merged store is the cumulative source of truth. The
 // process-global integrity and chaos counters are not the engine's to
 // report: whoever hosts the process attaches them, once.
 func (e *rankEngine) statsResult(world *comm.World, rank int) *wire.StatsResult {
@@ -428,16 +416,14 @@ func (e *rankEngine) statsResult(world *comm.World, rank int) *wire.StatsResult 
 		Assembly:    []int64{a.Rebuilds, a.RebuildRows, a.Appends, a.AppendedRows, a.Reuses},
 		Links:       world.LinkStats(),
 	}
-	st := world.RankStats(rank)
-	kinds := make([]string, 0, len(st.Messages))
-	for k := range st.Messages {
-		kinds = append(kinds, string(k))
+	if e.staged {
+		res.Spans, res.Series = e.rec.Drain()
 	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		res.Kinds = append(res.Kinds, k)
-		res.Msgs = append(res.Msgs, st.Messages[comm.Kind(k)])
-		res.Bytes = append(res.Bytes, st.Bytes[comm.Kind(k)])
+	st := world.RankStats(rank)
+	for _, k := range slices.Sorted(maps.Keys(st.Messages)) {
+		res.Kinds = append(res.Kinds, string(k))
+		res.Msgs = append(res.Msgs, st.Messages[k])
+		res.Bytes = append(res.Bytes, st.Bytes[k])
 	}
 	return res
 }

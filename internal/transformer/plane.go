@@ -35,7 +35,8 @@ type plane interface {
 	close() error
 	// local folds in what only the plane itself knows: the transport's name,
 	// this process's chaos counters when it also hosts the ranks, the control
-	// links' traffic when it does not.
+	// links' traffic when it does not. Telemetry calls it before its round
+	// trip.
 	local(tel *Telemetry)
 }
 

@@ -53,9 +53,9 @@ type ConnectConfig struct {
 	HeartbeatEvery  time.Duration
 	HeartbeatMisses int
 	// Trace, when non-nil, is the coordinator's cumulative trace store;
-	// Cluster.SyncTrace drains every worker's staged spans and series deltas
-	// into it. Nil disables coordinator-side trace collection (workers still
-	// stage, but nothing drains them).
+	// every Cluster.Telemetry drains the workers' staged spans and series
+	// deltas into it. Nil disables coordinator-side trace collection: the
+	// workers still stage, and a drain is discarded.
 	Trace *trace.Recorder
 }
 
@@ -184,6 +184,10 @@ func (p *remotePlane) poison(err error) error {
 }
 
 // local adds the control plane's own traffic, as coordinator->worker links.
+// Telemetry reads it before its round trip, whose replies carry the trace
+// drain: two readings then bracket the traffic between them and the first
+// reading's own round trip, never the second's, which drains the spans that
+// traffic staged.
 func (p *remotePlane) local(tel *Telemetry) {
 	tel.Transport = "tcp"
 	for r, c := range p.ctrls {

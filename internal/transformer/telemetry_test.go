@@ -11,7 +11,7 @@ import (
 )
 
 // A worker's ring.sweep spans reach the coordinator with the Args a local
-// read gives: drained, converted to wire spans, framed, read back and merged
+// read gives: drained into a StatsResult, framed, read back and merged
 // into the coordinator's recorder, a sweep with an All2All keeps all2all_ns
 // and one without stays without, every value intact.
 func TestSweepSpanArgsSurviveTheWireDrain(t *testing.T) {
@@ -34,7 +34,7 @@ func TestSweepSpanArgsSurviveTheWireDrain(t *testing.T) {
 	}
 	spans, _ := worker.Drain()
 	var buf bytes.Buffer
-	if _, err := wire.WriteFrame(&buf, &wire.TraceResult{Rank: 1, Spans: spansToWire(spans)}); err != nil {
+	if _, err := wire.WriteFrame(&buf, &wire.StatsResult{Spans: spans}); err != nil {
 		t.Fatal(err)
 	}
 	v, _, err := wire.ReadFrame(&buf, 0)
@@ -42,7 +42,7 @@ func TestSweepSpanArgsSurviveTheWireDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord := trace.New()
-	coord.MergeSpans(wireToSpans(v.(*wire.TraceResult).Spans))
+	coord.MergeSpans(v.(*wire.StatsResult).Spans)
 	if got := coord.Spans(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("the coordinator reads %+v, the worker read %+v", got, want)
 	}

@@ -298,7 +298,7 @@ func (b *workerBoot) serveEpoch(cfg WorkerConfig, w *Weights, epoch uint64) erro
 func serveRank(ctrl *transport.Ctrl, world *comm.World, w *Weights, kvCapacity int, epoch uint64, maxTraceSpans int) error {
 	rank := world.Rank(world.LocalRanks()[0]) // a TCP world hosts one rank
 	// Each incarnation stages its spans in its own recorder; the coordinator
-	// drains them over TraceCmd round trips and merges into its cumulative
+	// drains them with every StatsCmd and merges them into its cumulative
 	// store, epoch-stamped so traces survive recovery rebuilds.
 	rec := trace.New()
 	rec.SetMaxSpans(maxTraceSpans)
@@ -403,8 +403,6 @@ func (e *rankEngine) handle(rank *comm.Rank, world *comm.World, v any) (reply an
 		return &wire.CapResult{Capacity: e.capacity(), Avail: avail, Overhead: overhead}, false
 	case *wire.StatsCmd:
 		return e.statsResult(world, rank.ID), false
-	case *wire.TraceCmd:
-		return e.traceResult(rank.ID), false
 	case *wire.ShutdownCmd:
 		return &wire.Ack{}, true
 	default:
