@@ -186,16 +186,17 @@ func (s *Scheduler) enqueue(r *request) error {
 	}
 	s.idSeq++
 	r.id = s.idSeq
-	if r.noCache {
-		s.noDetach[r.session] = true
-	}
 	now := s.now()
 	r.start, r.queuedAt, r.lastStep = now, now, now
 	cls := ClassDecode
 	if len(r.prompt) > 0 {
 		cls = ClassPrefill
-		if s.sessions[r.session] {
-			// Follow-up turn of a resident session: no new admission slot.
+		if st, ok := s.sessions[r.session]; ok {
+			// Follow-up turn of an admitted session: no new admission slot.
+			if r.noCache && !st.noDetach {
+				st.noDetach = true
+				s.sessions[r.session] = st
+			}
 			s.prefills = append(s.prefills, r)
 		} else {
 			if s.brownoutLocked(now) {
@@ -212,7 +213,7 @@ func (s *Scheduler) enqueue(r *request) error {
 			s.admitLocked()
 		}
 	} else {
-		if !s.prefilled[r.session] {
+		if !s.sessions[r.session].resident {
 			s.mu.Unlock()
 			return fmt.Errorf("server: session %d: %w", r.session, ErrUnknownSession)
 		}
@@ -254,71 +255,33 @@ func (s *Scheduler) submit(ctx context.Context, r *request) error {
 func (s *Scheduler) cancelQueued(r *request, cause error) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	r.cancelCause = cause
 	ok := len(s.dequeueLocked(func(x *request) bool { return x == r && s.executing != r })) > 0
 	if ok {
-		r.cancelCause = cause
-		s.abortCanceledLocked(r, r.contributedKV())
+		s.exitLocked(r, outCanceled, nil, false)
 	} else {
 		// The current iteration holds this request (executing prefill head
 		// or popped into the decode batch); flag it for a boundary abort.
 		r.canceled = true
-		r.cancelCause = cause
 	}
 	return ok
 }
 
-// abortCanceledLocked completes a claimed-then-canceled request at a
-// boundary; caller holds s.mu. With evict set (partial prompt KV, or a
-// generate stream whose client will never issue the DELETE), the session
-// is quarantined exactly like a failed chunk. A session left with no KV
-// and no queued work — including one that never prefilled at all — gives
-// its admission slot back to the pool. (An executing prefill head is still
-// in the queue, so sessionQueuedLocked protects in-flight same-session
-// work.)
-func (s *Scheduler) abortCanceledLocked(r *request, evict bool) {
-	r.err = fmt.Errorf("server: request canceled: %w", r.cancelCause)
-	close(r.done)
-	s.noteDeadlineLocked(r.cancelCause)
-	if evict {
-		s.quarantineLocked(r.session)
-	}
-	s.maybeFreeSlotLocked(r.session)
-	s.cond.Broadcast()
-}
-
 // admitLocked moves waiting new sessions into the prefill queue while
-// admission slots remain; caller holds s.mu.
+// admission slots remain, giving each a session record; caller holds s.mu.
 func (s *Scheduler) admitLocked() {
 	for len(s.admit) > 0 {
 		r := s.admit[0]
-		if !s.sessions[r.session] && len(s.sessions) >= s.cfg.MaxSessions {
+		st, ok := s.sessions[r.session]
+		if !ok && len(s.sessions) >= s.cfg.MaxSessions {
 			return // backpressure: the queue waits for a Release
 		}
-		s.sessions[r.session] = true
+		st.noDetach = st.noDetach || r.noCache
+		s.sessions[r.session] = st
 		s.admit = s.admit[1:]
 		// Queue waits measure runnable-to-execution delay; time parked
 		// behind the admission cap is a different (observable) metric.
 		r.queuedAt = s.now()
 		s.prefills = append(s.prefills, r)
-	}
-}
-
-// quarantineLocked evicts a session's KV (scheduling the drop) and marks it
-// un-decodable; caller holds s.mu and should broadcast after. Quarantined KV
-// is indeterminate (a fault or cancellation mid-flight) and must never
-// donate to the prefix tree.
-func (s *Scheduler) quarantineLocked(session int) {
-	delete(s.prefilled, session)
-	s.pendingDrops = append(s.pendingDrops, sessionDrop{session: session})
-}
-
-// maybeFreeSlotLocked returns a session's admission slot to the pool when
-// it holds no KV and no queued work references it; caller holds s.mu and
-// should broadcast after.
-func (s *Scheduler) maybeFreeSlotLocked(session int) {
-	if !s.prefilled[session] && !s.sessionQueuedLocked(session) {
-		delete(s.sessions, session)
-		delete(s.noDetach, session)
-		s.admitLocked()
 	}
 }

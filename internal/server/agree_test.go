@@ -168,6 +168,14 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 	if st.Batch.PrefillTokens != 140 {
 		t.Errorf("prefill_tokens %d, want 140", st.Batch.PrefillTokens)
 	}
+	// The reuse counters count live traffic only, so the tokens computed on
+	// the ring are the live chunks' tokens, and the lookups are the first
+	// chunks of sessions 1, 3 and 2 (the others opted out); the replay's are
+	// in the recovery block.
+	if st.Reuse.ComputedTokens != 140 || st.PrefillSource.ComputedTokens != 140 || st.Reuse.Lookups != 3 {
+		t.Errorf("reuse computed_tokens %d, prefill_source computed_tokens %d, lookups %d, want 140, 140 and 3",
+			st.Reuse.ComputedTokens, st.PrefillSource.ComputedTokens, st.Reuse.Lookups)
+	}
 	if st.Reuse.Detached < 2 || st.Recovery.Rebuilds < 1 || st.Recovery.RecoveredSessions < 1 ||
 		st.Overload.DeadlineExpired != 1 || st.Overload.BrownoutShed != 1 || st.Overload.RetryAfterIssued != 1 {
 		t.Errorf("an event is missing: reuse %+v, recovery %+v, overload %+v", st.Reuse, st.Recovery, st.Overload)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -73,7 +74,8 @@ func (r IterReport) Occupancy() int {
 func (s *Scheduler) Known(session int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sessions[session] || s.sessionQueuedLocked(session)
+	_, ok := s.sessions[session]
+	return ok || s.sessionQueuedLocked(session)
 }
 
 // Sessions returns the resident session ids' count.
@@ -128,13 +130,136 @@ func (s *Scheduler) dequeueLocked(match func(*request) bool) []*request {
 	return out
 }
 
-// purgeSessionLocked fails every queued request of a session with the
-// given error and removes them from all three queues; caller holds s.mu.
-func (s *Scheduler) purgeSessionLocked(session int, err error) {
-	for _, r := range s.dequeueLocked(func(r *request) bool { return r.session == session }) {
-		r.err = err
+// outcome is how a request ends. exitLocked gives each its error, which
+// statusFor maps to an HTTP status (README, "Request outcomes").
+type outcome uint8
+
+const (
+	outServed   outcome = iota // its work is done: no error, e2e observed
+	outClosed                  // Close cut it: truncated success if it streamed tokens, else ErrClosed
+	outReleased                // its session was released or lost its KV under it: ErrReleased
+	outCanceled                // its client's context fired: the cancel cause
+	outShed                    // brownout shed it from the admission queue: OverloadError
+	outFailed                  // the ranks failed it (fault, KV capacity, lost in recovery): ExecError
+)
+
+// exitLocked is the one way a request ends: it sets r's error from the
+// outcome (cause is a failure's), observes e2e on success, does the
+// quarantine and slot bookkeeping the outcome needs, and answers r. A request
+// the running iteration claimed is answered once the iteration's stats are
+// recorded, so a client that reads the stats on its reply finds the
+// iteration in them; any other is answered at once. The caller holds s.mu and
+// has already removed r from the queues.
+func (s *Scheduler) exitLocked(r *request, o outcome, cause error, claimed bool) {
+	evict, free := false, false
+	switch o {
+	case outServed:
+		s.cohortHandlesLocked(r.cohort).e2e.Observe(r.lastStep.Sub(r.start).Seconds())
+		// A stream that finished after its client vanished will never see
+		// the session's DELETE.
+		evict = r.canceled && r.collect
+	case outClosed:
+		// Shutdown drains a stream that produced tokens as a successful,
+		// truncated response; a request that produced nothing fails.
+		if !r.collect || len(r.tokens) == 0 {
+			r.err = ErrClosed
+		}
+	case outReleased:
+		r.err = releasedErr(r.session)
+		free = true
+	case outCanceled:
+		r.err = fmt.Errorf("server: request canceled: %w", r.cancelCause)
+		s.noteDeadlineLocked(r.cancelCause)
+		// Partial prompt KV is unusable, and a generate stream's client will
+		// never issue the DELETE. A prefill head whose chunk ran may have put
+		// KV on the ranks even if the chunk consumed nothing.
+		evict, free = r.contributedKV() || r == s.executing, true
+	case outShed:
+		r.err = &OverloadError{RetryAfter: s.retryAfterLocked()}
+		s.cShed.Inc(1)
+	case outFailed:
+		// A failed command leaves indeterminate KV behind.
+		r.err = &ExecError{cause}
+		evict = true
+	}
+	if evict {
+		s.quarantineLocked(r.session)
+	}
+	if evict || free {
+		s.freeSlotLocked(r.session)
+		s.cond.Broadcast()
+	}
+	if claimed {
+		s.iter.completed = append(s.iter.completed, r)
+	} else {
 		close(r.done)
 	}
+}
+
+// sessionState is an admitted session's record, the value of
+// Scheduler.sessions: a session holds an admission slot exactly while it has
+// one. Release and loss in recovery delete it; a pending drop carries what it
+// needs of it, so a same-id successor starts from a fresh record.
+type sessionState struct {
+	// resident is set once a chunk of the session's KV has landed, and
+	// cleared by quarantine: only a resident session's decodes run.
+	resident bool
+	// noDetach opts the session out of donating KV (no_cache), from the
+	// admission of its first such request for as long as it holds the slot.
+	noDetach bool
+	// history holds the tokens of the session's canonical prefix: the
+	// aligned prefix whose per-rank KV placement matches a cold prefill's.
+	// It grows only while prefill chunks land exactly on TokenBudget
+	// boundaries with full-budget length, and freezes forever at the first
+	// tail chunk or decode step. Only this prefix is ever detached into the
+	// prefix tree — the alignment that makes adopted KV bit-identical to
+	// recomputation — so a session with noDetach set records none.
+	history []int
+	// log is the token log recovery replays (Recover mode only): one
+	// segment per uninterrupted run of prefill chunks or decode steps, in
+	// residency order. Its invariant is exact agreement with the cluster: a
+	// token is appended when — and only when — its KV landed. Prefill
+	// segments replay as chunked prefills, decode segments as decode steps,
+	// so the per-rank KV placement (and every later logit) reproduces the
+	// original bit for bit.
+	log []logSeg
+}
+
+// quarantineLocked schedules the eviction of a session's KV and marks it
+// un-decodable, keeping its slot and opt-out; caller holds s.mu. Quarantined
+// KV is indeterminate (a fault or cancellation mid-flight) and never donates
+// to the prefix tree. A session without a record already has its drop
+// scheduled by the release or loss that deleted it.
+func (s *Scheduler) quarantineLocked(session int) {
+	st, ok := s.sessions[session]
+	if !ok {
+		return
+	}
+	s.sessions[session] = sessionState{noDetach: st.noDetach}
+	s.pendingDrops = append(s.pendingDrops, sessionDrop{session: session})
+}
+
+// freeSlotLocked gives a session's admission slot back to the pool when it
+// holds no KV and no queued work references it, and admits waiting work;
+// caller holds s.mu and should broadcast after.
+func (s *Scheduler) freeSlotLocked(session int) {
+	if st, ok := s.sessions[session]; ok && !st.resident && !s.sessionQueuedLocked(session) {
+		delete(s.sessions, session)
+		s.admitLocked()
+	}
+}
+
+// dropSessionLocked deletes a session's record and ends its queued requests
+// with outcome o, scheduling the eviction of its KV, which first donates
+// donate to the prefix tree; caller holds s.mu.
+func (s *Scheduler) dropSessionLocked(session int, donate []int, o outcome, cause error) {
+	delete(s.sessions, session)
+	for _, r := range s.dequeueLocked(func(r *request) bool { return r.session == session }) {
+		s.exitLocked(r, o, cause, false)
+	}
+	s.pendingDrops = append(s.pendingDrops, sessionDrop{session: session, donate: donate})
+	s.admitLocked()
+	s.cond.Broadcast()
 }
 
 // Release frees a session's admission slot, fails its queued requests (so
@@ -142,18 +267,14 @@ func (s *Scheduler) purgeSessionLocked(session int, err error) {
 // on the step loop, and admits waiting work.
 func (s *Scheduler) Release(session int) {
 	s.mu.Lock()
-	s.purgeSessionLocked(session, releasedErr(session))
-	delete(s.sessions, session)
-	delete(s.prefilled, session)
 	// A clean release detaches the session's canonical prefix into the
 	// prefix tree before dropping, so reconnects and siblings sharing the
-	// prompt hit warm KV — unless the session opted out. The opt-out is
-	// settled here, not when the drop runs: a same-id session admitted in
-	// between sets its own.
-	s.pendingDrops = append(s.pendingDrops, sessionDrop{session: session, detach: !s.noDetach[session]})
-	delete(s.noDetach, session)
-	s.admitLocked()
-	s.cond.Broadcast()
+	// prompt hit warm KV — unless the session opted out.
+	var donate []int
+	if st := s.sessions[session]; !st.noDetach {
+		donate = st.history
+	}
+	s.dropSessionLocked(session, donate, outReleased, nil)
 	s.mu.Unlock()
 	if s.cfg.Manual {
 		// No background loop will run the drop; apply it here. Manual mode
@@ -206,6 +327,7 @@ func (s *Scheduler) Reuse() ReuseStats {
 	defer s.mu.Unlock()
 	out := s.reuse
 	out.Hits, out.Detached = count(s.cAdopt), count(s.cDetach)
+	out.ComputedTokens = s.batch.PrefillTokens
 	return out
 }
 
@@ -279,15 +401,9 @@ func (s *Scheduler) Close() {
 	// iteration, not by the longest client request. Streams that already
 	// produced tokens drain as successful truncated responses; requests
 	// that produced nothing fail with ErrClosed.
-	for _, q := range [][]*request{s.admit, s.prefills, s.decodes} {
-		for _, r := range q {
-			if !r.collect || len(r.tokens) == 0 {
-				r.err = ErrClosed
-			}
-			close(r.done)
-		}
+	for _, r := range s.dequeueLocked(func(*request) bool { return true }) {
+		s.exitLocked(r, outClosed, nil, false)
 	}
-	s.admit, s.prefills, s.decodes = nil, nil, nil
 	s.needRecovery = nil // nothing left worth rebuilding for
 	s.cond.Broadcast()
 	s.mu.Unlock()

@@ -107,9 +107,7 @@ func (s *Scheduler) shedAdmitQueueLocked(now time.Time) {
 	kept := s.admit[:0]
 	for _, r := range s.admit {
 		if now.Sub(r.queuedAt) > s.cfg.BrownoutSLO {
-			r.err = &OverloadError{RetryAfter: s.retryAfterLocked()}
-			close(r.done)
-			s.cShed.Inc(1)
+			s.exitLocked(r, outShed, nil, false)
 			continue
 		}
 		kept = append(kept, r)

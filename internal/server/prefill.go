@@ -12,11 +12,12 @@ import (
 	"repro/internal/transformer"
 )
 
-// ReuseStats aggregates prefix-reuse and variant-selection telemetry. Token
+// ReuseStats aggregates prefix-reuse and variant-selection telemetry for
+// live traffic; recovery replay keeps its own counts in RecoveryStats. Token
 // counts cover prompt prefill only: cached tokens were served from the
-// prefix tree, computed tokens went through a ring pass. Recovery replay
-// counts here by the same rules as live traffic. Hits and Detached are the
-// recorder's cp_prefix_adopt_total and cp_prefix_detach_total.
+// prefix tree, computed tokens went through a ring pass (they are
+// BatchStats.PrefillTokens). Hits and Detached are the recorder's
+// cp_prefix_adopt_total and cp_prefix_detach_total.
 type ReuseStats struct {
 	Lookups        int64 `json:"lookups"`         // first-chunk prefix-tree consultations
 	Hits           int64 `json:"hits"`            // adoptions settled by a successful suffix chunk
@@ -42,11 +43,13 @@ func (r ReuseStats) HitRate() float64 {
 
 // chunkOutcome is what one pass through prefillChunk did to the ranks.
 type chunkOutcome struct {
-	adopted int       // tokens seeded from the prefix tree on this pass, 0 if none
-	pos, n  int       // the chunk covered absolute positions [pos, pos+n)
-	next    int       // the token sampled from position pos+n-1, the chunk's last
-	end     time.Time // read once, when the last ring pass came back
-	err     error
+	lookedUp bool          // the pass consulted the prefix tree
+	adopted  int           // tokens seeded from the prefix tree on this pass, 0 if none
+	pos, n   int           // the chunk covered absolute positions [pos, pos+n)
+	variant  model.Variant // the ring variant the chunk ran as
+	next     int           // the token sampled from position pos+n-1, the chunk's last
+	end      time.Time     // read once, when the last ring pass came back
+	err      error
 }
 
 // prefillChunk runs the next chunk of r's prompt, beginning at start; caller
@@ -56,13 +59,12 @@ type chunkOutcome struct {
 // consults the prefix tree and seeds the session from the longest cached
 // prefix; every chunk is aligned to absolute TokenBudget boundaries and,
 // under model.Auto, selects its ring variant from the chunk's miss rate
-// (Equation 1). The request's progress and the reuse counters advance only
-// on success, except that an adoption stays adopted (its KV is resident).
+// (Equation 1). The request's progress advances only on success, except that
+// an adoption stays adopted (its KV is resident). Counting is the caller's.
 func (s *Scheduler) prefillChunk(r *request, start time.Time) chunkOutcome {
 	var out chunkOutcome
-	lookedUp := false
 	if s.tree != nil && r.consumed == 0 && !r.noCache && s.exec.SeqLen(r.session) == 0 {
-		lookedUp = true
+		out.lookedUp = true
 		if hit, entry := s.tree.Lookup(r.prompt); hit > 0 {
 			if pre, ok := entry.(*transformer.PrefixKV); ok && s.exec.AdoptPrefix(r.session, pre) == nil {
 				s.span("prefix.adopt", "cache", r.session, start, s.now(), trace.Arg{Key: "tokens", Val: int64(hit)})
@@ -80,58 +82,54 @@ func (s *Scheduler) prefillChunk(r *request, start time.Time) chunkOutcome {
 		out.n = rem
 	}
 	chunk := r.prompt[r.consumed : r.consumed+out.n]
-	variant := s.cfg.Variant
-	if variant == model.Auto {
-		variant = model.ChooseVariant(s.model, out.n, out.pos)
+	out.variant = s.cfg.Variant
+	if out.variant == model.Auto {
+		out.variant = model.ChooseVariant(s.model, out.n, out.pos)
 	}
-	out.next, out.err = s.exec.PrefillNext(r.session, chunk, variant)
-	for evictReq := out.n; out.err != nil; evictReq *= 2 {
-		// A rank ran out of KV room before touching any cache. Cold tree
-		// branches are worth less than a live request: keep shedding LRU
-		// leaves and retrying while the tree can still shrink — an evicted
-		// leaf whose pages a live sequence pins frees no physical rows, so
-		// a single eviction proves nothing. Doubling the request bounds the
-		// retries logarithmically in the tree size.
-		var ce *transformer.CapacityError
-		if !errors.As(out.err, &ce) || s.tree == nil || s.tree.EvictTokens(evictReq) == 0 {
+	evicted := 0
+	for {
+		out.next, out.err = s.exec.PrefillNext(r.session, chunk, out.variant)
+		if _, retry := s.evictForRoom(out.err, out.n, &evicted); !retry {
 			break
 		}
-		out.next, out.err = s.exec.PrefillNext(r.session, chunk, variant)
 	}
 	out.end = s.now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if lookedUp {
-		s.reuse.Lookups++
+	if out.err == nil {
+		r.consumed += out.n
 	}
-	if out.err != nil {
-		return out
-	}
-	// Hit accounting lands only once the first miss-suffix chunk succeeds:
-	// an adoption whose request then fails (and is quarantined) served the
-	// client nothing, and must not inflate the reported hit rate. The
-	// pending count rides the request, not the stack, so a chunk retried
-	// after recovery still settles it.
-	if r.adopted > 0 {
-		s.cAdopt.Inc(1)
-		s.reuse.CachedTokens += int64(r.adopted)
-		r.adopted = 0
-	}
-	s.reuse.ComputedTokens += int64(out.n)
-	if variant == model.PassQ {
-		s.reuse.PassQChunks++
-	} else {
-		s.reuse.PassKVChunks++
-	}
-	r.consumed += out.n
 	return out
 }
 
+// evictForRoom is the one retry under KV-capacity pressure: after an
+// executor call failed with err, it returns the CapacityError (nil for any
+// other failure) and whether evicting cold prefix-tree branches shrank the
+// tree, so the call is worth rerunning. Capacity pressure surfaces before
+// any ring pass or cache mutation, so a rerun is safe; cold branches are
+// worth less than a live request. An evicted leaf whose pages a live
+// sequence pins frees no physical rows, so one eviction proves nothing: the
+// first round asks for rows tokens per offending sequence and each later one
+// for twice the last (*evicted, 0 before the first), keeping the retries
+// logarithmic in the tree size. Caller holds execMu.
+func (s *Scheduler) evictForRoom(err error, rows int, evicted *int) (*transformer.CapacityError, bool) {
+	if err == nil {
+		return nil, false
+	}
+	// Declared past the success path: errors.As moves ce to the heap.
+	var ce *transformer.CapacityError
+	if !errors.As(err, &ce) {
+		return nil, false
+	}
+	if *evicted == 0 {
+		*evicted = rows * len(ce.Seqs)
+	} else {
+		*evicted *= 2
+	}
+	return ce, s.tree != nil && s.tree.EvictTokens(*evicted) > 0
+}
+
 // runPrefillChunk is the live prefill phase: one chunk of the queue head
-// through prefillChunk, then the bookkeeping only a served request has — the
-// replay log, the canonical prefix, spans, TTFT, and the hand-off to the
-// decode pool. Returns the reading taken when the chunk came back (start
-// itself when there is no chunk to run).
+// through prefillChunk, then landChunkLocked. Returns the reading taken when
+// the chunk came back (start itself when there is no chunk to run).
 func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.Time) time.Time {
 	if pj == nil {
 		return start
@@ -143,21 +141,55 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 	out := s.prefillChunk(pj, start)
 	s.execMu.Unlock()
 	report.PrefillSession, report.PrefillTokens = pj.session, out.n
-	now := out.end
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.landChunkLocked(pj, out, report, start)
 	s.executing = nil
+	s.mu.Unlock()
+	return out.end
+}
+
+// landChunkLocked settles a live chunk: the reuse counters, the session
+// record (replay log, canonical prefix, residency), spans, TTFT, and the
+// request's exit or hand-off to the decode pool; caller holds s.mu.
+func (s *Scheduler) landChunkLocked(pj *request, out chunkOutcome, report *IterReport, start time.Time) {
+	now := out.end
+	if out.lookedUp {
+		s.reuse.Lookups++
+	}
 	if out.err == nil {
 		// A chunk and its tokens count once its ring pass succeeded,
-		// whatever then becomes of its request; recovery replay's chunks do
-		// not count.
+		// whatever then becomes of its request.
 		s.cChunk.Inc(1)
 		s.batch.PrefillTokens += int64(out.n)
+		if out.variant == model.PassQ {
+			s.reuse.PassQChunks++
+		} else {
+			s.reuse.PassKVChunks++
+		}
+		// Hit accounting lands only once the first miss-suffix chunk
+		// succeeds: an adoption whose request then fails (and is
+		// quarantined) served the client nothing, and must not inflate the
+		// reported hit rate. The pending count rides the request, not the
+		// stack, so a chunk retried after recovery still settles it.
+		if pj.adopted > 0 {
+			s.cAdopt.Inc(1)
+			s.reuse.CachedTokens += int64(pj.adopted)
+			pj.adopted = 0
+		}
 	}
+	if len(s.prefills) == 0 || s.prefills[0] != pj {
+		// A concurrent Release purged this request (and answered it) while
+		// its chunk was executing. The chunk's KV is covered by the
+		// Release's pending drop, which the next Step applies before any
+		// re-admitted same-id session can prefill; the session's record,
+		// if any, is that successor's.
+		return
+	}
+	st := s.sessions[pj.session] // the queued head holds its session's slot
 	// The canonical prefix is only ever read to donate it, which a session
 	// that opted out (sticky noDetach) never does: such a session records
 	// none.
-	keepHistory := !s.noDetach[pj.session]
+	keepHistory := !st.noDetach
 	if out.adopted > 0 {
 		// The adopted KV is resident whatever became of the chunk, so the
 		// token log and the canonical prefix record it unconditionally —
@@ -165,26 +197,19 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 		// the cluster if the chunk failed and recovery replayed the session
 		// (the retried chunk re-enters with consumed > 0 and never adopts
 		// again). The prefix is a copy: the caller may reuse its prompt.
-		s.appendLogLocked(pj.session, false, pj.prompt[:out.adopted]...)
+		s.logTokens(&st, false, pj.prompt[:out.adopted]...)
 		if keepHistory {
-			hist := make([]int, out.adopted, out.adopted+s.canonicalRoom(pj, out.adopted))
-			copy(hist, pj.prompt)
-			s.history[pj.session] = hist
+			st.history = make([]int, out.adopted, out.adopted+s.canonicalRoom(pj, out.adopted))
+			copy(st.history, pj.prompt)
 		}
-	}
-	if len(s.prefills) == 0 || s.prefills[0] != pj {
-		// A concurrent Release purged this request (and completed it with
-		// a released error) while its chunk was executing. The chunk's KV
-		// is covered by the Release's pending drop, which the next Step
-		// applies before any re-admitted same-id session can prefill.
-		return now
+		s.sessions[pj.session] = st
 	}
 	if pj.canceled {
 		// The client vanished while this chunk ran; stop burning ring
 		// passes on its prompt. The chunk's KV is quarantined.
 		s.prefills = s.prefills[1:]
-		s.abortCanceledLocked(pj, true)
-		return now
+		s.exitLocked(pj, outCanceled, nil, true)
+		return
 	}
 	if err := out.err; err != nil {
 		var ce *transformer.CapacityError
@@ -194,25 +219,17 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 			// iteration rebuilds the cluster, replays the token log (which
 			// covers everything up to pj.consumed), and retries this chunk.
 			s.scheduleRecoveryLocked(fmt.Errorf("prefill chunk for session %d: %w", pj.session, err))
-			return now
+			return
 		}
 		if ce != nil {
 			s.reuse.CapacityQuarantines++
 		}
 		s.prefills = s.prefills[1:]
-		pj.err = &ExecError{fmt.Errorf("prefill: %w", err)}
-		s.completeLocked(pj)
-		// A failed chunk leaves indeterminate partial KV: quarantine the
-		// session so nothing decodes against it, and — if no other queued
-		// work references it — free its admission slot rather than holding
-		// it hostage.
-		s.quarantineLocked(pj.session)
-		s.maybeFreeSlotLocked(pj.session)
-		s.cond.Broadcast()
-		return now
+		s.exitLocked(pj, outFailed, fmt.Errorf("prefill: %w", err), true)
+		return
 	}
 	chunk := pj.prompt[pj.consumed-out.n : pj.consumed]
-	s.appendLogLocked(pj.session, false, chunk...)
+	s.logTokens(&st, false, chunk...)
 	args := []trace.Arg{{Key: "tokens", Val: int64(out.n)}, {Key: "pos", Val: int64(out.pos)}}
 	if pj.cohort != "" {
 		args = append(args, trace.Arg{Key: "cohort", Val: s.cohorts.ID(pj.cohort)})
@@ -222,39 +239,36 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 	// exactly on its frontier; the first tail chunk or decode step freezes
 	// it for good. Only canonical tokens may ever enter the prefix tree.
 	// The first chunk a request adds makes room for all it can add.
-	hist := s.history[pj.session]
-	if keepHistory && out.pos == len(hist) && out.pos%s.cfg.TokenBudget == 0 && out.n == s.cfg.TokenBudget {
-		if cap(hist)-len(hist) < out.n {
-			hist = slices.Grow(hist, s.canonicalRoom(pj, pj.consumed-out.n))
+	if keepHistory && out.pos == len(st.history) && out.pos%s.cfg.TokenBudget == 0 && out.n == s.cfg.TokenBudget {
+		if cap(st.history)-len(st.history) < out.n {
+			st.history = slices.Grow(st.history, s.canonicalRoom(pj, pj.consumed-out.n))
 		}
-		s.history[pj.session] = append(hist, chunk...)
+		st.history = append(st.history, chunk...)
 	}
-	s.prefilled[pj.session] = true
+	st.resident = true
+	s.sessions[pj.session] = st
 	if pj.consumed < len(pj.prompt) {
 		pj.queuedAt = now // next chunk becomes runnable now
-		return now
+		return
 	}
 	report.PrefillDone = true
 	s.prefills = s.prefills[1:]
-	next := out.next
 	pj.ttftMs = msOf(now.Sub(pj.start))
 	s.hTTFT.Observe(now.Sub(pj.start).Seconds())
 	s.cohortHandlesLocked(pj.cohort).ttft.Observe(now.Sub(pj.start).Seconds())
-	pj.next = next
+	pj.next = out.next
 	pj.lastStep = now
 	if pj.collect {
-		pj.tokens = append(pj.tokens, next)
+		pj.tokens = append(pj.tokens, out.next)
 	}
 	if pj.pending > 0 {
-		pj.token = next
+		pj.token = out.next
 		pj.queuedAt = now
 		s.decodes = append(s.decodes, pj)
 		s.cond.Signal()
-		return now
+		return
 	}
-	s.cohortHandlesLocked(pj.cohort).e2e.Observe(now.Sub(pj.start).Seconds())
-	s.completeLocked(pj)
-	return now
+	s.exitLocked(pj, outServed, nil, true)
 }
 
 // canonicalRoom bounds the canonical tokens r can still add to its
@@ -264,18 +278,18 @@ func (s *Scheduler) canonicalRoom(r *request, from int) int {
 	return (len(r.prompt) - from) / s.cfg.TokenBudget * s.cfg.TokenBudget
 }
 
-// sessionDrop is a scheduled KV eviction; detach donates the session's
-// canonical prefix to the tree first (false after faults — indeterminate KV
-// must never seed other sessions — and for sessions that opted out).
+// sessionDrop is a scheduled KV eviction, settled when it is scheduled:
+// donate is the canonical prefix a clean release detaches into the tree
+// first (nil after faults — indeterminate KV must never seed other sessions
+// — and for sessions that opted out).
 type sessionDrop struct {
 	session int
-	detach  bool
+	donate  []int
 }
 
-// applyDrops evicts every pending session's KV under the execution lock.
-// Releases detach the session's canonical prefix into the prefix tree first
-// (unless the session opted out or never grew one); the tree's spans keep
-// the pages alive while the sequence itself is dropped.
+// applyDrops evicts every pending session's KV under the execution lock,
+// donating first what each drop carries; the tree's spans keep the pages
+// alive while the sequence itself is dropped.
 func (s *Scheduler) applyDrops() {
 	s.mu.Lock()
 	drops := s.pendingDrops
@@ -287,14 +301,7 @@ func (s *Scheduler) applyDrops() {
 	s.execMu.Lock()
 	defer s.execMu.Unlock()
 	for _, d := range drops {
-		s.mu.Lock()
-		hist := s.history[d.session]
-		delete(s.history, d.session)
-		delete(s.log, d.session) // evicted sessions are not replayable
-		s.mu.Unlock()
-		if d.detach {
-			s.donatePrefix(d.session, hist)
-		}
+		s.donatePrefix(d.session, d.donate)
 		s.exec.Drop(d.session)
 	}
 }

@@ -320,7 +320,7 @@ func TestNoCacheOptOutSurvivesSameIDReadmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	hist := len(s.history[5])
+	hist := len(s.sessions[5].history)
 	s.mu.Unlock()
 	if hist != 0 {
 		t.Errorf("a no_cache session recorded %d canonical tokens", hist)

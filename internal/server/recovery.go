@@ -71,20 +71,18 @@ type RecoveryStats struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// appendLogLocked records resident tokens in the session's replay log,
-// merging into the tail segment when the kind matches; caller holds s.mu.
-// No-op unless recovery is armed — the log is pure overhead otherwise.
-func (s *Scheduler) appendLogLocked(session int, decode bool, toks ...int) {
+// logTokens records resident tokens in a session record's replay log,
+// merging into the tail segment when the kind matches. No-op unless recovery
+// is armed — the log is pure overhead otherwise.
+func (s *Scheduler) logTokens(st *sessionState, decode bool, toks ...int) {
 	if !s.cfg.Recover || len(toks) == 0 {
 		return
 	}
-	segs := s.log[session]
-	if n := len(segs); n > 0 && segs[n-1].decode == decode {
-		segs[n-1].toks = append(segs[n-1].toks, toks...)
+	if n := len(st.log); n > 0 && st.log[n-1].decode == decode {
+		st.log[n-1].toks = append(st.log[n-1].toks, toks...)
 	} else {
-		segs = append(segs, logSeg{decode: decode, toks: append([]int(nil), toks...)})
+		st.log = append(st.log, logSeg{decode: decode, toks: append([]int(nil), toks...)})
 	}
-	s.log[session] = segs
 }
 
 // recoveryArmedLocked reports whether an infrastructure failure should be
@@ -130,13 +128,11 @@ func (s *Scheduler) watchFailures() {
 	}
 }
 
-// replaySnapshot is one session's replay input, captured under s.mu before
-// the cluster work starts.
+// replaySnapshot is one session's replay input, its record captured under
+// s.mu before the cluster work starts.
 type replaySnapshot struct {
-	id      int
-	segs    []logSeg
-	noCache bool
-	hist    []int // canonical prefix tokens, donated back after the replay
+	id int
+	sessionState
 }
 
 // maybeRecover runs a pending recovery: epoch rebuild plus token-log replay
@@ -251,31 +247,21 @@ func (s *Scheduler) recoverClusterLocked(cause error) error {
 // s.mu.
 func (s *Scheduler) reapCanceledLocked() {
 	for _, r := range s.dequeueLocked(func(r *request) bool { return r.canceled }) {
-		s.abortCanceledLocked(r, r.contributedKV())
+		s.exitLocked(r, outCanceled, nil, false)
 	}
 }
 
-// replaySetLocked snapshots every replayable session, id-sorted so sibling
-// sessions sharing a prompt replay in a deterministic order (the first
-// donates its canonical prefix, the rest hit it); caller holds s.mu.
-// Sessions already scheduled for eviction (a Release or reap racing the
-// rebuild) are skipped — their KV is condemned, not recoverable state.
+// replaySetLocked snapshots every session with a replay log, id-sorted so
+// sibling sessions sharing a prompt replay in a deterministic order (the
+// first donates its canonical prefix, the rest hit it); caller holds s.mu.
+// A session scheduled for eviction (released, lost or quarantined) has no
+// log: its KV is condemned, not recoverable state.
 func (s *Scheduler) replaySetLocked() []replaySnapshot {
-	dropping := make(map[int]bool, len(s.pendingDrops))
-	for _, d := range s.pendingDrops {
-		dropping[d.session] = true
-	}
-	out := make([]replaySnapshot, 0, len(s.log))
-	for id, segs := range s.log {
-		if dropping[id] {
-			continue
+	var out []replaySnapshot
+	for id, st := range s.sessions {
+		if len(st.log) > 0 {
+			out = append(out, replaySnapshot{id, st})
 		}
-		out = append(out, replaySnapshot{
-			id:      id,
-			segs:    segs,
-			noCache: s.noDetach[id],
-			hist:    s.history[id],
-		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
@@ -302,8 +288,8 @@ func (s *Scheduler) replayAll(sessions []replaySnapshot) error {
 			return fmt.Errorf("server: replaying session %d: %w", ss.id, rerr)
 		}
 		recovered++
-		if !ss.noCache {
-			s.donatePrefix(ss.id, ss.hist)
+		if !ss.noDetach {
+			s.donatePrefix(ss.id, ss.history)
 		}
 	}
 	s.mu.Lock()
@@ -314,10 +300,10 @@ func (s *Scheduler) replayAll(sessions []replaySnapshot) error {
 
 // replaySession feeds one session's token log back through the live paths
 // with the results discarded: prefill segments through prefillChunk (so a
-// sibling's donated prefix warm-starts them, and the serving reuse counters
-// move exactly as they do for live traffic), decode segments as decode steps
-// of one. Tokens recomputed and tokens served from the tree are counted into
-// RecoveryStats whether or not the replay completes. Caller holds execMu.
+// sibling's donated prefix warm-starts them), decode segments as decode
+// steps of one. Tokens recomputed and tokens served from the tree are
+// counted into RecoveryStats, not ReuseStats, whether or not the replay
+// completes. Caller holds execMu.
 func (s *Scheduler) replaySession(ss replaySnapshot) error {
 	var computed, cached int64
 	defer func() {
@@ -327,7 +313,7 @@ func (s *Scheduler) replaySession(ss replaySnapshot) error {
 		s.mu.Unlock()
 	}()
 	t := s.now()
-	for _, seg := range ss.segs {
+	for _, seg := range ss.log {
 		if seg.decode {
 			for _, tok := range seg.toks {
 				if _, err := s.exec.DecodeNext([]int{ss.id}, []int{tok}); err != nil {
@@ -337,7 +323,7 @@ func (s *Scheduler) replaySession(ss replaySnapshot) error {
 			}
 			continue
 		}
-		r := &request{session: ss.id, prompt: seg.toks, noCache: ss.noCache}
+		r := &request{session: ss.id, prompt: seg.toks, noCache: ss.noDetach}
 		for r.consumed < len(seg.toks) {
 			out := s.prefillChunk(r, t)
 			cached += int64(out.adopted)
@@ -351,21 +337,13 @@ func (s *Scheduler) replaySession(ss replaySnapshot) error {
 	return nil
 }
 
-// loseSessionLocked faults one session out of recovery: its queued requests
-// fail with an ExecError carrying the cause, its replay log and prefix
-// bookkeeping are dropped, any partially replayed KV is scheduled for
-// eviction, and its admission slot returns to the pool. Caller holds s.mu.
+// loseSessionLocked faults one session out of recovery: its record is
+// deleted, its queued requests fail with an ExecError carrying the cause,
+// any partially replayed KV is scheduled for eviction, and its admission
+// slot returns to the pool. Caller holds s.mu.
 func (s *Scheduler) loseSessionLocked(id int, cause error) {
-	s.purgeSessionLocked(id, &ExecError{fmt.Errorf("session %d lost in recovery: %w", id, cause)})
-	delete(s.prefilled, id)
-	delete(s.sessions, id)
-	delete(s.log, id)
-	delete(s.history, id)
-	delete(s.noDetach, id)
-	s.pendingDrops = append(s.pendingDrops, sessionDrop{session: id})
+	s.dropSessionLocked(id, nil, outFailed, fmt.Errorf("session %d lost in recovery: %w", id, cause))
 	s.recStats.LostSessions++
-	s.admitLocked()
-	s.cond.Broadcast()
 }
 
 // failRecoverableLocked is the terminal fallback once the recovery budget
@@ -373,13 +351,8 @@ func (s *Scheduler) loseSessionLocked(id int, cause error) {
 // scheduler would have faulted it at the original failure. Caller holds
 // s.mu.
 func (s *Scheduler) failRecoverableLocked(cause error) {
-	ids := make([]int, 0, len(s.log))
-	for id := range s.log {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		s.loseSessionLocked(id, cause)
+	for _, ss := range s.replaySetLocked() {
+		s.loseSessionLocked(ss.id, cause)
 	}
 }
 

@@ -186,13 +186,14 @@ func TestRecoveryInProcessFaultInjection(t *testing.T) {
 		t.Fatal("recovery replayed zero tokens")
 	}
 	// The warm-replay guarantee: the second session's shared 16-token
-	// prefix came from the prefix tree, not recomputation — visible both in
-	// the recovery block and in prefill_source's cached counter.
+	// prefix came from the prefix tree, not recomputation — visible in the
+	// recovery block. prefill_source counts live traffic only, and no live
+	// prompt here had a prefix to adopt.
 	if rec.ReplayCachedTokens < 16 {
 		t.Fatalf("replay served %d tokens from the prefix tree, want >= 16", rec.ReplayCachedTokens)
 	}
-	if reuse := victim.Reuse(); reuse.CachedTokens < 16 {
-		t.Fatalf("prefill_source cached_tokens = %d after warm replay, want >= 16", reuse.CachedTokens)
+	if reuse := victim.Reuse(); reuse.CachedTokens != 0 {
+		t.Fatalf("prefill_source cached_tokens = %d after warm replay, want 0: replay counts in recovery.*", reuse.CachedTokens)
 	}
 }
 

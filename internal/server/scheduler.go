@@ -17,9 +17,10 @@
 // executor interface (the ranks) and the now field (the clock), both in this
 // file with the configuration and the loop. step.go is one iteration;
 // admission.go and overload.go the way in; prefill.go the one chunk path and
-// the prefix-reuse policy; recovery.go rebuild and replay; lifecycle.go
-// release, close and the stats snapshots; virtual.go a cost-model executor
-// on a virtual clock, and the trace replay that drives the loop over it.
+// the prefix-reuse policy; recovery.go rebuild and replay; lifecycle.go the
+// one exit every request ends through, the session record, release, close
+// and the stats snapshots; virtual.go a cost-model executor on a virtual
+// clock, and the trace replay that drives the loop over it.
 package server
 
 import (
@@ -171,13 +172,13 @@ type Scheduler struct {
 	// readers; nil over a costExec.
 	cluster *transformer.Cluster
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	admit     []*request // new sessions waiting for an admission slot
-	prefills  []*request // prefill-phase queue, FIFO; head progresses chunk-wise
-	decodes   []*request // decode-phase pool, fused each iteration
-	sessions  map[int]bool
-	prefilled map[int]bool // sessions with at least one chunk of KV resident
+	mu       sync.Mutex
+	cond     *sync.Cond
+	admit    []*request // new sessions waiting for an admission slot
+	prefills []*request // prefill-phase queue, FIFO; head progresses chunk-wise
+	decodes  []*request // decode-phase pool, fused each iteration
+	// sessions holds the record of every session with an admission slot.
+	sessions map[int]sessionState
 	// pendingDrops are sessions whose KV must be evicted (releases detach
 	// their canonical prefix into the prefix tree first). Drops execute at
 	// the start of the next Step — on the same thread as all other cluster
@@ -185,27 +186,6 @@ type Scheduler struct {
 	// fused batch, nor land after a re-admitted same-id session's fresh
 	// prefill.
 	pendingDrops []sessionDrop
-	// history holds, per session, the tokens of its canonical prefix: the
-	// aligned prefix whose per-rank KV placement matches a cold prefill's.
-	// It grows only while prefill chunks land exactly on TokenBudget
-	// boundaries with full-budget length, and freezes forever at the first
-	// tail chunk or decode step. Only this prefix is ever detached into the
-	// prefix tree — the alignment that makes adopted KV bit-identical to
-	// recomputation — so a session in noDetach records none.
-	history map[int][]int
-	// noDetach holds the sessions opted out of donating KV (no_cache), from
-	// the admission of their first such request until their release, loss
-	// or freed slot: a drop that runs later cannot clear a same-id
-	// successor's opt-out.
-	noDetach map[int]bool
-	// log is the per-session token log recovery replays (Recover mode
-	// only): one segment per uninterrupted run of prefill chunks or decode
-	// steps, in residency order. Its invariant is exact agreement with the
-	// cluster: a token is appended when — and only when — its KV landed.
-	// Prefill segments replay as chunked prefills, decode segments as
-	// decode steps, so the per-rank KV placement (and every later logit)
-	// reproduces the original bit for bit.
-	log map[int][]logSeg
 	// needRecovery carries the first unhandled infrastructure failure; the
 	// step loop runs an epoch rebuild + replay before any other work. Only
 	// set when cfg.Recover armed the subsystem.
@@ -305,11 +285,7 @@ func newScheduler(exec executor, mc model.Config, rec *trace.Recorder, now func(
 		exec:      exec,
 		model:     mc,
 		now:       now,
-		sessions:  make(map[int]bool),
-		prefilled: make(map[int]bool),
-		history:   make(map[int][]int),
-		noDetach:  make(map[int]bool),
-		log:       make(map[int][]logSeg),
+		sessions:  make(map[int]sessionState),
 		watchStop: make(chan struct{}),
 		queueStats: map[Class]*QueueStats{
 			ClassPrefill: {}, ClassDecode: {},

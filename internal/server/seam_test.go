@@ -31,14 +31,20 @@ type execCall struct {
 
 // fakeExec records every operation the scheduler asks of the cost executor.
 // failDecode, when set, is returned (once) by the next DecodeNext before it
-// touches any state: an infrastructure fault.
+// touches any state: an infrastructure fault. A sequence in full has no KV
+// room: a PrefillNext or DecodeNext that would append to it fails with a
+// CapacityError naming it, before touching any state.
 type fakeExec struct {
 	*costExec
 	calls      []execCall
 	failDecode error
+	full       map[int]bool
 }
 
 func (f *fakeExec) PrefillNext(seq int, tokens []int, v model.Variant) (int, error) {
+	if f.full[seq] {
+		return 0, &transformer.CapacityError{Seqs: []int{seq}}
+	}
 	f.calls = append(f.calls, execCall{"prefill", seq, f.lens[seq], len(tokens), v})
 	return f.costExec.PrefillNext(seq, tokens, v)
 }
@@ -48,6 +54,15 @@ func (f *fakeExec) DecodeNext(seqs, tokens []int) ([]int, error) {
 		f.failDecode = nil
 		f.clk.advance(f.perCmd)
 		return nil, err
+	}
+	var full []int
+	for _, seq := range seqs {
+		if f.full[seq] {
+			full = append(full, seq)
+		}
+	}
+	if full != nil {
+		return nil, &transformer.CapacityError{Seqs: full}
 	}
 	for _, seq := range seqs {
 		f.calls = append(f.calls, execCall{"decode", seq, f.lens[seq], 1, model.PassQ})
@@ -441,11 +456,13 @@ func TestSeamReplayRetracesLiveCalls(t *testing.T) {
 		t.Fatalf("recovery stats = %+v, want 1 rebuild, 2 recovered, %d replayed, %d replay-cached",
 			rec, wantComputed, tokens(replay2, "adopt"))
 	}
+	// The reuse counters count live traffic only, and every prompt was
+	// served before the fault: the donor's lookup and the two sessions'
+	// warm starts, none of the replay's.
 	reuse := s.Reuse()
-	all := f.calls
-	if reuse.Hits != 3 || reuse.CachedTokens != tokens(all, "adopt") || reuse.ComputedTokens != tokens(all, "prefill") {
-		t.Fatalf("reuse = %+v, want 3 hits, %d cached, %d computed (live and replayed alike)",
-			reuse, tokens(all, "adopt"), tokens(all, "prefill"))
+	if reuse.Lookups != 3 || reuse.Hits != 2 || reuse.CachedTokens != tokens(live, "adopt") || reuse.ComputedTokens != tokens(live, "prefill") {
+		t.Fatalf("reuse = %+v, want 3 lookups, 2 hits, %d cached, %d computed (live traffic only)",
+			reuse, tokens(live, "adopt"), tokens(live, "prefill"))
 	}
 }
 
@@ -453,5 +470,5 @@ func TestSeamReplayRetracesLiveCalls(t *testing.T) {
 func resident(s *Scheduler, session int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.prefilled[session]
+	return s.sessions[session].resident
 }

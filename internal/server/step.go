@@ -1,13 +1,12 @@
 package server
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/tensor"
 	"repro/internal/trace"
-	"repro/internal/transformer"
 )
 
 // Step executes one scheduler iteration in manual mode: at most one
@@ -61,15 +60,13 @@ func (s *Scheduler) step() (IterReport, bool) {
 		// two cluster calls would disagree about its sequence positions.
 		used[pj.session] = true
 	}
-	var deadSessions []int
+	var dead []*request
 	for _, r := range s.decodes {
 		switch {
-		case !s.prefilled[r.session]:
+		case !s.sessions[r.session].resident:
 			// The session was released (or lost its KV) after this request
 			// queued; it must not reach the fused batch.
-			r.err = releasedErr(r.session)
-			close(r.done)
-			deadSessions = append(deadSessions, r.session)
+			dead = append(dead, r)
 		case len(dbatch) < s.cfg.MaxBatch && !used[r.session]:
 			used[r.session] = true
 			dbatch = append(dbatch, r)
@@ -81,10 +78,10 @@ func (s *Scheduler) step() (IterReport, bool) {
 	// it holds on to no finished request.
 	clear(s.decodes[:cap(s.decodes)])
 	it.dbatch, it.spare, s.decodes = dbatch, s.decodes[:0], held
-	// Failing those requests may have been the last thing keeping their
-	// quarantined sessions' admission slots occupied.
-	for _, id := range deadSessions {
-		s.maybeFreeSlotLocked(id)
+	// They leave once the pool is settled: failing them may have been the
+	// last thing keeping their quarantined sessions' slots occupied.
+	for _, r := range dead {
+		s.exitLocked(r, outReleased, nil, false)
 	}
 	if pj == nil && len(dbatch) == 0 {
 		s.mu.Unlock()
@@ -139,12 +136,6 @@ func (s *Scheduler) step() (IterReport, bool) {
 	return report, true
 }
 
-// completeLocked answers r at the end of the iteration that completed it,
-// after the iteration's stats are recorded; caller holds s.mu.
-func (s *Scheduler) completeLocked(r *request) {
-	s.iter.completed = append(s.iter.completed, r)
-}
-
 // recordWaitLocked accounts the runnable-to-execution delay of a request
 // whose phase begins at now; caller holds s.mu.
 func (s *Scheduler) recordWaitLocked(c Class, r *request, now time.Time) {
@@ -178,7 +169,7 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 	s.mu.Unlock()
 	var out []int
 	var err error
-	evictReq := 0
+	evicted := 0
 	it := &s.iter
 	for len(dbatch) > 0 {
 		it.ids, it.toks = tensor.Grown(it.ids, len(dbatch)), tensor.Grown(it.toks, len(dbatch))
@@ -188,52 +179,28 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 		}
 		s.execMu.Lock()
 		out, err = s.exec.DecodeNext(it.ids, it.toks)
-		if err == nil {
-			s.execMu.Unlock()
-			break
-		}
-		// Declared past the success path: errors.As moves ce to the heap.
-		var ce *transformer.CapacityError
-		if !errors.As(err, &ce) {
-			s.execMu.Unlock()
-			break
-		}
-		// Capacity pressure surfaces before any ring pass or cache
-		// mutation, so it is safe to shed load and retry. First reclaim
-		// cold prefix-tree branches — repeatedly, since an evicted leaf
-		// whose pages a live sequence pins frees no physical rows, with
-		// the request doubling each round so retries stay logarithmic
-		// in the tree size; once it cannot shrink, quarantine exactly
-		// the offending sessions and rerun the rest of the batch — the
-		// survivors were prechecked to fit.
-		if evictReq == 0 {
-			evictReq = len(ce.Seqs)
-		} else {
-			evictReq *= 2
-		}
-		shrunk := s.tree != nil && s.tree.EvictTokens(evictReq) > 0
+		ce, retry := s.evictForRoom(err, 1, &evicted)
 		s.execMu.Unlock()
-		if shrunk {
+		if retry {
 			continue
 		}
-		bad := make(map[int]bool, len(ce.Seqs))
-		for _, id := range ce.Seqs {
-			bad[id] = true
+		if ce == nil {
+			break
 		}
+		// The tree cannot shrink any further: fail exactly the offending
+		// sessions and rerun the rest of the batch — the survivors were
+		// prechecked to fit.
+		cause := fmt.Errorf("decode: %w", err)
 		s.mu.Lock()
-		var kept []*request
+		kept := dbatch[:0]
 		for _, r := range dbatch {
-			if bad[r.session] {
-				r.err = &ExecError{fmt.Errorf("decode: %w", err)}
-				s.completeLocked(r)
-				s.quarantineLocked(r.session)
-				s.maybeFreeSlotLocked(r.session)
+			if slices.Contains(ce.Seqs, r.session) {
+				s.exitLocked(r, outFailed, cause, true)
 				s.reuse.CapacityQuarantines++
 			} else {
 				kept = append(kept, r)
 			}
 		}
-		s.cond.Broadcast()
 		s.mu.Unlock()
 		dbatch = kept
 	}
@@ -259,20 +226,13 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 		// are loop-ordered, so a failure here is infrastructure (comm
 		// fault, mid-ring timeout) that may have left partial per-rank KV.
 		// A retry — internal or a client's — could double-append, so fail
-		// the batch honestly and quarantine every member: KV evicted,
-		// session no longer decodable until re-prefilled.
+		// the batch honestly: every member's session is quarantined (KV
+		// evicted, no longer decodable until re-prefilled) and, unless
+		// queued work still references it, gives its slot back.
+		cause := fmt.Errorf("decode: %w", err)
 		for _, r := range dbatch {
-			r.err = &ExecError{fmt.Errorf("decode: %w", err)}
-			s.completeLocked(r)
-			s.quarantineLocked(r.session)
+			s.exitLocked(r, outFailed, cause, true)
 		}
-		// As with a failed prefill chunk: a quarantined session holds no
-		// KV, so unless queued work still references it, its admission
-		// slot must go back to the pool rather than wedge new sessions.
-		for _, r := range dbatch {
-			s.maybeFreeSlotLocked(r.session)
-		}
-		s.cond.Broadcast()
 		return now
 	}
 	// A fused batch mixes cohorts, so the span carries one per-cohort member
@@ -287,7 +247,14 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 	report.DecodeSessions = it.sessions[:0]
 	for i, r := range dbatch {
 		report.DecodeSessions = append(report.DecodeSessions, r.session)
-		s.appendLogLocked(r.session, true, r.token)
+		// A session released or quarantined while the step ran is no longer
+		// resident, and its record (or a same-id successor's) logs nothing.
+		st := s.sessions[r.session]
+		live := st.resident
+		if live && s.cfg.Recover {
+			s.logTokens(&st, true, r.token)
+			s.sessions[r.session] = st
+		}
 		next := out[i]
 		r.pending--
 		if r.collect {
@@ -305,33 +272,24 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 			// Client vanished mid-stream. A generate stream's session
 			// will never see its DELETE, so evict it; a decode-only
 			// client's multi-turn conversation stays resident.
-			s.abortCanceledLocked(r, r.collect)
+			s.exitLocked(r, outCanceled, nil, true)
 		case r.pending > 0 && s.closed:
 			// Shutdown boundary: the stream is drained, not faulted — the
 			// client gets the tokens generated so far (ending with this
 			// step's) as a successful, truncated response. Shutdown stays
 			// bounded by one iteration, not by the stream's remaining
 			// (possibly millions of) steps.
-			s.completeLocked(r)
-		case r.pending > 0 && !s.prefilled[r.session]:
+			s.exitLocked(r, outClosed, nil, true)
+		case r.pending > 0 && !live:
 			// Released while this step was in flight; don't requeue a
 			// decode against soon-to-be-evicted KV.
-			r.err = releasedErr(r.session)
-			s.completeLocked(r)
+			s.exitLocked(r, outReleased, nil, true)
 		case r.pending > 0:
 			r.token = next
 			r.queuedAt = now
 			s.decodes = append(s.decodes, r)
 		default:
-			s.cohortHandlesLocked(r.cohort).e2e.Observe(now.Sub(r.start).Seconds())
-			s.completeLocked(r)
-			if r.canceled && r.collect {
-				// The stream finished, but its client vanished and will
-				// never DELETE the session; reclaim it.
-				s.quarantineLocked(r.session)
-				s.maybeFreeSlotLocked(r.session)
-				s.cond.Broadcast()
-			}
+			s.exitLocked(r, outServed, nil, true)
 		}
 	}
 	it.sessions = report.DecodeSessions

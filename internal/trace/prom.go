@@ -23,7 +23,7 @@ var metricHelp = map[string]string{
 	"cp_cohort_e2e_seconds":              "End-to-end request latency, by workload cohort.",
 	"cp_cohort_requests_total":           "Requests admitted, by workload cohort.",
 	"cp_prefill_chunks_total":            "Live prefill chunks whose ring pass succeeded.",
-	"cp_prefix_adopt_total":              "Prefix hits: adoptions whose following prefill chunk succeeded.",
+	"cp_prefix_adopt_total":              "Prefix hits of live traffic: adoptions whose following prefill chunk succeeded.",
 	"cp_prefix_detach_total":             "Session prefixes donated to the reuse tree.",
 	"cp_recovery_replays_total":          "Completed cluster rebuilds with session replay.",
 	"cp_trace_spans_dropped_total":       "Spans dropped at the buffer cap, by rank.",
