@@ -44,14 +44,12 @@ type request struct {
 	// cohort lands on "other" instead of minting a series.
 	cohort string
 
+	// ctx is the client's context, the only record of its cancellation:
+	// the step loop claims the request only while it is live.
+	ctx  context.Context
 	next int // next-token result for prefill-/decode-only requests
 	err  error
 	done chan struct{}
-	// canceled is set (under the scheduler mutex) when the client's
-	// context fires while the iteration has already claimed this request;
-	// the step loop aborts it at the next chunk/step boundary.
-	canceled    bool
-	cancelCause error
 }
 
 // contributedKV reports whether a queued request has put KV of its own into
@@ -84,7 +82,7 @@ type RequestOptions struct {
 }
 
 func (s *Scheduler) newRequest(session int, prompt []int, opts RequestOptions) *request {
-	r := &request{session: session, prompt: prompt, noCache: opts.NoPrefixCache, done: make(chan struct{})}
+	r := &request{session: session, prompt: prompt, noCache: opts.NoPrefixCache, ctx: context.Background(), done: make(chan struct{})}
 	if opts.Cohort != "" {
 		r.cohort = s.cohorts.Canon(opts.Cohort)
 	}
@@ -93,8 +91,10 @@ func (s *Scheduler) newRequest(session int, prompt []int, opts RequestOptions) *
 
 // Generate admits a prompt, prefills it chunk by chunk, then keeps the
 // session in the fused decode batch until maxTokens greedy tokens exist.
-// Blocks until completion or ctx cancellation (cancellation takes effect
-// while the request is queued; claimed work runs to its next boundary).
+// Blocks until completion or ctx cancellation. The step loop claims each
+// chunk or step only while ctx is live: a ctx that ended before then ends
+// the request unclaimed, and one that ends while a chunk or step runs takes
+// effect at the next claim, the running one's result standing.
 func (s *Scheduler) Generate(ctx context.Context, session int, prompt []int, maxTokens int) (*GenerateResult, error) {
 	return s.GenerateWith(ctx, session, prompt, maxTokens, RequestOptions{})
 }
@@ -226,45 +226,30 @@ func (s *Scheduler) enqueue(r *request) error {
 	return nil
 }
 
-// submit enqueues the request and blocks until it completes, fails, or —
-// while still queued — its context is canceled. A disconnected client must
-// not leak a goroutine parked in the admission queue forever.
+// submit enqueues the request under ctx and blocks until it ends. The step
+// loop reads ctx when it claims the request, so a request whose ctx has
+// ended never reaches the executor, whichever goroutine runs first. When ctx
+// ends, this goroutine also ends the request if it is queued and unclaimed
+// (neither the prefill head whose chunk is running nor a member of the
+// running decode batch, which has left the queue), so a disconnected client
+// is not left parked in the admission queue; a claimed request ends at its
+// next claim, the running chunk's or step's own result standing.
 func (s *Scheduler) submit(ctx context.Context, r *request) error {
+	r.ctx = ctx
 	if err := s.enqueue(r); err != nil {
 		return err
 	}
 	select {
 	case <-r.done:
-		return nil
 	case <-ctx.Done():
-		if s.cancelQueued(r, ctx.Err()) {
-			return nil // r.err carries the cancellation
+		s.mu.Lock()
+		if len(s.dequeueLocked(func(x *request) bool { return x == r && s.executing != r })) > 0 {
+			s.exitLocked(r, outCanceled, nil, false)
 		}
-		// Claimed by an iteration (or completing); the canceled mark makes
-		// the step loop abort it at the next chunk/step boundary.
-		<-r.done
-		return nil
+		s.mu.Unlock()
+		<-r.done // r.err carries the outcome
 	}
-}
-
-// cancelQueued removes a still-queued request, failing it with the given
-// cause. The prefill head is only protected while the step loop is
-// actually running its chunk (it identifies the head by queue position);
-// between iterations a multi-chunk prompt cancels cleanly at the boundary,
-// with any partial KV covered by the scheduled drop.
-func (s *Scheduler) cancelQueued(r *request, cause error) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r.cancelCause = cause
-	ok := len(s.dequeueLocked(func(x *request) bool { return x == r && s.executing != r })) > 0
-	if ok {
-		s.exitLocked(r, outCanceled, nil, false)
-	} else {
-		// The current iteration holds this request (executing prefill head
-		// or popped into the decode batch); flag it for a boundary abort.
-		r.canceled = true
-	}
-	return ok
+	return nil
 }
 
 // admitLocked moves waiting new sessions into the prefill queue while

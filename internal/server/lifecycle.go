@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -138,7 +139,7 @@ const (
 	outServed   outcome = iota // its work is done: no error, e2e observed
 	outClosed                  // Close cut it: truncated success if it streamed tokens, else ErrClosed
 	outReleased                // its session was released or lost its KV under it: ErrReleased
-	outCanceled                // its client's context fired: the cancel cause
+	outCanceled                // its context ended before a claim: the context's cause
 	outShed                    // brownout shed it from the admission queue: OverloadError
 	outFailed                  // the ranks failed it (fault, KV capacity, lost in recovery): ExecError
 )
@@ -157,7 +158,7 @@ func (s *Scheduler) exitLocked(r *request, o outcome, cause error, claimed bool)
 		s.cohortHandlesLocked(r.cohort).e2e.Observe(r.lastStep.Sub(r.start).Seconds())
 		// A stream that finished after its client vanished will never see
 		// the session's DELETE.
-		evict = r.canceled && r.collect
+		evict = r.ctx.Err() != nil && r.collect
 	case outClosed:
 		// Shutdown drains a stream that produced tokens as a successful,
 		// truncated response; a request that produced nothing fails.
@@ -168,12 +169,11 @@ func (s *Scheduler) exitLocked(r *request, o outcome, cause error, claimed bool)
 		r.err = releasedErr(r.session)
 		free = true
 	case outCanceled:
-		r.err = fmt.Errorf("server: request canceled: %w", r.cancelCause)
-		s.noteDeadlineLocked(r.cancelCause)
+		r.err = fmt.Errorf("server: request canceled: %w", context.Cause(r.ctx))
+		s.noteDeadlineLocked(r.err)
 		// Partial prompt KV is unusable, and a generate stream's client will
-		// never issue the DELETE. A prefill head whose chunk ran may have put
-		// KV on the ranks even if the chunk consumed nothing.
-		evict, free = r.contributedKV() || r == s.executing, true
+		// never issue the DELETE.
+		evict, free = r.contributedKV(), true
 	case outShed:
 		r.err = &OverloadError{RetryAfter: s.retryAfterLocked()}
 		s.cShed.Inc(1)

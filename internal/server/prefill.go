@@ -204,13 +204,6 @@ func (s *Scheduler) landChunkLocked(pj *request, out chunkOutcome, report *IterR
 		}
 		s.sessions[pj.session] = st
 	}
-	if pj.canceled {
-		// The client vanished while this chunk ran; stop burning ring
-		// passes on its prompt. The chunk's KV is quarantined.
-		s.prefills = s.prefills[1:]
-		s.exitLocked(pj, outCanceled, nil, true)
-		return
-	}
 	if err := out.err; err != nil {
 		var ce *transformer.CapacityError
 		if !errors.As(err, &ce) && s.recoveryArmedLocked() {

@@ -238,15 +238,13 @@ func (s *Scheduler) recoverClusterLocked(cause error) error {
 	}
 }
 
-// reapCanceledLocked completes every queued request whose client context
-// already fired (the canceled mark set while an iteration held the claim)
-// and schedules the eviction of sessions whose contribution is now garbage.
-// Recovery is the one point where this sweep is both safe — the failed
-// iteration has returned, so no chunk is mid-flight — and worthwhile:
-// without it, the replay rebuilds KV for vanished clients. Caller holds
-// s.mu.
+// reapCanceledLocked ends every queued request whose context has ended —
+// in the queue, it would end at its next claim — and schedules the eviction
+// of sessions whose contribution is now garbage. Recovery is the one point
+// where this sweep over the whole queue is worthwhile: without it, the
+// replay rebuilds KV for vanished clients. Caller holds s.mu.
 func (s *Scheduler) reapCanceledLocked() {
-	for _, r := range s.dequeueLocked(func(r *request) bool { return r.canceled }) {
+	for _, r := range s.dequeueLocked(func(r *request) bool { return r.ctx.Err() != nil }) {
 		s.exitLocked(r, outCanceled, nil, false)
 	}
 }

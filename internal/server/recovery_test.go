@@ -348,10 +348,10 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 }
 
 // TestRecoveryReapsCanceledSessions pins the reap-before-replay contract: a
-// request whose client hung up while an iteration held the claim (the
-// canceled mark set, the boundary abort not yet run) must be completed and
-// its session excluded from the replay set when a recovery fires — the
-// rebuild must not spend prefill work resurrecting a stream nobody reads.
+// queued request whose context has ended (its next claim not yet reached)
+// must be completed and its session excluded from the replay set when a
+// recovery fires — the rebuild must not spend prefill work resurrecting a
+// stream nobody reads.
 func TestRecoveryReapsCanceledSessions(t *testing.T) {
 	victim, ref := recoverySchedulers(t, 53, true)
 	defer victim.Close()
@@ -398,15 +398,17 @@ func TestRecoveryReapsCanceledSessions(t *testing.T) {
 		return victim.BatchStats().DecodeTokens >= 6
 	})
 
-	// Simulate the claimed-cancel window: the disconnect fired while an
-	// iteration held session 2's request, so cancelQueued could only set the
-	// mark — then a failure schedules recovery before any boundary abort runs.
+	// Session 2's context ends between claims, and a failure schedules
+	// recovery before the step loop claims the request again. The request's
+	// own context is swapped for an ended one, so its client goroutine (on a
+	// live context) cannot dequeue it first.
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
 	victim.mu.Lock()
 	marked := false
 	for _, r := range victim.decodes {
 		if r.session == 2 {
-			r.canceled = true
-			r.cancelCause = context.Canceled
+			r.ctx = ended
 			marked = true
 		}
 	}

@@ -193,8 +193,7 @@ type Scheduler struct {
 	recStats     RecoveryStats
 	watchStop    chan struct{}
 	// executing is the prefill head whose chunk the current iteration is
-	// running; cancellation must not remove it mid-chunk, but may between
-	// iterations.
+	// running: a client goroutine whose context ended must not dequeue it.
 	executing *request
 	closed    bool
 	idSeq     uint64

@@ -466,6 +466,76 @@ func TestSeamReplayRetracesLiveCalls(t *testing.T) {
 	}
 }
 
+// TestSeamEndedContextIsNeverClaimed: a request whose context has ended
+// before the step loop claims it leaves unclaimed, by its context's cause —
+// a prefill with a passed deadline as deadline, a canceled prefill and a
+// canceled decode as canceled — frees its admission slot, and never reaches
+// the executor. Only the deadline counts in the overload block. The requests
+// are enqueued directly, so no client goroutine can end them first.
+func TestSeamEndedContextIsNeverClaimed(t *testing.T) {
+	s, f, _ := newSeamScheduler(t, SchedulerConfig{TokenBudget: 4, MaxSessions: 1})
+	expired, stop := context.WithDeadline(context.Background(), time.Now())
+	defer stop()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	queue := func(r *request, ctx context.Context) *request {
+		t.Helper()
+		r.ctx = ctx
+		if err := s.enqueue(r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	wantEnd := func(r *request, want string) {
+		t.Helper()
+		select {
+		case <-r.done:
+		default:
+			t.Fatalf("session %d's request is still open", r.session)
+		}
+		if got := outcomeOf(r.err); got != want {
+			t.Errorf("session %d: outcome %s, want %s", r.session, got, want)
+		}
+	}
+
+	// Session 1 takes the only slot; session 2 waits for it in admission.
+	r1 := queue(s.newRequest(1, seq(1, 4), RequestOptions{}), expired)
+	r2 := queue(s.newRequest(2, seq(5, 4), RequestOptions{}), canceled)
+	if _, ok := s.Step(); ok {
+		t.Fatal("an iteration ran work for ended contexts")
+	}
+	wantEnd(r1, "deadline")
+	wantEnd(r2, "canceled")
+	if s.Sessions() != 0 || s.Known(1) || s.Known(2) {
+		t.Fatalf("slots still held: %v", s.SessionIDs())
+	}
+
+	// A live session 3 is admitted and served, then a decode for it whose
+	// context has ended leaves its KV resident and runs no step.
+	r3 := queue(s.newRequest(3, seq(9, 4), RequestOptions{}), context.Background())
+	drain(s)
+	wantEnd(r3, "served")
+	r4 := s.newRequest(3, nil, RequestOptions{})
+	r4.pending, r4.token = 1, 7
+	queue(r4, canceled)
+	if _, ok := s.Step(); ok {
+		t.Fatal("an iteration ran a step for an ended context")
+	}
+	wantEnd(r4, "canceled")
+	if !resident(s, 3) {
+		t.Fatal("a canceled decode-only request evicted its session")
+	}
+
+	for _, c := range f.calls {
+		if c.session == 1 || c.session == 2 || c.op == "decode" {
+			t.Errorf("the executor was asked for %+v", c)
+		}
+	}
+	if st := s.OverloadStats(); st.DeadlineExpired != 1 {
+		t.Errorf("deadline_expired = %d, want 1", st.DeadlineExpired)
+	}
+}
+
 // resident reports whether the session has resident KV.
 func resident(s *Scheduler, session int) bool {
 	s.mu.Lock()

@@ -378,8 +378,10 @@ type generateRequest struct {
 	// NoCache opts this request out of prefix reuse: the prompt is never
 	// served from cached KV and the session never donates KV on release.
 	NoCache bool `json:"no_cache,omitempty"`
-	// TimeoutMs is this request's deadline: past it the request is aborted
-	// at the next scheduling boundary and answered 504. 0 = no deadline.
+	// TimeoutMs is this request's deadline in milliseconds, 0 for none: the
+	// step loop claims no chunk or step for the request past it, and the
+	// request is answered 504. A negative value, or one too large for a
+	// time.Duration, is a 400.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 	// Cohort tags the request with its workload class ("chat", "rag", ...)
 	// for per-cohort latency attribution in /metrics and /v1/stats.
@@ -397,12 +399,19 @@ func (q *generateRequest) presize(body []byte) {
 }
 
 // requestContext applies a request's timeout_ms deadline to its HTTP
-// context. The returned cancel must run even on the no-deadline path.
-func requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	if timeoutMs > 0 {
-		return context.WithTimeout(r.Context(), time.Duration(timeoutMs)*time.Millisecond)
+// context. A negative value, or one too large for a time.Duration, is
+// answered 400 here, and ok is false. The returned cancel must run even on
+// the no-deadline path.
+func requestContext(w http.ResponseWriter, r *http.Request, timeoutMs int) (ctx context.Context, cancel context.CancelFunc, ok bool) {
+	if timeoutMs < 0 || int64(timeoutMs) > math.MaxInt64/int64(time.Millisecond) {
+		writeErr(w, http.StatusBadRequest, "timeout_ms %d is negative or too large", timeoutMs)
+		return nil, nil, false
 	}
-	return r.Context(), func() {}
+	ctx, cancel = r.Context(), func() {}
+	if timeoutMs > 0 {
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMs)*time.Millisecond)
+	}
+	return ctx, cancel, true
 }
 
 // writeSchedErr maps a scheduler error onto the HTTP response, attaching
@@ -433,7 +442,10 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "prompt and max_tokens required")
 		return
 	}
-	ctx, cancel := requestContext(r, req.TimeoutMs)
+	ctx, cancel, ok := requestContext(w, r, req.TimeoutMs)
+	if !ok {
+		return
+	}
 	defer cancel()
 	res, err := s.sched.GenerateWith(ctx, req.Session, req.Prompt, req.MaxTokens,
 		RequestOptions{NoPrefixCache: req.NoCache, Cohort: req.Cohort})
@@ -476,7 +488,10 @@ func (s *Server) handlePrefill(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "tokens required")
 		return
 	}
-	ctx, cancel := requestContext(r, req.TimeoutMs)
+	ctx, cancel, ok := requestContext(w, r, req.TimeoutMs)
+	if !ok {
+		return
+	}
 	defer cancel()
 	next, err := s.sched.PrefillWith(ctx, req.Session, req.Tokens,
 		RequestOptions{NoPrefixCache: req.NoCache, Cohort: req.Cohort})
@@ -498,7 +513,10 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	if !decodePost(w, r, &req) {
 		return
 	}
-	ctx, cancel := requestContext(r, req.TimeoutMs)
+	ctx, cancel, ok := requestContext(w, r, req.TimeoutMs)
+	if !ok {
+		return
+	}
 	defer cancel()
 	next, err := s.sched.Decode(ctx, req.Session, req.Token)
 	if err != nil {

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -146,6 +148,26 @@ func TestBadRequests(t *testing.T) {
 	g.Body.Close()
 	if g.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET generate: status %d", g.StatusCode)
+	}
+	// A timeout_ms that is negative, or too large for a time.Duration
+	// (whose overflow made a deadline that had already passed), on every
+	// route that takes one; the largest one a time.Duration holds is served.
+	const maxTimeoutMs = math.MaxInt64 / int(time.Millisecond)
+	for _, ms := range []int{-1, 10_000_000_000_000, maxTimeoutMs + 1} {
+		for route, body := range map[string]any{
+			"/v1/generate": generateRequest{Session: 1, Prompt: []int{1, 2}, MaxTokens: 2, TimeoutMs: ms},
+			"/v1/prefill":  prefillRequest{Session: 1, Tokens: []int{1, 2}, TimeoutMs: ms},
+			"/v1/decode":   decodeRequest{Session: 1, Token: 1, TimeoutMs: ms},
+		} {
+			var reply map[string]any
+			resp := post(t, ts.URL+route, body, &reply)
+			if msg, _ := reply["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "timeout_ms") {
+				t.Errorf("%s with timeout_ms %d: status %d, %v; want 400 naming timeout_ms", route, ms, resp.StatusCode, reply)
+			}
+		}
+	}
+	if resp := post(t, ts.URL+"/v1/prefill", prefillRequest{Session: 2, Tokens: []int{1, 2}, TimeoutMs: maxTimeoutMs}, nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("timeout_ms %d: status %d, want 200", maxTimeoutMs, resp.StatusCode)
 	}
 }
 

@@ -35,6 +35,13 @@ func (s *Scheduler) step() (IterReport, bool) {
 	s.maybeRecover()
 	s.mu.Lock()
 	s.admitLocked()
+	// A request is claimed only while its context is live. Ending one can
+	// admit waiting work, so the head is read again.
+	for len(s.prefills) > 0 && s.prefills[0].ctx.Err() != nil {
+		r := s.prefills[0]
+		s.prefills = s.prefills[1:]
+		s.exitLocked(r, outCanceled, nil, false)
+	}
 	var pj *request
 	if len(s.prefills) > 0 {
 		pj = s.prefills[0]
@@ -63,9 +70,9 @@ func (s *Scheduler) step() (IterReport, bool) {
 	var dead []*request
 	for _, r := range s.decodes {
 		switch {
-		case !s.sessions[r.session].resident:
-			// The session was released (or lost its KV) after this request
-			// queued; it must not reach the fused batch.
+		case r.ctx.Err() != nil || !s.sessions[r.session].resident:
+			// Its context ended, or its session was released (or lost its
+			// KV) after it queued: it must not reach the fused batch.
 			dead = append(dead, r)
 		case len(dbatch) < s.cfg.MaxBatch && !used[r.session]:
 			used[r.session] = true
@@ -81,7 +88,11 @@ func (s *Scheduler) step() (IterReport, bool) {
 	// They leave once the pool is settled: failing them may have been the
 	// last thing keeping their quarantined sessions' slots occupied.
 	for _, r := range dead {
-		s.exitLocked(r, outReleased, nil, false)
+		o := outReleased
+		if r.ctx.Err() != nil {
+			o = outCanceled
+		}
+		s.exitLocked(r, o, nil, false)
 	}
 	if pj == nil && len(dbatch) == 0 {
 		s.mu.Unlock()
@@ -268,11 +279,6 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 		r.lastStep = now
 		r.next = next
 		switch {
-		case r.pending > 0 && r.canceled:
-			// Client vanished mid-stream. A generate stream's session
-			// will never see its DELETE, so evict it; a decode-only
-			// client's multi-turn conversation stays resident.
-			s.exitLocked(r, outCanceled, nil, true)
 		case r.pending > 0 && s.closed:
 			// Shutdown boundary: the stream is drained, not faulted — the
 			// client gets the tokens generated so far (ending with this
