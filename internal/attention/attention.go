@@ -384,15 +384,23 @@ func tileChunks(row []Interval) int {
 	return n
 }
 
-// gqaTiles fans the (KV head, query token) cells over the worker pool and
-// runs each contiguous chunk of cells as blocks of consecutive queries of one
-// KV head. The scratch is sized once per chunk from the chunk's widest query
-// row, which also fixes the block size; a decode step is the block of one
-// query. Cells write disjoint output rows and a cell's arithmetic does not
-// depend on which block it lands in, so any fan-out equals the serial sweep
-// exactly.
+// gqaTiles fans the (KV head, query token) cells over the worker pool, when
+// their multiply-adds — a score and a PV row per admitted (query head, key)
+// pair — pass the pool's size rule, and runs each contiguous chunk of cells
+// as blocks of consecutive queries of one KV head. The scratch is sized once
+// per chunk from the chunk's widest query row, which also fixes the block
+// size; a decode step is the block of one query. Cells write disjoint output
+// rows and a cell's arithmetic does not depend on which block it lands in, so
+// any fan-out equals the serial sweep exactly.
 func gqaTiles(dst *Output, q *tensor.Tensor, kv KV, iv *Intervals) {
-	parallel.RunRecycled(tileTasks, kv.Heads*q.Tokens, tileTask{dst: dst, q: q, kv: kv, iv: iv})
+	keys := 0
+	for t := 0; t < q.Tokens; t++ {
+		for _, r := range iv.Row(t) {
+			keys += r.Hi - r.Lo
+		}
+	}
+	work := 2 * keys * q.Heads * q.Dim
+	parallel.RunRecycled(tileTasks, kv.Heads*q.Tokens, work, tileTask{dst: dst, q: q, kv: kv, iv: iv})
 }
 
 // tileTask is one gqaTiles fan-out, recycled so that a kernel call hands the
@@ -819,21 +827,26 @@ func Reference(q, k, v *tensor.Tensor, m Mask) (*Output, error) {
 	return out, nil
 }
 
-// minParallelWork is the job size, in scalar operations, below which a pool
-// dispatch costs more than the math: a few µs.
-const minParallelWork = 4096
+// accumulateWork is the work AccumulateInto states to the pool's size rule
+// (parallel.MinWork) per output element. Its fold is scalar float64 with a
+// division, about 3 ns an element (BenchmarkAccumulateInto/workers=1 on the
+// host MinWork was derived on), as long as 240 multiply-adds take at the
+// sp512 peak of 80 G/s. So a prefill chunk's merge (65,536 elements a rank on
+// the benchmark model) fans out and a decode step's (2,048 at B = 8) does
+// not.
+const accumulateWork = 240
 
-// forCells runs task over n (token, head) cells: through the worker pool,
-// or inline when the whole job is smaller than one pool dispatch is worth
-// (decode-step AccumulateInto touches a handful of rows; the dispatch
-// would cost more than the math). Inline and fanned execution are
-// bit-identical, so this is purely a throughput decision.
+// forCells runs task over n (token, head) cells of work multiply-adds:
+// through the worker pool when the pool's size rule says the job is worth a
+// dispatch, inline otherwise — without a trip through the task free list,
+// since every decode step's merges land here. Inline and fanned execution
+// are bit-identical, so this is purely a throughput decision.
 func forCells(work, n int, task cellTask) {
-	if work < minParallelWork {
+	if !parallel.Worth(work) {
 		task.Run(0, n)
 		return
 	}
-	parallel.RunRecycled(cellTasks, n, task)
+	parallel.RunRecycled(cellTasks, n, work, task)
 }
 
 // cellTask is one AccumulateInto over (token, head) cells.
@@ -881,7 +894,7 @@ func AccumulateInto(dst, partial *Output) {
 			dst.O.ShapeString(), partial.O.ShapeString()))
 	}
 	heads, dim := dst.O.Heads, dst.O.Dim
-	forCells(dst.O.Tokens*heads*dim, dst.O.Tokens*heads, cellTask{dst: dst, partial: partial})
+	forCells(accumulateWork*dst.O.Tokens*heads*dim, dst.O.Tokens*heads, cellTask{dst: dst, partial: partial})
 }
 
 // accumulateCells folds (token, head) cells [lo, hi) of partial into dst.

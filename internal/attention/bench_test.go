@@ -50,6 +50,34 @@ func BenchmarkGQA(b *testing.B) {
 	}
 }
 
+// BenchmarkAccumulateInto times the ring's merge on one rank's share of a
+// 512-token prefill chunk of the benchmark model (256 tokens, 8 heads,
+// head dim 32), inline and at width 2. ns/element at workers=1 is the
+// reading behind accumulateWork, the work AccumulateInto states to the
+// pool's size rule per output element.
+func BenchmarkAccumulateInto(b *testing.B) {
+	const tokens, heads, dh = 256, 8, 32
+	rng := rand.New(rand.NewSource(3))
+	dst, partial := NewOutput(tokens, heads, dh), NewOutput(tokens, heads, dh)
+	for _, o := range []*Output{dst, partial} {
+		for i := range o.O.Data {
+			o.O.Data[i] = float32(rng.NormFloat64())
+		}
+		for i := range o.LSE {
+			o.LSE[i] = rng.NormFloat64()
+		}
+	}
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			defer parallel.SetWorkers(parallel.SetWorkers(w))
+			for i := 0; i < b.N; i++ {
+				AccumulateInto(dst, partial)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tokens*heads*dh), "ns/element")
+		})
+	}
+}
+
 // BenchmarkGQADecodeStep is the batched-decode shape: a block of one-token
 // queries, each against a long per-sequence context.
 func BenchmarkGQADecodeStep(b *testing.B) {

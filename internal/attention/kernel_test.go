@@ -192,6 +192,74 @@ func TestKernelsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// Past the pool's size rule (parallel.MinWork) the kernels fan out, and the
+// fan-out must not change a bit: GQA's tiles over a causal prefill chunk
+// equal the one-query-at-a-time drive, and AccumulateInto over a merge of
+// two million elements equals its serial fold, at widths 1, 2 and 8 — the
+// shapes the other width tests use are below the rule and run inline.
+func TestKernelsFanOutPastTheSizeRuleBitIdentically(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const T, kvRows, nkv, group, dh = 64, 512, 2, 4, 32
+	m := PartialCausal(T, kvRows-T)
+	q := tensor.RandN(rng, T, nkv*group, dh)
+	k := tensor.RandN(rng, kvRows, nkv, dh)
+	v := tensor.RandN(rng, kvRows, nkv, dh)
+	want := gqaOneByOne(q, k, v, m)
+
+	const tokens, heads = 1024, 64 // 2 · tokens · heads · dh multiply-adds
+	dst0, partial := NewOutput(tokens, heads, dh), NewOutput(tokens, heads, dh)
+	for _, o := range []*Output{dst0, partial} {
+		for i := range o.O.Data {
+			o.O.Data[i] = float32(rng.NormFloat64())
+		}
+		for i := range o.LSE {
+			o.LSE[i] = rng.NormFloat64()
+		}
+	}
+	var ref *Output
+	for _, w := range []int{1, 2, 8} {
+		old := parallel.SetWorkers(w)
+		before := parallel.Snapshot().Jobs
+		got, err := GQA(q, k, v, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := NewOutput(tokens, heads, dh)
+		copy(acc.O.Data, dst0.O.Data)
+		copy(acc.LSE, dst0.LSE)
+		AccumulateInto(acc, partial)
+		jobs := parallel.Snapshot().Jobs - before
+		parallel.SetWorkers(old)
+		if w > 1 && jobs < 2 {
+			t.Fatalf("workers=%d: %d pool jobs, want the tiles and the merge fanned", w, jobs)
+		}
+		for i := range want.O.Data {
+			if math.Float32bits(got.O.Data[i]) != math.Float32bits(want.O.Data[i]) {
+				t.Fatalf("workers=%d: O[%d] = %x, one-by-one %x", w, i, got.O.Data[i], want.O.Data[i])
+			}
+		}
+		for i := range want.LSE {
+			if math.Float64bits(got.LSE[i]) != math.Float64bits(want.LSE[i]) {
+				t.Fatalf("workers=%d: LSE[%d] = %x, one-by-one %x", w, i, got.LSE[i], want.LSE[i])
+			}
+		}
+		if ref == nil {
+			ref = acc
+			continue
+		}
+		for i := range ref.O.Data {
+			if math.Float32bits(acc.O.Data[i]) != math.Float32bits(ref.O.Data[i]) {
+				t.Fatalf("workers=%d: merged O[%d] = %x, serial %x", w, i, acc.O.Data[i], ref.O.Data[i])
+			}
+		}
+		for i := range ref.LSE {
+			if math.Float64bits(acc.LSE[i]) != math.Float64bits(ref.LSE[i]) {
+				t.Fatalf("workers=%d: merged LSE[%d] = %x, serial %x", w, i, acc.LSE[i], ref.LSE[i])
+			}
+		}
+	}
+}
+
 // expNeg must track math.Exp to ~1e-13 relative over the softmax argument
 // range and hit exp(0) == 1 exactly.
 func TestExpNegAccuracy(t *testing.T) {

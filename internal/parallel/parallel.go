@@ -6,13 +6,18 @@
 // machine (GOMAXPROCS by default, overridable with SetWorkers or the
 // CP_WORKERS environment variable).
 //
-// The pool is deliberately oblivious to what it runs: Run(n, task) splits
-// [0, n) into contiguous chunks and executes task.Run(lo, hi) once per chunk,
-// on the caller plus up to Workers()-1 pool goroutines; For(n, fn) is Run over
-// a function. Chunks are claimed with an atomic cursor, so load balances
-// dynamically; the caller always participates in draining its own job, which
-// makes nested calls deadlock-free (a worker that issues a Run drains that
-// inner job itself).
+// The pool is deliberately oblivious to what it runs: Run(n, work, task)
+// splits [0, n) into contiguous chunks and executes task.Run(lo, hi) once per
+// chunk, on the caller plus up to Workers()-1 pool goroutines. Chunks are
+// claimed with an atomic cursor, so load balances dynamically; the caller
+// always participates in draining its own job, which makes nested calls
+// deadlock-free (a worker that issues a Run drains that inner job itself).
+//
+// Whether a job is worth the pool at all is decided here, once, for every
+// kernel: the caller states the job's work in multiply-adds, and Run
+// dispatches only at MinWork or more (Worth). For(n, fn) is Run over a
+// function with no work stated, which the pool's own tests and overhead
+// measurements use to reach the workers whatever the job's size.
 //
 // A fan-out allocates nothing once warm. The pool recycles its jobs through a
 // free list, and a caller on a per-step path hands RunRecycled a task value
@@ -27,6 +32,7 @@
 package parallel
 
 import (
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -38,6 +44,34 @@ import (
 // cursor can rebalance when some chunks run longer than others (e.g. causal
 // attention tiles near the end of a sequence attend to more KV).
 const chunksPerWorker = 4
+
+// MinWork is the pool's one size rule, in multiply-adds: Run hands a job to
+// the workers only when its stated work is at least this much. It comes from
+// two host readings, both committed benchmarks (2-vCPU AVX-512 Xeon, go1.24.0,
+// -cpu 2):
+//
+//   - BenchmarkPoolDispatch/parked: waking a parked worker and joining it
+//     costs D ≈ 4 µs in the median, with runs out to 12 µs (/hot, a worker
+//     still spinning: 1 µs).
+//   - BenchmarkPeakFMA: one goroutine of sp512 FMAs retires F1 ≈ 80 G
+//     multiply-adds/s. Two goroutines (sp512x2) retire s·F1, where s reads
+//     1.5–2.0 on an idle host and 1.2 under neighbour load. Inside a cluster
+//     the fan-out's helper also competes with the other ranks: two busy ranks
+//     on two vCPUs leave a two-goroutine fan-out at most 4/3 of a CPU where it
+//     had one, so s = 1.2 is the reading that applies.
+//
+// A split saves W/F1 · (1 − 1/s) of W multiply-adds' serial time, even at
+// peak, so it pays only above W = D·F1 / (1 − 1/s) ≈ 1.9 M (5.8 M at D's
+// 12 µs). MinWork is 2²², between the two: every decode-step GEMM of the
+// benchmark model (at most 8 tokens × [1024, 256] = 2²¹) runs on its rank's
+// goroutine, and a prefill chunk's token blocks and attention tiles (tens of
+// millions of multiply-adds a sweep) still fan out. A caller counts its
+// multiply-adds as written; a memory-bound kernel such as a decode GEMM
+// retires them below peak, where two goroutines gain less still, so there
+// the rule errs towards running it inline. A scalar kernel whose element
+// costs far more than one vector multiply-add states the multiply-adds that
+// take as long at peak instead (attention's accumulateWork).
+const MinWork = 1 << 22
 
 // maxPoolWorkers bounds the resident pool goroutines regardless of how high
 // SetWorkers is pushed; blocked receivers are cheap but not free.
@@ -85,7 +119,7 @@ func SetWorkers(n int) int {
 type Stats struct {
 	Workers      int   `json:"workers"`       // configured width
 	Jobs         int64 `json:"jobs"`          // parallel jobs dispatched
-	SerialJobs   int64 `json:"serial_jobs"`   // jobs run inline (width 1 or n == 1)
+	SerialJobs   int64 `json:"serial_jobs"`   // jobs run inline (width 1, n == 1 or below MinWork)
 	Chunks       int64 `json:"chunks"`        // chunks executed in parallel jobs
 	ChunksStolen int64 `json:"chunks_stolen"` // chunks picked up by pool workers
 }
@@ -257,32 +291,38 @@ func ensurePool(want int) {
 func RunRecycled[T any, P interface {
 	*T
 	Task
-}](tasks FreeList[T], n int, task T) {
+}](tasks FreeList[T], n, work int, task T) {
 	t := tasks.Get()
 	*t = task
-	Run(n, P(t))
+	Run(n, work, P(t))
 	var zero T
 	*t = zero
 	tasks.Put(t)
 }
 
-// For executes fn over [0, n) split into contiguous chunks: Run over fn. A
-// closure handed to For escapes to the heap; a per-step caller passes
-// RunRecycled a task value instead.
-func For(n int, fn func(lo, hi int)) { Run(n, Func(fn)) }
+// For executes fn over [0, n) split into contiguous chunks: Run over fn with
+// no work stated, so it reaches the workers whatever n is (the pool's tests
+// and its dispatch-overhead measurements). A closure handed to For escapes
+// to the heap; a kernel states its work to RunRecycled instead.
+func For(n int, fn func(lo, hi int)) { Run(n, math.MaxInt, Func(fn)) }
 
-// Run executes task over [0, n) split into contiguous chunks. With width 1
-// (or n <= 1) it runs task.Run(0, n) inline — the exact serial path.
-// Otherwise the caller and up to width-1 pool workers drain the chunks
-// cooperatively. Run returns when every chunk has finished, and no pool
-// worker calls the task after that; a panic inside the task is rethrown on
-// the caller's goroutine after the job drains.
-func Run(n int, task Task) {
+// Worth reports whether work multiply-adds justify a pool dispatch: the size
+// rule (MinWork) that Run applies, for a caller that counts its decisions.
+func Worth(work int) bool { return work >= MinWork }
+
+// Run executes task over [0, n) split into contiguous chunks; work is the
+// whole job's cost in multiply-adds. With width 1, n <= 1 or work below
+// MinWork it runs task.Run(0, n) inline — the exact serial path. Otherwise
+// the caller and up to width-1 pool workers drain the chunks cooperatively.
+// Run returns when every chunk has finished, and no pool worker calls the
+// task after that; a panic inside the task is rethrown on the caller's
+// goroutine after the job drains.
+func Run(n, work int, task Task) {
 	if n <= 0 {
 		return
 	}
 	w := Workers()
-	if w <= 1 || n == 1 {
+	if w <= 1 || n == 1 || !Worth(work) {
 		statSerialJobs.Add(1)
 		task.Run(0, n)
 		return

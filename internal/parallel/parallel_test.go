@@ -1,9 +1,11 @@
 package parallel
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/testsupport"
 )
@@ -184,7 +186,7 @@ func TestRunAllocatesNothing(t *testing.T) {
 	withWorkers(t, 4)
 	var total atomic.Int64
 	tasks := NewFreeList[sumTask](8, nil)
-	run := func() { RunRecycled(tasks, 64, sumTask{n: &total}) }
+	run := func() { RunRecycled(tasks, 64, MinWork, sumTask{n: &total}) }
 	run()
 	if got := testing.AllocsPerRun(100, run); got != 0 {
 		t.Fatalf("a warm RunRecycled allocates %.1f objects, want 0", got)
@@ -197,3 +199,76 @@ func TestRunAllocatesNothing(t *testing.T) {
 type sumTask struct{ n *atomic.Int64 }
 
 func (s *sumTask) Run(lo, hi int) { s.n.Add(int64(hi - lo)) }
+
+// The size rule: at any width, a job stating less than MinWork runs inline
+// on the caller as one range and counts as serial, and a job at MinWork goes
+// to the pool.
+func TestRunDispatchesOnlyAtMinWork(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
+	withWorkers(t, 4)
+	for _, c := range []struct {
+		work   int
+		worked bool
+	}{{0, false}, {MinWork - 1, false}, {MinWork, true}, {4 * MinWork, true}} {
+		if Worth(c.work) != c.worked {
+			t.Fatalf("Worth(%d) = %v", c.work, !c.worked)
+		}
+		before := Snapshot()
+		calls := 0
+		var covered atomic.Int64
+		Run(64, c.work, Func(func(lo, hi int) {
+			if !c.worked {
+				calls++ // inline: only the caller runs it
+			}
+			covered.Add(int64(hi - lo))
+		}))
+		after := Snapshot()
+		if covered.Load() != 64 {
+			t.Fatalf("work %d: covered %d of 64 indices", c.work, covered.Load())
+		}
+		jobs, serial := after.Jobs-before.Jobs, after.SerialJobs-before.SerialJobs
+		if c.worked && (jobs != 1 || serial != 0) || !c.worked && (jobs != 0 || serial != 1 || calls != 1) {
+			t.Fatalf("work %d: jobs %d, serial %d, inline calls %d", c.work, jobs, serial, calls)
+		}
+	}
+}
+
+// BenchmarkPoolDispatch is the denominator of the pool's size rule
+// (MinWork): what one dispatch costs the caller. Each op is a Run of two
+// chunks at width 2 whose chunks wait for each other, so it returns only
+// after a pool worker has woken, taken its chunk and been joined; the chunks
+// do no work, so dispatch-ns is all overhead. /parked sleeps 1 ms off the
+// clock before each op, long enough for the idle worker to park (the case of
+// a rank that fans out between a decode step's handoffs); /hot dispatches
+// back to back, to a worker still spinning for its next job.
+func BenchmarkPoolDispatch(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		b.Skip("a worker and its caller need two Ps")
+	}
+	old := SetWorkers(2)
+	defer SetWorkers(old)
+	for _, mode := range []string{"hot", "parked"} {
+		b.Run(mode, func(b *testing.B) {
+			var arrived atomic.Int32
+			meet := Func(func(lo, hi int) {
+				arrived.Add(1)
+				for arrived.Load() < 2 {
+					runtime.Gosched()
+				}
+			})
+			var spent time.Duration
+			for i := 0; i < b.N; i++ {
+				if mode == "parked" {
+					time.Sleep(time.Millisecond)
+				}
+				arrived.Store(0)
+				t0 := time.Now()
+				Run(2, MinWork, meet)
+				spent += time.Since(t0)
+			}
+			b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "dispatch-ns")
+		})
+	}
+}

@@ -46,10 +46,6 @@ func (m *Matrix) Row(r int) []float32 {
 // block and the eight-row weight panel sweeping it stay in L1 together.
 const gemmBlockFloats = 4096
 
-// minParallelMACs gates pool dispatch: below roughly this many
-// multiply-adds a fan-out costs more than the math it spreads.
-const minParallelMACs = 1 << 16
-
 var (
 	statMatmulJobs       atomic.Int64 // sweeps handed to the pool
 	statMatmulSerialJobs atomic.Int64 // sweeps kept inline
@@ -58,10 +54,11 @@ var (
 
 // MatmulStats counts how the forward-pass GEMM uses the shared worker pool,
 // exposed through /v1/stats alongside the attention kernel's counters. A
-// sweep is one fan-out decision: a multi-block Blocks call, or one block's Mul.
+// sweep is one fan-out decision of the pool's size rule (parallel.Worth): a
+// multi-block Blocks call, or one block's Mul.
 type MatmulStats struct {
 	Jobs       int64 `json:"jobs"`        // sweeps handed to the pool (which runs them inline at width 1)
-	SerialJobs int64 `json:"serial_jobs"` // sweeps kept inline: too little work to dispatch
+	SerialJobs int64 `json:"serial_jobs"` // sweeps kept inline: below parallel.MinWork
 	Cells      int64 `json:"cells"`       // output cells (tokens × weight rows) computed
 }
 
@@ -75,15 +72,18 @@ func MatmulSnapshot() MatmulStats {
 }
 
 // Blocks cuts `tokens` activation rows of width cols into L1-sized blocks
-// and runs fn(t0, t1, fanRows) once per block [t0, t1), split by shape alone.
-// A rank holding many rows (prefill) fans its blocks over the worker pool
-// with fanRows false: each block's Mul runs serially and re-reads the weights
-// from L2 once per block rather than once per token. A rank holding one
-// block's worth (decode) runs fn inline with fanRows true, so its Mul calls
-// split the weight rows instead and each weight byte is read once. fn must
-// write only its block's rows and compute them the same however the sweep is
-// split — then fanned execution is bit-identical to inline at any width.
-func Blocks(tokens, cols int, fn func(t0, t1 int, fanRows bool)) {
+// and runs fn(t0, t1, fanRows) once per block [t0, t1); perToken is the
+// multiply-adds fn spends on one row, which the pool's size rule weighs. A
+// rank holding many rows (prefill) fans its blocks over the worker pool with
+// fanRows false: each block's Mul runs serially and re-reads the weights from
+// L2 once per block rather than once per token. A rank holding one block's
+// worth (decode) runs fn inline with fanRows true, and its Mul calls split the
+// weight rows only when one GEMM alone passes the rule — on the benchmark
+// model none does, so a decode step's GEMMs run on the rank's goroutine. fn
+// must write only its block's rows and compute them the same however the
+// sweep is split — then fanned execution is bit-identical to inline at any
+// width.
+func Blocks(tokens, cols, perToken int, fn func(t0, t1 int, fanRows bool)) {
 	bt := BlockTokens(cols)
 	if tokens <= bt {
 		if tokens > 0 {
@@ -91,8 +91,18 @@ func Blocks(tokens, cols int, fn func(t0, t1 int, fanRows bool)) {
 		}
 		return
 	}
-	statMatmulJobs.Add(1)
-	parallel.RunRecycled(blockTasks, (tokens+bt-1)/bt, blockTask{fn: fn, tokens: tokens, bt: bt})
+	work := tokens * perToken
+	countSweep(work)
+	parallel.RunRecycled(blockTasks, (tokens+bt-1)/bt, work, blockTask{fn: fn, tokens: tokens, bt: bt})
+}
+
+// countSweep records one fan-out decision of the size rule.
+func countSweep(work int) {
+	if parallel.Worth(work) {
+		statMatmulJobs.Add(1)
+	} else {
+		statMatmulSerialJobs.Add(1)
+	}
 }
 
 // blockTask is one multi-block Blocks sweep, and panelTask one fanned Mul:
@@ -139,23 +149,23 @@ func BlockTokens(cols int) int { return max(2, gemmBlockFloats/max(cols, 1)&^1) 
 // flat, dst is [tokens, Rows] flat, and dst[t*Rows+r] becomes the dot of
 // weight row r with token row t (simd.DotPanel: the eight-lane fused
 // multiply-add cell of numeric contract v2). With fanRows the weight rows
-// are split over the worker pool at panel granularity when the work justifies
-// a dispatch; a cell depends only on its two operand rows, so no split can
-// change a bit.
+// are split over the worker pool at panel granularity when the work passes
+// the pool's size rule (parallel.Worth); a cell depends only on its two
+// operand rows, so no split can change a bit.
 func (m *Matrix) Mul(dst, x []float32, tokens int, fanRows bool) {
 	if len(x) != tokens*m.Cols || len(dst) != tokens*m.Rows {
 		panic(fmt.Sprintf("tensor: mul dst=%d x=%d for %d tokens x [%d %d]", len(dst), len(x), tokens, m.Rows, m.Cols))
 	}
 	statMatmulCells.Add(int64(len(dst)))
-	if !fanRows {
-		simd.DotPanel(dst, m.Rows, m.Data, x, m.Cols)
-	} else if len(dst)*m.Cols < minParallelMACs {
-		statMatmulSerialJobs.Add(1)
-		simd.DotPanel(dst, m.Rows, m.Data, x, m.Cols)
-	} else {
-		statMatmulJobs.Add(1)
-		parallel.RunRecycled(panelTasks, (m.Rows+simd.PanelRows-1)/simd.PanelRows, panelTask{m: m, dst: dst, x: x})
+	work := len(dst) * m.Cols
+	if fanRows {
+		countSweep(work)
 	}
+	if !fanRows || !parallel.Worth(work) {
+		simd.DotPanel(dst, m.Rows, m.Data, x, m.Cols)
+		return
+	}
+	parallel.RunRecycled(panelTasks, (m.Rows+simd.PanelRows-1)/simd.PanelRows, work, panelTask{m: m, dst: dst, x: x})
 }
 
 // ApplyRowsInto computes dst = [tokens, Rows] of the matrix applied to every
@@ -165,7 +175,7 @@ func (m *Matrix) ApplyRowsInto(dst, in []float32, tokens int) {
 	if len(in) != tokens*m.Cols || len(dst) != tokens*m.Rows {
 		panic(fmt.Sprintf("tensor: applyrows dst=%d in=%d for %d tokens x [%d %d]", len(dst), len(in), tokens, m.Rows, m.Cols))
 	}
-	Blocks(tokens, m.Cols, func(t0, t1 int, fanRows bool) {
+	Blocks(tokens, m.Cols, m.Rows*m.Cols, func(t0, t1 int, fanRows bool) {
 		m.Mul(dst[t0*m.Rows:t1*m.Rows], in[t0*m.Cols:t1*m.Cols], t1-t0, fanRows)
 	})
 }

@@ -106,19 +106,21 @@ func TestRMSNormIntoMatchesAndAliases(t *testing.T) {
 }
 
 // Blocks must hand out every token exactly once in either split — many
-// blocks fanned over the pool, or one block marked for a row fan — and the
-// GEMM counters must record the sweep mode and the real output cells.
+// blocks, or one block marked for a row fan — and the GEMM counters must
+// record the pool's size rule's decision and the real output cells: a
+// multi-block sweep is one job at parallel.MinWork or more and one serial
+// sweep below it, and a single block leaves the decision to its Mul.
 func TestBlocksCoverageAndCounters(t *testing.T) {
 	oldW := parallel.SetWorkers(4)
 	defer parallel.SetWorkers(oldW)
 	const cols, rows = 64, 16
 	m := NewMatrix(rows, cols)
-	for _, tokens := range []int{0, 1, gemmBlockFloats / cols, gemmBlockFloats/cols + 1, 1000} {
+	for _, tokens := range []int{0, 1, gemmBlockFloats / cols, gemmBlockFloats/cols + 1, 1000, parallel.MinWork/(rows*cols) + 1} {
 		hits := make([]int32, tokens)
 		blocks := 0
 		var mu sync.Mutex
 		before := MatmulSnapshot()
-		Blocks(tokens, cols, func(t0, t1 int, fanRows bool) {
+		Blocks(tokens, cols, rows*cols, func(t0, t1 int, fanRows bool) {
 			mu.Lock()
 			blocks++
 			mu.Unlock()
@@ -140,9 +142,12 @@ func TestBlocksCoverageAndCounters(t *testing.T) {
 			t.Fatalf("tokens=%d: %d cells counted, want %d", tokens, got, want)
 		}
 		jobs, serial := after.Jobs-before.Jobs, after.SerialJobs-before.SerialJobs
+		fanned := parallel.Worth(tokens * rows * cols)
 		switch {
-		case blocks > 1 && (jobs != 1 || serial != 0): // one fanned token sweep, serial Muls inside
-			t.Fatalf("tokens=%d: multi-block sweep counted jobs=%d serial=%d", tokens, jobs, serial)
+		case blocks > 1 && fanned && (jobs != 1 || serial != 0): // one fanned token sweep, serial Muls inside
+			t.Fatalf("tokens=%d: fanned multi-block sweep counted jobs=%d serial=%d", tokens, jobs, serial)
+		case blocks > 1 && !fanned && (jobs != 0 || serial != 1): // one inline token sweep
+			t.Fatalf("tokens=%d: inline multi-block sweep counted jobs=%d serial=%d", tokens, jobs, serial)
 		case blocks == 1 && jobs+serial != 1: // the single block's Mul decides
 			t.Fatalf("tokens=%d: single-block sweep counted jobs=%d serial=%d", tokens, jobs, serial)
 		}
@@ -151,7 +156,10 @@ func TestBlocksCoverageAndCounters(t *testing.T) {
 
 // Property: the GEMM entry equals the per-cell scalar oracle bitwise for
 // random shapes, whether the sweep splits over token blocks or over weight
-// rows, at every worker width and SIMD setting.
+// rows, at every worker width and SIMD setting. Most shapes are small, below
+// the pool's size rule (parallel.MinWork), and run inline; ten trials stack
+// enough weight rows to pass the rule, so the token-block fan-out and the
+// weight-row fan-out both run at widths 2 and 8.
 func TestPropertyMulEqualsPerCellScalarUnderBothSplits(t *testing.T) {
 	oldW := parallel.Workers()
 	prevTier := simd.SetTier(simd.Detected())
@@ -166,6 +174,12 @@ func TestPropertyMulEqualsPerCellScalarUnderBothSplits(t *testing.T) {
 		tokens := rng.Intn(40) + 1
 		if trial%3 == 0 {
 			tokens += 2 * gemmBlockFloats / cols // several token blocks
+		}
+		if trial%10 == 0 {
+			tokens = min(tokens, BlockTokens(cols)) // one block: the weight rows fan
+		}
+		if trial%10 == 0 || trial%15 == 3 {
+			rows += parallel.MinWork / (tokens * cols) // past the size rule
 		}
 		m := RandMatrix(rng, rows, cols)
 		in := make([]float32, tokens*cols)

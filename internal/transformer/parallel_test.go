@@ -7,6 +7,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/parallel"
 	"repro/internal/ring"
+	"repro/internal/testsupport"
 )
 
 // scenario runs the full serving surface on a fresh cluster — cold chunked
@@ -155,6 +156,122 @@ func TestChunkedPrefillAssemblyIsLinear(t *testing.T) {
 			}
 			if after := assembly(); after != prev {
 				t.Fatalf("3 decode steps moved the copy counters: %+v, before %+v", after, prev)
+			}
+		})
+	}
+}
+
+// The Tiny model's width tests run below the pool's size rule
+// (parallel.MinWork), where every kernel is inline. On the benchmark model a
+// 512-token chunk's token blocks and attention tiles fan out, and a pass-KV
+// and a pass-Q prefill, then decode steps, must give the same logits bit for
+// bit at widths 1, 2 and 8.
+func TestBenchModelBitIdenticalAcrossWorkerCounts(t *testing.T) {
+	w, err := NewWeights(benchGQA8())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prompt := make([]int, 512)
+	for i := range prompt {
+		prompt[i] = (i*7 + 1) % w.Cfg.Model.VocabSize
+	}
+	scenario := func(workers int) [][]float32 {
+		defer parallel.SetWorkers(parallel.SetWorkers(workers))
+		c, err := NewCluster(w, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		before := parallel.Snapshot().Jobs
+		var all [][]float32
+		for seq, v := range []model.Variant{model.PassKV, model.PassQ} {
+			logits, err := c.Prefill(seq+1, prompt, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, logits...)
+			tok := 3
+			for step := 0; step < 2; step++ {
+				row, err := c.Decode(seq+1, tok)
+				if err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, row)
+				tok = Argmax(row)
+			}
+		}
+		if workers > 1 && parallel.Snapshot().Jobs == before {
+			t.Fatalf("workers=%d: the prefills dispatched no pool job", workers)
+		}
+		return all
+	}
+	ref := scenario(1)
+	for _, workers := range []int{2, 8} {
+		got := scenario(workers)
+		for i := range ref {
+			requireExact(t, got[i], ref[i], fmt.Sprintf("workers=%d logit row %d", workers, i))
+		}
+	}
+}
+
+// A decode step hands the kernel pool nothing: on the benchmark model every
+// GEMM of a decode step at B <= 8 (QKV, output projection, gate/up, down,
+// head) is below the pool's size rule (parallel.MinWork), and so is its
+// attention, so a DecodeNext at B = 1 and B = 8 dispatches no job at width 2,
+// in process and over loopback TCP (whose ranks run in this process too).
+// A 512-token PrefillNext chunk still fans its token blocks and attention
+// tiles out.
+func TestDecodeStepHandsThePoolNothing(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
+	old := parallel.SetWorkers(2)
+	defer parallel.SetWorkers(old)
+	for _, plane := range []string{"mem", "tcp"} {
+		t.Run(plane, func(t *testing.T) {
+			var c *Cluster
+			if plane == "tcp" {
+				c = startLoopbackCluster(t, benchGQA8(), 2, 0)
+			} else {
+				w, err := NewWeights(benchGQA8())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c, err = NewCluster(w, 2); err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+			}
+			vocab := benchGQA8().Model.VocabSize
+			seqs, toks := make([]int, 8), make([]int, 8)
+			prompt := make([]int, 512)
+			for s := range seqs {
+				seqs[s] = s + 2
+				for i := range prompt {
+					prompt[i] = (i*7 + s*13 + 1) % vocab
+				}
+				before := parallel.Snapshot().Jobs
+				tok, err := c.PrefillNext(seqs[s], prompt, model.Auto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if jobs := parallel.Snapshot().Jobs - before; jobs == 0 {
+					t.Fatalf("a 512-token prefill chunk dispatched no pool job")
+				}
+				toks[s] = tok
+			}
+			for _, b := range []int{1, 8} {
+				for step := 0; step < 3; step++ {
+					before := parallel.Snapshot().Jobs
+					ids, err := c.DecodeNext(seqs[:b], toks[:b])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if jobs := parallel.Snapshot().Jobs - before; jobs != 0 {
+						t.Fatalf("B=%d step %d: a decode step dispatched %d pool jobs, want 0", b, step, jobs)
+					}
+					copy(toks, ids)
+				}
 			}
 		})
 	}

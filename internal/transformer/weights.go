@@ -187,7 +187,8 @@ func (w *Weights) projectQKVInto(q, k, v *tensor.Tensor, l int, hidden []float32
 		}
 		return
 	}
-	tensor.Blocks(q.Tokens, d, func(t0, t1 int, fanRows bool) {
+	wqkv := w.layers[l].wqkv
+	tensor.Blocks(q.Tokens, d, wqkv.Rows*wqkv.Cols, func(t0, t1 int, fanRows bool) {
 		w.qkvBlock(q, k, v, l, hidden, pos, t0, t1, fanRows)
 	})
 }
@@ -220,7 +221,9 @@ func (w *Weights) finishLayer(l int, hidden []float32, attnOut *tensor.Tensor) {
 		}
 		return
 	}
-	tensor.Blocks(attnOut.Tokens, cols, func(t0, t1 int, fanRows bool) {
+	lw := w.layers[l]
+	perToken := lw.wo.Rows*lw.wo.Cols + lw.wGateUp.Rows*lw.wGateUp.Cols + lw.wDown.Rows*lw.wDown.Cols
+	tensor.Blocks(attnOut.Tokens, cols, perToken, func(t0, t1 int, fanRows bool) {
 		w.finishBlock(l, hidden, attnOut, t0, t1, fanRows)
 	})
 }
@@ -266,7 +269,7 @@ func (w *Weights) logitsInto(out, hidden []float32, tokens int) {
 		}
 		return
 	}
-	tensor.Blocks(tokens, m.ModelDim, func(t0, t1 int, fanRows bool) {
+	tensor.Blocks(tokens, m.ModelDim, w.head.Rows*w.head.Cols, func(t0, t1 int, fanRows bool) {
 		w.normMul(w.head, out[t0*m.VocabSize:t1*m.VocabSize], hidden, w.norm, t0, t1, fanRows)
 	})
 }
