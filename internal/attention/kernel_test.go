@@ -156,105 +156,60 @@ func TestGQAMatchesReferenceOnRandomMasks(t *testing.T) {
 
 // Parallel execution must be bit-identical to serial at every worker count:
 // the kernels partition output cells, and each cell's reduction order is
-// fixed.
+// fixed. The small shape runs below the pool's size rule (parallel.MinWork)
+// and stays inline; the large one — a causal 128-query chunk over 512 keys,
+// whose merge folds 32,768 elements — passes it, and its GQA tiles and its
+// merge must each fan out at widths 2 and 8.
 func TestKernelsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	qTokens, kvTokens := 13, 57
-	m := randomMask(rng, qTokens, kvTokens, false)
-	q := tensor.RandN(rng, qTokens, 4, 8)
-	k := tensor.RandN(rng, kvTokens, 2, 8)
-	v := tensor.RandN(rng, kvTokens, 2, 8)
+	for _, sh := range []struct {
+		name                           string
+		m                              Mask
+		qTokens, kvTokens, nh, nkv, dh int
+		fans                           bool
+	}{
+		{"small", randomMask(rng, 13, 57, false), 13, 57, 4, 2, 8, false},
+		{"past-MinWork", PartialCausal(128, 512-128), 128, 512, 8, 2, 32, true},
+	} {
+		q := tensor.RandN(rng, sh.qTokens, sh.nh, sh.dh)
+		k := tensor.RandN(rng, sh.kvTokens, sh.nkv, sh.dh)
+		v := tensor.RandN(rng, sh.kvTokens, sh.nkv, sh.dh)
 
-	run := func(workers int) (*Output, *Output) {
-		old := parallel.SetWorkers(workers)
-		defer parallel.SetWorkers(old)
-		g, err := GQA(q, k, v, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g, Merge(g, g)
-	}
-	g1, m1 := run(1)
-	for _, w := range []int{2, 8} {
-		gw, mw := run(w)
-		for name, pair := range map[string][2]*Output{
-			"gqa": {g1, gw}, "merge": {m1, mw},
-		} {
-			if d := tensor.MaxAbsDiff(pair[0].O, pair[1].O); d != 0 {
-				t.Fatalf("%s at %d workers differs from serial by %v", name, w, d)
+		run := func(workers int) (*Output, *Output) {
+			old := parallel.SetWorkers(workers)
+			defer parallel.SetWorkers(old)
+			before := parallel.Snapshot().Jobs
+			g, err := GQA(q, k, v, sh.m)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range pair[0].LSE {
-				if pair[0].LSE[i] != pair[1].LSE[i] && !(math.IsInf(pair[0].LSE[i], -1) && math.IsInf(pair[1].LSE[i], -1)) {
-					t.Fatalf("%s LSE[%d] differs at %d workers", name, i, w)
+			mid := parallel.Snapshot().Jobs
+			merged := Merge(g, g)
+			gqaJobs, mergeJobs := mid-before, parallel.Snapshot().Jobs-mid
+			fans := sh.fans && workers > 1
+			if (gqaJobs > 0) != fans || (mergeJobs > 0) != fans {
+				t.Fatalf("%s at %d workers: gqa %d and merge %d pool jobs, want fanned: %v",
+					sh.name, workers, gqaJobs, mergeJobs, fans)
+			}
+			return g, merged
+		}
+		g1, m1 := run(1)
+		for _, w := range []int{2, 8} {
+			gw, mw := run(w)
+			for name, pair := range map[string][2]*Output{
+				"gqa": {g1, gw}, "merge": {m1, mw},
+			} {
+				for i := range pair[0].O.Data {
+					if math.Float32bits(pair[0].O.Data[i]) != math.Float32bits(pair[1].O.Data[i]) {
+						t.Fatalf("%s %s O[%d] at %d workers = %x, serial %x",
+							sh.name, name, i, w, pair[1].O.Data[i], pair[0].O.Data[i])
+					}
 				}
-			}
-		}
-	}
-}
-
-// Past the pool's size rule (parallel.MinWork) the kernels fan out, and the
-// fan-out must not change a bit: GQA's tiles over a causal prefill chunk
-// equal the one-query-at-a-time drive, and AccumulateInto over a merge of
-// two million elements equals its serial fold, at widths 1, 2 and 8 — the
-// shapes the other width tests use are below the rule and run inline.
-func TestKernelsFanOutPastTheSizeRuleBitIdentically(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	const T, kvRows, nkv, group, dh = 64, 512, 2, 4, 32
-	m := PartialCausal(T, kvRows-T)
-	q := tensor.RandN(rng, T, nkv*group, dh)
-	k := tensor.RandN(rng, kvRows, nkv, dh)
-	v := tensor.RandN(rng, kvRows, nkv, dh)
-	want := gqaOneByOne(q, k, v, m)
-
-	const tokens, heads = 1024, 64 // 2 · tokens · heads · dh multiply-adds
-	dst0, partial := NewOutput(tokens, heads, dh), NewOutput(tokens, heads, dh)
-	for _, o := range []*Output{dst0, partial} {
-		for i := range o.O.Data {
-			o.O.Data[i] = float32(rng.NormFloat64())
-		}
-		for i := range o.LSE {
-			o.LSE[i] = rng.NormFloat64()
-		}
-	}
-	var ref *Output
-	for _, w := range []int{1, 2, 8} {
-		old := parallel.SetWorkers(w)
-		before := parallel.Snapshot().Jobs
-		got, err := GQA(q, k, v, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc := NewOutput(tokens, heads, dh)
-		copy(acc.O.Data, dst0.O.Data)
-		copy(acc.LSE, dst0.LSE)
-		AccumulateInto(acc, partial)
-		jobs := parallel.Snapshot().Jobs - before
-		parallel.SetWorkers(old)
-		if w > 1 && jobs < 2 {
-			t.Fatalf("workers=%d: %d pool jobs, want the tiles and the merge fanned", w, jobs)
-		}
-		for i := range want.O.Data {
-			if math.Float32bits(got.O.Data[i]) != math.Float32bits(want.O.Data[i]) {
-				t.Fatalf("workers=%d: O[%d] = %x, one-by-one %x", w, i, got.O.Data[i], want.O.Data[i])
-			}
-		}
-		for i := range want.LSE {
-			if math.Float64bits(got.LSE[i]) != math.Float64bits(want.LSE[i]) {
-				t.Fatalf("workers=%d: LSE[%d] = %x, one-by-one %x", w, i, got.LSE[i], want.LSE[i])
-			}
-		}
-		if ref == nil {
-			ref = acc
-			continue
-		}
-		for i := range ref.O.Data {
-			if math.Float32bits(acc.O.Data[i]) != math.Float32bits(ref.O.Data[i]) {
-				t.Fatalf("workers=%d: merged O[%d] = %x, serial %x", w, i, acc.O.Data[i], ref.O.Data[i])
-			}
-		}
-		for i := range ref.LSE {
-			if math.Float64bits(acc.LSE[i]) != math.Float64bits(ref.LSE[i]) {
-				t.Fatalf("workers=%d: merged LSE[%d] = %x, serial %x", w, i, acc.LSE[i], ref.LSE[i])
+				for i := range pair[0].LSE {
+					if math.Float64bits(pair[0].LSE[i]) != math.Float64bits(pair[1].LSE[i]) {
+						t.Fatalf("%s %s LSE[%d] differs at %d workers", sh.name, name, i, w)
+					}
+				}
 			}
 		}
 	}

@@ -12,15 +12,18 @@ import (
 
 // The row-blocked parallel matmul must be bit-identical to the serial
 // per-row loop at every worker width and for every SIMD setting, across
-// shapes that land on both sides of the dispatch threshold (one-token
-// decode, odd row counts, big blocks).
+// shapes on both sides of the pool's size rule (parallel.MinWork): below it
+// the sweep runs inline, and past it one token fans its weight rows and many
+// tokens fan their token blocks over the pool.
 func TestApplyRowsIntoBitIdenticalAcrossWorkersAndSIMD(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	shapes := []struct{ rows, cols, tokens int }{
-		{8, 8, 1},     // below threshold: inline path
-		{64, 32, 1},   // one-token decode, fans over rows
-		{96, 64, 7},   // odd token count
-		{64, 100, 33}, // non-multiple-of-four dot length
+		{8, 8, 1},       // tiny: inline
+		{64, 32, 1},     // one-token decode, inline
+		{96, 64, 7},     // odd token count
+		{64, 100, 33},   // non-multiple-of-four dot length
+		{4096, 1024, 1}, // one token at MinWork: the weight rows fan
+		{256, 512, 37},  // past MinWork over several blocks: the token blocks fan
 	}
 	oldW := parallel.SetWorkers(1)
 	prevTier := simd.SetTier(simd.Portable)
@@ -46,7 +49,12 @@ func TestApplyRowsIntoBitIdenticalAcrossWorkersAndSIMD(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				parallel.SetWorkers(workers)
 				got := make([]float32, sh.tokens*sh.rows)
+				before := parallel.Snapshot().Jobs
 				m.ApplyRowsInto(got, in, sh.tokens)
+				fanned := workers > 1 && parallel.Worth(sh.tokens*sh.rows*sh.cols)
+				if jobs := parallel.Snapshot().Jobs - before; (jobs > 0) != fanned {
+					t.Fatalf("shape %+v workers=%d: %d pool jobs, fanned by the size rule: %v", sh, workers, jobs, fanned)
+				}
 				for i := range got {
 					if math.Float32bits(got[i]) != math.Float32bits(ref[i]) {
 						t.Fatalf("shape %+v simd=%v workers=%d cell %d: %x != %x",

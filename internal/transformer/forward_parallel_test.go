@@ -25,11 +25,11 @@ func TestForwardBitIdenticalToScalarSerialReference(t *testing.T) {
 				simd.SetTier(prevTier)
 				parallel.SetWorkers(oldW)
 			}()
-			ref := runParallelScenario(t, 2, v)
+			ref := runParallelScenario(t, Tiny(19), 8, 2, v)
 			simd.SetTier(prevTier)
 			for _, workers := range []int{1, 2, 8} {
 				parallel.SetWorkers(workers)
-				got := runParallelScenario(t, 2, v)
+				got := runParallelScenario(t, Tiny(19), 8, 2, v)
 				if len(got) != len(ref) {
 					t.Fatalf("workers=%d produced %d logit vectors, scalar serial %d", workers, len(got), len(ref))
 				}

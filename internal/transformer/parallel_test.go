@@ -10,13 +10,13 @@ import (
 	"repro/internal/testsupport"
 )
 
-// scenario runs the full serving surface on a fresh cluster — cold chunked
-// prefill, warm (prefix-seeded) chunked prefill, and a decode tail — and
-// returns every logit vector produced, in a fixed order.
-func runParallelScenario(t *testing.T, ranks int, v model.Variant) [][]float32 {
+// runParallelScenario runs the full serving surface on a fresh cluster of
+// cfg's model — cold chunked prefill of a prompt three and a half chunks
+// long, warm (prefix-seeded) chunked prefill, and a decode tail — and returns
+// every logit vector produced, in a fixed order.
+func runParallelScenario(t *testing.T, cfg Config, budget, ranks int, v model.Variant) [][]float32 {
 	t.Helper()
-	const budget = 8
-	w, err := NewWeights(Tiny(19))
+	w, err := NewWeights(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,8 @@ func runParallelScenario(t *testing.T, ranks int, v model.Variant) [][]float32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prompt := make([]int, 28)
+	defer c.Close()
+	prompt := make([]int, 3*budget+budget/2)
 	for i := range prompt {
 		prompt[i] = (i*11 + 5) % w.Cfg.Model.VocabSize
 	}
@@ -76,27 +77,48 @@ func runParallelScenario(t *testing.T, ranks int, v model.Variant) [][]float32 {
 
 // Kernel fan-out must be invisible in the results: every ring variant, the
 // warm-prefill path, and batched decode produce bit-identical logits at 1,
-// 2, and 8 workers (run under -race in CI, this also exercises the pool for
-// data races against the rank goroutines).
+// 2, and 8 workers. The Tiny model runs below the pool's size rule
+// (parallel.MinWork), so its kernels stay inline; on the benchmark model a
+// 256-token chunk's token blocks and attention tiles pass it and fan out,
+// so under -race in CI this also exercises the pool for data races against
+// the rank goroutines.
 func TestClusterBitIdenticalAcrossWorkerCounts(t *testing.T) {
+	type scenario struct {
+		name          string
+		cfg           Config
+		budget, ranks int
+		v             model.Variant
+		fans          bool
+	}
+	var scenarios []scenario
 	for _, ranks := range []int{2, 3} {
 		for _, v := range []model.Variant{model.PassKV, model.PassQ, model.Auto} {
-			t.Run(fmt.Sprintf("ranks=%d/%v", ranks, v), func(t *testing.T) {
-				old := parallel.SetWorkers(1)
-				defer parallel.SetWorkers(old)
-				serial := runParallelScenario(t, ranks, v)
-				for _, workers := range []int{2, 8} {
-					parallel.SetWorkers(workers)
-					got := runParallelScenario(t, ranks, v)
-					if len(got) != len(serial) {
-						t.Fatalf("workers=%d produced %d logit vectors, serial %d", workers, len(got), len(serial))
-					}
-					for i := range got {
-						requireExact(t, got[i], serial[i], fmt.Sprintf("workers=%d vector %d", workers, i))
-					}
-				}
-			})
+			scenarios = append(scenarios, scenario{fmt.Sprintf("ranks=%d/%v", ranks, v), Tiny(19), 8, ranks, v, false})
 		}
+	}
+	for _, v := range []model.Variant{model.PassKV, model.PassQ} {
+		scenarios = append(scenarios, scenario{fmt.Sprintf("bench-gqa8/ranks=2/%v", v), benchGQA8(), 256, 2, v, true})
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			old := parallel.SetWorkers(1)
+			defer parallel.SetWorkers(old)
+			serial := runParallelScenario(t, sc.cfg, sc.budget, sc.ranks, sc.v)
+			for _, workers := range []int{2, 8} {
+				parallel.SetWorkers(workers)
+				before := parallel.Snapshot().Jobs
+				got := runParallelScenario(t, sc.cfg, sc.budget, sc.ranks, sc.v)
+				if sc.fans && parallel.Snapshot().Jobs == before {
+					t.Fatalf("workers=%d: the scenario dispatched no pool job", workers)
+				}
+				if len(got) != len(serial) {
+					t.Fatalf("workers=%d produced %d logit vectors, serial %d", workers, len(got), len(serial))
+				}
+				for i := range got {
+					requireExact(t, got[i], serial[i], fmt.Sprintf("workers=%d vector %d", workers, i))
+				}
+			}
+		})
 	}
 }
 
@@ -158,59 +180,6 @@ func TestChunkedPrefillAssemblyIsLinear(t *testing.T) {
 				t.Fatalf("3 decode steps moved the copy counters: %+v, before %+v", after, prev)
 			}
 		})
-	}
-}
-
-// The Tiny model's width tests run below the pool's size rule
-// (parallel.MinWork), where every kernel is inline. On the benchmark model a
-// 512-token chunk's token blocks and attention tiles fan out, and a pass-KV
-// and a pass-Q prefill, then decode steps, must give the same logits bit for
-// bit at widths 1, 2 and 8.
-func TestBenchModelBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	w, err := NewWeights(benchGQA8())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prompt := make([]int, 512)
-	for i := range prompt {
-		prompt[i] = (i*7 + 1) % w.Cfg.Model.VocabSize
-	}
-	scenario := func(workers int) [][]float32 {
-		defer parallel.SetWorkers(parallel.SetWorkers(workers))
-		c, err := NewCluster(w, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		before := parallel.Snapshot().Jobs
-		var all [][]float32
-		for seq, v := range []model.Variant{model.PassKV, model.PassQ} {
-			logits, err := c.Prefill(seq+1, prompt, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, logits...)
-			tok := 3
-			for step := 0; step < 2; step++ {
-				row, err := c.Decode(seq+1, tok)
-				if err != nil {
-					t.Fatal(err)
-				}
-				all = append(all, row)
-				tok = Argmax(row)
-			}
-		}
-		if workers > 1 && parallel.Snapshot().Jobs == before {
-			t.Fatalf("workers=%d: the prefills dispatched no pool job", workers)
-		}
-		return all
-	}
-	ref := scenario(1)
-	for _, workers := range []int{2, 8} {
-		got := scenario(workers)
-		for i := range ref {
-			requireExact(t, got[i], ref[i], fmt.Sprintf("workers=%d logit row %d", workers, i))
-		}
 	}
 }
 

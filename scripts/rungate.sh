@@ -9,9 +9,9 @@
 # whose benchmarks match, once from BASE and once from the working tree, and
 # runs PAIRS pairs of them in ABBA order — base first in odd pairs, head
 # first in even ones, so runner drift lands on both sides — at one fixed
-# -test.benchtime and -test.cpu. cmd/rungate then records each benchmark's
-# metrics: both sides' medians and quartiles, the head's wins and the pair
-# count, and runinfo.
+# -test.benchtime and at -test.cpu of the host's CPU count. cmd/rungate then
+# records each benchmark's metrics: both sides' medians and quartiles, the
+# head's wins and the pair count, and runinfo.
 #
 # BASE is a revision, exported with `git archive` into a temporary directory
 # ($TMPDIR) that is removed on exit; the repository is not touched. BASE `AA`
@@ -20,9 +20,8 @@
 # one run of each kind, so an A/B and an A/A run under one LABEL share it.
 #
 # Environment: RUNGATE_BENCHTIME (default 200x; a count, so that both sides do
-# the same work — BenchmarkDecodeStep's contexts grow with every step),
-# RUNGATE_CPU (default: the host's CPU count). CP_WORKERS reaches the
-# binaries as set and is recorded.
+# the same work — BenchmarkDecodeStep's contexts grow with every step).
+# CP_WORKERS reaches the binaries as set and is recorded.
 set -euo pipefail
 usage="usage: scripts/rungate.sh BASE PATTERN PAIRS LABEL"
 base="${1:?$usage}"
@@ -30,7 +29,7 @@ pattern="${2:?$usage}"
 pairs="${3:?$usage}"
 label="${4:?$usage}"
 benchtime="${RUNGATE_BENCHTIME:-200x}"
-cpu="${RUNGATE_CPU:-$(getconf _NPROCESSORS_ONLN)}"
+cpu="$(getconf _NPROCESSORS_ONLN)"
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
