@@ -53,7 +53,13 @@ if [ "${#pkgs[@]}" -eq 0 ]; then
   exit 1
 fi
 
-headrev="$(git -C "$root" describe --always --dirty)"
+# The working tree's revision, marked -dirty if a tracked file differs from
+# it — other than the gate's own output, so that an A/A run after an A/B run
+# under one LABEL still names the revision both measured.
+headrev="$(git -C "$root" rev-parse --short HEAD)"
+if ! git -C "$root" diff --quiet HEAD -- . ":(exclude)BENCH_rungs_$label.json"; then
+  headrev="$headrev-dirty"
+fi
 if [ "$base" = AA ]; then
   kind=aa baserev="$headrev" basetree="$root"
 else
