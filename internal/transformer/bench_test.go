@@ -2,6 +2,7 @@ package transformer
 
 import (
 	"fmt"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -42,9 +43,11 @@ func processCPU(b *testing.B) time.Duration {
 // It also reports the kernel pool's dispatches, from parallel.Snapshot
 // deltas: jobs/step, the fan-outs a step hands the pool, and
 // stolen-chunks/step against chunks/step, how many of their chunks a pool
-// worker rather than the dispatching rank ran. Every step appends a token to
-// every context, so compare two commits at the same -benchtime; 512x walks
-// the contexts decode_batch walks.
+// worker rather than the dispatching rank ran. median-ns/step is the median
+// of the steps timed one by one: ns/op is their mean, which a few steps
+// stalled by a collection or a descheduled rank pull up. Every step appends
+// a token to every context, so compare two commits at the same -benchtime;
+// 512x walks the contexts decode_batch walks.
 func BenchmarkDecodeStep(b *testing.B) {
 	benchDecodeStep(b, func(b *testing.B) *Cluster {
 		w, err := NewWeights(benchGQA8())
@@ -106,14 +109,19 @@ func benchDecodeStep(b *testing.B, dial func(b *testing.B) *Cluster) {
 			for i := 0; i < 16; i++ {
 				step(batch) // warm the pools, the mirrors and the reply frames
 			}
+			laps := make([]time.Duration, b.N)
 			b.ReportAllocs()
 			pool0, cpu0, t0 := parallel.Snapshot(), processCPU(b), time.Now()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for i := range laps {
+				lap := time.Now()
 				step(batch)
+				laps[i] = time.Since(lap)
 			}
 			b.StopTimer()
 			wall, pool := time.Since(t0), parallel.Snapshot()
+			slices.Sort(laps)
+			b.ReportMetric(float64(laps[len(laps)/2]), "median-ns/step")
 			b.ReportMetric(float64(processCPU(b)-cpu0)/float64(wall), "busy-cores")
 			perStep := func(v, v0 int64) float64 { return float64(v-v0) / float64(b.N) }
 			b.ReportMetric(perStep(pool.Jobs, pool0.Jobs), "jobs/step")
