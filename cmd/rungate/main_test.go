@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -99,5 +101,64 @@ func TestCompareAndMerge(t *testing.T) {
 	}
 	if f.Schema != Schema || len(f.Runs) != 2 || f.Runs[0].Kind != "aa" || f.Runs[1].Kind != "ab" {
 		t.Fatalf("merged file %s", b)
+	}
+}
+
+// Every rung file committed at the repository root is one rungate wrote
+// from committed revisions: it parses under this schema, holds at most one
+// run of each kind, each run compares at least two pairs of named, clean
+// revisions and every metric saw every pair, and each side's quartiles are
+// in order.
+func TestCommittedRungFiles(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_rungs_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no BENCH_rungs_*.json at the repository root")
+	}
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f File
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&f); err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if f.Schema != Schema {
+			t.Errorf("%s: schema %q, want %q", path, f.Schema, Schema)
+		}
+		kinds := map[string]bool{}
+		for _, r := range f.Runs {
+			if (r.Kind != "ab" && r.Kind != "aa") || kinds[r.Kind] {
+				t.Errorf("%s: a run of kind %q after %v", path, r.Kind, kinds)
+			}
+			kinds[r.Kind] = true
+			for _, rev := range []string{r.Base, r.Head} {
+				if rev == "" || strings.HasSuffix(rev, "-dirty") {
+					t.Errorf("%s: %s run compares revision %q, not a committed one", path, r.Kind, rev)
+				}
+			}
+			if r.Pairs < 2 || len(r.Benchmarks) == 0 {
+				t.Errorf("%s: %s run has %d pairs and %d benchmarks", path, r.Kind, r.Pairs, len(r.Benchmarks))
+			}
+			for _, bench := range r.Benchmarks {
+				for _, m := range bench.Metrics {
+					what := fmt.Sprintf("%s: %s run, %s %s", path, r.Kind, bench.Name, m.Unit)
+					if m.Pairs != r.Pairs || m.HeadWins < 0 || m.HeadWins > m.Pairs {
+						t.Errorf("%s: %d head wins in %d pairs of the run's %d", what, m.HeadWins, m.Pairs, r.Pairs)
+					}
+					for side, s := range map[string]Summary{"base": m.Base, "head": m.Head} {
+						if !(s.Q1 <= s.Median && s.Median <= s.Q3) {
+							t.Errorf("%s: %s quartiles out of order: %+v", what, side, s)
+						}
+					}
+				}
+			}
+		}
 	}
 }

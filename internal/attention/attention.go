@@ -76,6 +76,7 @@ package attention
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/parallel"
 	"repro/internal/simd"
@@ -239,12 +240,47 @@ func (kv KV) validate(q *tensor.Tensor) error {
 	return nil
 }
 
-// gqaScratch is one worker's reusable kernel state for a block of queries:
-// per query a stripe of tile-major score chunks (group × kvTileRows each),
-// the widened query rows, float64 accumulators and the per-head running
-// max/denominator, plus the shared widened K or V tile. Kept on a free list
-// and grown geometrically, so steady-state kernel calls allocate nothing
-// regardless of context length.
+// Scratch is a rank's attention scratch, slot 0 (parallel.Task): the state
+// of the chunks that run on the rank's goroutine and the Intervals its
+// masked calls compile. A rank runs one call at a time, so one Scratch
+// serves all of them. The zero value is ready to use.
+type Scratch struct {
+	gqa gqaScratch
+	iv  Intervals
+}
+
+// workerSlots[w] is pool goroutine w's kernel state; entry 0 is unused.
+var workerSlots [parallel.Slots]gqaScratch
+
+// GrowSlots grows sc and every pool worker's slot to what a budget-sized call
+// of this head group and dim needs: blocks of maxBlockQueries queries whose
+// score stripes fill scoreBudget. A call within the budget then grows none,
+// whichever slot runs which chunk.
+func GrowSlots(sc *Scratch, group, dim int) {
+	nq, stripe := maxBlockQueries, scoreBudget/maxBlockQueries
+	sc.gqa.size(nq, stripe, group, dim)
+	parallel.EachWorker(func(w int) { workerSlots[w].size(nq, stripe, group, dim) })
+}
+
+// ScratchBytes is the memory the ranks' Scratches and the workers' slots hold.
+//
+//cplint:allow testonly TestWarmRequestReusesDroppedPages fails when a scratch slot grows during a warm request
+func ScratchBytes(ranks ...*Scratch) int {
+	n := 0
+	for i := range workerSlots {
+		n += workerSlots[i].bytes()
+	}
+	for _, s := range ranks {
+		n += s.gqa.bytes() + 4*cap(s.iv.off) +
+			int(unsafe.Sizeof(Interval{}))*cap(s.iv.flat) + int(unsafe.Sizeof(kvRun{}))*cap(s.iv.runs)
+	}
+	return n
+}
+
+// gqaScratch is one slot's kernel state for a block of queries: per query a
+// stripe of tile-major score chunks (group × kvTileRows each), the widened
+// query rows, float64 accumulators and the per-head running max/denominator,
+// plus the shared widened K or V tile.
 type gqaScratch struct {
 	scores []float64
 	acc    []float64
@@ -255,34 +291,9 @@ type gqaScratch struct {
 	denom  []float64
 }
 
-// kernelFree is the size of the kernel's free lists (parallel.FreeList):
-// more entries than kernel calls can run at once (one per rank goroutine plus
-// the worker pool's at most 64 goroutines), so in steady state every entry
-// returns to its list. What a list keeps is bounded too: its keep rejects an
-// entry grown past what a budget-sized call needs (a long-context decode
-// row's score stripe, the intervals of a huge chunk), which is then left to
-// the garbage collector rather than pinned for the life of the process.
-const kernelFree = 256
-
-// newFreeList is a kernel free list that keeps what keep accepts.
-func newFreeList[T any](keep func(*T) bool) parallel.FreeList[T] {
-	return parallel.NewFreeList(kernelFree, keep)
+func (s *gqaScratch) bytes() int {
+	return 8 * (cap(s.scores) + cap(s.acc) + cap(s.qf) + cap(s.qt) + cap(s.tile) + cap(s.max) + cap(s.denom))
 }
-
-// maxKeptIntervalRows bounds the compiled Intervals the free list keeps, in
-// query rows, intervals and KV runs each: the masks of chunks up to 64 Ki
-// tokens a rank. A kept entry's offsets and intervals are then at most
-// 1.25 MB; its runs are one per KV sequence segment, a handful in practice.
-const maxKeptIntervalRows = 1 << 16
-
-var (
-	// A block's score stripes fit scoreBudget unless one query alone
-	// exceeds it; grow may double past the budget once.
-	scratchFree   = newFreeList(func(s *gqaScratch) bool { return cap(s.scores) <= 2*scoreBudget })
-	intervalsFree = newFreeList(func(iv *Intervals) bool {
-		return max(cap(iv.off), cap(iv.flat), cap(iv.runs)) <= maxKeptIntervalRows
-	})
-)
 
 // grow returns a slice of at least need elements, reusing buf when it is
 // large enough and otherwise at least doubling it. Contents are not kept.
@@ -340,20 +351,20 @@ func GQA(q, k, v *tensor.Tensor, m Mask) (*Output, error) {
 }
 
 // GQAInto computes GQA into dst, which must have q's shape. dst is reset
-// first, so the caller can reuse one Output across many kernel calls (the
-// ring sweep loops do). The result is bit-identical to GQA at any worker
-// count. It is GQAKVInto over the one run of k and v.
+// first, so the caller can reuse one Output across many kernel calls. The
+// result is bit-identical to GQA at any worker count. It is GQAKVInto over
+// the one run of k and v, on a fresh Scratch.
 func GQAInto(dst *Output, q, k, v *tensor.Tensor, m Mask) error {
 	if err := validateShapes(q, k, v); err != nil {
 		return err
 	}
-	return GQAKVInto(dst, q, tensorKV(k, v), m)
+	return GQAKVInto(dst, q, tensorKV(k, v), m, new(Scratch))
 }
 
-// GQAKVInto is GQAInto over an operand read in place: m's KV entries index
-// kv's rows, runs read back to back. The result equals GQAInto over the
-// same rows gathered into one tensor, bit for bit.
-func GQAKVInto(dst *Output, q *tensor.Tensor, kv KV, m Mask) error {
+// GQAKVInto is GQAInto over an operand read in place, on the rank's scratch
+// sc: m's KV entries index kv's rows, runs read back to back. The result
+// equals GQAInto over the same rows gathered into one tensor, bit for bit.
+func GQAKVInto(dst *Output, q *tensor.Tensor, kv KV, m Mask, sc *Scratch) error {
 	if err := kv.validate(q); err != nil {
 		return err
 	}
@@ -367,10 +378,8 @@ func GQAKVInto(dst *Output, q *tensor.Tensor, kv KV, m Mask) error {
 	if q.Tokens == 0 {
 		return nil
 	}
-	iv := intervalsFree.Get()
-	defer intervalsFree.Put(iv)
-	iv.compile(m)
-	gqaTiles(dst, q, kv, iv)
+	sc.iv.compile(m)
+	gqaTiles(dst, q, kv, sc)
 	return nil
 }
 
@@ -387,12 +396,13 @@ func tileChunks(row []Interval) int {
 // gqaTiles fans the (KV head, query token) cells over the worker pool, when
 // their multiply-adds — a score and a PV row per admitted (query head, key)
 // pair — pass the pool's size rule, and runs each contiguous chunk of cells
-// as blocks of consecutive queries of one KV head. The scratch is sized once
-// per chunk from the chunk's widest query row, which also fixes the block
-// size; a decode step is the block of one query. Cells write disjoint output
-// rows and a cell's arithmetic does not depend on which block it lands in, so
-// any fan-out equals the serial sweep exactly.
-func gqaTiles(dst *Output, q *tensor.Tensor, kv KV, iv *Intervals) {
+// as blocks of consecutive queries of one KV head. The chunk's slot scratch
+// is sized once per chunk from the chunk's widest query row, which also
+// fixes the block size; a decode step is the block of one query. Cells write
+// disjoint output rows and a cell's arithmetic does not depend on which
+// block it lands in, so any fan-out equals the serial sweep exactly.
+func gqaTiles(dst *Output, q *tensor.Tensor, kv KV, sc *Scratch) {
+	iv := &sc.iv
 	keys := 0
 	for t := 0; t < q.Tokens; t++ {
 		for _, r := range iv.Row(t) {
@@ -400,7 +410,7 @@ func gqaTiles(dst *Output, q *tensor.Tensor, kv KV, iv *Intervals) {
 		}
 	}
 	work := 2 * keys * q.Heads * q.Dim
-	parallel.RunRecycled(tileTasks, kv.Heads*q.Tokens, work, tileTask{dst: dst, q: q, kv: kv, iv: iv})
+	parallel.RunRecycled(tileTasks, kv.Heads*q.Tokens, work, tileTask{dst: dst, q: q, kv: kv, sc: sc})
 }
 
 // tileTask is one gqaTiles fan-out, recycled so that a kernel call hands the
@@ -409,14 +419,17 @@ type tileTask struct {
 	dst *Output
 	q   *tensor.Tensor
 	kv  KV
-	iv  *Intervals
+	sc  *Scratch
 }
 
-var tileTasks = newFreeList[tileTask](nil)
+var (
+	tileTasks = parallel.NewFreeList[tileTask](256, nil)
+	cellTasks = parallel.NewFreeList[cellTask](256, nil)
+)
 
-// Run computes cells [lo, hi).
-func (tk *tileTask) Run(lo, hi int) {
-	dst, q, kv, iv := tk.dst, tk.q, tk.kv, tk.iv
+// Run computes cells [lo, hi) on slot w's scratch.
+func (tk *tileTask) Run(w, lo, hi int) {
+	dst, q, kv, iv := tk.dst, tk.q, tk.kv, &tk.sc.iv
 	T := q.Tokens
 	group := q.Heads / kv.Heads
 	widest := 0
@@ -432,8 +445,10 @@ func (tk *tileTask) Run(lo, hi int) {
 		bq /= 2
 	}
 	bq = min(bq, hi-lo)
-	sc := scratchFree.Get()
-	defer scratchFree.Put(sc)
+	sc := &workerSlots[w]
+	if w == 0 {
+		sc = &tk.sc.gqa
+	}
 	sc.size(bq, stripe, group, q.Dim)
 	for cell := lo; cell < hi; {
 		kvh, t := cell/T, cell%T
@@ -452,8 +467,9 @@ func (tk *tileTask) Run(lo, hi int) {
 // runs over the same rows in the same order, one KV head after the other on
 // the caller, so the row is bit-identical to GQAKVInto's. A decode step's
 // parallelism is its ranks and its batch rows; one row's KV heads are not
-// worth a pool dispatch each. It allocates nothing.
-func DecodeKVInto(dst *Output, q *tensor.Tensor, kv KV, t int) error {
+// worth a pool dispatch each. It runs on the rank's scratch sc and, once sc
+// has served a row of this shape, allocates nothing.
+func DecodeKVInto(dst *Output, q *tensor.Tensor, kv KV, t int, sc *Scratch) error {
 	if err := kv.validate(q); err != nil {
 		return err
 	}
@@ -475,11 +491,9 @@ func DecodeKVInto(dst *Output, q *tensor.Tensor, kv KV, t int) error {
 	group := q.Heads / kv.Heads
 	iv := Intervals{flat: []Interval{{Lo: 0, Hi: n}}}
 	stripe := tileChunks(iv.flat) * group * kvTileRows
-	sc := scratchFree.Get()
-	defer scratchFree.Put(sc)
-	sc.size(1, stripe, group, q.Dim)
+	sc.gqa.size(1, stripe, group, q.Dim)
 	for kvh := 0; kvh < kv.Heads; kvh++ {
-		gqaBlock(dst, q, kv, sc, &iv, t, 1, kvh, stripe)
+		gqaBlock(dst, q, kv, &sc.gqa, &iv, t, 1, kvh, stripe)
 	}
 	return nil
 }
@@ -843,7 +857,7 @@ const accumulateWork = 240
 // are bit-identical, so this is purely a throughput decision.
 func forCells(work, n int, task cellTask) {
 	if !parallel.Worth(work) {
-		task.Run(0, n)
+		task.Run(0, 0, n)
 		return
 	}
 	parallel.RunRecycled(cellTasks, n, work, task)
@@ -854,10 +868,8 @@ type cellTask struct {
 	dst, partial *Output
 }
 
-var cellTasks = newFreeList[cellTask](nil)
-
 // Run accumulates cells [lo, hi) of partial into dst.
-func (c *cellTask) Run(lo, hi int) { accumulateCells(c.dst, c.partial, lo, hi) }
+func (c *cellTask) Run(_, lo, hi int) { accumulateCells(c.dst, c.partial, lo, hi) }
 
 // Merge combines partial attention outputs computed against disjoint KV
 // chunks for the same queries, per Equation 4:

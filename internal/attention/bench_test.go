@@ -87,10 +87,10 @@ func BenchmarkGQADecodeStep(b *testing.B) {
 	k := tensor.RandN(rng, ctx, 2, 64)
 	v := tensor.RandN(rng, ctx, 2, 64)
 	m := PartialCausal(1, ctx-1)
-	out := NewOutput(1, 8, 64)
+	out, sc := NewOutput(1, 8, 64), new(Scratch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := GQAInto(out, q, k, v, m); err != nil {
+		if err := GQAKVInto(out, q, tensorKV(k, v), m, sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func BenchmarkGQACausalPrefill(b *testing.B) {
 	k := tensor.RandN(rng, kv, 1, dh)
 	v := tensor.RandN(rng, kv, 1, dh)
 	m := PartialCausal(T, kv-T)
-	out := NewOutput(T, nh, dh)
+	out, sc := NewOutput(T, nh, dh), new(Scratch)
 	pairs := 0 // admitted (query, key) pairs; 4*dh flops per pair per head
 	for t := 0; t < T; t++ {
 		pairs += kv - T + t + 1
@@ -171,7 +171,7 @@ func BenchmarkGQACausalPrefill(b *testing.B) {
 	run := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := GQAInto(out, q, k, v, m); err != nil {
+			if err := GQAKVInto(out, q, tensorKV(k, v), m, sc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/parallel"
 	"repro/internal/simd"
 	"repro/internal/tensor"
 )
@@ -37,7 +36,7 @@ func TestDecodeIntoMatchesGQAIntoExactly(t *testing.T) {
 				for _, tier := range simd.Tiers() {
 					prev := simd.SetTier(tier)
 					want, got := decodeOracle(t, q, k, v, row, n), sentinelOutput(T, nh, dh)
-					err := DecodeKVInto(got, q, oneRun(k, v, n), row)
+					err := DecodeKVInto(got, q, oneRun(k, v, n), row, new(Scratch))
 					simd.SetTier(prev)
 					if err != nil {
 						t.Fatal(err)
@@ -108,79 +107,22 @@ func TestDecodeIntoRejectsBadShapes(t *testing.T) {
 	k, v := tensor.New(5, 2, 8), tensor.New(5, 2, 8)
 	kv := oneRun(k, v, 5)
 	out := NewOutput(2, 4, 8)
+	sc := new(Scratch)
 	for name, call := range map[string]func() error{
-		"row past the block": func() error { return DecodeKVInto(out, q, kv, 2) },
-		"negative row":       func() error { return DecodeKVInto(out, q, kv, -1) },
+		"row past the block": func() error { return DecodeKVInto(out, q, kv, 2, sc) },
+		"negative row":       func() error { return DecodeKVInto(out, q, kv, -1, sc) },
 		"more rows than k has": func() error {
-			return DecodeKVInto(out, q, KV{Heads: 2, Dim: 8, Runs: []Run{{K: k.Data, V: v.Data, Rows: 6}}}, 0)
+			return DecodeKVInto(out, q, KV{Heads: 2, Dim: 8, Runs: []Run{{K: k.Data, V: v.Data, Rows: 6}}}, 0, sc)
 		},
-		"head dim mismatch":    func() error { return DecodeKVInto(out, q, oneRun(tensor.New(5, 2, 4), tensor.New(5, 2, 4), 5), 0) },
-		"heads not a multiple": func() error { return DecodeKVInto(out, q, oneRun(tensor.New(5, 3, 8), tensor.New(5, 3, 8), 5), 0) },
-		"destination not q's":  func() error { return DecodeKVInto(NewOutput(3, 4, 8), q, kv, 0) },
+		"head dim mismatch":    func() error { return DecodeKVInto(out, q, oneRun(tensor.New(5, 2, 4), tensor.New(5, 2, 4), 5), 0, sc) },
+		"heads not a multiple": func() error { return DecodeKVInto(out, q, oneRun(tensor.New(5, 3, 8), tensor.New(5, 3, 8), 5), 0, sc) },
+		"destination not q's":  func() error { return DecodeKVInto(NewOutput(3, 4, 8), q, kv, 0, sc) },
 		"v shorter than n rows": func() error {
-			return DecodeKVInto(out, q, KV{Heads: 2, Dim: 8, Runs: []Run{{K: k.Data, V: v.Data[:32], Rows: 5}}}, 0)
+			return DecodeKVInto(out, q, KV{Heads: 2, Dim: 8, Runs: []Run{{K: k.Data, V: v.Data[:32], Rows: 5}}}, 0, sc)
 		},
 	} {
 		if err := call(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-// drain empties f and returns what it held.
-func drain[T any](f parallel.FreeList[T]) []*T {
-	var out []*T
-	for f.Len() > 0 {
-		out = append(out, f.Get())
-	}
-	return out
-}
-
-// The free lists outlive every GC, so what they keep must stay bounded by a
-// budget-sized call: a decode row over a context whose score stripe alone is
-// past scoreBudget, and a chunk with more query rows than
-// maxKeptIntervalRows, leave no entry of that size behind. A budget-sized
-// call's scratch is kept.
-func TestFreeListsDropOversizedEntries(t *testing.T) {
-	drain(scratchFree)
-	drain(intervalsFree)
-
-	n := 2*scoreBudget + 3*kvTileRows // one KV head, group 1: the stripe is n scores
-	q := tensor.New(1, 1, 1)
-	k, v := tensor.New(n, 1, 1), tensor.New(n, 1, 1)
-	if err := DecodeKVInto(NewOutput(1, 1, 1), q, oneRun(k, v, n), 0); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range drain(scratchFree) {
-		if cap(s.scores) > 2*scoreBudget {
-			t.Fatalf("a %d-row decode left a %d-score stripe on the free list (bound %d)", n, cap(s.scores), 2*scoreBudget)
-		}
-	}
-	if err := DecodeKVInto(NewOutput(1, 1, 1), q, oneRun(k, v, 64), 0); err != nil {
-		t.Fatal(err)
-	}
-	if kept := drain(scratchFree); len(kept) != 1 {
-		t.Fatalf("a 64-row decode left %d entries on the free list, want its one", len(kept))
-	}
-
-	// Every KV row is padding, so each query row compiles to no interval and
-	// the kernel does no work past the compile.
-	rows := maxKeptIntervalRows + 1
-	m := Mask{QPos: make([]int, rows), QSeq: make([]int, rows), KVPos: []int{-1}, KVSeq: []int{0}}
-	qs := tensor.New(rows, 1, 1)
-	if err := GQAInto(NewOutput(rows, 1, 1), qs, tensor.New(1, 1, 1), tensor.New(1, 1, 1), m); err != nil {
-		t.Fatal(err)
-	}
-	for _, iv := range drain(intervalsFree) {
-		if cap(iv.off) > maxKeptIntervalRows {
-			t.Fatalf("a %d-row chunk left %d offsets on the free list (bound %d)", rows, cap(iv.off), maxKeptIntervalRows)
-		}
-	}
-	m = Mask{QPos: m.QPos[:8], QSeq: m.QSeq[:8], KVPos: m.KVPos, KVSeq: m.KVSeq}
-	if err := GQAInto(NewOutput(8, 1, 1), qs.SliceTokens(0, 8), tensor.New(1, 1, 1), tensor.New(1, 1, 1), m); err != nil {
-		t.Fatal(err)
-	}
-	if kept := drain(intervalsFree); len(kept) != 1 {
-		t.Fatalf("an 8-row chunk left %d compiled masks on the free list, want its one", len(kept))
 	}
 }

@@ -36,7 +36,7 @@ type kvRun struct {
 }
 
 // compile rebuilds iv for m in place, reusing the buffers of its previous
-// compile (GQAInto keeps compiled Intervals on a free list for this).
+// compile (a rank's Scratch keeps one Intervals for this).
 func (iv *Intervals) compile(m Mask) {
 	iv.runs = buildRuns(iv.runs[:0], m)
 	runs := iv.runs

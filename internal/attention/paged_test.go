@@ -91,13 +91,14 @@ func requireSameOutput(t *testing.T, name string, got, want *Output) {
 // NaN behind every run — equals DecodeKVInto over the same rows as one run,
 // bit for bit, over the whole grid.
 func TestDecodeKVIntoMatchesContiguousExactly(t *testing.T) {
+	sc := new(Scratch)
 	pagedGrid(t, func(name string, q, k, v *tensor.Tensor, n int, kv KV) {
 		row := n % q.Tokens
 		want, got := NewOutput(q.Tokens, q.Heads, q.Dim), NewOutput(q.Tokens, q.Heads, q.Dim)
-		if err := DecodeKVInto(want, q, oneRun(k, v, n), row); err != nil {
+		if err := DecodeKVInto(want, q, oneRun(k, v, n), row, sc); err != nil {
 			t.Fatal(err)
 		}
-		if err := DecodeKVInto(got, q, kv, row); err != nil {
+		if err := DecodeKVInto(got, q, kv, row, sc); err != nil {
 			t.Fatal(err)
 		}
 		requireSameOutput(t, name, got, want)
@@ -110,6 +111,7 @@ func TestDecodeKVIntoMatchesContiguousExactly(t *testing.T) {
 // interleaved.
 func TestGQAKVIntoMatchesContiguousExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	sc := new(Scratch)
 	pagedGrid(t, func(name string, q, k, v *tensor.Tensor, n int, kv KV) {
 		m := randomMask(rng, q.Tokens, n, n%2 == 0)
 		if n > 33 {
@@ -124,7 +126,7 @@ func TestGQAKVIntoMatchesContiguousExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := NewOutput(q.Tokens, q.Heads, q.Dim)
-		if err := GQAKVInto(got, q, kv, m); err != nil {
+		if err := GQAKVInto(got, q, kv, m, sc); err != nil {
 			t.Fatal(err)
 		}
 		requireSameOutput(t, name, got, want)
@@ -141,9 +143,9 @@ func TestDecodeKVIntoAllocatesNothing(t *testing.T) {
 	const n, nkv, group, dh = 513, 2, 4, 32
 	q := tensor.RandN(rng, 2, nkv*group, dh)
 	kv := pageKV(tensor.RandN(rng, n, nkv, dh), tensor.RandN(rng, n, nkv, dh), n, []int{16})
-	out := NewOutput(2, nkv*group, dh)
+	out, sc := NewOutput(2, nkv*group, dh), new(Scratch)
 	if allocs := testing.AllocsPerRun(64, func() {
-		if err := DecodeKVInto(out, q, kv, 1); err != nil {
+		if err := DecodeKVInto(out, q, kv, 1, sc); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -154,7 +156,7 @@ func TestDecodeKVIntoAllocatesNothing(t *testing.T) {
 // Operands that do not hold the rows they claim are errors, not panics.
 func TestKVEntriesRejectBadRuns(t *testing.T) {
 	q := tensor.New(1, 4, 8)
-	out := NewOutput(1, 4, 8)
+	out, sc := NewOutput(1, 4, 8), new(Scratch)
 	good := Run{K: make([]float32, 3*16), V: make([]float32, 3*16), Rows: 3}
 	for name, kv := range map[string]KV{
 		"k short of its rows":  {Heads: 2, Dim: 8, Runs: []Run{good, {K: make([]float32, 15), V: make([]float32, 16), Rows: 1}}},
@@ -164,14 +166,14 @@ func TestKVEntriesRejectBadRuns(t *testing.T) {
 		"heads not a multiple": {Heads: 3, Dim: 8, Runs: []Run{good}},
 		"no kv heads":          {Heads: 0, Dim: 8, Runs: []Run{good}},
 	} {
-		if err := DecodeKVInto(out, q, kv, 0); err == nil {
+		if err := DecodeKVInto(out, q, kv, 0, sc); err == nil {
 			t.Errorf("DecodeKVInto, %s: accepted", name)
 		}
-		if err := GQAKVInto(out, q, kv, PartialCausal(1, 2)); err == nil {
+		if err := GQAKVInto(out, q, kv, PartialCausal(1, 2), sc); err == nil {
 			t.Errorf("GQAKVInto, %s: accepted", name)
 		}
 	}
-	if err := GQAKVInto(out, q, KV{Heads: 2, Dim: 8, Runs: []Run{good}}, PartialCausal(1, 3)); err == nil {
+	if err := GQAKVInto(out, q, KV{Heads: 2, Dim: 8, Runs: []Run{good}}, PartialCausal(1, 3), sc); err == nil {
 		t.Error("a mask over more rows than the runs hold: accepted")
 	}
 }

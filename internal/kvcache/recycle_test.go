@@ -157,6 +157,7 @@ func releasedTraffic(t *testing.T, used *Cache) {
 func readsAsFresh(t *testing.T, cfg Config, used, fresh *Cache, poisoned map[*page]bool, held int) {
 	t.Helper()
 	reused := 0
+	attn := new(attention.Scratch)
 	for _, seq := range []int{7, 8} {
 		for _, ref := range used.seqs[seq].refs {
 			if poisoned[ref.pg] {
@@ -192,7 +193,7 @@ func readsAsFresh(t *testing.T, cfg Config, used, fresh *Cache, poisoned map[*pa
 		q := tensor.RandN(rand.New(rand.NewSource(int64(seq))), 1, 2*cfg.KVHeads, cfg.HeadDim)
 		decode := func(runs []attention.Run) *attention.Output {
 			out := new(attention.Output).Fit(1, q.Heads, q.Dim)
-			if err := attention.DecodeKVInto(out, q, attention.KV{Heads: cfg.KVHeads, Dim: cfg.HeadDim, Runs: runs}, 0); err != nil {
+			if err := attention.DecodeKVInto(out, q, attention.KV{Heads: cfg.KVHeads, Dim: cfg.HeadDim, Runs: runs}, 0, attn); err != nil {
 				t.Fatal(err)
 			}
 			return out

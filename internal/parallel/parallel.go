@@ -7,11 +7,16 @@
 // CP_WORKERS environment variable).
 //
 // The pool is deliberately oblivious to what it runs: Run(n, work, task)
-// splits [0, n) into contiguous chunks and executes task.Run(lo, hi) once per
-// chunk, on the caller plus up to Workers()-1 pool goroutines. Chunks are
+// splits [0, n) into contiguous chunks and executes task.Run(w, lo, hi) once
+// per chunk, on the caller plus up to Workers()-1 pool goroutines. Chunks are
 // claimed with an atomic cursor, so load balances dynamically; the caller
 // always participates in draining its own job, which makes nested calls
 // deadlock-free (a worker that issues a Run drains that inner job itself).
+//
+// w is the chunk's slot, which a kernel indexes its scratch by: 0 for the
+// caller of Run, which hands the kernel its own, and for a pool goroutine its
+// index in [1, Slots), fixed when the pool starts it. A kernel chunk never
+// calls Run again, so each slot has one user at a time and needs no lock.
 //
 // Whether a job is worth the pool at all is decided here, once, for every
 // kernel: the caller states the job's work in multiply-adds, and Run
@@ -27,8 +32,9 @@
 // Determinism contract: Run guarantees every index range is executed exactly
 // once, but says nothing about which goroutine runs it or in what order.
 // Callers that need bit-identical results across worker counts — the
-// attention kernels do — must make task.Run(lo, hi) write only to cells owned
-// by [lo, hi) and compute each cell identically regardless of partitioning.
+// attention kernels do — must make task.Run(w, lo, hi) write only to cells
+// owned by [lo, hi) and compute each cell identically regardless of
+// partitioning and of w.
 package parallel
 
 import (
@@ -77,12 +83,16 @@ const MinWork = 1 << 22
 // SetWorkers is pushed; blocked receivers are cheap but not free.
 const maxPoolWorkers = 64
 
+// Slots bounds Task.Run's w: the caller's slot 0 and one per pool goroutine.
+const Slots = maxPoolWorkers + 1
+
 var (
 	workers atomic.Int64
 
 	poolMu      sync.Mutex
 	poolStarted int
 	jobCh       chan *job
+	slotCh      [Slots]chan func(int) // EachWorker's functions, by pool goroutine
 
 	statJobs         atomic.Int64 // For calls that dispatched to the pool
 	statSerialJobs   atomic.Int64 // For calls that ran inline on the caller
@@ -135,16 +145,17 @@ func Snapshot() Stats {
 	}
 }
 
-// Task is the work of one Run call: Run(lo, hi) executes indices [lo, hi).
+// Task is the work of one Run call: Run(w, lo, hi) executes indices
+// [lo, hi) on slot w.
 type Task interface {
-	Run(lo, hi int)
+	Run(w, lo, hi int)
 }
 
 // Func adapts a function to a Task.
 type Func func(lo, hi int)
 
 // Run calls f.
-func (f Func) Run(lo, hi int) { f(lo, hi) }
+func (f Func) Run(_, lo, hi int) { f(lo, hi) }
 
 // FreeList recycles values between calls. Unlike a sync.Pool it keeps its
 // entries across garbage collections, which empty a pool every other cycle.
@@ -171,11 +182,6 @@ func (f FreeList[T]) Get() *T {
 		return new(T)
 	}
 }
-
-// Len is the number of idle entries.
-//
-//cplint:allow testonly TestFreeListsDropOversizedEntries drains the kernel free lists with it
-func (f FreeList[T]) Len() int { return len(f.c) }
 
 // Put returns x to the list, or drops it when keep rejects it or the list is
 // full. The caller must not touch x afterwards.
@@ -227,19 +233,18 @@ func (j *job) release() {
 	}
 }
 
-// run drains chunks until the cursor passes the end. stolen marks pool-side
-// execution for the stats counters.
-func (j *job) run(stolen bool) {
+// run drains chunks until the cursor passes the end, on slot w's goroutine.
+func (j *job) run(w int) {
 	for {
 		i := int(j.next.Add(1)) - 1
 		if i >= j.chunks {
 			return
 		}
-		j.runChunk(i, stolen)
+		j.runChunk(i, w)
 	}
 }
 
-func (j *job) runChunk(i int, stolen bool) {
+func (j *job) runChunk(i, w int) {
 	defer j.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
@@ -258,30 +263,51 @@ func (j *job) runChunk(i int, stolen bool) {
 	if hi > j.n {
 		hi = j.n
 	}
-	j.task.Run(lo, hi)
+	j.task.Run(w, lo, hi)
 	statChunks.Add(1)
-	if stolen {
+	if w != 0 {
 		statChunksStolen.Add(1)
 	}
 }
 
 // ensurePool starts pool goroutines lazily so importing the package costs
-// nothing until the first parallel job.
-func ensurePool(want int) {
+// nothing until the first parallel job; the k-th is slot k. It returns how
+// many run.
+func ensurePool(want int) int {
 	if want > maxPoolWorkers {
 		want = maxPoolWorkers
 	}
 	poolMu.Lock()
+	defer poolMu.Unlock()
 	for poolStarted < want {
 		poolStarted++
-		go func() {
-			for jb := range jobCh {
-				jb.run(true)
-				jb.release()
+		slotCh[poolStarted] = make(chan func(int))
+		go func(w int) {
+			for {
+				select {
+				case jb := <-jobCh:
+					jb.run(w)
+					jb.release()
+				case fn := <-slotCh[w]:
+					fn(w)
+				}
 			}
-		}()
+		}(poolStarted)
 	}
-	poolMu.Unlock()
+	return poolStarted
+}
+
+// EachWorker runs fn(w) on every pool goroutine, w being its slot, and
+// returns when all have. A kernel grows its workers' slots with it once it
+// knows its shapes: a pool goroutine runs a chunk only when it wins one from
+// the caller, so a slot left to its first chunk could grow in any later call.
+func EachWorker(fn func(w int)) {
+	done := make(chan struct{})
+	run := func(w int) { fn(w); done <- struct{}{} }
+	for w, n := 1, ensurePool(Workers()-1); w <= n; w++ {
+		slotCh[w] <- run
+		<-done
+	}
 }
 
 // RunRecycled is Run over a copy of task held in an entry of tasks, which
@@ -312,7 +338,7 @@ func Worth(work int) bool { return work >= MinWork }
 
 // Run executes task over [0, n) split into contiguous chunks; work is the
 // whole job's cost in multiply-adds. With width 1, n <= 1 or work below
-// MinWork it runs task.Run(0, n) inline — the exact serial path. Otherwise
+// MinWork it runs task.Run(0, 0, n) inline — the exact serial path. Otherwise
 // the caller and up to width-1 pool workers drain the chunks cooperatively.
 // Run returns when every chunk has finished, and no pool worker calls the
 // task after that; a panic inside the task is rethrown on the caller's
@@ -324,7 +350,7 @@ func Run(n, work int, task Task) {
 	w := Workers()
 	if w <= 1 || n == 1 || !Worth(work) {
 		statSerialJobs.Add(1)
-		task.Run(0, n)
+		task.Run(0, 0, n)
 		return
 	}
 	chunks := w * chunksPerWorker
@@ -354,7 +380,7 @@ invite:
 			break invite
 		}
 	}
-	j.run(false)
+	j.run(0)
 	j.wg.Wait()
 	statJobs.Add(1)
 	p := j.panicVal.Load()

@@ -198,7 +198,61 @@ func TestRunAllocatesNothing(t *testing.T) {
 
 type sumTask struct{ n *atomic.Int64 }
 
-func (s *sumTask) Run(lo, hi int) { s.n.Add(int64(hi - lo)) }
+func (s *sumTask) Run(_, lo, hi int) { s.n.Add(int64(hi - lo)) }
+
+// Each slot has one user at a time: at widths 2 and 8, with four callers
+// fanning out at once, every chunk runs on a slot that no other chunk of its
+// job or a concurrent one holds, except slot 0, which is each caller's own.
+// EachWorker reaches every pool goroutine once, so every slot a chunk runs on
+// is one it reached.
+func TestRunSlotsHaveOneUserAtATime(t *testing.T) {
+	for _, w := range []int{2, 8} {
+		withWorkers(t, w)
+		var reached [Slots]atomic.Int32
+		EachWorker(func(w int) { reached[w].Add(1) })
+		for s := range reached {
+			if got := reached[s].Load(); s >= 1 && s < w && got != 1 {
+				t.Fatalf("width %d: EachWorker ran %d times on slot %d", w, got, s)
+			}
+		}
+		var busy [Slots]atomic.Bool
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					Run(64, MinWork, slotTask{busy: &busy, reached: &reached, t: t})
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+type slotTask struct {
+	busy    *[Slots]atomic.Bool
+	reached *[Slots]atomic.Int32
+	t       *testing.T
+}
+
+func (s slotTask) Run(w, lo, hi int) {
+	if w == 0 {
+		return // the caller's own
+	}
+	if w >= Slots || s.reached[w].Load() == 0 {
+		s.t.Errorf("a chunk ran on slot %d, which EachWorker did not reach", w)
+		return
+	}
+	if !s.busy[w].CompareAndSwap(false, true) {
+		s.t.Errorf("two chunks ran on slot %d at once", w)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		runtime.Gosched()
+	}
+	s.busy[w].Store(false)
+}
 
 // The size rule: at any width, a job stating less than MinWork runs inline
 // on the caller as one range and counts as serial, and a job at MinWork goes

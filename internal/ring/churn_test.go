@@ -63,7 +63,7 @@ func newChurnRig(t *testing.T, n int, arena bool) *churnRig {
 		nextPos: make([]int, slices.Max(churnBatches)), start: make([]chan struct{}, n),
 		done: make(chan error, n), outs: make([][]*attention.Output, n),
 	}
-	prefills, decodes := make([]*PrefillScratch, n), make([]*DecodeScratch, n)
+	prefills, decodes, attns := make([]*PrefillScratch, n), make([]*DecodeScratch, n), make([]*attention.Scratch, n)
 	for r := range g.caches {
 		c, err := kvcache.New(kvcache.Config{KVHeads: nkv, HeadDim: dh, PageSize: churnPageSize})
 		if err != nil {
@@ -71,7 +71,7 @@ func newChurnRig(t *testing.T, n int, arena bool) *churnRig {
 		}
 		g.caches[r] = c
 		if arena {
-			prefills[r], decodes[r] = new(PrefillScratch), new(DecodeScratch)
+			prefills[r], decodes[r], attns[r] = new(PrefillScratch), new(DecodeScratch), new(attention.Scratch)
 		}
 	}
 	// Cached context: position p of every sequence lives on rank p mod n.
@@ -98,7 +98,7 @@ func newChurnRig(t *testing.T, n int, arena bool) *churnRig {
 			g.prefill[r] = append(g.prefill[r], PrefillInput{
 				Rank: g.world.Rank(r), Plan: plan, P: []int{churnPrefix}, SeqIDs: []int{seq},
 				Q: plan.Shard(q, r), K: plan.Shard(k, r), V: plan.Shard(v, r),
-				Cache: g.caches[r], Blocks: NewBlockCache(), Scratch: prefills[r], Elem: elem,
+				Cache: g.caches[r], Blocks: NewBlockCache(), Scratch: prefills[r], Attn: attns[r], Elem: elem,
 			})
 		}
 		g.run = append(g.run, run)
@@ -114,7 +114,7 @@ func newChurnRig(t *testing.T, n int, arena bool) *churnRig {
 			g.decode[r] = append(g.decode[r], DecodeInput{
 				Rank: g.world.Rank(r), NumSeqs: b, Owned: make([]DecodeToken, 0, b),
 				Q: tensor.New(b, nh, dh), K: tensor.New(b, nkv, dh), V: tensor.New(b, nkv, dh),
-				Cache: g.caches[r], Scratch: decodes[r], Elem: elem,
+				Cache: g.caches[r], Scratch: decodes[r], Attn: attns[r], Elem: elem,
 			})
 		}
 	}

@@ -80,7 +80,9 @@ type DecodeInput struct {
 	// output then lives in it, valid until the next call that uses it. Nil
 	// allocates per call and the result is the caller's to keep.
 	Scratch *DecodeScratch
-	Elem    float64
+	// Attn is the rank's attention scratch, as PrefillInput.Attn.
+	Attn *attention.Scratch
+	Elem float64
 	// Trace, when non-nil, accumulates the sweep's per-phase wall time;
 	// nil costs nothing and cannot perturb the compute path.
 	Trace *trace.SweepTimer
@@ -243,8 +245,9 @@ func PassQDecode(in *DecodeInput) (*attention.Output, error) {
 	for i, tok := range in.Owned {
 		blk.Seq[i], blk.Pos[i] = tok.Seq, tok.Pos
 	}
+	attn := attnScratch(in.Attn)
 	err := circulate(in.Rank, in.Trace, blk, in.Elem, func(cur *wire.QBlock, src int) error {
-		return decodeBlockAttention(in.Cache, s, cur, s.tail.partial(src))
+		return decodeBlockAttention(in.Cache, s, attn, cur, s.tail.partial(src))
 	})
 	if err != nil {
 		return nil, err
@@ -272,7 +275,7 @@ func PassQDecode(in *DecodeInput) (*attention.Output, error) {
 // row then goes to the kernel with every row admitted and is written in
 // place. A cache holding a later position (only hand-built inputs do) takes
 // the general masked kernel, out of the same arena.
-func decodeBlockAttention(cache *kvcache.Cache, s *DecodeScratch, blk *wire.QBlock, out *attention.Output) error {
+func decodeBlockAttention(cache *kvcache.Cache, s *DecodeScratch, attn *attention.Scratch, blk *wire.QBlock, out *attention.Output) error {
 	if blk.Q.Tokens != out.O.Tokens || len(blk.Pos) != blk.Q.Tokens || len(blk.Seq) != blk.Q.Tokens {
 		return fmt.Errorf("ring: visiting query block has %d rows (%d/%d ids), this sweep's block %d",
 			blk.Q.Tokens, len(blk.Pos), len(blk.Seq), out.O.Tokens)
@@ -287,13 +290,13 @@ func decodeBlockAttention(cache *kvcache.Cache, s *DecodeScratch, blk *wire.QBlo
 		s.runs = cache.Runs(s.runs[:0], seq)
 		kv := attention.KV{Heads: cache.KVHeads(), Dim: cache.HeadDim(), Runs: s.runs}
 		if cache.MaxPos(seq) <= blk.Pos[r] {
-			if err := attention.DecodeKVInto(out, blk.Q, kv, r); err != nil {
+			if err := attention.DecodeKVInto(out, blk.Q, kv, r, attn); err != nil {
 				return err
 			}
 			continue
 		}
 		s.kvPos = cache.Positions(s.kvPos[:0], seq)
-		if err := s.maskedRow(out, blk, r, kv); err != nil {
+		if err := s.maskedRow(out, blk, r, kv, attn); err != nil {
 			return err
 		}
 	}
@@ -303,7 +306,7 @@ func decodeBlockAttention(cache *kvcache.Cache, s *DecodeScratch, blk *wire.QBlo
 // maskedRow is decodeBlockAttention's general path for one row: the full
 // position/sequence mask over the row's KV (positions in s.kvPos), through
 // GQAKVInto into row r of out, viewed in place.
-func (s *DecodeScratch) maskedRow(out *attention.Output, blk *wire.QBlock, r int, kv attention.KV) error {
+func (s *DecodeScratch) maskedRow(out *attention.Output, blk *wire.QBlock, r int, kv attention.KV, attn *attention.Scratch) error {
 	s.kvSeq = tensor.Grown(s.kvSeq, len(s.kvPos))
 	for i := range s.kvSeq {
 		s.kvSeq[i] = blk.Seq[r]
@@ -314,7 +317,7 @@ func (s *DecodeScratch) maskedRow(out *attention.Output, blk *wire.QBlock, r int
 	s.row = attention.Output{O: &s.rowO, LSE: out.LSE[r*heads : (r+1)*heads]}
 	err := attention.GQAKVInto(&s.row, &s.qRow, kv, attention.Mask{
 		QPos: blk.Pos[r : r+1], QSeq: blk.Seq[r : r+1], KVPos: s.kvPos, KVSeq: s.kvSeq,
-	})
+	}, attn)
 	// An idle arena keeps no peer's block reachable (as forgetRuns).
 	s.qRow, s.rowO, s.row = tensor.Tensor{}, tensor.Tensor{}, attention.Output{}
 	return err

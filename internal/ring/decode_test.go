@@ -61,7 +61,7 @@ func decodeRun(t *testing.T, world *comm.World, numSeqs, steps int, scratch bool
 	rng := rand.New(rand.NewSource(91))
 	caches := make([][layers]*kvcache.Cache, n)
 	blocks := make([][layers]*BlockCache, n)
-	scratches := make([]*DecodeScratch, n)
+	scratches, attns := make([]*DecodeScratch, n), make([]*attention.Scratch, n)
 	for r := range caches {
 		for l := 0; l < layers; l++ {
 			c, err := kvcache.New(kvcache.Config{KVHeads: nkv, HeadDim: dh, PageSize: 4})
@@ -71,7 +71,7 @@ func decodeRun(t *testing.T, world *comm.World, numSeqs, steps int, scratch bool
 			caches[r][l], blocks[r][l] = c, NewBlockCache()
 		}
 		if scratch {
-			scratches[r] = new(DecodeScratch)
+			scratches[r], attns[r] = new(DecodeScratch), new(attention.Scratch)
 		}
 	}
 	var all []*attention.Output
@@ -98,7 +98,7 @@ func decodeRun(t *testing.T, world *comm.World, numSeqs, steps int, scratch bool
 				out, err := PassQDecode(&DecodeInput{
 					Rank: r, NumSeqs: numSeqs, Owned: owned[r.ID], BlockLen: bl,
 					Q: q[l].Gather(rows[r.ID]), K: k[l].Gather(rows[r.ID]), V: v[l].Gather(rows[r.ID]),
-					Cache: caches[r.ID][l], Blocks: blocks[r.ID][l], Scratch: scratches[r.ID], Elem: elem,
+					Cache: caches[r.ID][l], Blocks: blocks[r.ID][l], Scratch: scratches[r.ID], Attn: attns[r.ID], Elem: elem,
 				})
 				if err != nil {
 					return nil, err
@@ -200,8 +200,8 @@ func TestDecodeMaskedFallbackIsExactAndAllocationFree(t *testing.T) {
 	blk := &wire.QBlock{Q: tensor.RandN(rng, 3, nh, dh), Pos: []int{ctx, 6, -1}, Seq: []int{0, 1, -1}}
 	s := new(DecodeScratch)
 	s.fit(1, 3, nh, dh)
-	out := s.tail.partial(0)
-	if err := decodeBlockAttention(cache, s, blk, out); err != nil {
+	out, attn := s.tail.partial(0), new(attention.Scratch)
+	if err := decodeBlockAttention(cache, s, attn, blk, out); err != nil {
 		t.Fatal(err)
 	}
 	want := attention.NewOutput(1, nh, dh)
@@ -213,7 +213,7 @@ func TestDecodeMaskedFallbackIsExactAndAllocationFree(t *testing.T) {
 	}
 	if err := attention.GQAKVInto(want, q, kv, attention.Mask{
 		QPos: []int{6}, QSeq: []int{1}, KVPos: pos, KVSeq: kseq,
-	}); err != nil {
+	}, new(attention.Scratch)); err != nil {
 		t.Fatal(err)
 	}
 	row := attention.Output{
@@ -223,7 +223,7 @@ func TestDecodeMaskedFallbackIsExactAndAllocationFree(t *testing.T) {
 	requireSameOutputs(t, []*attention.Output{want}, []*attention.Output{&row})
 	defer parallel.SetWorkers(parallel.SetWorkers(1)) // kernels inline, as TestArenasSurviveShapeChurn says why
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := decodeBlockAttention(cache, s, blk, out); err != nil {
+		if err := decodeBlockAttention(cache, s, attn, blk, out); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -108,6 +108,9 @@ type PrefillInput struct {
 	// output then lives in it, valid until the next call that uses it. Nil
 	// allocates per call and the result is the caller's to keep.
 	Scratch *PrefillScratch
+	// Attn is the rank's attention scratch, which its prefill and decode
+	// passes share. Nil allocates one per call.
+	Attn *attention.Scratch
 	// Rows lists the local slots whose output the caller needs, in the order
 	// it wants them; nil means every slot. The returned Output has one row
 	// per entry. Every variant attends only the listed rows and returns them
@@ -151,6 +154,14 @@ func (in *PrefillInput) scratch() *PrefillScratch {
 		return new(PrefillScratch)
 	}
 	return in.Scratch
+}
+
+// attnScratch returns sc, or a fresh attention scratch when it is nil.
+func attnScratch(sc *attention.Scratch) *attention.Scratch {
+	if sc == nil {
+		return new(attention.Scratch)
+	}
+	return sc
 }
 
 // seqKey returns the cache key of batch-plan sequence i.
@@ -414,12 +425,13 @@ func PassKVPrefill(in *PrefillInput) (*attention.Output, error) {
 	}
 	q, qPos, qSeq := in.queries(s, qPos, qSeq)
 	out := s.out.Fit(q.Tokens, q.Heads, q.Dim)
-	// One partial buffer recycled across all n ring steps; GQAInto resets it.
+	// One partial buffer recycled across all n ring steps; GQAKVInto resets it.
 	partial := s.partial.Fit(q.Tokens, q.Heads, q.Dim)
+	attn := attnScratch(in.Attn)
 	err = circulate(in.Rank, in.Trace, blk, in.Elem, func(cur *wire.KVBlock, _ int) error {
 		err := attention.GQAKVInto(partial, q, s.blockKV(cur), attention.Mask{
 			QPos: qPos, QSeq: qSeq, KVPos: cur.Pos, KVSeq: cur.Seq,
-		})
+		}, attn)
 		if err == nil {
 			attention.AccumulateInto(out, partial)
 		}
@@ -452,10 +464,11 @@ func PassQPrefill(in *PrefillInput) (*attention.Output, error) {
 	s.qblk = wire.QBlock{Q: in.Q, Pos: in.circulatingPos(s, qPos), Seq: qSeq}
 	tail := &s.tail // tail.partials[s] = O_s^k for source s
 	tail.fit(n, in.Q.Tokens, in.Q.Heads, in.Q.Dim)
+	attn := attnScratch(in.Attn)
 	err = circulate(in.Rank, in.Trace, &s.qblk, in.Elem, func(cur *wire.QBlock, src int) error {
 		return attention.GQAKVInto(tail.partial(src), cur.Q, kv, attention.Mask{
 			QPos: cur.Pos, QSeq: cur.Seq, KVPos: kvPos, KVSeq: kvSeq,
-		})
+		}, attn)
 	})
 	if err != nil {
 		return nil, err

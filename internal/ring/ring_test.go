@@ -407,7 +407,7 @@ func prefillRun(t *testing.T, world *comm.World, cmds []prefillCmd, scratch bool
 	rng := rand.New(rand.NewSource(57))
 	caches := make([][layers]*kvcache.Cache, n)
 	blocks := make([][layers]*BlockCache, n)
-	scratches := make([]*PrefillScratch, n)
+	scratches, attns := make([]*PrefillScratch, n), make([]*attention.Scratch, n)
 	qs, ks, vs := make([]tensor.Tensor, n), make([]tensor.Tensor, n), make([]tensor.Tensor, n)
 	for r := range caches {
 		for l := 0; l < layers; l++ {
@@ -418,7 +418,7 @@ func prefillRun(t *testing.T, world *comm.World, cmds []prefillCmd, scratch bool
 			caches[r][l], blocks[r][l] = c, NewBlockCache()
 		}
 		if scratch {
-			scratches[r] = new(PrefillScratch)
+			scratches[r], attns[r] = new(PrefillScratch), new(attention.Scratch)
 		}
 	}
 	cached := map[int]int{}
@@ -449,7 +449,7 @@ func prefillRun(t *testing.T, world *comm.World, cmds []prefillCmd, scratch bool
 				}
 				out, err := cmd.run(&PrefillInput{
 					Rank: r, Plan: plan, P: p, SeqIDs: cmd.seqs, Q: q, K: k, V: v,
-					Cache: caches[r.ID][l], Blocks: blocks[r.ID][l], Scratch: scratches[r.ID], Elem: elem,
+					Cache: caches[r.ID][l], Blocks: blocks[r.ID][l], Scratch: scratches[r.ID], Attn: attns[r.ID], Elem: elem,
 				})
 				if err != nil {
 					return nil, err

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/kvcache"
 	"repro/internal/model"
-	"repro/internal/parallel"
 	"repro/internal/testsupport"
 	"repro/internal/trace"
 	"repro/internal/transformer"
@@ -135,13 +134,9 @@ func TestPersistentPrefixRequestAllocationBudget(t *testing.T) {
 	}
 	const prefix, suffix, out, warm, measured, perRequestKiB = 1536, 256, 32, 2, 5, 225.0
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// Kernels run inline on the rank goroutines. The kernels' free lists
-	// gain an entry whenever more kernel calls overlap than ever before in
-	// the process, and with the pool's workers that high-water mark moves
-	// with scheduling: beside other test binaries, one request in a few
-	// runs took 1.2–1.3 MiB of new entries. Inline, at most one call per
-	// rank overlaps, which the warm-up reaches.
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	// Kernel scratch is per slot, each rank's own and each pool worker's,
+	// and grows once to what the shapes need, so the warm-up leaves none to
+	// grow at any worker count.
 	cfg := benchGQA8()
 	srv, err := New(Config{Transformer: cfg, Ranks: 2, Variant: model.Auto, TokenBudget: 512})
 	if err != nil {
@@ -282,8 +277,8 @@ func TestPromptAllocatesWhatItKeeps(t *testing.T) {
 		return
 	}
 	const out, budget, eps = 4, 32.0, 2.0
-	// Kernels run inline, as in TestPersistentPrefixRequestAllocationBudget.
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	// Kernel scratch is per slot, as TestPersistentPrefixRequestAllocationBudget
+	// says.
 	cfg := thinConfig()
 	srv, err := New(Config{Transformer: cfg, Ranks: 2, TokenBudget: 512})
 	if err != nil {

@@ -72,22 +72,22 @@ func MatmulSnapshot() MatmulStats {
 }
 
 // Blocks cuts `tokens` activation rows of width cols into L1-sized blocks
-// and runs fn(t0, t1, fanRows) once per block [t0, t1); perToken is the
-// multiply-adds fn spends on one row, which the pool's size rule weighs. A
-// rank holding many rows (prefill) fans its blocks over the worker pool with
-// fanRows false: each block's Mul runs serially and re-reads the weights from
-// L2 once per block rather than once per token. A rank holding one block's
-// worth (decode) runs fn inline with fanRows true, and its Mul calls split the
-// weight rows only when one GEMM alone passes the rule — on the benchmark
-// model none does, so a decode step's GEMMs run on the rank's goroutine. fn
-// must write only its block's rows and compute them the same however the
-// sweep is split — then fanned execution is bit-identical to inline at any
-// width.
-func Blocks(tokens, cols, perToken int, fn func(t0, t1 int, fanRows bool)) {
+// and runs fn(w, t0, t1, fanRows) once per block [t0, t1) on pool slot w;
+// perToken is the multiply-adds fn spends on one row, which the pool's size
+// rule weighs. A rank holding many rows (prefill) fans its blocks over the
+// worker pool with fanRows false: each block's Mul runs serially, so a block
+// has its slot to itself, and re-reads the weights from L2 once per block
+// rather than once per token. A rank holding one block's worth (decode) runs
+// fn inline with fanRows true, and its Mul calls split the weight rows only
+// when one GEMM alone passes the rule — on the benchmark model none does, so
+// a decode step's GEMMs run on the rank's goroutine. fn must write only its
+// block's rows and compute them the same however the sweep is split — then
+// fanned execution is bit-identical to inline at any width.
+func Blocks(tokens, cols, perToken int, fn func(w, t0, t1 int, fanRows bool)) {
 	bt := BlockTokens(cols)
 	if tokens <= bt {
 		if tokens > 0 {
-			fn(0, tokens, true)
+			fn(0, 0, tokens, true)
 		}
 		return
 	}
@@ -108,7 +108,7 @@ func countSweep(work int) {
 // blockTask is one multi-block Blocks sweep, and panelTask one fanned Mul:
 // recycled, so that a sweep hands the worker pool no fresh closure.
 type blockTask struct {
-	fn         func(t0, t1 int, fanRows bool)
+	fn         func(w, t0, t1 int, fanRows bool)
 	tokens, bt int
 }
 
@@ -124,15 +124,15 @@ var (
 	panelTasks = parallel.NewFreeList[panelTask](256, nil)
 )
 
-// Run runs blocks [lo, hi).
-func (t *blockTask) Run(lo, hi int) {
+// Run runs blocks [lo, hi) on slot w.
+func (t *blockTask) Run(w, lo, hi int) {
 	for b := lo; b < hi; b++ {
-		t.fn(b*t.bt, min((b+1)*t.bt, t.tokens), false)
+		t.fn(w, b*t.bt, min((b+1)*t.bt, t.tokens), false)
 	}
 }
 
 // Run computes the weight rows of panels [lo, hi).
-func (t *panelTask) Run(lo, hi int) {
+func (t *panelTask) Run(_, lo, hi int) {
 	m := t.m
 	r0, r1 := lo*simd.PanelRows, min(hi*simd.PanelRows, m.Rows)
 	simd.DotPanel(t.dst[r0:], m.Rows, m.Data[r0*m.Cols:r1*m.Cols], t.x, m.Cols)
@@ -175,7 +175,7 @@ func (m *Matrix) ApplyRowsInto(dst, in []float32, tokens int) {
 	if len(in) != tokens*m.Cols || len(dst) != tokens*m.Rows {
 		panic(fmt.Sprintf("tensor: applyrows dst=%d in=%d for %d tokens x [%d %d]", len(dst), len(in), tokens, m.Rows, m.Cols))
 	}
-	Blocks(tokens, m.Cols, m.Rows*m.Cols, func(t0, t1 int, fanRows bool) {
+	Blocks(tokens, m.Cols, m.Rows*m.Cols, func(_, t0, t1 int, fanRows bool) {
 		m.Mul(dst[t0*m.Rows:t1*m.Rows], in[t0*m.Cols:t1*m.Cols], t1-t0, fanRows)
 	})
 }

@@ -128,7 +128,7 @@ func TestBlocksCoverageAndCounters(t *testing.T) {
 		blocks := 0
 		var mu sync.Mutex
 		before := MatmulSnapshot()
-		Blocks(tokens, cols, rows*cols, func(t0, t1 int, fanRows bool) {
+		Blocks(tokens, cols, rows*cols, func(_, t0, t1 int, fanRows bool) {
 			mu.Lock()
 			blocks++
 			mu.Unlock()

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/parallel"
 	"repro/internal/testsupport"
 	"repro/internal/trace"
 )
@@ -547,8 +546,8 @@ func residentPages(c *Cluster, seqs []int) int {
 // A served request over TCP allocates what it keeps and little else:
 // two loopback RunWorker ranks on bench-gqa8 (the ring_tcp workload without
 // the HTTP stack) take a 1024-token prompt in two 512-token PrefillNext
-// chunks and 32 DecodeNext steps, after warmRequests warm-up requests of
-// the same shape. The coordinator and both workers share the process, so
+// chunks and 32 DecodeNext steps, after one warm-up request of the same
+// shape. The coordinator and both workers share the process, so
 // the count covers every frame's encode, read and decode on both ends.
 // Measured at 0.06 KiB a token, 0.12 at most, over 20 runs each at
 // GOMAXPROCS 1, 2 and 4 (2-vCPU Xeon); after one warm-up request it read
@@ -566,12 +565,10 @@ func TestRingTCPAllocationBudget(t *testing.T) {
 		return
 	}
 	const ranks, prompt, chunk, steps, kibPerTok = 2, 1024, 512, 32, 0.25
-	// One kernel worker, as in TestResidentKVIsOneCopy: with more, the
-	// measured request's ranks may overlap more kernel calls than the
-	// warm-up's did and grow the kernel scratch lists by up to half a MiB
-	// (0.08–0.44 KiB a token in 3 of 10 runs alone, where no earlier test had
-	// grown them).
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	// Kernel scratch is per slot — each rank's own and each pool worker's —
+	// and a slot's first growth takes it to what any call of the request's
+	// shapes needs, so the warm-up leaves nothing for the measured request to
+	// grow, at any worker count.
 	cfg := benchGQA8()
 	c := startLoopbackCluster(t, cfg, ranks, 0)
 	vocab := cfg.Model.VocabSize
@@ -593,12 +590,10 @@ func TestRingTCPAllocationBudget(t *testing.T) {
 		}
 		c.Drop(seq)
 	}
-	for seq := 1; seq <= warmRequests; seq++ {
-		request(seq)
-	}
+	request(1)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	request(warmRequests + 1)
+	request(2)
 	runtime.ReadMemStats(&m1)
 	kib := float64(m1.TotalAlloc-m0.TotalAlloc) / 1024 / (prompt + steps)
 	t.Logf("a warm %d-token TCP request with %d decode steps allocates %.2f KiB a token", prompt, steps, kib)
@@ -627,9 +622,10 @@ func TestResidentKVIsOneCopy(t *testing.T) {
 		return
 	}
 	const ranks, sessions, prompt, chunk, steps = 2, 4, 1024, 512, 8
-	// One kernel worker: the number of kernel scratches alive at once, each
-	// up to half a MiB of score stripes, then depends on the ranks alone.
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	// Kernel scratch is per slot, each rank's own and each pool worker's,
+	// and the warm-up round grows every slot it uses to what the round's
+	// shapes need: its bytes are a function of the shapes and the slot
+	// count, not of how the ranks' kernel calls happened to overlap.
 	cfg := benchGQA8()
 	w, err := NewWeights(cfg)
 	if err != nil {
@@ -670,10 +666,7 @@ func TestResidentKVIsOneCopy(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	// A warm-up round of the same shape: the layers' send buffers, the
-	// arenas and the kernel scratch lists grow to what the round needs. The
-	// scratch lists hold one entry per kernel call the ranks ever ran at
-	// once, so the warm-up is the whole round, not one session: that is
-	// enough calls for the ranks to have overlapped.
+	// arenas and the kernel scratch slots grow to what the round needs.
 	warm, seqs, again := make([]int, sessions), make([]int, sessions), make([]int, sessions)
 	for i := range seqs {
 		warm[i], seqs[i], again[i] = i+2, i+2+sessions, i+2+2*sessions
@@ -709,31 +702,22 @@ func TestResidentKVIsOneCopy(t *testing.T) {
 	}
 }
 
-// warmRequests is how many requests TestRingTCPAllocationBudget and
-// TestWarmRequestReusesDroppedPages serve before the one they measure. The
-// kernels' scratch free lists hand their entries out in whatever order the
-// rank goroutines return them, and an entry too small for a call is grown;
-// on one processor, with the collector preempting the ranks at random, one
-// warm-up request left that growth unfinished in a third of the runs (up to
-// 0.5 MiB of score stripes), three leave it done.
-const warmRequests = 3
-
-// A served request reuses the pages of the requests before it: once
-// warmRequests same-shape requests have been served and dropped, a
-// 2048-token request on two ranks of bench-gqa8 (four 512-token PrefillLast
-// chunks, then 31 DecodeNext steps) allocates less than a tenth of the KV
-// bytes it holds, because its context comes off the caches' free stacks,
-// which the collection forced before it does not empty. It allocated all of
-// them again when a dropped sequence's pages went to the collector.
+// A served request reuses the pages of the requests before it: once one
+// same-shape request has been served and dropped, a 2048-token request on
+// two ranks of bench-gqa8 (four 512-token PrefillLast chunks, then 31
+// DecodeNext steps) allocates less than a tenth of the KV bytes it holds,
+// because its context comes off the caches' free stacks, which the
+// collection forced before it does not empty. It allocated all of them again
+// when a dropped sequence's pages went to the collector. Nor does it grow
+// any kernel scratch slot, the ranks' own or a pool worker's: a slot's first
+// growth is to what every call of the request's shapes needs, whichever
+// slot ran which chunk in the warm-up. The tenth of the KV bytes could not
+// show such growth: 84.7 KiB of it once passed.
 func TestWarmRequestReusesDroppedPages(t *testing.T) {
 	if testsupport.Alone(t) {
 		return
 	}
 	const ranks, prompt, chunk, steps = 2, 2048, 512, 31
-	// One kernel worker, as in TestResidentKVIsOneCopy: with more, a request
-	// whose ranks happen to overlap more kernel calls than the warm-up's did
-	// grows the kernel scratch lists by up to half a MiB of score stripes.
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	cfg := benchGQA8()
 	w, err := NewWeights(cfg)
 	if err != nil {
@@ -746,7 +730,7 @@ func TestWarmRequestReusesDroppedPages(t *testing.T) {
 	defer c.Close()
 	m := cfg.Model
 	chunks := make(map[int][][]int)
-	for seq := 1; seq <= warmRequests+1; seq++ {
+	for seq := 1; seq <= 2; seq++ {
 		for at := 0; at < prompt; at += chunk {
 			chunks[seq] = append(chunks[seq], arenaChunk(chunk, seq+at, m.VocabSize))
 		}
@@ -767,16 +751,18 @@ func TestWarmRequestReusesDroppedPages(t *testing.T) {
 			toks[0] = next[0]
 		}
 	}
-	for seq := 1; seq <= warmRequests; seq++ {
-		serve(seq)
-		c.Drop(seq)
-	}
+	serve(1)
+	c.Drop(1)
 	runtime.GC()
+	scratch := scratchBytes(c)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	serve(warmRequests + 1)
+	serve(2)
 	runtime.ReadMemStats(&m1)
-	c.Drop(warmRequests + 1)
+	c.Drop(2)
+	if grown := scratchBytes(c) - scratch; grown != 0 {
+		t.Errorf("a warm request grew the kernel scratch by %.1f KiB (from %.1f KiB)", float64(grown)/1024, float64(scratch)/1024)
+	}
 	kvBytes := float64((prompt + steps) * m.Layers * (2*m.NumKV*m.HeadDim*4 + 8))
 	got := float64(m1.TotalAlloc - m0.TotalAlloc)
 	t.Logf("a warm %d-token request with %d decode steps allocated %.1f KiB for %.1f KiB of KV: %.1f %%", prompt, steps, got/1024, kvBytes/1024, 100*got/kvBytes)

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 
+	"repro/internal/attention"
 	"repro/internal/comm"
 	"repro/internal/comm/wire"
 	"repro/internal/kvcache"
@@ -45,6 +46,11 @@ type rankEngine struct {
 	decodeRes  wire.DecodeResult
 	pre        prefillScratch
 	dec        decodeScratch
+
+	// The rank's kernel scratch (slot 0), which prefill and decode share:
+	// the attention kernel's and the sweeps' (Weights.blockScratch).
+	attn  attention.Scratch
+	sweep []float32
 }
 
 // prefillScratch is the rank engine's prefill arena: everything a prefill
@@ -102,6 +108,7 @@ func newRankEngine(w *Weights, kvCapacity int, epoch uint64, rec *trace.Recorder
 		e.caches = append(e.caches, kc)
 		e.blocks = append(e.blocks, ring.NewBlockCache())
 	}
+	w.growSlots(&e.attn)
 	return e, nil
 }
 
@@ -168,11 +175,11 @@ func (e *rankEngine) prefill(r *comm.Rank, cmd *wire.PrefillCmd) (*tensor.Tensor
 	}
 	for l := 0; l < m.Layers; l++ {
 		last := l == m.Layers-1
-		e.w.projectQKVInto(&s.q, &s.k, &s.v, l, s.hidden, s.pos)
+		e.w.projectQKVInto(&e.sweep, &s.q, &s.k, &s.v, l, s.hidden, s.pos)
 		in := &ring.PrefillInput{
 			Rank: r, Plan: plan, P: cmd.P, SeqIDs: cmd.Seqs,
 			Q: &s.q, K: &s.k, V: &s.v,
-			Cache: e.caches[l], Blocks: e.blocks[l], Scratch: &s.ring, Elem: m.ElemBytes,
+			Cache: e.caches[l], Blocks: e.blocks[l], Scratch: &s.ring, Attn: &e.attn, Elem: m.ElemBytes,
 			Trace: e.rec.Sweep(r.ID, e.epoch, "prefill"),
 		}
 		if last {
@@ -188,9 +195,9 @@ func (e *rankEngine) prefill(r *comm.Rank, cmd *wire.PrefillCmd) (*tensor.Tensor
 		if last && rows != nil {
 			hidden = s.gatherHidden(rows, m.ModelDim)
 		}
-		e.w.finishLayer(l, hidden, out.O)
+		e.w.finishLayer(&e.sweep, l, hidden, out.O)
 	}
-	e.w.logitsInto(s.logits.Resize(n, 1, m.VocabSize).Data, hidden, n)
+	e.w.logitsInto(&e.sweep, s.logits.Resize(n, 1, m.VocabSize).Data, hidden, n)
 	return &s.logits, nil
 }
 
@@ -274,24 +281,24 @@ func (e *rankEngine) decode(r *comm.Rank, cmd *wire.DecodeCmd) ([]float32, error
 	s.k.Resize(len(mine), m.NumKV, m.HeadDim)
 	s.v.Resize(len(mine), m.NumKV, m.HeadDim)
 	for l := 0; l < m.Layers; l++ {
-		e.w.projectQKVInto(&s.q, &s.k, &s.v, l, s.hidden, s.pos)
+		e.w.projectQKVInto(&e.sweep, &s.q, &s.k, &s.v, l, s.hidden, s.pos)
 		out, err := ring.PassQDecode(&ring.DecodeInput{
 			Rank: r, NumSeqs: len(cmd.Seqs), BlockLen: s.own.blockLen,
 			Owned: s.own.owned[r.ID],
 			Q:     &s.q, K: &s.k, V: &s.v,
-			Cache: e.caches[l], Scratch: &s.ring, Elem: m.ElemBytes,
+			Cache: e.caches[l], Scratch: &s.ring, Attn: &e.attn, Elem: m.ElemBytes,
 			Trace: e.rec.Sweep(r.ID, e.epoch, "decode"),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("layer %d: %w", l, err)
 		}
-		e.w.finishLayer(l, s.hidden, out.O)
+		e.w.finishLayer(&e.sweep, l, s.hidden, out.O)
 	}
 	if len(mine) == 0 {
 		return nil, nil
 	}
 	s.logits = tensor.Grown(s.logits, len(mine)*m.VocabSize)
-	e.w.logitsInto(s.logits, s.hidden, len(mine))
+	e.w.logitsInto(&e.sweep, s.logits, s.hidden, len(mine))
 	return s.logits, nil
 }
 

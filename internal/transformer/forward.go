@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/attention"
+	"repro/internal/tensor"
 )
 
 // Forward is the single-device reference: exact logits for every position
@@ -23,15 +24,18 @@ func (w *Weights) Forward(tokens []int) ([][]float32, error) {
 	for i := range pos {
 		pos[i] = i
 	}
+	var sweep []float32 // the sweeps' block scratch
+	q, k, v := tensor.New(n, m.NumHeads, m.HeadDim), tensor.New(n, m.NumKV, m.HeadDim), tensor.New(n, m.NumKV, m.HeadDim)
 	for l := 0; l < m.Layers; l++ {
-		q, k, v := w.projectQKV(l, hidden, n, pos)
+		w.projectQKVInto(&sweep, q, k, v, l, hidden, pos)
 		out, err := attention.GQA(q, k, v, attention.FullCausal(n))
 		if err != nil {
 			return nil, err
 		}
-		w.finishLayer(l, hidden, out.O)
+		w.finishLayer(&sweep, l, hidden, out.O)
 	}
-	flat := w.logits(hidden, n)
+	flat := make([]float32, n*m.VocabSize)
+	w.logitsInto(&sweep, flat, hidden, n)
 	out := make([][]float32, n)
 	for t := 0; t < n; t++ {
 		out[t] = flat[t*m.VocabSize : (t+1)*m.VocabSize]

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/attention"
 	"repro/internal/model"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -124,84 +125,87 @@ func NewWeights(cfg Config) (*Weights, error) {
 	return w, nil
 }
 
-// f32Pool recycles the sweeps' per-block scratch (normed rows, stacked
-// projection outputs, FFN activations), one token block at a time, so
-// steady-state prefill and decode allocate nothing per call. What a command
-// reads across blocks — hidden rows, q/k/v, logits — is not pooled: it lives
-// in the rank engine's prefill and decode arenas, whose reuse across layers
-// the lifetime rule at the top of ring/ring.go (prefill) and ring/decode.go
-// (decode) makes safe although the in-process ring circulates blocks by
-// pointer.
-var f32Pool = parallel.NewFreeList[[]float32](256, nil)
-
-func getF32(n int) *[]float32 {
-	p := f32Pool.Get()
-	if cap(*p) < n {
-		*p = make([]float32, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putF32(p *[]float32) { f32Pool.Put(p) }
-
 // The sweeps below share one shape: tensor.Blocks hands out token blocks, and
-// each block runs norm → GEMM → epilogue on pooled scratch while it is still
-// in L1. An output row depends only on its own hidden row and tensor.Mul's
-// cells on no split, so any width is bit-identical to a serial token loop.
+// each block runs norm → GEMM → epilogue on its slot's scratch (normed rows,
+// stacked projection outputs, FFN activations) while it is still in L1: the
+// caller's own for slot 0 — a rank engine's, kept in its arenas — and
+// sweepSlots[w] for pool goroutine w. An output row depends only on its own
+// hidden row and tensor.Mul's cells on no split, so any width is
+// bit-identical to a serial token loop. What a command reads across blocks —
+// hidden rows, q/k/v, logits — lives in the rank engine's prefill and decode
+// arenas, whose reuse across layers the lifetime rule at the top of
+// ring/ring.go (prefill) and ring/decode.go (decode) makes safe although the
+// in-process ring circulates blocks by pointer.
 
-// normMul writes m applied to the RMSNorm of hidden rows [t0, t1) into dst.
-func (w *Weights) normMul(m *tensor.Matrix, dst, hidden, gain []float32, t0, t1 int, fanRows bool) {
-	d := w.Cfg.Model.ModelDim
-	sp := getF32((t1 - t0) * d)
-	defer putF32(sp)
-	for t := t0; t < t1; t++ {
-		tensor.RMSNormInto((*sp)[(t-t0)*d:][:d], hidden[t*d:][:d], gain, w.Cfg.NormEps)
-	}
-	m.Mul(dst, *sp, t1-t0, fanRows)
+var sweepSlots [parallel.Slots][]float32 // entry 0 is unused
+
+// growSlots grows a rank's attention scratch and every pool worker's kernel
+// slots, the attention kernel's and the sweeps', to this model's shapes.
+func (w *Weights) growSlots(attn *attention.Scratch) {
+	m := w.Cfg.Model
+	attention.GrowSlots(attn, m.NumHeads/m.NumKV, m.HeadDim)
+	parallel.EachWorker(func(slot int) { w.blockScratch(nil, slot) })
 }
 
-// projectQKV computes the layer's query/key/value tensors for a block of
-// hidden rows: RMSNorm, the stacked projection, then RoPE at the given
-// global positions as the rows are copied out. Rows whose position is
-// negative (padding) are rotated at 0 and masked out downstream.
-func (w *Weights) projectQKV(l int, hidden []float32, tokens int, pos []int) (q, k, v *tensor.Tensor) {
+// blockScratch returns the scratch of a block that runs on slot, own being
+// the caller's, grown at once to what the model's largest block needs.
+func (w *Weights) blockScratch(own *[]float32, slot int) []float32 {
+	buf := own
+	if slot != 0 {
+		buf = &sweepSlots[slot]
+	}
 	m := w.Cfg.Model
-	q = tensor.New(tokens, m.NumHeads, m.HeadDim)
-	k = tensor.New(tokens, m.NumKV, m.HeadDim)
-	v = tensor.New(tokens, m.NumKV, m.HeadDim)
-	w.projectQKVInto(q, k, v, l, hidden, pos)
-	return q, k, v
+	d, f := m.ModelDim, m.FFNDim
+	qkv := (m.NumHeads + 2*m.NumKV) * m.HeadDim
+	cols := max(d, f, m.NumHeads*m.HeadDim)
+	n := max(tensor.BlockTokens(d)*(d+qkv), tensor.BlockTokens(cols)*(3*f+2*d))
+	if cap(*buf) < n {
+		*buf = make([]float32, n)
+	}
+	return (*buf)[:n]
+}
+
+// normMul writes m applied to the RMSNorm of hidden rows [t0, t1) into dst,
+// the normed rows going through normed.
+func (w *Weights) normMul(m *tensor.Matrix, dst, normed, hidden, gain []float32, t0, t1 int, fanRows bool) {
+	d := w.Cfg.Model.ModelDim
+	normed = normed[:(t1-t0)*d]
+	for t := t0; t < t1; t++ {
+		tensor.RMSNormInto(normed[(t-t0)*d:][:d], hidden[t*d:][:d], gain, w.Cfg.NormEps)
+	}
+	m.Mul(dst, normed, t1-t0, fanRows)
 }
 
 // The three sweeps below each check for the one-block case — every decode
 // step — and call their block body directly: tensor.Blocks would run it
 // inline too, but a closure handed to it is heap-allocated per call.
 
-// projectQKVInto is projectQKV into caller-owned tensors of q.Tokens rows.
-func (w *Weights) projectQKVInto(q, k, v *tensor.Tensor, l int, hidden []float32, pos []int) {
+// projectQKVInto computes the layer's query/key/value rows for q.Tokens
+// hidden rows: RMSNorm, the stacked projection, then RoPE at the given
+// global positions as the rows are copied out. Rows whose position is
+// negative (padding) are rotated at 0 and masked out downstream.
+func (w *Weights) projectQKVInto(own *[]float32, q, k, v *tensor.Tensor, l int, hidden []float32, pos []int) {
 	d := w.Cfg.Model.ModelDim
 	if q.Tokens <= tensor.BlockTokens(d) {
 		if q.Tokens > 0 {
-			w.qkvBlock(q, k, v, l, hidden, pos, 0, q.Tokens, true)
+			w.qkvBlock(w.blockScratch(own, 0), q, k, v, l, hidden, pos, 0, q.Tokens, true)
 		}
 		return
 	}
 	wqkv := w.layers[l].wqkv
-	tensor.Blocks(q.Tokens, d, wqkv.Rows*wqkv.Cols, func(t0, t1 int, fanRows bool) {
-		w.qkvBlock(q, k, v, l, hidden, pos, t0, t1, fanRows)
+	tensor.Blocks(q.Tokens, d, wqkv.Rows*wqkv.Cols, func(slot, t0, t1 int, fanRows bool) {
+		w.qkvBlock(w.blockScratch(own, slot), q, k, v, l, hidden, pos, t0, t1, fanRows)
 	})
 }
 
-func (w *Weights) qkvBlock(q, k, v *tensor.Tensor, l int, hidden []float32, pos []int, t0, t1 int, fanRows bool) {
+func (w *Weights) qkvBlock(sc []float32, q, k, v *tensor.Tensor, l int, hidden []float32, pos []int, t0, t1 int, fanRows bool) {
 	m := w.Cfg.Model
 	lw := w.layers[l]
 	qRows, kvRows := m.NumHeads*m.HeadDim, m.NumKV*m.HeadDim
-	sp := getF32((t1 - t0) * lw.wqkv.Rows)
-	defer putF32(sp)
-	w.normMul(lw.wqkv, *sp, hidden, lw.attnNorm, t0, t1, fanRows)
+	stacked := sc[:(t1-t0)*lw.wqkv.Rows]
+	w.normMul(lw.wqkv, stacked, sc[len(stacked):], hidden, lw.attnNorm, t0, t1, fanRows)
 	for t := t0; t < t1; t++ {
-		row := (*sp)[(t-t0)*lw.wqkv.Rows:][:lw.wqkv.Rows]
+		row := stacked[(t-t0)*lw.wqkv.Rows:][:lw.wqkv.Rows]
 		tensor.RoPEHeads(row[:qRows+kvRows], m.HeadDim, max(pos[t], 0), w.ropeFreqs)
 		copy(q.Row2D(t), row[:qRows])
 		copy(k.Row2D(t), row[qRows:qRows+kvRows])
@@ -212,36 +216,34 @@ func (w *Weights) qkvBlock(q, k, v *tensor.Tensor, l int, hidden []float32, pos 
 // finishLayer completes a layer after attention, block by block: attnOut's
 // output projection is added into hidden, then the SwiGLU feed-forward block
 // (RMSNorm, stacked gate/up projection, SiLU gating, down projection) on top.
-func (w *Weights) finishLayer(l int, hidden []float32, attnOut *tensor.Tensor) {
+func (w *Weights) finishLayer(own *[]float32, l int, hidden []float32, attnOut *tensor.Tensor) {
 	m := w.Cfg.Model
 	cols := max(m.ModelDim, m.FFNDim, m.NumHeads*m.HeadDim)
 	if attnOut.Tokens <= tensor.BlockTokens(cols) {
 		if attnOut.Tokens > 0 {
-			w.finishBlock(l, hidden, attnOut, 0, attnOut.Tokens, true)
+			w.finishBlock(w.blockScratch(own, 0), l, hidden, attnOut, 0, attnOut.Tokens, true)
 		}
 		return
 	}
 	lw := w.layers[l]
 	perToken := lw.wo.Rows*lw.wo.Cols + lw.wGateUp.Rows*lw.wGateUp.Cols + lw.wDown.Rows*lw.wDown.Cols
-	tensor.Blocks(attnOut.Tokens, cols, perToken, func(t0, t1 int, fanRows bool) {
-		w.finishBlock(l, hidden, attnOut, t0, t1, fanRows)
+	tensor.Blocks(attnOut.Tokens, cols, perToken, func(slot, t0, t1 int, fanRows bool) {
+		w.finishBlock(w.blockScratch(own, slot), l, hidden, attnOut, t0, t1, fanRows)
 	})
 }
 
-func (w *Weights) finishBlock(l int, hidden []float32, attnOut *tensor.Tensor, t0, t1 int, fanRows bool) {
+func (w *Weights) finishBlock(sc []float32, l int, hidden []float32, attnOut *tensor.Tensor, t0, t1 int, fanRows bool) {
 	m := w.Cfg.Model
 	lw := w.layers[l]
 	d, f, cols := m.ModelDim, m.FFNDim, m.NumHeads*m.HeadDim
 	n := t1 - t0
-	sp := getF32(n * (d + 3*f))
-	defer putF32(sp)
-	gateUp, act, proj := (*sp)[:n*2*f], (*sp)[n*2*f:][:n*f], (*sp)[n*3*f:]
+	gateUp, act, proj, normed := sc[:n*2*f], sc[n*2*f:][:n*f], sc[n*3*f:][:n*d], sc[n*(3*f+d):]
 	block := hidden[t0*d : t1*d]
 	lw.wo.Mul(proj, attnOut.Data[t0*cols:t1*cols], n, fanRows)
 	for i, p := range proj {
 		block[i] += p
 	}
-	w.normMul(lw.wGateUp, gateUp, block, lw.ffnNorm, 0, n, fanRows)
+	w.normMul(lw.wGateUp, gateUp, normed, block, lw.ffnNorm, 0, n, fanRows)
 	for t := 0; t < n; t++ {
 		tensor.SiLUMul(act[t*f:][:f], gateUp[t*2*f:][:f], gateUp[t*2*f+f:][:f])
 	}
@@ -251,26 +253,18 @@ func (w *Weights) finishBlock(l int, hidden []float32, attnOut *tensor.Tensor, t
 	}
 }
 
-// logits computes the output head for a block of hidden rows: the final
-// norm, then the head projection. The returned slice is freshly allocated —
-// callers retain it (argmax, streaming) past the next forward step.
-func (w *Weights) logits(hidden []float32, tokens int) []float32 {
-	out := make([]float32, tokens*w.Cfg.Model.VocabSize)
-	w.logitsInto(out, hidden, tokens)
-	return out
-}
-
-// logitsInto is logits into a caller-owned [tokens, vocab] buffer.
-func (w *Weights) logitsInto(out, hidden []float32, tokens int) {
+// logitsInto computes the output head for tokens hidden rows into a
+// [tokens, vocab] buffer: the final norm, then the head projection.
+func (w *Weights) logitsInto(own *[]float32, out, hidden []float32, tokens int) {
 	m := w.Cfg.Model
 	if tokens <= tensor.BlockTokens(m.ModelDim) {
 		if tokens > 0 {
-			w.normMul(w.head, out, hidden, w.norm, 0, tokens, true)
+			w.normMul(w.head, out, w.blockScratch(own, 0), hidden, w.norm, 0, tokens, true)
 		}
 		return
 	}
-	tensor.Blocks(tokens, m.ModelDim, w.head.Rows*w.head.Cols, func(t0, t1 int, fanRows bool) {
-		w.normMul(w.head, out[t0*m.VocabSize:t1*m.VocabSize], hidden, w.norm, t0, t1, fanRows)
+	tensor.Blocks(tokens, m.ModelDim, w.head.Rows*w.head.Cols, func(slot, t0, t1 int, fanRows bool) {
+		w.normMul(w.head, out[t0*m.VocabSize:t1*m.VocabSize], w.blockScratch(own, slot), hidden, w.norm, t0, t1, fanRows)
 	})
 }
 
