@@ -301,6 +301,7 @@ func ensurePool(want int) int {
 // returns when all have. A kernel grows its workers' slots with it once it
 // knows its shapes: a pool goroutine runs a chunk only when it wins one from
 // the caller, so a slot left to its first chunk could grow in any later call.
+// A chunk must not call it.
 func EachWorker(fn func(w int)) {
 	done := make(chan struct{})
 	run := func(w int) { fn(w); done <- struct{}{} }

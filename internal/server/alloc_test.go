@@ -135,8 +135,8 @@ func TestPersistentPrefixRequestAllocationBudget(t *testing.T) {
 	const prefix, suffix, out, warm, measured, perRequestKiB = 1536, 256, 32, 2, 5, 225.0
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// Kernel scratch is per slot, each rank's own and each pool worker's,
-	// and grows once to what the shapes need, so the warm-up leaves none to
-	// grow at any worker count.
+	// grown to a budget-sized call of the model as the rank engines start,
+	// so no request grows it, at any worker count.
 	cfg := benchGQA8()
 	srv, err := New(Config{Transformer: cfg, Ranks: 2, Variant: model.Auto, TokenBudget: 512})
 	if err != nil {

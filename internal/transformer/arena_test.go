@@ -549,11 +549,12 @@ func residentPages(c *Cluster, seqs []int) int {
 // chunks and 32 DecodeNext steps, after one warm-up request of the same
 // shape. The coordinator and both workers share the process, so
 // the count covers every frame's encode, read and decode on both ends.
-// Measured at 0.06 KiB a token, 0.12 at most, over 20 runs each at
-// GOMAXPROCS 1, 2 and 4 (2-vCPU Xeon); after one warm-up request it read
-// 0.02–0.03 at GOMAXPROCS=2, at most 0.07 on a first run and 0.14 once with
-// a collection inside the window (GOGC=50), and up to 0.50 at GOMAXPROCS=1,
-// where 4 of 20 runs broke the budget. The budget of 0.25 is the 0.14
+// It reads 0.02 KiB a token in 50 of 50 runs each at GOMAXPROCS 1, 2 and 4
+// (2-vCPU Xeon). While the kernels took their scratch from process-wide
+// free lists it read 0.06, 0.12 at most, after three warm-up requests with
+// one kernel worker, and after one warm-up request 0.14 once with a
+// collection inside the window (GOGC=50) and up to 0.50 at GOMAXPROCS=1,
+// where 4 of 20 runs broke the budget. The budget of 0.25 is that 0.14
 // reading plus 0.11 KiB of margin. It read 0.61 when the budget was
 // first set at 1.0, 0.75–0.81 before the workers kept their command frames
 // and the recorders their spans' arguments in blocks, 0.86–0.95 when every
@@ -565,10 +566,9 @@ func TestRingTCPAllocationBudget(t *testing.T) {
 		return
 	}
 	const ranks, prompt, chunk, steps, kibPerTok = 2, 1024, 512, 32, 0.25
-	// Kernel scratch is per slot — each rank's own and each pool worker's —
-	// and a slot's first growth takes it to what any call of the request's
-	// shapes needs, so the warm-up leaves nothing for the measured request to
-	// grow, at any worker count.
+	// Kernel scratch is per slot, each rank's own and each pool worker's,
+	// grown to a budget-sized call of the model as the rank engines start,
+	// so no request of this shape grows it, at any worker count.
 	cfg := benchGQA8()
 	c := startLoopbackCluster(t, cfg, ranks, 0)
 	vocab := cfg.Model.VocabSize
@@ -623,9 +623,9 @@ func TestResidentKVIsOneCopy(t *testing.T) {
 	}
 	const ranks, sessions, prompt, chunk, steps = 2, 4, 1024, 512, 8
 	// Kernel scratch is per slot, each rank's own and each pool worker's,
-	// and the warm-up round grows every slot it uses to what the round's
-	// shapes need: its bytes are a function of the shapes and the slot
-	// count, not of how the ranks' kernel calls happened to overlap.
+	// grown as the rank engines start: its bytes are a function of the
+	// shapes and the slot count, not of how the ranks' kernel calls
+	// happened to overlap.
 	cfg := benchGQA8()
 	w, err := NewWeights(cfg)
 	if err != nil {
@@ -709,10 +709,10 @@ func TestResidentKVIsOneCopy(t *testing.T) {
 // because its context comes off the caches' free stacks, which the
 // collection forced before it does not empty. It allocated all of them again
 // when a dropped sequence's pages went to the collector. Nor does it grow
-// any kernel scratch slot, the ranks' own or a pool worker's: a slot's first
-// growth is to what every call of the request's shapes needs, whichever
-// slot ran which chunk in the warm-up. The tenth of the KV bytes could not
-// show such growth: 84.7 KiB of it once passed.
+// any kernel scratch slot, the ranks' own or a pool worker's: a rank engine
+// grows them to a budget-sized call of its model as it starts, whichever
+// slots the warm-up's chunks then ran on. The tenth of the KV bytes could
+// not show such growth: 84.7 KiB of it once passed.
 func TestWarmRequestReusesDroppedPages(t *testing.T) {
 	if testsupport.Alone(t) {
 		return
