@@ -79,7 +79,7 @@ func TestMemRecvPollThenPark(t *testing.T) {
 		delay time.Duration
 	}{
 		{"during the poll", 0},
-		{"after the park", 100 * recvPollBudget},
+		{"after the park", 100 * PollBudget},
 	} {
 		for i := 0; i < 50; i++ {
 			started := make(chan struct{})
@@ -99,7 +99,7 @@ func TestMemRecvPollThenPark(t *testing.T) {
 			}
 		}
 	}
-	for _, timeout := range []time.Duration{recvPollBudget / 5, 20 * time.Millisecond} {
+	for _, timeout := range []time.Duration{PollBudget / 5, 20 * time.Millisecond} {
 		start := time.Now()
 		_, err := m.Recv(1, 0, timeout)
 		if elapsed := time.Since(start); !errors.Is(err, ErrTimeout) || elapsed < timeout || elapsed > timeout+time.Second {
@@ -141,12 +141,16 @@ func TestMemFailLinkWhileReceiverPolls(t *testing.T) {
 	}
 }
 
-// BenchmarkMailboxHandoff is the measurement recvPollBudget's comment cites:
-// one round trip (two hops) between two goroutines that answer each other at
-// once, the shape of a decode ring hop. "park" receives the way Recv did
-// before it polled — an empty box arms a timer and parks, so every hop is a
-// futex wake and a scheduler pass — and "poll" is Recv.
+// BenchmarkMailboxHandoff is the measurement PollBudget's comment cites: one
+// round trip (two hops) between two goroutines, the shape of a decode ring
+// hop. "park" receives the way Recv did before it polled — an empty box arms
+// a timer and parks, so every hop is a futex wake and a scheduler pass — and
+// "poll" is Recv. In the "now" cases the echo answers at once; in the "late"
+// cases it first computes for lateEcho, longer than the 50 µs the budget once
+// was and shorter than PollBudget, which stands in for the token owner's wo
+// and FFN that the other rank of a B = 1 decode step waits out.
 func BenchmarkMailboxHandoff(b *testing.B) {
+	const lateEcho = 100 * time.Microsecond
 	park := func(m *Mem, dst, src int) (any, error) {
 		t := time.NewTimer(time.Second)
 		defer t.Stop()
@@ -162,37 +166,44 @@ func BenchmarkMailboxHandoff(b *testing.B) {
 		name string
 		recv func(m *Mem, dst, src int) (any, error)
 	}{{"park", park}, {"poll", poll}} {
-		b.Run(mode.name, func(b *testing.B) {
-			m := NewMem(2)
-			defer m.Close()
-			var payload any = &struct{ n int }{7}
-			echoErr := make(chan error, 1)
-			go func() {
+		for _, echo := range []struct {
+			name  string
+			after time.Duration
+		}{{"now", 0}, {"late", lateEcho}} {
+			b.Run(mode.name+"/"+echo.name, func(b *testing.B) {
+				m := NewMem(2)
+				defer m.Close()
+				var payload any = &struct{ n int }{7}
+				echoErr := make(chan error, 1)
+				go func() {
+					for i := 0; i < b.N; i++ {
+						if _, err := mode.recv(m, 1, 0); err != nil {
+							echoErr <- err
+							return
+						}
+						if err := m.Send(1, 0, payload, time.Second); err != nil {
+							echoErr <- err
+							return
+						}
+						for start := time.Now(); time.Since(start) < echo.after; {
+						}
+					}
+					echoErr <- nil
+				}()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := mode.recv(m, 1, 0); err != nil {
-						echoErr <- err
-						return
+					if err := m.Send(0, 1, payload, time.Second); err != nil {
+						b.Fatal(err)
 					}
-					if err := m.Send(1, 0, payload, time.Second); err != nil {
-						echoErr <- err
-						return
+					if _, err := mode.recv(m, 0, 1); err != nil {
+						b.Fatal(err)
 					}
 				}
-				echoErr <- nil
-			}()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := m.Send(0, 1, payload, time.Second); err != nil {
+				b.StopTimer()
+				if err := <-echoErr; err != nil {
 					b.Fatal(err)
 				}
-				if _, err := mode.recv(m, 0, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if err := <-echoErr; err != nil {
-				b.Fatal(err)
-			}
-		})
+			})
+		}
 	}
 }

@@ -235,21 +235,51 @@ func (m *Mem) Send(src, dst int, payload any, timeout time.Duration) error {
 	}
 }
 
-// recvPollBudget is how long Recv watches an empty mailbox before it arms a
-// timer and parks. A decode ring hop is a handoff between two rank goroutines
-// that finish their compute within microseconds of each other, and a parked
-// receiver pays a wake-up and a scheduler pass to learn what one more look
-// would have told it: BenchmarkMailboxHandoff puts a parked round trip at
-// about three times a polled one on the 2-vCPU runner (≈ 2.0 µs against
-// ≈ 0.65 µs, both sides already spinning — the idle-thread wake a real step
-// pays is dearer still). 50 µs covers the skew between two ranks' share of a
-// decode step (≈ 1 ms over six handoffs at B = 8) and is invisible next to
-// the milliseconds a pass-KV hop waits. Every turn yields the processor, so a
-// rank polling on an oversubscribed host cannot keep a peer off its core.
-const recvPollBudget = 50 * time.Microsecond
+// PollBudget is how long a rank goroutine of an in-process cluster watches
+// for its next hand-off before it parks: a payload in its mailbox (Mem.Recv)
+// and the next command from the coordinator (the in-process plane's ranks).
+// A parked receiver pays a futex wake and a scheduler pass to learn what one
+// more look would have told it. BenchmarkMailboxHandoff puts a parked round
+// trip at about three times a polled one when both sides answer at once, and
+// its delayed cases (an echo that answers 100 µs late) show the wake is dearer
+// still when the receiver's processor went idle meanwhile. The budget covers
+// the gaps a B = 1 decode step on the benchmark model leaves a rank that does
+// not own the token, read from per-rank timestamps on a 2-vCPU host: about
+// 120 µs between its exchanges (the owner's wo and FFN, then its next QKV),
+// 130–150 µs between two steps, and 40–50 µs of skew between two ranks woken
+// by one command. 50 µs covered none of the first two, and 150 µs read about
+// the same as 200 µs.
+//
+// It stays bounded: a processor whose goroutine polls finds that goroutine
+// on the global run queue at every turn, so it neither steals another
+// processor's work (during prefill a polling rank holds back the other rank's
+// pool fan-out while it polls) nor polls the network. That is also why only
+// the in-process hand-offs poll and the TCP links park: a goroutine waiting
+// on a socket is woken by the network poller, which a processor consults only
+// once it has nothing else to run, so rank and link goroutines polling on
+// every processor would leave a readable socket to sysmon, up to 10 ms later.
+const PollBudget = 200 * time.Microsecond
+
+// Poll is the in-process hand-offs' one poll rule: it yields the processor
+// and looks at ch, turn after turn, until a value arrives or limit has
+// passed, so that a sender who comes within limit hands over to a goroutine
+// that is running rather than one that must be woken. received reports
+// whether a receive happened, and ok whether it delivered a value rather than
+// ch's close. If nothing came, the caller parks on its own terms.
+func Poll[T any](ch <-chan T, limit time.Duration) (v T, ok, received bool) {
+	for start := time.Now(); time.Since(start) < limit; {
+		runtime.Gosched()
+		select {
+		case v, ok = <-ch:
+			return v, ok, true
+		default:
+		}
+	}
+	return v, false, false
+}
 
 // Recv implements Transport. A payload already waiting is returned without
-// arming a timer. An empty mailbox is polled for recvPollBudget first; only
+// arming a timer. An empty mailbox is polled (Poll) for PollBudget first; only
 // then does the receiver arm the mailbox's timer for what is left of timeout
 // and park. Only rank dst receives from its mailboxes, one receive at a time,
 // and Go 1.23+ timers deliver nothing stale after Stop or Reset, so one timer
@@ -263,13 +293,8 @@ func (m *Mem) Recv(dst, src int, timeout time.Duration) (any, error) {
 	default:
 	}
 	start := time.Now()
-	for time.Since(start) < min(recvPollBudget, timeout) {
-		runtime.Gosched()
-		select {
-		case v := <-box:
-			return v, nil
-		default:
-		}
+	if v, _, received := Poll(box, min(PollBudget, timeout)); received {
+		return v, nil
 	}
 	left := timeout - time.Since(start)
 	if left <= 0 {

@@ -37,9 +37,11 @@ func processCPU(b *testing.B) time.Duration {
 // sessions (512-token contexts, two ranks, the mailbox plane, no recorder) —
 // decode_batch's and the prefill workloads' steady state without the HTTP
 // stack. Besides ns/step and allocs/step it reports busy cores, process CPU ÷
-// wall: two ranks that never waited on each other would read 2.0, and the
-// gap below that is the share of a step its ranks spend asleep at a handoff
-// (or, with an uneven owner split, waiting for the rank that has more rows).
+// wall. A rank polls at a handoff (transport.PollBudget) and polling counts
+// as busy, so on the mailbox plane it reads about 2.0 however long the ranks
+// wait on each other; it no longer measures time asleep at a handoff. Over
+// loopback (BenchmarkDecodeStepTCP), where the ranks park, the gap below 2.0
+// still does.
 // It also reports the kernel pool's dispatches, from parallel.Snapshot
 // deltas: jobs/step, the fan-outs a step hands the pool, and
 // stolen-chunks/step against chunks/step, how many of their chunks a pool

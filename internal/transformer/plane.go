@@ -91,8 +91,9 @@ const sudogCacheSize = 128
 
 // stockWaitRecords makes the runtime hold at least n wait records (sudogs),
 // so that the ranks' hand-offs never allocate one. A goroutine that parks —
-// a rank in a mailbox receive or on its command channel, the coordinator in
-// bcast — takes a record from its P's cache and, woken by a goroutine on
+// a rank in a mailbox receive or on its command channel once its poll
+// (transport.Poll) has found nothing, the coordinator in bcast, which does
+// not poll — takes a record from its P's cache and, woken by a goroutine on
 // another P, returns it to that P's cache. Each cache keeps up to
 // sudogCacheSize records before it spills half to the shared list, so while
 // fewer than GOMAXPROCS caches' worth circulate, one P can sit on records
@@ -110,10 +111,23 @@ func stockWaitRecords(n int) {
 }
 
 // serve is rank r's goroutine: one command at a time until the plane stops.
+// Between commands the rank polls its channel for transport.PollBudget before
+// it parks, as its mailbox receives do, so that the next decode step's
+// command, which the coordinator sends a few hundred microseconds after the
+// last reply, finds the rank running rather than asleep. The TCP plane's
+// ranks park on their control connection instead (transport.PollBudget says
+// why).
 func (m *memRanks) serve(r int) {
 	defer m.exited.Done()
 	rank := m.world.Rank(r)
-	for cmd := range m.cmds[r] {
+	for {
+		cmd, ok, received := transport.Poll(m.cmds[r], transport.PollBudget)
+		if !received {
+			cmd, ok = <-m.cmds[r]
+		}
+		if !ok {
+			return
+		}
 		m.replies[r], _ = m.engines[r].handle(rank, m.world, cmd)
 		m.done.Done()
 	}
