@@ -145,10 +145,11 @@ func TestMemFailLinkWhileReceiverPolls(t *testing.T) {
 // round trip (two hops) between two goroutines, the shape of a decode ring
 // hop. "park" receives the way Recv did before it polled — an empty box arms
 // a timer and parks, so every hop is a futex wake and a scheduler pass — and
-// "poll" is Recv. In the "now" cases the echo answers at once; in the "late"
-// cases it first computes for lateEcho, longer than the 50 µs the budget once
-// was and shorter than PollBudget, which stands in for the token owner's wo
-// and FFN that the other rank of a B = 1 decode step waits out.
+// "poll" is Recv. In the "now" cases the echo answers at once. In the "late"
+// cases it answers and then computes for lateEcho before it takes the next
+// request, so the requester waits that long while the echo's processor stays
+// busy: the rank of a B = 1 decode step that waits out the token owner's wo
+// and FFN (a median 135 µs; lateEcho is the same order and within PollBudget).
 func BenchmarkMailboxHandoff(b *testing.B) {
 	const lateEcho = 100 * time.Microsecond
 	park := func(m *Mem, dst, src int) (any, error) {

@@ -239,16 +239,17 @@ func (m *Mem) Send(src, dst int, payload any, timeout time.Duration) error {
 // for its next hand-off before it parks: a payload in its mailbox (Mem.Recv)
 // and the next command from the coordinator (the in-process plane's ranks).
 // A parked receiver pays a futex wake and a scheduler pass to learn what one
-// more look would have told it. BenchmarkMailboxHandoff puts a parked round
-// trip at about three times a polled one when both sides answer at once, and
-// its delayed cases (an echo that answers 100 µs late) show the wake is dearer
-// still when the receiver's processor went idle meanwhile. The budget covers
-// the gaps a B = 1 decode step on the benchmark model leaves a rank that does
-// not own the token, read from per-rank timestamps on a 2-vCPU host: about
-// 120 µs between its exchanges (the owner's wo and FFN, then its next QKV),
-// 130–150 µs between two steps, and 40–50 µs of skew between two ranks woken
-// by one command. 50 µs covered none of the first two, and 150 µs read about
-// the same as 200 µs.
+// more look would have told it. The budget covers the gaps a B = 1 decode
+// step on the benchmark model leaves the rank that does not own the token,
+// read from per-rank timestamps over 512 steps of BenchmarkDecodeStep/B=1 on
+// a 2-vCPU host: its exchanges are a median 135 µs apart (the owner's wo and
+// FFN, then its next QKV), 160–180 µs at the 90th percentile, and its
+// commands 130–170 µs apart at the 75th to 90th percentiles. Woken from a
+// park, such a rank ran 2–11 µs after the send at the median and 50–65 µs
+// after it at the 90th percentile.
+// BenchmarkMailboxHandoff prices the hop itself on that host: a polled
+// round trip costs about half a parked one when the echo answers at once,
+// and about 3 µs less when it answers 100 µs late, as the owner's FFN does.
 //
 // It stays bounded: a processor whose goroutine polls finds that goroutine
 // on the global run queue at every turn, so it neither steals another

@@ -113,8 +113,8 @@ func stockWaitRecords(n int) {
 // serve is rank r's goroutine: one command at a time until the plane stops.
 // Between commands the rank polls its channel for transport.PollBudget before
 // it parks, as its mailbox receives do, so that the next decode step's
-// command, which the coordinator sends a few hundred microseconds after the
-// last reply, finds the rank running rather than asleep. The TCP plane's
+// command, which at B = 1 comes up to 170 µs after the last reply of the rank
+// that does not own the token, finds the rank running. The TCP plane's
 // ranks park on their control connection instead (transport.PollBudget says
 // why).
 func (m *memRanks) serve(r int) {
