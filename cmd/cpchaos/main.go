@@ -24,7 +24,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -34,7 +33,6 @@ import (
 	"os/exec"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/chaos"
@@ -230,57 +228,25 @@ func soakOnce(cfg transformer.Config, sched *chaos.Schedule, seed int64, session
 	if err != nil {
 		return nil, err
 	}
-	type workerProc struct {
-		cmd   *exec.Cmd
-		stdin io.WriteCloser
-	}
-	workers := make([]*workerProc, ranks)
-	addrs := make([]string, ranks)
-	defer func() {
-		for _, w := range workers {
-			if w != nil {
-				w.cmd.Process.Kill()
-				w.cmd.Wait()
-			}
-		}
-	}()
-	for i := 0; i < ranks; i++ {
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(),
+	workers := make([]*exec.Cmd, ranks)
+	for i := range workers {
+		workers[i] = exec.Command(exe)
+		workers[i].Env = append(os.Environ(),
 			fmt.Sprintf("%s=%d", workerEnv, i),
 			fmt.Sprintf("%s=%s", schedEnv, sched.String()),
 			fmt.Sprintf("%s=%d", seedEnv, seed),
 		)
-		cmd.Stderr = os.Stderr
-		stdin, err := cmd.StdinPipe()
-		if err != nil {
-			return nil, err
-		}
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			return nil, fmt.Errorf("starting worker %d: %w", i, err)
-		}
-		workers[i] = &workerProc{cmd: cmd, stdin: stdin}
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if strings.HasPrefix(sc.Text(), "CPRANK_ADDR ") {
-				addrs[i] = strings.TrimPrefix(sc.Text(), "CPRANK_ADDR ")
-				break
-			}
-		}
-		if addrs[i] == "" {
-			return nil, fmt.Errorf("worker %d exited before reporting its address", i)
-		}
 	}
-	list := strings.Join(addrs, ",") + "\n"
-	for _, w := range workers {
-		if _, err := io.WriteString(w.stdin, list); err != nil {
-			return nil, err
-		}
+	addrs, err := transformer.StartWorkers(workers)
+	if err != nil {
+		return nil, err
 	}
+	defer func() {
+		for _, cmd := range workers {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	}()
 
 	srv, err := server.New(server.Config{
 		Transformer:   cfg,
@@ -349,8 +315,8 @@ func soakOnce(cfg transformer.Config, sched *chaos.Schedule, seed int64, session
 	// crashes, rejoins and all — must exit cleanly.
 	srv.Close()
 	closed = true
-	for i, w := range workers {
-		if err := w.cmd.Wait(); err != nil {
+	for i, cmd := range workers {
+		if err := cmd.Wait(); err != nil {
 			return nil, fmt.Errorf("worker %d exit: %w", i, err)
 		}
 	}

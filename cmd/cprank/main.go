@@ -44,7 +44,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "listen address (used when -addrs is empty)")
 	addrs := flag.String("addrs", "", "comma-separated addresses of every rank, index = rank id; empty = stdin/stdout rendezvous")
 	seed := flag.Int64("seed", 1, "weight seed (must match the coordinator)")
-	kvCapacity := flag.Int("kv-capacity", 0, "per-rank per-layer KV cache capacity in tokens (must match the coordinator; 0 = unlimited)")
+	kvCapacity := flag.Int("kv-capacity", 0, "per-rank KV capacity in tokens, the same for every layer's cache (must match the coordinator; 0 = unlimited)")
 	recvTimeout := flag.Duration("recv-timeout", 0, "ring receive deadline (0 = default)")
 	rendezvous := flag.Duration("rendezvous-timeout", 15*time.Second, "mesh-formation deadline")
 	workers := flag.Int("workers", 0, "attention kernel worker-pool width (0 = GOMAXPROCS; env CP_WORKERS also applies)")

@@ -50,7 +50,7 @@ func main() {
 	maxTokens := flag.Int("max-tokens", 4096, "cap on a single generate's max_tokens")
 	prefixCache := flag.Int("prefix-cache", server.DefaultPrefixCacheTokens,
 		"token budget of the prefix KV-reuse tree (released sessions detach into it); <= 0 disables")
-	kvCapacity := flag.Int("kv-capacity", 0, "per-rank per-layer KV cache capacity in tokens (0 = unlimited)")
+	kvCapacity := flag.Int("kv-capacity", 0, "per-rank KV capacity in tokens, the same for every layer's cache (0 = unlimited)")
 	recvTimeout := flag.Duration("recv-timeout", 0, "cluster comm receive deadline (0 = default)")
 	workers := flag.Int("workers", 0, "attention kernel worker-pool width (0 = GOMAXPROCS; env CP_WORKERS also applies)")
 	rankAddrs := flag.String("rank-addrs", "", "comma-separated cprank worker addresses, index = rank id: coordinate these worker processes instead of simulating ranks in-process")

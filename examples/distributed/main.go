@@ -16,14 +16,11 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"os/exec"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/comm"
@@ -71,46 +68,18 @@ func runCoordinator() error {
 		return err
 	}
 	fmt.Printf("spawning %d cprank worker processes on localhost...\n", ranks)
-	type workerProc struct {
-		cmd   *exec.Cmd
-		stdin io.WriteCloser
+	cmds := make([]*exec.Cmd, ranks)
+	for i := range cmds {
+		cmds[i] = exec.Command(exe)
+		cmds[i].Env = append(os.Environ(), fmt.Sprintf("%s=%d", workerEnv, i))
 	}
-	workers := make([]*workerProc, ranks)
-	addrs := make([]string, ranks)
-	for i := 0; i < ranks; i++ {
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%d", workerEnv, i))
-		cmd.Stderr = os.Stderr
-		stdin, err := cmd.StdinPipe()
-		if err != nil {
-			return err
-		}
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			return err
-		}
-		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("starting worker %d: %w", i, err)
-		}
-		workers[i] = &workerProc{cmd: cmd, stdin: stdin}
-		defer func(w *workerProc) { w.cmd.Process.Kill(); w.cmd.Wait() }(workers[i])
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if strings.HasPrefix(sc.Text(), "CPRANK_ADDR ") {
-				addrs[i] = strings.TrimPrefix(sc.Text(), "CPRANK_ADDR ")
-				break
-			}
-		}
-		if addrs[i] == "" {
-			return fmt.Errorf("worker %d exited before reporting its address", i)
-		}
+	addrs, err := transformer.StartWorkers(cmds)
+	if err != nil {
+		return err
+	}
+	for i, cmd := range cmds {
+		defer func() { cmd.Process.Kill(); cmd.Wait() }()
 		fmt.Printf("  rank %d: pid %d @ %s\n", i, cmd.Process.Pid, addrs[i])
-	}
-	list := strings.Join(addrs, ",") + "\n"
-	for _, w := range workers {
-		if _, err := io.WriteString(w.stdin, list); err != nil {
-			return err
-		}
 	}
 
 	cfg := transformer.Tiny(seed)
@@ -295,8 +264,8 @@ func runCoordinator() error {
 	if err := dist.Close(); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	for i, wp := range workers {
-		if err := wp.cmd.Wait(); err != nil {
+	for i, cmd := range cmds {
+		if err := cmd.Wait(); err != nil {
 			return fmt.Errorf("worker %d exit: %w", i, err)
 		}
 	}

@@ -75,8 +75,8 @@ func goldenPayloads() []namedPayload {
 		{"decoderesult", &DecodeResult{Flat: []float32{1, float32(math.Inf(1)), -0.5}, Err: ""}},
 		{"decoderesult-token", &DecodeResult{IDs: []int32{7, -1}, Err: ""}},
 		{"ack", &Ack{Err: "boom"}},
-		{"detachresult", &DetachResult{PerLayer: []int{16, 16}, Err: "x"}},
-		{"capresult", &CapResult{Capacity: 128, Avail: []int{3, 4}, Overhead: [][]int{{0, 1}, {2, 0}}, Err: "cap"}},
+		{"detachresult", &DetachResult{Tokens: 16, Err: "x"}},
+		{"capresult", &CapResult{Avail: 3, Overhead: []int{1, 2}, Err: "cap"}},
 		{"statsresult", &StatsResult{
 			CacheTokens: 77, Assembly: []int64{1, 2, 3, 4, 5},
 			Kinds: []string{"allgather", "sendrecv"}, Msgs: []int64{3, 9}, Bytes: []float64{12.5, 900},
@@ -235,8 +235,8 @@ func largerPayloads() []any {
 		&PrefillResult{Logits: goldenTensor(4, 1, 5, 9), IDs: []int32{1, 2, 3, 4, 5}, Err: "a longer error than any golden one"},
 		&DecodeResult{Flat: []float32{9, 8, 7, 6, 5, 4, 3}, IDs: []int32{6, 5, 4, 3}, Err: "decode failed"},
 		&Ack{Err: "a longer error than any golden one"},
-		&DetachResult{PerLayer: ints(5, 16), Err: "detach failed"},
-		&CapResult{Capacity: 7, Avail: ints(4, 1), Overhead: [][]int{ints(4, 0), ints(4, 1), ints(4, 2)}, Err: "capacity"},
+		&DetachResult{Tokens: 16, Err: "detach failed"},
+		&CapResult{Avail: 7, Overhead: ints(4, 1), Err: "capacity"},
 		&StatsResult{
 			CacheTokens: 1, Assembly: []int64{9, 8, 7, 6, 5, 4},
 			Kinds: []string{"all2all", "allgather", "sendrecv"}, Msgs: []int64{1, 2, 3}, Bytes: []float64{1, 2, 3},

@@ -60,7 +60,9 @@ const Magic = 0x43505257 // "CPRW"
 // and results carry the sampled rows' token ids when the mode asks for them.
 // Version 7 folded the trace drain into StatsResult: TraceCmd and TraceResult
 // are gone, and one stats round trip carries a rank's spans and series.
-const Version = 7
+// Version 8 states KV capacity in rank units: CapResult carries one free-row
+// count and one overhead per sequence, DetachResult one token count.
+const Version = 8
 
 // DefaultMaxFrame bounds a single frame's encoded size (length prefix
 // included). Loopback KV tiles at laptop scale are kilobytes; anything near
@@ -257,19 +259,20 @@ type DecodeResult struct {
 // Ack acknowledges a command with no payload.
 type Ack struct{ Err string }
 
-// DetachResult reports the per-layer token counts a detach pinned on one
-// rank, so the coordinator can validate the cross-rank boundary invariant.
+// DetachResult reports the tokens a detach pinned below its boundary on one
+// rank (every layer pins the same count, or the detach fails), so the
+// coordinator can check that the ranks' counts sum to the boundary.
 type DetachResult struct {
-	PerLayer []int
-	Err      string
+	Tokens int
+	Err    string
 }
 
-// CapResult answers a CapQueryCmd: per-layer free rows and, per queried
-// sequence, the per-layer copy-on-write append overhead.
+// CapResult answers a CapQueryCmd in rank units: the rank's free KV rows,
+// the smallest count over its layers, and per queried sequence the rows its
+// next append clones on copy-on-write, the largest count over its layers.
 type CapResult struct {
-	Capacity int
-	Avail    []int   // [layer]
-	Overhead [][]int // [seqIdx][layer]
+	Avail    int
+	Overhead []int // [seqIdx]
 	Err      string
 }
 
@@ -424,15 +427,14 @@ func (m *Ack) walk(c *codec) byte {
 }
 
 func (m *DetachResult) walk(c *codec) byte {
-	ints(c, &m.PerLayer)
+	num(c, &m.Tokens, 8)
 	c.str(&m.Err)
 	return tDetachResult
 }
 
 func (m *CapResult) walk(c *codec) byte {
-	num(c, &m.Capacity, 8)
-	ints(c, &m.Avail)
-	c.intss(&m.Overhead)
+	num(c, &m.Avail, 8)
+	ints(c, &m.Overhead)
 	c.str(&m.Err)
 	return tCapResult
 }

@@ -173,8 +173,8 @@ func TestControlFrameRoundTrip(t *testing.T) {
 		&ShutdownCmd{},
 		&DecodeResult{Flat: []float32{1, 2, 3}, Err: ""},
 		&Ack{Err: "boom"},
-		&DetachResult{PerLayer: []int{16, 16}},
-		&CapResult{Capacity: 128, Avail: []int{3, 4}, Overhead: [][]int{{0, 1}, {2, 0}}, Err: ""},
+		&DetachResult{Tokens: 16},
+		&CapResult{Avail: 3, Overhead: []int{1, 2}, Err: ""},
 		&StatsResult{
 			CacheTokens: 77, Assembly: []int64{1, 2, 3, 4, 5},
 			Kinds: []string{"allgather", "sendrecv"}, Msgs: []int64{3, 9}, Bytes: []float64{12.5, 900},

@@ -42,8 +42,8 @@ type Config struct {
 	// PrefixCacheTokens bounds the prefix KV-reuse tree released sessions
 	// detach into. 0 = default budget; negative disables prefix reuse.
 	PrefixCacheTokens int
-	// KVCapacity caps every per-rank per-layer KV cache in tokens (the
-	// simulated HBM budget). 0 = unlimited.
+	// KVCapacity caps each rank's KV in tokens (the simulated HBM budget;
+	// every layer's cache gets the cap). 0 = unlimited.
 	KVCapacity int
 	// RecvTimeout overrides the cluster's communication receive deadline.
 	// 0 = comm.DefaultRecvTimeout. In distributed mode the workers own

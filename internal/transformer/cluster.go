@@ -120,8 +120,9 @@ func WithRecvTimeout(d time.Duration) ClusterOption {
 	}
 }
 
-// WithKVCapacity caps every per-rank per-layer KV cache at the given token
-// count — the simulated equivalent of each rank's HBM budget. Prefill and
+// WithKVCapacity caps each rank's KV at the given token count — the
+// simulated equivalent of each rank's HBM budget; every layer's cache holds
+// the same rows, so each gets the same cap. Prefill and
 // decode precheck the cap before entering a ring and fail with a
 // CapacityError naming the sequences that do not fit, so a capacity fault
 // never strands peer ranks mid-ring or leaves partial KV behind.
@@ -411,8 +412,10 @@ func (c *Cluster) prefillCmd(seqIDs []int, tokens [][]int, variant model.Variant
 		}
 		variant = model.ChooseVariant(m, T, P)
 	}
-	if err := c.prefillCapacityCheck(plan, seqIDs); err != nil {
-		return nil, nil, err
+	if c.kvCapacity > 0 {
+		if err := c.checkCapacity(seqIDs, prefillNeed(plan, len(seqIDs))); err != nil {
+			return nil, nil, err
+		}
 	}
 	cmd.Seqs, cmd.Tokens, cmd.Variant, cmd.Reply = seqIDs, tokens, int(variant), reply
 	results, err := collectInto(c, cmd, c.prefRes)
@@ -478,130 +481,72 @@ func checkID(r int, id int32, vocab int) (int, error) {
 	return int(id), nil
 }
 
-// capSnapshot holds the admission-control inputs of every rank: free rows
-// per (rank, layer) and copy-on-write append overhead per (rank, batch
-// sequence, layer). nil means capacity limits are off.
-type capSnapshot struct {
-	avail    [][]int   // [rank][layer]
-	overhead [][][]int // [rank][seqIdx][layer]
-}
-
-// capInputs queries every rank for the snapshot of the listed batch
-// sequences. The command stream is single-threaded, so the snapshot cannot
-// go stale between the check and the ring pass.
-func (c *Cluster) capInputs(seqIDs []int) (*capSnapshot, error) {
-	if c.kvCapacity <= 0 {
-		return nil, nil
-	}
-	results, err := collect[*wire.CapResult](c, &wire.CapQueryCmd{Seqs: seqIDs})
-	if err != nil {
-		return nil, err
-	}
-	snap := &capSnapshot{avail: make([][]int, c.n), overhead: make([][][]int, c.n)}
-	for r, res := range results {
-		snap.avail[r], snap.overhead[r] = res.Avail, res.Overhead
-	}
-	return snap, nil
-}
-
-// prefillCapacityCheck verifies, before any ring pass, that every rank can
-// absorb its shard of the batch's new KV on every layer. Sequences are
-// admitted greedily in batch order; the ones that do not fit are returned in
-// a CapacityError with no cache mutated, so a capacity fault quarantines
-// exactly the offending sequences instead of poisoning the batch mid-ring.
-func (c *Cluster) prefillCapacityCheck(plan *sharding.BatchShard, seqIDs []int) error {
-	snap, err := c.capInputs(seqIDs)
-	if err != nil {
-		return err
-	}
-	if snap == nil {
-		return nil
-	}
-	n := c.n
-	layers := len(snap.avail[0])
-	// rows[r][i] = new non-padding KV rows of batch sequence i on rank r.
-	rows := make([][]int, n)
-	for r := 0; r < n; r++ {
-		rows[r] = make([]int, len(seqIDs))
+// prefillNeed counts, per rank, the KV rows each batch sequence of a prefill
+// appends there: need[r][i] is the plan's non-padding slots of sequence i on
+// rank r.
+func prefillNeed(plan *sharding.BatchShard, seqs int) [][]int {
+	need := make([][]int, plan.N)
+	for r := range need {
+		need[r] = make([]int, seqs)
 		lp := plan.LocalPositions(r)
-		ls := plan.LocalSeqs(r)
-		for slot, s := range ls {
+		for slot, s := range plan.LocalSeqs(r) {
 			if lp[slot] != sharding.Pad {
-				rows[r][s]++
+				need[r][s]++
 			}
 		}
 	}
-	avail := make([][]int, n)
-	for r := 0; r < n; r++ {
-		avail[r] = append([]int(nil), snap.avail[r]...)
+	return need
+}
+
+// checkCapacity runs the KV capacity precheck of a prefill or decode command
+// before it reaches a rank: it asks every rank for its free rows and the
+// batch's copy-on-write overheads, then admits the sequences with admit. The
+// command stream is single-threaded, so the answers cannot go stale between
+// the check and the ring pass. need[r][i] is the rows batch sequence i
+// appends on rank r.
+func (c *Cluster) checkCapacity(seqIDs []int, need [][]int) error {
+	results, err := collect[*wire.CapResult](c, &wire.CapQueryCmd{Seqs: seqIDs})
+	if err != nil {
+		return err
 	}
-	// A rank whose shard of a sequence is all padding appends nothing and
-	// triggers no copy-on-write, so it must not be charged the overhead.
-	need := func(r, l, i int) int {
-		if rows[r][i] == 0 {
+	avail := make([]int, c.n)
+	overhead := make([][]int, c.n)
+	for r, res := range results {
+		if len(res.Overhead) != len(seqIDs) {
+			return fmt.Errorf("transformer: rank %d returned %d capacity overheads for %d sequences", r, len(res.Overhead), len(seqIDs))
+		}
+		avail[r], overhead[r] = res.Avail, res.Overhead
+	}
+	return admit(seqIDs, avail, overhead, need)
+}
+
+// admit is the KV admission rule, one greedy for prefill and decode: the
+// sequences are admitted in batch order, and sequence i fits when, on every
+// rank r it appends on, need[r][i] plus its copy-on-write overhead[r][i] is
+// at most what avail[r] has left after the sequences admitted before it. A
+// rank charged no rows appends nothing and clones nothing, so it pays no
+// overhead. The ones that do not fit come back in a CapacityError, in batch
+// order, before any cache is mutated, so a capacity fault sheds exactly them
+// instead of poisoning the batch mid-ring. avail is consumed.
+func admit(seqIDs, avail []int, overhead, need [][]int) error {
+	charge := func(r, i int) int {
+		if need[r][i] == 0 {
 			return 0
 		}
-		return rows[r][i] + snap.overhead[r][i][l]
+		return need[r][i] + overhead[r][i]
 	}
 	var offending []int
 	for i, id := range seqIDs {
 		fits := true
-		for r := 0; r < n && fits; r++ {
-			for l := 0; l < layers; l++ {
-				if need(r, l, i) > avail[r][l] {
-					fits = false
-					break
-				}
-			}
+		for r := range avail {
+			fits = fits && charge(r, i) <= avail[r]
 		}
 		if !fits {
 			offending = append(offending, id)
 			continue
 		}
-		for r := 0; r < n; r++ {
-			for l := 0; l < layers; l++ {
-				avail[r][l] -= need(r, l, i)
-			}
-		}
-	}
-	if len(offending) > 0 {
-		return &CapacityError{Seqs: offending}
-	}
-	return nil
-}
-
-// decodeCapacityCheck is the decode-side precheck: each sequence appends one
-// KV row per layer on its owner rank this step (c.owners holds cmd's
-// assignment). Returns a CapacityError with
-// the sequences that do not fit, before any cache mutation.
-func (c *Cluster) decodeCapacityCheck(cmd *wire.DecodeCmd) error {
-	snap, err := c.capInputs(cmd.Seqs)
-	if err != nil {
-		return err
-	}
-	if snap == nil {
-		return nil
-	}
-	layers := len(snap.avail[0])
-	var offending []int
-	for r, owned := range c.owners.owned {
-		avail := append([]int(nil), snap.avail[r]...)
-		for j, tok := range owned {
-			row := c.owners.rows[r][j]
-			fits := true
-			for l := 0; l < layers; l++ {
-				if 1+snap.overhead[r][row][l] > avail[l] {
-					fits = false
-					break
-				}
-			}
-			if !fits {
-				offending = append(offending, tok.Seq)
-				continue
-			}
-			for l := 0; l < layers; l++ {
-				avail[l] -= 1 + snap.overhead[r][row][l]
-			}
+		for r := range avail {
+			avail[r] -= charge(r, i)
 		}
 	}
 	if len(offending) > 0 {
@@ -690,8 +635,18 @@ func (c *Cluster) decode(seqs []int, tokens []int, reply wire.Reply) ([]*wire.De
 		cmd.Owners[i] = sharding.DecodeOwner(seqOwnerOffset(seq), c.decodeSteps[seq], c.n)
 	}
 	c.owners.assign(cmd, c.n)
-	if err := c.decodeCapacityCheck(cmd); err != nil {
-		return nil, err
+	if c.kvCapacity > 0 {
+		// Each sequence appends one row, on its owner rank.
+		need := make([][]int, c.n)
+		for r := range need {
+			need[r] = make([]int, b)
+		}
+		for i, r := range cmd.Owners {
+			need[r][i] = 1
+		}
+		if err := c.checkCapacity(seqs, need); err != nil {
+			return nil, err
+		}
 	}
 	results, err := collectInto(c, cmd, c.decodeRes)
 	if err != nil {
@@ -782,9 +737,10 @@ func (c *Cluster) releasePrefix(id uint64) {
 // DetachPrefix pins the first upTo tokens of a resident sequence into a
 // PrefixKV without copying. upTo must be a boundary the sequence prefilled
 // across in canonical order — every rank's rows below it must form an
-// append-order prefix and the per-layer rank total must equal upTo — or the
-// adopted KV could not replay a cold prefill's placement. The caller may
-// Drop the sequence afterwards; the handle keeps the pages alive.
+// append-order prefix, every layer must hold the same rows, and the ranks'
+// counts must sum to upTo — or the adopted KV could not replay a cold
+// prefill's placement. The caller may Drop the sequence afterwards; the
+// handle keeps the pages alive.
 func (c *Cluster) DetachPrefix(seq, upTo int) (*PrefixKV, error) {
 	total, ok := c.seqLens[seq]
 	if !ok {
@@ -795,24 +751,19 @@ func (c *Cluster) DetachPrefix(seq, upTo int) (*PrefixKV, error) {
 	}
 	c.prefixSeq++
 	id := c.prefixSeq
-	// perRank[r].PerLayer[l] = tokens rank r pinned below the boundary on
-	// layer l. A rank that failed pinned nothing; the others must let go.
+	// A rank that failed pinned nothing; the others must let go.
 	perRank, err := collect[*wire.DetachResult](c, &wire.DetachCmd{Seq: seq, UpTo: upTo, ID: id})
 	if err != nil {
 		c.releasePrefix(id)
 		return nil, err
 	}
-	layers := len(perRank[0].PerLayer)
-	for l := 0; l < layers; l++ {
-		n := 0
-		for r := range perRank {
-			n += perRank[r].PerLayer[l]
-		}
-		if n != upTo {
-			c.releasePrefix(id)
-			return nil, fmt.Errorf("transformer: sequence %d holds %d of %d tokens below the detach bound on layer %d",
-				seq, n, upTo, l)
-		}
+	n := 0
+	for _, res := range perRank {
+		n += res.Tokens
+	}
+	if n != upTo {
+		c.releasePrefix(id)
+		return nil, fmt.Errorf("transformer: sequence %d holds %d of %d tokens below the detach bound", seq, n, upTo)
 	}
 	return &PrefixKV{tokens: upTo, id: id, c: c, epoch: c.epoch}, nil
 }

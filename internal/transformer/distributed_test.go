@@ -1,9 +1,7 @@
 package transformer
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"os"
@@ -361,7 +359,10 @@ func TestDistributedGenerateStream(t *testing.T) {
 
 // TestDistributedCapacityParity checks that the coordinator-side admission
 // greedy (fed by control-plane capacity queries) sheds exactly the same
-// sequences as the in-process precheck.
+// sequences as the in-process precheck: on a prefill, on a fused decode
+// whose two sequences share an owner rank with room for one, and on an
+// append to an adopted prefix whose tail page is shared, which the query
+// charges as copy-on-write overhead.
 func TestDistributedCapacityParity(t *testing.T) {
 	cfg := Tiny(5)
 	const n, capTokens = 2, 24
@@ -375,6 +376,19 @@ func TestDistributedCapacityParity(t *testing.T) {
 	}
 	dist := startLoopbackCluster(t, cfg, n, capTokens)
 
+	// Two sequences whose step-0 decode tokens both land on rank 0.
+	a, b := -1, -1
+	for id := 10; b < 0; id++ {
+		if DecodeOwnerRank(id, 0, n) != 0 {
+			continue
+		}
+		if a < 0 {
+			a = id
+		} else {
+			b = id
+		}
+	}
+	const filler, donor, adopter = 3, 4, 5
 	run := func(c *Cluster) []error {
 		var errs []error
 		_, err := c.Prefill(1, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, model.PassKV)
@@ -382,10 +396,41 @@ func TestDistributedCapacityParity(t *testing.T) {
 		// Second sequence overflows the per-rank budget.
 		_, err = c.Prefill(2, make([]int, 40), model.PassKV)
 		errs = append(errs, err)
+		// 6 + 8 + 8 rows on each rank, and the one-token filler's row on
+		// rank 0: the owner rank has room for one decode row.
+		for _, p := range []struct{ seq, len int }{{a, 16}, {b, 16}, {filler, 1}} {
+			_, err = c.Prefill(p.seq, make([]int, p.len), model.PassKV)
+			errs = append(errs, err)
+		}
+		_, err = c.DecodeBatch([]int{a, b}, []int{1, 1})
+		errs = append(errs, err)
+		for _, seq := range []int{1, a, b, filler} {
+			c.Drop(seq)
+		}
+		// A 12-token prefix leaves 6 rows on each rank, mid-page: the
+		// adopter's first append clones them.
+		_, err = c.Prefill(donor, make([]int, 12), model.PassKV)
+		errs = append(errs, err)
+		pre, err := c.DetachPrefix(donor, 12)
+		errs = append(errs, err)
+		if err != nil {
+			return errs
+		}
+		defer pre.Release()
+		c.Drop(donor)
+		errs = append(errs, c.AdoptPrefix(adopter, pre))
+		// 14 new rows a rank fit the 18 free ones only without the 6 cloned.
+		_, err = c.Prefill(adopter, make([]int, 28), model.PassKV)
+		errs = append(errs, err)
+		_, err = c.Prefill(adopter, make([]int, 8), model.PassKV)
+		errs = append(errs, err)
 		return errs
 	}
 	refErrs := run(ref)
 	distErrs := run(dist)
+	if len(refErrs) != len(distErrs) {
+		t.Fatalf("in-process ran %d operations, distributed %d", len(refErrs), len(distErrs))
+	}
 	for i := range refErrs {
 		re, de := refErrs[i], distErrs[i]
 		if (re == nil) != (de == nil) {
@@ -395,11 +440,19 @@ func TestDistributedCapacityParity(t *testing.T) {
 			t.Fatalf("op %d: error text %q vs %q", i, re.Error(), de.Error())
 		}
 	}
-	if refErrs[1] == nil {
-		t.Fatal("overflow prefill unexpectedly fit")
+	// The operations that shed, and the sequences each one names.
+	shed := map[int][]int{1: {2}, 5: {b}, 9: {adopter}}
+	if len(refErrs) != 11 {
+		t.Fatalf("ran %d operations, want 11", len(refErrs))
 	}
-	if !strings.Contains(refErrs[1].Error(), "KV capacity exhausted") {
-		t.Fatalf("overflow error = %v", refErrs[1])
+	for i, err := range refErrs {
+		var want error
+		if seqs, ok := shed[i]; ok {
+			want = &CapacityError{Seqs: seqs}
+		}
+		if fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Fatalf("op %d: err %v, want %v", i, err, want)
+		}
 	}
 }
 
@@ -483,51 +536,20 @@ func TestThreeProcessBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Skipf("cannot re-exec test binary: %v", err)
 	}
-	type worker struct {
-		cmd   *exec.Cmd
-		stdin io.WriteCloser
-		out   *bufio.Reader
+	workers := make([]*exec.Cmd, n)
+	for i := range workers {
+		workers[i] = exec.Command(exe, "-test.run=TestHelperRankWorker$", "-test.v=false")
+		workers[i].Env = append(os.Environ(), fmt.Sprintf("%s=%d/%d/%d", rankWorkerEnv, i, n, seed))
 	}
-	workers := make([]*worker, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		cmd := exec.Command(exe, "-test.run=TestHelperRankWorker$", "-test.v=false")
-		cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%d/%d/%d", rankWorkerEnv, i, n, seed))
-		cmd.Stderr = os.Stderr
-		stdin, err := cmd.StdinPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("starting worker %d: %v", i, err)
-		}
-		w := &worker{cmd: cmd, stdin: stdin, out: bufio.NewReader(stdout)}
-		workers[i] = w
+	addrs, err := StartWorkers(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range workers {
 		t.Cleanup(func() {
-			w.cmd.Process.Kill()
-			w.cmd.Wait()
+			cmd.Process.Kill()
+			cmd.Wait()
 		})
-		// The worker prints its bound address before joining the mesh.
-		for {
-			line, err := w.out.ReadString('\n')
-			if err != nil {
-				t.Fatalf("worker %d exited before printing its address: %v", i, err)
-			}
-			if strings.HasPrefix(line, "CPRANK_ADDR ") {
-				addrs[i] = strings.TrimSpace(strings.TrimPrefix(line, "CPRANK_ADDR "))
-				break
-			}
-		}
-	}
-	list := strings.Join(addrs, ",") + "\n"
-	for _, w := range workers {
-		if _, err := io.WriteString(w.stdin, list); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	wts, err := NewWeights(cfg)
@@ -577,9 +599,9 @@ func TestThreeProcessBitIdentity(t *testing.T) {
 	if err := dist.Close(); err != nil {
 		t.Errorf("close: %v", err)
 	}
-	for i, w := range workers {
+	for i, cmd := range workers {
 		done := make(chan error, 1)
-		go func() { done <- w.cmd.Wait() }()
+		go func() { done <- cmd.Wait() }()
 		select {
 		case err := <-done:
 			if err != nil {

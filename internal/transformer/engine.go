@@ -3,6 +3,7 @@ package transformer
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"repro/internal/attention"
@@ -321,27 +322,32 @@ func (e *rankEngine) drop(seq int) {
 }
 
 // detach pins the first upTo tokens of a resident sequence into the prefix
-// registry under id, returning the per-layer token counts this rank holds
-// below the boundary (the coordinator validates the cross-rank sums).
-func (e *rankEngine) detach(id uint64, seq, upTo int) ([]int, error) {
+// registry under id and returns how many of them this rank holds (the
+// coordinator checks that the ranks' counts sum to upTo). Every layer must
+// pin the same count: a rank whose layers disagree releases what it pinned
+// and fails.
+func (e *rankEngine) detach(id uint64, seq, upTo int) (int, error) {
 	if _, ok := e.prefixes[id]; ok {
-		return nil, fmt.Errorf("transformer: prefix id %d already exists", id)
+		return 0, fmt.Errorf("transformer: prefix id %d already exists", id)
 	}
 	spans := make([]*kvcache.Span, len(e.caches))
-	perLayer := make([]int, len(e.caches))
 	for l, kc := range e.caches {
 		sp, err := kc.AcquireSpan(seq, upTo)
+		if err == nil && l > 0 && sp.Tokens() != spans[0].Tokens() {
+			sp.Release()
+			err = fmt.Errorf("transformer: sequence %d holds %d tokens below the detach bound on layer %d, %d on layer 0",
+				seq, sp.Tokens(), l, spans[0].Tokens())
+		}
 		if err != nil {
 			for _, acquired := range spans[:l] {
 				acquired.Release()
 			}
-			return nil, err
+			return 0, err
 		}
 		spans[l] = sp
-		perLayer[l] = sp.Tokens()
 	}
 	e.prefixes[id] = spans
-	return perLayer, nil
+	return spans[0].Tokens(), nil
 }
 
 // adopt seeds a new sequence from a detached prefix's spans. Partial
@@ -368,22 +374,20 @@ func (e *rankEngine) releasePrefix(id uint64) {
 	delete(e.prefixes, id)
 }
 
-// capacity returns the per-layer KV cache capacity (0 = unlimited).
-func (e *rankEngine) capacity() int { return e.caches[0].Capacity() }
-
-// capInfo snapshots the admission-control inputs for the listed sequences:
-// per-layer free rows and per-(sequence, layer) copy-on-write append
-// overhead.
-func (e *rankEngine) capInfo(seqs []int) (avail []int, overhead [][]int) {
-	avail = make([]int, len(e.caches))
-	for l, kc := range e.caches {
-		avail[l] = kc.Capacity() - kc.TotalTokens()
+// capInfo snapshots the admission-control inputs for the listed sequences
+// in rank units: the rank's free rows, the smallest count over its layers,
+// and each sequence's copy-on-write append overhead, the largest over its
+// layers. The layers agree unless a command failed part-way; the smallest
+// and largest then keep the admission rule strict.
+func (e *rankEngine) capInfo(seqs []int) (avail int, overhead []int) {
+	avail = math.MaxInt
+	for _, kc := range e.caches {
+		avail = min(avail, kc.Capacity()-kc.TotalTokens())
 	}
-	overhead = make([][]int, len(seqs))
+	overhead = make([]int, len(seqs))
 	for i, seq := range seqs {
-		overhead[i] = make([]int, len(e.caches))
-		for l, kc := range e.caches {
-			overhead[i][l] = kc.AppendOverhead(seq)
+		for _, kc := range e.caches {
+			overhead[i] = max(overhead[i], kc.AppendOverhead(seq))
 		}
 	}
 	return avail, overhead

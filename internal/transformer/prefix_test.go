@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/tensor"
 )
 
 // chunkedPrefill runs a canonical chunked prefill — absolute budget-aligned
@@ -281,6 +282,68 @@ search:
 	// Nothing was appended; shedding the offender lets the rest decode.
 	if _, err := c.DecodeBatch([]int{a}, []int{1}); err != nil {
 		t.Fatalf("survivor decode failed: %v", err)
+	}
+}
+
+// TestRankCapacityAfterPartialAppend drives one rank engine into the state a
+// command that failed part-way leaves: an append that reached layer 0 only.
+// The capacity query then reports the smallest free-row count and the
+// largest copy-on-write overhead over the layers, and a detach whose layers
+// pin different counts fails and lets go of what it pinned.
+func TestRankCapacityAfterPartialAppend(t *testing.T) {
+	w, err := NewWeights(Tiny(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := w.Cfg.Model
+	if m.Layers < 2 {
+		t.Fatalf("Tiny has %d layers, the check needs 2", m.Layers)
+	}
+	e, err := newRankEngine(w, 32, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(from, n int) (*tensor.Tensor, *tensor.Tensor, []int) {
+		pos := make([]int, n)
+		for i := range pos {
+			pos[i] = from + i
+		}
+		return tensor.New(n, m.NumKV, m.HeadDim), tensor.New(n, m.NumKV, m.HeadDim), pos
+	}
+	k, v, pos := rows(0, 6)
+	for _, kc := range e.caches {
+		if err := kc.Append(1, k, v, pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Sequence 2 adopts the 6 rows, mid-page: its next append clones them.
+	if got, err := e.detach(1, 1, 6); err != nil || got != 6 {
+		t.Fatalf("detach = %d, %v; want 6 tokens", got, err)
+	}
+	if err := e.adopt(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if avail, overhead := e.capInfo([]int{2}); avail != 26 || overhead[0] != 6 {
+		t.Fatalf("capInfo = %d, %v; want 26, [6]", avail, overhead)
+	}
+	k, v, pos = rows(6, 3)
+	if err := e.caches[0].Append(2, k, v, pos); err != nil {
+		t.Fatal(err)
+	}
+	// Layer 0 holds 6 + 9 rows and owes no clone; the others hold 6 and owe 6.
+	if avail, overhead := e.capInfo([]int{2}); avail != 17 || overhead[0] != 6 {
+		t.Fatalf("capInfo after a layer-0 append = %d, %v; want 17, [6]", avail, overhead)
+	}
+	if _, err := e.detach(2, 2, 9); err == nil {
+		t.Fatal("detach across layers that disagree succeeded")
+	}
+	if _, ok := e.prefixes[2]; ok {
+		t.Fatal("failed detach registered its prefix")
+	}
+	// Had layer 0's span survived, it would still pin the clone's 9 rows.
+	e.drop(2)
+	if got := e.caches[0].TotalTokens(); got != 6 {
+		t.Fatalf("layer 0 holds %d rows after the drop, want 6", got)
 	}
 }
 

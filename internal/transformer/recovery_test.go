@@ -1,9 +1,7 @@
 package transformer
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -320,55 +318,24 @@ func TestExecKillRankRecovery(t *testing.T) {
 	if err != nil {
 		t.Skipf("cannot re-exec test binary: %v", err)
 	}
-	spawn := func(rank int, addrs string) (*exec.Cmd, io.WriteCloser, *bufio.Reader) {
+	worker := func(rank int) *exec.Cmd {
 		cmd := exec.Command(exe, "-test.run=TestHelperRejoinWorker$", "-test.v=false")
 		cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%d/%d/%d", rejoinWorkerEnv, rank, n, seed))
-		if addrs != "" {
-			cmd.Env = append(cmd.Env, fmt.Sprintf("%s=%s", rejoinWorkerAddrsEnv, addrs))
-		}
-		cmd.Stderr = os.Stderr
-		stdin, err := cmd.StdinPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("starting worker %d: %v", rank, err)
-		}
-		return cmd, stdin, bufio.NewReader(stdout)
-	}
-	cmds := make([]*exec.Cmd, n)
-	stdins := make([]io.WriteCloser, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		cmd, stdin, out := spawn(i, "")
-		cmds[i], stdins[i] = cmd, stdin
 		t.Cleanup(func() {
 			cmd.Process.Kill()
 			cmd.Wait()
 		})
-		for {
-			line, err := out.ReadString('\n')
-			if err != nil {
-				t.Fatalf("worker %d exited before printing its address: %v", i, err)
-			}
-			if strings.HasPrefix(line, "CPRANK_ADDR ") {
-				addrs[i] = strings.TrimSpace(strings.TrimPrefix(line, "CPRANK_ADDR "))
-				break
-			}
-		}
-		// Surface the helper's test output (t.Fatalf goes to its stdout, not
-		// stderr) so a silent worker death is diagnosable.
-		go io.Copy(os.Stderr, out)
+		return cmd
 	}
-	list := strings.Join(addrs, ",") + "\n"
-	for _, stdin := range stdins {
-		if _, err := io.WriteString(stdin, list); err != nil {
-			t.Fatal(err)
-		}
+	cmds := make([]*exec.Cmd, n)
+	for i := range cmds {
+		cmds[i] = worker(i)
+	}
+	// The helper's test output (t.Fatalf goes to its stdout, not stderr)
+	// reaches stderr, so a silent worker death is diagnosable.
+	addrs, err := StartWorkers(cmds)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	wts, err := NewWeights(cfg)
@@ -426,12 +393,12 @@ func TestExecKillRankRecovery(t *testing.T) {
 
 	// Respawn the dead rank cold (epoch 1 default: it learns the current
 	// epoch from its peers' handshakes) and rebuild on the next epoch.
-	replacement, rin, _ := spawn(1, strings.Join(addrs, ","))
-	defer rin.Close()
-	t.Cleanup(func() {
-		replacement.Process.Kill()
-		replacement.Wait()
-	})
+	replacement := worker(1)
+	replacement.Env = append(replacement.Env, fmt.Sprintf("%s=%s", rejoinWorkerAddrsEnv, strings.Join(addrs, ",")))
+	replacement.Stdout, replacement.Stderr = os.Stderr, os.Stderr
+	if err := replacement.Start(); err != nil {
+		t.Fatalf("starting the replacement worker: %v", err)
+	}
 	if err := dist.Rebuild(); err != nil {
 		t.Fatalf("rebuild after kill: %v", err)
 	}

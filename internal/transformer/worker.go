@@ -8,6 +8,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"os/exec"
 	"strings"
 	"time"
 
@@ -158,6 +159,9 @@ type workerBoot struct {
 	ln         net.Listener // first cycle's listener; nil afterwards
 }
 
+// addrLine starts the line a worker prints its bound address on.
+const addrLine = "CPRANK_ADDR "
+
 func newWorkerBoot(cfg *WorkerConfig) (*workerBoot, error) {
 	ln := cfg.Listener
 	if ln == nil {
@@ -168,7 +172,7 @@ func newWorkerBoot(cfg *WorkerConfig) (*workerBoot, error) {
 		}
 	}
 	if cfg.AddrOut != nil {
-		fmt.Fprintf(cfg.AddrOut, "CPRANK_ADDR %s\n", ln.Addr())
+		fmt.Fprintf(cfg.AddrOut, "%s%s\n", addrLine, ln.Addr())
 	}
 	addrs := cfg.Addrs
 	if addrs == nil {
@@ -184,6 +188,72 @@ func newWorkerBoot(cfg *WorkerConfig) (*workerBoot, error) {
 		addrs = strings.Split(strings.TrimSpace(line), ",")
 	}
 	return &workerBoot{addrs: addrs, listenAddr: ln.Addr().String(), ln: ln}, nil
+}
+
+// StartWorkers starts self-spawned worker processes and runs the parent's
+// side of the address exchange newWorkerBoot runs in each: it reads the
+// CPRANK_ADDR line every worker prints on stdout, then writes the
+// comma-joined list, in command order, to every worker's stdin. Each command
+// runs WorkerMain, or RunWorker with AddrOut and AddrIn on its stdout and
+// stdin, and comes with Stdin, Stdout and Stderr unset: a worker's stderr is
+// this process's, and so is what it prints on stdout after its address.
+// The addresses come back in command order, and the
+// started processes are the caller's to wait for; on failure every worker
+// started is killed and reaped.
+func StartWorkers(cmds []*exec.Cmd) (addrs []string, err error) {
+	var started []*exec.Cmd
+	defer func() {
+		if err != nil {
+			for _, cmd := range started {
+				cmd.Process.Kill()
+				cmd.Wait()
+			}
+		}
+	}()
+	addrs = make([]string, len(cmds))
+	stdins := make([]io.WriteCloser, len(cmds))
+	for i, cmd := range cmds {
+		cmd.Stderr = os.Stderr
+		if stdins[i], err = cmd.StdinPipe(); err != nil {
+			return nil, err
+		}
+		out, w, err := os.Pipe()
+		if err != nil {
+			return nil, err
+		}
+		cmd.Stdout = w
+		err = cmd.Start()
+		w.Close()
+		if err != nil {
+			out.Close()
+			return nil, fmt.Errorf("transformer: starting worker %d: %w", i, err)
+		}
+		started = append(started, cmd)
+		r := bufio.NewReader(out)
+		for addrs[i] == "" {
+			line, err := r.ReadString('\n')
+			if err != nil {
+				out.Close()
+				return nil, fmt.Errorf("transformer: worker %d exited before printing its address: %w", i, err)
+			}
+			if addr, ok := strings.CutPrefix(line, addrLine); ok {
+				addrs[i] = strings.TrimSpace(addr)
+			}
+		}
+		go func() {
+			io.Copy(os.Stderr, r)
+			out.Close()
+		}()
+	}
+	list := strings.Join(addrs, ",") + "\n"
+	for i, stdin := range stdins {
+		_, err := io.WriteString(stdin, list)
+		stdin.Close()
+		if err != nil {
+			return nil, fmt.Errorf("transformer: sending worker %d the address list: %w", i, err)
+		}
+	}
+	return addrs, nil
 }
 
 // listener returns the cycle's listener: the boot (or parked) listener
@@ -391,8 +461,8 @@ func (e *rankEngine) handle(rank *comm.Rank, world *comm.World, v any) (reply an
 		e.drop(cmd.Seq)
 		return &wire.Ack{}, false
 	case *wire.DetachCmd:
-		perLayer, err := e.detach(cmd.ID, cmd.Seq, cmd.UpTo)
-		return &wire.DetachResult{PerLayer: perLayer, Err: errString(err)}, false
+		tokens, err := e.detach(cmd.ID, cmd.Seq, cmd.UpTo)
+		return &wire.DetachResult{Tokens: tokens, Err: errString(err)}, false
 	case *wire.AdoptCmd:
 		return &wire.Ack{Err: errString(e.adopt(cmd.Seq, cmd.ID))}, false
 	case *wire.ReleasePrefixCmd:
@@ -400,7 +470,7 @@ func (e *rankEngine) handle(rank *comm.Rank, world *comm.World, v any) (reply an
 		return &wire.Ack{}, false
 	case *wire.CapQueryCmd:
 		avail, overhead := e.capInfo(cmd.Seqs)
-		return &wire.CapResult{Capacity: e.capacity(), Avail: avail, Overhead: overhead}, false
+		return &wire.CapResult{Avail: avail, Overhead: overhead}, false
 	case *wire.StatsCmd:
 		return e.statsResult(world, rank.ID), false
 	case *wire.ShutdownCmd:
