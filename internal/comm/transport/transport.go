@@ -19,11 +19,11 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/comm/wire"
+	"repro/internal/parallel"
 )
 
 // ErrTimeout reports a send or receive that exceeded its deadline while the
@@ -251,38 +251,21 @@ func (m *Mem) Send(src, dst int, payload any, timeout time.Duration) error {
 // round trip costs about half a parked one when the echo answers at once,
 // and about 3 µs less when it answers 100 µs late, as the owner's FFN does.
 //
-// It stays bounded: a processor whose goroutine polls finds that goroutine
-// on the global run queue at every turn, so it neither steals another
-// processor's work (during prefill a polling rank holds back the other rank's
-// pool fan-out while it polls) nor polls the network. That is also why only
-// the in-process hand-offs poll and the TCP links park: a goroutine waiting
-// on a socket is woken by the network poller, which a processor consults only
+// Those gaps are not idle: the polling rank helps the kernel pool between
+// its looks (parallel.Poll), so the owner's GEMMs stream their weights on
+// both vCPUs and the gap itself shrinks. It stays bounded all the same: a
+// processor whose goroutine polls finds that goroutine on the global run
+// queue at every turn, so it does not poll the network. That is why only the
+// in-process hand-offs poll and the TCP links park: a goroutine waiting on a
+// socket is woken by the network poller, which a processor consults only
 // once it has nothing else to run, so rank and link goroutines polling on
 // every processor would leave a readable socket to sysmon, up to 10 ms later.
 const PollBudget = 200 * time.Microsecond
 
-// Poll is the in-process hand-offs' one poll rule: it yields the processor
-// and looks at ch, turn after turn, until a value arrives or limit has
-// passed, so that a sender who comes within limit hands over to a goroutine
-// that is running rather than one that must be woken. received reports
-// whether a receive happened, and ok whether it delivered a value rather than
-// ch's close. If nothing came, the caller parks on its own terms.
-func Poll[T any](ch <-chan T, limit time.Duration) (v T, ok, received bool) {
-	for start := time.Now(); time.Since(start) < limit; {
-		runtime.Gosched()
-		select {
-		case v, ok = <-ch:
-			return v, ok, true
-		default:
-		}
-	}
-	return v, false, false
-}
-
 // Recv implements Transport. A payload already waiting is returned without
-// arming a timer. An empty mailbox is polled (Poll) for PollBudget first; only
-// then does the receiver arm the mailbox's timer for what is left of timeout
-// and park. Only rank dst receives from its mailboxes, one receive at a time,
+// arming a timer. An empty mailbox is polled (parallel.Poll, which helps the
+// kernel pool meanwhile) for PollBudget first; only then does the receiver
+// arm the mailbox's timer for what is left of timeout and park. Only rank dst receives from its mailboxes, one receive at a time,
 // and Go 1.23+ timers deliver nothing stale after Stop or Reset, so one timer
 // per mailbox, made stopped with the mailbox, serves every parked receive: a
 // receive that parks for the first time allocates nothing either.
@@ -294,7 +277,7 @@ func (m *Mem) Recv(dst, src int, timeout time.Duration) (any, error) {
 	default:
 	}
 	start := time.Now()
-	if v, _, received := Poll(box, min(PollBudget, timeout)); received {
+	if v, _, received := parallel.Poll(box, min(PollBudget, timeout)); received {
 		return v, nil
 	}
 	left := timeout - time.Since(start)

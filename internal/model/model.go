@@ -177,6 +177,40 @@ func (c Config) KVCacheBytesPerToken() float64 {
 	return 2 * float64(c.NumKV) * float64(c.HeadDim) * float64(c.Layers) * c.ElemBytes
 }
 
+// DecodeWork is the exact work of one fused decode step, counted from the
+// shapes of the executed model (transformer.Weights: the stacked QKV
+// projection, the output projection, the stacked gate/up and down FFN
+// matrices per layer, then the output head), whose weights and KV cache are
+// float32.
+type DecodeWork struct {
+	GEMMMACs    int64 // projection, FFN and head multiply-adds, every row
+	AttnMACs    int64 // query-key pairs × query heads × head dim, for the scores and again for PV
+	WeightBytes int64 // the weights one pass of the step's GEMMs streams
+	KVBytes     int64 // the K and V rows attention reads
+}
+
+// DecodeStepWork returns the work of a decode step of len(ctx) rows, row i
+// attending ctx[i] keys (its own included), through every layer and the
+// output head. The weights are counted once: what a rank that holds rows of
+// the step streams (at B = 1 one rank, at B = 8 both of two).
+//
+//cplint:allow testonly BenchmarkDecodeStep reports its rates from it, as the rung files' exact work
+func (c Config) DecodeStepWork(ctx []int) DecodeWork {
+	d, f, hd := int64(c.ModelDim), int64(c.FFNDim), int64(c.HeadDim)
+	nh, nkv, layers := int64(c.NumHeads), int64(c.NumKV), int64(c.Layers)
+	weights := layers*d*((2*nh+2*nkv)*hd+3*f) + int64(c.VocabSize)*d
+	var keys int64
+	for _, n := range ctx {
+		keys += int64(n)
+	}
+	return DecodeWork{
+		GEMMMACs:    int64(len(ctx)) * weights,
+		AttnMACs:    2 * keys * nh * hd * layers,
+		WeightBytes: 4 * weights,
+		KVBytes:     4 * 2 * keys * nkv * hd * layers,
+	}
+}
+
 // MissRate returns the KV-cache miss rate T/(T+P) that drives the pass-KV
 // versus pass-Q selection (Equation 1).
 func MissRate(T, P int) float64 {

@@ -167,3 +167,54 @@ func tinyMHA() Config {
 	c.Name, c.NumKV = "tiny-mha", c.NumHeads
 	return c
 }
+
+// DecodeStepWork equals a brute-force count, one multiply-add, weight and KV
+// element at a time over the executed model's matrices and every row's keys,
+// at three shapes: the Tiny model, the benchmark model's shape and an
+// uneven one.
+func TestDecodeStepWorkMatchesBruteForce(t *testing.T) {
+	bench := Config{Name: "bench-gqa8", Layers: 2, ModelDim: 256, FFNDim: 512, NumHeads: 8, NumKV: 1, HeadDim: 32, VocabSize: 512, ElemBytes: 2}
+	odd := Config{Name: "odd", Layers: 3, ModelDim: 24, FFNDim: 40, NumHeads: 6, NumKV: 3, HeadDim: 4, VocabSize: 37, ElemBytes: 2}
+	for _, tc := range []struct {
+		c   Config
+		ctx []int
+	}{{Tiny(), []int{5}}, {bench, []int{513, 514, 600}}, {odd, []int{1, 7}}} {
+		c := tc.c
+		matrices := [][2]int{ // rows, cols: wqkv, wo, wGateUp, wDown
+			{(c.NumHeads + 2*c.NumKV) * c.HeadDim, c.ModelDim},
+			{c.ModelDim, c.NumHeads * c.HeadDim},
+			{2 * c.FFNDim, c.ModelDim},
+			{c.ModelDim, c.FFNDim},
+		}
+		var want DecodeWork
+		gemm := func(rows, cols int) {
+			for r := 0; r < rows; r++ {
+				for k := 0; k < cols; k++ {
+					want.WeightBytes += 4
+					for range tc.ctx {
+						want.GEMMMACs++
+					}
+				}
+			}
+		}
+		for l := 0; l < c.Layers; l++ {
+			for _, m := range matrices {
+				gemm(m[0], m[1])
+			}
+			for _, keys := range tc.ctx {
+				for key := 0; key < keys; key++ {
+					for h := 0; h < c.NumHeads; h++ {
+						want.AttnMACs += 2 * int64(c.HeadDim) // score, then PV
+					}
+					for h := 0; h < c.NumKV; h++ {
+						want.KVBytes += 2 * 4 * int64(c.HeadDim) // K and V
+					}
+				}
+			}
+		}
+		gemm(c.VocabSize, c.ModelDim)
+		if got := c.DecodeStepWork(tc.ctx); got != want {
+			t.Fatalf("%s at contexts %v: %+v, brute force %+v", c.Name, tc.ctx, got, want)
+		}
+	}
+}

@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -324,5 +326,165 @@ func BenchmarkPoolDispatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "dispatch-ns")
 		})
+	}
+}
+
+// goid is the calling goroutine's id, from its stack header.
+func goid() int {
+	var buf [64]byte
+	id, _ := strconv.Atoi(strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1])
+	return id
+}
+
+// startHelpers starts n goroutines that poll a channel nobody sends on, in
+// rounds of a millisecond, as waiting in-process ranks do, and returns their
+// goroutine ids, which are final once it returns. The goroutines end at the
+// test's cleanup.
+func startHelpers(t *testing.T, n int) map[int]bool {
+	ids, never := make(chan int, n), make(chan struct{})
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids <- goid()
+			for !stop.Load() {
+				Poll(never, time.Millisecond)
+			}
+		}()
+	}
+	t.Cleanup(func() { stop.Store(true); wg.Wait() })
+	helpers := map[int]bool{}
+	for range n {
+		helpers[<-ids] = true
+	}
+	return helpers
+}
+
+// A goroutine that polls (Poll) helps the pool. Three rules keep it safe:
+//   - slots: a helper runs chunks only on a helper slot, never on slot 0
+//     (each caller's own) or on a pool goroutine's, and no two chunks share
+//     a slot at once; a caller runs its chunks on slot 0 and pool goroutines
+//     on theirs, with jobs below MinWork reaching helpers alone;
+//   - stale: an invitation that a helper finds after its job has ended is
+//     released without calling the task;
+//   - panic: a panic in a helper's chunk is rethrown on the caller.
+func TestPollingHelpers(t *testing.T) {
+	t.Run("slots", func(t *testing.T) {
+		withWorkers(t, 4)
+		helpers := startHelpers(t, 2)
+		var reached [Slots]atomic.Int32
+		EachWorker(func(w int) { reached[w].Add(1) })
+		for s := firstHelperSlot; s < Slots; s++ {
+			if reached[s].Load() != 1 {
+				t.Fatalf("EachWorker ran %d times on helper slot %d", reached[s].Load(), s)
+			}
+		}
+		before := Snapshot()
+		var busy [Slots]atomic.Bool
+		var wg sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 100; i++ {
+					work := MinHelpWork
+					if i%4 == 3 {
+						work = MinWork
+					}
+					Run(64, work, helperTask{t: t, caller: goid(), helpers: helpers, busy: &busy, pool: work >= MinWork})
+				}
+			}()
+		}
+		wg.Wait()
+		if d := Snapshot().HelpedChunks - before.HelpedChunks; d == 0 {
+			t.Fatalf("the polling goroutines helped with no chunk of 200 jobs")
+		}
+	})
+
+	t.Run("stale", func(t *testing.T) {
+		var calls atomic.Int32
+		j := jobs.Get()
+		j.n, j.chunk, j.chunks, j.task = 4, 1, 4, Func(func(lo, hi int) { calls.Add(1) })
+		j.next.Store(int64(j.chunks)) // every chunk claimed: the job has ended
+		j.refs.Store(2)               // the caller and the invitation
+		helpCh <- j
+		if _, _, received := Poll(make(chan int), time.Millisecond); received {
+			t.Fatal("Poll received from a channel nobody sends on")
+		}
+		if calls.Load() != 0 || j.refs.Load() != 1 {
+			t.Fatalf("a stale invitation ran %d chunks and left %d references, want 0 and 1", calls.Load(), j.refs.Load())
+		}
+		j.release()
+	})
+
+	t.Run("panic", func(t *testing.T) {
+		withWorkers(t, 2)
+		startHelpers(t, 1)
+		for attempt := 0; attempt < 100; attempt++ {
+			var started atomic.Bool
+			got := func() (p any) {
+				defer func() { p = recover() }()
+				Run(2, MinHelpWork, Task(panicTask{started: &started}))
+				return nil
+			}()
+			if started.Load() {
+				if got != "helper chunk" {
+					t.Fatalf("Run rethrew %v after a helper's chunk panicked", got)
+				}
+				return
+			}
+		}
+		t.Fatal("no helper joined 100 jobs")
+	})
+}
+
+// helperTask checks the slot rules of TestPollingHelpers for each chunk.
+type helperTask struct {
+	t       *testing.T
+	caller  int
+	helpers map[int]bool
+	busy    *[Slots]atomic.Bool
+	pool    bool // the job invited pool goroutines too
+}
+
+func (h helperTask) Run(w, lo, hi int) {
+	g := goid()
+	switch {
+	case g == h.caller:
+		if w != 0 {
+			h.t.Errorf("the caller ran a chunk on slot %d", w)
+		}
+		runtime.Gosched() // slot 0 is each caller's own: no busy flag
+		return
+	case h.helpers[g]:
+		if w < firstHelperSlot || w >= Slots {
+			h.t.Errorf("a helper ran a chunk on slot %d", w)
+			return
+		}
+	case !h.pool || w < 1 || w >= firstHelperSlot:
+		h.t.Errorf("goroutine %d, neither the caller nor a helper, ran a chunk on slot %d (pool invited: %v)", g, w, h.pool)
+		return
+	}
+	if !h.busy[w].CompareAndSwap(false, true) {
+		h.t.Errorf("two chunks ran on slot %d at once", w)
+		return
+	}
+	runtime.Gosched()
+	h.busy[w].Store(false)
+}
+
+// panicTask's chunk panics on a helper; on the caller it waits up to 10 ms
+// for a helper to start one.
+type panicTask struct{ started *atomic.Bool }
+
+func (p panicTask) Run(w, lo, hi int) {
+	if w >= firstHelperSlot {
+		p.started.Store(true)
+		panic("helper chunk")
+	}
+	for t0 := time.Now(); !p.started.Load() && time.Since(t0) < 10*time.Millisecond; {
+		runtime.Gosched()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -164,6 +165,48 @@ func BenchmarkDotPanel(b *testing.B) {
 			}
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
+	}
+	benchDotPanelStream(b, rng)
+}
+
+// benchDotPanelStream is BenchmarkDotPanel's streaming case: a 5 MiB weight
+// matrix of rows of 256, past twice a core's 2 MiB L2 on the host the pool's
+// size rule was read on, so every op streams it from L3, as a decode step
+// streams the model's weights. tokens 1 and 5 are a decode row and
+// decode_batch's owner split. goroutines=1 runs the panel on one goroutine;
+// goroutines=2 splits its rows across two goroutines that are already running
+// (each sweeps its half b.N times), the split a waiting rank joins. GB/s is
+// weight bytes streamed per second: the rate tensor.Mul states a decode
+// GEMM's work from.
+func benchDotPanelStream(b *testing.B, rng *rand.Rand) {
+	const n, rows = 256, 5 << 20 / (4 * 256)
+	w := make([]float32, rows*n)
+	for i := range w {
+		w[i] = float32(rng.NormFloat64())
+	}
+	for _, tokens := range []int{1, 5} {
+		x := make([]float32, tokens*n)
+		for i := range x {
+			x[i] = float32(rng.NormFloat64())
+		}
+		dst := make([]float32, tokens*rows)
+		for _, g := range []int{1, 2} {
+			b.Run(fmt.Sprintf("stream/tokens=%d/goroutines=%d", tokens, g), func(b *testing.B) {
+				var wg sync.WaitGroup
+				for k := range g {
+					r0, r1 := k*rows/g, (k+1)*rows/g
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < b.N; i++ {
+							DotPanel(dst[r0:], rows, w[r0*n:r1*n], x, n)
+						}
+					}()
+				}
+				wg.Wait()
+				b.ReportMetric(float64(4*rows*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
+		}
 	}
 }
 

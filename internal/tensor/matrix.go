@@ -79,8 +79,9 @@ func MatmulSnapshot() MatmulStats {
 // has its slot to itself, and re-reads the weights from L2 once per block
 // rather than once per token. A rank holding one block's worth (decode) runs
 // fn inline with fanRows true, and its Mul calls split the weight rows only
-// when one GEMM alone passes the rule — on the benchmark model none does, so
-// a decode step's GEMMs run on the rank's goroutine. fn must write only its
+// when one GEMM alone passes the rule — on the benchmark model only while
+// another in-process rank polls (parallel.Poll), which then runs chunks of
+// it. fn must write only its
 // block's rows and compute them the same however the sweep is split — then
 // fanned execution is bit-identical to inline at any width.
 func Blocks(tokens, cols, perToken int, fn func(w, t0, t1 int, fanRows bool)) {
@@ -145,19 +146,29 @@ func (t *panelTask) Run(_, lo, hi int) {
 // because the multi-block branch passes it to the pool.
 func BlockTokens(cols int) int { return max(2, gemmBlockFloats/max(cols, 1)&^1) }
 
+// streamWork is the work Mul states per weight of a memory-bound GEMM: a
+// float32 weight streams from L3 in 0.2 ns (BenchmarkDotPanel/stream, one
+// goroutine: 19–21 GB/s from a 5 MiB matrix), as long as 14 multiply-adds
+// take at the sp512 peak of about 70 G/s (BenchmarkPeakFMA, the host
+// parallel.MinWork was derived on). Below 14 tokens a GEMM's time is its
+// weights' stream, whatever its multiply-adds.
+const streamWork = 14
+
 // Mul is the GEMM entry under every matmul in the repo: x is [tokens, Cols]
 // flat, dst is [tokens, Rows] flat, and dst[t*Rows+r] becomes the dot of
 // weight row r with token row t (simd.DotPanel: the eight-lane fused
 // multiply-add cell of numeric contract v2). With fanRows the weight rows
 // are split over the worker pool at panel granularity when the work passes
-// the pool's size rule (parallel.Worth); a cell depends only on its two
-// operand rows, so no split can change a bit.
+// the pool's size rule (parallel.Worth), the work being its multiply-adds
+// or, for fewer than streamWork tokens, the time its weights take to
+// stream; a cell depends only on its two operand rows, so no split can
+// change a bit.
 func (m *Matrix) Mul(dst, x []float32, tokens int, fanRows bool) {
 	if len(x) != tokens*m.Cols || len(dst) != tokens*m.Rows {
 		panic(fmt.Sprintf("tensor: mul dst=%d x=%d for %d tokens x [%d %d]", len(dst), len(x), tokens, m.Rows, m.Cols))
 	}
 	statMatmulCells.Add(int64(len(dst)))
-	work := len(dst) * m.Cols
+	work := max(tokens, streamWork) * m.Rows * m.Cols
 	if fanRows {
 		countSweep(work)
 	}

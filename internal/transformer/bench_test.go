@@ -44,8 +44,12 @@ func processCPU(b *testing.B) time.Duration {
 // still does.
 // It also reports the kernel pool's dispatches, from parallel.Snapshot
 // deltas: jobs/step, the fan-outs a step hands the pool, and
-// stolen-chunks/step against chunks/step, how many of their chunks a pool
-// worker rather than the dispatching rank ran. median-ns/step is the median
+// stolen-chunks/step and helped-chunks/step against chunks/step, how many of
+// their chunks a pool worker or a polling rank (parallel.Poll) rather than
+// the dispatching rank ran. gflop/step is the step's exact work
+// (model.DecodeStepWork: GEMMs and attention at the contexts of that step,
+// two flops a multiply-add) and weight-GB/s one pass over the weights a step
+// at the mean step time. median-ns/step is the median
 // of the steps timed one by one: ns/op is their mean, which a few steps
 // stalled by a collection or a descheduled rank pull up. Every step appends
 // a token to every context, so compare two commits at the same -benchtime;
@@ -92,6 +96,11 @@ func benchDecodeStep(b *testing.B, dial func(b *testing.B) *Cluster) {
 					b.Fatal(err)
 				}
 			}
+			ctx := make([]int, batch) // keys each session's next row attends
+			for s := range ctx {
+				ctx[s] = len(prompt) + 1
+			}
+			var work model.DecodeWork // summed over the timed steps
 			step := func(k int) {
 				out, err := c.DecodeBatch(seqs[:k], toks[:k])
 				if err != nil {
@@ -99,6 +108,7 @@ func benchDecodeStep(b *testing.B, dial func(b *testing.B) *Cluster) {
 				}
 				for s := range out {
 					toks[s] = Argmax(out[s])
+					ctx[s]++
 				}
 			}
 			// decode_batch's ramp: session k joins one step after session
@@ -116,9 +126,12 @@ func benchDecodeStep(b *testing.B, dial func(b *testing.B) *Cluster) {
 			pool0, cpu0, t0 := parallel.Snapshot(), processCPU(b), time.Now()
 			b.ResetTimer()
 			for i := range laps {
+				w := benchGQA8().Model.DecodeStepWork(ctx)
 				lap := time.Now()
 				step(batch)
 				laps[i] = time.Since(lap)
+				work.GEMMMACs += w.GEMMMACs + w.AttnMACs
+				work.WeightBytes += w.WeightBytes
 			}
 			b.StopTimer()
 			wall, pool := time.Since(t0), parallel.Snapshot()
@@ -129,6 +142,9 @@ func benchDecodeStep(b *testing.B, dial func(b *testing.B) *Cluster) {
 			b.ReportMetric(perStep(pool.Jobs, pool0.Jobs), "jobs/step")
 			b.ReportMetric(perStep(pool.Chunks, pool0.Chunks), "chunks/step")
 			b.ReportMetric(perStep(pool.ChunksStolen, pool0.ChunksStolen), "stolen-chunks/step")
+			b.ReportMetric(perStep(pool.HelpedChunks, pool0.HelpedChunks), "helped-chunks/step")
+			b.ReportMetric(2*float64(work.GEMMMACs)/1e9/float64(b.N), "gflop/step")
+			b.ReportMetric(float64(work.WeightBytes)/float64(wall), "weight-GB/s")
 		})
 	}
 }

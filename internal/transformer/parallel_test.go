@@ -2,6 +2,7 @@ package transformer
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -75,13 +76,56 @@ func runParallelScenario(t *testing.T, cfg Config, budget, ranks int, v model.Va
 	return all
 }
 
+// runDecodeScenario prefills eight 64-token sessions of cfg's model on a
+// fresh two-rank cluster and runs fused decode steps at B = 1, then B = 8,
+// returning every logit vector in order.
+func runDecodeScenario(t *testing.T, cfg Config) [][]float32 {
+	t.Helper()
+	w, err := NewWeights(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(w, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	seqs, toks := make([]int, 8), make([]int, 8)
+	prompt := make([]int, 64)
+	for s := range seqs {
+		seqs[s] = s + 1
+		for i := range prompt {
+			prompt[i] = (i*5 + s*11 + 2) % w.Cfg.Model.VocabSize
+		}
+		if _, err := c.Prefill(seqs[s], prompt, model.PassKV); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var all [][]float32
+	for _, b := range []int{1, 8} {
+		for step := 0; step < 4; step++ {
+			out, err := c.DecodeBatch(seqs[:b], toks[:b])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := range out {
+				toks[s] = Argmax(out[s])
+			}
+			all = append(all, out...)
+		}
+	}
+	return all
+}
+
 // Kernel fan-out must be invisible in the results: every ring variant, the
 // warm-prefill path, and batched decode produce bit-identical logits at 1,
 // 2, and 8 workers. The Tiny model runs below the pool's size rule
 // (parallel.MinWork), so its kernels stay inline; on the benchmark model a
 // 256-token chunk's token blocks and attention tiles pass it and fan out,
-// so under -race in CI this also exercises the pool for data races against
-// the rank goroutines.
+// and fused decode steps at B = 1 and 8 hand their GEMMs' chunks to the rank
+// that polls meanwhile (parallel.Poll), on its helper slot. So under -race in
+// CI this also exercises the pool and its helpers for data races against the
+// rank goroutines.
 func TestClusterBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	type scenario struct {
 		name          string
@@ -111,14 +155,36 @@ func TestClusterBitIdenticalAcrossWorkerCounts(t *testing.T) {
 				if sc.fans && parallel.Snapshot().Jobs == before {
 					t.Fatalf("workers=%d: the scenario dispatched no pool job", workers)
 				}
-				if len(got) != len(serial) {
-					t.Fatalf("workers=%d produced %d logit vectors, serial %d", workers, len(got), len(serial))
-				}
-				for i := range got {
-					requireExact(t, got[i], serial[i], fmt.Sprintf("workers=%d vector %d", workers, i))
-				}
+				requireAllExact(t, got, serial, workers)
 			}
 		})
+	}
+	t.Run("bench-gqa8/ranks=2/decode", func(t *testing.T) {
+		old := parallel.SetWorkers(1)
+		defer parallel.SetWorkers(old)
+		serial := runDecodeScenario(t, benchGQA8())
+		for _, workers := range []int{2, 8} {
+			parallel.SetWorkers(workers)
+			before := parallel.Snapshot().HelpedChunks
+			got := runDecodeScenario(t, benchGQA8())
+			// A helper runs only while a processor is free for it.
+			if runtime.GOMAXPROCS(0) > 1 && parallel.Snapshot().HelpedChunks == before {
+				t.Fatalf("workers=%d: the decode steps handed no chunk to a polling rank", workers)
+			}
+			requireAllExact(t, got, serial, workers)
+		}
+	})
+}
+
+// requireAllExact fails unless got equals serial, vector by vector, bit for
+// bit.
+func requireAllExact(t *testing.T, got, serial [][]float32, workers int) {
+	t.Helper()
+	if len(got) != len(serial) {
+		t.Fatalf("workers=%d produced %d logit vectors, serial %d", workers, len(got), len(serial))
+	}
+	for i := range got {
+		requireExact(t, got[i], serial[i], fmt.Sprintf("workers=%d vector %d", workers, i))
 	}
 }
 
@@ -183,14 +249,16 @@ func TestChunkedPrefillAssemblyIsLinear(t *testing.T) {
 	}
 }
 
-// A decode step hands the kernel pool nothing: on the benchmark model every
+// A decode step wakes no parked pool worker: on the benchmark model every
 // GEMM of a decode step at B <= 8 (QKV, output projection, gate/up, down,
-// head) is below the pool's size rule (parallel.MinWork), and so is its
-// attention, so a DecodeNext at B = 1 and B = 8 dispatches no job at width 2,
-// in process and over loopback TCP (whose ranks run in this process too).
-// A 512-token PrefillNext chunk still fans its token blocks and attention
-// tiles out.
-func TestDecodeStepHandsThePoolNothing(t *testing.T) {
+// head) and its attention state less work than the pool's size rule for a
+// parked worker (parallel.MinWork), and the GEMMs more than its rule for a
+// polling rank (parallel.MinHelpWork). So at width 2 a DecodeNext at B = 1
+// and B = 8 in process hands its GEMMs' chunks only to the rank that polls
+// meanwhile, and pool workers steal none; over loopback TCP (whose ranks run
+// in this process too, and park) it dispatches no job at all. A 512-token
+// PrefillNext chunk still fans its token blocks and attention tiles out.
+func TestDecodeStepWakesNoPoolWorker(t *testing.T) {
 	if testsupport.Alone(t) {
 		return
 	}
@@ -230,16 +298,25 @@ func TestDecodeStepHandsThePoolNothing(t *testing.T) {
 				toks[s] = tok
 			}
 			for _, b := range []int{1, 8} {
+				before := parallel.Snapshot()
 				for step := 0; step < 3; step++ {
-					before := parallel.Snapshot().Jobs
 					ids, err := c.DecodeNext(seqs[:b], toks[:b])
 					if err != nil {
 						t.Fatal(err)
 					}
-					if jobs := parallel.Snapshot().Jobs - before; jobs != 0 {
-						t.Fatalf("B=%d step %d: a decode step dispatched %d pool jobs, want 0", b, step, jobs)
-					}
 					copy(toks, ids)
+				}
+				after := parallel.Snapshot()
+				jobs, stolen, helped := after.Jobs-before.Jobs, after.ChunksStolen-before.ChunksStolen, after.HelpedChunks-before.HelpedChunks
+				if stolen != 0 {
+					t.Fatalf("B=%d: 3 decode steps woke pool workers for %d chunks, want 0", b, stolen)
+				}
+				if plane == "tcp" && (jobs != 0 || helped != 0) {
+					t.Fatalf("B=%d: 3 decode steps over TCP dispatched %d pool jobs and %d helped chunks, want 0", b, jobs, helped)
+				}
+				// A helper runs only while a processor is free for it.
+				if plane == "mem" && b == 1 && runtime.GOMAXPROCS(0) > 1 && helped == 0 {
+					t.Fatalf("B=1: 3 decode steps in process handed no chunk to the polling rank (%d jobs)", jobs)
 				}
 			}
 		})

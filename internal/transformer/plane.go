@@ -11,6 +11,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/comm"
 	"repro/internal/comm/transport"
+	"repro/internal/parallel"
 )
 
 // plane is the one way a Cluster reaches its ranks: broadcast a command, get
@@ -92,7 +93,7 @@ const sudogCacheSize = 128
 // stockWaitRecords makes the runtime hold at least n wait records (sudogs),
 // so that the ranks' hand-offs never allocate one. A goroutine that parks —
 // a rank in a mailbox receive or on its command channel once its poll
-// (transport.Poll) has found nothing, the coordinator in bcast, which does
+// (parallel.Poll) has found nothing, the coordinator in bcast, which does
 // not poll — takes a record from its P's cache and, woken by a goroutine on
 // another P, returns it to that P's cache. Each cache keeps up to
 // sudogCacheSize records before it spills half to the shared list, so while
@@ -114,14 +115,15 @@ func stockWaitRecords(n int) {
 // Between commands the rank polls its channel for transport.PollBudget before
 // it parks, as its mailbox receives do, so that the next decode step's
 // command, which at B = 1 comes up to 170 µs after the last reply of the rank
-// that does not own the token, finds the rank running. The TCP plane's
+// that does not own the token, finds the rank running; meanwhile it helps
+// the kernel pool with the other ranks' chunks. The TCP plane's
 // ranks park on their control connection instead (transport.PollBudget says
 // why).
 func (m *memRanks) serve(r int) {
 	defer m.exited.Done()
 	rank := m.world.Rank(r)
 	for {
-		cmd, ok, received := transport.Poll(m.cmds[r], transport.PollBudget)
+		cmd, ok, received := parallel.Poll(m.cmds[r], transport.PollBudget)
 		if !received {
 			cmd, ok = <-m.cmds[r]
 		}
