@@ -264,11 +264,12 @@ const PollBudget = 200 * time.Microsecond
 
 // Recv implements Transport. A payload already waiting is returned without
 // arming a timer. An empty mailbox is polled (parallel.Poll, which helps the
-// kernel pool meanwhile) for PollBudget first; only then does the receiver
-// arm the mailbox's timer for what is left of timeout and park. Only rank dst receives from its mailboxes, one receive at a time,
-// and Go 1.23+ timers deliver nothing stale after Stop or Reset, so one timer
-// per mailbox, made stopped with the mailbox, serves every parked receive: a
-// receive that parks for the first time allocates nothing either.
+// kernel pool meanwhile) for PollBudget first; only then does the receiver arm
+// the mailbox's timer for what is left of timeout and park. Only rank dst
+// receives from its mailboxes, one receive at a time, and Go 1.23+ timers
+// deliver nothing stale after Stop or Reset, so one timer per mailbox, made
+// stopped with the mailbox, serves every parked receive: a receive that parks
+// for the first time allocates nothing either.
 func (m *Mem) Recv(dst, src int, timeout time.Duration) (any, error) {
 	box := m.boxes[dst][src]
 	select {

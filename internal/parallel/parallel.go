@@ -152,6 +152,8 @@ func init() {
 	}
 	workers.Store(int64(w))
 	jobCh = make(chan *job, 4*maxPoolWorkers)
+	// Room for an invitation per helper from several callers at once, like
+	// jobCh's; a full channel only makes a caller drain more itself.
 	helpCh = make(chan *job, 4*maxHelpers)
 	helperSlots = make(chan int, maxHelpers)
 	for s := firstHelperSlot; s < Slots; s++ {

@@ -71,19 +71,18 @@ func MatmulSnapshot() MatmulStats {
 	}
 }
 
-// Blocks cuts `tokens` activation rows of width cols into L1-sized blocks
-// and runs fn(w, t0, t1, fanRows) once per block [t0, t1) on pool slot w;
-// perToken is the multiply-adds fn spends on one row, which the pool's size
-// rule weighs. A rank holding many rows (prefill) fans its blocks over the
-// worker pool with fanRows false: each block's Mul runs serially, so a block
-// has its slot to itself, and re-reads the weights from L2 once per block
-// rather than once per token. A rank holding one block's worth (decode) runs
-// fn inline with fanRows true, and its Mul calls split the weight rows only
-// when one GEMM alone passes the rule — on the benchmark model only while
-// another in-process rank polls (parallel.Poll), which then runs chunks of
-// it. fn must write only its
-// block's rows and compute them the same however the sweep is split — then
-// fanned execution is bit-identical to inline at any width.
+// Blocks cuts `tokens` activation rows of width cols into L1-sized blocks and
+// runs fn(w, t0, t1, fanRows) once per block [t0, t1) on pool slot w; perToken
+// is the multiply-adds fn spends on one row, which the pool's size rule
+// weighs. A rank holding many rows (prefill) fans its blocks over the worker
+// pool with fanRows false: each block's Mul runs serially, so a block has its
+// slot to itself, and re-reads the weights from L2 once per block rather than
+// once per token. A rank holding one block's worth (decode) runs fn inline
+// with fanRows true, and its Mul calls split the weight rows only when one
+// GEMM alone passes the rule — on the benchmark model only while another
+// in-process rank polls (parallel.Poll), which then runs chunks of it. fn must
+// write only its block's rows and compute them the same however the sweep is
+// split — then fanned execution is bit-identical to inline at any width.
 func Blocks(tokens, cols, perToken int, fn func(w, t0, t1 int, fanRows bool)) {
 	bt := BlockTokens(cols)
 	if tokens <= bt {

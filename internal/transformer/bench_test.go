@@ -37,23 +37,22 @@ func processCPU(b *testing.B) time.Duration {
 // sessions (512-token contexts, two ranks, the mailbox plane, no recorder) —
 // decode_batch's and the prefill workloads' steady state without the HTTP
 // stack. Besides ns/step and allocs/step it reports busy cores, process CPU ÷
-// wall. A rank polls at a handoff (transport.PollBudget) and polling counts
-// as busy, so on the mailbox plane it reads about 2.0 however long the ranks
-// wait on each other; it no longer measures time asleep at a handoff. Over
-// loopback (BenchmarkDecodeStepTCP), where the ranks park, the gap below 2.0
-// still does.
-// It also reports the kernel pool's dispatches, from parallel.Snapshot
+// wall. A rank polls at a handoff (transport.PollBudget) and polling counts as
+// busy, so on the mailbox plane it reads about 2.0 however long the ranks wait
+// on each other; it no longer measures time asleep at a handoff. Over loopback
+// (BenchmarkDecodeStepTCP), where the ranks park, the gap below 2.0 still
+// does. It also reports the kernel pool's dispatches, from parallel.Snapshot
 // deltas: jobs/step, the fan-outs a step hands the pool, and
 // stolen-chunks/step and helped-chunks/step against chunks/step, how many of
-// their chunks a pool worker or a polling rank (parallel.Poll) rather than
-// the dispatching rank ran. gflop/step is the step's exact work
-// (model.DecodeStepWork: GEMMs and attention at the contexts of that step,
-// two flops a multiply-add) and weight-GB/s one pass over the weights a step
-// at the mean step time. median-ns/step is the median
-// of the steps timed one by one: ns/op is their mean, which a few steps
-// stalled by a collection or a descheduled rank pull up. Every step appends
-// a token to every context, so compare two commits at the same -benchtime;
-// 512x walks the contexts decode_batch walks.
+// their chunks a pool worker or a polling rank (parallel.Poll) rather than the
+// dispatching rank ran. gflop/step is the step's exact work
+// (model.DecodeStepWork: GEMMs and attention at the contexts of that step, two
+// flops a multiply-add) and weight-GB/s one pass over the weights a step at
+// the mean step time. median-ns/step is the median of the steps timed one by
+// one: ns/op is their mean, which a few steps stalled by a collection or a
+// descheduled rank pull up. Every step appends a token to every context, so
+// compare two commits at the same -benchtime; 512x walks the contexts
+// decode_batch walks.
 func BenchmarkDecodeStep(b *testing.B) {
 	benchDecodeStep(b, func(b *testing.B) *Cluster {
 		w, err := NewWeights(benchGQA8())
