@@ -249,13 +249,14 @@ type Scratch struct {
 	iv  Intervals
 }
 
-// workerSlots[w] is pool goroutine w's kernel state; entry 0 is unused.
+// workerSlots[w] is the kernel state of pool goroutine or helper slot w
+// (parallel.Task); entry 0 is unused.
 var workerSlots [parallel.Slots]gqaScratch
 
-// GrowSlots grows sc and every pool worker's slot to what a budget-sized call
-// of this head group and dim needs: blocks of maxBlockQueries queries whose
-// score stripes fill scoreBudget. A call within the budget then grows none,
-// whichever slot runs which chunk.
+// GrowSlots grows sc and every pool worker's and helper's slot to what a
+// budget-sized call of this head group and dim needs: blocks of
+// maxBlockQueries queries whose score stripes fill scoreBudget. A call within
+// the budget then grows none, whichever slot runs which chunk.
 func GrowSlots(sc *Scratch, group, dim int) {
 	nq, stripe := maxBlockQueries, scoreBudget/maxBlockQueries
 	sc.gqa.size(nq, stripe, group, dim)

@@ -129,18 +129,19 @@ func NewWeights(cfg Config) (*Weights, error) {
 // each block runs norm → GEMM → epilogue on its slot's scratch (normed rows,
 // stacked projection outputs, FFN activations) while it is still in L1: the
 // caller's own for slot 0 — a rank engine's, kept in its arenas — and
-// sweepSlots[w] for pool goroutine w. An output row depends only on its own
-// hidden row and tensor.Mul's cells on no split, so any width is
-// bit-identical to a serial token loop. What a command reads across blocks —
-// hidden rows, q/k/v, logits — lives in the rank engine's prefill and decode
+// sweepSlots[w] for pool goroutine or helper slot w. An output row depends
+// only on its own hidden row and tensor.Mul's cells on no split, so any width
+// is bit-identical to a serial token loop. What a command reads across blocks
+// — hidden rows, q/k/v, logits — lives in the rank engine's prefill and decode
 // arenas, whose reuse across layers the lifetime rule at the top of
 // ring/ring.go (prefill) and ring/decode.go (decode) makes safe although the
 // in-process ring circulates blocks by pointer.
 
 var sweepSlots [parallel.Slots][]float32 // entry 0 is unused
 
-// growSlots grows a rank's attention scratch and every pool worker's kernel
-// slots, the attention kernel's and the sweeps', to this model's shapes.
+// growSlots grows a rank's attention scratch and every pool worker's and
+// helper's kernel slots, the attention kernel's and the sweeps', to this
+// model's shapes.
 func (w *Weights) growSlots(attn *attention.Scratch) {
 	m := w.Cfg.Model
 	attention.GrowSlots(attn, m.NumHeads/m.NumKV, m.HeadDim)
