@@ -273,15 +273,19 @@ func soakOnce(cfg transformer.Config, sched *chaos.Schedule, seed int64, session
 
 	rec := srv.Scheduler().RecoveryStats()
 	sum.rebuilds, sum.attempts = rec.Rebuilds, rec.Attempts
-	var tel transformer.Telemetry
-	var telErr error
-	srv.Scheduler().WithCluster(func(c *transformer.Cluster) { tel, telErr = c.Telemetry() })
-	if telErr != nil {
-		return nil, fmt.Errorf("telemetry: %w", telErr)
+	// The drain brings every worker's fault and integrity counts into the
+	// server's recorder.
+	var syncErr error
+	srv.Scheduler().WithCluster(func(c *transformer.Cluster) { syncErr = c.SyncTrace() })
+	if syncErr != nil {
+		return nil, fmt.Errorf("telemetry: %w", syncErr)
 	}
-	sum.integrity = tel.IntegrityRejected
-	for i, kind := range tel.ChaosKinds {
-		sum.chaosByKey[kind] = tel.ChaosCounts[i]
+	counters := transformer.RecordedCounters(srv.Recorder())
+	sum.integrity = counters.IntegrityRejected
+	for i, kind := range chaos.Kinds {
+		if n := counters.Chaos[i]; n > 0 {
+			sum.chaosByKey[string(kind)] = n
+		}
 	}
 
 	// Span-leak check: traffic has stopped, so a second trace sync must

@@ -23,7 +23,6 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -240,18 +239,6 @@ func Parse(spec string, world int) (*Schedule, error) {
 	return s, nil
 }
 
-// splitmix64 is the repo's standard avalanche hash (seqOwnerOffset,
-// transport.Backoff); chaos uses it as its seeded PRNG step.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // Soak derives the standard four-kind soak schedule from a seed: a slow
 // link early, then a corrupted frame, a partition, and a rank crash, each
 // separated by roughly phase logical steps so every fault deterministically
@@ -266,7 +253,7 @@ func Soak(seed uint64, world int, phase int64) *Schedule {
 		phase = 300
 	}
 	n := uint64(world)
-	pick := func(i uint64) uint64 { return splitmix64(seed + i) }
+	pick := func(i uint64) uint64 { return transport.SplitMix64(seed + i) }
 	link := func(i uint64) (int, int) {
 		src := int(pick(i) % n)
 		dst := int(pick(i+1) % (n - 1))
@@ -294,9 +281,9 @@ func Soak(seed uint64, world int, phase int64) *Schedule {
 	}}
 }
 
-// Process-global injected-fault counters, by kind. They feed the serving
-// layer's chaos stats block: workers report them in StatsResult, the same
-// way the wire package's integrity counters travel.
+// Process-global injected-fault counters, by kind. They reach the
+// coordinator's recorder in the trace drain, as the wire package's integrity
+// counters do.
 var (
 	totalsMu sync.Mutex
 	totals   = map[Kind]int64{}
@@ -308,20 +295,16 @@ func countFault(k Kind) {
 	totalsMu.Unlock()
 }
 
-// Totals reports every fault kind this process has injected, with counts,
-// kinds sorted — the StatsResult/stats-block form.
-func Totals() (kinds []string, counts []int64) {
+// Totals reports how many faults of each kind this process has injected,
+// indexed like Kinds.
+func Totals() []int64 {
 	totalsMu.Lock()
 	defer totalsMu.Unlock()
-	for k := range totals {
-		kinds = append(kinds, string(k))
+	counts := make([]int64, len(Kinds))
+	for i, k := range Kinds {
+		counts[i] = totals[k]
 	}
-	sort.Strings(kinds)
-	counts = make([]int64, len(kinds))
-	for i, k := range kinds {
-		counts[i] = totals[Kind(k)]
-	}
-	return kinds, counts
+	return counts
 }
 
 // linkDropper is the optional transport hook for observable link cuts.

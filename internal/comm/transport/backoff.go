@@ -26,10 +26,9 @@ const (
 )
 
 // Backoff produces the retry delays of one dial loop. The jitter is a pure
-// function of (seed, attempt) — splitmix64, the repo's standard integer
-// hash — so a retry schedule is reproducible run to run: chaos soaks replay
-// byte-for-byte, yet two dialers with different seeds (different target
-// addresses) never synchronize.
+// function of (seed, attempt) — SplitMix64 — so a retry schedule is
+// reproducible run to run: chaos soaks replay byte-for-byte, yet two dialers
+// with different seeds (different target addresses) never synchronize.
 type Backoff struct {
 	Base    time.Duration // first delay; 0 = DefaultBackoffBase
 	Cap     time.Duration // per-delay ceiling; 0 = DefaultBackoffCap
@@ -46,9 +45,10 @@ func NewBackoff(name string) *Backoff {
 	return &Backoff{Seed: h.Sum64()}
 }
 
-// splitmix64 is the finalizer step of the splitmix64 PRNG: a bijective
-// avalanche hash, the same construction seqOwnerOffset uses.
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the output step of the splitmix64 PRNG: a bijective
+// avalanche hash of its input. Backoff jitter and chaos's seeded schedules
+// draw from it.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -86,7 +86,7 @@ func (b *Backoff) Next() (time.Duration, bool) {
 	}
 	// Jitter fraction in [0.5, 1.0): top 53 bits of the hash as a float64
 	// in [0,1), halved and shifted.
-	frac := 0.5 + float64(splitmix64(b.Seed^uint64(b.attempt))>>11)/float64(1<<53)/2
+	frac := 0.5 + float64(SplitMix64(b.Seed^uint64(b.attempt))>>11)/float64(1<<53)/2
 	b.attempt++
 	return time.Duration(float64(d) * frac), true
 }

@@ -84,8 +84,6 @@ func goldenPayloads() []namedPayload {
 				{Src: 0, Dst: 1, Messages: 4, Bytes: 100.25, WireMsgs: 6, WireBytes: 512},
 				{Src: -1, Dst: 0, Messages: 1, Bytes: 8, WireMsgs: 2, WireBytes: 64},
 			},
-			IntegrityChecked: 1234, IntegrityRejected: 2,
-			ChaosKinds: []string{"corrupt", "crash"}, ChaosCounts: []int64{3, 1},
 			Spans: []trace.Span{
 				{Name: "prefill", Cat: "ring", Rank: 1, Seq: 3, Epoch: 2, Index: 9, Start: -5, Dur: 1200,
 					Args: map[string]int64{"tokens": 512, "chunk": 0}},
@@ -240,9 +238,7 @@ func largerPayloads() []any {
 		&StatsResult{
 			CacheTokens: 1, Assembly: []int64{9, 8, 7, 6, 5, 4},
 			Kinds: []string{"all2all", "allgather", "sendrecv"}, Msgs: []int64{1, 2, 3}, Bytes: []float64{1, 2, 3},
-			Links:            []LinkStat{{Src: 1}, {Src: 2, Dst: 3}, {Src: 3, Dst: 4, WireBytes: 9}},
-			IntegrityChecked: 5, IntegrityRejected: 6,
-			ChaosKinds: []string{"corrupt", "crash", "slow"}, ChaosCounts: []int64{1, 2, 3},
+			Links: []LinkStat{{Src: 1}, {Src: 2, Dst: 3}, {Src: 3, Dst: 4, WireBytes: 9}},
 			Spans: []trace.Span{
 				{Name: "span-one", Cat: "ring", Args: map[string]int64{"a": 1, "b": 2, "c": 3}},
 				{Name: "span-two", Cat: "server", Args: map[string]int64{"d": 4}},

@@ -62,7 +62,9 @@ const Magic = 0x43505257 // "CPRW"
 // are gone, and one stats round trip carries a rank's spans and series.
 // Version 8 states KV capacity in rank units: CapResult carries one free-row
 // count and one overhead per sequence, DetachResult one token count.
-const Version = 8
+// Version 9 dropped StatsResult's integrity and chaos counters: a worker's
+// process counters travel as series in its trace drain.
+const Version = 9
 
 // DefaultMaxFrame bounds a single frame's encoded size (length prefix
 // included). Loopback KV tiles at laptop scale are kilobytes; anything near
@@ -296,14 +298,9 @@ type StatsResult struct {
 	Msgs        []int64
 	Bytes       []float64
 	Links       []LinkStat
-	// Frame-integrity counters of this rank's process (IntegrityStats).
-	IntegrityChecked  int64
-	IntegrityRejected int64
-	// Chaos faults this rank's process injected, by kind (chaos.Totals).
-	ChaosKinds  []string
-	ChaosCounts []int64
 	// The rank's trace drain: every span and series delta its recorder
-	// staged since the previous StatsCmd. The coordinator merges them into
+	// staged since the previous StatsCmd, its process's integrity, chaos
+	// and kernel counters among them. The coordinator merges them into
 	// its cumulative store, so counters stay monotonic across drains and
 	// epochs. An engine that records straight into the coordinator's store
 	// sends none.
@@ -446,10 +443,6 @@ func (m *StatsResult) walk(c *codec) byte {
 	ints(c, &m.Msgs)
 	c.f64s(&m.Bytes)
 	records(c, &m.Links, 8*6, link)
-	num(c, &m.IntegrityChecked, 8)
-	num(c, &m.IntegrityRejected, 8)
-	c.strs(&m.ChaosKinds)
-	ints(c, &m.ChaosCounts)
 	// Minimum encoded span: two string headers, six 8-byte numbers and an
 	// argument count; a series likewise bottoms out at 37 bytes.
 	records(c, &m.Spans, 60, span)
@@ -1094,8 +1087,7 @@ func (s *Spares) take(id byte) frame {
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Process-wide frame-integrity counters: frames whose CRC32C trailer was
-// verified, and the subset that failed verification. They feed the serving
-// layer's integrity stats block; workers ship theirs in StatsResult.
+// verified, and the subset that failed verification.
 var (
 	integrityChecked  atomic.Int64
 	integrityRejected atomic.Int64

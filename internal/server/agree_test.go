@@ -2,13 +2,18 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/comm/wire"
+	"repro/internal/tensor"
+	"repro/internal/testsupport"
 	"repro/internal/trace"
 	"repro/internal/transformer"
 )
@@ -148,6 +153,17 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		{"integrity.frames_checked", float64(st.Integrity.FramesChecked), metric("cp_integrity_checked_total")},
 		{"integrity.frames_rejected", float64(st.Integrity.FramesRejected), metric("cp_integrity_rejected_total")},
 		{"chaos.injected_total", float64(st.Chaos.InjectedTotal), metric("cp_chaos_faults_total")},
+		{"kernel.pool.jobs", float64(st.Kernel.Pool.Jobs), metric("cp_kernel_pool_total", "field", "jobs")},
+		{"kernel.pool.serial_jobs", float64(st.Kernel.Pool.SerialJobs), metric("cp_kernel_pool_total", "field", "serial_jobs")},
+		{"kernel.pool.chunks", float64(st.Kernel.Pool.Chunks), metric("cp_kernel_pool_total", "field", "chunks")},
+		{"kernel.pool.chunks_stolen", float64(st.Kernel.Pool.ChunksStolen), metric("cp_kernel_pool_total", "field", "chunks_stolen")},
+		{"kernel.pool.helped_chunks", float64(st.Kernel.Pool.HelpedChunks), metric("cp_kernel_pool_total", "field", "helped_chunks")},
+		{"kernel.matmul.jobs", float64(st.Kernel.Matmul.Jobs), metric("cp_kernel_matmul_total", "field", "jobs")},
+		{"kernel.matmul.serial_jobs", float64(st.Kernel.Matmul.SerialJobs), metric("cp_kernel_matmul_total", "field", "serial_jobs")},
+		{"kernel.matmul.cells", float64(st.Kernel.Matmul.Cells), metric("cp_kernel_matmul_total", "field", "cells")},
+		{"kernel.ring_overlap.steps", float64(st.Kernel.RingOverlap.Steps), metric("cp_kernel_ring_overlap_total", "field", "steps")},
+		{"kernel.ring_overlap.hidden_steps", float64(st.Kernel.RingOverlap.Hidden), metric("cp_kernel_ring_overlap_total", "field", "hidden_steps")},
+		{"kernel.ring_overlap.sync_steps", float64(st.Kernel.RingOverlap.SyncSteps), metric("cp_kernel_ring_overlap_total", "field", "sync_steps")},
 		{"sessions", float64(st.Sessions), metric("cp_sessions_resident")},
 		{"sequence", float64(st.Sequence), metric("cp_stats_sequence")},
 	} {
@@ -182,21 +198,132 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 	}
 }
 
-// The integrity and chaos blocks of /v1/stats are the recorder's counters,
-// so they never fall: a respawned worker restarts its process-local totals,
-// and the counters absorb the dip and go on from there.
-func TestRobustnessCountersNeverFall(t *testing.T) {
-	srv, err := New(Config{Transformer: transformer.Tiny(31), Ranks: 2})
+// processCounters scrapes srv's /metrics for the process counters the
+// follower moves, keyed by family and label.
+func processCounters(t *testing.T, srv *Server) map[string]float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	samples, err := trace.ParseProm(rec.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	for _, c := range []struct{ total, want int64 }{{10, 10}, {3, 10}, {5, 12}} {
-		integrity, chaos := srv.syncRobustness(transformer.Telemetry{
-			IntegrityChecked: c.total, ChaosKinds: []string{"drop"}, ChaosCounts: []int64{c.total},
-		})
-		if integrity.FramesChecked != c.want || chaos.ByKind["drop"] != c.want || chaos.InjectedTotal != c.want {
-			t.Fatalf("after a cluster total of %d: integrity %+v, chaos %+v, want %d", c.total, integrity, chaos, c.want)
+	out := map[string]float64{}
+	for _, s := range samples {
+		if strings.HasPrefix(s.Name, "cp_integrity_") || strings.HasPrefix(s.Name, "cp_kernel_") || s.Name == "cp_chaos_faults_total" {
+			key := s.Name
+			for k, v := range s.Labels { // one label at most
+				key += "{" + k + "=" + v + "}"
+			}
+			out[key] = s.Value
 		}
+	}
+	return out
+}
+
+// The integrity, chaos and kernel counters of /v1/stats and /metrics follow
+// this process's totals. Run alone, the test is a fresh process, so the
+// first server to ask reports the process's own totals; a later scrape adds
+// only growth, so no series ever falls; and a second server counts only
+// what grew after the first one last asked, so the two sum to the process's
+// totals.
+func TestRobustnessCountersNeverFall(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
+	const cells = "cp_kernel_matmul_total{field=cells}"
+	newServer := func() *Server {
+		t.Helper()
+		srv, err := New(Config{Transformer: transformer.Tiny(31), Ranks: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	generate := func(srv *Server, session int) {
+		t.Helper()
+		if _, err := srv.Scheduler().Generate(context.Background(), session, []int{4, 19, 22, 7}, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// scrape returns srv's process counters, with this process's GEMM cells
+	// read before and after.
+	scrape := func(srv *Server) (map[string]float64, float64, float64) {
+		t.Helper()
+		lo := float64(tensor.MatmulSnapshot().Cells)
+		got := processCounters(t, srv)
+		return got, lo, float64(tensor.MatmulSnapshot().Cells)
+	}
+	within := func(what string, v, lo, hi float64) {
+		t.Helper()
+		if v <= 0 || v < lo || v > hi {
+			t.Errorf("%s: %v matmul cells, want %v..%v", what, v, lo, hi)
+		}
+	}
+	neverFell := func(what string, prev, cur map[string]float64) {
+		t.Helper()
+		for k, v := range prev {
+			if cur[k] < v {
+				t.Errorf("%s: %s fell from %v to %v", what, k, v, cur[k])
+			}
+		}
+	}
+
+	first := newServer()
+	generate(first, 1)
+	m1, lo1, hi1 := scrape(first)
+	within("first server, first scrape", m1[cells], lo1, hi1)
+	generate(first, 2)
+	m2, lo2, hi2 := scrape(first)
+	within("first server, second scrape", m2[cells], lo2, hi2)
+	neverFell("first server", m1, m2)
+
+	second := newServer()
+	generate(second, 1)
+	m3, lo3, hi3 := scrape(second)
+	within("second server", m3[cells], lo3-hi2, hi3-lo2)
+	m4, lo4, hi4 := scrape(first)
+	neverFell("first server, after the second asked", m2, m4)
+	within("both servers", m3[cells]+m4[cells], lo4, hi4)
+}
+
+// A loopback cluster's workers share the coordinator's process, so the
+// frames they CRC-check are this process's: at N = 2 and 3 the server's
+// recorder grows by the process counter's growth, not once per worker and
+// once more for the coordinator. Run alone, nothing else in the process
+// asks for its counters.
+func TestLoopbackClusterCountsFramesOnce(t *testing.T) {
+	if testsupport.Alone(t) {
+		return
+	}
+	for _, n := range []int{2, 3} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			cfg := transformer.Tiny(29)
+			srv, err := New(Config{Transformer: cfg, RankAddrs: startWorkers(t, cfg, n), TokenBudget: 4, DialTimeout: 20 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			// checked scrapes the recorder's CRC-checked frames, with the
+			// process counter read before and after.
+			checked := func() (lo, got, hi int64) {
+				lo, _ = wire.IntegrityStats()
+				got = int64(processCounters(t, srv)["cp_integrity_checked_total"])
+				hi, _ = wire.IntegrityStats()
+				return lo, got, hi
+			}
+			lo0, got0, hi0 := checked()
+			if _, err := srv.Scheduler().Generate(context.Background(), 1, []int{4, 19, 22, 7, 3, 11, 2, 9}, 8); err != nil {
+				t.Fatal(err)
+			}
+			lo1, got1, hi1 := checked()
+			if grew := got1 - got0; grew <= 0 || grew < lo1-hi0 || grew > hi1-lo0 {
+				t.Errorf("recorder counted %d CRC-checked frames, the process %d..%d", grew, lo1-hi0, hi1-lo0)
+			}
+		})
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/transformer"
@@ -108,31 +107,6 @@ type Server struct {
 	gEpoch    *trace.Series // cp_cluster_epoch
 	gUptime   *trace.Series // cp_uptime_seconds
 	gSessions *trace.Series // cp_sessions_resident
-
-	// The integrity and chaos counters, which /v1/stats and /metrics both
-	// report: the cluster reports cumulative process-local totals, and the
-	// counters follow them (syncRobustness).
-	robustMu  sync.Mutex
-	integrity [2]robustCounter          // cp_integrity_{checked,rejected}_total
-	chaos     map[string]*robustCounter // cp_chaos_faults_total, by kind
-}
-
-// robustCounter is one integrity or chaos counter and the cluster total it
-// last followed.
-type robustCounter struct {
-	series *trace.Series
-	prev   int64
-}
-
-// follow advances the counter by the total's growth since the last call.
-// A total that fell adds nothing: a respawned worker restarts its
-// process-local totals, and a Prometheus counter must never regress — the
-// absorbed dip undercounts by at most one process lifetime's tail.
-func (c *robustCounter) follow(total int64) {
-	if total > c.prev {
-		c.series.Inc(float64(total - c.prev))
-	}
-	c.prev = total
 }
 
 // New builds the server, its cluster, and the scheduler step loop.
@@ -191,22 +165,12 @@ func New(cfg Config) (*Server, error) {
 			BrownoutSLO:       cfg.BrownoutSLO,
 			Cohorts:           cfg.Cohorts,
 		}),
-		integrity: [2]robustCounter{
-			{series: rec.CounterSeries("cp_integrity_checked_total")},
-			{series: rec.CounterSeries("cp_integrity_rejected_total")},
-		},
-		chaos:     make(map[string]*robustCounter, len(chaos.Kinds)),
 		gSequence: rec.Gauge("cp_stats_sequence"),
 		gEpoch:    rec.Gauge("cp_cluster_epoch"),
 		gUptime:   rec.Gauge("cp_uptime_seconds"),
 		gSessions: rec.Gauge("cp_sessions_resident"),
 	}
 	srv.started = srv.sched.now()
-	// Register the robustness counters up front so scrapes expose them at
-	// zero — a dashboard must distinguish "no corruption" from "no series".
-	for _, k := range chaos.Kinds {
-		srv.chaosCounter(string(k))
-	}
 	return srv, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/chaos"
 	"repro/internal/comm/wire"
 	"repro/internal/parallel"
 	"repro/internal/prefixcache"
@@ -19,57 +20,18 @@ import (
 func (s *Server) Recorder() *trace.Recorder { return s.rec }
 
 // syncTrace drains every distributed worker's staged spans and metric
-// deltas into the coordinator recorder — one Telemetry round trip — and
-// refreshes the level gauges. In-process clusters record into the shared
-// store directly, so only the gauges move.
+// deltas, process counters among them, into the coordinator recorder — one
+// Telemetry round trip — follows this process's counters into it, and
+// refreshes the level gauges.
 func (s *Server) syncTrace() error {
 	var err error
 	s.sched.WithCluster(func(c *transformer.Cluster) {
-		var tel transformer.Telemetry
-		tel, err = c.Telemetry()
+		err = c.SyncTrace()
 		s.gEpoch.Set(float64(c.Epoch()))
-		if err == nil {
-			// Integrity and chaos totals live in per-process atomics, not
-			// the per-rank recorders the drain covers; fold the cluster sum
-			// in so /metrics carries them too.
-			s.syncRobustness(tel)
-		}
 	})
 	s.gUptime.Set(s.sched.now().Sub(s.started).Seconds())
 	s.gSessions.Set(float64(s.sched.Sessions()))
 	return err
-}
-
-// syncRobustness has the integrity and chaos counters follow the cluster's
-// totals, and returns their values as the /v1/stats blocks.
-func (s *Server) syncRobustness(tel transformer.Telemetry) (integrityBlock, chaosBlock) {
-	s.robustMu.Lock()
-	defer s.robustMu.Unlock()
-	s.integrity[0].follow(tel.IntegrityChecked)
-	s.integrity[1].follow(tel.IntegrityRejected)
-	for i, kind := range tel.ChaosKinds {
-		s.chaosCounter(kind).follow(tel.ChaosCounts[i])
-	}
-	integrity := integrityBlock{FramesChecked: count(s.integrity[0].series), FramesRejected: count(s.integrity[1].series)}
-	chaos := chaosBlock{ByKind: make(map[string]int64)}
-	for kind, c := range s.chaos {
-		if n := count(c.series); n > 0 {
-			chaos.ByKind[kind] = n
-			chaos.InjectedTotal += n
-		}
-	}
-	return integrity, chaos
-}
-
-// chaosCounter returns the counter of one chaos kind, registering it on
-// first sight; caller holds robustMu, or is New.
-func (s *Server) chaosCounter(kind string) *robustCounter {
-	c := s.chaos[kind]
-	if c == nil {
-		c = &robustCounter{series: s.rec.CounterSeries("cp_chaos_faults_total", trace.L("kind", kind))}
-		s.chaos[kind] = c
-	}
-	return c
 }
 
 // syncedTrace is the common front of /metrics and /v1/trace: it answers the
@@ -166,7 +128,9 @@ type commBlock struct {
 // kernelBlock groups the compute-kernel telemetry: the vector tier the
 // kernels run at, the shared worker pool, the forward-pass matmul sweeps
 // (pool utilization of the projection, FFN, and logits GEMMs), and the ring
-// communication/compute overlap occupancy.
+// communication/compute overlap occupancy. The counters sum the cluster's
+// processes; the vector tier, the pool width and the overlap switch are the
+// serving process's.
 type kernelBlock struct {
 	SIMD        string             `json:"simd"`
 	Pool        parallel.Stats     `json:"pool"`
@@ -256,13 +220,13 @@ type statsResponse struct {
 	// replay counters, recovered vs. lost sessions. Present even when
 	// recovery is disabled (enabled=false) so dashboards need no probing.
 	Recovery RecoveryStats `json:"recovery"`
-	// Integrity is the wire CRC accounting summed across ranks; a non-zero
-	// frames_rejected proves corruption was detected and contained. It and
-	// Chaos read the recorder's counters, so they never fall when a
-	// respawned worker restarts its own totals.
+	// Integrity is the wire CRC accounting summed across the cluster's
+	// processes; a non-zero frames_rejected proves corruption was detected
+	// and contained. It, Chaos and Kernel's counters read the recorder, so
+	// they match /metrics.
 	Integrity integrityBlock `json:"integrity"`
-	// Chaos counts deliberately injected faults by kind, summed across
-	// ranks (all-zero outside chaos runs).
+	// Chaos counts deliberately injected faults by kind, summed across the
+	// cluster's processes (all-zero outside chaos runs).
 	Chaos chaosBlock `json:"chaos"`
 	// Overload is the deadline/brownout shedding telemetry.
 	Overload OverloadStats `json:"overload"`
@@ -318,7 +282,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "cluster telemetry: %v", telErr)
 		return
 	}
-	integrity, chaosStats := s.syncRobustness(tel)
+	counters := transformer.RecordedCounters(s.rec)
+	chaosStats := chaosBlock{ByKind: make(map[string]int64)}
+	for i, kind := range chaos.Kinds {
+		if n := counters.Chaos[i]; n > 0 {
+			chaosStats.ByKind[string(kind)] = n
+			chaosStats.InjectedTotal += n
+		}
+	}
+	// The kernel settings are the serving process's; the counters are the
+	// cluster's.
+	counters.Pool.Workers = parallel.Workers()
+	counters.Overlap.Enabled = ring.OverlapSnapshot().Enabled
 	comm := commBlock{
 		Transport:     tel.Transport,
 		TotalBytes:    tel.Comm.TotalBytes(),
@@ -376,14 +351,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		PrefixCache: treeStats,
 		Kernel: kernelBlock{
 			SIMD:        simd.Active().String(),
-			Pool:        parallel.Snapshot(),
-			Matmul:      tensor.MatmulSnapshot(),
-			RingOverlap: ring.OverlapSnapshot(),
+			Pool:        counters.Pool,
+			Matmul:      counters.Matmul,
+			RingOverlap: counters.Overlap,
 		},
 		KVAssembly: tel.Assembly,
 		Comm:       comm,
 		Recovery:   recovery,
-		Integrity:  integrity,
+		Integrity:  integrityBlock{FramesChecked: counters.IntegrityChecked, FramesRejected: counters.IntegrityRejected},
 		Chaos:      chaosStats,
 		Overload:   s.sched.OverloadStats(),
 	})

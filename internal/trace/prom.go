@@ -37,6 +37,9 @@ var metricHelp = map[string]string{
 	"cp_integrity_checked_total":         "Wire frames whose CRC32C trailer was verified, summed over the cluster's processes.",
 	"cp_integrity_rejected_total":        "Wire frames rejected for a CRC32C mismatch, summed over the cluster's processes.",
 	"cp_chaos_faults_total":              "Chaos faults injected, by kind.",
+	"cp_kernel_pool_total":               "Kernel worker-pool counters, summed over the cluster's processes, by /v1/stats field.",
+	"cp_kernel_matmul_total":             "Forward-pass GEMM counters, summed over the cluster's processes, by /v1/stats field.",
+	"cp_kernel_ring_overlap_total":       "Ring communication/compute overlap counters, summed over the cluster's processes, by /v1/stats field.",
 }
 
 // WriteProm renders every series in Prometheus text exposition format

@@ -2,8 +2,6 @@ package transformer
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"sync"
 	"time"
 
@@ -154,6 +152,11 @@ func newCluster(w *Weights, n, kvCapacity int, rec *trace.Recorder, epoch uint64
 	if err != nil {
 		return nil, err
 	}
+	// The process counters start at zero on a recorder (a nil one keeps
+	// none), so a scrape tells "none counted" from "no series".
+	for _, pc := range processCounters {
+		rec.CounterSeries(pc.name, pc.labels...)
+	}
 	c := &Cluster{
 		W:           w,
 		n:           n,
@@ -253,22 +256,16 @@ type Telemetry struct {
 	Assembly  ring.BlockCacheStats
 	Comm      comm.Stats
 	Links     []wire.LinkStat
-	// IntegrityChecked/Rejected count wire frames through the CRC32C check,
-	// summed across every process in the cluster (workers + coordinator).
-	IntegrityChecked  int64
-	IntegrityRejected int64
-	// ChaosKinds/ChaosCounts report injected chaos faults by kind (sorted),
-	// summed across processes; empty outside chaos runs.
-	ChaosKinds  []string
-	ChaosCounts []int64
 }
 
 // Telemetry snapshots the cluster and merges every worker's staged spans and
 // series deltas into the cluster's recorder (in-process engines record into
-// it directly and send none). It is a command like any other: callers must
-// not race it against an in-flight prefill or decode (the serving layer
-// reads it under its cluster lock), and on a distributed cluster it is a
-// control-plane round trip, whose failure poisons the plane.
+// it directly and send none), then follows this process's counters into it:
+// the recorder's integrity, chaos and kernel counters then cover every
+// process of the cluster (RecordedCounters). It is a command like any other:
+// callers must not race it against an in-flight prefill or decode (the
+// serving layer reads it under its cluster lock), and on a distributed
+// cluster it is a control-plane round trip, whose failure poisons the plane.
 func (c *Cluster) Telemetry() (Telemetry, error) {
 	var tel Telemetry
 	c.plane.local(&tel)
@@ -278,10 +275,6 @@ func (c *Cluster) Telemetry() (Telemetry, error) {
 	}
 	tel.RankKV = make([]int, c.n)
 	tel.Comm = comm.Stats{Messages: map[comm.Kind]int64{}, Bytes: map[comm.Kind]float64{}}
-	chaos := map[string]int64{}
-	for i, k := range tel.ChaosKinds {
-		chaos[k] = tel.ChaosCounts[i]
-	}
 	for r, res := range results {
 		c.rec.MergeSpans(res.Spans)
 		c.rec.MergeSeries(res.Series)
@@ -304,34 +297,9 @@ func (c *Cluster) Telemetry() (Telemetry, error) {
 				tel.Links = append(tel.Links, l)
 			}
 		}
-		tel.IntegrityChecked += res.IntegrityChecked
-		tel.IntegrityRejected += res.IntegrityRejected
-		for i, k := range res.ChaosKinds {
-			chaos[k] += res.ChaosCounts[i]
-		}
 	}
-	tel.ChaosKinds, tel.ChaosCounts = flattenChaos(chaos)
-	// This process's frames through the CRC check, once: all there are when
-	// it hosts the ranks (engines report none), the coordinator's share — it
-	// decodes every worker reply — when they report their own.
-	checked, rejected := wire.IntegrityStats()
-	tel.IntegrityChecked += checked
-	tel.IntegrityRejected += rejected
+	processFollower.follow(c.rec)
 	return tel, nil
-}
-
-// flattenChaos converts a merged kind->count map to the Telemetry's sorted
-// parallel-slice form.
-func flattenChaos(m map[string]int64) ([]string, []int64) {
-	if len(m) == 0 {
-		return nil, nil
-	}
-	kinds := slices.Sorted(maps.Keys(m))
-	counts := make([]int64, len(kinds))
-	for i, k := range kinds {
-		counts[i] = m[k]
-	}
-	return kinds, counts
 }
 
 // PrefillNext is PrefillLast for a greedy caller: the rank holding the last
@@ -663,10 +631,11 @@ func (c *Cluster) decode(seqs []int, tokens []int, reply wire.Reply) ([]*wire.De
 }
 
 // seqOwnerOffset decorrelates owner rotation across sequence ids with a
-// fixed integer hash (splitmix64 finalizer). Client-chosen session ids are
-// often congruent mod N (100, 104, 108 on 4 ranks would otherwise share one
-// owner forever); hashing breaks persistent collisions while keeping the
-// offset a pure function of the id, which the bit-identity guarantee needs.
+// fixed integer hash (MurmurHash3's fmix64 finalizer). Client-chosen session
+// ids are often congruent mod N (100, 104, 108 on 4 ranks would otherwise
+// share one owner forever); hashing breaks persistent collisions while
+// keeping the offset a pure function of the id, which the bit-identity
+// guarantee needs.
 func seqOwnerOffset(seq int) int {
 	x := uint64(seq)
 	x ^= x >> 33

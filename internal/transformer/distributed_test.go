@@ -16,6 +16,9 @@ import (
 	"repro/internal/comm"
 	"repro/internal/comm/wire"
 	"repro/internal/model"
+	"repro/internal/ring"
+	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // socketGoroutines counts the goroutines blocked in TCP transport code —
@@ -167,12 +170,21 @@ func TestDistributedBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewCluster(w, n)
+	refRec := trace.New()
+	ref, err := NewCluster(w, n, WithTrace(refRec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dist := startLoopbackCluster(t, cfg, n, 0)
 	p := &pairedClusters{t: t, ref: ref, dist: dist}
+	// The reference's first drain follows this process's counters so far
+	// into its recorder; from here on, only it asks until its last drain.
+	int0, rej0 := wire.IntegrityStats()
+	if err := ref.SyncTrace(); err != nil {
+		t.Fatal(err)
+	}
+	int1, rej1 := wire.IntegrityStats()
+	base := RecordedCounters(refRec)
 
 	prompt := func(len_, stride int) []int {
 		out := make([]int, len_)
@@ -298,14 +310,16 @@ func TestDistributedBitIdentity(t *testing.T) {
 			t.Errorf("link %v modelled traffic: in-process %+v, distributed %+v", key, l, distLinks[key])
 		}
 	}
-	// One process hosts the whole in-process cluster, so its process-global
-	// CRC counters are reported once — not once per engine. (The loopback
-	// workers share this process and keep heartbeating, hence the window.)
-	if refTel.IntegrityChecked < intBefore || refTel.IntegrityChecked > intAfter || intBefore == 0 {
-		t.Errorf("in-process integrity checked = %d, want the process counter once (%d..%d)", refTel.IntegrityChecked, intBefore, intAfter)
+	// One process hosts the whole in-process cluster, so its recorder gains
+	// the process's CRC counters' growth once — not once per engine. (The
+	// loopback workers share this process and keep heartbeating, hence the
+	// window.)
+	got := RecordedCounters(refRec)
+	if checked := got.IntegrityChecked - base.IntegrityChecked; checked < intBefore-int1 || checked > intAfter-int0 || checked == 0 {
+		t.Errorf("in-process integrity checked grew %d, want the process counter's growth once (%d..%d)", checked, intBefore-int1, intAfter-int0)
 	}
-	if refTel.IntegrityRejected < rejBefore || refTel.IntegrityRejected > rejAfter {
-		t.Errorf("in-process integrity rejected = %d, want the process counter once (%d..%d)", refTel.IntegrityRejected, rejBefore, rejAfter)
+	if rejected := got.IntegrityRejected - base.IntegrityRejected; rejected < rejBefore-rej1 || rejected > rejAfter-rej0 {
+		t.Errorf("in-process integrity rejected grew %d, want the process counter's growth once (%d..%d)", rejected, rejBefore-rej1, rejAfter-rej0)
 	}
 	if distTel.Transport != "tcp" {
 		t.Errorf("distributed transport = %q", distTel.Transport)
@@ -556,10 +570,24 @@ func TestThreeProcessBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := ConnectCluster(wts, ConnectConfig{Addrs: addrs, DialTimeout: 30 * time.Second})
+	rec := trace.New()
+	dist, err := ConnectCluster(wts, ConnectConfig{Addrs: addrs, DialTimeout: 30 * time.Second, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The workers' kernels run in their own processes, and their counters
+	// reach the coordinator's recorder in the stats drain: it gains more GEMM
+	// cells and ring steps than this process, which runs the reference,
+	// computes meanwhile.
+	drained := func() ProcessCounters {
+		t.Helper()
+		if err := dist.SyncTrace(); err != nil {
+			t.Fatal(err)
+		}
+		return RecordedCounters(rec)
+	}
+	mm0, ov0 := tensor.MatmulSnapshot(), ring.OverlapSnapshot()
+	rec0 := drained()
 	refW, err := NewWeights(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -594,6 +622,14 @@ func TestThreeProcessBitIdentity(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("3-process decode stream diverges at %d: %v vs %v", i, a, b)
 		}
+	}
+	rec1 := drained()
+	mm1, ov1 := tensor.MatmulSnapshot(), ring.OverlapSnapshot()
+	if got, local := rec1.Matmul.Cells-rec0.Matmul.Cells, mm1.Cells-mm0.Cells; got <= local {
+		t.Errorf("coordinator recorder gained %d matmul cells, this process computed %d", got, local)
+	}
+	if got, local := rec1.Overlap.Steps-rec0.Overlap.Steps, ov1.Steps-ov0.Steps; got <= local {
+		t.Errorf("coordinator recorder gained %d ring overlap steps, this process ran %d", got, local)
 	}
 
 	if err := dist.Close(); err != nil {

@@ -417,9 +417,9 @@ func (e *rankEngine) assembly() ring.BlockCacheStats {
 // rank alone (kinds sorted for a deterministic encoding) — in-process every
 // engine shares one World, so anything wider would be counted N times — and
 // the drain of its staging recorder, which resets on every drain: the
-// coordinator's merged store is the cumulative source of truth. The
-// process-global integrity and chaos counters are not the engine's to
-// report: whoever hosts the process attaches them, once.
+// coordinator's merged store is the cumulative source of truth. A staging
+// engine follows its process's counters into the recorder first, so they
+// ride the drain.
 func (e *rankEngine) statsResult(world *comm.World, rank int) *wire.StatsResult {
 	a := e.assembly()
 	res := &wire.StatsResult{
@@ -428,6 +428,7 @@ func (e *rankEngine) statsResult(world *comm.World, rank int) *wire.StatsResult 
 		Links:       world.LinkStats(),
 	}
 	if e.staged {
+		processFollower.follow(e.rec)
 		res.Spans, res.Series = e.rec.Drain()
 	}
 	st := world.RankStats(rank)

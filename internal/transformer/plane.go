@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/comm"
 	"repro/internal/comm/transport"
 	"repro/internal/parallel"
@@ -34,10 +33,9 @@ type plane interface {
 	hangup()
 	// close shuts the ranks down and releases the transport.
 	close() error
-	// local folds in what only the plane itself knows: the transport's name,
-	// this process's chaos counters when it also hosts the ranks, the control
-	// links' traffic when it does not. Telemetry calls it before its round
-	// trip.
+	// local folds in what only the plane itself knows: the transport's name
+	// and, when the ranks live elsewhere, the control links' traffic.
+	// Telemetry calls it before its round trip.
 	local(tel *Telemetry)
 }
 
@@ -171,9 +169,4 @@ func (p *memPlane) close() error {
 
 func (p *memPlane) hangup() { p.close() }
 
-// local: one process hosts everything here, so its process-global chaos
-// counters are the whole cluster's — attached once; no engine reports any.
-func (p *memPlane) local(tel *Telemetry) {
-	tel.Transport = "mem"
-	tel.ChaosKinds, tel.ChaosCounts = chaos.Totals()
-}
+func (p *memPlane) local(tel *Telemetry) { tel.Transport = "mem" }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/comm"
 	"repro/internal/comm/transport"
 	"repro/internal/comm/wire"
@@ -386,13 +385,6 @@ func serveRank(ctrl *transport.Ctrl, world *comm.World, w *Weights, kvCapacity i
 				return hungUp(ctrl.Err())
 			}
 			reply, shutdown := e.handle(rank, world, v)
-			if st, ok := reply.(*wire.StatsResult); ok {
-				// Process-global robustness counters — frames through the CRC
-				// check, chaos faults injected — belong to this process, not
-				// to the engine; the coordinator sums them across workers.
-				st.IntegrityChecked, st.IntegrityRejected = wire.IntegrityStats()
-				st.ChaosKinds, st.ChaosCounts = chaos.Totals()
-			}
 			if err := ctrl.Send(reply); err != nil {
 				return hungUp(err)
 			}
