@@ -47,7 +47,6 @@ func main() {
 	kvCapacity := flag.Int("kv-capacity", 0, "per-rank KV capacity in tokens, the same for every layer's cache (must match the coordinator; 0 = unlimited)")
 	recvTimeout := flag.Duration("recv-timeout", 0, "ring receive deadline (0 = default)")
 	rendezvous := flag.Duration("rendezvous-timeout", 15*time.Second, "mesh-formation deadline")
-	workers := flag.Int("workers", 0, "attention kernel worker-pool width (0 = GOMAXPROCS; env CP_WORKERS also applies)")
 	rejoin := flag.Bool("rejoin", false, "survive cluster rebuilds: when the coordinator hangs up (epoch rebuild after a rank failure), discard state and rejoin the mesh at the next epoch instead of exiting")
 	epoch := flag.Uint64("epoch", 1, "cluster epoch to join first; a respawned replacement rank can leave the default and adopt the mesh's current epoch at handshake")
 	maxRejoins := flag.Int("max-rejoins", 16, "bound on rejoin cycles (requires -rejoin)")
@@ -57,9 +56,6 @@ func main() {
 	chaosSpec := flag.String("chaos", "", `deterministic fault schedule this rank executes, e.g. "slow@0->1#8:2ms*16;corrupt@1->2#32;partition@0|1,2#64;crash@1#96" (see internal/chaos)`)
 	flag.Parse()
 
-	if *workers > 0 {
-		parallel.SetWorkers(*workers)
-	}
 	if *world <= 0 || *rank < 0 || *rank >= *world {
 		fmt.Fprintf(os.Stderr, "cprank: need -rank in [0, world) and -world > 0 (got rank %d, world %d)\n", *rank, *world)
 		os.Exit(1)

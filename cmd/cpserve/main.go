@@ -52,7 +52,6 @@ func main() {
 		"token budget of the prefix KV-reuse tree (released sessions detach into it); <= 0 disables")
 	kvCapacity := flag.Int("kv-capacity", 0, "per-rank KV capacity in tokens, the same for every layer's cache (0 = unlimited)")
 	recvTimeout := flag.Duration("recv-timeout", 0, "cluster comm receive deadline (0 = default)")
-	workers := flag.Int("workers", 0, "attention kernel worker-pool width (0 = GOMAXPROCS; env CP_WORKERS also applies)")
 	rankAddrs := flag.String("rank-addrs", "", "comma-separated cprank worker addresses, index = rank id: coordinate these worker processes instead of simulating ranks in-process")
 	dialTimeout := flag.Duration("dial-timeout", 15*time.Second, "distributed control-plane rendezvous deadline")
 	recover := flag.Bool("recover", false, "rebuild the cluster on a new epoch after a rank failure and replay live sessions bit-identically (instead of faulting them)")
@@ -64,10 +63,6 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the span trace at shutdown: Chrome-trace JSON if the path ends in .json, deterministic JSONL otherwise")
 	cohortsFlag := flag.String("cohorts", "", "comma-separated workload cohort labels to pre-register for per-cohort latency series (requests tag themselves via the \"cohort\" JSON field)")
 	flag.Parse()
-
-	if *workers > 0 {
-		parallel.SetWorkers(*workers)
-	}
 
 	var variant model.Variant
 	switch *variantName {

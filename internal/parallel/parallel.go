@@ -167,6 +167,9 @@ func Workers() int { return int(workers.Load()) }
 // SetWorkers sets the kernel fan-out width and returns the previous value.
 // n < 1 is clamped to 1 (strictly serial: For runs inline on the caller with
 // no pool involvement, the baseline the benchmarks compare against).
+// A process takes its width from CP_WORKERS.
+//
+//cplint:allow testonly TestClusterBitIdenticalAcrossWorkerCounts runs one cluster at widths 1, 2 and 8
 func SetWorkers(n int) int {
 	if n < 1 {
 		n = 1

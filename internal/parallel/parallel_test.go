@@ -409,7 +409,11 @@ func TestPollingHelpers(t *testing.T) {
 		j.n, j.chunk, j.chunks, j.task = 4, 1, 4, Func(func(lo, hi int) { calls.Add(1) })
 		j.next.Store(int64(j.chunks)) // every chunk claimed: the job has ended
 		j.refs.Store(2)               // the caller and the invitation
-		helpCh <- j
+		select {
+		case helpCh <- j:
+		default:
+			t.Fatalf("the help channel is full: %d leftover invitations", len(helpCh))
+		}
 		if _, _, received := Poll(make(chan int), time.Millisecond); received {
 			t.Fatal("Poll received from a channel nobody sends on")
 		}

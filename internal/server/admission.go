@@ -204,7 +204,7 @@ func (s *Scheduler) enqueue(r *request) error {
 				// this one (and any queued admission already past the SLO)
 				// rather than deepen a backlog we cannot drain in time.
 				s.shedAdmitQueueLocked(now)
-				s.cShed.Inc(1)
+				s.add(cShed, 1)
 				ra := s.retryAfterLocked()
 				s.mu.Unlock()
 				return &OverloadError{RetryAfter: ra}

@@ -166,6 +166,25 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		{"kernel.ring_overlap.sync_steps", float64(st.Kernel.RingOverlap.SyncSteps), metric("cp_kernel_ring_overlap_total", "field", "sync_steps")},
 		{"sessions", float64(st.Sessions), metric("cp_sessions_resident")},
 		{"sequence", float64(st.Sequence), metric("cp_stats_sequence")},
+		{"batch.iterations", float64(st.Batch.Iterations), metric("cp_step_seconds_count")},
+		{"batch.prefill_tokens", float64(st.Batch.PrefillTokens), metric("cp_batch_total", "field", "prefill_tokens")},
+		{"batch.decode_tokens", float64(st.Batch.DecodeTokens), metric("cp_batch_total", "field", "decode_tokens")},
+		{"batch.mixed_iterations", float64(st.Batch.MixedIterations), metric("cp_batch_total", "field", "mixed_iterations")},
+		{"batch.occupancy_sum", float64(st.Batch.OccupancySum), metric("cp_batch_total", "field", "occupancy_sum")},
+		{"batch.total_iter_ms", st.Batch.TotalIterMs, metric("cp_step_seconds_sum") * 1e3},
+		{"queues.prefill.TotalWait", float64(st.QueueStats[ClassPrefill].TotalWait), float64(time.Duration(metric("cp_queue_wait_seconds_sum", "class", "prefill") * float64(time.Second)))},
+		{"queues.decode.TotalWait", float64(st.QueueStats[ClassDecode].TotalWait), float64(time.Duration(metric("cp_queue_wait_seconds_sum", "class", "decode") * float64(time.Second)))},
+		{"reuse.lookups", float64(st.Reuse.Lookups), metric("cp_reuse_total", "field", "lookups")},
+		{"reuse.cached_tokens", float64(st.Reuse.CachedTokens), metric("cp_reuse_total", "field", "cached_tokens")},
+		{"reuse.computed_tokens", float64(st.Reuse.ComputedTokens), metric("cp_batch_total", "field", "prefill_tokens")},
+		{"reuse.detached_tokens", float64(st.Reuse.DetachedTokens), metric("cp_reuse_total", "field", "detached_tokens")},
+		{"reuse.pass_kv_chunks", float64(st.Reuse.PassKVChunks), metric("cp_reuse_total", "field", "pass_kv_chunks")},
+		{"reuse.pass_q_chunks", float64(st.Reuse.PassQChunks), metric("cp_reuse_total", "field", "pass_q_chunks")},
+		{"reuse.capacity_quarantines", float64(st.Reuse.CapacityQuarantines), metric("cp_reuse_total", "field", "capacity_quarantines")},
+		{"recovery.recovered_sessions", float64(st.Recovery.RecoveredSessions), metric("cp_recovery_total", "field", "recovered_sessions")},
+		{"recovery.lost_sessions", float64(st.Recovery.LostSessions), metric("cp_recovery_total", "field", "lost_sessions")},
+		{"recovery.replayed_tokens", float64(st.Recovery.ReplayedTokens), metric("cp_recovery_total", "field", "replayed_tokens")},
+		{"recovery.replay_cached_tokens", float64(st.Recovery.ReplayCachedTokens), metric("cp_recovery_total", "field", "replay_cached_tokens")},
 	} {
 		if c.got != c.metric {
 			t.Errorf("/v1/stats %s = %v, /metrics says %v", c.stat, c.got, c.metric)

@@ -14,17 +14,20 @@ import (
 // QueueStats aggregates per-class scheduling metrics. For prefill, one
 // execution is one chunk; for decode, one execution is one fused step of one
 // session. Waits measure runnable-to-execution delay per execution; Executed
-// is the observation count of the class's cp_queue_wait_seconds.
+// and TotalWait are the observation count and sum of the class's
+// cp_queue_wait_seconds.
 type QueueStats struct {
 	Executed  int64
 	TotalWait time.Duration
 	MaxWait   time.Duration
 }
 
-// BatchStats aggregates iteration-level batching metrics.
+// BatchStats aggregates iteration-level batching metrics. Iterations and
+// TotalIterMs are cp_step_seconds' count and sum; the other counts are
+// cp_prefill_chunks_total and cp_batch_total{field}.
 type BatchStats struct {
 	Iterations      int64   `json:"iterations"`       // step-loop iterations that executed work
-	PrefillChunks   int64   `json:"prefill_chunks"`   // live chunks whose ring pass succeeded (cp_prefill_chunks_total)
+	PrefillChunks   int64   `json:"prefill_chunks"`   // live chunks whose ring pass succeeded
 	PrefillTokens   int64   `json:"prefill_tokens"`   // prompt tokens in the live chunks PrefillChunks counts
 	DecodeTokens    int64   `json:"decode_tokens"`    // decode steps executed (one token each)
 	MixedIterations int64   `json:"mixed_iterations"` // iterations with both a chunk and >=1 decode
@@ -67,6 +70,112 @@ func (r IterReport) Occupancy() int {
 		n++
 	}
 	return n
+}
+
+// counter names one of the scheduler's counts, each a series of its
+// recorder (Scheduler.counts).
+type counter uint8
+
+const (
+	cChunk counter = iota
+	cPrefillTokens
+	cDecodeTokens
+	cMixed
+	cOccupancy
+	cLookups
+	cAdopt
+	cCached
+	cDetach
+	cDetachedTokens
+	cPassKV
+	cPassQ
+	cCapacity
+	cReplay
+	cRecovered
+	cLost
+	cReplayed
+	cReplayCached
+	cDeadline
+	cShed
+	cRetryAfter
+	nCounters
+)
+
+// counterSeries lists every counter's series, its family and field label,
+// with the /v1/stats field it is read into. A family of several counters is
+// labelled field, with the /v1/stats JSON field name as its value.
+var counterSeries = [nCounters]struct {
+	name   string
+	labels []trace.Label
+	at     func(*statsResponse) *int64
+}{
+	cChunk:          {"cp_prefill_chunks_total", nil, func(st *statsResponse) *int64 { return &st.Batch.PrefillChunks }},
+	cPrefillTokens:  {"cp_batch_total", fieldLabel("prefill_tokens"), func(st *statsResponse) *int64 { return &st.Batch.PrefillTokens }},
+	cDecodeTokens:   {"cp_batch_total", fieldLabel("decode_tokens"), func(st *statsResponse) *int64 { return &st.Batch.DecodeTokens }},
+	cMixed:          {"cp_batch_total", fieldLabel("mixed_iterations"), func(st *statsResponse) *int64 { return &st.Batch.MixedIterations }},
+	cOccupancy:      {"cp_batch_total", fieldLabel("occupancy_sum"), func(st *statsResponse) *int64 { return &st.Batch.OccupancySum }},
+	cLookups:        {"cp_reuse_total", fieldLabel("lookups"), func(st *statsResponse) *int64 { return &st.Reuse.Lookups }},
+	cAdopt:          {"cp_prefix_adopt_total", nil, func(st *statsResponse) *int64 { return &st.Reuse.Hits }},
+	cCached:         {"cp_reuse_total", fieldLabel("cached_tokens"), func(st *statsResponse) *int64 { return &st.Reuse.CachedTokens }},
+	cDetach:         {"cp_prefix_detach_total", nil, func(st *statsResponse) *int64 { return &st.Reuse.Detached }},
+	cDetachedTokens: {"cp_reuse_total", fieldLabel("detached_tokens"), func(st *statsResponse) *int64 { return &st.Reuse.DetachedTokens }},
+	cPassKV:         {"cp_reuse_total", fieldLabel("pass_kv_chunks"), func(st *statsResponse) *int64 { return &st.Reuse.PassKVChunks }},
+	cPassQ:          {"cp_reuse_total", fieldLabel("pass_q_chunks"), func(st *statsResponse) *int64 { return &st.Reuse.PassQChunks }},
+	cCapacity:       {"cp_reuse_total", fieldLabel("capacity_quarantines"), func(st *statsResponse) *int64 { return &st.Reuse.CapacityQuarantines }},
+	cReplay:         {"cp_recovery_replays_total", nil, func(st *statsResponse) *int64 { return &st.Recovery.Rebuilds }},
+	cRecovered:      {"cp_recovery_total", fieldLabel("recovered_sessions"), func(st *statsResponse) *int64 { return &st.Recovery.RecoveredSessions }},
+	cLost:           {"cp_recovery_total", fieldLabel("lost_sessions"), func(st *statsResponse) *int64 { return &st.Recovery.LostSessions }},
+	cReplayed:       {"cp_recovery_total", fieldLabel("replayed_tokens"), func(st *statsResponse) *int64 { return &st.Recovery.ReplayedTokens }},
+	cReplayCached:   {"cp_recovery_total", fieldLabel("replay_cached_tokens"), func(st *statsResponse) *int64 { return &st.Recovery.ReplayCachedTokens }},
+	cDeadline:       {"cp_overload_deadline_expired_total", nil, func(st *statsResponse) *int64 { return &st.Overload.DeadlineExpired }},
+	cShed:           {"cp_overload_shed_total", nil, func(st *statsResponse) *int64 { return &st.Overload.BrownoutShed }},
+	cRetryAfter:     {"cp_overload_retry_after_total", nil, func(st *statsResponse) *int64 { return &st.Overload.RetryAfterIssued }},
+}
+
+// fieldLabel labels a counter with its /v1/stats field name.
+func fieldLabel(name string) []trace.Label { return []trace.Label{trace.L("field", name)} }
+
+// add counts n more of c.
+func (s *Scheduler) add(c counter, n int) { s.counts[c].Inc(float64(n)) }
+
+// count reads a series of the scheduler's recorder.
+func count(c *trace.Series) int64 { return int64(c.Snap().Value) }
+
+// snapshot is the one snapshot of the scheduler's /v1/stats blocks: batch,
+// queues, latency, reuse, recovery and overload. Every count is read back
+// from the recorder: the counters, cp_step_seconds' and
+// cp_queue_wait_seconds' counts and sums, and the chunks' prompt tokens as
+// reuse.computed_tokens. Only the levels and recovery's control state are
+// the scheduler's own fields.
+func (s *Scheduler) snapshot() statsResponse {
+	var st statsResponse
+	for c, cs := range counterSeries {
+		*cs.at(&st) = count(s.counts[c])
+	}
+	step := s.hStep.Snap()
+	st.Batch.Iterations, st.Batch.TotalIterMs = int64(step.Count), step.Sum*1e3
+	st.Reuse.ComputedTokens = st.Batch.PrefillTokens
+	st.Recovery.Epoch = uint64(count(s.gEpoch))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st.QueueStats = make(map[Class]QueueStats, len(s.hWait))
+	for c, h := range s.hWait {
+		wait := h.Snap()
+		st.QueueStats[c] = QueueStats{Executed: int64(wait.Count), TotalWait: time.Duration(wait.Sum * float64(time.Second)), MaxWait: s.maxWait[c]}
+	}
+	st.Latency = latencyBlock{TTFT: quantilesOf(s.hTTFT), ITL: quantilesOf(s.hITL), Step: quantilesOf(s.hStep)}
+	if len(s.cohortSeries) > 0 {
+		st.Latency.ByCohort = make(map[string]cohortLatency, len(s.cohortSeries))
+	}
+	for name, h := range s.cohortSeries {
+		st.Latency.ByCohort[name] = cohortLatency{TTFT: quantilesOf(h.ttft), ITL: quantilesOf(h.itl), E2E: quantilesOf(h.e2e)}
+	}
+	st.Batch.MaxOccupancy, st.Batch.MaxDecodeBatch, st.Batch.LastIterMs = s.maxOccupancy, s.maxDecodeBatch, s.lastIterMs
+	st.LastDecodeBatch = s.lastDecodeBatch
+	st.Recovery.Enabled, st.Recovery.MaxRecoveries = s.cfg.Recover, s.cfg.MaxRecoveries
+	st.Recovery.Attempts, st.Recovery.InProgress, st.Recovery.LastError = s.attempts, s.recovering, s.lastError
+	st.Overload.BrownoutSLOSec, st.Overload.BrownoutActive = s.cfg.BrownoutSLO.Seconds(), s.brownoutOn
+	return st
 }
 
 // Known reports whether the session holds an admission slot or has queued
@@ -176,7 +285,7 @@ func (s *Scheduler) exitLocked(r *request, o outcome, cause error, claimed bool)
 		evict, free = r.contributedKV(), true
 	case outShed:
 		r.err = &OverloadError{RetryAfter: s.retryAfterLocked()}
-		s.cShed.Inc(1)
+		s.add(cShed, 1)
 	case outFailed:
 		// A failed command leaves indeterminate KV behind.
 		r.err = &ExecError{cause}
@@ -300,39 +409,16 @@ func (s *Scheduler) QueueDepths() (admit, prefill, decode int) {
 }
 
 // Stats snapshots per-class queue metrics.
-func (s *Scheduler) Stats() map[Class]QueueStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[Class]QueueStats, len(s.queueStats))
-	for c, st := range s.queueStats {
-		st := *st
-		st.Executed = int64(s.hWait[c].HistCount())
-		out[c] = st
-	}
-	return out
-}
+func (s *Scheduler) Stats() map[Class]QueueStats { return s.snapshot().QueueStats }
 
 // BatchStats snapshots iteration-level batching metrics.
-func (s *Scheduler) BatchStats() BatchStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.batch
-	out.PrefillChunks = count(s.cChunk)
-	return out
-}
+func (s *Scheduler) BatchStats() BatchStats { return s.snapshot().Batch }
 
 // Reuse snapshots prefix-reuse and variant-selection telemetry.
-func (s *Scheduler) Reuse() ReuseStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.reuse
-	out.Hits, out.Detached = count(s.cAdopt), count(s.cDetach)
-	out.ComputedTokens = s.batch.PrefillTokens
-	return out
-}
+func (s *Scheduler) Reuse() ReuseStats { return s.snapshot().Reuse }
 
-// count reads a counter the scheduler keeps in its recorder.
-func count(c *trace.Series) int64 { return int64(c.Snap().Value) }
+// RecoveryStats snapshots the fault-recovery telemetry.
+func (s *Scheduler) RecoveryStats() RecoveryStats { return s.snapshot().Recovery }
 
 // PrefixStats snapshots the prefix tree's telemetry; ok is false when prefix
 // reuse is disabled.
@@ -343,17 +429,7 @@ func (s *Scheduler) PrefixStats() (prefixcache.Stats, bool) {
 	return s.tree.Stats(), true
 }
 
-// LastIter returns the most recent iteration's report.
-func (s *Scheduler) LastIter() IterReport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.lastIter
-	out.DecodeSessions = append([]int(nil), s.lastIter.DecodeSessions...)
-	return out
-}
-
-// Cohorts snapshots the registered cohort names (sorted), for the
-// /v1/stats by-cohort latency block.
+// Cohorts snapshots the registered cohort names, sorted.
 func (s *Scheduler) Cohorts() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -362,22 +438,6 @@ func (s *Scheduler) Cohorts() []string {
 		out = append(out, name)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// cohortLatency summarizes each registered cohort's latency histograms
-// through the handles the scheduler resolved for it, for the /v1/stats
-// by-cohort block (nil when no cohort is registered).
-func (s *Scheduler) cohortLatency() map[string]cohortLatency {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.cohortSeries) == 0 {
-		return nil
-	}
-	out := make(map[string]cohortLatency, len(s.cohortSeries))
-	for name, h := range s.cohortSeries {
-		out[name] = cohortLatency{TTFT: quantilesOf(h.ttft), ITL: quantilesOf(h.itl), E2E: quantilesOf(h.e2e)}
-	}
 	return out
 }
 

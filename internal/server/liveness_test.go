@@ -126,7 +126,7 @@ func TestSchedulerLiveness(t *testing.T) {
 	delete(f.full, 1)
 	generate("capacity decode", "failed", bg, 2, seq(10, 8), 6)
 	gen3 := generate("survivor of the capacity decode", "served", bg, 3, seq(20, 8), 6)
-	stepUntil("sessions 2 and 3 fuse", func() bool { return len(s.LastIter().DecodeSessions) == 2 })
+	stepUntil("sessions 2 and 3 fuse", func() bool { return s.snapshot().LastDecodeBatch == 2 })
 	f.full[2] = true
 	drain(s)
 	delete(f.full, 2)
@@ -201,7 +201,7 @@ func TestSchedulerLiveness(t *testing.T) {
 			t.Errorf("%s: outcome %s, want %s", c.name, got, c.want)
 		}
 	}
-	if st := s.OverloadStats(); st.DeadlineExpired != 1 || st.BrownoutShed != 2 {
+	if st := s.snapshot().Overload; st.DeadlineExpired != 1 || st.BrownoutShed != 2 {
 		t.Errorf("overload stats %+v, want 1 deadline and 2 shed", st)
 	}
 	if rec := s.RecoveryStats(); rec.Rebuilds != 1 || rec.RecoveredSessions != 1 {

@@ -119,23 +119,10 @@ func (s *Scheduler) shedAdmitQueueLocked(now time.Time) {
 // holds s.mu.
 func (s *Scheduler) noteDeadlineLocked(cause error) {
 	if errors.Is(cause, context.DeadlineExceeded) {
-		s.cDeadline.Inc(1)
+		s.add(cDeadline, 1)
 	}
 }
 
 // noteRetryAfter counts a Retry-After header going out (the HTTP layer
 // calls it when it maps an OverloadError).
-func (s *Scheduler) noteRetryAfter() { s.cRetryAfter.Inc(1) }
-
-// OverloadStats snapshots the deadline/brownout telemetry.
-func (s *Scheduler) OverloadStats() OverloadStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return OverloadStats{
-		BrownoutSLOSec:   s.cfg.BrownoutSLO.Seconds(),
-		BrownoutActive:   s.brownoutOn,
-		DeadlineExpired:  count(s.cDeadline),
-		BrownoutShed:     count(s.cShed),
-		RetryAfterIssued: count(s.cRetryAfter),
-	}
-}
+func (s *Scheduler) noteRetryAfter() { s.add(cRetryAfter, 1) }

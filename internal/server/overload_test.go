@@ -46,7 +46,7 @@ func TestDeadlineExpiredWhileQueued(t *testing.T) {
 	if got := statusFor(err); got != http.StatusGatewayTimeout {
 		t.Fatalf("statusFor(deadline) = %d, want 504", got)
 	}
-	if st := s.OverloadStats(); st.DeadlineExpired != 1 {
+	if st := s.snapshot().Overload; st.DeadlineExpired != 1 {
 		t.Fatalf("DeadlineExpired = %d, want 1", st.DeadlineExpired)
 	}
 	// A client hangup (plain cancel, no deadline) must NOT count as overload.
@@ -59,7 +59,7 @@ func TestDeadlineExpiredWhileQueued(t *testing.T) {
 	waitDepths(t, s, 1, 0, 0)
 	cancel2()
 	<-errCh2
-	if st := s.OverloadStats(); st.DeadlineExpired != 1 {
+	if st := s.snapshot().Overload; st.DeadlineExpired != 1 {
 		t.Fatalf("plain cancel counted as deadline expiry: %+v", st)
 	}
 }
@@ -123,7 +123,7 @@ func TestBrownoutShedsAndRejects(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("backlog request not shed")
 	}
-	st := s.OverloadStats()
+	st := s.snapshot().Overload
 	if !st.BrownoutActive || st.BrownoutShed < 2 {
 		t.Fatalf("overload stats = %+v, want active with >= 2 shed", st)
 	}
@@ -196,7 +196,7 @@ func TestBrownoutDisabledByDefault(t *testing.T) {
 		errCh3 <- err
 	}()
 	waitDepths(t, s, 2, 0, 0)
-	st := s.OverloadStats()
+	st := s.snapshot().Overload
 	if st.BrownoutActive || st.BrownoutShed != 0 || st.BrownoutSLOSec != 0 {
 		t.Fatalf("brownout engaged while disabled: %+v", st)
 	}
@@ -229,7 +229,7 @@ func TestWriteSchedErrRetryAfter(t *testing.T) {
 	if got := rec.Header().Get("Retry-After"); got != "2" {
 		t.Fatalf("Retry-After = %q, want ceil(1.5s) = 2", got)
 	}
-	if st := srv.sched.OverloadStats(); st.RetryAfterIssued != 1 {
+	if st := srv.sched.snapshot().Overload; st.RetryAfterIssued != 1 {
 		t.Fatalf("RetryAfterIssued = %d, want 1", st.RetryAfterIssued)
 	}
 	rec = httptest.NewRecorder()

@@ -17,7 +17,8 @@ import (
 // counts cover prompt prefill only: cached tokens were served from the
 // prefix tree, computed tokens went through a ring pass (they are
 // BatchStats.PrefillTokens). Hits and Detached are the recorder's
-// cp_prefix_adopt_total and cp_prefix_detach_total.
+// cp_prefix_adopt_total and cp_prefix_detach_total, the other counts its
+// cp_reuse_total{field}.
 type ReuseStats struct {
 	Lookups        int64 `json:"lookups"`         // first-chunk prefix-tree consultations
 	Hits           int64 `json:"hits"`            // adoptions settled by a successful suffix chunk
@@ -154,17 +155,17 @@ func (s *Scheduler) runPrefillChunk(pj *request, report *IterReport, start time.
 func (s *Scheduler) landChunkLocked(pj *request, out chunkOutcome, report *IterReport, start time.Time) {
 	now := out.end
 	if out.lookedUp {
-		s.reuse.Lookups++
+		s.add(cLookups, 1)
 	}
 	if out.err == nil {
 		// A chunk and its tokens count once its ring pass succeeded,
 		// whatever then becomes of its request.
-		s.cChunk.Inc(1)
-		s.batch.PrefillTokens += int64(out.n)
+		s.add(cChunk, 1)
+		s.add(cPrefillTokens, out.n)
 		if out.variant == model.PassQ {
-			s.reuse.PassQChunks++
+			s.add(cPassQ, 1)
 		} else {
-			s.reuse.PassKVChunks++
+			s.add(cPassKV, 1)
 		}
 		// Hit accounting lands only once the first miss-suffix chunk
 		// succeeds: an adoption whose request then fails (and is
@@ -172,8 +173,8 @@ func (s *Scheduler) landChunkLocked(pj *request, out chunkOutcome, report *IterR
 		// reported hit rate. The pending count rides the request, not the
 		// stack, so a chunk retried after recovery still settles it.
 		if pj.adopted > 0 {
-			s.cAdopt.Inc(1)
-			s.reuse.CachedTokens += int64(pj.adopted)
+			s.add(cAdopt, 1)
+			s.add(cCached, pj.adopted)
 			pj.adopted = 0
 		}
 	}
@@ -215,7 +216,7 @@ func (s *Scheduler) landChunkLocked(pj *request, out chunkOutcome, report *IterR
 			return
 		}
 		if ce != nil {
-			s.reuse.CapacityQuarantines++
+			s.add(cCapacity, 1)
 		}
 		s.prefills = s.prefills[1:]
 		s.exitLocked(pj, outFailed, fmt.Errorf("prefill: %w", err), true)
@@ -313,9 +314,7 @@ func (s *Scheduler) donatePrefix(session int, hist []int) {
 	if err != nil || added == 0 {
 		return
 	}
-	s.mu.Lock()
-	s.cDetach.Inc(1)
-	s.reuse.DetachedTokens += int64(added)
-	s.mu.Unlock()
+	s.add(cDetach, 1)
+	s.add(cDetachedTokens, added)
 	s.span("prefix.detach", "cache", session, start, s.now(), trace.Arg{Key: "tokens", Val: int64(added)})
 }

@@ -42,16 +42,17 @@ type logSeg struct {
 	toks   []int
 }
 
-// RecoveryStats is the /v1/stats "recovery" block.
+// RecoveryStats is the /v1/stats "recovery" block. Its counts are the
+// recorder's cp_recovery_replays_total and cp_recovery_total{field}.
 type RecoveryStats struct {
 	// Enabled mirrors the -recover flag.
 	Enabled bool `json:"enabled"`
-	// Epoch is the cluster incarnation (1 = never rebuilt).
+	// Epoch is the cluster incarnation (1 = never rebuilt), the recorder's
+	// cp_cluster_epoch.
 	Epoch uint64 `json:"epoch"`
-	// Rebuilds counts completed epoch rebuilds (the recorder's
-	// cp_recovery_replays_total); Attempts counts tries (failed dials
-	// included). Attempts is bounded by MaxRecoveries for
-	// the scheduler's lifetime.
+	// Rebuilds counts completed epoch rebuilds; Attempts counts tries
+	// (failed dials included). Attempts is bounded by MaxRecoveries for the
+	// scheduler's lifetime.
 	Rebuilds      int64 `json:"rebuilds"`
 	Attempts      int64 `json:"attempts"`
 	MaxRecoveries int   `json:"max_recoveries"`
@@ -89,8 +90,7 @@ func (s *Scheduler) logTokens(st *sessionState, decode bool, toks ...int) {
 // absorbed by rebuild+replay rather than faulting sessions; caller holds
 // s.mu.
 func (s *Scheduler) recoveryArmedLocked() bool {
-	return s.cfg.Recover && !s.closed &&
-		s.recStats.Attempts < int64(s.cfg.MaxRecoveries)
+	return s.cfg.Recover && !s.closed && s.attempts < int64(s.cfg.MaxRecoveries)
 }
 
 // scheduleRecoveryLocked records the first unhandled failure cause and
@@ -98,7 +98,7 @@ func (s *Scheduler) recoveryArmedLocked() bool {
 func (s *Scheduler) scheduleRecoveryLocked(cause error) {
 	if s.needRecovery == nil {
 		s.needRecovery = cause
-		s.recStats.LastError = cause.Error()
+		s.lastError = cause.Error()
 	}
 	s.cond.Broadcast()
 }
@@ -118,7 +118,7 @@ func (s *Scheduler) watchFailures() {
 				return
 			}
 			s.mu.Lock()
-			if !s.closed && ev.Epoch >= s.recStats.Epoch {
+			if !s.closed && ev.Epoch >= uint64(count(s.gEpoch)) {
 				s.scheduleRecoveryLocked(fmt.Errorf("cluster failure: rank %d: %v", ev.Peer, ev.Cause))
 			}
 			s.mu.Unlock()
@@ -154,11 +154,11 @@ func (s *Scheduler) maybeRecover() {
 		// (the chunk/batch error paths stop requeueing once the budget is
 		// gone), so fall back to letting command errors fault sessions
 		// individually.
-		s.recStats.LastError = cause.Error()
+		s.lastError = cause.Error()
 		s.mu.Unlock()
 		return
 	}
-	s.recStats.InProgress = true
+	s.recovering = true
 	s.mu.Unlock()
 
 	s.execMu.Lock()
@@ -166,9 +166,9 @@ func (s *Scheduler) maybeRecover() {
 	s.execMu.Unlock()
 
 	s.mu.Lock()
-	s.recStats.InProgress = false
+	s.recovering = false
 	if err != nil {
-		s.recStats.LastError = err.Error()
+		s.lastError = err.Error()
 		s.failRecoverableLocked(err)
 	}
 	// Events that arrived while we were rebuilding describe the incarnation
@@ -187,7 +187,7 @@ func (s *Scheduler) recoverClusterLocked(cause error) error {
 	tRec := s.now()
 	for {
 		s.mu.Lock()
-		s.recStats.LastError = lastErr.Error()
+		s.lastError = lastErr.Error()
 		if s.closed {
 			// Shutdown landed mid-recovery: every waiting request was
 			// already failed by Close, so rebuild attempts (each up to a
@@ -196,11 +196,11 @@ func (s *Scheduler) recoverClusterLocked(cause error) error {
 			s.mu.Unlock()
 			return fmt.Errorf("server: recovery abandoned at shutdown: %w", lastErr)
 		}
-		if s.recStats.Attempts >= int64(s.cfg.MaxRecoveries) {
+		if s.attempts >= int64(s.cfg.MaxRecoveries) {
 			s.mu.Unlock()
 			return fmt.Errorf("server: recovery budget of %d attempts spent: %w", s.cfg.MaxRecoveries, lastErr)
 		}
-		s.recStats.Attempts++
+		s.attempts++
 		// Clients that hung up while the failure was in flight must not be
 		// re-driven: reap their requests and retire the sessions that held
 		// only such work before the replay set is snapshotted, or recovery
@@ -224,10 +224,8 @@ func (s *Scheduler) recoverClusterLocked(cause error) error {
 			continue
 		}
 		epoch := s.exec.Epoch()
-		s.mu.Lock()
-		s.cReplay.Inc(1)
-		s.recStats.Epoch = epoch
-		s.mu.Unlock()
+		s.add(cReplay, 1)
+		s.gEpoch.Set(float64(epoch))
 		s.rec.RecordSpan(trace.Span{
 			Name: "recovery.replay", Cat: "recovery", Rank: trace.CoordinatorRank, Seq: trace.NoSeq,
 			Epoch: epoch,
@@ -270,7 +268,7 @@ func (s *Scheduler) replaySetLocked() []replaySnapshot {
 // individually; any other failure is infrastructure and retries the whole
 // attempt. Caller holds execMu.
 func (s *Scheduler) replayAll(sessions []replaySnapshot) error {
-	var recovered int64
+	recovered := 0
 	for _, ss := range sessions {
 		if rerr := s.replaySession(ss); rerr != nil {
 			var ce *transformer.CapacityError
@@ -290,9 +288,7 @@ func (s *Scheduler) replayAll(sessions []replaySnapshot) error {
 			s.donatePrefix(ss.id, ss.history)
 		}
 	}
-	s.mu.Lock()
-	s.recStats.RecoveredSessions += recovered
-	s.mu.Unlock()
+	s.add(cRecovered, recovered)
 	return nil
 }
 
@@ -303,12 +299,10 @@ func (s *Scheduler) replayAll(sessions []replaySnapshot) error {
 // counted into RecoveryStats, not ReuseStats, whether or not the replay
 // completes. Caller holds execMu.
 func (s *Scheduler) replaySession(ss replaySnapshot) error {
-	var computed, cached int64
+	var computed, cached int
 	defer func() {
-		s.mu.Lock()
-		s.recStats.ReplayedTokens += computed
-		s.recStats.ReplayCachedTokens += cached
-		s.mu.Unlock()
+		s.add(cReplayed, computed)
+		s.add(cReplayCached, cached)
 	}()
 	t := s.now()
 	for _, seg := range ss.log {
@@ -324,11 +318,11 @@ func (s *Scheduler) replaySession(ss replaySnapshot) error {
 		r := &request{session: ss.id, prompt: seg.toks, noCache: ss.noDetach}
 		for r.consumed < len(seg.toks) {
 			out := s.prefillChunk(r, t)
-			cached += int64(out.adopted)
+			cached += out.adopted
 			if out.err != nil {
 				return out.err
 			}
-			computed += int64(out.n)
+			computed += out.n
 			t = out.end
 		}
 	}
@@ -341,7 +335,7 @@ func (s *Scheduler) replaySession(ss replaySnapshot) error {
 // slot returns to the pool. Caller holds s.mu.
 func (s *Scheduler) loseSessionLocked(id int, cause error) {
 	s.dropSessionLocked(id, nil, outFailed, fmt.Errorf("session %d lost in recovery: %w", id, cause))
-	s.recStats.LostSessions++
+	s.add(cLost, 1)
 }
 
 // failRecoverableLocked is the terminal fallback once the recovery budget
@@ -352,13 +346,4 @@ func (s *Scheduler) failRecoverableLocked(cause error) {
 	for _, ss := range s.replaySetLocked() {
 		s.loseSessionLocked(ss.id, cause)
 	}
-}
-
-// RecoveryStats snapshots the fault-recovery telemetry.
-func (s *Scheduler) RecoveryStats() RecoveryStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.recStats
-	out.Rebuilds = count(s.cReplay)
-	return out
 }

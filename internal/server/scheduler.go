@@ -190,51 +190,50 @@ type Scheduler struct {
 	// step loop runs an epoch rebuild + replay before any other work. Only
 	// set when cfg.Recover armed the subsystem.
 	needRecovery error
-	recStats     RecoveryStats
-	watchStop    chan struct{}
+	// Recovery's control state: RecoveryStats' Attempts, InProgress, LastError.
+	attempts   int64
+	recovering bool
+	lastError  string
+	watchStop  chan struct{}
 	// executing is the prefill head whose chunk the current iteration is
 	// running: a client goroutine whose context ended must not dequeue it.
 	executing *request
 	closed    bool
 	idSeq     uint64
 
-	queueStats map[Class]*QueueStats
-	batch      BatchStats
-	lastIter   IterReport
-	reuse      ReuseStats
+	// The levels the stats report beside the counts (snapshot).
+	maxOccupancy    int
+	maxDecodeBatch  int
+	maxWait         map[Class]time.Duration
+	lastIterMs      float64
+	lastDecodeBatch int
 
 	// rec is the serving recorder, never nil: the cluster's when it traces,
 	// the scheduler's own otherwise. The scheduler records serving-layer
-	// latency histograms, per-request spans and its event counters into it;
-	// a tracing cluster's ring layers record the per-sweep phase breakdowns
-	// into the same store. The counters below are the only store of the
-	// numbers they count: the stats accessors read them back, so /v1/stats
+	// latency histograms, per-request spans and its counters into it; a
+	// tracing cluster's ring layers record the per-sweep phase breakdowns
+	// into the same store. It is the only store of every count the stats
+	// accessors report: they read the series back (snapshot), so /v1/stats
 	// and /metrics report one value.
 	rec       *trace.Recorder
 	hTTFT     *trace.Series // cp_request_ttft_seconds
 	hITL      *trace.Series // cp_request_itl_seconds
 	hStep     *trace.Series // cp_step_seconds
 	hWait     map[Class]*trace.Series
-	cRequests map[Class]*trace.Series // cp_requests_total
-	cChunk    *trace.Series           // cp_prefill_chunks_total
-	cAdopt    *trace.Series           // cp_prefix_adopt_total
-	cDetach   *trace.Series           // cp_prefix_detach_total
-	cReplay   *trace.Series           // cp_recovery_replays_total
+	cRequests map[Class]*trace.Series  // cp_requests_total
+	counts    [nCounters]*trace.Series // counterSeries' series
+	gEpoch    *trace.Series            // cp_cluster_epoch
 
 	// cohorts bounds cohort-label cardinality; cohortSeries caches the
 	// per-cohort handle set (guarded by s.mu).
 	cohorts      *trace.LabelPool
 	cohortSeries map[string]*cohortHandles
 
-	// Overload-control state (overload.go): cached brownout verdict, the
-	// previous queue-wait snapshot it was computed against, and the
-	// deadline/shed/Retry-After counters.
+	// Overload-control state (overload.go): cached brownout verdict and the
+	// previous queue-wait snapshot it was computed against.
 	brownoutPrev trace.SeriesSnap
 	brownoutAt   time.Time
 	brownoutOn   bool
-	cDeadline    *trace.Series // cp_overload_deadline_expired_total
-	cShed        *trace.Series // cp_overload_shed_total
-	cRetryAfter  *trace.Series // cp_overload_retry_after_total
 
 	// tree is the prefix-reuse radix tree, nil when disabled. All tree
 	// operations that touch rank KV caches (lookup-adopt, detach-insert,
@@ -286,32 +285,25 @@ func newScheduler(exec executor, mc model.Config, rec *trace.Recorder, now func(
 		now:       now,
 		sessions:  make(map[int]sessionState),
 		watchStop: make(chan struct{}),
-		queueStats: map[Class]*QueueStats{
-			ClassPrefill: {}, ClassDecode: {},
-		},
-		lastIter: IterReport{PrefillSession: -1},
-		loopDone: make(chan struct{}),
-		rec:      rec,
-		iter:     iterScratch{used: make(map[int]bool)},
+		maxWait:   make(map[Class]time.Duration, 2),
+		hWait:     make(map[Class]*trace.Series, 2),
+		cRequests: make(map[Class]*trace.Series, 2),
+		loopDone:  make(chan struct{}),
+		rec:       rec,
+		iter:      iterScratch{used: make(map[int]bool)},
 	}
 	s.hTTFT = s.rec.Hist("cp_request_ttft_seconds")
 	s.hITL = s.rec.Hist("cp_request_itl_seconds")
 	s.hStep = s.rec.Hist("cp_step_seconds")
-	s.hWait = map[Class]*trace.Series{
-		ClassPrefill: s.rec.Hist("cp_queue_wait_seconds", trace.L("class", string(ClassPrefill))),
-		ClassDecode:  s.rec.Hist("cp_queue_wait_seconds", trace.L("class", string(ClassDecode))),
+	for _, c := range []Class{ClassPrefill, ClassDecode} {
+		s.hWait[c] = s.rec.Hist("cp_queue_wait_seconds", trace.L("class", string(c)))
+		s.cRequests[c] = s.rec.CounterSeries("cp_requests_total", trace.L("class", string(c)))
 	}
-	s.cRequests = map[Class]*trace.Series{
-		ClassPrefill: s.rec.CounterSeries("cp_requests_total", trace.L("class", string(ClassPrefill))),
-		ClassDecode:  s.rec.CounterSeries("cp_requests_total", trace.L("class", string(ClassDecode))),
+	for c, cs := range counterSeries {
+		s.counts[c] = s.rec.CounterSeries(cs.name, cs.labels...)
 	}
-	s.cChunk = s.rec.CounterSeries("cp_prefill_chunks_total")
-	s.cAdopt = s.rec.CounterSeries("cp_prefix_adopt_total")
-	s.cDetach = s.rec.CounterSeries("cp_prefix_detach_total")
-	s.cReplay = s.rec.CounterSeries("cp_recovery_replays_total")
-	s.cDeadline = s.rec.CounterSeries("cp_overload_deadline_expired_total")
-	s.cShed = s.rec.CounterSeries("cp_overload_shed_total")
-	s.cRetryAfter = s.rec.CounterSeries("cp_overload_retry_after_total")
+	s.gEpoch = s.rec.Gauge("cp_cluster_epoch")
+	s.gEpoch.Set(float64(exec.Epoch()))
 	s.cohorts = trace.NewLabelPool(0, cfg.Cohorts...)
 	s.cohortSeries = make(map[string]*cohortHandles)
 	if len(cfg.Cohorts) > 0 {
@@ -326,9 +318,6 @@ func newScheduler(exec executor, mc model.Config, rec *trace.Recorder, now func(
 		}
 		s.mu.Unlock()
 	}
-	s.recStats.Enabled = cfg.Recover
-	s.recStats.MaxRecoveries = cfg.MaxRecoveries
-	s.recStats.Epoch = exec.Epoch()
 	if cfg.PrefixCacheTokens > 0 {
 		// Block size must equal the chunk budget: hits are only bit-exact at
 		// canonical chunk boundaries. Config was validated by applyDefaults,

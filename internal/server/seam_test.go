@@ -189,7 +189,7 @@ func TestSeamBrownoutTripsAndClears(t *testing.T) {
 	if err := <-d2; err != nil {
 		t.Fatalf("admission before the refresh boundary: %v", err)
 	}
-	if s.OverloadStats().BrownoutActive {
+	if s.snapshot().Overload.BrownoutActive {
 		t.Fatal("brownout engaged before its refresh boundary")
 	}
 
@@ -200,7 +200,7 @@ func TestSeamBrownoutTripsAndClears(t *testing.T) {
 	if !errors.As(err, &oe) {
 		t.Fatalf("admission with the windowed p90 over the SLO = %v, want OverloadError", err)
 	}
-	if st := s.OverloadStats(); !st.BrownoutActive || st.BrownoutShed != 1 {
+	if st := s.snapshot().Overload; !st.BrownoutActive || st.BrownoutShed != 1 {
 		t.Fatalf("overload stats = %+v, want active with 1 shed", st)
 	}
 
@@ -221,7 +221,7 @@ func TestSeamBrownoutTripsAndClears(t *testing.T) {
 	if err := <-d4; err != nil {
 		t.Fatalf("admission one window after the waits recovered: %v", err)
 	}
-	if s.OverloadStats().BrownoutActive {
+	if s.snapshot().Overload.BrownoutActive {
 		t.Fatal("brownout still active one refresh window after the waits recovered")
 	}
 }
@@ -361,7 +361,7 @@ func TestSeamReplayRetracesLiveCalls(t *testing.T) {
 		s.Release(donor) // donates the donor's 20-token canonical prefix
 		d1 := generateAsync(t, s, 1, prompt(11), maxTokens)
 		d2 := generateAsync(t, s, 2, prompt(21), maxTokens)
-		for len(s.LastIter().DecodeSessions) < 2 { // until both sessions share a fused step
+		for s.snapshot().LastDecodeBatch < 2 { // until both sessions share a fused step
 			if _, ok := s.Step(); !ok {
 				t.Fatal("scheduler ran dry before the sessions fused")
 			}
@@ -531,7 +531,7 @@ func TestSeamEndedContextIsNeverClaimed(t *testing.T) {
 			t.Errorf("the executor was asked for %+v", c)
 		}
 	}
-	if st := s.OverloadStats(); st.DeadlineExpired != 1 {
+	if st := s.snapshot().Overload; st.DeadlineExpired != 1 {
 		t.Errorf("deadline_expired = %d, want 1", st.DeadlineExpired)
 	}
 }

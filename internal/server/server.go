@@ -104,7 +104,6 @@ type Server struct {
 
 	// The level gauges the scrapes and polls set, resolved once.
 	gSequence *trace.Series // cp_stats_sequence
-	gEpoch    *trace.Series // cp_cluster_epoch
 	gUptime   *trace.Series // cp_uptime_seconds
 	gSessions *trace.Series // cp_sessions_resident
 }
@@ -166,7 +165,6 @@ func New(cfg Config) (*Server, error) {
 			Cohorts:           cfg.Cohorts,
 		}),
 		gSequence: rec.Gauge("cp_stats_sequence"),
-		gEpoch:    rec.Gauge("cp_cluster_epoch"),
 		gUptime:   rec.Gauge("cp_uptime_seconds"),
 		gSessions: rec.Gauge("cp_sessions_resident"),
 	}

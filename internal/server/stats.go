@@ -25,10 +25,7 @@ func (s *Server) Recorder() *trace.Recorder { return s.rec }
 // refreshes the level gauges.
 func (s *Server) syncTrace() error {
 	var err error
-	s.sched.WithCluster(func(c *transformer.Cluster) {
-		err = c.SyncTrace()
-		s.gEpoch.Set(float64(c.Epoch()))
-	})
+	s.sched.WithCluster(func(c *transformer.Cluster) { err = c.SyncTrace() })
 	s.gUptime.Set(s.sched.now().Sub(s.started).Seconds())
 	s.gSessions.Set(float64(s.sched.Sessions()))
 	return err
@@ -257,10 +254,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ids := s.sched.SessionIDs()
-	// Snapshot the recovery block before the cluster lock: WithCluster
+	// Snapshot the scheduler's blocks before the cluster lock: WithCluster
 	// blocks for the whole rebuild+replay while a recovery is executing, so
 	// sampling afterwards could never observe in_progress=true.
-	recovery := s.sched.RecoveryStats()
+	st := s.sched.snapshot()
 	var ranks int
 	var tel transformer.Telemetry
 	var telErr error
@@ -304,18 +301,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for kind, msgs := range tel.Comm.Messages {
 		comm.ByKind[string(kind)] = commKindStats{Messages: msgs, Bytes: tel.Comm.Bytes[kind]}
 	}
-	batch := s.sched.BatchStats()
 	admitQ, prefillQ, decodeQ := s.sched.QueueDepths()
-	reuse := s.sched.Reuse()
 	var treeStats *prefixcache.Stats
-	if st, ok := s.sched.PrefixStats(); ok {
-		treeStats = &st
-	}
-	latency := latencyBlock{
-		TTFT:     quantilesOf(s.sched.hTTFT),
-		ITL:      quantilesOf(s.sched.hITL),
-		Step:     quantilesOf(s.sched.hStep),
-		ByCohort: s.sched.cohortLatency(),
+	if tree, ok := s.sched.PrefixStats(); ok {
+		treeStats = &tree
 	}
 	seq := s.seq.Add(1)
 	s.gSequence.Set(float64(seq))
@@ -329,25 +318,25 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeSec:       uptime.Seconds(),
 		UptimeMs:        uptime.Milliseconds(),
 		Sequence:        seq,
-		QueueStats:      s.sched.Stats(),
+		QueueStats:      st.QueueStats,
 		SessionLens:     lens,
-		Latency:         latency,
-		Batch:           batch,
-		MeanOccupancy:   batch.MeanOccupancy(),
-		MeanIterMs:      batch.MeanIterMs(),
+		Latency:         st.Latency,
+		Batch:           st.Batch,
+		MeanOccupancy:   st.Batch.MeanOccupancy(),
+		MeanIterMs:      st.Batch.MeanIterMs(),
 		TokenBudget:     s.sched.cfg.TokenBudget,
 		MaxBatch:        s.sched.cfg.MaxBatch,
 		MaxSessions:     s.sched.cfg.MaxSessions,
 		QueuedAdmit:     admitQ,
 		QueuedPrefill:   prefillQ,
 		QueuedDecode:    decodeQ,
-		LastDecodeBatch: len(s.sched.LastIter().DecodeSessions),
+		LastDecodeBatch: st.LastDecodeBatch,
 		PrefillSource: prefillSource{
-			CachedTokens:   reuse.CachedTokens,
-			ComputedTokens: reuse.ComputedTokens,
-			HitRate:        reuse.HitRate(),
+			CachedTokens:   st.Reuse.CachedTokens,
+			ComputedTokens: st.Reuse.ComputedTokens,
+			HitRate:        st.Reuse.HitRate(),
 		},
-		Reuse:       reuse,
+		Reuse:       st.Reuse,
 		PrefixCache: treeStats,
 		Kernel: kernelBlock{
 			SIMD:        simd.Active().String(),
@@ -357,9 +346,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		KVAssembly: tel.Assembly,
 		Comm:       comm,
-		Recovery:   recovery,
+		Recovery:   st.Recovery,
 		Integrity:  integrityBlock{FramesChecked: counters.IntegrityChecked, FramesRejected: counters.IntegrityRejected},
 		Chaos:      chaosStats,
-		Overload:   s.sched.OverloadStats(),
+		Overload:   st.Overload,
 	})
 }

@@ -119,22 +119,17 @@ func (s *Scheduler) step() (IterReport, bool) {
 	dur := end.Sub(start)
 	report.DurMs = msOf(dur)
 	s.hStep.Observe(dur.Seconds())
+	decoded := len(report.DecodeSessions)
+	s.add(cOccupancy, report.Occupancy())
+	s.add(cDecodeTokens, decoded)
+	if pj != nil && decoded > 0 {
+		s.add(cMixed, 1)
+	}
 
 	s.mu.Lock()
-	b := &s.batch
-	b.Iterations++
-	b.OccupancySum += int64(report.Occupancy())
-	b.MaxOccupancy = max(b.MaxOccupancy, report.Occupancy())
-	b.MaxDecodeBatch = max(b.MaxDecodeBatch, len(report.DecodeSessions))
-	b.DecodeTokens += int64(len(report.DecodeSessions))
-	if pj != nil && len(report.DecodeSessions) > 0 {
-		b.MixedIterations++
-	}
-	b.LastIterMs = report.DurMs
-	b.TotalIterMs += report.DurMs
-	last := s.lastIter.DecodeSessions
-	s.lastIter = report
-	s.lastIter.DecodeSessions = append(last[:0], report.DecodeSessions...)
+	s.maxOccupancy = max(s.maxOccupancy, report.Occupancy())
+	s.maxDecodeBatch = max(s.maxDecodeBatch, decoded)
+	s.lastIterMs, s.lastDecodeBatch = report.DurMs, decoded
 	s.mu.Unlock()
 	// Only now are the iteration's requests answered: a client that reads
 	// the stats on its reply finds the iteration in them.
@@ -151,11 +146,7 @@ func (s *Scheduler) step() (IterReport, bool) {
 // whose phase begins at now; caller holds s.mu.
 func (s *Scheduler) recordWaitLocked(c Class, r *request, now time.Time) {
 	wait := now.Sub(r.queuedAt)
-	st := s.queueStats[c]
-	st.TotalWait += wait
-	if wait > st.MaxWait {
-		st.MaxWait = wait
-	}
+	s.maxWait[c] = max(s.maxWait[c], wait)
 	s.hWait[c].Observe(wait.Seconds())
 	// Span args are int64-valued, so the cohort rides as its pool id; the
 	// id→name registry is exposed in /v1/stats cohort block order.
@@ -207,7 +198,7 @@ func (s *Scheduler) runDecodeBatch(dbatch []*request, report *IterReport, start 
 		for _, r := range dbatch {
 			if slices.Contains(ce.Seqs, r.session) {
 				s.exitLocked(r, outFailed, cause, true)
-				s.reuse.CapacityQuarantines++
+				s.add(cCapacity, 1)
 			} else {
 				kept = append(kept, r)
 			}

@@ -26,6 +26,9 @@ var metricHelp = map[string]string{
 	"cp_prefix_adopt_total":              "Prefix hits of live traffic: adoptions whose following prefill chunk succeeded.",
 	"cp_prefix_detach_total":             "Session prefixes donated to the reuse tree.",
 	"cp_recovery_replays_total":          "Completed cluster rebuilds with session replay.",
+	"cp_batch_total":                     "Scheduler batching counts, by /v1/stats batch field.",
+	"cp_reuse_total":                     "Prefix-reuse and ring-variant counts of live traffic, by /v1/stats reuse field.",
+	"cp_recovery_total":                  "Recovery replay counts, by /v1/stats recovery field.",
 	"cp_trace_spans_dropped_total":       "Spans dropped at the buffer cap, by rank.",
 	"cp_uptime_seconds":                  "Seconds since the server started.",
 	"cp_stats_sequence":                  "Monotonic stats snapshot sequence number.",
